@@ -60,7 +60,8 @@ pub struct AdmissionConfig {
     /// Suggested client back-off returned in
     /// [`DlhubError::Overloaded::retry_after_ms`].
     pub retry_after: Duration,
-    /// p99 broker queue wait above which the service counts as
+    /// p99 queue wait — in the broker or in front of the replica
+    /// pools, whichever is larger — above which the service counts as
     /// contended even below the inflight threshold.
     pub queue_wait_p99_max: Duration,
     /// Fast-window SLO burn rate above which the service counts as

@@ -12,11 +12,18 @@ use crossbeam::channel;
 use dlhub_container::{Cluster, Digest, PodSpec};
 use dlhub_fault::{site, FaultHandle, FaultKind};
 use dlhub_obs::{Counter, Gauge, Histogram, Obs, ProfilerHandle, SpanRecord, TraceContext};
-use parking_lot::RwLock;
+use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
+
+/// What an executor reports for one task: outputs in input order plus
+/// per-input inference durations, or the first error.
+pub type Execution = Result<(Vec<Value>, Vec<Duration>), String>;
+
+/// Completion callback of [`Executor::dispatch`].
+pub type Done = Box<dyn FnOnce(Execution) + Send>;
 
 /// Executors run batches of inputs against one servable and report
 /// per-input inference times (the innermost measurement point, §V-A).
@@ -34,7 +41,7 @@ pub trait Executor: Send + Sync {
         servable_id: &str,
         servable: &Arc<dyn Servable>,
         inputs: &[Value],
-    ) -> Result<(Vec<Value>, Vec<Duration>), String>;
+    ) -> Execution;
 
     /// Number of tasks dispatched so far.
     fn dispatched(&self) -> u64;
@@ -56,7 +63,7 @@ pub trait Executor: Send + Sync {
         inputs: &[Value],
         obs: Option<&Obs>,
         parent: Option<TraceContext>,
-    ) -> Result<(Vec<Value>, Vec<Duration>), String> {
+    ) -> Execution {
         let result = self.execute(servable_id, servable, inputs);
         if let (Some(obs), Some(parent), Ok((_, times))) = (obs, parent, &result) {
             if obs.tracer.enabled() {
@@ -80,21 +87,30 @@ pub trait Executor: Send + Sync {
         result
     }
 
-    /// Zero-copy variant of [`Executor::execute_traced`]: the caller
-    /// hands over shared ownership of the decoded inputs, so pooled
-    /// executors can fan jobs out to replica threads without cloning
-    /// `Value` trees. The default delegates to `execute_traced` (inline
-    /// executors read the values in place and never needed the copy).
-    fn execute_shared(
+    /// Completion-passing, zero-copy variant of
+    /// [`Executor::execute_traced`]: start the task and return; `done`
+    /// is called exactly once, on whichever thread finishes the task,
+    /// so the caller never sits on a running inference. The inputs are
+    /// handed over by shared ownership, so pooled executors fan them
+    /// out without cloning `Value` trees. The default runs the task
+    /// inline: all an executor without replica threads can do.
+    fn dispatch(
         &self,
         servable_id: &str,
         servable: &Arc<dyn Servable>,
         inputs: Arc<Vec<Value>>,
         obs: Option<&Obs>,
         parent: Option<TraceContext>,
-    ) -> Result<(Vec<Value>, Vec<Duration>), String> {
-        self.execute_traced(servable_id, servable, &inputs, obs, parent)
+        done: Done,
+    ) {
+        done(self.execute_traced(servable_id, servable, &inputs, obs, parent));
     }
+
+    /// Complete, with a timeout error, every dispatched task whose
+    /// replicas have not all answered in time. Whoever dispatches
+    /// without waiting calls this every loop turn; it costs one atomic
+    /// load when nothing is due. Inline executors have nothing to reap.
+    fn reap_expired(&self) {}
 
     /// Resize a servable's replica pool; returns the applied count.
     /// Inline executors (TF-Serving, SageMaker) have no pools: the
@@ -117,33 +133,112 @@ pub trait Executor: Send + Sync {
     }
 }
 
-/// Trace baggage attached to a pooled job so the replica thread can
-/// record its own exact `inference` span (with the replica's identity)
-/// instead of a reconstructed one.
+/// Trace baggage of a pooled task, so the replica thread records its
+/// own exact `inference` span instead of a reconstructed one.
 struct JobTrace {
     tracer: dlhub_obs::Tracer,
     parent: TraceContext,
     servable_id: String,
 }
 
-struct Job {
+/// One dispatched batch: the inputs, the answers as replicas report
+/// them, and the completion callback.
+struct Task {
     servable: Arc<dyn Servable>,
     /// The whole batch, shared by reference across every job; each job
     /// reads its own `inputs[index]` in place. Dispatching a batch of
     /// `n` inputs is `n` refcount bumps, not `n` deep `Value` clones.
     inputs: Arc<Vec<Value>>,
-    reply: channel::Sender<(usize, Result<Value, String>, Duration)>,
-    index: usize,
     trace: Option<JobTrace>,
+    /// Obs-clock instant after which the task counts as wedged.
+    deadline_ns: u64,
+    progress: Mutex<Progress>,
+    /// Wakes the blocking caller of a task that has no `done`.
+    finished: Condvar,
+}
+
+/// The shared countdown of one task, completed exactly once: by the
+/// last replica to answer or by an expiry, whichever locks first.
+struct Progress {
+    answers: Vec<Option<(Result<Value, String>, Duration)>>,
+    answered: usize,
+    completed: bool,
+    /// Who to tell; `None` when a blocking caller waits on the task
+    /// itself, in which case the outcome is parked in `outcome`.
+    done: Option<Done>,
+    outcome: Option<Execution>,
+}
+
+impl Task {
+    /// Record one replica's answer; the last one completes the task
+    /// (first error in input order, if any). Returns whether it did.
+    fn answer(&self, index: usize, result: Result<Value, String>, inference: Duration) -> bool {
+        let mut progress = self.progress.lock();
+        progress.answers[index] = Some((result, inference));
+        progress.answered += 1;
+        progress.answered == progress.answers.len()
+            && self.complete(progress, |progress| {
+                let answers = std::mem::take(&mut progress.answers).into_iter().flatten();
+                answers
+                    .map(|(result, time)| result.map(|value| (value, time)))
+                    .collect::<Result<Vec<_>, _>>()
+                    .map(|pairs| pairs.into_iter().unzip())
+            })
+    }
+
+    /// Complete the task with `outcome`, unless it already completed;
+    /// returns whether this call did.
+    fn complete(
+        &self,
+        mut progress: MutexGuard<'_, Progress>,
+        outcome: impl FnOnce(&mut Progress) -> Execution,
+    ) -> bool {
+        if std::mem::replace(&mut progress.completed, true) {
+            return false;
+        }
+        let outcome = outcome(&mut progress);
+        match progress.done.take() {
+            // Completions run user code (encode, reply): unlocked.
+            Some(done) => {
+                drop(progress);
+                done(outcome);
+            }
+            None => {
+                progress.outcome = Some(outcome);
+                drop(progress);
+                self.finished.notify_one();
+            }
+        }
+        true
+    }
+
+    /// Complete the task with a fixed error.
+    fn fail(&self, error: &str) {
+        self.complete(self.progress.lock(), |_| Err(error.to_string()));
+    }
+}
+
+struct Job {
+    task: Arc<Task>,
+    index: usize,
     /// Obs-clock stamp taken when the job entered the pool queue, so
-    /// the replica can report its queue wait on the inference span.
+    /// the replica can report its queue wait.
     queued_ns: u64,
 }
 
-impl Job {
-    fn input(&self) -> &Value {
-        &self.inputs[self.index]
-    }
+/// `next_expiry` sentinel: no task outstanding.
+const NO_EXPIRY: u64 = u64::MAX;
+
+/// How often a thread blocked on a pool looks for expired tasks.
+const TICK: Duration = Duration::from_millis(50);
+
+/// Tasks in flight, by address, so [`Executor::reap_expired`] can find
+/// the ones a hung replica left unanswered. As in the broker's lease
+/// reaper, `next_expiry` caches the earliest deadline so the common
+/// check is one load, not a scan.
+struct Inflight {
+    tasks: Mutex<HashMap<usize, Arc<Task>>>,
+    next_expiry: AtomicU64,
 }
 
 /// Replica health thresholds: a replica accumulating
@@ -176,6 +271,9 @@ struct HealthMetrics {
     /// Wall time to bring a pool from zero replicas to serving, fed by
     /// [`ParslExecutor::scale`] on every cold start.
     cold_start: Arc<Histogram>,
+    /// Pickup minus `Job::queued_ns`: backlog forms in front of the
+    /// replicas now that consumers dispatch without waiting.
+    queue_wait: Arc<Histogram>,
     /// Replica threads mark `replica.execute` frames while running
     /// user code, so profiler samples attribute worker CPU.
     profiler: ProfilerHandle,
@@ -199,21 +297,26 @@ impl Pool {
         faults: FaultHandle,
         health: Option<HealthPolicy>,
         metrics: Arc<OnceLock<HealthMetrics>>,
+        inflight: Arc<Inflight>,
     ) -> Pool {
-        let (sender, receiver) = channel::unbounded::<Job>();
+        // One queued job per replica: a dispatcher blocks only on a
+        // saturated pool, and whatever it has not pulled yet keeps
+        // waiting unleased in the task topic.
+        let (sender, receiver) = channel::bounded::<Job>(replicas);
         let quarantined = Arc::new(AtomicUsize::new(0));
         let workers = (0..replicas)
             .map(|i| {
                 let rx = receiver.clone();
                 let faults = faults.clone();
                 let metrics = Arc::clone(&metrics);
+                let inflight = Arc::clone(&inflight);
                 let pool_quarantined = Arc::clone(&quarantined);
                 std::thread::Builder::new()
                     .name(format!("pod-{servable_id}-{i}"))
                     .spawn(move || {
                         // Each worker models one pod replica: pull the
                         // next request (IPP-style load balancing across
-                        // the pool), run the servable, reply. A panic
+                        // the pool), run the servable, answer. A panic
                         // inside user code must not kill the pod — the
                         // real system's container would trap the crash
                         // and report it — so unwind is caught and
@@ -221,8 +324,12 @@ impl Pool {
                         let mut strikes = 0u32;
                         while let Ok(job) = rx.recv() {
                             let _frame = metrics.get().map(|m| m.profiler.frame("replica.execute"));
-                            let start = Instant::now();
+                            let (task, queued_ns) = (job.task, job.queued_ns);
                             let start_ns = dlhub_obs::now_ns();
+                            if let Some(m) = metrics.get() {
+                                m.queue_wait.record(start_ns.saturating_sub(queued_ns));
+                            }
+                            let input = &task.inputs[job.index];
                             let injected = faults.decide(site::REPLICA);
                             let result =
                                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -236,13 +343,13 @@ impl Pool {
                                             ) =>
                                         {
                                             std::thread::sleep(fault.delay);
-                                            job.servable.run(job.input())
+                                            task.servable.run(input)
                                         }
                                         Some(fault) if fault.kind == FaultKind::Panic => {
                                             panic!("injected replica panic")
                                         }
                                         Some(_) => Err("injected replica fault".to_string()),
-                                        None => job.servable.run(job.input()),
+                                        None => task.servable.run(input),
                                     }
                                 }))
                                 .unwrap_or_else(|panic| {
@@ -253,25 +360,31 @@ impl Pool {
                                         .unwrap_or_else(|| "unknown panic".into());
                                     Err(format!("servable panicked: {msg}"))
                                 });
-                            let inference = start.elapsed();
-                            if let Some(trace) = job.trace {
+                            let end_ns = dlhub_obs::now_ns();
+                            if let Some(trace) = &task.trace {
                                 trace.tracer.record(SpanRecord {
                                     trace: trace.parent.trace,
                                     span: 0, // minted by the tracer
                                     parent: trace.parent.span,
                                     name: "inference",
                                     start_ns,
-                                    end_ns: dlhub_obs::now_ns(),
+                                    end_ns,
                                     attrs: vec![
-                                        ("servable", trace.servable_id),
+                                        ("servable", trace.servable_id.clone()),
                                         ("replica", i.to_string()),
                                         ("executor", "parsl".to_string()),
-                                        ("queued_ns", job.queued_ns.to_string()),
+                                        ("queued_ns", queued_ns.to_string()),
                                     ],
                                 });
                             }
                             let failed = result.is_err();
-                            let _ = job.reply.send((job.index, result, inference));
+                            let inference = Duration::from_nanos(end_ns.saturating_sub(start_ns));
+                            // The last answer runs the task's completion
+                            // right here, on the replica thread.
+                            if task.answer(job.index, result, inference) {
+                                inflight.tasks.lock().remove(&(Arc::as_ptr(&task) as usize));
+                            }
+                            drop(task);
                             // Health state machine: healthy → suspect
                             // (strikes accumulating) → quarantined →
                             // restarted. Success wipes the record.
@@ -330,11 +443,11 @@ pub struct ParslExecutor {
     dispatched: AtomicU64,
     faults: FaultHandle,
     health: Option<HealthPolicy>,
-    /// How long a dispatch waits for all replica replies before
-    /// declaring the batch wedged (a hung replica must not wedge the
-    /// Task Manager consumer forever).
+    /// How long a task waits for all replica answers before it is
+    /// declared wedged and completed with a timeout error.
     reply_timeout: Duration,
     metrics: Arc<OnceLock<HealthMetrics>>,
+    inflight: Arc<Inflight>,
 }
 
 impl ParslExecutor {
@@ -350,6 +463,10 @@ impl ParslExecutor {
             health: Some(HealthPolicy::default()),
             reply_timeout: Duration::from_secs(60),
             metrics: Arc::new(OnceLock::new()),
+            inflight: Arc::new(Inflight {
+                tasks: Mutex::new(HashMap::new()),
+                next_expiry: AtomicU64::new(NO_EXPIRY),
+            }),
         }
     }
 
@@ -368,7 +485,7 @@ impl ParslExecutor {
         self
     }
 
-    /// Bound how long one dispatch waits for its replica replies.
+    /// Bound how long one task waits for its replica answers.
     pub fn with_reply_timeout(mut self, timeout: Duration) -> Self {
         self.reply_timeout = timeout;
         self
@@ -392,6 +509,10 @@ impl ParslExecutor {
             cold_start: obs.metrics.histogram_with_help(
                 "cold_start_ns",
                 "Wall time to bring a replica pool from zero to serving",
+            ),
+            queue_wait: obs.metrics.histogram_with_help(
+                "replica_queue_wait_ns",
+                "Time jobs spent queued in front of a replica pool",
             ),
             profiler: obs.profile.clone(),
         });
@@ -454,6 +575,7 @@ impl ParslExecutor {
                     self.faults.clone(),
                     self.health,
                     Arc::clone(&self.metrics),
+                    Arc::clone(&self.inflight),
                 ),
             );
             if cold {
@@ -487,99 +609,108 @@ impl ParslExecutor {
             .map_or(0, |p| p.quarantined.load(Ordering::Relaxed))
     }
 
-    fn ensure_pool(&self, servable_id: &str) {
-        if !self.pools.read().contains_key(servable_id) {
+    /// The job queue of the servable's pool, deployed first if absent.
+    /// The reconciler's idle park can retire the pool between deploy
+    /// and look: a cold start to retry, never a panic on a live thread.
+    fn pool_sender(&self, servable_id: &str) -> Option<channel::Sender<Job>> {
+        for _ in 0..4 {
+            if let Some(pool) = self.pools.read().get(servable_id) {
+                return Some(pool.sender.clone());
+            }
             self.scale(servable_id, self.default_replicas);
         }
+        None
     }
 
-    fn execute_inner(
+    /// The one fan-out path: one job per input onto the servable's
+    /// pool. Whichever thread completes the task calls `done`, or, for
+    /// `None`, parks the outcome in the returned task for the caller to
+    /// wait on. A dispatcher parked on a saturated pool looks for
+    /// expired tasks every [`TICK`].
+    fn start(
         &self,
         servable_id: &str,
         servable: &Arc<dyn Servable>,
         inputs: Arc<Vec<Value>>,
-        trace: Option<(&Obs, TraceContext)>,
-    ) -> Result<(Vec<Value>, Vec<Duration>), String> {
-        self.ensure_pool(servable_id);
+        obs: Option<&Obs>,
+        parent: Option<TraceContext>,
+        done: Option<Done>,
+    ) -> Arc<Task> {
         let count = inputs.len();
-        let (reply_tx, reply_rx) = channel::unbounded();
-        // Shared lock: many batches dispatch concurrently; the
-        // per-replica channels do the fan-out. The reconciler's idle
-        // park (scale-to-zero) can retire the pool between
-        // ensure_pool() and the read lock — that is a cold start to
-        // retry, never a panic on a live request thread.
-        let mut park_races = 0u32;
-        loop {
-            {
-                let pools = self.pools.read();
-                if let Some(pool) = pools.get(servable_id) {
-                    for index in 0..count {
-                        self.dispatched.fetch_add(1, Ordering::Relaxed);
-                        pool.sender
-                            .send(Job {
-                                servable: Arc::clone(servable),
-                                inputs: Arc::clone(&inputs),
-                                reply: reply_tx.clone(),
-                                index,
-                                trace: trace.map(|(obs, parent)| JobTrace {
-                                    tracer: obs.tracer.clone(),
-                                    parent,
-                                    servable_id: servable_id.to_string(),
-                                }),
-                                queued_ns: dlhub_obs::now_ns(),
-                            })
-                            .map_err(|_| "executor pool shut down".to_string())?;
+        let started_ns = dlhub_obs::now_ns();
+        let timeout_ns = self.reply_timeout.as_nanos().min(u64::MAX as u128) as u64;
+        // Spans are recorded on the replica threads themselves, so each
+        // carries the replica that ran it and exact start/end stamps.
+        let trace = match (obs, parent) {
+            (Some(obs), Some(parent)) if obs.tracer.enabled() => Some(JobTrace {
+                tracer: obs.tracer.clone(),
+                parent,
+                servable_id: servable_id.to_string(),
+            }),
+            _ => None,
+        };
+        let task = Arc::new(Task {
+            servable: Arc::clone(servable),
+            inputs,
+            trace,
+            deadline_ns: started_ns.saturating_add(timeout_ns).min(NO_EXPIRY - 1),
+            progress: Mutex::new(Progress {
+                answers: (0..count).map(|_| None).collect(),
+                answered: 0,
+                completed: false,
+                done,
+                outcome: None,
+            }),
+            finished: Condvar::new(),
+        });
+        if count == 0 {
+            task.complete(task.progress.lock(), |_| Ok((Vec::new(), Vec::new())));
+            return task;
+        }
+        let Some(sender) = self.pool_sender(servable_id) else {
+            task.fail("executor pool shut down");
+            return task;
+        };
+        let address = Arc::as_ptr(&task) as usize;
+        self.inflight
+            .tasks
+            .lock()
+            .insert(address, Arc::clone(&task));
+        self.inflight
+            .next_expiry
+            .fetch_min(task.deadline_ns, Ordering::SeqCst);
+        // Sending happens outside the `pools` read guard: a saturated
+        // pool blocks this dispatcher, never a rescale of any pool.
+        for index in 0..count {
+            self.dispatched.fetch_add(1, Ordering::Relaxed);
+            let queued_ns = match index {
+                0 => started_ns,
+                _ => dlhub_obs::now_ns(),
+            };
+            let mut job = Job {
+                task: Arc::clone(&task),
+                index,
+                queued_ns,
+            };
+            // A dispatcher parked on a saturated pool still looks for
+            // expired tasks, and gives up once its own has expired:
+            // hung replicas hold it for `reply_timeout` at most.
+            while let Err(unsent) = sender.send_timeout(job, TICK) {
+                job = match unsent {
+                    channel::SendTimeoutError::Timeout(job) => job,
+                    channel::SendTimeoutError::Disconnected(_) => {
+                        self.inflight.tasks.lock().remove(&address);
+                        task.fail("executor pool shut down");
+                        return task;
                     }
-                    break;
+                };
+                self.reap_expired();
+                if task.progress.lock().completed {
+                    return task;
                 }
             }
-            park_races += 1;
-            if park_races > 3 {
-                return Err("executor pool shut down".to_string());
-            }
-            self.ensure_pool(servable_id);
         }
-        drop(reply_tx);
-        let mut outputs: Vec<Option<Value>> = vec![None; count];
-        let mut inference = vec![Duration::ZERO; count];
-        let mut first_error = None;
-        let mut received = 0usize;
-        // Deadline-bounded collection: a replica that hangs mid-job
-        // must not wedge this dispatch (and with it a Task Manager
-        // consumer thread) forever.
-        let deadline = Instant::now() + self.reply_timeout;
-        while received < inputs.len() {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            match reply_rx.recv_timeout(remaining) {
-                Ok((index, result, time)) => {
-                    received += 1;
-                    inference[index] = time;
-                    match result {
-                        Ok(v) => outputs[index] = Some(v),
-                        Err(e) => {
-                            first_error.get_or_insert(e);
-                        }
-                    }
-                }
-                Err(channel::RecvTimeoutError::Timeout) => {
-                    return Err(format!(
-                        "executor timed out after {:?} waiting for {} of {} replies",
-                        self.reply_timeout,
-                        inputs.len() - received,
-                        inputs.len()
-                    ));
-                }
-                Err(channel::RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        if let Some(e) = first_error {
-            return Err(e);
-        }
-        let outputs = outputs
-            .into_iter()
-            .map(|o| o.ok_or_else(|| "worker dropped a reply".to_string()))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok((outputs, inference))
+        task
     }
 }
 
@@ -597,14 +728,16 @@ impl Executor for ParslExecutor {
         servable_id: &str,
         servable: &Arc<dyn Servable>,
         inputs: &[Value],
-    ) -> Result<(Vec<Value>, Vec<Duration>), String> {
-        self.execute_inner(servable_id, servable, Arc::new(inputs.to_vec()), None)
+    ) -> Execution {
+        self.execute_traced(servable_id, servable, inputs, None, None)
     }
 
     fn dispatched(&self) -> u64 {
         self.dispatched.load(Ordering::Relaxed)
     }
 
+    /// Blocking execution: dispatch, then wait on the task until its
+    /// own deadline, at which point the expiry below completes it.
     fn execute_traced(
         &self,
         servable_id: &str,
@@ -612,32 +745,77 @@ impl Executor for ParslExecutor {
         inputs: &[Value],
         obs: Option<&Obs>,
         parent: Option<TraceContext>,
-    ) -> Result<(Vec<Value>, Vec<Duration>), String> {
-        // Record spans on the replica threads themselves so each span
-        // carries the replica that ran it and exact start/end stamps.
-        let trace = match (obs, parent) {
-            (Some(obs), Some(parent)) if obs.tracer.enabled() => Some((obs, parent)),
-            _ => None,
-        };
-        self.execute_inner(servable_id, servable, Arc::new(inputs.to_vec()), trace)
+    ) -> Execution {
+        let inputs = Arc::new(inputs.to_vec());
+        let task = self.start(servable_id, servable, inputs, obs, parent, None);
+        let mut progress = task.progress.lock();
+        loop {
+            if let Some(outcome) = progress.outcome.take() {
+                return outcome;
+            }
+            let left = Duration::from_nanos(task.deadline_ns.saturating_sub(dlhub_obs::now_ns()));
+            // Past the deadline another thread may be mid-expiry.
+            let left = left.max(Duration::from_millis(1));
+            if task.finished.wait_for(&mut progress, left).timed_out() {
+                drop(progress);
+                self.reap_expired();
+                progress = task.progress.lock();
+            }
+        }
     }
 
-    fn execute_shared(
+    fn dispatch(
         &self,
         servable_id: &str,
         servable: &Arc<dyn Servable>,
         inputs: Arc<Vec<Value>>,
         obs: Option<&Obs>,
         parent: Option<TraceContext>,
-    ) -> Result<(Vec<Value>, Vec<Duration>), String> {
+        done: Done,
+    ) {
         // The serving path lands here: the decoded request batch is
         // shared with every replica job as-is — no `Value` deep clones
-        // anywhere between the wire and `Servable::run`.
-        let trace = match (obs, parent) {
-            (Some(obs), Some(parent)) if obs.tracer.enabled() => Some((obs, parent)),
-            _ => None,
-        };
-        self.execute_inner(servable_id, servable, inputs, trace)
+        // anywhere between the wire and `Servable::run` — and the
+        // caller is back at its queue before the first job runs.
+        self.start(servable_id, servable, inputs, obs, parent, Some(done));
+    }
+
+    fn reap_expired(&self) {
+        let inflight = &*self.inflight;
+        let due = inflight.next_expiry.load(Ordering::SeqCst);
+        if due == NO_EXPIRY || dlhub_obs::now_ns() < due {
+            return;
+        }
+        let now = dlhub_obs::now_ns();
+        let mut expired = Vec::new();
+        {
+            // A dispatch inserts under this lock before it `fetch_min`s
+            // its deadline, so it is either seen by this scan or lands
+            // after the store below.
+            let mut tasks = inflight.tasks.lock();
+            tasks.retain(|_, task| {
+                let overdue = task.deadline_ns <= now;
+                if overdue {
+                    expired.push(Arc::clone(task));
+                }
+                !overdue
+            });
+            let next = tasks.values().map(|t| t.deadline_ns).min();
+            inflight
+                .next_expiry
+                .store(next.unwrap_or(NO_EXPIRY), Ordering::SeqCst);
+        }
+        // A hung replica must not wedge the requester forever.
+        let timeout = self.reply_timeout;
+        for task in expired {
+            task.complete(task.progress.lock(), |progress| {
+                let total = progress.answers.len();
+                let missing = total - progress.answered;
+                Err(format!(
+                    "executor timed out after {timeout:?} waiting for {missing} of {total} replies"
+                ))
+            });
+        }
     }
 
     fn scale(&self, servable_id: &str, replicas: usize) -> usize {

@@ -47,8 +47,9 @@ pub struct PublishReceipt {
 
 /// A published entry.
 pub struct Published {
-    /// Current metadata.
-    pub metadata: ServableMetadata,
+    /// Current metadata, shared with every request that resolves the
+    /// entry.
+    pub metadata: Arc<ServableMetadata>,
     /// Current version.
     pub version: u32,
     /// DOI of the current version.
@@ -217,7 +218,7 @@ impl Repository {
         self.entries.write().insert(
             id.clone(),
             Published {
-                metadata,
+                metadata: Arc::new(metadata),
                 version: next_version,
                 doi: doi.clone(),
                 image: image.digest,
@@ -254,14 +255,14 @@ impl Repository {
         &self,
         token: Option<&Token>,
         id: &str,
-    ) -> Result<(Arc<dyn Servable>, ServableMetadata), DlhubError> {
+    ) -> Result<(Arc<dyn Servable>, Arc<ServableMetadata>), DlhubError> {
         let principals = self.principals(token);
         let entries = self.entries.read();
         let entry = entries
             .get(id)
             .filter(|e| permits(&e.acl, &principals))
             .ok_or_else(|| DlhubError::NotFound(id.to_string()))?;
-        Ok((Arc::clone(&entry.servable), entry.metadata.clone()))
+        Ok((Arc::clone(&entry.servable), Arc::clone(&entry.metadata)))
     }
 
     /// Publish with components staged from a remote endpoint — the
@@ -427,7 +428,7 @@ impl Repository {
             self.entries.write().insert(
                 id.clone(),
                 Published {
-                    metadata,
+                    metadata: Arc::new(metadata),
                     version: next_version,
                     doi: doi.clone(),
                     image: image.digest,
@@ -451,12 +452,12 @@ impl Repository {
     pub fn resolve_internal(
         &self,
         id: &str,
-    ) -> Result<(Arc<dyn Servable>, ServableMetadata), DlhubError> {
+    ) -> Result<(Arc<dyn Servable>, Arc<ServableMetadata>), DlhubError> {
         let entries = self.entries.read();
         let entry = entries
             .get(id)
             .ok_or_else(|| DlhubError::NotFound(id.to_string()))?;
-        Ok((Arc::clone(&entry.servable), entry.metadata.clone()))
+        Ok((Arc::clone(&entry.servable), Arc::clone(&entry.metadata)))
     }
 
     /// Describe a visible servable: `(metadata, version, doi)`.
@@ -471,7 +472,11 @@ impl Repository {
             .get(id)
             .filter(|e| permits(&e.acl, &principals))
             .ok_or_else(|| DlhubError::NotFound(id.to_string()))?;
-        Ok((entry.metadata.clone(), entry.version, entry.doi.clone()))
+        Ok((
+            ServableMetadata::clone(&entry.metadata),
+            entry.version,
+            entry.doi.clone(),
+        ))
     }
 
     /// Search visible models.
@@ -567,11 +572,14 @@ impl Repository {
         if !entry.acl.is_owner(&info.linked_identities) {
             return Err(DlhubError::Auth(format!("not an owner of {id}")));
         }
+        // Copy-on-write: requests in flight keep the metadata they
+        // resolved.
+        let metadata = Arc::make_mut(&mut entry.metadata);
         if let Some(d) = description {
-            entry.metadata.description = d;
+            metadata.description = d;
         }
         if let Some(t) = tags {
-            entry.metadata.tags = t;
+            metadata.tags = t;
         }
         let (metadata, acl, version) = (entry.metadata.clone(), entry.acl.clone(), entry.version);
         drop(entries);

@@ -612,14 +612,14 @@ impl ManagementService {
             .map_err(DlhubError::from)
     }
 
-    /// Validate the caller and input, returning the servable metadata
-    /// plus the caller's tenant key.
+    /// Validate the caller and input, returning the caller's tenant
+    /// key.
     fn preflight(
         &self,
         token: &Token,
         id: &str,
         inputs: &[Value],
-    ) -> Result<(ServableMetadata, IdentityId), DlhubError> {
+    ) -> Result<IdentityId, DlhubError> {
         let tenant = self.authorize_serve(token)?;
         let (_, metadata) = self.repo.resolve(Some(token), id)?;
         for input in inputs {
@@ -630,15 +630,16 @@ impl ManagementService {
                 });
             }
         }
-        Ok((metadata, tenant))
+        Ok(tenant)
     }
 
     /// Pass `tenant`'s request through the admission controller (a
     /// no-op `Ok(None)` while admission is disabled). The permit holds
     /// the inflight slot and must live for the request's duration.
     /// Contention pressure is read from the telemetry signals: p99
-    /// broker queue wait or the servable's fast burn rate over their
-    /// configured maxima.
+    /// queue wait (in the broker or in front of the replica pools,
+    /// whichever is larger) or the servable's fast burn rate over
+    /// their configured maxima.
     fn admit(
         &self,
         servable: &str,
@@ -650,12 +651,16 @@ impl ManagementService {
         let cfg = controller.config();
         let pressured = self.control_signals().is_some_and(|signals| {
             let window = cfg.signal_window;
-            let queue_hot = signals
-                .queue_wait(window)
-                .and_then(|h| h.quantile(0.99))
-                .is_some_and(|p99| {
-                    p99 > cfg.queue_wait_p99_max.as_nanos().min(u64::MAX as u128) as u64
-                });
+            let queue_hot = [
+                signals.queue_wait(window),
+                signals.replica_queue_wait(window),
+            ]
+            .into_iter()
+            .filter_map(|h| h?.quantile(0.99))
+            .max()
+            .is_some_and(|p99| {
+                p99 > cfg.queue_wait_p99_max.as_nanos().min(u64::MAX as u128) as u64
+            });
             let burn_hot = signals
                 .burn_rate(servable, window)
                 .is_some_and(|b| b.avg > cfg.burn_rate_max);
@@ -863,7 +868,7 @@ impl ManagementService {
         ctx: TraceContext,
         started: Instant,
     ) -> Result<(Value, Timings), DlhubError> {
-        let (_, tenant) = self.preflight(token, id, std::slice::from_ref(&input))?;
+        let tenant = self.preflight(token, id, std::slice::from_ref(&input))?;
         // Shed *before* any queueing or dispatch: a rejected request
         // costs the caller one typed error and a back-off, not a
         // deadline spent deep in the stack. The permit's drop at the
@@ -872,13 +877,14 @@ impl ManagementService {
         let memoize = options
             .memoize
             .unwrap_or_else(|| self.memo_enabled.load(Ordering::Relaxed));
-        let key = MemoKey::new(id, &input);
-        if memoize {
+        // The key hashes the whole input; only memoized requests pay.
+        let key = memoize.then(|| MemoKey::new(id, &input));
+        if let Some(key) = &key {
             let _frame = self.obs.profile.frame("serving.memo_lookup");
             let lookup_started = Instant::now();
             let mut lookup_span = self.obs.tracer.start_child(ctx, "memo_lookup");
             lookup_span.attr("servable", id);
-            let cached = self.memo.get(&key);
+            let cached = self.memo.get(key);
             lookup_span.attr("hit", if cached.is_some() { "true" } else { "false" });
             self.obs.tracer.finish(lookup_span);
             if let Some(cached) = cached {
@@ -900,7 +906,7 @@ impl ManagementService {
         let value = outputs
             .pop()
             .ok_or_else(|| DlhubError::Transport("task manager returned no output".into()))?;
-        if memoize {
+        if let Some(key) = key {
             self.memo.put(key, value.clone());
         }
         Ok((
@@ -927,7 +933,7 @@ impl ManagementService {
         if inputs.is_empty() {
             return Ok((Vec::new(), Timings::default()));
         }
-        let (_, tenant) = self.preflight(token, id, &inputs)?;
+        let tenant = self.preflight(token, id, &inputs)?;
         // One permit per batch: the batch travels as one task.
         let _permit = self.admit(id, tenant)?;
         let mut span = self.obs.tracer.start_root("request");
@@ -974,7 +980,7 @@ impl ManagementService {
         id: &str,
         input: Value,
     ) -> Result<Value, DlhubError> {
-        let (_, tenant) = self.preflight(token, id, std::slice::from_ref(&input))?;
+        let tenant = self.preflight(token, id, std::slice::from_ref(&input))?;
         // The permit covers the coalescing wait and the flush this
         // caller blocks on: submit() returns only once its batch ran.
         let _permit = self.admit(id, tenant)?;
@@ -1062,7 +1068,7 @@ impl ManagementService {
         id: &str,
         input: Value,
     ) -> Result<TaskHandle, DlhubError> {
-        let (_, tenant) = self.preflight(token, id, std::slice::from_ref(&input))?;
+        let tenant = self.preflight(token, id, std::slice::from_ref(&input))?;
         // Admission happens at submission — an accepted handle is a
         // promise of capacity — and the permit rides into the pool job
         // so the slot stays held until the dispatch finishes.

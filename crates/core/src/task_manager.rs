@@ -7,12 +7,12 @@
 //! When a Task Manager is first deployed it registers itself with the
 //! Management Service and specifies which executors … it can launch."
 
-use crate::executor::Executor;
+use crate::executor::{Execution, Executor};
 use crate::repository::Repository;
 use crate::task::{TaskRequest, TaskResponse};
 use dlhub_fault::{site, FaultHandle, FaultKind};
-use dlhub_obs::Obs;
-use dlhub_queue::{Broker, RpcServer, ServeOutcome};
+use dlhub_obs::{Obs, SpanHandle};
+use dlhub_queue::{Broker, Responder, RpcServer};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -31,7 +31,10 @@ pub struct TmRegistration {
 }
 
 /// A running Task Manager: a pool of consumer threads pulling tasks
-/// from the broker and routing them to executors.
+/// from the broker and routing them to executors. A consumer decodes,
+/// resolves and dispatches, then goes straight back to the queue; the
+/// thread that finishes the task (a replica, for pooled executors)
+/// answers the requester.
 pub struct TaskManager {
     name: String,
     shutdown: Arc<AtomicBool>,
@@ -47,7 +50,8 @@ impl TaskManager {
     /// the task (inference tasks to serving executors, everything else
     /// to the general Parsl executor, §IV-C). `consumers` is the
     /// number of concurrent queue-consumer threads (the TM is
-    /// multi-threaded, §V-B).
+    /// multi-threaded, §V-B); it bounds concurrent *dispatching*, not
+    /// tasks in flight — those are bounded by the replica pools.
     pub fn start(
         name: &str,
         broker: &Broker,
@@ -84,50 +88,6 @@ impl TaskManager {
         obs: Obs,
         faults: FaultHandle,
     ) -> Self {
-        Self::start_inner(
-            name, broker, task_topic, repository, executors, consumers, obs, faults,
-        )
-    }
-
-    /// [`TaskManager::start`] recording into a shared observability
-    /// handle: the TM's consumer threads record `invocation` spans
-    /// (parented under the requester's propagated context), executors
-    /// record `inference` spans, and `tm_tasks_total` counts handled
-    /// tasks. Deployments pass the same handle to the Management
-    /// Service so one trace spans all tiers.
-    #[allow(clippy::too_many_arguments)]
-    pub fn start_with_obs(
-        name: &str,
-        broker: &Broker,
-        task_topic: &str,
-        repository: Arc<Repository>,
-        executors: Vec<Arc<dyn Executor>>,
-        consumers: usize,
-        obs: Obs,
-    ) -> Self {
-        Self::start_inner(
-            name,
-            broker,
-            task_topic,
-            repository,
-            executors,
-            consumers,
-            obs,
-            FaultHandle::default(),
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn start_inner(
-        name: &str,
-        broker: &Broker,
-        task_topic: &str,
-        repository: Arc<Repository>,
-        executors: Vec<Arc<dyn Executor>>,
-        consumers: usize,
-        obs: Obs,
-        faults: FaultHandle,
-    ) -> Self {
         assert!(!executors.is_empty(), "task manager needs an executor");
         // Register with the Management Service (§IV-B).
         broker.ensure_topic(REGISTRATION_TOPIC);
@@ -142,48 +102,46 @@ impl TaskManager {
 
         let shutdown = Arc::new(AtomicBool::new(false));
         let served = Arc::new(AtomicU64::new(0));
+        let obs = Arc::new(obs);
         let threads = (0..consumers.max(1))
             .map(|i| {
                 let server = RpcServer::bind(broker, task_topic);
                 let repository = Arc::clone(&repository);
                 let executors = executors.clone();
+                let obs = Arc::clone(&obs);
                 let shutdown = Arc::clone(&shutdown);
                 let served = Arc::clone(&served);
-                let obs = obs.clone();
                 let faults = faults.clone();
                 std::thread::Builder::new()
                     .name(format!("tm-{name}-{i}"))
                     .spawn(move || {
                         while !shutdown.load(Ordering::Relaxed) {
-                            let handled = server.serve_one_with_meta(
-                                Duration::from_millis(50),
-                                |req, info| {
-                                    // A simulated process crash: the leased
-                                    // task is dropped unsettled — no ack, no
-                                    // reply — and comes back via lease
-                                    // expiry on a surviving consumer.
-                                    if let Some(fault) = faults.decide(site::TM_CRASH) {
-                                        // Slow/Hang crashes die mid-task,
-                                        // holding the lease for a while.
-                                        if matches!(fault.kind, FaultKind::Slow | FaultKind::Hang) {
-                                            std::thread::sleep(fault.delay);
-                                        }
-                                        obs.metrics.counter("tm_crashes_injected_total").inc();
-                                        return ServeOutcome::Abandon;
-                                    }
-                                    ServeOutcome::Reply(
-                                        handle(&repository, &executors, req, &obs, Some(info))
-                                            .to_bytes(),
-                                    )
-                                },
-                            );
-                            match handled {
-                                Ok(true) => {
-                                    served.fetch_add(1, Ordering::Relaxed);
-                                }
-                                Ok(false) => {}
-                                Err(_) => break,
+                            // No consumer waits on a dispatched task, so
+                            // each loop turn checks for hung ones.
+                            for executor in &executors {
+                                executor.reap_expired();
                             }
+                            let responder = match server.accept(Duration::from_millis(50)) {
+                                Ok(Some(responder)) => responder,
+                                Ok(None) => continue,
+                                Err(_) => break,
+                            };
+                            served.fetch_add(1, Ordering::Relaxed);
+                            // A simulated process crash: the leased task
+                            // is dropped unsettled — no ack, no reply —
+                            // and comes back via lease expiry on a
+                            // surviving consumer.
+                            if let Some(fault) = faults.decide(site::TM_CRASH) {
+                                // Slow/Hang crashes die mid-task, holding
+                                // the lease for a while.
+                                if matches!(fault.kind, FaultKind::Slow | FaultKind::Hang) {
+                                    std::thread::sleep(fault.delay);
+                                }
+                                obs.metrics.counter("tm_crashes_injected_total").inc();
+                                drop(responder);
+                                continue;
+                            }
+                            handle(&repository, &executors, &obs, responder);
                         }
                     })
                     .expect("spawn tm consumer")
@@ -195,6 +153,34 @@ impl TaskManager {
             threads,
             served,
         }
+    }
+
+    /// [`TaskManager::start`] recording into a shared observability
+    /// handle: the TM records `invocation` spans (parented under the
+    /// requester's propagated context), executors record `inference`
+    /// spans, and `tm_tasks_total` counts handled tasks. Deployments
+    /// pass the same handle to the Management Service so one trace
+    /// spans all tiers.
+    #[allow(clippy::too_many_arguments)]
+    pub fn start_with_obs(
+        name: &str,
+        broker: &Broker,
+        task_topic: &str,
+        repository: Arc<Repository>,
+        executors: Vec<Arc<dyn Executor>>,
+        consumers: usize,
+        obs: Obs,
+    ) -> Self {
+        Self::start_with_faults(
+            name,
+            broker,
+            task_topic,
+            repository,
+            executors,
+            consumers,
+            obs,
+            FaultHandle::default(),
+        )
     }
 
     /// The Task Manager's name.
@@ -225,29 +211,70 @@ impl Drop for TaskManager {
     }
 }
 
-/// Handle one task: resolve the servable, route to an executor,
-/// measure the invocation, and build the response. Never panics — all
-/// failures become error responses so the requester is always
-/// answered. Traced requests (those carrying a `TraceContext`) get an
-/// `invocation` span parented under the requester's span, with the
-/// executor recording `inference` spans beneath it.
+/// One task between decode and reply: everything needed to answer the
+/// requester from whichever thread finishes the work. It must not own
+/// an executor — the executor owns it while the task is in flight.
+struct Invocation {
+    obs: Arc<Obs>,
+    responder: Responder,
+    task_id: String,
+    span: Option<SpanHandle>,
+    started: Instant,
+}
+
+impl Invocation {
+    /// Measure the invocation, build the response, close the span and
+    /// reply. Every failure becomes an error response, so the requester
+    /// is always answered.
+    fn finish(self, outcome: Execution) {
+        let invocation_nanos = self.started.elapsed().as_nanos() as u64;
+        let (outcome, inference_nanos) = match outcome {
+            Ok((outputs, times)) => (
+                Ok(outputs),
+                times.iter().map(|t| t.as_nanos() as u64).collect(),
+            ),
+            Err(message) => (Err(message), vec![]),
+        };
+        let response = TaskResponse {
+            task_id: self.task_id,
+            outcome,
+            inference_nanos,
+            invocation_nanos,
+        };
+        self.obs.metrics.counter("tm_tasks_total").inc();
+        if let Some(mut span) = self.span {
+            if let Err(e) = &response.outcome {
+                span.attr("error", e.clone());
+            }
+            self.obs.tracer.finish(span);
+        }
+        self.responder.reply(response.to_bytes());
+    }
+}
+
+/// Handle one task: resolve the servable, route to an executor and
+/// dispatch. Never panics, and never waits for the inference: the
+/// executor calls [`Invocation::finish`] when the task is done. Traced
+/// requests (those carrying a `TraceContext`) get an `invocation` span
+/// parented under the requester's span, with the executor recording
+/// `inference` spans beneath it.
 fn handle(
     repository: &Repository,
     executors: &[Arc<dyn Executor>],
-    raw: &bytes::Bytes,
-    obs: &Obs,
-    info: Option<&dlhub_queue::RequestInfo>,
-) -> TaskResponse {
+    obs: &Arc<Obs>,
+    responder: Responder,
+) {
     let _frame = obs.profile.frame("tm.handle");
-    let request = match TaskRequest::from_bytes(raw) {
+    let request = match TaskRequest::from_bytes(responder.payload()) {
         Ok(r) => r,
         Err(e) => {
-            return TaskResponse {
+            let response = TaskResponse {
                 task_id: "unknown".into(),
                 outcome: Err(e),
                 inference_nanos: vec![],
                 invocation_nanos: 0,
-            }
+            };
+            return responder.reply(response.to_bytes());
         }
     };
     let mut span = request
@@ -258,83 +285,44 @@ fn handle(
         s.attr("batch", request.inputs.len().to_string());
         // Broker-side queue accounting, so critical-path analysis can
         // report how long the task sat in the queue before this hop.
-        if let Some(info) = info {
-            s.attr("queue_wait_ns", info.queue_wait.as_nanos().to_string());
-            s.attr("delivery_attempts", info.attempts.to_string());
-            // Redelivered tasks had `enqueued_at` re-stamped by the
-            // broker, so `queue_wait_ns` covers only the latest
-            // residency; flag them so attribution tooling knows the
-            // earlier residencies live on the prior delivery's span.
-            s.attr("redelivered", (info.attempts > 1).to_string());
-        }
+        let info = responder.info();
+        s.attr("queue_wait_ns", info.queue_wait.as_nanos().to_string());
+        s.attr("delivery_attempts", info.attempts.to_string());
+        // Redelivered tasks had `enqueued_at` re-stamped by the
+        // broker, so `queue_wait_ns` covers only the latest
+        // residency; flag them so attribution tooling knows the
+        // earlier residencies live on the prior delivery's span.
+        s.attr("redelivered", (info.attempts > 1).to_string());
     }
     let ctx = span.as_ref().map(|s| s.ctx());
-    let response = handle_request(repository, executors, request, obs, ctx);
-    obs.metrics.counter("tm_tasks_total").inc();
-    if let Some(mut s) = span {
-        if let Err(e) = &response.outcome {
-            s.attr("error", e.clone());
-        }
-        obs.tracer.finish(s);
-    }
-    response
-}
-
-fn handle_request(
-    repository: &Repository,
-    executors: &[Arc<dyn Executor>],
-    request: TaskRequest,
-    obs: &Obs,
-    ctx: Option<dlhub_obs::TraceContext>,
-) -> TaskResponse {
-    let started = Instant::now();
+    let invocation = Invocation {
+        obs: Arc::clone(obs),
+        responder,
+        task_id: request.task_id,
+        span,
+        started: Instant::now(),
+    };
     let (servable, metadata) = match repository.resolve_internal(&request.servable) {
         Ok(pair) => pair,
-        Err(e) => {
-            return TaskResponse {
-                task_id: request.task_id,
-                outcome: Err(e.to_string()),
-                inference_nanos: vec![],
-                invocation_nanos: started.elapsed().as_nanos() as u64,
-            }
-        }
+        Err(e) => return invocation.finish(Err(e.to_string())),
     };
     let Some(executor) = executors.iter().find(|e| e.supports(metadata.model_type)) else {
-        return TaskResponse {
-            task_id: request.task_id,
-            outcome: Err(format!(
-                "no executor supports model type {}",
-                metadata.model_type
-            )),
-            inference_nanos: vec![],
-            invocation_nanos: started.elapsed().as_nanos() as u64,
-        };
+        return invocation.finish(Err(format!(
+            "no executor supports model type {}",
+            metadata.model_type
+        )));
     };
     // Hand the decoded batch to the executor by shared ownership: the
     // inputs were materialized once by `TaskRequest::from_bytes` and
     // replica pools fan them out by refcount, never by deep clone.
-    let outcome = executor.execute_shared(
+    executor.dispatch(
         &request.servable,
         &servable,
         Arc::new(request.inputs),
         Some(obs),
         ctx,
+        Box::new(move |outcome| invocation.finish(outcome)),
     );
-    let invocation_nanos = started.elapsed().as_nanos() as u64;
-    match outcome {
-        Ok((outputs, times)) => TaskResponse {
-            task_id: request.task_id,
-            outcome: Ok(outputs),
-            inference_nanos: times.iter().map(|t| t.as_nanos() as u64).collect(),
-            invocation_nanos,
-        },
-        Err(message) => TaskResponse {
-            task_id: request.task_id,
-            outcome: Err(message),
-            inference_nanos: vec![],
-            invocation_nanos,
-        },
-    }
 }
 
 #[cfg(test)]

@@ -776,6 +776,12 @@ impl ControlSignals {
         self.store.histogram_window("broker_queue_wait_ns", window)
     }
 
+    /// Wait in front of the replica pools merged over `window` (ns):
+    /// where backlog forms once consumers dispatch without waiting.
+    pub fn replica_queue_wait(&self, window: Duration) -> Option<WindowHistogram> {
+        self.store.histogram_window("replica_queue_wait_ns", window)
+    }
+
     /// Async injector queue depth over `window`.
     pub fn queue_depth(&self, window: Duration) -> Option<GaugeWindow> {
         self.store.gauge_window("async_queue_depth", window)

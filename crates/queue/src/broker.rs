@@ -98,9 +98,11 @@ const NO_EXPIRY: u64 = u64::MAX;
 
 struct InFlight {
     /// Shares the delivered message's refcounted payload and reply
-    /// topic — retaining a lease never copies bytes.
+    /// slot — retaining a lease never copies bytes.
     message: Message,
     lease_expires: Instant,
+    /// Times this lease was renewed for a live responder.
+    renewals: u32,
     /// Ring segment the message was claimed from; redelivery returns
     /// it to the front of the same segment.
     ring_shard: usize,
@@ -444,8 +446,8 @@ impl Broker {
         self.send_message(topic, Message::new(payload))
     }
 
-    /// Enqueue a pre-built message (used by the RPC layer to set
-    /// reply-to/correlation metadata). Blocks while full.
+    /// Enqueue a pre-built message (used by the RPC layer to attach
+    /// the reply slot). Blocks while full.
     pub fn send_message(&self, name: &str, message: Message) -> Result<MessageId, QueueError> {
         let _frame = self
             .inner
@@ -543,6 +545,20 @@ impl Broker {
             }
         }
         false
+    }
+
+    /// Answer a leased request: hand `payload` to the caller blocked on
+    /// the message's reply slot, then acknowledge the delivery. Replies
+    /// skip the topics but not the send fault site — a `Drop` fault
+    /// loses the reply after the server saw success (counted in the
+    /// service topic's `dropped`), and the caller times out.
+    pub(crate) fn reply(&self, delivery: Delivery, payload: Bytes) {
+        if let Some(slot) = &delivery.message.reply {
+            if !self.drop_send_injected(&delivery.topic) {
+                slot.fill(payload);
+            }
+        }
+        delivery.ack();
     }
 
     /// Wake one sender parked on a full bounded topic.
@@ -671,6 +687,19 @@ impl Broker {
         let mut requeued = 0usize;
         for shard in topic.in_flight.iter() {
             let mut map = shard.0.lock();
+            // The lease detects a server that went away. One that still
+            // holds the request's `Responder` has not: renew, so work
+            // in progress (a replica pool running the task long after
+            // the consumer moved on) is not redelivered on top of
+            // itself. A wedged holder looks the same, so a delivery is
+            // renewed `max_attempts` times at most; then it expires
+            // like any other and ends up redelivered or dead-lettered.
+            for f in map.values_mut() {
+                if f.lease_expires <= now && f.renewals < max_attempts && f.message.attended() {
+                    f.lease_expires = now + topic.config.lease;
+                    f.renewals += 1;
+                }
+            }
             let expired: Vec<MessageId> = map
                 .iter()
                 .filter(|(_, f)| f.lease_expires <= now)
@@ -712,12 +741,13 @@ impl Broker {
         }
         let lease_expires = Instant::now() + topic.config.lease;
         // Shallow clone: the in-flight record shares the delivered
-        // message's refcounted payload and reply topic.
+        // message's refcounted payload and reply slot.
         topic.flight_shard(message.id).lock().insert(
             message.id,
             InFlight {
                 message: message.clone(),
                 lease_expires,
+                renewals: 0,
                 ring_shard,
             },
         );

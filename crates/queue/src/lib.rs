@@ -15,9 +15,9 @@
 //!   negatively acknowledges it, and dropped to a dead-letter queue
 //!   after a configurable number of attempts.
 //! * **Request/reply** — the RPC pattern the Management Service uses:
-//!   a request is posted to a topic and the reply is routed back to the
-//!   requester over an ephemeral reply channel, exactly like a ZeroMQ
-//!   `REQ`/`REP` pair over a `ROUTER` broker.
+//!   a request is posted to a topic carrying a one-shot reply slot,
+//!   and whichever thread finishes the work fills the slot and wakes
+//!   the requester — a ZeroMQ `REQ`/`REP` pair, without a reply topic.
 //! * **Backpressure** — topics may be bounded; `send` blocks (or fails,
 //!   with `try_send`) when a topic is full.
 //!
@@ -47,7 +47,7 @@ pub mod stats;
 
 pub use broker::{Broker, BrokerConfig, Delivery, QueueError, TopicConfig};
 pub use message::{Message, MessageId};
-pub use rpc::{ReplyHandle, RequestInfo, RpcClient, RpcError, RpcServer, ServeOutcome};
+pub use rpc::{ReplyHandle, RequestInfo, Responder, RpcClient, RpcError, RpcServer};
 pub use stats::TopicStats;
 
 // Re-export the fault-injection vocabulary so consumers configure the

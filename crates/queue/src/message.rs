@@ -1,8 +1,9 @@
 //! Message envelope types shared by the broker and the RPC layer.
 
 use bytes::Bytes;
+use parking_lot::{Condvar, Mutex};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -28,6 +29,56 @@ impl fmt::Display for MessageId {
     }
 }
 
+/// State of a [`ReplySlot`]. One-way: `Waiting` → `Ready` → `Closed`,
+/// or `Waiting` → `Closed` when the caller gives up first.
+#[derive(Debug, Default)]
+pub(crate) enum SlotState {
+    #[default]
+    Waiting,
+    Ready(Bytes),
+    /// The reply was taken, or the caller timed out: later replies
+    /// (a late first execution, the second execution of a redelivered
+    /// request) are dropped.
+    Closed,
+}
+
+/// The one-shot slot a request's reply is delivered into.
+///
+/// The caller and every delivery of the request share it, so whichever
+/// thread finishes the work hands the reply straight to the blocked
+/// caller — replies never travel through a topic. A socket transport
+/// would have its reader thread fill the same slots.
+#[derive(Default)]
+pub(crate) struct ReplySlot {
+    pub(crate) state: Mutex<SlotState>,
+    pub(crate) ready: Condvar,
+    /// Live [`crate::Responder`]s of this request. While one exists a
+    /// server still owns the request, so the broker renews its lease
+    /// instead of redelivering work that is in progress.
+    pub(crate) responders: AtomicUsize,
+}
+
+impl fmt::Debug for ReplySlot {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("ReplySlot").field(&self.state).finish()
+    }
+}
+
+impl ReplySlot {
+    /// Deliver the reply and wake the caller. Only the first reply to
+    /// a still-waiting caller lands; returns whether this one did.
+    pub(crate) fn fill(&self, payload: Bytes) -> bool {
+        let mut state = self.state.lock();
+        if !matches!(*state, SlotState::Waiting) {
+            return false;
+        }
+        *state = SlotState::Ready(payload);
+        drop(state);
+        self.ready.notify_one();
+        true
+    }
+}
+
 /// A message queued on a topic.
 #[derive(Debug, Clone)]
 pub struct Message {
@@ -36,12 +87,9 @@ pub struct Message {
     /// Opaque payload. The serving layer serializes task requests into
     /// this field; the broker never inspects it.
     pub payload: Bytes,
-    /// Name of the reply topic for request/reply flows, if any.
-    /// Refcounted so cloning a message (lease tracking, redelivery)
-    /// never reallocates the topic name.
-    pub reply_to: Option<Arc<str>>,
-    /// Correlates a reply with its request (the request's id).
-    pub correlation_id: Option<MessageId>,
+    /// Where the reply goes, for request/reply flows. Refcounted so
+    /// cloning a message (lease tracking, redelivery) shares the slot.
+    pub(crate) reply: Option<Arc<ReplySlot>>,
     /// How many times this message has been handed to a consumer.
     pub attempts: u32,
     /// Wall-clock enqueue instant, used for queue-latency stats.
@@ -54,24 +102,23 @@ impl Message {
         Message {
             id: MessageId::next(),
             payload,
-            reply_to: None,
-            correlation_id: None,
+            reply: None,
             attempts: 0,
             enqueued_at: Instant::now(),
         }
     }
 
-    /// Create a request message expecting a reply on `reply_to`.
-    pub fn request(payload: Bytes, reply_to: impl Into<Arc<str>>) -> Self {
-        let mut m = Message::new(payload);
-        m.reply_to = Some(reply_to.into());
-        m
+    /// Whether a live responder is working on this request.
+    pub(crate) fn attended(&self) -> bool {
+        self.reply
+            .as_ref()
+            .is_some_and(|slot| slot.responders.load(Ordering::SeqCst) > 0)
     }
 
-    /// Create a reply to `request`, preserving its correlation id.
-    pub fn reply_to(request: &Message, payload: Bytes) -> Self {
+    /// Create a request message whose reply is delivered into `reply`.
+    pub(crate) fn request(payload: Bytes, reply: Arc<ReplySlot>) -> Self {
         let mut m = Message::new(payload);
-        m.correlation_id = Some(request.id);
+        m.reply = Some(reply);
         m
     }
 }
@@ -89,17 +136,14 @@ mod tests {
     }
 
     #[test]
-    fn request_sets_reply_topic() {
-        let m = Message::request(Bytes::from_static(b"x"), "replies");
-        assert_eq!(m.reply_to.as_deref(), Some("replies"));
-        assert!(m.correlation_id.is_none());
-    }
-
-    #[test]
-    fn reply_preserves_correlation() {
-        let req = Message::request(Bytes::from_static(b"x"), "replies");
-        let rep = Message::reply_to(&req, Bytes::from_static(b"y"));
-        assert_eq!(rep.correlation_id, Some(req.id));
+    fn only_the_first_reply_lands_in_a_slot() {
+        let slot = Arc::new(ReplySlot::default());
+        let m = Message::request(Bytes::from_static(b"x"), Arc::clone(&slot));
+        // A redelivered copy shares the slot.
+        let copy = m.clone();
+        assert!(m.reply.unwrap().fill(Bytes::from_static(b"first")));
+        assert!(!copy.reply.unwrap().fill(Bytes::from_static(b"second")));
+        assert!(matches!(&*slot.state.lock(), SlotState::Ready(b) if &b[..] == b"first"));
     }
 
     #[test]

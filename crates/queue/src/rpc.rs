@@ -2,18 +2,17 @@
 //!
 //! The Management Service "packages up the request and posts it to a
 //! ZeroMQ queue … and [results are] returned via the same queue"
-//! (§IV-A). [`RpcClient`] posts requests to a service topic and waits
-//! on a private reply topic; [`RpcServer`] is the consumer side used by
-//! Task Managers.
+//! (§IV-A). [`RpcClient`] posts requests to a service topic, each
+//! carrying a one-shot reply slot; [`RpcServer`] is the consumer
+//! side used by Task Managers, handing out a [`Responder`] per request
+//! that fills the slot from whichever thread finishes the work.
 
-use crate::broker::{Broker, QueueError};
-use crate::message::{Message, MessageId};
+use crate::broker::{Broker, Delivery, QueueError};
+use crate::message::{Message, MessageId, ReplySlot, SlotState};
 use bytes::Bytes;
 use dlhub_obs::{ContentionSite, Obs, ProfilerHandle};
-use parking_lot::{Condvar, Mutex};
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -24,7 +23,7 @@ pub enum RpcError {
     Queue(QueueError),
     /// The reply did not arrive before the deadline.
     Timeout,
-    /// The client was dropped before the reply arrived.
+    /// The reply was already taken, or the wait already timed out.
     Canceled,
 }
 
@@ -46,51 +45,14 @@ impl From<QueueError> for RpcError {
     }
 }
 
-/// Number of reply-table shards. Power of two; message ids come from a
-/// process-wide counter, so `id & mask` spreads correlation slots
-/// uniformly.
-const REPLY_SHARDS: usize = 8;
-
-struct ReplyShard {
-    replies: Mutex<HashMap<MessageId, Option<Bytes>>>,
-    cv: Condvar,
-}
-
-/// Reply correlation table, sharded by request id so concurrent
-/// callers (and the pump) stop serializing on one mutex.
-struct PendingTable {
-    shards: Box<[ReplyShard]>,
-}
-
-impl PendingTable {
-    fn new() -> Self {
-        PendingTable {
-            shards: (0..REPLY_SHARDS)
-                .map(|_| ReplyShard {
-                    replies: Mutex::new(HashMap::new()),
-                    cv: Condvar::new(),
-                })
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
-        }
-    }
-
-    fn shard(&self, id: MessageId) -> &ReplyShard {
-        &self.shards[(id.0 as usize) & (REPLY_SHARDS - 1)]
-    }
-}
-
 /// Client side of the request/reply pattern.
 ///
-/// Each client owns a private reply topic (`<service>.reply.<n>`) and a
-/// background pump thread that routes replies to waiting callers by
-/// correlation id, so many requests can be outstanding at once.
+/// Every call owns a reply slot that travels inside the request, so
+/// many requests can be outstanding at once and the server's reply
+/// wakes the caller directly — no reply topic, no pump thread.
 pub struct RpcClient {
     broker: Broker,
     service_topic: String,
-    reply_topic: Arc<str>,
-    pending: Arc<PendingTable>,
-    pump: Option<std::thread::JoinHandle<()>>,
     obs: OnceLock<RpcClientObs>,
 }
 
@@ -102,52 +64,14 @@ struct RpcClientObs {
     profiler: ProfilerHandle,
 }
 
-static CLIENT_SEQ: AtomicU64 = AtomicU64::new(0);
-
 impl RpcClient {
     /// Connect a client to `service_topic`, creating the topic if
     /// needed.
     pub fn connect(broker: &Broker, service_topic: &str) -> Self {
         broker.ensure_topic(service_topic);
-        let reply_topic: Arc<str> = format!(
-            "{service_topic}.reply.{}",
-            CLIENT_SEQ.fetch_add(1, Ordering::Relaxed)
-        )
-        .into();
-        broker.ensure_topic(&reply_topic);
-        let pending = Arc::new(PendingTable::new());
-        let pump = {
-            let broker = broker.clone();
-            let reply_topic = Arc::clone(&reply_topic);
-            let pending = Arc::clone(&pending);
-            std::thread::Builder::new()
-                .name(format!("rpc-pump-{reply_topic}"))
-                .spawn(move || {
-                    // Runs until the reply topic closes or is deleted.
-                    while let Ok(delivery) = broker.recv(&reply_topic) {
-                        let corr = delivery.message.correlation_id;
-                        let payload = delivery.message.payload.clone();
-                        delivery.ack();
-                        if let Some(corr) = corr {
-                            let shard = pending.shard(corr);
-                            let mut replies = shard.replies.lock();
-                            // Only store replies someone is waiting for;
-                            // late replies after timeout are dropped.
-                            if let Some(slot) = replies.get_mut(&corr) {
-                                *slot = Some(payload);
-                                shard.cv.notify_all();
-                            }
-                        }
-                    }
-                })
-                .expect("spawn rpc pump")
-        };
         RpcClient {
             broker: broker.clone(),
             service_topic: service_topic.to_string(),
-            reply_topic,
-            pending,
-            pump: Some(pump),
             obs: OnceLock::new(),
         }
     }
@@ -166,14 +90,15 @@ impl RpcClient {
 
     /// Fire a request and return a handle to await the reply.
     pub fn call(&self, payload: Bytes) -> Result<ReplyHandle<'_>, RpcError> {
-        let msg = Message::request(payload, Arc::clone(&self.reply_topic));
+        let slot = Arc::new(ReplySlot::default());
+        let msg = Message::request(payload, Arc::clone(&slot));
         let id = msg.id;
-        self.pending.shard(id).replies.lock().insert(id, None);
-        if let Err(e) = self.broker.send_message(&self.service_topic, msg) {
-            self.pending.shard(id).replies.lock().remove(&id);
-            return Err(e.into());
-        }
-        Ok(ReplyHandle { client: self, id })
+        self.broker.send_message(&self.service_topic, msg)?;
+        Ok(ReplyHandle {
+            client: self,
+            id,
+            slot,
+        })
     }
 
     /// Convenience: request and block for the reply.
@@ -181,7 +106,7 @@ impl RpcClient {
         self.call(payload)?.wait_timeout(timeout)
     }
 
-    fn wait(&self, id: MessageId, deadline: Option<Instant>) -> Result<Bytes, RpcError> {
+    fn wait(&self, slot: &ReplySlot, deadline: Option<Instant>) -> Result<Bytes, RpcError> {
         let _frame = self.obs.get().map(|o| o.profiler.frame("rpc.wait"));
         // An already-arrived reply returns without looking at the
         // clock; only blocked callers are timed.
@@ -191,45 +116,43 @@ impl RpcClient {
             }
         };
         let mut waited_from: Option<Instant> = None;
-        let shard = self.pending.shard(id);
-        let mut replies = shard.replies.lock();
+        let mut state = slot.state.lock();
         loop {
-            match replies.get(&id) {
-                Some(Some(_)) => {
-                    let payload = replies.remove(&id).flatten().expect("checked above");
-                    record(waited_from);
-                    return Ok(payload);
-                }
-                Some(None) => {}
-                None => {
-                    record(waited_from);
-                    return Err(RpcError::Canceled);
-                }
+            if let Some(reply) = take(&mut state).transpose() {
+                record(waited_from);
+                return reply;
             }
             if waited_from.is_none() && self.obs.get().is_some() {
                 waited_from = Some(Instant::now());
             }
             match deadline {
                 Some(d) => {
-                    if shard.cv.wait_until(&mut replies, d).timed_out() {
-                        replies.remove(&id);
+                    if slot.ready.wait_until(&mut state, d).timed_out()
+                        && matches!(*state, SlotState::Waiting)
+                    {
+                        // Closed: the reply, should it still come, is
+                        // dropped by `ReplySlot::fill`.
+                        *state = SlotState::Closed;
                         record(waited_from);
                         return Err(RpcError::Timeout);
                     }
                 }
-                None => shard.cv.wait(&mut replies),
+                None => slot.ready.wait(&mut state),
             }
         }
     }
 }
 
-impl Drop for RpcClient {
-    fn drop(&mut self) {
-        // Deleting the reply topic unblocks and terminates the pump.
-        let _ = self.broker.delete_topic(&self.reply_topic);
-        if let Some(h) = self.pump.take() {
-            let _ = h.join();
+/// Take an arrived reply out of a slot, closing it; `Ok(None)` while
+/// the reply is pending.
+fn take(state: &mut SlotState) -> Result<Option<Bytes>, RpcError> {
+    match std::mem::replace(state, SlotState::Closed) {
+        SlotState::Waiting => {
+            *state = SlotState::Waiting;
+            Ok(None)
         }
+        SlotState::Ready(payload) => Ok(Some(payload)),
+        SlotState::Closed => Err(RpcError::Canceled),
     }
 }
 
@@ -237,7 +160,6 @@ impl fmt::Debug for RpcClient {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("RpcClient")
             .field("service_topic", &self.service_topic)
-            .field("reply_topic", &self.reply_topic)
             .finish()
     }
 }
@@ -248,6 +170,7 @@ impl fmt::Debug for RpcClient {
 pub struct ReplyHandle<'a> {
     client: &'a RpcClient,
     id: MessageId,
+    slot: Arc<ReplySlot>,
 }
 
 impl ReplyHandle<'_> {
@@ -258,27 +181,22 @@ impl ReplyHandle<'_> {
 
     /// Block until the reply arrives.
     pub fn wait(self) -> Result<Bytes, RpcError> {
-        self.client.wait(self.id, None)
+        self.client.wait(&self.slot, None)
     }
 
-    /// Block until the reply arrives or `timeout` elapses.
+    /// Block until the reply arrives or `timeout` elapses. After a
+    /// timeout the reply, should it still come, is dropped.
     pub fn wait_timeout(self, timeout: Duration) -> Result<Bytes, RpcError> {
-        self.client.wait(self.id, Some(Instant::now() + timeout))
+        self.client.wait(&self.slot, Some(Instant::now() + timeout))
     }
 
     /// Poll without blocking; `None` while the reply is pending.
     pub fn try_take(&self) -> Result<Option<Bytes>, RpcError> {
-        let mut replies = self.client.pending.shard(self.id).replies.lock();
-        match replies.get(&self.id) {
-            Some(Some(_)) => Ok(replies.remove(&self.id).flatten()),
-            Some(None) => Ok(None),
-            None => Err(RpcError::Canceled),
-        }
+        take(&mut self.slot.state.lock())
     }
 }
 
-/// Broker-side metadata about one delivered request, handed to
-/// [`RpcServer::serve_one_with_meta`] handlers.
+/// Broker-side metadata of one delivery; see [`Responder::info`].
 #[derive(Debug, Clone, Copy)]
 pub struct RequestInfo {
     /// Time the message sat in the ready queue before this delivery.
@@ -287,20 +205,54 @@ pub struct RequestInfo {
     pub attempts: u32,
 }
 
-/// What a server handler decided to do with a request.
-#[derive(Debug)]
-pub enum ServeOutcome {
-    /// Send this reply and acknowledge the delivery.
-    Reply(Bytes),
-    /// Walk away mid-request: no reply, no ack. The delivery's lease
-    /// expires naturally and the broker redelivers the request — the
-    /// crashed-consumer failure mode, used by fault injection to model
-    /// a Task Manager dying with a task in hand.
-    Abandon,
+/// One leased request and the means to answer it. Owned, so the reply
+/// can come from another thread than the one that pulled the request.
+/// While it lives the broker renews the lease, `max_attempts` times
+/// per delivery, so work in progress is not redelivered on top of
+/// itself but a wedged holder still loses the request. Dropped without
+/// [`Responder::reply`] it is the crashed-consumer failure mode: no
+/// reply, no ack, the lease expires, the request is redelivered to
+/// another server.
+#[must_use = "dropping a responder abandons the request to lease expiry"]
+pub struct Responder {
+    delivery: Delivery,
+    broker: Broker,
+    _attending: Option<Attending>,
 }
 
-/// Server side of the request/reply pattern: pull one request, run the
-/// handler, route the reply back.
+/// Counts one live responder on the request's reply slot.
+struct Attending(Arc<ReplySlot>);
+
+impl Drop for Attending {
+    fn drop(&mut self) {
+        self.0.responders.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+impl Responder {
+    /// The request payload.
+    pub fn payload(&self) -> &Bytes {
+        &self.delivery.message.payload
+    }
+
+    /// Queue wait and attempt count of this delivery, so servers can
+    /// attribute latency to the queue hop instead of re-measuring it.
+    pub fn info(&self) -> RequestInfo {
+        RequestInfo {
+            queue_wait: self.delivery.queue_wait,
+            attempts: self.delivery.message.attempts,
+        }
+    }
+
+    /// Hand the reply to the waiting caller and acknowledge the
+    /// delivery. A caller that already timed out, or already got its
+    /// answer from another delivery of this request, never sees it.
+    pub fn reply(self, payload: Bytes) {
+        self.broker.reply(self.delivery, payload);
+    }
+}
+
+/// Server side of the request/reply pattern.
 pub struct RpcServer {
     broker: Broker,
     service_topic: String,
@@ -316,59 +268,35 @@ impl RpcServer {
         }
     }
 
-    /// Serve exactly one request with `handler`; blocks until one
-    /// arrives or `timeout` elapses. Returns `Ok(true)` if a request
-    /// was served.
+    /// Pull one request; blocks until one arrives (`Ok(Some)`) or
+    /// `timeout` elapses (`Ok(None)`).
+    pub fn accept(&self, timeout: Duration) -> Result<Option<Responder>, RpcError> {
+        match self.broker.recv_timeout(&self.service_topic, timeout) {
+            Ok(delivery) => Ok(Some(Responder {
+                _attending: delivery.message.reply.as_ref().map(|slot| {
+                    slot.responders.fetch_add(1, Ordering::SeqCst);
+                    Attending(Arc::clone(slot))
+                }),
+                delivery,
+                broker: self.broker.clone(),
+            })),
+            Err(QueueError::Timeout) => Ok(None),
+            Err(e) => Err(e.into()),
+        }
+    }
+
+    /// Serve exactly one request with `handler` on this thread; blocks
+    /// until one arrives or `timeout` elapses. Returns `Ok(true)` if a
+    /// request was served.
     pub fn serve_one<F>(&self, timeout: Duration, handler: F) -> Result<bool, RpcError>
     where
         F: FnOnce(&Bytes) -> Bytes,
     {
-        self.serve_one_with(timeout, |req| ServeOutcome::Reply(handler(req)))
-    }
-
-    /// Like [`RpcServer::serve_one`], but the handler can decide to
-    /// [`ServeOutcome::Abandon`] the request (no reply, no ack),
-    /// leaving the broker lease to expire and the request to be
-    /// redelivered to another server. Returns `Ok(true)` whenever a
-    /// request was pulled, abandoned or not.
-    pub fn serve_one_with<F>(&self, timeout: Duration, handler: F) -> Result<bool, RpcError>
-    where
-        F: FnOnce(&Bytes) -> ServeOutcome,
-    {
-        self.serve_one_with_meta(timeout, |payload, _| handler(payload))
-    }
-
-    /// Like [`RpcServer::serve_one_with`], but the handler also
-    /// receives per-delivery [`RequestInfo`] (broker queue wait,
-    /// delivery attempt count) so servers can attribute latency to the
-    /// queue hop instead of re-measuring it.
-    pub fn serve_one_with_meta<F>(&self, timeout: Duration, handler: F) -> Result<bool, RpcError>
-    where
-        F: FnOnce(&Bytes, &RequestInfo) -> ServeOutcome,
-    {
-        let delivery = match self.broker.recv_timeout(&self.service_topic, timeout) {
-            Ok(d) => d,
-            Err(QueueError::Timeout) => return Ok(false),
-            Err(e) => return Err(e.into()),
+        let Some(responder) = self.accept(timeout)? else {
+            return Ok(false);
         };
-        let info = RequestInfo {
-            queue_wait: delivery.queue_wait,
-            attempts: delivery.message.attempts,
-        };
-        match handler(&delivery.message.payload, &info) {
-            ServeOutcome::Reply(reply_payload) => {
-                if let Some(reply_topic) = delivery.message.reply_to.clone() {
-                    let reply = Message::reply_to(&delivery.message, reply_payload);
-                    // The reply topic may already be gone if the client
-                    // timed out and dropped; that is not a server error.
-                    let _ = self.broker.send_message(&reply_topic, reply);
-                }
-                delivery.ack();
-            }
-            // Dropping the delivery unsettled models the crash: the
-            // lease stays in flight until it expires.
-            ServeOutcome::Abandon => drop(delivery),
-        }
+        let reply = handler(responder.payload());
+        responder.reply(reply);
         Ok(true)
     }
 
@@ -410,20 +338,17 @@ mod tests {
     }
 
     #[test]
-    fn serve_one_with_meta_reports_queue_wait_and_attempts() {
+    fn responder_reports_queue_wait_and_attempts() {
         let broker = Broker::new(BrokerConfig::default());
         let client = RpcClient::connect(&broker, "svc-meta");
         let server = RpcServer::bind(&broker, "svc-meta");
         let _pending = client.call(Bytes::from_static(b"x")).unwrap();
         thread::sleep(Duration::from_millis(5));
-        let mut seen = None;
-        server
-            .serve_one_with_meta(Duration::from_secs(1), |payload, info| {
-                seen = Some(*info);
-                ServeOutcome::Reply(payload.clone())
-            })
-            .unwrap();
-        let info = seen.expect("handler ran");
+        let responder = server
+            .accept(Duration::from_secs(1))
+            .unwrap()
+            .expect("a request is queued");
+        let info = responder.info();
         assert_eq!(info.attempts, 1);
         assert!(info.queue_wait >= Duration::from_millis(5), "{info:?}");
     }

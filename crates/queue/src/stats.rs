@@ -26,7 +26,8 @@ pub struct TopicStats {
     /// Messages moved to the dead-letter queue.
     pub dead_lettered: u64,
     /// Sends discarded by fault injection: the sender saw success but
-    /// the message never reached the ready queue.
+    /// the message never reached the ready queue (or, for a reply to
+    /// one of this topic's requests, the caller).
     pub dropped: u64,
     total_wait_nanos: u128,
     wait_samples: u64,

@@ -16,6 +16,15 @@ cargo build --workspace --release
 echo "######## test"
 cargo test --workspace --release --quiet
 
+echo "######## repo benchmark (build + quick run)"
+# benchmark/ is a package of its own that the workspace build above
+# never compiles, and it pins public API of dlhub-core and dlhub-queue
+# (RpcClient::{connect, call_wait}, RpcServer::{bind, serve_one},
+# Executor::execute, TaskManager::start, Repository::resolve_internal).
+# `run --quick` drives every workload in both trace modes for two
+# windows and fails on any wrong answer.
+cargo run --release --offline --manifest-path benchmark/Cargo.toml -- run --quick
+
 echo "######## chaos + analytics (fixed seed matrix)"
 # The workspace test run above already exercises tests/chaos.rs and
 # tests/analytics.rs on their built-in matrix; this loop re-runs them
