@@ -3,7 +3,7 @@
 //! trips, wire protocols (the gRPC-vs-REST ablation behind Fig 8),
 //! compute kernels, search queries and container builds.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -91,24 +91,40 @@ fn bench_protocols(c: &mut Criterion) {
     group.finish();
 }
 
+/// The tensor rung of the layer ladder: the GEMM shapes the CIFAR-10
+/// conv layers hit, its 4096→256 dense product, and a whole forward
+/// pass of each model. `Throughput::Elements` counts floating-point
+/// operations (two per multiply-add), so `Gelem/s` reads as GFLOP/s.
 fn bench_kernels(c: &mut Criterion) {
+    use dlhub_tensor::{models, ops};
     let mut group = c.benchmark_group("kernels");
     group.sample_size(10);
-    group.measurement_time(Duration::from_secs(4));
-    // GEMM at the size the CIFAR-10 conv layers hit.
-    let m = 64;
-    let k = 288;
-    let n = 1024;
-    let a: Vec<f32> = (0..m * k).map(|i| (i % 13) as f32).collect();
-    let b_mat: Vec<f32> = (0..k * n).map(|i| (i % 7) as f32).collect();
-    group.bench_function("gemm_64x288x1024", |bch| {
-        bch.iter(|| black_box(dlhub_tensor::ops::matmul(&a, &b_mat, m, k, n)))
+    group.measurement_time(Duration::from_secs(2));
+    let ramp = |len: usize, period: usize| -> Vec<f32> {
+        (0..len).map(|i| (i % period) as f32 - 3.0).collect()
+    };
+    for (m, k, n) in [(32, 27, 1024), (32, 288, 1024), (64, 288, 256)] {
+        let (a, b) = (ramp(m * k, 13), ramp(k * n, 7));
+        group.throughput(Throughput::Elements((2 * m * k * n) as u64));
+        group.bench_function(format!("gemm_{m}x{k}x{n}"), |bch| {
+            bch.iter(|| black_box(ops::matmul(&a, &b, m, k, n)))
+        });
+    }
+    let (m, n) = (256, 4096);
+    let (w, x) = (ramp(m * n, 13), ramp(n, 7));
+    group.throughput(Throughput::Elements((2 * m * n) as u64));
+    group.bench_function(format!("matvec_{m}x{n}"), |bch| {
+        bch.iter(|| black_box(ops::matvec(&w, &x, m, n)))
     });
-    let cifar = dlhub_tensor::models::cifar10(7);
-    let img = dlhub_tensor::models::synthetic_image(&dlhub_tensor::models::CIFAR10_INPUT, 0);
-    group.bench_function("cifar10_forward", |bch| {
-        bch.iter(|| black_box(cifar.forward(img.clone())))
-    });
+    let forwards = [
+        ("cifar10_forward", models::cifar10(7)),
+        ("inception_forward", models::inception(7)),
+    ];
+    for (name, net) in forwards {
+        let img = models::synthetic_image(&net.input_shape, 0);
+        group.throughput(Throughput::Elements(2 * net.mul_adds() as u64));
+        group.bench_function(name, |bch| bch.iter(|| black_box(net.forward(img.clone()))));
+    }
     group.finish();
 }
 

@@ -36,9 +36,7 @@
 
 use crate::value::Value;
 use parking_lot::Mutex;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -75,11 +73,10 @@ impl MemoKey {
         }
     }
 
-    /// Which shard this key lives in.
+    /// Which shard this key lives in: the low bits of the content
+    /// hash, into which its last step folds the high half.
     fn shard(&self) -> usize {
-        let mut hasher = DefaultHasher::new();
-        self.hash(&mut hasher);
-        (hasher.finish() as usize) & (SHARD_COUNT - 1)
+        (self.input_hash.0 as usize) & (SHARD_COUNT - 1)
     }
 }
 

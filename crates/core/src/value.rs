@@ -216,48 +216,58 @@ impl Value {
         h.finish()
     }
 
+    /// Every field goes in as whole words: a tag, then the payload.
+    /// Each variable-length field carries its length first, so no two
+    /// values share a word stream (`["a", "b\u{4}"]` and `["a\u{4}b",
+    /// ""]` did when only tags separated fields).
     fn hash_into(&self, h: &mut Hasher) {
         match self {
-            Value::Null => h.write(&[0]),
+            Value::Null => h.word(0),
             Value::Bool(b) => {
-                h.write(&[1, *b as u8]);
+                h.word(1);
+                h.word(*b as u64);
             }
             Value::Int(i) => {
-                h.write(&[2]);
-                h.write(&i.to_le_bytes());
+                h.word(2);
+                h.word(*i as u64);
             }
             Value::Float(f) => {
-                h.write(&[3]);
-                h.write(&f.to_bits().to_le_bytes());
+                h.word(3);
+                h.word(f.to_bits());
             }
             Value::Str(s) => {
-                h.write(&[4]);
-                h.write(s.as_bytes());
+                h.word(4);
+                h.bytes(s.as_bytes());
             }
             Value::Bytes(b) => {
-                h.write(&[5]);
-                h.write(b);
+                h.word(5);
+                h.bytes(b);
             }
             Value::Tensor { shape, data } => {
-                h.write(&[6]);
+                h.word(6);
+                h.word(shape.len() as u64);
                 for d in shape {
-                    h.write(&(*d as u64).to_le_bytes());
+                    h.word(*d as u64);
                 }
-                h.write(&[0xFF]);
-                for v in data {
-                    h.write(&v.to_bits().to_le_bytes());
+                h.word(data.len() as u64);
+                let mut pairs = data.chunks_exact(2);
+                for pair in &mut pairs {
+                    h.word(pair[0].to_bits() as u64 | (pair[1].to_bits() as u64) << 32);
+                }
+                if let [last] = pairs.remainder() {
+                    h.word(last.to_bits() as u64);
                 }
             }
             Value::List(items) => {
-                h.write(&[7]);
-                h.write(&(items.len() as u64).to_le_bytes());
+                h.word(7);
+                h.word(items.len() as u64);
                 for item in items {
                     item.hash_into(h);
                 }
             }
             Value::Json(j) => {
-                h.write(&[8]);
-                h.write(canonical_json(j).as_bytes());
+                h.word(8);
+                h.bytes(canonical_json(j).as_bytes());
             }
         }
     }
@@ -321,7 +331,15 @@ fn canonical_json(v: &serde_json::Value) -> String {
     }
 }
 
-/// FNV-1a 128-ish (two independent 64-bit lanes).
+/// Two independent 64-bit lanes fed a `u64` at a time, so hashing a
+/// 12 KB image costs one dependent multiply per eight bytes, not per
+/// byte.
+///
+/// A lane step is a bijection of the lane for a given word, so inputs
+/// that differ in one word never collide. The xor-shift after the
+/// multiply matters: a multiply only carries a difference upward, so
+/// without it a flip of bit 63 stays a lone bit 63 in the lane, and the
+/// same flip 64 words later leaves the same lanes.
 struct Hasher {
     a: u64,
     b: u64,
@@ -334,13 +352,32 @@ impl Hasher {
             b: 0x9e37_79b9_7f4a_7c15,
         }
     }
-    fn write(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.a ^= byte as u64;
-            self.a = self.a.wrapping_mul(0x0000_0100_0000_01B3);
-            self.b = self.b.rotate_left(5) ^ (byte as u64).wrapping_mul(0xA076_1D64_78BD_642F);
+
+    fn word(&mut self, word: u64) {
+        let step = |lane: u64, odd_multiplier: u64| {
+            let x = (lane ^ word).wrapping_mul(odd_multiplier);
+            x ^ (x >> 32)
+        };
+        self.a = step(self.a, 0x9E37_79B9_7F4A_7C15);
+        self.b = step(self.b, 0xC2B2_AE3D_27D4_EB4F);
+    }
+
+    /// A variable-length field: its length, its bytes eight at a time
+    /// (little-endian), then the tail zero-padded to a word. The length
+    /// tells a padded tail from real zero bytes.
+    fn bytes(&mut self, bytes: &[u8]) {
+        self.word(bytes.len() as u64);
+        let (words, tail) = bytes.as_chunks::<8>();
+        for word in words {
+            self.word(u64::from_le_bytes(*word));
+        }
+        if !tail.is_empty() {
+            let mut last = [0u8; 8];
+            last[..tail.len()].copy_from_slice(tail);
+            self.word(u64::from_le_bytes(last));
         }
     }
+
     fn finish(&self) -> (u64, u64) {
         (self.a, self.b)
     }
@@ -419,6 +456,84 @@ mod tests {
             data: vec![0.0; 6],
         };
         assert_ne!(a.content_hash(), b.content_hash());
+    }
+
+    #[test]
+    fn content_hash_separates_fields_by_length() {
+        // Tag-separated, these pairs were one byte stream: 4 is the
+        // `Str` tag and 5 the `Bytes` tag.
+        let strs = |a: &str, b: &str| Value::List(vec![Value::Str(a.into()), Value::Str(b.into())]);
+        assert_ne!(
+            strs("a", "b\u{4}").content_hash(),
+            strs("a\u{4}b", "").content_hash()
+        );
+        let blobs = |a: &[u8], b: &[u8]| {
+            Value::List(vec![Value::Bytes(a.to_vec()), Value::Bytes(b.to_vec())])
+        };
+        assert_ne!(
+            blobs(b"a", b"b\x05").content_hash(),
+            blobs(b"a\x05b", b"").content_hash()
+        );
+    }
+
+    #[test]
+    fn content_hash_tells_byte_lengths_apart() {
+        // Around the 8-byte word and its zero-padded tail.
+        use std::collections::HashSet;
+        let mut seen = HashSet::new();
+        for (fill, lengths) in [(0u8, 0..=17), (0xFF, 1..=17)] {
+            for len in lengths {
+                assert!(
+                    seen.insert(Value::Bytes(vec![fill; len]).content_hash()),
+                    "{len} bytes of {fill:#x} collide with an earlier blob"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn content_hash_distinguishes_images_and_single_bit_flips() {
+        // The repo benchmark's input shape: 1024 images of 3x32x32
+        // uniform [0, 1) floats (SplitMix64, as benchmark/src/inputs.rs).
+        use std::collections::HashSet;
+        let mut state = 7u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let image = |data: Vec<f32>| Value::Tensor {
+            shape: vec![3, 32, 32],
+            data,
+        };
+        let images: Vec<Value> = (0..1024)
+            .map(|_| image((0..3 * 32 * 32).map(|_| next() as f32).collect()))
+            .collect();
+        let mut seen: HashSet<(u64, u64)> = images.iter().map(Value::content_hash).collect();
+        assert_eq!(seen.len(), images.len(), "two pool images share a hash");
+
+        let mut probe = images[0].clone();
+        let set = |probe: &mut Value, i: usize, v: f32| match probe {
+            Value::Tensor { data, .. } => std::mem::replace(&mut data[i], v),
+            _ => unreachable!(),
+        };
+        for i in 0..3 * 32 * 32 {
+            let original = set(&mut probe, i, 0.0);
+            for bit in 0..32 {
+                set(
+                    &mut probe,
+                    i,
+                    f32::from_bits(original.to_bits() ^ (1 << bit)),
+                );
+                assert!(
+                    seen.insert(probe.content_hash()),
+                    "flipping bit {bit} of element {i} collides"
+                );
+            }
+            set(&mut probe, i, original);
+        }
     }
 
     #[test]

@@ -127,6 +127,36 @@ impl Layer {
         }
     }
 
+    /// The shape [`Layer::forward`] gives an input of shape `input`,
+    /// and the multiply-adds it spends on it (convolution and dense
+    /// layers; everything else counts as free).
+    pub(crate) fn shape_and_mul_adds(&self, input: &[usize]) -> (Vec<usize>, usize) {
+        match self {
+            Layer::Conv2d {
+                c_out,
+                kh,
+                kw,
+                stride,
+                padding,
+                ..
+            } => {
+                let oh = ops::windows(input[1], *kh, *stride, *padding);
+                let ow = ops::windows(input[2], *kw, *stride, *padding);
+                (vec![*c_out, oh, ow], c_out * input[0] * kh * kw * oh * ow)
+            }
+            Layer::MaxPool { size, stride } | Layer::AvgPool { size, stride } => {
+                let side = |dim| ops::windows(dim, *size, *stride, 0);
+                (vec![input[0], side(input[1]), side(input[2])], 0)
+            }
+            Layer::GlobalAvgPool => (vec![input[0]], 0),
+            Layer::Dense {
+                out, input: in_w, ..
+            } => (vec![*out], out * in_w),
+            Layer::Flatten => (vec![input.iter().product()], 0),
+            Layer::ReLU | Layer::Softmax | Layer::BatchNorm { .. } => (input.to_vec(), 0),
+        }
+    }
+
     /// Number of learned parameters in the layer.
     pub fn param_count(&self) -> usize {
         match self {

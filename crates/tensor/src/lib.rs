@@ -7,9 +7,11 @@
 //!
 //! The paper's evaluation (§V-A) serves Google's Inception-v3 and a
 //! multi-layer CNN trained on CIFAR-10. We cannot embed TensorFlow, so
-//! this crate implements the actual math natively — `im2col` + GEMM
-//! convolutions (Rayon-parallel), pooling, dense layers, batch
-//! normalization, softmax and Inception-style parallel branch blocks —
+//! this crate implements the actual math natively — convolutions as a
+//! register-blocked GEMM over panel-wise `im2col` (single-threaded;
+//! the kernel width follows the CPU's vector width), pooling, dense
+//! layers, batch normalization, softmax and Inception-style parallel
+//! branch blocks —
 //! and provides builders for two deterministic networks:
 //!
 //! * [`models::inception`] — an Inception-v3-shaped classifier

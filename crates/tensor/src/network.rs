@@ -41,6 +41,27 @@ impl Block {
         }
     }
 
+    /// Output shape and multiply-adds for an input of shape `input`.
+    fn shape_and_mul_adds(&self, input: &[usize]) -> (Vec<usize>, usize) {
+        let through = |layers: &[Layer]| {
+            layers
+                .iter()
+                .fold((input.to_vec(), 0), |(shape, total), l| {
+                    let (shape, spent) = l.shape_and_mul_adds(&shape);
+                    (shape, total + spent)
+                })
+        };
+        match self {
+            Block::Seq(layers) => through(layers),
+            Block::Branches(branches) => {
+                let outputs: Vec<_> = branches.iter().map(|b| through(b)).collect();
+                let channels = outputs.iter().map(|(shape, _)| shape[0]).sum();
+                let total = outputs.iter().map(|(_, spent)| spent).sum();
+                (vec![channels, outputs[0].0[1], outputs[0].0[2]], total)
+            }
+        }
+    }
+
     fn layer_count(&self) -> usize {
         match self {
             Block::Seq(layers) => layers.len(),
@@ -84,6 +105,17 @@ impl Network {
     /// Total learned parameters.
     pub fn param_count(&self) -> usize {
         self.blocks.iter().map(Block::param_count).sum()
+    }
+
+    /// Multiply-adds of one [`Network::forward`] in its convolution
+    /// and dense layers (twice this is the FLOP count benchmarks quote).
+    pub fn mul_adds(&self) -> usize {
+        let start = (self.input_shape.clone(), 0);
+        let (_, total) = self.blocks.iter().fold(start, |(shape, total), b| {
+            let (shape, spent) = b.shape_and_mul_adds(&shape);
+            (shape, total + spent)
+        });
+        total
     }
 
     /// Total layers across all blocks and branches.
@@ -154,6 +186,17 @@ mod tests {
         let out = net.forward(Tensor::new(vec![1, 2, 2], vec![1.0, 2.0, 3.0, 4.0]).unwrap());
         assert_eq!(out.shape(), &[2, 2, 2]);
         assert_eq!(out.data(), &[1.0, 2.0, 3.0, 4.0, 2.0, 4.0, 6.0, 8.0]);
+    }
+
+    #[test]
+    fn mul_adds_follow_the_shapes() {
+        // tiny_net: one 2x2 stride-2 conv over 1x4x4 -> 4 outputs of 4 taps.
+        assert_eq!(tiny_net().mul_adds(), 16);
+        // The CIFAR-10 CNN's three convolutions and two dense layers.
+        assert_eq!(
+            crate::models::cifar10(1).mul_adds(),
+            32 * 27 * 1024 + 32 * 288 * 1024 + 64 * 288 * 256 + 256 * 4096 + 10 * 256
+        );
     }
 
     #[test]

@@ -1,67 +1,318 @@
-//! Kernels: GEMM, im2col convolution, pooling, activations.
+//! Kernels: register-blocked GEMM, panel-wise im2col convolution,
+//! pooling, activations.
+//!
+//! Every matrix product runs through one micro-kernel, [`tile`]: an
+//! `MR×NR` tile of the output is held in registers while `k` runs
+//! innermost, left to right, so each output element is the sum
+//! `((0 + a₀b₀) + a₁b₁) + …` no matter which tile shape computes it.
+//! The multiply and the add stay separate operations (no `mul_add`):
+//! a fused multiply-add rounds once instead of twice, so using it
+//! only where the CPU has it would make the bits depend on the host.
+//! The kernel is compiled three times — portable 4×8, AVX2 4×16,
+//! AVX-512 8×32 — and the widest one the CPU reports is taken per call.
+//!
+//! There are no intra-op threads: the serving stack's unit of
+//! parallelism is the servable replica (§IV, Parsl executor).
 
 use crate::tensor::Tensor;
-use rayon::prelude::*;
+
+/// The micro-kernel: `sums[r][j] = Σₚ rows[r][p] · panel[p][j]`, each
+/// sum taken left to right over `p` from `0.0`, multiply and add
+/// rounded separately.
+#[inline(always)]
+fn tile<const MR: usize, const NR: usize>(
+    rows: [&[f32]; MR],
+    panel: &[[f32; NR]],
+) -> [[f32; NR]; MR] {
+    const { assert!(MR <= 8, "tile rows are unrolled by hand up to 8") };
+    let mut acc = [[0.0f32; NR]; MR];
+    // `acc` must only be indexed by literals. A `for r in 0..MR` loop
+    // is too big for LLVM to unroll, and an array indexed by a variable
+    // stays on the stack: the kernel then runs scalar at a tenth of the
+    // speed. Spelled out, the MR×NR sums live in vector registers.
+    macro_rules! rows {
+        ($p:ident, $b:ident: $($r:literal)*) => {$(
+            if $r < MR {
+                let a = rows[$r][$p];
+                for j in 0..NR {
+                    acc[$r][j] += a * $b[j];
+                }
+            }
+        )*};
+    }
+    for (p, &b) in panel.iter().enumerate() {
+        rows!(p, b: 0 1 2 3 4 5 6 7);
+    }
+    acc
+}
+
+/// One product `C (m×n) = A (m×k) × B (k×n)`, plus `bias[i]` on row `i`
+/// if given.
+///
+/// `B` is never held whole. `fill(j0, cols, panel, ld)` writes its
+/// columns `j0..j0 + cols` into `panel` (`k` rows, row stride `ld`);
+/// the panel is reused for every column block, so one product touches
+/// `k × NR` floats of scratch beside `A` and `C`.
+struct Gemm<'a, F> {
+    a: &'a [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    bias: Option<&'a [f32]>,
+    c: &'a mut [f32],
+    fill: F,
+}
+
+impl<F: FnMut(usize, usize, &mut [f32], usize)> Gemm<'_, F> {
+    #[inline(always)]
+    fn run<const MR: usize, const NR: usize>(self) {
+        let Gemm {
+            a,
+            m,
+            k,
+            n,
+            bias,
+            c,
+            mut fill,
+        } = self;
+        assert_eq!(a.len(), m * k, "A has wrong length");
+        assert_eq!(c.len(), m * n, "C has wrong length");
+        if m == 0 {
+            return;
+        }
+        let mut scratch = vec![0.0f32; k * NR];
+        for j0 in (0..n).step_by(NR) {
+            let cols = NR.min(n - j0);
+            // A ragged last block leaves columns `cols..NR` as the
+            // previous block wrote them: multiplied but never stored.
+            fill(j0, cols, &mut scratch, NR);
+            let panel = &scratch.as_chunks::<NR>().0[..k];
+            for i0 in (0..m).step_by(MR) {
+                // Tile rows past `m` repeat the last row, unstored.
+                let rows = std::array::from_fn(|r| {
+                    let i = (i0 + r).min(m - 1);
+                    &a[i * k..][..k]
+                });
+                let sums = tile::<MR, NR>(rows, panel);
+                for (i, sums) in (i0..m).zip(&sums) {
+                    let out = &mut c[i * n + j0..][..cols];
+                    match bias {
+                        Some(bias) => {
+                            for (o, v) in out.iter_mut().zip(sums) {
+                                *o = v + bias[i];
+                            }
+                        }
+                        None => out.copy_from_slice(&sums[..cols]),
+                    }
+                }
+            }
+        }
+    }
+
+    fn run_portable(self) {
+        self.run::<4, 8>()
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn run_avx2(self) {
+        self.run::<4, 16>()
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    fn run_avx512(self) {
+        self.run::<8, 32>()
+    }
+
+    /// Run with the widest tiles the CPU reports support for.
+    fn run_widest(self) {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx512f") {
+                // SAFETY: the CPU reported avx512f on the line above,
+                // the only requirement of `run_avx512`.
+                return unsafe { self.run_avx512() };
+            }
+            if is_x86_feature_detected!("avx2") {
+                // SAFETY: the CPU reported avx2 on the line above, the
+                // only requirement of `run_avx2`.
+                return unsafe { self.run_avx2() };
+            }
+        }
+        self.run_portable()
+    }
+}
 
 /// `C = A × B` for row-major `A (m×k)` and `B (k×n)`.
 ///
-/// Rows of the output are computed in parallel with Rayon; within a
-/// row we iterate k-outer so the inner loop is a contiguous
-/// axpy over `B`'s row, which autovectorizes well.
+/// Each `C[i][j]` is the left-to-right sum over `p` of
+/// `A[i][p] * B[p][j]`, starting from `0.0`.
 pub fn matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
-    assert_eq!(a.len(), m * k, "A has wrong length");
     assert_eq!(b.len(), k * n, "B has wrong length");
     let mut c = vec![0.0f32; m * n];
-    // Parallelize only when the work amortizes thread handoff.
-    if m * k * n >= 32_768 {
-        c.par_chunks_mut(n).enumerate().for_each(|(i, row)| {
-            matmul_row(a, b, k, n, i, row);
-        });
-    } else {
-        for (i, row) in c.chunks_mut(n).enumerate() {
-            matmul_row(a, b, k, n, i, row);
-        }
+    Gemm {
+        a,
+        m,
+        k,
+        n,
+        bias: None,
+        c: &mut c,
+        fill: |j0, cols, panel: &mut [f32], ld| {
+            for (dst, src) in panel.chunks_exact_mut(ld).zip(b.chunks_exact(n)) {
+                dst[..cols].copy_from_slice(&src[j0..j0 + cols]);
+            }
+        },
     }
+    .run_widest();
     c
 }
 
-#[inline]
-fn matmul_row(a: &[f32], b: &[f32], k: usize, n: usize, i: usize, row: &mut [f32]) {
-    for p in 0..k {
-        let aip = a[i * k + p];
-        if aip == 0.0 {
-            continue;
-        }
-        let brow = &b[p * n..(p + 1) * n];
-        for (c, &bv) in row.iter_mut().zip(brow) {
-            *c += aip * bv;
-        }
-    }
-}
-
 /// Matrix–vector product `y = W x` for row-major `W (m×n)`.
+///
+/// Eight rows are summed side by side. Each keeps its own sequential
+/// sum, so the eight dependency chains overlap in the pipeline and no
+/// sum is reassociated.
 pub fn matvec(w: &[f32], x: &[f32], m: usize, n: usize) -> Vec<f32> {
+    const ROWS: usize = 8;
     assert_eq!(w.len(), m * n);
     assert_eq!(x.len(), n);
-    if m * n >= 65_536 {
-        (0..m)
-            .into_par_iter()
-            .map(|i| dot(&w[i * n..(i + 1) * n], x))
-            .collect()
-    } else {
-        (0..m).map(|i| dot(&w[i * n..(i + 1) * n], x)).collect()
+    // `x + -0.0 == x` for every `x`, `-0.0` included: the additive
+    // identity, and what `Iterator::sum` starts from.
+    const IDENTITY: f32 = -0.0;
+    let mut y = Vec::with_capacity(m);
+    let mut blocks = w.chunks_exact(ROWS * n.max(1));
+    for block in &mut blocks {
+        let rows: [&[f32]; ROWS] = std::array::from_fn(|r| &block[r * n..][..n]);
+        let mut acc = [IDENTITY; ROWS];
+        for (p, xv) in x.iter().enumerate() {
+            for r in 0..ROWS {
+                acc[r] += rows[r][p] * xv;
+            }
+        }
+        y.extend_from_slice(&acc);
     }
+    y.extend((y.len()..m).map(|i| {
+        let row = &w[i * n..][..n];
+        row.iter().zip(x).fold(IDENTITY, |s, (wv, xv)| s + wv * xv)
+    }));
+    y
 }
 
-#[inline]
-fn dot(a: &[f32], b: &[f32]) -> f32 {
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
+/// How many `size`-wide windows, `stride` apart, fit an axis of `dim`
+/// elements padded by `padding` at both ends: the output extent of a
+/// convolution or pooling along that axis.
+pub(crate) fn windows(dim: usize, size: usize, stride: usize, padding: usize) -> usize {
+    (dim + 2 * padding - size) / stride + 1
+}
+
+/// Shape of one convolution's im2col matrix: `(c_in·kh·kw) × (oh·ow)`,
+/// one column per output pixel.
+#[derive(Clone, Copy)]
+struct Im2col {
+    c_in: usize,
+    h: usize,
+    w: usize,
+    kh: usize,
+    kw: usize,
+    stride: usize,
+    padding: usize,
+    oh: usize,
+    ow: usize,
+}
+
+impl Im2col {
+    fn new(input: &Tensor, kh: usize, kw: usize, stride: usize, padding: usize) -> Self {
+        let shape = input.shape();
+        assert_eq!(shape.len(), 3, "im2col expects CHW input");
+        let (c_in, h, w) = (shape[0], shape[1], shape[2]);
+        Im2col {
+            c_in,
+            h,
+            w,
+            kh,
+            kw,
+            stride,
+            padding,
+            oh: windows(h, kh, stride, padding),
+            ow: windows(w, kw, stride, padding),
+        }
+    }
+
+    fn rows(&self) -> usize {
+        self.c_in * self.kh * self.kw
+    }
+
+    fn cols(&self) -> usize {
+        self.oh * self.ow
+    }
+
+    /// Write columns `j0..j0 + cols` of the matrix, all rows, into
+    /// `dst` (row stride `ld`), zero padding included.
+    ///
+    /// The columns are cut into runs that share an output row; along a
+    /// run the source pixels of one matrix row are `stride` apart in
+    /// one image row, so a stride-1 run is a single slice copy.
+    fn fill(&self, data: &[f32], j0: usize, cols: usize, dst: &mut [f32], ld: usize) {
+        let &Im2col {
+            c_in,
+            h,
+            w,
+            kh,
+            kw,
+            stride,
+            padding,
+            ow,
+            ..
+        } = self;
+        let end = j0 + cols;
+        let mut j = j0;
+        while j < end {
+            let (oy, ox0) = (j / ow, j % ow);
+            let run = (ow - ox0).min(end - j);
+            let at = j - j0;
+            for kx in 0..kw {
+                // Output columns `lo..hi` of this run read inside the
+                // image: `0 <= ox * stride + kx - padding < w`.
+                let first_inside = padding.saturating_sub(kx).div_ceil(stride);
+                let past_inside = (w + padding)
+                    .checked_sub(kx + 1)
+                    .map_or(0, |last| last / stride + 1);
+                let lo = first_inside.clamp(ox0, ox0 + run);
+                let hi = past_inside.clamp(lo, ox0 + run);
+                for c in 0..c_in {
+                    for ky in 0..kh {
+                        let row = (c * kh + ky) * kw + kx;
+                        let out = &mut dst[row * ld + at..][..run];
+                        let iy = (oy * stride + ky).wrapping_sub(padding);
+                        if iy >= h || lo == hi {
+                            out.fill(0.0);
+                            continue;
+                        }
+                        out[..lo - ox0].fill(0.0);
+                        out[hi - ox0..].fill(0.0);
+                        let inside = &mut out[lo - ox0..hi - ox0];
+                        let src = &data[(c * h + iy) * w + lo * stride + kx - padding..];
+                        if stride == 1 {
+                            inside.copy_from_slice(&src[..inside.len()]);
+                        } else {
+                            for (o, s) in inside.iter_mut().zip(src.iter().step_by(stride)) {
+                                *o = *s;
+                            }
+                        }
+                    }
+                }
+            }
+            j += run;
+        }
+    }
 }
 
 /// Lower a CHW image into the im2col matrix for a `kh×kw` kernel with
 /// `stride` and `padding`. Output is `(c_in*kh*kw) × (oh*ow)`,
 /// column-per-output-pixel, which makes convolution a single GEMM.
-#[allow(clippy::too_many_arguments)]
+/// (The backward pass wants the whole matrix; [`conv2d`] builds it a
+/// column panel at a time instead.)
 pub fn im2col(
     input: &Tensor,
     kh: usize,
@@ -69,42 +320,19 @@ pub fn im2col(
     stride: usize,
     padding: usize,
 ) -> (Vec<f32>, usize, usize) {
-    let shape = input.shape();
-    assert_eq!(shape.len(), 3, "im2col expects CHW input");
-    let (c_in, h, w) = (shape[0], shape[1], shape[2]);
-    let oh = (h + 2 * padding - kh) / stride + 1;
-    let ow = (w + 2 * padding - kw) / stride + 1;
-    let rows = c_in * kh * kw;
-    let cols = oh * ow;
-    let mut out = vec![0.0f32; rows * cols];
-    let data = input.data();
-    for c in 0..c_in {
-        for ky in 0..kh {
-            for kx in 0..kw {
-                let row = (c * kh + ky) * kw + kx;
-                let out_row = &mut out[row * cols..(row + 1) * cols];
-                for oy in 0..oh {
-                    let iy = (oy * stride + ky) as isize - padding as isize;
-                    if iy < 0 || iy as usize >= h {
-                        continue; // zero padding
-                    }
-                    let in_base = (c * h + iy as usize) * w;
-                    for ox in 0..ow {
-                        let ix = (ox * stride + kx) as isize - padding as isize;
-                        if ix < 0 || ix as usize >= w {
-                            continue;
-                        }
-                        out_row[oy * ow + ox] = data[in_base + ix as usize];
-                    }
-                }
-            }
-        }
-    }
-    (out, oh, ow)
+    let geom = Im2col::new(input, kh, kw, stride, padding);
+    let cols = geom.cols();
+    let mut out = vec![0.0f32; geom.rows() * cols];
+    geom.fill(input.data(), 0, cols, &mut out, cols);
+    (out, geom.oh, geom.ow)
 }
 
 /// 2-D convolution of a CHW `input` with `c_out` filters (weights are
 /// `c_out × (c_in*kh*kw)` row-major) plus per-channel bias.
+///
+/// A GEMM of the weights against the im2col matrix, which is built one
+/// column panel at a time straight from the image and never exists
+/// whole.
 #[allow(clippy::too_many_arguments)]
 pub fn conv2d(
     input: &Tensor,
@@ -116,67 +344,63 @@ pub fn conv2d(
     stride: usize,
     padding: usize,
 ) -> Tensor {
-    let c_in = input.shape()[0];
-    let (cols, oh, ow) = im2col(input, kh, kw, stride, padding);
-    let k = c_in * kh * kw;
-    let n = oh * ow;
+    let geom = Im2col::new(input, kh, kw, stride, padding);
+    let (k, n) = (geom.rows(), geom.cols());
     assert_eq!(weights.len(), c_out * k, "weight shape mismatch");
     assert_eq!(bias.len(), c_out, "bias shape mismatch");
-    let mut out = matmul(weights, &cols, c_out, k, n);
-    for (ch, chunk) in out.chunks_mut(n).enumerate() {
-        let b = bias[ch];
-        for v in chunk {
-            *v += b;
+    let mut out = vec![0.0f32; c_out * n];
+    let data = input.data();
+    Gemm {
+        a: weights,
+        m: c_out,
+        k,
+        n,
+        bias: Some(bias),
+        c: &mut out,
+        fill: |j0, cols, panel: &mut [f32], ld| geom.fill(data, j0, cols, panel, ld),
+    }
+    .run_widest();
+    Tensor::new(vec![c_out, geom.oh, geom.ow], out).expect("conv output shape")
+}
+
+/// Reduce every `size×size` window (step `stride`) of each channel of
+/// a CHW tensor to `finish(fold(… fold(init, v₀) …, vₙ))`, the window's
+/// values taken row by row.
+fn pool2d(
+    input: &Tensor,
+    size: usize,
+    stride: usize,
+    init: f32,
+    fold: impl Fn(f32, f32) -> f32,
+    finish: impl Fn(f32) -> f32,
+) -> Tensor {
+    let shape = input.shape();
+    let (c, h, w) = (shape[0], shape[1], shape[2]);
+    let (oh, ow) = (windows(h, size, stride, 0), windows(w, size, stride, 0));
+    let mut out = Vec::with_capacity(c * oh * ow);
+    for plane in input.data().chunks_exact(h * w) {
+        for oy in 0..oh {
+            let rows = &plane[oy * stride * w..][..size * w];
+            for ox in 0..ow {
+                let window = rows
+                    .chunks_exact(w)
+                    .flat_map(|row| &row[ox * stride..][..size]);
+                out.push(finish(window.fold(init, |acc, &v| fold(acc, v))));
+            }
         }
     }
-    Tensor::new(vec![c_out, oh, ow], out).expect("conv output shape")
+    Tensor::new(vec![c, oh, ow], out).expect("pool output shape")
 }
 
 /// Max pooling over `size×size` windows with `stride`.
 pub fn maxpool2d(input: &Tensor, size: usize, stride: usize) -> Tensor {
-    let shape = input.shape();
-    let (c, h, w) = (shape[0], shape[1], shape[2]);
-    let oh = (h - size) / stride + 1;
-    let ow = (w - size) / stride + 1;
-    let mut out = vec![f32::NEG_INFINITY; c * oh * ow];
-    for ch in 0..c {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let mut m = f32::NEG_INFINITY;
-                for ky in 0..size {
-                    for kx in 0..size {
-                        m = m.max(input.at_chw(ch, oy * stride + ky, ox * stride + kx));
-                    }
-                }
-                out[(ch * oh + oy) * ow + ox] = m;
-            }
-        }
-    }
-    Tensor::new(vec![c, oh, ow], out).expect("pool output shape")
+    pool2d(input, size, stride, f32::NEG_INFINITY, f32::max, |m| m)
 }
 
 /// Average pooling over `size×size` windows with `stride`.
 pub fn avgpool2d(input: &Tensor, size: usize, stride: usize) -> Tensor {
-    let shape = input.shape();
-    let (c, h, w) = (shape[0], shape[1], shape[2]);
-    let oh = (h - size) / stride + 1;
-    let ow = (w - size) / stride + 1;
     let denom = (size * size) as f32;
-    let mut out = vec![0.0f32; c * oh * ow];
-    for ch in 0..c {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let mut s = 0.0;
-                for ky in 0..size {
-                    for kx in 0..size {
-                        s += input.at_chw(ch, oy * stride + ky, ox * stride + kx);
-                    }
-                }
-                out[(ch * oh + oy) * ow + ox] = s / denom;
-            }
-        }
-    }
-    Tensor::new(vec![c, oh, ow], out).expect("pool output shape")
+    pool2d(input, size, stride, 0.0, |s, v| s + v, |s| s / denom)
 }
 
 /// Global average pooling: CHW -> C.
@@ -221,15 +445,12 @@ pub fn softmax(t: &mut Tensor) {
 /// In-place batch normalization (inference mode) per channel of a CHW
 /// tensor: `y = gamma * (x - mean)/sqrt(var + eps) + beta`.
 pub fn batchnorm(t: &mut Tensor, gamma: &[f32], beta: &[f32], mean: &[f32], var: &[f32]) {
-    let shape = t.shape().to_vec();
-    let (c, h, w) = (shape[0], shape[1], shape[2]);
-    let plane = h * w;
+    let plane = t.shape()[1] * t.shape()[2];
     const EPS: f32 = 1e-5;
-    let data = t.data_mut();
-    for ch in 0..c {
+    for (ch, values) in t.data_mut().chunks_exact_mut(plane.max(1)).enumerate() {
         let scale = gamma[ch] / (var[ch] + EPS).sqrt();
         let shift = beta[ch] - mean[ch] * scale;
-        for v in &mut data[ch * plane..(ch + 1) * plane] {
+        for v in values {
             *v = *v * scale + shift;
         }
     }
@@ -267,25 +488,75 @@ mod tests {
         assert_eq!(c, vec![19.0, 22.0, 43.0, 50.0]);
     }
 
+    /// Deterministic values with full mantissas, so a reordered sum or
+    /// a fused multiply-add changes low bits.
+    fn noise(len: usize, seed: u64) -> Vec<f32> {
+        let mut state = seed | 1;
+        (0..len)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (state >> 40) as f32 / (1u64 << 23) as f32 - 1.0
+            })
+            .collect()
+    }
+
+    /// The bits one instantiation gives a convolution-shaped product:
+    /// ragged in both tile dimensions, padded, with bias.
+    fn conv_bits(
+        run: impl FnOnce(Gemm<'_, &mut dyn FnMut(usize, usize, &mut [f32], usize)>),
+    ) -> Vec<u32> {
+        let input = Tensor::new(vec![5, 13, 11], noise(5 * 13 * 11, 1)).unwrap();
+        let geom = Im2col::new(&input, 3, 3, 1, 1);
+        let (m, k, n) = (19, geom.rows(), geom.cols());
+        let (weights, bias) = (noise(m * k, 2), noise(m, 3));
+        let mut c = vec![0.0f32; m * n];
+        run(Gemm {
+            a: &weights,
+            m,
+            k,
+            n,
+            bias: Some(&bias),
+            c: &mut c,
+            fill: &mut |j0, cols, panel: &mut [f32], ld| {
+                geom.fill(input.data(), j0, cols, panel, ld)
+            },
+        });
+        c.iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
-    fn matmul_parallel_matches_serial() {
-        // Big enough to trigger the parallel path.
-        let m = 64;
-        let k = 64;
-        let n = 64;
-        let a: Vec<f32> = (0..m * k).map(|i| (i % 7) as f32 - 3.0).collect();
-        let b: Vec<f32> = (0..k * n).map(|i| (i % 5) as f32 - 2.0).collect();
-        let par = matmul(&a, &b, m, k, n);
-        // Serial reference.
-        let mut ser = vec![0.0f32; m * n];
-        for i in 0..m {
-            for p in 0..k {
-                for j in 0..n {
-                    ser[i * n + j] += a[i * k + p] * b[p * n + j];
-                }
+    fn every_instantiation_the_host_supports_gives_the_same_bits() {
+        let portable = conv_bits(|g| g.run_portable());
+        assert_eq!(conv_bits(|g| g.run_widest()), portable);
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx2") {
+                // SAFETY: the CPU reported avx2 on the line above.
+                assert_eq!(conv_bits(|g| unsafe { g.run_avx2() }), portable);
+            }
+            if is_x86_feature_detected!("avx512f") {
+                // SAFETY: the CPU reported avx512f on the line above.
+                assert_eq!(conv_bits(|g| unsafe { g.run_avx512() }), portable);
             }
         }
-        assert_eq!(par, ser);
+    }
+
+    #[test]
+    fn im2col_pads_with_zeros_and_strides() {
+        // 1 channel, 3x3 image, 2x2 kernel, stride 2, padding 1:
+        // 2x2 outputs whose windows each cover one corner pixel.
+        let input = Tensor::new(vec![1, 3, 3], (1..=9).map(|v| v as f32).collect()).unwrap();
+        let (cols, oh, ow) = im2col(&input, 2, 2, 2, 1);
+        assert_eq!((oh, ow), (2, 2));
+        #[rustfmt::skip]
+        assert_eq!(cols, vec![
+            0.0, 0.0, 0.0, 5.0, // ky 0, kx 0
+            0.0, 0.0, 4.0, 6.0, // ky 0, kx 1
+            0.0, 2.0, 0.0, 8.0, // ky 1, kx 0
+            1.0, 3.0, 7.0, 9.0, // ky 1, kx 1
+        ]);
     }
 
     #[test]
@@ -295,6 +566,19 @@ mod tests {
         let y = matvec(&w, &x, 3, 4);
         let y2 = matmul(&w, &x, 3, 4, 1);
         assert_eq!(y, y2);
+    }
+
+    #[test]
+    fn matvec_rows_keep_their_sequential_sums() {
+        // Two blocks of eight rows and three rows left over.
+        let (m, n) = (19, 37);
+        let (w, x) = (noise(m * n, 4), noise(n, 5));
+        let one_row_at_a_time: Vec<f32> = w
+            .chunks(n)
+            .map(|row| row.iter().zip(&x).map(|(a, b)| a * b).sum())
+            .collect();
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&matvec(&w, &x, m, n)), bits(&one_row_at_a_time));
     }
 
     #[test]

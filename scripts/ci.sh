@@ -25,6 +25,12 @@ echo "######## repo benchmark (build + quick run)"
 # windows and fails on any wrong answer.
 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- run --quick
 
+echo "######## tensor kernels smoke (micro bench, kernels group)"
+# The tensor rung of the layer ladder: the CIFAR GEMM shapes, the dense
+# product and both forward passes, each with its GFLOP/s. A short
+# window: this only keeps the group building and running.
+CRITERION_MEASUREMENT_MS=50 cargo bench -p dlhub-bench --bench micro -- kernels
+
 echo "######## chaos + analytics (fixed seed matrix)"
 # The workspace test run above already exercises tests/chaos.rs and
 # tests/analytics.rs on their built-in matrix; this loop re-runs them
