@@ -1,44 +1,57 @@
-//! Ablation: profile-driven replica autoscaling on the real threaded
-//! runtime (the §VII "automated tuning of servable execution" loop).
+//! Ablation: replica autoscaling on the real threaded runtime (the
+//! §VII "automated tuning of servable execution" loop).
 //!
 //! ```text
 //! cargo run --release -p dlhub-bench --bin ablation_autoscale
 //! ```
 //!
-//! A compute-heavy servable starts at 1 replica. Concurrent clients
-//! measure throughput; the autoscaler reads the live profile, scales
-//! the Parsl pool to the knee, and throughput is re-measured.
+//! A compute-heavy servable starts at 1 replica behind eight concurrent
+//! clients. Throughput is measured with the control loop idle, then
+//! while the main thread drives `Reconciler` passes over the live
+//! telemetry (the pool grows under the clients, one Little's-law step
+//! per pass), then again once the pool has settled.
 
 use dlhub_bench::report::{print_table, shape_check, write_csv};
-use dlhub_core::autoscale::{AutoscalePolicy, Autoscaler};
+use dlhub_core::autoscale::ControlPolicy;
 use dlhub_core::hub::TestHub;
 use dlhub_core::servable::{servable_fn, ModelType};
+use dlhub_core::serving::ServingConfig;
 use dlhub_core::value::Value;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const CLIENTS: usize = 8;
 const REQUESTS_PER_CLIENT: usize = 12;
+const PASS_EVERY: Duration = Duration::from_millis(50);
 
-fn measure_throughput(hub: &TestHub) -> f64 {
+/// Throughput of `CLIENTS` closed-loop clients sending `per_client`
+/// requests each; with `reconcile`, the caller's thread runs a control
+/// pass every [`PASS_EVERY`] until the last client finishes.
+fn measure_throughput(hub: &TestHub, per_client: usize, reconcile: bool) -> f64 {
     let start = Instant::now();
     let handles: Vec<_> = (0..CLIENTS)
         .map(|c| {
             let service = Arc::clone(&hub.service);
             let token = hub.token.clone();
             std::thread::spawn(move || {
-                for i in 0..REQUESTS_PER_CLIENT {
+                for i in 0..per_client {
                     service
-                        .run(&token, "dlhub/heavy", Value::Int((c * 100 + i) as i64))
+                        .run(&token, "dlhub/heavy", Value::Int((c * 1000 + i) as i64))
                         .unwrap();
                 }
             })
         })
         .collect();
+    while reconcile && !handles.iter().all(|h| h.is_finished()) {
+        std::thread::sleep(PASS_EVERY);
+        for decision in hub.service.reconcile_now() {
+            println!("  {decision}");
+        }
+    }
     for h in handles {
         h.join().unwrap();
     }
-    (CLIENTS * REQUESTS_PER_CLIENT) as f64 / start.elapsed().as_secs_f64()
+    (CLIENTS * per_client) as f64 / start.elapsed().as_secs_f64()
 }
 
 fn main() {
@@ -47,6 +60,16 @@ fn main() {
         .memo(false)
         .replicas(1)
         .consumers(CLIENTS)
+        .config(ServingConfig {
+            telemetry_interval: Duration::from_millis(10),
+            autoscale: Some(ControlPolicy {
+                max_replicas: CLIENTS,
+                cooldown: Duration::from_millis(100),
+                signal_window: Duration::from_millis(300),
+                ..ControlPolicy::default()
+            }),
+            ..ServingConfig::default()
+        })
         .build();
     hub.publish_simple(
         "heavy",
@@ -57,7 +80,7 @@ fn main() {
         }),
     );
 
-    // Warm the pool and seed the profile.
+    // Warm the pool and seed the cost estimate (`min_samples`).
     for i in 0..6 {
         hub.service
             .run(&hub.token, "dlhub/heavy", Value::Int(-i))
@@ -65,25 +88,24 @@ fn main() {
     }
 
     let before_replicas = hub.parsl.replicas("dlhub/heavy");
-    let before = measure_throughput(&hub);
+    let before = measure_throughput(&hub, REQUESTS_PER_CLIENT, false);
 
-    let scaler = Autoscaler::new(
-        hub.service.profiles().clone(),
-        Arc::clone(&hub.parsl),
-        AutoscalePolicy {
-            max_replicas: CLIENTS,
-            ..AutoscalePolicy::default()
-        },
-    );
-    let decisions = scaler.reconcile();
+    println!("control-loop decisions under load:");
+    let scaling = measure_throughput(&hub, 4 * REQUESTS_PER_CLIENT, true);
     let after_replicas = hub.parsl.replicas("dlhub/heavy");
-    let after = measure_throughput(&hub);
+    let after = measure_throughput(&hub, REQUESTS_PER_CLIENT, false);
+    let decisions = hub.service.reconciler().expect("attached").decisions();
 
     let rows = vec![
         vec![
             "before".to_string(),
             before_replicas.to_string(),
             format!("{before:.1}"),
+        ],
+        vec![
+            "scaling".to_string(),
+            format!("{before_replicas}..{after_replicas}"),
+            format!("{scaling:.1}"),
         ],
         vec![
             "after".to_string(),
@@ -102,11 +124,11 @@ fn main() {
         &rows,
     );
     println!("\nwrote {}", path.display());
-    println!("\nautoscaler decisions: {decisions:?}");
+    println!("\n{} decisions applied", decisions.len());
 
     println!("\nshape checks:");
     shape_check(
-        &format!("autoscaler raised replicas ({before_replicas} -> {after_replicas})"),
+        &format!("control loop raised replicas ({before_replicas} -> {after_replicas})"),
         after_replicas > before_replicas,
     );
     shape_check(

@@ -317,7 +317,9 @@ fn main() {
 
     let store = hub
         .service
-        .telemetry_store()
+        .obs()
+        .telemetry
+        .store()
         .expect("telemetry enabled on the serve hub");
     shape_check(
         &format!(

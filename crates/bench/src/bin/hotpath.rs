@@ -31,8 +31,6 @@
 //! so the numbers are committed alongside the code they measure).
 
 use dlhub_bench::report::{print_table, shape_check, write_json};
-use dlhub_core::admission::AdmissionConfig;
-use dlhub_core::autoscale::ControlPolicy;
 use dlhub_core::hub::TestHub;
 use dlhub_core::servable::{servable_fn, ModelType};
 use dlhub_core::serving::ServingConfig;
@@ -118,43 +116,6 @@ fn drive(hub: &TestHub, threads: usize, window: Duration, rtt: Duration, all_hit
         p50: percentile(&all, 0.50),
         p99: percentile(&all, 0.99),
     }
-}
-
-/// Alternate `AB_TRIALS` 100%-hit cells between the two hubs and keep
-/// each side's best throughput. External noise (scheduler, other
-/// containers, frequency drift) only ever *lowers* a cell, so peak
-/// versus peak is the statistic that isolates the enabled feature's
-/// own cost — a single pair of cells on a shared box swings far more
-/// than the 5% contract being measured. Alternating (d, e, d, e, …)
-/// rather than batching keeps slow drift from biasing one side.
-const AB_TRIALS: usize = 3;
-
-fn ab_cells(
-    disabled: &TestHub,
-    enabled: &TestHub,
-    threads: usize,
-    window: Duration,
-    rtt: Duration,
-) -> (Cell, Cell) {
-    let mut best_d: Option<Cell> = None;
-    let mut best_e: Option<Cell> = None;
-    for _ in 0..AB_TRIALS {
-        let d = drive(disabled, threads, window, rtt, true);
-        if best_d
-            .as_ref()
-            .is_none_or(|b| d.req_per_s() > b.req_per_s())
-        {
-            best_d = Some(d);
-        }
-        let e = drive(enabled, threads, window, rtt, true);
-        if best_e
-            .as_ref()
-            .is_none_or(|b| e.req_per_s() > b.req_per_s())
-        {
-            best_e = Some(e);
-        }
-    }
-    (best_d.expect("ab trials"), best_e.expect("ab trials"))
 }
 
 fn run_mode(hub: &TestHub, window: Duration, rtt: Duration, all_hits: bool) -> Vec<Cell> {
@@ -272,7 +233,7 @@ fn main() {
     // latency histograms from the service's metrics registry, so the
     // committed JSON carries the paper's three measurement points
     // without a separate collection step.
-    let metrics = hub.service.metrics_snapshot();
+    let metrics = hub.service.obs().snapshot();
     let echo_series = metrics
         .servables
         .iter()
@@ -308,236 +269,6 @@ fn main() {
         exemplars > 0,
     );
 
-    // Profiler overhead A/B: the same 100%-hit cell on the default
-    // (profiler disabled) hub versus a second deployment with the
-    // continuous profiler sampling and the flight recorder armed. The
-    // disabled side is the zero-cost contract — every frame mark is
-    // one relaxed atomic load — and the enabled side must stay within
-    // noise of it. `scripts/bench_gate.py --check overhead` enforces
-    // the committed ratio in CI.
-    const OVERHEAD_THREADS: usize = 4;
-    const OVERHEAD_HZ: u32 = 99;
-    let ab_window = window.min(Duration::from_millis(1000));
-    shape_check(
-        "default config leaves the profiler statically disabled",
-        hub.service.profile_report().is_none(),
-    );
-    let profiled = TestHub::builder()
-        .without_eval_servables()
-        .memo(true)
-        .replicas(16)
-        .consumers(16)
-        .config(ServingConfig {
-            async_workers: 16,
-            profile_hz: OVERHEAD_HZ,
-            recorder_capacity: 8,
-            ..ServingConfig::default()
-        })
-        .slo(dlhub_core::obs::SloSpec::new(
-            "dlhub/echo",
-            Duration::from_secs(1),
-        ))
-        .build();
-    profiled.publish_simple(
-        "echo",
-        ModelType::PythonFunction,
-        servable_fn(|v| Ok(v.clone())),
-    );
-    for i in 0..HOT_KEYS {
-        profiled
-            .service
-            .run(&profiled.token, "dlhub/echo", Value::Int(i))
-            .expect("warm request");
-    }
-    let (disabled_cell, enabled_cell) = ab_cells(&hub, &profiled, OVERHEAD_THREADS, ab_window, rtt);
-    let profile = profiled
-        .service
-        .profile_report()
-        .expect("profiler enabled for the A/B hub");
-    shape_check(
-        &format!(
-            "enabled profiler observed the run ({} samples @ {} Hz)",
-            profile.total_samples, profile.hz
-        ),
-        profile.total_samples > 0,
-    );
-    let per_thread: u64 = profile.threads.iter().map(|t| t.samples).sum();
-    shape_check(
-        &format!(
-            "per-thread sample counts partition the total ({per_thread} == {})",
-            profile.total_samples
-        ),
-        per_thread == profile.total_samples,
-    );
-    let overhead_ratio = enabled_cell.req_per_s() / disabled_cell.req_per_s().max(1.0);
-    // Local sanity floor only; the CI contract (default 0.95, env
-    // tunable) lives in bench_gate.py against the committed artifact.
-    shape_check(
-        &format!(
-            "profiler-enabled throughput within noise of disabled ({:.0} → {:.0} req/s, ratio {:.3})",
-            disabled_cell.req_per_s(),
-            enabled_cell.req_per_s(),
-            overhead_ratio
-        ),
-        overhead_ratio >= 0.85,
-    );
-
-    // Telemetry collector A/B, mirroring the profiler's: the same
-    // 100%-hit cell against a third deployment with the time-series
-    // collector sampling every 50 ms. The disabled side reuses the
-    // default hub (collector statically off — one relaxed pointer load
-    // per query accessor); `bench_gate.py --check telemetry` enforces
-    // the committed ratio in CI. The telemetered run's exported series
-    // becomes the artifact's time axis.
-    const TELEMETRY_INTERVAL_MS: u64 = 50;
-    shape_check(
-        "default config leaves the telemetry collector statically disabled",
-        hub.service.telemetry_store().is_none(),
-    );
-    let telemetered = TestHub::builder()
-        .without_eval_servables()
-        .memo(true)
-        .replicas(16)
-        .consumers(16)
-        .config(ServingConfig {
-            async_workers: 16,
-            telemetry_interval: Duration::from_millis(TELEMETRY_INTERVAL_MS),
-            ..ServingConfig::default()
-        })
-        .slo(dlhub_core::obs::SloSpec::new(
-            "dlhub/echo",
-            Duration::from_secs(1),
-        ))
-        .build();
-    telemetered.publish_simple(
-        "echo",
-        ModelType::PythonFunction,
-        servable_fn(|v| Ok(v.clone())),
-    );
-    for i in 0..HOT_KEYS {
-        telemetered
-            .service
-            .run(&telemetered.token, "dlhub/echo", Value::Int(i))
-            .expect("warm request");
-    }
-    let (telemetry_disabled_cell, telemetry_cell) =
-        ab_cells(&hub, &telemetered, OVERHEAD_THREADS, ab_window, rtt);
-    let store = telemetered
-        .service
-        .telemetry_store()
-        .expect("collector enabled for the A/B hub");
-    shape_check(
-        &format!(
-            "telemetry collector observed the run ({} passes, {} series)",
-            store.samples_taken(),
-            store.series_names().len()
-        ),
-        store.samples_taken() > 0 && !store.series_names().is_empty(),
-    );
-    let telemetry_ratio = telemetry_cell.req_per_s() / telemetry_disabled_cell.req_per_s().max(1.0);
-    shape_check(
-        &format!(
-            "collector-enabled throughput within noise of disabled ({:.0} → {:.0} req/s, ratio {:.3})",
-            telemetry_disabled_cell.req_per_s(),
-            telemetry_cell.req_per_s(),
-            telemetry_ratio
-        ),
-        telemetry_ratio >= 0.85,
-    );
-
-    // Control-loop A/B, closing the set: the same 100%-hit cell
-    // against a fourth deployment with the whole control plane armed —
-    // the telemetry collector feeding windowed signals, the background
-    // reconciler actuating on them, and per-request admission control
-    // in front of the memo lookup. The policy pins min == max replicas
-    // so the A/B measures the loop's steady-state cost (signal
-    // evaluation in the reconciler thread, per-request admission
-    // accounting) rather than capacity changes mid-measurement, and
-    // the inflight cap sits far above the client count so nothing
-    // sheds. The disabled side reuses the default hub (control
-    // statically off — `admission` and `autoscale` both `None`).
-    // `bench_gate.py --check control` enforces the committed ratio.
-    const RECONCILE_INTERVAL_MS: u64 = 50;
-    shape_check(
-        "default config leaves the control loop statically disabled",
-        hub.service.reconciler().is_none() && hub.service.admission().is_none(),
-    );
-    let controlled = TestHub::builder()
-        .without_eval_servables()
-        .memo(true)
-        .replicas(16)
-        .consumers(16)
-        .config(ServingConfig {
-            async_workers: 16,
-            telemetry_interval: Duration::from_millis(TELEMETRY_INTERVAL_MS),
-            autoscale: Some(ControlPolicy {
-                min_replicas: 16,
-                max_replicas: 16,
-                ..ControlPolicy::default()
-            }),
-            autoscale_interval: Duration::from_millis(RECONCILE_INTERVAL_MS),
-            admission: Some(AdmissionConfig {
-                max_inflight: 1024,
-                ..AdmissionConfig::default()
-            }),
-            ..ServingConfig::default()
-        })
-        .slo(dlhub_core::obs::SloSpec::new(
-            "dlhub/echo",
-            Duration::from_secs(1),
-        ))
-        .build();
-    controlled.publish_simple(
-        "echo",
-        ModelType::PythonFunction,
-        servable_fn(|v| Ok(v.clone())),
-    );
-    for i in 0..HOT_KEYS {
-        controlled
-            .service
-            .run(&controlled.token, "dlhub/echo", Value::Int(i))
-            .expect("warm request");
-    }
-    let (control_disabled_cell, control_cell) =
-        ab_cells(&hub, &controlled, OVERHEAD_THREADS, ab_window, rtt);
-    let admission = controlled
-        .service
-        .admission()
-        .expect("admission armed for the A/B hub");
-    let admitted = admission.admitted_total();
-    let control_decisions = controlled
-        .service
-        .reconciler()
-        .expect("reconciler armed for the A/B hub")
-        .decisions()
-        .len() as u64;
-    let shed = controlled
-        .service
-        .metrics_snapshot()
-        .counters
-        .iter()
-        .find(|(name, _)| name == "requests_shed_total")
-        .map(|(_, v)| *v)
-        .unwrap_or(0);
-    shape_check(
-        &format!("admission controller saw every request ({admitted} admitted, {shed} shed)"),
-        admitted >= control_cell.requests && shed == 0,
-    );
-    shape_check(
-        &format!("pinned policy held capacity fixed ({control_decisions} scaling decisions)"),
-        control_decisions == 0,
-    );
-    let control_ratio = control_cell.req_per_s() / control_disabled_cell.req_per_s().max(1.0);
-    shape_check(
-        &format!(
-            "control-loop-enabled throughput within noise of disabled ({:.0} → {:.0} req/s, ratio {:.3})",
-            control_disabled_cell.req_per_s(),
-            control_cell.req_per_s(),
-            control_ratio
-        ),
-        control_ratio >= 0.85,
-    );
-
     let doc = serde_json::json!({
         "bench": "hotpath",
         "window_ms": window.as_millis() as u64,
@@ -545,42 +276,6 @@ fn main() {
         "thread_counts": THREADS.to_vec(),
         "modes": serde_json::Value::Object(json_modes),
         "hit100_speedup_8t_over_1t": speedup,
-        "overhead": {
-            "threads": OVERHEAD_THREADS,
-            "window_ms": ab_window.as_millis() as u64,
-            "trials": AB_TRIALS,
-            "profile_hz": OVERHEAD_HZ,
-            "disabled_req_per_s": disabled_cell.req_per_s(),
-            "enabled_req_per_s": enabled_cell.req_per_s(),
-            "enabled_over_disabled": overhead_ratio,
-            "profiler_samples": profile.total_samples,
-        },
-        "telemetry_overhead": {
-            "threads": OVERHEAD_THREADS,
-            "window_ms": ab_window.as_millis() as u64,
-            "trials": AB_TRIALS,
-            "interval_ms": TELEMETRY_INTERVAL_MS,
-            "disabled_req_per_s": telemetry_disabled_cell.req_per_s(),
-            "enabled_req_per_s": telemetry_cell.req_per_s(),
-            "enabled_over_disabled": telemetry_ratio,
-            "telemetry_samples": store.samples_taken(),
-        },
-        "autoscale_overhead": {
-            "threads": OVERHEAD_THREADS,
-            "window_ms": ab_window.as_millis() as u64,
-            "trials": AB_TRIALS,
-            "reconcile_interval_ms": RECONCILE_INTERVAL_MS,
-            "disabled_req_per_s": control_disabled_cell.req_per_s(),
-            "enabled_req_per_s": control_cell.req_per_s(),
-            "enabled_over_disabled": control_ratio,
-            "admitted": admitted,
-            "shed": shed,
-            "scaling_decisions": control_decisions,
-        },
-        // The run's time axis from the telemetered A/B hub, capped to
-        // the newest points per ring tier so the committed artifact
-        // stays reviewable (each tier reports what it dropped).
-        "telemetry": store.to_json_capped(6),
         "metrics": metrics.to_json(),
     });
     let path = write_json("BENCH_hotpath.json", &doc);

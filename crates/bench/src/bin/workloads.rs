@@ -355,7 +355,7 @@ fn run_scenario(sc: &Scenario, schedule: &WorkloadSchedule) -> Outcome {
     // stage vectors of (a) all completed requests and (b) the slowest
     // ~0.5% by corrected latency (at least 5), whose traces explain
     // where the p999 comes from.
-    let export = hub.service.trace_export(None);
+    let export = hub.service.obs().tracer.export(None);
     let by_trace: HashMap<u64, TraceAnalysis> = analyze_all(&export)
         .into_iter()
         .map(|a| (a.trace, a))

@@ -104,9 +104,9 @@ impl Cli {
     /// call (an `iostat`-style window over the same dashboard).
     fn stats(&self, args: &[&str]) -> Result<String, CliError> {
         match args {
-            [] => Ok(self.service.metrics_snapshot().render_dashboard()),
-            ["--prometheus"] => Ok(self.service.render_prometheus()),
-            ["--delta"] => Ok(self.service.metrics_delta().render_dashboard()),
+            [] => Ok(self.service.obs().snapshot().render_dashboard()),
+            ["--prometheus"] => Ok(self.service.obs().snapshot().render_prometheus()),
+            ["--delta"] => Ok(self.service.obs().delta().render_dashboard()),
             other => Err(format!(
                 "usage: dlhub stats [--prometheus|--delta] (got: {})",
                 other.join(" ")
@@ -121,7 +121,9 @@ impl Cli {
     fn profile(&self, args: &[&str]) -> Result<String, CliError> {
         let report = self
             .service
-            .profile_report()
+            .obs()
+            .profile
+            .report()
             .ok_or("profiler is disabled; set ServingConfig::profile_hz")?;
         match args {
             [] => Ok(report.render_collapsed()),
@@ -138,7 +140,7 @@ impl Cli {
     /// `contention`: lock/park wait sites ranked by total wait time.
     fn contention(&self) -> Result<String, CliError> {
         Ok(dlhub_core::obs::render_contention(
-            &self.service.contention_snapshot(),
+            &self.service.obs().contention.snapshot(),
         ))
     }
 
@@ -151,7 +153,7 @@ impl Cli {
         let ids: Vec<&&str> = args.iter().filter(|a| **a != "--json").collect();
         match ids.as_slice() {
             [] => {
-                let bundles = self.service.flight_bundles();
+                let bundles = self.service.obs().recorder.bundles();
                 if bundles.is_empty() {
                     return Ok("no flight-recorder bundles frozen\n".into());
                 }
@@ -169,7 +171,9 @@ impl Cli {
                 let id: u64 = id.parse().map_err(|_| format!("not a bundle id: {id}"))?;
                 let bundle = self
                     .service
-                    .flight_bundle(id)
+                    .obs()
+                    .recorder
+                    .bundle(id)
                     .ok_or_else(|| format!("no bundle {id}"))?;
                 if json {
                     Ok(serde_json::to_string_pretty(&bundle.to_json()).expect("bundle serializes"))
@@ -208,7 +212,7 @@ impl Cli {
                 ))
             }
         };
-        let export = self.service.trace_export(trace);
+        let export = self.service.obs().tracer.export(trace);
         if json {
             Ok(serde_json::to_string_pretty(&export.to_json()).expect("trace export serializes"))
         } else {
@@ -228,7 +232,8 @@ impl Cli {
                 let trace = parse_trace_id(id)?;
                 let analysis = self
                     .service
-                    .analyze_trace(trace)
+                    .obs()
+                    .analyze(trace)
                     .ok_or_else(|| format!("no spans collected for trace {trace:#x}"))?;
                 if json {
                     Ok(serde_json::to_string_pretty(&analysis.to_json())
@@ -238,7 +243,7 @@ impl Cli {
                 }
             }
             [] => {
-                let export = self.service.trace_export(None);
+                let export = self.service.obs().tracer.export(None);
                 let analyses = dlhub_core::obs::analyze_all(&export);
                 if analyses.is_empty() {
                     return Err("no traces collected yet; run something first".into());
@@ -277,7 +282,7 @@ impl Cli {
     /// table or (with `--json`) machine-readable JSON, consistent with
     /// `stats`/`profile`/`bundle`.
     fn slo(&self, args: &[&str]) -> Result<String, CliError> {
-        let snapshot = self.service.metrics_snapshot();
+        let snapshot = self.service.obs().snapshot();
         match args {
             [] => Ok(snapshot.render_slos()),
             ["--json"] => {
@@ -304,7 +309,9 @@ impl Cli {
     fn top(&self, args: &[&str]) -> Result<String, CliError> {
         let store = self
             .service
-            .telemetry_store()
+            .obs()
+            .telemetry
+            .store()
             .ok_or("telemetry is disabled; set ServingConfig::telemetry_interval")?;
         let mut follow = false;
         let mut frames = 10usize;
@@ -345,7 +352,7 @@ impl Cli {
         if !follow {
             return Ok(crate::top::render_frame(
                 &store,
-                &self.service.metrics_snapshot(),
+                &self.service.obs().snapshot(),
                 window,
             ));
         }
@@ -357,7 +364,7 @@ impl Cli {
             if i > 0 {
                 std::thread::sleep(interval);
             }
-            frame = crate::top::render_frame(&store, &self.service.metrics_snapshot(), window);
+            frame = crate::top::render_frame(&store, &self.service.obs().snapshot(), window);
             print!("{}{}", crate::top::REFRESH_PREFIX, frame);
             use std::io::Write as _;
             let _ = std::io::stdout().flush();
@@ -763,7 +770,12 @@ mod tests {
         }
         // Wait for the collector to take at least two passes so rates
         // have a delta to work from.
-        let store = hub.service.telemetry_store().expect("telemetry enabled");
+        let store = hub
+            .service
+            .obs()
+            .telemetry
+            .store()
+            .expect("telemetry enabled");
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
         while store.samples_taken() < 3 {
             assert!(std::time::Instant::now() < deadline, "collector never ran");

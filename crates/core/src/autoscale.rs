@@ -1,204 +1,91 @@
-//! Replica autoscaling from servable profiles.
+//! Replica autoscaling: the closed control loop over live signals.
 //!
 //! Fig 7 shows throughput saturating once the Task Manager's
 //! serialized dispatch dominates (`replicas ≈ service / dispatch`);
 //! the paper leaves replica counts "configurable in the Management
 //! Service" and names "automated tuning of servable execution" as
-//! ongoing work (§VII). [`Autoscaler`] closes that loop: it reads the
-//! live [`ProfileRegistry`] and drives each servable's Parsl pool to
-//! its knee — enough replicas to stay compute-bound, no more.
+//! ongoing work (§VII). [`Reconciler`] closes that loop: it reads
+//! [`ScalingSignals`] — arrival rate, SLO burn and each servable's
+//! dispatch cost — sizes every pool by Little's law, and never past the
+//! Fig 7 [`knee`], where more replicas stop paying.
 
 use crate::executor::ParslExecutor;
-use crate::profile::ProfileRegistry;
-use dlhub_obs::{ControlSignals, Counter, GaugeWindow, WindowHistogram};
+use dlhub_obs::{ControlSignals, Counter, ServableCost};
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Autoscaling policy bounds.
-#[derive(Debug, Clone)]
-pub struct AutoscalePolicy {
-    /// Lower bound on replicas per servable.
-    pub min_replicas: usize,
-    /// Upper bound on replicas per servable (cluster budget).
-    pub max_replicas: usize,
-    /// Observations required before trusting a profile.
-    pub min_samples: u64,
-}
-
-impl Default for AutoscalePolicy {
-    fn default() -> Self {
-        AutoscalePolicy {
-            min_replicas: 1,
-            max_replicas: 16,
-            min_samples: 5,
-        }
-    }
-}
-
-/// A scaling decision for one servable.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScalingDecision {
-    /// Servable id.
-    pub servable: String,
-    /// Replicas before the decision.
-    pub current: usize,
-    /// Replicas the policy wants.
-    pub desired: usize,
-}
-
-/// Read-only windowed inputs a scaling control loop consumes. Every
-/// accessor returns `None` when the underlying signal has no history
-/// yet — callers must treat "no data" as "do not act", never as zero.
+/// Read-only inputs the control loop consumes. Every accessor returns
+/// `None` when the underlying signal has no history yet — callers must
+/// treat "no data" as "do not act", never as zero.
 ///
-/// The trait exists so the (future) control loop can be tested against
-/// scripted signal fixtures; production wires [`TelemetrySignals`]
-/// over the telemetry store's [`ControlSignals`] view.
+/// The trait exists so the loop can be tested against scripted signal
+/// fixtures; production passes the telemetry store's
+/// [`ControlSignals`] view.
 pub trait ScalingSignals {
+    /// Servables with any sampled history, id-sorted (the order
+    /// decisions are taken and logged in).
+    fn servables(&self) -> Vec<String>;
+
     /// Requests per second answered for `servable` over `window`.
     fn arrival_rate(&self, servable: &str, window: Duration) -> Option<f64>;
-
-    /// Slope of the arrival rate in req/s per second — positive means
-    /// traffic is ramping toward the pool.
-    fn arrival_trend(&self, servable: &str, window: Duration) -> Option<f64>;
-
-    /// p99 broker queue wait over `window`, in nanoseconds.
-    fn queue_wait_p99(&self, window: Duration) -> Option<u64>;
 
     /// Fast-window SLO burn rate for `servable` (mean over `window`);
     /// above 1.0 the error budget is being consumed too fast.
     fn burn_rate(&self, servable: &str, window: Duration) -> Option<f64>;
 
-    /// Mean async worker-pool occupancy over `window`.
-    fn pool_occupancy(&self, window: Duration) -> Option<f64>;
+    /// What dispatching `servable` has cost so far.
+    fn cost(&self, servable: &str) -> Option<ServableCost>;
 }
 
-/// [`ScalingSignals`] over the telemetry store, via its
-/// [`ControlSignals`] query view. Obtain one from
-/// [`ManagementService::control_signals`] and wrap it:
-/// `TelemetrySignals::new(service.control_signals()?)`.
-///
-/// [`ManagementService::control_signals`]: crate::serving::ManagementService::control_signals
-#[derive(Clone)]
-pub struct TelemetrySignals {
-    signals: ControlSignals,
-}
-
-impl TelemetrySignals {
-    /// Wrap the telemetry query view.
-    pub fn new(signals: ControlSignals) -> Self {
-        TelemetrySignals { signals }
+impl ScalingSignals for ControlSignals {
+    fn servables(&self) -> Vec<String> {
+        ControlSignals::servables(self)
     }
 
-    /// The underlying view, for signals the trait does not name.
-    pub fn inner(&self) -> &ControlSignals {
-        &self.signals
-    }
-}
-
-impl ScalingSignals for TelemetrySignals {
     fn arrival_rate(&self, servable: &str, window: Duration) -> Option<f64> {
-        self.signals.arrival_rate(servable, window)
-    }
-
-    fn arrival_trend(&self, servable: &str, window: Duration) -> Option<f64> {
-        self.signals.arrival_trend(servable, window)
-    }
-
-    fn queue_wait_p99(&self, window: Duration) -> Option<u64> {
-        self.signals
-            .queue_wait(window)
-            .and_then(|w: WindowHistogram| w.quantile(0.99))
+        ControlSignals::arrival_rate(self, servable, window)
     }
 
     fn burn_rate(&self, servable: &str, window: Duration) -> Option<f64> {
-        self.signals
-            .burn_rate(servable, window)
-            .map(|w: GaugeWindow| w.avg)
+        ControlSignals::burn_rate(self, servable, window).map(|w| w.avg)
     }
 
-    fn pool_occupancy(&self, window: Duration) -> Option<f64> {
-        self.signals.pool_occupancy(window).map(|w| w.avg)
+    fn cost(&self, servable: &str) -> Option<ServableCost> {
+        ControlSignals::cost(self, servable)
     }
 }
 
-/// Profile-driven replica autoscaler.
-pub struct Autoscaler {
-    registry: ProfileRegistry,
-    executor: Arc<ParslExecutor>,
-    policy: AutoscalePolicy,
+/// Replica count at which dispatch stops being amortizable:
+/// `ceil(inference / dispatch-floor)` — the Fig 7 knee. Uses the
+/// overhead *floor* so queueing delay under load (which extra replicas
+/// would remove) does not masquerade as dispatch cost. With a
+/// negligible floor the knee is unbounded (replicas are pure win up to
+/// `max`); with negligible inference a single replica already keeps up.
+pub fn knee(cost: &ServableCost, max: usize) -> usize {
+    let floor = cost.overhead_floor().as_secs_f64();
+    let inference = cost.inference().as_secs_f64();
+    if inference <= 0.0 {
+        return 1;
+    }
+    if floor <= 0.0 {
+        return max.max(1);
+    }
+    ((inference / floor).ceil() as usize).clamp(1, max.max(1))
 }
 
-impl Autoscaler {
-    /// Wire an autoscaler to a profile source and the executor whose
-    /// pools it manages.
-    pub fn new(
-        registry: ProfileRegistry,
-        executor: Arc<ParslExecutor>,
-        policy: AutoscalePolicy,
-    ) -> Self {
-        Autoscaler {
-            registry,
-            executor,
-            policy,
-        }
-    }
-
-    /// Desired replica count for one servable, or `None` if its
-    /// profile is missing or too thin to act on.
-    pub fn desired(&self, servable: &str) -> Option<usize> {
-        let profile = self.registry.get(servable)?;
-        if profile.samples < self.policy.min_samples {
-            return None;
-        }
-        Some(
-            profile
-                .suggested_replicas(self.policy.max_replicas)
-                .max(self.policy.min_replicas),
-        )
-    }
-
-    /// Evaluate every profiled servable and rescale pools that are off
-    /// their knee. Returns the decisions that changed something.
-    pub fn reconcile(&self) -> Vec<ScalingDecision> {
-        let mut changed = Vec::new();
-        for servable in self.registry.servables() {
-            let Some(desired) = self.desired(&servable) else {
-                continue;
-            };
-            // Quarantined replicas are not capacity: a knee that says
-            // "1 replica" while that one replica sits in quarantine
-            // would leave zero healthy replicas behind a profiled
-            // (i.e. trafficked) servable. Clamp so at least one
-            // replica stays healthy even if that exceeds the knee.
-            let desired = desired.max(self.executor.quarantined(&servable) + 1);
-            let current = self.executor.replicas(&servable);
-            if current != desired {
-                self.executor.scale(&servable, desired);
-                changed.push(ScalingDecision {
-                    servable,
-                    current,
-                    desired,
-                });
-            }
-        }
-        changed
-    }
-}
-
-/// Hysteresis and actuation policy for the closed control loop
-/// ([`Reconciler`]). The knee policy ([`AutoscalePolicy`]) answers
-/// "how many replicas until dispatch dominates"; this one answers
-/// "when is it safe to act on live signals".
+/// Sizing bounds, hysteresis and actuation policy for the control loop
+/// ([`Reconciler`]): how far a pool may grow, and when it is safe to
+/// act on live signals.
 #[derive(Debug, Clone)]
 pub struct ControlPolicy {
     /// Lower bound on replicas while a servable has traffic.
     pub min_replicas: usize,
     /// Upper bound on replicas per servable (cluster budget).
     pub max_replicas: usize,
-    /// Observations required before trusting a profile.
+    /// Dispatches required before trusting a servable's cost.
     pub min_samples: u64,
     /// Utilization the loop sizes pools toward (`desired =
     /// ceil(demand / target_utilization)`), leaving headroom for
@@ -305,14 +192,20 @@ struct ServableControl {
     idle_since_ns: Option<u64>,
 }
 
+/// Decisions the log retains; older ones fall off the front. A day of
+/// one resize per default cooldown is 2,880 decisions — the log is for
+/// "what did the loop just do", the lifetime count is
+/// `autoscale_decisions_total`.
+pub const DECISION_LOG_CAPACITY: usize = 256;
+
 struct ReconcilerState {
     servables: HashMap<String, ServableControl>,
-    log: Vec<ControlDecision>,
+    log: VecDeque<ControlDecision>,
 }
 
-/// The actuation half of the control loop: reads windowed
-/// [`ScalingSignals`], sizes each profiled servable's pool by Little's
-/// law (`demand = arrival_rate × inference_time`), and applies changes
+/// The actuation half of the control loop: reads [`ScalingSignals`],
+/// sizes each servable's pool by Little's law (`demand = arrival_rate ×
+/// inference_time`) capped at the Fig 7 [`knee`], and applies changes
 /// through [`ParslExecutor::scale`] under hysteresis and per-servable
 /// cooldowns. Driven either by the Management Service's background
 /// thread (wall clock) or by a sim harness calling
@@ -320,7 +213,6 @@ struct ReconcilerState {
 /// the decision path never reads a real clock, which is what makes
 /// seeded runs reproduce byte-identical decision logs.
 pub struct Reconciler {
-    profiles: ProfileRegistry,
     executor: Arc<ParslExecutor>,
     policy: ControlPolicy,
     state: Mutex<ReconcilerState>,
@@ -328,19 +220,14 @@ pub struct Reconciler {
 }
 
 impl Reconciler {
-    /// Wire the reconciler to its profile source and executor.
-    pub fn new(
-        profiles: ProfileRegistry,
-        executor: Arc<ParslExecutor>,
-        policy: ControlPolicy,
-    ) -> Self {
+    /// Wire the reconciler to the executor whose pools it sizes.
+    pub fn new(executor: Arc<ParslExecutor>, policy: ControlPolicy) -> Self {
         Reconciler {
-            profiles,
             executor,
             policy,
             state: Mutex::new(ReconcilerState {
                 servables: HashMap::new(),
-                log: Vec::new(),
+                log: VecDeque::new(),
             }),
             decisions_counter: None,
         }
@@ -358,20 +245,19 @@ impl Reconciler {
         &self.policy
     }
 
-    /// One reconcile pass at time `now_ns`, reading `signals` for
-    /// every profiled servable. Returns the decisions applied this
-    /// pass; every decision is also appended to the cumulative
-    /// [`log`](Reconciler::decisions).
+    /// One reconcile pass at time `now_ns` over every servable
+    /// `signals` knows. Returns the decisions applied this pass; every
+    /// decision is also appended to the [`log`](Reconciler::decisions).
     pub fn reconcile_at(&self, now_ns: u64, signals: &dyn ScalingSignals) -> Vec<ControlDecision> {
         let cooldown_ns = self.policy.cooldown.as_nanos().min(u64::MAX as u128) as u64;
         let idle_ns = self.policy.idle_after.as_nanos().min(u64::MAX as u128) as u64;
         let mut applied = Vec::new();
         let mut state = self.state.lock();
-        for servable in self.profiles.servables() {
-            let Some(profile) = self.profiles.get(&servable) else {
+        for servable in signals.servables() {
+            let Some(cost) = signals.cost(&servable) else {
                 continue;
             };
-            if profile.samples < self.policy.min_samples {
+            if cost.dispatches < self.policy.min_samples {
                 continue;
             }
             // No signal history means "do not act", never "zero load".
@@ -400,9 +286,12 @@ impl Reconciler {
             } else {
                 entry.idle_since_ns = None;
                 // Little's law: replicas busy serving the offered load.
-                let demand = rate * profile.inference.as_secs_f64();
+                let demand = rate * cost.inference().as_secs_f64();
+                // Past the knee the Task Manager's dispatch is the
+                // bottleneck, so the knee caps the replica budget.
+                let cap = knee(&cost, self.policy.max_replicas).max(self.policy.min_replicas);
                 let mut target = (demand / self.policy.target_utilization).ceil() as usize;
-                target = target.clamp(self.policy.min_replicas, self.policy.max_replicas);
+                target = target.clamp(self.policy.min_replicas, cap);
                 // Quarantined replicas are not capacity: keep at least
                 // one healthy replica beyond them, even past the caps.
                 if target <= quarantined {
@@ -430,7 +319,7 @@ impl Reconciler {
                         if (burn_hot || healthy == 0) && to <= current {
                             to = current + 1;
                         }
-                        let to = to.min(self.policy.max_replicas.max(quarantined + 1));
+                        let to = to.min(cap.max(quarantined + 1));
                         (to > current).then_some((to, DecisionReason::ScaleUp))
                     } else if util < self.policy.scale_down_utilization && target < current {
                         Some((target, DecisionReason::ScaleDown))
@@ -453,19 +342,23 @@ impl Reconciler {
                     to,
                     reason,
                 };
-                state.log.push(d.clone());
+                if state.log.len() == DECISION_LOG_CAPACITY {
+                    state.log.pop_front();
+                }
+                state.log.push_back(d.clone());
                 applied.push(d);
             }
         }
         applied
     }
 
-    /// Every decision applied since construction, oldest first.
+    /// The newest [`DECISION_LOG_CAPACITY`] applied decisions, oldest
+    /// first.
     pub fn decisions(&self) -> Vec<ControlDecision> {
-        self.state.lock().log.clone()
+        self.state.lock().log.iter().cloned().collect()
     }
 
-    /// The cumulative decision log as canonical text, one line per
+    /// The retained decision log as canonical text, one line per
     /// decision — the artifact the determinism tests compare.
     pub fn log_text(&self) -> String {
         let state = self.state.lock();
@@ -481,99 +374,70 @@ impl Reconciler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::{Executor, HealthPolicy};
     use dlhub_container::Cluster;
-    use std::time::Duration;
 
-    fn setup() -> (ProfileRegistry, Arc<ParslExecutor>, Autoscaler) {
-        let registry = ProfileRegistry::new();
-        let executor = Arc::new(ParslExecutor::new(Cluster::petrelkube(), 1));
-        let scaler = Autoscaler::new(
-            registry.clone(),
-            Arc::clone(&executor),
-            AutoscalePolicy::default(),
-        );
-        (registry, executor, scaler)
-    }
-
-    fn feed(registry: &ProfileRegistry, servable: &str, inference_ms: u64, invocation_ms: u64) {
-        for _ in 0..10 {
-            registry.record(
-                servable,
-                Duration::from_millis(inference_ms),
-                Duration::from_millis(invocation_ms),
-                1,
-            );
+    /// A cost of ten single-item dispatches at the given per-item
+    /// inference and per-dispatch overhead.
+    fn cost(inference_ms: f64, overhead_ms: f64) -> ServableCost {
+        let overhead_ns = (overhead_ms * 1e6) as u64;
+        ServableCost {
+            dispatches: 10,
+            items: 10,
+            inference_ns: (inference_ms * 1e7) as u64,
+            overhead_ns: overhead_ns * 10,
+            overhead_floor_ns: overhead_ns,
         }
     }
 
     #[test]
-    fn heavy_servables_scale_to_the_knee() {
-        let (registry, executor, scaler) = setup();
-        // 40ms inference behind 3ms overhead: knee ≈ 14.
-        feed(&registry, "u/inception", 40, 43);
-        executor.scale("u/inception", 1);
-        let decisions = scaler.reconcile();
-        assert_eq!(decisions.len(), 1);
-        let d = &decisions[0];
-        assert_eq!(d.current, 1);
-        assert!((12..=16).contains(&d.desired), "desired {}", d.desired);
-        assert_eq!(executor.replicas("u/inception"), d.desired);
-        // Second reconcile is a no-op: already at the knee.
-        assert!(scaler.reconcile().is_empty());
+    fn knee_matches_fig7() {
+        // 40ms service / 3ms dispatch ≈ 14 replicas — the paper's ~15.
+        assert_eq!(knee(&cost(40.0, 3.0), 32), 14);
+        // Short servables want one replica; the budget caps the knee;
+        // a free dispatch makes replicas pure win up to the budget.
+        assert_eq!(knee(&cost(0.001, 3.0), 32), 1);
+        assert_eq!(knee(&cost(0.0, 3.0), 32), 1);
+        assert_eq!(knee(&cost(400.0, 3.0), 4), 4);
+        assert_eq!(knee(&cost(40.0, 0.0), 32), 32);
     }
 
     #[test]
-    fn cheap_servables_stay_at_min() {
-        let (registry, executor, scaler) = setup();
-        feed(&registry, "u/util", 0, 3);
-        executor.scale("u/util", 8);
-        let decisions = scaler.reconcile();
-        assert_eq!(decisions[0].desired, 1);
-        assert_eq!(executor.replicas("u/util"), 1);
+    fn knee_uses_the_floor_not_the_queue_inflated_mean() {
+        // One uncontended 1 ms dispatch, then twenty that each waited
+        // 80 ms in a queue: the mean says "dispatch costs 76 ms".
+        let loaded = ServableCost {
+            dispatches: 21,
+            items: 21,
+            inference_ns: 21 * 10_000_000,
+            overhead_ns: 1_000_000 + 20 * 80_000_000,
+            overhead_floor_ns: 1_000_000,
+        };
+        assert!(loaded.overhead() > Duration::from_millis(40));
+        // 10 ms / 1 ms => 10 replicas, not 1.
+        assert_eq!(knee(&loaded, 32), 10);
     }
 
-    #[test]
-    fn thin_profiles_are_not_acted_on() {
-        let (registry, _executor, scaler) = setup();
-        registry.record(
-            "u/new",
-            Duration::from_millis(40),
-            Duration::from_millis(43),
-            1,
-        );
-        assert_eq!(scaler.desired("u/new"), None);
-        assert!(scaler.reconcile().is_empty());
-        assert_eq!(scaler.desired("u/ghost"), None);
-    }
-
-    #[test]
-    fn max_replicas_caps_the_knee() {
-        let registry = ProfileRegistry::new();
-        let executor = Arc::new(ParslExecutor::new(Cluster::petrelkube(), 1));
-        let scaler = Autoscaler::new(
-            registry.clone(),
-            Arc::clone(&executor),
-            AutoscalePolicy {
-                max_replicas: 4,
-                ..AutoscalePolicy::default()
-            },
-        );
-        feed(&registry, "u/huge", 400, 403); // knee would be ~134
-        scaler.reconcile();
-        assert_eq!(executor.replicas("u/huge"), 4);
-    }
-
-    use crate::executor::{Executor, HealthPolicy};
-
-    /// Scripted [`ScalingSignals`] fixture: rates and burns by
-    /// servable, everything else "no data".
+    /// Scripted [`ScalingSignals`] fixture: costs, rates and burns by
+    /// servable; anything unscripted is "no data".
     #[derive(Default)]
     struct Scripted {
+        costs: HashMap<String, ServableCost>,
         rates: HashMap<String, f64>,
         burns: HashMap<String, f64>,
     }
 
     impl Scripted {
+        /// `u/m` at 100 ms inference behind a 3 ms dispatch.
+        fn heavy() -> Self {
+            Scripted::default().cost("u/m", cost(100.0, 3.0))
+        }
+
+        fn cost(mut self, servable: &str, cost: ServableCost) -> Self {
+            self.costs.insert(servable.to_string(), cost);
+            self
+        }
+
         fn rate(mut self, servable: &str, rate: f64) -> Self {
             self.rates.insert(servable.to_string(), rate);
             self
@@ -586,43 +450,39 @@ mod tests {
     }
 
     impl ScalingSignals for Scripted {
+        fn servables(&self) -> Vec<String> {
+            let mut ids: Vec<String> = self.costs.keys().cloned().collect();
+            ids.sort();
+            ids
+        }
+
         fn arrival_rate(&self, servable: &str, _: Duration) -> Option<f64> {
             self.rates.get(servable).copied()
-        }
-
-        fn arrival_trend(&self, _: &str, _: Duration) -> Option<f64> {
-            None
-        }
-
-        fn queue_wait_p99(&self, _: Duration) -> Option<u64> {
-            None
         }
 
         fn burn_rate(&self, servable: &str, _: Duration) -> Option<f64> {
             self.burns.get(servable).copied()
         }
 
-        fn pool_occupancy(&self, _: Duration) -> Option<f64> {
-            None
+        fn cost(&self, servable: &str) -> Option<ServableCost> {
+            self.costs.get(servable).copied()
         }
     }
 
     const SEC: u64 = 1_000_000_000;
 
-    fn control_setup(policy: ControlPolicy) -> (ProfileRegistry, Arc<ParslExecutor>, Reconciler) {
-        let registry = ProfileRegistry::new();
+    fn control_setup(policy: ControlPolicy) -> (Arc<ParslExecutor>, Reconciler) {
         let executor = Arc::new(ParslExecutor::new(Cluster::petrelkube(), 1));
-        let loop_ = Reconciler::new(registry.clone(), Arc::clone(&executor), policy);
-        (registry, executor, loop_)
+        let ctl = Reconciler::new(Arc::clone(&executor), policy);
+        (executor, ctl)
     }
 
     #[test]
     fn reconciler_scales_up_then_holds_in_the_band() {
-        let (registry, executor, ctl) = control_setup(ControlPolicy::default());
-        feed(&registry, "u/m", 100, 103);
+        let (executor, ctl) = control_setup(ControlPolicy::default());
         executor.scale("u/m", 1);
         // 20 req/s × 100 ms = 2 busy replicas on 1 → util 2.0, up.
-        let signals = Scripted::default().rate("u/m", 20.0);
+        let signals = Scripted::heavy().rate("u/m", 20.0);
         let applied = ctl.reconcile_at(0, &signals);
         assert_eq!(applied.len(), 1);
         assert_eq!(applied[0].from, 1);
@@ -638,17 +498,16 @@ mod tests {
 
     #[test]
     fn cooldown_gates_consecutive_resizes() {
-        let (registry, executor, ctl) = control_setup(ControlPolicy::default());
-        feed(&registry, "u/m", 100, 103);
+        let (executor, ctl) = control_setup(ControlPolicy::default());
         executor.scale("u/m", 1);
         assert_eq!(
-            ctl.reconcile_at(0, &Scripted::default().rate("u/m", 20.0))
+            ctl.reconcile_at(0, &Scripted::heavy().rate("u/m", 20.0))
                 .len(),
             1
         );
         // Load doubles one second later: still inside the 30 s
         // cooldown, so the loop must sit on its hands…
-        let hot = Scripted::default().rate("u/m", 60.0);
+        let hot = Scripted::heavy().rate("u/m", 60.0);
         assert!(ctl.reconcile_at(SEC, &hot).is_empty());
         assert_eq!(executor.replicas("u/m"), 4);
         // …and act once the window has passed.
@@ -659,15 +518,76 @@ mod tests {
 
     #[test]
     fn low_utilization_scales_down_to_target() {
-        let (registry, executor, ctl) = control_setup(ControlPolicy::default());
-        feed(&registry, "u/m", 100, 103);
+        let (executor, ctl) = control_setup(ControlPolicy::default());
         executor.scale("u/m", 8);
         // 5 req/s × 100 ms = 0.5 busy on 8 replicas → util 0.0625.
-        let applied = ctl.reconcile_at(0, &Scripted::default().rate("u/m", 5.0));
+        let applied = ctl.reconcile_at(0, &Scripted::heavy().rate("u/m", 5.0));
         assert_eq!(applied.len(), 1);
         assert_eq!(applied[0].reason, DecisionReason::ScaleDown);
         assert_eq!(applied[0].to, 1);
         assert_eq!(executor.replicas("u/m"), 1);
+    }
+
+    #[test]
+    fn the_knee_and_the_budget_both_cap_the_target() {
+        // 40 ms behind 3 ms: Little's law wants ceil(8 / 0.6) = 14 at
+        // 200 req/s and 27 at 400 — the knee (14) stops the second.
+        let fig7 = |rate| {
+            Scripted::default()
+                .cost("u/m", cost(40.0, 3.0))
+                .rate("u/m", rate)
+        };
+        let policy = ControlPolicy {
+            max_replicas: 32,
+            cooldown: Duration::ZERO,
+            ..ControlPolicy::default()
+        };
+        let (executor, ctl) = control_setup(policy.clone());
+        executor.scale("u/m", 1);
+        assert_eq!(ctl.reconcile_at(0, &fig7(400.0))[0].to, 14);
+        // A burn breach at the knee buys nothing: dispatch is the wall.
+        assert!(ctl
+            .reconcile_at(SEC, &fig7(400.0).burn("u/m", 3.0))
+            .is_empty());
+        // A budget below the knee wins over it.
+        let (executor, ctl) = control_setup(ControlPolicy {
+            max_replicas: 4,
+            ..policy
+        });
+        executor.scale("u/m", 1);
+        assert_eq!(ctl.reconcile_at(0, &fig7(400.0))[0].to, 4);
+    }
+
+    #[test]
+    fn cheap_servables_shrink_to_the_floor() {
+        // Zero inference behind a 3 ms dispatch: demand is nil and the
+        // knee is one replica, whatever the arrival rate.
+        let (executor, ctl) = control_setup(ControlPolicy::default());
+        executor.scale("u/util", 8);
+        let signals = Scripted::default()
+            .cost("u/util", cost(0.0, 3.0))
+            .rate("u/util", 500.0);
+        let applied = ctl.reconcile_at(0, &signals);
+        assert_eq!(applied[0].to, 1);
+        assert_eq!(executor.replicas("u/util"), 1);
+    }
+
+    #[test]
+    fn thin_costs_are_not_acted_on() {
+        let (executor, ctl) = control_setup(ControlPolicy::default());
+        executor.scale("u/new", 3);
+        let one_dispatch = ServableCost {
+            dispatches: 1,
+            items: 1,
+            inference_ns: 40_000_000,
+            overhead_ns: 3_000_000,
+            overhead_floor_ns: 3_000_000,
+        };
+        let signals = Scripted::default()
+            .cost("u/new", one_dispatch)
+            .rate("u/new", 500.0);
+        assert!(ctl.reconcile_at(0, &signals).is_empty());
+        assert_eq!(executor.replicas("u/new"), 3);
     }
 
     #[test]
@@ -677,10 +597,9 @@ mod tests {
             warm_pool: 0,
             ..ControlPolicy::default()
         };
-        let (registry, executor, ctl) = control_setup(policy);
-        feed(&registry, "u/m", 100, 103);
+        let (executor, ctl) = control_setup(policy);
         executor.scale("u/m", 2);
-        let quiet = Scripted::default().rate("u/m", 0.0);
+        let quiet = Scripted::heavy().rate("u/m", 0.0);
         // Idle clock starts on the first quiet pass; nothing yet.
         assert!(ctl.reconcile_at(0, &quiet).is_empty());
         assert!(ctl.reconcile_at(5 * SEC, &quiet).is_empty());
@@ -692,7 +611,7 @@ mod tests {
         assert_eq!(executor.replicas("u/m"), 0);
         // Traffic returns 2 s later — far inside the 30 s cooldown —
         // and the wake must not wait it out.
-        let woken = ctl.reconcile_at(12 * SEC, &Scripted::default().rate("u/m", 5.0));
+        let woken = ctl.reconcile_at(12 * SEC, &Scripted::heavy().rate("u/m", 5.0));
         assert_eq!(woken.len(), 1);
         assert_eq!(woken[0].reason, DecisionReason::Wake);
         assert_eq!(executor.replicas("u/m"), 1);
@@ -700,11 +619,10 @@ mod tests {
 
     #[test]
     fn burn_breach_buys_a_replica_even_inside_the_band() {
-        let (registry, executor, ctl) = control_setup(ControlPolicy::default());
-        feed(&registry, "u/m", 100, 103);
+        let (executor, ctl) = control_setup(ControlPolicy::default());
         executor.scale("u/m", 4);
         // util 0.5 is inside the band, but the SLO is burning.
-        let burning = Scripted::default().rate("u/m", 20.0).burn("u/m", 3.0);
+        let burning = Scripted::heavy().rate("u/m", 20.0).burn("u/m", 3.0);
         let applied = ctl.reconcile_at(0, &burning);
         assert_eq!(applied.len(), 1);
         assert_eq!(applied[0].to, 5);
@@ -713,23 +631,21 @@ mod tests {
 
     #[test]
     fn no_signal_history_means_no_action() {
-        let (registry, executor, ctl) = control_setup(ControlPolicy::default());
-        feed(&registry, "u/m", 100, 103);
+        let (executor, ctl) = control_setup(ControlPolicy::default());
         executor.scale("u/m", 3);
-        // Scripted fixture has no entry for u/m: rate is None.
-        assert!(ctl.reconcile_at(0, &Scripted::default()).is_empty());
+        // A cost but no arrival history: rate is None.
+        assert!(ctl.reconcile_at(0, &Scripted::heavy()).is_empty());
         assert_eq!(executor.replicas("u/m"), 3);
     }
 
     #[test]
     fn decision_log_is_byte_identical_across_replays() {
         let run = || {
-            let (registry, executor, ctl) = control_setup(ControlPolicy::default());
-            feed(&registry, "u/m", 100, 103);
+            let (executor, ctl) = control_setup(ControlPolicy::default());
             executor.scale("u/m", 1);
-            ctl.reconcile_at(0, &Scripted::default().rate("u/m", 20.0));
-            ctl.reconcile_at(31 * SEC, &Scripted::default().rate("u/m", 60.0));
-            ctl.reconcile_at(62 * SEC, &Scripted::default().rate("u/m", 5.0));
+            ctl.reconcile_at(0, &Scripted::heavy().rate("u/m", 20.0));
+            ctl.reconcile_at(31 * SEC, &Scripted::heavy().rate("u/m", 60.0));
+            ctl.reconcile_at(62 * SEC, &Scripted::heavy().rate("u/m", 5.0));
             ctl.log_text()
         };
         let first = run();
@@ -740,6 +656,33 @@ mod tests {
              t=31.000s u/m 4->10 scale_up\n\
              t=62.000s u/m 10->1 scale_down\n"
         );
+    }
+
+    #[test]
+    fn decision_log_keeps_the_newest_and_the_counter_keeps_the_total() {
+        let counter = Arc::new(Counter::new());
+        let executor = Arc::new(ParslExecutor::new(Cluster::petrelkube(), 1));
+        let policy = ControlPolicy {
+            cooldown: Duration::ZERO,
+            ..ControlPolicy::default()
+        };
+        let ctl = Reconciler::new(Arc::clone(&executor), policy).with_counter(Arc::clone(&counter));
+        executor.scale("u/m", 1);
+        // Alternate between loads that want 4 replicas and 1: every
+        // pass resizes.
+        let total = 10 * DECISION_LOG_CAPACITY as u64;
+        for pass in 0..total {
+            let rate = if pass % 2 == 0 { 20.0 } else { 1.0 };
+            let applied = ctl.reconcile_at(pass * SEC, &Scripted::heavy().rate("u/m", rate));
+            assert_eq!(applied.len(), 1, "pass {pass}");
+        }
+        assert_eq!(counter.get(), total);
+        let retained = ctl.decisions();
+        assert_eq!(retained.len(), DECISION_LOG_CAPACITY);
+        let first_kept = total - DECISION_LOG_CAPACITY as u64;
+        assert_eq!(retained[0].at_ns, first_kept * SEC);
+        assert_eq!(retained.last().unwrap().at_ns, (total - 1) * SEC);
+        assert_eq!(ctl.log_text().lines().count(), DECISION_LOG_CAPACITY);
     }
 
     fn quarantine_one_replica(executor: &ParslExecutor, servable: &str) {
@@ -760,93 +703,55 @@ mod tests {
 
     #[test]
     fn reconciler_never_counts_quarantined_replicas_as_capacity() {
-        let registry = ProfileRegistry::new();
         let executor = Arc::new(
             ParslExecutor::new(Cluster::petrelkube(), 1).with_health(Some(HealthPolicy {
                 quarantine_after: 1,
                 quarantine_for: Duration::from_secs(5),
             })),
         );
-        let ctl = Reconciler::new(
-            registry.clone(),
-            Arc::clone(&executor),
-            ControlPolicy::default(),
-        );
-        feed(&registry, "u/sick", 10, 13);
+        let ctl = Reconciler::new(Arc::clone(&executor), ControlPolicy::default());
         quarantine_one_replica(&executor, "u/sick");
-        // Tiny demand says one replica is plenty — but that replica is
-        // quarantined, so the loop must buy a healthy one.
-        let applied = ctl.reconcile_at(0, &Scripted::default().rate("u/sick", 5.0));
+        // Zero inference: demand is nil and the knee says one replica —
+        // but that replica is quarantined, so the loop must buy a
+        // healthy one, past the knee.
+        let signals = Scripted::default()
+            .cost("u/sick", cost(0.0, 3.0))
+            .rate("u/sick", 5.0);
+        let applied = ctl.reconcile_at(0, &signals);
         assert_eq!(applied.len(), 1);
         assert_eq!(applied[0].to, 2);
         assert_eq!(applied[0].reason, DecisionReason::ScaleUp);
     }
 
     #[test]
-    fn autoscaler_clamps_desired_against_quarantine() {
-        let registry = ProfileRegistry::new();
-        let executor = Arc::new(
-            ParslExecutor::new(Cluster::petrelkube(), 1).with_health(Some(HealthPolicy {
-                quarantine_after: 1,
-                quarantine_for: Duration::from_secs(5),
-            })),
-        );
-        let scaler = Autoscaler::new(
-            registry.clone(),
-            Arc::clone(&executor),
-            AutoscalePolicy::default(),
-        );
-        // Cheap profile: the knee says 1 replica.
-        feed(&registry, "u/sick", 0, 3);
-        quarantine_one_replica(&executor, "u/sick");
-        let decisions = scaler.reconcile();
-        assert_eq!(decisions.len(), 1);
-        assert_eq!(
-            decisions[0].desired, 2,
-            "quarantined replica counted as capacity"
-        );
-        assert_eq!(executor.replicas("u/sick"), 2);
-    }
-
-    #[test]
-    fn telemetry_signals_adapt_the_query_view() {
+    fn control_signals_feed_the_loop_from_sampled_sums() {
         use dlhub_obs::Obs;
 
         let obs = Obs::new();
         obs.enable_telemetry_manual(Duration::from_secs(1));
-        let step = 1_000_000_000u64;
-        for tick in 0..5u64 {
-            obs.metrics.series("u/inception").requests.add(20);
-            obs.metrics.gauge("async_pool_active").set(3);
-            obs.metrics
-                .histogram("broker_queue_wait_ns")
-                .record(2_000_000);
-            obs.telemetry.sample_now(tick * step);
-        }
-        let signals = TelemetrySignals::new(obs.telemetry.signals().unwrap());
+        let signals = obs.telemetry.signals().unwrap();
         let w = Duration::from_secs(4);
-        let arrival = signals.arrival_rate("u/inception", w).unwrap();
+        // Nothing sampled: no data, not zero.
+        assert!(ScalingSignals::servables(&signals).is_empty());
+        assert_eq!(ScalingSignals::arrival_rate(&signals, "u/ghost", w), None);
+        assert_eq!(ScalingSignals::cost(&signals, "u/ghost"), None);
+        let series = obs.metrics.series("u/inception");
+        for tick in 0..5u64 {
+            series.requests.add(20);
+            series
+                .dispatch
+                .record(2, Duration::from_millis(80), Duration::from_millis(83));
+            obs.telemetry.sample_now(tick * SEC);
+        }
+        assert_eq!(ScalingSignals::servables(&signals), vec!["u/inception"]);
+        let arrival = ScalingSignals::arrival_rate(&signals, "u/inception", w).unwrap();
         assert!((arrival - 20.0).abs() < 1e-9, "{arrival}");
-        // Constant arrivals: trend is flat.
-        let trend = signals.arrival_trend("u/inception", w).unwrap();
-        assert!(trend.abs() < 1e-6, "{trend}");
-        assert!(signals.queue_wait_p99(w).unwrap() >= 2_000_000);
-        assert_eq!(signals.pool_occupancy(w), Some(3.0));
+        // The sampled cost is the live one: 40 ms an item, 3 ms floor.
+        let sampled = ScalingSignals::cost(&signals, "u/inception").unwrap();
+        assert_eq!(Some(sampled), series.dispatch.cost());
+        assert_eq!(sampled.inference(), Duration::from_millis(40));
+        assert_eq!(knee(&sampled, 32), 14);
         // No SLO registered: burn rate reports no data, not zero.
-        assert_eq!(signals.burn_rate("u/inception", w), None);
-    }
-
-    #[test]
-    fn signals_report_none_without_history() {
-        use dlhub_obs::Obs;
-
-        let obs = Obs::new();
-        obs.enable_telemetry_manual(Duration::from_secs(1));
-        let signals = TelemetrySignals::new(obs.telemetry.signals().unwrap());
-        let w = Duration::from_secs(60);
-        assert_eq!(signals.arrival_rate("u/ghost", w), None);
-        assert_eq!(signals.queue_wait_p99(w), None);
-        assert_eq!(signals.pool_occupancy(w), None);
-        assert_eq!(signals.inner().arrival_trend("u/ghost", w), None);
+        assert_eq!(ScalingSignals::burn_rate(&signals, "u/inception", w), None);
     }
 }

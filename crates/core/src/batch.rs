@@ -18,9 +18,9 @@
 //! ```
 
 use crate::error::DlhubError;
-use crate::profile::ProfileRegistry;
 use crate::value::Value;
 use crossbeam::channel;
+use dlhub_obs::{ServableCost, ServableSeries};
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -41,12 +41,10 @@ pub type BatchDispatch = Arc<dyn Fn(Vec<Value>) -> Result<Vec<Value>, DlhubError
 pub enum BatchSizing {
     /// Always flush at `n` pending items.
     Fixed(usize),
-    /// Derive the threshold from the live [`ProfileRegistry`].
+    /// Derive the threshold from the servable's live dispatch cost.
     Adaptive {
-        /// Source of observed servable costs.
-        registry: ProfileRegistry,
-        /// Which servable's profile to consult.
-        servable: String,
+        /// The servable's series, whose dispatch sums are the profile.
+        series: Arc<ServableSeries>,
         /// Acceptable overhead share of per-item cost (e.g. 0.1 =
         /// overhead may be 10% of a batch item's total cost).
         target_overhead_fraction: f64,
@@ -60,18 +58,39 @@ impl BatchSizing {
         match self {
             BatchSizing::Fixed(n) => (*n).max(1),
             BatchSizing::Adaptive {
-                registry,
-                servable,
+                series,
                 target_overhead_fraction,
                 cap,
-            } => registry
-                .get(servable)
-                .map(|p| p.suggested_batch(*target_overhead_fraction, *cap))
-                // No profile yet: start conservatively at 1 so the
-                // first flush seeds the profile quickly.
+            } => series
+                .dispatch
+                .cost()
+                .map(|c| suggested_batch(&c, *target_overhead_fraction, *cap))
+                // No dispatch yet: start conservatively at 1 so the
+                // first flush seeds the cost quickly.
                 .unwrap_or(1),
         }
     }
+}
+
+/// The batch size at which per-item overhead drops below
+/// `target_overhead_fraction` of per-item total cost:
+/// overhead / (batch · inference + overhead) ≤ f. Saturates at `max`
+/// and never returns 0.
+pub fn suggested_batch(cost: &ServableCost, target_overhead_fraction: f64, max: usize) -> usize {
+    let overhead = cost.overhead().as_secs_f64();
+    let inference = cost.inference().as_secs_f64();
+    if overhead <= 0.0 {
+        return 1;
+    }
+    if inference <= 0.0 {
+        // Pure-overhead servables (noop-like): batch as much as
+        // allowed, every extra item is free.
+        return max.max(1);
+    }
+    let f = target_overhead_fraction.clamp(1e-3, 0.999);
+    // Solve overhead / (n·inference + overhead) = f for n.
+    let n = overhead * (1.0 - f) / (f * inference);
+    (n.ceil() as usize).clamp(1, max.max(1))
 }
 
 struct Pending {
@@ -205,10 +224,13 @@ impl Batcher {
                 return Err(DlhubError::Transport("batcher shut down".into()));
             }
             st.pending.push(Pending { input, reply: tx });
-            if st.oldest.is_none() {
+            // The first item starts the `max_delay` clock, and an idle
+            // flusher sleeps without a deadline: wake it to re-arm.
+            let first = st.oldest.is_none();
+            if first {
                 st.oldest = Some(Instant::now());
             }
-            if st.pending.len() >= self.sizing.current_max() {
+            if first || st.pending.len() >= self.sizing.current_max() {
                 self.wakeup.notify_all();
             }
         }
@@ -253,10 +275,14 @@ mod tests {
             Duration::from_millis(10),
             counting_dispatch(batches.clone()),
         );
+        // Let the flusher go idle first: the lone item must still be
+        // flushed on its own deadline, not on the idle tick (50 ms).
+        std::thread::sleep(Duration::from_millis(5));
         let start = Instant::now();
         let out = b.submit(Value::Int(7)).unwrap();
         assert_eq!(out, Value::Int(7));
         assert!(start.elapsed() >= Duration::from_millis(9));
+        assert!(start.elapsed() < Duration::from_millis(35));
         assert_eq!(*batches.lock(), vec![1]);
     }
 
@@ -339,74 +365,89 @@ mod tests {
         ));
     }
 
+    /// A cost of ten single-item dispatches.
+    fn cost(inference_ms: f64, overhead_ms: f64) -> ServableCost {
+        let overhead_ns = (overhead_ms * 1e6) as u64;
+        ServableCost {
+            dispatches: 10,
+            items: 10,
+            inference_ns: (inference_ms * 1e7) as u64,
+            overhead_ns: overhead_ns * 10,
+            overhead_floor_ns: overhead_ns,
+        }
+    }
+
+    #[test]
+    fn suggested_batch_grows_with_overhead_ratio() {
+        // Cheap compute, big overhead: wants big batches. Expensive
+        // compute: a batch of 1 already keeps overhead under 10%.
+        assert_eq!(suggested_batch(&cost(0.01, 3.0), 0.1, 10_000), 2700);
+        assert_eq!(suggested_batch(&cost(40.0, 3.0), 0.1, 10_000), 1);
+        // Free compute batches to the cap, free dispatch not at all,
+        // and the cap always wins.
+        assert_eq!(suggested_batch(&cost(0.0, 3.0), 0.1, 64), 64);
+        assert_eq!(suggested_batch(&cost(5.0, 0.0), 0.1, 64), 1);
+        assert_eq!(suggested_batch(&cost(0.001, 100.0), 0.1, 16), 16);
+    }
+
+    fn adaptive(series: &Arc<ServableSeries>, cap: usize) -> BatchSizing {
+        BatchSizing::Adaptive {
+            series: Arc::clone(series),
+            target_overhead_fraction: 0.1,
+            cap,
+        }
+    }
+
     #[test]
     fn adaptive_sizing_starts_at_one_then_grows() {
-        let registry = ProfileRegistry::new();
-        let sizing = BatchSizing::Adaptive {
-            registry: registry.clone(),
-            servable: "m".into(),
-            target_overhead_fraction: 0.1,
-            cap: 64,
-        };
-        // No profile yet: conservative threshold of 1.
+        let series = Arc::new(ServableSeries::default());
+        let sizing = adaptive(&series, 64);
+        // No dispatch yet: conservative threshold of 1.
         assert_eq!(sizing.current_max(), 1);
         // Cheap servable with heavy overhead: wants the cap.
-        registry.record("m", Duration::from_micros(5), Duration::from_millis(3), 1);
+        series
+            .dispatch
+            .record(1, Duration::from_micros(5), Duration::from_millis(3));
         assert_eq!(sizing.current_max(), 64);
     }
 
     #[test]
     fn adaptive_sizing_keeps_expensive_servables_small() {
-        let registry = ProfileRegistry::new();
-        registry.record(
-            "inception",
-            Duration::from_millis(40),
-            Duration::from_millis(43),
-            1,
-        );
-        let sizing = BatchSizing::Adaptive {
-            registry,
-            servable: "inception".into(),
-            target_overhead_fraction: 0.1,
-            cap: 64,
-        };
+        let series = Arc::new(ServableSeries::default());
+        series
+            .dispatch
+            .record(1, Duration::from_millis(40), Duration::from_millis(43));
         // overhead 3ms, inference 40ms: a single item already keeps
         // overhead under ~7%, so the threshold stays 1.
-        assert_eq!(sizing.current_max(), 1);
+        assert_eq!(adaptive(&series, 64).current_max(), 1);
     }
 
     #[test]
-    fn adaptive_batcher_coalesces_after_profile_seeds() {
-        let registry = ProfileRegistry::new();
+    fn adaptive_batcher_coalesces_after_cost_seeds() {
+        let series = Arc::new(ServableSeries::default());
         let batches = Arc::new(Mutex::new(Vec::new()));
         let dispatch: BatchDispatch = {
-            let registry = registry.clone();
+            let series = Arc::clone(&series);
             let batches = Arc::clone(&batches);
             Arc::new(move |inputs: Vec<Value>| {
                 batches.lock().push(inputs.len());
                 // Simulate a cheap servable behind a 2ms dispatch and
-                // feed the observation back into the profile, exactly
+                // feed the observation back into the series, exactly
                 // like the Management Service does.
-                registry.record(
-                    "cheap",
+                series.dispatch.record(
+                    inputs.len(),
                     Duration::from_micros(inputs.len() as u64),
                     Duration::from_millis(2),
-                    inputs.len(),
                 );
                 Ok(inputs)
             })
         };
         let b = Arc::new(Batcher::with_sizing(
-            BatchSizing::Adaptive {
-                registry,
-                servable: "cheap".into(),
-                target_overhead_fraction: 0.1,
-                cap: 100,
-            },
+            adaptive(&series, 100),
             Duration::from_millis(15),
             dispatch,
         ));
-        // Seed the profile with one request…
+        // Seed the cost with one request…
         b.submit(Value::Int(0)).unwrap();
         // …then a concurrent burst must coalesce under the grown
         // threshold.
@@ -423,7 +464,7 @@ mod tests {
         assert_eq!(sizes.iter().sum::<usize>(), 9);
         assert!(
             sizes.len() < 9,
-            "burst should coalesce once profiled: {sizes:?}"
+            "burst should coalesce once the cost is known: {sizes:?}"
         );
     }
 

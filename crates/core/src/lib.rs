@@ -45,7 +45,6 @@ pub mod hub;
 pub mod memo;
 pub mod metrics;
 pub mod pipeline;
-pub mod profile;
 pub mod repository;
 pub mod servable;
 pub mod serving;

@@ -7,14 +7,13 @@
 //! suitable executors, batch tasks, and cache results."
 
 use crate::admission::{AdmissionConfig, AdmissionController, AdmissionPermit};
-use crate::autoscale::{ControlDecision, ControlPolicy, Reconciler, TelemetrySignals};
+use crate::autoscale::{ControlDecision, ControlPolicy, Reconciler};
 use crate::batch::Batcher;
 use crate::error::DlhubError;
 use crate::executor::ParslExecutor;
 use crate::memo::{MemoCache, MemoKey, MemoStats};
 use crate::metrics::Timings;
 use crate::pipeline::{Pipeline, StepTiming};
-use crate::profile::ProfileRegistry;
 use crate::repository::{PublishReceipt, PublishVisibility, Repository, SERVE_SCOPE};
 use crate::servable::{Servable, ServableMetadata};
 use crate::task::{next_task_id, TaskHandle, TaskRequest, TaskResponse, TaskStatus, TaskTable};
@@ -22,10 +21,7 @@ use crate::task_manager::{TmRegistration, REGISTRATION_TOPIC};
 use crate::value::Value;
 use dlhub_auth::{IdentityId, Scope, Token};
 use dlhub_fault::{site, FaultHandle};
-use dlhub_obs::{
-    Bundle, ContentionSnapshot, Gauge, MetricsSnapshot, Obs, ProfileReport, SloSpec, TraceAnalysis,
-    TraceContext, TraceExport,
-};
+use dlhub_obs::{Gauge, Obs, ServableSeries, SloSpec, TraceContext};
 use dlhub_queue::{Broker, RpcClient};
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -68,9 +64,9 @@ pub struct ServingConfig {
     pub batch_max: usize,
     /// Auto-batcher: max time a request waits for peers.
     pub batch_delay: Duration,
-    /// Auto-batcher: derive flush thresholds from live servable
-    /// profiles instead of the fixed `batch_max` (the paper's proposed
-    /// adaptive batching, §V-B3). `batch_max` remains the cap.
+    /// Auto-batcher: derive flush thresholds from each servable's live
+    /// dispatch cost instead of the fixed `batch_max` (the paper's
+    /// proposed adaptive batching, §V-B3). `batch_max` remains the cap.
     pub adaptive_batching: bool,
     /// Threads in the service-owned worker pool that runs
     /// [`ManagementService::run_async`] dispatches. The pool bounds
@@ -78,8 +74,8 @@ pub struct ServingConfig {
     pub async_workers: usize,
     /// Service-level objectives registered at construction. Each spec
     /// names a servable and a latency threshold; burn rates and alert
-    /// state surface in [`MetricsSnapshot`] (`slos`), the Prometheus
-    /// exposition, and `slo_alert` trace events.
+    /// state surface in [`dlhub_obs::MetricsSnapshot`] (`slos`), the
+    /// Prometheus exposition, and `slo_alert` trace events.
     pub slos: Vec<SloSpec>,
     /// Continuous-profiler sampling rate in Hz. 0 (the default) leaves
     /// the profiler disabled: hot-path frame marks stay a single
@@ -244,8 +240,8 @@ pub struct RunResult {
     /// Measured timings.
     pub timings: Timings,
     /// Trace id of this request's span tree; feed it to
-    /// [`ManagementService::trace_export`] to inspect the request's
-    /// path through the tiers.
+    /// [`dlhub_obs::Tracer::export`] (`service.obs().tracer`) to inspect
+    /// the request's path through the tiers.
     pub trace: u64,
 }
 
@@ -274,7 +270,6 @@ pub struct ManagementService {
     batchers: RwLock<HashMap<String, Arc<Batcher>>>,
     registrations: RwLock<Vec<TmRegistration>>,
     async_pool: AsyncPool,
-    profiles: ProfileRegistry,
     broker: Broker,
     config: ServingConfig,
     /// The front door ([`ServingConfig::admission`]); `None` admits
@@ -283,10 +278,6 @@ pub struct ManagementService {
     /// The autoscaling actuator, armed by [`Self::attach_autoscaler`].
     reconciler: OnceLock<Arc<Reconciler>>,
     obs: Obs,
-    /// Baseline for [`Self::metrics_delta`]: the snapshot taken at the
-    /// previous delta call (or construction), so consecutive deltas
-    /// exactly partition the metric history.
-    delta_baseline: Mutex<MetricsSnapshot>,
 }
 
 impl ManagementService {
@@ -330,6 +321,10 @@ impl ManagementService {
         obs.metrics.describe(
             "request_exhausted_total",
             "Requests failed after exhausting the retry budget",
+        );
+        obs.metrics.describe(
+            "requests_rejected_total",
+            "Requests refused before dispatch: bad token, unknown servable or invalid input",
         );
         obs.metrics
             .describe("tm_tasks_total", "Tasks executed by Task Managers");
@@ -377,13 +372,11 @@ impl ManagementService {
                     "Worker-pool threads currently running a dispatch",
                 ),
             ),
-            profiles: ProfileRegistry::new(),
             broker: broker.clone(),
             repo,
             config,
             admission,
             reconciler: OnceLock::new(),
-            delta_baseline: Mutex::new(obs.snapshot()),
             obs,
         })
     }
@@ -391,67 +384,6 @@ impl ManagementService {
     /// The service's observability handles (tracer + metrics registry).
     pub fn obs(&self) -> &Obs {
         &self.obs
-    }
-
-    /// Point-in-time snapshot of every metric the deployment recorded,
-    /// including SLO burn rates and the tracer's dropped-span count.
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.obs.snapshot()
-    }
-
-    /// Prometheus text exposition of the current metrics snapshot.
-    pub fn render_prometheus(&self) -> String {
-        self.metrics_snapshot().render_prometheus()
-    }
-
-    /// Everything that changed since the previous call (or since
-    /// construction, on the first call): counters, histogram mass, and
-    /// contention waits as differences; gauges as signed deltas.
-    /// Consecutive calls exactly partition the metric history, so an
-    /// operator can watch `dlhub stats --delta` like `iostat`.
-    pub fn metrics_delta(&self) -> MetricsSnapshot {
-        let current = self.obs.snapshot();
-        let mut baseline = self.delta_baseline.lock();
-        let delta = current.delta_since(&baseline);
-        *baseline = current;
-        delta
-    }
-
-    /// The continuous profiler's collapsed-stack aggregates, or `None`
-    /// while the profiler is disabled ([`ServingConfig::profile_hz`] 0
-    /// and no manual [`Obs::enable_profiler`] call).
-    pub fn profile_report(&self) -> Option<ProfileReport> {
-        self.obs.profile.report()
-    }
-
-    /// Ranked lock/park contention sites (highest total wait first).
-    pub fn contention_snapshot(&self) -> Vec<ContentionSnapshot> {
-        self.obs.contention.snapshot()
-    }
-
-    /// Flight-recorder bundles frozen so far, oldest first. Empty while
-    /// the recorder is disabled ([`ServingConfig::recorder_capacity`] 0).
-    pub fn flight_bundles(&self) -> Vec<Arc<Bundle>> {
-        self.obs.recorder.bundles()
-    }
-
-    /// One flight-recorder bundle by id.
-    pub fn flight_bundle(&self, id: u64) -> Option<Arc<Bundle>> {
-        self.obs.recorder.bundle(id)
-    }
-
-    /// The telemetry time-series store, or `None` while the collector
-    /// is disabled ([`ServingConfig::telemetry_interval`] zero and no
-    /// manual [`Obs::enable_telemetry`] call).
-    pub fn telemetry_store(&self) -> Option<Arc<dlhub_obs::SeriesStore>> {
-        self.obs.telemetry.store()
-    }
-
-    /// Windowed control-plane signals (arrival rate, queue wait, burn
-    /// history, pool occupancy) over the telemetry store; `None` while
-    /// the collector is disabled.
-    pub fn control_signals(&self) -> Option<dlhub_obs::ControlSignals> {
-        self.obs.telemetry.signals()
     }
 
     /// Arm the autoscaling reconciler over `executor`'s replica pools.
@@ -470,14 +402,12 @@ impl ManagementService {
         let mut created = false;
         let reconciler = self.reconciler.get_or_init(|| {
             created = true;
-            Arc::new(
-                Reconciler::new(self.profiles.clone(), executor, policy).with_counter(
-                    self.obs.metrics.counter_with_help(
-                        "autoscale_decisions_total",
-                        "Scaling decisions applied by the control loop",
-                    ),
+            Arc::new(Reconciler::new(executor, policy).with_counter(
+                self.obs.metrics.counter_with_help(
+                    "autoscale_decisions_total",
+                    "Scaling decisions applied by the control loop",
                 ),
-            )
+            ))
         });
         if created && !self.config.autoscale_interval.is_zero() {
             let weak = Arc::downgrade(reconciler);
@@ -490,7 +420,6 @@ impl ManagementService {
                     match weak.upgrade() {
                         Some(reconciler) => {
                             if let Some(signals) = telemetry.signals() {
-                                let signals = TelemetrySignals::new(signals);
                                 reconciler.reconcile_at(dlhub_obs::now_ns(), &signals);
                             }
                         }
@@ -512,11 +441,12 @@ impl ManagementService {
     /// the telemetry store's control signals. Returns the decisions
     /// applied; empty while the reconciler or telemetry is unarmed.
     pub fn reconcile_at(&self, now_ns: u64) -> Vec<ControlDecision> {
-        let (Some(reconciler), Some(signals)) = (self.reconciler.get(), self.control_signals())
+        let (Some(reconciler), Some(signals)) =
+            (self.reconciler.get(), self.obs.telemetry.signals())
         else {
             return Vec::new();
         };
-        reconciler.reconcile_at(now_ns, &TelemetrySignals::new(signals))
+        reconciler.reconcile_at(now_ns, &signals)
     }
 
     /// One reconcile pass on the wall clock, for embedders that want
@@ -529,20 +459,6 @@ impl ManagementService {
     /// disabled ([`ServingConfig::admission`] unset).
     pub fn admission(&self) -> Option<&Arc<AdmissionController>> {
         self.admission.as_ref()
-    }
-
-    /// Collect and export spans, optionally restricted to one trace id
-    /// (as returned in [`RunResult::trace`]).
-    pub fn trace_export(&self, trace: Option<u64>) -> TraceExport {
-        self.obs.tracer.export(trace)
-    }
-
-    /// Reconstruct one trace's span tree and decompose its wall time
-    /// into named serving stages (management overhead, broker wait,
-    /// dispatch, replica queue-wait, execute, …). `None` when the trace
-    /// id is unknown or its spans were evicted.
-    pub fn analyze_trace(&self, trace: u64) -> Option<TraceAnalysis> {
-        dlhub_obs::analyze(&self.obs.tracer.export(Some(trace)), trace)
     }
 
     /// The backing repository.
@@ -613,24 +529,31 @@ impl ManagementService {
     }
 
     /// Validate the caller and input, returning the caller's tenant
-    /// key.
+    /// key. Every entry point calls this before it touches anything
+    /// keyed by `id` — the id is the caller's string until the
+    /// repository resolves it — and a refusal is counted once, on
+    /// `requests_rejected_total`.
     fn preflight(
         &self,
         token: &Token,
         id: &str,
         inputs: &[Value],
     ) -> Result<IdentityId, DlhubError> {
-        let tenant = self.authorize_serve(token)?;
-        let (_, metadata) = self.repo.resolve(Some(token), id)?;
-        for input in inputs {
-            if !metadata.input_type.matches(input) {
-                return Err(DlhubError::InvalidInput {
+        let checked = self.authorize_serve(token).and_then(|tenant| {
+            let (_, metadata) = self.repo.resolve(Some(token), id)?;
+            if inputs.iter().all(|i| metadata.input_type.matches(i)) {
+                Ok(tenant)
+            } else {
+                Err(DlhubError::InvalidInput {
                     servable: id.to_string(),
                     expected: metadata.input_type.descriptor(),
-                });
+                })
             }
+        });
+        if checked.is_err() {
+            self.obs.metrics.counter("requests_rejected_total").inc();
         }
-        Ok(tenant)
+        checked
     }
 
     /// Pass `tenant`'s request through the admission controller (a
@@ -649,7 +572,7 @@ impl ManagementService {
             return Ok(None);
         };
         let cfg = controller.config();
-        let pressured = self.control_signals().is_some_and(|signals| {
+        let pressured = self.obs.telemetry.signals().is_some_and(|signals| {
             let window = cfg.signal_window;
             let queue_hot = [
                 signals.queue_wait(window),
@@ -684,6 +607,7 @@ impl ManagementService {
     fn execute_remote(
         &self,
         id: &str,
+        series: &ServableSeries,
         inputs: Vec<Value>,
         trace: Option<TraceContext>,
         deadline: Option<Duration>,
@@ -712,7 +636,7 @@ impl ManagementService {
                 DlhubError::Timeout
             } else {
                 let per_attempt = self.config.request_timeout.min(remaining);
-                match self.attempt_remote(id, &payload, per_attempt) {
+                match self.attempt_remote(id, series, &payload, per_attempt) {
                     Ok(parts) => {
                         if let Some(s) = attempt_span {
                             self.obs.tracer.finish(s);
@@ -752,11 +676,12 @@ impl ManagementService {
     }
 
     /// One dispatch attempt: post the serialized task, await one reply,
-    /// decode it, and feed the servable's rolling profile (adaptive
-    /// batching and the replica autoscaler consume those observations).
+    /// decode it, and fold its cost into the servable's series
+    /// (adaptive batching and the replica control loop size from it).
     fn attempt_remote(
         &self,
         id: &str,
+        series: &ServableSeries,
         payload: &bytes::Bytes,
         timeout: Duration,
     ) -> Result<(Vec<Value>, Vec<Duration>, Duration), DlhubError> {
@@ -772,16 +697,10 @@ impl ManagementService {
             .map(|n| Duration::from_nanos(*n))
             .collect();
         let invocation = Duration::from_nanos(response.invocation_nanos);
-        self.profiles
-            .record(id, inference.iter().sum(), invocation, outputs.len().max(1));
+        series
+            .dispatch
+            .record(outputs.len(), inference.iter().sum(), invocation);
         Ok((outputs, inference, invocation))
-    }
-
-    /// Live per-servable execution profiles (observed inference and
-    /// overhead costs). Drives [`crate::batch::BatchSizing::Adaptive`]
-    /// and [`crate::autoscale::Autoscaler`].
-    pub fn profiles(&self) -> &ProfileRegistry {
-        &self.profiles
     }
 
     /// Synchronous inference with default options.
@@ -801,9 +720,9 @@ impl ManagementService {
     }
 
     /// The traced request path: mints the `request` span (root, or a
-    /// child of `parent` when the request is a pipeline step), records
-    /// the per-servable series, and delegates to [`Self::run_measured`]
-    /// for the actual work.
+    /// child of `parent` when the request is a pipeline step),
+    /// validates, records the per-servable series, and delegates to
+    /// [`Self::run_measured`] for the actual work.
     fn run_inner(
         &self,
         token: &Token,
@@ -820,9 +739,24 @@ impl ManagementService {
         };
         span.attr("servable", id);
         let trace = span.trace();
+        let tenant = match self.preflight(token, id, std::slice::from_ref(&input)) {
+            Ok(tenant) => tenant,
+            Err(e) => {
+                span.attr("error", e.to_string());
+                self.obs.tracer.finish(span);
+                return Err(e);
+            }
+        };
         let series = self.obs.metrics.series(id);
         series.requests.inc();
-        match self.run_measured(token, id, input, options, span.ctx(), started) {
+        // Shed *before* any queueing or dispatch: a rejected request
+        // costs the caller one typed error and a back-off, not a
+        // deadline spent deep in the stack. The permit holds the
+        // inflight slot until the request has been answered.
+        let outcome = self.admit(id, tenant).and_then(|_permit| {
+            self.run_measured(id, &series, input, options, span.ctx(), started)
+        });
+        match outcome {
             Ok((value, timings)) => {
                 span.attr(
                     "cache_hit",
@@ -857,23 +791,17 @@ impl ManagementService {
         }
     }
 
-    /// Validate, consult the memo cache, and dispatch to a Task
-    /// Manager. `ctx` is the enclosing request span's context.
+    /// Consult the memo cache and dispatch to a Task Manager. `ctx` is
+    /// the enclosing request span's context.
     fn run_measured(
         &self,
-        token: &Token,
         id: &str,
+        series: &ServableSeries,
         input: Value,
         options: &RunOptions,
         ctx: TraceContext,
         started: Instant,
     ) -> Result<(Value, Timings), DlhubError> {
-        let tenant = self.preflight(token, id, std::slice::from_ref(&input))?;
-        // Shed *before* any queueing or dispatch: a rejected request
-        // costs the caller one typed error and a back-off, not a
-        // deadline spent deep in the stack. The permit's drop at the
-        // end of this call releases the inflight slot.
-        let _permit = self.admit(id, tenant)?;
         let memoize = options
             .memoize
             .unwrap_or_else(|| self.memo_enabled.load(Ordering::Relaxed));
@@ -902,7 +830,7 @@ impl ManagementService {
             }
         }
         let (mut outputs, inference, invocation) =
-            self.execute_remote(id, vec![input], Some(ctx), options.deadline)?;
+            self.execute_remote(id, series, vec![input], Some(ctx), options.deadline)?;
         let value = outputs
             .pop()
             .ok_or_else(|| DlhubError::Transport("task manager returned no output".into()))?;
@@ -943,7 +871,7 @@ impl ManagementService {
         let series = self.obs.metrics.series(id);
         series.requests.add(inputs.len() as u64);
         series.batch_sizes.record(inputs.len() as u64);
-        let outcome = self.execute_remote(id, inputs, Some(span.ctx()), None);
+        let outcome = self.execute_remote(id, &series, inputs, Some(span.ctx()), None);
         let (outputs, inference, invocation) = match outcome {
             Ok(parts) => parts,
             Err(e) => {
@@ -1000,8 +928,7 @@ impl ManagementService {
                     let servable = id.to_string();
                     let sizing = if self.config.adaptive_batching {
                         crate::batch::BatchSizing::Adaptive {
-                            registry: self.profiles.clone(),
-                            servable: id.to_string(),
+                            series: self.obs.metrics.series(id),
                             target_overhead_fraction: 0.1,
                             cap: self.config.batch_max,
                         }
@@ -1039,7 +966,13 @@ impl ManagementService {
                                     ),
                                 }),
                                 None => service
-                                    .execute_remote(&servable, inputs, Some(span.ctx()), None)
+                                    .execute_remote(
+                                        &servable,
+                                        &series,
+                                        inputs,
+                                        Some(span.ctx()),
+                                        None,
+                                    )
                                     .map(|(outputs, _, _)| outputs),
                             };
                             if let Err(e) = &result {
@@ -1093,37 +1026,42 @@ impl ManagementService {
             let mut span = span;
             let series = service.obs.metrics.series(&servable);
             series.requests.inc();
-            let status =
-                match service.execute_remote(&servable, vec![input], Some(span.ctx()), None) {
-                    Ok((mut outputs, inference, invocation)) => {
-                        series.invocation_latency.record_duration(invocation);
-                        series
-                            .inference_latency
-                            .record_duration(inference.first().copied().unwrap_or_default());
-                        match outputs.pop() {
-                            Some(v) => TaskStatus::Completed(v),
-                            None => TaskStatus::failed("no output"),
-                        }
+            let status = match service.execute_remote(
+                &servable,
+                &series,
+                vec![input],
+                Some(span.ctx()),
+                None,
+            ) {
+                Ok((mut outputs, inference, invocation)) => {
+                    series.invocation_latency.record_duration(invocation);
+                    series
+                        .inference_latency
+                        .record_duration(inference.first().copied().unwrap_or_default());
+                    match outputs.pop() {
+                        Some(v) => TaskStatus::Completed(v),
+                        None => TaskStatus::failed("no output"),
                     }
-                    Err(e) => {
-                        series.errors.inc();
-                        span.attr("error", e.to_string());
-                        // A terminal failure is exactly the moment an
-                        // operator wants the recent past preserved:
-                        // freeze a flight-recorder bundle (no-op while
-                        // the recorder is disabled).
-                        service.obs.recorder.task_failed(
-                            &task_id,
-                            &servable,
-                            e.attempts(),
-                            &e.to_string(),
-                        );
-                        TaskStatus::Failed {
-                            attempts: e.attempts(),
-                            last_error: e.to_string(),
-                        }
+                }
+                Err(e) => {
+                    series.errors.inc();
+                    span.attr("error", e.to_string());
+                    // A terminal failure is exactly the moment an
+                    // operator wants the recent past preserved:
+                    // freeze a flight-recorder bundle (no-op while
+                    // the recorder is disabled).
+                    service.obs.recorder.task_failed(
+                        &task_id,
+                        &servable,
+                        e.attempts(),
+                        &e.to_string(),
+                    );
+                    TaskStatus::Failed {
+                        attempts: e.attempts(),
+                        last_error: e.to_string(),
                     }
-                };
+                }
+            };
             let latency = started.elapsed();
             series
                 .request_latency
@@ -1339,6 +1277,48 @@ mod tests {
     }
 
     #[test]
+    fn rejected_requests_create_no_series() {
+        let hub = TestHub::builder().build();
+        let pipeline = Pipeline::new("ghosts", vec!["dlhub/noop".into()]);
+        hub.service.register_pipeline(&hub.token, pipeline).unwrap();
+        hub.service
+            .run(&hub.token, "dlhub/noop", Value::Null)
+            .unwrap();
+        let metrics = &hub.service.obs().metrics;
+        let before = metrics.servable_entries().len();
+        // Caller-chosen ids must not become permanent registry keys.
+        for i in 0..1000 {
+            let err = hub
+                .service
+                .run(&hub.token, &format!("dlhub/ghost-{i}"), Value::Null)
+                .unwrap_err();
+            assert!(matches!(err, DlhubError::NotFound(_)), "{err:?}");
+        }
+        let bad = Token("not-a-token".into());
+        for id in ["dlhub/noop", "dlhub/ghost-with-bad-token"] {
+            assert!(hub.service.run(&bad, id, Value::Null).is_err());
+            assert!(hub.service.run_async(&bad, id, Value::Null).is_err());
+            assert!(hub.service.run_batch(&bad, id, vec![Value::Null]).is_err());
+        }
+        assert!(hub
+            .service
+            .run_pipeline(&bad, "ghosts", Value::Null)
+            .is_err());
+        let err = hub
+            .service
+            .run(&hub.token, "dlhub/matminer-util", Value::Int(3))
+            .unwrap_err();
+        assert!(matches!(err, DlhubError::InvalidInput { .. }));
+        assert_eq!(metrics.servable_entries().len(), before);
+        // One counter holds every refusal (the pipeline's bad token
+        // fails authorization before any step is preflighted).
+        assert_eq!(metrics.counter("requests_rejected_total").get(), 1007);
+        // The request that was served is accounted as before.
+        assert_eq!(metrics.series("dlhub/noop").requests.get(), 1);
+        assert_eq!(metrics.series("dlhub/noop").errors.get(), 0);
+    }
+
+    #[test]
     fn run_batch_preserves_order_and_amortizes() {
         let hub = TestHub::builder().build();
         let inputs: Vec<Value> = ["NaCl", "SiO2", "Fe2O3"]
@@ -1514,7 +1494,7 @@ mod tests {
     }
 
     #[test]
-    fn profiles_accumulate_from_real_traffic() {
+    fn dispatch_cost_accumulates_from_real_traffic() {
         let hub = TestHub::builder()
             .without_eval_servables()
             .memo(false)
@@ -1532,23 +1512,29 @@ mod tests {
                 .run(&hub.token, "dlhub/sleepy", Value::Int(i))
                 .unwrap();
         }
-        let profile = hub.service.profiles().get("dlhub/sleepy").unwrap();
-        assert_eq!(profile.samples, 6);
+        let series = hub.service.obs().metrics.series("dlhub/sleepy");
+        let cost = series.dispatch.cost().unwrap();
+        assert_eq!(cost.dispatches, 6);
+        assert_eq!(cost.items, 6);
         assert!(
-            profile.inference >= Duration::from_millis(7),
+            cost.inference() >= Duration::from_millis(7),
             "inference {:?}",
-            profile.inference
+            cost.inference()
         );
         // Overhead (invocation − inference) is small in-process.
-        assert!(profile.overhead < profile.inference);
+        assert!(cost.overhead() < cost.inference());
+        assert!(cost.overhead_floor() <= cost.overhead());
     }
 
     #[test]
-    fn autoscaler_closes_the_loop_over_live_profiles() {
-        use crate::autoscale::{AutoscalePolicy, Autoscaler};
+    fn reconciler_closes_the_loop_over_live_costs() {
         let hub = TestHub::builder()
             .without_eval_servables()
             .memo(false)
+            .config(ServingConfig {
+                autoscale: Some(ControlPolicy::default()),
+                ..ServingConfig::default()
+            })
             .build();
         hub.publish_simple(
             "heavy",
@@ -1558,23 +1544,29 @@ mod tests {
                 Ok(v.clone())
             }),
         );
+        hub.service
+            .obs()
+            .enable_telemetry_manual(Duration::from_secs(1));
+        // The cost comes from real dispatches; the arrivals are
+        // scripted onto a virtual clock (200 req/s for two seconds).
         for i in 0..8 {
             hub.service
                 .run(&hub.token, "dlhub/heavy", Value::Int(i))
                 .unwrap();
         }
-        let scaler = Autoscaler::new(
-            hub.service.profiles().clone(),
-            Arc::clone(&hub.parsl),
-            AutoscalePolicy::default(),
-        );
         let before = hub.parsl.replicas("dlhub/heavy");
-        let decisions = scaler.reconcile();
-        // A 10ms servable behind µs-scale in-process overhead wants
-        // the cap; the decision must reflect the observed profile.
+        let series = hub.service.obs().metrics.series("dlhub/heavy");
+        for s in 1..=3u64 {
+            series.requests.add(200);
+            hub.service.obs().telemetry.sample_now(s * 1_000_000_000);
+        }
+        let decisions = hub.service.reconcile_at(3_000_000_000);
+        // 200 req/s × ≥10 ms is at least two busy replicas, and a 10 ms
+        // servable behind µs-scale in-process dispatch has a knee far
+        // past the budget: the decision must reflect the observed cost.
         assert_eq!(decisions.len(), 1);
-        assert!(decisions[0].desired >= before);
-        assert_eq!(hub.parsl.replicas("dlhub/heavy"), decisions[0].desired);
+        assert!(decisions[0].to >= 4 && decisions[0].to > before);
+        assert_eq!(hub.parsl.replicas("dlhub/heavy"), decisions[0].to);
     }
 
     #[test]
@@ -1733,7 +1725,7 @@ mod tests {
             .run(&hub.token, "dlhub/noop", Value::Null)
             .unwrap();
         assert!(result.trace > 0);
-        let export = hub.service.trace_export(Some(result.trace));
+        let export = hub.service.obs().tracer.export(Some(result.trace));
         let request = export.named("request");
         assert_eq!(request.len(), 1);
         assert_eq!(request[0].parent, 0);
@@ -1761,13 +1753,13 @@ mod tests {
             .service
             .run(&hub.token, "dlhub/matminer-util", input)
             .unwrap();
-        let export = hub.service.trace_export(Some(hit.trace));
+        let export = hub.service.obs().tracer.export(Some(hit.trace));
         let request = export.named("request");
         assert_eq!(request.len(), 1);
         assert_eq!(request[0].attr("cache_hit"), Some("true"));
         // A hit never reaches the Task Manager: no deeper spans.
         assert!(export.named("invocation").is_empty());
-        let snap = hub.service.metrics_snapshot();
+        let snap = hub.service.obs().snapshot();
         let (_, series) = snap
             .servables
             .iter()
@@ -1795,7 +1787,7 @@ mod tests {
         hub.service
             .run(&hub.token, "dlhub/noop", Value::Null)
             .unwrap();
-        let prom = hub.service.render_prometheus();
+        let prom = hub.service.obs().snapshot().render_prometheus();
         assert!(prom.contains("dlhub_servable_requests_total{servable=\"dlhub/noop\"} 1"));
         assert!(prom.contains("dlhub_servable_request_latency_seconds{servable=\"dlhub/noop\""));
         assert!(prom.contains("dlhub_broker_send_total"));
@@ -1815,14 +1807,14 @@ mod tests {
             .run(&hub.token, "dlhub/boom", Value::Null)
             .unwrap_err();
         assert!(matches!(err, DlhubError::Execution { .. }));
-        let snap = hub.service.metrics_snapshot();
+        let snap = hub.service.obs().snapshot();
         let (_, series) = snap
             .servables
             .iter()
             .find(|(s, _)| s == "dlhub/boom")
             .expect("series recorded");
         assert_eq!(series.errors, 1);
-        let export = hub.service.trace_export(None);
+        let export = hub.service.obs().tracer.export(None);
         let request = export.named("request");
         assert_eq!(request.len(), 1);
         assert!(request[0].attr("error").is_some());
@@ -1845,7 +1837,7 @@ mod tests {
             .run_pipeline_traced(&hub.token, "formation-enthalpy", Value::Str("SiO2".into()))
             .unwrap();
         assert_eq!(steps.len(), 3);
-        let export = hub.service.trace_export(Some(trace));
+        let export = hub.service.obs().tracer.export(Some(trace));
         let roots = export.named("pipeline");
         assert_eq!(roots.len(), 1);
         let requests = export.named("request");
@@ -1865,11 +1857,11 @@ mod tests {
             .service
             .run(&hub.token, "dlhub/matminer-util", input)
             .unwrap();
-        let lookups = hub.service.trace_export(Some(miss.trace));
+        let lookups = hub.service.obs().tracer.export(Some(miss.trace));
         let lookups = lookups.named("memo_lookup");
         assert_eq!(lookups.len(), 1);
         assert_eq!(lookups[0].attr("hit"), Some("false"));
-        let export = hub.service.trace_export(Some(hit.trace));
+        let export = hub.service.obs().tracer.export(Some(hit.trace));
         let lookups = export.named("memo_lookup");
         assert_eq!(lookups.len(), 1);
         assert_eq!(lookups[0].attr("hit"), Some("true"));
@@ -1887,13 +1879,13 @@ mod tests {
         hub.service
             .run(&hub.token, "dlhub/noop", Value::Null)
             .unwrap();
-        let snap = hub.service.metrics_snapshot();
+        let snap = hub.service.obs().snapshot();
         assert_eq!(snap.slos.len(), 1);
         let slo = &snap.slos[0];
         assert_eq!(slo.servable, "dlhub/noop");
         assert_eq!(slo.observed, 1);
         assert!(!slo.firing);
-        let prom = hub.service.render_prometheus();
+        let prom = hub.service.obs().snapshot().render_prometheus();
         assert!(prom.contains("dlhub_slo_firing{servable=\"dlhub/noop\"} 0"));
         assert!(prom.contains("dlhub_slo_burn_rate{servable=\"dlhub/noop\""));
     }
@@ -1905,11 +1897,11 @@ mod tests {
             .service
             .run(&hub.token, "dlhub/noop", Value::Null)
             .unwrap();
-        let analysis = hub.service.analyze_trace(result.trace).expect("analysis");
+        let analysis = hub.service.obs().analyze(result.trace).expect("analysis");
         assert!(analysis.complete);
         assert_eq!(analysis.kind, "request");
         assert_eq!(analysis.stage_sum(), analysis.total_ns);
-        assert!(hub.service.analyze_trace(0xdead_beef).is_none());
+        assert!(hub.service.obs().analyze(0xdead_beef).is_none());
     }
 
     #[test]
@@ -1918,17 +1910,17 @@ mod tests {
         hub.service
             .run(&hub.token, "dlhub/noop", Value::Null)
             .unwrap();
-        let counter = |snap: &MetricsSnapshot, name: &str| {
+        let counter = |snap: &dlhub_obs::MetricsSnapshot, name: &str| {
             snap.counters
                 .iter()
                 .find(|(n, _)| n == name)
                 .map(|(_, v)| *v)
                 .unwrap_or(0)
         };
-        let first = hub.service.metrics_delta();
+        let first = hub.service.obs().delta();
         assert_eq!(counter(&first, "tm_tasks_total"), 1);
         // Nothing happened since: the next window is empty.
-        let quiet = hub.service.metrics_delta();
+        let quiet = hub.service.obs().delta();
         assert_eq!(counter(&quiet, "tm_tasks_total"), 0);
         hub.service
             .run(&hub.token, "dlhub/noop", Value::Null)
@@ -1937,7 +1929,7 @@ mod tests {
             .run(&hub.token, "dlhub/noop", Value::Null)
             .unwrap();
         // The delta reports only the new window, not the running total.
-        let next = hub.service.metrics_delta();
+        let next = hub.service.obs().delta();
         assert_eq!(counter(&next, "tm_tasks_total"), 2);
     }
 
@@ -1957,14 +1949,19 @@ mod tests {
         }
         // The sampler collects on its own clock; give it a few periods.
         std::thread::sleep(Duration::from_millis(60));
-        let report = hub.service.profile_report().expect("profiler enabled");
+        let report = hub
+            .service
+            .obs()
+            .profile
+            .report()
+            .expect("profiler enabled");
         assert!(report.total_samples > 0, "sampler never ticked");
         // Per-thread counts must sum to the sampler's own total.
         let per_thread: u64 = report.threads.iter().map(|t| t.samples).sum();
         assert_eq!(per_thread, report.total_samples);
         // Default config never enables the profiler.
         let plain = TestHub::builder().memo(false).build();
-        assert!(plain.service.profile_report().is_none());
+        assert!(plain.service.obs().profile.report().is_none());
     }
 
     #[test]
@@ -1990,12 +1987,12 @@ mod tests {
             handle.wait(Duration::from_secs(5)),
             TaskStatus::Failed { .. }
         ));
-        let bundles = hub.service.flight_bundles();
+        let bundles = hub.service.obs().recorder.bundles();
         assert_eq!(bundles.len(), 1);
         let bundle = &bundles[0];
         assert_eq!(bundle.trigger.kind(), "task_failed");
         assert!(bundle.trigger.summary().contains("dlhub/boom"));
-        assert!(hub.service.flight_bundle(bundle.id).is_some());
+        assert!(hub.service.obs().recorder.bundle(bundle.id).is_some());
         // A successful async run does not freeze anything further.
         hub.publish_simple(
             "fine",
@@ -2010,7 +2007,7 @@ mod tests {
             ok.wait(Duration::from_secs(5)),
             TaskStatus::Completed(_)
         ));
-        assert_eq!(hub.service.flight_bundles().len(), 1);
+        assert_eq!(hub.service.obs().recorder.bundles().len(), 1);
     }
 
     #[test]

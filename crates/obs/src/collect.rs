@@ -97,6 +97,21 @@ impl TelemetryInner {
                 &lat.bucket_counts(),
             );
             written += 4;
+            // The running-minimum floor rides in a counter slot too:
+            // it is only ever read back with `latest`, never as a rate.
+            if let Some(cost) = series.dispatch.cost() {
+                for (field, value) in [
+                    ("dispatches", cost.dispatches),
+                    ("dispatched_items", cost.items),
+                    ("inference_ns", cost.inference_ns),
+                    ("overhead_ns", cost.overhead_ns),
+                    ("overhead_floor_ns", cost.overhead_floor_ns),
+                ] {
+                    self.store
+                        .record_counter(&servable_series(&servable, field), at_ns, value);
+                }
+                written += 5;
+            }
         }
         for snap in self.sources.slo.snapshot() {
             let fast = snap.latency_burn_fast.max(snap.availability_burn_fast);
@@ -273,13 +288,22 @@ mod tests {
         src.metrics.counter("hits_total").add(7);
         src.metrics.gauge("depth").set(3);
         src.metrics.histogram("wait_ns").record(1024);
-        src.metrics.series("dlhub/echo").requests.add(5);
+        let echo = src.metrics.series("dlhub/echo");
+        echo.requests.add(5);
         let handle = TelemetryHandle::disabled();
         assert!(handle.enable_manual(Duration::from_secs(1), src.clone()));
         let written = handle.sample_now(1_000_000_000).unwrap();
-        assert!(written >= 7, "{written}");
+        assert_eq!(written, 7);
+        // The cost sums join the sample once a dispatch was answered.
+        assert_eq!(handle.signals().unwrap().cost("dlhub/echo"), None);
+        echo.dispatch
+            .record(2, Duration::from_millis(8), Duration::from_millis(9));
         src.metrics.counter("hits_total").add(3);
-        handle.sample_now(2_000_000_000).unwrap();
+        assert_eq!(handle.sample_now(2_000_000_000), Some(12));
+        assert_eq!(
+            handle.signals().unwrap().cost("dlhub/echo"),
+            echo.dispatch.cost()
+        );
         let store = handle.store().unwrap();
         let rate = store.rate("hits_total", Duration::from_secs(2)).unwrap();
         assert!((rate - 3.0).abs() < 1e-9, "{rate}");

@@ -43,8 +43,8 @@ pub use contention::{render_contention, ContentionRegistry, ContentionSite, Cont
 pub use hdr::{HdrHistogram, HdrSummary, HDR_SUB_BUCKETS};
 pub use metrics::{
     bucket_bound, bucket_index, bucket_quantile_value, escape_label, BucketSnapshot, Counter,
-    Gauge, Histogram, HistogramSummary, MetricsSnapshot, Registry, ServableSeries,
-    ServableSnapshot,
+    DispatchSums, Gauge, Histogram, HistogramSummary, MetricsSnapshot, Registry, ServableCost,
+    ServableSeries, ServableSnapshot,
 };
 pub use openloop::{OpenLoopRecorder, OpenLoopReport, OpenLoopSample};
 pub use profile::{CollapsedStack, FrameGuard, ProfileReport, ProfilerHandle, ThreadSamples};
@@ -56,6 +56,8 @@ pub use tsdb::{
     SeriesStore, TierSpec, WindowHistogram,
 };
 
+use parking_lot::Mutex;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// One deployment's observability handle: a tracer plus a metrics
@@ -82,6 +84,9 @@ pub struct Obs {
     /// and SLOs (disabled until
     /// [`enable_telemetry`](Obs::enable_telemetry)).
     pub telemetry: TelemetryHandle,
+    /// Baseline for [`delta`](Obs::delta): the snapshot the previous
+    /// call returned against (empty before the first).
+    delta_baseline: Arc<Mutex<MetricsSnapshot>>,
 }
 
 impl Obs {
@@ -174,6 +179,27 @@ impl Obs {
         snap.slos = self.slo.snapshot();
         snap.contention = self.contention.snapshot();
         snap
+    }
+
+    /// Reconstruct one trace's span tree and decompose its wall time
+    /// into named serving stages (management overhead, broker wait,
+    /// dispatch, replica queue-wait, execute, …). `None` when the trace
+    /// id is unknown or its spans were evicted.
+    pub fn analyze(&self, trace: u64) -> Option<TraceAnalysis> {
+        analyze(&self.tracer.export(Some(trace)), trace)
+    }
+
+    /// Everything that changed since the previous call (or since this
+    /// handle was created, on the first call): counters, histogram mass
+    /// and contention waits as differences; gauges as signed deltas.
+    /// Consecutive calls exactly partition the metric history, so an
+    /// operator can watch `dlhub stats --delta` like `iostat`.
+    pub fn delta(&self) -> MetricsSnapshot {
+        let current = self.snapshot();
+        let mut baseline = self.delta_baseline.lock();
+        let delta = current.delta_since(&baseline);
+        *baseline = current;
+        delta
     }
 }
 

@@ -344,6 +344,96 @@ pub struct ServableSeries {
     pub inference_latency: Histogram,
     /// Batch flush sizes routed to this servable.
     pub batch_sizes: Histogram,
+    /// What dispatching this servable has cost so far.
+    pub dispatch: DispatchSums,
+}
+
+/// What dispatching one servable has cost so far: the servable profile
+/// the paper proposes as the input to adaptive batching (§V-B3) and
+/// that the replica control loop sizes pools from (Fig 7). Cumulative
+/// sums, read live from [`DispatchSums::cost`] or from the telemetry
+/// store's latest sample ([`crate::ControlSignals::cost`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ServableCost {
+    /// Dispatches a Task Manager answered.
+    pub dispatches: u64,
+    /// Items those dispatches carried (a batch counts every input).
+    pub items: u64,
+    /// Inference time summed over every item, nanoseconds.
+    pub inference_ns: u64,
+    /// Per-dispatch overhead (invocation − inference: dispatch,
+    /// transfer, **and queueing** under load) summed, nanoseconds.
+    pub overhead_ns: u64,
+    /// Smallest per-dispatch overhead seen: the uncontended dispatch
+    /// floor. Under concurrency the mean overhead is inflated by queue
+    /// wait — which is *demand*, not cost — so capacity decisions (the
+    /// Fig 7 knee) must use the floor.
+    pub overhead_floor_ns: u64,
+}
+
+impl ServableCost {
+    /// Mean single-item inference time.
+    pub fn inference(&self) -> Duration {
+        Duration::from_nanos(self.inference_ns / self.items.max(1))
+    }
+
+    /// Mean per-dispatch overhead.
+    pub fn overhead(&self) -> Duration {
+        Duration::from_nanos(self.overhead_ns / self.dispatches.max(1))
+    }
+
+    /// The uncontended dispatch floor.
+    pub fn overhead_floor(&self) -> Duration {
+        Duration::from_nanos(self.overhead_floor_ns)
+    }
+}
+
+/// The live side of [`ServableCost`]: four relaxed adds and one
+/// `fetch_min` per answered dispatch.
+#[derive(Debug)]
+pub struct DispatchSums {
+    dispatches: Counter,
+    items: Counter,
+    inference_ns: Counter,
+    overhead_ns: Counter,
+    overhead_floor_ns: AtomicU64,
+}
+
+impl Default for DispatchSums {
+    fn default() -> Self {
+        DispatchSums {
+            dispatches: Counter::new(),
+            items: Counter::new(),
+            inference_ns: Counter::new(),
+            overhead_ns: Counter::new(),
+            overhead_floor_ns: AtomicU64::new(u64::MAX),
+        }
+    }
+}
+
+impl DispatchSums {
+    /// Fold in one answered dispatch that carried `items` inputs.
+    pub fn record(&self, items: usize, inference_total: Duration, invocation: Duration) {
+        let overhead = invocation.saturating_sub(inference_total).as_nanos() as u64;
+        self.items.add(items.max(1) as u64);
+        self.inference_ns.add(inference_total.as_nanos() as u64);
+        self.overhead_ns.add(overhead);
+        self.overhead_floor_ns
+            .fetch_min(overhead, Ordering::Relaxed);
+        self.dispatches.inc();
+    }
+
+    /// The sums so far; `None` before the first dispatch.
+    pub fn cost(&self) -> Option<ServableCost> {
+        let dispatches = self.dispatches.get();
+        (dispatches > 0).then(|| ServableCost {
+            dispatches,
+            items: self.items.get(),
+            inference_ns: self.inference_ns.get(),
+            overhead_ns: self.overhead_ns.get(),
+            overhead_floor_ns: self.overhead_floor_ns.load(Ordering::Relaxed),
+        })
+    }
 }
 
 #[derive(Default)]
@@ -1141,6 +1231,33 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn dispatch_sums_fold_batches_into_per_item_costs() {
+        let sums = DispatchSums::default();
+        assert_eq!(sums.cost(), None);
+        // 10 items, 100 ms total inference => 10 ms an item.
+        sums.record(10, Duration::from_millis(100), Duration::from_millis(104));
+        let cost = sums.cost().unwrap();
+        assert_eq!((cost.dispatches, cost.items), (1, 10));
+        assert_eq!(cost.inference(), Duration::from_millis(10));
+        assert_eq!(cost.overhead(), Duration::from_millis(4));
+        assert_eq!(cost.overhead_floor(), Duration::from_millis(4));
+        // A contended single-item dispatch (86 ms of queue wait) moves
+        // the mean overhead, not the floor.
+        sums.record(1, Duration::from_millis(10), Duration::from_millis(100));
+        let cost = sums.cost().unwrap();
+        assert_eq!((cost.dispatches, cost.items), (2, 11));
+        assert_eq!(cost.inference(), Duration::from_millis(10));
+        assert_eq!(cost.overhead(), Duration::from_millis(47));
+        assert_eq!(cost.overhead_floor(), Duration::from_millis(4));
+        // An empty reply still counts as one item, and an invocation
+        // shorter than its inference clamps to zero overhead.
+        sums.record(0, Duration::from_millis(1), Duration::ZERO);
+        let cost = sums.cost().unwrap();
+        assert_eq!(cost.items, 12);
+        assert_eq!(cost.overhead_floor(), Duration::ZERO);
+    }
 
     #[test]
     fn bucket_index_and_bounds_bracket_values() {

@@ -35,7 +35,7 @@ use std::time::Duration;
 use parking_lot::RwLock;
 use serde_json::{json, Value};
 
-use crate::metrics::{bucket_bound, bucket_quantile_value, HISTOGRAM_BUCKETS};
+use crate::metrics::{bucket_bound, bucket_quantile_value, ServableCost, HISTOGRAM_BUCKETS};
 
 /// One resolution tier: one sample slot per `step`, `capacity` slots
 /// before the ring wraps.
@@ -341,7 +341,8 @@ impl WindowHistogram {
 }
 
 /// Series name under which the collector samples one per-servable
-/// field (`requests`, `cache_hits`, `errors`, `request_latency_ns`).
+/// field (`requests`, `cache_hits`, `errors`, `request_latency_ns`, and
+/// the five [`ServableCost`] sums).
 pub fn servable_series(servable: &str, field: &str) -> String {
     format!("servable.{servable}.{field}")
 }
@@ -524,6 +525,15 @@ impl SeriesStore {
             .sum();
         let span_ns = points.last().unwrap().0 - points[0].0;
         (span_ns > 0).then(|| total as f64 * 1e9 / span_ns as f64)
+    }
+
+    /// The newest sampled cumulative value of a counter (or histogram
+    /// sample count), however long ago the series last moved — idle
+    /// time does not age it out of a window. `None` if never sampled.
+    pub fn latest(&self, name: &str) -> Option<u64> {
+        let series = Arc::clone(self.series.read().get(name)?);
+        let newest = series.tiers[0].slots.iter().filter_map(Slot::read);
+        newest.max_by_key(|d| d.step).map(|d| d.a)
     }
 
     /// Min/max/avg/last of a gauge over the trailing `window`. `None`
@@ -746,17 +756,38 @@ impl ControlSignals {
         &self.store
     }
 
+    /// Every servable the collector has sampled, id-sorted.
+    pub fn servables(&self) -> Vec<String> {
+        let mut ids: Vec<String> = self
+            .store
+            .series_names()
+            .iter()
+            .filter_map(|name| name.strip_prefix("servable.")?.strip_suffix(".requests"))
+            .map(str::to_string)
+            .collect();
+        ids.sort();
+        ids
+    }
+
     /// Requests per second answered for `servable` over `window`.
     pub fn arrival_rate(&self, servable: &str, window: Duration) -> Option<f64> {
         self.store
             .rate(&servable_series(servable, "requests"), window)
     }
 
-    /// Slope of the arrival rate (req/s per second): positive means
-    /// traffic is ramping.
-    pub fn arrival_trend(&self, servable: &str, window: Duration) -> Option<f64> {
-        self.store
-            .trend(&servable_series(servable, "requests"), window)
+    /// What dispatching `servable` has cost, from the newest sample of
+    /// its cumulative sums — so a pool parked through an idle window
+    /// still has an estimate when traffic returns. `None` until a
+    /// dispatch has been sampled.
+    pub fn cost(&self, servable: &str) -> Option<ServableCost> {
+        let latest = |field| self.store.latest(&servable_series(servable, field));
+        Some(ServableCost {
+            dispatches: latest("dispatches")?,
+            items: latest("dispatched_items")?,
+            inference_ns: latest("inference_ns")?,
+            overhead_ns: latest("overhead_ns")?,
+            overhead_floor_ns: latest("overhead_floor_ns")?,
+        })
     }
 
     /// Errors per second for `servable` over `window`.
@@ -785,11 +816,6 @@ impl ControlSignals {
     /// Async injector queue depth over `window`.
     pub fn queue_depth(&self, window: Duration) -> Option<GaugeWindow> {
         self.store.gauge_window("async_queue_depth", window)
-    }
-
-    /// Async worker-pool occupancy over `window`.
-    pub fn pool_occupancy(&self, window: Duration) -> Option<GaugeWindow> {
-        self.store.gauge_window("async_pool_active", window)
     }
 
     /// Fast-window SLO burn rate (max of the latency and availability
@@ -837,6 +863,21 @@ mod tests {
         assert!((rate - 100.0).abs() < 1e-9, "{rate}");
         // Gauge queries on a counter series refuse.
         assert!(store.gauge_window("reqs", Duration::from_secs(4)).is_none());
+    }
+
+    #[test]
+    fn latest_reads_the_newest_sample_whatever_its_age() {
+        let store = SeriesStore::with_tiers(tiny_tiers());
+        assert_eq!(store.latest("reqs"), None);
+        for step in 0..10u64 {
+            store.record_counter("reqs", step * S, step * 10);
+            store.note_pass(step * S);
+        }
+        // Later passes that do not touch the series age it out of
+        // every rate window, but not out of `latest`.
+        store.note_pass(500 * S);
+        assert_eq!(store.rate("reqs", Duration::from_secs(4)), None);
+        assert_eq!(store.latest("reqs"), Some(90));
     }
 
     #[test]
@@ -1054,7 +1095,7 @@ mod tests {
                 step * 50,
             );
             store.record_counter(&servable_series("dlhub/echo", "errors"), step * S, 0);
-            store.record_gauge("async_pool_active", step * S, 2.0);
+            store.record_gauge("async_queue_depth", step * S, 2.0);
             store.record_gauge(&slo_series("dlhub/echo", "burn_fast"), step * S, 0.25);
             store.record_histogram("broker_queue_wait_ns", step * S, 4, 4 << 20, &buckets);
             store.note_pass(step * S);
@@ -1063,11 +1104,14 @@ mod tests {
         let w = Duration::from_secs(4);
         assert!((signals.arrival_rate("dlhub/echo", w).unwrap() - 50.0).abs() < 1e-9);
         assert_eq!(signals.error_rate("dlhub/echo", w), Some(0.0));
-        assert_eq!(signals.pool_occupancy(w).unwrap().last, 2.0);
+        assert_eq!(signals.queue_depth(w).unwrap().last, 2.0);
         assert!((signals.burn_rate("dlhub/echo", w).unwrap().avg - 0.25).abs() < 1e-9);
         let wait = signals.queue_wait(w).unwrap();
         assert_eq!(wait.count, 4);
         assert!(wait.quantile(0.99).unwrap() >= 1 << 20);
         assert!(!signals.burn_history("dlhub/echo", w).is_empty());
+        assert_eq!(signals.servables(), vec!["dlhub/echo"]);
+        // No dispatch sums were sampled: no cost, not a zero one.
+        assert_eq!(signals.cost("dlhub/echo"), None);
     }
 }

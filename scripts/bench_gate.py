@@ -20,31 +20,6 @@ Checks:
             runs are then held to noise-floored fractions of the
             committed numbers (raw ring throughput, memo-bypass
             single-thread, scaling shape).
-  overhead  committed contract: the hotpath bench's profiler A/B —
-            throughput with the continuous profiler sampling and the
-            flight recorder armed must stay within
-            OVERHEAD_GATE_RATIO of the profiler-disabled run
-            (default 0.95, i.e. <=5%% overhead). Enforced on the
-            committed BENCH_hotpath.json, which full-length runs
-            produce; smoke runs are too noisy for a 5%% bound.
-
-  telemetry committed contract: the hotpath bench's collector A/B —
-            throughput with the time-series telemetry collector
-            sampling every registered metric must stay within
-            OVERHEAD_GATE_RATIO of the collector-disabled run, the
-            A/B must have taken sampling passes, and the artifact's
-            embedded telemetry export must carry non-empty series.
-
-  control   committed contract: the hotpath bench's control-loop A/B —
-            throughput with the full control plane armed (telemetry
-            collector, background autoscale reconciler, per-request
-            admission control) must stay within OVERHEAD_GATE_RATIO of
-            the control-disabled run, admission must have accounted
-            every request (admitted > 0), nothing may have shed on the
-            uncontended bench load, and the pinned min==max policy must
-            have applied zero scaling decisions (the A/B measures the
-            loop's steady-state cost, not capacity changes).
-
   workloads committed contract: BENCH_workloads.json must carry all
             five open-loop scenarios (steady-poisson, diurnal, bursty,
             zipf-fanout, hostile-tenant), each with corrected and
@@ -56,7 +31,7 @@ Checks:
             smoke artifact under results/, when present, is held to a
             noise-floored p999 regression bound per scenario.
 
-Usage: bench_gate.py [--check hotpath|broker|overhead|telemetry|control|workloads|all]   (default: all)
+Usage: bench_gate.py [--check hotpath|broker|workloads|all]   (default: all)
 
 Environment:
   BENCH_GATE_RATIO          throughput floor as a fraction of the
@@ -70,11 +45,6 @@ Environment:
                             (default 6.0)
   BROKER_GATE_SPEEDUP       minimum fresh 1-to-8-client broker scaling,
                             noise floor for shared runners (default 2.0)
-  OVERHEAD_GATE_RATIO       minimum committed enabled/disabled
-                            throughput ratio for the profiler,
-                            telemetry and control-loop A/Bs (default
-                            0.95; <=0 disables the overhead, telemetry
-                            and control gates)
   WORKLOADS_GATE_FACTOR     fresh smoke corrected p999 may exceed the
                             committed p999 by at most this multiple
                             (default 5.0; <=0 disables the workloads
@@ -216,156 +186,6 @@ def check_broker(ratio):
     )
 
 
-def check_overhead():
-    floor = float(os.environ.get("OVERHEAD_GATE_RATIO", "0.95"))
-    if floor <= 0:
-        print("bench gate: overhead gate disabled (OVERHEAD_GATE_RATIO<=0)")
-        return
-    committed = load("BENCH_hotpath.json")
-    if committed is None:
-        print("bench gate: no committed BENCH_hotpath.json; skipping overhead")
-        return
-    overhead = committed.get("overhead")
-    if overhead is None:
-        sys.exit(
-            "bench gate: committed BENCH_hotpath.json has no overhead "
-            "object; regenerate with the profiler A/B"
-        )
-    ratio = overhead.get("enabled_over_disabled", 0.0)
-    if ratio < floor:
-        sys.exit(
-            "bench gate: profiler overhead — enabled {:.0f} req/s vs "
-            "disabled {:.0f} (ratio {:.3f} < floor {})".format(
-                overhead.get("enabled_req_per_s", 0.0),
-                overhead.get("disabled_req_per_s", 0.0),
-                ratio,
-                floor,
-            )
-        )
-    if overhead.get("profiler_samples", 0) <= 0:
-        sys.exit(
-            "bench gate: overhead A/B recorded no profiler samples — "
-            "the enabled side was not actually profiling"
-        )
-    print(
-        "bench gate: profiler overhead within bound ({:.0f} → {:.0f} "
-        "req/s, ratio {:.3f} >= {}, {} samples @ {} Hz)".format(
-            overhead.get("disabled_req_per_s", 0.0),
-            overhead.get("enabled_req_per_s", 0.0),
-            ratio,
-            floor,
-            overhead.get("profiler_samples", 0),
-            overhead.get("profile_hz", 0),
-        )
-    )
-
-
-def check_telemetry():
-    floor = float(os.environ.get("OVERHEAD_GATE_RATIO", "0.95"))
-    if floor <= 0:
-        print("bench gate: telemetry gate disabled (OVERHEAD_GATE_RATIO<=0)")
-        return
-    committed = load("BENCH_hotpath.json")
-    if committed is None:
-        print("bench gate: no committed BENCH_hotpath.json; skipping telemetry")
-        return
-    overhead = committed.get("telemetry_overhead")
-    if overhead is None:
-        sys.exit(
-            "bench gate: committed BENCH_hotpath.json has no "
-            "telemetry_overhead object; regenerate with the collector A/B"
-        )
-    ratio = overhead.get("enabled_over_disabled", 0.0)
-    if ratio < floor:
-        sys.exit(
-            "bench gate: telemetry overhead — enabled {:.0f} req/s vs "
-            "disabled {:.0f} (ratio {:.3f} < floor {})".format(
-                overhead.get("enabled_req_per_s", 0.0),
-                overhead.get("disabled_req_per_s", 0.0),
-                ratio,
-                floor,
-            )
-        )
-    if overhead.get("telemetry_samples", 0) <= 0:
-        sys.exit(
-            "bench gate: telemetry A/B took no sampling passes — "
-            "the enabled side was not actually collecting"
-        )
-    export = committed.get("telemetry")
-    if not export or not export.get("series"):
-        sys.exit(
-            "bench gate: committed BENCH_hotpath.json telemetry export "
-            "has no series; the time axis is missing"
-        )
-    print(
-        "bench gate: telemetry overhead within bound ({:.0f} → {:.0f} "
-        "req/s, ratio {:.3f} >= {}, {} passes, {} series exported)".format(
-            overhead.get("disabled_req_per_s", 0.0),
-            overhead.get("enabled_req_per_s", 0.0),
-            ratio,
-            floor,
-            overhead.get("telemetry_samples", 0),
-            len(export.get("series", [])),
-        )
-    )
-
-
-def check_control():
-    floor = float(os.environ.get("OVERHEAD_GATE_RATIO", "0.95"))
-    if floor <= 0:
-        print("bench gate: control gate disabled (OVERHEAD_GATE_RATIO<=0)")
-        return
-    committed = load("BENCH_hotpath.json")
-    if committed is None:
-        print("bench gate: no committed BENCH_hotpath.json; skipping control")
-        return
-    overhead = committed.get("autoscale_overhead")
-    if overhead is None:
-        sys.exit(
-            "bench gate: committed BENCH_hotpath.json has no "
-            "autoscale_overhead object; regenerate with the control-loop A/B"
-        )
-    ratio = overhead.get("enabled_over_disabled", 0.0)
-    if ratio < floor:
-        sys.exit(
-            "bench gate: control-loop overhead — enabled {:.0f} req/s vs "
-            "disabled {:.0f} (ratio {:.3f} < floor {})".format(
-                overhead.get("enabled_req_per_s", 0.0),
-                overhead.get("disabled_req_per_s", 0.0),
-                ratio,
-                floor,
-            )
-        )
-    if overhead.get("admitted", 0) <= 0:
-        sys.exit(
-            "bench gate: control A/B admitted no requests — admission "
-            "was not actually on the request path"
-        )
-    if overhead.get("shed", 0) != 0:
-        sys.exit(
-            "bench gate: control A/B shed {} requests on an uncontended "
-            "bench load — the admission thresholds are miscalibrated".format(
-                overhead.get("shed", 0)
-            )
-        )
-    if overhead.get("scaling_decisions", 0) != 0:
-        sys.exit(
-            "bench gate: control A/B applied {} scaling decisions under a "
-            "pinned min==max policy — the A/B measured capacity changes, "
-            "not steady-state overhead".format(overhead.get("scaling_decisions", 0))
-        )
-    print(
-        "bench gate: control-loop overhead within bound ({:.0f} → {:.0f} "
-        "req/s, ratio {:.3f} >= {}, {} admitted, 0 shed)".format(
-            overhead.get("disabled_req_per_s", 0.0),
-            overhead.get("enabled_req_per_s", 0.0),
-            ratio,
-            floor,
-            overhead.get("admitted", 0),
-        )
-    )
-
-
 WORKLOAD_SCENARIOS = (
     "steady-poisson",
     "diurnal",
@@ -475,21 +295,12 @@ def main():
         choices=[
             "hotpath",
             "broker",
-            "overhead",
-            "telemetry",
-            "control",
             "workloads",
             "all",
         ],
         default="all",
     )
     opts = parser.parse_args()
-    if opts.check in ("overhead", "all"):
-        check_overhead()
-    if opts.check in ("telemetry", "all"):
-        check_telemetry()
-    if opts.check in ("control", "all"):
-        check_control()
     if opts.check in ("workloads", "all"):
         check_workloads()
     ratio = float(os.environ.get("BENCH_GATE_RATIO", "0.25"))

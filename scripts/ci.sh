@@ -15,6 +15,9 @@ cargo build --workspace --release
 
 echo "######## test"
 cargo test --workspace --release --quiet
+# The vendored channel stand-in is a path dependency, not a workspace
+# member, and every replica pool shuts down through it.
+cargo test --release --quiet -p crossbeam
 
 echo "######## repo benchmark (build + quick run)"
 # benchmark/ is a package of its own that the workspace build above
@@ -105,97 +108,6 @@ print(
 )
 EOF
 
-echo "######## profiler + contention smoke"
-# The hotpath smoke above ran the profiler A/B: its artifact must carry
-# a well-formed overhead object, and the enabled side must actually
-# have sampled. The contention/flight-recorder surface is exercised by
-# the dedicated unit suites; this asserts the end-to-end artifact.
-python3 - <<'EOF'
-import json, sys
-doc = json.load(open("results/BENCH_hotpath.json"))
-overhead = doc.get("overhead")
-if not overhead:
-    sys.exit("ci: BENCH_hotpath.json has no profiler overhead A/B")
-for key in ("disabled_req_per_s", "enabled_req_per_s", "enabled_over_disabled"):
-    if not overhead.get(key, 0) > 0:
-        sys.exit("ci: overhead object missing {}".format(key))
-if not overhead.get("profiler_samples", 0) > 0:
-    sys.exit("ci: profiler A/B collected no samples")
-print(
-    "ci: profiler smoke OK (ratio {:.3f}, {} samples @ {} Hz)".format(
-        overhead["enabled_over_disabled"],
-        overhead["profiler_samples"],
-        overhead.get("profile_hz", 0),
-    )
-)
-EOF
-
-echo "######## telemetry smoke (time-series export)"
-# The hotpath smoke also ran the telemetry collector A/B: the artifact
-# must carry the telemetry_overhead object, the collector must have
-# taken sampling passes, and the embedded time-series export must hold
-# real series. The 0.95 overhead contract itself is enforced by
-# bench_gate.py against the committed full-length artifact — a 100 ms
-# smoke window is far too noisy for a 5% bound.
-python3 - <<'EOF'
-import json, sys
-doc = json.load(open("results/BENCH_hotpath.json"))
-overhead = doc.get("telemetry_overhead")
-if not overhead:
-    sys.exit("ci: BENCH_hotpath.json has no telemetry collector A/B")
-if not overhead.get("telemetry_samples", 0) > 0:
-    sys.exit("ci: telemetry A/B took no sampling passes")
-export = doc.get("telemetry")
-if not export:
-    sys.exit("ci: BENCH_hotpath.json has no telemetry time-series export")
-if not export.get("samples_taken", 0) > 0:
-    sys.exit("ci: telemetry export records zero sampling passes")
-series = export.get("series") or []
-names = {s.get("name") for s in series}
-if "servable.dlhub/echo.requests" not in names:
-    sys.exit("ci: telemetry export has no echo request series")
-req = next(s for s in series if s["name"] == "servable.dlhub/echo.requests")
-points = sum(len(t.get("points", [])) for t in req.get("tiers", []))
-if points == 0:
-    sys.exit("ci: echo request series exported no points")
-print(
-    "ci: telemetry smoke OK (ratio {:.3f}, {} passes, {} series, "
-    "{} echo points)".format(
-        overhead.get("enabled_over_disabled", 0.0),
-        overhead["telemetry_samples"],
-        len(series),
-        points,
-    )
-)
-EOF
-
-echo "######## control-loop smoke (autoscaler + admission A/B)"
-# The hotpath smoke also ran the control-loop A/B: the artifact must
-# carry the autoscale_overhead object, admission must have accounted
-# every request without shedding, and the pinned min==max policy must
-# have applied zero scaling decisions. The 0.95 overhead contract is
-# enforced by bench_gate.py against the committed full-length artifact.
-python3 - <<'EOF'
-import json, sys
-doc = json.load(open("results/BENCH_hotpath.json"))
-overhead = doc.get("autoscale_overhead")
-if not overhead:
-    sys.exit("ci: BENCH_hotpath.json has no control-loop A/B")
-if not overhead.get("admitted", 0) > 0:
-    sys.exit("ci: control A/B admitted no requests")
-if overhead.get("shed", 0) != 0:
-    sys.exit("ci: control A/B shed on an uncontended smoke load")
-if overhead.get("scaling_decisions", 0) != 0:
-    sys.exit("ci: pinned min==max policy applied scaling decisions")
-print(
-    "ci: control smoke OK (ratio {:.3f}, {} admitted, {} shed)".format(
-        overhead.get("enabled_over_disabled", 0.0),
-        overhead["admitted"],
-        overhead.get("shed", 0),
-    )
-)
-EOF
-
 echo "######## broker smoke (sharded rings + zero-copy path)"
 # Short windows; BROKER_MIRROR=0 keeps the smoke run from clobbering
 # the committed full-length BENCH_broker.json at the workspace root.
@@ -261,10 +173,7 @@ echo "######## bench regression gates"
 # BENCH_GATE_SPEEDUP / BROKER_GATE_* tune, BENCH_GATE_RATIO=0
 # disables). The broker gate also re-asserts the committed artifact's
 # absolute contract: ≥2x the hot-path single-thread baseline on the
-# memo-bypass path and ≥6x 1→8-client scaling on the RTT series. The
-# overhead gate holds the committed profiler A/B to
-# OVERHEAD_GATE_RATIO (default 0.95: enabling the profiler may cost at
-# most 5% throughput).
+# memo-bypass path and ≥6x 1→8-client scaling on the RTT series.
 python3 scripts/bench_gate.py
 
 echo "######## ci OK"

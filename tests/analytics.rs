@@ -91,7 +91,8 @@ fn stage_decomposition_sums_to_observed_latency_on_every_eval_servable() {
     for (id, result) in six_servable_results(&hub) {
         let analysis = hub
             .service
-            .analyze_trace(result.trace)
+            .obs()
+            .analyze(result.trace)
             .unwrap_or_else(|| panic!("{id}: no analysis for trace {:#x}", result.trace));
         assert_exact_partition(&analysis, id);
         assert_eq!(analysis.kind, "request", "{id}");
@@ -129,7 +130,7 @@ fn pipeline_decomposition_attributes_every_step() {
         .service
         .run_pipeline_traced(&hub.token, "formation-enthalpy", Value::Str("SiO2".into()))
         .unwrap();
-    let analysis = hub.service.analyze_trace(trace).expect("pipeline analysis");
+    let analysis = hub.service.obs().analyze(trace).expect("pipeline analysis");
     assert_eq!(analysis.kind, "pipeline");
     assert_eq!(analysis.requests.len(), steps.len());
     assert_exact_partition(&analysis, "pipeline");
@@ -159,7 +160,7 @@ fn cache_hits_attribute_memo_lookup_without_executor_stages() {
         .service
         .run(&hub.token, "dlhub/matminer-util", input)
         .unwrap();
-    let analysis = hub.service.analyze_trace(hit.trace).expect("hit analysis");
+    let analysis = hub.service.obs().analyze(hit.trace).expect("hit analysis");
     assert_exact_partition(&analysis, "cache hit");
     let breakdown = &analysis.requests[0];
     assert!(breakdown.cache_hit);
@@ -191,7 +192,7 @@ fn p99_bucket_exemplar_resolves_to_a_matching_span_tree() {
     }
     latencies.sort_unstable();
     let p99 = latencies[(latencies.len() - 1) * 99 / 100];
-    let snap = hub.service.metrics_snapshot();
+    let snap = hub.service.obs().snapshot();
     let (_, series) = snap
         .servables
         .iter()
@@ -211,7 +212,8 @@ fn p99_bucket_exemplar_resolves_to_a_matching_span_tree() {
         .expect("exemplar trace id comes from this run's traffic");
     let analysis = hub
         .service
-        .analyze_trace(trace)
+        .obs()
+        .analyze(trace)
         .expect("exemplar resolves to a span tree");
     assert_exact_partition(&analysis, "exemplar");
     let drift = analysis.total_ns.abs_diff(recorded);
@@ -248,7 +250,8 @@ fn slo_hub(faults: FaultHandle) -> TestHubBuilder {
 
 fn alerts_fired(hub: &TestHub) -> u64 {
     hub.service
-        .metrics_snapshot()
+        .obs()
+        .snapshot()
         .slos
         .iter()
         .find(|s| s.servable == "dlhub/noop")
@@ -275,7 +278,7 @@ fn slow_replicas_burn_the_latency_budget_and_fire_the_alert() {
             alerts_fired(&hub) >= 1,
             "seed {seed}: sustained 200ms stalls against a 100ms objective must fire"
         );
-        let events = hub.service.trace_export(None);
+        let events = hub.service.obs().tracer.export(None);
         let alerts = events.named("slo_alert");
         assert!(!alerts.is_empty(), "seed {seed}: alert event missing");
         assert_eq!(alerts[0].attr("servable"), Some("dlhub/noop"));
@@ -320,7 +323,7 @@ fn clean_traffic_with_the_same_objectives_stays_quiet() {
                 .run(&hub.token, "dlhub/noop", Value::Int(i))
                 .unwrap();
         }
-        let snap = hub.service.metrics_snapshot();
+        let snap = hub.service.obs().snapshot();
         let slo = snap
             .slos
             .iter()
@@ -334,7 +337,12 @@ fn clean_traffic_with_the_same_objectives_stays_quiet() {
         assert!(!slo.firing, "seed {seed}");
         assert!(slo.observed >= 20, "seed {seed}");
         assert!(
-            hub.service.trace_export(None).named("slo_alert").is_empty(),
+            hub.service
+                .obs()
+                .tracer
+                .export(None)
+                .named("slo_alert")
+                .is_empty(),
             "seed {seed}: stray alert event"
         );
         // Satellite sanity: the snapshot carries the dropped-span

@@ -84,7 +84,8 @@ fn chaos_builder(faults: FaultHandle) -> TestHubBuilder {
 
 fn counter(hub: &TestHub, name: &str) -> u64 {
     hub.service
-        .metrics_snapshot()
+        .obs()
+        .snapshot()
         .counters
         .iter()
         .find(|(n, _)| n == name)
@@ -94,7 +95,8 @@ fn counter(hub: &TestHub, name: &str) -> u64 {
 
 fn gauge(hub: &TestHub, name: &str) -> i64 {
     hub.service
-        .metrics_snapshot()
+        .obs()
+        .snapshot()
         .gauges
         .iter()
         .find(|(n, _)| n == name)
@@ -671,7 +673,7 @@ fn terminal_failures_freeze_deterministic_flight_bundles() {
             ),
             "seed {seed}: budget-spent request failed"
         );
-        let bundles = hub.service.flight_bundles();
+        let bundles = hub.service.obs().recorder.bundles();
         assert_eq!(bundles.len(), 1, "seed {seed}: one failure, one bundle");
         assert_eq!(bundles[0].trigger.kind(), "task_failed");
         bundles
@@ -715,7 +717,7 @@ fn chaos_slo_firing_freezes_one_deterministic_bundle() {
         for _ in 0..20 {
             let _ = hub.service.run(&hub.token, "dlhub/noop", Value::Null);
         }
-        let bundles = hub.service.flight_bundles();
+        let bundles = hub.service.obs().recorder.bundles();
         assert_eq!(
             bundles.len(),
             1,
@@ -786,14 +788,12 @@ fn quarantined_replicas_are_never_counted_as_capacity_by_the_control_loop() {
             1,
             "seed {seed}: replica never quarantined"
         );
-        // Scripted 100 ms profile so the virtual load below is heavy.
+        // Scripted 100 ms cost so the virtual load below is heavy.
+        let series = hub.service.obs().metrics.series("dlhub/m");
         for _ in 0..10 {
-            hub.service.profiles().record(
-                "dlhub/m",
-                Duration::from_millis(100),
-                Duration::from_millis(103),
-                1,
-            );
+            series
+                .dispatch
+                .record(1, Duration::from_millis(100), Duration::from_millis(103));
         }
         hub.service
             .obs()
@@ -801,7 +801,7 @@ fn quarantined_replicas_are_never_counted_as_capacity_by_the_control_loop() {
         // Light load first: demand says one replica is plenty, but the
         // loop must not scale the only *healthy* replica away…
         for s in 0..3u64 {
-            hub.service.obs().metrics.series("dlhub/m").requests.add(2);
+            series.requests.add(2);
             hub.service.obs().telemetry.sample_now((s + 1) * SEC);
             hub.service.reconcile_at((s + 1) * SEC);
         }
@@ -812,7 +812,7 @@ fn quarantined_replicas_are_never_counted_as_capacity_by_the_control_loop() {
         // …and an up-scale under pressure must size against healthy
         // capacity (1), not nominal (2).
         for s in 3..8u64 {
-            hub.service.obs().metrics.series("dlhub/m").requests.add(40);
+            series.requests.add(40);
             hub.service.obs().telemetry.sample_now((s + 1) * SEC);
             hub.service.reconcile_at((s + 1) * SEC);
         }

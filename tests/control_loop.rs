@@ -52,7 +52,8 @@ fn seeds() -> Vec<u64> {
 
 fn counter(hub: &TestHub, name: &str) -> u64 {
     hub.service
-        .metrics_snapshot()
+        .obs()
+        .snapshot()
         .counters
         .iter()
         .find(|(n, _)| n == name)
@@ -62,7 +63,8 @@ fn counter(hub: &TestHub, name: &str) -> u64 {
 
 fn cold_starts(hub: &TestHub) -> u64 {
     hub.service
-        .metrics_snapshot()
+        .obs()
+        .snapshot()
         .histograms
         .iter()
         .find(|(n, _)| n == "cold_start_ns")
@@ -73,7 +75,7 @@ fn cold_starts(hub: &TestHub) -> u64 {
 /// A hub wired for virtual-clock control: autoscaling configured (no
 /// background thread — the tests drive `reconcile_at` themselves),
 /// manual telemetry, and one published echo servable with a scripted
-/// 100 ms inference profile behind `replicas` warm replicas.
+/// 100 ms inference cost behind `replicas` warm replicas.
 fn control_hub(policy: ControlPolicy, replicas: usize) -> TestHub {
     let hub = TestHub::builder()
         .without_eval_servables()
@@ -87,13 +89,11 @@ fn control_hub(policy: ControlPolicy, replicas: usize) -> TestHub {
         ModelType::PythonFunction,
         servable_fn(|v| Ok(v.clone())),
     );
+    let series = hub.service.obs().metrics.series("dlhub/m");
     for _ in 0..10 {
-        hub.service.profiles().record(
-            "dlhub/m",
-            Duration::from_millis(100),
-            Duration::from_millis(103),
-            1,
-        );
+        series
+            .dispatch
+            .record(1, Duration::from_millis(100), Duration::from_millis(103));
     }
     hub.parsl.scale("dlhub/m", replicas);
     hub.service

@@ -538,7 +538,7 @@ fn pipeline_run_yields_one_trace_with_correctly_parented_spans() {
         .unwrap();
     assert_eq!(steps.len(), 3);
 
-    let export = hub.service.trace_export(Some(trace));
+    let export = hub.service.obs().tracer.export(Some(trace));
     // One trace: every exported span carries the id we were handed.
     assert_eq!(export.trace_ids(), vec![trace]);
 

@@ -82,13 +82,18 @@ fn live_deployment_collector_feeds_control_signals() {
             .run(&hub.token, "dlhub/echo2", Value::Int(i as i64))
             .unwrap();
     }
-    let store = hub.service.telemetry_store().expect("collector enabled");
+    let store = hub
+        .service
+        .obs()
+        .telemetry
+        .store()
+        .expect("collector enabled");
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     while store.samples_taken() < 8 {
         assert!(std::time::Instant::now() < deadline, "collector never ran");
         std::thread::sleep(Duration::from_millis(10));
     }
-    let signals = hub.service.control_signals().unwrap();
+    let signals = hub.service.obs().telemetry.signals().unwrap();
     // Stay on the fine tier (10 ms × 120 = 1.2 s coverage): a wider
     // window would quantize all passes into one coarse slot.
     let window = Duration::from_secs(1);
