@@ -245,7 +245,7 @@ fn main() {
             "metrics registry observed every request ({} recorded)",
             echo_series.requests
         ),
-        echo_series.requests > 0 && echo_series.request_latency.is_some(),
+        echo_series.requests > 0 && echo_series.request_latency.count > 0,
     );
     let echo_slo = metrics
         .slos
@@ -259,11 +259,7 @@ fn main() {
         ),
         echo_slo.observed > 0 && !echo_slo.firing && echo_slo.alerts_fired == 0,
     );
-    let exemplars: usize = echo_series
-        .request_latency_buckets
-        .iter()
-        .map(|b| b.exemplars.len())
-        .sum();
+    let exemplars = echo_series.request_latency.exemplars.len();
     shape_check(
         &format!("latency histogram retained trace exemplars ({exemplars})"),
         exemplars > 0,

@@ -63,13 +63,8 @@ impl TelemetryInner {
             written += 1;
         }
         for (name, histogram) in self.sources.metrics.histogram_entries() {
-            self.store.record_histogram(
-                &name,
-                at_ns,
-                histogram.count(),
-                histogram.sum(),
-                &histogram.bucket_counts(),
-            );
+            self.store
+                .record_histogram(&name, at_ns, &histogram.snapshot());
             written += 1;
         }
         for (servable, series) in self.sources.metrics.servable_entries() {
@@ -88,13 +83,10 @@ impl TelemetryInner {
                 at_ns,
                 series.errors.get(),
             );
-            let lat = &series.request_latency;
             self.store.record_histogram(
                 &servable_series(&servable, "request_latency_ns"),
                 at_ns,
-                lat.count(),
-                lat.sum(),
-                &lat.bucket_counts(),
+                &series.request_latency.snapshot(),
             );
             written += 4;
             // The running-minimum floor rides in a counter slot too:

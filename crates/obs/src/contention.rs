@@ -4,9 +4,8 @@
 //! token-semaphore claims, reserve-space waits, the RPC pending-reply
 //! table, memo shard locks, read-mostly registry locks — registers a
 //! named [`ContentionSite`] and reports each *actual* wait into it:
-//! a relaxed-atomic wait counter, a total-wait-nanoseconds counter,
-//! and a 64-bucket log2 wait-time histogram (same bucketing as the
-//! metrics registry's latency histograms).
+//! one [`Histogram`] of wait nanoseconds, whose count and sum are the
+//! site's wait counter and total wait time.
 //!
 //! # Cost discipline
 //!
@@ -17,37 +16,26 @@
 //! the wait path touches plain atomics, never the registry map.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::RwLock;
 use serde_json::{json, Value};
 
-/// Histogram buckets (log2 of wait nanoseconds), matching
-/// `metrics::Histogram`.
-const BUCKETS: usize = 64;
+use crate::metrics::{Histogram, HistogramSnapshot};
 
-fn bucket_index(ns: u64) -> usize {
-    ((u64::BITS - ns.leading_zeros()) as usize).min(BUCKETS - 1)
-}
-
-/// One named wait point. All fields are relaxed atomics; recording a
-/// wait is three `fetch_add`s.
+/// One named wait point. Recording a wait is [`Histogram::record`]:
+/// three relaxed `fetch_add`s.
 pub struct ContentionSite {
     name: String,
-    waits: AtomicU64,
-    wait_ns: AtomicU64,
-    buckets: [AtomicU64; BUCKETS],
+    wait: Histogram,
 }
 
 impl ContentionSite {
     fn new(name: &str) -> Self {
         ContentionSite {
             name: name.to_string(),
-            waits: AtomicU64::new(0),
-            wait_ns: AtomicU64::new(0),
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            wait: Histogram::new(),
         }
     }
 
@@ -58,85 +46,55 @@ impl ContentionSite {
 
     /// Record one wait of `waited`.
     pub fn record(&self, waited: Duration) {
-        self.record_ns(waited.as_nanos().min(u128::from(u64::MAX)) as u64);
+        self.wait.record_duration(waited);
     }
 
     /// Record one wait of `ns` nanoseconds.
     pub fn record_ns(&self, ns: u64) {
-        self.waits.fetch_add(1, Ordering::Relaxed);
-        self.wait_ns.fetch_add(ns, Ordering::Relaxed);
-        self.buckets[bucket_index(ns)].fetch_add(1, Ordering::Relaxed);
+        self.wait.record(ns);
     }
 
     /// Waits recorded so far.
     pub fn waits(&self) -> u64 {
-        self.waits.load(Ordering::Relaxed)
+        self.wait.count()
     }
 
-    /// Point-in-time copy of the site's counters.
+    /// Point-in-time copy of the site's wait distribution.
     pub fn snapshot(&self) -> ContentionSnapshot {
         ContentionSnapshot {
             name: self.name.clone(),
-            waits: self.waits.load(Ordering::Relaxed),
-            wait_ns: self.wait_ns.load(Ordering::Relaxed),
-            buckets: self
-                .buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
+            wait: self.wait.snapshot(),
         }
     }
 }
 
-/// Point-in-time counters for one site.
+/// Point-in-time wait distribution for one site.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ContentionSnapshot {
     /// Site name (`broker.ring.park:dlhub-tasks`, `memo.shard_lock`, …).
     pub name: String,
-    /// Number of recorded waits.
-    pub waits: u64,
-    /// Total nanoseconds spent waiting.
-    pub wait_ns: u64,
-    /// log2 wait histogram: `buckets[i]` counts waits with
-    /// `ns < 2^i` (and at least `2^(i-1)` for `i > 0`).
-    pub buckets: Vec<u64>,
+    /// Wait times in nanoseconds: `count` waits totalling `sum` ns.
+    pub wait: HistogramSnapshot,
 }
 
 impl ContentionSnapshot {
     /// Mean wait in microseconds (0 when nothing waited).
     pub fn mean_us(&self) -> f64 {
-        if self.waits == 0 {
+        if self.wait.count == 0 {
             0.0
         } else {
-            self.wait_ns as f64 / self.waits as f64 / 1_000.0
+            self.wait.sum as f64 / self.wait.count as f64 / 1_000.0
         }
-    }
-
-    /// Upper bound (ns) of the bucket containing quantile `q` in
-    /// `(0, 1]`; `None` when the site never waited.
-    pub fn quantile_ns(&self, q: f64) -> Option<u64> {
-        if self.waits == 0 {
-            return None;
-        }
-        let rank = ((self.waits as f64) * q).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &count) in self.buckets.iter().enumerate() {
-            seen += count;
-            if seen >= rank {
-                return Some(if i >= 63 { u64::MAX } else { 1u64 << i });
-            }
-        }
-        Some(u64::MAX)
     }
 
     /// JSON object for bundles and bench artifacts.
     pub fn to_json(&self) -> Value {
         json!({
             "site": self.name,
-            "waits": self.waits,
-            "wait_ns": self.wait_ns,
+            "waits": self.wait.count,
+            "wait_ns": self.wait.sum,
             "mean_us": self.mean_us(),
-            "p99_ns": self.quantile_ns(0.99),
+            "p99_ns": self.wait.quantile(0.99),
         })
     }
 }
@@ -172,7 +130,7 @@ impl ContentionRegistry {
     pub fn snapshot(&self) -> Vec<ContentionSnapshot> {
         let mut out: Vec<ContentionSnapshot> =
             self.sites.read().values().map(|s| s.snapshot()).collect();
-        out.sort_by(|a, b| b.wait_ns.cmp(&a.wait_ns).then(a.name.cmp(&b.name)));
+        out.sort_by(|a, b| b.wait.sum.cmp(&a.wait.sum).then(a.name.cmp(&b.name)));
         out
     }
 }
@@ -182,23 +140,24 @@ pub fn render_contention(sites: &[ContentionSnapshot]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "{:<44} {:>10} {:>12} {:>12} {:>12}\n",
-        "site", "waits", "total ms", "mean us", "p99 <= us"
+        "site", "waits", "total ms", "mean us", "p99 us"
     ));
     let mut any = false;
     for site in sites {
-        if site.waits == 0 {
+        if site.wait.count == 0 {
             continue;
         }
         any = true;
         let p99_us = site
-            .quantile_ns(0.99)
+            .wait
+            .quantile(0.99)
             .map(|ns| format!("{:.1}", ns as f64 / 1_000.0))
             .unwrap_or_else(|| "-".to_string());
         out.push_str(&format!(
             "{:<44} {:>10} {:>12.3} {:>12.1} {:>12}\n",
             site.name,
-            site.waits,
-            site.wait_ns as f64 / 1_000_000.0,
+            site.wait.count,
+            site.wait.sum as f64 / 1_000_000.0,
             site.mean_us(),
             p99_us,
         ));
@@ -212,6 +171,7 @@ pub fn render_contention(sites: &[ContentionSnapshot]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::bucket_index;
 
     #[test]
     fn record_accumulates_and_buckets() {
@@ -221,13 +181,15 @@ mod tests {
         site.record(Duration::from_micros(10));
         site.record(Duration::from_millis(2)); // 2_000_000 ns -> bucket 21
         let snap = site.snapshot();
-        assert_eq!(snap.waits, 3);
-        assert_eq!(snap.wait_ns, 2_020_000);
-        assert_eq!(snap.buckets.iter().sum::<u64>(), 3);
-        assert_eq!(snap.buckets[bucket_index(10_000)], 2);
-        assert_eq!(snap.buckets[bucket_index(2_000_000)], 1);
-        // p99 lands in the slowest occupied bucket's upper bound.
-        assert!(snap.quantile_ns(0.99).unwrap() >= 2_000_000);
+        assert_eq!(snap.wait.count, 3);
+        assert_eq!(snap.wait.sum, 2_020_000);
+        assert_eq!(snap.wait.buckets[bucket_index(10_000)], 2);
+        assert_eq!(snap.wait.buckets[bucket_index(2_000_000)], 1);
+        // Quantiles are interpolated inside the recorded sample's own
+        // bucket, not pushed to the next power of two.
+        let quantile_bucket = |q| bucket_index(snap.wait.quantile(q).unwrap());
+        assert_eq!(quantile_bucket(0.5), bucket_index(10_000));
+        assert_eq!(quantile_bucket(0.99), bucket_index(2_000_000));
         assert!(snap.mean_us() > 600.0 && snap.mean_us() < 700.0);
     }
 
@@ -239,8 +201,8 @@ mod tests {
         clone.site("x").record_ns(7);
         let snap = reg.snapshot();
         assert_eq!(snap.len(), 1);
-        assert_eq!(snap[0].waits, 2);
-        assert_eq!(snap[0].wait_ns, 12);
+        assert_eq!(snap[0].wait.count, 2);
+        assert_eq!(snap[0].wait.sum, 12);
     }
 
     #[test]

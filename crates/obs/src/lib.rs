@@ -25,7 +25,6 @@ mod ring;
 pub mod analyze;
 pub mod collect;
 pub mod contention;
-pub mod hdr;
 pub mod metrics;
 pub mod openloop;
 pub mod profile;
@@ -40,20 +39,19 @@ pub use analyze::{
 };
 pub use collect::{TelemetryHandle, TelemetrySources};
 pub use contention::{render_contention, ContentionRegistry, ContentionSite, ContentionSnapshot};
-pub use hdr::{HdrHistogram, HdrSummary, HDR_SUB_BUCKETS};
 pub use metrics::{
-    bucket_bound, bucket_index, bucket_quantile_value, escape_label, BucketSnapshot, Counter,
-    DispatchSums, Gauge, Histogram, HistogramSummary, MetricsSnapshot, Registry, ServableCost,
+    bucket_bound, bucket_index, escape_label, BucketSnapshot, Counter, DispatchSums, Gauge,
+    Histogram, HistogramSnapshot, HistogramSummary, MetricsSnapshot, Registry, ServableCost,
     ServableSeries, ServableSnapshot,
 };
-pub use openloop::{OpenLoopRecorder, OpenLoopReport, OpenLoopSample};
+pub use openloop::{OpenLoopRecorder, OpenLoopReport, OpenLoopSample, SampleSummary};
 pub use profile::{CollapsedStack, FrameGuard, ProfileReport, ProfilerHandle, ThreadSamples};
 pub use recorder::{Bundle, BundleTrigger, FlightRecorder, RecorderEvent, RecorderSources};
 pub use slo::{SloRegistry, SloSnapshot, SloSpec, SloTracker};
 pub use trace::{now_ns, SpanHandle, SpanRecord, TraceContext, TraceExport, Tracer};
 pub use tsdb::{
     default_tiers, servable_series, slo_series, ControlSignals, GaugeWindow, SeriesKind,
-    SeriesStore, TierSpec, WindowHistogram,
+    SeriesStore, TierSpec,
 };
 
 use parking_lot::Mutex;

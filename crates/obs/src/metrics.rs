@@ -80,9 +80,7 @@ pub const HISTOGRAM_BUCKETS: usize = 64;
 pub const EXEMPLAR_SLOTS: usize = 4;
 
 /// Index of the log2 bucket that `v` lands in: `v`'s bit length,
-/// clamped to the last bucket. Shared with the telemetry layer so
-/// windowed histograms merged from ring slots agree bucket-for-bucket
-/// with the live histograms they were sampled from.
+/// clamped to the last bucket.
 pub fn bucket_index(v: u64) -> usize {
     ((u64::BITS - v.leading_zeros()) as usize).min(HISTOGRAM_BUCKETS - 1)
 }
@@ -101,17 +99,15 @@ pub fn bucket_bound(idx: usize) -> u64 {
 /// Rank-interpolated quantile estimate inside log2 bucket `idx`: the
 /// value at rank `rank` (1-based) of the bucket's `n` samples,
 /// assuming they spread uniformly across the bucket's value range.
-/// Returning the bucket's *upper bound* instead — the old behaviour —
-/// overestimates the tail by up to 2x (a p999 answered from a
-/// `[2^k, 2^(k+1))` bucket was always reported as `2^(k+1)-1`).
-/// The interpolated value always stays inside the bucket, so it maps
-/// back to `idx` under [`bucket_index`].
-pub fn bucket_quantile_value(idx: usize, rank: u64, n: u64) -> u64 {
+/// Answering with the bucket's *upper bound* instead overestimates the
+/// tail by up to 2x. The interpolated value always stays inside the
+/// bucket, so it maps back to `idx` under [`bucket_index`].
+fn bucket_quantile_value(idx: usize, rank: u64, n: u64) -> u64 {
     if idx == 0 {
         return 0;
     }
     let hi = bucket_bound(idx);
-    if idx >= HISTOGRAM_BUCKETS - 1 || n == 0 {
+    if idx >= HISTOGRAM_BUCKETS - 1 {
         // The overflow bucket has no finite width to interpolate over.
         return hi;
     }
@@ -121,11 +117,11 @@ pub fn bucket_quantile_value(idx: usize, rank: u64, n: u64) -> u64 {
 }
 
 /// Fixed-bucket log-scale histogram over `u64` samples (nanoseconds
-/// for latencies, raw counts for sizes). Recording is two relaxed
-/// `fetch_add`s plus a bucket increment; quantiles are
-/// rank-interpolated inside the target bucket, so they are exact to
-/// within the in-bucket spread (for honest p999s use the log-linear
-/// [`crate::HdrHistogram`] instead).
+/// for latencies, raw counts for sizes): the live, always-on side of
+/// the only bucketed histogram in the workspace. Recording is three
+/// relaxed `fetch_add`s; everything that *reads* a distribution —
+/// quantiles, summaries, interval deltas, the Prometheus `le` view —
+/// works on a [`HistogramSnapshot`].
 #[derive(Debug)]
 pub struct Histogram {
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
@@ -190,81 +186,119 @@ impl Histogram {
         self.sum.load(Ordering::Relaxed)
     }
 
-    /// Estimated quantile (`0.0 ..= 1.0`): rank-interpolated within
-    /// the bucket containing the q-th sample (see
-    /// [`bucket_quantile_value`]), so the estimate is off by at most
-    /// the in-bucket spread rather than a full power of two. `None`
-    /// when empty.
-    pub fn quantile(&self, q: f64) -> Option<u64> {
-        let total = self.count();
-        if total == 0 {
-            return None;
-        }
-        let target = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (idx, bucket) in self.buckets.iter().enumerate() {
-            let n = bucket.load(Ordering::Relaxed);
-            if n > 0 && seen + n >= target {
-                return Some(bucket_quantile_value(idx, target - seen, n));
+    /// Plain-data copy of the buckets, the sum and the retained
+    /// exemplars, taken without stopping writers.
+    pub fn snapshot(&self) -> HistogramSnapshot {
+        let buckets: [u64; HISTOGRAM_BUCKETS] =
+            std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed));
+        let mut exemplars = Vec::new();
+        for (idx, slots) in self.exemplars.iter().enumerate() {
+            if buckets[idx] > 0 {
+                let traces = slots.iter().map(|slot| slot.load(Ordering::Relaxed));
+                exemplars.extend(traces.filter(|&t| t != 0).map(|t| (idx, t)));
             }
-            seen += n;
         }
-        Some(bucket_bound(HISTOGRAM_BUCKETS - 1))
+        HistogramSnapshot::from_buckets(self.sum(), buckets, exemplars)
+    }
+}
+
+/// Plain-data copy of a [`Histogram`] — or of the activity between two
+/// of them ([`Self::since`]; a telemetry window is the same thing).
+/// This is the one place that knows how a bucketed distribution is
+/// ranked, summarised, subtracted and laid out as `le` buckets.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct HistogramSnapshot {
+    /// Samples held: the sum of `buckets`.
+    pub count: u64,
+    /// Sum of the samples.
+    pub sum: u64,
+    /// Per-bucket sample counts ([`bucket_index`] layout).
+    pub buckets: [u64; HISTOGRAM_BUCKETS],
+    /// Retained trace ids as `(bucket index, trace)` pairs, bucket
+    /// ascending: up to [`EXEMPLAR_SLOTS`] per non-empty bucket.
+    pub exemplars: Vec<(usize, u64)>,
+}
+
+impl Default for HistogramSnapshot {
+    fn default() -> Self {
+        HistogramSnapshot::from_buckets(0, [0; HISTOGRAM_BUCKETS], Vec::new())
+    }
+}
+
+impl HistogramSnapshot {
+    /// `count` is the sum of the bucket counts copied, never a total
+    /// read separately, so every rank up to `count` lies in a bucket.
+    pub(crate) fn from_buckets(
+        sum: u64,
+        buckets: [u64; HISTOGRAM_BUCKETS],
+        exemplars: Vec<(usize, u64)>,
+    ) -> Self {
+        HistogramSnapshot {
+            count: buckets.iter().sum(),
+            sum,
+            buckets,
+            exemplars,
+        }
     }
 
-    /// Point-in-time summary, `None` when no samples were recorded.
-    pub fn summary(&self) -> Option<HistogramSummary> {
-        let count = self.count();
-        if count == 0 {
-            return None;
-        }
-        let sum = self.sum();
-        Some(HistogramSummary {
-            count,
-            sum,
-            mean: sum / count.max(1),
-            p50: self.quantile(0.50).unwrap_or(0),
-            p95: self.quantile(0.95).unwrap_or(0),
-            p99: self.quantile(0.99).unwrap_or(0),
+    /// Estimated quantile (`0.0 ..= 1.0`): the `ceil(q·count)`-th
+    /// sample, rank-interpolated within the bucket that holds it, so
+    /// the estimate is off by at most the in-bucket spread rather than
+    /// a full power of two. `None` when empty.
+    pub fn quantile(&self, q: f64) -> Option<u64> {
+        let target = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
+        let mut seen = 0u64;
+        self.buckets.iter().enumerate().find_map(|(idx, &n)| {
+            seen += n;
+            (n > 0 && seen >= target).then(|| bucket_quantile_value(idx, target - (seen - n), n))
         })
     }
 
-    /// All [`HISTOGRAM_BUCKETS`] cumulative bucket counts, empty ones
-    /// included — the raw form the telemetry collector samples, so a
-    /// per-step histogram stays mergeable by bucket-wise subtraction.
-    pub fn bucket_counts(&self) -> [u64; HISTOGRAM_BUCKETS] {
-        std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed))
+    /// Mean sample; `None` when empty.
+    pub fn mean(&self) -> Option<u64> {
+        self.sum.checked_div(self.count)
     }
 
-    /// Non-empty buckets as `(inclusive upper bound, count)` pairs,
-    /// for Prometheus-style cumulative bucket exposition.
-    pub fn buckets(&self) -> Vec<(u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(idx, b)| {
-                let n = b.load(Ordering::Relaxed);
-                (n > 0).then_some((bucket_bound(idx), n))
-            })
-            .collect()
+    /// Scalar digest, `None` when empty.
+    pub fn summary(&self) -> Option<HistogramSummary> {
+        Some(HistogramSummary {
+            count: self.count,
+            sum: self.sum,
+            mean: self.mean()?,
+            p50: self.quantile(0.50)?,
+            p95: self.quantile(0.95)?,
+            p99: self.quantile(0.99)?,
+        })
     }
 
-    /// Non-empty buckets with their retained exemplar trace ids.
-    pub fn bucket_snapshots(&self) -> Vec<BucketSnapshot> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(idx, b)| {
-                let n = b.load(Ordering::Relaxed);
-                (n > 0).then(|| BucketSnapshot {
-                    bound: bucket_bound(idx),
-                    count: n,
-                    exemplars: self.exemplars[idx]
-                        .iter()
-                        .map(|slot| slot.load(Ordering::Relaxed))
-                        .filter(|t| *t != 0)
-                        .collect(),
-                })
+    /// The samples recorded after `baseline` was taken: bucket-wise
+    /// saturating subtraction (a baseline that somehow ran ahead
+    /// yields zero, not a wrap), with exemplars kept for the buckets
+    /// that still have mass.
+    pub fn since(&self, baseline: &HistogramSnapshot) -> HistogramSnapshot {
+        let buckets: [u64; HISTOGRAM_BUCKETS] =
+            std::array::from_fn(|i| self.buckets[i].saturating_sub(baseline.buckets[i]));
+        let mut exemplars = self.exemplars.clone();
+        exemplars.retain(|&(idx, _)| buckets[idx] > 0);
+        HistogramSnapshot::from_buckets(self.sum.saturating_sub(baseline.sum), buckets, exemplars)
+    }
+
+    /// The `le` view: the non-empty buckets in ascending order of their
+    /// inclusive upper bounds, each with its exemplars. The JSON export
+    /// prints them as they are; [`MetricsSnapshot::render_prometheus`]
+    /// accumulates the counts into cumulative `le` lines.
+    pub fn le_buckets(&self) -> Vec<BucketSnapshot> {
+        let nonempty = self.buckets.iter().enumerate().filter(|(_, &n)| n > 0);
+        nonempty
+            .map(|(idx, &count)| BucketSnapshot {
+                bound: bucket_bound(idx),
+                count,
+                exemplars: self
+                    .exemplars
+                    .iter()
+                    .filter(|e| e.0 == idx)
+                    .map(|e| e.1)
+                    .collect(),
             })
             .collect()
     }
@@ -588,7 +622,8 @@ impl Registry {
             .histograms
             .read()
             .iter()
-            .filter_map(|(k, v)| v.summary().map(|s| (k.clone(), s)))
+            .map(|(k, v)| (k.clone(), v.snapshot()))
+            .filter(|(_, h)| h.count > 0)
             .collect();
         let servables = self
             .inner
@@ -602,11 +637,10 @@ impl Registry {
                         requests: v.requests.get(),
                         cache_hits: v.cache_hits.get(),
                         errors: v.errors.get(),
-                        request_latency: v.request_latency.summary(),
-                        request_latency_buckets: v.request_latency.bucket_snapshots(),
-                        invocation_latency: v.invocation_latency.summary(),
-                        inference_latency: v.inference_latency.summary(),
-                        batch_sizes: v.batch_sizes.summary(),
+                        request_latency: v.request_latency.snapshot(),
+                        invocation_latency: v.invocation_latency.snapshot(),
+                        inference_latency: v.inference_latency.snapshot(),
+                        batch_sizes: v.batch_sizes.snapshot(),
                     },
                 )
             })
@@ -640,7 +674,7 @@ impl Registry {
 }
 
 /// Frozen view of one servable's series.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ServableSnapshot {
     /// Total requests answered.
     pub requests: u64,
@@ -648,17 +682,15 @@ pub struct ServableSnapshot {
     pub cache_hits: u64,
     /// Requests that errored.
     pub errors: u64,
-    /// Request-latency digest (ns), if any samples.
-    pub request_latency: Option<HistogramSummary>,
-    /// Request-latency buckets with exemplar trace ids, so a tail
-    /// bucket links to concrete slow traces.
-    pub request_latency_buckets: Vec<BucketSnapshot>,
-    /// Invocation-latency digest (ns), if any samples.
-    pub invocation_latency: Option<HistogramSummary>,
-    /// Inference-latency digest (ns), if any samples.
-    pub inference_latency: Option<HistogramSummary>,
-    /// Batch-size digest, if any batches flushed.
-    pub batch_sizes: Option<HistogramSummary>,
+    /// Request latency (ns); its exemplars link a tail bucket to
+    /// concrete slow traces.
+    pub request_latency: HistogramSnapshot,
+    /// Invocation latency (ns).
+    pub invocation_latency: HistogramSnapshot,
+    /// Inference latency (ns).
+    pub inference_latency: HistogramSnapshot,
+    /// Batch flush sizes.
+    pub batch_sizes: HistogramSnapshot,
 }
 
 /// Frozen view of the whole registry, ready for rendering.
@@ -669,7 +701,7 @@ pub struct MetricsSnapshot {
     /// Name-sorted gauges.
     pub gauges: Vec<(String, i64)>,
     /// Name-sorted named histograms with at least one sample.
-    pub histograms: Vec<(String, HistogramSummary)>,
+    pub histograms: Vec<(String, HistogramSnapshot)>,
     /// Name-sorted per-servable series.
     pub servables: Vec<(String, ServableSnapshot)>,
     /// Name-sorted metric descriptions registered via
@@ -726,8 +758,8 @@ fn ms(ns: u64) -> f64 {
     ns as f64 / 1e6
 }
 
-fn latency_line(label: &str, summary: &Option<HistogramSummary>) -> String {
-    match summary {
+fn latency_line(label: &str, latency: &HistogramSnapshot) -> String {
+    match latency.summary() {
         Some(s) => format!(
             "  {label:<11} p50 {:>9.3}ms  p95 {:>9.3}ms  p99 {:>9.3}ms  mean {:>9.3}ms  n={}\n",
             ms(s.p50),
@@ -737,6 +769,29 @@ fn latency_line(label: &str, summary: &Option<HistogramSummary>) -> String {
             s.count
         ),
         None => format!("  {label:<11} (no samples)\n"),
+    }
+}
+
+/// The one Prometheus `le` exposition: `h`'s non-empty buckets as
+/// cumulative counts under `metric{<label>,le="<bound in seconds>"}`,
+/// each with its newest exemplar in OpenMetrics form, so a tail bucket
+/// links straight to a recent trace that landed in it.
+fn render_le_buckets(out: &mut String, metric: &str, label: &str, h: &HistogramSnapshot) {
+    let mut cumulative = 0u64;
+    for bucket in h.le_buckets() {
+        cumulative += bucket.count;
+        let le = if bucket.bound == u64::MAX {
+            "+Inf".to_string()
+        } else {
+            format!("{:.9}", secs(bucket.bound))
+        };
+        let exemplar = match bucket.exemplars.last() {
+            Some(trace) => format!(" # {{trace_id=\"{trace:#x}\"}} {:.9}", secs(bucket.bound)),
+            None => String::new(),
+        };
+        out.push_str(&format!(
+            "{metric}{{{label},le=\"{le}\"}} {cumulative}{exemplar}\n"
+        ));
     }
 }
 
@@ -750,127 +805,59 @@ impl MetricsSnapshot {
     }
 
     /// The activity between `baseline` (taken earlier) and `self`:
-    /// counters, histogram counts/sums, servable traffic, contention
-    /// waits and dropped spans become differences; gauges become
-    /// level changes (possibly negative). Monotonic fields saturate at
-    /// zero if the baseline somehow ran ahead. Histogram quantiles are
-    /// *not* re-derivable from two summaries, so the delta keeps the
-    /// current quantiles with the delta'd count/sum/mean; SLO state is
-    /// point-in-time and is carried over unchanged.
+    /// counters, servable traffic and dropped spans become differences,
+    /// every histogram (contention waits included) becomes
+    /// [`HistogramSnapshot::since`] its baseline — so the quantiles are
+    /// the interval's, not the lifetime's — and gauges become level
+    /// changes (possibly negative). Monotonic fields saturate at zero
+    /// if the baseline somehow ran ahead. SLO state is point-in-time
+    /// and is carried over unchanged.
     pub fn delta_since(&self, baseline: &MetricsSnapshot) -> MetricsSnapshot {
-        fn base_u64(pairs: &[(String, u64)], name: &str) -> u64 {
-            pairs
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, v)| *v)
-                .unwrap_or(0)
+        fn base<'a, T>(pairs: &'a [(String, T)], name: &str, absent: &'a T) -> &'a T {
+            let found = pairs.iter().find(|(n, _)| n == name);
+            found.map_or(absent, |(_, v)| v)
         }
-        fn summary_delta(
-            current: &HistogramSummary,
-            baseline: Option<&HistogramSummary>,
-        ) -> HistogramSummary {
-            let (bcount, bsum) = baseline.map(|b| (b.count, b.sum)).unwrap_or((0, 0));
-            let count = current.count.saturating_sub(bcount);
-            let sum = current.sum.saturating_sub(bsum);
-            HistogramSummary {
-                count,
-                sum,
-                mean: sum.checked_div(count).unwrap_or(0),
-                ..*current
-            }
-        }
-        fn opt_summary_delta(
-            current: &Option<HistogramSummary>,
-            baseline: &Option<HistogramSummary>,
-        ) -> Option<HistogramSummary> {
-            current
-                .as_ref()
-                .map(|c| summary_delta(c, baseline.as_ref()))
-        }
+        let no_samples = HistogramSnapshot::default();
+        let no_traffic = ServableSnapshot::default();
         let counters = self
             .counters
             .iter()
-            .map(|(n, v)| (n.clone(), v.saturating_sub(base_u64(&baseline.counters, n))))
+            .map(|(n, v)| {
+                (
+                    n.clone(),
+                    v.saturating_sub(*base(&baseline.counters, n, &0)),
+                )
+            })
             .collect();
         let gauges = self
             .gauges
             .iter()
-            .map(|(n, v)| {
-                let base = baseline
-                    .gauges
-                    .iter()
-                    .find(|(bn, _)| bn == n)
-                    .map(|(_, bv)| *bv)
-                    .unwrap_or(0);
-                (n.clone(), v - base)
-            })
+            .map(|(n, v)| (n.clone(), v - base(&baseline.gauges, n, &0)))
             .collect();
         let histograms = self
             .histograms
             .iter()
-            .map(|(n, s)| {
-                let base = baseline
-                    .histograms
-                    .iter()
-                    .find(|(bn, _)| bn == n)
-                    .map(|(_, bs)| bs);
-                (n.clone(), summary_delta(s, base))
+            .map(|(n, h)| {
+                (
+                    n.clone(),
+                    h.since(base(&baseline.histograms, n, &no_samples)),
+                )
             })
-            .filter(|(_, s)| s.count > 0)
+            .filter(|(_, h)| h.count > 0)
             .collect();
         let servables = self
             .servables
             .iter()
             .map(|(name, s)| {
-                let base = baseline
-                    .servables
-                    .iter()
-                    .find(|(bn, _)| bn == name)
-                    .map(|(_, bs)| bs);
-                let bucket_base = |bound: u64| {
-                    base.map(|b| {
-                        b.request_latency_buckets
-                            .iter()
-                            .find(|bb| bb.bound == bound)
-                            .map(|bb| bb.count)
-                            .unwrap_or(0)
-                    })
-                    .unwrap_or(0)
-                };
+                let b = base(&baseline.servables, name, &no_traffic);
                 let snapshot = ServableSnapshot {
-                    requests: s
-                        .requests
-                        .saturating_sub(base.map(|b| b.requests).unwrap_or(0)),
-                    cache_hits: s
-                        .cache_hits
-                        .saturating_sub(base.map(|b| b.cache_hits).unwrap_or(0)),
-                    errors: s.errors.saturating_sub(base.map(|b| b.errors).unwrap_or(0)),
-                    request_latency: opt_summary_delta(
-                        &s.request_latency,
-                        &base.and_then(|b| b.request_latency),
-                    ),
-                    request_latency_buckets: s
-                        .request_latency_buckets
-                        .iter()
-                        .map(|b| BucketSnapshot {
-                            bound: b.bound,
-                            count: b.count.saturating_sub(bucket_base(b.bound)),
-                            exemplars: b.exemplars.clone(),
-                        })
-                        .filter(|b| b.count > 0)
-                        .collect(),
-                    invocation_latency: opt_summary_delta(
-                        &s.invocation_latency,
-                        &base.and_then(|b| b.invocation_latency),
-                    ),
-                    inference_latency: opt_summary_delta(
-                        &s.inference_latency,
-                        &base.and_then(|b| b.inference_latency),
-                    ),
-                    batch_sizes: opt_summary_delta(
-                        &s.batch_sizes,
-                        &base.and_then(|b| b.batch_sizes),
-                    ),
+                    requests: s.requests.saturating_sub(b.requests),
+                    cache_hits: s.cache_hits.saturating_sub(b.cache_hits),
+                    errors: s.errors.saturating_sub(b.errors),
+                    request_latency: s.request_latency.since(&b.request_latency),
+                    invocation_latency: s.invocation_latency.since(&b.invocation_latency),
+                    inference_latency: s.inference_latency.since(&b.inference_latency),
+                    batch_sizes: s.batch_sizes.since(&b.batch_sizes),
                 };
                 (name.clone(), snapshot)
             })
@@ -879,28 +866,13 @@ impl MetricsSnapshot {
             .contention
             .iter()
             .map(|site| {
-                let base = baseline.contention.iter().find(|b| b.name == site.name);
+                let b = baseline.contention.iter().find(|b| b.name == site.name);
                 crate::contention::ContentionSnapshot {
                     name: site.name.clone(),
-                    waits: site
-                        .waits
-                        .saturating_sub(base.map(|b| b.waits).unwrap_or(0)),
-                    wait_ns: site
-                        .wait_ns
-                        .saturating_sub(base.map(|b| b.wait_ns).unwrap_or(0)),
-                    buckets: site
-                        .buckets
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &c)| {
-                            c.saturating_sub(
-                                base.and_then(|b| b.buckets.get(i).copied()).unwrap_or(0),
-                            )
-                        })
-                        .collect(),
+                    wait: site.wait.since(b.map_or(&no_samples, |b| &b.wait)),
                 }
             })
-            .filter(|site| site.waits > 0)
+            .filter(|site| site.wait.count > 0)
             .collect();
         MetricsSnapshot {
             counters,
@@ -917,6 +889,7 @@ impl MetricsSnapshot {
     /// JSON form (latencies in nanoseconds) embedded in `BENCH_*.json`
     /// artifacts.
     pub fn to_json(&self) -> Value {
+        let opt = |h: &HistogramSnapshot| h.summary().map_or(Value::Null, |s| s.to_json());
         let counters: Vec<Value> = self
             .counters
             .iter()
@@ -930,16 +903,12 @@ impl MetricsSnapshot {
         let histograms: Vec<Value> = self
             .histograms
             .iter()
-            .map(|(k, s)| json!({ "name": k.clone(), "summary": s.to_json() }))
+            .map(|(k, h)| json!({ "name": k.clone(), "summary": opt(h) }))
             .collect();
         let servables: Vec<Value> = self
             .servables
             .iter()
             .map(|(k, s)| {
-                let opt = |o: &Option<HistogramSummary>| match o {
-                    Some(s) => s.to_json(),
-                    None => Value::Null,
-                };
                 json!({
                     "servable": k.clone(),
                     "requests": s.requests,
@@ -947,7 +916,8 @@ impl MetricsSnapshot {
                     "errors": s.errors,
                     "request_latency_ns": opt(&s.request_latency),
                     "request_latency_buckets": s
-                        .request_latency_buckets
+                        .request_latency
+                        .le_buckets()
                         .iter()
                         .map(BucketSnapshot::to_json)
                         .collect::<Vec<Value>>(),
@@ -996,7 +966,8 @@ impl MetricsSnapshot {
             out.push_str(&format!("# TYPE dlhub_{name} gauge\n"));
             out.push_str(&format!("dlhub_{name} {value}\n"));
         }
-        for (name, s) in &self.histograms {
+        for (name, h) in &self.histograms {
+            let Some(s) = h.summary() else { continue };
             if let Some(help) = help_for(name) {
                 out.push_str(&format!("# HELP dlhub_{name} {}\n", escape_help(help)));
             }
@@ -1040,12 +1011,12 @@ impl MetricsSnapshot {
                 "dlhub_servable_errors_total{label} {}\n",
                 s.errors
             ));
-            for (stage, summary) in [
+            for (stage, latency) in [
                 ("request", &s.request_latency),
                 ("invocation", &s.invocation_latency),
                 ("inference", &s.inference_latency),
             ] {
-                if let Some(sum) = summary {
+                if let Some(sum) = latency.summary() {
                     for (q, v) in [(0.5, sum.p50), (0.95, sum.p95), (0.99, sum.p99)] {
                         out.push_str(&format!(
                             "dlhub_servable_{stage}_latency_seconds{{servable=\"{servable}\",quantile=\"{q}\"}} {:.9}\n",
@@ -1062,28 +1033,13 @@ impl MetricsSnapshot {
                     ));
                 }
             }
-            // Cumulative request-latency buckets with OpenMetrics
-            // exemplars: a tail bucket links straight to recent traces
-            // that landed in it.
-            let mut cumulative = 0u64;
-            for bucket in &s.request_latency_buckets {
-                cumulative += bucket.count;
-                let le = if bucket.bound == u64::MAX {
-                    "+Inf".to_string()
-                } else {
-                    format!("{:.9}", secs(bucket.bound))
-                };
-                let exemplar = match bucket.exemplars.last() {
-                    Some(trace) => {
-                        format!(" # {{trace_id=\"{trace:#x}\"}} {:.9}", secs(bucket.bound))
-                    }
-                    None => String::new(),
-                };
-                out.push_str(&format!(
-                    "dlhub_servable_request_latency_seconds_bucket{{servable=\"{servable}\",le=\"{le}\"}} {cumulative}{exemplar}\n",
-                ));
-            }
-            if let Some(batch) = &s.batch_sizes {
+            render_le_buckets(
+                &mut out,
+                "dlhub_servable_request_latency_seconds_bucket",
+                &format!("servable=\"{servable}\""),
+                &s.request_latency,
+            );
+            if let Some(batch) = s.batch_sizes.summary() {
                 out.push_str(&format!(
                     "dlhub_servable_batch_size{{servable=\"{servable}\",quantile=\"0.5\"}} {}\n",
                     batch.p50
@@ -1134,28 +1090,18 @@ impl MetricsSnapshot {
                 let name = escape_label(&site.name);
                 out.push_str(&format!(
                     "dlhub_contention_waits_total{{site=\"{name}\"}} {}\n",
-                    site.waits
+                    site.wait.count
                 ));
                 out.push_str(&format!(
                     "dlhub_contention_wait_seconds_total{{site=\"{name}\"}} {:.9}\n",
-                    secs(site.wait_ns)
+                    secs(site.wait.sum)
                 ));
-                // Cumulative log2 wait-time buckets, elided when empty.
-                let mut cumulative = 0u64;
-                for (idx, &count) in site.buckets.iter().enumerate() {
-                    if count == 0 {
-                        continue;
-                    }
-                    cumulative += count;
-                    let le = if idx >= site.buckets.len() - 1 {
-                        "+Inf".to_string()
-                    } else {
-                        format!("{:.9}", secs((1u64 << idx) - 1))
-                    };
-                    out.push_str(&format!(
-                        "dlhub_contention_wait_seconds_bucket{{site=\"{name}\",le=\"{le}\"}} {cumulative}\n",
-                    ));
-                }
+                render_le_buckets(
+                    &mut out,
+                    "dlhub_contention_wait_seconds_bucket",
+                    &format!("site=\"{name}\""),
+                    &site.wait,
+                );
             }
         }
         out
@@ -1178,7 +1124,7 @@ impl MetricsSnapshot {
             out.push_str(&latency_line("request", &s.request_latency));
             out.push_str(&latency_line("invocation", &s.invocation_latency));
             out.push_str(&latency_line("inference", &s.inference_latency));
-            if let Some(batch) = &s.batch_sizes {
+            if let Some(batch) = s.batch_sizes.summary() {
                 out.push_str(&format!(
                     "  batch-size  p50 {}  p95 {}  flushes {}\n",
                     batch.p50, batch.p95, batch.count
@@ -1195,6 +1141,7 @@ impl MetricsSnapshot {
             }
         }
         for (name, s) in &self.histograms {
+            let Some(s) = s.summary() else { continue };
             out.push_str(&format!(
                 "histogram {name}  p50 {}  p95 {}  p99 {}  n={}\n",
                 s.p50, s.p95, s.p99, s.count
@@ -1275,12 +1222,12 @@ mod tests {
     #[test]
     fn histogram_quantiles_are_log2_accurate() {
         let h = Histogram::new();
-        assert!(h.summary().is_none());
-        assert!(h.quantile(0.5).is_none());
+        assert!(h.snapshot().summary().is_none());
+        assert!(h.snapshot().quantile(0.5).is_none());
         for v in 1..=1000u64 {
             h.record(v);
         }
-        let s = h.summary().unwrap();
+        let s = h.snapshot().summary().unwrap();
         assert_eq!(s.count, 1000);
         assert_eq!(s.sum, 500_500);
         assert_eq!(s.mean, 500);
@@ -1309,7 +1256,7 @@ mod tests {
         for q in [0.5, 0.9, 0.99, 0.999] {
             let rank = ((q * values.len() as f64).ceil() as usize).max(1) - 1;
             let exact = values[rank];
-            let got = h.quantile(q).unwrap();
+            let got = h.snapshot().quantile(q).unwrap();
             // Same bucket as the oracle, and within the in-bucket
             // uniform-spread error (far tighter than the 2x the old
             // bucket-bound estimate allowed).
@@ -1398,7 +1345,7 @@ mod tests {
         }
         h.record_with_exemplar(1 << 40, 99); // tail bucket
         h.record(7); // no exemplar
-        let buckets = h.bucket_snapshots();
+        let buckets = h.snapshot().le_buckets();
         let b100 = buckets.iter().find(|b| b.count == 5).unwrap();
         assert_eq!(b100.exemplars.len(), 4);
         assert!(b100.exemplars.contains(&5));
@@ -1416,7 +1363,7 @@ mod tests {
             .record_with_exemplar(1000, 0x2a);
         let snap = reg.snapshot();
         let (_, s) = &snap.servables[0];
-        assert_eq!(s.request_latency_buckets[0].exemplars, vec![0x2a]);
+        assert_eq!(s.request_latency.le_buckets()[0].exemplars, vec![0x2a]);
         let prom = snap.render_prometheus();
         assert!(
             prom.contains(
@@ -1440,6 +1387,7 @@ mod tests {
         series.requests.add(10);
         series.cache_hits.add(5);
         series.request_latency.record(1_000);
+        (0..1_000).for_each(|_| series.invocation_latency.record(1_000));
         let baseline = reg.snapshot();
 
         reg.counter("requests_total").add(7);
@@ -1448,6 +1396,7 @@ mod tests {
         series.requests.add(2);
         series.request_latency.record(2_000);
         series.request_latency.record(2_000);
+        (0..10).for_each(|_| series.invocation_latency.record(1_000_000));
 
         let delta = reg.snapshot_since(&baseline);
         let counter = |name: &str| {
@@ -1463,19 +1412,26 @@ mod tests {
         let (_, s) = &delta.servables[0];
         assert_eq!(s.requests, 2);
         assert_eq!(s.cache_hits, 0);
-        let lat = s.request_latency.unwrap();
+        let lat = s.request_latency.summary().unwrap();
         assert_eq!(lat.count, 2);
         assert_eq!(lat.sum, 4_000);
         assert_eq!(lat.mean, 2_000);
         // Bucket deltas drop the baseline-only bucket entirely.
-        assert_eq!(s.request_latency_buckets.len(), 1);
-        assert_eq!(s.request_latency_buckets[0].count, 2);
+        let buckets = s.request_latency.le_buckets();
+        assert_eq!(buckets.len(), 1);
+        assert_eq!(buckets[0].count, 2);
+        // The quantiles are the interval's: 1,000 fast samples before
+        // the baseline do not drag the delta's median off the 10 slow
+        // ones after it.
+        let p50 = s.invocation_latency.summary().unwrap().p50;
+        assert_eq!(bucket_index(p50), bucket_index(1_000_000), "{p50}");
 
         // A delta against the current state is all zeros.
         let now = reg.snapshot();
         let none = reg.snapshot_since(&now);
         assert!(none.counters.iter().all(|(_, v)| *v == 0));
         assert!(none.histograms.is_empty());
+        assert_eq!(none.servables[0].1.request_latency.summary(), None);
     }
 
     #[test]
@@ -1560,9 +1516,9 @@ mod tests {
         assert_eq!(reg.gauge_entries()[0].1.get(), -2);
         let (name, h) = &reg.histogram_entries()[0];
         assert_eq!(name, "h");
-        let buckets = h.bucket_counts();
-        assert_eq!(buckets.iter().sum::<u64>(), 1);
-        assert_eq!(buckets[bucket_index(5)], 1);
+        let snap = h.snapshot();
+        assert_eq!(snap.count, 1);
+        assert_eq!(snap.buckets[bucket_index(5)], 1);
         assert_eq!(reg.servable_entries()[0].1.requests.get(), 1);
     }
 

@@ -12,8 +12,9 @@
 //!
 //! [`OpenLoopRecorder`] stamps each request with three wall-clock
 //! offsets — intended start (from the schedule), actual start (when a
-//! client thread picked it up) and completion — and feeds two
-//! side-by-side [`HdrHistogram`]s: the **corrected** series measures
+//! client thread picked it up) and completion — and keeps every raw
+//! sample, so its report reads two side-by-side distributions at exact
+//! sorted ranks: the **corrected** series measures
 //! `completed - intended`, the **uncorrected** series measures
 //! `completed - started` (what a closed-loop bench would have
 //! reported). The gap between their tails *is* the coordinated
@@ -22,8 +23,6 @@
 use parking_lot::Mutex;
 
 use serde_json::{json, Value};
-
-use crate::hdr::{HdrHistogram, HdrSummary};
 
 /// One recorded request: schedule stamp, pickup stamp, completion
 /// stamp (all nanosecond offsets from the harness epoch) and the
@@ -60,14 +59,11 @@ impl OpenLoopSample {
     }
 }
 
-/// Thread-safe recorder for one open-loop run: corrected and
-/// uncorrected [`HdrHistogram`]s plus the raw per-request samples
-/// (kept for trace-level tail attribution).
+/// Thread-safe recorder for one open-loop run: the raw per-request
+/// samples, which serve both the report's exact quantiles and
+/// trace-level tail attribution.
 #[derive(Default)]
 pub struct OpenLoopRecorder {
-    corrected: HdrHistogram,
-    uncorrected: HdrHistogram,
-    backlog: HdrHistogram,
     samples: Mutex<Vec<OpenLoopSample>>,
 }
 
@@ -82,25 +78,12 @@ impl OpenLoopRecorder {
     /// its schedule slot), the corrected latency is always >= the
     /// uncorrected one.
     pub fn record(&self, sample: OpenLoopSample) {
-        self.corrected.record(sample.corrected_ns());
-        self.uncorrected.record(sample.uncorrected_ns());
-        self.backlog.record(sample.backlog_ns());
         self.samples.lock().push(sample);
     }
 
     /// Requests recorded so far.
     pub fn count(&self) -> u64 {
-        self.corrected.count()
-    }
-
-    /// The corrected (intended-start) latency histogram.
-    pub fn corrected(&self) -> &HdrHistogram {
-        &self.corrected
-    }
-
-    /// The uncorrected (actual-start) latency histogram.
-    pub fn uncorrected(&self) -> &HdrHistogram {
-        &self.uncorrected
+        self.samples.lock().len() as u64
     }
 
     /// Copy of every recorded sample, in record order.
@@ -119,13 +102,81 @@ impl OpenLoopRecorder {
 
     /// Side-by-side report; `None` until something was recorded.
     pub fn report(&self) -> Option<OpenLoopReport> {
-        let corrected = self.corrected.summary()?;
-        let uncorrected = self.uncorrected.summary()?;
-        let backlog = self.backlog.summary()?;
+        let samples = self.samples();
+        let summarize = |latency: fn(&OpenLoopSample) -> u64| {
+            SampleSummary::of(samples.iter().map(latency).collect())
+        };
         Some(OpenLoopReport {
-            corrected,
-            uncorrected,
-            backlog,
+            corrected: summarize(OpenLoopSample::corrected_ns)?,
+            uncorrected: summarize(OpenLoopSample::uncorrected_ns)?,
+            backlog: summarize(OpenLoopSample::backlog_ns)?,
+        })
+    }
+}
+
+/// Exact digest of a set of raw samples: every quantile is the
+/// `ceil(q·n)`-th smallest value, read from one sort — no bucketing, so
+/// no quantile error. Units are whatever was recorded (nanoseconds for
+/// latencies).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SampleSummary {
+    /// Samples recorded.
+    pub count: u64,
+    /// Sum of samples.
+    pub sum: u64,
+    /// Integer mean.
+    pub mean: u64,
+    /// Smallest sample.
+    pub min: u64,
+    /// Largest sample.
+    pub max: u64,
+    /// Median.
+    pub p50: u64,
+    /// 90th percentile.
+    pub p90: u64,
+    /// 99th percentile.
+    pub p99: u64,
+    /// 99.9th percentile.
+    pub p999: u64,
+    /// 99.99th percentile.
+    pub p9999: u64,
+}
+
+impl SampleSummary {
+    /// Sort `values` and read the ranks; `None` when empty.
+    pub fn of(mut values: Vec<u64>) -> Option<Self> {
+        values.sort_unstable();
+        let (&min, &max) = (values.first()?, values.last()?);
+        let n = values.len();
+        let rank = |q: f64| values[((q * n as f64).ceil() as usize).clamp(1, n) - 1];
+        let sum: u64 = values.iter().sum();
+        Some(SampleSummary {
+            count: n as u64,
+            sum,
+            mean: sum / n as u64,
+            min,
+            max,
+            p50: rank(0.50),
+            p90: rank(0.90),
+            p99: rank(0.99),
+            p999: rank(0.999),
+            p9999: rank(0.9999),
+        })
+    }
+
+    /// JSON form used in bench artifacts.
+    pub fn to_json(&self) -> Value {
+        json!({
+            "count": self.count,
+            "sum": self.sum,
+            "mean": self.mean,
+            "min": self.min,
+            "max": self.max,
+            "p50": self.p50,
+            "p90": self.p90,
+            "p99": self.p99,
+            "p999": self.p999,
+            "p9999": self.p9999,
         })
     }
 }
@@ -136,11 +187,11 @@ impl OpenLoopRecorder {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpenLoopReport {
     /// Latency from intended start (includes generator backlog).
-    pub corrected: HdrSummary,
+    pub corrected: SampleSummary,
     /// Latency from actual send (what closed-loop would report).
-    pub uncorrected: HdrSummary,
+    pub uncorrected: SampleSummary,
     /// Generator backlog wait on its own.
-    pub backlog: HdrSummary,
+    pub backlog: SampleSummary,
 }
 
 impl OpenLoopReport {

@@ -499,7 +499,7 @@ mod tests {
             .map(|(_, v)| *v);
         assert_eq!(delta, Some(3), "delta must start at the enable baseline");
         assert_eq!(bundle.contention.len(), 1);
-        assert_eq!(bundle.contention[0].waits, 1);
+        assert_eq!(bundle.contention[0].wait.count, 1);
         assert_eq!(bundle.trace_ids.len(), 1);
         assert!(bundle.traces.contains("request"), "{}", bundle.traces);
         assert!(bundle.profile.is_none());

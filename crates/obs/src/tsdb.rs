@@ -35,7 +35,7 @@ use std::time::Duration;
 use parking_lot::RwLock;
 use serde_json::{json, Value};
 
-use crate::metrics::{bucket_bound, bucket_quantile_value, ServableCost, HISTOGRAM_BUCKETS};
+use crate::metrics::{HistogramSnapshot, ServableCost, HISTOGRAM_BUCKETS};
 
 /// One resolution tier: one sample slot per `step`, `capacity` slots
 /// before the ring wraps.
@@ -250,12 +250,12 @@ impl TierRing {
         });
     }
 
-    fn record_histogram(&self, at_ns: u64, count: u64, sum: u64, buckets: &[u64]) {
+    fn record_histogram(&self, at_ns: u64, cumulative: &HistogramSnapshot) {
         let (slot, step) = self.slot_for(at_ns);
         slot.write(step, |s, _fresh| {
-            s.a.store(count, Ordering::Relaxed);
-            s.b.store(sum, Ordering::Relaxed);
-            for (dst, &src) in s.buckets.iter().zip(buckets) {
+            s.a.store(cumulative.count, Ordering::Relaxed);
+            s.b.store(cumulative.sum, Ordering::Relaxed);
+            for (dst, &src) in s.buckets.iter().zip(&cumulative.buckets) {
                 dst.store(src, Ordering::Relaxed);
             }
         });
@@ -298,46 +298,6 @@ pub struct GaugeWindow {
     pub avg: f64,
     /// Samples aggregated into the window.
     pub samples: u64,
-}
-
-/// A log2 histogram merged over a query window by bucket-wise
-/// subtraction of cumulative ring slots. Bucket bounds are shared with
-/// the live [`crate::metrics::Histogram`]s.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WindowHistogram {
-    /// Samples recorded inside the window.
-    pub count: u64,
-    /// Sum of samples recorded inside the window.
-    pub sum: u64,
-    /// Per-bucket counts inside the window ([`HISTOGRAM_BUCKETS`]).
-    pub buckets: Vec<u64>,
-}
-
-impl WindowHistogram {
-    /// Estimated quantile over the window, rank-interpolated inside
-    /// the target bucket exactly like the live
-    /// [`crate::metrics::Histogram`] (see
-    /// [`crate::metrics::bucket_quantile_value`]). `None` when the
-    /// window is empty.
-    pub fn quantile(&self, q: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let target = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (idx, &n) in self.buckets.iter().enumerate() {
-            if n > 0 && seen + n >= target {
-                return Some(bucket_quantile_value(idx, target - seen, n));
-            }
-            seen += n;
-        }
-        Some(bucket_bound(HISTOGRAM_BUCKETS - 1))
-    }
-
-    /// Mean sample over the window; `None` when empty.
-    pub fn mean(&self) -> Option<u64> {
-        (self.count > 0).then(|| self.sum / self.count)
-    }
 }
 
 /// Series name under which the collector samples one per-servable
@@ -450,11 +410,12 @@ impl SeriesStore {
         }
     }
 
-    /// Writer side: sample a histogram's cumulative count/sum/buckets.
-    pub fn record_histogram(&self, name: &str, at_ns: u64, count: u64, sum: u64, buckets: &[u64]) {
+    /// Writer side: sample a histogram's cumulative state (exemplars
+    /// are not stored).
+    pub fn record_histogram(&self, name: &str, at_ns: u64, cumulative: &HistogramSnapshot) {
         let series = self.series_for(name, SeriesKind::Histogram);
         for tier in &series.tiers {
-            tier.record_histogram(at_ns, count, sum, buckets);
+            tier.record_histogram(at_ns, cumulative);
         }
     }
 
@@ -562,35 +523,21 @@ impl SeriesStore {
         })
     }
 
-    /// Histogram activity inside the trailing `window`, merged from
-    /// cumulative ring slots by bucket-wise saturating subtraction.
-    /// `None` for non-histograms or when the window holds no slots.
-    pub fn histogram_window(&self, name: &str, window: Duration) -> Option<WindowHistogram> {
+    /// Histogram activity inside the trailing `window`: the window's
+    /// last cumulative slot [`since`](HistogramSnapshot::since) the
+    /// latest slot before it. `None` for non-histograms or when the
+    /// window holds no slots.
+    pub fn histogram_window(&self, name: &str, window: Duration) -> Option<HistogramSnapshot> {
         let (kind, _step_ns, slots, baseline) = self.window_slots(name, window)?;
         if !matches!(kind, SeriesKind::Histogram) {
             return None;
         }
-        let last = slots.last()?;
-        let (bcount, bsum) = baseline.as_ref().map(|b| (b.a, b.b)).unwrap_or((0, 0));
-        let buckets = last
-            .buckets
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| {
-                n.saturating_sub(
-                    baseline
-                        .as_ref()
-                        .and_then(|b| b.buckets.get(i))
-                        .copied()
-                        .unwrap_or(0),
-                )
-            })
-            .collect();
-        Some(WindowHistogram {
-            count: last.a.saturating_sub(bcount),
-            sum: last.b.saturating_sub(bsum),
-            buckets,
-        })
+        let cumulative = |d: &SlotData| {
+            let buckets = std::array::from_fn(|i| d.buckets[i]);
+            HistogramSnapshot::from_buckets(d.b, buckets, Vec::new())
+        };
+        let baseline = baseline.as_ref().map(cumulative).unwrap_or_default();
+        Some(cumulative(slots.last()?).since(&baseline))
     }
 
     /// Per-step plotted points `(slot start ns, value)` over the
@@ -797,19 +744,19 @@ impl ControlSignals {
     }
 
     /// Request latency merged over `window` for `servable`.
-    pub fn request_latency(&self, servable: &str, window: Duration) -> Option<WindowHistogram> {
+    pub fn request_latency(&self, servable: &str, window: Duration) -> Option<HistogramSnapshot> {
         self.store
             .histogram_window(&servable_series(servable, "request_latency_ns"), window)
     }
 
     /// Broker queue wait merged over `window` (ns).
-    pub fn queue_wait(&self, window: Duration) -> Option<WindowHistogram> {
+    pub fn queue_wait(&self, window: Duration) -> Option<HistogramSnapshot> {
         self.store.histogram_window("broker_queue_wait_ns", window)
     }
 
     /// Wait in front of the replica pools merged over `window` (ns):
     /// where backlog forms once consumers dispatch without waiting.
-    pub fn replica_queue_wait(&self, window: Duration) -> Option<WindowHistogram> {
+    pub fn replica_queue_wait(&self, window: Duration) -> Option<HistogramSnapshot> {
         self.store.histogram_window("replica_queue_wait_ns", window)
     }
 
@@ -835,6 +782,7 @@ impl ControlSignals {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::Histogram;
 
     fn tiny_tiers() -> Vec<TierSpec> {
         vec![
@@ -958,18 +906,14 @@ mod tests {
     #[test]
     fn histogram_windows_merge_by_bucket_subtraction() {
         let store = SeriesStore::with_tiers(tiny_tiers());
-        let mut buckets = [0u64; HISTOGRAM_BUCKETS];
-        let mut count = 0u64;
-        let mut sum = 0u64;
+        let live = Histogram::new();
         // Step 0: 10 samples of value 100; steps 1-3: add 5 samples of
         // value 1000 each step.
-        let mut record = |store: &SeriesStore, step: u64, v: u64, n: u64| {
+        let record = |store: &SeriesStore, step: u64, v: u64, n: u64| {
             for _ in 0..n {
-                buckets[crate::metrics::bucket_index(v)] += 1;
-                count += 1;
-                sum += v;
+                live.record(v);
             }
-            store.record_histogram("lat", step * S, count, sum, &buckets);
+            store.record_histogram("lat", step * S, &live.snapshot());
             store.note_pass(step * S);
         };
         record(&store, 0, 100, 10);
@@ -1020,15 +964,12 @@ mod tests {
     fn export_is_deterministic_and_ordered() {
         let build = || {
             let store = SeriesStore::with_tiers(tiny_tiers());
+            let hist = Histogram::new();
             for step in 0..6u64 {
                 store.record_counter("b.counter", step * S, step * 7);
                 store.record_gauge("a.gauge", step * S, step as f64 / 3.0);
-                let buckets = {
-                    let mut b = [0u64; HISTOGRAM_BUCKETS];
-                    b[5] = step;
-                    b
-                };
-                store.record_histogram("c.hist", step * S, step, step * 31, &buckets);
+                store.record_histogram("c.hist", step * S, &hist.snapshot());
+                hist.record(31);
                 store.note_pass(step * S);
             }
             serde_json::to_string(&store.to_json()).unwrap()
@@ -1086,8 +1027,8 @@ mod tests {
     #[test]
     fn control_signals_read_the_conventional_names() {
         let store = Arc::new(SeriesStore::with_tiers(tiny_tiers()));
-        let mut buckets = [0u64; HISTOGRAM_BUCKETS];
-        buckets[crate::metrics::bucket_index(1 << 20)] = 4;
+        let wait = Histogram::new();
+        (0..4).for_each(|_| wait.record(1 << 20));
         for step in 0..4u64 {
             store.record_counter(
                 &servable_series("dlhub/echo", "requests"),
@@ -1097,7 +1038,7 @@ mod tests {
             store.record_counter(&servable_series("dlhub/echo", "errors"), step * S, 0);
             store.record_gauge("async_queue_depth", step * S, 2.0);
             store.record_gauge(&slo_series("dlhub/echo", "burn_fast"), step * S, 0.25);
-            store.record_histogram("broker_queue_wait_ns", step * S, 4, 4 << 20, &buckets);
+            store.record_histogram("broker_queue_wait_ns", step * S, &wait.snapshot());
             store.note_pass(step * S);
         }
         let signals = ControlSignals::new(Arc::clone(&store));

@@ -4,11 +4,10 @@
 
 use std::time::Duration;
 
-use dlhub_obs::{bucket_bound, bucket_index, Obs, SeriesStore, TierSpec};
+use dlhub_obs::{bucket_bound, bucket_index, Histogram, Obs, SeriesStore, TierSpec};
 use proptest::prelude::*;
 
 const S: u64 = 1_000_000_000;
-const BUCKETS: usize = dlhub_obs::metrics::HISTOGRAM_BUCKETS;
 
 /// Exact-sort oracle: the value at the exact rank the windowed
 /// quantile targets.
@@ -23,17 +22,21 @@ fn oracle_quantile(values: &mut [u64], q: f64) -> Option<u64> {
 
 proptest! {
     /// Feed random latency batches through cumulative ring slots, then
-    /// check the windowed p50/p90/p99 against sorting the raw samples:
-    /// because the log2 buckets are merged exactly (bucket-wise
-    /// subtraction, no re-aggregation), the rank-interpolated windowed
-    /// quantile must land inside the same log2 bucket as the exact
-    /// rank-order value, never above the bucket's bound.
+    /// query the window that starts after any sampled step `split`.
+    /// Window merge and snapshot delta are the same function, so the
+    /// merged window must equal the live histogram's snapshot `since`
+    /// its snapshot at the split, field for field; and because the
+    /// buckets are merged exactly (bucket-wise subtraction, no
+    /// re-aggregation), the rank-interpolated windowed p50/p90/p99 must
+    /// land inside the same log2 bucket as the exact rank-order value,
+    /// never above the bucket's bound.
     #[test]
     fn merged_histogram_percentiles_match_exact_sort_oracle(
         batches in proptest::collection::vec(
             proptest::collection::vec(1u64..=1_000_000_000, 0..40),
             2..20,
         ),
+        split in 0usize..20,
         q_idx in 0usize..3,
     ) {
         let q = [0.5f64, 0.9, 0.99][q_idx];
@@ -42,27 +45,27 @@ proptest! {
             // Never wraps within the run, so every batch stays visible.
             capacity: 64,
         }]);
-        let mut cum_buckets = [0u64; BUCKETS];
-        let mut cum_count = 0u64;
-        let mut cum_sum = 0u64;
+        let live = Histogram::new();
+        // Batches 0..=split fall outside the window.
+        let split = split % (batches.len() - 1);
+        let mut at_split = live.snapshot();
         let mut window_values: Vec<u64> = Vec::new();
-        let baseline_steps = 1usize; // batch 0 falls outside the window
         for (step, batch) in batches.iter().enumerate() {
-            for &v in batch {
-                cum_buckets[bucket_index(v)] += 1;
-                cum_count += 1;
-                cum_sum += v;
-                if step >= baseline_steps {
-                    window_values.push(v);
-                }
+            batch.iter().for_each(|&v| live.record(v));
+            if step > split {
+                window_values.extend(batch);
             }
-            store.record_histogram("lat", step as u64 * S, cum_count, cum_sum, &cum_buckets);
+            store.record_histogram("lat", step as u64 * S, &live.snapshot());
             store.note_pass(step as u64 * S);
+            if step == split {
+                at_split = live.snapshot();
+            }
         }
-        // Window spanning steps 1..=last (inclusive boundaries),
-        // leaving step 0 as the cumulative baseline.
-        let window = Duration::from_secs(batches.len() as u64 - 2);
+        // Window spanning steps split+1..=last (inclusive boundaries),
+        // leaving step `split` as the cumulative baseline.
+        let window = Duration::from_secs((batches.len() - split) as u64 - 2);
         let merged = store.histogram_window("lat", window).unwrap();
+        prop_assert_eq!(&merged, &live.snapshot().since(&at_split));
         prop_assert_eq!(merged.count as usize, window_values.len());
         let got = merged.quantile(q);
         let exact = oracle_quantile(&mut window_values, q);

@@ -1078,7 +1078,7 @@ mod tests {
         let site = obs.contention.site("broker.ring.park:t");
         assert!(site.waits() >= 1, "park wait not recorded");
         let snap = site.snapshot();
-        assert!(snap.wait_ns > 0);
+        assert!(snap.wait.sum > 0);
         // Topics created *after* attachment get sites too.
         broker.create_topic("late").unwrap();
         let b3 = broker.clone();

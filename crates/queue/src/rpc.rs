@@ -407,7 +407,7 @@ mod tests {
         assert_eq!(err, RpcError::Timeout);
         let site = obs.contention.site("rpc.reply_wait:svc-quiet");
         assert_eq!(site.waits(), 1);
-        assert!(site.snapshot().wait_ns >= 25_000_000);
+        assert!(site.snapshot().wait.sum >= 25_000_000);
         broker.close_topic("svc").unwrap();
     }
 

@@ -600,10 +600,9 @@ mod tests {
         assert_eq!(name, "test/m");
         assert_eq!(series.requests, 5);
         assert_eq!(series.cache_hits, 4);
-        let request = series.request_latency.as_ref().unwrap();
-        assert_eq!(request.count, 5);
+        assert_eq!(series.request_latency.count, 5);
         // Only the one miss reaches the servable.
-        assert_eq!(series.inference_latency.as_ref().unwrap().count, 1);
+        assert_eq!(series.inference_latency.count, 1);
         // And the artifact renders exactly like a live run's.
         assert!(snap
             .render_prometheus()

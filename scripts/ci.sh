@@ -58,9 +58,6 @@ for seed in 7 1848 3141; do
   CONTROL_SEED="${seed}" cargo test --release --quiet -p dlhub-bench --test control_loop
 done
 
-echo "######## obs unit tests"
-cargo test -p dlhub-obs --release --quiet
-
 echo "######## hotpath smoke (metrics export)"
 # Short window; HOTPATH_MIRROR=0 keeps the smoke run from clobbering
 # the committed full-length BENCH_hotpath.json at the workspace root.

@@ -200,8 +200,8 @@ fn p99_bucket_exemplar_resolves_to_a_matching_span_tree() {
         .expect("noop series");
     // The bucket containing p99 must have retained exemplars; the
     // histogram saw every one of our requests and nothing else.
-    let bucket = series
-        .request_latency_buckets
+    let buckets = series.request_latency.le_buckets();
+    let bucket = buckets
         .iter()
         .filter(|b| b.count > 0 && !b.exemplars.is_empty())
         .find(|b| b.bound >= p99)
