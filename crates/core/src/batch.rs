@@ -7,13 +7,17 @@
 //! pending or the oldest item has waited `max_delay`.
 //!
 //! ```
-//! use dlhub_core::batch::Batcher;
+//! use dlhub_core::batch::{BatchSizing, Batcher};
 //! use dlhub_core::value::Value;
 //! use std::sync::Arc;
 //! use std::time::Duration;
 //!
 //! // Dispatch just echoes the coalesced inputs.
-//! let batcher = Batcher::new(8, Duration::from_millis(2), Arc::new(Ok));
+//! let batcher = Batcher::new(
+//!     BatchSizing::Fixed(8),
+//!     Duration::from_millis(2),
+//!     Arc::new(|inputs, _waited| Ok(inputs)),
+//! );
 //! assert_eq!(batcher.submit(Value::Int(7)).unwrap(), Value::Int(7));
 //! ```
 
@@ -22,13 +26,15 @@ use crate::value::Value;
 use crossbeam::channel;
 use dlhub_obs::{ServableCost, ServableSeries};
 use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Callback that dispatches one coalesced batch and returns outputs in
-/// input order.
-pub type BatchDispatch = Arc<dyn Fn(Vec<Value>) -> Result<Vec<Value>, DlhubError> + Send + Sync>;
+/// input order. The second argument is how long the batch's oldest item
+/// waited for the flush.
+pub type BatchDispatch =
+    Arc<dyn Fn(Vec<Value>, Duration) -> Result<Vec<Value>, DlhubError> + Send + Sync>;
 
 /// How the flush threshold is chosen.
 ///
@@ -113,29 +119,10 @@ pub struct Batcher {
 }
 
 impl Batcher {
-    /// Create a batcher flushing at `max_batch` items or `max_delay`
-    /// of waiting, dispatching through `dispatch`.
-    pub fn new(max_batch: usize, max_delay: Duration, dispatch: BatchDispatch) -> Self {
-        Self::with_sizing(BatchSizing::Fixed(max_batch), max_delay, dispatch)
-    }
-
-    /// Create a batcher with an explicit sizing policy (fixed or
-    /// profile-adaptive).
-    pub fn with_sizing(sizing: BatchSizing, max_delay: Duration, dispatch: BatchDispatch) -> Self {
-        Self::with_wait_sink(sizing, max_delay, dispatch, Arc::new(AtomicU64::new(0)))
-    }
-
-    /// Like [`Batcher::with_sizing`], but before each dispatch the
-    /// flusher stores how long the flushed batch's oldest item waited
-    /// (nanoseconds) into `wait_sink`. The dispatch callback reads the
-    /// sink to attribute batch-wait time on its own flush — the store
-    /// happens-before the dispatch call on the same flusher thread.
-    pub fn with_wait_sink(
-        sizing: BatchSizing,
-        max_delay: Duration,
-        dispatch: BatchDispatch,
-        wait_sink: Arc<AtomicU64>,
-    ) -> Self {
+    /// Create a batcher flushing at `sizing`'s threshold (fixed or
+    /// profile-adaptive) or after `max_delay` of waiting, dispatching
+    /// through `dispatch`.
+    pub fn new(sizing: BatchSizing, max_delay: Duration, dispatch: BatchDispatch) -> Self {
         let state = Arc::new(Mutex::new(State {
             pending: Vec::new(),
             oldest: None,
@@ -181,24 +168,24 @@ impl Batcher {
                             }
                         }
                     };
-                    wait_sink.store(waited.as_nanos() as u64, Ordering::Relaxed);
-                    let inputs: Vec<Value> = batch.iter().map(|p| p.input.clone()).collect();
-                    match (dispatch)(inputs) {
-                        Ok(outputs) if outputs.len() == batch.len() => {
-                            for (p, out) in batch.into_iter().zip(outputs) {
-                                let _ = p.reply.send(Ok(out));
+                    let (inputs, replies): (Vec<_>, Vec<_>) =
+                        batch.into_iter().map(|p| (p.input, p.reply)).unzip();
+                    match (dispatch)(inputs, waited) {
+                        Ok(outputs) if outputs.len() == replies.len() => {
+                            for (reply, out) in replies.into_iter().zip(outputs) {
+                                let _ = reply.send(Ok(out));
                             }
                         }
                         Ok(_) => {
-                            for p in batch {
-                                let _ = p.reply.send(Err(DlhubError::Transport(
+                            for reply in replies {
+                                let _ = reply.send(Err(DlhubError::Transport(
                                     "batch output count mismatch".into(),
                                 )));
                             }
                         }
                         Err(e) => {
-                            for p in batch {
-                                let _ = p.reply.send(Err(e.clone()));
+                            for reply in replies {
+                                let _ = reply.send(Err(e.clone()));
                             }
                         }
                     }
@@ -261,7 +248,7 @@ mod tests {
 
     /// Dispatch that records batch sizes and echoes inputs.
     fn counting_dispatch(batches: Arc<Mutex<Vec<usize>>>) -> BatchDispatch {
-        Arc::new(move |inputs: Vec<Value>| {
+        Arc::new(move |inputs: Vec<Value>, _| {
             batches.lock().push(inputs.len());
             Ok(inputs)
         })
@@ -271,7 +258,7 @@ mod tests {
     fn single_request_flushes_after_delay() {
         let batches = Arc::new(Mutex::new(Vec::new()));
         let b = Batcher::new(
-            100,
+            BatchSizing::Fixed(100),
             Duration::from_millis(10),
             counting_dispatch(batches.clone()),
         );
@@ -290,7 +277,7 @@ mod tests {
     fn concurrent_requests_coalesce() {
         let batches = Arc::new(Mutex::new(Vec::new()));
         let b = Arc::new(Batcher::new(
-            100,
+            BatchSizing::Fixed(100),
             Duration::from_millis(30),
             counting_dispatch(batches.clone()),
         ));
@@ -320,7 +307,7 @@ mod tests {
     fn max_batch_triggers_early_flush() {
         let batches = Arc::new(Mutex::new(Vec::new()));
         let b = Arc::new(Batcher::new(
-            4,
+            BatchSizing::Fixed(4),
             Duration::from_secs(10), // far longer than the test
             counting_dispatch(batches.clone()),
         ));
@@ -342,9 +329,9 @@ mod tests {
     #[test]
     fn dispatch_errors_propagate_to_all_callers() {
         let b = Arc::new(Batcher::new(
-            2,
+            BatchSizing::Fixed(2),
             Duration::from_millis(5),
-            Arc::new(|_| Err(DlhubError::Timeout)),
+            Arc::new(|_, _| Err(DlhubError::Timeout)),
         ));
         let h = {
             let b = Arc::clone(&b);
@@ -358,7 +345,11 @@ mod tests {
 
     #[test]
     fn output_count_mismatch_is_an_error() {
-        let b = Batcher::new(1, Duration::from_millis(5), Arc::new(|_| Ok(vec![])));
+        let b = Batcher::new(
+            BatchSizing::Fixed(1),
+            Duration::from_millis(5),
+            Arc::new(|_, _| Ok(vec![])),
+        );
         assert!(matches!(
             b.submit(Value::Null).unwrap_err(),
             DlhubError::Transport(_)
@@ -429,7 +420,7 @@ mod tests {
         let dispatch: BatchDispatch = {
             let series = Arc::clone(&series);
             let batches = Arc::clone(&batches);
-            Arc::new(move |inputs: Vec<Value>| {
+            Arc::new(move |inputs: Vec<Value>, _| {
                 batches.lock().push(inputs.len());
                 // Simulate a cheap servable behind a 2ms dispatch and
                 // feed the observation back into the series, exactly
@@ -442,7 +433,7 @@ mod tests {
                 Ok(inputs)
             })
         };
-        let b = Arc::new(Batcher::with_sizing(
+        let b = Arc::new(Batcher::new(
             adaptive(&series, 100),
             Duration::from_millis(15),
             dispatch,
@@ -470,26 +461,29 @@ mod tests {
 
     #[test]
     fn wait_sink_reports_the_oldest_items_wait() {
-        let sink = Arc::new(AtomicU64::new(0));
-        let b = Batcher::with_wait_sink(
+        let seen = Arc::new(Mutex::new(Duration::ZERO));
+        let sink = Arc::clone(&seen);
+        let b = Batcher::new(
             BatchSizing::Fixed(100),
             Duration::from_millis(10),
-            Arc::new(Ok),
-            Arc::clone(&sink),
+            Arc::new(move |inputs, waited| {
+                *sink.lock() = waited;
+                Ok(inputs)
+            }),
         );
         b.submit(Value::Int(1)).unwrap();
         // The lone item sat the full max_delay before flushing.
-        let waited = sink.load(Ordering::SeqCst);
-        assert!(waited >= 9_000_000, "waited {waited}ns");
+        let waited = *seen.lock();
+        assert!(waited >= Duration::from_millis(9), "waited {waited:?}");
     }
 
     #[test]
     fn drop_flushes_outstanding_work() {
         static DISPATCHED: AtomicUsize = AtomicUsize::new(0);
         let b = Arc::new(Batcher::new(
-            100,
+            BatchSizing::Fixed(100),
             Duration::from_secs(10),
-            Arc::new(|inputs: Vec<Value>| {
+            Arc::new(|inputs: Vec<Value>, _| {
                 DISPATCHED.fetch_add(inputs.len(), Ordering::SeqCst);
                 Ok(inputs)
             }),

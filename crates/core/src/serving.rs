@@ -8,7 +8,7 @@
 
 use crate::admission::{AdmissionConfig, AdmissionController, AdmissionPermit};
 use crate::autoscale::{ControlDecision, ControlPolicy, Reconciler};
-use crate::batch::Batcher;
+use crate::batch::{BatchSizing, Batcher};
 use crate::error::DlhubError;
 use crate::executor::ParslExecutor;
 use crate::memo::{MemoCache, MemoKey, MemoStats};
@@ -19,13 +19,14 @@ use crate::servable::{Servable, ServableMetadata};
 use crate::task::{next_task_id, TaskHandle, TaskRequest, TaskResponse, TaskStatus, TaskTable};
 use crate::task_manager::{TmRegistration, REGISTRATION_TOPIC};
 use crate::value::Value;
+use crossbeam::channel;
 use dlhub_auth::{IdentityId, Scope, Token};
 use dlhub_fault::{site, FaultHandle};
-use dlhub_obs::{Gauge, Obs, ServableSeries, SloSpec, TraceContext};
+use dlhub_obs::{Gauge, Obs, ServableSeries, SloSpec, SpanHandle, TraceContext};
 use dlhub_queue::{Broker, RpcClient};
-use parking_lot::{Condvar, Mutex, RwLock};
-use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use parking_lot::RwLock;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -136,89 +137,61 @@ impl Default for ServingConfig {
     }
 }
 
-/// A fixed-size worker pool with an injector queue, replacing the
-/// thread-per-request dispatch of async runs. Workers block on the
-/// queue's condvar; shutdown drains every queued job before the
-/// threads exit, so no accepted request is dropped.
+type Job = Box<dyn FnOnce() + Send>;
+
+/// A fixed-size worker pool behind one unbounded channel, replacing
+/// the thread-per-request dispatch of async runs. Dropping the pool
+/// drops the sender; `recv` hands out every queued job before it
+/// reports the disconnect, so no accepted request is dropped.
 struct AsyncPool {
-    shared: Arc<PoolShared>,
+    jobs: Option<channel::Sender<Job>>,
+    /// Jobs waiting in the channel.
+    depth: Arc<Gauge>,
     workers: Vec<std::thread::JoinHandle<()>>,
 }
 
-struct PoolShared {
-    queue: Mutex<PoolQueue>,
-    available: Condvar,
-    /// Jobs waiting in the injector queue.
-    depth: Arc<Gauge>,
-    /// Workers currently running a job (pool occupancy).
-    active: Arc<Gauge>,
-}
-
-struct PoolQueue {
-    jobs: VecDeque<Box<dyn FnOnce() + Send>>,
-    shutdown: bool,
-}
-
 impl AsyncPool {
+    /// `active` counts workers currently running a job (pool
+    /// occupancy).
     fn new(workers: usize, depth: Arc<Gauge>, active: Arc<Gauge>) -> Self {
-        let shared = Arc::new(PoolShared {
-            queue: Mutex::new(PoolQueue {
-                jobs: VecDeque::new(),
-                shutdown: false,
-            }),
-            available: Condvar::new(),
-            depth,
-            active,
-        });
+        let (jobs, queue) = channel::unbounded::<Job>();
         let workers = (0..workers.max(1))
             .map(|i| {
-                let shared = Arc::clone(&shared);
+                let queue = queue.clone();
+                let depth = Arc::clone(&depth);
+                let active = Arc::clone(&active);
                 std::thread::Builder::new()
                     .name(format!("dlhub-async-{i}"))
-                    .spawn(move || loop {
-                        let job = {
-                            let mut queue = shared.queue.lock();
-                            loop {
-                                if let Some(job) = queue.jobs.pop_front() {
-                                    break Some(job);
-                                }
-                                // Only exit once the queue is drained:
-                                // shutdown is graceful.
-                                if queue.shutdown {
-                                    break None;
-                                }
-                                shared.available.wait(&mut queue);
-                            }
-                        };
-                        match job {
-                            Some(job) => {
-                                shared.depth.add(-1);
-                                shared.active.add(1);
-                                job();
-                                shared.active.add(-1);
-                            }
-                            None => break,
+                    .spawn(move || {
+                        while let Ok(job) = queue.recv() {
+                            depth.add(-1);
+                            active.add(1);
+                            job();
+                            active.add(-1);
                         }
                     })
                     .expect("spawn async pool worker")
             })
             .collect();
-        AsyncPool { shared, workers }
+        AsyncPool {
+            jobs: Some(jobs),
+            depth,
+            workers,
+        }
     }
 
-    fn submit(&self, job: Box<dyn FnOnce() + Send>) {
-        let mut queue = self.shared.queue.lock();
-        queue.jobs.push_back(job);
-        drop(queue);
-        self.shared.depth.add(1);
-        self.shared.available.notify_one();
+    fn submit(&self, job: Job) {
+        if let Some(jobs) = &self.jobs {
+            self.depth.add(1);
+            // Workers outlive the sender, so the send cannot fail.
+            let _ = jobs.send(job);
+        }
     }
 }
 
 impl Drop for AsyncPool {
     fn drop(&mut self) {
-        self.shared.queue.lock().shutdown = true;
-        self.shared.available.notify_all();
+        self.jobs = None;
         // The last Arc<ManagementService> can be dropped from inside a
         // pool job, making a worker run this destructor: it must not
         // join itself.
@@ -253,6 +226,24 @@ pub struct RunOptions {
     /// Override [`ServingConfig::request_deadline`] for this request:
     /// the total budget across every retry attempt and backoff pause.
     pub deadline: Option<Duration>,
+}
+
+/// One open request at the Management Service: its span, the
+/// servable's series, the admission permit and the clock it is timed
+/// against. [`ManagementService::open_frame`] is the only constructor
+/// and [`ManagementService::close_frame`] the only consumer, so what a
+/// request records is decided in those two functions and every entry
+/// point keeps only what is its own.
+struct RequestFrame {
+    span: SpanHandle,
+    series: Arc<ServableSeries>,
+    started: Instant,
+    /// Inputs carried: what `requests` advanced by at open, and what
+    /// `errors` advances by if the frame fails.
+    items: u64,
+    /// The inflight slot, held until the frame closes. `None` while
+    /// admission is off or the submitters hold the permits.
+    _permit: Option<AdmissionPermit>,
 }
 
 /// The Management Service. Share via `Arc` (async and batched
@@ -594,12 +585,103 @@ impl ManagementService {
             .map(Some)
     }
 
+    /// Open `id`'s request frame on `span` — the one place a request
+    /// starts being accounted. Called after [`Self::preflight`], so
+    /// `id` is a resolved servable. `batch` is the input count for the
+    /// two batch entry points (`None`: a single input); `tenant` is
+    /// who to admit (`None`: the callers already hold the permits).
+    ///
+    /// Shed *before* any queueing or dispatch: a rejected request
+    /// costs the caller one typed error and a back-off, not a deadline
+    /// spent deep in the stack. A shed is a failed request like any
+    /// other, so it closes the frame it was refused.
+    fn open_frame(
+        &self,
+        id: &str,
+        mut span: SpanHandle,
+        started: Instant,
+        batch: Option<usize>,
+        tenant: Option<IdentityId>,
+    ) -> Result<RequestFrame, DlhubError> {
+        span.attr("servable", id);
+        let series = self.obs.metrics.series(id);
+        let items = batch.unwrap_or(1) as u64;
+        series.requests.add(items);
+        if batch.is_some() {
+            span.attr("batch_size", items.to_string());
+            series.batch_sizes.record(items);
+        }
+        let frame = RequestFrame {
+            span,
+            series,
+            started,
+            items,
+            _permit: None,
+        };
+        match tenant.map_or(Ok(None), |tenant| self.admit(id, tenant)) {
+            Ok(_permit) => Ok(RequestFrame { _permit, ..frame }),
+            Err(shed) => self
+                .close_frame(id, frame, Err(shed))
+                .map(|(frame, _)| frame),
+        }
+    }
+
+    /// Close `frame` with its outcome — the one place a request's
+    /// latencies, errors and SLO observation are recorded — and hand
+    /// the outcome back with `timings.request` stamped, so every entry
+    /// point measures to the same instant. The permit is released
+    /// after everything is recorded.
+    fn close_frame<T>(
+        &self,
+        id: &str,
+        frame: RequestFrame,
+        outcome: Result<(T, Timings), DlhubError>,
+    ) -> Result<(T, Timings), DlhubError> {
+        let RequestFrame {
+            mut span,
+            series,
+            started,
+            items,
+            _permit,
+        } = frame;
+        let request = started.elapsed();
+        let outcome = outcome.map(|(value, timings)| (value, Timings { request, ..timings }));
+        match &outcome {
+            Ok((_, timings)) => {
+                span.attr(
+                    "cache_hit",
+                    if timings.cache_hit { "true" } else { "false" },
+                );
+                series
+                    .request_latency
+                    .record_duration_with_exemplar(request, span.trace());
+                series
+                    .invocation_latency
+                    .record_duration(timings.invocation);
+                if timings.cache_hit {
+                    series.cache_hits.inc();
+                } else {
+                    series.inference_latency.record_duration(timings.inference);
+                }
+            }
+            Err(e) => {
+                series.errors.add(items);
+                span.attr("error", e.to_string());
+            }
+        }
+        self.obs.observe_slo(id, request, outcome.is_ok());
+        self.obs.tracer.finish(span);
+        outcome
+    }
+
     /// Dispatch `inputs` to a Task Manager and await the response,
     /// retrying transient failures with exponential backoff until the
-    /// retry budget or the request deadline runs out. `trace` rides
-    /// inside the task envelope so the Task Manager can parent its
-    /// invocation span under the caller's request span; each attempt
-    /// additionally gets its own `attempt` child span.
+    /// retry budget or the request deadline runs out. The frame's span
+    /// context rides inside the task envelope so the Task Manager can
+    /// parent its invocation span under it; each attempt additionally
+    /// gets its own `attempt` child span. Returns the outputs with
+    /// `inference` summed over them and `request` left for
+    /// [`Self::close_frame`] to stamp.
     ///
     /// Every attempt re-sends the *same* `task_id`: the broker is
     /// at-least-once, so a timed-out attempt may still execute, and a
@@ -607,49 +689,43 @@ impl ManagementService {
     fn execute_remote(
         &self,
         id: &str,
-        series: &ServableSeries,
+        frame: &RequestFrame,
         inputs: Vec<Value>,
-        trace: Option<TraceContext>,
         deadline: Option<Duration>,
-    ) -> Result<(Vec<Value>, Vec<Duration>, Duration), DlhubError> {
-        let _frame = self.obs.profile.frame("serving.execute_remote");
+    ) -> Result<(Vec<Value>, Timings), DlhubError> {
+        let _profile = self.obs.profile.frame("serving.execute_remote");
         let deadline = Instant::now() + deadline.unwrap_or(self.config.request_deadline);
+        let ctx = frame.span.ctx();
         let request = TaskRequest {
             task_id: next_task_id(),
             servable: id.to_string(),
             inputs,
-            trace,
+            trace: Some(ctx),
         };
         let payload = request.to_bytes();
         let mut attempts = 0u32;
         let mut backoff = self.config.retry_backoff;
         loop {
             attempts += 1;
-            let mut attempt_span = trace.map(|p| self.obs.tracer.start_child(p, "attempt"));
-            if let Some(s) = attempt_span.as_mut() {
-                s.attr("servable", id);
-                s.attr("attempt", attempts.to_string());
-            }
+            let mut attempt_span = self.obs.tracer.start_child(ctx, "attempt");
+            attempt_span.attr("servable", id);
+            attempt_span.attr("attempt", attempts.to_string());
             let remaining = deadline.saturating_duration_since(Instant::now());
             let error = if remaining.is_zero() {
                 // Out of budget before this attempt even dispatched.
                 DlhubError::Timeout
             } else {
                 let per_attempt = self.config.request_timeout.min(remaining);
-                match self.attempt_remote(id, series, &payload, per_attempt) {
+                match self.attempt_remote(id, &frame.series, &payload, per_attempt) {
                     Ok(parts) => {
-                        if let Some(s) = attempt_span {
-                            self.obs.tracer.finish(s);
-                        }
+                        self.obs.tracer.finish(attempt_span);
                         return Ok(parts);
                     }
                     Err(e) => e,
                 }
             };
-            if let Some(mut s) = attempt_span {
-                s.attr("error", error.to_string());
-                self.obs.tracer.finish(s);
-            }
+            attempt_span.attr("error", error.to_string());
+            self.obs.tracer.finish(attempt_span);
             let retryable = match &error {
                 DlhubError::Timeout | DlhubError::Transport(_) => true,
                 DlhubError::Execution { .. } => self.config.retry_execution_errors,
@@ -684,23 +760,41 @@ impl ManagementService {
         series: &ServableSeries,
         payload: &bytes::Bytes,
         timeout: Duration,
-    ) -> Result<(Vec<Value>, Vec<Duration>, Duration), DlhubError> {
+    ) -> Result<(Vec<Value>, Timings), DlhubError> {
         let reply = self.rpc.call_wait(payload.clone(), timeout)?;
         let response = TaskResponse::from_bytes(&reply).map_err(DlhubError::Transport)?;
         let outputs = response.outcome.map_err(|message| DlhubError::Execution {
             servable: id.to_string(),
             message,
         })?;
-        let inference: Vec<Duration> = response
+        let inference = response
             .inference_nanos
             .iter()
             .map(|n| Duration::from_nanos(*n))
-            .collect();
+            .sum();
         let invocation = Duration::from_nanos(response.invocation_nanos);
-        series
-            .dispatch
-            .record(outputs.len(), inference.iter().sum(), invocation);
-        Ok((outputs, inference, invocation))
+        series.dispatch.record(outputs.len(), inference, invocation);
+        let timings = Timings {
+            inference,
+            invocation,
+            ..Timings::default()
+        };
+        Ok((outputs, timings))
+    }
+
+    /// [`Self::execute_remote`] for a single input.
+    fn execute_one(
+        &self,
+        id: &str,
+        frame: &RequestFrame,
+        input: Value,
+        deadline: Option<Duration>,
+    ) -> Result<(Value, Timings), DlhubError> {
+        let (mut outputs, timings) = self.execute_remote(id, frame, vec![input], deadline)?;
+        let value = outputs
+            .pop()
+            .ok_or_else(|| DlhubError::Transport("task manager returned no output".into()))?;
+        Ok((value, timings))
     }
 
     /// Synchronous inference with default options.
@@ -719,10 +813,9 @@ impl ManagementService {
         self.run_inner(token, id, input, options, None)
     }
 
-    /// The traced request path: mints the `request` span (root, or a
-    /// child of `parent` when the request is a pipeline step),
-    /// validates, records the per-servable series, and delegates to
-    /// [`Self::run_measured`] for the actual work.
+    /// One synchronous request: a frame under a `request` span (root,
+    /// or a child of `parent` when the request is a pipeline step)
+    /// around [`Self::run_measured`].
     fn run_inner(
         &self,
         token: &Token,
@@ -731,76 +824,31 @@ impl ManagementService {
         options: &RunOptions,
         parent: Option<TraceContext>,
     ) -> Result<RunResult, DlhubError> {
-        let _frame = self.obs.profile.frame("serving.run");
+        let _profile = self.obs.profile.frame("serving.run");
         let started = Instant::now();
-        let mut span = match parent {
+        let tenant = self.preflight(token, id, std::slice::from_ref(&input))?;
+        let span = match parent {
             Some(p) => self.obs.tracer.start_child(p, "request"),
             None => self.obs.tracer.start_root("request"),
         };
-        span.attr("servable", id);
-        let trace = span.trace();
-        let tenant = match self.preflight(token, id, std::slice::from_ref(&input)) {
-            Ok(tenant) => tenant,
-            Err(e) => {
-                span.attr("error", e.to_string());
-                self.obs.tracer.finish(span);
-                return Err(e);
-            }
-        };
-        let series = self.obs.metrics.series(id);
-        series.requests.inc();
-        // Shed *before* any queueing or dispatch: a rejected request
-        // costs the caller one typed error and a back-off, not a
-        // deadline spent deep in the stack. The permit holds the
-        // inflight slot until the request has been answered.
-        let outcome = self.admit(id, tenant).and_then(|_permit| {
-            self.run_measured(id, &series, input, options, span.ctx(), started)
-        });
-        match outcome {
-            Ok((value, timings)) => {
-                span.attr(
-                    "cache_hit",
-                    if timings.cache_hit { "true" } else { "false" },
-                );
-                series
-                    .request_latency
-                    .record_duration_with_exemplar(timings.request, trace);
-                series
-                    .invocation_latency
-                    .record_duration(timings.invocation);
-                if timings.cache_hit {
-                    series.cache_hits.inc();
-                } else {
-                    series.inference_latency.record_duration(timings.inference);
-                }
-                self.obs.observe_slo(id, timings.request, true);
-                self.obs.tracer.finish(span);
-                Ok(RunResult {
-                    value,
-                    timings,
-                    trace,
-                })
-            }
-            Err(e) => {
-                series.errors.inc();
-                span.attr("error", e.to_string());
-                self.obs.observe_slo(id, started.elapsed(), false);
-                self.obs.tracer.finish(span);
-                Err(e)
-            }
-        }
+        let frame = self.open_frame(id, span, started, None, Some(tenant))?;
+        let trace = frame.span.trace();
+        let outcome = self.run_measured(id, &frame, input, options);
+        self.close_frame(id, frame, outcome)
+            .map(|(value, timings)| RunResult {
+                value,
+                timings,
+                trace,
+            })
     }
 
-    /// Consult the memo cache and dispatch to a Task Manager. `ctx` is
-    /// the enclosing request span's context.
+    /// Consult the memo cache and dispatch to a Task Manager.
     fn run_measured(
         &self,
         id: &str,
-        series: &ServableSeries,
+        frame: &RequestFrame,
         input: Value,
         options: &RunOptions,
-        ctx: TraceContext,
-        started: Instant,
     ) -> Result<(Value, Timings), DlhubError> {
         let memoize = options
             .memoize
@@ -808,9 +856,9 @@ impl ManagementService {
         // The key hashes the whole input; only memoized requests pay.
         let key = memoize.then(|| MemoKey::new(id, &input));
         if let Some(key) = &key {
-            let _frame = self.obs.profile.frame("serving.memo_lookup");
+            let _profile = self.obs.profile.frame("serving.memo_lookup");
             let lookup_started = Instant::now();
-            let mut lookup_span = self.obs.tracer.start_child(ctx, "memo_lookup");
+            let mut lookup_span = self.obs.tracer.start_child(frame.span.ctx(), "memo_lookup");
             lookup_span.attr("servable", id);
             let cached = self.memo.get(key);
             lookup_span.attr("hit", if cached.is_some() { "true" } else { "false" });
@@ -818,34 +866,19 @@ impl ManagementService {
             if let Some(cached) = cached {
                 // A hit never reaches the Task Manager: invocation
                 // collapses to the cache lookup (§V-B5).
-                return Ok((
-                    cached,
-                    Timings {
-                        inference: Duration::ZERO,
-                        invocation: lookup_started.elapsed(),
-                        request: started.elapsed(),
-                        cache_hit: true,
-                    },
-                ));
+                let timings = Timings {
+                    invocation: lookup_started.elapsed(),
+                    cache_hit: true,
+                    ..Timings::default()
+                };
+                return Ok((cached, timings));
             }
         }
-        let (mut outputs, inference, invocation) =
-            self.execute_remote(id, series, vec![input], Some(ctx), options.deadline)?;
-        let value = outputs
-            .pop()
-            .ok_or_else(|| DlhubError::Transport("task manager returned no output".into()))?;
+        let (value, timings) = self.execute_one(id, frame, input, options.deadline)?;
         if let Some(key) = key {
             self.memo.put(key, value.clone());
         }
-        Ok((
-            value,
-            Timings {
-                inference: inference.first().copied().unwrap_or_default(),
-                invocation,
-                request: started.elapsed(),
-                cache_hit: false,
-            },
-        ))
+        Ok((value, timings))
     }
 
     /// Explicit batch execution: all inputs travel in one task,
@@ -858,46 +891,15 @@ impl ManagementService {
         inputs: Vec<Value>,
     ) -> Result<(Vec<Value>, Timings), DlhubError> {
         let started = Instant::now();
+        let tenant = self.preflight(token, id, &inputs)?;
         if inputs.is_empty() {
             return Ok((Vec::new(), Timings::default()));
         }
-        let tenant = self.preflight(token, id, &inputs)?;
-        // One permit per batch: the batch travels as one task.
-        let _permit = self.admit(id, tenant)?;
-        let mut span = self.obs.tracer.start_root("request");
-        span.attr("servable", id);
-        span.attr("batch_size", inputs.len().to_string());
-        let trace = span.trace();
-        let series = self.obs.metrics.series(id);
-        series.requests.add(inputs.len() as u64);
-        series.batch_sizes.record(inputs.len() as u64);
-        let outcome = self.execute_remote(id, &series, inputs, Some(span.ctx()), None);
-        let (outputs, inference, invocation) = match outcome {
-            Ok(parts) => parts,
-            Err(e) => {
-                series.errors.inc();
-                span.attr("error", e.to_string());
-                self.obs.observe_slo(id, started.elapsed(), false);
-                self.obs.tracer.finish(span);
-                return Err(e);
-            }
-        };
-        let timings = Timings {
-            inference: inference.iter().sum(),
-            invocation,
-            request: started.elapsed(),
-            cache_hit: false,
-        };
-        series
-            .request_latency
-            .record_duration_with_exemplar(timings.request, trace);
-        series
-            .invocation_latency
-            .record_duration(timings.invocation);
-        series.inference_latency.record_duration(timings.inference);
-        self.obs.observe_slo(id, timings.request, true);
-        self.obs.tracer.finish(span);
-        Ok((outputs, timings))
+        // One frame, one permit: the batch travels as one task.
+        let span = self.obs.tracer.start_root("request");
+        let frame = self.open_frame(id, span, started, Some(inputs.len()), Some(tenant))?;
+        let outcome = self.execute_remote(id, &frame, inputs, None);
+        self.close_frame(id, frame, outcome)
     }
 
     /// Submit through the auto-batcher: the request is coalesced with
@@ -909,87 +911,78 @@ impl ManagementService {
         input: Value,
     ) -> Result<Value, DlhubError> {
         let tenant = self.preflight(token, id, std::slice::from_ref(&input))?;
-        // The permit covers the coalescing wait and the flush this
-        // caller blocks on: submit() returns only once its batch ran.
+        // A submitter has no frame: its request is recorded by the
+        // flush that carries it, so a shed here shows only on
+        // `requests_shed_total`. The permit covers the coalescing wait
+        // and the flush this caller blocks on: submit() returns only
+        // once its batch ran.
         let _permit = self.admit(id, tenant)?;
+        self.batcher(id).submit(input)
+    }
+
+    /// `id`'s auto-batcher, created on first use.
+    fn batcher(self: &Arc<Self>, id: &str) -> Arc<Batcher> {
         // Fast path: the batcher already exists, so a read lock keeps
         // concurrent submitters for different servables contention-free.
-        if let Some(batcher) = self.batchers.read().get(id).map(Arc::clone) {
-            return batcher.submit(input);
+        if let Some(batcher) = self.batchers.read().get(id) {
+            return Arc::clone(batcher);
         }
-        let batcher = {
-            let mut batchers = self.batchers.write();
-            // Double-check: another caller may have created it between
-            // the read unlock and the write lock.
-            match batchers.get(id) {
-                Some(b) => Arc::clone(b),
-                None => {
-                    let service = Arc::clone(self);
-                    let servable = id.to_string();
-                    let sizing = if self.config.adaptive_batching {
-                        crate::batch::BatchSizing::Adaptive {
-                            series: self.obs.metrics.series(id),
-                            target_overhead_fraction: 0.1,
-                            cap: self.config.batch_max,
-                        }
-                    } else {
-                        crate::batch::BatchSizing::Fixed(self.config.batch_max)
-                    };
-                    // The flusher stores the oldest item's wait into
-                    // the sink right before calling dispatch, so the
-                    // flush span can attribute coalescing delay.
-                    let wait_sink = Arc::new(AtomicU64::new(0));
-                    let wait_source = Arc::clone(&wait_sink);
-                    let batcher = Arc::new(Batcher::with_wait_sink(
-                        sizing,
-                        self.config.batch_delay,
-                        Arc::new(move |inputs: Vec<Value>| {
-                            let _frame = service.obs.profile.frame("serving.batch_flush");
-                            // One flush = one task: trace it as its own
-                            // root and record the coalesced size.
-                            let mut span = service.obs.tracer.start_root("batch_flush");
-                            span.attr("servable", servable.clone());
-                            span.attr("batch_size", inputs.len().to_string());
-                            span.attr(
-                                "batch_wait_ns",
-                                wait_source.load(Ordering::Relaxed).to_string(),
-                            );
-                            let series = service.obs.metrics.series(&servable);
-                            series.requests.add(inputs.len() as u64);
-                            series.batch_sizes.record(inputs.len() as u64);
-                            let result = match service.config.faults.decide(site::BATCH_FLUSH) {
-                                Some(fault) => Err(DlhubError::Execution {
-                                    servable: servable.clone(),
-                                    message: format!(
-                                        "injected batch-flush fault ({:?})",
-                                        fault.kind
-                                    ),
-                                }),
-                                None => service
-                                    .execute_remote(
-                                        &servable,
-                                        &series,
-                                        inputs,
-                                        Some(span.ctx()),
-                                        None,
-                                    )
-                                    .map(|(outputs, _, _)| outputs),
-                            };
-                            if let Err(e) = &result {
-                                series.errors.inc();
-                                span.attr("error", e.to_string());
-                            }
-                            service.obs.tracer.finish(span);
-                            result
-                        }),
-                        wait_sink,
-                    ));
-                    batchers.insert(id.to_string(), Arc::clone(&batcher));
-                    batcher
+        // `entry` re-checks under the write lock: another caller may
+        // have created it since the read unlock.
+        let mut batchers = self.batchers.write();
+        let batcher = batchers.entry(id.to_string()).or_insert_with(|| {
+            let sizing = if self.config.adaptive_batching {
+                BatchSizing::Adaptive {
+                    series: self.obs.metrics.series(id),
+                    target_overhead_fraction: 0.1,
+                    cap: self.config.batch_max,
                 }
-            }
+            } else {
+                BatchSizing::Fixed(self.config.batch_max)
+            };
+            // A `Weak`: the service owns the batcher, so a strong
+            // reference here would keep both alive forever. The
+            // upgrade never holds the last reference — a flush always
+            // carries a submitter blocked inside `run_batched`.
+            let service = Arc::downgrade(self);
+            let servable = id.to_string();
+            Arc::new(Batcher::new(
+                sizing,
+                self.config.batch_delay,
+                Arc::new(move |inputs, waited| match service.upgrade() {
+                    Some(service) => service.flush(&servable, inputs, waited),
+                    None => Err(DlhubError::Transport("service shut down".into())),
+                }),
+            ))
+        });
+        Arc::clone(batcher)
+    }
+
+    /// One auto-batch flush = one task: a frame under its own
+    /// `batch_flush` root, recorded as a [`Self::run_batch`] of the
+    /// same size. `waited` is the oldest item's coalescing delay. No
+    /// admission here: every submitter holds its own permit.
+    fn flush(
+        &self,
+        id: &str,
+        inputs: Vec<Value>,
+        waited: Duration,
+    ) -> Result<Vec<Value>, DlhubError> {
+        let _profile = self.obs.profile.frame("serving.batch_flush");
+        let span = self.obs.tracer.start_root("batch_flush");
+        let mut frame = self.open_frame(id, span, Instant::now(), Some(inputs.len()), None)?;
+        frame
+            .span
+            .attr("batch_wait_ns", waited.as_nanos().to_string());
+        let outcome = match self.config.faults.decide(site::BATCH_FLUSH) {
+            Some(fault) => Err(DlhubError::Execution {
+                servable: id.to_string(),
+                message: format!("injected batch-flush fault ({:?})", fault.kind),
+            }),
+            None => self.execute_remote(id, &frame, inputs, None),
         };
-        batcher.submit(input)
+        self.close_frame(id, frame, outcome)
+            .map(|(outputs, _)| outputs)
     }
 
     /// Asynchronous inference: returns a handle carrying the task UUID
@@ -1001,51 +994,29 @@ impl ManagementService {
         id: &str,
         input: Value,
     ) -> Result<TaskHandle, DlhubError> {
+        let started = Instant::now();
         let tenant = self.preflight(token, id, std::slice::from_ref(&input))?;
-        // Admission happens at submission — an accepted handle is a
-        // promise of capacity — and the permit rides into the pool job
-        // so the slot stays held until the dispatch finishes.
-        let permit = self.admit(id, tenant)?;
+        // The frame opens at submission: queueing time inside the async
+        // pool is part of the user-visible request, and an accepted
+        // handle is a promise of capacity — the permit rides in the
+        // frame until the pool job closes it.
+        let span = self.obs.tracer.start_root("request");
+        let mut frame = self.open_frame(id, span, started, None, Some(tenant))?;
         let task_id = next_task_id();
+        frame.span.attr("mode", "async");
+        frame.span.attr("task_id", task_id.clone());
         self.task_table.register(&task_id);
         let handle = TaskHandle::new(task_id.clone(), Arc::clone(&self.task_table));
         let service = Arc::clone(self);
         let servable = id.to_string();
-        // The request span opens at submission: queueing time inside
-        // the async pool is part of the user-visible request.
-        let started = Instant::now();
-        let mut span = self.obs.tracer.start_root("request");
-        span.attr("servable", id);
-        span.attr("mode", "async");
-        span.attr("task_id", task_id.clone());
-        // No thread is spawned per request: the job joins the injector
-        // queue and one of the `async_workers` pool threads runs it.
+        // No thread is spawned per request: the job joins the pool's
+        // channel and one of the `async_workers` threads runs it.
         self.async_pool.submit(Box::new(move || {
-            let _frame = service.obs.profile.frame("serving.async_worker");
-            let _permit = permit;
-            let mut span = span;
-            let series = service.obs.metrics.series(&servable);
-            series.requests.inc();
-            let status = match service.execute_remote(
-                &servable,
-                &series,
-                vec![input],
-                Some(span.ctx()),
-                None,
-            ) {
-                Ok((mut outputs, inference, invocation)) => {
-                    series.invocation_latency.record_duration(invocation);
-                    series
-                        .inference_latency
-                        .record_duration(inference.first().copied().unwrap_or_default());
-                    match outputs.pop() {
-                        Some(v) => TaskStatus::Completed(v),
-                        None => TaskStatus::failed("no output"),
-                    }
-                }
+            let _profile = service.obs.profile.frame("serving.async_worker");
+            let outcome = service.execute_one(&servable, &frame, input, None);
+            let status = match service.close_frame(&servable, frame, outcome) {
+                Ok((value, _)) => TaskStatus::Completed(value),
                 Err(e) => {
-                    series.errors.inc();
-                    span.attr("error", e.to_string());
                     // A terminal failure is exactly the moment an
                     // operator wants the recent past preserved:
                     // freeze a flight-recorder bundle (no-op while
@@ -1062,16 +1033,6 @@ impl ManagementService {
                     }
                 }
             };
-            let latency = started.elapsed();
-            series
-                .request_latency
-                .record_duration_with_exemplar(latency, span.trace());
-            service.obs.observe_slo(
-                &servable,
-                latency,
-                matches!(status, TaskStatus::Completed(_)),
-            );
-            service.obs.tracer.finish(span);
             service.task_table.resolve(&task_id, status);
         }));
         Ok(handle)
@@ -1199,6 +1160,7 @@ impl ManagementService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::admission::AdmissionConfig;
     use crate::hub::TestHub;
     use crate::servable::servable_fn;
     use crate::servable::ModelType;
@@ -1299,7 +1261,14 @@ mod tests {
             assert!(hub.service.run(&bad, id, Value::Null).is_err());
             assert!(hub.service.run_async(&bad, id, Value::Null).is_err());
             assert!(hub.service.run_batch(&bad, id, vec![Value::Null]).is_err());
+            // An empty batch is still a request: it is authorized.
+            assert!(hub.service.run_batch(&bad, id, vec![]).is_err());
         }
+        let err = hub
+            .service
+            .run_batch(&hub.token, "dlhub/ghost", vec![])
+            .unwrap_err();
+        assert!(matches!(err, DlhubError::NotFound(_)), "{err:?}");
         assert!(hub
             .service
             .run_pipeline(&bad, "ghosts", Value::Null)
@@ -1312,7 +1281,7 @@ mod tests {
         assert_eq!(metrics.servable_entries().len(), before);
         // One counter holds every refusal (the pipeline's bad token
         // fails authorization before any step is preflighted).
-        assert_eq!(metrics.counter("requests_rejected_total").get(), 1007);
+        assert_eq!(metrics.counter("requests_rejected_total").get(), 1010);
         // The request that was served is accounted as before.
         assert_eq!(metrics.series("dlhub/noop").requests.get(), 1);
         assert_eq!(metrics.series("dlhub/noop").errors.get(), 0);
@@ -2027,5 +1996,246 @@ mod tests {
         );
         let r2 = hub.service.run(&hub.token, "dlhub/v", Value::Null).unwrap();
         assert_eq!(r2.value, Value::Int(2), "stale memo entry served");
+    }
+
+    #[test]
+    fn a_service_that_auto_batched_is_dropped_with_its_hub() {
+        let hub = TestHub::builder().build();
+        hub.service
+            .run_batched(&hub.token, "dlhub/noop", Value::Null)
+            .unwrap();
+        let service = Arc::downgrade(&hub.service);
+        drop(hub);
+        // The flush closure stored in the service's own batcher map
+        // must not keep the service (and its threads) alive.
+        assert!(service.upgrade().is_none());
+    }
+
+    /// One way into the Management Service, as the ledger test sees it.
+    struct EntryPoint {
+        name: &'static str,
+        /// Send one request carrying `input` and wait for its answer.
+        drive: fn(&TestHub, Value) -> Result<(), DlhubError>,
+        /// Name of the root span one call leaves behind.
+        root: &'static str,
+        /// Frames one successful call opens (a pipeline: one per step).
+        frames_per_call: u64,
+        /// Inputs each frame carries.
+        inputs_per_frame: u64,
+        /// Whether a shed call had a frame to close. The one exception
+        /// is an auto-batch submitter, shed before it joins a batch.
+        shed_has_frame: bool,
+    }
+
+    const LEDGER_ID: &str = "dlhub/flaky";
+
+    fn entry_points() -> Vec<EntryPoint> {
+        vec![
+            EntryPoint {
+                name: "run",
+                drive: |hub, input| hub.service.run(&hub.token, LEDGER_ID, input).map(drop),
+                root: "request",
+                frames_per_call: 1,
+                inputs_per_frame: 1,
+                shed_has_frame: true,
+            },
+            EntryPoint {
+                name: "run_batch",
+                drive: |hub, input| {
+                    let inputs = vec![Value::Int(0), input, Value::Int(0)];
+                    hub.service
+                        .run_batch(&hub.token, LEDGER_ID, inputs)
+                        .map(drop)
+                },
+                root: "request",
+                frames_per_call: 1,
+                inputs_per_frame: 3,
+                shed_has_frame: true,
+            },
+            EntryPoint {
+                name: "run_batched",
+                drive: |hub, input| {
+                    hub.service
+                        .run_batched(&hub.token, LEDGER_ID, input)
+                        .map(drop)
+                },
+                root: "batch_flush",
+                frames_per_call: 1,
+                inputs_per_frame: 1,
+                shed_has_frame: false,
+            },
+            EntryPoint {
+                name: "run_async",
+                drive: |hub, input| {
+                    let handle = hub.service.run_async(&hub.token, LEDGER_ID, input)?;
+                    match handle.wait(Duration::from_secs(10)) {
+                        TaskStatus::Completed(_) => Ok(()),
+                        TaskStatus::Failed { last_error, .. } => Err(DlhubError::Execution {
+                            servable: LEDGER_ID.into(),
+                            message: last_error,
+                        }),
+                        other => panic!("async task did not finish: {other:?}"),
+                    }
+                },
+                root: "request",
+                frames_per_call: 1,
+                inputs_per_frame: 1,
+                shed_has_frame: true,
+            },
+            EntryPoint {
+                name: "run_pipeline",
+                drive: |hub, input| {
+                    hub.service
+                        .run_pipeline(&hub.token, "two-steps", input)
+                        .map(drop)
+                },
+                root: "pipeline",
+                frames_per_call: 2,
+                inputs_per_frame: 1,
+                shed_has_frame: true,
+            },
+        ]
+    }
+
+    /// What `scripts/ci.sh` used to check on the hotpath artifact with
+    /// inline Python: properties of what a request frame records, read
+    /// from the exported snapshot after clean traffic only.
+    fn assert_clean_run_snapshot(hub: &TestHub) {
+        let doc = hub.service.obs().snapshot().to_json();
+        assert!(doc.get("spans_dropped").is_some());
+        let find = |list: &str| {
+            doc[list]
+                .as_array()
+                .and_then(|l| l.iter().find(|e| e["servable"] == LEDGER_ID))
+                .unwrap_or_else(|| panic!("no {LEDGER_ID} entry under {list}"))
+                .clone()
+        };
+        let series = find("servables");
+        assert!(series["requests"].as_u64() > Some(0));
+        assert!(series["request_latency_ns"]["count"].as_u64() > Some(0));
+        let buckets = series["request_latency_buckets"].as_array().unwrap();
+        assert!(buckets.iter().any(|b| b["count"].as_u64() > Some(0)));
+        assert!(buckets
+            .iter()
+            .any(|b| b["exemplars"].as_array().is_some_and(|e| !e.is_empty())));
+        let slo = find("slos");
+        assert!(slo["observed"].as_u64() > Some(0));
+        assert_eq!(slo["alerts_fired"].as_u64(), Some(0));
+    }
+
+    #[test]
+    fn every_entry_point_keeps_the_same_ledger() {
+        const SUCCESSES: u64 = 3;
+        const CAP: usize = 2;
+        for entry in entry_points() {
+            let name = entry.name;
+            let hub = TestHub::builder()
+                .without_eval_servables()
+                .memo(false)
+                .config(ServingConfig {
+                    // Sheds at the hard cap only: fairness never engages.
+                    admission: Some(AdmissionConfig {
+                        max_inflight: CAP,
+                        fair_share_at: 1.0,
+                        ..AdmissionConfig::default()
+                    }),
+                    ..ServingConfig::default()
+                })
+                .slo(SloSpec::new(LEDGER_ID, Duration::from_secs(5)))
+                .slo(SloSpec::new("dlhub/relay", Duration::from_secs(5)))
+                .build();
+            // `relay` only ever runs as the pipeline's second step (a
+            // pipeline may not repeat a step), so the ledger below is
+            // summed over both series and both SLOs.
+            for servable in ["flaky", "relay"] {
+                hub.publish_simple(
+                    servable,
+                    ModelType::PythonFunction,
+                    servable_fn(|v| match v {
+                        Value::Int(-1) => Err("exploded".into()),
+                        v => Ok(v.clone()),
+                    }),
+                );
+            }
+            let two_steps =
+                Pipeline::new("two-steps", vec![LEDGER_ID.into(), "dlhub/relay".into()]);
+            hub.service
+                .register_pipeline(&hub.token, two_steps)
+                .unwrap();
+            let obs = hub.service.obs();
+            let admission = hub.service.admission().expect("admission configured");
+
+            for i in 0..SUCCESSES {
+                (entry.drive)(&hub, Value::Int(i as i64)).unwrap();
+            }
+            if name == "run" {
+                assert_clean_run_snapshot(&hub);
+            }
+            // One servable failure…
+            let err = (entry.drive)(&hub, Value::Int(-1)).unwrap_err();
+            assert!(
+                matches!(err, DlhubError::Execution { .. }),
+                "{name}: {err:?}"
+            );
+            // …and one shed: every slot is taken when the call arrives.
+            let held: Vec<_> = (0..CAP)
+                .map(|_| admission.admit(IdentityId(u64::MAX), false, 0).unwrap())
+                .collect();
+            let err = (entry.drive)(&hub, Value::Int(7)).unwrap_err();
+            assert!(
+                matches!(err, DlhubError::Overloaded { .. }),
+                "{name}: {err:?}"
+            );
+            drop(held);
+
+            let ok_frames = SUCCESSES * entry.frames_per_call;
+            let shed_frames = u64::from(entry.shed_has_frame);
+            let frames = ok_frames + 1 + shed_frames;
+            // Requests and errors are counted in inputs, and every
+            // request is either a success or an error.
+            let snap = obs.snapshot();
+            let total = |field: fn(&dlhub_obs::ServableSnapshot) -> u64| -> u64 {
+                snap.servables.iter().map(|(_, s)| field(s)).sum()
+            };
+            let errors = (1 + shed_frames) * entry.inputs_per_frame;
+            assert_eq!(total(|s| s.errors), errors, "{name}");
+            assert_eq!(
+                total(|s| s.requests),
+                ok_frames * entry.inputs_per_frame + errors,
+                "{name}"
+            );
+            // A frame that closes `Ok` records its latency; every frame
+            // that closes, however it closes, reaches the SLO tracker.
+            assert_eq!(total(|s| s.request_latency.count), ok_frames, "{name}");
+            let observed: u64 = snap.slos.iter().map(|s| s.observed).sum();
+            assert_eq!(observed, frames, "{name}");
+            let shed = snap
+                .counters
+                .iter()
+                .find(|(n, _)| n == "requests_shed_total");
+            assert_eq!(shed.map(|(_, v)| *v), Some(1), "{name}");
+            // One span per frame, one root per call that opened one…
+            let export = obs.tracer.export(None);
+            let frame_spans = export.named("request").len() + export.named("batch_flush").len();
+            assert_eq!(frame_spans as u64, frames, "{name}");
+            // (Trace 0 holds free-standing events: the SLO alert the
+            // two bad observations raise.)
+            let roots: Vec<_> = export
+                .spans
+                .iter()
+                .filter(|s| s.parent == 0 && s.trace != 0)
+                .collect();
+            assert_eq!(roots.len() as u64, SUCCESSES + 1 + shed_frames, "{name}");
+            assert!(roots.iter().all(|s| s.name == entry.root), "{name}");
+            // …and every trace, failed and shed ones included, is
+            // whole and partitions exactly into stages.
+            for trace in export.trace_ids().into_iter().filter(|t| *t != 0) {
+                let analysis = obs.analyze(trace).expect("analysis");
+                assert!(analysis.complete, "{name}: trace {trace:x}");
+                assert_eq!(analysis.kind, entry.root, "{name}");
+                assert_eq!(analysis.stage_sum(), analysis.total_ns, "{name}");
+            }
+            assert_eq!(admission.inflight(), 0, "{name}");
+        }
     }
 }

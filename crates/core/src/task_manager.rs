@@ -60,7 +60,7 @@ impl TaskManager {
         executors: Vec<Arc<dyn Executor>>,
         consumers: usize,
     ) -> Self {
-        Self::start_with_obs(
+        Self::start_with_faults(
             name,
             broker,
             task_topic,
@@ -68,11 +68,17 @@ impl TaskManager {
             executors,
             consumers,
             Obs::new(),
+            FaultHandle::default(),
         )
     }
 
-    /// [`TaskManager::start_with_obs`] with a fault-injection schedule:
-    /// when the [`dlhub_fault::site::TM_CRASH`] site fires, the consumer
+    /// [`TaskManager::start`] recording into a shared observability
+    /// handle and consulting a fault-injection schedule. The TM records
+    /// `invocation` spans (parented under the requester's propagated
+    /// context), executors record `inference` spans, and
+    /// `tm_tasks_total` counts handled tasks; deployments pass the same
+    /// handle to the Management Service so one trace spans all tiers.
+    /// When the [`dlhub_fault::site::TM_CRASH`] site fires, the consumer
     /// abandons the leased task mid-flight without acking or replying —
     /// exactly what a Task Manager process crash looks like to the rest
     /// of the system. The broker's lease expiry then redelivers the
@@ -153,34 +159,6 @@ impl TaskManager {
             threads,
             served,
         }
-    }
-
-    /// [`TaskManager::start`] recording into a shared observability
-    /// handle: the TM records `invocation` spans (parented under the
-    /// requester's propagated context), executors record `inference`
-    /// spans, and `tm_tasks_total` counts handled tasks. Deployments
-    /// pass the same handle to the Management Service so one trace
-    /// spans all tiers.
-    #[allow(clippy::too_many_arguments)]
-    pub fn start_with_obs(
-        name: &str,
-        broker: &Broker,
-        task_topic: &str,
-        repository: Arc<Repository>,
-        executors: Vec<Arc<dyn Executor>>,
-        consumers: usize,
-        obs: Obs,
-    ) -> Self {
-        Self::start_with_faults(
-            name,
-            broker,
-            task_topic,
-            repository,
-            executors,
-            consumers,
-            obs,
-            FaultHandle::default(),
-        )
     }
 
     /// The Task Manager's name.

@@ -58,52 +58,15 @@ for seed in 7 1848 3141; do
   CONTROL_SEED="${seed}" cargo test --release --quiet -p dlhub-bench --test control_loop
 done
 
-echo "######## hotpath smoke (metrics export)"
+echo "######## hotpath smoke"
 # Short window; HOTPATH_MIRROR=0 keeps the smoke run from clobbering
 # the committed full-length BENCH_hotpath.json at the workspace root.
 HOTPATH_MS=100 HOTPATH_MIRROR=0 \
   cargo run --release -p dlhub-bench --bin hotpath >/dev/null
-# The artifact must embed a non-empty, well-formed metrics snapshot:
-# the echo servable's request counter and its latency histogram.
-python3 - <<'EOF'
-import json, sys
-doc = json.load(open("results/BENCH_hotpath.json"))
-metrics = doc.get("metrics")
-if not metrics:
-    sys.exit("ci: BENCH_hotpath.json has no metrics snapshot")
-servables = metrics.get("servables") or []
-echo = next((s for s in servables if s.get("servable") == "dlhub/echo"), None)
-if echo is None:
-    sys.exit("ci: metrics snapshot has no series for dlhub/echo")
-if not echo.get("requests", 0) > 0:
-    sys.exit("ci: echo series recorded zero requests")
-latency = echo.get("request_latency_ns")
-if not latency or not latency.get("count", 0) > 0:
-    sys.exit("ci: echo series has no request-latency histogram")
-# The analytics layer's additions must ride along in the snapshot:
-# per-bucket exemplars, the dropped-span counter, and the SLO table.
-if "spans_dropped" not in metrics:
-    sys.exit("ci: metrics snapshot has no spans_dropped counter")
-buckets = echo.get("request_latency_buckets") or []
-if not any(b.get("count", 0) > 0 for b in buckets):
-    sys.exit("ci: echo series has no populated latency buckets")
-if not any(b.get("exemplars") for b in buckets):
-    sys.exit("ci: echo latency buckets retained no trace exemplars")
-slos = metrics.get("slos") or []
-slo = next((s for s in slos if s.get("servable") == "dlhub/echo"), None)
-if slo is None:
-    sys.exit("ci: snapshot has no SLO entry for dlhub/echo")
-if not slo.get("observed", 0) > 0:
-    sys.exit("ci: echo SLO observed no traffic")
-if slo.get("alerts_fired", 0) != 0:
-    sys.exit("ci: loose bench SLO fired an alert on a clean run")
-print(
-    "ci: metrics snapshot OK ({} requests, p99 {} ns, {} SLO(s), "
-    "{} spans dropped)".format(
-        echo["requests"], latency["p99"], len(slos), metrics["spans_dropped"]
-    )
-)
-EOF
+# What the embedded metrics snapshot must hold (series, latency
+# buckets with exemplars, SLO entry observed and quiet) is asserted on
+# the live snapshot by dlhub-core's ledger test; the run stays because
+# bench_gate.py below reads its artifact.
 
 echo "######## broker smoke (sharded rings + zero-copy path)"
 # Short windows; BROKER_MIRROR=0 keeps the smoke run from clobbering
