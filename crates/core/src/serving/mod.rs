@@ -5,30 +5,33 @@
 //! the status of tasks. The Management Service includes advanced
 //! functionality to … optimize task performance, route workloads to
 //! suitable executors, batch tasks, and cache results."
+mod intake;
+mod pipelines;
+mod request;
 
-use crate::admission::{AdmissionConfig, AdmissionController, AdmissionPermit};
+use crate::admission::{AdmissionConfig, AdmissionController};
 use crate::autoscale::{ControlDecision, ControlPolicy, Reconciler};
-use crate::batch::{BatchSizing, Batcher};
+use crate::batch::Batcher;
 use crate::error::DlhubError;
 use crate::executor::ParslExecutor;
-use crate::memo::{MemoCache, MemoKey, MemoStats};
+use crate::memo::{MemoCache, MemoStats};
 use crate::metrics::Timings;
-use crate::pipeline::{Pipeline, StepTiming};
-use crate::repository::{PublishReceipt, PublishVisibility, Repository, SERVE_SCOPE};
+use crate::pipeline::Pipeline;
+use crate::repository::{PublishReceipt, PublishVisibility, Repository};
 use crate::servable::{Servable, ServableMetadata};
-use crate::task::{next_task_id, TaskHandle, TaskRequest, TaskResponse, TaskStatus, TaskTable};
+use crate::task::TaskTable;
 use crate::task_manager::{TmRegistration, REGISTRATION_TOPIC};
 use crate::value::Value;
-use crossbeam::channel;
-use dlhub_auth::{IdentityId, Scope, Token};
-use dlhub_fault::{site, FaultHandle};
-use dlhub_obs::{Gauge, Obs, ServableSeries, SloSpec, SpanHandle, TraceContext};
+use dlhub_auth::Token;
+use dlhub_fault::FaultHandle;
+use dlhub_obs::{Obs, SloSpec};
 use dlhub_queue::{Broker, RpcClient};
+use intake::AsyncPool;
 use parking_lot::RwLock;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Management Service configuration.
 #[derive(Debug, Clone)]
@@ -137,73 +140,6 @@ impl Default for ServingConfig {
     }
 }
 
-type Job = Box<dyn FnOnce() + Send>;
-
-/// A fixed-size worker pool behind one unbounded channel, replacing
-/// the thread-per-request dispatch of async runs. Dropping the pool
-/// drops the sender; `recv` hands out every queued job before it
-/// reports the disconnect, so no accepted request is dropped.
-struct AsyncPool {
-    jobs: Option<channel::Sender<Job>>,
-    /// Jobs waiting in the channel.
-    depth: Arc<Gauge>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl AsyncPool {
-    /// `active` counts workers currently running a job (pool
-    /// occupancy).
-    fn new(workers: usize, depth: Arc<Gauge>, active: Arc<Gauge>) -> Self {
-        let (jobs, queue) = channel::unbounded::<Job>();
-        let workers = (0..workers.max(1))
-            .map(|i| {
-                let queue = queue.clone();
-                let depth = Arc::clone(&depth);
-                let active = Arc::clone(&active);
-                std::thread::Builder::new()
-                    .name(format!("dlhub-async-{i}"))
-                    .spawn(move || {
-                        while let Ok(job) = queue.recv() {
-                            depth.add(-1);
-                            active.add(1);
-                            job();
-                            active.add(-1);
-                        }
-                    })
-                    .expect("spawn async pool worker")
-            })
-            .collect();
-        AsyncPool {
-            jobs: Some(jobs),
-            depth,
-            workers,
-        }
-    }
-
-    fn submit(&self, job: Job) {
-        if let Some(jobs) = &self.jobs {
-            self.depth.add(1);
-            // Workers outlive the sender, so the send cannot fail.
-            let _ = jobs.send(job);
-        }
-    }
-}
-
-impl Drop for AsyncPool {
-    fn drop(&mut self) {
-        self.jobs = None;
-        // The last Arc<ManagementService> can be dropped from inside a
-        // pool job, making a worker run this destructor: it must not
-        // join itself.
-        let current = std::thread::current().id();
-        for worker in self.workers.drain(..) {
-            if worker.thread().id() != current {
-                let _ = worker.join();
-            }
-        }
-    }
-}
-
 /// Result of a synchronous run: the output plus the paper's nested
 /// timings.
 #[derive(Debug, Clone, PartialEq)]
@@ -226,24 +162,6 @@ pub struct RunOptions {
     /// Override [`ServingConfig::request_deadline`] for this request:
     /// the total budget across every retry attempt and backoff pause.
     pub deadline: Option<Duration>,
-}
-
-/// One open request at the Management Service: its span, the
-/// servable's series, the admission permit and the clock it is timed
-/// against. [`ManagementService::open_frame`] is the only constructor
-/// and [`ManagementService::close_frame`] the only consumer, so what a
-/// request records is decided in those two functions and every entry
-/// point keeps only what is its own.
-struct RequestFrame {
-    span: SpanHandle,
-    series: Arc<ServableSeries>,
-    started: Instant,
-    /// Inputs carried: what `requests` advanced by at open, and what
-    /// `errors` advances by if the frame fails.
-    items: u64,
-    /// The inflight slot, held until the frame closes. `None` while
-    /// admission is off or the submitters hold the permits.
-    _permit: Option<AdmissionPermit>,
 }
 
 /// The Management Service. Share via `Arc` (async and batched
@@ -505,638 +423,6 @@ impl ManagementService {
         self.memo.stats()
     }
 
-    /// Authorize the serve scope, returning the caller's tenant key
-    /// (smallest linked identity — see [`dlhub_auth::TokenInfo::tenant`])
-    /// for admission accounting.
-    fn authorize_serve(&self, token: &Token) -> Result<IdentityId, DlhubError> {
-        self.repo
-            .auth()
-            .authorize(
-                token,
-                &Scope::new(crate::repository::RESOURCE_SERVER, SERVE_SCOPE),
-            )
-            .map(|info| info.tenant())
-            .map_err(DlhubError::from)
-    }
-
-    /// Validate the caller and input, returning the caller's tenant
-    /// key. Every entry point calls this before it touches anything
-    /// keyed by `id` — the id is the caller's string until the
-    /// repository resolves it — and a refusal is counted once, on
-    /// `requests_rejected_total`.
-    fn preflight(
-        &self,
-        token: &Token,
-        id: &str,
-        inputs: &[Value],
-    ) -> Result<IdentityId, DlhubError> {
-        let checked = self.authorize_serve(token).and_then(|tenant| {
-            let (_, metadata) = self.repo.resolve(Some(token), id)?;
-            if inputs.iter().all(|i| metadata.input_type.matches(i)) {
-                Ok(tenant)
-            } else {
-                Err(DlhubError::InvalidInput {
-                    servable: id.to_string(),
-                    expected: metadata.input_type.descriptor(),
-                })
-            }
-        });
-        if checked.is_err() {
-            self.obs.metrics.counter("requests_rejected_total").inc();
-        }
-        checked
-    }
-
-    /// Pass `tenant`'s request through the admission controller (a
-    /// no-op `Ok(None)` while admission is disabled). The permit holds
-    /// the inflight slot and must live for the request's duration.
-    /// Contention pressure is read from the telemetry signals: p99
-    /// queue wait (in the broker or in front of the replica pools,
-    /// whichever is larger) or the servable's fast burn rate over
-    /// their configured maxima.
-    fn admit(
-        &self,
-        servable: &str,
-        tenant: IdentityId,
-    ) -> Result<Option<AdmissionPermit>, DlhubError> {
-        let Some(controller) = &self.admission else {
-            return Ok(None);
-        };
-        let cfg = controller.config();
-        let pressured = self.obs.telemetry.signals().is_some_and(|signals| {
-            let window = cfg.signal_window;
-            let queue_hot = [
-                signals.queue_wait(window),
-                signals.replica_queue_wait(window),
-            ]
-            .into_iter()
-            .filter_map(|h| h?.quantile(0.99))
-            .max()
-            .is_some_and(|p99| {
-                p99 > cfg.queue_wait_p99_max.as_nanos().min(u64::MAX as u128) as u64
-            });
-            let burn_hot = signals
-                .burn_rate(servable, window)
-                .is_some_and(|b| b.avg > cfg.burn_rate_max);
-            queue_hot || burn_hot
-        });
-        controller
-            .admit(tenant, pressured, dlhub_obs::now_ns())
-            .map(Some)
-    }
-
-    /// Open `id`'s request frame on `span` — the one place a request
-    /// starts being accounted. Called after [`Self::preflight`], so
-    /// `id` is a resolved servable. `batch` is the input count for the
-    /// two batch entry points (`None`: a single input); `tenant` is
-    /// who to admit (`None`: the callers already hold the permits).
-    ///
-    /// Shed *before* any queueing or dispatch: a rejected request
-    /// costs the caller one typed error and a back-off, not a deadline
-    /// spent deep in the stack. A shed is a failed request like any
-    /// other, so it closes the frame it was refused.
-    fn open_frame(
-        &self,
-        id: &str,
-        mut span: SpanHandle,
-        started: Instant,
-        batch: Option<usize>,
-        tenant: Option<IdentityId>,
-    ) -> Result<RequestFrame, DlhubError> {
-        span.attr("servable", id);
-        let series = self.obs.metrics.series(id);
-        let items = batch.unwrap_or(1) as u64;
-        series.requests.add(items);
-        if batch.is_some() {
-            span.attr("batch_size", items.to_string());
-            series.batch_sizes.record(items);
-        }
-        let frame = RequestFrame {
-            span,
-            series,
-            started,
-            items,
-            _permit: None,
-        };
-        match tenant.map_or(Ok(None), |tenant| self.admit(id, tenant)) {
-            Ok(_permit) => Ok(RequestFrame { _permit, ..frame }),
-            Err(shed) => self
-                .close_frame(id, frame, Err(shed))
-                .map(|(frame, _)| frame),
-        }
-    }
-
-    /// Close `frame` with its outcome — the one place a request's
-    /// latencies, errors and SLO observation are recorded — and hand
-    /// the outcome back with `timings.request` stamped, so every entry
-    /// point measures to the same instant. The permit is released
-    /// after everything is recorded.
-    fn close_frame<T>(
-        &self,
-        id: &str,
-        frame: RequestFrame,
-        outcome: Result<(T, Timings), DlhubError>,
-    ) -> Result<(T, Timings), DlhubError> {
-        let RequestFrame {
-            mut span,
-            series,
-            started,
-            items,
-            _permit,
-        } = frame;
-        let request = started.elapsed();
-        let outcome = outcome.map(|(value, timings)| (value, Timings { request, ..timings }));
-        match &outcome {
-            Ok((_, timings)) => {
-                span.attr(
-                    "cache_hit",
-                    if timings.cache_hit { "true" } else { "false" },
-                );
-                series
-                    .request_latency
-                    .record_duration_with_exemplar(request, span.trace());
-                series
-                    .invocation_latency
-                    .record_duration(timings.invocation);
-                if timings.cache_hit {
-                    series.cache_hits.inc();
-                } else {
-                    series.inference_latency.record_duration(timings.inference);
-                }
-            }
-            Err(e) => {
-                series.errors.add(items);
-                span.attr("error", e.to_string());
-            }
-        }
-        self.obs.observe_slo(id, request, outcome.is_ok());
-        self.obs.tracer.finish(span);
-        outcome
-    }
-
-    /// Dispatch `inputs` to a Task Manager and await the response,
-    /// retrying transient failures with exponential backoff until the
-    /// retry budget or the request deadline runs out. The frame's span
-    /// context rides inside the task envelope so the Task Manager can
-    /// parent its invocation span under it; each attempt additionally
-    /// gets its own `attempt` child span. Returns the outputs with
-    /// `inference` summed over them and `request` left for
-    /// [`Self::close_frame`] to stamp.
-    ///
-    /// Every attempt re-sends the *same* `task_id`: the broker is
-    /// at-least-once, so a timed-out attempt may still execute, and a
-    /// duplicated execution must be attributable to one logical task.
-    fn execute_remote(
-        &self,
-        id: &str,
-        frame: &RequestFrame,
-        inputs: Vec<Value>,
-        deadline: Option<Duration>,
-    ) -> Result<(Vec<Value>, Timings), DlhubError> {
-        let _profile = self.obs.profile.frame("serving.execute_remote");
-        let deadline = Instant::now() + deadline.unwrap_or(self.config.request_deadline);
-        let ctx = frame.span.ctx();
-        let request = TaskRequest {
-            task_id: next_task_id(),
-            servable: id.to_string(),
-            inputs,
-            trace: Some(ctx),
-        };
-        let payload = request.to_bytes();
-        let mut attempts = 0u32;
-        let mut backoff = self.config.retry_backoff;
-        loop {
-            attempts += 1;
-            let mut attempt_span = self.obs.tracer.start_child(ctx, "attempt");
-            attempt_span.attr("servable", id);
-            attempt_span.attr("attempt", attempts.to_string());
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            let error = if remaining.is_zero() {
-                // Out of budget before this attempt even dispatched.
-                DlhubError::Timeout
-            } else {
-                let per_attempt = self.config.request_timeout.min(remaining);
-                match self.attempt_remote(id, &frame.series, &payload, per_attempt) {
-                    Ok(parts) => {
-                        self.obs.tracer.finish(attempt_span);
-                        return Ok(parts);
-                    }
-                    Err(e) => e,
-                }
-            };
-            attempt_span.attr("error", error.to_string());
-            self.obs.tracer.finish(attempt_span);
-            let retryable = match &error {
-                DlhubError::Timeout | DlhubError::Transport(_) => true,
-                DlhubError::Execution { .. } => self.config.retry_execution_errors,
-                _ => false,
-            };
-            if !retryable {
-                return Err(error);
-            }
-            if attempts > self.config.max_retries || Instant::now() >= deadline {
-                self.obs.metrics.counter("request_exhausted_total").inc();
-                return Err(DlhubError::Exhausted {
-                    servable: id.to_string(),
-                    attempts,
-                    last_error: error.to_string(),
-                });
-            }
-            self.obs.metrics.counter("request_retries_total").inc();
-            let pause = backoff.min(deadline.saturating_duration_since(Instant::now()));
-            if !pause.is_zero() {
-                std::thread::sleep(pause);
-            }
-            backoff = backoff.saturating_mul(2);
-        }
-    }
-
-    /// One dispatch attempt: post the serialized task, await one reply,
-    /// decode it, and fold its cost into the servable's series
-    /// (adaptive batching and the replica control loop size from it).
-    fn attempt_remote(
-        &self,
-        id: &str,
-        series: &ServableSeries,
-        payload: &bytes::Bytes,
-        timeout: Duration,
-    ) -> Result<(Vec<Value>, Timings), DlhubError> {
-        let reply = self.rpc.call_wait(payload.clone(), timeout)?;
-        let response = TaskResponse::from_bytes(&reply).map_err(DlhubError::Transport)?;
-        let outputs = response.outcome.map_err(|message| DlhubError::Execution {
-            servable: id.to_string(),
-            message,
-        })?;
-        let inference = response
-            .inference_nanos
-            .iter()
-            .map(|n| Duration::from_nanos(*n))
-            .sum();
-        let invocation = Duration::from_nanos(response.invocation_nanos);
-        series.dispatch.record(outputs.len(), inference, invocation);
-        let timings = Timings {
-            inference,
-            invocation,
-            ..Timings::default()
-        };
-        Ok((outputs, timings))
-    }
-
-    /// [`Self::execute_remote`] for a single input.
-    fn execute_one(
-        &self,
-        id: &str,
-        frame: &RequestFrame,
-        input: Value,
-        deadline: Option<Duration>,
-    ) -> Result<(Value, Timings), DlhubError> {
-        let (mut outputs, timings) = self.execute_remote(id, frame, vec![input], deadline)?;
-        let value = outputs
-            .pop()
-            .ok_or_else(|| DlhubError::Transport("task manager returned no output".into()))?;
-        Ok((value, timings))
-    }
-
-    /// Synchronous inference with default options.
-    pub fn run(&self, token: &Token, id: &str, input: Value) -> Result<RunResult, DlhubError> {
-        self.run_with_options(token, id, input, &RunOptions::default())
-    }
-
-    /// Synchronous inference.
-    pub fn run_with_options(
-        &self,
-        token: &Token,
-        id: &str,
-        input: Value,
-        options: &RunOptions,
-    ) -> Result<RunResult, DlhubError> {
-        self.run_inner(token, id, input, options, None)
-    }
-
-    /// One synchronous request: a frame under a `request` span (root,
-    /// or a child of `parent` when the request is a pipeline step)
-    /// around [`Self::run_measured`].
-    fn run_inner(
-        &self,
-        token: &Token,
-        id: &str,
-        input: Value,
-        options: &RunOptions,
-        parent: Option<TraceContext>,
-    ) -> Result<RunResult, DlhubError> {
-        let _profile = self.obs.profile.frame("serving.run");
-        let started = Instant::now();
-        let tenant = self.preflight(token, id, std::slice::from_ref(&input))?;
-        let span = match parent {
-            Some(p) => self.obs.tracer.start_child(p, "request"),
-            None => self.obs.tracer.start_root("request"),
-        };
-        let frame = self.open_frame(id, span, started, None, Some(tenant))?;
-        let trace = frame.span.trace();
-        let outcome = self.run_measured(id, &frame, input, options);
-        self.close_frame(id, frame, outcome)
-            .map(|(value, timings)| RunResult {
-                value,
-                timings,
-                trace,
-            })
-    }
-
-    /// Consult the memo cache and dispatch to a Task Manager.
-    fn run_measured(
-        &self,
-        id: &str,
-        frame: &RequestFrame,
-        input: Value,
-        options: &RunOptions,
-    ) -> Result<(Value, Timings), DlhubError> {
-        let memoize = options
-            .memoize
-            .unwrap_or_else(|| self.memo_enabled.load(Ordering::Relaxed));
-        // The key hashes the whole input; only memoized requests pay.
-        let key = memoize.then(|| MemoKey::new(id, &input));
-        if let Some(key) = &key {
-            let _profile = self.obs.profile.frame("serving.memo_lookup");
-            let lookup_started = Instant::now();
-            let mut lookup_span = self.obs.tracer.start_child(frame.span.ctx(), "memo_lookup");
-            lookup_span.attr("servable", id);
-            let cached = self.memo.get(key);
-            lookup_span.attr("hit", if cached.is_some() { "true" } else { "false" });
-            self.obs.tracer.finish(lookup_span);
-            if let Some(cached) = cached {
-                // A hit never reaches the Task Manager: invocation
-                // collapses to the cache lookup (§V-B5).
-                let timings = Timings {
-                    invocation: lookup_started.elapsed(),
-                    cache_hit: true,
-                    ..Timings::default()
-                };
-                return Ok((cached, timings));
-            }
-        }
-        let (value, timings) = self.execute_one(id, frame, input, options.deadline)?;
-        if let Some(key) = key {
-            self.memo.put(key, value.clone());
-        }
-        Ok((value, timings))
-    }
-
-    /// Explicit batch execution: all inputs travel in one task,
-    /// amortizing dispatch overheads (§V-B3). Returns outputs in input
-    /// order plus the batch timings (inference = sum over items).
-    pub fn run_batch(
-        &self,
-        token: &Token,
-        id: &str,
-        inputs: Vec<Value>,
-    ) -> Result<(Vec<Value>, Timings), DlhubError> {
-        let started = Instant::now();
-        let tenant = self.preflight(token, id, &inputs)?;
-        if inputs.is_empty() {
-            return Ok((Vec::new(), Timings::default()));
-        }
-        // One frame, one permit: the batch travels as one task.
-        let span = self.obs.tracer.start_root("request");
-        let frame = self.open_frame(id, span, started, Some(inputs.len()), Some(tenant))?;
-        let outcome = self.execute_remote(id, &frame, inputs, None);
-        self.close_frame(id, frame, outcome)
-    }
-
-    /// Submit through the auto-batcher: the request is coalesced with
-    /// concurrent requests for the same servable into one dispatch.
-    pub fn run_batched(
-        self: &Arc<Self>,
-        token: &Token,
-        id: &str,
-        input: Value,
-    ) -> Result<Value, DlhubError> {
-        let tenant = self.preflight(token, id, std::slice::from_ref(&input))?;
-        // A submitter has no frame: its request is recorded by the
-        // flush that carries it, so a shed here shows only on
-        // `requests_shed_total`. The permit covers the coalescing wait
-        // and the flush this caller blocks on: submit() returns only
-        // once its batch ran.
-        let _permit = self.admit(id, tenant)?;
-        self.batcher(id).submit(input)
-    }
-
-    /// `id`'s auto-batcher, created on first use.
-    fn batcher(self: &Arc<Self>, id: &str) -> Arc<Batcher> {
-        // Fast path: the batcher already exists, so a read lock keeps
-        // concurrent submitters for different servables contention-free.
-        if let Some(batcher) = self.batchers.read().get(id) {
-            return Arc::clone(batcher);
-        }
-        // `entry` re-checks under the write lock: another caller may
-        // have created it since the read unlock.
-        let mut batchers = self.batchers.write();
-        let batcher = batchers.entry(id.to_string()).or_insert_with(|| {
-            let sizing = if self.config.adaptive_batching {
-                BatchSizing::Adaptive {
-                    series: self.obs.metrics.series(id),
-                    target_overhead_fraction: 0.1,
-                    cap: self.config.batch_max,
-                }
-            } else {
-                BatchSizing::Fixed(self.config.batch_max)
-            };
-            // A `Weak`: the service owns the batcher, so a strong
-            // reference here would keep both alive forever. The
-            // upgrade never holds the last reference — a flush always
-            // carries a submitter blocked inside `run_batched`.
-            let service = Arc::downgrade(self);
-            let servable = id.to_string();
-            Arc::new(Batcher::new(
-                sizing,
-                self.config.batch_delay,
-                Arc::new(move |inputs, waited| match service.upgrade() {
-                    Some(service) => service.flush(&servable, inputs, waited),
-                    None => Err(DlhubError::Transport("service shut down".into())),
-                }),
-            ))
-        });
-        Arc::clone(batcher)
-    }
-
-    /// One auto-batch flush = one task: a frame under its own
-    /// `batch_flush` root, recorded as a [`Self::run_batch`] of the
-    /// same size. `waited` is the oldest item's coalescing delay. No
-    /// admission here: every submitter holds its own permit.
-    fn flush(
-        &self,
-        id: &str,
-        inputs: Vec<Value>,
-        waited: Duration,
-    ) -> Result<Vec<Value>, DlhubError> {
-        let _profile = self.obs.profile.frame("serving.batch_flush");
-        let span = self.obs.tracer.start_root("batch_flush");
-        let mut frame = self.open_frame(id, span, Instant::now(), Some(inputs.len()), None)?;
-        frame
-            .span
-            .attr("batch_wait_ns", waited.as_nanos().to_string());
-        let outcome = match self.config.faults.decide(site::BATCH_FLUSH) {
-            Some(fault) => Err(DlhubError::Execution {
-                servable: id.to_string(),
-                message: format!("injected batch-flush fault ({:?})", fault.kind),
-            }),
-            None => self.execute_remote(id, &frame, inputs, None),
-        };
-        self.close_frame(id, frame, outcome)
-            .map(|(outputs, _)| outputs)
-    }
-
-    /// Asynchronous inference: returns a handle carrying the task UUID
-    /// (§IV-A). Authorization and input validation happen before the
-    /// handle is returned.
-    pub fn run_async(
-        self: &Arc<Self>,
-        token: &Token,
-        id: &str,
-        input: Value,
-    ) -> Result<TaskHandle, DlhubError> {
-        let started = Instant::now();
-        let tenant = self.preflight(token, id, std::slice::from_ref(&input))?;
-        // The frame opens at submission: queueing time inside the async
-        // pool is part of the user-visible request, and an accepted
-        // handle is a promise of capacity — the permit rides in the
-        // frame until the pool job closes it.
-        let span = self.obs.tracer.start_root("request");
-        let mut frame = self.open_frame(id, span, started, None, Some(tenant))?;
-        let task_id = next_task_id();
-        frame.span.attr("mode", "async");
-        frame.span.attr("task_id", task_id.clone());
-        self.task_table.register(&task_id);
-        let handle = TaskHandle::new(task_id.clone(), Arc::clone(&self.task_table));
-        let service = Arc::clone(self);
-        let servable = id.to_string();
-        // No thread is spawned per request: the job joins the pool's
-        // channel and one of the `async_workers` threads runs it.
-        self.async_pool.submit(Box::new(move || {
-            let _profile = service.obs.profile.frame("serving.async_worker");
-            let outcome = service.execute_one(&servable, &frame, input, None);
-            let status = match service.close_frame(&servable, frame, outcome) {
-                Ok((value, _)) => TaskStatus::Completed(value),
-                Err(e) => {
-                    // A terminal failure is exactly the moment an
-                    // operator wants the recent past preserved:
-                    // freeze a flight-recorder bundle (no-op while
-                    // the recorder is disabled).
-                    service.obs.recorder.task_failed(
-                        &task_id,
-                        &servable,
-                        e.attempts(),
-                        &e.to_string(),
-                    );
-                    TaskStatus::Failed {
-                        attempts: e.attempts(),
-                        last_error: e.to_string(),
-                    }
-                }
-            };
-            service.task_table.resolve(&task_id, status);
-        }));
-        Ok(handle)
-    }
-
-    /// Poll an async task by UUID. Ids whose record was dropped by
-    /// [`Self::forget_task`] report [`DlhubError::ExpiredTask`], so a
-    /// client can tell "poll again later is pointless" apart from a
-    /// typo'd id ([`DlhubError::UnknownTask`]).
-    pub fn task_status(&self, task_id: &str) -> Result<TaskStatus, DlhubError> {
-        match self.task_table.status(task_id) {
-            Some(status) => Ok(status),
-            None if self.task_table.was_forgotten(task_id) => {
-                Err(DlhubError::ExpiredTask(task_id.to_string()))
-            }
-            None => Err(DlhubError::UnknownTask(task_id.to_string())),
-        }
-    }
-
-    /// Drop a finished task's record (housekeeping after the client
-    /// retrieved the result). A bounded tombstone keeps later polls
-    /// answering "expired" rather than "never existed".
-    pub fn forget_task(&self, task_id: &str) {
-        self.task_table.forget(task_id);
-    }
-
-    /// Register a pipeline. Every step must be visible to the
-    /// registrant.
-    pub fn register_pipeline(&self, token: &Token, pipeline: Pipeline) -> Result<(), DlhubError> {
-        self.authorize_serve(token)?;
-        pipeline.validate().map_err(DlhubError::Pipeline)?;
-        for step in &pipeline.steps {
-            self.repo.resolve(Some(token), step)?;
-        }
-        self.pipelines
-            .write()
-            .insert(pipeline.name.clone(), pipeline);
-        Ok(())
-    }
-
-    /// Run a registered pipeline: steps execute server-side, output of
-    /// step *k* feeding step *k + 1* without returning to the client
-    /// (§VI-D). Returns the final value and per-step timings.
-    pub fn run_pipeline(
-        &self,
-        token: &Token,
-        name: &str,
-        input: Value,
-    ) -> Result<(Value, Vec<StepTiming>), DlhubError> {
-        self.run_pipeline_traced(token, name, input)
-            .map(|(value, steps, _)| (value, steps))
-    }
-
-    /// [`Self::run_pipeline`], additionally returning the trace id of
-    /// the pipeline's span tree: one `pipeline` root with one `request`
-    /// child per step, each carrying its `invocation`/`inference`
-    /// descendants from the deeper tiers.
-    pub fn run_pipeline_traced(
-        &self,
-        token: &Token,
-        name: &str,
-        input: Value,
-    ) -> Result<(Value, Vec<StepTiming>, u64), DlhubError> {
-        self.authorize_serve(token)?;
-        let pipeline = self
-            .pipelines
-            .read()
-            .get(name)
-            .cloned()
-            .ok_or_else(|| DlhubError::Pipeline(format!("no such pipeline: {name}")))?;
-        let mut span = self.obs.tracer.start_root("pipeline");
-        span.attr("pipeline", name);
-        span.attr("steps", pipeline.steps.len().to_string());
-        let trace = span.trace();
-        let ctx = span.ctx();
-        let mut current = input;
-        let mut steps = Vec::with_capacity(pipeline.steps.len());
-        for step in &pipeline.steps {
-            let result =
-                match self.run_inner(token, step, current, &RunOptions::default(), Some(ctx)) {
-                    Ok(result) => result,
-                    Err(e) => {
-                        span.attr("error", e.to_string());
-                        self.obs.tracer.finish(span);
-                        return Err(e);
-                    }
-                };
-            steps.push(StepTiming {
-                servable: step.clone(),
-                timings: result.timings,
-            });
-            current = result.value;
-        }
-        self.obs.tracer.finish(span);
-        Ok((current, steps, trace))
-    }
-
-    /// Registered pipelines.
-    pub fn pipelines(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.pipelines.read().keys().cloned().collect();
-        names.sort();
-        names
-    }
-
     /// Task Managers that have registered so far (§IV-B). Drains the
     /// registration topic on each call.
     pub fn task_managers(&self) -> Vec<TmRegistration> {
@@ -1164,6 +450,8 @@ mod tests {
     use crate::hub::TestHub;
     use crate::servable::servable_fn;
     use crate::servable::ModelType;
+    use crate::task::TaskStatus;
+    use dlhub_auth::IdentityId;
     use dlhub_search::Query;
     use std::sync::atomic::AtomicUsize;
 
