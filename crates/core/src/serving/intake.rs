@@ -149,11 +149,9 @@ impl ManagementService {
         waited: Duration,
     ) -> Result<Vec<Value>, DlhubError> {
         let _profile = self.obs.profile.frame("serving.batch_flush");
-        let span = self.obs.tracer.start_root("batch_flush");
-        let mut frame = self.open_frame(id, span, Instant::now(), Some(inputs.len()), None)?;
-        frame
-            .span
-            .attr("batch_wait_ns", waited.as_nanos().to_string());
+        let mut span = self.obs.tracer.start_root("batch_flush");
+        span.attr("batch_wait_ns", waited.as_nanos().to_string());
+        let frame = self.open_frame(id, span, Instant::now(), Some(inputs.len()), None)?;
         let outcome = match self.config.faults.decide(site::BATCH_FLUSH) {
             Some(fault) => Err(DlhubError::Execution {
                 servable: id.to_string(),
@@ -180,11 +178,11 @@ impl ManagementService {
         // pool is part of the user-visible request, and an accepted
         // handle is a promise of capacity — the permit rides in the
         // frame until the pool job closes it.
-        let span = self.obs.tracer.start_root("request");
-        let mut frame = self.open_frame(id, span, started, None, Some(tenant))?;
         let task_id = next_task_id();
-        frame.span.attr("mode", "async");
-        frame.span.attr("task_id", task_id.clone());
+        let mut span = self.obs.tracer.start_root("request");
+        span.attr("mode", "async");
+        span.attr("task_id", task_id.clone());
+        let frame = self.open_frame(id, span, started, None, Some(tenant))?;
         self.task_table.register(&task_id);
         let handle = TaskHandle::new(task_id.clone(), Arc::clone(&self.task_table));
         let service = Arc::clone(self);

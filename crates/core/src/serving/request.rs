@@ -19,12 +19,13 @@ use std::time::{Duration, Instant};
 
 /// One open request at the Management Service: its span, the
 /// servable's series, the admission permit and the clock it is timed
-/// against. [`ManagementService::open_frame`] is the only constructor
-/// and [`ManagementService::close_frame`] the only consumer, so what a
-/// request records is decided in those two functions and every entry
-/// point keeps only what is its own.
+/// against. Opaque outside this file: [`ManagementService::open_frame`]
+/// is the only constructor and [`ManagementService::close_frame`] the
+/// only consumer, so what a request records is decided in those two
+/// functions and every entry point keeps only what is its own — the
+/// span it mints, with its own attrs, and what it does in between.
 pub(super) struct RequestFrame {
-    pub(super) span: SpanHandle,
+    span: SpanHandle,
     series: Arc<ServableSeries>,
     started: Instant,
     /// Inputs carried: what `requests` advanced by at open, and what
@@ -298,11 +299,7 @@ impl ManagementService {
             servable: id.to_string(),
             message,
         })?;
-        let inference = response
-            .inference_nanos
-            .iter()
-            .map(|n| Duration::from_nanos(*n))
-            .sum();
+        let inference = Duration::from_nanos(response.inference_nanos.iter().sum());
         let invocation = Duration::from_nanos(response.invocation_nanos);
         series.dispatch.record(outputs.len(), inference, invocation);
         let timings = Timings {
