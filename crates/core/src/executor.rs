@@ -10,10 +10,11 @@ use crate::servable::{ModelType, Servable};
 use crate::value::Value;
 use crossbeam::channel;
 use dlhub_container::{Cluster, Digest, PodSpec};
-use dlhub_fault::{site, FaultHandle, FaultKind};
+use dlhub_fault::{site, Fault, FaultHandle, FaultKind};
 use dlhub_obs::{Counter, Gauge, Histogram, Obs, ProfilerHandle, SpanRecord, TraceContext};
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -43,13 +44,13 @@ pub trait Executor: Send + Sync {
         inputs: &[Value],
     ) -> Execution;
 
-    /// Number of tasks dispatched so far.
+    /// Number of jobs started so far: one per replica a task's inputs
+    /// were cut across, one per non-empty task on an inline executor.
     fn dispatched(&self) -> u64;
 
     /// [`Executor::execute`] plus span recording: when an observability
-    /// handle and a parent context are supplied, record one
-    /// `inference` span per input under the parent (the Task Manager's
-    /// invocation span).
+    /// handle and a parent context are supplied, record `inference`
+    /// spans under the parent (the Task Manager's invocation span).
     ///
     /// The default implementation runs `execute` and reconstructs
     /// end-anchored spans from the reported durations, which is exact
@@ -146,8 +147,8 @@ struct JobTrace {
 struct Task {
     servable: Arc<dyn Servable>,
     /// The whole batch, shared by reference across every job; each job
-    /// reads its own `inputs[index]` in place. Dispatching a batch of
-    /// `n` inputs is `n` refcount bumps, not `n` deep `Value` clones.
+    /// reads its own `inputs[items]` in place. Dispatching a batch is
+    /// one refcount bump per replica, not `n` deep `Value` clones.
     inputs: Arc<Vec<Value>>,
     trace: Option<JobTrace>,
     /// Obs-clock instant after which the task counts as wedged.
@@ -170,12 +171,24 @@ struct Progress {
 }
 
 impl Task {
-    /// Record one replica's answer; the last one completes the task
-    /// (first error in input order, if any). Returns whether it did.
-    fn answer(&self, index: usize, result: Result<Value, String>, inference: Duration) -> bool {
+    /// Record one job's answers, for the inputs from `first` on, each
+    /// with the same inference time; the last job to answer completes
+    /// the task (first error in input order, if any). Returns whether
+    /// this one did.
+    fn answer(
+        &self,
+        first: usize,
+        results: impl IntoIterator<Item = Result<Value, String>>,
+        inference: Duration,
+    ) -> bool {
         let mut progress = self.progress.lock();
-        progress.answers[index] = Some((result, inference));
-        progress.answered += 1;
+        let Progress {
+            answers, answered, ..
+        } = &mut *progress;
+        for (slot, result) in answers[first..].iter_mut().zip(results) {
+            *slot = Some((result, inference));
+            *answered += 1;
+        }
         progress.answered == progress.answers.len()
             && self.complete(progress, |progress| {
                 let answers = std::mem::take(&mut progress.answers).into_iter().flatten();
@@ -218,9 +231,12 @@ impl Task {
     }
 }
 
+/// One replica's share of a task.
 struct Job {
     task: Arc<Task>,
-    index: usize,
+    /// The contiguous run of `task.inputs` this replica serves; never
+    /// empty.
+    items: Range<usize>,
     /// Obs-clock stamp taken when the job entered the pool queue, so
     /// the replica can report its queue wait.
     queued_ns: u64,
@@ -279,6 +295,84 @@ struct HealthMetrics {
     profiler: ProfilerHandle,
 }
 
+/// Run user code with a panic trapped: one must not kill the pod — the
+/// real system's container would trap the crash and report it — so the
+/// unwind is caught and surfaced as an execution error.
+fn guarded<T>(run: impl FnOnce() -> T) -> Result<T, String> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).map_err(|panic| {
+        let msg = panic
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| panic.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "unknown panic".into());
+        format!("servable panicked: {msg}")
+    })
+}
+
+/// [`Servable::run_many`] held to its contract of one result per
+/// input: a servable that breaks it fails the whole block.
+fn run_many_checked(servable: &dyn Servable, inputs: &[Value]) -> Vec<Result<Value, String>> {
+    let results = servable.run_many(inputs);
+    if results.len() == inputs.len() {
+        return results;
+    }
+    let broken = format!(
+        "servable returned {} results for {} inputs",
+        results.len(),
+        inputs.len()
+    );
+    vec![Err(broken); inputs.len()]
+}
+
+/// Run one input on its own, under the fault verdict drawn for it.
+fn run_one(
+    injected: Option<Fault>,
+    servable: &dyn Servable,
+    input: &Value,
+) -> Result<Value, String> {
+    guarded(|| match injected {
+        // Slow and Hang delay the real work; the others replace it.
+        Some(fault) if matches!(fault.kind, FaultKind::Slow | FaultKind::Hang) => {
+            std::thread::sleep(fault.delay);
+            servable.run(input)
+        }
+        Some(fault) if fault.kind == FaultKind::Panic => panic!("injected replica panic"),
+        Some(_) => Err("injected replica fault".to_string()),
+        None => servable.run(input),
+    })
+    .unwrap_or_else(Err)
+}
+
+/// Run one job's inputs, pushing one result per input onto `results`.
+///
+/// Fault verdicts are drawn once per input, in input order, as when
+/// every input was a job of its own. Several inputs that draw no fault
+/// are one [`Servable::run_many`] call under one panic trap, so a panic
+/// in it fails them all. A single input, or a chunk in which a fault
+/// fired, runs input by input.
+fn run_chunk(
+    faults: &FaultHandle,
+    servable: &dyn Servable,
+    inputs: &[Value],
+    results: &mut Vec<Result<Value, String>>,
+) {
+    if let [input] = inputs {
+        results.push(run_one(faults.decide(site::REPLICA), servable, input));
+        return;
+    }
+    let verdicts: Vec<Option<Fault>> = inputs
+        .iter()
+        .map(|_| faults.decide(site::REPLICA))
+        .collect();
+    if verdicts.iter().any(Option::is_some) {
+        let runs = verdicts.into_iter().zip(inputs);
+        results.extend(runs.map(|(injected, input)| run_one(injected, servable, input)));
+        return;
+    }
+    let block = guarded(|| run_many_checked(servable, inputs));
+    results.extend(block.unwrap_or_else(|panic| vec![Err(panic); inputs.len()]));
+}
+
 struct Pool {
     sender: channel::Sender<Job>,
     workers: Vec<std::thread::JoinHandle<()>>,
@@ -315,51 +409,26 @@ impl Pool {
                     .name(format!("pod-{servable_id}-{i}"))
                     .spawn(move || {
                         // Each worker models one pod replica: pull the
-                        // next request (IPP-style load balancing across
-                        // the pool), run the servable, answer. A panic
-                        // inside user code must not kill the pod — the
-                        // real system's container would trap the crash
-                        // and report it — so unwind is caught and
-                        // surfaced as an execution error.
+                        // next job (IPP-style load balancing across
+                        // the pool), run the servable on its inputs,
+                        // answer.
                         let mut strikes = 0u32;
+                        // Reused from job to job: a one-input job
+                        // allocates nothing to hold its result.
+                        let mut results = Vec::new();
                         while let Ok(job) = rx.recv() {
                             let _frame = metrics.get().map(|m| m.profiler.frame("replica.execute"));
-                            let (task, queued_ns) = (job.task, job.queued_ns);
+                            let Job {
+                                task,
+                                items,
+                                queued_ns,
+                            } = job;
                             let start_ns = dlhub_obs::now_ns();
                             if let Some(m) = metrics.get() {
                                 m.queue_wait.record(start_ns.saturating_sub(queued_ns));
                             }
-                            let input = &task.inputs[job.index];
-                            let injected = faults.decide(site::REPLICA);
-                            let result =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    match injected {
-                                        // Slow and Hang delay the real
-                                        // work; the others replace it.
-                                        Some(fault)
-                                            if matches!(
-                                                fault.kind,
-                                                FaultKind::Slow | FaultKind::Hang
-                                            ) =>
-                                        {
-                                            std::thread::sleep(fault.delay);
-                                            task.servable.run(input)
-                                        }
-                                        Some(fault) if fault.kind == FaultKind::Panic => {
-                                            panic!("injected replica panic")
-                                        }
-                                        Some(_) => Err("injected replica fault".to_string()),
-                                        None => task.servable.run(input),
-                                    }
-                                }))
-                                .unwrap_or_else(|panic| {
-                                    let msg = panic
-                                        .downcast_ref::<&str>()
-                                        .map(|s| s.to_string())
-                                        .or_else(|| panic.downcast_ref::<String>().cloned())
-                                        .unwrap_or_else(|| "unknown panic".into());
-                                    Err(format!("servable panicked: {msg}"))
-                                });
+                            let inputs = &task.inputs[items.clone()];
+                            run_chunk(&faults, &*task.servable, inputs, &mut results);
                             let end_ns = dlhub_obs::now_ns();
                             if let Some(trace) = &task.trace {
                                 trace.tracer.record(SpanRecord {
@@ -374,14 +443,20 @@ impl Pool {
                                         ("replica", i.to_string()),
                                         ("executor", "parsl".to_string()),
                                         ("queued_ns", queued_ns.to_string()),
+                                        ("items", inputs.len().to_string()),
                                     ],
                                 });
                             }
-                            let failed = result.is_err();
-                            let inference = Duration::from_nanos(end_ns.saturating_sub(start_ns));
+                            // One failed input is a strike for the job.
+                            let failed = results.iter().any(Result::is_err);
+                            // Each input reports an even share of its
+                            // job's time, so a task's summed inference
+                            // time is what its replicas spent on it.
+                            let elapsed_ns = end_ns.saturating_sub(start_ns);
+                            let inference = Duration::from_nanos(elapsed_ns / inputs.len() as u64);
                             // The last answer runs the task's completion
                             // right here, on the replica thread.
-                            if task.answer(job.index, result, inference) {
+                            if task.answer(items.start, results.drain(..), inference) {
                                 inflight.tasks.lock().remove(&(Arc::as_ptr(&task) as usize));
                             }
                             drop(task);
@@ -609,24 +684,31 @@ impl ParslExecutor {
             .map_or(0, |p| p.quarantined.load(Ordering::Relaxed))
     }
 
-    /// The job queue of the servable's pool, deployed first if absent.
-    /// The reconciler's idle park can retire the pool between deploy
-    /// and look: a cold start to retry, never a panic on a live thread.
-    fn pool_sender(&self, servable_id: &str) -> Option<channel::Sender<Job>> {
+    /// The job queue of the servable's pool and the number of replicas
+    /// pulling from it (one look at one pool), deployed first if
+    /// absent. The reconciler's idle park can retire the pool between
+    /// deploy and look: a cold start to retry, never a panic on a live
+    /// thread.
+    fn pool_sender(&self, servable_id: &str) -> Option<(channel::Sender<Job>, usize)> {
         for _ in 0..4 {
             if let Some(pool) = self.pools.read().get(servable_id) {
-                return Some(pool.sender.clone());
+                return Some((pool.sender.clone(), pool.replicas));
             }
             self.scale(servable_id, self.default_replicas);
         }
         None
     }
 
-    /// The one fan-out path: one job per input onto the servable's
-    /// pool. Whichever thread completes the task calls `done`, or, for
-    /// `None`, parks the outcome in the returned task for the caller to
-    /// wait on. A dispatcher parked on a saturated pool looks for
-    /// expired tasks every [`TICK`].
+    /// The one fan-out path: the inputs cut into one contiguous chunk
+    /// per replica (`min(inputs, replicas)` jobs, sizes differing by at
+    /// most one) onto the servable's pool, so a batch costs each
+    /// replica one hand-off and reaches the servable as a block. How
+    /// finely to cut is not an option: fewer jobs than replicas leave
+    /// replicas idle, more only add hand-offs. Whichever thread
+    /// completes the task calls `done`, or, for `None`, parks the
+    /// outcome in the returned task for the caller to wait on. A
+    /// dispatcher parked on a saturated pool looks for expired tasks
+    /// every [`TICK`].
     fn start(
         &self,
         servable_id: &str,
@@ -667,7 +749,7 @@ impl ParslExecutor {
             task.complete(task.progress.lock(), |_| Ok((Vec::new(), Vec::new())));
             return task;
         }
-        let Some(sender) = self.pool_sender(servable_id) else {
+        let Some((sender, replicas)) = self.pool_sender(servable_id) else {
             task.fail("executor pool shut down");
             return task;
         };
@@ -681,15 +763,20 @@ impl ParslExecutor {
             .fetch_min(task.deadline_ns, Ordering::SeqCst);
         // Sending happens outside the `pools` read guard: a saturated
         // pool blocks this dispatcher, never a rescale of any pool.
-        for index in 0..count {
+        let jobs = count.min(replicas);
+        let (share, larger) = (count / jobs, count % jobs);
+        let mut next = 0;
+        for number in 0..jobs {
             self.dispatched.fetch_add(1, Ordering::Relaxed);
-            let queued_ns = match index {
+            let queued_ns = match number {
                 0 => started_ns,
                 _ => dlhub_obs::now_ns(),
             };
+            let items = next..next + share + usize::from(number < larger);
+            next = items.end;
             let mut job = Job {
                 task: Arc::clone(&task),
-                index,
+                items,
                 queued_ns,
             };
             // A dispatcher parked on a saturated pool still looks for
@@ -775,8 +862,8 @@ impl Executor for ParslExecutor {
     ) {
         // The serving path lands here: the decoded request batch is
         // shared with every replica job as-is — no `Value` deep clones
-        // anywhere between the wire and `Servable::run` — and the
-        // caller is back at its queue before the first job runs.
+        // anywhere between the wire and the servable — and the caller
+        // is back at its queue before the first job runs.
         self.start(servable_id, servable, inputs, obs, parent, Some(done));
     }
 
@@ -839,6 +926,18 @@ impl Drop for ParslExecutor {
     }
 }
 
+/// How an executor without replica threads runs a task: one
+/// [`Servable::run_many`] over all its inputs, each input reporting an
+/// even share of the elapsed time (as a replica job does).
+fn run_inline(servable: &dyn Servable, inputs: &[Value]) -> Execution {
+    let start = Instant::now();
+    let outputs = run_many_checked(servable, inputs)
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
+    let inference = start.elapsed() / inputs.len().max(1) as u32;
+    Ok((outputs, vec![inference; inputs.len()]))
+}
+
 /// TensorFlow-Serving executor: a dedicated low-overhead server that
 /// only accepts TensorFlow-exportable servables (§IV-C). Inference is
 /// executed inline — there is no Python hop — which models the C++
@@ -876,16 +975,10 @@ impl Executor for TfServingExecutor {
         _servable_id: &str,
         servable: &Arc<dyn Servable>,
         inputs: &[Value],
-    ) -> Result<(Vec<Value>, Vec<Duration>), String> {
-        let mut outputs = Vec::with_capacity(inputs.len());
-        let mut times = Vec::with_capacity(inputs.len());
-        for input in inputs {
-            self.dispatched.fetch_add(1, Ordering::Relaxed);
-            let start = Instant::now();
-            outputs.push(servable.run(input)?);
-            times.push(start.elapsed());
-        }
-        Ok((outputs, times))
+    ) -> Execution {
+        self.dispatched
+            .fetch_add(inputs.len().min(1) as u64, Ordering::Relaxed);
+        run_inline(&**servable, inputs)
     }
 
     fn dispatched(&self) -> u64 {
@@ -930,21 +1023,21 @@ impl Executor for SageMakerExecutor {
         _servable_id: &str,
         servable: &Arc<dyn Servable>,
         inputs: &[Value],
-    ) -> Result<(Vec<Value>, Vec<Duration>), String> {
-        let mut outputs = Vec::with_capacity(inputs.len());
-        let mut times = Vec::with_capacity(inputs.len());
-        for input in inputs {
-            self.dispatched.fetch_add(1, Ordering::Relaxed);
-            // HTTP body round trip in, …
-            let body = serde_json::to_vec(input).map_err(|e| e.to_string())?;
-            let decoded: Value = serde_json::from_slice(&body).map_err(|e| e.to_string())?;
-            let start = Instant::now();
-            let output = servable.run(&decoded)?;
-            times.push(start.elapsed());
-            // … and out.
-            let body = serde_json::to_vec(&output).map_err(|e| e.to_string())?;
-            outputs.push(serde_json::from_slice(&body).map_err(|e| e.to_string())?);
-        }
+    ) -> Execution {
+        self.dispatched
+            .fetch_add(inputs.len().min(1) as u64, Ordering::Relaxed);
+        let round_trip = |value: &Value| -> Result<Value, String> {
+            let body = serde_json::to_vec(value).map_err(|e| e.to_string())?;
+            serde_json::from_slice(&body).map_err(|e| e.to_string())
+        };
+        // HTTP body round trip in, …
+        let decoded = inputs
+            .iter()
+            .map(round_trip)
+            .collect::<Result<Vec<_>, _>>()?;
+        let (outputs, times) = run_inline(&**servable, &decoded)?;
+        // … and out.
+        let outputs = outputs.iter().map(round_trip).collect::<Result<_, _>>()?;
         Ok((outputs, times))
     }
 
@@ -964,15 +1057,138 @@ mod tests {
         Cluster::new(vec![NodeSpec::new("n0", 64_000, 65_536)])
     }
 
+    /// Each input sleeps `i % 3` ms and is echoed.
+    fn napping_echo() -> Arc<dyn Servable> {
+        servable_fn(|v| match v {
+            Value::Int(i) => {
+                std::thread::sleep(Duration::from_millis((*i % 3) as u64));
+                Ok(v.clone())
+            }
+            other => Err(format!("not an int: {other:?}")),
+        })
+    }
+
     #[test]
     fn parsl_executes_and_orders_outputs() {
         let ex = ParslExecutor::new(cluster(), 4);
-        let echo = servable_fn(|v| Ok(v.clone()));
         let inputs: Vec<Value> = (0..20).map(Value::Int).collect();
-        let (outputs, times) = ex.execute("u/echo", &echo, &inputs).unwrap();
+        let (outputs, times) = ex.execute("u/echo", &napping_echo(), &inputs).unwrap();
         assert_eq!(outputs, inputs);
         assert_eq!(times.len(), 20);
-        assert_eq!(ex.dispatched(), 20);
+        // 20 inputs over 4 replicas: 4 jobs of 5, and each job's inputs
+        // share its time evenly (to the nanosecond, rounded down).
+        assert_eq!(ex.dispatched(), 4);
+        for (job, times) in times.chunks(5).enumerate() {
+            let slept: u64 = (job as u64 * 5..).take(5).map(|i| i % 3).sum();
+            let reported = times.iter().sum::<Duration>() + Duration::from_nanos(5);
+            assert!(
+                reported >= Duration::from_millis(slept),
+                "job {job}: {times:?}"
+            );
+            assert!(times.iter().all(|t| *t == times[0]), "job {job}: {times:?}");
+        }
+    }
+
+    #[test]
+    fn a_task_is_one_chunk_per_replica_whatever_its_size() {
+        // Fails inputs 1000.., panics on -1, echoes the rest.
+        let picky = servable_fn(|v| match v {
+            Value::Int(-1) => panic!("simulated crash in user code"),
+            Value::Int(i) if *i >= 1000 => Err(format!("item {i} failed")),
+            other => Ok(other.clone()),
+        });
+        for replicas in [1usize, 2, 4] {
+            let ex = ParslExecutor::new(cluster(), replicas).with_health(None);
+            for n in [0usize, 1, 2, 3, 31, 32, 33] {
+                let case = format!("{n} inputs on {replicas} replicas");
+                let inputs: Vec<Value> = (0..n as i64).map(Value::Int).collect();
+                let before = ex.dispatched();
+                let (outputs, times) = ex.execute("u/picky", &picky, &inputs).unwrap();
+                assert_eq!(ex.dispatched() - before, n.min(replicas) as u64, "{case}");
+                assert_eq!(outputs, inputs, "{case}");
+                assert_eq!(times.len(), n, "{case}");
+                if n == 0 {
+                    continue;
+                }
+                // Two failing inputs (one, where the two positions
+                // coincide): whichever job answers first, the first in
+                // input order is the task's error.
+                let mut failing = inputs.clone();
+                failing[n - 1] = Value::Int(2000);
+                failing[n / 2] = Value::Int(1000);
+                assert_eq!(
+                    ex.execute("u/picky", &picky, &failing).unwrap_err(),
+                    "item 1000 failed",
+                    "{case}"
+                );
+                // A panicking input fails its task, and the pool is
+                // there for the next one.
+                let mut crashing = inputs.clone();
+                crashing[n / 2] = Value::Int(-1);
+                let err = ex.execute("u/picky", &picky, &crashing).unwrap_err();
+                assert!(err.contains("panicked: simulated crash"), "{case}: {err}");
+                let (outputs, _) = ex.execute("u/picky", &picky, &inputs).unwrap();
+                assert_eq!(outputs, inputs, "{case}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_chunk_that_draws_a_fault_runs_input_by_input() {
+        use dlhub_fault::{FaultPlan, FaultSpec};
+        // Counts calls into `run`; `run_many` is the default loop.
+        struct Counting(AtomicUsize);
+        impl Servable for Counting {
+            fn run(&self, input: &Value) -> Result<Value, String> {
+                self.0.fetch_add(1, Ordering::Relaxed);
+                Ok(input.clone())
+            }
+        }
+        let inputs: Vec<Value> = (0..6).map(Value::Int).collect();
+        for (kind, after) in [(FaultKind::Error, 2), (FaultKind::Panic, 5)] {
+            // One replica: the six inputs are one chunk, whose verdicts
+            // are arrivals 0..6 at the site; one of them fires.
+            let faults = FaultPlan::seeded(7)
+                .inject(site::REPLICA, FaultSpec::new(kind).after(after).max(1))
+                .build();
+            let ex = ParslExecutor::new(cluster(), 1)
+                .with_faults(faults.clone())
+                .with_health(None);
+            let counting = Arc::new(Counting(AtomicUsize::new(0)));
+            let servable: Arc<dyn Servable> = counting.clone();
+            let err = ex.execute("u/count", &servable, &inputs).unwrap_err();
+            assert!(err.contains("injected replica"), "{kind:?}: {err}");
+            assert_eq!(faults.arrivals(site::REPLICA), 6, "{kind:?}");
+            assert_eq!(faults.injected(site::REPLICA), 1, "{kind:?}");
+            // Only the faulted input was replaced; the rest ran.
+            assert_eq!(counting.0.load(Ordering::Relaxed), 5, "{kind:?}");
+            // The rule is spent: the next chunk is clean and whole.
+            let (outputs, _) = ex.execute("u/count", &servable, &inputs).unwrap();
+            assert_eq!(outputs, inputs, "{kind:?}");
+            assert_eq!(faults.arrivals(site::REPLICA), 12, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn a_servable_that_miscounts_its_block_fails_the_block() {
+        struct Short;
+        impl Servable for Short {
+            fn run(&self, input: &Value) -> Result<Value, String> {
+                Ok(input.clone())
+            }
+            fn run_many(&self, inputs: &[Value]) -> Vec<Result<Value, String>> {
+                inputs[1..].iter().cloned().map(Ok).collect()
+            }
+        }
+        let short: Arc<dyn Servable> = Arc::new(Short);
+        let inputs: Vec<Value> = (0..4).map(Value::Int).collect();
+        let want = "servable returned 3 results for 4 inputs";
+        let ex = ParslExecutor::new(cluster(), 1);
+        assert_eq!(ex.execute("u/short", &short, &inputs).unwrap_err(), want);
+        // A single input never reaches `run_many` on a replica.
+        assert!(ex.execute("u/short", &short, &inputs[..1]).is_ok());
+        let tfs = TfServingExecutor::new();
+        assert_eq!(tfs.execute("u/short", &short, &inputs).unwrap_err(), want);
     }
 
     #[test]
@@ -1117,6 +1333,12 @@ mod tests {
         assert_eq!(out[0], Value::Str("hello world".into()));
         assert_eq!(times.len(), 1);
         assert_eq!(tfs.dispatched(), 1);
+        // A task is one call into the servable however many inputs.
+        let (out, times) = tfs.execute("u/noop", &noop, &vec![Value::Null; 3]).unwrap();
+        assert_eq!((out.len(), times.len()), (3, 3));
+        assert_eq!(tfs.dispatched(), 2);
+        assert_eq!(tfs.execute("u/noop", &noop, &[]), Ok((vec![], vec![])));
+        assert_eq!(tfs.dispatched(), 2);
     }
 
     #[test]
@@ -1148,8 +1370,11 @@ mod tests {
         assert_eq!(times.len(), 6);
         obs.tracer.finish(root);
         let export = obs.tracer.export(Some(parent.trace));
+        // One span per job: 6 inputs on 2 replicas are 2 jobs of 3.
         let spans = export.named("inference");
-        assert_eq!(spans.len(), 6);
+        assert_eq!(spans.len(), 2);
+        let items = |s: &&SpanRecord| s.attr("items").unwrap().parse::<usize>().unwrap();
+        assert_eq!(spans.iter().map(items).sum::<usize>(), 6);
         assert!(spans.iter().all(|s| s.parent == parent.span));
         assert!(spans.iter().all(|s| s.attr("servable") == Some("u/echo")));
         assert!(spans.iter().all(|s| s.attr("replica").is_some()));

@@ -186,6 +186,18 @@ pub trait Servable: Send + Sync {
     /// Errors are strings (a Python traceback analogue); the serving
     /// layer wraps them in [`crate::DlhubError::Execution`].
     fn run(&self, input: &Value) -> Result<Value, String>;
+
+    /// Execute the servable on a block of inputs — one replica's share
+    /// of a batch. The contract: one result per input, in input order,
+    /// each what [`Servable::run`] gives that input alone (a cached
+    /// single result and a batched one are interchangeable).
+    ///
+    /// The default loops over `run`. Override it where a block can
+    /// share work: one GEMM for the dense layers of a block of images,
+    /// one pass over each tree for a block of feature rows.
+    fn run_many(&self, inputs: &[Value]) -> Vec<Result<Value, String>> {
+        inputs.iter().map(|input| self.run(input)).collect()
+    }
 }
 
 /// A servable wrapping a plain function — the "any Python
@@ -213,6 +225,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn type_desc_matching() {
@@ -267,6 +280,36 @@ mod tests {
         assert_eq!(s.run(&Value::Int(3)).unwrap(), Value::Str("got 3".into()));
         let failing = servable_fn(|_| Err("nope".into()));
         assert_eq!(failing.run(&Value::Null).unwrap_err(), "nope");
+    }
+
+    fn arb_value() -> impl Strategy<Value = Value> {
+        prop_oneof![
+            Just(Value::Null),
+            any::<bool>().prop_map(Value::Bool),
+            any::<i64>().prop_map(Value::Int),
+            "\\PC{0,8}".prop_map(Value::Str),
+            proptest::collection::vec(-4.0f32..4.0, 0..6).prop_map(|data| Value::Tensor {
+                shape: vec![data.len()],
+                data,
+            }),
+            proptest::collection::vec(any::<i64>().prop_map(Value::Int), 0..4)
+                .prop_map(Value::List),
+        ]
+    }
+
+    proptest! {
+        /// The default `run_many` is `run` mapped over the block, for a
+        /// servable that answers some inputs and refuses others.
+        #[test]
+        fn default_run_many_is_mapped_run(inputs in proptest::collection::vec(arb_value(), 0..12)) {
+            let picky = servable_fn(|v| match v {
+                Value::Int(i) if i % 3 == 0 => Err(format!("refused {i}")),
+                Value::Null => Err("null".into()),
+                other => Ok(Value::List(vec![other.clone(), Value::Str(other.to_string())])),
+            });
+            let mapped: Vec<_> = inputs.iter().map(|input| picky.run(input)).collect();
+            prop_assert_eq!(picky.run_many(&inputs), mapped);
+        }
     }
 
     #[test]

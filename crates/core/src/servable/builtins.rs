@@ -4,7 +4,7 @@
 use crate::servable::{ModelType, Servable, ServableMetadata, TypeDesc};
 use crate::value::Value;
 use dlhub_matsci::forest::{ForestConfig, RandomForest};
-use dlhub_tensor::Network;
+use dlhub_tensor::{Network, Tensor};
 use std::sync::Arc;
 
 /// The baseline "noop" servable: "returns 'hello world' when invoked".
@@ -61,10 +61,9 @@ impl ImageClassifier {
     pub fn input_shape(&self) -> &[usize] {
         &self.network.input_shape
     }
-}
 
-impl Servable for ImageClassifier {
-    fn run(&self, input: &Value) -> Result<Value, String> {
+    /// The input as an image of the network's shape.
+    fn image(&self, input: &Value) -> Result<Tensor, String> {
         let tensor = input
             .to_tensor()
             .ok_or_else(|| format!("{} expects a tensor input", self.network.name))?;
@@ -76,7 +75,11 @@ impl Servable for ImageClassifier {
                 tensor.shape()
             ));
         }
-        let probs = self.network.forward(tensor);
+        Ok(tensor)
+    }
+
+    /// The top-k classes of one output distribution.
+    fn classes(&self, probs: &Tensor) -> Value {
         let top = probs.top_k(self.top_k);
         let classes: Vec<Value> = top
             .into_iter()
@@ -87,8 +90,49 @@ impl Servable for ImageClassifier {
                 }))
             })
             .collect();
-        Ok(Value::List(classes))
+        Value::List(classes)
     }
+}
+
+impl Servable for ImageClassifier {
+    fn run(&self, input: &Value) -> Result<Value, String> {
+        let image = self.image(input)?;
+        Ok(self.classes(&self.network.forward(image)))
+    }
+
+    /// The block's valid images go through the network as one batch
+    /// (its dense layers as one GEMM).
+    fn run_many(&self, inputs: &[Value]) -> Vec<Result<Value, String>> {
+        run_block(
+            inputs,
+            |input| self.image(input),
+            |images| {
+                let outputs = self.network.forward_batch(&images);
+                outputs.iter().map(|probs| self.classes(probs)).collect()
+            },
+        )
+    }
+}
+
+/// [`Servable::run_many`] for a servable that scores a block at once:
+/// `check` every input, `score` the ones that pass together, and put
+/// each score where its input was. An input that fails `check` fails
+/// alone.
+fn run_block<'a, T>(
+    inputs: &'a [Value],
+    check: impl Fn(&'a Value) -> Result<T, String>,
+    score: impl FnOnce(Vec<T>) -> Vec<Value>,
+) -> Vec<Result<Value, String>> {
+    let mut valid = Vec::with_capacity(inputs.len());
+    let checked: Vec<Result<(), String>> = inputs
+        .iter()
+        .map(|input| check(input).map(|item| valid.push(item)))
+        .collect();
+    let mut scores = score(valid).into_iter();
+    checked
+        .into_iter()
+        .map(|ok| ok.map(|()| scores.next().expect("one score per valid input")))
+        .collect()
 }
 
 /// `matminer util`: "parsing a string with pymatgen to extract the
@@ -163,20 +207,38 @@ impl MatminerModel {
     }
 }
 
+/// The feature row of a matminer model input, read in place.
+fn feature_row(input: &Value) -> Result<&[f32], String> {
+    let data = match input {
+        Value::Tensor { shape, data } if shape.iter().product::<usize>() == data.len() => data,
+        _ => return Err("matminer model expects a feature tensor".to_string()),
+    };
+    if data.len() != dlhub_matsci::FEATURE_COUNT {
+        return Err(format!(
+            "expected {} features, got {}",
+            dlhub_matsci::FEATURE_COUNT,
+            data.len()
+        ));
+    }
+    Ok(data)
+}
+
 impl Servable for MatminerModel {
     fn run(&self, input: &Value) -> Result<Value, String> {
-        let tensor = input
-            .to_tensor()
-            .ok_or_else(|| "matminer model expects a feature tensor".to_string())?;
-        if tensor.len() != dlhub_matsci::FEATURE_COUNT {
-            return Err(format!(
-                "expected {} features, got {}",
-                dlhub_matsci::FEATURE_COUNT,
-                tensor.len()
-            ));
-        }
-        let features: Vec<f64> = tensor.data().iter().map(|v| *v as f64).collect();
+        let features: Vec<f64> = feature_row(input)?.iter().map(|v| *v as f64).collect();
         Ok(Value::Float(self.forest.predict(&features)))
+    }
+
+    /// The block's valid rows are scored together, each tree walked by
+    /// every row before the next tree is touched.
+    fn run_many(&self, inputs: &[Value]) -> Vec<Result<Value, String>> {
+        run_block(inputs, feature_row, |rows| {
+            let values = rows.iter().flat_map(|row| row.iter());
+            let block: Vec<f64> = values.map(|v| *v as f64).collect();
+            let rows: Vec<&[f64]> = block.chunks_exact(dlhub_matsci::FEATURE_COUNT).collect();
+            let predictions = self.forest.predict_batch(&rows);
+            predictions.into_iter().map(Value::Float).collect()
+        })
     }
 }
 
@@ -208,17 +270,7 @@ impl MatminerModelUq {
 
 impl Servable for MatminerModelUq {
     fn run(&self, input: &Value) -> Result<Value, String> {
-        let tensor = input
-            .to_tensor()
-            .ok_or_else(|| "matminer model expects a feature tensor".to_string())?;
-        if tensor.len() != dlhub_matsci::FEATURE_COUNT {
-            return Err(format!(
-                "expected {} features, got {}",
-                dlhub_matsci::FEATURE_COUNT,
-                tensor.len()
-            ));
-        }
-        let features: Vec<f64> = tensor.data().iter().map(|v| *v as f64).collect();
+        let features: Vec<f64> = feature_row(input)?.iter().map(|v| *v as f64).collect();
         let (prediction, uncertainty) = self.forest.predict_with_uncertainty(&features);
         Ok(Value::Json(serde_json::json!({
             "prediction": prediction,
@@ -363,6 +415,46 @@ mod tests {
         };
         let err = s.run(&wrong_shape).unwrap_err();
         assert!(err.contains("expects shape"));
+    }
+
+    #[test]
+    fn run_many_is_run_per_input_for_the_servables_that_override_it() {
+        let bad_shape = Value::Tensor {
+            shape: vec![3],
+            data: vec![0.0; 3],
+        };
+        // Shape and data disagree: not a tensor at all.
+        let malformed = Value::Tensor {
+            shape: vec![7],
+            data: vec![0.0; dlhub_matsci::FEATURE_COUNT],
+        };
+        let mut images: Vec<Value> = (0..3)
+            .map(|variant| Value::from_tensor(&synthetic_image(&CIFAR10_INPUT, variant)))
+            .collect();
+        images.insert(1, bad_shape.clone());
+        images.push(Value::Null);
+        let mut rows: Vec<Value> = ["NaCl", "CuNi", "BaTiO3"]
+            .iter()
+            .map(|formula| {
+                MatminerFeaturize
+                    .run(&Value::Str(formula.to_string()))
+                    .unwrap()
+            })
+            .collect();
+        rows.insert(0, Value::Str("not a tensor".into()));
+        rows.insert(2, bad_shape);
+        rows.push(malformed);
+        let cases: [(Box<dyn Servable>, Vec<Value>, usize); 2] = [
+            (Box::new(ImageClassifier::cifar10(7)), images, 3),
+            (Box::new(MatminerModel::train(3)), rows, 3),
+        ];
+        for (servable, inputs, valid) in cases {
+            let singles: Vec<_> = inputs.iter().map(|input| servable.run(input)).collect();
+            assert_eq!(singles.iter().filter(|r| r.is_ok()).count(), valid);
+            assert_eq!(servable.run_many(&inputs), singles);
+            assert_eq!(servable.run_many(&inputs[..1]), singles[..1]);
+            assert!(servable.run_many(&[]).is_empty());
+        }
     }
 
     #[test]

@@ -5,7 +5,8 @@
 use dlhub_core::admission::AdmissionConfig;
 use dlhub_core::executor::Executor;
 use dlhub_core::hub::TestHub;
-use dlhub_core::servable::{servable_fn, ModelType};
+use dlhub_core::servable::builtins::MatminerFeaturize;
+use dlhub_core::servable::{servable_fn, ModelType, Servable};
 use dlhub_core::serving::{RunOptions, ServingConfig};
 use dlhub_core::value::Value;
 use dlhub_core::DlhubError;
@@ -131,22 +132,68 @@ fn a_batch_through_the_countdown_keeps_order_times_and_errors() {
         );
         outcome.recv_timeout(PATIENCE).expect("done was called")
     };
-    // 32 inputs over 2 replicas: outputs in input order, each with its
-    // own inference time.
+    // 32 inputs over 2 replicas: outputs in input order, two jobs of
+    // 16, and each job's inputs share the job's time evenly (to the
+    // nanosecond, rounded down).
     let inputs: Vec<Value> = (100..132).map(Value::Int).collect();
     let (outputs, times) = dispatch(inputs).unwrap();
     let expected: Vec<Value> = (100..132).map(|i| Value::Int(i * 2)).collect();
     assert_eq!(outputs, expected);
     assert_eq!(times.len(), 32);
-    for (i, time) in (100..132u64).zip(&times) {
-        assert!(*time >= Duration::from_millis(i % 3), "item {i}: {time:?}");
+    assert_eq!(hub.parsl.dispatched(), 2);
+    for (first, times) in [100u64, 116].into_iter().zip(times.chunks(16)) {
+        let slept: u64 = (first..first + 16).map(|i| i % 3).sum();
+        let reported = times.iter().sum::<Duration>() + Duration::from_nanos(16);
+        assert!(
+            reported >= Duration::from_millis(slept),
+            "job from {first}: {times:?}"
+        );
     }
-    assert_eq!(hub.parsl.dispatched(), 32);
     // One failing item fails the batch with that item's error.
     let mixed: Vec<Value> = (0..32).map(Value::Int).collect();
     assert_eq!(dispatch(mixed).unwrap_err(), "item 13 failed");
     // An empty batch completes at once.
     assert_eq!(dispatch(Vec::new()), Ok((vec![], vec![])));
+}
+
+#[test]
+fn a_batched_result_is_the_single_result_value_for_value() {
+    // A memoised single `run` and an item of a `run_batch` must be
+    // interchangeable: the batch goes through `run_many` (one GEMM for
+    // the block's dense layers, one tree-outer pass for the forest),
+    // the single run through `run`.
+    use dlhub_core::tensor::models::{synthetic_image, CIFAR10_INPUT};
+    let hub = TestHub::builder().memo(false).replicas(2).build();
+    let images: Vec<Value> = (0..5)
+        .map(|variant| Value::from_tensor(&synthetic_image(&CIFAR10_INPUT, variant)))
+        .collect();
+    let features: Vec<Value> = ["NaCl", "BaTiO3", "CuNi", "Fe2O3", "SiO2", "MgO", "LiF"]
+        .iter()
+        .map(|formula| {
+            MatminerFeaturize
+                .run(&Value::Str(formula.to_string()))
+                .unwrap()
+        })
+        .collect();
+    for (id, inputs) in [
+        ("dlhub/cifar10", images),
+        ("dlhub/matminer-model", features),
+    ] {
+        let singles: Vec<Value> = inputs
+            .iter()
+            .map(|input| {
+                hub.service
+                    .run(&hub.token, id, input.clone())
+                    .unwrap()
+                    .value
+            })
+            .collect();
+        let (batched, _) = hub.service.run_batch(&hub.token, id, inputs).unwrap();
+        assert_eq!(batched, singles, "{id}");
+        // `Value` compares floats by `==`; the probabilities and
+        // predictions are the same to the bit as well.
+        assert_eq!(format!("{batched:?}"), format!("{singles:?}"), "{id}");
+    }
 }
 
 #[test]

@@ -27,11 +27,24 @@ echo "######## repo benchmark (build + quick run)"
 # `run --quick` drives every workload in both trace modes for two
 # windows and fails on any wrong answer.
 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- run --quick
+# A batch is one job per replica (DESIGN.md §7): on matminer-mixed a
+# 32-input run_batch over 2 replicas is 2 jobs and the mix averages
+# ≈ 1.6 jobs per op. One job per input read 4.6; anything above 2.5
+# means batches went back to per-item jobs.
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+  --workload matminer-mixed --trace 1 --quick | tail -n 1 | python3 -c '
+import json, sys
+jobs = json.load(sys.stdin)["metrics"]["executor.dispatched_per_op"]["value"]
+if jobs > 2.5:
+    sys.exit("ci: matminer-mixed executor.dispatched_per_op = {:.2f} > 2.5".format(jobs))
+print("ci: matminer-mixed executor.dispatched_per_op = {:.2f} (one job per replica)".format(jobs))
+'
 
 echo "######## tensor kernels smoke (micro bench, kernels group)"
 # The tensor rung of the layer ladder: the CIFAR GEMM shapes, the dense
-# product and both forward passes, each with its GFLOP/s. A short
-# window: this only keeps the group building and running.
+# product on one input and on a block of 32, the forward passes and a
+# 32-image forward_batch, each with its GFLOP/s. A short window: this
+# only keeps the group building and running.
 CRITERION_MEASUREMENT_MS=50 cargo bench -p dlhub-bench --bench micro -- kernels
 
 echo "######## chaos + analytics (fixed seed matrix)"
