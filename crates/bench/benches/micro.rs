@@ -116,13 +116,6 @@ fn bench_kernels(c: &mut Criterion) {
     group.bench_function(format!("matvec_{m}x{n}"), |bch| {
         bch.iter(|| black_box(ops::matvec(&w, &x, m, n)))
     });
-    // The same dense layer on a block of 32 inputs: one GEMM.
-    let rows = 32;
-    let (xs, bias) = (ramp(rows * n, 7), ramp(m, 5));
-    group.throughput(Throughput::Elements((2 * rows * m * n) as u64));
-    group.bench_function(format!("dense_gemm_{rows}x{n}x{m}"), |bch| {
-        bch.iter(|| black_box(ops::dense(&w, &bias, &xs, rows, m, n)))
-    });
     let forwards = [
         ("cifar10_forward", models::cifar10(7)),
         ("inception_forward", models::inception(7)),
@@ -132,14 +125,6 @@ fn bench_kernels(c: &mut Criterion) {
         group.throughput(Throughput::Elements(2 * net.mul_adds() as u64));
         group.bench_function(name, |bch| bch.iter(|| black_box(net.forward(img.clone()))));
     }
-    let net = models::cifar10(7);
-    let batch: Vec<_> = (0..rows as u64)
-        .map(|variant| models::synthetic_image(&net.input_shape, variant))
-        .collect();
-    group.throughput(Throughput::Elements((2 * rows * net.mul_adds()) as u64));
-    group.bench_function(format!("cifar10_forward_batch_{rows}"), |bch| {
-        bch.iter(|| black_box(net.forward_batch(&batch)))
-    });
     group.finish();
 }
 

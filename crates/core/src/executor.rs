@@ -52,11 +52,13 @@ pub trait Executor: Send + Sync {
     /// handle and a parent context are supplied, record `inference`
     /// spans under the parent (the Task Manager's invocation span).
     ///
-    /// The default implementation runs `execute` and reconstructs
-    /// end-anchored spans from the reported durations, which is exact
-    /// for executors that run inputs sequentially inline. Executors
-    /// with replica pools should override it to record spans on the
-    /// replica threads themselves (see [`ParslExecutor`]).
+    /// The default implementation runs `execute` and reconstructs one
+    /// end-anchored span per input from the reported durations. For
+    /// the inline executors those are even shares of one `run_many`
+    /// call, so the spans sum to the call's time but do not mark when
+    /// each input ran. Executors with replica pools should override it
+    /// to record spans on the replica threads themselves (see
+    /// [`ParslExecutor`]).
     fn execute_traced(
         &self,
         servable_id: &str,
@@ -447,8 +449,22 @@ impl Pool {
                                     ],
                                 });
                             }
-                            // One failed input is a strike for the job.
-                            let failed = results.iter().any(Result::is_err);
+                            // Health state machine: healthy → suspect
+                            // (strikes accumulating) → quarantined →
+                            // restarted. The record is kept per input,
+                            // in input order: a success wipes it, so a
+                            // chunk with one bad input among good ones
+                            // is no strike against the replica.
+                            let quarantine = health.filter(|policy| {
+                                let mut struck_out = false;
+                                for result in &results {
+                                    strikes = if result.is_ok() { 0 } else { strikes + 1 };
+                                    if strikes >= policy.quarantine_after {
+                                        (struck_out, strikes) = (true, 0);
+                                    }
+                                }
+                                struck_out
+                            });
                             // Each input reports an even share of its
                             // job's time, so a task's summed inference
                             // time is what its replicas spent on it.
@@ -460,27 +476,16 @@ impl Pool {
                                 inflight.tasks.lock().remove(&(Arc::as_ptr(&task) as usize));
                             }
                             drop(task);
-                            // Health state machine: healthy → suspect
-                            // (strikes accumulating) → quarantined →
-                            // restarted. Success wipes the record.
-                            if let Some(policy) = health {
-                                if !failed {
-                                    strikes = 0;
-                                } else {
-                                    strikes += 1;
-                                    if strikes >= policy.quarantine_after {
-                                        pool_quarantined.fetch_add(1, Ordering::Relaxed);
-                                        if let Some(m) = metrics.get() {
-                                            m.quarantined.add(1);
-                                        }
-                                        std::thread::sleep(policy.quarantine_for);
-                                        strikes = 0;
-                                        pool_quarantined.fetch_sub(1, Ordering::Relaxed);
-                                        if let Some(m) = metrics.get() {
-                                            m.quarantined.add(-1);
-                                            m.restarts.inc();
-                                        }
-                                    }
+                            if let Some(policy) = quarantine {
+                                pool_quarantined.fetch_add(1, Ordering::Relaxed);
+                                if let Some(m) = metrics.get() {
+                                    m.quarantined.add(1);
+                                }
+                                std::thread::sleep(policy.quarantine_for);
+                                pool_quarantined.fetch_sub(1, Ordering::Relaxed);
+                                if let Some(m) = metrics.get() {
+                                    m.quarantined.add(-1);
+                                    m.restarts.inc();
                                 }
                             }
                         }
@@ -1267,6 +1272,37 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         assert_eq!(ex.quarantined("u/sick"), 0);
+    }
+
+    #[test]
+    fn a_chunk_strikes_input_by_input_and_a_success_wipes_the_record() {
+        let obs = Obs::new();
+        let ex = ParslExecutor::new(cluster(), 1).with_health(Some(HealthPolicy {
+            quarantine_after: 2,
+            quarantine_for: Duration::from_millis(1),
+        }));
+        ex.attach_obs(&obs);
+        let picky = servable_fn(|v| match v {
+            Value::Int(i) if *i < 0 => Err(format!("item {i} failed")),
+            other => Ok(other.clone()),
+        });
+        // One replica: each task is one chunk, and the next task is
+        // only served once a quarantine the last one caused is over.
+        let restarts_after = |chunks: &[&[i64]]| {
+            for chunk in chunks {
+                let inputs: Vec<Value> = chunk.iter().copied().map(Value::Int).collect();
+                assert!(ex.execute("u/picky", &picky, &inputs).is_err());
+            }
+            ex.execute("u/picky", &picky, &[Value::Int(0)]).unwrap();
+            obs.metrics.counter("replica_restarts_total").get()
+        };
+        // A bad input among good ones, chunk after chunk: never two
+        // failures in a row.
+        let mixed: &[i64] = &[0, -1, 2, 3];
+        assert_eq!(restarts_after(&[mixed; 3]), 0);
+        // Two in a row inside a chunk, and across two chunks.
+        assert_eq!(restarts_after(&[&[0, -1, -2, 3]]), 1);
+        assert_eq!(restarts_after(&[&[0, 1, -1], &[-2, 0]]), 2);
     }
 
     #[test]

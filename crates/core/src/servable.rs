@@ -192,9 +192,8 @@ pub trait Servable: Send + Sync {
     /// each what [`Servable::run`] gives that input alone (a cached
     /// single result and a batched one are interchangeable).
     ///
-    /// The default loops over `run`. Override it where a block can
-    /// share work: one GEMM for the dense layers of a block of images,
-    /// one pass over each tree for a block of feature rows.
+    /// The default loops over `run`; a servable whose inputs can share
+    /// work across a block overrides it.
     fn run_many(&self, inputs: &[Value]) -> Vec<Result<Value, String>> {
         inputs.iter().map(|input| self.run(input)).collect()
     }

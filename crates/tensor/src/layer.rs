@@ -127,35 +127,6 @@ impl Layer {
         }
     }
 
-    /// Apply the layer to a batch; each output has the bits
-    /// [`Layer::forward`] gives that input alone.
-    ///
-    /// A dense layer on two or more inputs is one GEMM over the block
-    /// ([`ops::dense`]). One input stays on `matvec`: the GEMM
-    /// transposes `W` into panels, as much work as the product itself
-    /// when a single row shares it. Every other layer runs per input.
-    pub(crate) fn forward_batch(&self, inputs: Vec<Tensor>) -> Vec<Tensor> {
-        match self {
-            Layer::Dense {
-                weights,
-                bias,
-                out,
-                input: in_w,
-            } if inputs.len() > 1 => {
-                let mut x = Vec::with_capacity(inputs.len() * in_w);
-                for input in &inputs {
-                    assert_eq!(input.len(), *in_w, "dense input width mismatch");
-                    x.extend_from_slice(input.data());
-                }
-                ops::dense(weights, bias, &x, inputs.len(), *out, *in_w)
-                    .chunks_exact(*out)
-                    .map(|row| Tensor::from_vec(row.to_vec()))
-                    .collect()
-            }
-            _ => inputs.into_iter().map(|t| self.forward(t)).collect(),
-        }
-    }
-
     /// The shape [`Layer::forward`] gives an input of shape `input`,
     /// and the multiply-adds it spends on it (convolution and dense
     /// layers; everything else counts as free).

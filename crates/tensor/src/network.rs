@@ -30,15 +30,6 @@ impl Block {
         }
     }
 
-    /// [`Block::forward`] on a batch: sequential layers take the whole
-    /// batch a layer at a time, branches run per input.
-    fn forward_batch(&self, inputs: Vec<Tensor>) -> Vec<Tensor> {
-        match self {
-            Block::Seq(layers) => layers.iter().fold(inputs, |ts, l| l.forward_batch(ts)),
-            Block::Branches(_) => inputs.into_iter().map(|t| self.forward(t)).collect(),
-        }
-    }
-
     fn param_count(&self) -> usize {
         match self {
             Block::Seq(layers) => layers.iter().map(Layer::param_count).sum(),
@@ -102,27 +93,13 @@ impl Network {
     /// Run inference. Panics if the input shape mismatches (the serving
     /// layer validates shapes before dispatch).
     pub fn forward(&self, input: Tensor) -> Tensor {
-        self.assert_shape(&input);
-        self.blocks.iter().fold(input, |t, b| b.forward(t))
-    }
-
-    fn assert_shape(&self, input: &Tensor) {
         assert_eq!(
             input.shape(),
             &self.input_shape[..],
             "input shape mismatch for {}",
             self.name
         );
-    }
-
-    /// Run inference on a batch: output `i` has the bits
-    /// [`Network::forward`] gives `inputs[i]` alone, and the dense
-    /// layers run as one GEMM over the batch. Panics on a shape
-    /// mismatch, as `forward` does.
-    pub fn forward_batch(&self, inputs: &[Tensor]) -> Vec<Tensor> {
-        inputs.iter().for_each(|input| self.assert_shape(input));
-        let batch = inputs.to_vec();
-        self.blocks.iter().fold(batch, |ts, b| b.forward_batch(ts))
+        self.blocks.iter().fold(input, |t, b| b.forward(t))
     }
 
     /// Total learned parameters.

@@ -4,8 +4,7 @@
 //! Every matrix product runs through one micro-kernel, [`tile`]: an
 //! `MR×NR` tile of the output is held in registers while `k` runs
 //! innermost, left to right, so each output element is the sum
-//! `((0 + a₀b₀) + a₁b₁) + …` no matter which tile shape computes it
-//! (from `-0.0` in [`dense`], whose bits are [`matvec`]'s).
+//! `((0 + a₀b₀) + a₁b₁) + …` no matter which tile shape computes it.
 //! The multiply and the add stay separate operations (no `mul_add`):
 //! a fused multiply-add rounds once instead of twice, so using it
 //! only where the CPU has it would make the bits depend on the host.
@@ -18,16 +17,15 @@
 use crate::tensor::Tensor;
 
 /// The micro-kernel: `sums[r][j] = Σₚ rows[r][p] · panel[p][j]`, each
-/// sum taken left to right over `p` from `init`, multiply and add
+/// sum taken left to right over `p` from `0.0`, multiply and add
 /// rounded separately.
 #[inline(always)]
 fn tile<const MR: usize, const NR: usize>(
     rows: [&[f32]; MR],
     panel: &[[f32; NR]],
-    init: f32,
 ) -> [[f32; NR]; MR] {
     const { assert!(MR <= 8, "tile rows are unrolled by hand up to 8") };
-    let mut acc = [[init; NR]; MR];
+    let mut acc = [[0.0f32; NR]; MR];
     // `acc` must only be indexed by literals. A `for r in 0..MR` loop
     // is too big for LLVM to unroll, and an array indexed by a variable
     // stays on the stack: the kernel then runs scalar at a tenth of the
@@ -60,10 +58,6 @@ struct Gemm<'a, F> {
     m: usize,
     k: usize,
     n: usize,
-    /// What every sum starts from: `0.0`, or `-0.0` where the product
-    /// has to give the bits of [`matvec`] (the two differ only in a sum
-    /// whose every term is `-0.0`).
-    init: f32,
     bias: Option<&'a [f32]>,
     c: &'a mut [f32],
     fill: F,
@@ -77,7 +71,6 @@ impl<F: FnMut(usize, usize, &mut [f32], usize)> Gemm<'_, F> {
             m,
             k,
             n,
-            init,
             bias,
             c,
             mut fill,
@@ -100,7 +93,7 @@ impl<F: FnMut(usize, usize, &mut [f32], usize)> Gemm<'_, F> {
                     let i = (i0 + r).min(m - 1);
                     &a[i * k..][..k]
                 });
-                let sums = tile::<MR, NR>(rows, panel, init);
+                let sums = tile::<MR, NR>(rows, panel);
                 for (i, sums) in (i0..m).zip(&sums) {
                     let out = &mut c[i * n + j0..][..cols];
                     match bias {
@@ -163,7 +156,6 @@ pub fn matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
         m,
         k,
         n,
-        init: 0.0,
         bias: None,
         c: &mut c,
         fill: |j0, cols, panel: &mut [f32], ld| {
@@ -204,51 +196,6 @@ pub fn matvec(w: &[f32], x: &[f32], m: usize, n: usize) -> Vec<f32> {
         let row = &w[i * n..][..n];
         row.iter().zip(x).fold(IDENTITY, |s, (wv, xv)| s + wv * xv)
     }));
-    y
-}
-
-/// The dense layer on `rows` inputs at once: `Y = X Wᵀ + bias` for
-/// row-major `X (rows×n)` and `W (m×n)`, as one GEMM.
-///
-/// Row `i` of `Y` has the bits of `matvec(w, X[i], m, n)` with `bias`
-/// added after: every sum starts from `-0.0`, runs left to right over
-/// `n`, and rounds multiply and add separately. What the GEMM buys is
-/// reuse: `matvec` streams all of `W` for one input, a tile here holds
-/// `MR` inputs against `NR` rows of `W`.
-pub fn dense(w: &[f32], bias: &[f32], x: &[f32], rows: usize, m: usize, n: usize) -> Vec<f32> {
-    assert_eq!(w.len(), m * n, "W has wrong length");
-    assert_eq!(bias.len(), m, "bias has wrong length");
-    let mut y = vec![0.0f32; rows * m];
-    Gemm {
-        a: x,
-        m: rows,
-        k: n,
-        n: m,
-        init: -0.0,
-        bias: None,
-        c: &mut y,
-        // `B = Wᵀ`: column `j` of the panel is row `j0 + j` of `W`. A
-        // strip of the panel at a time, so the lines being written
-        // stay in L1 while `cols` rows of `W` are read along.
-        fill: |j0, cols, panel: &mut [f32], ld| {
-            const STRIP: usize = 64;
-            for p0 in (0..n).step_by(STRIP) {
-                let strip = STRIP.min(n - p0);
-                for (j, row) in w[j0 * n..].chunks_exact(n).take(cols).enumerate() {
-                    for (p, &v) in row[p0..p0 + strip].iter().enumerate() {
-                        panel[(p0 + p) * ld + j] = v;
-                    }
-                }
-            }
-        },
-    }
-    .run_widest();
-    // The GEMM's own bias is per row of `C`; this one is per column.
-    for row in y.chunks_exact_mut(m.max(1)) {
-        for (v, b) in row.iter_mut().zip(bias) {
-            *v += b;
-        }
-    }
     y
 }
 
@@ -408,7 +355,6 @@ pub fn conv2d(
         m: c_out,
         k,
         n,
-        init: 0.0,
         bias: Some(bias),
         c: &mut out,
         fill: |j0, cols, panel: &mut [f32], ld| geom.fill(data, j0, cols, panel, ld),
@@ -571,7 +517,6 @@ mod tests {
             m,
             k,
             n,
-            init: 0.0,
             bias: Some(&bias),
             c: &mut c,
             fill: &mut |j0, cols, panel: &mut [f32], ld| {

@@ -1,12 +1,11 @@
-//! Property tests: the register-blocked GEMM, the panel-wise im2col
-//! convolution and the batched dense layer give exactly the bits of
-//! three obviously correct references — the k-outer row loop the crate
-//! used before, a direct convolution, and `matvec` plus bias one input
-//! at a time — on random inputs and shapes. Exact, not within
+//! Property tests: the register-blocked GEMM and the panel-wise
+//! im2col convolution give exactly the bits of two obviously correct
+//! references — the k-outer row loop the crate used before, and a
+//! direct convolution — on random inputs and shapes. Exact, not within
 //! a tolerance: the kernels promise every output element is the same
 //! sum in the same order whatever the tile shape.
 
-use dlhub_tensor::ops::{conv2d, dense, matmul, matvec};
+use dlhub_tensor::ops::{conv2d, matmul};
 use dlhub_tensor::Tensor;
 use proptest::prelude::*;
 
@@ -93,29 +92,6 @@ fn bits(values: &[f32]) -> Vec<u32> {
     values.iter().map(|v| v.to_bits()).collect()
 }
 
-/// The dense layer one input at a time: what `Layer::forward` does.
-fn dense_reference(w: &[f32], bias: &[f32], x: &[f32], m: usize, n: usize) -> Vec<f32> {
-    let rows = x.chunks_exact(n).flat_map(|row| {
-        let y = matvec(w, row, m, n);
-        y.into_iter().zip(bias).map(|(v, b)| v + b)
-    });
-    rows.collect()
-}
-
-/// A sum whose every product is `-0.0` is `-0.0` from `matvec` and
-/// would be `+0.0` from a kernel that starts at `0.0`; with a `-0.0`
-/// bias the sign reaches the output.
-#[test]
-fn batched_dense_keeps_the_sign_of_an_all_negative_zero_sum() {
-    let (rows, m, n) = (3, 37, 41);
-    let w = vec![-0.0f32; m * n];
-    let x = vec![1.0f32; rows * n];
-    let bias = vec![-0.0f32; m];
-    let y = dense(&w, &bias, &x, rows, m, n);
-    assert!(y.iter().all(|v| v.to_bits() == (-0.0f32).to_bits()));
-    assert_eq!(bits(&y), bits(&dense_reference(&w, &bias, &x, m, n)));
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -133,37 +109,6 @@ proptest! {
         prop_assert_eq!(
             bits(&matmul(&a, &b, m, k, n)),
             bits(&matmul_reference(&a, &b, m, k, n))
-        );
-    }
-
-    /// Rows on both sides of every tile height, outputs on both sides
-    /// of every tile width and of `matvec`'s eight-row blocks, widths
-    /// past one transposition strip; some rows of `W` and some inputs
-    /// all `±0.0`, so whole sums are signed zeros.
-    #[test]
-    fn batched_dense_matches_matvec_per_row(
-        rows in 1usize..20,
-        m in 1usize..70,
-        n in 1usize..200,
-        zero_w_rows in proptest::collection::vec(any::<bool>(), 70),
-        zero_inputs in proptest::collection::vec(any::<bool>(), 20),
-        seed in any::<u64>(),
-    ) {
-        let mut w = noise(m * n, seed);
-        let mut x = noise(rows * n, seed ^ 0x9e37_79b9_7f4a_7c15);
-        let bias: Vec<f32> = noise(m, seed ^ 0x1405_7b7e_f767_814f)
-            .into_iter()
-            .map(|b| if b == 0.0 { -0.0 } else { b })
-            .collect();
-        for (row, _) in w.chunks_exact_mut(n).zip(&zero_w_rows).filter(|(_, z)| **z) {
-            row.fill(-0.0);
-        }
-        for (row, _) in x.chunks_exact_mut(n).zip(&zero_inputs).filter(|(_, z)| **z) {
-            row.fill(0.0);
-        }
-        prop_assert_eq!(
-            bits(&dense(&w, &bias, &x, rows, m, n)),
-            bits(&dense_reference(&w, &bias, &x, m, n))
         );
     }
 

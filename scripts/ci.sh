@@ -42,9 +42,8 @@ print("ci: matminer-mixed executor.dispatched_per_op = {:.2f} (one job per repli
 
 echo "######## tensor kernels smoke (micro bench, kernels group)"
 # The tensor rung of the layer ladder: the CIFAR GEMM shapes, the dense
-# product on one input and on a block of 32, the forward passes and a
-# 32-image forward_batch, each with its GFLOP/s. A short window: this
-# only keeps the group building and running.
+# product and both forward passes, each with its GFLOP/s. A short
+# window: this only keeps the group building and running.
 CRITERION_MEASUREMENT_MS=50 cargo bench -p dlhub-bench --bench micro -- kernels
 
 echo "######## chaos + analytics (fixed seed matrix)"
