@@ -182,7 +182,8 @@ impl SageMaker {
                 Layer::MaxPool { size: 2, stride: 2 },
                 Layer::Flatten,
                 Layer::Dense {
-                    weights: rand_vec(n_classes * pooled, 0.15),
+                    // Input-major; the draws are i.i.d., so any order fills it.
+                    weights: rand_vec(pooled * n_classes, 0.15),
                     bias: vec![0.0; n_classes],
                     out: n_classes,
                     input: pooled,

@@ -92,11 +92,14 @@ fn bench_protocols(c: &mut Criterion) {
 }
 
 /// The tensor rung of the layer ladder: the GEMM shapes the CIFAR-10
-/// conv layers hit, its 4096→256 dense product, and a whole forward
-/// pass of each model. `Throughput::Elements` counts floating-point
-/// operations (two per multiply-add), so `Gelem/s` reads as GFLOP/s.
+/// conv layers hit, its 4096→256 dense layer, the ReLU and max-pool
+/// after its second convolution, and a whole forward pass of each
+/// model. `Throughput::Elements` counts floating-point operations (two
+/// per multiply-add) where there are any, so `Gelem/s` reads as GFLOP/s;
+/// for ReLU and pooling it counts input elements.
 fn bench_kernels(c: &mut Criterion) {
-    use dlhub_tensor::{models, ops};
+    use dlhub_tensor::{models, ops, Tensor};
+    use rand::{rngs::StdRng, Rng, SeedableRng};
     let mut group = c.benchmark_group("kernels");
     group.sample_size(10);
     group.measurement_time(Duration::from_secs(2));
@@ -110,11 +113,38 @@ fn bench_kernels(c: &mut Criterion) {
             bch.iter(|| black_box(ops::matmul(&a, &b, m, k, n)))
         });
     }
-    let (m, n) = (256, 4096);
-    let (w, x) = (ramp(m * n, 13), ramp(n, 7));
-    group.throughput(Throughput::Elements((2 * m * n) as u64));
-    group.bench_function(format!("matvec_{m}x{n}"), |bch| {
-        bch.iter(|| black_box(ops::matvec(&w, &x, m, n)))
+    // The rows below are fed full-mantissa values of random sign, like
+    // conv outputs: `ramp` is periodic, a branch predictor learns it,
+    // and a kernel that branches on sign reads 4x faster than it runs.
+    let mut rng = StdRng::seed_from_u64(20);
+    let mut noise =
+        |len: usize| -> Vec<f32> { (0..len).map(|_| rng.gen_range(-1.0..1.0)).collect() };
+    let (k, n) = (4096, 256);
+    let (w, x, bias) = (noise(k * n), noise(k), noise(n));
+    group.throughput(Throughput::Elements((2 * k * n) as u64));
+    group.bench_function(format!("dense_{k}x{n}"), |bch| {
+        bch.iter(|| black_box(ops::dense(&w, &x, &bias)));
+        // Every weight is read once and used once, so the floor is
+        // memory bandwidth: 4 bytes per 2 FLOP.
+        println!(
+            "kernels/dense_{k}x{n} streams {} B of weights per call: GB/s = 2 x its GFLOP/s",
+            4 * k * n
+        );
+    });
+    let activations = Tensor::new(vec![32, 32, 32], noise(32 * 32 * 32)).unwrap();
+    group.throughput(Throughput::Elements(activations.len() as u64));
+    group.bench_function("relu_32x32x32", |bch| {
+        bch.iter_batched(
+            || activations.clone(),
+            |mut t| {
+                ops::relu(&mut t);
+                t
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    group.bench_function("maxpool_32x32x32_2x2", |bch| {
+        bch.iter(|| black_box(ops::maxpool2d(&activations, 2, 2)))
     });
     let forwards = [
         ("cifar10_forward", models::cifar10(7)),
@@ -273,7 +303,7 @@ fn bench_training(c: &mut Criterion) {
                 Layer::MaxPool { size: 2, stride: 2 },
                 Layer::Flatten,
                 Layer::Dense {
-                    weights: vec![0.01; 4 * 512],
+                    weights: vec![0.01; 512 * 4],
                     bias: vec![0.0; 4],
                     out: 4,
                     input: 512,

@@ -40,7 +40,9 @@ pub enum Layer {
     },
     /// Global average pooling (CHW → C).
     GlobalAvgPool,
-    /// Fully connected: `weights` is `out × in` row-major.
+    /// Fully connected: `weights` is `input × out` row-major, the `W` of
+    /// `y = x·W + bias` (row `i` holds what input `i` sends to each
+    /// output), so [`ops::dense`] reads whole rows.
     Dense {
         /// Weight matrix.
         weights: Vec<f32>,
@@ -94,11 +96,8 @@ impl Layer {
             } => {
                 let x = input.data();
                 assert_eq!(x.len(), *in_w, "dense input width mismatch");
-                let mut y = ops::matvec(weights, x, *out, *in_w);
-                for (v, b) in y.iter_mut().zip(bias) {
-                    *v += b;
-                }
-                Tensor::from_vec(y)
+                assert_eq!(bias.len(), *out, "dense bias width mismatch");
+                Tensor::from_vec(ops::dense(weights, x, bias))
             }
             Layer::ReLU => {
                 let mut t = input;
@@ -175,14 +174,16 @@ mod tests {
 
     #[test]
     fn dense_layer_applies_bias() {
+        // Input 0 feeds both outputs, input 1 only the second: the
+        // out-major reading of the same four numbers gives [21, 24].
         let layer = Layer::Dense {
-            weights: vec![1.0, 0.0, 0.0, 1.0],
+            weights: vec![1.0, 2.0, 0.0, 1.0],
             bias: vec![10.0, 20.0],
             out: 2,
             input: 2,
         };
         let y = layer.forward(Tensor::from_vec(vec![3.0, 4.0]));
-        assert_eq!(y.data(), &[13.0, 24.0]);
+        assert_eq!(y.data(), &[13.0, 30.0]);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Kernels: register-blocked GEMM, panel-wise im2col convolution,
-//! pooling, activations.
+//! Kernels: register-blocked GEMM, panel-wise im2col convolution, the
+//! dense layer, pooling, activations.
 //!
 //! Every matrix product runs through one micro-kernel, [`tile`]: an
 //! `MR×NR` tile of the output is held in registers while `k` runs
@@ -10,6 +10,9 @@
 //! only where the CPU has it would make the bits depend on the host.
 //! The kernel is compiled three times — portable 4×8, AVX2 4×16,
 //! AVX-512 8×32 — and the widest one the CPU reports is taken per call.
+//! The dense layer ([`dense`]) is a vector–matrix product over
+//! input-major weights under the same two rules: one sequential sum per
+//! output, three widths.
 //!
 //! There are no intra-op threads: the serving stack's unit of
 //! parallelism is the servable replica (§IV, Parsl executor).
@@ -168,35 +171,100 @@ pub fn matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
     c
 }
 
-/// Matrix–vector product `y = W x` for row-major `W (m×n)`.
-///
-/// Eight rows are summed side by side. Each keeps its own sequential
-/// sum, so the eight dependency chains overlap in the pipeline and no
-/// sum is reassociated.
-pub fn matvec(w: &[f32], x: &[f32], m: usize, n: usize) -> Vec<f32> {
-    const ROWS: usize = 8;
-    assert_eq!(w.len(), m * n);
-    assert_eq!(x.len(), n);
+/// Rows of `W` one pass of [`dense`] walks before it moves to the next
+/// block of outputs: 16 rows of the CIFAR-10 layer are 16 KB, so the
+/// weights are read as one forward stream, and the running sums make
+/// the trip to `y` and back once per 16 multiply-adds.
+const DENSE_ROWS: usize = 16;
+
+/// `y[o..o + W] += Σᵢ x[i] · rows[i][o..o + W]`, `i` ascending, the
+/// `W` sums in registers from the load of `y` to the store.
+#[inline(always)]
+fn dense_block<const W: usize>(rows: &[f32], n: usize, x: &[f32], o: usize, y: &mut [f32]) {
+    let y: &mut [f32; W] = (&mut y[o..o + W]).try_into().expect("W outputs");
+    let mut acc = *y;
+    for (row, xv) in rows.chunks_exact(n).zip(x) {
+        let w: &[f32; W] = row[o..o + W].try_into().expect("W weights");
+        for j in 0..W {
+            acc[j] += w[j] * xv;
+        }
+    }
+    *y = acc;
+}
+
+/// [`dense`] with output blocks of at most `NR` sums.
+#[inline(always)]
+fn dense_blocked<const NR: usize>(w: &[f32], x: &[f32], bias: &[f32]) -> Vec<f32> {
+    let (k, n) = (x.len(), bias.len());
+    assert_eq!(w.len(), k * n, "weight shape mismatch");
     // `x + -0.0 == x` for every `x`, `-0.0` included: the additive
     // identity, and what `Iterator::sum` starts from.
-    const IDENTITY: f32 = -0.0;
-    let mut y = Vec::with_capacity(m);
-    let mut blocks = w.chunks_exact(ROWS * n.max(1));
-    for block in &mut blocks {
-        let rows: [&[f32]; ROWS] = std::array::from_fn(|r| &block[r * n..][..n]);
-        let mut acc = [IDENTITY; ROWS];
-        for (p, xv) in x.iter().enumerate() {
-            for r in 0..ROWS {
-                acc[r] += rows[r][p] * xv;
-            }
-        }
-        y.extend_from_slice(&acc);
+    let mut y = vec![-0.0f32; n];
+    if n == 0 {
+        return y;
     }
-    y.extend((y.len()..m).map(|i| {
-        let row = &w[i * n..][..n];
-        row.iter().zip(x).fold(IDENTITY, |s, (wv, xv)| s + wv * xv)
-    }));
+    for (rows, x) in w.chunks(DENSE_ROWS * n).zip(x.chunks(DENSE_ROWS)) {
+        let mut o = 0;
+        // Whatever `n` leaves after the `NR`-wide blocks goes to
+        // narrower ones, still a contiguous run of each row.
+        macro_rules! blocks {
+            ($($width:literal)*) => {$(
+                if $width <= NR {
+                    while n - o >= $width {
+                        dense_block::<$width>(rows, n, x, o, &mut y);
+                        o += $width;
+                    }
+                }
+            )*};
+        }
+        blocks!(128 64 32 16 8 4 2 1);
+    }
+    for (v, b) in y.iter_mut().zip(bias) {
+        *v += b;
+    }
     y
+}
+
+fn dense_portable(w: &[f32], x: &[f32], bias: &[f32]) -> Vec<f32> {
+    dense_blocked::<32>(w, x, bias)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn dense_avx2(w: &[f32], x: &[f32], bias: &[f32]) -> Vec<f32> {
+    dense_blocked::<64>(w, x, bias)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn dense_avx512(w: &[f32], x: &[f32], bias: &[f32]) -> Vec<f32> {
+    dense_blocked::<128>(w, x, bias)
+}
+
+/// Fully connected layer `y = x·W + bias` for input-major `W`
+/// (`x.len() × bias.len()` row-major: row `i` holds the weights input
+/// `i` sends to every output).
+///
+/// Each `y[o]` is `((-0.0 + W[0][o]·x[0]) + W[1][o]·x[1]) + …` left to
+/// right, multiply and add rounded separately, then `+ bias[o]`: the
+/// bits `Iterator::sum` over one output's products gives. A block of
+/// outputs is summed side by side in registers, so the chains overlap
+/// and every load is a contiguous run of a row of `W`.
+pub fn dense(w: &[f32], x: &[f32], bias: &[f32]) -> Vec<f32> {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if is_x86_feature_detected!("avx512f") {
+            // SAFETY: the CPU reported avx512f on the line above, the
+            // only requirement of `dense_avx512`.
+            return unsafe { dense_avx512(w, x, bias) };
+        }
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU reported avx2 on the line above, the only
+            // requirement of `dense_avx2`.
+            return unsafe { dense_avx2(w, x, bias) };
+        }
+    }
+    dense_portable(w, x, bias)
 }
 
 /// How many `size`-wide windows, `stride` apart, fit an axis of `dim`
@@ -366,6 +434,10 @@ pub fn conv2d(
 /// Reduce every `size×size` window (step `stride`) of each channel of
 /// a CHW tensor to `finish(fold(… fold(init, v₀) …, vₙ))`, the window's
 /// values taken row by row.
+///
+/// An output row starts as `init` and takes in the input rows under it
+/// one at a time, so the walk is over whole rows of both tensors and
+/// each window still folds in that order.
 fn pool2d(
     input: &Tensor,
     size: usize,
@@ -377,15 +449,19 @@ fn pool2d(
     let shape = input.shape();
     let (c, h, w) = (shape[0], shape[1], shape[2]);
     let (oh, ow) = (windows(h, size, stride, 0), windows(w, size, stride, 0));
-    let mut out = Vec::with_capacity(c * oh * ow);
-    for plane in input.data().chunks_exact(h * w) {
-        for oy in 0..oh {
-            let rows = &plane[oy * stride * w..][..size * w];
-            for ox in 0..ow {
-                let window = rows
-                    .chunks_exact(w)
-                    .flat_map(|row| &row[ox * stride..][..size]);
-                out.push(finish(window.fold(init, |acc, &v| fold(acc, v))));
+    let mut out = vec![init; c * oh * ow];
+    let planes = input.data().chunks_exact(h * w);
+    for (plane, out) in planes.zip(out.chunks_exact_mut(oh * ow)) {
+        for (oy, out_row) in out.chunks_exact_mut(ow).enumerate() {
+            for row in plane[oy * stride * w..][..size * w].chunks_exact(w) {
+                for (acc, window) in out_row.iter_mut().zip(row.windows(size).step_by(stride)) {
+                    for &v in window {
+                        *acc = fold(*acc, v);
+                    }
+                }
+            }
+            for acc in out_row {
+                *acc = finish(*acc);
             }
         }
     }
@@ -417,10 +493,11 @@ pub fn global_avgpool(input: &Tensor) -> Tensor {
 
 /// In-place ReLU.
 pub fn relu(t: &mut Tensor) {
+    // A select, not a branch: conv outputs change sign at random and
+    // a branch here mispredicts every other element. `-0.0` and NaN
+    // are not `< 0.0` and pass through.
     for v in t.data_mut() {
-        if *v < 0.0 {
-            *v = 0.0;
-        }
+        *v = if *v < 0.0 { 0.0 } else { *v };
     }
 }
 
@@ -560,25 +637,56 @@ mod tests {
     }
 
     #[test]
-    fn matvec_matches_matmul() {
+    fn dense_matches_matmul() {
         let w: Vec<f32> = (0..12).map(|i| i as f32).collect();
         let x = vec![1.0, 0.5, -1.0, 2.0];
-        let y = matvec(&w, &x, 3, 4);
-        let y2 = matmul(&w, &x, 3, 4, 1);
-        assert_eq!(y, y2);
+        assert_eq!(dense(&w, &x, &[0.0; 3]), matmul(&x, &w, 1, 4, 3));
+    }
+
+    /// The bits `run` gives `x·W + bias`, beside the bits of summing
+    /// one output at a time with `Iterator::sum`.
+    fn dense_bits(
+        (k, n): (usize, usize),
+        run: impl FnOnce(&[f32], &[f32], &[f32]) -> Vec<f32>,
+    ) -> (Vec<u32>, Vec<u32>) {
+        let (w, x, bias) = (noise(k * n, 4), noise(k, 5), noise(n, 6));
+        let one_output_at_a_time = (0..n).map(|o| {
+            let products = x.iter().enumerate().map(|(i, xv)| w[i * n + o] * xv);
+            products.sum::<f32>() + bias[o]
+        });
+        (
+            run(&w, &x, &bias).iter().map(|v| v.to_bits()).collect(),
+            one_output_at_a_time.map(|v| v.to_bits()).collect(),
+        )
     }
 
     #[test]
-    fn matvec_rows_keep_their_sequential_sums() {
-        // Two blocks of eight rows and three rows left over.
-        let (m, n) = (19, 37);
-        let (w, x) = (noise(m * n, 4), noise(n, 5));
-        let one_row_at_a_time: Vec<f32> = w
-            .chunks(n)
-            .map(|row| row.iter().zip(&x).map(|(a, b)| a * b).sum())
-            .collect();
-        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&matvec(&w, &x, m, n)), bits(&one_row_at_a_time));
+    fn dense_outputs_keep_their_sequential_sums_in_every_instantiation() {
+        // Row chunks short, exact and ragged; output blocks of every
+        // width down to one, alone and after full blocks.
+        for k in [1, 15, 16, 17, 4096] {
+            for n in [1, 10, 31, 32, 33, 256, 1000] {
+                let check = |name, (got, want): (Vec<u32>, Vec<u32>)| {
+                    assert!(got == want, "{name}, {k} inputs, {n} outputs");
+                };
+                check("portable", dense_bits((k, n), dense_portable));
+                check("widest", dense_bits((k, n), dense));
+                #[cfg(target_arch = "x86_64")]
+                {
+                    if is_x86_feature_detected!("avx2") {
+                        // SAFETY: the CPU reported avx2 on the line above.
+                        let run = |w: &[f32], x: &[f32], b: &[f32]| unsafe { dense_avx2(w, x, b) };
+                        check("avx2", dense_bits((k, n), run));
+                    }
+                    if is_x86_feature_detected!("avx512f") {
+                        // SAFETY: the CPU reported avx512f on the line above.
+                        let run =
+                            |w: &[f32], x: &[f32], b: &[f32]| unsafe { dense_avx512(w, x, b) };
+                        check("avx512", dense_bits((k, n), run));
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -662,6 +770,45 @@ mod tests {
     }
 
     #[test]
+    fn relu_is_the_branch_it_replaces_bit_for_bit() {
+        let specials = [
+            -0.0,
+            0.0,
+            f32::from_bits(0x7fc1_2345), // NaN with a payload
+            f32::from_bits(0xffa0_0001), // negative signalling NaN
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -f32::from_bits(1),           // smallest negative subnormal
+            -f32::from_bits(0x007f_ffff), // largest negative subnormal
+            f32::from_bits(1),
+            -1.5,
+            2.5,
+        ];
+        // Eleven values cycled over four 16-lane vectors and a tail of
+        // seven: every special meets several lanes and the tail.
+        let values: Vec<f32> = specials.iter().copied().cycle().take(4 * 16 + 7).collect();
+        let want: Vec<u32> = values
+            .iter()
+            .map(|&v| {
+                let mut v = v;
+                if v < 0.0 {
+                    v = 0.0;
+                }
+                v.to_bits()
+            })
+            .collect();
+        let mut t = Tensor::from_vec(values);
+        relu(&mut t);
+        let got: Vec<u32> = t.data().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(got, want);
+        assert_eq!(got[0], (-0.0f32).to_bits());
+        assert_eq!(got[2], 0x7fc1_2345);
+        assert_eq!(got[3], 0xffa0_0001);
+        assert_eq!(got[5], 0);
+        assert_eq!(got[6], 0);
+    }
+
+    #[test]
     fn softmax_sums_to_one() {
         let mut t = Tensor::from_vec(vec![1.0, 2.0, 3.0]);
         softmax(&mut t);
@@ -695,6 +842,29 @@ mod tests {
         assert_eq!(c.data(), &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
     }
 
+    /// The bits of `reduce` over each pooling window of `input`, the
+    /// window's values handed over row by row, left to right.
+    fn per_window(
+        input: &Tensor,
+        size: usize,
+        stride: usize,
+        reduce: impl Fn(&mut dyn Iterator<Item = f32>) -> f32,
+    ) -> Vec<u32> {
+        let shape = input.shape();
+        let (oh, ow) = (
+            windows(shape[1], size, stride, 0),
+            windows(shape[2], size, stride, 0),
+        );
+        (0..shape[0] * oh * ow)
+            .map(|cell| {
+                let (ch, oy, ox) = (cell / (oh * ow), cell / ow % oh, cell % ow);
+                let mut window = (0..size * size)
+                    .map(|p| input.at_chw(ch, oy * stride + p / size, ox * stride + p % size));
+                reduce(&mut window).to_bits()
+            })
+            .collect()
+    }
+
     proptest! {
         #[test]
         fn softmax_is_shift_invariant(values in proptest::collection::vec(-10.0f32..10.0, 1..20), shift in -5.0f32..5.0) {
@@ -726,6 +896,29 @@ mod tests {
             for (m, a) in mx.data().iter().zip(av.data()) {
                 prop_assert!(m >= a);
             }
+        }
+
+        #[test]
+        fn pooling_folds_each_window_row_by_row(
+            (size, stride) in (1usize..=3, 1usize..=3),
+            (c, extra_h, extra_w) in (1usize..=2, 0usize..=4, 0usize..=4),
+            values in proptest::collection::vec(
+                prop_oneof![Just(-0.0f32), Just(0.0f32), -5.0f32..5.0],
+                2 * 7 * 7,
+            ),
+        ) {
+            let (h, w) = (size + extra_h, size + extra_w);
+            let input = Tensor::new(vec![c, h, w], values[..c * h * w].to_vec()).unwrap();
+            let bits = |t: Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(
+                bits(maxpool2d(&input, size, stride)),
+                per_window(&input, size, stride, |w| w.fold(f32::NEG_INFINITY, f32::max))
+            );
+            let area = (size * size) as f32;
+            prop_assert_eq!(
+                bits(avgpool2d(&input, size, stride)),
+                per_window(&input, size, stride, |w| w.fold(0.0, |s, v| s + v) / area)
+            );
         }
 
         #[test]

@@ -209,19 +209,19 @@ impl Trainable {
                     let x = input.data();
                     let dy_v = dy.data();
                     let g = &mut grads[idx];
-                    // dW[o][i] = dy[o] * x[i]; db = dy; dx = W^T dy.
-                    for (o, d) in dy_v.iter().enumerate().take(*out) {
-                        g.bias[o] += d;
-                        let row = &mut g.weights[o * in_w..(o + 1) * in_w];
-                        for (gw, xv) in row.iter_mut().zip(x) {
-                            *gw += d * xv;
-                        }
+                    // dW[i][o] = x[i] * dy[o]; db = dy; dx[i] = Σₒ dy[o] * W[i][o],
+                    // `o` ascending from 0.0.
+                    for (gb, d) in g.bias.iter_mut().zip(dy_v) {
+                        *gb += d;
                     }
                     let mut dx = vec![0.0f32; *in_w];
-                    for o in 0..*out {
-                        let w_row = &weights[o * in_w..(o + 1) * in_w];
-                        let d = dy_v[o];
-                        for (dxv, wv) in dx.iter_mut().zip(w_row) {
+                    let rows = g.weights.chunks_exact_mut(*out);
+                    for ((g_row, w_row), (xv, dxv)) in rows
+                        .zip(weights.chunks_exact(*out))
+                        .zip(x.iter().zip(&mut dx))
+                    {
+                        for ((gw, wv), d) in g_row.iter_mut().zip(w_row).zip(dy_v) {
+                            *gw += d * xv;
                             *dxv += d * wv;
                         }
                     }
@@ -534,7 +534,7 @@ mod tests {
                 Layer::MaxPool { size: 2, stride: 2 },
                 Layer::Flatten,
                 Layer::Dense {
-                    weights: rand_vec(3 * 36, 0.5),
+                    weights: input_major(rand_vec(3 * 36, 0.5), 3, 36),
                     bias: vec![0.0; 3],
                     out: 3,
                     input: 36,
@@ -542,6 +542,13 @@ mod tests {
             ],
         )
         .unwrap()
+    }
+
+    /// Dense weights drawn output by output, stored input-major.
+    fn input_major(drawn: Vec<f32>, out: usize, input: usize) -> Vec<f32> {
+        (0..input * out)
+            .map(|p| drawn[p % out * input + p / out])
+            .collect()
     }
 
     fn random_input(seed: u64, shape: &[usize]) -> Tensor {
@@ -664,7 +671,7 @@ mod tests {
                 Layer::ReLU,
                 Layer::Flatten,
                 Layer::Dense {
-                    weights: rand_vec(2 * 144, 0.2),
+                    weights: input_major(rand_vec(2 * 144, 0.2), 2, 144),
                     bias: vec![0.0; 2],
                     out: 2,
                     input: 144,
@@ -700,6 +707,39 @@ mod tests {
         let probs = frozen.forward(sample.clone());
         assert!((probs.data().iter().sum::<f32>() - 1.0).abs() < 1e-5);
         assert_eq!(probs.argmax(), Some(*label));
+    }
+
+    /// FNV-1a over the little-endian `to_bits()` of `values`.
+    fn bits_hash(values: impl IntoIterator<Item = f32>) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for byte in values.into_iter().flat_map(|v| v.to_bits().to_le_bytes()) {
+            h = (h ^ byte as u64).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+        h
+    }
+
+    /// Both constants were recorded while dense weights were still
+    /// stored `out × input`: the layout is not allowed to move a bit of
+    /// what training computes.
+    #[test]
+    fn training_bits_do_not_depend_on_the_dense_layout() {
+        let mut net = blob_net(11);
+        net.fit(&blob_dataset(240, 1), 2, 16, 0.1, 0.9).unwrap();
+        let test = blob_dataset(80, 2);
+        let logits = test
+            .iter()
+            .flat_map(|(x, _)| net.logits(x.clone()).data().to_vec());
+        assert_eq!(bits_hash(logits), 0x4886_607b_30ee_05bb);
+
+        let (_, grads) = tiny_conv_net(3).example_grads(random_input(1, &[1, 6, 6]), 2);
+        let LayerGrads { weights, bias } = &grads[4];
+        // Hashed output by output, the order they were recorded in.
+        let (out, input) = (3, 36);
+        let by_output = (0..out * input).map(|p| weights[p % input * out + p / input]);
+        assert_eq!(
+            bits_hash(by_output.chain(bias.iter().copied())),
+            0x9fb5_40a1_8604_4312
+        );
     }
 
     #[test]

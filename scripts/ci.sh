@@ -42,9 +42,10 @@ print("ci: matminer-mixed executor.dispatched_per_op = {:.2f} (one job per repli
 
 echo "######## tensor kernels smoke (micro bench, kernels group)"
 # The tensor rung of the layer ladder: the CIFAR GEMM shapes, the dense
-# product and both forward passes, each with its GFLOP/s. A short
-# window: this only keeps the group building and running.
-CRITERION_MEASUREMENT_MS=50 cargo bench -p dlhub-bench --bench micro -- kernels
+# layer, ReLU, max-pool and both forward passes. A short window: this
+# keeps the group building, running and printing every row DESIGN.md
+# §16 cites.
+scripts/kernels_smoke.sh
 
 echo "######## chaos + analytics (fixed seed matrix)"
 # The workspace test run above already exercises tests/chaos.rs and
