@@ -87,13 +87,9 @@ impl Cli {
             ["analyze", rest @ ..] => self.analyze(rest),
             ["slo", rest @ ..] => self.slo(rest),
             ["top", rest @ ..] => self.top(rest),
-            ["profile", rest @ ..] => self.profile(rest),
-            ["contention"] => self.contention(),
-            ["bundle", rest @ ..] => self.bundle(rest),
-            [] => Err(
-                "usage: dlhub <init|update|publish|run|ls|stats|trace|analyze|slo|top|profile|contention|bundle>"
-                    .into(),
-            ),
+            [] => {
+                Err("usage: dlhub <init|update|publish|run|ls|stats|trace|analyze|slo|top>".into())
+            }
             other => Err(format!("unknown command: {}", other.join(" "))),
         }
     }
@@ -110,84 +106,6 @@ impl Cli {
             other => Err(format!(
                 "usage: dlhub stats [--prometheus|--delta] (got: {})",
                 other.join(" ")
-            )),
-        }
-    }
-
-    /// `profile [--json]`: the continuous profiler's collapsed-stack
-    /// aggregates (`thread;frame;frame count` lines — pipe the text
-    /// form straight into `flamegraph.pl`). Errors while the profiler
-    /// is disabled.
-    fn profile(&self, args: &[&str]) -> Result<String, CliError> {
-        let report = self
-            .service
-            .obs()
-            .profile
-            .report()
-            .ok_or("profiler is disabled; set ServingConfig::profile_hz")?;
-        match args {
-            [] => Ok(report.render_collapsed()),
-            ["--json"] => {
-                Ok(serde_json::to_string_pretty(&report.to_json()).expect("profile serializes"))
-            }
-            other => Err(format!(
-                "usage: dlhub profile [--json] (got: {})",
-                other.join(" ")
-            )),
-        }
-    }
-
-    /// `contention`: lock/park wait sites ranked by total wait time.
-    fn contention(&self) -> Result<String, CliError> {
-        Ok(dlhub_core::obs::render_contention(
-            &self.service.obs().contention.snapshot(),
-        ))
-    }
-
-    /// `bundle [<id>] [--json]`: flight-recorder diagnostics. Without
-    /// an id, list every frozen bundle; with one, render that bundle's
-    /// full diagnostic (trigger, profile slice, contention table,
-    /// recent traces, metrics delta).
-    fn bundle(&self, args: &[&str]) -> Result<String, CliError> {
-        let json = args.contains(&"--json");
-        let ids: Vec<&&str> = args.iter().filter(|a| **a != "--json").collect();
-        match ids.as_slice() {
-            [] => {
-                let bundles = self.service.obs().recorder.bundles();
-                if bundles.is_empty() {
-                    return Ok("no flight-recorder bundles frozen\n".into());
-                }
-                if json {
-                    let docs: Vec<_> = bundles.iter().map(|b| b.to_json()).collect();
-                    return Ok(serde_json::to_string_pretty(&docs).expect("bundles serialize"));
-                }
-                let mut out = String::new();
-                for b in &bundles {
-                    out.push_str(&format!("bundle {}  {}\n", b.id, b.trigger.summary()));
-                }
-                Ok(out)
-            }
-            [id] => {
-                let id: u64 = id.parse().map_err(|_| format!("not a bundle id: {id}"))?;
-                let bundle = self
-                    .service
-                    .obs()
-                    .recorder
-                    .bundle(id)
-                    .ok_or_else(|| format!("no bundle {id}"))?;
-                if json {
-                    Ok(serde_json::to_string_pretty(&bundle.to_json()).expect("bundle serializes"))
-                } else {
-                    Ok(bundle.render_text())
-                }
-            }
-            other => Err(format!(
-                "usage: dlhub bundle [<id>] [--json] (got: {})",
-                other
-                    .iter()
-                    .map(|s| s.to_string())
-                    .collect::<Vec<_>>()
-                    .join(" ")
             )),
         }
     }
@@ -279,8 +197,7 @@ impl Cli {
 
     /// `slo [--json]`: per-servable objective status — burn rates over
     /// the fast and slow windows and the current alert state, as a
-    /// table or (with `--json`) machine-readable JSON, consistent with
-    /// `stats`/`profile`/`bundle`.
+    /// table or (with `--json`) machine-readable JSON.
     fn slo(&self, args: &[&str]) -> Result<String, CliError> {
         let snapshot = self.service.obs().snapshot();
         match args {
@@ -671,61 +588,6 @@ mod tests {
         assert!(slo.contains("state ok"), "{slo}");
         assert!(cli.execute(&dir.0, &["analyze", "0xdeadbeef"]).is_err());
         assert!(cli.execute(&dir.0, &["analyze", "nope"]).is_err());
-    }
-
-    #[test]
-    fn profile_contention_and_bundle_commands() {
-        let hub = TestHub::builder()
-            .without_eval_servables()
-            .config(dlhub_core::serving::ServingConfig {
-                profile_hz: 199,
-                recorder_capacity: 4,
-                ..Default::default()
-            })
-            .build();
-        let cli = cli(&hub);
-        let dir = TempDir::new("flight");
-        cli.execute(&dir.0, &["init", "echo"]).unwrap();
-        cli.execute(&dir.0, &["publish"]).unwrap();
-        for _ in 0..10 {
-            cli.execute(&dir.0, &["run", "\"hi\""]).unwrap();
-        }
-        // Give the background sampler a few periods to observe.
-        std::thread::sleep(std::time::Duration::from_millis(60));
-        let prof = cli.execute(&dir.0, &["profile"]).unwrap();
-        assert!(prof.contains(';'), "no collapsed stacks:\n{prof}");
-        let prof_json = cli.execute(&dir.0, &["profile", "--json"]).unwrap();
-        assert!(prof_json.contains("\"stacks\""), "{prof_json}");
-        assert!(cli.execute(&dir.0, &["profile", "--bogus"]).is_err());
-        // The contention table renders whether or not anything waited.
-        let contention = cli.execute(&dir.0, &["contention"]).unwrap();
-        assert!(contention.contains("site"), "{contention}");
-        // No failure yet: nothing frozen.
-        let empty = cli.execute(&dir.0, &["bundle"]).unwrap();
-        assert!(empty.contains("no flight-recorder bundles"), "{empty}");
-        // A terminal async failure freezes a bundle the CLI can fetch.
-        hub.publish_simple(
-            "boom",
-            dlhub_core::servable::ModelType::PythonFunction,
-            dlhub_core::servable::servable_fn(|_| Err("exploded".into())),
-        );
-        let handle = hub
-            .service
-            .run_async(&hub.token, "dlhub/boom", Value::Null)
-            .unwrap();
-        handle.wait(std::time::Duration::from_secs(5));
-        let list = cli.execute(&dir.0, &["bundle"]).unwrap();
-        assert!(list.contains("dlhub/boom"), "{list}");
-        let id = list
-            .split_whitespace()
-            .nth(1)
-            .expect("bundle id in listing");
-        let text = cli.execute(&dir.0, &["bundle", id]).unwrap();
-        assert!(text.contains("task_failed"), "{text}");
-        let json = cli.execute(&dir.0, &["bundle", id, "--json"]).unwrap();
-        assert!(json.contains("\"trigger\""), "{json}");
-        assert!(cli.execute(&dir.0, &["bundle", "999999"]).is_err());
-        assert!(cli.execute(&dir.0, &["bundle", "nope"]).is_err());
     }
 
     #[test]

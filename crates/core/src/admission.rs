@@ -34,14 +34,12 @@
 //!
 //! Admission hands back an [`AdmissionPermit`] whose `Drop` releases
 //! the inflight slot, so the bound holds no matter how the request
-//! path exits. Sheds feed the `requests_shed_total` counter and, past
-//! [`AdmissionConfig::storm_threshold`] inside one window, freeze a
-//! flight-recorder bundle ([`FlightRecorder::shed_storm`]) so the
-//! 3 a.m. overload arrives with evidence attached.
+//! path exits. Sheds feed the `requests_shed_total` counter and
+//! admissions `requests_admitted_total`.
 
 use crate::error::DlhubError;
 use dlhub_auth::IdentityId;
-use dlhub_obs::{Counter, FlightRecorder};
+use dlhub_obs::Counter;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -74,11 +72,6 @@ pub struct AdmissionConfig {
     /// Per-tenant weights; zero marks a tenant that may only use
     /// otherwise-idle capacity.
     pub weights: HashMap<IdentityId, u32>,
-    /// Sheds inside one `storm_window` that escalate to a
-    /// flight-recorder freeze.
-    pub storm_threshold: u64,
-    /// Shed-storm accounting window.
-    pub storm_window: Duration,
 }
 
 impl Default for AdmissionConfig {
@@ -92,8 +85,6 @@ impl Default for AdmissionConfig {
             signal_window: Duration::from_secs(10),
             default_weight: 1,
             weights: HashMap::new(),
-            storm_threshold: 50,
-            storm_window: Duration::from_secs(1),
         }
     }
 }
@@ -103,11 +94,6 @@ impl Default for AdmissionConfig {
 struct FairState {
     accepted: HashMap<IdentityId, u64>,
     total: u64,
-}
-
-struct StormState {
-    window_start_ns: u64,
-    shed_in_window: u64,
 }
 
 /// Proof of admission: holds the inflight slot and releases it on
@@ -131,10 +117,8 @@ pub struct AdmissionController {
     inflight: Arc<AtomicUsize>,
     admitted: AtomicU64,
     fair: Mutex<FairState>,
-    storm: Mutex<StormState>,
     shed_counter: Option<Arc<Counter>>,
     admitted_counter: Option<Arc<Counter>>,
-    recorder: Option<FlightRecorder>,
 }
 
 impl AdmissionController {
@@ -145,29 +129,17 @@ impl AdmissionController {
             inflight: Arc::new(AtomicUsize::new(0)),
             admitted: AtomicU64::new(0),
             fair: Mutex::new(FairState::default()),
-            storm: Mutex::new(StormState {
-                window_start_ns: 0,
-                shed_in_window: 0,
-            }),
             shed_counter: None,
             admitted_counter: None,
-            recorder: None,
         }
     }
 
     /// Count sheds on `shed` and admissions on `admitted`
     /// (`requests_shed_total` / `requests_admitted_total` in the
-    /// serving wiring — the pair `dlhub top`'s ADMISSION row reads),
-    /// and freeze recorder bundles on shed storms.
-    pub fn with_observability(
-        mut self,
-        shed: Arc<Counter>,
-        admitted: Arc<Counter>,
-        recorder: FlightRecorder,
-    ) -> Self {
+    /// serving wiring — the pair `dlhub top`'s ADMISSION row reads).
+    pub fn with_observability(mut self, shed: Arc<Counter>, admitted: Arc<Counter>) -> Self {
         self.shed_counter = Some(shed);
         self.admitted_counter = Some(admitted);
-        self.recorder = Some(recorder);
         self
     }
 
@@ -197,7 +169,7 @@ impl AdmissionController {
             .unwrap_or(self.config.default_weight)
     }
 
-    /// Admit or shed one request from `tenant` at time `now_ns`.
+    /// Admit or shed one request from `tenant`.
     /// `pressured` is the embedder's signal-breach verdict (queue-wait
     /// p99 or burn rate over the configured maxima); the inflight
     /// threshold is checked here. On admission the returned permit
@@ -206,7 +178,6 @@ impl AdmissionController {
         &self,
         tenant: IdentityId,
         pressured: bool,
-        now_ns: u64,
     ) -> Result<AdmissionPermit, DlhubError> {
         // Reserve the slot atomically: a load-check-then-add would let
         // N racing arrivals all pass at `max_inflight - 1` and push
@@ -217,7 +188,7 @@ impl AdmissionController {
                 (n < self.config.max_inflight).then_some(n + 1)
             }) {
             Ok(previous) => previous,
-            Err(_) => return Err(self.shed(now_ns)),
+            Err(_) => return Err(self.shed()),
         };
         let fair_threshold =
             (self.config.fair_share_at * self.config.max_inflight as f64).ceil() as usize;
@@ -237,7 +208,7 @@ impl AdmissionController {
                 drop(fair);
                 // Roll back the reserved slot before shedding.
                 self.inflight.fetch_sub(1, Ordering::Relaxed);
-                return Err(self.shed(now_ns));
+                return Err(self.shed());
             }
             *fair.accepted.entry(tenant).or_insert(0) += 1;
             fair.total += 1;
@@ -260,25 +231,9 @@ impl AdmissionController {
     }
 
     /// Record one shed and return the typed rejection.
-    fn shed(&self, now_ns: u64) -> DlhubError {
+    fn shed(&self) -> DlhubError {
         if let Some(counter) = &self.shed_counter {
             counter.inc();
-        }
-        let window_ns = self.config.storm_window.as_nanos().min(u64::MAX as u128) as u64;
-        let mut storm = self.storm.lock();
-        if now_ns.saturating_sub(storm.window_start_ns) >= window_ns {
-            storm.window_start_ns = now_ns;
-            storm.shed_in_window = 0;
-        }
-        storm.shed_in_window += 1;
-        // Freeze exactly once per window, at the threshold crossing.
-        if storm.shed_in_window == self.config.storm_threshold {
-            if let Some(recorder) = &self.recorder {
-                recorder.shed_storm(
-                    storm.shed_in_window,
-                    self.config.storm_window.as_millis().min(u64::MAX as u128) as u64,
-                );
-            }
         }
         DlhubError::Overloaded {
             retry_after_ms: self.config.retry_after.as_millis().min(u64::MAX as u128) as u64,
@@ -301,10 +256,10 @@ mod tests {
             retry_after: Duration::from_millis(125),
             ..AdmissionConfig::default()
         });
-        let a = ctl.admit(tenant(1), false, 0).unwrap();
-        let b = ctl.admit(tenant(1), false, 0).unwrap();
+        let a = ctl.admit(tenant(1), false).unwrap();
+        let b = ctl.admit(tenant(1), false).unwrap();
         assert_eq!(ctl.inflight(), 2);
-        let err = ctl.admit(tenant(1), false, 0).unwrap_err();
+        let err = ctl.admit(tenant(1), false).unwrap_err();
         assert_eq!(
             err,
             DlhubError::Overloaded {
@@ -314,7 +269,7 @@ mod tests {
         // Finishing a request frees its slot.
         drop(a);
         assert_eq!(ctl.inflight(), 1);
-        let _c = ctl.admit(tenant(1), false, 0).unwrap();
+        let _c = ctl.admit(tenant(1), false).unwrap();
         drop(b);
     }
 
@@ -324,11 +279,11 @@ mod tests {
         config.weights.insert(tenant(9), 0);
         let ctl = AdmissionController::new(config);
         // Idle service: the hostile tenant may use spare capacity.
-        let permit = ctl.admit(tenant(9), false, 0).unwrap();
+        let permit = ctl.admit(tenant(9), false).unwrap();
         drop(permit);
         // Contended (signal breach): always over its empty share.
         assert!(matches!(
-            ctl.admit(tenant(9), true, 0),
+            ctl.admit(tenant(9), true),
             Err(DlhubError::Overloaded { .. })
         ));
     }
@@ -346,7 +301,7 @@ mod tests {
         let mut accepted = [0u64; 2];
         for _ in 0..300 {
             for (slot, who) in [(0usize, tenant(1)), (1, tenant(2))] {
-                if let Ok(permit) = ctl.admit(who, false, 0) {
+                if let Ok(permit) = ctl.admit(who, false) {
                     accepted[slot] += 1;
                     drop(permit);
                 }
@@ -371,55 +326,12 @@ mod tests {
         let ctl = AdmissionController::new(config);
         // A burst from tenant 1 under contention builds up credit debt…
         for _ in 0..50 {
-            let _ = ctl.admit(tenant(1), true, 0);
+            let _ = ctl.admit(tenant(1), true);
         }
         // …which an uncontended admission wipes: the next contention
         // round starts from a clean ledger.
-        drop(ctl.admit(tenant(2), false, 0).unwrap());
-        let permit = ctl.admit(tenant(1), true, 0);
+        drop(ctl.admit(tenant(2), false).unwrap());
+        let permit = ctl.admit(tenant(1), true);
         assert!(permit.is_ok(), "stale ledger starved tenant 1");
-    }
-
-    #[test]
-    fn shed_storm_freezes_one_bundle_per_window() {
-        use dlhub_obs::{Obs, RecorderSources};
-        let obs = Obs::new();
-        let recorder = FlightRecorder::disabled();
-        recorder.enable(
-            4,
-            RecorderSources {
-                tracer: obs.tracer.clone(),
-                metrics: obs.metrics.clone(),
-                contention: obs.contention.clone(),
-                profiler: obs.profile.clone(),
-            },
-        );
-        let shed_counter = obs.metrics.counter("requests_shed_total");
-        let admitted_counter = obs.metrics.counter("requests_admitted_total");
-        let ctl = AdmissionController::new(AdmissionConfig {
-            max_inflight: 1,
-            storm_threshold: 5,
-            storm_window: Duration::from_secs(1),
-            ..AdmissionConfig::default()
-        })
-        .with_observability(
-            Arc::clone(&shed_counter),
-            Arc::clone(&admitted_counter),
-            recorder.clone(),
-        );
-        let _held = ctl.admit(tenant(1), false, 0).unwrap();
-        // 8 sheds inside one window: one freeze at the 5th.
-        for i in 0..8u64 {
-            assert!(ctl.admit(tenant(2), false, i).is_err());
-        }
-        assert_eq!(recorder.frozen_total(), 1);
-        assert_eq!(recorder.latest().unwrap().trigger.kind(), "shed_storm");
-        assert_eq!(shed_counter.get(), 8);
-        assert_eq!(admitted_counter.get(), 1, "only the held permit admitted");
-        // A new window starts a fresh count and may freeze again.
-        for i in 0..5u64 {
-            assert!(ctl.admit(tenant(2), false, 2_000_000_000 + i).is_err());
-        }
-        assert_eq!(recorder.frozen_total(), 2);
     }
 }

@@ -11,7 +11,7 @@ use crate::value::Value;
 use crossbeam::channel;
 use dlhub_container::{Cluster, Digest, PodSpec};
 use dlhub_fault::{site, Fault, FaultHandle, FaultKind};
-use dlhub_obs::{Counter, Gauge, Histogram, Obs, ProfilerHandle, SpanRecord, TraceContext};
+use dlhub_obs::{Counter, Gauge, Histogram, Obs, SpanRecord, TraceContext};
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 use std::collections::HashMap;
 use std::ops::Range;
@@ -292,9 +292,6 @@ struct HealthMetrics {
     /// Pickup minus `Job::queued_ns`: backlog forms in front of the
     /// replicas now that consumers dispatch without waiting.
     queue_wait: Arc<Histogram>,
-    /// Replica threads mark `replica.execute` frames while running
-    /// user code, so profiler samples attribute worker CPU.
-    profiler: ProfilerHandle,
 }
 
 /// Run user code with a panic trapped: one must not kill the pod — the
@@ -419,7 +416,6 @@ impl Pool {
                         // allocates nothing to hold its result.
                         let mut results = Vec::new();
                         while let Ok(job) = rx.recv() {
-                            let _frame = metrics.get().map(|m| m.profiler.frame("replica.execute"));
                             let Job {
                                 task,
                                 items,
@@ -573,9 +569,8 @@ impl ParslExecutor {
 
     /// Register this executor's health metrics (`replicas_quarantined`
     /// gauge, `replica_restarts_total` counter) with a shared
-    /// observability handle, and mark replica work with profiler
-    /// frames. Idempotent; replicas report nothing until this is
-    /// called.
+    /// observability handle. Idempotent; replicas report nothing until
+    /// this is called.
     pub fn attach_obs(&self, obs: &Obs) {
         let _ = self.metrics.set(HealthMetrics {
             quarantined: obs.metrics.gauge_with_help(
@@ -594,7 +589,6 @@ impl ParslExecutor {
                 "replica_queue_wait_ns",
                 "Time jobs spent queued in front of a replica pool",
             ),
-            profiler: obs.profile.clone(),
         });
     }
 

@@ -47,8 +47,6 @@ struct ObsHooks {
     misses: Arc<dlhub_obs::Counter>,
     evictions: Arc<dlhub_obs::Counter>,
     tracer: dlhub_obs::Tracer,
-    shard_lock: Arc<dlhub_obs::ContentionSite>,
-    profiler: dlhub_obs::ProfilerHandle,
 }
 
 /// Number of independently locked shards (power of two).
@@ -254,26 +252,8 @@ impl MemoCache {
                 "Memo-cache entries evicted to stay within the byte budget",
             ),
             tracer: obs.tracer.clone(),
-            shard_lock: obs.contention.site("memo.shard_lock"),
-            profiler: obs.profile.clone(),
         });
         self
-    }
-
-    /// Lock a shard, recording the wait as contention only when the
-    /// uncontended `try_lock` fast path loses to another holder.
-    fn locked_shard(&self, index: usize) -> parking_lot::MutexGuard<'_, Shard> {
-        match self.shards[index].try_lock() {
-            Some(guard) => guard,
-            None => {
-                let waited_from = self.obs.as_ref().map(|_| std::time::Instant::now());
-                let guard = self.shards[index].lock();
-                if let (Some(hooks), Some(at)) = (self.obs.as_ref(), waited_from) {
-                    hooks.shard_lock.record(at.elapsed());
-                }
-                guard
-            }
-        }
     }
 
     fn tick(&self) -> u64 {
@@ -282,7 +262,6 @@ impl MemoCache {
 
     /// Look up a cached output.
     pub fn get(&self, key: &MemoKey) -> Option<Value> {
-        let _frame = self.obs.as_ref().map(|h| h.profiler.frame("memo.get"));
         if let Some(fault) = self.faults.decide(dlhub_fault::site::MEMO_GET) {
             match fault.kind {
                 dlhub_fault::FaultKind::Slow | dlhub_fault::FaultKind::Hang => {
@@ -301,7 +280,7 @@ impl MemoCache {
             }
         }
         let now = self.tick();
-        let mut shard = self.locked_shard(key.shard());
+        let mut shard = self.shards[key.shard()].lock();
         match shard.index.get(key).copied() {
             Some(idx) => {
                 shard.touch(idx, now);
@@ -328,7 +307,6 @@ impl MemoCache {
     /// byte budget would be exceeded. Outputs larger than the whole
     /// budget are not cached.
     pub fn put(&self, key: MemoKey, output: Value) {
-        let _frame = self.obs.as_ref().map(|h| h.profiler.frame("memo.put"));
         if self.faults.decide(dlhub_fault::site::MEMO_PUT).is_some() {
             // A lost insert: the next identical request misses.
             return;
@@ -339,7 +317,7 @@ impl MemoCache {
         }
         let now = self.tick();
         {
-            let mut shard = self.locked_shard(key.shard());
+            let mut shard = self.shards[key.shard()].lock();
             if let Some(idx) = shard.index.get(&key).copied() {
                 let old = shard.remove(idx);
                 self.bytes.fetch_sub(old, Ordering::Relaxed);

@@ -148,7 +148,6 @@ impl ManagementService {
         inputs: Vec<Value>,
         waited: Duration,
     ) -> Result<Vec<Value>, DlhubError> {
-        let _profile = self.obs.profile.frame("serving.batch_flush");
         let mut span = self.obs.tracer.start_root("batch_flush");
         span.attr("batch_wait_ns", waited.as_nanos().to_string());
         let frame = self.open_frame(id, span, Instant::now(), Some(inputs.len()), None)?;
@@ -190,26 +189,13 @@ impl ManagementService {
         // No thread is spawned per request: the job joins the pool's
         // channel and one of the `async_workers` threads runs it.
         self.async_pool.submit(Box::new(move || {
-            let _profile = service.obs.profile.frame("serving.async_worker");
             let outcome = service.execute_one(&servable, &frame, input, None);
             let status = match service.close_frame(&servable, frame, outcome) {
                 Ok((value, _)) => TaskStatus::Completed(value),
-                Err(e) => {
-                    // A terminal failure is exactly the moment an
-                    // operator wants the recent past preserved:
-                    // freeze a flight-recorder bundle (no-op while
-                    // the recorder is disabled).
-                    service.obs.recorder.task_failed(
-                        &task_id,
-                        &servable,
-                        e.attempts(),
-                        &e.to_string(),
-                    );
-                    TaskStatus::Failed {
-                        attempts: e.attempts(),
-                        last_error: e.to_string(),
-                    }
-                }
+                Err(e) => TaskStatus::Failed {
+                    attempts: e.attempts(),
+                    last_error: e.to_string(),
+                },
             };
             service.task_table.resolve(&task_id, status);
         }));

@@ -81,16 +81,6 @@ pub struct ServingConfig {
     /// state surface in [`dlhub_obs::MetricsSnapshot`] (`slos`), the
     /// Prometheus exposition, and `slo_alert` trace events.
     pub slos: Vec<SloSpec>,
-    /// Continuous-profiler sampling rate in Hz. 0 (the default) leaves
-    /// the profiler disabled: hot-path frame marks stay a single
-    /// relaxed atomic load and no sampler thread is spawned.
-    pub profile_hz: u32,
-    /// Flight-recorder bundle capacity. 0 (the default) leaves the
-    /// recorder disabled; otherwise an SLO firing transition or a
-    /// terminal task failure freezes a diagnostic bundle (profile
-    /// slice, contention table, recent traces, metrics delta) into a
-    /// ring of this many bundles.
-    pub recorder_capacity: usize,
     /// Telemetry-collector sampling interval. Zero (the default)
     /// leaves the time-series store disabled; otherwise a
     /// `dlhub-telemetry` thread samples every registered metric and
@@ -130,8 +120,6 @@ impl Default for ServingConfig {
             adaptive_batching: false,
             async_workers: 4,
             slos: Vec::new(),
-            profile_hz: 0,
-            recorder_capacity: 0,
             telemetry_interval: Duration::ZERO,
             autoscale: None,
             autoscale_interval: Duration::ZERO,
@@ -208,15 +196,6 @@ impl ManagementService {
     ) -> Arc<Self> {
         broker.ensure_topic(&config.task_topic);
         broker.ensure_topic(REGISTRATION_TOPIC);
-        // Enable the observability extras before the SLO trackers and
-        // RPC client are built, so the recorder sees every firing and
-        // the client's contention site exists from the first dispatch.
-        if config.profile_hz > 0 {
-            obs.enable_profiler(config.profile_hz);
-        }
-        if config.recorder_capacity > 0 {
-            obs.enable_recorder(config.recorder_capacity);
-        }
         if !config.telemetry_interval.is_zero() {
             obs.enable_telemetry(config.telemetry_interval);
         }
@@ -245,7 +224,6 @@ impl ManagementService {
             obs.register_slo(spec.clone());
         }
         let rpc = RpcClient::connect(broker, &config.task_topic);
-        rpc.attach_obs(&obs);
         broker.attach_obs(&obs);
         let admission = config.admission.clone().map(|cfg| {
             Arc::new(AdmissionController::new(cfg).with_observability(
@@ -257,7 +235,6 @@ impl ManagementService {
                     "requests_admitted_total",
                     "Requests admitted past the admission controller",
                 ),
-                obs.recorder.clone(),
             ))
         });
         Arc::new(ManagementService {
@@ -1048,6 +1025,9 @@ mod tests {
         assert!(prom.contains("dlhub_servable_requests_total{servable=\"dlhub/noop\"} 1"));
         assert!(prom.contains("dlhub_servable_request_latency_seconds{servable=\"dlhub/noop\""));
         assert!(prom.contains("dlhub_broker_send_total"));
+        assert!(prom.contains(
+            "# HELP dlhub_broker_dropped_total Sends and replies discarded by fault injection\n"
+        ));
         assert!(prom.contains("dlhub_tm_tasks_total 1"));
     }
 
@@ -1188,83 +1168,6 @@ mod tests {
         // The delta reports only the new window, not the running total.
         let next = hub.service.obs().delta();
         assert_eq!(counter(&next, "tm_tasks_total"), 2);
-    }
-
-    #[test]
-    fn profiler_knob_samples_the_serving_path() {
-        let hub = TestHub::builder()
-            .memo(false)
-            .config(ServingConfig {
-                profile_hz: 199,
-                ..ServingConfig::default()
-            })
-            .build();
-        for i in 0..20 {
-            hub.service
-                .run(&hub.token, "dlhub/noop", Value::Int(i))
-                .unwrap();
-        }
-        // The sampler collects on its own clock; give it a few periods.
-        std::thread::sleep(Duration::from_millis(60));
-        let report = hub
-            .service
-            .obs()
-            .profile
-            .report()
-            .expect("profiler enabled");
-        assert!(report.total_samples > 0, "sampler never ticked");
-        // Per-thread counts must sum to the sampler's own total.
-        let per_thread: u64 = report.threads.iter().map(|t| t.samples).sum();
-        assert_eq!(per_thread, report.total_samples);
-        // Default config never enables the profiler.
-        let plain = TestHub::builder().memo(false).build();
-        assert!(plain.service.obs().profile.report().is_none());
-    }
-
-    #[test]
-    fn terminal_task_failure_freezes_a_flight_bundle() {
-        let hub = TestHub::builder()
-            .without_eval_servables()
-            .memo(false)
-            .config(ServingConfig {
-                recorder_capacity: 4,
-                ..ServingConfig::default()
-            })
-            .build();
-        hub.publish_simple(
-            "boom",
-            ModelType::PythonFunction,
-            servable_fn(|_| Err("exploded".into())),
-        );
-        let handle = hub
-            .service
-            .run_async(&hub.token, "dlhub/boom", Value::Null)
-            .unwrap();
-        assert!(matches!(
-            handle.wait(Duration::from_secs(5)),
-            TaskStatus::Failed { .. }
-        ));
-        let bundles = hub.service.obs().recorder.bundles();
-        assert_eq!(bundles.len(), 1);
-        let bundle = &bundles[0];
-        assert_eq!(bundle.trigger.kind(), "task_failed");
-        assert!(bundle.trigger.summary().contains("dlhub/boom"));
-        assert!(hub.service.obs().recorder.bundle(bundle.id).is_some());
-        // A successful async run does not freeze anything further.
-        hub.publish_simple(
-            "fine",
-            ModelType::PythonFunction,
-            servable_fn(|v| Ok(v.clone())),
-        );
-        let ok = hub
-            .service
-            .run_async(&hub.token, "dlhub/fine", Value::Null)
-            .unwrap();
-        assert!(matches!(
-            ok.wait(Duration::from_secs(5)),
-            TaskStatus::Completed(_)
-        ));
-        assert_eq!(hub.service.obs().recorder.bundles().len(), 1);
     }
 
     #[test]
@@ -1467,7 +1370,7 @@ mod tests {
             );
             // …and one shed: every slot is taken when the call arrives.
             let held: Vec<_> = (0..CAP)
-                .map(|_| admission.admit(IdentityId(u64::MAX), false, 0).unwrap())
+                .map(|_| admission.admit(IdentityId(u64::MAX), false).unwrap())
                 .collect();
             let err = (entry.drive)(&hub, Value::Int(7)).unwrap_err();
             assert!(

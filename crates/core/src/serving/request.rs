@@ -112,9 +112,7 @@ impl ManagementService {
                 .is_some_and(|b| b.avg > cfg.burn_rate_max);
             queue_hot || burn_hot
         });
-        controller
-            .admit(tenant, pressured, dlhub_obs::now_ns())
-            .map(Some)
+        controller.admit(tenant, pressured).map(Some)
     }
 
     /// Open `id`'s request frame on `span` — the one place a request
@@ -225,7 +223,6 @@ impl ManagementService {
         inputs: Vec<Value>,
         deadline: Option<Duration>,
     ) -> Result<(Vec<Value>, Timings), DlhubError> {
-        let _profile = self.obs.profile.frame("serving.execute_remote");
         let deadline = Instant::now() + deadline.unwrap_or(self.config.request_deadline);
         let ctx = frame.span.ctx();
         let request = TaskRequest {
@@ -352,7 +349,6 @@ impl ManagementService {
         options: &RunOptions,
         parent: Option<TraceContext>,
     ) -> Result<RunResult, DlhubError> {
-        let _profile = self.obs.profile.frame("serving.run");
         let started = Instant::now();
         let tenant = self.preflight(token, id, std::slice::from_ref(&input))?;
         let span = match parent {
@@ -384,7 +380,6 @@ impl ManagementService {
         // The key hashes the whole input; only memoized requests pay.
         let key = memoize.then(|| MemoKey::new(id, &input));
         if let Some(key) = &key {
-            let _profile = self.obs.profile.frame("serving.memo_lookup");
             let lookup_started = Instant::now();
             let mut lookup_span = self.obs.tracer.start_child(frame.span.ctx(), "memo_lookup");
             lookup_span.attr("servable", id);

@@ -242,7 +242,6 @@ fn handle(
     obs: &Arc<Obs>,
     responder: Responder,
 ) {
-    let _frame = obs.profile.frame("tm.handle");
     let request = match TaskRequest::from_bytes(responder.payload()) {
         Ok(r) => r,
         Err(e) => {

@@ -36,9 +36,9 @@ fn contended_controller(weights: &[u32]) -> AdmissionController {
 /// counts by tenant index.
 fn saturate(ctl: &AdmissionController, tenants: usize, rounds: u64) -> Vec<u64> {
     let mut accepted = vec![0u64; tenants];
-    for round in 0..rounds {
+    for _ in 0..rounds {
         for (i, slot) in accepted.iter_mut().enumerate() {
-            match ctl.admit(IdentityId(i as u64 + 1), false, round) {
+            match ctl.admit(IdentityId(i as u64 + 1), false) {
                 Ok(permit) => {
                     *slot += 1;
                     drop(permit);
@@ -106,16 +106,16 @@ proptest! {
         config.weights.insert(hostile, 0);
         let ctl = AdmissionController::new(config);
         let mut accepted = vec![0u64; tenants];
-        for (round, burst) in bursts.iter().enumerate() {
+        for burst in &bursts {
             for _ in 0..*burst {
-                match ctl.admit(hostile, false, round as u64) {
+                match ctl.admit(hostile, false) {
                     Err(DlhubError::Overloaded { .. }) => {}
                     Err(other) => panic!("untyped shed: {other:?}"),
                     Ok(_) => panic!("zero weight admitted under contention"),
                 }
             }
             for (i, slot) in accepted.iter_mut().enumerate() {
-                if let Ok(permit) = ctl.admit(IdentityId(i as u64 + 1), false, round as u64) {
+                if let Ok(permit) = ctl.admit(IdentityId(i as u64 + 1), false) {
                     *slot += 1;
                     drop(permit);
                 }
@@ -143,7 +143,7 @@ proptest! {
         });
         let mut held = Vec::new();
         for i in 0..attempts {
-            match ctl.admit(IdentityId(1), false, i as u64) {
+            match ctl.admit(IdentityId(1), false) {
                 Ok(permit) => held.push(permit),
                 Err(DlhubError::Overloaded { .. }) => {
                     prop_assert_eq!(ctl.inflight(), cap, "shed below the cap");

@@ -1,8 +1,7 @@
 //! The telemetry collector: a background sampler feeding the
 //! time-series store from the live metric registry.
 //!
-//! Mirrors the profiler's lifecycle contract ([`crate::profile`]):
-//! the handle starts disabled and statically near-free — one relaxed
+//! The handle starts disabled and statically near-free — one relaxed
 //! pointer load on any query path — and [`TelemetryHandle::enable`]
 //! arms it for the life of a deployment. With a non-zero interval a
 //! `dlhub-telemetry` thread wakes every interval, walks every

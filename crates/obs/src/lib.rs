@@ -24,11 +24,8 @@ mod ring;
 
 pub mod analyze;
 pub mod collect;
-pub mod contention;
 pub mod metrics;
 pub mod openloop;
-pub mod profile;
-pub mod recorder;
 pub mod slo;
 pub mod trace;
 pub mod tsdb;
@@ -38,15 +35,12 @@ pub use analyze::{
     TraceAnalysis,
 };
 pub use collect::{TelemetryHandle, TelemetrySources};
-pub use contention::{render_contention, ContentionRegistry, ContentionSite, ContentionSnapshot};
 pub use metrics::{
     bucket_bound, bucket_index, escape_label, BucketSnapshot, Counter, DispatchSums, Gauge,
     Histogram, HistogramSnapshot, HistogramSummary, MetricsSnapshot, Registry, ServableCost,
     ServableSeries, ServableSnapshot,
 };
 pub use openloop::{OpenLoopRecorder, OpenLoopReport, OpenLoopSample, SampleSummary};
-pub use profile::{CollapsedStack, FrameGuard, ProfileReport, ProfilerHandle, ThreadSamples};
-pub use recorder::{Bundle, BundleTrigger, FlightRecorder, RecorderEvent, RecorderSources};
 pub use slo::{SloRegistry, SloSnapshot, SloSpec, SloTracker};
 pub use trace::{now_ns, SpanHandle, SpanRecord, TraceContext, TraceExport, Tracer};
 pub use tsdb::{
@@ -70,14 +64,6 @@ pub struct Obs {
     pub metrics: Registry,
     /// Per-servable SLO burn-rate trackers.
     pub slo: SloRegistry,
-    /// Wall-clock sampling profiler (disabled until
-    /// [`enable_profiler`](Obs::enable_profiler)).
-    pub profile: ProfilerHandle,
-    /// Named park/wait sites across the stack.
-    pub contention: ContentionRegistry,
-    /// Alert-triggered diagnostic bundles (disabled until
-    /// [`enable_recorder`](Obs::enable_recorder)).
-    pub recorder: FlightRecorder,
     /// Ring-buffered time-series history over this handle's metrics
     /// and SLOs (disabled until
     /// [`enable_telemetry`](Obs::enable_telemetry)).
@@ -91,30 +77,6 @@ impl Obs {
     /// Fresh handle with empty tracer and registry.
     pub fn new() -> Self {
         Obs::default()
-    }
-
-    /// Start the sampling profiler at `hz` samples per second (`0`
-    /// enables manual-sampling mode for deterministic tests). Reaches
-    /// every clone of this handle, including ones distributed before
-    /// the call. Returns whether this call did the enabling.
-    pub fn enable_profiler(&self, hz: u32) -> bool {
-        self.profile.enable(hz)
-    }
-
-    /// Arm the flight recorder with room for `capacity` bundles,
-    /// snapshotting this handle's tracer, metrics, contention table
-    /// and profiler on every trigger. Returns whether this call did
-    /// the arming.
-    pub fn enable_recorder(&self, capacity: usize) -> bool {
-        self.recorder.enable(
-            capacity,
-            RecorderSources {
-                tracer: self.tracer.clone(),
-                metrics: self.metrics.clone(),
-                contention: self.contention.clone(),
-                profiler: self.profile.clone(),
-            },
-        )
     }
 
     /// Start the telemetry collector sampling this handle's metrics
@@ -146,10 +108,10 @@ impl Obs {
     }
 
     /// Install an SLO for a servable, wiring its alert transitions into
-    /// this handle's tracer, registry (`slo_alerts_fired_total`,
-    /// `slo_alerts_active`) and flight recorder.
+    /// this handle's tracer and registry (`slo_alerts_fired_total`,
+    /// `slo_alerts_active`).
     pub fn register_slo(&self, spec: SloSpec) {
-        self.slo.register_with_recorder(
+        self.slo.register(
             spec,
             self.tracer.clone(),
             self.metrics.counter_with_help(
@@ -158,7 +120,6 @@ impl Obs {
             ),
             self.metrics
                 .gauge_with_help("slo_alerts_active", "SLO alerts currently firing"),
-            self.recorder.clone(),
         );
     }
 
@@ -175,7 +136,6 @@ impl Obs {
         let mut snap = self.metrics.snapshot();
         snap.spans_dropped = self.tracer.dropped();
         snap.slos = self.slo.snapshot();
-        snap.contention = self.contention.snapshot();
         snap
     }
 
@@ -188,8 +148,8 @@ impl Obs {
     }
 
     /// Everything that changed since the previous call (or since this
-    /// handle was created, on the first call): counters, histogram mass
-    /// and contention waits as differences; gauges as signed deltas.
+    /// handle was created, on the first call): counters and histogram
+    /// mass as differences; gauges as signed deltas.
     /// Consecutive calls exactly partition the metric history, so an
     /// operator can watch `dlhub stats --delta` like `iostat`.
     pub fn delta(&self) -> MetricsSnapshot {
@@ -237,33 +197,28 @@ mod tests {
         assert_eq!(snap.spans_dropped, 0);
     }
 
+    /// `dlhub stats`, `dlhub top` and the `workloads` artifact read
+    /// this document; its top-level keys are their input.
     #[test]
-    fn slo_firing_freezes_a_flight_recorder_bundle() {
-        let obs = Obs::new();
-        obs.enable_recorder(4);
-        obs.register_slo(
-            SloSpec::new("dlhub/echo", Duration::from_millis(1))
-                .latency_objective(0.9)
-                .windows(Duration::from_millis(200), Duration::from_secs(2)),
+    fn snapshot_json_keeps_its_top_level_keys() {
+        let doc = Obs::new().snapshot().to_json();
+        let keys: Vec<&str> = doc
+            .as_object()
+            .expect("snapshot renders an object")
+            .keys()
+            .map(String::as_str)
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                "counters",
+                "gauges",
+                "histograms",
+                "servables",
+                "slos",
+                "spans_dropped"
+            ]
         );
-        obs.contention
-            .site("broker.ring.park:tasks")
-            .record(Duration::from_micros(120));
-        for _ in 0..50 {
-            obs.observe_slo("dlhub/echo", Duration::from_millis(50), true);
-        }
-        let bundles = obs.recorder.bundles();
-        assert_eq!(bundles.len(), 1, "one firing transition, one bundle");
-        let bundle = &bundles[0];
-        assert_eq!(bundle.trigger.kind(), "slo_firing");
-        assert!(bundle.trigger.summary().contains("dlhub/echo"));
-        assert!(bundle
-            .contention
-            .iter()
-            .any(|c| c.name == "broker.ring.park:tasks"));
-        // The snapshot carries the contention table too.
-        let snap = obs.snapshot();
-        assert_eq!(snap.contention.len(), 1);
     }
 
     #[test]

@@ -660,14 +660,13 @@ impl Registry {
             help,
             spans_dropped: 0,
             slos: Vec::new(),
-            contention: Vec::new(),
         }
     }
 
     /// Snapshot the registry and subtract `baseline`, yielding the
     /// activity *between* the two points — the primitive behind
-    /// `dlhub stats --delta` and flight-recorder metric deltas. See
-    /// [`MetricsSnapshot::delta_since`] for the exact semantics.
+    /// `dlhub stats --delta`. See [`MetricsSnapshot::delta_since`] for
+    /// the exact semantics.
     pub fn snapshot_since(&self, baseline: &MetricsSnapshot) -> MetricsSnapshot {
         self.snapshot().delta_since(baseline)
     }
@@ -713,9 +712,6 @@ pub struct MetricsSnapshot {
     pub spans_dropped: u64,
     /// Per-servable SLO state (filled by [`crate::Obs::snapshot`]).
     pub slos: Vec<crate::slo::SloSnapshot>,
-    /// Named contention sites ranked by total wait time (filled by
-    /// [`crate::Obs::snapshot`]).
-    pub contention: Vec<crate::contention::ContentionSnapshot>,
 }
 
 /// Escape a label value for the Prometheus text exposition format:
@@ -806,8 +802,8 @@ impl MetricsSnapshot {
 
     /// The activity between `baseline` (taken earlier) and `self`:
     /// counters, servable traffic and dropped spans become differences,
-    /// every histogram (contention waits included) becomes
-    /// [`HistogramSnapshot::since`] its baseline — so the quantiles are
+    /// every histogram becomes [`HistogramSnapshot::since`] its
+    /// baseline — so the quantiles are
     /// the interval's, not the lifetime's — and gauges become level
     /// changes (possibly negative). Monotonic fields saturate at zero
     /// if the baseline somehow ran ahead. SLO state is point-in-time
@@ -862,18 +858,6 @@ impl MetricsSnapshot {
                 (name.clone(), snapshot)
             })
             .collect();
-        let contention = self
-            .contention
-            .iter()
-            .map(|site| {
-                let b = baseline.contention.iter().find(|b| b.name == site.name);
-                crate::contention::ContentionSnapshot {
-                    name: site.name.clone(),
-                    wait: site.wait.since(b.map_or(&no_samples, |b| &b.wait)),
-                }
-            })
-            .filter(|site| site.wait.count > 0)
-            .collect();
         MetricsSnapshot {
             counters,
             gauges,
@@ -882,7 +866,6 @@ impl MetricsSnapshot {
             help: self.help.clone(),
             spans_dropped: self.spans_dropped.saturating_sub(baseline.spans_dropped),
             slos: self.slos.clone(),
-            contention,
         }
     }
 
@@ -928,7 +911,6 @@ impl MetricsSnapshot {
             })
             .collect();
         let slos: Vec<Value> = self.slos.iter().map(|s| s.to_json()).collect();
-        let contention: Vec<Value> = self.contention.iter().map(|s| s.to_json()).collect();
         json!({
             "counters": Value::Array(counters),
             "gauges": Value::Array(gauges),
@@ -936,7 +918,6 @@ impl MetricsSnapshot {
             "servables": Value::Array(servables),
             "spans_dropped": self.spans_dropped,
             "slos": Value::Array(slos),
-            "contention": Value::Array(contention),
         })
     }
 
@@ -1082,27 +1063,6 @@ impl MetricsSnapshot {
                 "dlhub_slo_alerts_fired_total{{servable=\"{servable}\"}} {}\n",
                 slo.alerts_fired
             ));
-        }
-        if !self.contention.is_empty() {
-            out.push_str("# TYPE dlhub_contention_waits_total counter\n");
-            out.push_str("# TYPE dlhub_contention_wait_seconds_total counter\n");
-            for site in &self.contention {
-                let name = escape_label(&site.name);
-                out.push_str(&format!(
-                    "dlhub_contention_waits_total{{site=\"{name}\"}} {}\n",
-                    site.wait.count
-                ));
-                out.push_str(&format!(
-                    "dlhub_contention_wait_seconds_total{{site=\"{name}\"}} {:.9}\n",
-                    secs(site.wait.sum)
-                ));
-                render_le_buckets(
-                    &mut out,
-                    "dlhub_contention_wait_seconds_bucket",
-                    &format!("site=\"{name}\""),
-                    &site.wait,
-                );
-            }
         }
         out
     }
@@ -1432,34 +1392,6 @@ mod tests {
         assert!(none.counters.iter().all(|(_, v)| *v == 0));
         assert!(none.histograms.is_empty());
         assert_eq!(none.servables[0].1.request_latency.summary(), None);
-    }
-
-    #[test]
-    fn contention_sites_render_in_prometheus_and_json() {
-        let contention = crate::contention::ContentionRegistry::new();
-        contention
-            .site("broker.ring.park:dlhub-tasks")
-            .record(Duration::from_micros(100));
-        let mut snap = Registry::new().snapshot();
-        snap.contention = contention.snapshot();
-        let prom = snap.render_prometheus();
-        assert!(
-            prom.contains("dlhub_contention_waits_total{site=\"broker.ring.park:dlhub-tasks\"} 1"),
-            "{prom}"
-        );
-        assert!(
-            prom.contains("dlhub_contention_wait_seconds_total{site=\"broker.ring.park:dlhub-tasks\"} 0.000100000"),
-            "{prom}"
-        );
-        assert!(
-            prom.contains("dlhub_contention_wait_seconds_bucket"),
-            "{prom}"
-        );
-        let j = serde_json::to_string(&snap.to_json()).unwrap();
-        assert!(
-            j.contains("\"site\":\"broker.ring.park:dlhub-tasks\""),
-            "{j}"
-        );
     }
 
     #[test]

@@ -26,7 +26,6 @@ use parking_lot::RwLock;
 use serde_json::{json, Value};
 
 use crate::metrics::{Counter, Gauge};
-use crate::recorder::FlightRecorder;
 use crate::trace::{now_ns, Tracer};
 
 /// Time slices in a tracker's ring. The slow window is divided evenly
@@ -118,7 +117,6 @@ pub struct SloTracker {
     tracer: Tracer,
     fired_total: Arc<Counter>,
     active: Arc<Gauge>,
-    recorder: FlightRecorder,
 }
 
 /// Burn rates over the two windows for one objective.
@@ -130,13 +128,7 @@ struct Burn {
 }
 
 impl SloTracker {
-    fn new(
-        spec: SloSpec,
-        tracer: Tracer,
-        fired_total: Arc<Counter>,
-        active: Arc<Gauge>,
-        recorder: FlightRecorder,
-    ) -> Self {
+    fn new(spec: SloSpec, tracer: Tracer, fired_total: Arc<Counter>, active: Arc<Gauge>) -> Self {
         let slice_ns = (spec.slow_window.as_nanos() as u64 / SLICES as u64).max(1);
         SloTracker {
             spec,
@@ -147,7 +139,6 @@ impl SloTracker {
             tracer,
             fired_total,
             active,
-            recorder,
         }
     }
 
@@ -258,13 +249,6 @@ impl SloTracker {
         };
         let burn_fast = latency.fast.max(avail.fast);
         let burn_slow = latency.slow.max(avail.slow);
-        if should_fire {
-            // The CAS winner freezes the evidence: the recorder bundles
-            // the profile slice, contention table, recent traces and
-            // metrics delta at the moment the alert transitioned.
-            self.recorder
-                .slo_firing(&self.spec.servable, objective, burn_fast, burn_slow);
-        }
         self.tracer.event(
             None,
             "slo_alert",
@@ -400,33 +384,7 @@ impl SloRegistry {
         fired_total: Arc<Counter>,
         active: Arc<Gauge>,
     ) -> Arc<SloTracker> {
-        self.register_with_recorder(
-            spec,
-            tracer,
-            fired_total,
-            active,
-            FlightRecorder::disabled(),
-        )
-    }
-
-    /// Like [`register`](SloRegistry::register), additionally wiring
-    /// firing transitions into a flight recorder: the CAS winner of a
-    /// `firing` transition freezes a diagnostic bundle.
-    pub fn register_with_recorder(
-        &self,
-        spec: SloSpec,
-        tracer: Tracer,
-        fired_total: Arc<Counter>,
-        active: Arc<Gauge>,
-        recorder: FlightRecorder,
-    ) -> Arc<SloTracker> {
-        let tracker = Arc::new(SloTracker::new(
-            spec.clone(),
-            tracer,
-            fired_total,
-            active,
-            recorder,
-        ));
+        let tracker = Arc::new(SloTracker::new(spec.clone(), tracer, fired_total, active));
         self.inner
             .write()
             .insert(spec.servable, Arc::clone(&tracker));
@@ -463,7 +421,6 @@ mod tests {
             tracer.clone(),
             Arc::new(Counter::new()),
             Arc::new(Gauge::new()),
-            FlightRecorder::disabled(),
         );
         (t, tracer)
     }

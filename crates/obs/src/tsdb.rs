@@ -18,10 +18,9 @@
 //!
 //! There is exactly one writer — the collector, serialized by
 //! [`crate::collect`]'s pass lock — and any number of readers. Each
-//! slot is a seqlock over plain atomics, the same protocol as the
-//! profiler's `ThreadSlot`: the writer bumps `seq` to an odd value
-//! with a relaxed store, publishes the payload with relaxed stores
-//! behind a `Release` fence, then re-publishes `seq` even with a
+//! slot is a seqlock over plain atomics: the writer bumps `seq` to an
+//! odd value with a relaxed store, publishes the payload with relaxed
+//! stores behind a `Release` fence, then re-publishes `seq` even with a
 //! `Release` store. Readers `Acquire`-load `seq`, skip odd values,
 //! copy the payload with relaxed loads, issue an `Acquire` fence and
 //! re-read `seq`: any concurrent write changes `seq`, so a torn read

@@ -14,11 +14,11 @@
 //! load — not an in-flight scan — to decide whether reaping is due.
 
 use crate::message::{Message, MessageId};
-use crate::shard::{CachePadded, RingObs, ShardedRing};
+use crate::shard::{CachePadded, ShardedRing};
 use crate::stats::{AtomicTopicStats, TopicStats};
 use bytes::Bytes;
 use dlhub_fault::{site, FaultHandle, FaultKind};
-use dlhub_obs::{ContentionRegistry, ContentionSite, Counter, Histogram, Obs, ProfilerHandle};
+use dlhub_obs::{Counter, Histogram, Obs};
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::HashMap;
 use std::fmt;
@@ -133,9 +133,6 @@ struct Topic {
     space_waiters: AtomicUsize,
     space_mutex: Mutex<()>,
     space_cv: Condvar,
-    /// Contention site for senders parked on a full bounded topic,
-    /// resolved when observability attaches.
-    space_obs: OnceLock<Arc<ContentionSite>>,
 }
 
 impl Topic {
@@ -156,7 +153,6 @@ impl Topic {
             space_waiters: AtomicUsize::new(0),
             space_mutex: Mutex::new(()),
             space_cv: Condvar::new(),
-            space_obs: OnceLock::new(),
         }
     }
 
@@ -274,12 +270,6 @@ struct BrokerObs {
     queue_wait: Arc<Histogram>,
     dropped: Arc<Counter>,
     redelivered: Arc<Counter>,
-    /// Registry per-topic sites are resolved from when topics appear.
-    contention: ContentionRegistry,
-    /// Profiler whose frames mark the publish/lease hot paths.
-    profiler: ProfilerHandle,
-    /// Write-held topic-registry lock observed by readers.
-    topics_lock: Arc<ContentionSite>,
 }
 
 struct BrokerInner {
@@ -309,12 +299,9 @@ impl Broker {
     /// queue before being leased. `broker_dropped_total` counts sends
     /// discarded by fault injection and `broker_redelivered_total`
     /// counts lease-expiry requeues observed by the receive paths (nack
-    /// requeues land only in [`TopicStats::redelivered`]). Park/wait
-    /// points additionally register per-topic contention sites
-    /// (`broker.ring.park:<topic>`, `broker.ring.claim:<topic>`,
-    /// `broker.send.space_wait:<topic>`) and the publish/lease paths
-    /// mark profiler frames. First attachment wins; later calls are
-    /// no-ops (the broker is shared by clones).
+    /// requeues land only in [`TopicStats::redelivered`]). First
+    /// attachment wins; later calls are no-ops (the broker is shared by
+    /// clones).
     pub fn attach_obs(&self, obs: &Obs) {
         let _ = self.inner.obs.set(BrokerObs {
             send: obs
@@ -329,35 +316,13 @@ impl Broker {
             ),
             dropped: obs.metrics.counter_with_help(
                 "broker_dropped_total",
-                "Messages dropped by bounded rings under backpressure",
+                "Sends and replies discarded by fault injection",
             ),
             redelivered: obs.metrics.counter_with_help(
                 "broker_redelivered_total",
                 "Messages requeued after a lease expired unacknowledged",
             ),
-            contention: obs.contention.clone(),
-            profiler: obs.profile.clone(),
-            topics_lock: obs.contention.site("broker.topics_lock"),
         });
-        // Topics created before attachment get their sites now.
-        for (name, topic) in self.inner.topics.read().iter() {
-            self.instrument_topic(name, topic);
-        }
-    }
-
-    /// Resolve the per-topic contention sites once, so wait paths never
-    /// touch the registry map.
-    fn instrument_topic(&self, name: &str, topic: &Topic) {
-        if let Some(obs) = self.inner.obs.get() {
-            topic.ring.attach_obs(RingObs {
-                park: obs.contention.site(&format!("broker.ring.park:{name}")),
-                claim: obs.contention.site(&format!("broker.ring.claim:{name}")),
-            });
-            let _ = topic.space_obs.set(
-                obs.contention
-                    .site(&format!("broker.send.space_wait:{name}")),
-            );
-        }
     }
 
     /// Create a topic with the broker's default topic configuration.
@@ -367,16 +332,11 @@ impl Broker {
 
     /// Create a topic with an explicit configuration.
     pub fn create_topic_with(&self, name: &str, config: TopicConfig) -> Result<(), QueueError> {
-        let topic = {
-            let mut topics = self.inner.topics.write();
-            if topics.contains_key(name) {
-                return Err(QueueError::TopicExists(name.to_string()));
-            }
-            let topic = Arc::new(Topic::new(config));
-            topics.insert(name.to_string(), Arc::clone(&topic));
-            topic
-        };
-        self.instrument_topic(name, &topic);
+        let mut topics = self.inner.topics.write();
+        if topics.contains_key(name) {
+            return Err(QueueError::TopicExists(name.to_string()));
+        }
+        topics.insert(name.to_string(), Arc::new(Topic::new(config)));
         Ok(())
     }
 
@@ -385,14 +345,11 @@ impl Broker {
         if self.inner.topics.read().contains_key(name) {
             return;
         }
-        let topic =
-            {
-                let mut topics = self.inner.topics.write();
-                Arc::clone(topics.entry(name.to_string()).or_insert_with(|| {
-                    Arc::new(Topic::new(self.inner.config.topic_defaults.clone()))
-                }))
-            };
-        self.instrument_topic(name, &topic);
+        self.inner
+            .topics
+            .write()
+            .entry(name.to_string())
+            .or_insert_with(|| Arc::new(Topic::new(self.inner.config.topic_defaults.clone())));
     }
 
     /// List existing topic names (unordered).
@@ -420,21 +377,9 @@ impl Broker {
     }
 
     fn topic(&self, name: &str) -> Result<Arc<Topic>, QueueError> {
-        // Read-mostly lock: the uncontended try_read is the hot path;
-        // only a reader blocked behind a topic create/delete writer
-        // records a wait.
-        let topics = match self.inner.topics.try_read() {
-            Some(guard) => guard,
-            None => {
-                let waited_from = self.inner.obs.get().map(|_| Instant::now());
-                let guard = self.inner.topics.read();
-                if let (Some(obs), Some(at)) = (self.inner.obs.get(), waited_from) {
-                    obs.topics_lock.record(at.elapsed());
-                }
-                guard
-            }
-        };
-        topics
+        self.inner
+            .topics
+            .read()
             .get(name)
             .cloned()
             .ok_or_else(|| QueueError::NoSuchTopic(name.to_string()))
@@ -449,11 +394,6 @@ impl Broker {
     /// Enqueue a pre-built message (used by the RPC layer to attach
     /// the reply slot). Blocks while full.
     pub fn send_message(&self, name: &str, message: Message) -> Result<MessageId, QueueError> {
-        let _frame = self
-            .inner
-            .obs
-            .get()
-            .map(|o| o.profiler.frame("broker.publish"));
         let topic = self.topic(name)?;
         self.acquire_slot(&topic, name)?;
         self.enqueue(&topic, message)
@@ -498,13 +438,7 @@ impl Broker {
             topic.space_waiters.fetch_add(1, Ordering::SeqCst);
             let got = topic.ring.reserve(cap);
             if !got && !topic.is_closed() {
-                // Only the actual block is timed; the reservation fast
-                // path above never reaches here.
-                let waited_from = topic.space_obs.get().map(|_| Instant::now());
                 topic.space_cv.wait(&mut guard);
-                if let (Some(site), Some(at)) = (topic.space_obs.get(), waited_from) {
-                    site.record(at.elapsed());
-                }
             }
             topic.space_waiters.fetch_sub(1, Ordering::SeqCst);
             drop(guard);
@@ -622,11 +556,6 @@ impl Broker {
     }
 
     fn recv_deadline(&self, name: &str, deadline: Option<Instant>) -> Result<Delivery, QueueError> {
-        let _frame = self
-            .inner
-            .obs
-            .get()
-            .map(|o| o.profiler.frame("broker.lease"));
         let topic = self.topic(name)?;
         loop {
             self.reap_if_due(&topic);
@@ -706,7 +635,9 @@ impl Broker {
                 .map(|(id, _)| *id)
                 .collect();
             for id in expired {
-                let mut f = map.remove(&id).expect("expired id present");
+                let Some(mut f) = map.remove(&id) else {
+                    continue;
+                };
                 if f.message.attempts >= max_attempts {
                     topic.stats.dead_lettered.fetch_add(1, Ordering::Relaxed);
                     topic.dead.lock().push(f.message);
@@ -1062,55 +993,6 @@ mod tests {
         assert_eq!(metrics.counter("broker_send_total").get(), stats.enqueued);
         assert_eq!(metrics.counter("broker_recv_total").get(), stats.delivered);
         assert_eq!(metrics.histogram("broker_queue_wait_ns").count(), 3);
-    }
-
-    #[test]
-    fn parked_consumer_waits_land_in_the_topic_contention_site() {
-        let broker = b();
-        let obs = Obs::new();
-        broker.attach_obs(&obs);
-        let b2 = broker.clone();
-        let h = thread::spawn(move || b2.recv("t"));
-        // Let the consumer park, then publish to wake it.
-        thread::sleep(Duration::from_millis(30));
-        broker.send("t", Bytes::from_static(b"x")).unwrap();
-        h.join().unwrap().unwrap().ack();
-        let site = obs.contention.site("broker.ring.park:t");
-        assert!(site.waits() >= 1, "park wait not recorded");
-        let snap = site.snapshot();
-        assert!(snap.wait.sum > 0);
-        // Topics created *after* attachment get sites too.
-        broker.create_topic("late").unwrap();
-        let b3 = broker.clone();
-        let h = thread::spawn(move || b3.recv("late"));
-        thread::sleep(Duration::from_millis(30));
-        broker.send("late", Bytes::from_static(b"y")).unwrap();
-        h.join().unwrap().unwrap().ack();
-        assert!(obs.contention.site("broker.ring.park:late").waits() >= 1);
-    }
-
-    #[test]
-    fn blocked_sender_waits_land_in_the_space_site() {
-        let broker = Broker::new(BrokerConfig::default());
-        broker
-            .create_topic_with(
-                "t",
-                TopicConfig {
-                    capacity: Some(1),
-                    ..TopicConfig::default()
-                },
-            )
-            .unwrap();
-        let obs = Obs::new();
-        broker.attach_obs(&obs);
-        broker.send("t", Bytes::from_static(b"a")).unwrap();
-        let b2 = broker.clone();
-        let h = thread::spawn(move || b2.send("t", Bytes::from_static(b"b")).unwrap());
-        thread::sleep(Duration::from_millis(30));
-        broker.recv("t").unwrap().ack();
-        h.join().unwrap();
-        assert!(obs.contention.site("broker.send.space_wait:t").waits() >= 1);
-        broker.recv("t").unwrap().ack();
     }
 
     #[test]

@@ -10,10 +10,9 @@
 use crate::broker::{Broker, Delivery, QueueError};
 use crate::message::{Message, MessageId, ReplySlot, SlotState};
 use bytes::Bytes;
-use dlhub_obs::{ContentionSite, Obs, ProfilerHandle};
 use std::fmt;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// RPC-level errors.
@@ -53,15 +52,6 @@ impl From<QueueError> for RpcError {
 pub struct RpcClient {
     broker: Broker,
     service_topic: String,
-    obs: OnceLock<RpcClientObs>,
-}
-
-/// Pre-resolved observability for one client: the reply-wait
-/// contention site and the profiler whose `rpc.wait` frames mark
-/// blocked callers.
-struct RpcClientObs {
-    reply_wait: Arc<ContentionSite>,
-    profiler: ProfilerHandle,
 }
 
 impl RpcClient {
@@ -72,73 +62,43 @@ impl RpcClient {
         RpcClient {
             broker: broker.clone(),
             service_topic: service_topic.to_string(),
-            obs: OnceLock::new(),
         }
     }
 
-    /// Wire this client's reply waits into a contention site
-    /// (`rpc.reply_wait:<service>`) and its blocked callers into the
-    /// profiler. First attachment wins.
-    pub fn attach_obs(&self, obs: &Obs) {
-        let _ = self.obs.set(RpcClientObs {
-            reply_wait: obs
-                .contention
-                .site(&format!("rpc.reply_wait:{}", self.service_topic)),
-            profiler: obs.profile.clone(),
-        });
-    }
-
     /// Fire a request and return a handle to await the reply.
-    pub fn call(&self, payload: Bytes) -> Result<ReplyHandle<'_>, RpcError> {
+    pub fn call(&self, payload: Bytes) -> Result<ReplyHandle, RpcError> {
         let slot = Arc::new(ReplySlot::default());
         let msg = Message::request(payload, Arc::clone(&slot));
         let id = msg.id;
         self.broker.send_message(&self.service_topic, msg)?;
-        Ok(ReplyHandle {
-            client: self,
-            id,
-            slot,
-        })
+        Ok(ReplyHandle { id, slot })
     }
 
     /// Convenience: request and block for the reply.
     pub fn call_wait(&self, payload: Bytes, timeout: Duration) -> Result<Bytes, RpcError> {
         self.call(payload)?.wait_timeout(timeout)
     }
+}
 
-    fn wait(&self, slot: &ReplySlot, deadline: Option<Instant>) -> Result<Bytes, RpcError> {
-        let _frame = self.obs.get().map(|o| o.profiler.frame("rpc.wait"));
-        // An already-arrived reply returns without looking at the
-        // clock; only blocked callers are timed.
-        let record = |waited_from: Option<Instant>| {
-            if let (Some(obs), Some(at)) = (self.obs.get(), waited_from) {
-                obs.reply_wait.record(at.elapsed());
-            }
-        };
-        let mut waited_from: Option<Instant> = None;
-        let mut state = slot.state.lock();
-        loop {
-            if let Some(reply) = take(&mut state).transpose() {
-                record(waited_from);
-                return reply;
-            }
-            if waited_from.is_none() && self.obs.get().is_some() {
-                waited_from = Some(Instant::now());
-            }
-            match deadline {
-                Some(d) => {
-                    if slot.ready.wait_until(&mut state, d).timed_out()
-                        && matches!(*state, SlotState::Waiting)
-                    {
-                        // Closed: the reply, should it still come, is
-                        // dropped by `ReplySlot::fill`.
-                        *state = SlotState::Closed;
-                        record(waited_from);
-                        return Err(RpcError::Timeout);
-                    }
+/// Block on a reply slot until it is filled or `deadline` passes.
+fn wait(slot: &ReplySlot, deadline: Option<Instant>) -> Result<Bytes, RpcError> {
+    let mut state = slot.state.lock();
+    loop {
+        if let Some(reply) = take(&mut state).transpose() {
+            return reply;
+        }
+        match deadline {
+            Some(d) => {
+                if slot.ready.wait_until(&mut state, d).timed_out()
+                    && matches!(*state, SlotState::Waiting)
+                {
+                    // Closed: the reply, should it still come, is
+                    // dropped by `ReplySlot::fill`.
+                    *state = SlotState::Closed;
+                    return Err(RpcError::Timeout);
                 }
-                None => slot.ready.wait(&mut state),
             }
+            None => slot.ready.wait(&mut state),
         }
     }
 }
@@ -167,13 +127,12 @@ impl fmt::Debug for RpcClient {
 /// An outstanding request; await the reply with [`ReplyHandle::wait`]
 /// or [`ReplyHandle::wait_timeout`].
 #[must_use = "a reply handle does nothing unless waited on"]
-pub struct ReplyHandle<'a> {
-    client: &'a RpcClient,
+pub struct ReplyHandle {
     id: MessageId,
     slot: Arc<ReplySlot>,
 }
 
-impl ReplyHandle<'_> {
+impl ReplyHandle {
     /// The request's message id (DLHub's async task UUID analogue).
     pub fn id(&self) -> MessageId {
         self.id
@@ -181,13 +140,13 @@ impl ReplyHandle<'_> {
 
     /// Block until the reply arrives.
     pub fn wait(self) -> Result<Bytes, RpcError> {
-        self.client.wait(&self.slot, None)
+        wait(&self.slot, None)
     }
 
     /// Block until the reply arrives or `timeout` elapses. After a
     /// timeout the reply, should it still come, is dropped.
     pub fn wait_timeout(self, timeout: Duration) -> Result<Bytes, RpcError> {
-        self.client.wait(&self.slot, Some(Instant::now() + timeout))
+        wait(&self.slot, Some(Instant::now() + timeout))
     }
 
     /// Poll without blocking; `None` while the reply is pending.
@@ -384,30 +343,6 @@ mod tests {
             let reply = h.wait_timeout(Duration::from_secs(5)).unwrap();
             assert_eq!(reply, Bytes::from(format!("echo:{i}")));
         }
-        broker.close_topic("svc").unwrap();
-    }
-
-    #[test]
-    fn blocked_reply_waits_land_in_the_contention_site() {
-        let broker = Broker::new(BrokerConfig::default());
-        let client = RpcClient::connect(&broker, "svc");
-        let obs = Obs::new();
-        client.attach_obs(&obs);
-        let _server = echo_server(&broker, "svc");
-        client
-            .call_wait(Bytes::from_static(b"hi"), Duration::from_secs(2))
-            .unwrap();
-        // Whether the wait blocked depends on scheduling; force one
-        // guaranteed block via a timeout with no reply outstanding.
-        let topic_less = RpcClient::connect(&broker, "svc-quiet");
-        topic_less.attach_obs(&obs);
-        let err = topic_less
-            .call_wait(Bytes::from_static(b"x"), Duration::from_millis(30))
-            .unwrap_err();
-        assert_eq!(err, RpcError::Timeout);
-        let site = obs.contention.site("rpc.reply_wait:svc-quiet");
-        assert_eq!(site.waits(), 1);
-        assert!(site.snapshot().wait.sum >= 25_000_000);
         broker.close_topic("svc").unwrap();
     }
 

@@ -25,11 +25,9 @@
 //! Hot counters ride in [`CachePadded`] slots so producer tickets,
 //! consumer tickets and the semaphore do not false-share a cache line.
 
-use dlhub_obs::ContentionSite;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Pads (and aligns) a value to a 64-byte cache line so hot atomics
@@ -43,18 +41,6 @@ pub struct CachePadded<T>(pub T);
 /// (reply topics are per-client) while letting that many producers and
 /// consumers proceed without colliding.
 pub const RING_SHARDS: usize = 8;
-
-/// Contention sites for one ring, resolved once at attach time so the
-/// wait paths touch plain atomics, never a registry. Unattached rings
-/// pay one `OnceLock` load per *slow-path* entry and nothing on fast
-/// paths.
-pub struct RingObs {
-    /// Consumer condvar parks (time actually parked).
-    pub park: Arc<ContentionSite>,
-    /// Claim-token rescans: a token was held but the first full
-    /// segment pass lost its item to a concurrent claimant.
-    pub claim: Arc<ContentionSite>,
-}
 
 /// A sharded, blocking, multi-producer multi-consumer queue.
 ///
@@ -77,7 +63,6 @@ pub struct ShardedRing<T> {
     waiters: CachePadded<AtomicUsize>,
     park: Mutex<()>,
     park_cv: Condvar,
-    obs: OnceLock<RingObs>,
 }
 
 impl<T> ShardedRing<T> {
@@ -97,14 +82,7 @@ impl<T> ShardedRing<T> {
             waiters: CachePadded(AtomicUsize::new(0)),
             park: Mutex::new(()),
             park_cv: Condvar::new(),
-            obs: OnceLock::new(),
         }
-    }
-
-    /// Wire this ring's park/claim waits into named contention sites.
-    /// First attachment wins; later calls are no-ops.
-    pub fn attach_obs(&self, obs: RingObs) {
-        let _ = self.obs.set(obs);
     }
 
     /// Number of segments (shards).
@@ -180,24 +158,14 @@ impl<T> ShardedRing<T> {
         // are inserted before their token is posted), but a concurrent
         // claimant may race us to any given segment — rescan until the
         // pigeonhole resolves. In practice the first pass hits.
-        let mut contended_since: Option<Instant> = None;
         loop {
             let start = self.deq.0.fetch_add(1, Ordering::Relaxed) as usize;
             for i in 0..self.shards.len() {
                 let idx = (start + i) & self.mask;
                 if let Some(item) = self.shards[idx].0.lock().pop_front() {
                     self.len.0.fetch_sub(1, Ordering::SeqCst);
-                    if let (Some(obs), Some(since)) = (self.obs.get(), contended_since) {
-                        obs.claim.record(since.elapsed());
-                    }
                     return Some((idx, item));
                 }
-            }
-            // Slow path only: timing starts after the first pass lost
-            // the pigeonhole race, so uncontended claims never look at
-            // the clock.
-            if contended_since.is_none() && self.obs.get().is_some() {
-                contended_since = Some(Instant::now());
             }
             std::thread::yield_now();
         }
@@ -232,9 +200,6 @@ impl<T> ShardedRing<T> {
             self.waiters.0.fetch_sub(1, Ordering::SeqCst);
             return false;
         }
-        // Only an actual park is timed: the fast-path returns above
-        // never touch the clock.
-        let parked_at = self.obs.get().map(|_| Instant::now());
         let timed_out = match until {
             Some(u) => self.park_cv.wait_until(&mut guard, u).timed_out(),
             None => {
@@ -242,9 +207,6 @@ impl<T> ShardedRing<T> {
                 false
             }
         };
-        if let (Some(obs), Some(at)) = (self.obs.get(), parked_at) {
-            obs.park.record(at.elapsed());
-        }
         self.waiters.0.fetch_sub(1, Ordering::SeqCst);
         timed_out
     }

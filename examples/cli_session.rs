@@ -13,15 +13,11 @@ use std::sync::Arc;
 fn main() {
     // A loose latency objective on the servable this session publishes:
     // `dlhub slo` below shows its burn rates and (quiet) alert state.
-    // The profiler, flight recorder and time-series collector are
-    // normally off (and statically free); enabling them here lets the
-    // session demo `dlhub profile`, `dlhub contention`, `dlhub bundle`
-    // and `dlhub top`.
+    // The time-series collector is normally off; enabling it here lets
+    // the session demo `dlhub top`.
     let hub = TestHub::builder()
         .without_eval_servables()
         .config(dlhub_core::serving::ServingConfig {
-            profile_hz: 99,
-            recorder_capacity: 4,
             telemetry_interval: std::time::Duration::from_millis(25),
             ..Default::default()
         })
@@ -79,9 +75,8 @@ fn main() {
         .and_then(|rest| rest.strip_suffix(')'))
         .expect("run output carries its trace id")
         .to_string();
-    // Give the 99 Hz background sampler and the 25 ms time-series
-    // collector a few ticks to observe the session before asking for
-    // the collapsed-stack profile and the `dlhub top` dashboard.
+    // Give the 25 ms time-series collector a few ticks to observe the
+    // session before asking for the `dlhub top` dashboard.
     std::thread::sleep(std::time::Duration::from_millis(120));
     for args in [
         vec!["stats"],
@@ -94,9 +89,6 @@ fn main() {
         vec!["slo", "--json"],
         vec!["top"],
         vec!["top", "--window-s", "5"],
-        vec!["profile"],
-        vec!["contention"],
-        vec!["bundle"],
     ] {
         println!("$ dlhub {}", args.join(" "));
         match cli.execute(&workdir, &args) {
@@ -112,7 +104,6 @@ fn main() {
         vec!["frobnicate"],
         vec!["trace", "not-a-trace-id"],
         vec!["analyze", "0xdeadbeef"],
-        vec!["bundle", "999"],
         vec!["top", "--frames"],
     ] {
         println!("$ dlhub {}", args.join(" "));

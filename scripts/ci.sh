@@ -4,6 +4,15 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "######## deleted instruments stay deleted"
+# ISSUE 21 removed the sampling profiler, the contention sites and the
+# flight recorder with their options; nothing read them (DESIGN.md §8).
+if grep -rnE 'ProfilerHandle|FlightRecorder|ContentionSite|profile_hz|recorder_capacity|storm_threshold' \
+  crates tests examples; then
+  echo "ci: a deleted instrument or its option is back (see above)" >&2
+  exit 1
+fi
+
 echo "######## fmt"
 cargo fmt --all --check
 
@@ -39,6 +48,10 @@ if jobs > 2.5:
     sys.exit("ci: matminer-mixed executor.dispatched_per_op = {:.2f} > 2.5".format(jobs))
 print("ci: matminer-mixed executor.dispatched_per_op = {:.2f} (one job per replica)".format(jobs))
 '
+# The parent-vs-change procedure every perf claim in CHANGES.md rests
+# on, as one self-against-self pair in the benchmark's --quick shape so
+# the script cannot rot.
+scripts/pairs.sh --quick HEAD 7 noop-dispatch
 
 echo "######## tensor kernels smoke (micro bench, kernels group)"
 # The tensor rung of the layer ladder: the CIFAR GEMM shapes, the dense

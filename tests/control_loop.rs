@@ -358,7 +358,7 @@ fn fairness_sim(seed: u64) -> FairnessOutcome {
         for (slot, (tenant, arrivals)) in tenants.iter_mut().enumerate() {
             let n = arrivals.count_until(SimTime(now + STEP_NS));
             for _ in 0..n {
-                match ctl.admit(*tenant, false, now) {
+                match ctl.admit(*tenant, false) {
                     Ok(permit) => {
                         let idx = (0..REPLICAS)
                             .min_by_key(|i| free_at[*i])
