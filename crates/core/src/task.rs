@@ -9,7 +9,6 @@ use crate::value::{self, Value};
 use bytes::Bytes;
 use dlhub_obs::TraceContext;
 use parking_lot::{Condvar, Mutex};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -17,7 +16,7 @@ use std::time::{Duration, Instant};
 
 /// A task sent from the Management Service to a Task Manager. Batched
 /// requests carry several inputs for one servable.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskRequest {
     /// Unique task id (the paper's task UUID).
     pub task_id: String,
@@ -27,14 +26,13 @@ pub struct TaskRequest {
     pub inputs: Vec<Value>,
     /// Trace context propagated from the Management Service so the
     /// Task Manager can parent its invocation span. Absent on the wire
-    /// for untraced requests and for envelopes from older senders
-    /// (a missing field deserializes to `None`).
+    /// for untraced requests.
     pub trace: Option<TraceContext>,
 }
 
 /// The Task Manager's reply, carrying outputs plus the timings it
 /// measured locally.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskResponse {
     /// Echoed task id.
     pub task_id: String,
@@ -47,12 +45,14 @@ pub struct TaskResponse {
     pub invocation_nanos: u64,
 }
 
-/// First byte of the binary wire format. Distinct from `{` (0x7B), the
-/// first byte of every JSON envelope, so [`TaskRequest::from_bytes`]
-/// can sniff the format and keep accepting JSON from older senders.
+/// First byte of every frame.
 const WIRE_MAGIC: u8 = 0xD1;
 /// Wire format version.
 const WIRE_VERSION: u8 = 2;
+/// Levels of `Value::List` a frame may nest. The decoder recurses once
+/// a level and a level costs five bytes, so without a bound a 50 KB
+/// frame overflows a Task Manager consumer's stack.
+pub(crate) const MAX_DEPTH: usize = 128;
 /// Message-type tags following the magic/version header.
 const WIRE_REQUEST: u8 = 1;
 const WIRE_RESPONSE: u8 = 2;
@@ -69,9 +69,8 @@ fn decode_str(cur: &mut &[u8]) -> Result<String, String> {
         .map_err(|e| format!("invalid utf-8: {e}"))
 }
 
-/// Check the 3-byte header and return the remaining body, or `None`
-/// when the payload is not binary wire format (JSON fallback).
-fn strip_header(bytes: &[u8], msg_type: u8) -> Result<Option<&[u8]>, String> {
+/// Check the 3-byte header and return the remaining body.
+fn strip_header(bytes: &[u8], msg_type: u8) -> Result<&[u8], String> {
     match bytes {
         [WIRE_MAGIC, version, tag, body @ ..] => {
             if *version != WIRE_VERSION {
@@ -80,9 +79,9 @@ fn strip_header(bytes: &[u8], msg_type: u8) -> Result<Option<&[u8]>, String> {
             if *tag != msg_type {
                 return Err(format!("unexpected message type {tag}"));
             }
-            Ok(Some(body))
+            Ok(body)
         }
-        _ => Ok(None),
+        _ => Err("not a wire-v2 frame".to_string()),
     }
 }
 
@@ -111,13 +110,10 @@ impl TaskRequest {
         Bytes::from(out)
     }
 
-    /// Deserialize from the broker. Accepts the binary format and, for
-    /// compatibility with older senders, JSON envelopes.
+    /// Deserialize from the broker.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
         let err = |e| format!("malformed task request: {e}");
-        let Some(mut body) = strip_header(bytes, WIRE_REQUEST).map_err(err)? else {
-            return serde_json::from_slice(bytes).map_err(|e| err(e.to_string()));
-        };
+        let mut body = strip_header(bytes, WIRE_REQUEST).map_err(err)?;
         let cur = &mut body;
         let task_id = decode_str(cur).map_err(err)?;
         let servable = decode_str(cur).map_err(err)?;
@@ -131,7 +127,7 @@ impl TaskRequest {
         let count = value::decode_len(cur).map_err(err)?;
         let mut inputs = Vec::with_capacity(count.min(1024));
         for _ in 0..count {
-            inputs.push(Value::decode_from(cur).map_err(err)?);
+            inputs.push(Value::decode_from(cur, MAX_DEPTH).map_err(err)?);
         }
         Ok(TaskRequest {
             task_id,
@@ -170,13 +166,10 @@ impl TaskResponse {
         Bytes::from(out)
     }
 
-    /// Deserialize from the broker. Accepts the binary format and, for
-    /// compatibility with older senders, JSON envelopes.
+    /// Deserialize from the broker.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
         let err = |e| format!("malformed task response: {e}");
-        let Some(mut body) = strip_header(bytes, WIRE_RESPONSE).map_err(err)? else {
-            return serde_json::from_slice(bytes).map_err(|e| err(e.to_string()));
-        };
+        let mut body = strip_header(bytes, WIRE_RESPONSE).map_err(err)?;
         let cur = &mut body;
         let task_id = decode_str(cur).map_err(err)?;
         let outcome = match value::take(cur, 1).map_err(err)?[0] {
@@ -184,7 +177,7 @@ impl TaskResponse {
                 let count = value::decode_len(cur).map_err(err)?;
                 let mut values = Vec::with_capacity(count.min(1024));
                 for _ in 0..count {
-                    values.push(Value::decode_from(cur).map_err(err)?);
+                    values.push(Value::decode_from(cur, MAX_DEPTH).map_err(err)?);
                 }
                 Ok(values)
             }
@@ -377,16 +370,7 @@ mod tests {
     }
 
     #[test]
-    fn request_without_trace_field_deserializes_to_none() {
-        // Envelope from a sender predating trace propagation.
-        let wire = br#"{"task_id":"t1","servable":"a/b","inputs":[]}"#;
-        let req = TaskRequest::from_bytes(wire).unwrap();
-        assert_eq!(req.trace, None);
-        assert_eq!(req.servable, "a/b");
-    }
-
-    #[test]
-    fn wire_format_is_binary_with_json_fallback() {
+    fn wire_format_is_binary_only() {
         let req = TaskRequest {
             task_id: "t-wire".into(),
             servable: "a/b".into(),
@@ -403,13 +387,21 @@ mod tests {
             "binary envelopes lead with the magic byte"
         );
         assert_eq!(TaskRequest::from_bytes(&wire).unwrap(), req);
-        // A JSON envelope of the same request still decodes.
-        let json = serde_json::to_vec(&req).unwrap();
-        assert_eq!(json[0], b'{');
-        assert_eq!(TaskRequest::from_bytes(&json).unwrap(), req);
         // Truncated binary payloads fail with the typed prefix.
         let err = TaskRequest::from_bytes(&wire[..wire.len() - 3]).unwrap_err();
         assert!(err.starts_with("malformed task request"), "{err}");
+        // So does anything that does not lead with the magic byte.
+        let json = br#"{"task_id":"t1","servable":"a/b","inputs":[]}"#;
+        for not_a_frame in [&json[..], &[]] {
+            assert_eq!(
+                TaskRequest::from_bytes(not_a_frame).unwrap_err(),
+                "malformed task request: not a wire-v2 frame"
+            );
+            assert_eq!(
+                TaskResponse::from_bytes(not_a_frame).unwrap_err(),
+                "malformed task response: not a wire-v2 frame"
+            );
+        }
     }
 
     #[test]

@@ -309,7 +309,7 @@ mod tests {
     use crate::repository::{PublishVisibility, Repository, PUBLISH_SCOPE, SERVE_SCOPE};
     use crate::servable::builtins::NoopServable;
     use crate::servable::{servable_fn, ModelType, ServableMetadata};
-    use crate::task::{next_task_id, TaskRequest};
+    use crate::task::{next_task_id, TaskRequest, MAX_DEPTH};
     use crate::value::Value;
     use dlhub_auth::{AuthService, Scope};
     use dlhub_container::{Cluster, NodeSpec};
@@ -449,6 +449,44 @@ mod tests {
             .unwrap();
         let response = TaskResponse::from_bytes(&reply).unwrap();
         assert!(response.outcome.unwrap_err().contains("malformed"));
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_answered_and_the_consumer_survives() {
+        let f = fixture(vec![parsl()]);
+        let call = |levels: usize| {
+            let mut frame = TaskRequest {
+                task_id: next_task_id(),
+                servable: "u/noop".into(),
+                inputs: vec![],
+                trace: None,
+            }
+            .to_bytes()
+            .to_vec();
+            // A request frame ends with its input count.
+            let count_at = frame.len() - 4;
+            frame[count_at] = 1;
+            frame.extend(crate::value::nested_lists(levels));
+            let decoded = TaskRequest::from_bytes(&frame).map(|_| ());
+            let reply = f
+                .client
+                .call_wait(frame.into(), Duration::from_secs(5))
+                .unwrap();
+            let served = TaskResponse::from_bytes(&reply).unwrap().outcome;
+            (decoded, served)
+        };
+        for levels in [MAX_DEPTH + 1, 100_000] {
+            let (decoded, served) = call(levels);
+            for err in [decoded.unwrap_err(), served.unwrap_err()] {
+                assert!(
+                    err.starts_with("malformed task request: lists nested deeper"),
+                    "{levels} levels: {err}"
+                );
+            }
+        }
+        let (decoded, served) = call(MAX_DEPTH);
+        assert_eq!(decoded, Ok(()));
+        assert_eq!(served.unwrap(), vec![Value::Str("hello world".into())]);
     }
 
     #[test]

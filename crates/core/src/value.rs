@@ -154,8 +154,10 @@ impl Value {
     }
 
     /// Decode one value from the front of `cur`, advancing it past the
-    /// consumed bytes. Inverse of [`Value::encode_into`].
-    pub(crate) fn decode_from(cur: &mut &[u8]) -> Result<Value, String> {
+    /// consumed bytes. Inverse of [`Value::encode_into`]. `depth` is how
+    /// many more levels of `List` may open (the decoder recurses once
+    /// per level).
+    pub(crate) fn decode_from(cur: &mut &[u8], depth: usize) -> Result<Value, String> {
         let tag = take(cur, 1)?[0];
         Ok(match tag {
             0 => Value::Null,
@@ -190,10 +192,13 @@ impl Value {
                 Value::Tensor { shape, data }
             }
             7 => {
+                let depth = depth
+                    .checked_sub(1)
+                    .ok_or("lists nested deeper than the wire format allows")?;
                 let count = decode_len(cur)?;
                 let mut items = Vec::with_capacity(count.min(1024));
                 for _ in 0..count {
-                    items.push(Value::decode_from(cur)?);
+                    items.push(Value::decode_from(cur, depth)?);
                 }
                 Value::List(items)
             }
@@ -399,9 +404,18 @@ impl fmt::Display for Value {
     }
 }
 
+/// The wire bytes of `levels` one-element lists around a `Null`.
+#[cfg(test)]
+pub(crate) fn nested_lists(levels: usize) -> Vec<u8> {
+    let mut frame = [7, 1, 0, 0, 0].repeat(levels);
+    frame.push(0);
+    frame
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::task::MAX_DEPTH;
     use proptest::prelude::*;
     use serde_json::json;
 
@@ -587,7 +601,7 @@ mod tests {
         let mut buf = Vec::new();
         v.encode_into(&mut buf);
         let mut cur = &buf[..];
-        let back = Value::decode_from(&mut cur).unwrap();
+        let back = Value::decode_from(&mut cur, MAX_DEPTH).unwrap();
         assert_eq!(back, v);
         assert!(
             cur.is_empty(),
@@ -598,9 +612,30 @@ mod tests {
     #[test]
     fn binary_codec_rejects_garbage() {
         let mut cur: &[u8] = &[250, 1, 2];
-        assert!(Value::decode_from(&mut cur).is_err());
+        assert!(Value::decode_from(&mut cur, MAX_DEPTH).is_err());
         let mut truncated: &[u8] = &[4, 10, 0, 0, 0, b'a'];
-        assert!(Value::decode_from(&mut truncated).is_err());
+        assert!(Value::decode_from(&mut truncated, MAX_DEPTH).is_err());
+    }
+
+    #[test]
+    fn binary_codec_bounds_list_nesting() {
+        // Written as bytes: a `Value` this deep cannot be built, encoded
+        // or dropped without the recursion the bound is there to stop.
+        let decode = |levels: usize| {
+            let frame = nested_lists(levels);
+            Value::decode_from(&mut &frame[..], MAX_DEPTH)
+        };
+        let mut deepest = &decode(MAX_DEPTH).unwrap();
+        let mut levels = 0;
+        while let Value::List(items) = deepest {
+            deepest = &items[0];
+            levels += 1;
+        }
+        assert_eq!((levels, deepest), (MAX_DEPTH, &Value::Null));
+        for levels in [MAX_DEPTH + 1, 100_000] {
+            let err = decode(levels).unwrap_err();
+            assert!(err.contains("nested deeper"), "{levels} levels: {err}");
+        }
     }
 
     proptest! {
@@ -611,7 +646,7 @@ mod tests {
             let mut buf = Vec::new();
             Value::Float(f).encode_into(&mut buf);
             let mut cur = &buf[..];
-            match Value::decode_from(&mut cur).unwrap() {
+            match Value::decode_from(&mut cur, MAX_DEPTH).unwrap() {
                 Value::Float(back) => prop_assert_eq!(back.to_bits(), f.to_bits()),
                 other => prop_assert!(false, "wrong variant: {other}"),
             }

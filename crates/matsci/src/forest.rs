@@ -2,13 +2,12 @@
 //!
 //! CART regression trees (variance-reduction splits) bagged over
 //! bootstrap samples with per-split feature subsampling, trained in
-//! parallel with Rayon. This is the "scikit-learn random forest model
+//! parallel. This is the "scikit-learn random forest model
 //! to predict stability" of §V-A, rebuilt natively.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 
 /// A binary regression-tree node, stored flat in a vector.
 #[derive(Debug, Clone)]
@@ -262,16 +261,12 @@ impl RandomForest {
         assert_eq!(x.len(), y.len(), "feature/target length mismatch");
         assert!(!x.is_empty(), "cannot fit on an empty dataset");
         let n = x.len();
-        let trees: Vec<DecisionTree> = (0..config.n_trees)
-            .into_par_iter()
-            .map(|t| {
-                let mut rng = StdRng::seed_from_u64(
-                    config.seed ^ (t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                );
-                let bootstrap: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
-                DecisionTree::fit(x, y, &bootstrap, config, &mut rng)
-            })
-            .collect();
+        let trees = dlhub_tensor::par::map(config.n_trees, |t| {
+            let mut rng =
+                StdRng::seed_from_u64(config.seed ^ (t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let bootstrap: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
+            DecisionTree::fit(x, y, &bootstrap, config, &mut rng)
+        });
         RandomForest { trees }
     }
 
@@ -280,9 +275,9 @@ impl RandomForest {
         self.trees.iter().map(|t| t.predict(features)).sum::<f64>() / self.trees.len() as f64
     }
 
-    /// Predict many samples in parallel.
+    /// Predict many samples.
     pub fn predict_batch(&self, features: &[Vec<f64>]) -> Vec<f64> {
-        features.par_iter().map(|f| self.predict(f)).collect()
+        features.iter().map(|f| self.predict(f)).collect()
     }
 
     /// Predict with an ensemble uncertainty estimate: the mean and

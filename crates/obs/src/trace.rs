@@ -40,9 +40,6 @@ pub fn now_ns() -> u64 {
 ///
 /// `trace` names the end-to-end request tree; `span` is the sender's
 /// span, which the receiving tier uses as the parent of its own span.
-/// Serialises as a plain two-field object so it can ride inside
-/// `TaskRequest` without schema changes breaking old readers (missing
-/// field deserialises to `None` on `Option<TraceContext>`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceContext {
     /// Identifier of the whole request tree.

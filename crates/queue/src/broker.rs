@@ -931,7 +931,25 @@ mod tests {
 
     #[test]
     fn concurrent_producers_consumers_deliver_everything_once() {
-        let broker = b();
+        // Unbounded, then bounded far below the traffic so the four
+        // blocking senders park on a full topic and every claim has a
+        // sender to wake.
+        for capacity in [None, Some(8)] {
+            deliver_everything_once(capacity);
+        }
+    }
+
+    fn deliver_everything_once(capacity: Option<usize>) {
+        let broker = Broker::new(BrokerConfig::default());
+        broker
+            .create_topic_with(
+                "t",
+                TopicConfig {
+                    capacity,
+                    ..TopicConfig::default()
+                },
+            )
+            .unwrap();
         let n_producers = 4;
         let per_producer = 250;
         let total = n_producers * per_producer;

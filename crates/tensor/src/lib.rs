@@ -29,6 +29,7 @@ pub mod layer;
 pub mod models;
 pub mod network;
 pub mod ops;
+pub mod par;
 pub mod tensor;
 pub mod train;
 

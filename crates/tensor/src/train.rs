@@ -17,8 +17,8 @@
 use crate::layer::Layer;
 use crate::network::{Block, Network};
 use crate::ops;
+use crate::par;
 use crate::tensor::Tensor;
-use rayon::prelude::*;
 
 /// Per-layer cache recorded during the training forward pass.
 enum Cache {
@@ -322,8 +322,8 @@ impl Trainable {
     }
 
     /// One SGD-with-momentum step over a minibatch; returns the mean
-    /// loss. Per-example gradients are computed in parallel (Rayon)
-    /// and reduced.
+    /// loss. Per-example gradients are computed in parallel and summed
+    /// in batch order.
     pub fn sgd_step(
         &mut self,
         batch: &[(Tensor, usize)],
@@ -333,26 +333,23 @@ impl Trainable {
         if batch.is_empty() {
             return Err(TrainError::BadDataset("empty minibatch".into()));
         }
-        let (total_loss, summed) = batch
-            .par_iter()
-            .map(|(x, label)| self.example_grads(x.clone(), *label))
-            .reduce(
-                || {
-                    (
-                        0.0,
-                        self.layers
-                            .iter()
-                            .map(LayerGrads::zeros_like)
-                            .collect::<Vec<_>>(),
-                    )
-                },
-                |(l1, mut g1), (l2, g2)| {
-                    for (a, b) in g1.iter_mut().zip(&g2) {
-                        a.accumulate(b);
-                    }
-                    (l1 + l2, g1)
-                },
-            );
+        let zero = (
+            0.0,
+            self.layers
+                .iter()
+                .map(LayerGrads::zeros_like)
+                .collect::<Vec<_>>(),
+        );
+        let (total_loss, summed) = par::map(batch.len(), |i| {
+            self.example_grads(batch[i].0.clone(), batch[i].1)
+        })
+        .into_iter()
+        .fold(zero, |(l1, mut g1), (l2, g2)| {
+            for (a, b) in g1.iter_mut().zip(&g2) {
+                a.accumulate(b);
+            }
+            (l1 + l2, g1)
+        });
         let scale = 1.0 / batch.len() as f32;
         for ((layer, grad), vel) in self
             .layers
@@ -414,10 +411,10 @@ impl Trainable {
         if data.is_empty() {
             return 0.0;
         }
-        let correct = data
-            .par_iter()
-            .filter(|(x, label)| self.logits(x.clone()).argmax() == Some(*label))
-            .count();
+        let hits = par::map(data.len(), |i| {
+            self.logits(data[i].0.clone()).argmax() == Some(data[i].1)
+        });
+        let correct = hits.into_iter().filter(|&hit| hit).count();
         correct as f64 / data.len() as f64
     }
 

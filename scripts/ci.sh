@@ -4,7 +4,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "######## deleted instruments stay deleted"
+echo "######## deleted code stays deleted"
 # ISSUE 21 removed the sampling profiler, the contention sites and the
 # flight recorder with their options; nothing read them (DESIGN.md §8).
 if grep -rnE 'ProfilerHandle|FlightRecorder|ContentionSite|profile_hz|recorder_capacity|storm_threshold' \
@@ -12,6 +12,25 @@ if grep -rnE 'ProfilerHandle|FlightRecorder|ContentionSite|profile_hz|recorder_c
   echo "ci: a deleted instrument or its option is back (see above)" >&2
   exit 1
 fi
+# ISSUE 22 removed the two closed-loop bins that timed a client sleep
+# with their gate script, artifacts and knobs, and a vendored stand-in.
+if grep -rnE 'bench_gate|BENCH_hotpath|BENCH_broker|HOTPATH_|BROKER_GATE|BENCH_GATE|rayon' \
+  crates tests examples scripts .github README.md DESIGN.md EXPERIMENTS.md Cargo.toml |
+  grep -v '^scripts/ci.sh:.*grep -rnE'; then
+  echo "ci: a deleted bench, its gate or a deleted stand-in is back (see above)" >&2
+  exit 1
+fi
+
+echo "######## docs name only bins and scripts that exist"
+docs=(README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md)
+cited=$(grep -ohE -e '--bin [a-z0-9_]+' -e 'scripts/[a-z_]+\.(sh|py)' "${docs[@]}" |
+  sed 's|^--bin \(.*\)|crates/bench/src/bin/\1.rs|' | sort -u)
+for path in $cited; do
+  if [[ ! -f $path ]]; then
+    echo "ci: the docs cite $path, which does not exist" >&2
+    exit 1
+  fi
+done
 
 echo "######## fmt"
 cargo fmt --all --check
@@ -84,82 +103,10 @@ for seed in 7 1848 3141; do
   CONTROL_SEED="${seed}" cargo test --release --quiet -p dlhub-bench --test control_loop
 done
 
-echo "######## hotpath smoke"
-# Short window; HOTPATH_MIRROR=0 keeps the smoke run from clobbering
-# the committed full-length BENCH_hotpath.json at the workspace root.
-HOTPATH_MS=100 HOTPATH_MIRROR=0 \
-  cargo run --release -p dlhub-bench --bin hotpath >/dev/null
-# What the embedded metrics snapshot must hold (series, latency
-# buckets with exemplars, SLO entry observed and quiet) is asserted on
-# the live snapshot by dlhub-core's ledger test; the run stays because
-# bench_gate.py below reads its artifact.
-
-echo "######## broker smoke (sharded rings + zero-copy path)"
-# Short windows; BROKER_MIRROR=0 keeps the smoke run from clobbering
-# the committed full-length BENCH_broker.json at the workspace root.
-BROKER_MS=100 BROKER_MIRROR=0 \
-  cargo run --release -p dlhub-bench --bin broker >/dev/null
-
 echo "######## workloads smoke (open-loop observatory, seed matrix)"
-# Short windows and a small catalog; WORKLOADS_MIRROR=0 keeps the
-# smoke runs from clobbering the committed full-length
-# BENCH_workloads.json. Seed 7 runs twice: the schedule fingerprints
-# in the two artifacts must be byte-identical (the reproducibility
-# contract), and a second seed proves the fingerprints actually
-# depend on the seed.
-for seed in 7 7 1848; do
-  echo "-- workloads seed ${seed}"
-  WORKLOADS_MS=300 WORKLOADS_FANOUT=120 WORKLOADS_SEED="${seed}" WORKLOADS_MIRROR=0 \
-    cargo run --release -p dlhub-bench --bin workloads >/dev/null
-  cp results/BENCH_workloads.json "results/BENCH_workloads.seed${seed}.run$((fp_run=${fp_run:-0}+1)).json"
-done
-python3 - <<'EOF'
-import json, sys
-def fingerprints(path):
-    doc = json.load(open(path))
-    return {s["name"]: s["schedule_fingerprint"] for s in doc["scenarios"]}
-a = fingerprints("results/BENCH_workloads.seed7.run1.json")
-b = fingerprints("results/BENCH_workloads.seed7.run2.json")
-c = fingerprints("results/BENCH_workloads.seed1848.run3.json")
-if a != b:
-    sys.exit("ci: seed 7 schedules differ across runs: {} vs {}".format(a, b))
-if a == c:
-    sys.exit("ci: seed 7 and seed 1848 produced identical schedules")
-doc = json.load(open("results/BENCH_workloads.json"))
-names = {s["name"] for s in doc["scenarios"]}
-want = {"steady-poisson", "diurnal", "bursty", "zipf-fanout", "hostile-tenant"}
-if not want <= names:
-    sys.exit("ci: workloads smoke missing scenarios: {}".format(want - names))
-for s in doc["scenarios"]:
-    ol = s["open_loop"]
-    if not s.get("completed", 0) > 0:
-        sys.exit("ci: scenario {} completed nothing".format(s["name"]))
-    for q in ("p50", "p99", "p999"):
-        if ol["corrected"][q] < ol["uncorrected"][q]:
-            sys.exit(
-                "ci: scenario {} corrected {} below uncorrected".format(s["name"], q)
-            )
-    if not (s.get("attribution") or {}).get("tail", {}).get("stages"):
-        sys.exit("ci: scenario {} has no tail attribution".format(s["name"]))
-print(
-    "ci: workloads smoke OK (schedules replay byte-identically per "
-    "seed; {} scenarios; bursty CO gap {:.2f} ms)".format(
-        len(names),
-        next(s for s in doc["scenarios"] if s["name"] == "bursty")["open_loop"][
-            "gap_p99_ns"
-        ]
-        / 1e6,
-    )
-)
-EOF
-
-echo "######## bench regression gates"
-# Compares the smoke runs against the committed BENCH_hotpath.json and
-# BENCH_broker.json with generous noise floors (BENCH_GATE_RATIO /
-# BENCH_GATE_SPEEDUP / BROKER_GATE_* tune, BENCH_GATE_RATIO=0
-# disables). The broker gate also re-asserts the committed artifact's
-# absolute contract: ≥2x the hot-path single-thread baseline on the
-# memo-bypass path and ≥6x 1→8-client scaling on the RTT series.
-python3 scripts/bench_gate.py
+# Three short runs; the committed BENCH_workloads.json and each fresh
+# artifact must hold the five-scenario coordinated-omission contract,
+# and a seed must replay its schedules byte-identically.
+scripts/workloads_check.py
 
 echo "######## ci OK"
