@@ -7,7 +7,7 @@
 //! Fig 4 measures memoization with a single repeated input — the
 //! best case. Real workloads repeat *some* inputs (hot compositions,
 //! reference images) under a long tail. This ablation drives the real
-//! LRU [`MemoCache`] with a Zipf-distributed stream over 10,000
+//! [`MemoCache`] with a Zipf-distributed stream over 10,000
 //! distinct CIFAR-sized inputs, sweeps the byte budget, and converts
 //! the measured hit rate into an expected request latency on the
 //! paper testbed (hit: Fig 4's memoized path; miss: Fig 3's full

@@ -538,6 +538,9 @@ mod tests {
         let dash = cli.execute(&dir.0, &["stats"]).unwrap();
         assert!(dash.contains("servable dlhub/echo"), "{dash}");
         assert!(dash.contains("requests 1"), "{dash}");
+        // The memo's admission decision sits beside its hit counters.
+        assert!(dash.contains("memo_hits_total 0"), "{dash}");
+        assert!(dash.contains("memo_rejected_total 0"), "{dash}");
         let prom = cli.execute(&dir.0, &["stats", "--prometheus"]).unwrap();
         assert!(
             prom.contains("dlhub_servable_requests_total{servable=\"dlhub/echo\"} 1"),
@@ -648,6 +651,7 @@ mod tests {
         assert!(frame.contains("dlhub/echo"), "{frame}");
         assert!(frame.contains("REQ/S"), "{frame}");
         assert!(frame.contains("MEMO"), "{frame}");
+        assert!(frame.contains("rejected/s"), "{frame}");
         // No admission controller on this hub: the row says so rather
         // than vanishing.
         assert!(frame.contains("ADMISSION"), "{frame}");

@@ -188,11 +188,12 @@ pub fn render_frame(
         _ => None,
     };
     out.push_str(&format!(
-        "\n  MEMO  hit ratio {}  hits/s {}  {}\n",
+        "\n  MEMO  hit ratio {}  hits/s {}  rejected/s {}  {}\n",
         ratio
             .map(|r| format!("{:.0}%", r * 100.0))
             .unwrap_or("-".into()),
         fmt_rate(hits),
+        fmt_rate(store.rate("memo_rejected_total", window)),
         sparkline(
             &values(&store.points("memo_hits_total", window)),
             SPARK_WIDTH

@@ -22,6 +22,21 @@
 //! [`MemoCache::bytes`] never take a lock and never stall the hot
 //! path.
 //!
+//! # What is worth keeping
+//!
+//! Eviction is LRU, behind frequency admission (TinyLFU's rule,
+//! arXiv 1512.00727). Every [`MemoCache::get`] records its key in one
+//! count-min sketch, aged by halving. A [`MemoCache::put`] of a
+//! non-resident key into a full cache compares the key's estimate with
+//! the global LRU victim's and is refused ([`MemoStats::rejected`])
+//! when it is *lower*: an input seen once does not push out one that
+//! keeps coming back. Ties admit, so a cache that has answered no
+//! lookups — every estimate zero — is exactly an LRU. The sketch is
+//! advisory: it decides which keys are resident, never what a hit
+//! returns, so its counters are read and written with plain relaxed
+//! loads and stores and a lost increment under a race costs nothing
+//! but a slightly lower estimate.
+//!
 //! ```
 //! use dlhub_core::memo::{MemoCache, MemoKey};
 //! use dlhub_core::value::Value;
@@ -37,7 +52,7 @@
 use crate::value::Value;
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Observability instruments, resolved once at attach time so the hot
@@ -46,6 +61,7 @@ struct ObsHooks {
     hits: Arc<dlhub_obs::Counter>,
     misses: Arc<dlhub_obs::Counter>,
     evictions: Arc<dlhub_obs::Counter>,
+    rejected: Arc<dlhub_obs::Counter>,
     tracer: dlhub_obs::Tracer,
 }
 
@@ -54,6 +70,23 @@ const SHARD_COUNT: usize = 16;
 
 /// Sentinel index for the intrusive recency list.
 const NIL: usize = usize::MAX;
+
+/// Counters per sketch row (power of two).
+const SKETCH_WIDTH: usize = 4096;
+
+/// Sketch rows; a key's estimate is the least of its one counter in
+/// each. Each row takes its own 32 bits of the 128-bit content hash.
+const SKETCH_DEPTH: usize = 4;
+
+/// Where a sketch counter saturates.
+const SKETCH_CAP: u8 = 15;
+
+/// The sketch halves every `SKETCH_PERIOD_FACTOR × entries` records,
+/// so how long a burst is remembered scales with how many keys the
+/// cache holds (TinyLFU's sample size), and never more often than
+/// every `SKETCH_WIDTH`: a halving then costs a record no more than
+/// its own `SKETCH_DEPTH` stores.
+const SKETCH_PERIOD_FACTOR: usize = 32;
 
 /// Cache key: servable id plus the input's 128-bit content hash.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -87,6 +120,68 @@ pub struct MemoStats {
     pub misses: u64,
     /// Entries evicted under memory pressure.
     pub evictions: u64,
+    /// Puts refused admission: the cache was full and the key had been
+    /// looked up less often than the entry it would have evicted.
+    pub rejected: u64,
+}
+
+/// Approximate lookup frequency per key: a count-min sketch of
+/// saturating one-byte counters (`SKETCH_DEPTH × SKETCH_WIDTH` = 16 KB
+/// whatever the cache holds), aged by halving. Keyed by the input hash
+/// alone, so one input sent to two servables shares its counters.
+/// Advisory (see the module doc): a counter is a relaxed load and a
+/// relaxed store, never a read-modify-write, so a racing increment or
+/// halving may be lost.
+struct Sketch {
+    counters: Box<[AtomicU8]>,
+    /// Records since the last halving.
+    records: AtomicUsize,
+}
+
+impl Sketch {
+    fn new() -> Self {
+        Sketch {
+            counters: (0..SKETCH_DEPTH * SKETCH_WIDTH)
+                .map(|_| AtomicU8::new(0))
+                .collect(),
+            records: AtomicUsize::new(0),
+        }
+    }
+
+    /// The key's counter in each row.
+    fn cells(&self, hash: (u64, u64)) -> impl Iterator<Item = &AtomicU8> {
+        [hash.0, hash.0 >> 32, hash.1, hash.1 >> 32]
+            .into_iter()
+            .enumerate()
+            .map(|(row, word)| {
+                &self.counters[row * SKETCH_WIDTH + (word as usize & (SKETCH_WIDTH - 1))]
+            })
+    }
+
+    /// Count one lookup of `hash`; `entries` sets the halving period.
+    fn record(&self, hash: (u64, u64), entries: usize) {
+        for cell in self.cells(hash) {
+            let count = cell.load(Ordering::Relaxed);
+            if count < SKETCH_CAP {
+                cell.store(count + 1, Ordering::Relaxed);
+            }
+        }
+        let period = (SKETCH_PERIOD_FACTOR * entries).max(SKETCH_WIDTH);
+        if self.records.fetch_add(1, Ordering::Relaxed) + 1 >= period
+            && self.records.swap(0, Ordering::Relaxed) >= period
+        {
+            for cell in self.counters.iter() {
+                cell.store(cell.load(Ordering::Relaxed) / 2, Ordering::Relaxed);
+            }
+        }
+    }
+
+    fn estimate(&self, hash: (u64, u64)) -> u8 {
+        self.cells(hash)
+            .map(|cell| cell.load(Ordering::Relaxed))
+            .min()
+            .unwrap_or(0)
+    }
 }
 
 /// One cached entry, doubly linked into its shard's recency list
@@ -180,18 +275,17 @@ impl Shard {
     /// Remove a slot by index, returning its byte size.
     fn remove(&mut self, idx: usize) -> usize {
         self.unlink(idx);
-        let key = self.slots[idx].key.clone();
-        self.index.remove(&key);
-        let size = self.slots[idx].size;
+        let slot = &mut self.slots[idx];
+        self.index.remove(&slot.key);
         // Drop the payload eagerly; the slot is recycled.
-        self.slots[idx].output = Value::Null;
-        self.slots[idx].size = 0;
+        slot.output = Value::Null;
         self.free.push(idx);
-        size
+        std::mem::take(&mut slot.size)
     }
 }
 
-/// A sharded, LRU-evicting memo cache with a global byte budget.
+/// A sharded memo cache with a global byte budget: LRU eviction behind
+/// frequency admission.
 pub struct MemoCache {
     shards: Vec<Mutex<Shard>>,
     capacity_bytes: usize,
@@ -202,6 +296,10 @@ pub struct MemoCache {
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
+    rejected: AtomicU64,
+    sketch: Sketch,
+    /// Invalidations so far; see [`Self::generation`].
+    generation: AtomicU64,
     obs: Option<ObsHooks>,
     faults: dlhub_fault::FaultHandle,
 }
@@ -218,6 +316,9 @@ impl MemoCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
+            rejected: AtomicU64::new(0),
+            sketch: Sketch::new(),
+            generation: AtomicU64::new(0),
             obs: None,
             faults: dlhub_fault::FaultHandle::default(),
         }
@@ -234,11 +335,12 @@ impl MemoCache {
     }
 
     /// Mirror this cache's counters into an observability handle:
-    /// hits/misses/evictions are incremented in the registry
-    /// (`memo_hits_total`, `memo_misses_total`, `memo_evictions_total`)
-    /// at the same sites as the local [`MemoStats`] counters — the two
-    /// always agree — and every eviction is recorded as a tracer event
-    /// carrying the evicted servable.
+    /// hits/misses/evictions/rejections are incremented in the registry
+    /// (`memo_hits_total`, `memo_misses_total`, `memo_evictions_total`,
+    /// `memo_rejected_total`) at the same sites as the local
+    /// [`MemoStats`] counters — the two always agree — and every
+    /// eviction is recorded as a tracer event carrying the evicted
+    /// servable.
     pub fn attach_obs(mut self, obs: &dlhub_obs::Obs) -> Self {
         self.obs = Some(ObsHooks {
             hits: obs
@@ -251,6 +353,10 @@ impl MemoCache {
                 "memo_evictions_total",
                 "Memo-cache entries evicted to stay within the byte budget",
             ),
+            rejected: obs.metrics.counter_with_help(
+                "memo_rejected_total",
+                "Memo-cache puts refused: looked up less often than the entry they would evict",
+            ),
             tracer: obs.tracer.clone(),
         });
         self
@@ -262,6 +368,8 @@ impl MemoCache {
 
     /// Look up a cached output.
     pub fn get(&self, key: &MemoKey) -> Option<Value> {
+        self.sketch
+            .record(key.input_hash, self.entries.load(Ordering::Relaxed));
         if let Some(fault) = self.faults.decide(dlhub_fault::site::MEMO_GET) {
             match fault.kind {
                 dlhub_fault::FaultKind::Slow | dlhub_fault::FaultKind::Hang => {
@@ -305,8 +413,24 @@ impl MemoCache {
 
     /// Insert an output, evicting least-recently-used entries if the
     /// byte budget would be exceeded. Outputs larger than the whole
-    /// budget are not cached.
+    /// budget are not cached, and a new key that would evict an entry
+    /// looked up more often than itself is refused (module doc).
     pub fn put(&self, key: MemoKey, output: Value) {
+        self.put_since(self.generation(), key, output)
+    }
+
+    /// How many invalidations this cache has seen. A caller that
+    /// computes an output outside the cache reads this *before* its
+    /// [`Self::get`] and hands it to [`Self::put_since`], so an output
+    /// computed across an [`Self::invalidate_servable`] is not
+    /// re-inserted behind it.
+    pub(crate) fn generation(&self) -> u64 {
+        self.generation.load(Ordering::SeqCst)
+    }
+
+    /// [`Self::put`], dropped if anything was invalidated since the
+    /// caller read `generation`: the output may predate a republish.
+    pub(crate) fn put_since(&self, generation: u64, key: MemoKey, output: Value) {
         if self.faults.decide(dlhub_fault::site::MEMO_PUT).is_some() {
             // A lost insert: the next identical request misses.
             return;
@@ -315,9 +439,33 @@ impl MemoCache {
         if size > self.capacity_bytes {
             return;
         }
+        // Admission, decided only when a new key would force an
+        // eviction. The victim peeked here is the one `trim` evicts.
+        let mut victim = None;
+        if self.bytes.load(Ordering::Relaxed) + size > self.capacity_bytes
+            && !self.shards[key.shard()].lock().index.contains_key(&key)
+        {
+            victim = self.victim();
+            if victim.is_some_and(|(_, resident)| {
+                self.sketch.estimate(key.input_hash) < self.sketch.estimate(resident)
+            }) {
+                self.rejected.fetch_add(1, Ordering::Relaxed);
+                if let Some(hooks) = &self.obs {
+                    hooks.rejected.inc();
+                }
+                return;
+            }
+        }
         let now = self.tick();
         {
             let mut shard = self.shards[key.shard()].lock();
+            // `invalidate_servable` bumps the generation before it
+            // takes any shard lock: seen unmoved under this lock, its
+            // walk of this shard is still to come and will remove what
+            // is inserted here.
+            if self.generation.load(Ordering::SeqCst) != generation {
+                return;
+            }
             if let Some(idx) = shard.index.get(&key).copied() {
                 let old = shard.remove(idx);
                 self.bytes.fetch_sub(old, Ordering::Relaxed);
@@ -327,62 +475,66 @@ impl MemoCache {
             self.bytes.fetch_add(size, Ordering::Relaxed);
             self.entries.fetch_add(1, Ordering::Relaxed);
         }
-        self.trim();
+        self.trim(victim.map(|(shard, _)| shard));
     }
 
-    /// Evict globally-oldest entries until the byte budget holds.
-    /// Each round peeks one slot per shard (O(shards), independent of
-    /// entry count) and pops the stalest head. Locks are taken one
-    /// shard at a time, never nested.
-    fn trim(&self) {
-        while self.bytes.load(Ordering::Relaxed) > self.capacity_bytes {
-            let mut victim: Option<(usize, u64)> = None;
-            for (i, shard) in self.shards.iter().enumerate() {
-                let shard = shard.lock();
-                if shard.head != NIL {
-                    let ts = shard.slots[shard.head].last_used;
-                    if victim.is_none_or(|(_, best)| ts < best) {
-                        victim = Some((i, ts));
-                    }
+    /// The globally least recently used entry — the next eviction — as
+    /// its shard and input hash. Peeks one slot per shard (O(shards),
+    /// independent of entry count), one lock at a time, never nested.
+    fn victim(&self) -> Option<(usize, (u64, u64))> {
+        let mut oldest: Option<(u64, usize, (u64, u64))> = None;
+        for (i, shard) in self.shards.iter().enumerate() {
+            let shard = shard.lock();
+            if shard.head != NIL {
+                let head = &shard.slots[shard.head];
+                if oldest.is_none_or(|(ts, ..)| head.last_used < ts) {
+                    oldest = Some((head.last_used, i, head.key.input_hash));
                 }
             }
-            match victim {
-                Some((i, _)) => {
-                    let mut shard = self.shards[i].lock();
-                    // The head may have moved since the peek; evicting
-                    // whatever is oldest in this shard now keeps the
-                    // policy approximately LRU without re-scanning.
-                    if shard.head == NIL {
-                        continue;
-                    }
-                    let idx = shard.head;
-                    let servable = self
-                        .obs
-                        .as_ref()
-                        .map(|_| shard.slots[idx].key.servable.clone());
-                    let size = shard.remove(idx);
-                    drop(shard);
-                    self.bytes.fetch_sub(size, Ordering::Relaxed);
-                    self.entries.fetch_sub(1, Ordering::Relaxed);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                    if let (Some(hooks), Some(servable)) = (&self.obs, servable) {
-                        hooks.evictions.inc();
-                        hooks
-                            .tracer
-                            .event(None, "memo_evict", vec![("servable", servable)]);
-                    }
-                }
-                None => break,
+        }
+        oldest.map(|(_, i, hash)| (i, hash))
+    }
+
+    /// Evict globally-oldest entries until the byte budget holds,
+    /// starting in shard `first` if the caller has already peeked.
+    fn trim(&self, mut first: Option<usize>) {
+        while self.bytes.load(Ordering::Relaxed) > self.capacity_bytes {
+            let Some(i) = first.take().or_else(|| self.victim().map(|(i, _)| i)) else {
+                break;
+            };
+            let mut shard = self.shards[i].lock();
+            // The head may have moved since the peek; evicting
+            // whatever is oldest in this shard now keeps the
+            // policy approximately LRU without re-scanning.
+            if shard.head == NIL {
+                continue;
+            }
+            let idx = shard.head;
+            let servable = self
+                .obs
+                .as_ref()
+                .map(|_| shard.slots[idx].key.servable.clone());
+            let size = shard.remove(idx);
+            drop(shard);
+            self.bytes.fetch_sub(size, Ordering::Relaxed);
+            self.entries.fetch_sub(1, Ordering::Relaxed);
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+            if let (Some(hooks), Some(servable)) = (&self.obs, servable) {
+                hooks.evictions.inc();
+                hooks
+                    .tracer
+                    .event(None, "memo_evict", vec![("servable", servable)]);
             }
         }
     }
 
-    /// Current counters. Lock-free: reads three relaxed atomics.
+    /// Current counters. Lock-free: reads four relaxed atomics.
     pub fn stats(&self) -> MemoStats {
         MemoStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
+            rejected: self.rejected.load(Ordering::Relaxed),
         }
     }
 
@@ -406,6 +558,7 @@ impl MemoCache {
     /// Walks shards one at a time — readers of other shards are never
     /// blocked, and there is no moment the whole cache is frozen.
     pub fn invalidate_servable(&self, servable: &str) {
+        self.generation.fetch_add(1, Ordering::SeqCst);
         for shard in &self.shards {
             let mut shard = shard.lock();
             let victims: Vec<usize> = shard
@@ -426,6 +579,8 @@ impl MemoCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use std::sync::Arc;
 
     fn cache() -> MemoCache {
@@ -519,6 +674,45 @@ mod tests {
     }
 
     #[test]
+    fn admission_keeps_the_popular_head_of_a_zipf_stream() {
+        // The shape of the repo benchmark's `cifar-memo-zipf`: seeded
+        // Zipf(1.1) draws over 1,024 inputs, put on miss, room for an
+        // eighth of them. Plain LRU reads 0.707 and ~286 evictions per
+        // 1,000 lookups here — every miss evicts, and inputs seen once
+        // push out the ones that keep coming back. The best static
+        // resident set hits 0.79.
+        let (keys, resident, lookups) = (1024, 128, 20_000u64);
+        let mut cdf: Vec<f64> = (1..=keys)
+            .scan(0.0, |sum, rank| {
+                *sum += (rank as f64).powf(-1.1);
+                Some(*sum)
+            })
+            .collect();
+        let total = cdf[keys - 1];
+        cdf.iter_mut().for_each(|c| *c /= total);
+        let mut rng = StdRng::seed_from_u64(7);
+        let output = Value::Bytes(vec![0; 40]);
+        let c = MemoCache::new(resident * output.approx_size());
+        for _ in 0..lookups {
+            let u: f64 = rng.gen();
+            let rank = cdf.partition_point(|&c| c <= u);
+            let key = MemoKey::new("m", &Value::Int(rank as i64));
+            if c.get(&key).is_none() {
+                c.put(key, output.clone());
+            }
+        }
+        let stats = c.stats();
+        assert_eq!(stats.hits + stats.misses, lookups);
+        let hit_ratio = stats.hits as f64 / lookups as f64;
+        let evictions_per_kop = stats.evictions as f64 * 1e3 / lookups as f64;
+        assert!(hit_ratio >= 0.74, "hit ratio {hit_ratio:.3}");
+        assert!(
+            evictions_per_kop < 100.0,
+            "{evictions_per_kop:.0} evictions per 1,000 lookups"
+        );
+    }
+
+    #[test]
     fn registry_counters_agree_with_memo_stats() {
         let obs = dlhub_obs::Obs::new();
         let c = MemoCache::new(100).attach_obs(&obs);
@@ -530,8 +724,18 @@ mod tests {
         c.put(k(3), val());
         assert!(c.get(&k(3)).is_some());
         assert!(c.get(&k(999)).is_none());
+        // Both residents have now been looked up more often than a key
+        // nobody asked for: its put is refused.
+        assert!(c.get(&k(2)).is_some());
+        c.put(k(4), val());
+        assert!(c.get(&k(4)).is_none());
         let stats = c.stats();
         assert!(stats.evictions > 0);
+        assert_eq!(stats.rejected, 1);
+        assert_eq!(
+            stats.rejected,
+            obs.metrics.counter("memo_rejected_total").get()
+        );
         assert_eq!(stats.hits, obs.metrics.counter("memo_hits_total").get());
         assert_eq!(stats.misses, obs.metrics.counter("memo_misses_total").get());
         assert_eq!(
@@ -596,55 +800,61 @@ mod tests {
 
     #[test]
     fn concurrent_get_put_invalidate_is_consistent() {
-        let c = Arc::new(MemoCache::new(64 * 1024));
-        let threads = 8;
-        let ops = 2_000;
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let c = Arc::clone(&c);
-                std::thread::spawn(move || {
-                    let mut local_gets = 0u64;
-                    for i in 0..ops {
-                        let servable = format!("s{}", (t + i) % 3);
-                        let key = MemoKey::new(&servable, &Value::Int((i % 97) as i64));
-                        match i % 5 {
-                            0 | 1 => {
-                                c.put(key, Value::Bytes(vec![t as u8; 64 + i % 32]));
+        // Roomy: nothing is ever evicted. Tight: two or three entries
+        // fit (the invalidations keep the cache nearly empty), so the
+        // storm also runs through admission and eviction.
+        for budget in [64 * 1024, 256] {
+            let c = Arc::new(MemoCache::new(budget));
+            let threads = 8;
+            let ops = 2_000;
+            let handles: Vec<_> = (0..threads)
+                .map(|t| {
+                    let c = Arc::clone(&c);
+                    std::thread::spawn(move || {
+                        let mut local_gets = 0u64;
+                        for i in 0..ops {
+                            let servable = format!("s{}", (t + i) % 3);
+                            let key = MemoKey::new(&servable, &Value::Int((i % 97) as i64));
+                            match i % 5 {
+                                0 | 1 => {
+                                    c.put(key, Value::Bytes(vec![t as u8; 64 + i % 32]));
+                                }
+                                2 | 3 => {
+                                    let _ = c.get(&key);
+                                    local_gets += 1;
+                                }
+                                _ => c.invalidate_servable(&servable),
                             }
-                            2 | 3 => {
-                                let _ = c.get(&key);
-                                local_gets += 1;
-                            }
-                            _ => c.invalidate_servable(&servable),
                         }
-                    }
-                    local_gets
+                        local_gets
+                    })
                 })
-            })
-            .collect();
-        let total_gets: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
-        let stats = c.stats();
-        assert_eq!(
-            stats.hits + stats.misses,
-            total_gets,
-            "every get counted once"
-        );
-        assert!(
-            c.bytes() <= 64 * 1024,
-            "byte budget violated: {}",
-            c.bytes()
-        );
-        // The lock-free gauges must agree with the ground truth held
-        // under the shard locks once the storm has quiesced.
-        let (real_entries, real_bytes) = c.shards.iter().fold((0, 0), |(n, b), s| {
-            let s = s.lock();
-            (
-                n + s.index.len(),
-                b + s.index.values().map(|&i| s.slots[i].size).sum::<usize>(),
-            )
-        });
-        assert_eq!(c.len(), real_entries);
-        assert_eq!(c.bytes(), real_bytes);
+                .collect();
+            let total_gets: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
+            let stats = c.stats();
+            assert_eq!(
+                stats.hits + stats.misses,
+                total_gets,
+                "every get counted once"
+            );
+            assert_eq!(
+                stats.rejected > 0,
+                budget < 64 * 1024,
+                "admission refuses only when the budget is tight: {stats:?}"
+            );
+            assert!(c.bytes() <= budget, "byte budget violated: {}", c.bytes());
+            // The lock-free gauges must agree with the ground truth held
+            // under the shard locks once the storm has quiesced.
+            let (real_entries, real_bytes) = c.shards.iter().fold((0, 0), |(n, b), s| {
+                let s = s.lock();
+                (
+                    n + s.index.len(),
+                    b + s.index.values().map(|&i| s.slots[i].size).sum::<usize>(),
+                )
+            });
+            assert_eq!(c.len(), real_entries);
+            assert_eq!(c.bytes(), real_bytes);
+        }
     }
 
     #[test]

@@ -1190,6 +1190,40 @@ mod tests {
     }
 
     #[test]
+    fn a_request_in_flight_across_a_republish_does_not_memoize_the_old_output() {
+        let hub = TestHub::builder().memo(true).build();
+        let (entered_tx, entered) = std::sync::mpsc::channel();
+        let (release, release_rx) = std::sync::mpsc::channel::<()>();
+        let release_rx = parking_lot::Mutex::new(release_rx);
+        hub.publish_simple(
+            "v",
+            ModelType::PythonFunction,
+            servable_fn(move |_| {
+                // Park inside v1 until the test has republished.
+                entered_tx.send(()).ok();
+                release_rx.lock().recv().ok();
+                Ok(Value::Int(1))
+            }),
+        );
+        std::thread::scope(|s| {
+            let v1 = s.spawn(|| hub.service.run(&hub.token, "dlhub/v", Value::Null));
+            entered.recv().unwrap();
+            hub.publish_simple(
+                "v",
+                ModelType::PythonFunction,
+                servable_fn(|_| Ok(Value::Int(2))),
+            );
+            release.send(()).unwrap();
+            // The request that was already running v1 gets v1's answer…
+            assert_eq!(v1.join().unwrap().unwrap().value, Value::Int(1));
+        });
+        // …but must not leave it behind the invalidation for v2's callers.
+        let r2 = hub.service.run(&hub.token, "dlhub/v", Value::Null).unwrap();
+        assert_eq!(r2.value, Value::Int(2), "v1's output memoized for v2");
+        assert!(!r2.timings.cache_hit);
+    }
+
+    #[test]
     fn a_service_that_auto_batched_is_dropped_with_its_hub() {
         let hub = TestHub::builder().build();
         hub.service

@@ -378,8 +378,10 @@ impl ManagementService {
             .memoize
             .unwrap_or_else(|| self.memo_enabled.load(Ordering::Relaxed));
         // The key hashes the whole input; only memoized requests pay.
-        let key = memoize.then(|| MemoKey::new(id, &input));
-        if let Some(key) = &key {
+        // The generation is read before the lookup: a republish from
+        // here on invalidates what this request is about to compute.
+        let memo = memoize.then(|| (self.memo.generation(), MemoKey::new(id, &input)));
+        if let Some((_, key)) = &memo {
             let lookup_started = Instant::now();
             let mut lookup_span = self.obs.tracer.start_child(frame.span.ctx(), "memo_lookup");
             lookup_span.attr("servable", id);
@@ -398,8 +400,8 @@ impl ManagementService {
             }
         }
         let (value, timings) = self.execute_one(id, frame, input, options.deadline)?;
-        if let Some(key) = key {
-            self.memo.put(key, value.clone());
+        if let Some((generation, key)) = memo {
+            self.memo.put_since(generation, key, value.clone());
         }
         Ok((value, timings))
     }

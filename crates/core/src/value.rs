@@ -225,7 +225,7 @@ impl Value {
     /// Each variable-length field carries its length first, so no two
     /// values share a word stream (`["a", "b\u{4}"]` and `["a\u{4}b",
     /// ""]` did when only tags separated fields).
-    fn hash_into(&self, h: &mut Hasher) {
+    fn hash_into(&self, h: &mut impl WordSink) {
         match self {
             Value::Null => h.word(0),
             Value::Bool(b) => {
@@ -358,14 +358,15 @@ impl Hasher {
         }
     }
 
-    fn word(&mut self, word: u64) {
-        let step = |lane: u64, odd_multiplier: u64| {
-            let x = (lane ^ word).wrapping_mul(odd_multiplier);
-            x ^ (x >> 32)
-        };
-        self.a = step(self.a, 0x9E37_79B9_7F4A_7C15);
-        self.b = step(self.b, 0xC2B2_AE3D_27D4_EB4F);
+    fn finish(&self) -> (u64, u64) {
+        (self.a, self.b)
     }
+}
+
+/// Where [`Value::hash_into`] sends a value's canonical word stream:
+/// the hash lanes, or a test's recorder that keeps the words.
+trait WordSink {
+    fn word(&mut self, word: u64);
 
     /// A variable-length field: its length, its bytes eight at a time
     /// (little-endian), then the tail zero-padded to a word. The length
@@ -382,9 +383,24 @@ impl Hasher {
             self.word(u64::from_le_bytes(last));
         }
     }
+}
 
-    fn finish(&self) -> (u64, u64) {
-        (self.a, self.b)
+impl WordSink for Hasher {
+    fn word(&mut self, word: u64) {
+        let step = |lane: u64, odd_multiplier: u64| {
+            let x = (lane ^ word).wrapping_mul(odd_multiplier);
+            x ^ (x >> 32)
+        };
+        self.a = step(self.a, 0x9E37_79B9_7F4A_7C15);
+        self.b = step(self.b, 0xC2B2_AE3D_27D4_EB4F);
+    }
+}
+
+/// The recording sink: the word stream itself.
+#[cfg(test)]
+impl WordSink for Vec<u64> {
+    fn word(&mut self, word: u64) {
+        self.push(word);
     }
 }
 
@@ -635,6 +651,121 @@ mod tests {
         for levels in [MAX_DEPTH + 1, 100_000] {
             let err = decode(levels).unwrap_err();
             assert!(err.contains("nested deeper"), "{levels} levels: {err}");
+        }
+    }
+
+    /// Values built to confuse a word stream: scalars that read as the
+    /// stream's own tags (0–8) and small lengths, strings and blobs of
+    /// tag-valued bytes around the 8-byte word, odd and even tensors,
+    /// lists and JSON nested `depth` deep.
+    fn confusable(depth: u32) -> BoxedStrategy<Value> {
+        let text = || {
+            proptest::collection::vec(0..5usize, 0..4).prop_map(|picks| {
+                picks
+                    .into_iter()
+                    .map(|p| ['a', 'b', '\0', '\u{4}', '\u{5}'][p])
+                    .collect::<String>()
+            })
+        };
+        let leaves = vec![
+            Just(Value::Null).boxed(),
+            any::<bool>().prop_map(Value::Bool).boxed(),
+            (0i64..10).prop_map(Value::Int).boxed(),
+            (0i64..10)
+                .prop_map(|i| Value::Float(i as f64 / 2.0))
+                .boxed(),
+            text().prop_map(Value::Str).boxed(),
+            proptest::collection::vec(0u8..8, 0..18)
+                .prop_map(Value::Bytes)
+                .boxed(),
+            (
+                proptest::collection::vec(0usize..4, 0..3),
+                proptest::collection::vec(0u8..3, 0..5),
+            )
+                .prop_map(|(shape, data)| Value::Tensor {
+                    shape,
+                    data: data.into_iter().map(f32::from).collect(),
+                })
+                .boxed(),
+            (text(), 0i64..3)
+                .prop_map(|(k, v)| Value::Json(json!({ k: v })))
+                .boxed(),
+            (text(), text())
+                .prop_map(|(a, b)| Value::Json(json!([a, b])))
+                .boxed(),
+        ];
+        if depth == 0 {
+            return proptest::Union::new(leaves).boxed();
+        }
+        let mut options = leaves;
+        for _ in 0..3 {
+            options.push(
+                proptest::collection::vec(confusable(depth - 1), 0..4)
+                    .prop_map(Value::List)
+                    .boxed(),
+            );
+        }
+        proptest::Union::new(options).boxed()
+    }
+
+    /// Parse one value off the front of a recorded word stream.
+    fn read_back(words: &mut dyn Iterator<Item = u64>) -> Option<Value> {
+        fn field(words: &mut dyn Iterator<Item = u64>) -> Option<Vec<u8>> {
+            let len = words.next()? as usize;
+            let mut bytes = Vec::new();
+            for _ in 0..len.div_ceil(8) {
+                bytes.extend(words.next()?.to_le_bytes());
+            }
+            bytes.truncate(len);
+            Some(bytes)
+        }
+        Some(match words.next()? {
+            0 => Value::Null,
+            1 => Value::Bool(words.next()? != 0),
+            2 => Value::Int(words.next()? as i64),
+            3 => Value::Float(f64::from_bits(words.next()?)),
+            4 => Value::Str(String::from_utf8(field(words)?).ok()?),
+            5 => Value::Bytes(field(words)?),
+            6 => {
+                let rank = words.next()?;
+                let shape = (0..rank)
+                    .map(|_| words.next().map(|d| d as usize))
+                    .collect::<Option<_>>()?;
+                let len = words.next()? as usize;
+                let mut data = Vec::new();
+                for _ in 0..len.div_ceil(2) {
+                    let pair = words.next()?;
+                    data.push(f32::from_bits(pair as u32));
+                    data.push(f32::from_bits((pair >> 32) as u32));
+                }
+                data.truncate(len);
+                Value::Tensor { shape, data }
+            }
+            7 => {
+                let len = words.next()?;
+                Value::List((0..len).map(|_| read_back(words)).collect::<Option<_>>()?)
+            }
+            8 => Value::Json(serde_json::from_slice(&field(words)?).ok()?),
+            _ => return None,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn distinct_values_give_distinct_word_streams(value in confusable(3)) {
+            // The memo key is a hash of this stream: two values that
+            // share one are answered with each other's output whatever
+            // the hash lanes do (PR 15: `["a", "b\u{4}"]` and
+            // `["a\u{4}b", ""]`). A stream that reads back as the
+            // value it came from, with nothing left over, is shared
+            // with no other value.
+            let mut words = Vec::new();
+            value.hash_into(&mut words);
+            let mut words = words.into_iter();
+            prop_assert_eq!(read_back(&mut words), Some(value));
+            prop_assert_eq!(words.next(), None);
         }
     }
 

@@ -71,6 +71,8 @@ print("ci: matminer-mixed executor.dispatched_per_op = {:.2f} (one job per repli
 # on, as one self-against-self pair in the benchmark's --quick shape so
 # the script cannot rot.
 scripts/pairs.sh --quick HEAD 7 noop-dispatch
+# And its per-layer form: one traced pair, every per-layer metric.
+scripts/pairs.sh --quick --layers HEAD 7 noop-dispatch
 
 echo "######## tensor kernels smoke (micro bench, kernels group)"
 # The tensor rung of the layer ladder: the CIFAR GEMM shapes, the dense

@@ -3,7 +3,7 @@
 # CHANGES.md carries: for each workload, ten runs a side on ten
 # consecutive fresh seeds, alternating which side goes first.
 #
-#   scripts/pairs.sh [--quick] <parent-rev> <first-seed> [workload…]
+#   scripts/pairs.sh [--quick] [--layers] <parent-rev> <first-seed> [workload…]
 #
 # The parent is <parent-rev> exported under /.bench_build (ignored);
 # the change is the working tree. Both are built from their own source
@@ -11,6 +11,10 @@
 # (`--workload W --seed N --seconds <run_seconds> --trace 0`).
 # Workloads default to every one BENCHMARK.json lists. `--quick` is the
 # benchmark's own `--quick` shape and a single pair: a smoke for CI.
+# `--layers` is where a saving sits rather than whether there is one:
+# a single traced pair (`--trace 1`) per workload, printed as
+# `metric: parent → change` for every per-layer name BENCHMARK.json
+# lists.
 # Reads BENCHMARK.json and runs benchmark/; edits neither. Exits
 # non-zero if any run fails, has a failed op or a wrong answer.
 set -euo pipefail
@@ -19,13 +23,18 @@ root=$PWD
 
 quick=()
 pairs=10
-if [[ "${1:-}" == "--quick" ]]; then
-  quick=(--quick)
+trace=0
+while [[ "${1:-}" == --* ]]; do
+  case $1 in
+  --quick) quick=(--quick) ;;
+  --layers) trace=1 ;;
+  *) break ;;
+  esac
   pairs=1
   shift
-fi
+done
 if [[ $# -lt 2 ]]; then
-  echo "usage: scripts/pairs.sh [--quick] <parent-rev> <first-seed> [workload…]" >&2
+  echo "usage: scripts/pairs.sh [--quick] [--layers] <parent-rev> <first-seed> [workload…]" >&2
   exit 2
 fi
 rev=$(git rev-parse --verify "$1^{commit}")
@@ -61,7 +70,7 @@ done
 run_side() { # <side-name> <dir> <workload> <seed>
   local line
   line=$(cd "$2" && "${command[@]}" --workload "$3" --seed "$4" \
-    --seconds "$seconds" --trace 0 "${quick[@]}" | tail -n 1)
+    --seconds "$seconds" --trace "$trace" "${quick[@]}" | tail -n 1)
   printf '{"side": "%s", "workload": "%s", "seed": %s, "result": %s}\n' \
     "$1" "$3" "$4" "$line" >>"$out/runs.jsonl"
 }
@@ -80,7 +89,7 @@ for workload in "${workloads[@]}"; do
   done
 done
 
-python3 - "$out/runs.jsonl" <<'EOF'
+python3 - "$out/runs.jsonl" "$trace" <<'EOF'
 import json, statistics, sys
 
 spec = json.load(open("BENCHMARK.json"))
@@ -96,14 +105,26 @@ def quartiles(xs):
 
 
 def fmt(x):
-    if x >= 10_000:
+    size = abs(x)
+    if size >= 10_000:
         return "{:.1f} k".format(x / 1000)
-    return "{:.1f}".format(x) if x >= 100 else "{:.2f}".format(x) if x >= 1 else "{:.4f}".format(x)
+    return "{:.1f}".format(x) if size >= 100 else "{:.2f}".format(x) if size >= 1 else "{:.4f}".format(x)
 
 
-print("| workload | metric | parent | change | Δ median | change better in | verdict |")
-print("|---|---|---|---|---|---|---|")
 workloads = list(dict.fromkeys(r["workload"] for r in runs))
+if sys.argv[2] == "1":
+    # One traced pair per workload: every per-layer metric, side by side.
+    for workload in workloads:
+        side = {r["side"]: r["result"]["metrics"] for r in runs if r["workload"] == workload}
+        print("{} (--trace 1)".format(workload))
+        for metric in spec["per_layer"]:
+            name = metric["name"]
+            p, c = (side[s][name]["value"] for s in ("parent", "change"))
+            print("  {}: {} → {} {}".format(name, fmt(p), fmt(c), metric["unit"]))
+    workloads = []
+else:
+    print("| workload | metric | parent | change | Δ median | change better in | verdict |")
+    print("|---|---|---|---|---|---|---|")
 for workload in workloads:
     for metric in spec["end_to_end"]:
         name, bound = metric["name"], metric["bound"]
