@@ -14,6 +14,7 @@
 use dlhub_bench::report::{print_table, shape_check, write_csv};
 use dlhub_core::autoscale::ControlPolicy;
 use dlhub_core::hub::TestHub;
+use dlhub_core::obs::{Obs, Telemetry};
 use dlhub_core::servable::{servable_fn, ModelType};
 use dlhub_core::serving::ServingConfig;
 use dlhub_core::value::Value;
@@ -60,8 +61,10 @@ fn main() {
         .memo(false)
         .replicas(1)
         .consumers(CLIENTS)
+        .obs(Obs::with_telemetry(Telemetry::Sampled(
+            Duration::from_millis(10),
+        )))
         .config(ServingConfig {
-            telemetry_interval: Duration::from_millis(10),
             autoscale: Some(ControlPolicy {
                 max_replicas: CLIENTS,
                 cooldown: Duration::from_millis(100),

@@ -34,7 +34,8 @@ use dlhub_core::autoscale::ControlPolicy;
 use dlhub_core::error::DlhubError;
 use dlhub_core::hub::TestHub;
 use dlhub_core::obs::{
-    analyze_all, OpenLoopRecorder, OpenLoopReport, OpenLoopSample, StageNs, TraceAnalysis,
+    analyze_all, Obs, OpenLoopRecorder, OpenLoopReport, OpenLoopSample, StageNs, Telemetry,
+    TraceAnalysis,
 };
 use dlhub_core::servable::{servable_fn, ModelType};
 use dlhub_core::serving::ServingConfig;
@@ -245,7 +246,6 @@ fn run_scenario(sc: &Scenario, schedule: &WorkloadSchedule) -> Outcome {
     };
     let config = ServingConfig {
         memo_enabled: false,
-        telemetry_interval: Duration::from_millis(25),
         autoscale: Some(policy),
         autoscale_interval: Duration::from_millis(100),
         admission: Some(AdmissionConfig {
@@ -258,9 +258,11 @@ fn run_scenario(sc: &Scenario, schedule: &WorkloadSchedule) -> Outcome {
     };
     let hub = TestHub::builder()
         .without_eval_servables()
-        .memo(false)
         .consumers(8)
         .config(config)
+        .obs(Obs::with_telemetry(Telemetry::Sampled(
+            Duration::from_millis(25),
+        )))
         .build();
 
     let names: Vec<String> = (0..sc.catalog)

@@ -229,7 +229,7 @@ impl Cli {
             .obs()
             .telemetry
             .store()
-            .ok_or("telemetry is disabled; set ServingConfig::telemetry_interval")?;
+            .ok_or("telemetry is disabled; build the deployment's Obs with a Telemetry mode")?;
         let mut follow = false;
         let mut frames = 10usize;
         let mut interval = self.service.obs().telemetry.interval();
@@ -268,7 +268,7 @@ impl Cli {
         }
         if !follow {
             return Ok(crate::top::render_frame(
-                &store,
+                store,
                 &self.service.obs().snapshot(),
                 window,
             ));
@@ -281,7 +281,7 @@ impl Cli {
             if i > 0 {
                 std::thread::sleep(interval);
             }
-            frame = crate::top::render_frame(&store, &self.service.obs().snapshot(), window);
+            frame = crate::top::render_frame(store, &self.service.obs().snapshot(), window);
             print!("{}{}", crate::top::REFRESH_PREFIX, frame);
             use std::io::Write as _;
             let _ = std::io::stdout().flush();
@@ -621,10 +621,9 @@ mod tests {
     fn top_renders_live_series_from_a_running_hub() {
         let hub = TestHub::builder()
             .without_eval_servables()
-            .config(dlhub_core::serving::ServingConfig {
-                telemetry_interval: std::time::Duration::from_millis(10),
-                ..Default::default()
-            })
+            .obs(dlhub_core::obs::Obs::with_telemetry(
+                dlhub_core::obs::Telemetry::Sampled(std::time::Duration::from_millis(10)),
+            ))
             .build();
         let cli = cli(&hub);
         let dir = TempDir::new("top");

@@ -39,10 +39,10 @@
 
 use crate::error::DlhubError;
 use dlhub_auth::IdentityId;
-use dlhub_obs::Counter;
+use dlhub_obs::{Counter, Obs};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -115,32 +115,30 @@ impl Drop for AdmissionPermit {
 pub struct AdmissionController {
     config: AdmissionConfig,
     inflight: Arc<AtomicUsize>,
-    admitted: AtomicU64,
     fair: Mutex<FairState>,
-    shed_counter: Option<Arc<Counter>>,
-    admitted_counter: Option<Arc<Counter>>,
+    // The pair `dlhub top`'s ADMISSION row reads.
+    shed_counter: Arc<Counter>,
+    admitted_counter: Arc<Counter>,
 }
 
 impl AdmissionController {
-    /// Build a controller over `config`.
-    pub fn new(config: AdmissionConfig) -> Self {
+    /// Build a controller over `config`, counting sheds on `obs`'s
+    /// `requests_shed_total` and admissions on its
+    /// `requests_admitted_total`.
+    pub fn new(config: AdmissionConfig, obs: &Obs) -> Self {
         AdmissionController {
             config,
             inflight: Arc::new(AtomicUsize::new(0)),
-            admitted: AtomicU64::new(0),
             fair: Mutex::new(FairState::default()),
-            shed_counter: None,
-            admitted_counter: None,
+            shed_counter: obs.metrics.counter_with_help(
+                "requests_shed_total",
+                "Requests shed by the admission controller before dispatch",
+            ),
+            admitted_counter: obs.metrics.counter_with_help(
+                "requests_admitted_total",
+                "Requests admitted past the admission controller",
+            ),
         }
-    }
-
-    /// Count sheds on `shed` and admissions on `admitted`
-    /// (`requests_shed_total` / `requests_admitted_total` in the
-    /// serving wiring — the pair `dlhub top`'s ADMISSION row reads).
-    pub fn with_observability(mut self, shed: Arc<Counter>, admitted: Arc<Counter>) -> Self {
-        self.shed_counter = Some(shed);
-        self.admitted_counter = Some(admitted);
-        self
     }
 
     /// The thresholds this controller enforces.
@@ -157,7 +155,7 @@ impl AdmissionController {
     /// admission was actually on the request path, e.g. in the bench
     /// harness's control-loop A/B artifact).
     pub fn admitted_total(&self) -> u64 {
-        self.admitted.load(Ordering::Relaxed)
+        self.admitted_counter.get()
     }
 
     /// The weight `tenant` is scheduled at.
@@ -221,10 +219,7 @@ impl AdmissionController {
             }
         }
         drop(fair);
-        self.admitted.fetch_add(1, Ordering::Relaxed);
-        if let Some(counter) = &self.admitted_counter {
-            counter.inc();
-        }
+        self.admitted_counter.inc();
         Ok(AdmissionPermit {
             inflight: Arc::clone(&self.inflight),
         })
@@ -232,9 +227,7 @@ impl AdmissionController {
 
     /// Record one shed and return the typed rejection.
     fn shed(&self) -> DlhubError {
-        if let Some(counter) = &self.shed_counter {
-            counter.inc();
-        }
+        self.shed_counter.inc();
         DlhubError::Overloaded {
             retry_after_ms: self.config.retry_after.as_millis().min(u64::MAX as u128) as u64,
         }
@@ -251,11 +244,14 @@ mod tests {
 
     #[test]
     fn hard_cap_sheds_with_retry_after() {
-        let ctl = AdmissionController::new(AdmissionConfig {
-            max_inflight: 2,
-            retry_after: Duration::from_millis(125),
-            ..AdmissionConfig::default()
-        });
+        let ctl = AdmissionController::new(
+            AdmissionConfig {
+                max_inflight: 2,
+                retry_after: Duration::from_millis(125),
+                ..AdmissionConfig::default()
+            },
+            &Obs::new(),
+        );
         let a = ctl.admit(tenant(1), false).unwrap();
         let b = ctl.admit(tenant(1), false).unwrap();
         assert_eq!(ctl.inflight(), 2);
@@ -277,7 +273,7 @@ mod tests {
     fn zero_weight_is_admitted_only_when_uncontended() {
         let mut config = AdmissionConfig::default();
         config.weights.insert(tenant(9), 0);
-        let ctl = AdmissionController::new(config);
+        let ctl = AdmissionController::new(config, &Obs::new());
         // Idle service: the hostile tenant may use spare capacity.
         let permit = ctl.admit(tenant(9), false).unwrap();
         drop(permit);
@@ -297,7 +293,7 @@ mod tests {
         };
         config.weights.insert(tenant(1), 2);
         config.weights.insert(tenant(2), 1);
-        let ctl = AdmissionController::new(config);
+        let ctl = AdmissionController::new(config, &Obs::new());
         let mut accepted = [0u64; 2];
         for _ in 0..300 {
             for (slot, who) in [(0usize, tenant(1)), (1, tenant(2))] {
@@ -323,7 +319,7 @@ mod tests {
         };
         config.weights.insert(tenant(1), 1);
         config.weights.insert(tenant(2), 1);
-        let ctl = AdmissionController::new(config);
+        let ctl = AdmissionController::new(config, &Obs::new());
         // A burst from tenant 1 under contention builds up credit debt…
         for _ in 0..50 {
             let _ = ctl.admit(tenant(1), true);

@@ -10,7 +10,7 @@
 //! Fig 7 [`knee`], where more replicas stop paying.
 
 use crate::executor::ParslExecutor;
-use dlhub_obs::{ControlSignals, Counter, ServableCost};
+use dlhub_obs::{ControlSignals, Counter, Obs, ServableCost};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -216,12 +216,15 @@ pub struct Reconciler {
     executor: Arc<ParslExecutor>,
     policy: ControlPolicy,
     state: Mutex<ReconcilerState>,
-    decisions_counter: Option<Arc<Counter>>,
+    /// Lifetime count of applied decisions; the log keeps the newest.
+    decisions_counter: Arc<Counter>,
 }
 
 impl Reconciler {
-    /// Wire the reconciler to the executor whose pools it sizes.
-    pub fn new(executor: Arc<ParslExecutor>, policy: ControlPolicy) -> Self {
+    /// Wire the reconciler to the executor whose pools it sizes,
+    /// counting every applied decision on `obs`'s
+    /// `autoscale_decisions_total`.
+    pub fn new(executor: Arc<ParslExecutor>, policy: ControlPolicy, obs: &Obs) -> Self {
         Reconciler {
             executor,
             policy,
@@ -229,15 +232,11 @@ impl Reconciler {
                 servables: HashMap::new(),
                 log: VecDeque::new(),
             }),
-            decisions_counter: None,
+            decisions_counter: obs.metrics.counter_with_help(
+                "autoscale_decisions_total",
+                "Scaling decisions applied by the control loop",
+            ),
         }
-    }
-
-    /// Count every applied decision on `counter`
-    /// (`autoscale_decisions_total` in the serving wiring).
-    pub fn with_counter(mut self, counter: Arc<Counter>) -> Self {
-        self.decisions_counter = Some(counter);
-        self
     }
 
     /// The policy this reconciler acts under.
@@ -332,9 +331,7 @@ impl Reconciler {
             if let Some((to, reason)) = decision {
                 entry.last_change_ns = Some(now_ns);
                 self.executor.scale(&servable, to);
-                if let Some(counter) = &self.decisions_counter {
-                    counter.inc();
-                }
+                self.decisions_counter.inc();
                 let d = ControlDecision {
                     at_ns: now_ns,
                     servable,
@@ -376,6 +373,8 @@ mod tests {
     use super::*;
     use crate::executor::{Executor, HealthPolicy};
     use dlhub_container::Cluster;
+    use dlhub_fault::FaultHandle;
+    use dlhub_obs::Telemetry;
 
     /// A cost of ten single-item dispatches at the given per-item
     /// inference and per-dispatch overhead.
@@ -471,9 +470,18 @@ mod tests {
 
     const SEC: u64 = 1_000_000_000;
 
+    fn parsl() -> ParslExecutor {
+        ParslExecutor::new(
+            Cluster::petrelkube(),
+            1,
+            &Obs::new(),
+            FaultHandle::default(),
+        )
+    }
+
     fn control_setup(policy: ControlPolicy) -> (Arc<ParslExecutor>, Reconciler) {
-        let executor = Arc::new(ParslExecutor::new(Cluster::petrelkube(), 1));
-        let ctl = Reconciler::new(Arc::clone(&executor), policy);
+        let executor = Arc::new(parsl());
+        let ctl = Reconciler::new(Arc::clone(&executor), policy, &Obs::new());
         (executor, ctl)
     }
 
@@ -660,13 +668,13 @@ mod tests {
 
     #[test]
     fn decision_log_keeps_the_newest_and_the_counter_keeps_the_total() {
-        let counter = Arc::new(Counter::new());
-        let executor = Arc::new(ParslExecutor::new(Cluster::petrelkube(), 1));
+        let obs = Obs::new();
+        let executor = Arc::new(parsl());
         let policy = ControlPolicy {
             cooldown: Duration::ZERO,
             ..ControlPolicy::default()
         };
-        let ctl = Reconciler::new(Arc::clone(&executor), policy).with_counter(Arc::clone(&counter));
+        let ctl = Reconciler::new(Arc::clone(&executor), policy, &obs);
         executor.scale("u/m", 1);
         // Alternate between loads that want 4 replicas and 1: every
         // pass resizes.
@@ -676,6 +684,7 @@ mod tests {
             let applied = ctl.reconcile_at(pass * SEC, &Scripted::heavy().rate("u/m", rate));
             assert_eq!(applied.len(), 1, "pass {pass}");
         }
+        let counter = obs.metrics.counter("autoscale_decisions_total");
         assert_eq!(counter.get(), total);
         let retained = ctl.decisions();
         assert_eq!(retained.len(), DECISION_LOG_CAPACITY);
@@ -703,13 +712,11 @@ mod tests {
 
     #[test]
     fn reconciler_never_counts_quarantined_replicas_as_capacity() {
-        let executor = Arc::new(
-            ParslExecutor::new(Cluster::petrelkube(), 1).with_health(Some(HealthPolicy {
-                quarantine_after: 1,
-                quarantine_for: Duration::from_secs(5),
-            })),
-        );
-        let ctl = Reconciler::new(Arc::clone(&executor), ControlPolicy::default());
+        let executor = Arc::new(parsl().with_health(Some(HealthPolicy {
+            quarantine_after: 1,
+            quarantine_for: Duration::from_secs(5),
+        })));
+        let ctl = Reconciler::new(Arc::clone(&executor), ControlPolicy::default(), &Obs::new());
         quarantine_one_replica(&executor, "u/sick");
         // Zero inference: demand is nil and the knee says one replica —
         // but that replica is quarantined, so the loop must buy a
@@ -725,16 +732,13 @@ mod tests {
 
     #[test]
     fn control_signals_feed_the_loop_from_sampled_sums() {
-        use dlhub_obs::Obs;
-
-        let obs = Obs::new();
-        obs.enable_telemetry_manual(Duration::from_secs(1));
+        let obs = Obs::with_telemetry(Telemetry::Stepped(Duration::from_secs(1)));
         let signals = obs.telemetry.signals().unwrap();
         let w = Duration::from_secs(4);
         // Nothing sampled: no data, not zero.
-        assert!(ScalingSignals::servables(&signals).is_empty());
-        assert_eq!(ScalingSignals::arrival_rate(&signals, "u/ghost", w), None);
-        assert_eq!(ScalingSignals::cost(&signals, "u/ghost"), None);
+        assert!(ScalingSignals::servables(signals).is_empty());
+        assert_eq!(ScalingSignals::arrival_rate(signals, "u/ghost", w), None);
+        assert_eq!(ScalingSignals::cost(signals, "u/ghost"), None);
         let series = obs.metrics.series("u/inception");
         for tick in 0..5u64 {
             series.requests.add(20);
@@ -743,15 +747,15 @@ mod tests {
                 .record(2, Duration::from_millis(80), Duration::from_millis(83));
             obs.telemetry.sample_now(tick * SEC);
         }
-        assert_eq!(ScalingSignals::servables(&signals), vec!["u/inception"]);
-        let arrival = ScalingSignals::arrival_rate(&signals, "u/inception", w).unwrap();
+        assert_eq!(ScalingSignals::servables(signals), vec!["u/inception"]);
+        let arrival = ScalingSignals::arrival_rate(signals, "u/inception", w).unwrap();
         assert!((arrival - 20.0).abs() < 1e-9, "{arrival}");
         // The sampled cost is the live one: 40 ms an item, 3 ms floor.
-        let sampled = ScalingSignals::cost(&signals, "u/inception").unwrap();
+        let sampled = ScalingSignals::cost(signals, "u/inception").unwrap();
         assert_eq!(Some(sampled), series.dispatch.cost());
         assert_eq!(sampled.inference(), Duration::from_millis(40));
         assert_eq!(knee(&sampled, 32), 14);
         // No SLO registered: burn rate reports no data, not zero.
-        assert_eq!(ScalingSignals::burn_rate(&signals, "u/inception", w), None);
+        assert_eq!(ScalingSignals::burn_rate(signals, "u/inception", w), None);
     }
 }

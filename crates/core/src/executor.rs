@@ -16,7 +16,7 @@ use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// What an executor reports for one task: outputs in input order plus
@@ -281,8 +281,8 @@ impl Default for HealthPolicy {
     }
 }
 
-/// Health gauges shared by every replica pool of one executor,
-/// installed by [`ParslExecutor::attach_obs`].
+/// Instruments shared by every replica pool of one executor, resolved
+/// once in [`ParslExecutor::new`].
 struct HealthMetrics {
     quarantined: Arc<Gauge>,
     restarts: Arc<Counter>,
@@ -389,7 +389,7 @@ impl Pool {
         replicas: usize,
         faults: FaultHandle,
         health: Option<HealthPolicy>,
-        metrics: Arc<OnceLock<HealthMetrics>>,
+        metrics: Arc<HealthMetrics>,
         inflight: Arc<Inflight>,
     ) -> Pool {
         // One queued job per replica: a dispatcher blocks only on a
@@ -422,9 +422,9 @@ impl Pool {
                                 queued_ns,
                             } = job;
                             let start_ns = dlhub_obs::now_ns();
-                            if let Some(m) = metrics.get() {
-                                m.queue_wait.record(start_ns.saturating_sub(queued_ns));
-                            }
+                            metrics
+                                .queue_wait
+                                .record(start_ns.saturating_sub(queued_ns));
                             let inputs = &task.inputs[items.clone()];
                             run_chunk(&faults, &*task.servable, inputs, &mut results);
                             let end_ns = dlhub_obs::now_ns();
@@ -474,15 +474,11 @@ impl Pool {
                             drop(task);
                             if let Some(policy) = quarantine {
                                 pool_quarantined.fetch_add(1, Ordering::Relaxed);
-                                if let Some(m) = metrics.get() {
-                                    m.quarantined.add(1);
-                                }
+                                metrics.quarantined.add(1);
                                 std::thread::sleep(policy.quarantine_for);
                                 pool_quarantined.fetch_sub(1, Ordering::Relaxed);
-                                if let Some(m) = metrics.get() {
-                                    m.quarantined.add(-1);
-                                    m.restarts.inc();
-                                }
+                                metrics.quarantined.add(-1);
+                                metrics.restarts.inc();
                             }
                         }
                     })
@@ -522,36 +518,51 @@ pub struct ParslExecutor {
     /// How long a task waits for all replica answers before it is
     /// declared wedged and completed with a timeout error.
     reply_timeout: Duration,
-    metrics: Arc<OnceLock<HealthMetrics>>,
+    metrics: Arc<HealthMetrics>,
     inflight: Arc<Inflight>,
 }
 
 impl ParslExecutor {
     /// Create over a cluster with a default replica count per
     /// servable ("a number configurable in the Management Service").
-    pub fn new(cluster: Cluster, default_replicas: usize) -> Self {
+    /// Replica health (`replicas_quarantined`,
+    /// `replica_restarts_total`), cold starts (`cold_start_ns`) and
+    /// pickup delay (`replica_queue_wait_ns`) are recorded in `obs`'s
+    /// registry; every replica consults `faults` at the
+    /// [`dlhub_fault::site::REPLICA`] site.
+    pub fn new(cluster: Cluster, default_replicas: usize, obs: &Obs, faults: FaultHandle) -> Self {
+        let metrics = &obs.metrics;
         ParslExecutor {
             cluster,
             pools: RwLock::new(HashMap::new()),
             default_replicas: default_replicas.max(1),
             dispatched: AtomicU64::new(0),
-            faults: FaultHandle::default(),
+            faults,
             health: Some(HealthPolicy::default()),
             reply_timeout: Duration::from_secs(60),
-            metrics: Arc::new(OnceLock::new()),
+            metrics: Arc::new(HealthMetrics {
+                quarantined: metrics.gauge_with_help(
+                    "replicas_quarantined",
+                    "Replicas currently quarantined after repeated failures",
+                ),
+                restarts: metrics.counter_with_help(
+                    "replica_restarts_total",
+                    "Replica processes restarted by health supervision",
+                ),
+                cold_start: metrics.histogram_with_help(
+                    "cold_start_ns",
+                    "Wall time to bring a replica pool from zero to serving",
+                ),
+                queue_wait: metrics.histogram_with_help(
+                    "replica_queue_wait_ns",
+                    "Time jobs spent queued in front of a replica pool",
+                ),
+            }),
             inflight: Arc::new(Inflight {
                 tasks: Mutex::new(HashMap::new()),
                 next_expiry: AtomicU64::new(NO_EXPIRY),
             }),
         }
-    }
-
-    /// Inject faults at the [`dlhub_fault::site::REPLICA`] site of
-    /// every replica this executor spawns *afterwards*. Builder-style;
-    /// call before the first dispatch.
-    pub fn with_faults(mut self, faults: FaultHandle) -> Self {
-        self.faults = faults;
-        self
     }
 
     /// Replace the replica health policy (`None` disables quarantine
@@ -567,39 +578,13 @@ impl ParslExecutor {
         self
     }
 
-    /// Register this executor's health metrics (`replicas_quarantined`
-    /// gauge, `replica_restarts_total` counter) with a shared
-    /// observability handle. Idempotent; replicas report nothing until
-    /// this is called.
-    pub fn attach_obs(&self, obs: &Obs) {
-        let _ = self.metrics.set(HealthMetrics {
-            quarantined: obs.metrics.gauge_with_help(
-                "replicas_quarantined",
-                "Replicas currently quarantined after repeated failures",
-            ),
-            restarts: obs.metrics.counter_with_help(
-                "replica_restarts_total",
-                "Replica processes restarted by health supervision",
-            ),
-            cold_start: obs.metrics.histogram_with_help(
-                "cold_start_ns",
-                "Wall time to bring a replica pool from zero to serving",
-            ),
-            queue_wait: obs.metrics.histogram_with_help(
-                "replica_queue_wait_ns",
-                "Time jobs spent queued in front of a replica pool",
-            ),
-        });
-    }
-
     /// Scale a servable's replica pool, mirroring the change into the
     /// cluster's Deployment. Returns the new replica count.
     ///
     /// `replicas == 0` is scale-to-zero: the Deployment's pods are
     /// terminated and the pool is dropped. The next dispatch (or the
     /// next non-zero `scale`) recreates the pool and pays a cold start,
-    /// recorded in the `cold_start_ns` histogram when observability is
-    /// attached.
+    /// recorded in the `cold_start_ns` histogram.
     pub fn scale(&self, servable_id: &str, replicas: usize) -> usize {
         let deployment = format!("parsl-{}", servable_id.replace('/', "-"));
         if replicas == 0 {
@@ -653,10 +638,9 @@ impl ParslExecutor {
                 ),
             );
             if cold {
-                if let Some(m) = self.metrics.get() {
-                    m.cold_start
-                        .record(cold_started.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-                }
+                self.metrics
+                    .cold_start
+                    .record(cold_started.elapsed().as_nanos().min(u64::MAX as u128) as u64);
             }
         }
         // As above: join the replaced pool's workers only after the
@@ -1056,6 +1040,11 @@ mod tests {
         Cluster::new(vec![NodeSpec::new("n0", 64_000, 65_536)])
     }
 
+    /// An executor on its own: an `Obs` nobody reads, no faults.
+    fn parsl(replicas: usize) -> ParslExecutor {
+        ParslExecutor::new(cluster(), replicas, &Obs::new(), FaultHandle::default())
+    }
+
     /// Each input sleeps `i % 3` ms and is echoed.
     fn napping_echo() -> Arc<dyn Servable> {
         servable_fn(|v| match v {
@@ -1069,7 +1058,7 @@ mod tests {
 
     #[test]
     fn parsl_executes_and_orders_outputs() {
-        let ex = ParslExecutor::new(cluster(), 4);
+        let ex = parsl(4);
         let inputs: Vec<Value> = (0..20).map(Value::Int).collect();
         let (outputs, times) = ex.execute("u/echo", &napping_echo(), &inputs).unwrap();
         assert_eq!(outputs, inputs);
@@ -1097,7 +1086,7 @@ mod tests {
             other => Ok(other.clone()),
         });
         for replicas in [1usize, 2, 4] {
-            let ex = ParslExecutor::new(cluster(), replicas).with_health(None);
+            let ex = parsl(replicas).with_health(None);
             for n in [0usize, 1, 2, 3, 31, 32, 33] {
                 let case = format!("{n} inputs on {replicas} replicas");
                 let inputs: Vec<Value> = (0..n as i64).map(Value::Int).collect();
@@ -1150,9 +1139,8 @@ mod tests {
             let faults = FaultPlan::seeded(7)
                 .inject(site::REPLICA, FaultSpec::new(kind).after(after).max(1))
                 .build();
-            let ex = ParslExecutor::new(cluster(), 1)
-                .with_faults(faults.clone())
-                .with_health(None);
+            let ex =
+                ParslExecutor::new(cluster(), 1, &Obs::new(), faults.clone()).with_health(None);
             let counting = Arc::new(Counting(AtomicUsize::new(0)));
             let servable: Arc<dyn Servable> = counting.clone();
             let err = ex.execute("u/count", &servable, &inputs).unwrap_err();
@@ -1182,7 +1170,7 @@ mod tests {
         let short: Arc<dyn Servable> = Arc::new(Short);
         let inputs: Vec<Value> = (0..4).map(Value::Int).collect();
         let want = "servable returned 3 results for 4 inputs";
-        let ex = ParslExecutor::new(cluster(), 1);
+        let ex = parsl(1);
         assert_eq!(ex.execute("u/short", &short, &inputs).unwrap_err(), want);
         // A single input never reaches `run_many` on a replica.
         assert!(ex.execute("u/short", &short, &inputs[..1]).is_ok());
@@ -1192,7 +1180,7 @@ mod tests {
 
     #[test]
     fn parsl_parallelizes_across_replicas() {
-        let ex = ParslExecutor::new(cluster(), 4);
+        let ex = parsl(4);
         let slow = servable_fn(|v| {
             std::thread::sleep(Duration::from_millis(25));
             Ok(v.clone())
@@ -1207,7 +1195,7 @@ mod tests {
 
     #[test]
     fn parsl_scale_changes_pool_and_cluster() {
-        let ex = ParslExecutor::new(cluster(), 1);
+        let ex = parsl(1);
         ex.scale("u/m", 3);
         assert_eq!(ex.replicas("u/m"), 3);
         assert_eq!(ex.cluster.running_pods("parsl-u-m").len(), 3);
@@ -1222,9 +1210,8 @@ mod tests {
 
     #[test]
     fn parsl_scales_to_zero_and_cold_starts_back() {
-        let ex = ParslExecutor::new(cluster(), 2);
         let obs = Obs::new();
-        ex.attach_obs(&obs);
+        let ex = ParslExecutor::new(cluster(), 2, &obs, FaultHandle::default());
         let echo = servable_fn(|v| Ok(v.clone()));
         ex.execute("u/idle", &echo, &[Value::Int(1)]).unwrap();
         assert_eq!(ex.replicas("u/idle"), 2);
@@ -1244,7 +1231,7 @@ mod tests {
 
     #[test]
     fn quarantined_is_tracked_per_pool() {
-        let ex = ParslExecutor::new(cluster(), 1).with_health(Some(HealthPolicy {
+        let ex = parsl(1).with_health(Some(HealthPolicy {
             quarantine_after: 1,
             quarantine_for: Duration::from_millis(200),
         }));
@@ -1271,11 +1258,12 @@ mod tests {
     #[test]
     fn a_chunk_strikes_input_by_input_and_a_success_wipes_the_record() {
         let obs = Obs::new();
-        let ex = ParslExecutor::new(cluster(), 1).with_health(Some(HealthPolicy {
-            quarantine_after: 2,
-            quarantine_for: Duration::from_millis(1),
-        }));
-        ex.attach_obs(&obs);
+        let ex = ParslExecutor::new(cluster(), 1, &obs, FaultHandle::default()).with_health(Some(
+            HealthPolicy {
+                quarantine_after: 2,
+                quarantine_for: Duration::from_millis(1),
+            },
+        ));
         let picky = servable_fn(|v| match v {
             Value::Int(i) if *i < 0 => Err(format!("item {i} failed")),
             other => Ok(other.clone()),
@@ -1309,7 +1297,7 @@ mod tests {
 
     #[test]
     fn parsl_propagates_servable_errors() {
-        let ex = ParslExecutor::new(cluster(), 2);
+        let ex = parsl(2);
         let failing = servable_fn(|_| Err("kaboom".into()));
         let err = ex
             .execute("u/fail", &failing, &[Value::Null, Value::Null])
@@ -1319,7 +1307,7 @@ mod tests {
 
     #[test]
     fn panicking_servable_does_not_kill_the_pool() {
-        let ex = ParslExecutor::new(cluster(), 2);
+        let ex = parsl(2);
         let bomb = servable_fn(|v| {
             if matches!(v, Value::Int(13)) {
                 panic!("simulated crash in user code");
@@ -1343,7 +1331,7 @@ mod tests {
 
     #[test]
     fn executor_support_matrix() {
-        let parsl = ParslExecutor::new(cluster(), 1);
+        let parsl = parsl(1);
         let tfs = TfServingExecutor::new();
         let sm = SageMakerExecutor::new();
         assert!(parsl.supports(ModelType::PythonFunction));
@@ -1387,7 +1375,7 @@ mod tests {
 
     #[test]
     fn parsl_traced_execution_records_replica_spans() {
-        let ex = ParslExecutor::new(cluster(), 2);
+        let ex = parsl(2);
         let echo = servable_fn(|v| Ok(v.clone()));
         let obs = Obs::new();
         let root = obs.tracer.start_root("invocation");
@@ -1437,7 +1425,7 @@ mod tests {
 
     #[test]
     fn inference_times_are_positive_for_real_work() {
-        let ex = ParslExecutor::new(cluster(), 1);
+        let ex = parsl(1);
         let busy = servable_fn(|_| {
             std::thread::sleep(Duration::from_millis(5));
             Ok(Value::Null)

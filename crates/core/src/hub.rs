@@ -5,6 +5,12 @@
 //! the paper's six evaluation servables, broker, a Task Manager with a
 //! Parsl executor over a PetrelKube-shaped cluster, and the Management
 //! Service — exactly as Fig 2 wires them, but in one process.
+//!
+//! [`TestHubBuilder::build`] is where the deployment is wired, once:
+//! it holds the one [`Obs`] (built by the caller when a telemetry mode
+//! is wanted, [`Obs::new`] otherwise) and the one fault schedule, and
+//! hands both to every tier's constructor. Nothing is attached to a
+//! tier after it exists.
 
 use crate::executor::{Executor, HealthPolicy, ParslExecutor};
 use crate::repository::{
@@ -17,6 +23,7 @@ use crate::task_manager::TaskManager;
 use dlhub_auth::{AuthService, Scope, Token};
 use dlhub_container::Cluster;
 use dlhub_fault::FaultHandle;
+use dlhub_obs::Obs;
 use dlhub_queue::{Broker, BrokerConfig, TopicConfig};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -28,10 +35,12 @@ pub struct TestHubBuilder {
     consumers: usize,
     task_managers: usize,
     seed: u64,
-    memo: bool,
+    /// `None` leaves [`ServingConfig::memo_enabled`] as configured.
+    memo: Option<bool>,
     eval_servables: bool,
     extra_executors: Vec<Arc<dyn Executor>>,
     config: ServingConfig,
+    obs: Obs,
     faults: FaultHandle,
     task_topic_config: Option<TopicConfig>,
     replica_health: Option<HealthPolicy>,
@@ -65,9 +74,11 @@ impl TestHubBuilder {
         self
     }
 
-    /// Start with memoization on/off.
+    /// Start with memoization on/off, whatever
+    /// [`ServingConfig::memo_enabled`] says and whichever of
+    /// [`Self::config`] and this is called first.
     pub fn memo(mut self, enabled: bool) -> Self {
-        self.memo = enabled;
+        self.memo = Some(enabled);
         self
     }
 
@@ -95,6 +106,14 @@ impl TestHubBuilder {
     /// to [`ServingConfig::slos`]).
     pub fn slo(mut self, spec: dlhub_obs::SloSpec) -> Self {
         self.config.slos.push(spec);
+        self
+    }
+
+    /// Record into `obs` instead of a fresh [`Obs::new`]: how a caller
+    /// chooses the deployment's telemetry mode
+    /// ([`Obs::with_telemetry`]).
+    pub fn obs(mut self, obs: Obs) -> Self {
+        self.obs = obs;
         self
     }
 
@@ -159,14 +178,16 @@ impl TestHubBuilder {
             }
         }
 
-        let broker = Broker::new(BrokerConfig {
-            faults: self.faults.clone(),
-            ..BrokerConfig::default()
-        });
+        // One observability layer and one fault schedule for the whole
+        // deployment: the broker, every executor and Task Manager and
+        // the Management Service are built around the same two, so one
+        // request yields one trace tree spanning all tiers.
+        let (obs, faults) = (self.obs, self.faults);
+        let broker = Broker::wired(BrokerConfig::default(), &obs, faults.clone());
         let cluster = Cluster::petrelkube();
-        let make_parsl = |cluster: &Cluster| {
+        let make_parsl = || {
             let mut parsl =
-                ParslExecutor::new(cluster.clone(), self.replicas).with_faults(self.faults.clone());
+                ParslExecutor::new(cluster.clone(), self.replicas, &obs, faults.clone());
             if let Some(policy) = self.replica_health {
                 parsl = parsl.with_health(Some(policy));
             }
@@ -175,17 +196,11 @@ impl TestHubBuilder {
             }
             Arc::new(parsl)
         };
-        let parsl = make_parsl(&cluster);
+        let parsl = make_parsl();
         let mut config = self.config;
-        config.memo_enabled = self.memo;
-        config.faults = self.faults.clone();
-        // One observability layer for the whole deployment: the broker,
-        // every Task Manager and the Management Service record into the
-        // same tracer and registry, so one request yields one trace
-        // tree spanning all tiers.
-        let obs = dlhub_obs::Obs::new();
-        broker.attach_obs(&obs);
-        parsl.attach_obs(&obs);
+        if let Some(enabled) = self.memo {
+            config.memo_enabled = enabled;
+        }
         // The task topic must exist with its chaos-tuned lease before
         // any Task Manager binds a consumer to it.
         if let Some(topic_config) = self.task_topic_config {
@@ -200,14 +215,11 @@ impl TestHubBuilder {
             // their own executors over the same cluster (like TMs on
             // separate login nodes).
             let mut executors = self.extra_executors.clone();
-            if i == 0 {
-                executors.push(Arc::clone(&parsl) as Arc<dyn Executor>);
-            } else {
-                let extra = make_parsl(&cluster);
-                extra.attach_obs(&obs);
-                executors.push(extra as Arc<dyn Executor>);
-            }
-            task_managers.push(TaskManager::start_with_faults(
+            executors.push(match i {
+                0 => Arc::clone(&parsl) as Arc<dyn Executor>,
+                _ => make_parsl(),
+            });
+            task_managers.push(TaskManager::start_wired(
                 &format!("cooley-tm-{i}"),
                 &broker,
                 &config.task_topic,
@@ -215,16 +227,20 @@ impl TestHubBuilder {
                 executors,
                 self.consumers,
                 obs.clone(),
-                self.faults.clone(),
+                faults.clone(),
             ));
         }
-        let autoscale = config.autoscale.is_some();
-        let service = ManagementService::with_obs(Arc::clone(&repo), &broker, config, obs);
-        if autoscale {
-            // The control loop actuates through the first TM's exposed
-            // Parsl executor — the one tests and benches inspect.
-            service.attach_autoscaler(Arc::clone(&parsl));
-        }
+        // The control loop, when configured, actuates through the first
+        // TM's exposed Parsl executor — the one tests and benches
+        // inspect.
+        let service = ManagementService::new(
+            Arc::clone(&repo),
+            &broker,
+            config,
+            Some(Arc::clone(&parsl)),
+            obs,
+            faults,
+        );
         TestHub {
             auth,
             repo,
@@ -269,10 +285,11 @@ impl TestHub {
             consumers: 2,
             task_managers: 1,
             seed: 7,
-            memo: true,
+            memo: None,
             eval_servables: true,
             extra_executors: Vec::new(),
             config: ServingConfig::default(),
+            obs: Obs::new(),
             faults: FaultHandle::default(),
             task_topic_config: None,
             replica_health: None,
@@ -344,6 +361,33 @@ mod tests {
     fn hub_without_eval_servables_is_empty() {
         let hub = TestHub::builder().without_eval_servables().build();
         assert!(hub.repo.all_ids().is_empty());
+    }
+
+    #[test]
+    fn memo_follows_the_config_unless_set_on_the_builder() {
+        let off = || ServingConfig {
+            memo_enabled: false,
+            ..ServingConfig::default()
+        };
+        // (what the builder was told, whether the second run hits)
+        let cases = [
+            (TestHub::builder().config(off()), false),
+            (TestHub::builder(), true),
+            (TestHub::builder().config(off()).memo(true), true),
+            (TestHub::builder().memo(true).config(off()), true),
+            (
+                TestHub::builder()
+                    .memo(false)
+                    .config(ServingConfig::default()),
+                false,
+            ),
+        ];
+        for (case, (builder, hit)) in cases.into_iter().enumerate() {
+            let hub = builder.build();
+            let run = || hub.service.run(&hub.token, "dlhub/noop", Value::Null);
+            run().unwrap();
+            assert_eq!(run().unwrap().timings.cache_hit, hit, "case {case}");
+        }
     }
 
     #[test]

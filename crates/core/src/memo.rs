@@ -17,10 +17,11 @@
 //! full-table scans). The byte budget is global: a put that pushes the
 //! cache over budget evicts the globally oldest shard head until the
 //! budget holds again — an O(shards) operation, independent of entry
-//! count. Hit/miss/eviction counters and the byte/entry gauges are
-//! relaxed atomics, so [`MemoCache::stats`], [`MemoCache::len`] and
-//! [`MemoCache::bytes`] never take a lock and never stall the hot
-//! path.
+//! count. The hit/miss/eviction/rejection counters (registry
+//! instruments, resolved once at construction) and the byte/entry
+//! gauges are relaxed atomics, so [`MemoCache::stats`],
+//! [`MemoCache::len`] and [`MemoCache::bytes`] never take a lock and
+//! never stall the hot path.
 //!
 //! # What is worth keeping
 //!
@@ -50,20 +51,12 @@
 //! ```
 
 use crate::value::Value;
+use dlhub_fault::FaultHandle;
+use dlhub_obs::{Counter, Obs, Tracer};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
-
-/// Observability instruments, resolved once at attach time so the hot
-/// path touches plain atomics — never the registry maps.
-struct ObsHooks {
-    hits: Arc<dlhub_obs::Counter>,
-    misses: Arc<dlhub_obs::Counter>,
-    evictions: Arc<dlhub_obs::Counter>,
-    rejected: Arc<dlhub_obs::Counter>,
-    tracer: dlhub_obs::Tracer,
-}
 
 /// Number of independently locked shards (power of two).
 const SHARD_COUNT: usize = 16;
@@ -293,73 +286,63 @@ pub struct MemoCache {
     entries: AtomicUsize,
     /// Logical clock ordering recency across shards.
     clock: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    rejected: AtomicU64,
+    // What [`MemoStats`] reports: the registry's own counters, each
+    // event counted once.
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
+    evictions: Arc<Counter>,
+    rejected: Arc<Counter>,
+    /// Every eviction is recorded as a `memo_evict` event carrying the
+    /// evicted servable.
+    tracer: Tracer,
     sketch: Sketch,
     /// Invalidations so far; see [`Self::generation`].
     generation: AtomicU64,
-    obs: Option<ObsHooks>,
-    faults: dlhub_fault::FaultHandle,
+    faults: FaultHandle,
 }
 
 impl MemoCache {
-    /// Create a cache bounded to `capacity_bytes` of stored outputs.
+    /// A cache on its own, bounded to `capacity_bytes` of stored
+    /// outputs: [`MemoCache::wired`] counting into an [`Obs`] nobody
+    /// else reads, with fault injection disabled.
     pub fn new(capacity_bytes: usize) -> Self {
+        MemoCache::wired(capacity_bytes, &Obs::new(), FaultHandle::default())
+    }
+
+    /// Create a cache bounded to `capacity_bytes` inside a deployment.
+    /// Hits, misses, evictions and refused puts are counted in `obs`'s
+    /// registry (`memo_hits_total`, `memo_misses_total`,
+    /// `memo_evictions_total`, `memo_rejected_total`) and nowhere else.
+    /// `faults` is consulted on every lookup and insert: `Slow`/`Hang`
+    /// at [`dlhub_fault::site::MEMO_GET`] delay the lookup, any other
+    /// kind forces a miss; any fault at [`dlhub_fault::site::MEMO_PUT`]
+    /// silently skips the insert. The cache degrades — it never fails a
+    /// request.
+    pub fn wired(capacity_bytes: usize, obs: &Obs, faults: FaultHandle) -> Self {
+        let metrics = &obs.metrics;
         MemoCache {
             shards: (0..SHARD_COUNT).map(|_| Mutex::new(Shard::new())).collect(),
             capacity_bytes,
             bytes: AtomicUsize::new(0),
             entries: AtomicUsize::new(0),
             clock: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            sketch: Sketch::new(),
-            generation: AtomicU64::new(0),
-            obs: None,
-            faults: dlhub_fault::FaultHandle::default(),
-        }
-    }
-
-    /// Attach a fault-injection schedule. `Slow`/`Hang` faults at
-    /// [`dlhub_fault::site::MEMO_GET`] delay the lookup, any other kind
-    /// forces a miss; any fault at [`dlhub_fault::site::MEMO_PUT`]
-    /// silently skips the insert. The cache degrades — it never fails a
-    /// request.
-    pub fn attach_faults(mut self, faults: dlhub_fault::FaultHandle) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Mirror this cache's counters into an observability handle:
-    /// hits/misses/evictions/rejections are incremented in the registry
-    /// (`memo_hits_total`, `memo_misses_total`, `memo_evictions_total`,
-    /// `memo_rejected_total`) at the same sites as the local
-    /// [`MemoStats`] counters — the two always agree — and every
-    /// eviction is recorded as a tracer event carrying the evicted
-    /// servable.
-    pub fn attach_obs(mut self, obs: &dlhub_obs::Obs) -> Self {
-        self.obs = Some(ObsHooks {
-            hits: obs
-                .metrics
+            hits: metrics
                 .counter_with_help("memo_hits_total", "Memo-cache lookups answered from cache"),
-            misses: obs
-                .metrics
+            misses: metrics
                 .counter_with_help("memo_misses_total", "Memo-cache lookups that fell through"),
-            evictions: obs.metrics.counter_with_help(
+            evictions: metrics.counter_with_help(
                 "memo_evictions_total",
                 "Memo-cache entries evicted to stay within the byte budget",
             ),
-            rejected: obs.metrics.counter_with_help(
+            rejected: metrics.counter_with_help(
                 "memo_rejected_total",
                 "Memo-cache puts refused: looked up less often than the entry they would evict",
             ),
             tracer: obs.tracer.clone(),
-        });
-        self
+            sketch: Sketch::new(),
+            generation: AtomicU64::new(0),
+            faults,
+        }
     }
 
     fn tick(&self) -> u64 {
@@ -379,10 +362,7 @@ impl MemoCache {
                 }
                 _ => {
                     // A failed lookup degrades to a miss.
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    if let Some(hooks) = &self.obs {
-                        hooks.misses.inc();
-                    }
+                    self.misses.inc();
                     return None;
                 }
             }
@@ -394,18 +374,12 @@ impl MemoCache {
                 shard.touch(idx, now);
                 let out = shard.slots[idx].output.clone();
                 drop(shard);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                if let Some(hooks) = &self.obs {
-                    hooks.hits.inc();
-                }
+                self.hits.inc();
                 Some(out)
             }
             None => {
                 drop(shard);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                if let Some(hooks) = &self.obs {
-                    hooks.misses.inc();
-                }
+                self.misses.inc();
                 None
             }
         }
@@ -449,10 +423,7 @@ impl MemoCache {
             if victim.is_some_and(|(_, resident)| {
                 self.sketch.estimate(key.input_hash) < self.sketch.estimate(resident)
             }) {
-                self.rejected.fetch_add(1, Ordering::Relaxed);
-                if let Some(hooks) = &self.obs {
-                    hooks.rejected.inc();
-                }
+                self.rejected.inc();
                 return;
             }
         }
@@ -510,31 +481,25 @@ impl MemoCache {
                 continue;
             }
             let idx = shard.head;
-            let servable = self
-                .obs
-                .as_ref()
-                .map(|_| shard.slots[idx].key.servable.clone());
             let size = shard.remove(idx);
+            // The freed slot's key is dead until `insert` overwrites it.
+            let servable = std::mem::take(&mut shard.slots[idx].key.servable);
             drop(shard);
             self.bytes.fetch_sub(size, Ordering::Relaxed);
             self.entries.fetch_sub(1, Ordering::Relaxed);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-            if let (Some(hooks), Some(servable)) = (&self.obs, servable) {
-                hooks.evictions.inc();
-                hooks
-                    .tracer
-                    .event(None, "memo_evict", vec![("servable", servable)]);
-            }
+            self.evictions.inc();
+            self.tracer
+                .event(None, "memo_evict", vec![("servable", servable)]);
         }
     }
 
     /// Current counters. Lock-free: reads four relaxed atomics.
     pub fn stats(&self) -> MemoStats {
         MemoStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
+            hits: self.hits.get(),
+            misses: self.misses.get(),
+            evictions: self.evictions.get(),
+            rejected: self.rejected.get(),
         }
     }
 
@@ -624,7 +589,8 @@ mod tests {
 
     #[test]
     fn lru_eviction_under_byte_budget() {
-        let c = MemoCache::new(100);
+        let obs = Obs::new();
+        let c = MemoCache::wired(100, &obs, FaultHandle::default());
         // ~40-byte entries: only 2 fit.
         let val = |i: i64| Value::Bytes(vec![i as u8; 40]);
         let k = |i: i64| MemoKey::new("m", &Value::Int(i));
@@ -638,6 +604,11 @@ mod tests {
         assert!(c.get(&k(3)).is_some());
         assert_eq!(c.stats().evictions, 1);
         assert!(c.bytes() <= 100);
+        // The eviction is also a tracer event naming the servable.
+        let events = obs.tracer.export(None);
+        let evicts = events.named("memo_evict");
+        assert_eq!(evicts.len(), 1);
+        assert_eq!(evicts[0].attr("servable"), Some("m"));
     }
 
     #[test]
@@ -710,44 +681,6 @@ mod tests {
             evictions_per_kop < 100.0,
             "{evictions_per_kop:.0} evictions per 1,000 lookups"
         );
-    }
-
-    #[test]
-    fn registry_counters_agree_with_memo_stats() {
-        let obs = dlhub_obs::Obs::new();
-        let c = MemoCache::new(100).attach_obs(&obs);
-        let k = |i: i64| MemoKey::new("m", &Value::Int(i));
-        let val = || Value::Bytes(vec![0; 40]);
-        // Two entries fit; the third put must evict.
-        c.put(k(1), val());
-        c.put(k(2), val());
-        c.put(k(3), val());
-        assert!(c.get(&k(3)).is_some());
-        assert!(c.get(&k(999)).is_none());
-        // Both residents have now been looked up more often than a key
-        // nobody asked for: its put is refused.
-        assert!(c.get(&k(2)).is_some());
-        c.put(k(4), val());
-        assert!(c.get(&k(4)).is_none());
-        let stats = c.stats();
-        assert!(stats.evictions > 0);
-        assert_eq!(stats.rejected, 1);
-        assert_eq!(
-            stats.rejected,
-            obs.metrics.counter("memo_rejected_total").get()
-        );
-        assert_eq!(stats.hits, obs.metrics.counter("memo_hits_total").get());
-        assert_eq!(stats.misses, obs.metrics.counter("memo_misses_total").get());
-        assert_eq!(
-            stats.evictions,
-            obs.metrics.counter("memo_evictions_total").get()
-        );
-        // Each eviction was also recorded as a tracer event naming the
-        // evicted servable.
-        let events = obs.tracer.export(None);
-        let evicts = events.named("memo_evict");
-        assert_eq!(evicts.len(), stats.evictions as usize);
-        assert!(evicts.iter().all(|e| e.attr("servable") == Some("m")));
     }
 
     #[test]
@@ -873,7 +806,7 @@ mod tests {
             )
             .build();
         // Tiny byte budget: nearly every put evicts something.
-        let c = Arc::new(MemoCache::new(4 * 1024).attach_faults(faults.clone()));
+        let c = Arc::new(MemoCache::wired(4 * 1024, &Obs::new(), faults.clone()));
         let keyspace = 64i64;
         let value_for = |i: i64| Value::Bytes(vec![(i % 251) as u8; 96]);
         let writers: Vec<_> = (0..2)

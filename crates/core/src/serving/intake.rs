@@ -151,7 +151,7 @@ impl ManagementService {
         let mut span = self.obs.tracer.start_root("batch_flush");
         span.attr("batch_wait_ns", waited.as_nanos().to_string());
         let frame = self.open_frame(id, span, Instant::now(), Some(inputs.len()), None)?;
-        let outcome = match self.config.faults.decide(site::BATCH_FLUSH) {
+        let outcome = match self.faults.decide(site::BATCH_FLUSH) {
             Some(fault) => Err(DlhubError::Execution {
                 servable: id.to_string(),
                 message: format!("injected batch-flush fault ({:?})", fault.kind),
@@ -187,7 +187,7 @@ impl ManagementService {
         let service = Arc::clone(self);
         let servable = id.to_string();
         // No thread is spawned per request: the job joins the pool's
-        // channel and one of the `async_workers` threads runs it.
+        // channel and one of the [`super::ASYNC_WORKERS`] threads runs it.
         self.async_pool.submit(Box::new(move || {
             let outcome = service.execute_one(&servable, &frame, input, None);
             let status = match service.close_frame(&servable, frame, outcome) {

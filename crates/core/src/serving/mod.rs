@@ -5,6 +5,14 @@
 //! the status of tasks. The Management Service includes advanced
 //! functionality to … optimize task performance, route workloads to
 //! suitable executors, batch tasks, and cache results."
+//!
+//! [`ManagementService::new`] is the one constructor: it takes the
+//! deployment's `Obs` and fault schedule next to the [`ServingConfig`]
+//! and builds the memo cache, admission controller, reconciler and
+//! async pool around them. Nothing is attached afterwards — which
+//! telemetry mode the `Obs` carries, and which executor the control
+//! loop actuates, were decided by whoever assembled the deployment
+//! (see [`crate::hub`]).
 mod intake;
 mod pipelines;
 mod request;
@@ -30,7 +38,7 @@ use intake::AsyncPool;
 use parking_lot::RwLock;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Management Service configuration.
@@ -57,9 +65,6 @@ pub struct ServingConfig {
     /// a deterministic servable failure will fail again, but a chaos
     /// configuration injecting random replica faults wants retries.
     pub retry_execution_errors: bool,
-    /// Fault-injection schedule consulted at the Management Service's
-    /// sites (memo lookup/insert, batch flush). Disabled by default.
-    pub faults: FaultHandle,
     /// Memo-cache budget in bytes.
     pub memo_capacity: usize,
     /// Whether memoization starts enabled.
@@ -72,24 +77,14 @@ pub struct ServingConfig {
     /// dispatch cost instead of the fixed `batch_max` (the paper's
     /// proposed adaptive batching, §V-B3). `batch_max` remains the cap.
     pub adaptive_batching: bool,
-    /// Threads in the service-owned worker pool that runs
-    /// [`ManagementService::run_async`] dispatches. The pool bounds
-    /// concurrent async work; 0 is treated as 1.
-    pub async_workers: usize,
     /// Service-level objectives registered at construction. Each spec
     /// names a servable and a latency threshold; burn rates and alert
     /// state surface in [`dlhub_obs::MetricsSnapshot`] (`slos`), the
     /// Prometheus exposition, and `slo_alert` trace events.
     pub slos: Vec<SloSpec>,
-    /// Telemetry-collector sampling interval. Zero (the default)
-    /// leaves the time-series store disabled; otherwise a
-    /// `dlhub-telemetry` thread samples every registered metric and
-    /// SLO burn rate into ring-buffered multi-resolution history
-    /// (`dlhub top`, `ControlSignals`, bench time axes).
-    pub telemetry_interval: Duration,
     /// Closed-loop autoscaling policy. `None` (the default) leaves the
-    /// reconciler off; `Some` arms it once
-    /// [`ManagementService::attach_autoscaler`] wires the executor.
+    /// reconciler off; `Some` arms it over the executor
+    /// [`ManagementService::new`] is given.
     pub autoscale: Option<ControlPolicy>,
     /// Background reconcile interval. Zero (the default) spawns no
     /// thread — the embedder drives passes manually through
@@ -112,21 +107,23 @@ impl Default for ServingConfig {
             max_retries: 2,
             retry_backoff: Duration::from_millis(10),
             retry_execution_errors: false,
-            faults: FaultHandle::default(),
             memo_capacity: 64 * 1024 * 1024,
             memo_enabled: true,
             batch_max: 32,
             batch_delay: Duration::from_millis(5),
             adaptive_batching: false,
-            async_workers: 4,
             slos: Vec::new(),
-            telemetry_interval: Duration::ZERO,
             autoscale: None,
             autoscale_interval: Duration::ZERO,
             admission: None,
         }
     }
 }
+
+/// Threads in the service-owned worker pool that runs
+/// [`ManagementService::run_async`] dispatches: the bound on concurrent
+/// async work.
+pub const ASYNC_WORKERS: usize = 4;
 
 /// Result of a synchronous run: the output plus the paper's nested
 /// timings.
@@ -172,36 +169,44 @@ pub struct ManagementService {
     /// The front door ([`ServingConfig::admission`]); `None` admits
     /// everything.
     admission: Option<Arc<AdmissionController>>,
-    /// The autoscaling actuator, armed by [`Self::attach_autoscaler`].
-    reconciler: OnceLock<Arc<Reconciler>>,
+    /// The autoscaling actuator ([`ServingConfig::autoscale`] over the
+    /// executor given at construction); `None` never resizes.
+    reconciler: Option<Arc<Reconciler>>,
     obs: Obs,
+    /// Consulted at the batch-flush site (the memo cache holds its own
+    /// clone for the lookup and insert sites).
+    faults: FaultHandle,
 }
 
 impl ManagementService {
-    /// Wire a Management Service to a repository and broker, with a
-    /// fresh observability layer.
-    pub fn new(repo: Arc<Repository>, broker: &Broker, config: ServingConfig) -> Arc<Self> {
-        ManagementService::with_obs(repo, broker, config, Obs::new())
-    }
-
-    /// Wire a Management Service around an existing [`Obs`] handle, so
-    /// the Task Managers and broker of the same deployment can share
-    /// one tracer and one metrics registry (trace trees then span all
-    /// tiers).
-    pub fn with_obs(
+    /// Wire a Management Service to a repository and broker inside a
+    /// deployment. `obs` is the deployment's one handle — the Task
+    /// Managers and broker were built around the same one, so trace
+    /// trees span all tiers — and `faults` its one schedule, consulted
+    /// at the memo and batch-flush sites here.
+    ///
+    /// `scaled` is the executor the control loop actuates: with
+    /// [`ServingConfig::autoscale`] set it is reconciled against the
+    /// telemetry store `obs` was built with, otherwise it is ignored.
+    /// With a non-zero [`ServingConfig::autoscale_interval`] a
+    /// `dlhub-reconciler` thread drives passes on the wall clock,
+    /// holding only a `Weak` so it exits once the service drops; with a
+    /// zero interval the embedder drives [`Self::reconcile_at`] on a
+    /// clock of its choosing (the sim harness uses its virtual clock,
+    /// which is what makes seeded decision logs byte-identical).
+    pub fn new(
         repo: Arc<Repository>,
         broker: &Broker,
         config: ServingConfig,
+        scaled: Option<Arc<ParslExecutor>>,
         obs: Obs,
+        faults: FaultHandle,
     ) -> Arc<Self> {
         broker.ensure_topic(&config.task_topic);
         broker.ensure_topic(REGISTRATION_TOPIC);
-        if !config.telemetry_interval.is_zero() {
-            obs.enable_telemetry(config.telemetry_interval);
-        }
-        // Descriptions for counters whose increment sites are hot paths
-        // (retry loop, Task Manager dispatch) — registered once here so
-        // `# HELP` lines render without touching those paths.
+        // Descriptions for counters whose increment sites are rare
+        // paths (refusals, the retry loop) — registered once here so
+        // `# HELP` lines render without the counter existing at zero.
         obs.metrics.describe(
             "request_retries_total",
             "Request attempts retried after a transient failure",
@@ -214,41 +219,47 @@ impl ManagementService {
             "requests_rejected_total",
             "Requests refused before dispatch: bad token, unknown servable or invalid input",
         );
-        obs.metrics
-            .describe("tm_tasks_total", "Tasks executed by Task Managers");
-        obs.metrics.describe(
-            "tm_crashes_injected_total",
-            "Task Manager crashes injected by the fault schedule",
-        );
         for spec in &config.slos {
             obs.register_slo(spec.clone());
         }
-        let rpc = RpcClient::connect(broker, &config.task_topic);
-        broker.attach_obs(&obs);
-        let admission = config.admission.clone().map(|cfg| {
-            Arc::new(AdmissionController::new(cfg).with_observability(
-                obs.metrics.counter_with_help(
-                    "requests_shed_total",
-                    "Requests shed by the admission controller before dispatch",
-                ),
-                obs.metrics.counter_with_help(
-                    "requests_admitted_total",
-                    "Requests admitted past the admission controller",
-                ),
-            ))
-        });
+        let admission = config
+            .admission
+            .clone()
+            .map(|cfg| Arc::new(AdmissionController::new(cfg, &obs)));
+        let reconciler = config
+            .autoscale
+            .clone()
+            .zip(scaled)
+            .map(|(policy, executor)| Arc::new(Reconciler::new(executor, policy, &obs)));
+        if let (Some(reconciler), false) = (&reconciler, config.autoscale_interval.is_zero()) {
+            let weak = Arc::downgrade(reconciler);
+            let telemetry = obs.telemetry.clone();
+            let interval = config.autoscale_interval;
+            std::thread::Builder::new()
+                .name("dlhub-reconciler".into())
+                .spawn(move || loop {
+                    std::thread::sleep(interval);
+                    match weak.upgrade() {
+                        Some(reconciler) => {
+                            if let Some(signals) = telemetry.signals() {
+                                reconciler.reconcile_at(dlhub_obs::now_ns(), signals);
+                            }
+                        }
+                        None => break,
+                    }
+                })
+                .expect("spawn reconciler thread");
+        }
         Arc::new(ManagementService {
-            rpc,
-            memo: MemoCache::new(config.memo_capacity)
-                .attach_obs(&obs)
-                .attach_faults(config.faults.clone()),
+            rpc: RpcClient::connect(broker, &config.task_topic),
+            memo: MemoCache::wired(config.memo_capacity, &obs, faults.clone()),
             memo_enabled: AtomicBool::new(config.memo_enabled),
             task_table: TaskTable::new(),
             pipelines: RwLock::new(HashMap::new()),
             batchers: RwLock::new(HashMap::new()),
             registrations: RwLock::new(Vec::new()),
             async_pool: AsyncPool::new(
-                config.async_workers,
+                ASYNC_WORKERS,
                 obs.metrics.gauge_with_help(
                     "async_queue_depth",
                     "Async dispatches waiting in the worker-pool injector queue",
@@ -262,8 +273,9 @@ impl ManagementService {
             repo,
             config,
             admission,
-            reconciler: OnceLock::new(),
+            reconciler,
             obs,
+            faults,
         })
     }
 
@@ -272,67 +284,21 @@ impl ManagementService {
         &self.obs
     }
 
-    /// Arm the autoscaling reconciler over `executor`'s replica pools.
-    /// Returns `false` (and does nothing) while
-    /// [`ServingConfig::autoscale`] is unset; first attach wins. With a
-    /// non-zero [`ServingConfig::autoscale_interval`] a
-    /// `dlhub-reconciler` thread drives passes on the wall clock,
-    /// holding only a `Weak` so it exits once the service drops; with a
-    /// zero interval the embedder drives [`Self::reconcile_at`] on a
-    /// clock of its choosing (the sim harness uses its virtual clock,
-    /// which is what makes seeded decision logs byte-identical).
-    pub fn attach_autoscaler(&self, executor: Arc<ParslExecutor>) -> bool {
-        let Some(policy) = self.config.autoscale.clone() else {
-            return false;
-        };
-        let mut created = false;
-        let reconciler = self.reconciler.get_or_init(|| {
-            created = true;
-            Arc::new(Reconciler::new(executor, policy).with_counter(
-                self.obs.metrics.counter_with_help(
-                    "autoscale_decisions_total",
-                    "Scaling decisions applied by the control loop",
-                ),
-            ))
-        });
-        if created && !self.config.autoscale_interval.is_zero() {
-            let weak = Arc::downgrade(reconciler);
-            let telemetry = self.obs.telemetry.clone();
-            let interval = self.config.autoscale_interval;
-            std::thread::Builder::new()
-                .name("dlhub-reconciler".into())
-                .spawn(move || loop {
-                    std::thread::sleep(interval);
-                    match weak.upgrade() {
-                        Some(reconciler) => {
-                            if let Some(signals) = telemetry.signals() {
-                                reconciler.reconcile_at(dlhub_obs::now_ns(), &signals);
-                            }
-                        }
-                        None => break,
-                    }
-                })
-                .expect("spawn reconciler thread");
-        }
-        created
-    }
-
-    /// The attached reconciler (decision log, policy), or `None` before
-    /// [`Self::attach_autoscaler`].
-    pub fn reconciler(&self) -> Option<Arc<Reconciler>> {
-        self.reconciler.get().cloned()
+    /// The reconciler (decision log, policy), or `None` while
+    /// autoscaling is off.
+    pub fn reconciler(&self) -> Option<&Arc<Reconciler>> {
+        self.reconciler.as_ref()
     }
 
     /// One manual reconcile pass at (virtual) time `now_ns`, reading
     /// the telemetry store's control signals. Returns the decisions
-    /// applied; empty while the reconciler or telemetry is unarmed.
+    /// applied; empty while autoscaling or telemetry is off.
     pub fn reconcile_at(&self, now_ns: u64) -> Vec<ControlDecision> {
-        let (Some(reconciler), Some(signals)) =
-            (self.reconciler.get(), self.obs.telemetry.signals())
+        let (Some(reconciler), Some(signals)) = (&self.reconciler, self.obs.telemetry.signals())
         else {
             return Vec::new();
         };
-        reconciler.reconcile_at(now_ns, &signals)
+        reconciler.reconcile_at(now_ns, signals)
     }
 
     /// One reconcile pass on the wall clock, for embedders that want
@@ -429,6 +395,7 @@ mod tests {
     use crate::servable::ModelType;
     use crate::task::TaskStatus;
     use dlhub_auth::IdentityId;
+    use dlhub_obs::Telemetry;
     use dlhub_search::Query;
     use std::sync::atomic::AtomicUsize;
 
@@ -769,6 +736,9 @@ mod tests {
                 autoscale: Some(ControlPolicy::default()),
                 ..ServingConfig::default()
             })
+            .obs(Obs::with_telemetry(Telemetry::Stepped(
+                Duration::from_secs(1),
+            )))
             .build();
         hub.publish_simple(
             "heavy",
@@ -778,9 +748,6 @@ mod tests {
                 Ok(v.clone())
             }),
         );
-        hub.service
-            .obs()
-            .enable_telemetry_manual(Duration::from_secs(1));
         // The cost comes from real dispatches; the arrivals are
         // scripted onto a virtual clock (200 req/s for two seconds).
         for i in 0..8 {
@@ -851,16 +818,11 @@ mod tests {
     fn async_burst_is_bounded_by_the_worker_pool() {
         static LIVE: AtomicUsize = AtomicUsize::new(0);
         static PEAK: AtomicUsize = AtomicUsize::new(0);
-        let workers = 2;
         let hub = TestHub::builder()
             .without_eval_servables()
             .memo(false)
             .replicas(8)
             .consumers(8)
-            .config(ServingConfig {
-                async_workers: workers,
-                ..ServingConfig::default()
-            })
             .build();
         hub.publish_simple(
             "gauge",
@@ -890,8 +852,8 @@ mod tests {
         // only thing limiting concurrency is the async worker pool.
         let peak = PEAK.load(Ordering::SeqCst);
         assert!(
-            peak <= workers,
-            "pool leaked concurrency: peak {peak} > {workers} workers"
+            peak <= ASYNC_WORKERS,
+            "pool leaked concurrency: peak {peak} > {ASYNC_WORKERS} workers"
         );
         assert!(peak >= 1);
     }

@@ -11,7 +11,7 @@ use crate::executor::{Execution, Executor};
 use crate::repository::Repository;
 use crate::task::{TaskRequest, TaskResponse};
 use dlhub_fault::{site, FaultHandle, FaultKind};
-use dlhub_obs::{Obs, SpanHandle};
+use dlhub_obs::{Counter, Obs, SpanHandle};
 use dlhub_queue::{Broker, Responder, RpcServer};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -43,15 +43,9 @@ pub struct TaskManager {
 }
 
 impl TaskManager {
-    /// Start a Task Manager consuming `task_topic`.
-    ///
-    /// `executors` are tried in order; the first whose
-    /// [`Executor::supports`] accepts the servable's model type gets
-    /// the task (inference tasks to serving executors, everything else
-    /// to the general Parsl executor, §IV-C). `consumers` is the
-    /// number of concurrent queue-consumer threads (the TM is
-    /// multi-threaded, §V-B); it bounds concurrent *dispatching*, not
-    /// tasks in flight — those are bounded by the replica pools.
+    /// A Task Manager on its own: [`TaskManager::start_wired`]
+    /// recording into an [`Obs`] nobody else reads, with fault
+    /// injection disabled.
     pub fn start(
         name: &str,
         broker: &Broker,
@@ -60,7 +54,7 @@ impl TaskManager {
         executors: Vec<Arc<dyn Executor>>,
         consumers: usize,
     ) -> Self {
-        Self::start_with_faults(
+        Self::start_wired(
             name,
             broker,
             task_topic,
@@ -72,19 +66,28 @@ impl TaskManager {
         )
     }
 
-    /// [`TaskManager::start`] recording into a shared observability
-    /// handle and consulting a fault-injection schedule. The TM records
-    /// `invocation` spans (parented under the requester's propagated
-    /// context), executors record `inference` spans, and
-    /// `tm_tasks_total` counts handled tasks; deployments pass the same
-    /// handle to the Management Service so one trace spans all tiers.
-    /// When the [`dlhub_fault::site::TM_CRASH`] site fires, the consumer
-    /// abandons the leased task mid-flight without acking or replying —
-    /// exactly what a Task Manager process crash looks like to the rest
-    /// of the system. The broker's lease expiry then redelivers the
-    /// task to a surviving consumer.
+    /// Start a Task Manager consuming `task_topic` inside a deployment.
+    ///
+    /// `executors` are tried in order; the first whose
+    /// [`Executor::supports`] accepts the servable's model type gets
+    /// the task (inference tasks to serving executors, everything else
+    /// to the general Parsl executor, §IV-C). `consumers` is the
+    /// number of concurrent queue-consumer threads (the TM is
+    /// multi-threaded, §V-B); it bounds concurrent *dispatching*, not
+    /// tasks in flight — those are bounded by the replica pools.
+    ///
+    /// The TM records `invocation` spans into `obs` (parented under the
+    /// requester's propagated context), executors record `inference`
+    /// spans, and `tm_tasks_total` counts handled tasks; deployments
+    /// pass the same handle to the Management Service so one trace
+    /// spans all tiers. When `faults` fires the
+    /// [`dlhub_fault::site::TM_CRASH`] site, the consumer abandons the
+    /// leased task mid-flight without acking or replying — exactly what
+    /// a Task Manager process crash looks like to the rest of the
+    /// system. The broker's lease expiry then redelivers the task to a
+    /// surviving consumer.
     #[allow(clippy::too_many_arguments)]
-    pub fn start_with_faults(
+    pub fn start_wired(
         name: &str,
         broker: &Broker,
         task_topic: &str,
@@ -108,13 +111,18 @@ impl TaskManager {
 
         let shutdown = Arc::new(AtomicBool::new(false));
         let served = Arc::new(AtomicU64::new(0));
-        let obs = Arc::new(obs);
+        let instruments = Arc::new(Instruments {
+            tasks: obs
+                .metrics
+                .counter_with_help("tm_tasks_total", "Tasks executed by Task Managers"),
+            obs,
+        });
         let threads = (0..consumers.max(1))
             .map(|i| {
                 let server = RpcServer::bind(broker, task_topic);
                 let repository = Arc::clone(&repository);
                 let executors = executors.clone();
-                let obs = Arc::clone(&obs);
+                let instruments = Arc::clone(&instruments);
                 let shutdown = Arc::clone(&shutdown);
                 let served = Arc::clone(&served);
                 let faults = faults.clone();
@@ -143,11 +151,11 @@ impl TaskManager {
                                 if matches!(fault.kind, FaultKind::Slow | FaultKind::Hang) {
                                     std::thread::sleep(fault.delay);
                                 }
-                                obs.metrics.counter("tm_crashes_injected_total").inc();
+                                instruments.crashed();
                                 drop(responder);
                                 continue;
                             }
-                            handle(&repository, &executors, &obs, responder);
+                            handle(&repository, &executors, &instruments, responder);
                         }
                     })
                     .expect("spawn tm consumer")
@@ -189,11 +197,32 @@ impl Drop for TaskManager {
     }
 }
 
+/// What every consumer of one Task Manager records into.
+struct Instruments {
+    obs: Obs,
+    /// `tm_tasks_total`, resolved once at start.
+    tasks: Arc<Counter>,
+}
+
+impl Instruments {
+    /// Count one injected crash. Looked up where it fires: the counter
+    /// exists in a snapshot only once a crash was injected.
+    fn crashed(&self) {
+        self.obs
+            .metrics
+            .counter_with_help(
+                "tm_crashes_injected_total",
+                "Task Manager crashes injected by the fault schedule",
+            )
+            .inc();
+    }
+}
+
 /// One task between decode and reply: everything needed to answer the
 /// requester from whichever thread finishes the work. It must not own
 /// an executor — the executor owns it while the task is in flight.
 struct Invocation {
-    obs: Arc<Obs>,
+    instruments: Arc<Instruments>,
     responder: Responder,
     task_id: String,
     span: Option<SpanHandle>,
@@ -219,12 +248,12 @@ impl Invocation {
             inference_nanos,
             invocation_nanos,
         };
-        self.obs.metrics.counter("tm_tasks_total").inc();
+        self.instruments.tasks.inc();
         if let Some(mut span) = self.span {
             if let Err(e) = &response.outcome {
                 span.attr("error", e.clone());
             }
-            self.obs.tracer.finish(span);
+            self.instruments.obs.tracer.finish(span);
         }
         self.responder.reply(response.to_bytes());
     }
@@ -239,7 +268,7 @@ impl Invocation {
 fn handle(
     repository: &Repository,
     executors: &[Arc<dyn Executor>],
-    obs: &Arc<Obs>,
+    instruments: &Arc<Instruments>,
     responder: Responder,
 ) {
     let request = match TaskRequest::from_bytes(responder.payload()) {
@@ -256,7 +285,7 @@ fn handle(
     };
     let mut span = request
         .trace
-        .map(|p| obs.tracer.start_child(p, "invocation"));
+        .map(|p| instruments.obs.tracer.start_child(p, "invocation"));
     if let Some(s) = span.as_mut() {
         s.attr("servable", request.servable.clone());
         s.attr("batch", request.inputs.len().to_string());
@@ -273,7 +302,7 @@ fn handle(
     }
     let ctx = span.as_ref().map(|s| s.ctx());
     let invocation = Invocation {
-        obs: Arc::clone(obs),
+        instruments: Arc::clone(instruments),
         responder,
         task_id: request.task_id,
         span,
@@ -296,7 +325,7 @@ fn handle(
         &request.servable,
         &servable,
         Arc::new(request.inputs),
-        Some(obs),
+        Some(&instruments.obs),
         ctx,
         Box::new(move |outcome| invocation.finish(outcome)),
     );
@@ -370,6 +399,8 @@ mod tests {
         Arc::new(ParslExecutor::new(
             Cluster::new(vec![NodeSpec::new("n0", 64_000, 65_536)]),
             2,
+            &Obs::new(),
+            FaultHandle::default(),
         ))
     }
 

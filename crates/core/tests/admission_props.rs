@@ -15,6 +15,7 @@
 
 use dlhub_auth::IdentityId;
 use dlhub_core::admission::{AdmissionConfig, AdmissionController};
+use dlhub_core::obs::Obs;
 use dlhub_core::DlhubError;
 use proptest::prelude::*;
 
@@ -29,7 +30,7 @@ fn contended_controller(weights: &[u32]) -> AdmissionController {
     for (i, w) in weights.iter().enumerate() {
         config.weights.insert(IdentityId(i as u64 + 1), *w);
     }
-    AdmissionController::new(config)
+    AdmissionController::new(config, &Obs::new())
 }
 
 /// Round-robin `rounds` saturated offers per tenant; returns accepted
@@ -104,7 +105,7 @@ proptest! {
             config.weights.insert(IdentityId(i as u64 + 1), *w);
         }
         config.weights.insert(hostile, 0);
-        let ctl = AdmissionController::new(config);
+        let ctl = AdmissionController::new(config, &Obs::new());
         let mut accepted = vec![0u64; tenants];
         for burst in &bursts {
             for _ in 0..*burst {
@@ -136,11 +137,14 @@ proptest! {
         attempts in 1usize..=200,
         release_every in 1usize..=8,
     ) {
-        let ctl = AdmissionController::new(AdmissionConfig {
-            max_inflight: cap,
-            fair_share_at: 1.0,
-            ..AdmissionConfig::default()
-        });
+        let ctl = AdmissionController::new(
+            AdmissionConfig {
+                max_inflight: cap,
+                fair_share_at: 1.0,
+                ..AdmissionConfig::default()
+            },
+            &Obs::new(),
+        );
         let mut held = Vec::new();
         for i in 0..attempts {
             match ctl.admit(IdentityId(1), false) {

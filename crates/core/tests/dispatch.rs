@@ -5,6 +5,7 @@
 use dlhub_core::admission::AdmissionConfig;
 use dlhub_core::executor::Executor;
 use dlhub_core::hub::TestHub;
+use dlhub_core::obs::{Obs, Telemetry};
 use dlhub_core::servable::builtins::MatminerFeaturize;
 use dlhub_core::servable::{servable_fn, ModelType, Servable};
 use dlhub_core::serving::{RunOptions, ServingConfig};
@@ -210,9 +211,11 @@ fn replica_backlog_counts_as_queue_pressure() {
             }),
             ..ServingConfig::default()
         })
+        .obs(Obs::with_telemetry(Telemetry::Stepped(
+            Duration::from_secs(1),
+        )))
         .build();
     let obs = hub.service.obs();
-    obs.enable_telemetry_manual(Duration::from_secs(1));
     let second = 1_000_000_000;
     obs.telemetry.sample_now(second);
     hub.service

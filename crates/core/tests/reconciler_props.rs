@@ -18,6 +18,8 @@
 use dlhub_container::Cluster;
 use dlhub_core::autoscale::{knee, ControlPolicy, DecisionReason, Reconciler, ScalingSignals};
 use dlhub_core::executor::ParslExecutor;
+use dlhub_core::fault::FaultHandle;
+use dlhub_core::obs::Obs;
 use dlhub_core::obs::ServableCost;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -62,9 +64,14 @@ fn cost(dispatches: u64, inference_us: u64, floor_us: u64) -> ServableCost {
 }
 
 fn reconciler(policy: &ControlPolicy, current: usize) -> (Arc<ParslExecutor>, Reconciler) {
-    let executor = Arc::new(ParslExecutor::new(Cluster::petrelkube(), 1));
+    let executor = Arc::new(ParslExecutor::new(
+        Cluster::petrelkube(),
+        1,
+        &Obs::new(),
+        FaultHandle::default(),
+    ));
     executor.scale(SERVABLE, current);
-    let ctl = Reconciler::new(Arc::clone(&executor), policy.clone());
+    let ctl = Reconciler::new(Arc::clone(&executor), policy.clone(), &Obs::new());
     (executor, ctl)
 }
 

@@ -16,7 +16,10 @@
 //!
 //! There is deliberately no process-global state: every deployment
 //! (a `ManagementService` plus its Task Managers) shares one [`Obs`]
-//! handle, so parallel tests in one process never interleave.
+//! handle, so parallel tests in one process never interleave. Whoever
+//! assembles the deployment builds the handle — choosing its
+//! [`Telemetry`] mode then — and passes it to each tier's constructor;
+//! nothing is attached or enabled afterwards.
 
 #![warn(missing_docs)]
 
@@ -34,7 +37,7 @@ pub use analyze::{
     aggregate_stages, analyze, analyze_all, render_stages, RequestBreakdown, Stage, StageNs,
     TraceAnalysis,
 };
-pub use collect::{TelemetryHandle, TelemetrySources};
+pub use collect::{Telemetry, TelemetryHandle};
 pub use metrics::{
     bucket_bound, bucket_index, escape_label, BucketSnapshot, Counter, DispatchSums, Gauge,
     Histogram, HistogramSnapshot, HistogramSummary, MetricsSnapshot, Registry, ServableCost,
@@ -65,8 +68,8 @@ pub struct Obs {
     /// Per-servable SLO burn-rate trackers.
     pub slo: SloRegistry,
     /// Ring-buffered time-series history over this handle's metrics
-    /// and SLOs (disabled until
-    /// [`enable_telemetry`](Obs::enable_telemetry)).
+    /// and SLOs, fed as the [`Telemetry`] mode given to
+    /// [`with_telemetry`](Obs::with_telemetry) says.
     pub telemetry: TelemetryHandle,
     /// Baseline for [`delta`](Obs::delta): the snapshot the previous
     /// call returned against (empty before the first).
@@ -74,37 +77,24 @@ pub struct Obs {
 }
 
 impl Obs {
-    /// Fresh handle with empty tracer and registry.
+    /// Fresh handle with empty tracer and registry and telemetry
+    /// [`Off`](Telemetry::Off).
     pub fn new() -> Self {
         Obs::default()
     }
 
-    /// Start the telemetry collector sampling this handle's metrics
-    /// and SLO registries every `interval` into the time-series store.
-    /// Reaches every clone of this handle. Returns whether this call
-    /// did the enabling.
-    pub fn enable_telemetry(&self, interval: Duration) -> bool {
-        self.telemetry.enable(
-            interval,
-            TelemetrySources {
-                metrics: self.metrics.clone(),
-                slo: self.slo.clone(),
-            },
-        )
-    }
-
-    /// Arm the telemetry store without a sampler thread: passes are
-    /// driven through [`TelemetryHandle::sample_now`] on a caller
-    /// clock (the sim harness's virtual clock, typically). `base_step`
-    /// sets the finest ring resolution.
-    pub fn enable_telemetry_manual(&self, base_step: Duration) -> bool {
-        self.telemetry.enable_manual(
-            base_step,
-            TelemetrySources {
-                metrics: self.metrics.clone(),
-                slo: self.slo.clone(),
-            },
-        )
+    /// Fresh handle whose time-series store is fed as `mode` says:
+    /// sampled by a collector thread, or stepped by the caller through
+    /// [`TelemetryHandle::sample_now`].
+    pub fn with_telemetry(mode: Telemetry) -> Self {
+        let metrics = Registry::new();
+        let slo = SloRegistry::default();
+        Obs {
+            telemetry: TelemetryHandle::start(mode, metrics.clone(), slo.clone()),
+            metrics,
+            slo,
+            ..Obs::default()
+        }
     }
 
     /// Install an SLO for a servable, wiring its alert transitions into

@@ -4,7 +4,7 @@
 
 use std::time::Duration;
 
-use dlhub_obs::{bucket_bound, bucket_index, Histogram, Obs, SeriesStore, TierSpec};
+use dlhub_obs::{bucket_bound, bucket_index, Histogram, Obs, SeriesStore, Telemetry, TierSpec};
 use proptest::prelude::*;
 
 const S: u64 = 1_000_000_000;
@@ -131,10 +131,8 @@ fn long_run_wraparound_preserves_recent_rates() {
 
 #[test]
 fn obs_handle_collects_end_to_end() {
-    let obs = Obs::new();
-    assert!(!obs.telemetry.enabled());
-    obs.enable_telemetry_manual(Duration::from_secs(1));
-    assert!(obs.telemetry.enabled());
+    assert!(Obs::new().telemetry.store().is_none());
+    let obs = Obs::with_telemetry(Telemetry::Stepped(Duration::from_secs(1)));
     obs.metrics.counter("broker_send_total").add(10);
     obs.metrics.gauge("async_queue_depth").set(4);
     obs.metrics.series("dlhub/echo").requests.add(2);

@@ -23,7 +23,7 @@ use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Errors surfaced by broker operations.
@@ -77,16 +77,12 @@ impl Default for TopicConfig {
     }
 }
 
-/// Broker-wide configuration; currently the default [`TopicConfig`]
-/// applied by [`Broker::create_topic`].
+/// Broker-wide configuration: the default [`TopicConfig`] applied by
+/// [`Broker::create_topic`].
 #[derive(Debug, Clone, Default)]
 pub struct BrokerConfig {
     /// Defaults applied to topics created without an explicit config.
     pub topic_defaults: TopicConfig,
-    /// Fault-injection schedule consulted at [`site::BROKER_SEND`] and
-    /// [`site::BROKER_RECV`]. Disabled (one branch per operation) by
-    /// default.
-    pub faults: FaultHandle,
 }
 
 /// Number of in-flight map shards per topic. Power of two; message ids
@@ -262,9 +258,17 @@ pub struct Broker {
     inner: Arc<BrokerInner>,
 }
 
-/// Pre-resolved observability instruments: one registry lookup at
-/// attach time, plain atomics on the send/recv paths thereafter.
-struct BrokerObs {
+struct BrokerInner {
+    config: BrokerConfig,
+    // Read-mostly: every send/recv resolves a topic name, while
+    // topics are created and deleted rarely. A shared lock keeps the
+    // per-request lookup contention-free.
+    topics: RwLock<HashMap<String, Arc<Topic>>>,
+    /// Consulted at [`site::BROKER_SEND`] and [`site::BROKER_RECV`];
+    /// one branch per operation while disabled.
+    faults: FaultHandle,
+    // Instruments, resolved once in `wired`: plain atomics on the
+    // send/recv paths thereafter.
     send: Arc<Counter>,
     recv: Arc<Counter>,
     queue_wait: Arc<Histogram>,
@@ -272,57 +276,47 @@ struct BrokerObs {
     redelivered: Arc<Counter>,
 }
 
-struct BrokerInner {
-    config: BrokerConfig,
-    // Read-mostly: every send/recv resolves a topic name, while
-    // topics are created and deleted rarely. A shared lock keeps the
-    // per-request lookup contention-free.
-    topics: RwLock<HashMap<String, Arc<Topic>>>,
-    obs: OnceLock<BrokerObs>,
-}
-
 impl Broker {
-    /// Create a broker with the given defaults.
+    /// A broker on its own: [`Broker::wired`] recording into an
+    /// [`Obs`] nobody else reads, with fault injection disabled.
     pub fn new(config: BrokerConfig) -> Self {
+        Broker::wired(config, &Obs::new(), FaultHandle::default())
+    }
+
+    /// Create a broker with the given defaults inside a deployment:
+    /// its traffic lands in `obs`'s registry — `broker_send_total` /
+    /// `broker_recv_total` counters plus a `broker_queue_wait_ns`
+    /// histogram of how long messages sat in the queue before being
+    /// leased; `broker_dropped_total` counts sends discarded by fault
+    /// injection and `broker_redelivered_total` counts lease-expiry
+    /// requeues observed by the receive paths (nack requeues land only
+    /// in [`TopicStats::redelivered`]) — and `faults` is consulted on
+    /// every send and receive.
+    pub fn wired(config: BrokerConfig, obs: &Obs, faults: FaultHandle) -> Self {
+        let metrics = &obs.metrics;
         Broker {
             inner: Arc::new(BrokerInner {
                 config,
                 topics: RwLock::new(HashMap::new()),
-                obs: OnceLock::new(),
+                faults,
+                send: metrics
+                    .counter_with_help("broker_send_total", "Messages published across all topics"),
+                recv: metrics
+                    .counter_with_help("broker_recv_total", "Messages delivered to consumers"),
+                queue_wait: metrics.histogram_with_help(
+                    "broker_queue_wait_ns",
+                    "Time messages spent queued before delivery",
+                ),
+                dropped: metrics.counter_with_help(
+                    "broker_dropped_total",
+                    "Sends and replies discarded by fault injection",
+                ),
+                redelivered: metrics.counter_with_help(
+                    "broker_redelivered_total",
+                    "Messages requeued after a lease expired unacknowledged",
+                ),
             }),
         }
-    }
-
-    /// Mirror this broker's traffic into a metrics registry:
-    /// `broker_send_total` / `broker_recv_total` counters plus a
-    /// `broker_queue_wait_ns` histogram of how long messages sat in the
-    /// queue before being leased. `broker_dropped_total` counts sends
-    /// discarded by fault injection and `broker_redelivered_total`
-    /// counts lease-expiry requeues observed by the receive paths (nack
-    /// requeues land only in [`TopicStats::redelivered`]). First
-    /// attachment wins; later calls are no-ops (the broker is shared by
-    /// clones).
-    pub fn attach_obs(&self, obs: &Obs) {
-        let _ = self.inner.obs.set(BrokerObs {
-            send: obs
-                .metrics
-                .counter_with_help("broker_send_total", "Messages published across all topics"),
-            recv: obs
-                .metrics
-                .counter_with_help("broker_recv_total", "Messages delivered to consumers"),
-            queue_wait: obs.metrics.histogram_with_help(
-                "broker_queue_wait_ns",
-                "Time messages spent queued before delivery",
-            ),
-            dropped: obs.metrics.counter_with_help(
-                "broker_dropped_total",
-                "Sends and replies discarded by fault injection",
-            ),
-            redelivered: obs.metrics.counter_with_help(
-                "broker_redelivered_total",
-                "Messages requeued after a lease expired unacknowledged",
-            ),
-        });
     }
 
     /// Create a topic with the broker's default topic configuration.
@@ -459,9 +453,7 @@ impl Broker {
         }
         topic.stats.enqueued.fetch_add(1, Ordering::Relaxed);
         topic.ring.push_back(message);
-        if let Some(obs) = self.inner.obs.get() {
-            obs.send.inc();
-        }
+        self.inner.send.inc();
         Ok(id)
     }
 
@@ -469,12 +461,10 @@ impl Broker {
     /// discarded after the caller saw a successful send — exactly the
     /// lost-publish failure mode of a flaky transport.
     fn drop_send_injected(&self, topic: &Topic) -> bool {
-        if let Some(fault) = self.inner.config.faults.decide(site::BROKER_SEND) {
+        if let Some(fault) = self.inner.faults.decide(site::BROKER_SEND) {
             if fault.kind == FaultKind::Drop {
                 topic.stats.dropped.fetch_add(1, Ordering::Relaxed);
-                if let Some(obs) = self.inner.obs.get() {
-                    obs.dropped.inc();
-                }
+                self.inner.dropped.inc();
                 return true;
             }
         }
@@ -537,20 +527,12 @@ impl Broker {
         }
     }
 
-    fn mirror_redelivered(&self, reaped: usize) {
-        if reaped > 0 {
-            if let Some(obs) = self.inner.obs.get() {
-                obs.redelivered.add(reaped as u64);
-            }
-        }
-    }
-
     /// Consult the recv fault site; a `Drop` fault abandons the lease
     /// just granted, modelling a consumer that died with the message in
     /// hand — the broker's lease expiry is what recovers it.
     fn abandon_recv_injected(&self) -> bool {
         matches!(
-            self.inner.config.faults.decide(site::BROKER_RECV),
+            self.inner.faults.decide(site::BROKER_RECV),
             Some(fault) if fault.kind == FaultKind::Drop
         )
     }
@@ -613,7 +595,7 @@ impl Broker {
             return;
         }
         let max_attempts = topic.config.max_attempts.max(1);
-        let mut requeued = 0usize;
+        let mut requeued = 0u64;
         for shard in topic.in_flight.iter() {
             let mut map = shard.0.lock();
             // The lease detects a server that went away. One that still
@@ -658,7 +640,7 @@ impl Broker {
                 topic.note_expiry(min);
             }
         }
-        self.mirror_redelivered(requeued);
+        self.inner.redelivered.add(requeued);
     }
 
     fn lease(&self, topic: &Arc<Topic>, ring_shard: usize, mut message: Message) -> Delivery {
@@ -666,10 +648,8 @@ impl Broker {
         let queue_wait = message.enqueued_at.elapsed();
         topic.stats.delivered.fetch_add(1, Ordering::Relaxed);
         topic.stats.record_wait(queue_wait);
-        if let Some(obs) = self.inner.obs.get() {
-            obs.recv.inc();
-            obs.queue_wait.record_duration(queue_wait);
-        }
+        self.inner.recv.inc();
+        self.inner.queue_wait.record_duration(queue_wait);
         let lease_expires = Instant::now() + topic.config.lease;
         // Shallow clone: the in-flight record shares the delivered
         // message's refcounted payload and reply slot.
@@ -995,11 +975,9 @@ mod tests {
 
     #[test]
     fn attached_registry_mirrors_topic_stats() {
-        let broker = b();
         let obs = Obs::new();
-        broker.attach_obs(&obs);
-        // A second attach (e.g. from a clone) is a harmless no-op.
-        broker.clone().attach_obs(&Obs::new());
+        let broker = Broker::wired(BrokerConfig::default(), &obs, FaultHandle::default());
+        broker.create_topic("t").unwrap();
         for i in 0..5u8 {
             broker.send("t", Bytes::copy_from_slice(&[i])).unwrap();
         }

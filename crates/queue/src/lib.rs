@@ -50,6 +50,6 @@ pub use message::{Message, MessageId};
 pub use rpc::{ReplyHandle, RequestInfo, Responder, RpcClient, RpcError, RpcServer};
 pub use stats::TopicStats;
 
-// Re-export the fault-injection vocabulary so consumers configure the
-// broker's `BrokerConfig::faults` without a separate dependency.
+// Re-export the fault-injection vocabulary so consumers build the
+// schedule [`Broker::wired`] takes without a separate dependency.
 pub use dlhub_fault as fault;

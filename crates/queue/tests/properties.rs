@@ -1,6 +1,7 @@
 //! Property-based tests of the broker's delivery invariants.
 
 use bytes::Bytes;
+use dlhub_obs::Obs;
 use dlhub_queue::fault::{site, FaultKind, FaultPlan, FaultSpec};
 use dlhub_queue::{Broker, BrokerConfig, TopicConfig};
 use proptest::prelude::*;
@@ -133,10 +134,7 @@ proptest! {
                 FaultSpec::new(FaultKind::Drop).probability(0.2).max(10),
             )
             .build();
-        let broker = Broker::new(BrokerConfig {
-            faults,
-            ..BrokerConfig::default()
-        });
+        let broker = Broker::wired(BrokerConfig::default(), &Obs::new(), faults);
         broker
             .create_topic_with(
                 "t",
@@ -200,10 +198,7 @@ fn seeded_schedules_are_byte_identical_and_conserve() {
                 FaultSpec::new(FaultKind::Drop).probability(0.1).max(20),
             )
             .build();
-        let broker = Broker::new(BrokerConfig {
-            faults,
-            ..BrokerConfig::default()
-        });
+        let broker = Broker::wired(BrokerConfig::default(), &Obs::new(), faults);
         broker
             .create_topic_with(
                 "t",

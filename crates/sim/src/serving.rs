@@ -351,15 +351,14 @@ pub fn record_samples(metrics: &dlhub_obs::Registry, servable: &str, samples: &[
 /// base-step boundary of the collector the store takes one sampling
 /// pass at exactly that boundary. Because every timestamp comes from
 /// `SimTime` — never the wall clock — two replays of the same seeded
-/// sample series export bit-identical series. Requires the handle's
-/// telemetry to be armed in manual mode
-/// ([`dlhub_obs::Obs::enable_telemetry_manual`]); returns the number
-/// of sampling passes taken.
+/// sample series export bit-identical series. Requires a handle built
+/// with [`dlhub_obs::Telemetry::Stepped`]; returns the number of
+/// sampling passes taken.
 pub fn replay_telemetry(obs: &dlhub_obs::Obs, servable: &str, samples: &[RequestSample]) -> u64 {
     let step = obs
         .telemetry
         .base_step()
-        .expect("telemetry must be enabled (manual mode) before replay")
+        .expect("replay needs an Obs built with Telemetry::Stepped")
         .as_nanos()
         .min(u64::MAX as u128) as u64;
     let series = obs.metrics.series(servable);

@@ -8,19 +8,19 @@
 
 use dlhub_client::cli::Cli;
 use dlhub_core::hub::TestHub;
+use dlhub_core::obs::{Obs, Telemetry};
 use std::sync::Arc;
 
 fn main() {
     // A loose latency objective on the servable this session publishes:
     // `dlhub slo` below shows its burn rates and (quiet) alert state.
-    // The time-series collector is normally off; enabling it here lets
-    // the session demo `dlhub top`.
+    // The time-series collector is normally off; an `Obs` built with a
+    // sampled store lets the session demo `dlhub top`.
     let hub = TestHub::builder()
         .without_eval_servables()
-        .config(dlhub_core::serving::ServingConfig {
-            telemetry_interval: std::time::Duration::from_millis(25),
-            ..Default::default()
-        })
+        .obs(Obs::with_telemetry(Telemetry::Sampled(
+            std::time::Duration::from_millis(25),
+        )))
         .slo(dlhub_core::obs::SloSpec::new(
             "dlhub/composition-parser",
             std::time::Duration::from_secs(5),

@@ -20,6 +20,19 @@ if grep -rnE 'bench_gate|BENCH_hotpath|BENCH_broker|HOTPATH_|BROKER_GATE|BENCH_G
   echo "ci: a deleted bench, its gate or a deleted stand-in is back (see above)" >&2
   exit 1
 fi
+# ISSUE 24: a tier takes the deployment's Obs and fault schedule in
+# its constructor. Nothing attaches, enables or arms afterwards, so
+# nothing holds a OnceLock to be filled in later (DESIGN.md §8; the
+# process clock's EPOCH in obs/src/trace.rs is the one that stays).
+if grep -rnE 'attach_obs|attach_faults|attach_autoscaler|with_observability|with_counter|start_with_faults|enable_telemetry|enable_with_tiers|ObsHooks' \
+  crates tests examples; then
+  echo "ci: a late-attach hook is back (see above)" >&2
+  exit 1
+fi
+if grep -rn 'OnceLock' crates/core/src crates/queue/src crates/obs/src/lib.rs crates/obs/src/collect.rs; then
+  echo "ci: a fill-in-later handle is back on the wiring path (see above)" >&2
+  exit 1
+fi
 
 echo "######## docs name only bins and scripts that exist"
 docs=(README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md)

@@ -20,6 +20,7 @@ use dlhub_core::autoscale::ControlPolicy;
 use dlhub_core::executor::HealthPolicy;
 use dlhub_core::fault::{site, FaultHandle, FaultKind, FaultPlan, FaultSpec};
 use dlhub_core::hub::{TestHub, TestHubBuilder};
+use dlhub_core::obs::{Obs, Telemetry};
 use dlhub_core::servable::{servable_fn, ModelType};
 use dlhub_core::serving::ServingConfig;
 use dlhub_core::task::TaskStatus;
@@ -751,6 +752,9 @@ fn quarantined_replicas_are_never_counted_as_capacity_by_the_control_loop() {
                 }),
                 ..chaos_config()
             })
+            .obs(Obs::with_telemetry(Telemetry::Stepped(
+                Duration::from_secs(1),
+            )))
             .build();
         hub.publish_simple(
             "m",
@@ -776,9 +780,6 @@ fn quarantined_replicas_are_never_counted_as_capacity_by_the_control_loop() {
                 .dispatch
                 .record(1, Duration::from_millis(100), Duration::from_millis(103));
         }
-        hub.service
-            .obs()
-            .enable_telemetry_manual(Duration::from_secs(1));
         // Light load first: demand says one replica is plenty, but the
         // loop must not scale the only *healthy* replica away…
         for s in 0..3u64 {

@@ -30,6 +30,7 @@ use dlhub_auth::IdentityId;
 use dlhub_core::admission::{AdmissionConfig, AdmissionController, AdmissionPermit};
 use dlhub_core::autoscale::ControlPolicy;
 use dlhub_core::hub::TestHub;
+use dlhub_core::obs::{Obs, Telemetry};
 use dlhub_core::servable::{servable_fn, ModelType};
 use dlhub_core::serving::ServingConfig;
 use dlhub_core::value::Value;
@@ -83,6 +84,9 @@ fn control_hub(policy: ControlPolicy, replicas: usize) -> TestHub {
             autoscale: Some(policy),
             ..ServingConfig::default()
         })
+        .obs(Obs::with_telemetry(Telemetry::Stepped(
+            Duration::from_secs(1),
+        )))
         .build();
     hub.publish_simple(
         "m",
@@ -96,9 +100,6 @@ fn control_hub(policy: ControlPolicy, replicas: usize) -> TestHub {
             .record(1, Duration::from_millis(100), Duration::from_millis(103));
     }
     hub.parsl.scale("dlhub/m", replicas);
-    hub.service
-        .obs()
-        .enable_telemetry_manual(Duration::from_secs(1));
     hub
 }
 
@@ -332,7 +333,7 @@ fn fairness_sim(seed: u64) -> FairnessOutcome {
     config.weights.insert(IdentityId(1), 2);
     config.weights.insert(IdentityId(2), 1);
     config.weights.insert(IdentityId(3), 0); // hostile: scavenger only
-    let ctl = AdmissionController::new(config);
+    let ctl = AdmissionController::new(config, &Obs::new());
 
     let mut tenants = [
         (IdentityId(1), PoissonArrivals::new(60.0, seed)),

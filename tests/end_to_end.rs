@@ -2,7 +2,9 @@
 //! repository -> broker -> task manager -> executor -> servable) in
 //! one process, exercised the way the paper's deployments use it.
 
+use dlhub_core::fault::FaultHandle;
 use dlhub_core::hub::TestHub;
+use dlhub_core::obs::Obs;
 use dlhub_core::pipeline::Pipeline;
 use dlhub_core::servable::{servable_fn, ModelType};
 use dlhub_core::value::Value;
@@ -256,6 +258,9 @@ fn no_task_manager_means_timeout_not_hang() {
             request_timeout: Duration::from_millis(100),
             ..ServingConfig::default()
         },
+        None,
+        Obs::new(),
+        FaultHandle::default(),
     );
     let started = std::time::Instant::now();
     let err = service.run(&token, "u/m", Value::Null).unwrap_err();
@@ -348,7 +353,6 @@ fn task_survives_a_crashing_task_manager() {
             max_attempts: 5,
             ..TopicConfig::default()
         },
-        ..BrokerConfig::default()
     });
     let config = ServingConfig {
         request_timeout: Duration::from_secs(10),
@@ -367,7 +371,14 @@ fn task_survives_a_crashing_task_manager() {
         std::mem::forget(delivery); // crash: no ack, no reply
     });
 
-    let service = ManagementService::new(Arc::clone(&repo), &broker, config.clone());
+    let service = ManagementService::new(
+        Arc::clone(&repo),
+        &broker,
+        config.clone(),
+        None,
+        Obs::new(),
+        FaultHandle::default(),
+    );
     // Give the crasher a head start on the queue before a healthy TM
     // joins.
     let issued = std::thread::spawn({
@@ -386,6 +397,8 @@ fn task_survives_a_crashing_task_manager() {
         vec![Arc::new(dlhub_core::executor::ParslExecutor::new(
             dlhub_container::Cluster::petrelkube(),
             1,
+            &Obs::new(),
+            FaultHandle::default(),
         ))],
         1,
     );

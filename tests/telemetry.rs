@@ -3,7 +3,7 @@
 //! feed the query API end to end.
 
 use dlhub_core::hub::TestHub;
-use dlhub_core::obs::Obs;
+use dlhub_core::obs::{Obs, Telemetry};
 use dlhub_core::value::Value;
 use dlhub_sim::serving::{replay_telemetry, ServableModel};
 use dlhub_sim::testbed;
@@ -14,13 +14,12 @@ fn cifar() -> ServableModel {
     ServableModel::new("cifar10", SimTime::from_millis(5.0), 12.0, 0.2)
 }
 
-/// Replay one seeded sim run through a fresh Obs handle's manual-mode
+/// Replay one seeded sim run through a fresh Obs handle's stepped
 /// collector and export the store as a JSON string.
 fn export_for_seed(seed: u64) -> String {
     let profile = testbed::dlhub();
     let samples = profile.run_sequential(&cifar(), 400, true, true, seed);
-    let obs = Obs::new();
-    obs.enable_telemetry_manual(Duration::from_millis(50));
+    let obs = Obs::with_telemetry(Telemetry::Stepped(Duration::from_millis(50)));
     let passes = replay_telemetry(&obs, "dlhub/cifar10", &samples);
     assert!(passes > 0, "replay must take sampling passes");
     serde_json::to_string(&obs.telemetry.store().unwrap().to_json()).unwrap()
@@ -42,8 +41,7 @@ fn seeded_sim_runs_export_byte_identical_series() {
 fn replayed_series_answer_windowed_queries() {
     let profile = testbed::dlhub();
     let samples = profile.run_sequential(&cifar(), 300, true, true, 11);
-    let obs = Obs::new();
-    obs.enable_telemetry_manual(Duration::from_millis(50));
+    let obs = Obs::with_telemetry(Telemetry::Stepped(Duration::from_millis(50)));
     replay_telemetry(&obs, "dlhub/cifar10", &samples);
     let store = obs.telemetry.store().unwrap();
     let signals = obs.telemetry.signals().unwrap();
@@ -67,10 +65,9 @@ fn replayed_series_answer_windowed_queries() {
 fn live_deployment_collector_feeds_control_signals() {
     let hub = TestHub::builder()
         .without_eval_servables()
-        .config(dlhub_core::serving::ServingConfig {
-            telemetry_interval: Duration::from_millis(10),
-            ..Default::default()
-        })
+        .obs(Obs::with_telemetry(Telemetry::Sampled(
+            Duration::from_millis(10),
+        )))
         .build();
     hub.publish_simple(
         "echo2",
