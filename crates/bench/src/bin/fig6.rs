@@ -1,56 +1,78 @@
-//! Fig 6: invocation time vs number of requests with batching, up to
-//! 10,000 requests (§V-B3).
+//! Fig 6: invocation time vs number of requests with batching (§V-B3),
+//! on a `TestHub` (memo off, 2 replicas): per size, [`REPEATS`]
+//! `run_batch`es, each its measured invocation plus the one TM↔cluster
+//! round trip it crossed; a point is the fastest of them, since host
+//! noise only ever adds.
+//!
+//! The paper batches up to 10,000 requests. `noop` and `matminer
+//! model` do here too; `cifar10` stops at 2,000 (10,000 CIFAR-10
+//! inputs are 120 MB on each side of the queue and ~4 s of inference
+//! per batch).
 //!
 //! Expected shape (paper): "a roughly linear relationship between
 //! invocation time and number of requests" — verified here with a
 //! least-squares fit (R² close to 1).
 
-use dlhub_bench::calibrate_servables;
 use dlhub_bench::report::{linear_fit, ms, print_table, shape_check, write_csv};
-use dlhub_sim::{testbed, BatchPolicy};
+use dlhub_bench::testbed::{crossings, evaluation_inputs, on_paper_links};
+use dlhub_core::hub::TestHub;
+use std::time::Duration;
 
 const SIZES: [usize; 8] = [100, 500, 1000, 2000, 4000, 6000, 8000, 10_000];
-const SERVABLES: [&str; 3] = ["noop", "cifar10", "matminer model"];
+/// Batches per size.
+const REPEATS: usize = 5;
+/// `(servable, largest batch)`.
+const SERVABLES: [(&str, usize); 3] = [
+    ("noop", 10_000),
+    ("cifar10", 2_000),
+    ("matminer model", 10_000),
+];
+/// Per-item cost (ms) from which an item's own work, not host noise,
+/// dominates a batch.
+const PER_ITEM_BOUND_MS: f64 = 0.01;
 
 fn main() {
-    println!("calibrating real kernels…");
-    let servables = calibrate_servables(7);
-    let profile = testbed::dlhub();
+    let hub = TestHub::builder().memo(false).build();
 
     let mut rows = Vec::new();
     let mut csv = Vec::new();
     let mut fits = Vec::new();
-    for name in SERVABLES {
-        let c = dlhub_bench::calibrate::find(&servables, name);
+    for (label, id, input) in evaluation_inputs() {
+        let Some(&(_, max)) = SERVABLES.iter().find(|(name, _)| *name == label) else {
+            continue;
+        };
+        // Deploy the replica pool before anything is timed.
+        hub.service.run(&hub.token, id, input.clone()).unwrap();
         let mut xs = Vec::new();
         let mut ys = Vec::new();
-        for (k, n) in SIZES.iter().enumerate() {
-            let total = profile.run_batch(
-                &c.model,
-                *n,
-                Some(BatchPolicy { max_batch: 10_000 }),
-                31 + k as u64,
-            );
-            xs.push(*n as f64);
-            ys.push(total.as_millis());
+        for n in SIZES.into_iter().filter(|n| *n <= max) {
+            let fastest: Duration = (0..REPEATS)
+                .map(|_| {
+                    let (_, t) = hub
+                        .service
+                        .run_batch(&hub.token, id, vec![input.clone(); n])
+                        .unwrap();
+                    on_paper_links(t, crossings(&t)).invocation
+                })
+                .min()
+                .expect("REPEATS > 0");
+            let total = fastest.as_secs_f64() * 1e3;
+            xs.push(n as f64);
+            ys.push(total);
             rows.push(vec![
-                name.to_string(),
+                label.to_string(),
                 n.to_string(),
-                ms(total.as_millis()),
-                ms(total.as_millis() / *n as f64),
+                ms(total),
+                ms(total / n as f64),
             ]);
-            csv.push(vec![
-                name.to_string(),
-                n.to_string(),
-                total.as_millis().to_string(),
-            ]);
+            csv.push(vec![label.to_string(), n.to_string(), total.to_string()]);
         }
         let (a, b, r2) = linear_fit(&xs, &ys);
-        fits.push((name, a, b, r2));
+        fits.push((label, a, b, r2));
     }
 
     print_table(
-        "Fig 6: batched invocation time vs request count (to 10,000)",
+        "Fig 6: batched invocation time vs request count",
         &["servable", "n", "total ms", "ms/request"],
         &rows,
     );
@@ -63,30 +85,22 @@ fn main() {
 
     println!("\nlinear fits (time = a + b·n):");
     for (name, a, b, r2) in &fits {
-        println!("  {name:<16} a={a:9.2} ms  b={b:7.4} ms/req  R²={r2:.5}");
+        println!("  {name:<16} a={a:9.3} ms  b={b:9.6} ms/req  R²={r2:.5}");
     }
 
     println!("\nshape checks against the paper:");
-    // For compute-bearing servables the per-item term dominates and
-    // linearity is near-perfect; noop's per-item cost is sub-µs, so
-    // its series is one jittered constant — hold it to a looser bound.
     shape_check(
-        "roughly linear relationship (R² ≥ 0.999 compute-bound, ≥ 0.9 noop)",
-        fits.iter().all(|(name, _, _, r2)| {
-            if *name == "noop" {
-                *r2 >= 0.9
-            } else {
-                *r2 >= 0.999
-            }
+        &format!(
+            "roughly linear relationship: R² ≥ 0.999 where an item costs ≥ {} µs, ≥ 0.9 below (a 10,000-item batch of sub-µs items is a few ms and moves with host noise)",
+            PER_ITEM_BOUND_MS * 1e3
+        ),
+        fits.iter().all(|(_, _, b, r2)| {
+            let bound = if *b >= PER_ITEM_BOUND_MS { 0.999 } else { 0.9 };
+            *r2 >= bound
         }),
     );
     shape_check("per-request slope tracks servable cost (cifar10 > noop)", {
-        let slope = |name: &str| {
-            fits.iter()
-                .find(|(n, ..)| *n == name)
-                .map(|(_, _, b, _)| *b)
-                .unwrap()
-        };
+        let slope = |name: &str| fits.iter().find(|(n, ..)| *n == name).unwrap().2;
         slope("cifar10") > slope("noop")
     });
 }

@@ -16,12 +16,10 @@
 //! ```
 //!
 //! Each binary prints the regenerated table/series and writes a CSV
-//! under `results/`. Latency experiments run on the [`dlhub_sim`]
-//! testbed with **service times calibrated from the real Rust
-//! kernels** ([`calibrate`]), so compute ratios are genuine while
-//! network constants come from the paper's §V-A description.
+//! under `results/`. Every latency figure is served by the real
+//! dispatch path — a `TestHub`, or the real baselines for Fig 8 — and
+//! reads its measured timings; [`testbed`] adds the paper's two §V-A
+//! link round trips for each link an answer actually crossed.
 
-pub mod calibrate;
 pub mod report;
-
-pub use calibrate::{calibrate_servables, CalibratedServable};
+pub mod testbed;

@@ -2,35 +2,19 @@
 
 //! # dlhub-sim
 //!
-//! A deterministic discrete-event simulator plus a model of the
-//! paper's testbed, used to regenerate the latency figures.
+//! A virtual clock and the seeded workload generators that run on it.
 //!
-//! The paper's measurements (§V-A) compose three nested timings across
-//! a physical deployment we do not have — a Management Service on EC2,
-//! a Task Manager on Cooley (20.7 ms RTT to the MS), and servables on
-//! the PetrelKube Kubernetes cluster (0.17 ms RTT to the TM):
+//! [`time::SimTime`] is virtual nanoseconds. [`workload`] draws
+//! arrivals (Poisson, Markov-modulated bursts, a diurnal cycle),
+//! popularity, tenancy and payload sizes from a seed, so the same seed
+//! replays the same schedule byte for byte: the `workloads` bench, the
+//! control-loop tests and the memo ablation are built on it.
 //!
-//! ```text
-//! request time    = MS overhead + MS↔TM RTT + invocation time
-//! invocation time = TM overhead + TM↔K8s RTT + dispatch + inference
-//! inference time  = servable execution
-//! ```
-//!
-//! [`engine::Sim`] is a classic event-queue simulator on a virtual
-//! nanosecond clock. [`serving`] builds the serving pipeline on top of
-//! it: configurable [`serving::ServingProfile`]s describe each system
-//! (where its cache lives, protocol overheads, dispatch costs) and
-//! [`testbed`] pins the paper's constants. Service times for each
-//! servable are *calibrated from the real Rust kernels* by the bench
-//! harness, so the simulated figures inherit genuine compute ratios.
+//! Nothing here models the serving path. The paper's figures are
+//! regenerated by serving requests through the real one (`dlhub-bench`,
+//! EXPERIMENTS.md).
 
-pub mod engine;
-pub mod queueing;
-pub mod serving;
-pub mod testbed;
 pub mod time;
 pub mod workload;
 
-pub use engine::Sim;
-pub use serving::{BatchPolicy, CacheLocation, RequestSample, ServableModel, ServingProfile};
 pub use time::SimTime;

@@ -33,6 +33,15 @@ if grep -rn 'OnceLock' crates/core/src crates/queue/src crates/obs/src/lib.rs cr
   echo "ci: a fill-in-later handle is back on the wiring path (see above)" >&2
   exit 1
 fi
+# ISSUE 25: the paper's figures are served by the real dispatch path.
+# The simulator's serving model, its per-system profiles, the kernel
+# calibration and the bins the figures absorbed are gone (EXPERIMENTS.md).
+if grep -rnE 'ServingProfile|CacheLocation|calibrate_servables|CalibratedServable|run_throughput|FifoServer|ablation_fig7_real|ablation_fig8_real|ablation_multitm' \
+  crates tests examples scripts README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md |
+  grep -v '^scripts/ci.sh:.*grep -rnE'; then
+  echo "ci: a deleted serving model, calibration or figure bin is back (see above)" >&2
+  exit 1
+fi
 
 echo "######## docs name only bins and scripts that exist"
 docs=(README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md)
@@ -117,6 +126,11 @@ for seed in 7 1848 3141; do
   echo "-- control seed ${seed}"
   CONTROL_SEED="${seed}" cargo test --release --quiet -p dlhub-bench --test control_loop
 done
+
+echo "######## paper tables and figures (real dispatch path, every shape check)"
+# Each bin serves its requests through a TestHub or the real baselines;
+# the script fails on any [FAIL] line (EXPERIMENTS.md).
+scripts/run_experiments.sh
 
 echo "######## workloads smoke (open-loop observatory, seed matrix)"
 # Three short runs; the committed BENCH_workloads.json and each fresh

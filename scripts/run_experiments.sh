@@ -1,22 +1,29 @@
 #!/usr/bin/env bash
-# Regenerate every table/figure of the paper plus all ablations.
-# Outputs: results/*.csv plus a combined console log on stdout.
+# Regenerate every table and figure of the paper plus the ablations, all
+# served by the real dispatch path. Outputs: results/*.csv plus a
+# combined console log on stdout. Exits non-zero if any shape check
+# prints [FAIL].
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cargo build --workspace --release --bins
+cargo build --release -p dlhub-bench --bins
 
 EXPERIMENTS=(table1 table2 fig3 fig4 fig5 fig6 fig7 fig8
-             ablation_batching ablation_autoscale ablation_pipeline
-             ablation_multitm ablation_memo ablation_fig7_real ablation_fig8_real)
+             ablation_batching ablation_autoscale ablation_pipeline ablation_memo)
 
 log=$(mktemp)
+trap 'rm -f "$log"' EXIT
 for exp in "${EXPERIMENTS[@]}"; do
   echo "######## $exp"
   "./target/release/$exp" | tee -a "$log"
   echo
 done
 
+pass=$(grep -c '\[PASS\]' "$log" || true)
+fail=$(grep -c '\[FAIL\]' "$log" || true)
 echo "######## summary"
-echo "shape checks: $(grep -c PASS "$log") PASS, $(grep -c FAIL "$log" || true) FAIL"
-rm -f "$log"
+echo "shape checks: $pass PASS, $fail FAIL"
+if [[ $fail -ne 0 ]]; then
+  grep '\[FAIL\]' "$log" >&2
+  exit 1
+fi

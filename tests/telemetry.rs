@@ -1,26 +1,51 @@
-//! Telemetry integration: seeded sim replays must export
+//! Telemetry integration: seeded virtual-clock replays must export
 //! byte-identical time series, and a live deployment's collector must
 //! feed the query API end to end.
 
 use dlhub_core::hub::TestHub;
 use dlhub_core::obs::{Obs, Telemetry};
 use dlhub_core::value::Value;
-use dlhub_sim::serving::{replay_telemetry, ServableModel};
-use dlhub_sim::testbed;
-use dlhub_sim::time::SimTime;
+use dlhub_sim::workload::LognormalSizes;
 use std::time::Duration;
 
-fn cifar() -> ServableModel {
-    ServableModel::new("cifar10", SimTime::from_millis(5.0), 12.0, 0.2)
+/// Replay `n` closed-loop requests to `servable` through `obs`'s metric
+/// registry and stepped collector on a virtual clock. Request latencies
+/// are seeded lognormal draws read as nanoseconds (median 21.7 ms: Fig
+/// 3's CIFAR-10 request on the paper's links). The next request is
+/// issued when the previous one lands, and whenever the virtual time
+/// crosses a base-step boundary the store takes one sampling pass at
+/// exactly that boundary, so no timestamp comes from the wall clock.
+/// Returns the number of sampling passes taken.
+fn replay_telemetry(obs: &Obs, servable: &str, n: usize, seed: u64) -> u64 {
+    let mut latencies = LognormalSizes::new(21_700_000.0, 0.3, 1_000_000_000, seed);
+    let step = obs
+        .telemetry
+        .base_step()
+        .expect("replay needs an Obs built with Telemetry::Stepped")
+        .as_nanos() as u64;
+    let series = obs.metrics.series(servable);
+    let (mut now, mut next_pass, mut passes) = (0, step, 0);
+    for _ in 0..n {
+        let request = latencies.sample();
+        now += request;
+        while next_pass <= now {
+            obs.telemetry.sample_now(next_pass);
+            next_pass += step;
+            passes += 1;
+        }
+        series.requests.inc();
+        series.request_latency.record(request);
+    }
+    // One closing pass so the final partial step is captured.
+    obs.telemetry.sample_now(next_pass);
+    passes + 1
 }
 
-/// Replay one seeded sim run through a fresh Obs handle's stepped
+/// Replay one seeded run through a fresh Obs handle's stepped
 /// collector and export the store as a JSON string.
 fn export_for_seed(seed: u64) -> String {
-    let profile = testbed::dlhub();
-    let samples = profile.run_sequential(&cifar(), 400, true, true, seed);
     let obs = Obs::with_telemetry(Telemetry::Stepped(Duration::from_millis(50)));
-    let passes = replay_telemetry(&obs, "dlhub/cifar10", &samples);
+    let passes = replay_telemetry(&obs, "dlhub/cifar10", 400, seed);
     assert!(passes > 0, "replay must take sampling passes");
     serde_json::to_string(&obs.telemetry.store().unwrap().to_json()).unwrap()
 }
@@ -33,16 +58,14 @@ fn seeded_sim_runs_export_byte_identical_series() {
         assert_eq!(first, second, "seed {seed} exports must be byte-identical");
         assert!(first.contains("servable.dlhub/cifar10.requests"), "{seed}");
     }
-    // Different seeds draw different jitter: the series must differ.
+    // Different seeds draw different latencies: the series must differ.
     assert_ne!(export_for_seed(3), export_for_seed(17));
 }
 
 #[test]
 fn replayed_series_answer_windowed_queries() {
-    let profile = testbed::dlhub();
-    let samples = profile.run_sequential(&cifar(), 300, true, true, 11);
     let obs = Obs::with_telemetry(Telemetry::Stepped(Duration::from_millis(50)));
-    replay_telemetry(&obs, "dlhub/cifar10", &samples);
+    replay_telemetry(&obs, "dlhub/cifar10", 300, 11);
     let store = obs.telemetry.store().unwrap();
     let signals = obs.telemetry.signals().unwrap();
     // The whole replay fits well inside a 60 s window.
