@@ -21,7 +21,7 @@
 use dlhub_baselines::protocol::Protocol;
 use dlhub_baselines::{Clipper, SageMaker, TensorFlowModelServer};
 use dlhub_bench::report::{ms, print_table, shape_check, write_csv};
-use dlhub_bench::testbed::{crossings, on_paper_links};
+use dlhub_bench::testbed::{crossings, on_paper_links, Crossings};
 use dlhub_container::Cluster;
 use dlhub_core::hub::TestHub;
 use dlhub_core::metrics::{percentile_summary, Timings};
@@ -75,7 +75,11 @@ fn on_cluster(mut call: impl FnMut(usize) -> Value) -> Vec<Duration> {
                 request: wall,
                 ..Timings::default()
             };
-            on_paper_links(t, 1).invocation
+            let crossed = Crossings {
+                ms_tm: 1,
+                tm_cluster: 1,
+            };
+            on_paper_links(t, crossed).invocation
         })
         .collect()
 }

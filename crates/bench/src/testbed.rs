@@ -8,12 +8,14 @@
 //! sat 0.17 ms from PetrelKube. With one request in flight a
 //! fixed-latency link adds exactly its round trip each time an answer
 //! crosses it, so [`on_paper_links`] adds the constants to the measured
-//! timings, counted from the real outcome ([`crossings`]). They are
-//! added, not slept: a sleep would measure the timer, not the link.
+//! timings, counted per link from the real outcome ([`crossings`],
+//! [`pipeline_crossings`]). They are added, not slept: a sleep would
+//! measure the timer, not the link.
 //!
 //! [`TestHub`]: dlhub_core::hub::TestHub
 
 use dlhub_core::metrics::Timings;
+use dlhub_core::pipeline::StepTiming;
 use dlhub_core::servable::builtins::{MatminerFeaturize, MatminerUtil};
 use dlhub_core::servable::{servable_fn, Servable};
 use dlhub_core::tensor::models::{synthetic_image, CIFAR10_INPUT, INCEPTION_INPUT};
@@ -27,23 +29,59 @@ pub const MS_TM_RTT: Duration = Duration::from_micros(20_700);
 /// Task Manager ↔ cluster round trip (Cooley → PetrelKube), §V-A.
 pub const TM_CLUSTER_RTT: Duration = Duration::from_micros(170);
 
-/// How many times a single request's answer crossed each link: a memo
-/// hit is answered at the Management Service and crosses nothing;
-/// anything a Task Manager answered (a miss, a whole `run_batch`)
-/// crossed each link once. A k-step `run_pipeline` is the sum over its
-/// steps, because steps chain at the Management Service.
-pub fn crossings(timings: &Timings) -> u32 {
-    u32::from(!timings.cache_hit)
+/// How many times an answer crossed each of the two links.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Crossings {
+    /// Management Service ↔ Task Manager ([`MS_TM_RTT`]).
+    pub ms_tm: u32,
+    /// Task Manager ↔ cluster ([`TM_CLUSTER_RTT`]).
+    pub tm_cluster: u32,
+}
+
+impl std::ops::Add for Crossings {
+    type Output = Crossings;
+
+    fn add(self, other: Crossings) -> Crossings {
+        Crossings {
+            ms_tm: self.ms_tm + other.ms_tm,
+            tm_cluster: self.tm_cluster + other.tm_cluster,
+        }
+    }
+}
+
+/// What a single request's answer crossed: a memo hit is answered at
+/// the Management Service and crosses nothing; anything a Task Manager
+/// answered (a miss, a whole `run_batch`) crossed each link once.
+pub fn crossings(timings: &Timings) -> Crossings {
+    let once = u32::from(!timings.cache_hit);
+    Crossings {
+        ms_tm: once,
+        tm_cluster: once,
+    }
+}
+
+/// What a k-step `run_pipeline` crossed: it is one task, so MS↔TM
+/// once, and its steps chain at the Task Manager, so TM↔cluster once
+/// per step. A memo hit crosses nothing.
+pub fn pipeline_crossings(steps: &[StepTiming]) -> Crossings {
+    if steps.iter().all(|s| s.timings.cache_hit) {
+        return Crossings::default();
+    }
+    Crossings {
+        ms_tm: 1,
+        tm_cluster: steps.len() as u32,
+    }
 }
 
 /// `timings` as the paper's testbed would have recorded them: each
-/// crossing adds the TM↔cluster round trip to the invocation and both
-/// round trips to the request. Inference happens on the cluster and
-/// gains nothing.
-pub fn on_paper_links(timings: Timings, crossings: u32) -> Timings {
+/// TM↔cluster crossing adds its round trip to the invocation, and every
+/// crossing adds its round trip to the request. Inference happens on
+/// the cluster and gains nothing.
+pub fn on_paper_links(timings: Timings, crossed: Crossings) -> Timings {
+    let cluster = TM_CLUSTER_RTT * crossed.tm_cluster;
     Timings {
-        invocation: timings.invocation + TM_CLUSTER_RTT * crossings,
-        request: timings.request + (MS_TM_RTT + TM_CLUSTER_RTT) * crossings,
+        invocation: timings.invocation + cluster,
+        request: timings.request + MS_TM_RTT * crossed.ms_tm + cluster,
         ..timings
     }
 }
@@ -227,7 +265,7 @@ mod tests {
     #[test]
     fn a_hit_crosses_nothing_and_a_miss_crosses_each_link_once() {
         let hit = timings(true);
-        assert_eq!(crossings(&hit), 0);
+        assert_eq!(crossings(&hit), Crossings::default());
         assert_eq!(on_paper_links(hit, crossings(&hit)), hit);
         let miss = timings(false);
         let linked = on_paper_links(miss, crossings(&miss));
@@ -237,10 +275,34 @@ mod tests {
     }
 
     #[test]
-    fn a_three_step_pipeline_pays_each_link_three_times() {
-        let linked = on_paper_links(timings(false), 3);
+    fn a_three_step_pipeline_crosses_ms_tm_once_and_the_cluster_link_three_times() {
+        let step = |cache_hit| StepTiming {
+            servable: "dlhub/step".into(),
+            timings: timings(cache_hit),
+        };
+        let crossed = pipeline_crossings(&[step(false), step(false), step(false)]);
+        assert_eq!(
+            crossed,
+            Crossings {
+                ms_tm: 1,
+                tm_cluster: 3
+            }
+        );
+        let linked = on_paper_links(timings(false), crossed);
         assert_eq!(linked.invocation, Duration::from_micros(2_000 + 3 * 170));
+        assert_eq!(
+            linked.request,
+            Duration::from_micros(3_000 + 20_700 + 3 * 170)
+        );
+        // Three client calls cross both links three times.
+        let chained = (0..3).fold(Crossings::default(), |sum, _| {
+            sum + crossings(&timings(false))
+        });
+        let linked = on_paper_links(timings(false), chained);
         assert_eq!(linked.request, Duration::from_micros(3_000 + 3 * 20_870));
+        // A pipeline answered from the memo crosses nothing.
+        let hit = pipeline_crossings(&[step(true), step(true), step(true)]);
+        assert_eq!(hit, Crossings::default());
     }
 
     #[test]

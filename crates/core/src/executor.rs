@@ -26,6 +26,24 @@ pub type Execution = Result<(Vec<Value>, Vec<Duration>), String>;
 /// Completion callback of [`Executor::dispatch`].
 pub type Done = Box<dyn FnOnce(Execution) + Send>;
 
+/// Where a task sits in its chain and where its spans go: what a Task
+/// Manager tells an executor beside the task itself. The default is a
+/// first step that records nothing.
+#[derive(Clone, Copy, Default)]
+pub struct ChainStep<'a> {
+    /// The task's index in its chain (§VI-D): 0 for a task a Task
+    /// Manager took off the queue, *k* ≥ 1 for step *k* of a pipeline,
+    /// dispatched from step *k* − 1's completion. A later step is work
+    /// the Task Manager already leased: a pooled executor queues it past
+    /// the pool's bound instead of waiting for room, so a replica never
+    /// waits on another servable's pool.
+    pub index: usize,
+    /// Record one `inference` span per job, tagged `step` = `index`, in
+    /// this `Obs` under this parent (the Task Manager's `invocation`
+    /// span). `None` records nothing.
+    pub trace: Option<(&'a Obs, TraceContext)>,
+}
+
 /// Executors run batches of inputs against one servable and report
 /// per-input inference times (the innermost measurement point, §V-A).
 pub trait Executor: Send + Sync {
@@ -48,9 +66,9 @@ pub trait Executor: Send + Sync {
     /// were cut across, one per non-empty task on an inline executor.
     fn dispatched(&self) -> u64;
 
-    /// [`Executor::execute`] plus span recording: when an observability
-    /// handle and a parent context are supplied, record `inference`
-    /// spans under the parent (the Task Manager's invocation span).
+    /// [`Executor::execute`] as step `step` of a chain: when the step
+    /// carries a trace, record `inference` spans under its parent (the
+    /// Task Manager's invocation span).
     ///
     /// The default implementation runs `execute` and reconstructs one
     /// end-anchored span per input from the reported durations. For
@@ -64,11 +82,10 @@ pub trait Executor: Send + Sync {
         servable_id: &str,
         servable: &Arc<dyn Servable>,
         inputs: &[Value],
-        obs: Option<&Obs>,
-        parent: Option<TraceContext>,
+        step: ChainStep<'_>,
     ) -> Execution {
         let result = self.execute(servable_id, servable, inputs);
-        if let (Some(obs), Some(parent), Ok((_, times))) = (obs, parent, &result) {
+        if let (Some((obs, parent)), Ok((_, times))) = (step.trace, &result) {
             if obs.tracer.enabled() {
                 let end_ns = dlhub_obs::now_ns();
                 for time in times {
@@ -81,6 +98,7 @@ pub trait Executor: Send + Sync {
                         end_ns,
                         attrs: vec![
                             ("servable", servable_id.to_string()),
+                            ("step", step.index.to_string()),
                             ("executor", self.name().to_string()),
                         ],
                     });
@@ -102,11 +120,10 @@ pub trait Executor: Send + Sync {
         servable_id: &str,
         servable: &Arc<dyn Servable>,
         inputs: Arc<Vec<Value>>,
-        obs: Option<&Obs>,
-        parent: Option<TraceContext>,
+        step: ChainStep<'_>,
         done: Done,
     ) {
-        done(self.execute_traced(servable_id, servable, &inputs, obs, parent));
+        done(self.execute_traced(servable_id, servable, &inputs, step));
     }
 
     /// Complete, with a timeout error, every dispatched task whose
@@ -142,6 +159,8 @@ struct JobTrace {
     tracer: dlhub_obs::Tracer,
     parent: TraceContext,
     servable_id: String,
+    /// [`ChainStep::index`], tagged on every span.
+    step: usize,
 }
 
 /// One dispatched batch: the inputs, the answers as replicas report
@@ -438,6 +457,7 @@ impl Pool {
                                     end_ns,
                                     attrs: vec![
                                         ("servable", trace.servable_id.clone()),
+                                        ("step", trace.step.to_string()),
                                         ("replica", i.to_string()),
                                         ("executor", "parsl".to_string()),
                                         ("queued_ns", queued_ns.to_string()),
@@ -495,8 +515,15 @@ impl Pool {
 
     fn shutdown(self) {
         drop(self.sender);
+        // A chain in flight holds its Task Manager's executors, so the
+        // last reference can drop on a replica, inside the continuation
+        // of the chain's last step: that replica must not join itself.
+        // It exits once it returns to the queue this just disconnected.
+        let current = std::thread::current().id();
         for w in self.workers {
-            let _ = w.join();
+            if w.thread().id() != current {
+                let _ = w.join();
+            }
         }
     }
 }
@@ -691,14 +718,14 @@ impl ParslExecutor {
     /// completes the task calls `done`, or, for `None`, parks the
     /// outcome in the returned task for the caller to wait on. A
     /// dispatcher parked on a saturated pool looks for expired tasks
-    /// every [`TICK`].
+    /// every [`TICK`]; a later chain step is never parked
+    /// ([`ChainStep::index`]).
     fn start(
         &self,
         servable_id: &str,
         servable: &Arc<dyn Servable>,
         inputs: Arc<Vec<Value>>,
-        obs: Option<&Obs>,
-        parent: Option<TraceContext>,
+        step: ChainStep<'_>,
         done: Option<Done>,
     ) -> Arc<Task> {
         let count = inputs.len();
@@ -706,11 +733,12 @@ impl ParslExecutor {
         let timeout_ns = self.reply_timeout.as_nanos().min(u64::MAX as u128) as u64;
         // Spans are recorded on the replica threads themselves, so each
         // carries the replica that ran it and exact start/end stamps.
-        let trace = match (obs, parent) {
-            (Some(obs), Some(parent)) if obs.tracer.enabled() => Some(JobTrace {
+        let trace = match step.trace {
+            Some((obs, parent)) if obs.tracer.enabled() => Some(JobTrace {
                 tracer: obs.tracer.clone(),
                 parent,
                 servable_id: servable_id.to_string(),
+                step: step.index,
             }),
             _ => None,
         };
@@ -762,6 +790,21 @@ impl ParslExecutor {
                 items,
                 queued_ns,
             };
+            // A later chain step is sent from the replica that finished
+            // the step before it. Waiting here for room could hold that
+            // replica on a pool whose replicas wait on its own (A → B
+            // beside B → A), so it queues past the bound: a chain in
+            // flight has one step queued or running at a time, and the
+            // chains in flight are bounded by the first steps the
+            // bound admitted.
+            if step.index > 0 {
+                if sender.send_past_bound(job).is_err() {
+                    self.inflight.tasks.lock().remove(&address);
+                    task.fail("executor pool shut down");
+                    return task;
+                }
+                continue;
+            }
             // A dispatcher parked on a saturated pool still looks for
             // expired tasks, and gives up once its own has expired:
             // hung replicas hold it for `reply_timeout` at most.
@@ -799,7 +842,7 @@ impl Executor for ParslExecutor {
         servable: &Arc<dyn Servable>,
         inputs: &[Value],
     ) -> Execution {
-        self.execute_traced(servable_id, servable, inputs, None, None)
+        self.execute_traced(servable_id, servable, inputs, ChainStep::default())
     }
 
     fn dispatched(&self) -> u64 {
@@ -813,11 +856,10 @@ impl Executor for ParslExecutor {
         servable_id: &str,
         servable: &Arc<dyn Servable>,
         inputs: &[Value],
-        obs: Option<&Obs>,
-        parent: Option<TraceContext>,
+        step: ChainStep<'_>,
     ) -> Execution {
         let inputs = Arc::new(inputs.to_vec());
-        let task = self.start(servable_id, servable, inputs, obs, parent, None);
+        let task = self.start(servable_id, servable, inputs, step, None);
         let mut progress = task.progress.lock();
         loop {
             if let Some(outcome) = progress.outcome.take() {
@@ -839,15 +881,14 @@ impl Executor for ParslExecutor {
         servable_id: &str,
         servable: &Arc<dyn Servable>,
         inputs: Arc<Vec<Value>>,
-        obs: Option<&Obs>,
-        parent: Option<TraceContext>,
+        step: ChainStep<'_>,
         done: Done,
     ) {
         // The serving path lands here: the decoded request batch is
         // shared with every replica job as-is — no `Value` deep clones
         // anywhere between the wire and the servable — and the caller
         // is back at its queue before the first job runs.
-        self.start(servable_id, servable, inputs, obs, parent, Some(done));
+        self.start(servable_id, servable, inputs, step, Some(done));
     }
 
     fn reap_expired(&self) {
@@ -1381,9 +1422,11 @@ mod tests {
         let root = obs.tracer.start_root("invocation");
         let parent = root.ctx();
         let inputs: Vec<Value> = (0..6).map(Value::Int).collect();
-        let (outputs, times) = ex
-            .execute_traced("u/echo", &echo, &inputs, Some(&obs), Some(parent))
-            .unwrap();
+        let step = ChainStep {
+            index: 2,
+            trace: Some((&obs, parent)),
+        };
+        let (outputs, times) = ex.execute_traced("u/echo", &echo, &inputs, step).unwrap();
         assert_eq!(outputs, inputs);
         assert_eq!(times.len(), 6);
         obs.tracer.finish(root);
@@ -1395,6 +1438,7 @@ mod tests {
         assert_eq!(spans.iter().map(items).sum::<usize>(), 6);
         assert!(spans.iter().all(|s| s.parent == parent.span));
         assert!(spans.iter().all(|s| s.attr("servable") == Some("u/echo")));
+        assert!(spans.iter().all(|s| s.attr("step") == Some("2")));
         assert!(spans.iter().all(|s| s.attr("replica").is_some()));
     }
 
@@ -1405,14 +1449,12 @@ mod tests {
         let obs = Obs::new();
         let root = obs.tracer.start_root("invocation");
         let parent = root.ctx();
-        tfs.execute_traced(
-            "u/noop",
-            &noop,
-            &[Value::Null, Value::Null],
-            Some(&obs),
-            Some(parent),
-        )
-        .unwrap();
+        let step = ChainStep {
+            index: 0,
+            trace: Some((&obs, parent)),
+        };
+        tfs.execute_traced("u/noop", &noop, &[Value::Null, Value::Null], step)
+            .unwrap();
         obs.tracer.finish(root);
         let export = obs.tracer.export(Some(parent.trace));
         let spans = export.named("inference");
@@ -1420,7 +1462,7 @@ mod tests {
         assert!(spans.iter().all(|s| s.parent == parent.span));
         assert!(spans
             .iter()
-            .all(|s| s.attr("executor") == Some("tfserving")));
+            .all(|s| s.attr("executor") == Some("tfserving") && s.attr("step") == Some("0")));
     }
 
     #[test]

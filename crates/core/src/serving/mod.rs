@@ -18,7 +18,7 @@ mod pipelines;
 mod request;
 
 use crate::admission::{AdmissionConfig, AdmissionController};
-use crate::autoscale::{ControlDecision, ControlPolicy, Reconciler};
+use crate::autoscale::{ControlDecision, ControlPolicy, Reconciler, ScalingSignals};
 use crate::batch::Batcher;
 use crate::error::DlhubError;
 use crate::executor::ParslExecutor;
@@ -32,7 +32,7 @@ use crate::task_manager::{TmRegistration, REGISTRATION_TOPIC};
 use crate::value::Value;
 use dlhub_auth::Token;
 use dlhub_fault::FaultHandle;
-use dlhub_obs::{Obs, SloSpec};
+use dlhub_obs::{ControlSignals, Obs, ServableCost, SloSpec};
 use dlhub_queue::{Broker, RpcClient};
 use intake::AsyncPool;
 use parking_lot::RwLock;
@@ -139,6 +139,50 @@ pub struct RunResult {
     pub trace: u64,
 }
 
+/// The control loop's view of the telemetry store, given the pipelines
+/// registered now. A pipeline's frame is keyed by its name, so on its
+/// own the store would show pipeline traffic as load on a "servable"
+/// the executor has no pool for, and none on the steps that ran it —
+/// a pipeline-only load would idle-park every step's pool. Here a
+/// pipeline's arrivals arrive at each of its steps, once per time the
+/// step appears, and its name is never a pool to size.
+struct StepLoad<'a> {
+    signals: &'a ControlSignals,
+    pipelines: Vec<Arc<Pipeline>>,
+}
+
+impl ScalingSignals for StepLoad<'_> {
+    fn servables(&self) -> Vec<String> {
+        let mut ids = self.signals.servables();
+        ids.retain(|id| self.pipelines.iter().all(|p| p.name != *id));
+        ids
+    }
+
+    fn arrival_rate(&self, servable: &str, window: Duration) -> Option<f64> {
+        let runs_in = self.pipelines.iter().flat_map(|p| {
+            let runs = p.steps.iter().filter(|step| *step == servable);
+            runs.map(|_| p.name.as_str())
+        });
+        runs_in
+            .map(|pipeline| self.signals.arrival_rate(pipeline, window))
+            .fold(
+                self.signals.arrival_rate(servable, window),
+                |sum, rate| match (sum, rate) {
+                    (Some(a), Some(b)) => Some(a + b),
+                    (a, b) => a.or(b),
+                },
+            )
+    }
+
+    fn burn_rate(&self, servable: &str, window: Duration) -> Option<f64> {
+        ScalingSignals::burn_rate(self.signals, servable, window)
+    }
+
+    fn cost(&self, servable: &str) -> Option<ServableCost> {
+        self.signals.cost(servable)
+    }
+}
+
 /// Per-request options.
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions {
@@ -157,7 +201,7 @@ pub struct ManagementService {
     memo: MemoCache,
     memo_enabled: AtomicBool,
     task_table: Arc<TaskTable>,
-    pipelines: RwLock<HashMap<String, Pipeline>>,
+    pipelines: RwLock<HashMap<String, Arc<Pipeline>>>,
     // Read-mostly registries: steady-state requests only take the
     // shared side; the exclusive side is reserved for first-touch
     // creation and registration drains.
@@ -189,11 +233,12 @@ impl ManagementService {
     /// [`ServingConfig::autoscale`] set it is reconciled against the
     /// telemetry store `obs` was built with, otherwise it is ignored.
     /// With a non-zero [`ServingConfig::autoscale_interval`] a
-    /// `dlhub-reconciler` thread drives passes on the wall clock,
-    /// holding only a `Weak` so it exits once the service drops; with a
-    /// zero interval the embedder drives [`Self::reconcile_at`] on a
-    /// clock of its choosing (the sim harness uses its virtual clock,
-    /// which is what makes seeded decision logs byte-identical).
+    /// `dlhub-reconciler` thread drives [`Self::reconcile_now`] on the
+    /// wall clock, holding the service only by `Weak` so it exits once
+    /// the service drops; with a zero interval the embedder drives
+    /// [`Self::reconcile_at`] on a clock of its choosing (the sim
+    /// harness uses its virtual clock, which is what makes seeded
+    /// decision logs byte-identical).
     pub fn new(
         repo: Arc<Repository>,
         broker: &Broker,
@@ -231,26 +276,8 @@ impl ManagementService {
             .clone()
             .zip(scaled)
             .map(|(policy, executor)| Arc::new(Reconciler::new(executor, policy, &obs)));
-        if let (Some(reconciler), false) = (&reconciler, config.autoscale_interval.is_zero()) {
-            let weak = Arc::downgrade(reconciler);
-            let telemetry = obs.telemetry.clone();
-            let interval = config.autoscale_interval;
-            std::thread::Builder::new()
-                .name("dlhub-reconciler".into())
-                .spawn(move || loop {
-                    std::thread::sleep(interval);
-                    match weak.upgrade() {
-                        Some(reconciler) => {
-                            if let Some(signals) = telemetry.signals() {
-                                reconciler.reconcile_at(dlhub_obs::now_ns(), signals);
-                            }
-                        }
-                        None => break,
-                    }
-                })
-                .expect("spawn reconciler thread");
-        }
-        Arc::new(ManagementService {
+        let interval = config.autoscale_interval;
+        let service = Arc::new(ManagementService {
             rpc: RpcClient::connect(broker, &config.task_topic),
             memo: MemoCache::wired(config.memo_capacity, &obs, faults.clone()),
             memo_enabled: AtomicBool::new(config.memo_enabled),
@@ -276,7 +303,21 @@ impl ManagementService {
             reconciler,
             obs,
             faults,
-        })
+        });
+        if service.reconciler.is_some() && !interval.is_zero() {
+            let weak = Arc::downgrade(&service);
+            std::thread::Builder::new()
+                .name("dlhub-reconciler".into())
+                .spawn(move || loop {
+                    std::thread::sleep(interval);
+                    match weak.upgrade() {
+                        Some(service) => drop(service.reconcile_now()),
+                        None => break,
+                    }
+                })
+                .expect("spawn reconciler thread");
+        }
+        service
     }
 
     /// The service's observability handles (tracer + metrics registry).
@@ -291,14 +332,18 @@ impl ManagementService {
     }
 
     /// One manual reconcile pass at (virtual) time `now_ns`, reading
-    /// the telemetry store's control signals. Returns the decisions
-    /// applied; empty while autoscaling or telemetry is off.
+    /// the telemetry store's control signals as `StepLoad` sees them.
+    /// Returns the decisions applied; empty while autoscaling or
+    /// telemetry is off.
     pub fn reconcile_at(&self, now_ns: u64) -> Vec<ControlDecision> {
         let (Some(reconciler), Some(signals)) = (&self.reconciler, self.obs.telemetry.signals())
         else {
             return Vec::new();
         };
-        reconciler.reconcile_at(now_ns, signals)
+        // A snapshot: a pass that resizes pools must not hold the
+        // registry a `run_pipeline` reads.
+        let pipelines = self.pipelines.read().values().cloned().collect();
+        reconciler.reconcile_at(now_ns, &StepLoad { signals, pipelines })
     }
 
     /// One reconcile pass on the wall clock, for embedders that want
@@ -333,6 +378,18 @@ impl ManagementService {
             .publish(token, metadata, servable, components, visibility)?;
         if receipt.version > 1 {
             self.memo.invalidate_servable(&receipt.id);
+            // A pipeline's result is every step's: each pipeline that
+            // runs this servable loses its entries too.
+            let running: Vec<String> = self
+                .pipelines
+                .read()
+                .values()
+                .filter(|p| p.steps.contains(&receipt.id))
+                .map(|p| p.name.clone())
+                .collect();
+            for name in running {
+                self.memo.invalidate_servable(&name);
+            }
         }
         Ok(receipt)
     }
@@ -1022,26 +1079,42 @@ mod tests {
     #[test]
     fn traced_pipeline_nests_steps_under_one_root() {
         let hub = TestHub::builder().memo(false).build();
-        let pipeline = Pipeline::new(
-            "formation-enthalpy",
-            vec![
-                "dlhub/matminer-util".into(),
-                "dlhub/matminer-featurize".into(),
-                "dlhub/matminer-model".into(),
-            ],
-        );
+        let steps = [
+            "dlhub/matminer-util",
+            "dlhub/matminer-featurize",
+            "dlhub/matminer-model",
+        ];
+        let pipeline = Pipeline::new("formation-enthalpy", steps.map(String::from).to_vec());
         hub.service.register_pipeline(&hub.token, pipeline).unwrap();
-        let (_, steps, trace) = hub
+        let (_, timings, trace) = hub
             .service
             .run_pipeline_traced(&hub.token, "formation-enthalpy", Value::Str("SiO2".into()))
             .unwrap();
-        assert_eq!(steps.len(), 3);
+        assert_eq!(timings.len(), 3);
         let export = hub.service.obs().tracer.export(Some(trace));
+        // One frame: the root, with no per-step request spans…
         let roots = export.named("pipeline");
         assert_eq!(roots.len(), 1);
-        let requests = export.named("request");
-        assert_eq!(requests.len(), 3);
-        assert!(requests.iter().all(|r| r.parent == roots[0].span));
+        let root = roots[0];
+        assert_eq!(root.attr("servable"), Some("formation-enthalpy"));
+        assert!(export.named("request").is_empty());
+        // …one task: one attempt and one invocation beneath it…
+        let attempts = export.named("attempt");
+        let invocations = export.named("invocation");
+        assert_eq!((attempts.len(), invocations.len()), (1, 1));
+        assert!(attempts[0].parent == root.span && invocations[0].parent == root.span);
+        // …and one inference per step under the invocation, in order.
+        let mut inferences = export.named("inference");
+        inferences.sort_by_key(|s| s.start_ns);
+        assert!(inferences.iter().all(|s| s.parent == invocations[0].span));
+        let tags: Vec<_> = inferences
+            .iter()
+            .map(|s| (s.attr("servable").unwrap(), s.attr("step").unwrap()))
+            .collect();
+        assert_eq!(
+            tags,
+            steps.into_iter().zip(["0", "1", "2"]).collect::<Vec<_>>()
+        );
     }
 
     #[test]
@@ -1186,6 +1259,175 @@ mod tests {
     }
 
     #[test]
+    fn a_pipeline_in_flight_across_a_republish_of_a_step_does_not_memoize_the_old_output() {
+        let hub = TestHub::builder()
+            .without_eval_servables()
+            .memo(true)
+            .build();
+        let (entered_tx, entered) = std::sync::mpsc::channel();
+        let (release, release_rx) = std::sync::mpsc::channel::<()>();
+        let release_rx = parking_lot::Mutex::new(release_rx);
+        hub.publish_simple(
+            "first",
+            ModelType::PythonFunction,
+            servable_fn(|v| Ok(v.clone())),
+        );
+        hub.publish_simple(
+            "v",
+            ModelType::PythonFunction,
+            servable_fn(move |_| {
+                // Park inside step 2's v1 until the test has republished.
+                entered_tx.send(()).ok();
+                release_rx.lock().recv().ok();
+                Ok(Value::Int(1))
+            }),
+        );
+        let steps = vec!["dlhub/first".into(), "dlhub/v".into()];
+        let pipeline = Pipeline::new("first-then-v", steps);
+        hub.service.register_pipeline(&hub.token, pipeline).unwrap();
+        let run = || {
+            hub.service
+                .run_pipeline(&hub.token, "first-then-v", Value::Null)
+        };
+        std::thread::scope(|s| {
+            let v1 = s.spawn(run);
+            entered.recv().unwrap();
+            hub.publish_simple(
+                "v",
+                ModelType::PythonFunction,
+                servable_fn(|_| Ok(Value::Int(2))),
+            );
+            release.send(()).unwrap();
+            // The run that was already in step 2's v1 gets v1's answer…
+            assert_eq!(v1.join().unwrap().unwrap().0, Value::Int(1));
+        });
+        // …but must not leave it behind the invalidation for v2's callers.
+        let (value, steps) = run().unwrap();
+        assert_eq!(value, Value::Int(2), "v1's output memoized for v2");
+        assert!(steps.iter().all(|s| !s.timings.cache_hit));
+        // From here the pipeline's own entry answers, without a step.
+        let (value, steps) = run().unwrap();
+        assert_eq!(value, Value::Int(2));
+        assert!(steps.iter().all(|s| s.timings.cache_hit));
+    }
+
+    #[test]
+    fn a_step_made_private_after_registration_fails_before_any_step_runs() {
+        let hub = TestHub::builder()
+            .without_eval_servables()
+            .memo(false)
+            .build();
+        let first_runs = Arc::new(AtomicUsize::new(0));
+        let counted = Arc::clone(&first_runs);
+        hub.publish_simple(
+            "first",
+            ModelType::PythonFunction,
+            servable_fn(move |v| {
+                counted.fetch_add(1, Ordering::SeqCst);
+                Ok(v.clone())
+            }),
+        );
+        let echo = || servable_fn(|v| Ok(v.clone()));
+        hub.publish_simple("second", ModelType::PythonFunction, echo());
+        let visitor = hub.user_token("visitor");
+        let steps = vec!["dlhub/first".into(), "dlhub/second".into()];
+        let pipeline = Pipeline::new("both", steps);
+        hub.service.register_pipeline(&visitor, pipeline).unwrap();
+        let run = |token| hub.service.run_pipeline(token, "both", Value::Int(1));
+        assert_eq!(run(&visitor).unwrap().0, Value::Int(1));
+        // The owner takes the second step private.
+        let metadata = ServableMetadata::new("second", &hub.owner, ModelType::PythonFunction);
+        let private = PublishVisibility::Restricted {
+            users: vec![],
+            groups: vec![],
+        };
+        hub.service
+            .publish(&hub.token, metadata, echo(), BTreeMap::new(), private)
+            .unwrap();
+        let rejected = hub.service.obs().metrics.counter("requests_rejected_total");
+        let before = rejected.get();
+        assert_eq!(
+            run(&visitor).unwrap_err(),
+            DlhubError::NotFound("dlhub/second".into())
+        );
+        assert_eq!(first_runs.load(Ordering::SeqCst), 1, "a step ran first");
+        assert_eq!(rejected.get(), before + 1);
+        // Nothing was dispatched, so nothing reached a Task Manager.
+        assert_eq!(hub.service.obs().metrics.counter("tm_tasks_total").get(), 1);
+        // The owner still sees every step.
+        assert_eq!(run(&hub.token).unwrap().0, Value::Int(1));
+    }
+
+    #[test]
+    fn a_pipeline_only_load_sizes_its_steps_pools_like_the_same_run_load() {
+        // The same scripted 200 req/s, once as runs of a 10 ms servable
+        // and once as a pipeline whose second step it is.
+        let decide = |through_pipeline: bool| {
+            let hub = TestHub::builder()
+                .without_eval_servables()
+                .memo(false)
+                .config(ServingConfig {
+                    autoscale: Some(ControlPolicy::default()),
+                    ..ServingConfig::default()
+                })
+                .obs(Obs::with_telemetry(Telemetry::Stepped(
+                    Duration::from_secs(1),
+                )))
+                .build();
+            hub.publish_simple(
+                "heavy",
+                ModelType::PythonFunction,
+                servable_fn(|v| {
+                    std::thread::sleep(Duration::from_millis(10));
+                    Ok(v.clone())
+                }),
+            );
+            hub.publish_simple(
+                "light",
+                ModelType::PythonFunction,
+                servable_fn(|v| Ok(v.clone())),
+            );
+            let steps = vec!["dlhub/light".into(), "dlhub/heavy".into()];
+            let pipeline = Pipeline::new("light-then-heavy", steps);
+            hub.service.register_pipeline(&hub.token, pipeline).unwrap();
+            // Real dispatches give the heavy step its cost…
+            for i in 0..8 {
+                let input = Value::Int(i);
+                if through_pipeline {
+                    let (_, steps) = hub
+                        .service
+                        .run_pipeline(&hub.token, "light-then-heavy", input)
+                        .unwrap();
+                    assert_eq!(steps.len(), 2);
+                } else {
+                    hub.service.run(&hub.token, "dlhub/heavy", input).unwrap();
+                }
+            }
+            // …and the arrivals are scripted onto a virtual clock.
+            let front = if through_pipeline {
+                "light-then-heavy"
+            } else {
+                "dlhub/heavy"
+            };
+            let series = hub.service.obs().metrics.series(front);
+            for s in 1..=3u64 {
+                series.requests.add(200);
+                hub.service.obs().telemetry.sample_now(s * 1_000_000_000);
+            }
+            let decisions = hub.service.reconcile_at(3_000_000_000);
+            assert!(decisions.iter().all(|d| d.servable != "light-then-heavy"));
+            let heavy = decisions.iter().find(|d| d.servable == "dlhub/heavy");
+            heavy.map(|d| (d.from, d.to, d.reason))
+        };
+        let by_run = decide(false);
+        assert!(
+            by_run.is_some_and(|(from, to, _)| to >= 4 && to > from),
+            "{by_run:?}"
+        );
+        assert_eq!(decide(true), by_run);
+    }
+
+    #[test]
     fn a_service_that_auto_batched_is_dropped_with_its_hub() {
         let hub = TestHub::builder().build();
         hub.service
@@ -1205,7 +1447,7 @@ mod tests {
         drive: fn(&TestHub, Value) -> Result<(), DlhubError>,
         /// Name of the root span one call leaves behind.
         root: &'static str,
-        /// Frames one successful call opens (a pipeline: one per step).
+        /// Frames one successful call opens.
         frames_per_call: u64,
         /// Inputs each frame carries.
         inputs_per_frame: u64,
@@ -1277,7 +1519,7 @@ mod tests {
                         .map(drop)
                 },
                 root: "pipeline",
-                frames_per_call: 2,
+                frames_per_call: 1,
                 inputs_per_frame: 1,
                 shed_has_frame: true,
             },
@@ -1329,11 +1571,12 @@ mod tests {
                     ..ServingConfig::default()
                 })
                 .slo(SloSpec::new(LEDGER_ID, Duration::from_secs(5)))
-                .slo(SloSpec::new("dlhub/relay", Duration::from_secs(5)))
+                .slo(SloSpec::new("two-steps", Duration::from_secs(5)))
                 .build();
-            // `relay` only ever runs as the pipeline's second step (a
-            // pipeline may not repeat a step), so the ledger below is
-            // summed over both series and both SLOs.
+            // A pipeline's frame is keyed by the pipeline's name, and its
+            // steps record only their dispatch costs (`relay` only ever
+            // runs as its second step), so the ledger below is summed
+            // over every series and both SLOs.
             for servable in ["flaky", "relay"] {
                 hub.publish_simple(
                     servable,
@@ -1403,7 +1646,10 @@ mod tests {
             assert_eq!(shed.map(|(_, v)| *v), Some(1), "{name}");
             // One span per frame, one root per call that opened one…
             let export = obs.tracer.export(None);
-            let frame_spans = export.named("request").len() + export.named("batch_flush").len();
+            let frame_spans = ["request", "batch_flush", "pipeline"]
+                .map(|root| export.named(root).len())
+                .iter()
+                .sum::<usize>();
             assert_eq!(frame_spans as u64, frames, "{name}");
             // (Trace 0 holds free-standing events: the SLO alert the
             // two bad observations raise.)

@@ -11,6 +11,7 @@ use crate::metrics::Timings;
 use crate::repository::SERVE_SCOPE;
 use crate::task::{next_task_id, TaskRequest, TaskResponse};
 use crate::value::Value;
+use bytes::Bytes;
 use dlhub_auth::{IdentityId, Scope, Token};
 use dlhub_obs::{ServableSeries, SpanHandle, TraceContext};
 use std::sync::atomic::Ordering;
@@ -34,6 +35,19 @@ pub(super) struct RequestFrame {
     /// The inflight slot, held until the frame closes. `None` while
     /// admission is off or the submitters hold the permits.
     _permit: Option<AdmissionPermit>,
+}
+
+impl RequestFrame {
+    /// The frame's trace id: what a caller looks its span tree up by.
+    pub(super) fn trace(&self) -> u64 {
+        self.span.trace()
+    }
+
+    /// Where the frame's children hang: its memo lookup, its attempts
+    /// and, carried in the task, the Task Manager's invocation.
+    pub(super) fn ctx(&self) -> TraceContext {
+        self.span.ctx()
+    }
 }
 
 impl ManagementService {
@@ -62,21 +76,37 @@ impl ManagementService {
         id: &str,
         inputs: &[Value],
     ) -> Result<IdentityId, DlhubError> {
-        let checked = self.authorize_serve(token).and_then(|tenant| {
-            let (_, metadata) = self.repo.resolve(Some(token), id)?;
-            if inputs.iter().all(|i| metadata.input_type.matches(i)) {
-                Ok(tenant)
-            } else {
-                Err(DlhubError::InvalidInput {
-                    servable: id.to_string(),
-                    expected: metadata.input_type.descriptor(),
-                })
-            }
-        });
+        self.refused(self.authorize_serve(token).and_then(|tenant| {
+            self.check_inputs(token, id, inputs)?;
+            Ok(tenant)
+        }))
+    }
+
+    /// Count `checked` on `requests_rejected_total` if it is a refusal.
+    pub(super) fn refused<T>(&self, checked: Result<T, DlhubError>) -> Result<T, DlhubError> {
         if checked.is_err() {
             self.obs.metrics.counter("requests_rejected_total").inc();
         }
         checked
+    }
+
+    /// Resolve `id` as the caller and check `inputs` against its
+    /// declared input type.
+    pub(super) fn check_inputs(
+        &self,
+        token: &Token,
+        id: &str,
+        inputs: &[Value],
+    ) -> Result<(), DlhubError> {
+        let (_, metadata) = self.repo.resolve(Some(token), id)?;
+        if inputs.iter().all(|i| metadata.input_type.matches(i)) {
+            Ok(())
+        } else {
+            Err(DlhubError::InvalidInput {
+                servable: id.to_string(),
+                expected: metadata.input_type.descriptor(),
+            })
+        }
     }
 
     /// Pass `tenant`'s request through the admission controller (a
@@ -204,18 +234,12 @@ impl ManagementService {
         outcome
     }
 
-    /// Dispatch `inputs` to a Task Manager and await the response,
-    /// retrying transient failures with exponential backoff until the
-    /// retry budget or the request deadline runs out. The frame's span
-    /// context rides inside the task envelope so the Task Manager can
-    /// parent its invocation span under it; each attempt additionally
-    /// gets its own `attempt` child span. Returns the outputs with
+    /// Dispatch `inputs` to a Task Manager as one task for `id` and
+    /// await its answer ([`Self::dispatch_remote`]), folding what it
+    /// cost into the servable's series (adaptive batching and the
+    /// replica control loop size from it). Returns the outputs with
     /// `inference` summed over them and `request` left for
     /// [`Self::close_frame`] to stamp.
-    ///
-    /// Every attempt re-sends the *same* `task_id`: the broker is
-    /// at-least-once, so a timed-out attempt may still execute, and a
-    /// duplicated execution must be attributable to one logical task.
     pub(super) fn execute_remote(
         &self,
         id: &str,
@@ -223,15 +247,54 @@ impl ManagementService {
         inputs: Vec<Value>,
         deadline: Option<Duration>,
     ) -> Result<(Vec<Value>, Timings), DlhubError> {
-        let deadline = Instant::now() + deadline.unwrap_or(self.config.request_deadline);
-        let ctx = frame.span.ctx();
-        let request = TaskRequest {
+        let task = TaskRequest {
             task_id: next_task_id(),
             servable: id.to_string(),
             inputs,
-            trace: Some(ctx),
+            trace: Some(frame.ctx()),
         };
-        let payload = request.to_bytes();
+        self.dispatch_remote(id, frame, task.to_bytes(), deadline, |reply| {
+            let response = TaskResponse::from_bytes(&reply).map_err(DlhubError::Transport)?;
+            let outputs = response.outcome.map_err(|message| DlhubError::Execution {
+                servable: id.to_string(),
+                message,
+            })?;
+            let inference = Duration::from_nanos(response.inference_nanos.iter().sum());
+            let invocation = Duration::from_nanos(response.invocation_nanos);
+            frame
+                .series
+                .dispatch
+                .record(outputs.len(), inference, invocation);
+            let timings = Timings {
+                inference,
+                invocation,
+                ..Timings::default()
+            };
+            Ok((outputs, timings))
+        })
+    }
+
+    /// Post `task`, the frame's one serialized task, to a Task Manager
+    /// and `answer` its reply, retrying transient failures with
+    /// exponential backoff until the retry budget or the request
+    /// deadline runs out. The frame's span context rides inside the
+    /// task so the Task Manager can parent its invocation span under
+    /// it; each attempt additionally gets its own `attempt` child span.
+    ///
+    /// Every attempt re-sends the *same* task — a pipeline's whole
+    /// chain — with the same `task_id`: the broker is at-least-once, so
+    /// a timed-out attempt may still execute, and a duplicated
+    /// execution must be attributable to one logical task.
+    pub(super) fn dispatch_remote<T>(
+        &self,
+        id: &str,
+        frame: &RequestFrame,
+        task: Bytes,
+        deadline: Option<Duration>,
+        answer: impl Fn(Bytes) -> Result<T, DlhubError>,
+    ) -> Result<T, DlhubError> {
+        let deadline = Instant::now() + deadline.unwrap_or(self.config.request_deadline);
+        let ctx = frame.ctx();
         let mut attempts = 0u32;
         let mut backoff = self.config.retry_backoff;
         loop {
@@ -245,7 +308,8 @@ impl ManagementService {
                 DlhubError::Timeout
             } else {
                 let per_attempt = self.config.request_timeout.min(remaining);
-                match self.attempt_remote(id, &frame.series, &payload, per_attempt) {
+                let reply = self.rpc.call_wait(task.clone(), per_attempt);
+                match reply.map_err(DlhubError::from).and_then(&answer) {
                     Ok(parts) => {
                         self.obs.tracer.finish(attempt_span);
                         return Ok(parts);
@@ -280,33 +344,6 @@ impl ManagementService {
         }
     }
 
-    /// One dispatch attempt: post the serialized task, await one reply,
-    /// decode it, and fold its cost into the servable's series
-    /// (adaptive batching and the replica control loop size from it).
-    fn attempt_remote(
-        &self,
-        id: &str,
-        series: &ServableSeries,
-        payload: &bytes::Bytes,
-        timeout: Duration,
-    ) -> Result<(Vec<Value>, Timings), DlhubError> {
-        let reply = self.rpc.call_wait(payload.clone(), timeout)?;
-        let response = TaskResponse::from_bytes(&reply).map_err(DlhubError::Transport)?;
-        let outputs = response.outcome.map_err(|message| DlhubError::Execution {
-            servable: id.to_string(),
-            message,
-        })?;
-        let inference = Duration::from_nanos(response.inference_nanos.iter().sum());
-        let invocation = Duration::from_nanos(response.invocation_nanos);
-        series.dispatch.record(outputs.len(), inference, invocation);
-        let timings = Timings {
-            inference,
-            invocation,
-            ..Timings::default()
-        };
-        Ok((outputs, timings))
-    }
-
     /// [`Self::execute_remote`] for a single input.
     pub(super) fn execute_one(
         &self,
@@ -327,7 +364,8 @@ impl ManagementService {
         self.run_with_options(token, id, input, &RunOptions::default())
     }
 
-    /// Synchronous inference.
+    /// Synchronous inference: one frame under a `request` root around
+    /// the memo lookup and the dispatch.
     pub fn run_with_options(
         &self,
         token: &Token,
@@ -335,28 +373,11 @@ impl ManagementService {
         input: Value,
         options: &RunOptions,
     ) -> Result<RunResult, DlhubError> {
-        self.run_inner(token, id, input, options, None)
-    }
-
-    /// One synchronous request: a frame under a `request` span (root,
-    /// or a child of `parent` when the request is a pipeline step)
-    /// around [`Self::run_measured`].
-    pub(super) fn run_inner(
-        &self,
-        token: &Token,
-        id: &str,
-        input: Value,
-        options: &RunOptions,
-        parent: Option<TraceContext>,
-    ) -> Result<RunResult, DlhubError> {
         let started = Instant::now();
         let tenant = self.preflight(token, id, std::slice::from_ref(&input))?;
-        let span = match parent {
-            Some(p) => self.obs.tracer.start_child(p, "request"),
-            None => self.obs.tracer.start_root("request"),
-        };
+        let span = self.obs.tracer.start_root("request");
         let frame = self.open_frame(id, span, started, None, Some(tenant))?;
-        let trace = frame.span.trace();
+        let trace = frame.trace();
         let outcome = self.run_measured(id, &frame, input, options);
         self.close_frame(id, frame, outcome)
             .map(|(value, timings)| RunResult {
@@ -381,29 +402,40 @@ impl ManagementService {
         // The generation is read before the lookup: a republish from
         // here on invalidates what this request is about to compute.
         let memo = memoize.then(|| (self.memo.generation(), MemoKey::new(id, &input)));
-        if let Some((_, key)) = &memo {
-            let lookup_started = Instant::now();
-            let mut lookup_span = self.obs.tracer.start_child(frame.span.ctx(), "memo_lookup");
-            lookup_span.attr("servable", id);
-            let cached = self.memo.get(key);
-            lookup_span.attr("hit", if cached.is_some() { "true" } else { "false" });
-            self.obs.tracer.finish(lookup_span);
-            if let Some(cached) = cached {
-                // A hit never reaches the Task Manager: invocation
-                // collapses to the cache lookup (§V-B5).
-                let timings = Timings {
-                    invocation: lookup_started.elapsed(),
-                    cache_hit: true,
-                    ..Timings::default()
-                };
-                return Ok((cached, timings));
-            }
+        if let Some(hit) = memo
+            .as_ref()
+            .and_then(|(_, key)| self.memo_hit(id, frame, key))
+        {
+            return Ok(hit);
         }
         let (value, timings) = self.execute_one(id, frame, input, options.deadline)?;
         if let Some((generation, key)) = memo {
             self.memo.put_since(generation, key, value.clone());
         }
         Ok((value, timings))
+    }
+
+    /// Look `key` up under a `memo_lookup` span of `frame`. A hit never
+    /// reaches a Task Manager: its invocation collapses to the lookup
+    /// (§V-B5).
+    pub(super) fn memo_hit(
+        &self,
+        id: &str,
+        frame: &RequestFrame,
+        key: &MemoKey,
+    ) -> Option<(Value, Timings)> {
+        let lookup_started = Instant::now();
+        let mut lookup_span = self.obs.tracer.start_child(frame.ctx(), "memo_lookup");
+        lookup_span.attr("servable", id);
+        let cached = self.memo.get(key);
+        lookup_span.attr("hit", if cached.is_some() { "true" } else { "false" });
+        self.obs.tracer.finish(lookup_span);
+        let timings = Timings {
+            invocation: lookup_started.elapsed(),
+            cache_hit: true,
+            ..Timings::default()
+        };
+        cached.map(|value| (value, timings))
     }
 
     /// Explicit batch execution: all inputs travel in one task,

@@ -4,6 +4,11 @@
 //! ZeroMQ queue"; in asynchronous mode it "returns a unique task UUID
 //! that can be used subsequently to monitor the status of the task and
 //! retrieve its result" (§IV-A).
+//!
+//! Four frames share one header and one set of codec helpers: a
+//! [`TaskRequest`] for one servable and its [`TaskResponse`], and a
+//! [`ChainRequest`] carrying a whole pipeline's step list (§VI-D) and
+//! its [`ChainResponse`] with one [`StepCost`] per step.
 
 use crate::value::{self, Value};
 use bytes::Bytes;
@@ -45,6 +50,78 @@ pub struct TaskResponse {
     pub invocation_nanos: u64,
 }
 
+/// A pipeline sent as one task (§VI-D): the Task Manager runs `inputs`
+/// through `steps` in order, each step's outputs the next step's
+/// inputs, on each step's own replica pool, and answers once with a
+/// [`ChainResponse`]. The Task Manager has one dispatch path: a
+/// [`TaskRequest`] is the one-step chain, answered with a
+/// [`TaskResponse`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct ChainRequest {
+    /// Unique task id, shared by every retry of the chain.
+    pub task_id: String,
+    /// Servable ids in execution order, resolved and authorized by the
+    /// Management Service.
+    pub steps: Vec<String>,
+    /// The first step's inputs.
+    pub inputs: Vec<Value>,
+    /// Trace context the Task Manager parents its invocation span
+    /// under.
+    pub trace: Option<TraceContext>,
+}
+
+/// What one step of a chain cost, measured at the Task Manager.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StepCost {
+    /// Inference time summed over the step's inputs, nanoseconds.
+    pub inference_nanos: u64,
+    /// From the step's hand-off (the task's arrival, for the first
+    /// step) to its answer, nanoseconds.
+    pub invocation_nanos: u64,
+}
+
+/// Why a step stopped its chain.
+#[derive(Debug, Clone, PartialEq)]
+pub enum StepError {
+    /// The step's input does not match its declared type (checked at
+    /// the Task Manager for every step after the first).
+    InvalidInput {
+        /// What the step expected.
+        expected: String,
+    },
+    /// The step could not be routed, or its servable failed.
+    Execution(String),
+}
+
+impl std::fmt::Display for StepError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            StepError::InvalidInput { expected } => write!(f, "invalid input: expected {expected}"),
+            StepError::Execution(message) => f.write_str(message),
+        }
+    }
+}
+
+/// The step a chain failed at, and why.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StepFailure {
+    /// Index of the failing step.
+    pub step: usize,
+    /// What went wrong there.
+    pub error: StepError,
+}
+
+/// The Task Manager's one answer to a [`ChainRequest`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct ChainResponse {
+    /// Echoed task id.
+    pub task_id: String,
+    /// The last step's outputs, or the failing step.
+    pub outcome: Result<Vec<Value>, StepFailure>,
+    /// One cost per step, in step order; empty when the chain failed.
+    pub steps: Vec<StepCost>,
+}
+
 /// First byte of every frame.
 const WIRE_MAGIC: u8 = 0xD1;
 /// Wire format version.
@@ -56,6 +133,8 @@ pub(crate) const MAX_DEPTH: usize = 128;
 /// Message-type tags following the magic/version header.
 const WIRE_REQUEST: u8 = 1;
 const WIRE_RESPONSE: u8 = 2;
+const WIRE_CHAIN: u8 = 3;
+const WIRE_CHAIN_REPLY: u8 = 4;
 
 fn encode_str(out: &mut Vec<u8>, s: &str) {
     value::encode_len(out, s.len());
@@ -67,6 +146,55 @@ fn decode_str(cur: &mut &[u8]) -> Result<String, String> {
     std::str::from_utf8(value::take(cur, len)?)
         .map(str::to_string)
         .map_err(|e| format!("invalid utf-8: {e}"))
+}
+
+fn encode_trace(out: &mut Vec<u8>, trace: &Option<TraceContext>) {
+    match trace {
+        Some(t) => {
+            out.push(1);
+            out.extend_from_slice(&t.trace.to_le_bytes());
+            out.extend_from_slice(&t.span.to_le_bytes());
+        }
+        None => out.push(0),
+    }
+}
+
+fn decode_trace(cur: &mut &[u8]) -> Result<Option<TraceContext>, String> {
+    Ok(match value::take(cur, 1)?[0] {
+        0 => None,
+        _ => Some(TraceContext {
+            trace: u64::from_le_bytes(value::take_array(cur)?),
+            span: u64::from_le_bytes(value::take_array(cur)?),
+        }),
+    })
+}
+
+fn encode_values(out: &mut Vec<u8>, values: &[Value]) {
+    value::encode_len(out, values.len());
+    for v in values {
+        v.encode_into(out);
+    }
+}
+
+fn decode_values(cur: &mut &[u8]) -> Result<Vec<Value>, String> {
+    let count = value::decode_len(cur)?;
+    let mut values = Vec::with_capacity(count.min(1024));
+    for _ in 0..count {
+        values.push(Value::decode_from(cur, MAX_DEPTH)?);
+    }
+    Ok(values)
+}
+
+fn encode_u64(out: &mut Vec<u8>, n: u64) {
+    out.extend_from_slice(&n.to_le_bytes());
+}
+
+fn decode_u64(cur: &mut &[u8]) -> Result<u64, String> {
+    Ok(u64::from_le_bytes(value::take_array(cur)?))
+}
+
+fn request_capacity(inputs: &[Value]) -> usize {
+    64 + inputs.iter().map(Value::approx_size).sum::<usize>()
 }
 
 /// Check the 3-byte header and return the remaining body.
@@ -90,51 +218,28 @@ impl TaskRequest {
     /// into a refcounted [`Bytes`] slab that every later hop (broker
     /// queue, lease record, RPC retry) shares by reference.
     pub fn to_bytes(&self) -> Bytes {
-        let mut out =
-            Vec::with_capacity(64 + self.inputs.iter().map(Value::approx_size).sum::<usize>());
+        let mut out = Vec::with_capacity(request_capacity(&self.inputs));
         out.extend_from_slice(&[WIRE_MAGIC, WIRE_VERSION, WIRE_REQUEST]);
         encode_str(&mut out, &self.task_id);
         encode_str(&mut out, &self.servable);
-        match &self.trace {
-            Some(t) => {
-                out.push(1);
-                out.extend_from_slice(&t.trace.to_le_bytes());
-                out.extend_from_slice(&t.span.to_le_bytes());
-            }
-            None => out.push(0),
-        }
-        value::encode_len(&mut out, self.inputs.len());
-        for input in &self.inputs {
-            input.encode_into(&mut out);
-        }
+        encode_trace(&mut out, &self.trace);
+        encode_values(&mut out, &self.inputs);
         Bytes::from(out)
     }
 
     /// Deserialize from the broker.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
-        let err = |e| format!("malformed task request: {e}");
-        let mut body = strip_header(bytes, WIRE_REQUEST).map_err(err)?;
-        let cur = &mut body;
-        let task_id = decode_str(cur).map_err(err)?;
-        let servable = decode_str(cur).map_err(err)?;
-        let trace = match value::take(cur, 1).map_err(err)?[0] {
-            0 => None,
-            _ => Some(TraceContext {
-                trace: u64::from_le_bytes(value::take_array(cur).map_err(err)?),
-                span: u64::from_le_bytes(value::take_array(cur).map_err(err)?),
-            }),
+        let decode = || {
+            let mut body = strip_header(bytes, WIRE_REQUEST)?;
+            let cur = &mut body;
+            Ok(TaskRequest {
+                task_id: decode_str(cur)?,
+                servable: decode_str(cur)?,
+                trace: decode_trace(cur)?,
+                inputs: decode_values(cur)?,
+            })
         };
-        let count = value::decode_len(cur).map_err(err)?;
-        let mut inputs = Vec::with_capacity(count.min(1024));
-        for _ in 0..count {
-            inputs.push(Value::decode_from(cur, MAX_DEPTH).map_err(err)?);
-        }
-        Ok(TaskRequest {
-            task_id,
-            servable,
-            inputs,
-            trace,
-        })
+        decode().map_err(|e: String| format!("malformed task request: {e}"))
     }
 }
 
@@ -148,10 +253,7 @@ impl TaskResponse {
         match &self.outcome {
             Ok(values) => {
                 out.push(0);
-                value::encode_len(&mut out, values.len());
-                for v in values {
-                    v.encode_into(&mut out);
-                }
+                encode_values(&mut out, values);
             }
             Err(e) => {
                 out.push(1);
@@ -160,42 +262,171 @@ impl TaskResponse {
         }
         value::encode_len(&mut out, self.inference_nanos.len());
         for n in &self.inference_nanos {
-            out.extend_from_slice(&n.to_le_bytes());
+            encode_u64(&mut out, *n);
         }
-        out.extend_from_slice(&self.invocation_nanos.to_le_bytes());
+        encode_u64(&mut out, self.invocation_nanos);
         Bytes::from(out)
     }
 
     /// Deserialize from the broker.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
-        let err = |e| format!("malformed task response: {e}");
-        let mut body = strip_header(bytes, WIRE_RESPONSE).map_err(err)?;
-        let cur = &mut body;
-        let task_id = decode_str(cur).map_err(err)?;
-        let outcome = match value::take(cur, 1).map_err(err)?[0] {
-            0 => {
-                let count = value::decode_len(cur).map_err(err)?;
-                let mut values = Vec::with_capacity(count.min(1024));
-                for _ in 0..count {
-                    values.push(Value::decode_from(cur, MAX_DEPTH).map_err(err)?);
-                }
-                Ok(values)
+        let decode = || {
+            let mut body = strip_header(bytes, WIRE_RESPONSE)?;
+            let cur = &mut body;
+            let task_id = decode_str(cur)?;
+            let outcome = match value::take(cur, 1)?[0] {
+                0 => Ok(decode_values(cur)?),
+                _ => Err(decode_str(cur)?),
+            };
+            let count = value::decode_len(cur)?;
+            let mut inference_nanos = Vec::with_capacity(count.min(1024));
+            for _ in 0..count {
+                inference_nanos.push(decode_u64(cur)?);
             }
-            _ => Err(decode_str(cur).map_err(err)?),
+            Ok(TaskResponse {
+                task_id,
+                outcome,
+                inference_nanos,
+                invocation_nanos: decode_u64(cur)?,
+            })
         };
-        let count = value::decode_len(cur).map_err(err)?;
-        let mut inference_nanos = Vec::with_capacity(count.min(1024));
-        for _ in 0..count {
-            inference_nanos.push(u64::from_le_bytes(value::take_array(cur).map_err(err)?));
-        }
-        let invocation_nanos = u64::from_le_bytes(value::take_array(cur).map_err(err)?);
-        Ok(TaskResponse {
-            task_id,
-            outcome,
-            inference_nanos,
-            invocation_nanos,
-        })
+        decode().map_err(|e: String| format!("malformed task response: {e}"))
     }
+}
+
+impl ChainRequest {
+    /// Serialize for the broker: the [`TaskRequest`] layout with a step
+    /// list where the servable id was, under its own message tag.
+    pub fn to_bytes(&self) -> Bytes {
+        let mut out = Vec::with_capacity(request_capacity(&self.inputs));
+        out.extend_from_slice(&[WIRE_MAGIC, WIRE_VERSION, WIRE_CHAIN]);
+        encode_str(&mut out, &self.task_id);
+        value::encode_len(&mut out, self.steps.len());
+        for step in &self.steps {
+            encode_str(&mut out, step);
+        }
+        encode_trace(&mut out, &self.trace);
+        encode_values(&mut out, &self.inputs);
+        Bytes::from(out)
+    }
+
+    /// Deserialize from the broker.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
+        let decode = || {
+            let mut body = strip_header(bytes, WIRE_CHAIN)?;
+            let cur = &mut body;
+            let task_id = decode_str(cur)?;
+            let count = value::decode_len(cur)?;
+            let mut steps = Vec::with_capacity(count.min(64));
+            for _ in 0..count {
+                steps.push(decode_str(cur)?);
+            }
+            Ok(ChainRequest {
+                task_id,
+                steps,
+                trace: decode_trace(cur)?,
+                inputs: decode_values(cur)?,
+            })
+        };
+        decode().map_err(|e: String| format!("malformed chain request: {e}"))
+    }
+}
+
+impl ChainResponse {
+    /// Serialize for the broker.
+    pub fn to_bytes(&self) -> Bytes {
+        let mut out = Vec::with_capacity(64 + 16 * self.steps.len());
+        out.extend_from_slice(&[WIRE_MAGIC, WIRE_VERSION, WIRE_CHAIN_REPLY]);
+        encode_str(&mut out, &self.task_id);
+        match &self.outcome {
+            Ok(values) => {
+                out.push(0);
+                encode_values(&mut out, values);
+            }
+            Err(StepFailure { step, error }) => {
+                out.push(1);
+                value::encode_len(&mut out, *step);
+                match error {
+                    StepError::Execution(message) => {
+                        out.push(0);
+                        encode_str(&mut out, message);
+                    }
+                    StepError::InvalidInput { expected } => {
+                        out.push(1);
+                        encode_str(&mut out, expected);
+                    }
+                }
+            }
+        }
+        value::encode_len(&mut out, self.steps.len());
+        for cost in &self.steps {
+            encode_u64(&mut out, cost.inference_nanos);
+            encode_u64(&mut out, cost.invocation_nanos);
+        }
+        Bytes::from(out)
+    }
+
+    /// Deserialize from the broker.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
+        let decode = || {
+            let mut body = strip_header(bytes, WIRE_CHAIN_REPLY)?;
+            let cur = &mut body;
+            let task_id = decode_str(cur)?;
+            let outcome = match value::take(cur, 1)?[0] {
+                0 => Ok(decode_values(cur)?),
+                _ => {
+                    let step = value::decode_len(cur)?;
+                    let error = match value::take(cur, 1)?[0] {
+                        0 => StepError::Execution(decode_str(cur)?),
+                        _ => StepError::InvalidInput {
+                            expected: decode_str(cur)?,
+                        },
+                    };
+                    Err(StepFailure { step, error })
+                }
+            };
+            let count = value::decode_len(cur)?;
+            let mut steps = Vec::with_capacity(count.min(64));
+            for _ in 0..count {
+                steps.push(StepCost {
+                    inference_nanos: decode_u64(cur)?,
+                    invocation_nanos: decode_u64(cur)?,
+                });
+            }
+            Ok(ChainResponse {
+                task_id,
+                outcome,
+                steps,
+            })
+        };
+        decode().map_err(|e: String| format!("malformed chain response: {e}"))
+    }
+}
+
+/// Which frame a Task Manager answers with: the request's kind.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ReplyFrame {
+    /// A [`TaskResponse`], to a [`TaskRequest`] (or to anything that
+    /// is not a chain frame).
+    Task,
+    /// A [`ChainResponse`], to a [`ChainRequest`].
+    Chain,
+}
+
+/// Decode whatever a Task Manager took off the queue as the chain it
+/// runs — a [`TaskRequest`] is the one-step chain — with the frame its
+/// reply goes in. A malformed frame still says which reply it wants.
+pub(crate) fn decode_task(bytes: &[u8]) -> (ReplyFrame, Result<ChainRequest, String>) {
+    if bytes.get(2) == Some(&WIRE_CHAIN) {
+        return (ReplyFrame::Chain, ChainRequest::from_bytes(bytes));
+    }
+    let chain = TaskRequest::from_bytes(bytes).map(|task| ChainRequest {
+        task_id: task.task_id,
+        steps: vec![task.servable],
+        inputs: task.inputs,
+        trace: task.trace,
+    });
+    (ReplyFrame::Task, chain)
 }
 
 /// Allocate a fresh task id.
@@ -420,6 +651,93 @@ mod tests {
             invocation_nanos: 1,
         };
         assert_eq!(TaskResponse::from_bytes(&err.to_bytes()).unwrap(), err);
+    }
+
+    fn chain() -> ChainRequest {
+        ChainRequest {
+            task_id: "t-chain".into(),
+            steps: vec!["a/parse".into(), "a/featurize".into(), "a/model".into()],
+            inputs: vec![Value::Str("NaCl".into())],
+            trace: Some(TraceContext { trace: 3, span: 4 }),
+        }
+    }
+
+    #[test]
+    fn chain_frames_round_trip_and_every_truncation_is_a_typed_error() {
+        let request = chain();
+        let failed = |error| ChainResponse {
+            task_id: "t-chain".into(),
+            outcome: Err(StepFailure { step: 1, error }),
+            steps: vec![],
+        };
+        let responses = [
+            ChainResponse {
+                task_id: "t-chain".into(),
+                outcome: Ok(vec![Value::Float(-0.5)]),
+                steps: vec![
+                    StepCost {
+                        inference_nanos: 1,
+                        invocation_nanos: 2,
+                    };
+                    3
+                ],
+            },
+            failed(StepError::Execution("boom".into())),
+            failed(StepError::InvalidInput {
+                expected: "string".into(),
+            }),
+        ];
+        let wire = request.to_bytes();
+        assert_eq!(ChainRequest::from_bytes(&wire).unwrap(), request);
+        for cut in 0..wire.len() {
+            let err = ChainRequest::from_bytes(&wire[..cut]).unwrap_err();
+            assert!(err.starts_with("malformed chain request"), "{cut}: {err}");
+        }
+        for response in &responses {
+            let wire = response.to_bytes();
+            assert_eq!(&ChainResponse::from_bytes(&wire).unwrap(), response);
+            for cut in 0..wire.len() {
+                let err = ChainResponse::from_bytes(&wire[..cut]).unwrap_err();
+                assert!(err.starts_with("malformed chain response"), "{cut}: {err}");
+            }
+        }
+        // The single-servable frames hold to the same: every prefix.
+        let task = TaskRequest {
+            task_id: "t".into(),
+            servable: "a/b".into(),
+            inputs: vec![Value::Int(1)],
+            trace: Some(TraceContext { trace: 1, span: 2 }),
+        };
+        let wire = task.to_bytes();
+        for cut in 0..wire.len() {
+            assert!(TaskRequest::from_bytes(&wire[..cut]).is_err(), "{cut}");
+        }
+    }
+
+    #[test]
+    fn a_chain_frame_is_no_task_request_but_a_task_request_is_a_one_step_chain() {
+        let wire = chain().to_bytes();
+        assert_eq!(
+            TaskRequest::from_bytes(&wire).unwrap_err(),
+            "malformed task request: unexpected message type 3"
+        );
+        assert_eq!(decode_task(&wire), (ReplyFrame::Chain, Ok(chain())));
+        let task = TaskRequest {
+            task_id: "t".into(),
+            servable: "a/b".into(),
+            inputs: vec![Value::Null, Value::Int(2)],
+            trace: None,
+        };
+        let (reply, one_step) = decode_task(&task.to_bytes());
+        assert_eq!(reply, ReplyFrame::Task);
+        let one_step = one_step.unwrap();
+        assert_eq!(one_step.steps, vec!["a/b".to_string()]);
+        assert_eq!(one_step.inputs, task.inputs);
+        // A truncated chain frame still asks for a chain reply.
+        let (reply, decoded) = decode_task(&wire[..wire.len() - 1]);
+        assert_eq!(reply, ReplyFrame::Chain);
+        assert!(decoded.unwrap_err().starts_with("malformed chain request"));
+        assert_eq!(decode_task(b"garbage").0, ReplyFrame::Task);
     }
 
     #[test]

@@ -6,10 +6,27 @@
 //! executing waiting tasks … routing tasks to appropriate servables.
 //! When a Task Manager is first deployed it registers itself with the
 //! Management Service and specifies which executors … it can launch."
+//!
+//! Every task is a chain (§VI-D): a [`ChainRequest`] carries a
+//! pipeline's resolved step list, and a
+//! [`TaskRequest`](crate::task::TaskRequest) decodes into the one-step
+//! chain. A consumer decodes the task and dispatches its first
+//! step; every later step is dispatched by continuation, from the
+//! completion of the step before it, on the replica thread that
+//! finished that step — step *k*'s outputs are step *k* + 1's inputs,
+//! each step runs on its own servable's replica pool, and no thread
+//! waits on a running step. The last step's completion answers the
+//! requester once: a [`TaskResponse`] to a task, a [`ChainResponse`]
+//! with one [`StepCost`] per step to a chain. So a k-step pipeline
+//! crosses the broker once and costs one replica hop per step.
 
-use crate::executor::{Execution, Executor};
+use crate::executor::{ChainStep, Execution, Executor};
 use crate::repository::Repository;
-use crate::task::{TaskRequest, TaskResponse};
+use crate::task::{
+    decode_task, ChainRequest, ChainResponse, ReplyFrame, StepCost, StepError, StepFailure,
+    TaskResponse,
+};
+use crate::value::Value;
 use dlhub_fault::{site, FaultHandle, FaultKind};
 use dlhub_obs::{Counter, Obs, SpanHandle};
 use dlhub_queue::{Broker, Responder, RpcServer};
@@ -32,9 +49,10 @@ pub struct TmRegistration {
 
 /// A running Task Manager: a pool of consumer threads pulling tasks
 /// from the broker and routing them to executors. A consumer decodes,
-/// resolves and dispatches, then goes straight back to the queue; the
-/// thread that finishes the task (a replica, for pooled executors)
-/// answers the requester.
+/// resolves and dispatches the first step, then goes straight back to
+/// the queue; the thread that finishes a step (a replica, for pooled
+/// executors) dispatches the next one, and the one that finishes the
+/// last step answers the requester.
 pub struct TaskManager {
     name: String,
     shutdown: Arc<AtomicBool>,
@@ -76,16 +94,17 @@ impl TaskManager {
     /// multi-threaded, §V-B); it bounds concurrent *dispatching*, not
     /// tasks in flight — those are bounded by the replica pools.
     ///
-    /// The TM records `invocation` spans into `obs` (parented under the
-    /// requester's propagated context), executors record `inference`
-    /// spans, and `tm_tasks_total` counts handled tasks; deployments
-    /// pass the same handle to the Management Service so one trace
-    /// spans all tiers. When `faults` fires the
-    /// [`dlhub_fault::site::TM_CRASH`] site, the consumer abandons the
-    /// leased task mid-flight without acking or replying — exactly what
-    /// a Task Manager process crash looks like to the rest of the
-    /// system. The broker's lease expiry then redelivers the task to a
-    /// surviving consumer.
+    /// The TM records one `invocation` span per task into `obs`
+    /// (parented under the requester's propagated context), executors
+    /// record `inference` spans beneath it tagged with their step, and
+    /// `tm_tasks_total` counts handled tasks; deployments pass the same
+    /// handle to the Management Service so one trace spans all tiers.
+    /// The [`dlhub_fault::site::TM_CRASH`] site is consulted when a
+    /// consumer takes a task and again between every two steps of a
+    /// chain; when it fires, the leased task is abandoned mid-flight
+    /// without acking or replying — exactly what a Task Manager process
+    /// crash looks like to the rest of the system. The broker's lease
+    /// expiry then redelivers the whole task to a surviving consumer.
     #[allow(clippy::too_many_arguments)]
     pub fn start_wired(
         name: &str,
@@ -111,28 +130,28 @@ impl TaskManager {
 
         let shutdown = Arc::new(AtomicBool::new(false));
         let served = Arc::new(AtomicU64::new(0));
-        let instruments = Arc::new(Instruments {
+        let router = Arc::new(Router {
+            repository,
+            executors,
             tasks: obs
                 .metrics
                 .counter_with_help("tm_tasks_total", "Tasks executed by Task Managers"),
             obs,
+            faults,
         });
         let threads = (0..consumers.max(1))
             .map(|i| {
                 let server = RpcServer::bind(broker, task_topic);
-                let repository = Arc::clone(&repository);
-                let executors = executors.clone();
-                let instruments = Arc::clone(&instruments);
+                let router = Arc::clone(&router);
                 let shutdown = Arc::clone(&shutdown);
                 let served = Arc::clone(&served);
-                let faults = faults.clone();
                 std::thread::Builder::new()
                     .name(format!("tm-{name}-{i}"))
                     .spawn(move || {
                         while !shutdown.load(Ordering::Relaxed) {
                             // No consumer waits on a dispatched task, so
                             // each loop turn checks for hung ones.
-                            for executor in &executors {
+                            for executor in &router.executors {
                                 executor.reap_expired();
                             }
                             let responder = match server.accept(Duration::from_millis(50)) {
@@ -145,17 +164,17 @@ impl TaskManager {
                             // is dropped unsettled — no ack, no reply —
                             // and comes back via lease expiry on a
                             // surviving consumer.
-                            if let Some(fault) = faults.decide(site::TM_CRASH) {
+                            if let Some(fault) = router.faults.decide(site::TM_CRASH) {
                                 // Slow/Hang crashes die mid-task, holding
                                 // the lease for a while.
                                 if matches!(fault.kind, FaultKind::Slow | FaultKind::Hang) {
                                     std::thread::sleep(fault.delay);
                                 }
-                                instruments.crashed();
+                                router.crashed();
                                 drop(responder);
                                 continue;
                             }
-                            handle(&repository, &executors, &instruments, responder);
+                            handle(&router, responder);
                         }
                     })
                     .expect("spawn tm consumer")
@@ -197,14 +216,19 @@ impl Drop for TaskManager {
     }
 }
 
-/// What every consumer of one Task Manager records into.
-struct Instruments {
+/// What every consumer of one Task Manager, and every chain it has in
+/// flight, routes and records through.
+struct Router {
+    repository: Arc<Repository>,
+    executors: Vec<Arc<dyn Executor>>,
     obs: Obs,
     /// `tm_tasks_total`, resolved once at start.
     tasks: Arc<Counter>,
+    /// Consulted at the `task_manager.crash` site.
+    faults: FaultHandle,
 }
 
-impl Instruments {
+impl Router {
     /// Count one injected crash. Looked up where it fires: the counter
     /// exists in a snapshot only once a crash was injected.
     fn crashed(&self) {
@@ -218,77 +242,213 @@ impl Instruments {
     }
 }
 
-/// One task between decode and reply: everything needed to answer the
-/// requester from whichever thread finishes the work. It must not own
-/// an executor — the executor owns it while the task is in flight.
-struct Invocation {
-    instruments: Arc<Instruments>,
+/// One task between decode and reply: where its chain is, and
+/// everything needed to answer the requester from whichever thread
+/// finishes the last step. No Task Manager thread owns it while a step
+/// is in flight — the executor does, inside the step's completion.
+struct Chain {
+    router: Arc<Router>,
     responder: Responder,
+    reply: ReplyFrame,
     task_id: String,
     span: Option<SpanHandle>,
+    /// The task's arrival, after decode: the invocation is timed from
+    /// here, and so is the first step.
     started: Instant,
+    /// Steps not dispatched yet, in order.
+    remaining: std::vec::IntoIter<String>,
+    /// Index of the step in flight, and when it was handed off.
+    step: usize,
+    step_started: Instant,
+    /// What the steps answered so far cost (chain replies only).
+    costs: Vec<StepCost>,
 }
 
-impl Invocation {
-    /// Measure the invocation, build the response, close the span and
-    /// reply. Every failure becomes an error response, so the requester
-    /// is always answered.
-    fn finish(self, outcome: Execution) {
-        let invocation_nanos = self.started.elapsed().as_nanos() as u64;
-        let (outcome, inference_nanos) = match outcome {
-            Ok((outputs, times)) => (
-                Ok(outputs),
-                times.iter().map(|t| t.as_nanos() as u64).collect(),
-            ),
-            Err(message) => (Err(message), vec![]),
+impl Chain {
+    /// Resolve the next step and hand it `inputs`; its completion
+    /// continues the chain. Never waits for the step to run.
+    fn dispatch(mut self: Box<Self>, inputs: Arc<Vec<Value>>) {
+        let Some(id) = self.remaining.next() else {
+            return self.reply(Err(StepError::Execution("chain has no steps".into())));
         };
-        let response = TaskResponse {
-            task_id: self.task_id,
-            outcome,
-            inference_nanos,
-            invocation_nanos,
+        let router = Arc::clone(&self.router);
+        let (servable, metadata) = match router.repository.resolve_internal(&id) {
+            Ok(pair) => pair,
+            Err(e) => return self.reply(Err(StepError::Execution(e.to_string()))),
         };
-        self.instruments.tasks.inc();
-        if let Some(mut span) = self.span {
-            if let Err(e) = &response.outcome {
-                span.attr("error", e.clone());
-            }
-            self.instruments.obs.tracer.finish(span);
+        // The Management Service checked what the caller sent; what a
+        // step hands the next is checked here.
+        if self.step > 0
+            && !inputs
+                .iter()
+                .all(|input| metadata.input_type.matches(input))
+        {
+            let expected = metadata.input_type.descriptor();
+            return self.reply(Err(StepError::InvalidInput { expected }));
         }
-        self.responder.reply(response.to_bytes());
+        let Some(executor) = router
+            .executors
+            .iter()
+            .find(|e| e.supports(metadata.model_type))
+        else {
+            let message = format!("no executor supports model type {}", metadata.model_type);
+            return self.reply(Err(StepError::Execution(message)));
+        };
+        let step = ChainStep {
+            index: self.step,
+            trace: self.span.as_ref().map(|span| (&router.obs, span.ctx())),
+        };
+        // The inputs go by shared ownership: the first step's were
+        // materialized once by the decoder, every later step's are the
+        // step before's outputs, and replica pools fan them out by
+        // refcount, never by deep clone.
+        executor.dispatch(
+            &id,
+            &servable,
+            inputs,
+            step,
+            Box::new(move |outcome| self.answered(outcome)),
+        );
+    }
+
+    /// One step answered: reply after the last, otherwise dispatch the
+    /// next one from here — the thread that ran this step.
+    fn answered(mut self: Box<Self>, outcome: Execution) {
+        let (outputs, times) = match outcome {
+            Ok(answer) => answer,
+            Err(message) => return self.reply(Err(StepError::Execution(message))),
+        };
+        if self.remaining.as_slice().is_empty() {
+            return self.reply(Ok((outputs, times)));
+        }
+        let now = Instant::now();
+        let cost = step_cost(&times, self.step_started, now);
+        self.costs.push(cost);
+        (self.step, self.step_started) = (self.step + 1, now);
+        // A crash between two steps: the task is dropped half done,
+        // unsettled, and its lease brings the whole chain back.
+        if self.router.faults.decide(site::TM_CRASH).is_some() {
+            return self.router.crashed();
+        }
+        self.dispatch(Arc::new(outputs));
+    }
+
+    /// Measure the invocation, close the span and answer the requester
+    /// once, in the frame it asked for: the last step's outputs, or the
+    /// step in flight's failure. Every failure becomes an answer, so the
+    /// requester is always answered.
+    fn reply(self: Box<Self>, outcome: Result<(Vec<Value>, Vec<Duration>), StepError>) {
+        let Chain {
+            router,
+            responder,
+            reply,
+            task_id,
+            mut span,
+            started,
+            step,
+            step_started,
+            mut costs,
+            ..
+        } = *self;
+        let now = Instant::now();
+        if let (Some(span), Err(error)) = (span.as_mut(), &outcome) {
+            span.attr("error", error.to_string());
+            span.attr("failed_step", step.to_string());
+        }
+        if let (ReplyFrame::Chain, Ok((_, times))) = (reply, &outcome) {
+            costs.push(step_cost(times, step_started, now));
+        }
+        let bytes = encode_reply(
+            reply,
+            task_id,
+            outcome.map_err(|error| StepFailure { step, error }),
+            costs,
+            now.duration_since(started).as_nanos() as u64,
+        );
+        router.tasks.inc();
+        if let Some(span) = span {
+            router.obs.tracer.finish(span);
+        }
+        responder.reply(bytes);
     }
 }
 
-/// Handle one task: resolve the servable, route to an executor and
-/// dispatch. Never panics, and never waits for the inference: the
-/// executor calls [`Invocation::finish`] when the task is done. Traced
-/// requests (those carrying a `TraceContext`) get an `invocation` span
-/// parented under the requester's span, with the executor recording
-/// `inference` spans beneath it.
-fn handle(
-    repository: &Repository,
-    executors: &[Arc<dyn Executor>],
-    instruments: &Arc<Instruments>,
-    responder: Responder,
-) {
-    let request = match TaskRequest::from_bytes(responder.payload()) {
-        Ok(r) => r,
-        Err(e) => {
-            let response = TaskResponse {
-                task_id: "unknown".into(),
-                outcome: Err(e),
-                inference_nanos: vec![],
-                invocation_nanos: 0,
+/// What a step handed off at `since` and answered at `now` cost.
+fn step_cost(times: &[Duration], since: Instant, now: Instant) -> StepCost {
+    StepCost {
+        inference_nanos: times.iter().map(|t| t.as_nanos() as u64).sum(),
+        invocation_nanos: now.duration_since(since).as_nanos() as u64,
+    }
+}
+
+/// The answer to a task in the frame its request asked for. A task's
+/// reply carries per-input inference times; a chain's, one cost per
+/// step (`costs`, dropped on failure).
+fn encode_reply(
+    reply: ReplyFrame,
+    task_id: String,
+    outcome: Result<(Vec<Value>, Vec<Duration>), StepFailure>,
+    costs: Vec<StepCost>,
+    invocation_nanos: u64,
+) -> bytes::Bytes {
+    match reply {
+        ReplyFrame::Task => {
+            let (outcome, inference_nanos) = match outcome {
+                Ok((outputs, times)) => (
+                    Ok(outputs),
+                    times.iter().map(|t| t.as_nanos() as u64).collect(),
+                ),
+                Err(failure) => (Err(failure.error.to_string()), vec![]),
             };
-            return responder.reply(response.to_bytes());
+            TaskResponse {
+                task_id,
+                outcome,
+                inference_nanos,
+                invocation_nanos,
+            }
+            .to_bytes()
+        }
+        ReplyFrame::Chain => {
+            let steps = if outcome.is_ok() { costs } else { vec![] };
+            ChainResponse {
+                task_id,
+                outcome: outcome.map(|(outputs, _)| outputs),
+                steps,
+            }
+            .to_bytes()
+        }
+    }
+}
+
+/// Handle one task: decode it as a chain and dispatch its first step.
+/// Never panics, and never waits for a step: each step's completion
+/// dispatches the next, and the last one answers. Traced requests
+/// (those carrying a `TraceContext`) get one `invocation` span parented
+/// under the requester's span, with the executors recording every
+/// step's `inference` spans beneath it.
+fn handle(router: &Arc<Router>, responder: Responder) {
+    let (reply, request) = decode_task(responder.payload());
+    let request = match request {
+        Ok(request) => request,
+        Err(e) => {
+            let failure = StepFailure {
+                step: 0,
+                error: StepError::Execution(e),
+            };
+            let bytes = encode_reply(reply, "unknown".into(), Err(failure), vec![], 0);
+            return responder.reply(bytes);
         }
     };
-    let mut span = request
-        .trace
-        .map(|p| instruments.obs.tracer.start_child(p, "invocation"));
+    let ChainRequest {
+        task_id,
+        steps,
+        inputs,
+        trace,
+    } = request;
+    let mut span = trace.map(|p| router.obs.tracer.start_child(p, "invocation"));
     if let Some(s) = span.as_mut() {
-        s.attr("servable", request.servable.clone());
-        s.attr("batch", request.inputs.len().to_string());
+        s.attr("servable", steps.join(","));
+        s.attr("batch", inputs.len().to_string());
         // Broker-side queue accounting, so critical-path analysis can
         // report how long the task sat in the queue before this hop.
         let info = responder.info();
@@ -300,35 +460,24 @@ fn handle(
         // earlier residencies live on the prior delivery's span.
         s.attr("redelivered", (info.attempts > 1).to_string());
     }
-    let ctx = span.as_ref().map(|s| s.ctx());
-    let invocation = Invocation {
-        instruments: Arc::clone(instruments),
+    let started = Instant::now();
+    let costs = match reply {
+        ReplyFrame::Task => Vec::new(),
+        ReplyFrame::Chain => Vec::with_capacity(steps.len()),
+    };
+    Box::new(Chain {
+        router: Arc::clone(router),
         responder,
-        task_id: request.task_id,
+        reply,
+        task_id,
         span,
-        started: Instant::now(),
-    };
-    let (servable, metadata) = match repository.resolve_internal(&request.servable) {
-        Ok(pair) => pair,
-        Err(e) => return invocation.finish(Err(e.to_string())),
-    };
-    let Some(executor) = executors.iter().find(|e| e.supports(metadata.model_type)) else {
-        return invocation.finish(Err(format!(
-            "no executor supports model type {}",
-            metadata.model_type
-        )));
-    };
-    // Hand the decoded batch to the executor by shared ownership: the
-    // inputs were materialized once by `TaskRequest::from_bytes` and
-    // replica pools fan them out by refcount, never by deep clone.
-    executor.dispatch(
-        &request.servable,
-        &servable,
-        Arc::new(request.inputs),
-        Some(&instruments.obs),
-        ctx,
-        Box::new(move |outcome| invocation.finish(outcome)),
-    );
+        started,
+        remaining: steps.into_iter(),
+        step: 0,
+        step_started: started,
+        costs,
+    })
+    .dispatch(Arc::new(inputs));
 }
 
 #[cfg(test)]
@@ -337,7 +486,7 @@ mod tests {
     use crate::executor::{ParslExecutor, TfServingExecutor};
     use crate::repository::{PublishVisibility, Repository, PUBLISH_SCOPE, SERVE_SCOPE};
     use crate::servable::builtins::NoopServable;
-    use crate::servable::{servable_fn, ModelType, ServableMetadata};
+    use crate::servable::{servable_fn, ModelType, ServableMetadata, TypeDesc};
     use crate::task::{next_task_id, TaskRequest, MAX_DEPTH};
     use crate::value::Value;
     use dlhub_auth::{AuthService, Scope};
@@ -380,6 +529,16 @@ mod tests {
             &token,
             m,
             servable_fn(|_| Err("synthetic failure".into())),
+            BTreeMap::new(),
+            PublishVisibility::Public,
+        )
+        .unwrap();
+        let mut m = ServableMetadata::new("wants-null", "u@p", ModelType::PythonFunction);
+        m.input_type = TypeDesc::Null;
+        repo.publish(
+            &token,
+            m,
+            Arc::new(NoopServable),
             BTreeMap::new(),
             PublishVisibility::Public,
         )
@@ -554,6 +713,89 @@ mod tests {
         assert_eq!(response.inference_nanos.len(), 5);
     }
 
+    fn chain(f: &Fixture, steps: &[&str]) -> ChainResponse {
+        let request = ChainRequest {
+            task_id: next_task_id(),
+            steps: steps.iter().map(|s| s.to_string()).collect(),
+            inputs: vec![Value::Null],
+            trace: None,
+        };
+        let reply = f
+            .client
+            .call_wait(request.to_bytes(), Duration::from_secs(5))
+            .unwrap();
+        let response = ChainResponse::from_bytes(&reply).unwrap();
+        assert_eq!(response.task_id, request.task_id);
+        response
+    }
+
+    #[test]
+    fn a_chain_runs_step_into_step_and_answers_once_with_every_cost() {
+        let f = fixture(vec![parsl()]);
+        let response = chain(&f, &["u/noop", "u/noop", "u/noop"]);
+        assert_eq!(
+            response.outcome.unwrap(),
+            vec![Value::Str("hello world".into())]
+        );
+        assert_eq!(response.steps.len(), 3);
+        for cost in &response.steps {
+            assert!(cost.invocation_nanos >= cost.inference_nanos, "{cost:?}");
+        }
+        // One task, one job per step.
+        assert_eq!(f._tm.served(), 1);
+    }
+
+    #[test]
+    fn a_chain_names_the_step_it_failed_at() {
+        let f = fixture(vec![parsl()]);
+        let failed = |steps: &[&str]| {
+            let response = chain(&f, steps);
+            assert!(response.steps.is_empty());
+            response.outcome.unwrap_err()
+        };
+        assert_eq!(
+            failed(&["u/noop", "u/fail", "u/noop"]),
+            StepFailure {
+                step: 1,
+                error: StepError::Execution("synthetic failure".into()),
+            }
+        );
+        // noop answers a string; a step that takes only null refuses it
+        // at the Task Manager, as the Management Service would have.
+        assert_eq!(
+            failed(&["u/noop", "u/wants-null"]),
+            StepFailure {
+                step: 1,
+                error: StepError::InvalidInput {
+                    expected: TypeDesc::Null.descriptor(),
+                },
+            }
+        );
+        let missing = failed(&["u/noop", "ghost/model"]);
+        assert_eq!(missing.step, 1);
+        assert!(matches!(missing.error, StepError::Execution(m) if m.contains("ghost/model")));
+        assert_eq!(failed(&[]).step, 0);
+        // A malformed chain frame is answered in a chain's reply.
+        let mut frame = ChainRequest {
+            task_id: next_task_id(),
+            steps: vec!["u/noop".into()],
+            inputs: vec![],
+            trace: None,
+        }
+        .to_bytes()
+        .to_vec();
+        frame.truncate(frame.len() - 1);
+        let reply = f
+            .client
+            .call_wait(frame.into(), Duration::from_secs(5))
+            .unwrap();
+        let response = ChainResponse::from_bytes(&reply).unwrap();
+        assert!(matches!(
+            response.outcome,
+            Err(StepFailure { step: 0, error: StepError::Execution(m) }) if m.starts_with("malformed chain request")
+        ));
+    }
+
     #[test]
     fn registration_is_announced() {
         let f = fixture(vec![parsl()]);
@@ -566,6 +808,6 @@ mod tests {
         assert_eq!(reg.name, "test-tm");
         assert_eq!(reg.executors, vec!["parsl".to_string()]);
         // Keep repo alive for the fixture's lifetime.
-        assert!(f.repo.all_ids().len() >= 2);
+        assert!(f.repo.all_ids().len() >= 3);
     }
 }

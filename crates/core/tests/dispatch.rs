@@ -1,11 +1,13 @@
 //! Completion-passing dispatch: a Task Manager consumer hands a task to
-//! the replica pool and goes back to its queue, and the replica that
-//! finishes the task answers the requester.
+//! the replica pool and goes back to its queue, the replica that
+//! finishes a pipeline step dispatches the next one, and the replica
+//! that finishes the task answers the requester.
 
 use dlhub_core::admission::AdmissionConfig;
-use dlhub_core::executor::Executor;
+use dlhub_core::executor::{ChainStep, Executor};
 use dlhub_core::hub::TestHub;
 use dlhub_core::obs::{Obs, Telemetry};
+use dlhub_core::pipeline::Pipeline;
 use dlhub_core::servable::builtins::MatminerFeaturize;
 use dlhub_core::servable::{servable_fn, ModelType, Servable};
 use dlhub_core::serving::{RunOptions, ServingConfig};
@@ -127,8 +129,7 @@ fn a_batch_through_the_countdown_keeps_order_times_and_errors() {
             "t/doubler",
             &doubler,
             Arc::new(inputs),
-            None,
-            None,
+            ChainStep::default(),
             Box::new(move |execution| done.send(execution).unwrap()),
         );
         outcome.recv_timeout(PATIENCE).expect("done was called")
@@ -255,4 +256,76 @@ fn a_running_hub_has_no_reply_topics_and_no_pump_threads() {
             "{names:?}"
         );
     }
+}
+
+#[test]
+fn crossed_pipelines_on_one_replica_each_never_wait_on_each_other() {
+    // A → B beside B → A, one replica each: a step's continuation is
+    // sent from the replica that ran the step before it. Were it to wait
+    // for room in the next pool, A's replica could wait on B's while
+    // B's waits on A's, until the executor reaped both at its reply
+    // timeout.
+    const REPLY_TIMEOUT: Duration = Duration::from_secs(10);
+    let hub = TestHub::builder()
+        .without_eval_servables()
+        .memo(false)
+        .replicas(1)
+        .executor_reply_timeout(REPLY_TIMEOUT)
+        .build();
+    for (name, add) in [("a", 1), ("b", 100)] {
+        hub.publish_simple(
+            name,
+            ModelType::PythonFunction,
+            servable_fn(move |v| match v {
+                Value::Int(i) => Ok(Value::Int(i + add)),
+                other => Err(format!("not an int: {other:?}")),
+            }),
+        );
+    }
+    let register = |name: &str, steps: [&str; 2]| {
+        let pipeline = Pipeline::new(name, steps.map(String::from).to_vec());
+        hub.service.register_pipeline(&hub.token, pipeline).unwrap();
+    };
+    register("a-then-b", ["dlhub/a", "dlhub/b"]);
+    register("b-then-a", ["dlhub/b", "dlhub/a"]);
+    let slowest = std::thread::scope(|scope| {
+        let callers: Vec<_> = (0..8i64)
+            .map(|caller| {
+                let hub = &hub;
+                scope.spawn(move || {
+                    let name = ["a-then-b", "b-then-a"][caller as usize % 2];
+                    (0..200i64)
+                        .map(|call| {
+                            let input = caller * 1_000 + call;
+                            let started = std::time::Instant::now();
+                            let (value, steps) = hub
+                                .service
+                                .run_pipeline(&hub.token, name, Value::Int(input))
+                                .unwrap_or_else(|e| panic!("{name} call {call}: {e}"));
+                            assert_eq!(value, Value::Int(input + 101), "{name} call {call}");
+                            assert_eq!(steps.len(), 2);
+                            started.elapsed()
+                        })
+                        .max()
+                        .unwrap()
+                })
+            })
+            .collect();
+        callers
+            .into_iter()
+            .map(|c| c.join().unwrap())
+            .max()
+            .unwrap()
+    });
+    // Retries are off, so a reaped task would have failed its call
+    // ("executor timed out"): every call answered means none was reaped.
+    assert!(slowest < REPLY_TIMEOUT / 5, "slowest call {slowest:?}");
+    let snap = hub.service.obs().snapshot();
+    let pipeline_requests: u64 = snap
+        .servables
+        .iter()
+        .filter(|(id, _)| !id.contains('/'))
+        .map(|(_, s)| s.requests)
+        .sum();
+    assert_eq!(pipeline_requests, 1_600);
 }

@@ -18,14 +18,20 @@
 //!   attribute, stamped from the broker's lease accounting, reports
 //!   the in-queue share);
 //! * [`Stage::TmDispatch`] — invocation time before the work is
-//!   handed to a replica, plus reply collection;
+//!   handed to a replica, a pipeline's hops from one step to the next,
+//!   plus reply collection;
 //! * [`Stage::ReplicaWait`] — hand-off to inference start, measured
-//!   from the replica queue's `queued_ns` stamp;
+//!   from each replica job's `queued_ns` stamp;
 //! * [`Stage::Execute`] — time covered by `inference` spans;
 //! * [`Stage::BatchWait`] — time a flushed input sat in the batcher
 //!   (from the `batch_flush` span's `batch_wait_ns` attribute);
 //! * [`Stage::Management`] — everything the Management Service did not
 //!   delegate: preflight, memo keying, retry backoff, async pool wait.
+//!
+//! A pipeline is one frame — the `pipeline` root, its `attempt`s and
+//! the Task Manager's one `invocation` — holding one `inference` span
+//! per step, tagged `servable` and `step`; it decomposes like any other
+//! frame, and its per-step rows are read from those inference spans.
 
 use serde_json::{json, Value};
 
@@ -120,8 +126,8 @@ fn attr_u64(span: &SpanRecord, key: &str) -> Option<u64> {
     span.attr(key).and_then(|v| v.parse().ok())
 }
 
-/// Stage decomposition of one request-like span (`request` or
-/// `batch_flush`).
+/// Stage decomposition of one request frame (a `request`, `pipeline`
+/// or `batch_flush` root), or of one pipeline step.
 #[derive(Debug, Clone)]
 pub struct RequestBreakdown {
     /// Trace the request belongs to.
@@ -150,9 +156,13 @@ pub struct TraceAnalysis {
     pub trace: u64,
     /// Root kind: `"request"`, `"pipeline"` or `"batch_flush"`.
     pub kind: &'static str,
-    /// Total wall time of the root, nanoseconds.
+    /// What the root served: a servable id, or the pipeline's name.
+    pub servable: String,
+    /// Total wall time of the root (plus a flush's batch wait),
+    /// nanoseconds.
     pub total_ns: u64,
-    /// Per-request breakdowns (pipelines have one per step).
+    /// The root's own breakdown, or for a pipeline one row per step
+    /// that ran, read from its `inference` spans (none for a memo hit).
     pub requests: Vec<RequestBreakdown>,
     /// Aggregate per-stage attribution; sums exactly to `total_ns`.
     pub stages: StageNs,
@@ -162,45 +172,88 @@ pub struct TraceAnalysis {
     pub complete: bool,
 }
 
+/// Split `[lo, hi)` into `(tm_dispatch, replica_wait, execute)`
+/// nanoseconds summing exactly to its length: time under one of the
+/// `inferences` is execute; time between a job's `queued_ns` stamp and
+/// its start that no inference covers is replica wait (hand-off to
+/// pickup); the rest — routing, job construction, a chain's hop from one
+/// step to the next, reply collection — is dispatch.
+fn split_interval(lo: u64, hi: u64, inferences: &[&SpanRecord]) -> (u64, u64, u64) {
+    let running: Vec<(u64, u64)> = inferences.iter().map(|s| clamp(s, lo, hi)).collect();
+    let execute = union_len(running.clone());
+    let queued = inferences.iter().filter_map(|s| {
+        let queued = attr_u64(s, "queued_ns")?;
+        Some((queued.clamp(lo, hi), s.start_ns.clamp(lo, hi)))
+    });
+    let replica_wait = union_len(running.into_iter().chain(queued).collect()) - execute;
+    (hi - lo - execute - replica_wait, replica_wait, execute)
+}
+
+/// The `inference` children of the span `parent`.
+fn inferences_under<'a>(spans: &[&'a SpanRecord], parent: u64) -> Vec<&'a SpanRecord> {
+    spans
+        .iter()
+        .filter(|s| s.parent == parent && s.name == "inference")
+        .copied()
+        .collect()
+}
+
 /// Decompose the span `inv` (an `invocation`) into
 /// `(tm_dispatch, replica_wait, execute)` nanoseconds summing exactly
 /// to its duration.
 fn decompose_invocation(spans: &[&SpanRecord], inv: &SpanRecord) -> (u64, u64, u64) {
-    let dur = inv.end_ns.saturating_sub(inv.start_ns);
-    let inferences: Vec<&&SpanRecord> = spans
-        .iter()
-        .filter(|s| s.parent == inv.span && s.name == "inference")
-        .collect();
-    if inferences.is_empty() {
-        return (dur, 0, 0);
-    }
-    let execute = union_len(
-        inferences
-            .iter()
-            .map(|s| clamp(s, inv.start_ns, inv.end_ns))
-            .collect(),
-    );
-    let first_inference = inferences
-        .iter()
-        .map(|s| s.start_ns.clamp(inv.start_ns, inv.end_ns))
-        .min()
-        .unwrap_or(inv.start_ns);
-    let pre_gap = first_inference - inv.start_ns;
-    // The replica queue stamps `queued_ns` when the job is enqueued;
-    // hand-off-to-inference-start is replica queue wait, the rest of
-    // the pre-inference gap (routing, job construction) is dispatch.
-    let replica_wait = inferences
-        .iter()
-        .filter_map(|s| attr_u64(s, "queued_ns"))
-        .min()
-        .map(|queued| first_inference.saturating_sub(queued.max(inv.start_ns)))
-        .unwrap_or(0)
-        .min(pre_gap);
-    let tm_dispatch = dur - execute.min(dur) - replica_wait.min(dur - execute.min(dur));
-    (tm_dispatch, replica_wait, execute.min(dur))
+    let end = inv.end_ns.max(inv.start_ns);
+    split_interval(inv.start_ns, end, &inferences_under(spans, inv.span))
 }
 
-/// Decompose one request-like root/step span into stages.
+/// One row per step of a pipeline, read from the `inference` spans of
+/// the invocation that answered (the last one to end without an error,
+/// else the last; its `failed_step` attr marks the row that failed).
+/// Step *k* spans from step *k* − 1's last inference end (the
+/// invocation's start, for the first step) to its own, and partitions
+/// exactly into dispatch — the hop from the step before, at the Task
+/// Manager — replica wait and execute.
+fn step_rows(spans: &[&SpanRecord], root: &SpanRecord, attempts: usize) -> Vec<RequestBreakdown> {
+    let invocations = spans
+        .iter()
+        .filter(|s| s.parent == root.span && s.name == "invocation");
+    let Some(inv) = invocations.max_by_key(|s| (s.attr("error").is_none(), s.end_ns)) else {
+        return Vec::new();
+    };
+    let step_of = |s: &SpanRecord| attr_u64(s, "step").unwrap_or(0);
+    let mut inferences = inferences_under(spans, inv.span);
+    inferences.sort_by_key(|s| (step_of(s), s.start_ns));
+    let failed_step = attr_u64(inv, "failed_step");
+    let mut rows = Vec::new();
+    let mut from = inv.start_ns;
+    for step in inferences.chunk_by(|a, b| step_of(a) == step_of(b)) {
+        let to = step
+            .iter()
+            .map(|s| s.end_ns)
+            .max()
+            .unwrap_or(from)
+            .max(from);
+        let (tm, rw, ex) = split_interval(from, to, step);
+        let mut stages = zeroed();
+        add(&mut stages, Stage::TmDispatch, tm);
+        add(&mut stages, Stage::ReplicaWait, rw);
+        add(&mut stages, Stage::Execute, ex);
+        rows.push(RequestBreakdown {
+            trace: root.trace,
+            span: step[0].span,
+            servable: step[0].attr("servable").unwrap_or_default().to_string(),
+            total_ns: to - from,
+            stages,
+            attempts,
+            cache_hit: false,
+            error: failed_step == Some(step_of(step[0])),
+        });
+        from = to;
+    }
+    rows
+}
+
+/// Decompose one request frame into stages.
 fn decompose_request(spans: &[&SpanRecord], req: &SpanRecord) -> RequestBreakdown {
     let (lo, hi) = (req.start_ns, req.end_ns);
     let total_span = hi.saturating_sub(lo);
@@ -283,9 +336,11 @@ fn decompose_request(spans: &[&SpanRecord], req: &SpanRecord) -> RequestBreakdow
 }
 
 /// Analyze one trace in an export: find the root (`pipeline` >
-/// `request` > `batch_flush`), decompose every request under it, and
-/// return stage attributions that sum exactly to the root's wall time.
-/// `None` when the trace has no spans or no recognizable root.
+/// `request` > `batch_flush`), the frame every entry point opens,
+/// decompose it into stage attributions that sum exactly to its wall
+/// time, and for a pipeline read one row per step from the inference
+/// spans its one invocation holds. `None` when the trace has no spans
+/// or no recognizable root.
 pub fn analyze(export: &TraceExport, trace: u64) -> Option<TraceAnalysis> {
     let spans: Vec<&SpanRecord> = export.spans.iter().filter(|s| s.trace == trace).collect();
     if spans.is_empty() {
@@ -300,61 +355,23 @@ pub fn analyze(export: &TraceExport, trace: u64) -> Option<TraceAnalysis> {
     let root = ["pipeline", "request", "batch_flush"]
         .iter()
         .find_map(|name| roots.iter().find(|s| s.name == *name))?;
-
-    let (kind, requests, total_ns, batch_wait) = match root.name {
-        "pipeline" => {
-            let steps: Vec<RequestBreakdown> = spans
-                .iter()
-                .filter(|s| s.parent == root.span && s.name == "request")
-                .map(|s| decompose_request(&spans, s))
-                .collect();
-            let total = root.end_ns.saturating_sub(root.start_ns);
-            ("pipeline", steps, total, 0)
-        }
-        name => {
-            let breakdown = decompose_request(&spans, root);
-            let batch_wait = attr_u64(root, "batch_wait_ns").unwrap_or(0);
-            let total = root.end_ns.saturating_sub(root.start_ns) + batch_wait;
-            let kind = if name == "batch_flush" {
-                "batch_flush"
-            } else {
-                "request"
-            };
-            (kind, vec![breakdown], total, batch_wait)
-        }
+    let kind = match root.name {
+        "pipeline" => "pipeline",
+        "batch_flush" => "batch_flush",
+        _ => "request",
     };
-
-    let mut stages = zeroed();
-    add(&mut stages, Stage::BatchWait, batch_wait);
-    let mut step_total = batch_wait;
-    for req in &requests {
-        step_total += req.total_ns;
-        for (stage, ns) in &req.stages {
-            // For non-pipeline roots the request *is* the root, so its
-            // batch wait was already added above.
-            if kind != "pipeline" && *stage == Stage::BatchWait {
-                continue;
-            }
-            add(&mut stages, *stage, *ns);
-        }
-    }
-    if kind != "pipeline" {
-        step_total -= batch_wait;
-    }
-    // Time the root spent outside its request children (pipeline glue,
-    // step hand-off) is management overhead.
-    add(
-        &mut stages,
-        Stage::Management,
-        total_ns.saturating_sub(step_total),
-    );
-
+    let frame = decompose_request(&spans, root);
+    let requests = match kind {
+        "pipeline" => step_rows(&spans, root, frame.attempts),
+        _ => vec![frame.clone()],
+    };
     Some(TraceAnalysis {
         trace,
         kind,
-        total_ns,
+        servable: frame.servable,
+        total_ns: frame.total_ns,
         requests,
-        stages,
+        stages: frame.stages,
         complete,
     })
 }
@@ -436,6 +453,7 @@ impl TraceAnalysis {
         json!({
             "trace": self.trace,
             "kind": self.kind,
+            "servable": self.servable,
             "total_ns": self.total_ns,
             "stages": Value::Array(stages),
             "requests": Value::Array(requests),
@@ -446,21 +464,16 @@ impl TraceAnalysis {
     /// Terminal rendering for `dlhub analyze`.
     pub fn render_text(&self) -> String {
         let mut out = String::new();
-        let subject = self
-            .requests
-            .first()
-            .map(|r| r.servable.clone())
-            .unwrap_or_default();
         out.push_str(&format!(
             "trace {:#x}  {} {}  total {:.3}ms{}\n",
             self.trace,
             self.kind,
-            subject,
+            self.servable,
             ms(self.total_ns),
             if self.complete { "" } else { "  [incomplete]" },
         ));
         render_stages(&self.stages, self.total_ns, &mut out);
-        if self.requests.len() > 1 {
+        if self.kind == "pipeline" {
             for req in &self.requests {
                 out.push_str(&format!(
                     "  step {}  total {:.3}ms  attempts {}{}{}\n",
@@ -588,37 +601,64 @@ mod tests {
 
     #[test]
     fn pipeline_aggregates_steps_and_glue() {
+        // pipeline 0..1000; attempt 50..950; one invocation 100..900
+        // holding three steps, each queued 50ns before it runs.
+        let step = |span, step: u64, servable: &str, start: u64, end| {
+            let attrs = vec![
+                ("servable", servable.to_string()),
+                ("step", step.to_string()),
+                ("queued_ns", (start - 50).to_string()),
+            ];
+            self::span(3, span, 32, "inference", start, end, attrs)
+        };
         let export = TraceExport {
             spans: vec![
-                span(3, 30, 0, "pipeline", 0, 1000, vec![]),
                 span(
                     3,
-                    31,
                     30,
-                    "request",
-                    100,
-                    400,
-                    vec![("servable", "p/one".into())],
+                    0,
+                    "pipeline",
+                    0,
+                    1000,
+                    vec![("servable", "enthalpy".into())],
                 ),
-                span(
-                    3,
-                    32,
-                    30,
-                    "request",
-                    450,
-                    900,
-                    vec![("servable", "p/two".into())],
-                ),
+                span(3, 31, 30, "attempt", 50, 950, vec![]),
+                span(3, 32, 30, "invocation", 100, 900, vec![]),
+                step(33, 0, "p/one", 200, 300),
+                step(35, 2, "p/three", 700, 850),
+                step(34, 1, "p/two", 450, 600),
             ],
         };
         let a = analyze(&export, 3).unwrap();
         assert_eq!(a.kind, "pipeline");
-        assert_eq!(a.requests.len(), 2);
+        assert_eq!(a.servable, "enthalpy");
         assert_eq!(a.total_ns, 1000);
         assert_eq!(a.stage_sum(), 1000);
-        // Steps are pure management here (no attempts recorded), plus
-        // 250ns of pipeline glue.
-        assert_eq!(stage(&a, Stage::Management), 1000);
+        assert_eq!(stage(&a, Stage::Management), 100);
+        assert_eq!(stage(&a, Stage::BrokerWait), 100);
+        assert_eq!(stage(&a, Stage::Execute), 400);
+        assert_eq!(stage(&a, Stage::ReplicaWait), 150);
+        // Decode, the two hops between steps and the reply.
+        assert_eq!(stage(&a, Stage::TmDispatch), 250);
+        // One row per step, in step order, each an exact partition from
+        // the step before's end to its own.
+        let rows: Vec<(&str, u64)> = a
+            .requests
+            .iter()
+            .map(|r| (r.servable.as_str(), r.total_ns))
+            .collect();
+        assert_eq!(rows, [("p/one", 200), ("p/two", 300), ("p/three", 250)]);
+        for row in &a.requests {
+            assert_eq!(
+                row.stages.iter().map(|(_, ns)| ns).sum::<u64>(),
+                row.total_ns
+            );
+        }
+        let two = &a.requests[1];
+        let two_stage = |s| two.stages.iter().find(|(k, _)| *k == s).unwrap().1;
+        assert_eq!(two_stage(Stage::TmDispatch), 100);
+        assert_eq!(two_stage(Stage::ReplicaWait), 50);
+        assert_eq!(two_stage(Stage::Execute), 150);
         assert!(a.render_text().contains("step p/two"));
     }
 

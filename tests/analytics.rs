@@ -132,13 +132,15 @@ fn pipeline_decomposition_attributes_every_step() {
         .unwrap();
     let analysis = hub.service.obs().analyze(trace).expect("pipeline analysis");
     assert_eq!(analysis.kind, "pipeline");
+    assert_eq!(analysis.servable, "formation-enthalpy");
     assert_eq!(analysis.requests.len(), steps.len());
     assert_exact_partition(&analysis, "pipeline");
-    // Steps appear in execution order and each matches its span tree
-    // against the per-step timing the pipeline runner reported.
+    // Steps appear in execution order, each row read from its inference
+    // span and matching the invocation the Task Manager reported for
+    // that step (from the step before's answer to its own).
     for (breakdown, step) in analysis.requests.iter().zip(&steps) {
         assert_eq!(breakdown.servable, step.servable);
-        let observed = step.timings.request.as_nanos() as u64;
+        let observed = step.timings.invocation.as_nanos() as u64;
         let drift = breakdown.total_ns.abs_diff(observed);
         assert!(
             drift <= EPSILON.as_nanos() as u64,
@@ -146,7 +148,23 @@ fn pipeline_decomposition_attributes_every_step() {
             step.servable,
             breakdown.total_ns
         );
+        let execute = breakdown
+            .stages
+            .iter()
+            .find(|(s, _)| *s == Stage::Execute)
+            .map_or(0, |(_, ns)| *ns);
+        assert!(execute > 0, "{}: no execute stage", step.servable);
     }
+    // The rows sit inside the one frame, whose total is the request
+    // the steps' timings share out.
+    let rows: u64 = analysis.requests.iter().map(|r| r.total_ns).sum();
+    assert!(rows <= analysis.total_ns);
+    let request: Duration = steps.iter().map(|s| s.timings.request).sum();
+    let drift = analysis.total_ns.abs_diff(request.as_nanos() as u64);
+    assert!(
+        drift <= EPSILON.as_nanos() as u64,
+        "frame vs steps: {drift}ns"
+    );
 }
 
 #[test]

@@ -303,6 +303,86 @@ fn tm_crashes_redeliver_the_leased_task() {
 }
 
 #[test]
+fn a_tm_crash_between_pipeline_steps_redelivers_the_whole_task() {
+    for seed in seeds() {
+        // The crash site is consulted when a consumer takes a task and
+        // again between every two steps of a chain. Its second arrival
+        // is the first run's hop from step 1 to step 2: the Task Manager
+        // dies mid-pipeline, after step 1 ran.
+        let faults = FaultPlan::seeded(seed)
+            .inject(
+                site::TM_CRASH,
+                FaultSpec::new(FaultKind::Crash).after(1).max(1),
+            )
+            .build();
+        let hub = chaos_builder(faults.clone())
+            .without_eval_servables()
+            .build();
+        let runs = Arc::new([(); 2].map(|_| std::sync::atomic::AtomicUsize::new(0)));
+        for (step, (name, add)) in [("first", 1), ("second", 10)].into_iter().enumerate() {
+            let runs = Arc::clone(&runs);
+            hub.publish_simple(
+                name,
+                ModelType::PythonFunction,
+                servable_fn(move |v| {
+                    runs[step].fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                    match v {
+                        Value::Int(i) => Ok(Value::Int(i + add)),
+                        other => Err(format!("not an int: {other:?}")),
+                    }
+                }),
+            );
+        }
+        let steps = vec!["dlhub/first".to_string(), "dlhub/second".to_string()];
+        let pipeline = dlhub_core::pipeline::Pipeline::new("first-then-second", steps);
+        hub.service.register_pipeline(&hub.token, pipeline).unwrap();
+
+        let started = Instant::now();
+        let (value, timings) = hub
+            .service
+            .run_pipeline(&hub.token, "first-then-second", Value::Int(0))
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        // Exactly one answer, from one attempt: the lease brought the
+        // whole chain back inside the client's attempt, no retry.
+        assert_eq!(value, Value::Int(11), "seed {seed}");
+        assert_eq!(timings.len(), 2, "seed {seed}");
+        assert!(
+            started.elapsed() < chaos_config().request_timeout,
+            "seed {seed}: {:?}",
+            started.elapsed()
+        );
+        assert_eq!(counter(&hub, "request_retries_total"), 0, "seed {seed}");
+        assert_eq!(counter(&hub, "tm_crashes_injected_total"), 1, "seed {seed}");
+        assert_eq!(faults.injected(site::TM_CRASH), 1, "seed {seed}");
+        // The whole task was redelivered: step 1 ran again, step 2 once.
+        let ran = runs
+            .each_ref()
+            .map(|r| r.load(std::sync::atomic::Ordering::SeqCst));
+        assert_eq!(ran, [2, 1], "seed {seed}");
+        assert_eq!(counter(&hub, "tm_tasks_total"), 1, "seed {seed}");
+        assert_ledger_drains(&hub, seed);
+        // Conservation: every delivery was acked or redelivered (none
+        // dead-lettered here), and every send reached the queue.
+        let stats = hub.broker.stats(&chaos_config().task_topic).unwrap();
+        assert_eq!(
+            (
+                stats.enqueued,
+                stats.delivered,
+                stats.redelivered,
+                stats.dropped
+            ),
+            (1, 2, 1, 0),
+            "seed {seed}: {stats:?}"
+        );
+        assert_eq!(
+            stats.delivered,
+            stats.acked + stats.redelivered + stats.dead_lettered,
+            "seed {seed}: {stats:?}"
+        );
+    }
+}
+
+#[test]
 fn dropped_broker_sends_exhaust_with_a_typed_error() {
     for seed in seeds() {
         // Every broker send silently vanishes: requests can only time

@@ -152,9 +152,22 @@ fn pipeline_and_memoization_compose() {
         .run_pipeline(&hub.token, "enthalpy", Value::Str("NaCl".into()))
         .unwrap();
     assert_eq!(v1, v2);
-    // Second run hits the memo cache at every step.
     assert!(steps1.iter().all(|s| !s.timings.cache_hit));
-    assert!(steps2.iter().all(|s| s.timings.cache_hit));
+    // The second run is one hit on the pipeline's own entry (its name
+    // and input): no step ran, so every step reads the hit and no
+    // inference.
+    assert_eq!(steps2.len(), 3);
+    assert!(steps2
+        .iter()
+        .all(|s| s.timings.cache_hit && s.timings.inference.is_zero()));
+    let stats = hub.service.memo_stats();
+    assert_eq!((stats.hits, stats.misses), (1, 1));
+    // Intermediates are not cached: a step run on its own misses.
+    let parsed = hub
+        .service
+        .run(&hub.token, "dlhub/matminer-util", Value::Str("NaCl".into()))
+        .unwrap();
+    assert!(!parsed.timings.cache_hit);
 }
 
 #[test]
@@ -528,9 +541,9 @@ fn retrain_and_redeploy_lifecycle() {
 fn pipeline_run_yields_one_trace_with_correctly_parented_spans() {
     // Observability acceptance: a single pipeline run must produce a
     // single trace whose spans cover all three measurement tiers
-    // (§V-A) — request (Management Service), invocation (Task
-    // Manager), inference (servable) — with consistent parent links
-    // and nested durations.
+    // (§V-A) — the pipeline's request frame (Management Service), one
+    // invocation (Task Manager), one inference per step (servable) —
+    // with consistent parent links and nested durations.
     let hub = TestHub::builder().memo(false).build();
     hub.service
         .register_pipeline(
@@ -555,49 +568,53 @@ fn pipeline_run_yields_one_trace_with_correctly_parented_spans() {
     // One trace: every exported span carries the id we were handed.
     assert_eq!(export.trace_ids(), vec![trace]);
 
-    // One pipeline root, unparented.
+    // One pipeline root, unparented: the pipeline's one frame.
     let roots = export.named("pipeline");
     assert_eq!(roots.len(), 1);
     let root = roots[0];
     assert_eq!(root.parent, 0);
+    assert!(export.named("request").is_empty());
 
-    // Three request spans, one per step, all children of the root.
-    let requests = export.named("request");
-    assert_eq!(requests.len(), 3);
-    for request in &requests {
-        assert_eq!(request.parent, root.span);
-        // Each request owns exactly one invocation span (the Task
-        // Manager tier), which in turn owns at least one inference
-        // span (the servable tier).
-        let invocations: Vec<_> = export
-            .children_of(request.span)
-            .into_iter()
-            .filter(|s| s.name == "invocation")
-            .collect();
-        assert_eq!(invocations.len(), 1, "request {:?}", request.attrs);
-        let invocation = invocations[0];
-        let inferences: Vec<_> = export
-            .children_of(invocation.span)
-            .into_iter()
-            .filter(|s| s.name == "inference")
-            .collect();
-        assert!(!inferences.is_empty(), "request {:?}", request.attrs);
-        // The paper's nesting invariant holds span-for-span.
-        for inference in &inferences {
-            assert!(inference.duration() <= invocation.duration());
-        }
-        assert!(invocation.duration() <= request.duration());
+    // One task: the Task Manager tier is one invocation span under the
+    // root, which owns one inference span (the servable tier) per step.
+    let invocations: Vec<_> = export
+        .children_of(root.span)
+        .into_iter()
+        .filter(|s| s.name == "invocation")
+        .collect();
+    assert_eq!(invocations.len(), 1);
+    let invocation = invocations[0];
+    let mut inferences: Vec<_> = export
+        .children_of(invocation.span)
+        .into_iter()
+        .filter(|s| s.name == "inference")
+        .collect();
+    assert_eq!(inferences.len(), 3);
+    // The paper's nesting invariant holds span-for-span.
+    for inference in &inferences {
+        assert!(inference.duration() <= invocation.duration());
     }
-    // The three steps appear in pipeline order.
-    let order: Vec<_> = requests.iter().filter_map(|r| r.attr("servable")).collect();
+    assert!(invocation.duration() <= root.duration());
+    // The three steps ran in pipeline order, one after the other.
+    inferences.sort_by_key(|s| s.start_ns);
+    assert!(inferences.windows(2).all(|w| w[0].end_ns <= w[1].start_ns));
+    let order: Vec<_> = inferences
+        .iter()
+        .map(|s| (s.attr("step").unwrap(), s.attr("servable").unwrap()))
+        .collect();
     assert_eq!(
         order,
         vec![
-            "dlhub/matminer-util",
-            "dlhub/matminer-featurize",
-            "dlhub/matminer-model"
+            ("0", "dlhub/matminer-util"),
+            ("1", "dlhub/matminer-featurize"),
+            ("2", "dlhub/matminer-model")
         ]
     );
+    // Each step's reported timings nest the same way.
+    for step in &steps {
+        let t = step.timings;
+        assert!(t.request >= t.invocation && t.invocation >= t.inference);
+    }
 }
 
 #[test]
