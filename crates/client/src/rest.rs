@@ -36,6 +36,7 @@ fn status_for(e: &DlhubError) -> u16 {
     match e {
         DlhubError::Auth(_) => 401,
         DlhubError::NotFound(_) | DlhubError::UnknownTask(_) => 404,
+        DlhubError::ExpiredTask(_) => 410,
         DlhubError::InvalidInput { .. } | DlhubError::Pipeline(_) | DlhubError::Publication(_) => {
             400
         }
@@ -65,7 +66,8 @@ impl RestApi {
     /// * `POST /servables/{user}/{name}/run` — body `{"input": …}`.
     /// * `POST /servables/{user}/{name}/run_async` — same body;
     ///   returns `{"task_id": …}`.
-    /// * `GET /tasks/{id}` — poll an async task.
+    /// * `GET /tasks/{id}` — poll an async task. The poll that sees it
+    ///   finished delivers the result; later polls answer `410 Gone`.
     pub fn handle(
         &self,
         method: &str,
@@ -309,6 +311,11 @@ mod tests {
             assert!(std::time::Instant::now() < deadline, "task never finished");
             std::thread::sleep(Duration::from_millis(5));
         }
+        // The completed poll delivered the result: the task is gone,
+        // which is not the 404 of an id that never existed.
+        let again = api.handle("GET", &format!("/tasks/{task_id}"), None, json!({}));
+        assert_eq!(again.status, 410);
+        assert_eq!(again.body["error"], format!("task expired: {task_id}"));
         let missing = api.handle("GET", "/tasks/task-bogus", None, json!({}));
         assert_eq!(missing.status, 404);
     }

@@ -58,7 +58,9 @@ pub enum DlhubError {
     /// service.
     UnknownTask(String),
     /// Async task id belonged to a task whose record has since been
-    /// expired (forgotten); its result is gone but the id was real.
+    /// released — its result was delivered, forgotten, or left
+    /// unretrieved past the table's cap; the result is gone but the id
+    /// was real.
     ExpiredTask(String),
     /// Pipeline definition invalid (empty, or references missing
     /// servables).

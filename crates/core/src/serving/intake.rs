@@ -202,23 +202,21 @@ impl ManagementService {
         Ok(handle)
     }
 
-    /// Poll an async task by UUID. Ids whose record was dropped by
-    /// [`Self::forget_task`] report [`DlhubError::ExpiredTask`], so a
-    /// client can tell "poll again later is pointless" apart from a
-    /// typo'd id ([`DlhubError::UnknownTask`]).
+    /// Poll an async task by UUID. A finished task's result is
+    /// delivered once: the poll that sees it takes it, as a
+    /// [`TaskHandle`] would. Ids whose record was released — delivered,
+    /// dropped by [`Self::forget_task`], or left unretrieved past the
+    /// table's cap — report [`DlhubError::ExpiredTask`], so a client
+    /// can tell "poll again later is pointless" apart from a typo'd id
+    /// ([`DlhubError::UnknownTask`]).
     pub fn task_status(&self, task_id: &str) -> Result<TaskStatus, DlhubError> {
-        match self.task_table.status(task_id) {
-            Some(status) => Ok(status),
-            None if self.task_table.was_forgotten(task_id) => {
-                Err(DlhubError::ExpiredTask(task_id.to_string()))
-            }
-            None => Err(DlhubError::UnknownTask(task_id.to_string())),
-        }
+        self.task_table.status(task_id)
     }
 
-    /// Drop a finished task's record (housekeeping after the client
-    /// retrieved the result). A bounded tombstone keeps later polls
-    /// answering "expired" rather than "never existed".
+    /// Release a task's record without retrieving its result, pending
+    /// or finished; a pending task's result is dropped when it arrives.
+    /// A bounded tombstone keeps later polls answering "expired" rather
+    /// than "never existed".
     pub fn forget_task(&self, task_id: &str) {
         self.task_table.forget(task_id);
     }

@@ -455,6 +455,7 @@ mod tests {
     use dlhub_obs::Telemetry;
     use dlhub_search::Query;
     use std::sync::atomic::AtomicUsize;
+    use std::sync::Barrier;
 
     #[test]
     fn run_noop_returns_hello_world_with_timings() {
@@ -655,15 +656,50 @@ mod tests {
             status,
             TaskStatus::Completed(Value::Str("hello world".into()))
         );
-        // The service can be polled by UUID too.
+        // `wait` delivered the result, so a poll by UUID finds the
+        // record released — expired, not unknown.
         assert_eq!(
-            hub.service.task_status(&handle.id).unwrap(),
-            TaskStatus::Completed(Value::Str("hello world".into()))
+            hub.service.task_status(&handle.id),
+            Err(DlhubError::ExpiredTask(handle.id.clone()))
         );
+        assert_eq!(hub.service.task_table.held(), 0);
         assert!(matches!(
             hub.service.task_status("task-bogus"),
             Err(DlhubError::UnknownTask(_))
         ));
+    }
+
+    #[test]
+    fn a_task_forgotten_while_it_runs_stays_expired_when_it_finishes() {
+        let hub = TestHub::builder().build();
+        let (entered, release) = (Arc::new(Barrier::new(2)), Arc::new(Barrier::new(2)));
+        let gate = (Arc::clone(&entered), Arc::clone(&release));
+        hub.publish_simple(
+            "gate",
+            ModelType::PythonFunction,
+            servable_fn(move |v| {
+                gate.0.wait();
+                gate.1.wait();
+                Ok(v.clone())
+            }),
+        );
+        let handle = hub
+            .service
+            .run_async(&hub.token, "dlhub/gate", Value::Int(1))
+            .unwrap();
+        entered.wait();
+        hub.service.forget_task(&handle.id);
+        release.wait();
+        // The pool job resolves the table before it reads idle.
+        let active = hub.service.obs().metrics.gauge("async_pool_active");
+        while active.get() > 0 {
+            std::thread::yield_now();
+        }
+        assert_eq!(
+            hub.service.task_status(&handle.id),
+            Err(DlhubError::ExpiredTask(handle.id.clone()))
+        );
+        assert_eq!(hub.service.task_table.held(), 0);
     }
 
     #[test]

@@ -10,11 +10,12 @@
 //! [`ChainRequest`] carrying a whole pipeline's step list (§VI-D) and
 //! its [`ChainResponse`] with one [`StepCost`] per step.
 
+use crate::error::DlhubError;
 use crate::value::{self, Value};
 use bytes::Bytes;
 use dlhub_obs::TraceContext;
 use parking_lot::{Condvar, Mutex};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -463,18 +464,103 @@ impl TaskStatus {
     }
 }
 
-/// Tombstones kept for forgotten tasks, so `was_forgotten` can
-/// distinguish "expired" from "never existed".
+/// Ids of released tasks remembered, so a poll can tell "expired" from
+/// "never existed".
 const TOMBSTONE_CAPACITY: usize = 1024;
+/// Finished results held for clients that have not retrieved them.
+/// Past this many the longest-held is released, so a client that never
+/// polls cannot grow the table.
+const UNDELIVERED_CAPACITY: usize = 4096;
 
+/// The number [`next_task_id`] minted `id` from. Only the canonical
+/// spelling parses, so no other string aliases a task; anything else
+/// names no task.
+fn task_seq(id: &str) -> Option<u64> {
+    let hex = id.strip_prefix("task-")?;
+    let canonical = hex.len() == 8 || (hex.len() > 8 && !hex.starts_with('0'));
+    let digits = hex.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
+    if canonical && digits {
+        u64::from_str_radix(hex, 16).ok()
+    } else {
+        None
+    }
+}
+
+/// Ids of released tasks, the oldest forgotten first past
+/// [`TOMBSTONE_CAPACITY`].
+#[derive(Default)]
+struct Tombstones {
+    ids: HashSet<u64>,
+    order: VecDeque<u64>,
+}
+
+impl Tombstones {
+    fn insert(&mut self, seq: u64) {
+        if !self.ids.insert(seq) {
+            return;
+        }
+        self.order.push_back(seq);
+        if self.order.len() > TOMBSTONE_CAPACITY {
+            if let Some(oldest) = self.order.pop_front() {
+                self.ids.remove(&oldest);
+            }
+        }
+    }
+}
+
+#[derive(Default)]
 struct TableState {
-    tasks: HashMap<String, TaskStatus>,
-    /// Recently forgotten ids, oldest first, bounded by
-    /// `TOMBSTONE_CAPACITY`.
-    expired: VecDeque<String>,
+    /// Registered and not yet resolved. Never evicted: admission bounds
+    /// what is in flight.
+    pending: HashSet<u64>,
+    /// Resolved and not yet delivered: seq → (resolve stamp, status).
+    /// A B-tree rather than a hash map: its nodes come and go with its
+    /// entries, where a hash map would keep its largest bucket array.
+    undelivered: BTreeMap<u64, (u64, TaskStatus)>,
+    /// `undelivered` in resolve order: stamp → seq.
+    resolve_order: BTreeMap<u64, u64>,
+    next_stamp: u64,
+    released: Tombstones,
+}
+
+impl TableState {
+    /// Move a finished result out of the table, leaving a tombstone.
+    fn take(&mut self, seq: u64) -> Option<TaskStatus> {
+        let (stamp, status) = self.undelivered.remove(&seq)?;
+        self.resolve_order.remove(&stamp);
+        self.released.insert(seq);
+        Some(status)
+    }
+
+    /// What a poll of `id` observes. A terminal status is delivered:
+    /// taken out of the table.
+    fn deliver(&mut self, id: &str) -> Result<TaskStatus, DlhubError> {
+        let Some(seq) = task_seq(id) else {
+            return Err(DlhubError::UnknownTask(id.to_string()));
+        };
+        if self.pending.contains(&seq) {
+            return Ok(TaskStatus::Pending);
+        }
+        if let Some(status) = self.take(seq) {
+            return Ok(status);
+        }
+        Err(if self.released.ids.contains(&seq) {
+            DlhubError::ExpiredTask(id.to_string())
+        } else {
+            DlhubError::UnknownTask(id.to_string())
+        })
+    }
 }
 
 /// Shared task-status table backing async handles.
+///
+/// A record lives from [`Self::register`] until its result is
+/// delivered: the first [`Self::status`] or [`Self::wait`] that
+/// observes it terminal takes it, and later polls report
+/// [`DlhubError::ExpiredTask`]. [`Self::forget`] releases a record
+/// early, and past 4,096 unretrieved results the one resolved longest
+/// ago is released. So the table holds the tasks in flight plus a
+/// bounded number of results, whatever it has served.
 pub struct TaskTable {
     state: Mutex<TableState>,
     cv: Condvar,
@@ -484,73 +570,92 @@ impl TaskTable {
     /// Empty table.
     pub fn new() -> Arc<Self> {
         Arc::new(TaskTable {
-            state: Mutex::new(TableState {
-                tasks: HashMap::new(),
-                expired: VecDeque::new(),
-            }),
+            state: Mutex::new(TableState::default()),
             cv: Condvar::new(),
         })
     }
 
-    /// Register a pending task.
+    /// Register a pending task under an id [`next_task_id`] minted; any
+    /// other id names no task and is not recorded.
     pub fn register(&self, id: &str) {
-        self.state
-            .lock()
-            .tasks
-            .insert(id.to_string(), TaskStatus::Pending);
+        let seq = task_seq(id);
+        debug_assert!(seq.is_some(), "{id} was not minted by next_task_id");
+        if let Some(seq) = seq {
+            self.state.lock().pending.insert(seq);
+        }
     }
 
-    /// Resolve a task and wake waiters.
+    /// Resolve a pending task and wake waiters. A result for a task
+    /// forgotten while it ran is dropped.
     pub fn resolve(&self, id: &str, status: TaskStatus) {
-        self.state.lock().tasks.insert(id.to_string(), status);
+        let mut st = self.state.lock();
+        let st = &mut *st;
+        let Some(seq) = task_seq(id).filter(|seq| st.pending.remove(seq)) else {
+            return;
+        };
+        let stamp = st.next_stamp;
+        st.next_stamp += 1;
+        st.undelivered.insert(seq, (stamp, status));
+        st.resolve_order.insert(stamp, seq);
+        if st.undelivered.len() > UNDELIVERED_CAPACITY {
+            let oldest = st.resolve_order.first_key_value().map(|(_, &seq)| seq);
+            if let Some(oldest) = oldest {
+                st.take(oldest);
+            }
+        }
         self.cv.notify_all();
     }
 
-    /// Poll current status.
-    pub fn status(&self, id: &str) -> Option<TaskStatus> {
-        self.state.lock().tasks.get(id).cloned()
+    /// Poll a task, delivering its result if it has finished.
+    pub fn status(&self, id: &str) -> Result<TaskStatus, DlhubError> {
+        self.state.lock().deliver(id)
     }
 
-    /// Block until the task leaves `Pending` or the timeout elapses.
-    pub fn wait(&self, id: &str, timeout: Duration) -> Option<TaskStatus> {
+    /// Block until the task leaves `Pending` or the timeout elapses,
+    /// delivering its result if it finished.
+    pub fn wait(&self, id: &str, timeout: Duration) -> Result<TaskStatus, DlhubError> {
         let deadline = Instant::now() + timeout;
+        let seq = task_seq(id);
         let mut st = self.state.lock();
-        loop {
-            match st.tasks.get(id) {
-                Some(TaskStatus::Pending) => {}
-                Some(done) => return Some(done.clone()),
-                None => return None,
-            }
+        while seq.is_some_and(|seq| st.pending.contains(&seq)) {
             if self.cv.wait_until(&mut st, deadline).timed_out() {
-                return st.tasks.get(id).cloned();
+                break;
             }
         }
+        st.deliver(id)
     }
 
-    /// Remove a finished task's record (housekeeping), leaving a
-    /// bounded tombstone so later status queries can report "expired"
-    /// rather than "never existed".
+    /// Release a task's record without delivering it, pending or
+    /// finished, leaving a tombstone so later polls report "expired"
+    /// rather than "never existed". Waiters on a pending task wake to
+    /// the expiry.
     pub fn forget(&self, id: &str) {
+        let Some(seq) = task_seq(id) else { return };
         let mut st = self.state.lock();
-        if st.tasks.remove(id).is_some() && !st.expired.iter().any(|e| e == id) {
-            if st.expired.len() == TOMBSTONE_CAPACITY {
-                st.expired.pop_front();
-            }
-            st.expired.push_back(id.to_string());
+        if st.pending.remove(&seq) {
+            st.released.insert(seq);
+            self.cv.notify_all();
+        } else {
+            st.take(seq);
         }
     }
 
-    /// Whether the id belonged to a task that was since forgotten.
-    /// Best-effort: tombstones are bounded, so very old ids may fall
-    /// back to "never existed".
-    pub fn was_forgotten(&self, id: &str) -> bool {
-        self.state.lock().expired.iter().any(|e| e == id)
+    /// Records held: tasks in flight plus results not yet delivered.
+    #[cfg(test)]
+    pub(crate) fn held(&self) -> usize {
+        let st = self.state.lock();
+        st.pending.len() + st.undelivered.len()
     }
 }
 
 /// Handle to an asynchronous task ("a unique task UUID that can be
 /// used subsequently to monitor the status of the task and retrieve
 /// its result", §IV-A).
+///
+/// The result is retrievable once, by whichever clone of the handle (or
+/// [`crate::serving::ManagementService::task_status`] poll) first sees
+/// it; every later call reports `Failed` with the
+/// [`DlhubError::ExpiredTask`] text.
 #[derive(Clone)]
 pub struct TaskHandle {
     /// The task UUID.
@@ -564,18 +669,19 @@ impl TaskHandle {
         TaskHandle { id, table }
     }
 
-    /// Current status.
+    /// Current status, delivering the result if the task finished.
     pub fn status(&self) -> TaskStatus {
         self.table
             .status(&self.id)
-            .unwrap_or_else(|| TaskStatus::failed(format!("unknown task {}", self.id)))
+            .unwrap_or_else(|e| TaskStatus::failed(e.to_string()))
     }
 
-    /// Block until the task finishes or the timeout elapses.
+    /// Block until the task finishes or the timeout elapses, delivering
+    /// the result if it finished.
     pub fn wait(&self, timeout: Duration) -> TaskStatus {
         self.table
             .wait(&self.id, timeout)
-            .unwrap_or_else(|| TaskStatus::failed(format!("unknown task {}", self.id)))
+            .unwrap_or_else(|e| TaskStatus::failed(e.to_string()))
     }
 }
 
@@ -745,54 +851,133 @@ mod tests {
         assert_ne!(next_task_id(), next_task_id());
     }
 
+    fn expired(id: &str) -> Result<TaskStatus, DlhubError> {
+        Err(DlhubError::ExpiredTask(id.to_string()))
+    }
+
+    fn unknown(id: &str) -> Result<TaskStatus, DlhubError> {
+        Err(DlhubError::UnknownTask(id.to_string()))
+    }
+
     #[test]
     fn table_register_resolve_poll() {
         let table = TaskTable::new();
-        table.register("t1");
-        assert_eq!(table.status("t1"), Some(TaskStatus::Pending));
-        table.resolve("t1", TaskStatus::Completed(Value::Int(1)));
-        assert_eq!(
-            table.status("t1"),
-            Some(TaskStatus::Completed(Value::Int(1)))
-        );
-        table.forget("t1");
-        assert_eq!(table.status("t1"), None);
+        let id = next_task_id();
+        table.register(&id);
+        assert_eq!(table.status(&id), Ok(TaskStatus::Pending));
+        table.resolve(&id, TaskStatus::Completed(Value::Int(1)));
+        assert_eq!(table.status(&id), Ok(TaskStatus::Completed(Value::Int(1))));
+        // Delivered: the record is gone and the id reads expired, and
+        // forgetting it now changes nothing.
+        assert_eq!(table.held(), 0);
+        assert_eq!(table.status(&id), expired(&id));
+        table.forget(&id);
+        assert_eq!(table.status(&id), expired(&id));
     }
 
     #[test]
     fn forget_leaves_a_tombstone_but_unknown_ids_have_none() {
         let table = TaskTable::new();
-        table.register("t1");
-        table.resolve("t1", TaskStatus::Completed(Value::Int(1)));
-        table.forget("t1");
-        assert!(table.was_forgotten("t1"));
-        assert!(!table.was_forgotten("never-registered"));
+        let id = next_task_id();
+        table.register(&id);
+        table.resolve(&id, TaskStatus::Completed(Value::Int(1)));
+        table.forget(&id);
+        assert_eq!(table.status(&id), expired(&id));
+        let never_registered = next_task_id();
+        assert_eq!(table.status(&never_registered), unknown(&never_registered));
         // Forgetting an id that was never registered leaves no trace.
-        table.forget("ghost");
-        assert!(!table.was_forgotten("ghost"));
+        table.forget(&never_registered);
+        assert_eq!(table.status(&never_registered), unknown(&never_registered));
+        // Nor does any spelling that is not a minted id name a task.
+        let seq = id.trim_start_matches("task-").trim_start_matches('0');
+        for alias in [
+            format!("task-{seq}"),
+            id.to_uppercase(),
+            "task-bogus".into(),
+        ] {
+            assert_eq!(table.status(&alias), unknown(&alias));
+        }
+    }
+
+    #[test]
+    fn forgetting_a_pending_task_drops_its_late_result() {
+        let table = TaskTable::new();
+        let id = next_task_id();
+        table.register(&id);
+        let handle = TaskHandle::new(id.clone(), Arc::clone(&table));
+        let waiter = thread::spawn(move || {
+            let started = Instant::now();
+            (handle.wait(Duration::from_secs(30)), started.elapsed())
+        });
+        table.forget(&id);
+        // A waiter wakes to the expiry rather than sleeping out its
+        // timeout.
+        let (seen, waited) = waiter.join().unwrap();
+        assert_eq!(seen, TaskStatus::failed(format!("task expired: {id}")));
+        assert!(waited < Duration::from_secs(10), "{waited:?}");
+        table.resolve(&id, TaskStatus::Completed(Value::Int(1)));
+        assert_eq!(table.status(&id), expired(&id));
+        assert_eq!(table.held(), 0);
     }
 
     #[test]
     fn tombstones_are_bounded() {
         let table = TaskTable::new();
-        for i in 0..(TOMBSTONE_CAPACITY + 10) {
-            let id = format!("t{i}");
-            table.register(&id);
-            table.forget(&id);
+        let ids: Vec<String> = (0..TOMBSTONE_CAPACITY + 10)
+            .map(|_| next_task_id())
+            .collect();
+        for id in &ids {
+            table.register(id);
+            table.forget(id);
         }
-        assert!(!table.was_forgotten("t0"));
-        assert!(table.was_forgotten(&format!("t{}", TOMBSTONE_CAPACITY + 9)));
+        assert_eq!(table.status(&ids[0]), unknown(&ids[0]));
+        let last = &ids[TOMBSTONE_CAPACITY + 9];
+        assert_eq!(table.status(last), expired(last));
+    }
+
+    #[test]
+    fn unretrieved_results_past_the_cap_release_the_oldest_never_a_pending_task() {
+        let table = TaskTable::new();
+        let in_flight = next_task_id();
+        table.register(&in_flight);
+        let done: Vec<String> = (0..UNDELIVERED_CAPACITY + 1)
+            .map(|i| {
+                let id = next_task_id();
+                table.register(&id);
+                table.resolve(&id, TaskStatus::Completed(Value::Int(i as i64)));
+                id
+            })
+            .collect();
+        assert_eq!(table.held(), UNDELIVERED_CAPACITY + 1);
+        assert_eq!(table.status(&done[0]), expired(&done[0]));
+        assert_eq!(table.status(&in_flight), Ok(TaskStatus::Pending));
+        assert_eq!(
+            table.status(&done[1]),
+            Ok(TaskStatus::Completed(Value::Int(1)))
+        );
+        // Resolved last, the task that was in flight longest is the
+        // newest result, not the next to go.
+        table.resolve(&in_flight, TaskStatus::Completed(Value::Null));
+        let next = next_task_id();
+        table.register(&next);
+        table.resolve(&next, TaskStatus::Completed(Value::Null));
+        assert_eq!(table.status(&done[2]), expired(&done[2]));
+        assert_eq!(
+            table.status(&in_flight),
+            Ok(TaskStatus::Completed(Value::Null))
+        );
     }
 
     #[test]
     fn handle_wait_blocks_until_resolution() {
         let table = TaskTable::new();
-        table.register("t");
-        let handle = TaskHandle::new("t".into(), Arc::clone(&table));
+        let id = next_task_id();
+        table.register(&id);
+        let handle = TaskHandle::new(id.clone(), Arc::clone(&table));
         let t2 = Arc::clone(&table);
         let waiter = thread::spawn(move || handle.wait(Duration::from_secs(2)));
         thread::sleep(Duration::from_millis(20));
-        t2.resolve("t", TaskStatus::Completed(Value::Bool(true)));
+        t2.resolve(&id, TaskStatus::Completed(Value::Bool(true)));
         assert_eq!(
             waiter.join().unwrap(),
             TaskStatus::Completed(Value::Bool(true))
@@ -800,10 +985,44 @@ mod tests {
     }
 
     #[test]
+    fn two_clones_waiting_at_once_get_the_result_once_and_never_hang() {
+        let table = TaskTable::new();
+        let id = next_task_id();
+        table.register(&id);
+        let handle = TaskHandle::new(id.clone(), Arc::clone(&table));
+        let ready = Arc::new(std::sync::Barrier::new(3));
+        let waiters: Vec<_> = (0..2)
+            .map(|_| {
+                let (handle, ready) = (handle.clone(), Arc::clone(&ready));
+                thread::spawn(move || {
+                    ready.wait();
+                    handle.wait(Duration::from_secs(10))
+                })
+            })
+            .collect();
+        ready.wait();
+        table.resolve(&id, TaskStatus::Completed(Value::Int(7)));
+        let mut seen: Vec<TaskStatus> = waiters.into_iter().map(|w| w.join().unwrap()).collect();
+        seen.sort_by_key(|s| matches!(s, TaskStatus::Failed { .. }));
+        assert_eq!(
+            seen,
+            [
+                TaskStatus::Completed(Value::Int(7)),
+                TaskStatus::failed(format!("task expired: {id}")),
+            ]
+        );
+        assert_eq!(
+            handle.status(),
+            TaskStatus::failed(format!("task expired: {id}"))
+        );
+    }
+
+    #[test]
     fn wait_times_out_to_pending() {
         let table = TaskTable::new();
-        table.register("t");
-        let handle = TaskHandle::new("t".into(), Arc::clone(&table));
+        let id = next_task_id();
+        table.register(&id);
+        let handle = TaskHandle::new(id, Arc::clone(&table));
         assert_eq!(handle.wait(Duration::from_millis(20)), TaskStatus::Pending);
     }
 
@@ -811,6 +1030,6 @@ mod tests {
     fn unknown_task_reports_failure() {
         let table = TaskTable::new();
         let handle = TaskHandle::new("ghost".into(), table);
-        assert!(matches!(handle.status(), TaskStatus::Failed { .. }));
+        assert_eq!(handle.status(), TaskStatus::failed("unknown task: ghost"));
     }
 }

@@ -140,12 +140,53 @@ struct TracerInner {
     id: u64,
     enabled: AtomicBool,
     next_id: AtomicU64,
-    /// Every ring ever handed to a thread; drains iterate this. The
-    /// lock also serialises consumers, upholding the rings' SPSC
-    /// contract.
+    /// The ring of every live thread that has recorded, plus those of
+    /// threads that exited since the last registration or drain; drains
+    /// iterate this. The lock also serialises consumers, upholding the
+    /// rings' SPSC contract.
     rings: Mutex<Vec<Arc<SpanRing>>>,
     store: Mutex<VecDeque<SpanRecord>>,
-    store_dropped: AtomicU64,
+    /// Spans lost to store eviction, plus the overflow of rings already
+    /// released. Released rings add theirs under the `rings` lock.
+    dropped: AtomicU64,
+}
+
+impl TracerInner {
+    /// Drain the rings whose thread has exited into `out` and release
+    /// them, moving their overflow counts into `dropped`.
+    fn release_exited(&self, rings: &mut Vec<Arc<SpanRing>>, out: &mut Vec<SpanRecord>) {
+        let mut i = 0;
+        while i < rings.len() {
+            if Arc::strong_count(&rings[i]) > 1 {
+                i += 1;
+                continue;
+            }
+            // The registry holds the only reference: the owning thread
+            // dropped its own on exit, and no new one can be taken
+            // while `rings` is locked. `into_inner` synchronises with
+            // that drop, so every span the thread pushed is visible.
+            if let Some(ring) = Arc::into_inner(rings.swap_remove(i)) {
+                ring.drain_into(out);
+                self.dropped.fetch_add(ring.dropped(), Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// Move drained spans into the bounded store, oldest first.
+    fn store(&self, mut drained: Vec<SpanRecord>) {
+        if drained.is_empty() {
+            return;
+        }
+        drained.sort_by_key(|r| r.start_ns);
+        let mut store = self.store.lock();
+        for record in drained {
+            if store.len() == STORE_CAPACITY {
+                store.pop_front();
+                self.dropped.fetch_add(1, Ordering::Relaxed);
+            }
+            store.push_back(record);
+        }
+    }
 }
 
 /// (tracer id, liveness probe, ring) triple for one tracer this thread
@@ -185,7 +226,7 @@ impl Tracer {
                 next_id: AtomicU64::new(1),
                 rings: Mutex::new(Vec::new()),
                 store: Mutex::new(VecDeque::new()),
-                store_dropped: AtomicU64::new(0),
+                dropped: AtomicU64::new(0),
             }),
         }
     }
@@ -299,10 +340,18 @@ impl Tracer {
                 return;
             }
             // First span from this thread for this tracer: register a
-            // fresh ring, dropping map entries for dead tracers.
+            // fresh ring, dropping map entries for dead tracers. The
+            // registration releases the rings of threads that exited,
+            // so short-lived threads do not pile up rings.
             rings.retain(|(_, probe, _)| probe.strong_count() > 0);
             let ring = Arc::new(SpanRing::new());
-            self.inner.rings.lock().push(Arc::clone(&ring));
+            let mut released = Vec::new();
+            {
+                let mut registry = self.inner.rings.lock();
+                self.inner.release_exited(&mut registry, &mut released);
+                registry.push(Arc::clone(&ring));
+            }
+            self.inner.store(released);
             ring.push(record);
             rings.push((self.inner.id, Arc::downgrade(&self.inner), ring));
         });
@@ -315,31 +364,20 @@ impl Tracer {
         let mut drained = Vec::new();
         {
             let mut rings = self.inner.rings.lock();
+            self.inner.release_exited(&mut rings, &mut drained);
             for ring in rings.iter() {
                 ring.drain_into(&mut drained);
             }
-            // A ring only referenced by the registry belongs to a dead
-            // thread; it was just drained, so let it go.
-            rings.retain(|ring| Arc::strong_count(ring) > 1);
         }
-        if drained.is_empty() {
-            return;
-        }
-        drained.sort_by_key(|r| r.start_ns);
-        let mut store = self.inner.store.lock();
-        for record in drained {
-            if store.len() == STORE_CAPACITY {
-                store.pop_front();
-                self.inner.store_dropped.fetch_add(1, Ordering::Relaxed);
-            }
-            store.push_back(record);
-        }
+        self.inner.store(drained);
     }
 
-    /// Spans lost to ring overflow or store eviction so far.
+    /// Spans lost to ring overflow or store eviction so far; never
+    /// decreases.
     pub fn dropped(&self) -> u64 {
-        let rings: u64 = self.inner.rings.lock().iter().map(|r| r.dropped()).sum();
-        rings + self.inner.store_dropped.load(Ordering::Relaxed)
+        let rings = self.inner.rings.lock();
+        let live: u64 = rings.iter().map(|r| r.dropped()).sum();
+        live + self.inner.dropped.load(Ordering::Relaxed)
     }
 
     /// Drain and export collected spans, optionally restricted to one
@@ -445,6 +483,7 @@ impl TraceExport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ring::RING_CAPACITY;
 
     #[test]
     fn finished_spans_show_up_in_export_with_parent_links() {
@@ -517,6 +556,42 @@ mod tests {
             .named("inference")
             .iter()
             .all(|s| s.parent == ctx.span));
+    }
+
+    fn on_a_thread_that_exits(tracer: &Tracer, spans: usize) {
+        let tracer = tracer.clone();
+        std::thread::spawn(move || {
+            for _ in 0..spans {
+                tracer.finish(tracer.start_root("short-lived"));
+            }
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
+    fn an_exited_threads_ring_is_released_by_the_next_registration() {
+        let tracer = Tracer::new();
+        on_a_thread_that_exits(&tracer, 3);
+        assert_eq!(tracer.inner.rings.lock().len(), 1);
+        // The next thread's first span drains the exited thread's ring
+        // into the store and lets it go: one ring, the new thread's.
+        on_a_thread_that_exits(&tracer, 1);
+        assert_eq!(tracer.inner.rings.lock().len(), 1);
+        assert_eq!(tracer.inner.store.lock().len(), 3);
+        assert_eq!(tracer.export(None).spans.len(), 4);
+        assert!(tracer.inner.rings.lock().is_empty());
+    }
+
+    #[test]
+    fn a_released_rings_overflow_still_counts_as_dropped() {
+        let tracer = Tracer::new();
+        let overflow = 5;
+        on_a_thread_that_exits(&tracer, RING_CAPACITY + overflow);
+        assert_eq!(tracer.dropped(), overflow as u64);
+        tracer.drain();
+        assert_eq!(tracer.dropped(), overflow as u64);
+        assert_eq!(tracer.export(None).spans.len(), RING_CAPACITY);
     }
 
     #[test]

@@ -69,6 +69,12 @@ cargo test --workspace --release --quiet
 # member, and every replica pool shuts down through it.
 cargo test --release --quiet -p crossbeam
 
+echo "######## soak (live heap flat per request and per thread served)"
+# Its own binary with a counting global allocator, ignored by the run
+# above: every entry point and a thread-churn case, each failing if the
+# live heap grows between its 10 % and 100 % marks (DESIGN.md §7).
+cargo test --release --quiet -p dlhub-bench --test soak -- --ignored
+
 echo "######## repo benchmark (build + quick run)"
 # benchmark/ is a package of its own that the workspace build above
 # never compiles, and it pins public API of dlhub-core and dlhub-queue

@@ -642,12 +642,14 @@ fn failed_expired_and_unknown_tasks_stay_distinguishable() {
             }
             other => panic!("seed {seed}: unexpected {other:?}"),
         }
+
+        // `wait` delivered the Failed status once: the next poll is
+        // ExpiredTask — not UnknownTask — and forgetting the delivered
+        // id changes nothing.
         assert!(matches!(
             hub.service.task_status(&doomed.id),
-            Ok(TaskStatus::Failed { attempts: 4, .. })
+            Err(DlhubError::ExpiredTask(_))
         ));
-
-        // Forgetting flips Failed into ExpiredTask — not UnknownTask.
         hub.service.forget_task(&doomed.id);
         assert!(matches!(
             hub.service.task_status(&doomed.id),
