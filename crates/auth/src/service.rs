@@ -47,7 +47,9 @@ impl fmt::Display for AuthError {
 impl std::error::Error for AuthError {}
 
 struct StoredToken {
-    info: TokenInfo,
+    /// Shared with every caller that introspects the token: reading it
+    /// never copies its scopes or linked identities.
+    info: Arc<TokenInfo>,
     revoked: bool,
 }
 
@@ -62,6 +64,21 @@ struct State {
     resource_servers: HashMap<String, HashSet<String>>,
     tokens: HashMap<String, StoredToken>,
     groups: HashMap<String, HashSet<IdentityId>>,
+}
+
+impl State {
+    /// The introspection of `token` if it is known, unrevoked and
+    /// unexpired, borrowed under the caller's lock.
+    fn live(&self, token: &Token) -> Result<&Arc<TokenInfo>, AuthError> {
+        let stored = self.tokens.get(&token.0).ok_or(AuthError::InvalidToken)?;
+        if stored.revoked {
+            return Err(AuthError::InvalidToken);
+        }
+        if stored.info.expired() {
+            return Err(AuthError::ExpiredToken);
+        }
+        Ok(&stored.info)
+    }
 }
 
 /// Globus-Auth-like service: providers, identities, linking, resource
@@ -228,13 +245,13 @@ impl AuthService {
             .take(32)
             .map(char::from)
             .collect();
-        let info = TokenInfo {
+        let info = Arc::new(TokenInfo {
             identity,
             linked_identities: linked,
             scopes: scopes.to_vec(),
             expires_at: Instant::now() + ttl,
             dependent,
-        };
+        });
         self.state.write().tokens.insert(
             value.clone(),
             StoredToken {
@@ -246,28 +263,42 @@ impl AuthService {
     }
 
     /// Introspect a token: validate it and return the caller's
-    /// identity, linked identities and scopes.
-    pub fn introspect(&self, token: &Token) -> Result<TokenInfo, AuthError> {
-        let st = self.state.read();
-        let stored = st.tokens.get(&token.0).ok_or(AuthError::InvalidToken)?;
-        if stored.revoked {
-            return Err(AuthError::InvalidToken);
-        }
-        if stored.info.expired() {
-            return Err(AuthError::ExpiredToken);
-        }
-        Ok(stored.info.clone())
+    /// identity, linked identities and scopes, shared with the store.
+    pub fn introspect(&self, token: &Token) -> Result<Arc<TokenInfo>, AuthError> {
+        self.state.read().live(token).cloned()
     }
 
     /// Validate that `token` is live and carries `scope`; returns the
-    /// introspection on success. This is the single authorization
-    /// gate resource servers call.
-    pub fn authorize(&self, token: &Token, scope: &Scope) -> Result<TokenInfo, AuthError> {
+    /// introspection on success. The gate for operations that need the
+    /// caller's whole profile (publication, ownership checks).
+    pub fn authorize(&self, token: &Token, scope: &Scope) -> Result<Arc<TokenInfo>, AuthError> {
         let info = self.introspect(token)?;
         if info.has_scope(scope) {
             Ok(info)
         } else {
             Err(AuthError::UnknownScope(scope.clone()))
+        }
+    }
+
+    /// [`Self::authorize`] for the request path: validate that `token`
+    /// is live — unrevoked, unexpired — and carries the scope `name` of
+    /// `resource_server`, and return the caller's tenant key
+    /// ([`TokenInfo::tenant`]). Decided under the read lock, so a
+    /// request copies nothing of the token; every call reads revocation
+    /// and expiry afresh, and a refusal is the error
+    /// [`Self::authorize`] returns.
+    pub fn authorize_tenant(
+        &self,
+        token: &Token,
+        resource_server: &str,
+        name: &str,
+    ) -> Result<IdentityId, AuthError> {
+        let st = self.state.read();
+        let info = st.live(token)?;
+        if info.grants(resource_server, name) {
+            Ok(info.tenant())
+        } else {
+            Err(AuthError::UnknownScope(Scope::new(resource_server, name)))
         }
     }
 
@@ -398,6 +429,37 @@ mod tests {
         let token = auth.issue_token(id, std::slice::from_ref(&serve)).unwrap();
         assert!(auth.authorize(&token, &serve).is_ok());
         assert!(auth.authorize(&token, &publish).is_err());
+    }
+
+    #[test]
+    fn authorize_tenant_checks_what_authorize_checks() {
+        let (auth, id) = svc();
+        let serve = Scope::new("dlhub", "dlhub:serve");
+        let token = auth.issue_token(id, std::slice::from_ref(&serve)).unwrap();
+        assert_eq!(
+            auth.authorize_tenant(&token, "dlhub", "dlhub:serve"),
+            Ok(id)
+        );
+        // A missing scope is refused with the error `authorize` gives.
+        let publish = Scope::new("dlhub", "dlhub:publish");
+        assert_eq!(
+            auth.authorize_tenant(&token, "dlhub", "dlhub:publish"),
+            auth.authorize(&token, &publish).map(|info| info.tenant())
+        );
+        assert_eq!(
+            auth.authorize_tenant(&token, "dlhub", "dlhub:publish"),
+            Err(AuthError::UnknownScope(publish))
+        );
+        // Revocation is read on every call.
+        auth.revoke(&token);
+        assert_eq!(
+            auth.authorize_tenant(&token, "dlhub", "dlhub:serve"),
+            Err(AuthError::InvalidToken)
+        );
+        assert_eq!(
+            auth.authorize_tenant(&Token("no-such-token".into()), "dlhub", "dlhub:serve"),
+            Err(AuthError::InvalidToken)
+        );
     }
 
     #[test]

@@ -38,9 +38,14 @@ pub struct Token(pub String);
 
 impl fmt::Display for Token {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // Avoid leaking full token material in logs.
-        let shown = &self.0[..self.0.len().min(8)];
-        write!(f, "tok-{shown}…")
+        // Avoid leaking full token material in logs: at most the first
+        // 8 bytes, cut at a character boundary — a token is whatever
+        // string a caller sent.
+        let end = (0..=self.0.len().min(8))
+            .rev()
+            .find(|&i| self.0.is_char_boundary(i))
+            .unwrap_or(0);
+        write!(f, "tok-{}…", &self.0[..end])
     }
 }
 
@@ -65,7 +70,15 @@ pub struct TokenInfo {
 impl TokenInfo {
     /// True if the token carries `scope`.
     pub fn has_scope(&self, scope: &Scope) -> bool {
-        self.scopes.iter().any(|s| s == scope)
+        self.grants(&scope.resource_server, &scope.name)
+    }
+
+    /// True if the token carries the scope `name` of `resource_server`:
+    /// [`Self::has_scope`] without building a [`Scope`].
+    pub fn grants(&self, resource_server: &str, name: &str) -> bool {
+        self.scopes
+            .iter()
+            .any(|s| s.resource_server == resource_server && s.name == name)
     }
 
     /// The tenant key a resource server should account this caller
@@ -111,6 +124,15 @@ mod tests {
     }
 
     #[test]
+    fn token_display_cuts_a_multi_byte_token_at_a_char_boundary() {
+        // The ninth byte is inside 'é': the cut falls before it.
+        assert_eq!(Token("abcdefgé-rest".into()).to_string(), "tok-abcdefg…");
+        assert_eq!(Token("éééé".into()).to_string(), "tok-éééé…");
+        assert_eq!(Token("ab".into()).to_string(), "tok-ab…");
+        assert_eq!(Token(String::new()).to_string(), "tok-…");
+    }
+
+    #[test]
     fn token_info_scope_and_ttl() {
         let info = TokenInfo {
             identity: IdentityId(1),
@@ -121,6 +143,8 @@ mod tests {
         };
         assert!(info.has_scope(&Scope::new("dlhub", "dlhub:serve")));
         assert!(!info.has_scope(&Scope::new("dlhub", "dlhub:publish")));
+        assert!(info.grants("dlhub", "dlhub:serve"));
+        assert!(!info.grants("dlhub:serve", "dlhub"));
         assert!(!info.expired());
         assert!(info.ttl() > Duration::from_secs(50));
     }

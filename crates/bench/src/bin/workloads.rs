@@ -28,15 +28,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use dlhub_bench::openloop::{OpenLoopRecorder, OpenLoopReport, OpenLoopSample};
 use dlhub_bench::report::{print_table, shape_check, write_json};
 use dlhub_core::admission::AdmissionConfig;
 use dlhub_core::autoscale::ControlPolicy;
 use dlhub_core::error::DlhubError;
 use dlhub_core::hub::TestHub;
-use dlhub_core::obs::{
-    analyze_all, Obs, OpenLoopRecorder, OpenLoopReport, OpenLoopSample, StageNs, Telemetry,
-    TraceAnalysis,
-};
+use dlhub_core::obs::{analyze_all, Obs, StageNs, Telemetry, TraceAnalysis};
 use dlhub_core::servable::{servable_fn, ModelType};
 use dlhub_core::serving::ServingConfig;
 use dlhub_core::value::Value;

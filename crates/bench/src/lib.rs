@@ -4,7 +4,8 @@
 //!
 //! The experiment harness: one binary per table and figure of the
 //! paper's evaluation (§V), the ablations, the open-loop `workloads`
-//! observatory, and Criterion micro-benchmarks for the design choices
+//! observatory with its coordinated-omission-correct [`openloop`]
+//! recorder, and Criterion micro-benchmarks for the design choices
 //! called out in DESIGN.md. Throughput and latency of the serving path
 //! itself are measured by the repo benchmark in `benchmark/`, not here.
 //!
@@ -21,5 +22,6 @@
 //! reads its measured timings; [`testbed`] adds the paper's two §V-A
 //! link round trips for each link an answer actually crossed.
 
+pub mod openloop;
 pub mod report;
 pub mod testbed;

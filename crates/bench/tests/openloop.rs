@@ -3,7 +3,7 @@
 //! every request, individually and at every quantile, and the report's
 //! quantiles are the exact sorted ranks of the raw samples.
 
-use dlhub_obs::{OpenLoopRecorder, OpenLoopSample};
+use dlhub_bench::openloop::{OpenLoopRecorder, OpenLoopSample};
 use proptest::prelude::*;
 
 proptest! {

@@ -11,7 +11,7 @@ use crate::value::Value;
 use crossbeam::channel;
 use dlhub_container::{Cluster, Digest, PodSpec};
 use dlhub_fault::{site, Fault, FaultHandle, FaultKind};
-use dlhub_obs::{Counter, Gauge, Histogram, Obs, SpanRecord, TraceContext};
+use dlhub_obs::{Counter, Gauge, Histogram, Obs, TraceContext};
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 use std::collections::HashMap;
 use std::ops::Range;
@@ -23,8 +23,47 @@ use std::time::{Duration, Instant};
 /// per-input inference durations, or the first error.
 pub type Execution = Result<(Vec<Value>, Vec<Duration>), String>;
 
+/// A task's outputs in input order, each with the inference time its
+/// replica reported: the cells the replicas answered into, handed over
+/// as they are, so a Task Manager encodes its reply from them and
+/// nothing rebuilds them first.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Answers(Vec<(Value, Duration)>);
+
+impl Answers {
+    /// Outputs, in input order.
+    pub fn values(&self) -> impl ExactSizeIterator<Item = &Value> {
+        self.0.iter().map(|(value, _)| value)
+    }
+
+    /// Inference times, in input order.
+    pub fn times(&self) -> impl ExactSizeIterator<Item = Duration> + '_ {
+        self.0.iter().map(|(_, time)| *time)
+    }
+
+    /// The outputs, for the next step of a chain.
+    pub fn into_values(self) -> Vec<Value> {
+        self.0.into_iter().map(|(value, _)| value).collect()
+    }
+
+    /// The [`Execution`] form: outputs and times apart.
+    pub fn into_parts(self) -> (Vec<Value>, Vec<Duration>) {
+        self.0.into_iter().unzip()
+    }
+}
+
+impl From<(Vec<Value>, Vec<Duration>)> for Answers {
+    fn from((values, times): (Vec<Value>, Vec<Duration>)) -> Self {
+        Answers(values.into_iter().zip(times).collect())
+    }
+}
+
+/// What [`Executor::dispatch`] completes with: the answers, or the
+/// first error in input order.
+pub type Answered = Result<Answers, String>;
+
 /// Completion callback of [`Executor::dispatch`].
-pub type Done = Box<dyn FnOnce(Execution) + Send>;
+pub type Done = Box<dyn FnOnce(Answered) + Send>;
 
 /// Where a task sits in its chain and where its spans go: what a Task
 /// Manager tells an executor beside the task itself. The default is a
@@ -89,19 +128,12 @@ pub trait Executor: Send + Sync {
             if obs.tracer.enabled() {
                 let end_ns = dlhub_obs::now_ns();
                 for time in times {
-                    obs.tracer.record(SpanRecord {
-                        trace: parent.trace,
-                        span: 0, // minted by the tracer
-                        parent: parent.span,
-                        name: "inference",
-                        start_ns: end_ns.saturating_sub(time.as_nanos() as u64),
-                        end_ns,
-                        attrs: vec![
-                            ("servable", servable_id.to_string()),
-                            ("step", step.index.to_string()),
-                            ("executor", self.name().to_string()),
-                        ],
-                    });
+                    let start_ns = end_ns.saturating_sub(time.as_nanos() as u64);
+                    let mut span = obs.tracer.start_child_at(parent, "inference", start_ns);
+                    span.attr("servable", servable_id.to_string());
+                    span.attr("step", step.index);
+                    span.attr("executor", self.name().to_string());
+                    obs.tracer.finish_at(span, end_ns);
                 }
             }
         }
@@ -123,7 +155,10 @@ pub trait Executor: Send + Sync {
         step: ChainStep<'_>,
         done: Done,
     ) {
-        done(self.execute_traced(servable_id, servable, &inputs, step));
+        done(
+            self.execute_traced(servable_id, servable, &inputs, step)
+                .map(Answers::from),
+        );
     }
 
     /// Complete, with a timeout error, every dispatched task whose
@@ -158,7 +193,6 @@ pub trait Executor: Send + Sync {
 struct JobTrace {
     tracer: dlhub_obs::Tracer,
     parent: TraceContext,
-    servable_id: String,
     /// [`ChainStep::index`], tagged on every span.
     step: usize,
 }
@@ -182,13 +216,17 @@ struct Task {
 /// The shared countdown of one task, completed exactly once: by the
 /// last replica to answer or by an expiry, whichever locks first.
 struct Progress {
-    answers: Vec<Option<(Result<Value, String>, Duration)>>,
+    /// One cell per input, in input order; a cell holds `Null` until its
+    /// input is answered.
+    answers: Vec<(Value, Duration)>,
     answered: usize,
+    /// The failed input first in input order, and its error.
+    first_error: Option<(usize, String)>,
     completed: bool,
     /// Who to tell; `None` when a blocking caller waits on the task
     /// itself, in which case the outcome is parked in `outcome`.
     done: Option<Done>,
-    outcome: Option<Execution>,
+    outcome: Option<Answered>,
 }
 
 impl Task {
@@ -204,19 +242,26 @@ impl Task {
     ) -> bool {
         let mut progress = self.progress.lock();
         let Progress {
-            answers, answered, ..
+            answers,
+            answered,
+            first_error,
+            ..
         } = &mut *progress;
-        for (slot, result) in answers[first..].iter_mut().zip(results) {
-            *slot = Some((result, inference));
+        let cells = (first..).zip(&mut answers[first..]);
+        for ((at, cell), result) in cells.zip(results) {
+            match result {
+                Ok(value) => *cell = (value, inference),
+                Err(e) if first_error.as_ref().is_none_or(|(i, _)| at < *i) => {
+                    *first_error = Some((at, e));
+                }
+                Err(_) => {}
+            }
             *answered += 1;
         }
         progress.answered == progress.answers.len()
-            && self.complete(progress, |progress| {
-                let answers = std::mem::take(&mut progress.answers).into_iter().flatten();
-                answers
-                    .map(|(result, time)| result.map(|value| (value, time)))
-                    .collect::<Result<Vec<_>, _>>()
-                    .map(|pairs| pairs.into_iter().unzip())
+            && self.complete(progress, |progress| match progress.first_error.take() {
+                Some((_, error)) => Err(error),
+                None => Ok(Answers(std::mem::take(&mut progress.answers))),
             })
     }
 
@@ -225,7 +270,7 @@ impl Task {
     fn complete(
         &self,
         mut progress: MutexGuard<'_, Progress>,
-        outcome: impl FnOnce(&mut Progress) -> Execution,
+        outcome: impl FnOnce(&mut Progress) -> Answered,
     ) -> bool {
         if std::mem::replace(&mut progress.completed, true) {
             return false;
@@ -416,8 +461,11 @@ impl Pool {
         // waiting unleased in the task topic.
         let (sender, receiver) = channel::bounded::<Job>(replicas);
         let quarantined = Arc::new(AtomicUsize::new(0));
+        // Every inference span a replica records names its servable.
+        let servable: Arc<str> = Arc::from(servable_id);
         let workers = (0..replicas)
             .map(|i| {
+                let servable = Arc::clone(&servable);
                 let rx = receiver.clone();
                 let faults = faults.clone();
                 let metrics = Arc::clone(&metrics);
@@ -448,22 +496,16 @@ impl Pool {
                             run_chunk(&faults, &*task.servable, inputs, &mut results);
                             let end_ns = dlhub_obs::now_ns();
                             if let Some(trace) = &task.trace {
-                                trace.tracer.record(SpanRecord {
-                                    trace: trace.parent.trace,
-                                    span: 0, // minted by the tracer
-                                    parent: trace.parent.span,
-                                    name: "inference",
-                                    start_ns,
-                                    end_ns,
-                                    attrs: vec![
-                                        ("servable", trace.servable_id.clone()),
-                                        ("step", trace.step.to_string()),
-                                        ("replica", i.to_string()),
-                                        ("executor", "parsl".to_string()),
-                                        ("queued_ns", queued_ns.to_string()),
-                                        ("items", inputs.len().to_string()),
-                                    ],
-                                });
+                                let tracer = &trace.tracer;
+                                let mut span =
+                                    tracer.start_child_at(trace.parent, "inference", start_ns);
+                                span.attr("servable", Arc::clone(&servable));
+                                span.attr("step", trace.step);
+                                span.attr("replica", i);
+                                span.attr("executor", "parsl");
+                                span.attr("queued_ns", queued_ns);
+                                span.attr("items", inputs.len());
+                                tracer.finish_at(span, end_ns);
                             }
                             // Health state machine: healthy → suspect
                             // (strikes accumulating) → quarantined →
@@ -737,7 +779,6 @@ impl ParslExecutor {
             Some((obs, parent)) if obs.tracer.enabled() => Some(JobTrace {
                 tracer: obs.tracer.clone(),
                 parent,
-                servable_id: servable_id.to_string(),
                 step: step.index,
             }),
             _ => None,
@@ -748,8 +789,9 @@ impl ParslExecutor {
             trace,
             deadline_ns: started_ns.saturating_add(timeout_ns).min(NO_EXPIRY - 1),
             progress: Mutex::new(Progress {
-                answers: (0..count).map(|_| None).collect(),
+                answers: vec![(Value::Null, Duration::ZERO); count],
                 answered: 0,
+                first_error: None,
                 completed: false,
                 done,
                 outcome: None,
@@ -757,7 +799,7 @@ impl ParslExecutor {
             finished: Condvar::new(),
         });
         if count == 0 {
-            task.complete(task.progress.lock(), |_| Ok((Vec::new(), Vec::new())));
+            task.complete(task.progress.lock(), |_| Ok(Answers::default()));
             return task;
         }
         let Some((sender, replicas)) = self.pool_sender(servable_id) else {
@@ -863,7 +905,7 @@ impl Executor for ParslExecutor {
         let mut progress = task.progress.lock();
         loop {
             if let Some(outcome) = progress.outcome.take() {
-                return outcome;
+                return outcome.map(Answers::into_parts);
             }
             let left = Duration::from_nanos(task.deadline_ns.saturating_sub(dlhub_obs::now_ns()));
             // Past the deadline another thread may be mid-expiry.
@@ -1076,6 +1118,7 @@ mod tests {
     use crate::servable::builtins::NoopServable;
     use crate::servable::servable_fn;
     use dlhub_container::NodeSpec;
+    use dlhub_obs::SpanRecord;
 
     fn cluster() -> Cluster {
         Cluster::new(vec![NodeSpec::new("n0", 64_000, 65_536)])

@@ -489,7 +489,7 @@ impl MemoCache {
             self.entries.fetch_sub(1, Ordering::Relaxed);
             self.evictions.inc();
             self.tracer
-                .event(None, "memo_evict", vec![("servable", servable)]);
+                .event(None, "memo_evict", [("servable", servable.into())]);
         }
     }
 

@@ -3,7 +3,7 @@
 
 use crate::error::DlhubError;
 use crate::servable::{Servable, ServableMetadata};
-use dlhub_auth::{Acl, AuthService, Scope, Token, TokenInfo};
+use dlhub_auth::{Acl, AuthService, Scope, Token, TokenInfo, Visibility};
 use dlhub_container::{Dependency, Digest, ImageBuilder, Recipe, Registry};
 use dlhub_search::{Document, Index, Query, SearchHit};
 use parking_lot::{Mutex, RwLock};
@@ -61,6 +61,15 @@ pub struct Published {
     servable: Arc<dyn Servable>,
 }
 
+/// A servable resolved for one request: its id as the repository holds
+/// it — shared, so the request frame, the spans and the Task Manager
+/// that name it copy nothing — its implementation and its metadata.
+pub(crate) struct Resolved {
+    pub(crate) id: Arc<str>,
+    pub(crate) servable: Arc<dyn Servable>,
+    pub(crate) metadata: Arc<ServableMetadata>,
+}
+
 /// DLHub-runtime dependencies merged into every servable container
 /// ("combines DLHub-specific dependencies with user-supplied model
 /// dependencies", §IV-A).
@@ -77,7 +86,8 @@ pub struct Repository {
     search: Index,
     registry: Registry,
     builder: Mutex<ImageBuilder>,
-    entries: RwLock<HashMap<String, Published>>,
+    /// Keyed by the id every [`Resolved`] shares.
+    entries: RwLock<HashMap<Arc<str>, Published>>,
 }
 
 impl Repository {
@@ -104,7 +114,7 @@ impl Repository {
         &self.registry
     }
 
-    fn authorize(&self, token: &Token, scope: &str) -> Result<TokenInfo, DlhubError> {
+    fn authorize(&self, token: &Token, scope: &str) -> Result<Arc<TokenInfo>, DlhubError> {
         self.auth
             .authorize(token, &Scope::new(RESOURCE_SERVER, scope))
             .map_err(DlhubError::from)
@@ -155,7 +165,7 @@ impl Repository {
         // Version bump requires ownership of the existing entry.
         let next_version = {
             let entries = self.entries.read();
-            match entries.get(&id) {
+            match entries.get(id.as_str()) {
                 Some(existing) => {
                     if !existing.acl.is_owner(&info.linked_identities) {
                         return Err(DlhubError::Publication(format!(
@@ -216,7 +226,7 @@ impl Repository {
 
         self.index_entry(&id, &metadata, &acl, next_version)?;
         self.entries.write().insert(
-            id.clone(),
+            Arc::from(id.as_str()),
             Published {
                 metadata: Arc::new(metadata),
                 version: next_version,
@@ -256,13 +266,39 @@ impl Repository {
         token: Option<&Token>,
         id: &str,
     ) -> Result<(Arc<dyn Servable>, Arc<ServableMetadata>), DlhubError> {
-        let principals = self.principals(token);
+        self.resolve_as(token, id)
+            .map(|resolved| (resolved.servable, resolved.metadata))
+    }
+
+    /// [`Self::resolve`], keeping the id as the repository holds it.
+    pub(crate) fn resolve_as(
+        &self,
+        token: Option<&Token>,
+        id: &str,
+    ) -> Result<Resolved, DlhubError> {
         let entries = self.entries.read();
-        let entry = entries
-            .get(id)
-            .filter(|e| permits(&e.acl, &principals))
+        let (id, entry) = entries
+            .get_key_value(id)
+            .filter(|(_, entry)| self.visible_to(&entry.acl, token))
             .ok_or_else(|| DlhubError::NotFound(id.to_string()))?;
-        Ok((Arc::clone(&entry.servable), Arc::clone(&entry.metadata)))
+        Ok(Resolved {
+            id: Arc::clone(id),
+            servable: Arc::clone(&entry.servable),
+            metadata: Arc::clone(&entry.metadata),
+        })
+    }
+
+    /// Whether the holder of `token` may see an entry under `acl`. A
+    /// public entry admits anyone without looking at the caller; only a
+    /// restricted one computes the caller's principals, now — so the
+    /// token's revocation and expiry, and its identities' group
+    /// memberships, count as of this call.
+    fn visible_to(&self, acl: &Acl, token: Option<&Token>) -> bool {
+        if acl.visibility == Visibility::Public {
+            return true;
+        }
+        let allowed = acl_principals(acl);
+        self.principals(token).iter().any(|p| allowed.contains(p))
     }
 
     /// Publish with components staged from a remote endpoint — the
@@ -393,7 +429,7 @@ impl Repository {
             let id = metadata.id();
             let next_version = {
                 let store = self.entries.read();
-                match store.get(&id) {
+                match store.get(id.as_str()) {
                     Some(existing) => {
                         if !existing.acl.is_owner(&info.linked_identities) {
                             return Err(DlhubError::Publication(format!(
@@ -426,7 +462,7 @@ impl Repository {
             }
             self.index_entry(&id, &metadata, &acl, next_version)?;
             self.entries.write().insert(
-                id.clone(),
+                Arc::from(id.as_str()),
                 Published {
                     metadata: Arc::new(metadata),
                     version: next_version,
@@ -453,11 +489,22 @@ impl Repository {
         &self,
         id: &str,
     ) -> Result<(Arc<dyn Servable>, Arc<ServableMetadata>), DlhubError> {
+        self.resolve_entry(id)
+            .map(|resolved| (resolved.servable, resolved.metadata))
+    }
+
+    /// [`Self::resolve_internal`], keeping the id as the repository
+    /// holds it.
+    pub(crate) fn resolve_entry(&self, id: &str) -> Result<Resolved, DlhubError> {
         let entries = self.entries.read();
-        let entry = entries
-            .get(id)
+        let (id, entry) = entries
+            .get_key_value(id)
             .ok_or_else(|| DlhubError::NotFound(id.to_string()))?;
-        Ok((Arc::clone(&entry.servable), Arc::clone(&entry.metadata)))
+        Ok(Resolved {
+            id: Arc::clone(id),
+            servable: Arc::clone(&entry.servable),
+            metadata: Arc::clone(&entry.metadata),
+        })
     }
 
     /// Describe a visible servable: `(metadata, version, doi)`.
@@ -466,11 +513,10 @@ impl Repository {
         token: Option<&Token>,
         id: &str,
     ) -> Result<(ServableMetadata, u32, String), DlhubError> {
-        let principals = self.principals(token);
         let entries = self.entries.read();
         let entry = entries
             .get(id)
-            .filter(|e| permits(&e.acl, &principals))
+            .filter(|e| self.visible_to(&e.acl, token))
             .ok_or_else(|| DlhubError::NotFound(id.to_string()))?;
         Ok((
             ServableMetadata::clone(&entry.metadata),
@@ -588,14 +634,18 @@ impl Repository {
 
     /// Ids of all published servables (unfiltered; internal use).
     pub fn all_ids(&self) -> Vec<String> {
-        let mut ids: Vec<String> = self.entries.read().keys().cloned().collect();
+        let mut ids: Vec<String> = self
+            .entries
+            .read()
+            .keys()
+            .map(|id| id.to_string())
+            .collect();
         ids.sort();
         ids
     }
 }
 
 fn acl_principals(acl: &Acl) -> Vec<String> {
-    use dlhub_auth::Visibility;
     match acl.visibility {
         Visibility::Public => vec!["public".to_string()],
         Visibility::Restricted => {
@@ -609,15 +659,6 @@ fn acl_principals(acl: &Acl) -> Vec<String> {
             out
         }
     }
-}
-
-fn permits(acl: &Acl, principals: &[String]) -> bool {
-    use dlhub_auth::Visibility;
-    if acl.visibility == Visibility::Public {
-        return true;
-    }
-    let allowed = acl_principals(acl);
-    principals.iter().any(|p| allowed.contains(p))
 }
 
 #[cfg(test)]

@@ -90,30 +90,30 @@ impl ManagementService {
         id: &str,
         input: Value,
     ) -> Result<Value, DlhubError> {
-        let tenant = self.preflight(token, id, std::slice::from_ref(&input))?;
+        let (tenant, servable) = self.preflight(token, id, std::slice::from_ref(&input))?;
         // A submitter has no frame: its request is recorded by the
         // flush that carries it, so a shed here shows only on
         // `requests_shed_total`. The permit covers the coalescing wait
         // and the flush this caller blocks on: submit() returns only
         // once its batch ran.
-        let _permit = self.admit(id, tenant)?;
-        self.batcher(id).submit(input)
+        let _permit = self.admit(&servable, tenant)?;
+        self.batcher(&servable).submit(input)
     }
 
-    /// `id`'s auto-batcher, created on first use.
-    fn batcher(self: &Arc<Self>, id: &str) -> Arc<Batcher> {
+    /// `servable`'s auto-batcher, created on first use.
+    fn batcher(self: &Arc<Self>, servable: &Arc<str>) -> Arc<Batcher> {
         // Fast path: the batcher already exists, so a read lock keeps
         // concurrent submitters for different servables contention-free.
-        if let Some(batcher) = self.batchers.read().get(id) {
+        if let Some(batcher) = self.batchers.read().get(&**servable) {
             return Arc::clone(batcher);
         }
         // `entry` re-checks under the write lock: another caller may
         // have created it since the read unlock.
         let mut batchers = self.batchers.write();
-        let batcher = batchers.entry(id.to_string()).or_insert_with(|| {
+        let batcher = batchers.entry(servable.to_string()).or_insert_with(|| {
             let sizing = if self.config.adaptive_batching {
                 BatchSizing::Adaptive {
-                    series: self.obs.metrics.series(id),
+                    series: self.obs.metrics.series(servable),
                     target_overhead_fraction: 0.1,
                     cap: self.config.batch_max,
                 }
@@ -125,7 +125,7 @@ impl ManagementService {
             // upgrade never holds the last reference — a flush always
             // carries a submitter blocked inside `run_batched`.
             let service = Arc::downgrade(self);
-            let servable = id.to_string();
+            let servable = Arc::clone(servable);
             Arc::new(Batcher::new(
                 sizing,
                 self.config.batch_delay,
@@ -144,22 +144,22 @@ impl ManagementService {
     /// admission here: every submitter holds its own permit.
     fn flush(
         &self,
-        id: &str,
+        servable: &Arc<str>,
         inputs: Vec<Value>,
         waited: Duration,
     ) -> Result<Vec<Value>, DlhubError> {
         let mut span = self.obs.tracer.start_root("batch_flush");
-        span.attr("batch_wait_ns", waited.as_nanos().to_string());
-        let frame = self.open_frame(id, span, Instant::now(), Some(inputs.len()), None)?;
+        span.attr("batch_wait_ns", waited.as_nanos() as u64);
+        let batch = Some(inputs.len());
+        let frame = self.open_frame(Arc::clone(servable), span, Instant::now(), batch, None)?;
         let outcome = match self.faults.decide(site::BATCH_FLUSH) {
             Some(fault) => Err(DlhubError::Execution {
-                servable: id.to_string(),
+                servable: servable.to_string(),
                 message: format!("injected batch-flush fault ({:?})", fault.kind),
             }),
-            None => self.execute_remote(id, &frame, inputs, None),
+            None => self.execute_remote(&frame, &inputs, None),
         };
-        self.close_frame(id, frame, outcome)
-            .map(|(outputs, _)| outputs)
+        self.close_frame(frame, outcome).map(|(outputs, _)| outputs)
     }
 
     /// Asynchronous inference: returns a handle carrying the task UUID
@@ -172,7 +172,7 @@ impl ManagementService {
         input: Value,
     ) -> Result<TaskHandle, DlhubError> {
         let started = Instant::now();
-        let tenant = self.preflight(token, id, std::slice::from_ref(&input))?;
+        let (tenant, servable) = self.preflight(token, id, std::slice::from_ref(&input))?;
         // The frame opens at submission: queueing time inside the async
         // pool is part of the user-visible request, and an accepted
         // handle is a promise of capacity — the permit rides in the
@@ -181,16 +181,15 @@ impl ManagementService {
         let mut span = self.obs.tracer.start_root("request");
         span.attr("mode", "async");
         span.attr("task_id", task_id.clone());
-        let frame = self.open_frame(id, span, started, None, Some(tenant))?;
+        let frame = self.open_frame(servable, span, started, None, Some(tenant))?;
         self.task_table.register(&task_id);
         let handle = TaskHandle::new(task_id.clone(), Arc::clone(&self.task_table));
         let service = Arc::clone(self);
-        let servable = id.to_string();
         // No thread is spawned per request: the job joins the pool's
         // channel and one of the [`super::ASYNC_WORKERS`] threads runs it.
         self.async_pool.submit(Box::new(move || {
-            let outcome = service.execute_one(&servable, &frame, input, None);
-            let status = match service.close_frame(&servable, frame, outcome) {
+            let outcome = service.execute_one(&frame, &input, None);
+            let status = match service.close_frame(frame, outcome) {
                 Ok((value, _)) => TaskStatus::Completed(value),
                 Err(e) => TaskStatus::Failed {
                     attempts: e.attempts(),

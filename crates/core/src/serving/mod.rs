@@ -201,7 +201,8 @@ pub struct ManagementService {
     memo: MemoCache,
     memo_enabled: AtomicBool,
     task_table: Arc<TaskTable>,
-    pipelines: RwLock<HashMap<String, Arc<Pipeline>>>,
+    /// Keyed by the name a pipeline's frames and spans share.
+    pipelines: RwLock<HashMap<Arc<str>, Arc<Pipeline>>>,
     // Read-mostly registries: steady-state requests only take the
     // shared side; the exclusive side is reserved for first-touch
     // creation and registration drains.
@@ -565,13 +566,17 @@ mod tests {
             .is_err());
         let err = hub
             .service
+            .run_pipeline(&hub.token, "no-such-pipeline", Value::Null)
+            .unwrap_err();
+        assert!(matches!(err, DlhubError::Pipeline(_)), "{err:?}");
+        let err = hub
+            .service
             .run(&hub.token, "dlhub/matminer-util", Value::Int(3))
             .unwrap_err();
         assert!(matches!(err, DlhubError::InvalidInput { .. }));
         assert_eq!(metrics.servable_entries().len(), before);
-        // One counter holds every refusal (the pipeline's bad token
-        // fails authorization before any step is preflighted).
-        assert_eq!(metrics.counter("requests_rejected_total").get(), 1010);
+        // One counter holds every refusal.
+        assert_eq!(metrics.counter("requests_rejected_total").get(), 1012);
         // The request that was served is accounted as before.
         assert_eq!(metrics.series("dlhub/noop").requests.get(), 1);
         assert_eq!(metrics.series("dlhub/noop").errors.get(), 0);
@@ -1392,6 +1397,70 @@ mod tests {
         assert_eq!(hub.service.obs().metrics.counter("tm_tasks_total").get(), 1);
         // The owner still sees every step.
         assert_eq!(run(&hub.token).unwrap().0, Value::Int(1));
+    }
+
+    #[test]
+    fn a_group_granted_after_a_token_was_issued_counts_at_its_next_request() {
+        let hub = TestHub::builder()
+            .without_eval_servables()
+            .memo(false)
+            .build();
+        let echo = || servable_fn(|v| Ok(v.clone()));
+        hub.publish_simple("open", ModelType::PythonFunction, echo());
+        let metadata = ServableMetadata::new("gated", &hub.owner, ModelType::PythonFunction);
+        let to_testers = PublishVisibility::Restricted {
+            users: vec![],
+            groups: vec!["candle-testers".into()],
+        };
+        hub.service
+            .publish(&hub.token, metadata, echo(), BTreeMap::new(), to_testers)
+            .unwrap();
+        let steps = vec!["dlhub/open".into(), "dlhub/gated".into()];
+        let pipeline = Pipeline::new("open-then-gated", steps);
+        hub.service.register_pipeline(&hub.token, pipeline).unwrap();
+        // Issued before the grant below.
+        let visitor = hub.user_token("visitor");
+        let run = || hub.service.run(&visitor, "dlhub/gated", Value::Int(1));
+        let piped = || {
+            hub.service
+                .run_pipeline(&visitor, "open-then-gated", Value::Int(1))
+        };
+        // Outside the ACL the servable, and the pipeline's restricted
+        // step, do not exist.
+        let hidden = DlhubError::NotFound("dlhub/gated".into());
+        assert_eq!(run().unwrap_err(), hidden);
+        assert_eq!(piped().unwrap_err(), hidden);
+        let id = hub.auth.lookup("visitor@dlhub.org").unwrap();
+        hub.auth.add_to_group("candle-testers", id).unwrap();
+        // Principals are read at request time, not frozen at issue.
+        assert_eq!(run().unwrap().value, Value::Int(1));
+        assert_eq!(piped().unwrap().0, Value::Int(1));
+    }
+
+    #[test]
+    fn a_revoked_token_is_refused_by_every_entry_point() {
+        let hub = TestHub::builder().memo(false).build();
+        let pipeline = Pipeline::new("one-step", vec!["dlhub/noop".into()]);
+        hub.service.register_pipeline(&hub.token, pipeline).unwrap();
+        let visitor = hub.user_token("visitor");
+        let service = &hub.service;
+        assert!(service.run(&visitor, "dlhub/noop", Value::Null).is_ok());
+        hub.auth.revoke(&visitor);
+        let refused = DlhubError::Auth("invalid token".into());
+        let run = service.run(&visitor, "dlhub/noop", Value::Null);
+        assert_eq!(run.unwrap_err(), refused);
+        let batch = service.run_batch(&visitor, "dlhub/noop", vec![Value::Null]);
+        assert_eq!(batch.unwrap_err(), refused);
+        let batched = service.run_batched(&visitor, "dlhub/noop", Value::Null);
+        assert_eq!(batched.unwrap_err(), refused);
+        let handle = service.run_async(&visitor, "dlhub/noop", Value::Null);
+        assert!(matches!(handle, Err(ref e) if *e == refused));
+        let piped = service.run_pipeline(&visitor, "one-step", Value::Null);
+        assert_eq!(piped.unwrap_err(), refused);
+        let rejected = service.obs().metrics.counter("requests_rejected_total");
+        assert_eq!(rejected.get(), 5);
+        // Revocation is the token's, not the caller's.
+        assert!(service.run(&hub.token, "dlhub/noop", Value::Null).is_ok());
     }
 
     #[test]

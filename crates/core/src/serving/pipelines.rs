@@ -28,7 +28,9 @@ use crate::error::DlhubError;
 use crate::memo::MemoKey;
 use crate::metrics::Timings;
 use crate::pipeline::{Pipeline, StepTiming};
-use crate::task::{next_task_id, ChainRequest, ChainResponse, StepCost, StepError, StepFailure};
+use crate::task::{
+    chain_frame, next_task_seq, ChainResponse, StepCost, StepError, StepFailure, TaskId,
+};
 use crate::value::Value;
 use bytes::Bytes;
 use dlhub_auth::Token;
@@ -46,15 +48,24 @@ impl ManagementService {
         for step in &pipeline.steps {
             self.repo.resolve(Some(token), step)?;
         }
-        let name = pipeline.name.clone();
+        let name: Arc<str> = Arc::from(pipeline.name.as_str());
         let replaced = self
             .pipelines
             .write()
-            .insert(name.clone(), Arc::new(pipeline));
+            .insert(Arc::clone(&name), Arc::new(pipeline));
         if replaced.is_some() {
             self.memo.invalidate_servable(&name);
         }
         Ok(())
+    }
+
+    /// The pipeline registered as `name`, with its name as registered.
+    fn registered(&self, name: &str) -> Result<(Arc<str>, Arc<Pipeline>), DlhubError> {
+        let pipelines = self.pipelines.read();
+        let (name, pipeline) = pipelines
+            .get_key_value(name)
+            .ok_or_else(|| DlhubError::Pipeline(format!("no such pipeline: {name}")))?;
+        Ok((Arc::clone(name), Arc::clone(pipeline)))
     }
 
     /// Run a registered pipeline: steps execute server-side, output of
@@ -81,31 +92,30 @@ impl ManagementService {
         input: Value,
     ) -> Result<(Value, Vec<StepTiming>, u64), DlhubError> {
         let started = Instant::now();
-        let tenant = self.authorize_serve(token)?;
-        let pipeline = self
-            .pipelines
-            .read()
-            .get(name)
-            .cloned()
-            .ok_or_else(|| DlhubError::Pipeline(format!("no such pipeline: {name}")))?;
-        // Every step resolves as the caller before anything is
-        // dispatched. The first step's input is the caller's and is
-        // checked here; the others are checked at the Task Manager, as
-        // each step produces them.
-        self.refused(pipeline.steps.iter().enumerate().try_for_each(|(k, step)| {
-            let inputs = if k == 0 {
-                std::slice::from_ref(&input)
-            } else {
-                &[]
-            };
-            self.check_inputs(token, step, inputs)
-        }))?;
+        // One authorization for the whole pipeline, then every step
+        // resolves as the caller before anything is dispatched. The
+        // first step's input is the caller's and is checked here; the
+        // others are checked at the Task Manager, as each step produces
+        // them. Any refusal is counted once.
+        let checked = self.authorize_serve(token).and_then(|tenant| {
+            let (name, pipeline) = self.registered(name)?;
+            for (k, step) in pipeline.steps.iter().enumerate() {
+                let inputs = if k == 0 {
+                    std::slice::from_ref(&input)
+                } else {
+                    &[]
+                };
+                self.check_inputs(token, step, inputs)?;
+            }
+            Ok((tenant, name, pipeline))
+        });
+        let (tenant, name, pipeline) = self.refused(checked)?;
         let mut span = self.obs.tracer.start_root("pipeline");
-        span.attr("steps", pipeline.steps.len().to_string());
+        span.attr("steps", pipeline.steps.len());
         let frame = self.open_frame(name, span, started, None, Some(tenant))?;
         let trace = frame.trace();
         let outcome = self.run_chain(&pipeline, &frame, input);
-        let ((value, costs), timings) = self.close_frame(name, frame, outcome)?;
+        let ((value, costs), timings) = self.close_frame(frame, outcome)?;
         Ok((
             value,
             StepTiming::split(&pipeline.steps, timings, &costs),
@@ -121,25 +131,21 @@ impl ManagementService {
         frame: &RequestFrame,
         input: Value,
     ) -> Result<((Value, Vec<StepCost>), Timings), DlhubError> {
-        let name = pipeline.name.as_str();
         let memoize = self.memo_enabled.load(Ordering::Relaxed);
-        let memo = memoize.then(|| (self.memo.generation(), MemoKey::new(name, &input)));
-        if let Some((value, timings)) = memo
-            .as_ref()
-            .and_then(|(_, key)| self.memo_hit(name, frame, key))
+        let memo = memoize.then(|| {
+            let key = MemoKey::new(frame.servable(), &input);
+            (self.memo.generation(), key)
+        });
+        if let Some((value, timings)) = memo.as_ref().and_then(|(_, key)| self.memo_hit(frame, key))
         {
             return Ok(((value, Vec::new()), timings));
         }
-        let chain = ChainRequest {
-            task_id: next_task_id(),
-            steps: pipeline.steps.clone(),
-            inputs: vec![input],
-            trace: Some(frame.ctx()),
-        };
-        let (value, costs) =
-            self.dispatch_remote(name, frame, chain.to_bytes(), None, |reply| {
-                self.chain_answer(&pipeline.steps, reply)
-            })?;
+        let task_id = TaskId::Seq(next_task_seq());
+        let inputs = std::slice::from_ref(&input);
+        let chain = chain_frame(task_id, &pipeline.steps, Some(frame.ctx()), inputs);
+        let (value, costs) = self.dispatch_remote(frame, chain, None, |reply| {
+            self.chain_answer(&pipeline.steps, reply)
+        })?;
         if let Some((generation, key)) = memo {
             self.memo.put_since(generation, key, value.clone());
         }
@@ -193,7 +199,12 @@ impl ManagementService {
 
     /// Registered pipelines.
     pub fn pipelines(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.pipelines.read().keys().cloned().collect();
+        let mut names: Vec<String> = self
+            .pipelines
+            .read()
+            .keys()
+            .map(|n| n.to_string())
+            .collect();
         names.sort();
         names
     }

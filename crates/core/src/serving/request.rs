@@ -8,24 +8,29 @@ use crate::admission::AdmissionPermit;
 use crate::error::DlhubError;
 use crate::memo::MemoKey;
 use crate::metrics::Timings;
-use crate::repository::SERVE_SCOPE;
-use crate::task::{next_task_id, TaskRequest, TaskResponse};
+use crate::repository::{RESOURCE_SERVER, SERVE_SCOPE};
+use crate::task::{next_task_seq, task_frame, TaskId, TaskReply};
 use crate::value::Value;
 use bytes::Bytes;
-use dlhub_auth::{IdentityId, Scope, Token};
+use dlhub_auth::{IdentityId, Token};
 use dlhub_obs::{ServableSeries, SpanHandle, TraceContext};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// One open request at the Management Service: its span, the
-/// servable's series, the admission permit and the clock it is timed
-/// against. Opaque outside this file: [`ManagementService::open_frame`]
-/// is the only constructor and [`ManagementService::close_frame`] the
-/// only consumer, so what a request records is decided in those two
-/// functions and every entry point keeps only what is its own — the
-/// span it mints, with its own attrs, and what it does in between.
+/// One open request at the Management Service: what it serves, its
+/// span, the servable's series, the admission permit and the clock it
+/// is timed against. Opaque outside this file:
+/// [`ManagementService::open_frame`] is the only constructor and
+/// [`ManagementService::close_frame`] the only consumer, so what a
+/// request records is decided in those two functions and every entry
+/// point keeps only what is its own — the span it mints, with its own
+/// attrs, and what it does in between.
 pub(super) struct RequestFrame {
+    /// The servable id as the repository holds it, or the pipeline's
+    /// name as registered: what the frame's series and spans are keyed
+    /// by, shared rather than copied.
+    servable: Arc<str>,
     span: SpanHandle,
     series: Arc<ServableSeries>,
     started: Instant,
@@ -38,6 +43,11 @@ pub(super) struct RequestFrame {
 }
 
 impl RequestFrame {
+    /// What the frame serves: a servable id, or a pipeline's name.
+    pub(super) fn servable(&self) -> &Arc<str> {
+        &self.servable
+    }
+
     /// The frame's trace id: what a caller looks its span tree up by.
     pub(super) fn trace(&self) -> u64 {
         self.span.trace()
@@ -53,32 +63,28 @@ impl RequestFrame {
 impl ManagementService {
     /// Authorize the serve scope, returning the caller's tenant key
     /// (smallest linked identity — see [`dlhub_auth::TokenInfo::tenant`])
-    /// for admission accounting.
+    /// for admission accounting. The request's one look at its token.
     pub(super) fn authorize_serve(&self, token: &Token) -> Result<IdentityId, DlhubError> {
         self.repo
             .auth()
-            .authorize(
-                token,
-                &Scope::new(crate::repository::RESOURCE_SERVER, SERVE_SCOPE),
-            )
-            .map(|info| info.tenant())
+            .authorize_tenant(token, RESOURCE_SERVER, SERVE_SCOPE)
             .map_err(DlhubError::from)
     }
 
     /// Validate the caller and input, returning the caller's tenant
-    /// key. Every entry point calls this before it touches anything
-    /// keyed by `id` — the id is the caller's string until the
-    /// repository resolves it — and a refusal is counted once, on
-    /// `requests_rejected_total`.
+    /// key and the servable's id as the repository holds it. Every
+    /// entry point calls this before it touches anything keyed by `id`
+    /// — the id is the caller's string until the repository resolves it
+    /// — and a refusal is counted once, on `requests_rejected_total`.
     pub(super) fn preflight(
         &self,
         token: &Token,
         id: &str,
         inputs: &[Value],
-    ) -> Result<IdentityId, DlhubError> {
+    ) -> Result<(IdentityId, Arc<str>), DlhubError> {
         self.refused(self.authorize_serve(token).and_then(|tenant| {
-            self.check_inputs(token, id, inputs)?;
-            Ok(tenant)
+            let servable = self.check_inputs(token, id, inputs)?;
+            Ok((tenant, servable))
         }))
     }
 
@@ -91,16 +97,17 @@ impl ManagementService {
     }
 
     /// Resolve `id` as the caller and check `inputs` against its
-    /// declared input type.
+    /// declared input type; returns the id as the repository holds it.
     pub(super) fn check_inputs(
         &self,
         token: &Token,
         id: &str,
         inputs: &[Value],
-    ) -> Result<(), DlhubError> {
-        let (_, metadata) = self.repo.resolve(Some(token), id)?;
+    ) -> Result<Arc<str>, DlhubError> {
+        let resolved = self.repo.resolve_as(Some(token), id)?;
+        let metadata = &resolved.metadata;
         if inputs.iter().all(|i| metadata.input_type.matches(i)) {
-            Ok(())
+            Ok(resolved.id)
         } else {
             Err(DlhubError::InvalidInput {
                 servable: id.to_string(),
@@ -145,11 +152,12 @@ impl ManagementService {
         controller.admit(tenant, pressured).map(Some)
     }
 
-    /// Open `id`'s request frame on `span` — the one place a request
-    /// starts being accounted. Called after [`Self::preflight`], so
-    /// `id` is a resolved servable. `batch` is the input count for the
-    /// two batch entry points (`None`: a single input); `tenant` is
-    /// who to admit (`None`: the callers already hold the permits).
+    /// Open `servable`'s request frame on `span` — the one place a
+    /// request starts being accounted. Called after [`Self::preflight`],
+    /// so `servable` is a resolved servable (or a registered pipeline).
+    /// `batch` is the input count for the two batch entry points
+    /// (`None`: a single input); `tenant` is who to admit (`None`: the
+    /// callers already hold the permits).
     ///
     /// Shed *before* any queueing or dispatch: a rejected request
     /// costs the caller one typed error and a back-off, not a deadline
@@ -157,32 +165,31 @@ impl ManagementService {
     /// other, so it closes the frame it was refused.
     pub(super) fn open_frame(
         &self,
-        id: &str,
+        servable: Arc<str>,
         mut span: SpanHandle,
         started: Instant,
         batch: Option<usize>,
         tenant: Option<IdentityId>,
     ) -> Result<RequestFrame, DlhubError> {
-        span.attr("servable", id);
-        let series = self.obs.metrics.series(id);
+        span.attr("servable", Arc::clone(&servable));
+        let series = self.obs.metrics.series(&servable);
         let items = batch.unwrap_or(1) as u64;
         series.requests.add(items);
         if batch.is_some() {
-            span.attr("batch_size", items.to_string());
+            span.attr("batch_size", items);
             series.batch_sizes.record(items);
         }
         let frame = RequestFrame {
+            servable,
             span,
             series,
             started,
             items,
             _permit: None,
         };
-        match tenant.map_or(Ok(None), |tenant| self.admit(id, tenant)) {
+        match tenant.map_or(Ok(None), |tenant| self.admit(&frame.servable, tenant)) {
             Ok(_permit) => Ok(RequestFrame { _permit, ..frame }),
-            Err(shed) => self
-                .close_frame(id, frame, Err(shed))
-                .map(|(frame, _)| frame),
+            Err(shed) => self.close_frame(frame, Err(shed)).map(|(frame, _)| frame),
         }
     }
 
@@ -193,11 +200,11 @@ impl ManagementService {
     /// after everything is recorded.
     pub(super) fn close_frame<T>(
         &self,
-        id: &str,
         frame: RequestFrame,
         outcome: Result<(T, Timings), DlhubError>,
     ) -> Result<(T, Timings), DlhubError> {
         let RequestFrame {
+            servable,
             mut span,
             series,
             started,
@@ -208,10 +215,7 @@ impl ManagementService {
         let outcome = outcome.map(|(value, timings)| (value, Timings { request, ..timings }));
         match &outcome {
             Ok((_, timings)) => {
-                span.attr(
-                    "cache_hit",
-                    if timings.cache_hit { "true" } else { "false" },
-                );
+                span.attr("cache_hit", timings.cache_hit);
                 series
                     .request_latency
                     .record_duration_with_exemplar(request, span.trace());
@@ -229,38 +233,35 @@ impl ManagementService {
                 span.attr("error", e.to_string());
             }
         }
-        self.obs.observe_slo(id, request, outcome.is_ok());
+        self.obs.observe_slo(&servable, request, outcome.is_ok());
         self.obs.tracer.finish(span);
         outcome
     }
 
-    /// Dispatch `inputs` to a Task Manager as one task for `id` and
-    /// await its answer ([`Self::dispatch_remote`]), folding what it
-    /// cost into the servable's series (adaptive batching and the
-    /// replica control loop size from it). Returns the outputs with
-    /// `inference` summed over them and `request` left for
-    /// [`Self::close_frame`] to stamp.
+    /// Dispatch `inputs` to a Task Manager as one task for the frame's
+    /// servable and await its answer ([`Self::dispatch_remote`]),
+    /// folding what it cost into the servable's series (adaptive
+    /// batching and the replica control loop size from it). The task is
+    /// encoded from the borrowed inputs and the reply read in place.
+    /// Returns the outputs with `inference` summed over them and
+    /// `request` left for [`Self::close_frame`] to stamp.
     pub(super) fn execute_remote(
         &self,
-        id: &str,
         frame: &RequestFrame,
-        inputs: Vec<Value>,
+        inputs: &[Value],
         deadline: Option<Duration>,
     ) -> Result<(Vec<Value>, Timings), DlhubError> {
-        let task = TaskRequest {
-            task_id: next_task_id(),
-            servable: id.to_string(),
-            inputs,
-            trace: Some(frame.ctx()),
-        };
-        self.dispatch_remote(id, frame, task.to_bytes(), deadline, |reply| {
-            let response = TaskResponse::from_bytes(&reply).map_err(DlhubError::Transport)?;
-            let outputs = response.outcome.map_err(|message| DlhubError::Execution {
-                servable: id.to_string(),
-                message,
+        let servable = &*frame.servable;
+        let task_id = TaskId::Seq(next_task_seq());
+        let task = task_frame(task_id, servable, Some(frame.ctx()), inputs);
+        self.dispatch_remote(frame, task, deadline, |reply| {
+            let reply = TaskReply::decode(&reply).map_err(DlhubError::Transport)?;
+            let inference = Duration::from_nanos(reply.inference_nanos().sum());
+            let invocation = Duration::from_nanos(reply.invocation_nanos);
+            let outputs = reply.outcome.map_err(|message| DlhubError::Execution {
+                servable: servable.to_string(),
+                message: message.to_string(),
             })?;
-            let inference = Duration::from_nanos(response.inference_nanos.iter().sum());
-            let invocation = Duration::from_nanos(response.invocation_nanos);
             frame
                 .series
                 .dispatch
@@ -287,7 +288,6 @@ impl ManagementService {
     /// execution must be attributable to one logical task.
     pub(super) fn dispatch_remote<T>(
         &self,
-        id: &str,
         frame: &RequestFrame,
         task: Bytes,
         deadline: Option<Duration>,
@@ -300,8 +300,8 @@ impl ManagementService {
         loop {
             attempts += 1;
             let mut attempt_span = self.obs.tracer.start_child(ctx, "attempt");
-            attempt_span.attr("servable", id);
-            attempt_span.attr("attempt", attempts.to_string());
+            attempt_span.attr("servable", Arc::clone(&frame.servable));
+            attempt_span.attr("attempt", attempts);
             let remaining = deadline.saturating_duration_since(Instant::now());
             let error = if remaining.is_zero() {
                 // Out of budget before this attempt even dispatched.
@@ -330,7 +330,7 @@ impl ManagementService {
             if attempts > self.config.max_retries || Instant::now() >= deadline {
                 self.obs.metrics.counter("request_exhausted_total").inc();
                 return Err(DlhubError::Exhausted {
-                    servable: id.to_string(),
+                    servable: frame.servable.to_string(),
                     attempts,
                     last_error: error.to_string(),
                 });
@@ -347,12 +347,12 @@ impl ManagementService {
     /// [`Self::execute_remote`] for a single input.
     pub(super) fn execute_one(
         &self,
-        id: &str,
         frame: &RequestFrame,
-        input: Value,
+        input: &Value,
         deadline: Option<Duration>,
     ) -> Result<(Value, Timings), DlhubError> {
-        let (mut outputs, timings) = self.execute_remote(id, frame, vec![input], deadline)?;
+        let inputs = std::slice::from_ref(input);
+        let (mut outputs, timings) = self.execute_remote(frame, inputs, deadline)?;
         let value = outputs
             .pop()
             .ok_or_else(|| DlhubError::Transport("task manager returned no output".into()))?;
@@ -374,12 +374,12 @@ impl ManagementService {
         options: &RunOptions,
     ) -> Result<RunResult, DlhubError> {
         let started = Instant::now();
-        let tenant = self.preflight(token, id, std::slice::from_ref(&input))?;
+        let (tenant, servable) = self.preflight(token, id, std::slice::from_ref(&input))?;
         let span = self.obs.tracer.start_root("request");
-        let frame = self.open_frame(id, span, started, None, Some(tenant))?;
+        let frame = self.open_frame(servable, span, started, None, Some(tenant))?;
         let trace = frame.trace();
-        let outcome = self.run_measured(id, &frame, input, options);
-        self.close_frame(id, frame, outcome)
+        let outcome = self.run_measured(&frame, input, options);
+        self.close_frame(frame, outcome)
             .map(|(value, timings)| RunResult {
                 value,
                 timings,
@@ -390,7 +390,6 @@ impl ManagementService {
     /// Consult the memo cache and dispatch to a Task Manager.
     fn run_measured(
         &self,
-        id: &str,
         frame: &RequestFrame,
         input: Value,
         options: &RunOptions,
@@ -401,14 +400,14 @@ impl ManagementService {
         // The key hashes the whole input; only memoized requests pay.
         // The generation is read before the lookup: a republish from
         // here on invalidates what this request is about to compute.
-        let memo = memoize.then(|| (self.memo.generation(), MemoKey::new(id, &input)));
-        if let Some(hit) = memo
-            .as_ref()
-            .and_then(|(_, key)| self.memo_hit(id, frame, key))
-        {
+        let memo = memoize.then(|| {
+            let key = MemoKey::new(&frame.servable, &input);
+            (self.memo.generation(), key)
+        });
+        if let Some(hit) = memo.as_ref().and_then(|(_, key)| self.memo_hit(frame, key)) {
             return Ok(hit);
         }
-        let (value, timings) = self.execute_one(id, frame, input, options.deadline)?;
+        let (value, timings) = self.execute_one(frame, &input, options.deadline)?;
         if let Some((generation, key)) = memo {
             self.memo.put_since(generation, key, value.clone());
         }
@@ -418,17 +417,12 @@ impl ManagementService {
     /// Look `key` up under a `memo_lookup` span of `frame`. A hit never
     /// reaches a Task Manager: its invocation collapses to the lookup
     /// (§V-B5).
-    pub(super) fn memo_hit(
-        &self,
-        id: &str,
-        frame: &RequestFrame,
-        key: &MemoKey,
-    ) -> Option<(Value, Timings)> {
+    pub(super) fn memo_hit(&self, frame: &RequestFrame, key: &MemoKey) -> Option<(Value, Timings)> {
         let lookup_started = Instant::now();
         let mut lookup_span = self.obs.tracer.start_child(frame.ctx(), "memo_lookup");
-        lookup_span.attr("servable", id);
+        lookup_span.attr("servable", Arc::clone(&frame.servable));
         let cached = self.memo.get(key);
-        lookup_span.attr("hit", if cached.is_some() { "true" } else { "false" });
+        lookup_span.attr("hit", cached.is_some());
         self.obs.tracer.finish(lookup_span);
         let timings = Timings {
             invocation: lookup_started.elapsed(),
@@ -448,14 +442,15 @@ impl ManagementService {
         inputs: Vec<Value>,
     ) -> Result<(Vec<Value>, Timings), DlhubError> {
         let started = Instant::now();
-        let tenant = self.preflight(token, id, &inputs)?;
+        let (tenant, servable) = self.preflight(token, id, &inputs)?;
         if inputs.is_empty() {
             return Ok((Vec::new(), Timings::default()));
         }
         // One frame, one permit: the batch travels as one task.
         let span = self.obs.tracer.start_root("request");
-        let frame = self.open_frame(id, span, started, Some(inputs.len()), Some(tenant))?;
-        let outcome = self.execute_remote(id, &frame, inputs, None);
-        self.close_frame(id, frame, outcome)
+        let batch = Some(inputs.len());
+        let frame = self.open_frame(servable, span, started, batch, Some(tenant))?;
+        let outcome = self.execute_remote(&frame, &inputs, None);
+        self.close_frame(frame, outcome)
     }
 }

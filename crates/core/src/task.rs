@@ -5,10 +5,15 @@
 //! that can be used subsequently to monitor the status of the task and
 //! retrieve its result" (§IV-A).
 //!
-//! Four frames share one header and one set of codec helpers: a
-//! [`TaskRequest`] for one servable and its [`TaskResponse`], and a
-//! [`ChainRequest`] carrying a whole pipeline's step list (§VI-D) and
-//! its [`ChainResponse`] with one [`StepCost`] per step.
+//! Four frames share one header and one codec: a [`TaskRequest`] for
+//! one servable and its [`TaskResponse`], and a [`ChainRequest`]
+//! carrying a whole pipeline's step list (§VI-D) and its
+//! [`ChainResponse`] with one [`StepCost`] per step. The request path
+//! encodes from borrowed parts (`task_frame`, `response_frame`, …) and
+//! decodes into views that read ids, errors and timings in place
+//! (`decode_task`, `TaskReply`); the four owned types are the public
+//! forms, and their `to_bytes` / `from_bytes` are built on the same
+//! functions, so there is one wire format.
 
 use crate::error::DlhubError;
 use crate::value::{self, Value};
@@ -16,6 +21,7 @@ use bytes::Bytes;
 use dlhub_obs::TraceContext;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -142,14 +148,13 @@ fn encode_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-fn decode_str(cur: &mut &[u8]) -> Result<String, String> {
+#[inline]
+fn decode_str<'a>(cur: &mut &'a [u8]) -> Result<&'a str, String> {
     let len = value::decode_len(cur)?;
-    std::str::from_utf8(value::take(cur, len)?)
-        .map(str::to_string)
-        .map_err(|e| format!("invalid utf-8: {e}"))
+    std::str::from_utf8(value::take(cur, len)?).map_err(|e| format!("invalid utf-8: {e}"))
 }
 
-fn encode_trace(out: &mut Vec<u8>, trace: &Option<TraceContext>) {
+fn encode_trace(out: &mut Vec<u8>, trace: Option<TraceContext>) {
     match trace {
         Some(t) => {
             out.push(1);
@@ -170,7 +175,7 @@ fn decode_trace(cur: &mut &[u8]) -> Result<Option<TraceContext>, String> {
     })
 }
 
-fn encode_values(out: &mut Vec<u8>, values: &[Value]) {
+fn encode_values<'v>(out: &mut Vec<u8>, values: impl ExactSizeIterator<Item = &'v Value>) {
     value::encode_len(out, values.len());
     for v in values {
         v.encode_into(out);
@@ -194,10 +199,6 @@ fn decode_u64(cur: &mut &[u8]) -> Result<u64, String> {
     Ok(u64::from_le_bytes(value::take_array(cur)?))
 }
 
-fn request_capacity(inputs: &[Value]) -> usize {
-    64 + inputs.iter().map(Value::approx_size).sum::<usize>()
-}
-
 /// Check the 3-byte header and return the remaining body.
 fn strip_header(bytes: &[u8], msg_type: u8) -> Result<&[u8], String> {
     match bytes {
@@ -214,33 +215,319 @@ fn strip_header(bytes: &[u8], msg_type: u8) -> Result<&[u8], String> {
     }
 }
 
+/// What a frame that failed to decode reports, naming the frame.
+fn malformed(frame: &'static str) -> impl Fn(String) -> String {
+    move |e| format!("malformed {frame}: {e}")
+}
+
+/// A task id as the codec writes it: a caller's string, or the number
+/// [`next_task_id`] spells its ids from, written straight into the
+/// frame in that spelling.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum TaskId<'a> {
+    Str(&'a str),
+    Seq(u64),
+}
+
+/// A frame's header and task id, in a buffer sized for `capacity`.
+fn open_frame(tag: u8, task_id: TaskId<'_>, capacity: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(capacity);
+    out.extend_from_slice(&[WIRE_MAGIC, WIRE_VERSION, tag]);
+    match task_id {
+        TaskId::Str(id) => encode_str(&mut out, id),
+        TaskId::Seq(seq) => value::encode_formatted(&mut out, format_args!("task-{seq:08x}")),
+    }
+    out
+}
+
+/// Room for a request frame naming `ids` (servable ids, and their
+/// length prefixes) and carrying `inputs`.
+fn request_capacity(ids: usize, inputs: &[Value]) -> usize {
+    64 + ids + inputs.iter().map(Value::approx_size).sum::<usize>()
+}
+
+/// A [`TaskRequest`] frame from borrowed parts: what the Management
+/// Service sends for one servable, written once into a refcounted
+/// [`Bytes`] slab that every later hop (broker queue, lease record,
+/// RPC retry) shares by reference.
+pub(crate) fn task_frame(
+    task_id: TaskId<'_>,
+    servable: &str,
+    trace: Option<TraceContext>,
+    inputs: &[Value],
+) -> Bytes {
+    let capacity = request_capacity(servable.len(), inputs);
+    let mut out = open_frame(WIRE_REQUEST, task_id, capacity);
+    encode_str(&mut out, servable);
+    encode_trace(&mut out, trace);
+    encode_values(&mut out, inputs.iter());
+    Bytes::from(out)
+}
+
+/// A [`ChainRequest`] frame from borrowed parts: the [`TaskRequest`]
+/// layout with a step list where the servable id was, under its own
+/// message tag.
+pub(crate) fn chain_frame(
+    task_id: TaskId<'_>,
+    steps: &[String],
+    trace: Option<TraceContext>,
+    inputs: &[Value],
+) -> Bytes {
+    let ids = steps.iter().map(|step| 4 + step.len()).sum();
+    let mut out = open_frame(WIRE_CHAIN, task_id, request_capacity(ids, inputs));
+    value::encode_len(&mut out, steps.len());
+    for step in steps {
+        encode_str(&mut out, step);
+    }
+    encode_trace(&mut out, trace);
+    encode_values(&mut out, inputs.iter());
+    Bytes::from(out)
+}
+
+/// A [`TaskResponse`] frame from borrowed parts: a replica encodes its
+/// task's answer cells straight into it. On an error `inference_nanos`
+/// is empty.
+pub(crate) fn response_frame<'v>(
+    task_id: &str,
+    outcome: Result<impl ExactSizeIterator<Item = &'v Value>, &str>,
+    inference_nanos: impl ExactSizeIterator<Item = u64>,
+    invocation_nanos: u64,
+) -> Bytes {
+    let mut out = open_frame(WIRE_RESPONSE, TaskId::Str(task_id), 64);
+    match outcome {
+        Ok(values) => {
+            out.push(0);
+            encode_values(&mut out, values);
+        }
+        Err(e) => {
+            out.push(1);
+            encode_str(&mut out, e);
+        }
+    }
+    value::encode_len(&mut out, inference_nanos.len());
+    for n in inference_nanos {
+        encode_u64(&mut out, n);
+    }
+    encode_u64(&mut out, invocation_nanos);
+    Bytes::from(out)
+}
+
+/// A [`ChainResponse`] frame from borrowed parts: the last step's
+/// outputs and every step's cost, or the failing step (and no costs).
+pub(crate) fn chain_response_frame<'v>(
+    task_id: &str,
+    outcome: Result<impl ExactSizeIterator<Item = &'v Value>, &StepFailure>,
+    steps: &[StepCost],
+) -> Bytes {
+    let mut out = open_frame(
+        WIRE_CHAIN_REPLY,
+        TaskId::Str(task_id),
+        64 + 16 * steps.len(),
+    );
+    match outcome {
+        Ok(values) => {
+            out.push(0);
+            encode_values(&mut out, values);
+        }
+        Err(StepFailure { step, error }) => {
+            out.push(1);
+            value::encode_len(&mut out, *step);
+            match error {
+                StepError::Execution(message) => {
+                    out.push(0);
+                    encode_str(&mut out, message);
+                }
+                StepError::InvalidInput { expected } => {
+                    out.push(1);
+                    encode_str(&mut out, expected);
+                }
+            }
+        }
+    }
+    value::encode_len(&mut out, steps.len());
+    for cost in steps {
+        encode_u64(&mut out, cost.inference_nanos);
+        encode_u64(&mut out, cost.invocation_nanos);
+    }
+    Bytes::from(out)
+}
+
+/// The steps of a decoded task still to take, read in place: each a
+/// length-prefixed servable id, checked when the frame was decoded.
+#[derive(Debug, Clone)]
+pub(crate) struct Steps<'f> {
+    ids: &'f [u8],
+    left: usize,
+}
+
+impl<'f> Iterator for Steps<'f> {
+    type Item = &'f str;
+
+    fn next(&mut self) -> Option<&'f str> {
+        self.left = self.left.checked_sub(1)?;
+        decode_str(&mut self.ids).ok()
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Steps<'_> {}
+
+/// A task frame decoded in place: its id and steps borrowed from the
+/// frame, its inputs decoded. The one task decoder — a [`TaskRequest`]
+/// frame is the one-step chain — behind [`decode_task`] and both owned
+/// request forms' `from_bytes`.
+#[derive(Debug)]
+pub(crate) struct TaskView<'f> {
+    pub(crate) task_id: &'f str,
+    pub(crate) steps: Steps<'f>,
+    pub(crate) trace: Option<TraceContext>,
+    pub(crate) inputs: Vec<Value>,
+    /// Where the id and the steps sit in the frame.
+    pub(crate) places: TaskFrame,
+}
+
+impl<'f> TaskView<'f> {
+    /// Decode a [`TaskRequest`] frame (`tag` `WIRE_REQUEST`) or a
+    /// [`ChainRequest`] one (`WIRE_CHAIN`).
+    #[inline]
+    fn decode(frame: &'f [u8], tag: u8) -> Result<Self, String> {
+        let mut cur = strip_header(frame, tag)?;
+        let at = |cur: &[u8]| frame.len() - cur.len();
+        let task_id = decode_str(&mut cur)?;
+        let task_id_at = at(cur) - task_id.len()..at(cur);
+        let left = match tag {
+            WIRE_CHAIN => value::decode_len(&mut cur)?,
+            _ => 1,
+        };
+        let (ids, steps_at) = (cur, at(cur));
+        for _ in 0..left {
+            decode_str(&mut cur)?;
+        }
+        let ids = &ids[..ids.len() - cur.len()];
+        Ok(TaskView {
+            task_id,
+            steps: Steps { ids, left },
+            trace: decode_trace(&mut cur)?,
+            inputs: decode_values(&mut cur)?,
+            places: TaskFrame {
+                task_id: task_id_at,
+                steps: steps_at..steps_at + ids.len(),
+                steps_left: left,
+            },
+        })
+    }
+
+    /// The owned chain (a task frame's is one step).
+    fn into_chain(self) -> ChainRequest {
+        ChainRequest {
+            task_id: self.task_id.to_string(),
+            steps: self.steps.map(str::to_string).collect(),
+            inputs: self.inputs,
+            trace: self.trace,
+        }
+    }
+}
+
+/// Where a task's id and its steps not taken yet sit in its frame: what
+/// a Task Manager keeps of a [`TaskView`] while the chain runs and its
+/// responder holds the frame, instead of owned copies.
+#[derive(Debug, Clone)]
+pub(crate) struct TaskFrame {
+    task_id: Range<usize>,
+    steps: Range<usize>,
+    steps_left: usize,
+}
+
+impl TaskFrame {
+    /// The task id, read from `frame`.
+    pub(crate) fn task_id<'f>(&self, frame: &'f [u8]) -> &'f str {
+        // Checked as UTF-8 at decode, so the fallback is never taken.
+        let id = frame.get(self.task_id.clone()).map(std::str::from_utf8);
+        id.and_then(Result::ok).unwrap_or_default()
+    }
+
+    /// Steps not taken yet.
+    pub(crate) fn steps_left(&self) -> usize {
+        self.steps_left
+    }
+
+    /// Take the next step's servable id, read from `frame`.
+    pub(crate) fn next_step<'f>(&mut self, frame: &'f [u8]) -> Option<&'f str> {
+        let ids = frame.get(self.steps.clone())?;
+        let mut steps = Steps {
+            ids,
+            left: self.steps_left,
+        };
+        let id = steps.next()?;
+        self.steps.start = self.steps.end - steps.ids.len();
+        self.steps_left = steps.left;
+        Some(id)
+    }
+}
+
+/// A decoded [`TaskResponse`] that reads its task id, error and
+/// per-input timings in place.
+#[derive(Debug)]
+pub(crate) struct TaskReply<'a> {
+    pub(crate) task_id: &'a str,
+    pub(crate) outcome: Result<Vec<Value>, &'a str>,
+    /// Per-input inference times, eight little-endian bytes each.
+    inference_nanos: &'a [u8],
+    pub(crate) invocation_nanos: u64,
+}
+
+impl TaskReply<'_> {
+    /// Decode a [`TaskResponse`] frame.
+    pub(crate) fn decode(frame: &[u8]) -> Result<TaskReply<'_>, String> {
+        let decode = || {
+            let mut cur = strip_header(frame, WIRE_RESPONSE)?;
+            let task_id = decode_str(&mut cur)?;
+            let outcome = match value::take(&mut cur, 1)?[0] {
+                0 => Ok(decode_values(&mut cur)?),
+                _ => Err(decode_str(&mut cur)?),
+            };
+            let count = value::decode_len(&mut cur)?;
+            let nanos = count.checked_mul(8).ok_or("timing count overflow")?;
+            Ok(TaskReply {
+                task_id,
+                outcome,
+                inference_nanos: value::take(&mut cur, nanos)?,
+                invocation_nanos: decode_u64(&mut cur)?,
+            })
+        };
+        decode().map_err(malformed("task response"))
+    }
+
+    /// Per-input inference times, nanoseconds.
+    pub(crate) fn inference_nanos(&self) -> impl Iterator<Item = u64> + '_ {
+        let words = self.inference_nanos.chunks_exact(8);
+        words.map(|w| u64::from_le_bytes([w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7]]))
+    }
+}
+
 impl TaskRequest {
-    /// Serialize for the broker: compact binary format, written once
-    /// into a refcounted [`Bytes`] slab that every later hop (broker
-    /// queue, lease record, RPC retry) shares by reference.
+    /// Serialize for the broker ([`task_frame`]).
     pub fn to_bytes(&self) -> Bytes {
-        let mut out = Vec::with_capacity(request_capacity(&self.inputs));
-        out.extend_from_slice(&[WIRE_MAGIC, WIRE_VERSION, WIRE_REQUEST]);
-        encode_str(&mut out, &self.task_id);
-        encode_str(&mut out, &self.servable);
-        encode_trace(&mut out, &self.trace);
-        encode_values(&mut out, &self.inputs);
-        Bytes::from(out)
+        task_frame(
+            TaskId::Str(&self.task_id),
+            &self.servable,
+            self.trace,
+            &self.inputs,
+        )
     }
 
     /// Deserialize from the broker.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
-        let decode = || {
-            let mut body = strip_header(bytes, WIRE_REQUEST)?;
-            let cur = &mut body;
-            Ok(TaskRequest {
-                task_id: decode_str(cur)?,
-                servable: decode_str(cur)?,
-                trace: decode_trace(cur)?,
-                inputs: decode_values(cur)?,
-            })
-        };
-        decode().map_err(|e: String| format!("malformed task request: {e}"))
+        let mut task = TaskView::decode(bytes, WIRE_REQUEST).map_err(malformed("task request"))?;
+        Ok(TaskRequest {
+            task_id: task.task_id.to_string(),
+            servable: task.steps.next().unwrap_or_default().to_string(),
+            inputs: task.inputs,
+            trace: task.trace,
+        })
     }
 }
 
@@ -248,123 +535,55 @@ impl TaskResponse {
     /// Serialize for the broker (binary wire format, see
     /// [`TaskRequest::to_bytes`]).
     pub fn to_bytes(&self) -> Bytes {
-        let mut out = Vec::with_capacity(64);
-        out.extend_from_slice(&[WIRE_MAGIC, WIRE_VERSION, WIRE_RESPONSE]);
-        encode_str(&mut out, &self.task_id);
-        match &self.outcome {
-            Ok(values) => {
-                out.push(0);
-                encode_values(&mut out, values);
-            }
-            Err(e) => {
-                out.push(1);
-                encode_str(&mut out, e);
-            }
-        }
-        value::encode_len(&mut out, self.inference_nanos.len());
-        for n in &self.inference_nanos {
-            encode_u64(&mut out, *n);
-        }
-        encode_u64(&mut out, self.invocation_nanos);
-        Bytes::from(out)
+        response_frame(
+            &self.task_id,
+            self.outcome
+                .as_ref()
+                .map(|values| values.iter())
+                .map_err(String::as_str),
+            self.inference_nanos.iter().copied(),
+            self.invocation_nanos,
+        )
     }
 
     /// Deserialize from the broker.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
-        let decode = || {
-            let mut body = strip_header(bytes, WIRE_RESPONSE)?;
-            let cur = &mut body;
-            let task_id = decode_str(cur)?;
-            let outcome = match value::take(cur, 1)?[0] {
-                0 => Ok(decode_values(cur)?),
-                _ => Err(decode_str(cur)?),
-            };
-            let count = value::decode_len(cur)?;
-            let mut inference_nanos = Vec::with_capacity(count.min(1024));
-            for _ in 0..count {
-                inference_nanos.push(decode_u64(cur)?);
-            }
-            Ok(TaskResponse {
-                task_id,
-                outcome,
-                inference_nanos,
-                invocation_nanos: decode_u64(cur)?,
-            })
-        };
-        decode().map_err(|e: String| format!("malformed task response: {e}"))
+        let reply = TaskReply::decode(bytes)?;
+        Ok(TaskResponse {
+            task_id: reply.task_id.to_string(),
+            inference_nanos: reply.inference_nanos().collect(),
+            outcome: reply.outcome.map_err(str::to_string),
+            invocation_nanos: reply.invocation_nanos,
+        })
     }
 }
 
 impl ChainRequest {
-    /// Serialize for the broker: the [`TaskRequest`] layout with a step
-    /// list where the servable id was, under its own message tag.
+    /// Serialize for the broker ([`chain_frame`]).
     pub fn to_bytes(&self) -> Bytes {
-        let mut out = Vec::with_capacity(request_capacity(&self.inputs));
-        out.extend_from_slice(&[WIRE_MAGIC, WIRE_VERSION, WIRE_CHAIN]);
-        encode_str(&mut out, &self.task_id);
-        value::encode_len(&mut out, self.steps.len());
-        for step in &self.steps {
-            encode_str(&mut out, step);
-        }
-        encode_trace(&mut out, &self.trace);
-        encode_values(&mut out, &self.inputs);
-        Bytes::from(out)
+        chain_frame(
+            TaskId::Str(&self.task_id),
+            &self.steps,
+            self.trace,
+            &self.inputs,
+        )
     }
 
     /// Deserialize from the broker.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
-        let decode = || {
-            let mut body = strip_header(bytes, WIRE_CHAIN)?;
-            let cur = &mut body;
-            let task_id = decode_str(cur)?;
-            let count = value::decode_len(cur)?;
-            let mut steps = Vec::with_capacity(count.min(64));
-            for _ in 0..count {
-                steps.push(decode_str(cur)?);
-            }
-            Ok(ChainRequest {
-                task_id,
-                steps,
-                trace: decode_trace(cur)?,
-                inputs: decode_values(cur)?,
-            })
-        };
-        decode().map_err(|e: String| format!("malformed chain request: {e}"))
+        let task = TaskView::decode(bytes, WIRE_CHAIN).map_err(malformed("chain request"))?;
+        Ok(task.into_chain())
     }
 }
 
 impl ChainResponse {
-    /// Serialize for the broker.
+    /// Serialize for the broker ([`chain_response_frame`]).
     pub fn to_bytes(&self) -> Bytes {
-        let mut out = Vec::with_capacity(64 + 16 * self.steps.len());
-        out.extend_from_slice(&[WIRE_MAGIC, WIRE_VERSION, WIRE_CHAIN_REPLY]);
-        encode_str(&mut out, &self.task_id);
-        match &self.outcome {
-            Ok(values) => {
-                out.push(0);
-                encode_values(&mut out, values);
-            }
-            Err(StepFailure { step, error }) => {
-                out.push(1);
-                value::encode_len(&mut out, *step);
-                match error {
-                    StepError::Execution(message) => {
-                        out.push(0);
-                        encode_str(&mut out, message);
-                    }
-                    StepError::InvalidInput { expected } => {
-                        out.push(1);
-                        encode_str(&mut out, expected);
-                    }
-                }
-            }
-        }
-        value::encode_len(&mut out, self.steps.len());
-        for cost in &self.steps {
-            encode_u64(&mut out, cost.inference_nanos);
-            encode_u64(&mut out, cost.invocation_nanos);
-        }
-        Bytes::from(out)
+        chain_response_frame(
+            &self.task_id,
+            self.outcome.as_ref().map(|values| values.iter()),
+            &self.steps,
+        )
     }
 
     /// Deserialize from the broker.
@@ -372,15 +591,15 @@ impl ChainResponse {
         let decode = || {
             let mut body = strip_header(bytes, WIRE_CHAIN_REPLY)?;
             let cur = &mut body;
-            let task_id = decode_str(cur)?;
+            let task_id = decode_str(cur)?.to_string();
             let outcome = match value::take(cur, 1)?[0] {
                 0 => Ok(decode_values(cur)?),
                 _ => {
                     let step = value::decode_len(cur)?;
                     let error = match value::take(cur, 1)?[0] {
-                        0 => StepError::Execution(decode_str(cur)?),
+                        0 => StepError::Execution(decode_str(cur)?.to_string()),
                         _ => StepError::InvalidInput {
-                            expected: decode_str(cur)?,
+                            expected: decode_str(cur)?.to_string(),
                         },
                     };
                     Err(StepFailure { step, error })
@@ -400,7 +619,7 @@ impl ChainResponse {
                 steps,
             })
         };
-        decode().map_err(|e: String| format!("malformed chain response: {e}"))
+        decode().map_err(malformed("chain response"))
     }
 }
 
@@ -417,23 +636,24 @@ pub(crate) enum ReplyFrame {
 /// Decode whatever a Task Manager took off the queue as the chain it
 /// runs — a [`TaskRequest`] is the one-step chain — with the frame its
 /// reply goes in. A malformed frame still says which reply it wants.
-pub(crate) fn decode_task(bytes: &[u8]) -> (ReplyFrame, Result<ChainRequest, String>) {
+pub(crate) fn decode_task(bytes: &[u8]) -> (ReplyFrame, Result<TaskView<'_>, String>) {
     if bytes.get(2) == Some(&WIRE_CHAIN) {
-        return (ReplyFrame::Chain, ChainRequest::from_bytes(bytes));
+        let chain = TaskView::decode(bytes, WIRE_CHAIN).map_err(malformed("chain request"));
+        return (ReplyFrame::Chain, chain);
     }
-    let chain = TaskRequest::from_bytes(bytes).map(|task| ChainRequest {
-        task_id: task.task_id,
-        steps: vec![task.servable],
-        inputs: task.inputs,
-        trace: task.trace,
-    });
-    (ReplyFrame::Task, chain)
+    let task = TaskView::decode(bytes, WIRE_REQUEST).map_err(malformed("task request"));
+    (ReplyFrame::Task, task)
+}
+
+/// The number the next task id is spelled from.
+pub(crate) fn next_task_seq() -> u64 {
+    static SEQ: AtomicU64 = AtomicU64::new(1);
+    SEQ.fetch_add(1, Ordering::Relaxed)
 }
 
 /// Allocate a fresh task id.
 pub fn next_task_id() -> String {
-    static SEQ: AtomicU64 = AtomicU64::new(1);
-    format!("task-{:08x}", SEQ.fetch_add(1, Ordering::Relaxed))
+    format!("task-{:08x}", next_task_seq())
 }
 
 /// Lifecycle of an asynchronous task.
@@ -820,6 +1040,12 @@ mod tests {
         }
     }
 
+    /// What a Task Manager decodes from `wire`, as the owned chain.
+    fn decoded(wire: &[u8]) -> (ReplyFrame, Result<ChainRequest, String>) {
+        let (reply, task) = decode_task(wire);
+        (reply, task.map(TaskView::into_chain))
+    }
+
     #[test]
     fn a_chain_frame_is_no_task_request_but_a_task_request_is_a_one_step_chain() {
         let wire = chain().to_bytes();
@@ -827,14 +1053,14 @@ mod tests {
             TaskRequest::from_bytes(&wire).unwrap_err(),
             "malformed task request: unexpected message type 3"
         );
-        assert_eq!(decode_task(&wire), (ReplyFrame::Chain, Ok(chain())));
+        assert_eq!(decoded(&wire), (ReplyFrame::Chain, Ok(chain())));
         let task = TaskRequest {
             task_id: "t".into(),
             servable: "a/b".into(),
             inputs: vec![Value::Null, Value::Int(2)],
             trace: None,
         };
-        let (reply, one_step) = decode_task(&task.to_bytes());
+        let (reply, one_step) = decoded(&task.to_bytes());
         assert_eq!(reply, ReplyFrame::Task);
         let one_step = one_step.unwrap();
         assert_eq!(one_step.steps, vec!["a/b".to_string()]);
@@ -844,6 +1070,80 @@ mod tests {
         assert_eq!(reply, ReplyFrame::Chain);
         assert!(decoded.unwrap_err().starts_with("malformed chain request"));
         assert_eq!(decode_task(b"garbage").0, ReplyFrame::Task);
+    }
+
+    #[test]
+    fn a_task_manager_reads_a_frame_in_place_and_takes_its_steps_in_order() {
+        let wire = chain().to_bytes();
+        let (_, task) = decode_task(&wire);
+        let TaskView {
+            task_id,
+            steps,
+            trace,
+            inputs,
+            places: mut task,
+        } = task.unwrap();
+        assert_eq!((trace, inputs), (chain().trace, chain().inputs));
+        assert_eq!(task_id, "t-chain");
+        assert_eq!(steps.len(), 3);
+        assert_eq!(
+            steps.collect::<Vec<_>>(),
+            ["a/parse", "a/featurize", "a/model"]
+        );
+        // The places read the same parts once the borrow is gone.
+        assert_eq!(task.task_id(&wire), "t-chain");
+        assert_eq!(task.next_step(&wire), Some("a/parse"));
+        assert_eq!(task.steps_left(), 2);
+        assert_eq!(task.next_step(&wire), Some("a/featurize"));
+        assert_eq!(task.next_step(&wire), Some("a/model"));
+        assert_eq!((task.next_step(&wire), task.steps_left()), (None, 0));
+        assert_eq!(task.task_id(&wire), "t-chain");
+    }
+
+    #[test]
+    fn frames_encoded_from_borrowed_parts_are_the_owned_forms_bytes() {
+        // A task id minted as a number is written as the string
+        // `next_task_id` spells from it.
+        let inputs = [Value::Str("NaCl".into()), Value::Int(7)];
+        let trace = Some(TraceContext { trace: 5, span: 6 });
+        for seq in [0x1a, 0xdead_beef_0042] {
+            let id = format!("task-{seq:08x}");
+            assert_eq!(task_seq(&id), Some(seq));
+            let owned = TaskRequest {
+                task_id: id.clone(),
+                servable: "a/b".into(),
+                inputs: inputs.to_vec(),
+                trace,
+            };
+            let borrowed = task_frame(TaskId::Seq(seq), "a/b", trace, &inputs);
+            assert_eq!(borrowed, owned.to_bytes());
+            let steps = ["a/x".to_string(), "a/y".to_string()];
+            let owned = ChainRequest {
+                task_id: id,
+                steps: steps.to_vec(),
+                inputs: inputs.to_vec(),
+                trace,
+            };
+            let borrowed = chain_frame(TaskId::Seq(seq), &steps, trace, &inputs);
+            assert_eq!(borrowed, owned.to_bytes());
+        }
+        // A reply read in place holds what the owned decoder returns.
+        let response = TaskResponse {
+            task_id: "t".into(),
+            outcome: Ok(inputs.to_vec()),
+            inference_nanos: vec![3, 4],
+            invocation_nanos: 9,
+        };
+        let wire = response.to_bytes();
+        let reply = TaskReply::decode(&wire).unwrap();
+        assert_eq!(reply.task_id, "t");
+        assert_eq!(reply.outcome.as_deref(), Ok(&inputs[..]));
+        assert_eq!(reply.inference_nanos().collect::<Vec<_>>(), [3, 4]);
+        assert_eq!(reply.invocation_nanos, 9);
+        for cut in 0..wire.len() {
+            let err = TaskReply::decode(&wire[..cut]).unwrap_err();
+            assert!(err.starts_with("malformed task response"), "{cut}: {err}");
+        }
     }
 
     #[test]

@@ -20,16 +20,18 @@
 //! with one [`StepCost`] per step to a chain. So a k-step pipeline
 //! crosses the broker once and costs one replica hop per step.
 
-use crate::executor::{ChainStep, Execution, Executor};
-use crate::repository::Repository;
+use crate::error::DlhubError;
+use crate::executor::{Answered, Answers, ChainStep, Executor};
+use crate::repository::{Repository, Resolved};
 use crate::task::{
-    decode_task, ChainRequest, ChainResponse, ReplyFrame, StepCost, StepError, StepFailure,
-    TaskResponse,
+    chain_response_frame, decode_task, response_frame, ReplyFrame, StepCost, StepError,
+    StepFailure, Steps, TaskFrame, TaskView,
 };
 use crate::value::Value;
+use bytes::Bytes;
 use dlhub_fault::{site, FaultHandle, FaultKind};
-use dlhub_obs::{Counter, Obs, SpanHandle};
-use dlhub_queue::{Broker, Responder, RpcServer};
+use dlhub_obs::{Counter, Obs, SpanHandle, TraceContext};
+use dlhub_queue::{Broker, RequestInfo, Responder, RpcServer};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -125,7 +127,7 @@ impl TaskManager {
         };
         let _ = broker.send(
             REGISTRATION_TOPIC,
-            bytes::Bytes::from(serde_json::to_vec(&registration).expect("registration json")),
+            Bytes::from(serde_json::to_vec(&registration).expect("registration json")),
         );
 
         let shutdown = Arc::new(AtomicBool::new(false));
@@ -248,15 +250,15 @@ impl Router {
 /// is in flight — the executor does, inside the step's completion.
 struct Chain {
     router: Arc<Router>,
+    /// Holds the task's frame, which `task` reads in place.
     responder: Responder,
     reply: ReplyFrame,
-    task_id: String,
+    /// The task id, and the steps not dispatched yet.
+    task: TaskFrame,
     span: Option<SpanHandle>,
     /// The task's arrival, after decode: the invocation is timed from
     /// here, and so is the first step.
     started: Instant,
-    /// Steps not dispatched yet, in order.
-    remaining: std::vec::IntoIter<String>,
     /// Index of the step in flight, and when it was handed off.
     step: usize,
     step_started: Instant,
@@ -265,17 +267,24 @@ struct Chain {
 }
 
 impl Chain {
-    /// Resolve the next step and hand it `inputs`; its completion
-    /// continues the chain. Never waits for the step to run.
+    /// Take the next step off the frame, resolve it and hand it
+    /// `inputs`.
     fn dispatch(mut self: Box<Self>, inputs: Arc<Vec<Value>>) {
-        let Some(id) = self.remaining.next() else {
-            return self.reply(Err(StepError::Execution("chain has no steps".into())));
+        let id = self.task.next_step(self.responder.payload());
+        let step = id.map(|id| self.router.repository.resolve_entry(id));
+        self.run(step, inputs);
+    }
+
+    /// Hand `inputs` to `step`, the next step as taken off the frame and
+    /// resolved (`None`: no step was left); its completion continues the
+    /// chain. Never waits for the step to run.
+    fn run(self: Box<Self>, step: Option<Result<Resolved, DlhubError>>, inputs: Arc<Vec<Value>>) {
+        let step = match step {
+            Some(Ok(step)) => step,
+            Some(Err(e)) => return self.reply(Err(StepError::Execution(e.to_string()))),
+            None => return self.reply(Err(StepError::Execution("chain has no steps".into()))),
         };
-        let router = Arc::clone(&self.router);
-        let (servable, metadata) = match router.repository.resolve_internal(&id) {
-            Ok(pair) => pair,
-            Err(e) => return self.reply(Err(StepError::Execution(e.to_string()))),
-        };
+        let metadata = &step.metadata;
         // The Management Service checked what the caller sent; what a
         // step hands the next is checked here.
         if self.step > 0
@@ -286,6 +295,7 @@ impl Chain {
             let expected = metadata.input_type.descriptor();
             return self.reply(Err(StepError::InvalidInput { expected }));
         }
+        let router = Arc::clone(&self.router);
         let Some(executor) = router
             .executors
             .iter()
@@ -294,7 +304,7 @@ impl Chain {
             let message = format!("no executor supports model type {}", metadata.model_type);
             return self.reply(Err(StepError::Execution(message)));
         };
-        let step = ChainStep {
+        let chain_step = ChainStep {
             index: self.step,
             trace: self.span.as_ref().map(|span| (&router.obs, span.ctx())),
         };
@@ -303,26 +313,26 @@ impl Chain {
         // step before's outputs, and replica pools fan them out by
         // refcount, never by deep clone.
         executor.dispatch(
-            &id,
-            &servable,
+            &step.id,
+            &step.servable,
             inputs,
-            step,
+            chain_step,
             Box::new(move |outcome| self.answered(outcome)),
         );
     }
 
     /// One step answered: reply after the last, otherwise dispatch the
     /// next one from here — the thread that ran this step.
-    fn answered(mut self: Box<Self>, outcome: Execution) {
-        let (outputs, times) = match outcome {
-            Ok(answer) => answer,
+    fn answered(mut self: Box<Self>, outcome: Answered) {
+        let answers = match outcome {
+            Ok(answers) => answers,
             Err(message) => return self.reply(Err(StepError::Execution(message))),
         };
-        if self.remaining.as_slice().is_empty() {
-            return self.reply(Ok((outputs, times)));
+        if self.task.steps_left() == 0 {
+            return self.reply(Ok(answers));
         }
         let now = Instant::now();
-        let cost = step_cost(&times, self.step_started, now);
+        let cost = step_cost(answers.times(), self.step_started, now);
         self.costs.push(cost);
         (self.step, self.step_started) = (self.step + 1, now);
         // A crash between two steps: the task is dropped half done,
@@ -330,39 +340,38 @@ impl Chain {
         if self.router.faults.decide(site::TM_CRASH).is_some() {
             return self.router.crashed();
         }
-        self.dispatch(Arc::new(outputs));
+        self.dispatch(Arc::new(answers.into_values()));
     }
 
     /// Measure the invocation, close the span and answer the requester
-    /// once, in the frame it asked for: the last step's outputs, or the
+    /// once, in the frame it asked for: the last step's answers, or the
     /// step in flight's failure. Every failure becomes an answer, so the
     /// requester is always answered.
-    fn reply(self: Box<Self>, outcome: Result<(Vec<Value>, Vec<Duration>), StepError>) {
+    fn reply(self: Box<Self>, outcome: Result<Answers, StepError>) {
         let Chain {
             router,
             responder,
             reply,
-            task_id,
+            task,
             mut span,
             started,
             step,
             step_started,
             mut costs,
-            ..
         } = *self;
         let now = Instant::now();
         if let (Some(span), Err(error)) = (span.as_mut(), &outcome) {
             span.attr("error", error.to_string());
-            span.attr("failed_step", step.to_string());
+            span.attr("failed_step", step);
         }
-        if let (ReplyFrame::Chain, Ok((_, times))) = (reply, &outcome) {
-            costs.push(step_cost(times, step_started, now));
+        if let (ReplyFrame::Chain, Ok(answers)) = (reply, &outcome) {
+            costs.push(step_cost(answers.times(), step_started, now));
         }
         let bytes = encode_reply(
             reply,
-            task_id,
+            task.task_id(responder.payload()),
             outcome.map_err(|error| StepFailure { step, error }),
-            costs,
+            &costs,
             now.duration_since(started).as_nanos() as u64,
         );
         router.tasks.inc();
@@ -374,50 +383,73 @@ impl Chain {
 }
 
 /// What a step handed off at `since` and answered at `now` cost.
-fn step_cost(times: &[Duration], since: Instant, now: Instant) -> StepCost {
+fn step_cost(times: impl Iterator<Item = Duration>, since: Instant, now: Instant) -> StepCost {
     StepCost {
-        inference_nanos: times.iter().map(|t| t.as_nanos() as u64).sum(),
+        inference_nanos: times.map(|t| t.as_nanos() as u64).sum(),
         invocation_nanos: now.duration_since(since).as_nanos() as u64,
     }
 }
 
-/// The answer to a task in the frame its request asked for. A task's
-/// reply carries per-input inference times; a chain's, one cost per
-/// step (`costs`, dropped on failure).
+/// The answer to a task in the frame its request asked for, encoded
+/// straight from the answer cells. A task's reply carries per-input
+/// inference times; a chain's, one cost per step (`costs`, dropped on
+/// failure).
 fn encode_reply(
     reply: ReplyFrame,
-    task_id: String,
-    outcome: Result<(Vec<Value>, Vec<Duration>), StepFailure>,
-    costs: Vec<StepCost>,
+    task_id: &str,
+    outcome: Result<Answers, StepFailure>,
+    costs: &[StepCost],
     invocation_nanos: u64,
-) -> bytes::Bytes {
-    match reply {
-        ReplyFrame::Task => {
-            let (outcome, inference_nanos) = match outcome {
-                Ok((outputs, times)) => (
-                    Ok(outputs),
-                    times.iter().map(|t| t.as_nanos() as u64).collect(),
-                ),
-                Err(failure) => (Err(failure.error.to_string()), vec![]),
-            };
-            TaskResponse {
-                task_id,
-                outcome,
-                inference_nanos,
-                invocation_nanos,
-            }
-            .to_bytes()
+) -> Bytes {
+    type NoValues<'a> = std::iter::Empty<&'a Value>;
+    match (reply, &outcome) {
+        (ReplyFrame::Task, Ok(answers)) => {
+            let nanos = answers.times().map(|t| t.as_nanos() as u64);
+            response_frame(task_id, Ok(answers.values()), nanos, invocation_nanos)
         }
-        ReplyFrame::Chain => {
-            let steps = if outcome.is_ok() { costs } else { vec![] };
-            ChainResponse {
-                task_id,
-                outcome: outcome.map(|(outputs, _)| outputs),
-                steps,
-            }
-            .to_bytes()
+        (ReplyFrame::Task, Err(failure)) => {
+            let message = failure.error.to_string();
+            let outcome = Err::<NoValues, _>(message.as_str());
+            response_frame(task_id, outcome, std::iter::empty(), invocation_nanos)
+        }
+        (ReplyFrame::Chain, Ok(answers)) => {
+            chain_response_frame(task_id, Ok(answers.values()), costs)
+        }
+        (ReplyFrame::Chain, Err(failure)) => {
+            chain_response_frame(task_id, Err::<NoValues, _>(failure), &[])
         }
     }
+}
+
+/// The `invocation` span of a task carrying `inputs` inputs through
+/// `steps`, under the requester's `parent`: tagged with its servable — a
+/// one-step task's id as the repository holds it once `first` resolved
+/// it, otherwise the ids as sent — and with the broker's account of the
+/// delivery.
+fn invocation_span(
+    router: &Router,
+    parent: TraceContext,
+    steps: Steps<'_>,
+    first: Option<&Resolved>,
+    inputs: usize,
+    info: RequestInfo,
+) -> SpanHandle {
+    let mut span = router.obs.tracer.start_child(parent, "invocation");
+    match first {
+        Some(step) if steps.len() == 1 => span.attr("servable", Arc::clone(&step.id)),
+        _ => span.attr("servable", steps.collect::<Vec<_>>().join(",")),
+    }
+    span.attr("batch", inputs);
+    // Broker-side queue accounting, so critical-path analysis can
+    // report how long the task sat in the queue before this hop.
+    span.attr("queue_wait_ns", info.queue_wait.as_nanos() as u64);
+    span.attr("delivery_attempts", info.attempts);
+    // Redelivered tasks had `enqueued_at` re-stamped by the broker, so
+    // `queue_wait_ns` covers only the latest residency; flag them so
+    // attribution tooling knows the earlier residencies live on the
+    // prior delivery's span.
+    span.attr("redelivered", info.attempts > 1);
+    span
 }
 
 /// Handle one task: decode it as a chain and dispatch its first step.
@@ -427,57 +459,55 @@ fn encode_reply(
 /// under the requester's span, with the executors recording every
 /// step's `inference` spans beneath it.
 fn handle(router: &Arc<Router>, responder: Responder) {
-    let (reply, request) = decode_task(responder.payload());
-    let request = match request {
-        Ok(request) => request,
+    let (reply, decoded) = decode_task(responder.payload());
+    let TaskView {
+        steps,
+        trace,
+        inputs,
+        places: mut task,
+        ..
+    } = match decoded {
+        Ok(view) => view,
         Err(e) => {
             let failure = StepFailure {
                 step: 0,
                 error: StepError::Execution(e),
             };
-            let bytes = encode_reply(reply, "unknown".into(), Err(failure), vec![], 0);
+            let bytes = encode_reply(reply, "unknown", Err(failure), &[], 0);
             return responder.reply(bytes);
         }
     };
-    let ChainRequest {
-        task_id,
-        steps,
-        inputs,
-        trace,
-    } = request;
-    let mut span = trace.map(|p| router.obs.tracer.start_child(p, "invocation"));
-    if let Some(s) = span.as_mut() {
-        s.attr("servable", steps.join(","));
-        s.attr("batch", inputs.len().to_string());
-        // Broker-side queue accounting, so critical-path analysis can
-        // report how long the task sat in the queue before this hop.
-        let info = responder.info();
-        s.attr("queue_wait_ns", info.queue_wait.as_nanos().to_string());
-        s.attr("delivery_attempts", info.attempts.to_string());
-        // Redelivered tasks had `enqueued_at` re-stamped by the
-        // broker, so `queue_wait_ns` covers only the latest
-        // residency; flag them so attribution tooling knows the
-        // earlier residencies live on the prior delivery's span.
-        s.attr("redelivered", (info.attempts > 1).to_string());
-    }
     let started = Instant::now();
     let costs = match reply {
         ReplyFrame::Task => Vec::new(),
         ReplyFrame::Chain => Vec::with_capacity(steps.len()),
     };
+    let first = task
+        .next_step(responder.payload())
+        .map(|id| router.repository.resolve_entry(id));
+    let span = trace.map(|parent| {
+        let resolved = first.as_ref().and_then(|step| step.as_ref().ok());
+        invocation_span(
+            router,
+            parent,
+            steps,
+            resolved,
+            inputs.len(),
+            responder.info(),
+        )
+    });
     Box::new(Chain {
         router: Arc::clone(router),
         responder,
         reply,
-        task_id,
+        task,
         span,
         started,
-        remaining: steps.into_iter(),
         step: 0,
         step_started: started,
         costs,
     })
-    .dispatch(Arc::new(inputs));
+    .run(first, Arc::new(inputs));
 }
 
 #[cfg(test)]
@@ -487,7 +517,9 @@ mod tests {
     use crate::repository::{PublishVisibility, Repository, PUBLISH_SCOPE, SERVE_SCOPE};
     use crate::servable::builtins::NoopServable;
     use crate::servable::{servable_fn, ModelType, ServableMetadata, TypeDesc};
-    use crate::task::{next_task_id, TaskRequest, MAX_DEPTH};
+    use crate::task::{
+        next_task_id, ChainRequest, ChainResponse, TaskRequest, TaskResponse, MAX_DEPTH,
+    };
     use crate::value::Value;
     use dlhub_auth::{AuthService, Scope};
     use dlhub_container::{Cluster, NodeSpec};

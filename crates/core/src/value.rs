@@ -146,9 +146,7 @@ impl Value {
             }
             Value::Json(j) => {
                 out.push(8);
-                let s = j.to_string();
-                encode_len(out, s.len());
-                out.extend_from_slice(s.as_bytes());
+                encode_formatted(out, format_args!("{j}"));
             }
         }
     }
@@ -282,6 +280,18 @@ impl Value {
 /// 4 GiB — far beyond DLHub payloads.
 pub(crate) fn encode_len(out: &mut Vec<u8>, len: usize) {
     out.extend_from_slice(&(len as u32).to_le_bytes());
+}
+
+/// Write `text` length-prefixed, as [`encode_len`] and its bytes would,
+/// formatting it straight into `out`: no intermediate `String`.
+pub(crate) fn encode_formatted(out: &mut Vec<u8>, text: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    let at = out.len();
+    encode_len(out, 0);
+    // Writing into a `Vec` cannot fail.
+    let _ = out.write_fmt(text);
+    let len = (out.len() - at - 4) as u32;
+    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
 }
 
 /// Read a u32 length prefix.

@@ -4,7 +4,7 @@
 //! that finishes the task answers the requester.
 
 use dlhub_core::admission::AdmissionConfig;
-use dlhub_core::executor::{ChainStep, Executor};
+use dlhub_core::executor::{Answers, ChainStep, Executor};
 use dlhub_core::hub::TestHub;
 use dlhub_core::obs::{Obs, Telemetry};
 use dlhub_core::pipeline::Pipeline;
@@ -132,7 +132,8 @@ fn a_batch_through_the_countdown_keeps_order_times_and_errors() {
             ChainStep::default(),
             Box::new(move |execution| done.send(execution).unwrap()),
         );
-        outcome.recv_timeout(PATIENCE).expect("done was called")
+        let answered = outcome.recv_timeout(PATIENCE).expect("done was called");
+        answered.map(Answers::into_parts)
     };
     // 32 inputs over 2 replicas: outputs in input order, two jobs of
     // 16, and each job's inputs share the job's time evenly (to the

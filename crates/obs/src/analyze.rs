@@ -704,7 +704,7 @@ mod tests {
     #[test]
     fn unrecognized_traces_yield_none() {
         let tracer = Tracer::new();
-        tracer.event(None, "slo_alert", vec![]);
+        tracer.event(None, "slo_alert", []);
         let export = tracer.export(None);
         assert!(analyze(&export, 12345).is_none());
         assert!(analyze_all(&export).is_empty());

@@ -28,7 +28,6 @@ mod ring;
 pub mod analyze;
 pub mod collect;
 pub mod metrics;
-pub mod openloop;
 pub mod slo;
 pub mod trace;
 pub mod tsdb;
@@ -43,9 +42,8 @@ pub use metrics::{
     Histogram, HistogramSnapshot, HistogramSummary, MetricsSnapshot, Registry, ServableCost,
     ServableSeries, ServableSnapshot,
 };
-pub use openloop::{OpenLoopRecorder, OpenLoopReport, OpenLoopSample, SampleSummary};
 pub use slo::{SloRegistry, SloSnapshot, SloSpec, SloTracker};
-pub use trace::{now_ns, SpanHandle, SpanRecord, TraceContext, TraceExport, Tracer};
+pub use trace::{now_ns, AttrValue, SpanHandle, SpanRecord, TraceContext, TraceExport, Tracer};
 pub use tsdb::{
     default_tiers, servable_series, slo_series, ControlSignals, GaugeWindow, SeriesKind,
     SeriesStore, TierSpec,

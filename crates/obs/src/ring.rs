@@ -10,12 +10,12 @@ use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-use crate::trace::SpanRecord;
+use crate::trace::RawSpan;
 
 /// Slots per ring. Power of two so masking replaces modulo.
 pub(crate) const RING_CAPACITY: usize = 256;
 
-struct Slot(UnsafeCell<MaybeUninit<SpanRecord>>);
+struct Slot(UnsafeCell<MaybeUninit<RawSpan>>);
 
 /// Fixed-capacity SPSC ring buffer of finished spans.
 ///
@@ -60,7 +60,7 @@ impl SpanRing {
     /// Producer side: push a finished span, dropping it (and counting
     /// the drop) when the ring is full. Must only be called from the
     /// thread that owns this ring.
-    pub(crate) fn push(&self, record: SpanRecord) {
+    pub(crate) fn push(&self, record: RawSpan) {
         let head = self.head.load(Ordering::Relaxed);
         let tail = self.tail.load(Ordering::Acquire);
         if head.wrapping_sub(tail) >= self.slots.len() {
@@ -75,10 +75,10 @@ impl SpanRing {
         self.head.store(head.wrapping_add(1), Ordering::Release);
     }
 
-    /// Consumer side: move every published span into `out`. Callers
-    /// must serialise drains (the tracer holds its ring-registry lock
-    /// across this call).
-    pub(crate) fn drain_into(&self, out: &mut Vec<SpanRecord>) {
+    /// Consumer side: hand every published span to `each`, oldest
+    /// first. Callers must serialise drains (the tracer holds its
+    /// ring-registry lock across this call).
+    pub(crate) fn drain(&self, mut each: impl FnMut(RawSpan)) {
         let mut tail = self.tail.load(Ordering::Relaxed);
         let head = self.head.load(Ordering::Acquire);
         while tail != head {
@@ -86,7 +86,7 @@ impl SpanRing {
             // Safety: the Acquire load of `head` ordered this read
             // after the producer's write, and the slot is read exactly
             // once before `tail` passes it.
-            out.push(unsafe { (*slot.0.get()).assume_init_read() });
+            each(unsafe { (*slot.0.get()).assume_init_read() });
             tail = tail.wrapping_add(1);
             self.tail.store(tail, Ordering::Release);
         }
@@ -100,27 +100,29 @@ impl SpanRing {
 
 impl Drop for SpanRing {
     fn drop(&mut self) {
-        // Release any spans still in flight so their heap attributes
-        // are freed.
-        let mut sink = Vec::new();
-        self.drain_into(&mut sink);
+        // Release any spans still in flight so their shared and owned
+        // attributes are freed.
+        self.drain(drop);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::Attrs;
     use std::sync::Arc;
 
-    fn rec(span: u64) -> SpanRecord {
-        SpanRecord {
+    fn rec(span: u64) -> RawSpan {
+        let mut attrs = Attrs::default();
+        attrs.push("k", format!("v{span}").into());
+        RawSpan {
             trace: 1,
             span,
             parent: 0,
             name: "test",
             start_ns: span,
             end_ns: span + 1,
-            attrs: vec![("k", format!("v{span}"))],
+            attrs,
         }
     }
 
@@ -131,7 +133,7 @@ mod tests {
             ring.push(rec(i));
         }
         let mut out = Vec::new();
-        ring.drain_into(&mut out);
+        ring.drain(|span| out.push(span));
         assert_eq!(out.len(), 10);
         assert!(out.iter().enumerate().all(|(i, r)| r.span == i as u64));
         assert_eq!(ring.dropped(), 0);
@@ -145,7 +147,7 @@ mod tests {
         }
         assert_eq!(ring.dropped(), 7);
         let mut out = Vec::new();
-        ring.drain_into(&mut out);
+        ring.drain(|span| out.push(span));
         assert_eq!(out.len(), RING_CAPACITY);
         // The oldest records survive; the overflow was discarded.
         assert_eq!(out[0].span, 0);
@@ -177,14 +179,14 @@ mod tests {
         };
         let mut seen = Vec::new();
         while seen.len() < total as usize {
-            ring.drain_into(&mut seen);
+            ring.drain(|span| seen.push(span));
         }
         producer.join().unwrap();
         assert_eq!(seen.len(), total as usize);
         assert!(seen.iter().enumerate().all(|(i, r)| r.span == i as u64));
         assert!(seen
-            .iter()
+            .into_iter()
             .enumerate()
-            .all(|(i, r)| r.attrs[0].1 == format!("v{i}")));
+            .all(|(i, r)| r.format().attrs == [("k", format!("v{i}"))]));
     }
 }

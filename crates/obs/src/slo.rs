@@ -252,15 +252,15 @@ impl SloTracker {
         self.tracer.event(
             None,
             "slo_alert",
-            vec![
-                ("servable", self.spec.servable.clone()),
+            [
+                ("servable", self.spec.servable.clone().into()),
                 (
                     "state",
-                    if should_fire { "firing" } else { "resolved" }.to_string(),
+                    if should_fire { "firing" } else { "resolved" }.into(),
                 ),
-                ("objective", objective.to_string()),
-                ("burn_fast", format!("{burn_fast:.3}")),
-                ("burn_slow", format!("{burn_slow:.3}")),
+                ("objective", objective.into()),
+                ("burn_fast", format!("{burn_fast:.3}").into()),
+                ("burn_slow", format!("{burn_slow:.3}").into()),
             ],
         );
     }

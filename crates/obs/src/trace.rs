@@ -2,14 +2,18 @@
 //! and export.
 //!
 //! A [`Tracer`] mints `TraceId`/`SpanId` pairs (plain `u64`s, unique
-//! per tracer) and records finished [`SpanRecord`]s into a lock-free
-//! per-thread [ring](crate::ring) so the request hot path never takes
-//! a lock to trace. A collector pass ([`Tracer::drain`]) moves the
-//! rings' contents into a bounded in-memory store, from which
-//! [`Tracer::export`] produces a [`TraceExport`] for rendering.
+//! per tracer) and records finished spans into a lock-free per-thread
+//! [ring](crate::ring) so the request hot path never takes a lock to
+//! trace. A span's attributes are typed [`AttrValue`]s held inline in
+//! the span, so recording one allocates nothing. A collector pass
+//! ([`Tracer::drain`]) moves the rings' contents into a bounded
+//! in-memory store, formatting each span into a [`SpanRecord`] of
+//! strings on the way; [`Tracer::export`] produces a [`TraceExport`]
+//! of those for rendering.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
@@ -48,7 +52,150 @@ pub struct TraceContext {
     pub span: u64,
 }
 
-/// A finished span as stored by the collector.
+/// A span attribute's value, kept typed from the moment it is attached
+/// until the collector formats the span for export: attaching one
+/// allocates nothing unless the value is an [`AttrValue::Owned`]
+/// string, and a span dropped on ring overflow is never formatted.
+#[derive(Debug, Clone, PartialEq)]
+pub enum AttrValue {
+    /// A string known at compile time (`"async"`, `"parsl"`).
+    Static(&'static str),
+    /// A string shared with its owner: a servable id as the repository
+    /// holds it.
+    Shared(Arc<str>),
+    /// A string built for this span, for rare paths such as errors.
+    Owned(String),
+    /// An integer (a count, an index, nanoseconds), exported in
+    /// decimal.
+    U64(u64),
+    /// A flag, exported as `true` or `false`.
+    Bool(bool),
+}
+
+impl AttrValue {
+    /// The value as exported.
+    fn into_string(self) -> String {
+        match self {
+            AttrValue::Owned(s) => s,
+            other => other.to_string(),
+        }
+    }
+}
+
+impl fmt::Display for AttrValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            AttrValue::Static(s) => f.write_str(s),
+            AttrValue::Shared(s) => f.write_str(s),
+            AttrValue::Owned(s) => f.write_str(s),
+            AttrValue::U64(n) => write!(f, "{n}"),
+            AttrValue::Bool(b) => write!(f, "{b}"),
+        }
+    }
+}
+
+impl From<&'static str> for AttrValue {
+    fn from(s: &'static str) -> Self {
+        AttrValue::Static(s)
+    }
+}
+
+impl From<Arc<str>> for AttrValue {
+    fn from(s: Arc<str>) -> Self {
+        AttrValue::Shared(s)
+    }
+}
+
+impl From<String> for AttrValue {
+    fn from(s: String) -> Self {
+        AttrValue::Owned(s)
+    }
+}
+
+impl From<u64> for AttrValue {
+    fn from(n: u64) -> Self {
+        AttrValue::U64(n)
+    }
+}
+
+impl From<usize> for AttrValue {
+    fn from(n: usize) -> Self {
+        AttrValue::U64(n as u64)
+    }
+}
+
+impl From<u32> for AttrValue {
+    fn from(n: u32) -> Self {
+        AttrValue::U64(n.into())
+    }
+}
+
+impl From<bool> for AttrValue {
+    fn from(b: bool) -> Self {
+        AttrValue::Bool(b)
+    }
+}
+
+/// Attributes a span holds without allocating: as many as the largest
+/// span a successful request records (a replica's `inference`). Every
+/// slot is in every ring slot, so one more costs each ring 10 KB; only
+/// a failed invocation's `error` and `failed_step` go past them.
+const INLINE_ATTRS: usize = 6;
+
+/// A span's attributes in the order they were attached: the first
+/// [`INLINE_ATTRS`] inline, any further ones on the heap.
+#[derive(Debug, Default)]
+pub(crate) struct Attrs {
+    inline: [Option<(&'static str, AttrValue)>; INLINE_ATTRS],
+    spill: Vec<(&'static str, AttrValue)>,
+}
+
+impl Attrs {
+    pub(crate) fn push(&mut self, key: &'static str, value: AttrValue) {
+        match self.inline.iter_mut().find(|slot| slot.is_none()) {
+            Some(slot) => *slot = Some((key, value)),
+            None => self.spill.push((key, value)),
+        }
+    }
+
+    /// The attributes formatted for export, in order.
+    fn format(self) -> Vec<(&'static str, String)> {
+        let attrs = self.inline.into_iter().flatten().chain(self.spill);
+        attrs
+            .map(|(key, value)| (key, value.into_string()))
+            .collect()
+    }
+}
+
+/// A finished span as recorded on the request path, its attributes
+/// still typed; the collector formats it into a [`SpanRecord`].
+#[derive(Debug)]
+pub(crate) struct RawSpan {
+    pub(crate) trace: u64,
+    pub(crate) span: u64,
+    pub(crate) parent: u64,
+    pub(crate) name: &'static str,
+    pub(crate) start_ns: u64,
+    pub(crate) end_ns: u64,
+    pub(crate) attrs: Attrs,
+}
+
+impl RawSpan {
+    pub(crate) fn format(self) -> SpanRecord {
+        SpanRecord {
+            trace: self.trace,
+            span: self.span,
+            parent: self.parent,
+            name: self.name,
+            start_ns: self.start_ns,
+            end_ns: self.end_ns,
+            attrs: self.attrs.format(),
+        }
+    }
+}
+
+/// A finished span as stored by the collector, its attributes
+/// formatted.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanRecord {
     /// Trace this span belongs to (0 = untraced event).
@@ -106,12 +253,8 @@ impl SpanRecord {
 /// across threads; the finishing thread's ring receives the record.
 #[derive(Debug)]
 pub struct SpanHandle {
-    trace: u64,
-    span: u64,
-    parent: u64,
-    name: &'static str,
-    start_ns: u64,
-    attrs: Vec<(&'static str, String)>,
+    /// The span, `end_ns` unset until it finishes.
+    raw: RawSpan,
 }
 
 impl SpanHandle {
@@ -119,19 +262,20 @@ impl SpanHandle {
     /// from this context become children of this span.
     pub fn ctx(&self) -> TraceContext {
         TraceContext {
-            trace: self.trace,
-            span: self.span,
+            trace: self.raw.trace,
+            span: self.raw.span,
         }
     }
 
     /// Trace id of this span.
     pub fn trace(&self) -> u64 {
-        self.trace
+        self.raw.trace
     }
 
-    /// Attach an attribute.
-    pub fn attr(&mut self, key: &'static str, value: impl Into<String>) {
-        self.attrs.push((key, value.into()));
+    /// Attach an attribute. It is held typed in the span and formatted
+    /// only when the span is exported.
+    pub fn attr(&mut self, key: &'static str, value: impl Into<AttrValue>) {
+        self.raw.attrs.push(key, value.into());
     }
 }
 
@@ -152,8 +296,8 @@ struct TracerInner {
 }
 
 impl TracerInner {
-    /// Drain the rings whose thread has exited into `out` and release
-    /// them, moving their overflow counts into `dropped`.
+    /// Drain the rings whose thread has exited into `out`, formatted,
+    /// and release them, moving their overflow counts into `dropped`.
     fn release_exited(&self, rings: &mut Vec<Arc<SpanRing>>, out: &mut Vec<SpanRecord>) {
         let mut i = 0;
         while i < rings.len() {
@@ -166,7 +310,7 @@ impl TracerInner {
             // while `rings` is locked. `into_inner` synchronises with
             // that drop, so every span the thread pushed is visible.
             if let Some(ring) = Arc::into_inner(rings.swap_remove(i)) {
-                ring.drain_into(out);
+                ring.drain(|raw| out.push(raw.format()));
                 self.dropped.fetch_add(ring.dropped(), Ordering::Relaxed);
             }
         }
@@ -247,49 +391,55 @@ impl Tracer {
         self.inner.next_id.fetch_add(1, Ordering::Relaxed)
     }
 
+    fn open(&self, trace: u64, parent: u64, name: &'static str, start_ns: u64) -> SpanHandle {
+        SpanHandle {
+            raw: RawSpan {
+                trace,
+                span: self.mint(),
+                parent,
+                name,
+                start_ns,
+                end_ns: 0,
+                attrs: Attrs::default(),
+            },
+        }
+    }
+
     /// Start a new root span under a fresh trace id.
     pub fn start_root(&self, name: &'static str) -> SpanHandle {
         let trace = self.mint();
-        let span = self.mint();
-        SpanHandle {
-            trace,
-            span,
-            parent: 0,
-            name,
-            start_ns: now_ns(),
-            attrs: Vec::new(),
-        }
+        self.open(trace, 0, name, now_ns())
     }
 
     /// Start a span as a child of a propagated context.
     pub fn start_child(&self, parent: TraceContext, name: &'static str) -> SpanHandle {
-        SpanHandle {
-            trace: parent.trace,
-            span: self.mint(),
-            parent: parent.span,
-            name,
-            start_ns: now_ns(),
-            attrs: Vec::new(),
-        }
+        self.start_child_at(parent, name, now_ns())
+    }
+
+    /// [`Self::start_child`] for a span whose start the caller measured
+    /// ([`now_ns`] clock): a replica's inference, stamped before the
+    /// servable ran.
+    pub fn start_child_at(
+        &self,
+        parent: TraceContext,
+        name: &'static str,
+        start_ns: u64,
+    ) -> SpanHandle {
+        self.open(parent.trace, parent.span, name, start_ns)
     }
 
     /// Close a span at the current instant and record it. Returns the
     /// span's context so callers can keep parenting after the span is
     /// gone.
     pub fn finish(&self, span: SpanHandle) -> TraceContext {
-        let ctx = TraceContext {
-            trace: span.trace,
-            span: span.span,
-        };
-        self.push(SpanRecord {
-            trace: span.trace,
-            span: span.span,
-            parent: span.parent,
-            name: span.name,
-            start_ns: span.start_ns,
-            end_ns: now_ns(),
-            attrs: span.attrs,
-        });
+        self.finish_at(span, now_ns())
+    }
+
+    /// [`Self::finish`] at an end the caller measured ([`now_ns`]
+    /// clock).
+    pub fn finish_at(&self, span: SpanHandle, end_ns: u64) -> TraceContext {
+        let ctx = span.ctx();
+        self.push(RawSpan { end_ns, ..span.raw });
         ctx
     }
 
@@ -298,38 +448,21 @@ impl Tracer {
         &self,
         parent: Option<TraceContext>,
         name: &'static str,
-        attrs: Vec<(&'static str, String)>,
+        attrs: impl IntoIterator<Item = (&'static str, AttrValue)>,
     ) {
         if !self.enabled() {
             return;
         }
         let at = now_ns();
-        let (trace, parent_span) = match parent {
-            Some(p) => (p.trace, p.span),
-            None => (0, 0),
-        };
-        self.push(SpanRecord {
-            trace,
-            span: self.mint(),
-            parent: parent_span,
-            name,
-            start_ns: at,
-            end_ns: at,
-            attrs,
-        });
-    }
-
-    /// Record a span whose start/end were measured by the caller
-    /// (e.g. end-anchored inference spans reconstructed from reported
-    /// durations). `span` id 0 is replaced with a fresh id.
-    pub fn record(&self, mut record: SpanRecord) {
-        if record.span == 0 {
-            record.span = self.mint();
+        let (trace, parent) = parent.map_or((0, 0), |p| (p.trace, p.span));
+        let mut event = self.open(trace, parent, name, at);
+        for (key, value) in attrs {
+            event.attr(key, value);
         }
-        self.push(record);
+        self.finish_at(event, at);
     }
 
-    fn push(&self, record: SpanRecord) {
+    fn push(&self, record: RawSpan) {
         if !self.enabled() {
             return;
         }
@@ -344,13 +477,16 @@ impl Tracer {
             // registration releases the rings of threads that exited,
             // so short-lived threads do not pile up rings.
             rings.retain(|(_, probe, _)| probe.strong_count() > 0);
-            let ring = Arc::new(SpanRing::new());
             let mut released = Vec::new();
-            {
+            let ring = {
                 let mut registry = self.inner.rings.lock();
                 self.inner.release_exited(&mut registry, &mut released);
+                // Allocated once the exited rings are freed, so it can
+                // take the memory one of them held.
+                let ring = Arc::new(SpanRing::new());
                 registry.push(Arc::clone(&ring));
-            }
+                ring
+            };
             self.inner.store(released);
             ring.push(record);
             rings.push((self.inner.id, Arc::downgrade(&self.inner), ring));
@@ -366,7 +502,7 @@ impl Tracer {
             let mut rings = self.inner.rings.lock();
             self.inner.release_exited(&mut rings, &mut drained);
             for ring in rings.iter() {
-                ring.drain_into(&mut drained);
+                ring.drain(|raw| drained.push(raw.format()));
             }
         }
         self.inner.store(drained);
@@ -527,7 +663,7 @@ mod tests {
         let span = tracer.start_root("request");
         assert!(span.trace() > 0);
         tracer.finish(span);
-        tracer.event(None, "evt", Vec::new());
+        tracer.event(None, "evt", []);
         assert!(tracer.export(None).spans.is_empty());
     }
 
@@ -616,6 +752,54 @@ mod tests {
         let text = tracer.export(Some(trace)).render_text();
         assert!(text.contains("request"));
         assert!(text.contains("\n    invocation"));
+    }
+
+    #[test]
+    fn typed_attributes_export_as_the_strings_they_format_to() {
+        let tracer = Tracer::new();
+        let mut span = tracer.start_root("request");
+        let id: Arc<str> = Arc::from("dlhub/noop");
+        span.attr("servable", Arc::clone(&id));
+        span.attr("batch_size", 32usize);
+        span.attr("cache_hit", false);
+        span.attr("mode", "async");
+        span.attr("error", String::from("boom"));
+        // Past the inline capacity, in order all the same.
+        for extra in 0..INLINE_ATTRS as u64 {
+            span.attr("extra", extra);
+        }
+        let trace = tracer.finish(span).trace;
+        let export = tracer.export(Some(trace));
+        let record = &export.spans[0];
+        let owned = |k: &'static str, v: &str| (k, v.to_string());
+        assert_eq!(
+            record.attrs[..5],
+            [
+                owned("servable", "dlhub/noop"),
+                owned("batch_size", "32"),
+                owned("cache_hit", "false"),
+                owned("mode", "async"),
+                owned("error", "boom"),
+            ]
+        );
+        assert_eq!(record.attrs.len(), 5 + INLINE_ATTRS);
+        let last = (INLINE_ATTRS - 1).to_string();
+        assert_eq!(record.attrs.last(), Some(&owned("extra", &last)));
+        assert_eq!(record.attr("batch_size"), Some("32"));
+        assert_eq!(record.to_json()["attrs"][2], json!(["cache_hit", "false"]));
+    }
+
+    #[test]
+    fn spans_timed_by_the_caller_keep_their_stamps() {
+        let tracer = Tracer::new();
+        let root = tracer.start_root("invocation");
+        let span = tracer.start_child_at(root.ctx(), "inference", 10);
+        tracer.finish_at(span, 25);
+        tracer.finish(root);
+        let export = tracer.export(None);
+        let inference = export.named("inference")[0];
+        assert_eq!((inference.start_ns, inference.end_ns), (10, 25));
+        assert_eq!(inference.parent, export.named("invocation")[0].span);
     }
 
     #[test]

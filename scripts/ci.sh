@@ -69,10 +69,13 @@ cargo test --workspace --release --quiet
 # member, and every replica pool shuts down through it.
 cargo test --release --quiet -p crossbeam
 
-echo "######## soak (live heap flat per request and per thread served)"
+echo "######## soak (live heap flat per request and per thread served; allocations per request)"
 # Its own binary with a counting global allocator, ignored by the run
 # above: every entry point and a thread-churn case, each failing if the
-# live heap grows between its 10 % and 100 % marks (DESIGN.md §7).
+# live heap grows between its 10 % and 100 % marks, and an allocation
+# budget per entry point (noop run, matminer-util run, 3-step pipeline)
+# that prints every entry point's count when one is over (DESIGN.md §7,
+# "What the hub keeps" and "What a request allocates").
 cargo test --release --quiet -p dlhub-bench --test soak -- --ignored
 
 echo "######## repo benchmark (build + quick run)"

@@ -1,14 +1,20 @@
 //! Soak gate: what the hub keeps is a function of its configuration,
-//! not of how many requests or client threads it has served.
+//! not of how many requests or client threads it has served — and what
+//! a request allocates is a function of what it carries.
 //!
-//! A counting global allocator tracks the process's live heap. Each
-//! case builds the benchmark's hub (one Task Manager, two consumers, two
-//! replicas, memo off, tracing on), warms it up from two long-lived
-//! client threads, then drives one public entry point a fixed number of
-//! times and asserts that the live heap at the end is within [`SLACK`]
-//! of the live heap at the 10 % mark. A retainer that keeps bytes per
-//! request or per thread fails it; caches and bounded stores are full
-//! by the 10 % mark.
+//! A counting global allocator tracks the process's live heap and its
+//! allocation calls. Each case builds the benchmark's hub (one Task
+//! Manager, two consumers, two replicas, memo off, tracing on), warms it
+//! up from two long-lived client threads, then drives one public entry
+//! point a fixed number of times and asserts that the live heap at the
+//! end is within [`SLACK`] of the live heap at the 10 % mark. A retainer
+//! that keeps bytes per request or per thread fails it; caches and
+//! bounded stores are full by the 10 % mark.
+//!
+//! The allocation budget drives one entry point at a time from one
+//! client thread and counts allocation calls on every thread of the
+//! process — Management Service, Task Manager consumers, replicas — per
+//! request, against [`ALLOCATION_BUDGETS`].
 //!
 //! The cases run only in release (`#[ignore]`d for `cargo test`):
 //!
@@ -24,7 +30,7 @@ use dlhub_core::task::TaskStatus;
 use dlhub_core::value::Value;
 use serde_json::json;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::Duration;
@@ -40,20 +46,32 @@ const FORMULAS: [&str; 8] = [
 ];
 const WAIT: Duration = Duration::from_secs(30);
 
+/// Allocation calls a request may make, per entry point, counted on
+/// every thread: (case, servable or pipeline, budget). What is left is
+/// what the request carries — DESIGN.md §7, "What a request allocates".
+const ALLOCATION_BUDGETS: [(&str, &str, f64); 3] = [
+    ("noop run", "dlhub/noop", 24.0),
+    ("matminer-util run", UTIL, 70.0),
+    ("3-step run_pipeline", PIPELINE, 105.0),
+];
+
 /// Live heap bytes: allocated minus freed, over the whole process.
 static LIVE: AtomicI64 = AtomicI64::new(0);
+/// Allocation calls (`alloc`, `alloc_zeroed`, `realloc`) so far.
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
 struct Counting;
 
 // SAFETY: every call forwards to `System` with the caller's arguments
 // unchanged, so `System` upholds the `GlobalAlloc` contract; the
-// counter is only bookkeeping beside it.
+// counters are only bookkeeping beside it.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         // SAFETY: forwarded as is; the caller guarantees `layout`.
         let ptr = unsafe { System.alloc(layout) };
         if !ptr.is_null() {
             LIVE.fetch_add(layout.size() as i64, Ordering::Relaxed);
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         ptr
     }
@@ -63,6 +81,7 @@ unsafe impl GlobalAlloc for Counting {
         let ptr = unsafe { System.alloc_zeroed(layout) };
         if !ptr.is_null() {
             LIVE.fetch_add(layout.size() as i64, Ordering::Relaxed);
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         ptr
     }
@@ -80,6 +99,7 @@ unsafe impl GlobalAlloc for Counting {
         let new = unsafe { System.realloc(ptr, layout, new_size) };
         if !new.is_null() {
             LIVE.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         new
     }
@@ -156,6 +176,53 @@ fn soak(case: &str, warmup: usize, count: usize, op: impl Fn(usize) + Sync) {
         "{case}: the live heap grew {growth} B over {calls} calls ({at_mark} -> {at_end} B), \
          {} B per call",
         growth / calls as i64
+    );
+}
+
+/// Allocation calls per request of `op`, on every thread, after
+/// `warmup` calls: one client, so every call's work is its own.
+fn allocations_per_request(warmup: usize, count: usize, op: impl Fn(usize)) -> f64 {
+    (0..warmup).for_each(&op);
+    let before = ALLOCS.load(Ordering::Relaxed);
+    (warmup..warmup + count).for_each(&op);
+    (ALLOCS.load(Ordering::Relaxed) - before) as f64 / count as f64
+}
+
+#[test]
+#[ignore = "soak: run in release with --ignored"]
+fn a_request_allocates_only_what_it_carries() {
+    let _serial = serial();
+    let hub = hub();
+    let measured: Vec<(&str, f64, f64)> = ALLOCATION_BUDGETS
+        .iter()
+        .map(|&(case, target, budget)| {
+            let per_request = allocations_per_request(2_000, 5_000, |i| {
+                if target == PIPELINE {
+                    hub.service
+                        .run_pipeline(&hub.token, PIPELINE, formula(i))
+                        .unwrap();
+                } else {
+                    let input = if target == UTIL {
+                        formula(i)
+                    } else {
+                        Value::Null
+                    };
+                    hub.service.run(&hub.token, target, input).unwrap();
+                }
+            });
+            println!("allocations {case}: {per_request:.1} per request (budget {budget})");
+            (case, per_request, budget)
+        })
+        .collect();
+    let over: Vec<String> = measured
+        .iter()
+        .filter(|(_, per_request, budget)| per_request > budget)
+        .map(|(case, per_request, budget)| format!("{case} {per_request:.1} > {budget}"))
+        .collect();
+    assert!(
+        over.is_empty(),
+        "allocations per request over budget: {} (all: {measured:?})",
+        over.join(", ")
     );
 }
 
