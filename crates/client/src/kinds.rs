@@ -9,7 +9,7 @@
 use dlhub_core::servable::builtins::{
     ImageClassifier, MatminerFeaturize, MatminerModel, MatminerUtil, NoopServable,
 };
-use dlhub_core::servable::{servable_fn, ModelType, Servable, TypeDesc};
+use dlhub_core::servable::{deferred, servable_fn, ModelType, Servable, TypeDesc};
 use dlhub_core::value::Value;
 use std::sync::Arc;
 
@@ -25,7 +25,8 @@ pub const KINDS: [&str; 7] = [
 ];
 
 /// Instantiate a built-in servable kind, returning the implementation
-/// plus its canonical model type and input/output descriptors.
+/// plus its canonical model type and input/output descriptors. The
+/// model kinds are deferred: the model is built on its first deploy.
 pub fn instantiate(
     kind: &str,
 ) -> Result<(Arc<dyn Servable>, ModelType, TypeDesc, TypeDesc), String> {
@@ -55,19 +56,19 @@ pub fn instantiate(
             TypeDesc::Tensor(None),
         )),
         "matminer-model" => Ok((
-            Arc::new(MatminerModel::train(7)),
+            deferred(|| MatminerModel::train(7)),
             ModelType::ScikitLearn,
             TypeDesc::Tensor(None),
             TypeDesc::Float,
         )),
         "inception" => Ok((
-            Arc::new(ImageClassifier::inception(7)),
+            deferred(|| ImageClassifier::inception(7)),
             ModelType::TensorFlow,
             TypeDesc::Tensor(None),
             TypeDesc::List,
         )),
         "cifar10" => Ok((
-            Arc::new(ImageClassifier::cifar10(7)),
+            deferred(|| ImageClassifier::cifar10(7)),
             ModelType::Keras,
             TypeDesc::Tensor(None),
             TypeDesc::List,

@@ -350,8 +350,9 @@ impl Default for HealthPolicy {
 struct HealthMetrics {
     quarantined: Arc<Gauge>,
     restarts: Arc<Counter>,
-    /// Wall time to bring a pool from zero replicas to serving, fed by
-    /// [`ParslExecutor::scale`] on every cold start.
+    /// Wall time to bring a servable from zero replicas to serving: the
+    /// pool's deployment and, on the servable's first deploy, its model
+    /// build ([`Servable::load`]).
     cold_start: Arc<Histogram>,
     /// Pickup minus `Job::queued_ns`: backlog forms in front of the
     /// replicas now that consumers dispatch without waiting.
@@ -570,6 +571,11 @@ impl Pool {
     }
 }
 
+/// The cluster Deployment that runs a servable's replica pool.
+fn deployment(servable_id: &str) -> String {
+    format!("parsl-{}", servable_id.replace('/', "-"))
+}
+
 /// The general-purpose Parsl executor (§IV-C): deploys `n` pod
 /// replicas per servable on the cluster, load-balances requests across
 /// them, and supports *any* servable type — the property that lets
@@ -620,7 +626,7 @@ impl ParslExecutor {
                 ),
                 cold_start: metrics.histogram_with_help(
                     "cold_start_ns",
-                    "Wall time to bring a replica pool from zero to serving",
+                    "Wall time to bring a replica pool from zero to serving, model build included",
                 ),
                 queue_wait: metrics.histogram_with_help(
                     "replica_queue_wait_ns",
@@ -655,9 +661,8 @@ impl ParslExecutor {
     /// next non-zero `scale`) recreates the pool and pays a cold start,
     /// recorded in the `cold_start_ns` histogram.
     pub fn scale(&self, servable_id: &str, replicas: usize) -> usize {
-        let deployment = format!("parsl-{}", servable_id.replace('/', "-"));
         if replicas == 0 {
-            let _ = self.cluster.scale(&deployment, 0);
+            let _ = self.cluster.scale(&deployment(servable_id), 0);
             let retired = self.pools.write().remove(servable_id);
             // Join worker threads outside the pool-map lock: a replica
             // sleeping through quarantine (or a hung inference) would
@@ -668,9 +673,19 @@ impl ParslExecutor {
             }
             return 0;
         }
-        // Cold-start clock starts here: deployment creation is the
-        // dominant cost of zero-to-serving, not thread spawn.
-        let cold_started = Instant::now();
+        let cold_started = dlhub_obs::now_ns();
+        if self.deploy(servable_id, replicas) {
+            self.record_cold_start(cold_started);
+        }
+        replicas
+    }
+
+    /// Bring the servable's pool to `replicas` (non-zero) on its
+    /// Deployment; returns whether the pool was absent, a cold start.
+    fn deploy(&self, servable_id: &str, replicas: usize) -> bool {
+        // Deployment creation is the dominant cost of zero-to-serving,
+        // not thread spawn.
+        let deployment = deployment(servable_id);
         if self.cluster.running_pods(&deployment).is_empty() {
             let _ = self.cluster.create_deployment(
                 &deployment,
@@ -684,16 +699,16 @@ impl ParslExecutor {
         } else {
             let _ = self.cluster.scale(&deployment, replicas);
         }
-        let retired;
+        let (cold, retired);
         {
             let mut pools = self.pools.write();
             if pools
                 .get(servable_id)
                 .is_some_and(|p| p.replicas == replicas)
             {
-                return replicas;
+                return false;
             }
-            let cold = !pools.contains_key(servable_id);
+            cold = !pools.contains_key(servable_id);
             retired = pools.remove(servable_id);
             pools.insert(
                 servable_id.to_string(),
@@ -706,18 +721,23 @@ impl ParslExecutor {
                     Arc::clone(&self.inflight),
                 ),
             );
-            if cold {
-                self.metrics
-                    .cold_start
-                    .record(cold_started.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-            }
         }
         // As above: join the replaced pool's workers only after the
         // write guard is dropped.
         if let Some(pool) = retired {
             pool.shutdown();
         }
-        replicas
+        cold
+    }
+
+    /// One cold start, begun at obs-clock `since_ns` and over now;
+    /// returns now.
+    fn record_cold_start(&self, since_ns: u64) -> u64 {
+        let now_ns = dlhub_obs::now_ns();
+        self.metrics
+            .cold_start
+            .record(now_ns.saturating_sub(since_ns));
+        now_ns
     }
 
     /// Current replica count for a servable (0 if never deployed or
@@ -736,19 +756,44 @@ impl ParslExecutor {
             .map_or(0, |p| p.quarantined.load(Ordering::Relaxed))
     }
 
-    /// The job queue of the servable's pool and the number of replicas
-    /// pulling from it (one look at one pool), deployed first if
-    /// absent. The reconciler's idle park can retire the pool between
-    /// deploy and look: a cold start to retry, never a panic on a live
-    /// thread.
-    fn pool_sender(&self, servable_id: &str) -> Option<(channel::Sender<Job>, usize)> {
+    /// The job queue of the servable's pool, the number of replicas
+    /// pulling from it (one look at one pool) and whether this call
+    /// deployed the pool: a cold start, for the caller to record. The
+    /// reconciler's idle park can retire the pool between deploy and
+    /// look: a cold start to retry, never a panic on a live thread.
+    fn pool_sender(&self, servable_id: &str) -> Option<(channel::Sender<Job>, usize, bool)> {
+        let mut cold = false;
         for _ in 0..4 {
             if let Some(pool) = self.pools.read().get(servable_id) {
-                return Some((pool.sender.clone(), pool.replicas));
+                return Some((pool.sender.clone(), pool.replicas, cold));
             }
-            self.scale(servable_id, self.default_replicas);
+            cold |= self.deploy(servable_id, self.default_replicas);
         }
         None
+    }
+
+    /// Make the servable ready for a task's jobs: its pool deployed if
+    /// absent and its model loaded ([`Servable::load`]: a deferred model
+    /// is built here, once, before its first job leaves). Returns the job
+    /// queue, the replicas pulling from it and the obs-clock instant it
+    /// was ready. A deployment or build here is one cold start, begun at
+    /// `since_ns`: inside the Task Manager's invocation, never inside an
+    /// inference. A build that panics fails the task, not this thread.
+    fn ready(
+        &self,
+        servable_id: &str,
+        servable: &dyn Servable,
+        since_ns: u64,
+    ) -> Result<(channel::Sender<Job>, usize, u64), String> {
+        let (sender, replicas, cold) = self
+            .pool_sender(servable_id)
+            .ok_or_else(|| "executor pool shut down".to_string())?;
+        let built = guarded(|| servable.load())?;
+        let ready_ns = match cold || built {
+            true => self.record_cold_start(since_ns),
+            false => since_ns,
+        };
+        Ok((sender, replicas, ready_ns))
     }
 
     /// The one fan-out path: the inputs cut into one contiguous chunk
@@ -783,11 +828,22 @@ impl ParslExecutor {
             }),
             _ => None,
         };
+        // Deploy before the task's clocks start: neither a pool's
+        // deployment nor a model's build counts against the reply
+        // timeout or as the first job's queue wait.
+        let ready = match count {
+            0 => Ok(None),
+            _ => self.ready(servable_id, &**servable, started_ns).map(Some),
+        };
+        let ready_ns = match &ready {
+            Ok(Some((_, _, ready_ns))) => *ready_ns,
+            _ => started_ns,
+        };
         let task = Arc::new(Task {
             servable: Arc::clone(servable),
             inputs,
             trace,
-            deadline_ns: started_ns.saturating_add(timeout_ns).min(NO_EXPIRY - 1),
+            deadline_ns: ready_ns.saturating_add(timeout_ns).min(NO_EXPIRY - 1),
             progress: Mutex::new(Progress {
                 answers: vec![(Value::Null, Duration::ZERO); count],
                 answered: 0,
@@ -798,13 +854,16 @@ impl ParslExecutor {
             }),
             finished: Condvar::new(),
         });
-        if count == 0 {
-            task.complete(task.progress.lock(), |_| Ok(Answers::default()));
-            return task;
-        }
-        let Some((sender, replicas)) = self.pool_sender(servable_id) else {
-            task.fail("executor pool shut down");
-            return task;
+        let (sender, replicas) = match ready {
+            Ok(Some((sender, replicas, _))) => (sender, replicas),
+            Ok(None) => {
+                task.complete(task.progress.lock(), |_| Ok(Answers::default()));
+                return task;
+            }
+            Err(error) => {
+                task.fail(&error);
+                return task;
+            }
         };
         let address = Arc::as_ptr(&task) as usize;
         self.inflight
@@ -822,7 +881,7 @@ impl ParslExecutor {
         for number in 0..jobs {
             self.dispatched.fetch_add(1, Ordering::Relaxed);
             let queued_ns = match number {
-                0 => started_ns,
+                0 => ready_ns,
                 _ => dlhub_obs::now_ns(),
             };
             let items = next..next + share + usize::from(number < larger);
@@ -996,6 +1055,8 @@ impl Drop for ParslExecutor {
 /// [`Servable::run_many`] over all its inputs, each input reporting an
 /// even share of the elapsed time (as a replica job does).
 fn run_inline(servable: &dyn Servable, inputs: &[Value]) -> Execution {
+    // A deferred model is built before the clock starts.
+    servable.load();
     let start = Instant::now();
     let outputs = run_many_checked(servable, inputs)
         .into_iter()
@@ -1311,6 +1372,59 @@ mod tests {
         assert_eq!(obs.metrics.histogram("cold_start_ns").count(), 2);
         ex.scale("u/idle", 3);
         assert_eq!(obs.metrics.histogram("cold_start_ns").count(), 2);
+    }
+
+    #[test]
+    fn a_deferred_model_is_built_once_inside_its_first_cold_start() {
+        use crate::servable::deferred;
+        let obs = Obs::new();
+        let ex = ParslExecutor::new(cluster(), 2, &obs, FaultHandle::default());
+        let cold_starts = || obs.metrics.histogram("cold_start_ns").count();
+        let builds = Arc::new(AtomicUsize::new(0));
+        let counted = || {
+            let builds = Arc::clone(&builds);
+            deferred(move || {
+                builds.fetch_add(1, Ordering::SeqCst);
+                std::thread::sleep(Duration::from_millis(20));
+                NoopServable
+            })
+        };
+        // First deploy: one cold start covering the pool and the build,
+        // and none of the build in the inference.
+        let model = counted();
+        let (_, times) = ex.execute("u/model", &model, &[Value::Null]).unwrap();
+        assert_eq!((builds.load(Ordering::SeqCst), cold_starts()), (1, 1));
+        assert!(times[0] < Duration::from_millis(20), "{times:?}");
+        let cold = Duration::from_nanos(obs.metrics.histogram("cold_start_ns").sum());
+        assert!(cold >= Duration::from_millis(20), "{cold:?}");
+        // Nor in the job's queue wait, which admission reads as backlog.
+        let waited = obs.metrics.histogram("replica_queue_wait_ns").sum();
+        assert!(Duration::from_nanos(waited) < Duration::from_millis(20));
+        // Nor against the reply timeout: a build longer than the timeout
+        // still gets its answer.
+        let tight = ParslExecutor::new(cluster(), 1, &Obs::new(), FaultHandle::default())
+            .with_reply_timeout(Duration::from_millis(5));
+        let slow = deferred(|| {
+            std::thread::sleep(Duration::from_millis(20));
+            NoopServable
+        });
+        tight.execute("u/tight", &slow, &[Value::Null]).unwrap();
+        // Parked and back: the pool is a cold start again, the model is
+        // kept.
+        ex.scale("u/model", 0);
+        ex.execute("u/model", &model, &[Value::Null]).unwrap();
+        assert_eq!((builds.load(Ordering::SeqCst), cold_starts()), (1, 2));
+        // A pool deployed ahead of traffic: the build is a cold start of
+        // its own, on the first task.
+        ex.scale("u/early", 2);
+        assert_eq!(cold_starts(), 3);
+        ex.execute("u/early", &counted(), &[Value::Null]).unwrap();
+        assert_eq!((builds.load(Ordering::SeqCst), cold_starts()), (2, 4));
+        // A build that panics fails its task, not the dispatching thread.
+        let broken = deferred(|| -> NoopServable { panic!("no weights") });
+        let err = ex.execute("u/broken", &broken, &[Value::Null]).unwrap_err();
+        assert!(err.contains("panicked: no weights"), "{err}");
+        ex.execute("u/model", &model, &[Value::Null]).unwrap();
     }
 
     #[test]

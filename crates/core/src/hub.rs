@@ -357,6 +357,65 @@ mod tests {
         }
     }
 
+    /// The servable published under `id`.
+    fn servable(hub: &TestHub, id: &str) -> Arc<dyn Servable> {
+        hub.repo.resolve_internal(id).unwrap().0
+    }
+
+    #[test]
+    fn publishing_the_evaluation_servables_builds_no_model() {
+        let hub = TestHub::builder().build();
+        // A model built at publish would have nothing left to load.
+        for (id, deferred) in [
+            ("dlhub/noop", false),
+            ("dlhub/inception", true),
+            ("dlhub/cifar10", true),
+            ("dlhub/matminer-util", false),
+            ("dlhub/matminer-featurize", false),
+            ("dlhub/matminer-model", true),
+        ] {
+            assert_eq!(servable(&hub, id).load(), deferred, "{id}");
+        }
+    }
+
+    #[test]
+    fn the_first_request_builds_the_model_inside_its_cold_start() {
+        use crate::servable::builtins::MatminerFeaturize;
+        const MODEL: &str = "dlhub/matminer-model";
+        let hub = TestHub::builder().memo(false).build();
+        let features = MatminerFeaturize.run(&Value::Str("NaCl".into())).unwrap();
+        let run = || {
+            let result = hub.service.run(&hub.token, MODEL, features.clone());
+            result.unwrap().timings
+        };
+        let first = run();
+        let warm: Vec<_> = (0..20).map(|_| run()).collect();
+        let obs = hub.service.obs();
+        let cold_starts = obs.metrics.histogram("cold_start_ns");
+        // One cold start: the pool's deployment and the forest's training.
+        assert_eq!(cold_starts.count(), 1);
+        let cold = Duration::from_nanos(cold_starts.sum());
+        assert!(!servable(&hub, MODEL).load(), "the request built the model");
+        // The build is inside the Task Manager's invocation…
+        assert!(first.invocation >= cold, "{first:?} vs cold start {cold:?}");
+        // …and outside the inference, which stays in its warm range (a
+        // forest prediction is microseconds, training one milliseconds).
+        let warm_max = warm.iter().map(|t| t.inference).max().unwrap();
+        assert!(
+            first.inference <= warm_max * 4 + Duration::from_millis(1),
+            "first inference {:?}, warm at most {warm_max:?}",
+            first.inference
+        );
+        assert!(
+            first.inference * 10 < cold,
+            "{first:?} vs cold start {cold:?}"
+        );
+        // What the control loop reads never saw it.
+        let cost = obs.metrics.series(MODEL).dispatch.cost().unwrap();
+        assert!(cost.inference() * 10 < cold, "{cost:?}");
+        assert!(cost.overhead_floor() * 10 < cold, "{cost:?}");
+    }
+
     #[test]
     fn hub_without_eval_servables_is_empty() {
         let hub = TestHub::builder().without_eval_servables().build();

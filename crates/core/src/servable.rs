@@ -12,7 +12,7 @@ pub mod builtins;
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Supported model families (Table II: "DLHub … can store and serve
 /// any Python 3-compatible model or processing function").
@@ -197,6 +197,14 @@ pub trait Servable: Send + Sync {
     fn run_many(&self, inputs: &[Value]) -> Vec<Result<Value, String>> {
         inputs.iter().map(|input| self.run(input)).collect()
     }
+
+    /// Deploy: build whatever the first call would otherwise build, so
+    /// no inference pays for it. Returns whether this call did that
+    /// work, for the executor to count it in the cold start. The default
+    /// has nothing to build; a [`Deferred`] model builds here once.
+    fn load(&self) -> bool {
+        false
+    }
 }
 
 /// A servable wrapping a plain function — the "any Python
@@ -221,10 +229,68 @@ where
     Arc::new(FnServable(f))
 }
 
+/// A published model that is built on its first deploy, not at publish
+/// (§IV-A: the repository stores a servable, an executor deploys it):
+/// the builder, and the model once built. [`Servable::load`] — which an
+/// executor calls before a task's first job leaves — or else the first
+/// call builds it, exactly once however many threads ask at the same
+/// time; it is kept while the servable is published.
+pub struct Deferred<S> {
+    build: Box<dyn Fn() -> S + Send + Sync>,
+    model: OnceLock<S>,
+}
+
+impl<S: Servable> Deferred<S> {
+    /// Defer `build` to the servable's first deploy.
+    pub fn new(build: impl Fn() -> S + Send + Sync + 'static) -> Self {
+        Deferred {
+            build: Box::new(build),
+            model: OnceLock::new(),
+        }
+    }
+
+    /// The model, built now if nothing has built it yet.
+    fn model(&self) -> &S {
+        self.model.get_or_init(&self.build)
+    }
+}
+
+impl<S: Servable> Servable for Deferred<S> {
+    fn run(&self, input: &Value) -> Result<Value, String> {
+        self.model().run(input)
+    }
+
+    fn run_many(&self, inputs: &[Value]) -> Vec<Result<Value, String>> {
+        self.model().run_many(inputs)
+    }
+
+    fn load(&self) -> bool {
+        let mut built = false;
+        self.model.get_or_init(|| {
+            built = true;
+            (self.build)()
+        });
+        built
+    }
+}
+
+/// Convenience: a shared servable whose model `build` makes on its first
+/// deploy ([`Deferred`]).
+pub fn deferred<S, F>(build: F) -> Arc<dyn Servable>
+where
+    S: Servable + 'static,
+    F: Fn() -> S + Send + Sync + 'static,
+{
+    Arc::new(Deferred::new(build))
+}
+
 #[cfg(test)]
 mod tests {
+    use super::builtins::NoopServable;
     use super::*;
     use proptest::prelude::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Barrier;
 
     #[test]
     fn type_desc_matching() {
@@ -279,6 +345,65 @@ mod tests {
         assert_eq!(s.run(&Value::Int(3)).unwrap(), Value::Str("got 3".into()));
         let failing = servable_fn(|_| Err("nope".into()));
         assert_eq!(failing.run(&Value::Null).unwrap_err(), "nope");
+    }
+
+    /// A deferred `noop` whose builder counts its runs.
+    fn counted_noop(builds: &Arc<AtomicUsize>) -> Deferred<NoopServable> {
+        let builds = Arc::clone(builds);
+        Deferred::new(move || {
+            builds.fetch_add(1, Ordering::SeqCst);
+            NoopServable
+        })
+    }
+
+    fn hello() -> Result<Value, String> {
+        Ok(Value::Str("hello world".into()))
+    }
+
+    #[test]
+    fn a_deferred_model_is_built_by_its_first_load_or_call_and_only_then() {
+        let builds = Arc::new(AtomicUsize::new(0));
+        let loaded = counted_noop(&builds);
+        assert_eq!(builds.load(Ordering::SeqCst), 0, "built at construction");
+        assert!(loaded.load(), "the first load builds");
+        assert!(!loaded.load(), "a later load has nothing to do");
+        assert_eq!(loaded.run(&Value::Int(4)), hello());
+        assert_eq!(builds.load(Ordering::SeqCst), 1);
+        // Without a deploy, the first call builds it.
+        let called = counted_noop(&builds);
+        assert_eq!(called.run_many(&[Value::Null]), vec![hello()]);
+        assert!(!called.load(), "the call built it");
+        assert_eq!(builds.load(Ordering::SeqCst), 2);
+        // An eager servable has nothing to load.
+        assert!(!servable_fn(|v| Ok(v.clone())).load());
+    }
+
+    #[test]
+    fn sixteen_concurrent_first_calls_build_one_model() {
+        let builds = Arc::new(AtomicUsize::new(0));
+        let servable = counted_noop(&builds);
+        let start = Barrier::new(16);
+        let loads = std::thread::scope(|scope| {
+            let threads: Vec<_> = (0..16i64)
+                .map(|i| {
+                    let (servable, start) = (&servable, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        // Half deploy first, half just call.
+                        let loaded = i % 2 == 0 && servable.load();
+                        assert_eq!(servable.run(&Value::Int(i)), hello());
+                        loaded
+                    })
+                })
+                .collect();
+            threads
+                .into_iter()
+                .map(|t| t.join().unwrap())
+                .filter(|loaded| *loaded)
+                .count()
+        });
+        assert_eq!(builds.load(Ordering::SeqCst), 1);
+        assert!(loads <= 1, "{loads} loads reported the one build");
     }
 
     fn arb_value() -> impl Strategy<Value = Value> {

@@ -1,9 +1,10 @@
 //! The paper's six evaluation servables (§V-A): `noop`, Inception-v3,
 //! CIFAR-10, and the three matminer stages.
 
-use crate::servable::{ModelType, Servable, ServableMetadata, TypeDesc};
+use crate::servable::{deferred, ModelType, Servable, ServableMetadata, TypeDesc};
 use crate::value::Value;
 use dlhub_matsci::forest::{ForestConfig, RandomForest};
+use dlhub_tensor::models::{CIFAR10_INPUT, INCEPTION_INPUT};
 use dlhub_tensor::Network;
 use std::sync::Arc;
 
@@ -232,11 +233,12 @@ pub struct BuiltinServable {
     pub servable: Arc<dyn Servable>,
 }
 
-/// Construct the paper's six servables under `owner`, with
-/// deterministic weights from `seed`.
+/// The paper's six servables under `owner`, with deterministic weights
+/// from `seed`. The three models — Inception-v3, CIFAR-10 and the
+/// matminer forest — are [`deferred`](crate::servable::Deferred): each
+/// is built on its servable's first deploy, so publishing them costs
+/// their metadata, and a hub holds only the models its traffic uses.
 pub fn evaluation_servables(owner: &str, seed: u64) -> Vec<BuiltinServable> {
-    let inception = ImageClassifier::inception(seed);
-    let cifar = ImageClassifier::cifar10(seed);
     let mut out = Vec::new();
 
     let mut m = ServableMetadata::new("noop", owner, ModelType::PythonFunction);
@@ -252,25 +254,25 @@ pub fn evaluation_servables(owner: &str, seed: u64) -> Vec<BuiltinServable> {
     let mut m = ServableMetadata::new("inception", owner, ModelType::TensorFlow);
     m.description = "Inception-v3 image recognition (1000 ImageNet categories, top-5)".into();
     m.domain = "vision".into();
-    m.input_type = TypeDesc::Tensor(Some(inception.input_shape().to_vec()));
+    m.input_type = TypeDesc::Tensor(Some(INCEPTION_INPUT.to_vec()));
     m.output_type = TypeDesc::List;
     m.dependencies = vec![("tensorflow".into(), "1.12".into())];
     m.tags = vec!["cnn".into(), "imagenet".into()];
     out.push(BuiltinServable {
         metadata: m,
-        servable: Arc::new(inception),
+        servable: deferred(move || ImageClassifier::inception(seed)),
     });
 
     let mut m = ServableMetadata::new("cifar10", owner, ModelType::Keras);
     m.description = "Multi-layer CNN classifying 32x32 RGB images into 10 categories".into();
     m.domain = "vision".into();
-    m.input_type = TypeDesc::Tensor(Some(cifar.input_shape().to_vec()));
+    m.input_type = TypeDesc::Tensor(Some(CIFAR10_INPUT.to_vec()));
     m.output_type = TypeDesc::List;
     m.dependencies = vec![("keras".into(), "2.2.4".into())];
     m.tags = vec!["cnn".into(), "cifar-10".into()];
     out.push(BuiltinServable {
         metadata: m,
-        servable: Arc::new(cifar),
+        servable: deferred(move || ImageClassifier::cifar10(seed)),
     });
 
     let mut m = ServableMetadata::new("matminer-util", owner, ModelType::PythonFunction);
@@ -303,7 +305,7 @@ pub fn evaluation_servables(owner: &str, seed: u64) -> Vec<BuiltinServable> {
     m.dependencies = vec![("scikit-learn".into(), "0.20".into())];
     out.push(BuiltinServable {
         metadata: m,
-        servable: Arc::new(MatminerModel::train(seed)),
+        servable: deferred(move || MatminerModel::train(seed)),
     });
 
     out
@@ -312,7 +314,7 @@ pub fn evaluation_servables(owner: &str, seed: u64) -> Vec<BuiltinServable> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlhub_tensor::models::{synthetic_image, CIFAR10_INPUT, INCEPTION_INPUT};
+    use dlhub_tensor::models::synthetic_image;
 
     #[test]
     fn noop_returns_hello_world() {
@@ -457,6 +459,37 @@ mod tests {
             other => panic!("expected json, got {other}"),
         }
         assert!(uq.run(&Value::Null).is_err());
+    }
+
+    fn published(id: &str) -> BuiltinServable {
+        let mut set = evaluation_servables("logan@uchicago.edu", 7);
+        let at = set.iter().position(|b| b.metadata.id() == id).unwrap();
+        set.swap_remove(at)
+    }
+
+    #[test]
+    fn a_deferred_cifar10_answers_bit_equal_to_an_eager_one() {
+        let eager = ImageClassifier::cifar10(7);
+        let deferred = published("logan/cifar10").servable;
+        for variant in 0..4 {
+            let input = Value::from_tensor(&synthetic_image(&CIFAR10_INPUT, variant));
+            let (want, got) = (eager.run(&input).unwrap(), deferred.run(&input).unwrap());
+            // `Value` compares floats by `==`; `Debug` shows every bit.
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "image {variant}");
+        }
+    }
+
+    #[test]
+    fn each_built_network_takes_the_shape_its_metadata_publishes() {
+        let built = [
+            ("logan/cifar10", ImageClassifier::cifar10(7)),
+            ("logan/inception", ImageClassifier::inception(7)),
+        ];
+        for (id, classifier) in built {
+            let published = published(id).metadata.input_type;
+            let shape = classifier.input_shape().to_vec();
+            assert_eq!(published, TypeDesc::Tensor(Some(shape)), "{id}");
+        }
     }
 
     #[test]

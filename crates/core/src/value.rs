@@ -779,6 +779,129 @@ mod tests {
         }
     }
 
+    /// The compact JSON printer as it was before it wrote unescaped runs
+    /// whole and floats without a `String` each: one `write!` per
+    /// character. The printer must still match it byte for byte.
+    fn reference_print(v: &serde_json::Value, out: &mut String) {
+        use serde_json::{Number, Value as J};
+        use std::fmt::Write;
+        fn escape(s: &str, out: &mut String) {
+            out.push('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    '\u{08}' => out.push_str("\\b"),
+                    '\u{0C}' => out.push_str("\\f"),
+                    c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32).unwrap(),
+                    c => write!(out, "{c}").unwrap(),
+                }
+            }
+            out.push('"');
+        }
+        match v {
+            J::Null => out.push_str("null"),
+            J::Bool(b) => write!(out, "{b}").unwrap(),
+            J::Number(Number::PosInt(n)) => write!(out, "{n}").unwrap(),
+            J::Number(Number::NegInt(n)) => write!(out, "{n}").unwrap(),
+            J::Number(Number::Float(f)) if !f.is_finite() => out.push_str("null"),
+            J::Number(Number::Float(f)) => {
+                let s = format!("{f}");
+                out.push_str(&s);
+                if !s.contains('.') {
+                    out.push_str(".0");
+                }
+            }
+            J::String(s) => escape(s, out),
+            J::Array(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    reference_print(item, out);
+                }
+                out.push(']');
+            }
+            J::Object(map) => {
+                out.push('{');
+                for (i, (k, item)) in map.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    escape(k, out);
+                    out.push(':');
+                    reference_print(item, out);
+                }
+                out.push('}');
+            }
+        }
+    }
+
+    /// JSON trees whose strings mix every escape, control characters
+    /// and multi-byte text, and whose numbers include integral,
+    /// huge, tiny, signed-zero and non-finite floats.
+    fn json_tree(depth: u32) -> BoxedStrategy<serde_json::Value> {
+        use serde_json::{Number, Value as J};
+        const CHARS: [char; 16] = [
+            'a', 'Z', ' ', '"', '\\', '\n', '\r', '\t', '\u{8}', '\u{c}', '\0', '\u{1f}', '\u{7f}',
+            'é', '€', '𝄞',
+        ];
+        let text = || {
+            proptest::collection::vec(0..CHARS.len(), 0..12)
+                .prop_map(|picks| picks.into_iter().map(|p| CHARS[p]).collect::<String>())
+        };
+        let leaves = vec![
+            Just(J::Null).boxed(),
+            any::<bool>().prop_map(J::Bool).boxed(),
+            any::<u64>()
+                .prop_map(|n| J::Number(Number::PosInt(n)))
+                .boxed(),
+            any::<i64>()
+                .prop_map(|n| J::Number(Number::NegInt(n.min(-1))))
+                .boxed(),
+            any::<f64>()
+                .prop_map(|f| J::Number(Number::Float(f)))
+                .boxed(),
+            (-4096i64..4096)
+                .prop_map(|i| J::Number(Number::Float(i as f64 / 8.0)))
+                .boxed(),
+            text().prop_map(J::String).boxed(),
+        ];
+        if depth == 0 {
+            return proptest::Union::new(leaves).boxed();
+        }
+        let mut options = leaves;
+        options.push(
+            proptest::collection::vec(json_tree(depth - 1), 0..4)
+                .prop_map(J::Array)
+                .boxed(),
+        );
+        options.push(
+            proptest::collection::vec((text(), json_tree(depth - 1)), 0..4)
+                .prop_map(|entries| J::Object(entries.into_iter().collect()))
+                .boxed(),
+        );
+        proptest::Union::new(options).boxed()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn json_prints_the_bytes_the_reference_printer_did(tree in json_tree(3)) {
+            let mut want = String::new();
+            reference_print(&tree, &mut want);
+            prop_assert_eq!(serde_json::to_string(&tree).unwrap(), want.clone());
+            // And what is printed parses back, moved out of the parse.
+            let back: serde_json::Value = serde_json::from_slice(want.as_bytes()).unwrap();
+            prop_assert_eq!(serde_json::to_string(&back).unwrap(), want);
+        }
+    }
+
     proptest! {
         #[test]
         fn binary_codec_round_trips_floats_exactly(f in any::<f64>()) {

@@ -35,7 +35,7 @@ const INSTRUMENTS: [(&str, &str); 11] = [
     ),
     (
         "cold_start_ns",
-        "Wall time to bring a replica pool from zero to serving",
+        "Wall time to bring a replica pool from zero to serving, model build included",
     ),
     ("memo_hits_total", "Memo-cache lookups answered from cache"),
     (

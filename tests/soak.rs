@@ -16,6 +16,10 @@
 //! process — Management Service, Task Manager consumers, replicas — per
 //! request, against [`ALLOCATION_BUDGETS`].
 //!
+//! A hub at rest holds no model it has not served: publishing the six
+//! evaluation servables stays under [`AT_REST_BUDGET`], and serving one
+//! model adds that model's weights and no other's.
+//!
 //! The cases run only in release (`#[ignore]`d for `cargo test`):
 //!
 //! ```text
@@ -25,6 +29,7 @@
 use dlhub_client::rest::RestApi;
 use dlhub_core::hub::TestHub;
 use dlhub_core::pipeline::Pipeline;
+use dlhub_core::servable::builtins::{ImageClassifier, MatminerModel};
 use dlhub_core::serving::ServingConfig;
 use dlhub_core::task::TaskStatus;
 use dlhub_core::value::Value;
@@ -35,6 +40,12 @@ use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::Duration;
 
+/// Live heap a default hub may hold once built, before any request: the
+/// six servables' metadata and closures, the tiers and their stores
+/// (≈ 110 KB in release on x86-64). No model built at publish fits: the
+/// smallest, the matminer forest, is ≈ 500 KB; CIFAR-10's weights are
+/// ≈ 4.3 MB.
+const AT_REST_BUDGET: i64 = 384 * 1024;
 /// Live-heap growth a case may show between its 10 % and 100 % marks.
 const SLACK: i64 = 256 * 1024;
 /// Long-lived client threads, as in the benchmark.
@@ -142,6 +153,13 @@ fn hub() -> TestHub {
 
 fn formula(i: usize) -> Value {
     Value::Str(FORMULAS[i % FORMULAS.len()].to_string())
+}
+
+/// What `make` leaves on the live heap, and what it made.
+fn retained<T>(make: impl FnOnce() -> T) -> (T, i64) {
+    let before = LIVE.load(Ordering::Relaxed);
+    let made = make();
+    (made, LIVE.load(Ordering::Relaxed) - before)
 }
 
 /// Drive `op(i)` from [`CLIENTS`] long-lived threads: `warmup` calls,
@@ -342,4 +360,38 @@ fn short_lived_client_threads_keep_nothing_per_thread() {
             });
         });
     });
+}
+
+#[test]
+#[ignore = "soak: run in release with --ignored"]
+fn a_hub_at_rest_holds_no_model_it_has_not_served() {
+    let _serial = serial();
+    // Each model's weights, measured as built alone.
+    let weights = |build: fn() -> Box<dyn std::any::Any>| retained(build).1;
+    let cifar10 = weights(|| Box::new(ImageClassifier::cifar10(7)));
+    let inception = weights(|| Box::new(ImageClassifier::inception(7)));
+    let forest = weights(|| Box::new(MatminerModel::train(7)));
+    println!("models: cifar10 {cifar10} B, inception {inception} B, forest {forest} B");
+    let (hub, at_rest) = retained(|| TestHub::builder().build());
+    println!("hub at rest: {at_rest} B (budget {AT_REST_BUDGET} B)");
+    assert!(
+        at_rest < AT_REST_BUDGET,
+        "a hub that has served nothing holds {at_rest} B: a model was built at publish"
+    );
+    let image = Value::from_tensor(&dlhub_core::tensor::models::synthetic_image(
+        &dlhub_core::tensor::models::CIFAR10_INPUT,
+        0,
+    ));
+    let (_, served) = retained(|| {
+        let result = hub.service.run(&hub.token, "dlhub/cifar10", image);
+        result.expect("cifar10 serves a synthetic image");
+    });
+    println!("one cifar10 run: {served:+} B");
+    // Its weights, its pool and what the request left behind (memo
+    // entry, span rings) — but no second model.
+    assert!(
+        served < cifar10 + inception.min(forest),
+        "one cifar10 run added {served} B: more than CIFAR-10's {cifar10} B of weights \
+         by another model's (inception {inception} B, forest {forest} B)"
+    );
 }
