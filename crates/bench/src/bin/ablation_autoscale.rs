@@ -7,14 +7,13 @@
 //!
 //! A compute-heavy servable starts at 1 replica behind eight concurrent
 //! clients. Throughput is measured with the control loop idle, then
-//! while the main thread drives `Reconciler` passes over the live
-//! telemetry (the pool grows under the clients, one Little's-law step
-//! per pass), then again once the pool has settled.
+//! while the main thread drives control passes over the live request
+//! counts (the pool grows under the clients, one Little's-law step per
+//! pass), then again once the pool has settled.
 
 use dlhub_bench::report::{print_table, shape_check, write_csv};
 use dlhub_core::autoscale::ControlPolicy;
 use dlhub_core::hub::TestHub;
-use dlhub_core::obs::{Obs, Telemetry};
 use dlhub_core::servable::{servable_fn, ModelType};
 use dlhub_core::serving::ServingConfig;
 use dlhub_core::value::Value;
@@ -61,9 +60,6 @@ fn main() {
         .memo(false)
         .replicas(1)
         .consumers(CLIENTS)
-        .obs(Obs::with_telemetry(Telemetry::Sampled(
-            Duration::from_millis(10),
-        )))
         .config(ServingConfig {
             autoscale: Some(ControlPolicy {
                 max_replicas: CLIENTS,

@@ -34,7 +34,7 @@ use dlhub_core::admission::AdmissionConfig;
 use dlhub_core::autoscale::ControlPolicy;
 use dlhub_core::error::DlhubError;
 use dlhub_core::hub::TestHub;
-use dlhub_core::obs::{analyze_all, Obs, StageNs, Telemetry, TraceAnalysis};
+use dlhub_core::obs::{analyze_all, StageNs, TraceAnalysis};
 use dlhub_core::servable::{servable_fn, ModelType};
 use dlhub_core::serving::ServingConfig;
 use dlhub_core::value::Value;
@@ -245,7 +245,7 @@ fn run_scenario(sc: &Scenario, schedule: &WorkloadSchedule) -> Outcome {
     let config = ServingConfig {
         memo_enabled: false,
         autoscale: Some(policy),
-        autoscale_interval: Duration::from_millis(100),
+        control_interval: Duration::from_millis(100),
         admission: Some(AdmissionConfig {
             max_inflight: sc.max_inflight,
             fair_share_at: 0.25,
@@ -258,9 +258,6 @@ fn run_scenario(sc: &Scenario, schedule: &WorkloadSchedule) -> Outcome {
         .without_eval_servables()
         .consumers(8)
         .config(config)
-        .obs(Obs::with_telemetry(Telemetry::Sampled(
-            Duration::from_millis(25),
-        )))
         .build();
 
     let names: Vec<String> = (0..sc.catalog)

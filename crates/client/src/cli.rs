@@ -217,23 +217,16 @@ impl Cli {
         }
     }
 
-    /// `top [--follow] [--frames N] [--interval-ms M] [--window-s W]`:
-    /// live dashboard over the telemetry time-series store — req/s,
-    /// p50/p99, queue depth, memo hit ratio, firing SLOs, each with a
-    /// sparkline. One frame by default; `--follow` repaints in place
-    /// every `--interval-ms` (default: the collector interval) for
-    /// `--frames` frames. Errors while telemetry is disabled.
+    /// `top [--follow] [--frames N] [--interval-ms M]`: live dashboard
+    /// over two snapshots of the deployment's registry taken
+    /// `--interval-ms` apart (default [`crate::top::DEFAULT_INTERVAL`])
+    /// — req/s, p50/p99, queue wait, memo hit ratio, admission, firing
+    /// SLOs, each with a sparkline of the frames before. One frame by
+    /// default; `--follow` repaints in place for `--frames` frames.
     fn top(&self, args: &[&str]) -> Result<String, CliError> {
-        let store = self
-            .service
-            .obs()
-            .telemetry
-            .store()
-            .ok_or("telemetry is disabled; build the deployment's Obs with a Telemetry mode")?;
         let mut follow = false;
         let mut frames = 10usize;
-        let mut interval = self.service.obs().telemetry.interval();
-        let mut window = std::time::Duration::from_secs(60);
+        let mut interval = crate::top::DEFAULT_INTERVAL;
         let mut it = args.iter();
         while let Some(arg) = it.next() {
             match *arg {
@@ -252,39 +245,27 @@ impl Cli {
                         .ok_or("--interval-ms needs a number")?;
                     interval = std::time::Duration::from_millis(ms);
                 }
-                "--window-s" => {
-                    let s: u64 = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("--window-s needs a number")?;
-                    window = std::time::Duration::from_secs(s);
-                }
                 other => {
                     return Err(format!(
-                        "usage: dlhub top [--follow] [--frames N] [--interval-ms M] [--window-s W] (got: {other})"
+                        "usage: dlhub top [--follow] [--frames N] [--interval-ms M] (got: {other})"
                     ))
                 }
             }
         }
-        if !follow {
-            return Ok(crate::top::render_frame(
-                store,
-                &self.service.obs().snapshot(),
-                window,
-            ));
-        }
-        if interval.is_zero() {
-            interval = std::time::Duration::from_millis(250);
-        }
+        let obs = self.service.obs();
+        let mut history = crate::top::History::default();
+        let (mut previous, mut taken) = (obs.snapshot(), std::time::Instant::now());
         let mut frame = String::new();
-        for i in 0..frames.max(1) {
-            if i > 0 {
-                std::thread::sleep(interval);
+        for _ in 0..if follow { frames.max(1) } else { 1 } {
+            std::thread::sleep(interval);
+            let (current, now) = (obs.snapshot(), std::time::Instant::now());
+            frame = crate::top::render_frame(&previous, &current, now - taken, &mut history);
+            if follow {
+                print!("{}{}", crate::top::REFRESH_PREFIX, frame);
+                use std::io::Write as _;
+                let _ = std::io::stdout().flush();
             }
-            frame = crate::top::render_frame(store, &self.service.obs().snapshot(), window);
-            print!("{}{}", crate::top::REFRESH_PREFIX, frame);
-            use std::io::Write as _;
-            let _ = std::io::stdout().flush();
+            (previous, taken) = (current, now);
         }
         Ok(frame)
     }
@@ -619,12 +600,7 @@ mod tests {
 
     #[test]
     fn top_renders_live_series_from_a_running_hub() {
-        let hub = TestHub::builder()
-            .without_eval_servables()
-            .obs(dlhub_core::obs::Obs::with_telemetry(
-                dlhub_core::obs::Telemetry::Sampled(std::time::Duration::from_millis(10)),
-            ))
-            .build();
+        let hub = TestHub::builder().without_eval_servables().build();
         let cli = cli(&hub);
         let dir = TempDir::new("top");
         cli.execute(&dir.0, &["init", "echo"]).unwrap();
@@ -632,20 +608,9 @@ mod tests {
         for _ in 0..5 {
             cli.execute(&dir.0, &["run", "\"hi\""]).unwrap();
         }
-        // Wait for the collector to take at least two passes so rates
-        // have a delta to work from.
-        let store = hub
-            .service
-            .obs()
-            .telemetry
-            .store()
-            .expect("telemetry enabled");
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while store.samples_taken() < 3 {
-            assert!(std::time::Instant::now() < deadline, "collector never ran");
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        }
-        let frame = cli.execute(&dir.0, &["top"]).unwrap();
+        let frame = cli
+            .execute(&dir.0, &["top", "--interval-ms", "10"])
+            .unwrap();
         assert!(frame.contains("dlhub top"), "{frame}");
         assert!(frame.contains("dlhub/echo"), "{frame}");
         assert!(frame.contains("REQ/S"), "{frame}");
@@ -669,12 +634,13 @@ mod tests {
     }
 
     #[test]
-    fn top_errors_when_telemetry_is_disabled() {
+    fn top_renders_on_a_default_hub() {
         let hub = TestHub::builder().without_eval_servables().build();
         let cli = cli(&hub);
-        let dir = TempDir::new("topoff");
-        let err = cli.execute(&dir.0, &["top"]).unwrap_err();
-        assert!(err.contains("telemetry is disabled"), "{err}");
+        let dir = TempDir::new("topdefault");
+        let frame = cli.execute(&dir.0, &["top", "--interval-ms", "1"]).unwrap();
+        assert!(frame.contains("dlhub top"), "{frame}");
+        assert!(frame.contains("admission control disabled"), "{frame}");
     }
 
     #[test]

@@ -1,21 +1,29 @@
-//! `dlhub top`: a live terminal dashboard over the telemetry
-//! time-series store — req/s, latency percentiles, queue depth, memo
-//! hit ratio and firing SLOs, each with a sparkline of recent history.
+//! `dlhub top`: a live terminal dashboard over two registry snapshots
+//! — req/s, latency percentiles, queue wait, memo hit ratio, admission
+//! and firing SLOs. Each frame is the delta between this frame's
+//! `Obs::snapshot()` and the previous one
+//! ([`MetricsSnapshot::delta_since`]) over the measured time between
+//! them; the follow loop keeps each row's sparkline history itself, at
+//! most `SPARK_WIDTH` frames.
 //!
 //! Rendering is plain ANSI: every frame is a full string and the
 //! follow loop repaints by emitting cursor-home + clear-to-end, so it
 //! works in any terminal and diff-cleanly in tests.
 
-use dlhub_core::obs::{MetricsSnapshot, SeriesStore};
-use std::collections::BTreeSet;
-use std::sync::Arc;
+use dlhub_core::obs::{HistogramSnapshot, MetricsSnapshot};
+use std::collections::{BTreeMap, VecDeque};
 use std::time::Duration;
 
 /// Bar glyphs from empty to full eighth-blocks.
 const SPARKS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
 
-/// Width of every sparkline in the dashboard.
+/// Width of every sparkline in the dashboard, and the frames of
+/// history each one keeps.
 const SPARK_WIDTH: usize = 24;
+
+/// Time between the two snapshots a frame compares, unless
+/// `--interval-ms` says otherwise.
+pub const DEFAULT_INTERVAL: Duration = Duration::from_secs(1);
 
 /// Render `values` as a fixed-width sparkline, scaling to the series
 /// max; an empty or all-zero series renders all-baseline bars.
@@ -63,178 +71,146 @@ fn fmt_ns(ns: Option<u64>) -> String {
     }
 }
 
-fn values(points: &[(u64, f64)]) -> Vec<f64> {
-    points.iter().map(|&(_, v)| v).collect()
+fn find<'a, T>(pairs: &'a [(String, T)], name: &str) -> Option<&'a T> {
+    pairs.iter().find(|(n, _)| n == name).map(|(_, v)| v)
 }
 
-/// Servable ids present in the store (from `servable.<id>.<field>`
-/// series names; ids may themselves contain dots, so split from the
-/// last separator).
-fn servables_in(store: &SeriesStore) -> Vec<String> {
-    let mut out = BTreeSet::new();
-    for name in store.series_names() {
-        if let Some(rest) = name.strip_prefix("servable.") {
-            if let Some(idx) = rest.rfind('.') {
-                out.insert(rest[..idx].to_string());
-            }
+/// Each row's newest `SPARK_WIDTH` frame values, oldest first: the
+/// sparkline history the follow loop carries from frame to frame.
+#[derive(Debug, Default)]
+pub struct History {
+    rows: BTreeMap<String, VecDeque<f64>>,
+}
+
+impl History {
+    /// Append this frame's `value` to `row` and render its sparkline.
+    fn spark(&mut self, row: &str, value: f64) -> String {
+        let values = self.rows.entry(row.to_string()).or_default();
+        if values.len() == SPARK_WIDTH {
+            values.pop_front();
         }
+        values.push_back(value);
+        sparkline(values.make_contiguous(), SPARK_WIDTH)
     }
-    out.into_iter().collect()
 }
 
-/// Render one dashboard frame over the trailing `window`.
+/// Render one dashboard frame: the activity between `previous` and
+/// `current`, taken `elapsed` apart, with each row's value appended to
+/// `history`.
 pub fn render_frame(
-    store: &Arc<SeriesStore>,
-    snapshot: &MetricsSnapshot,
-    window: Duration,
+    previous: &MetricsSnapshot,
+    current: &MetricsSnapshot,
+    elapsed: Duration,
+    history: &mut History,
 ) -> String {
-    let mut out = String::new();
-    let covered = store.base_step().as_secs_f64() * store.samples_taken() as f64;
-    out.push_str(&format!(
-        "dlhub top — window {}s · step {:?} · {} passes ({:.0}s covered)\n",
-        window.as_secs(),
-        store.base_step(),
-        store.samples_taken(),
-        covered,
-    ));
+    let delta = current.delta_since(previous);
+    let secs = elapsed.as_secs_f64();
+    let per_s = |n: u64| (secs > 0.0).then(|| n as f64 / secs);
+    let counter_rate = |name: &str| find(&delta.counters, name).and_then(|&n| per_s(n));
+    let mut out = format!("dlhub top — {secs:.2}s between snapshots\n");
 
     // Servable table: req/s, latency percentiles, errors, history.
-    let servables = servables_in(store);
-    if servables.is_empty() {
-        out.push_str("\n  (no servable traffic sampled yet)\n");
+    if delta.servables.is_empty() {
+        out.push_str("\n  (no servable traffic yet)\n");
     } else {
         out.push_str(&format!(
             "\n  {:<24} {:>8} {:>9} {:>9} {:>8}  {}\n",
             "SERVABLE", "REQ/S", "P50", "P99", "ERR/S", "HISTORY"
         ));
-        for servable in &servables {
-            let req = format!("servable.{servable}.requests");
-            let lat = format!("servable.{servable}.request_latency_ns");
-            let err = format!("servable.{servable}.errors");
-            let hist = store.histogram_window(&lat, window);
+        for (servable, s) in &delta.servables {
+            let rate = per_s(s.requests);
             out.push_str(&format!(
                 "  {:<24} {:>8} {:>9} {:>9} {:>8}  {}\n",
                 servable,
-                fmt_rate(store.rate(&req, window)),
-                fmt_ns(hist.as_ref().and_then(|h| h.quantile(0.5))),
-                fmt_ns(hist.as_ref().and_then(|h| h.quantile(0.99))),
-                fmt_rate(store.rate(&err, window)),
-                sparkline(&values(&store.points(&req, window)), SPARK_WIDTH),
+                fmt_rate(rate),
+                fmt_ns(s.request_latency.quantile(0.5)),
+                fmt_ns(s.request_latency.quantile(0.99)),
+                fmt_rate(per_s(s.errors)),
+                history.spark(&format!("servable {servable}"), rate.unwrap_or(0.0)),
             ));
         }
     }
 
-    // Queue / pool pressure.
+    // Queue / pool pressure: gauges are levels, so they read the
+    // current snapshot; waits are the interval's.
     out.push_str("\n  QUEUES\n");
-    let depth = store.gauge_window("async_queue_depth", window);
-    let active = store.gauge_window("async_pool_active", window);
-    let wait = store.histogram_window("broker_queue_wait_ns", window);
-    out.push_str(&format!(
-        "  {:<24} {:>8} {:>9} {:>9} {:>8}  {}\n",
-        "async queue depth",
-        depth
-            .map(|d| format!("{:.0}", d.last))
-            .unwrap_or("-".into()),
-        depth
-            .map(|d| format!("avg {:.1}", d.avg))
-            .unwrap_or("-".into()),
-        depth
-            .map(|d| format!("max {:.0}", d.max))
-            .unwrap_or("-".into()),
-        "",
-        sparkline(
-            &values(&store.points("async_queue_depth", window)),
-            SPARK_WIDTH
-        ),
-    ));
-    out.push_str(&format!(
-        "  {:<24} {:>8} {:>9} {:>9} {:>8}  {}\n",
-        "pool active",
-        active
-            .map(|d| format!("{:.0}", d.last))
-            .unwrap_or("-".into()),
-        active
-            .map(|d| format!("avg {:.1}", d.avg))
-            .unwrap_or("-".into()),
-        active
-            .map(|d| format!("max {:.0}", d.max))
-            .unwrap_or("-".into()),
-        "",
-        sparkline(
-            &values(&store.points("async_pool_active", window)),
-            SPARK_WIDTH
-        ),
-    ));
-    out.push_str(&format!(
-        "  {:<24} {:>8} {:>9} {:>9} {:>8}  {}\n",
-        "broker queue wait",
-        wait.as_ref()
-            .map(|w| format!("{}", w.count))
-            .unwrap_or("-".into()),
-        fmt_ns(wait.as_ref().and_then(|w| w.quantile(0.5))),
-        fmt_ns(wait.as_ref().and_then(|w| w.quantile(0.99))),
-        "",
-        sparkline(
-            &values(&store.points("broker_queue_wait_ns", window)),
-            SPARK_WIDTH
-        ),
-    ));
+    for (label, gauge) in [
+        ("async queue depth", "async_queue_depth"),
+        ("pool active", "async_pool_active"),
+    ] {
+        let level = find(&current.gauges, gauge).copied();
+        out.push_str(&format!(
+            "  {:<24} {:>8} {:>9} {:>9} {:>8}  {}\n",
+            label,
+            level.map_or("-".into(), |v| v.to_string()),
+            "",
+            "",
+            "",
+            history.spark(label, level.unwrap_or(0) as f64),
+        ));
+    }
+    let no_waits = HistogramSnapshot::default();
+    for (label, histogram) in [
+        ("broker queue wait", "broker_queue_wait_ns"),
+        ("replica queue wait", "replica_queue_wait_ns"),
+    ] {
+        let wait = find(&delta.histograms, histogram).unwrap_or(&no_waits);
+        out.push_str(&format!(
+            "  {:<24} {:>8} {:>9} {:>9} {:>8}  {}\n",
+            label,
+            wait.count,
+            fmt_ns(wait.quantile(0.5)),
+            fmt_ns(wait.quantile(0.99)),
+            "",
+            history.spark(label, wait.count as f64),
+        ));
+    }
 
-    // Memo hit ratio over the window (rate-based, not lifetime).
-    let hits = store.rate("memo_hits_total", window);
-    let misses = store.rate("memo_misses_total", window);
+    // Memo hit ratio over the interval, not the lifetime.
+    let hits = counter_rate("memo_hits_total");
+    let misses = counter_rate("memo_misses_total");
     let ratio = match (hits, misses) {
         (Some(h), Some(m)) if h + m > 0.0 => Some(h / (h + m)),
         _ => None,
     };
     out.push_str(&format!(
         "\n  MEMO  hit ratio {}  hits/s {}  rejected/s {}  {}\n",
-        ratio
-            .map(|r| format!("{:.0}%", r * 100.0))
-            .unwrap_or("-".into()),
+        ratio.map_or("-".into(), |r| format!("{:.0}%", r * 100.0)),
         fmt_rate(hits),
-        fmt_rate(store.rate("memo_rejected_total", window)),
-        sparkline(
-            &values(&store.points("memo_hits_total", window)),
-            SPARK_WIDTH
-        ),
+        fmt_rate(counter_rate("memo_rejected_total")),
+        history.spark("memo hits", hits.unwrap_or(0.0)),
     ));
 
     // Admission: admit/shed rates so overload (and who is being
     // turned away) is visible live, with the shed history sparkline.
-    let admits = store.rate("requests_admitted_total", window);
-    let sheds = store.rate("requests_shed_total", window);
+    let admits = counter_rate("requests_admitted_total");
+    let sheds = counter_rate("requests_shed_total");
     if admits.is_some() || sheds.is_some() {
         out.push_str(&format!(
             "\n  ADMISSION  admit/s {}  shed/s {}  {}\n",
             fmt_rate(admits),
             fmt_rate(sheds),
-            sparkline(
-                &values(&store.points("requests_shed_total", window)),
-                SPARK_WIDTH
-            ),
+            history.spark("sheds", sheds.unwrap_or(0.0)),
         ));
     } else {
         out.push_str("\n  ADMISSION  (admission control disabled)\n");
     }
 
-    // SLOs: live alert state plus sampled burn-rate history.
-    if snapshot.slos.is_empty() {
+    // SLOs: live alert state plus the burn rate frame by frame.
+    if current.slos.is_empty() {
         out.push_str("\n  SLO   (none registered)\n");
     } else {
         out.push_str("\n  SLO\n");
-        for slo in &snapshot.slos {
-            let burn = format!("slo.{}.burn_fast", slo.servable);
-            let state = if slo.firing { "FIRING" } else { "ok" };
-            let fast = slo.latency_burn_fast.max(slo.availability_burn_fast);
+        for slo in &current.slos {
+            let burn = slo.burn_fast();
             out.push_str(&format!(
                 "  {:<24} {:>8} {:>9} {:>9} {:>8}  {}\n",
                 slo.servable,
-                state,
-                format!("burn {fast:.2}"),
+                if slo.firing { "FIRING" } else { "ok" },
+                format!("burn {burn:.2}"),
                 format!("fired {}", slo.alerts_fired),
                 "",
-                sparkline(&values(&store.points(&burn, window)), SPARK_WIDTH),
+                history.spark(&format!("slo {}", slo.servable), burn),
             ));
         }
     }
@@ -263,23 +239,43 @@ mod tests {
 
     #[test]
     fn admission_row_shows_admit_and_shed_rates() {
-        use std::time::Duration;
-        const S: u64 = 1_000_000_000;
-        let store = Arc::new(SeriesStore::new(Duration::from_secs(1)));
-        for step in 0..10u64 {
-            store.record_counter("requests_admitted_total", step * S, step * 50);
-            store.record_counter("requests_shed_total", step * S, step * 5);
-            store.note_pass(step * S);
-        }
-        let frame = render_frame(&store, &MetricsSnapshot::default(), Duration::from_secs(8));
+        use dlhub_core::obs::Registry;
+        let registry = Registry::new();
+        let before = registry.snapshot();
+        registry.counter("requests_admitted_total").add(400);
+        registry.counter("requests_shed_total").add(40);
+        let frame = render_frame(
+            &before,
+            &registry.snapshot(),
+            Duration::from_secs(8),
+            &mut History::default(),
+        );
         assert!(frame.contains("ADMISSION"), "{frame}");
         assert!(frame.contains("admit/s 50.0"), "{frame}");
         assert!(frame.contains("shed/s 5.0"), "{frame}");
 
         // Hubs without admission control degrade gracefully.
-        let empty = Arc::new(SeriesStore::new(Duration::from_secs(1)));
-        let frame = render_frame(&empty, &MetricsSnapshot::default(), Duration::from_secs(8));
+        let empty = MetricsSnapshot::default();
+        let frame = render_frame(
+            &empty,
+            &empty,
+            Duration::from_secs(8),
+            &mut History::default(),
+        );
         assert!(frame.contains("admission control disabled"), "{frame}");
+    }
+
+    #[test]
+    fn follow_history_keeps_the_newest_spark_width_frames() {
+        let mut history = History::default();
+        let mut line = String::new();
+        for frame in 0..3 * SPARK_WIDTH {
+            line = history.spark("row", frame as f64);
+        }
+        assert_eq!(history.rows["row"].len(), SPARK_WIDTH);
+        assert_eq!(history.rows["row"][0], (2 * SPARK_WIDTH) as f64);
+        // Rising values: the newest frame is the full block.
+        assert_eq!(line.chars().last(), Some(SPARKS[7]));
     }
 
     #[test]

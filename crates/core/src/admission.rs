@@ -17,7 +17,8 @@
 //! the service is **uncontended** everyone is admitted and the
 //! fairness ledger resets — quota is not hoarded across quiet
 //! periods. Once **contended** (inflight beyond the fair-share
-//! threshold, or queue-wait/burn-rate signals breaching), admission
+//! threshold, or the last control pass found queue wait or burn rate
+//! breaching — see [`AdmissionController::set_pressured`]), admission
 //! switches to weighted round-robin credits: tenant `i` with weight
 //! `w_i` is admitted iff
 //!
@@ -42,7 +43,7 @@ use dlhub_auth::IdentityId;
 use dlhub_obs::{Counter, Obs};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -62,10 +63,10 @@ pub struct AdmissionConfig {
     /// pools, whichever is larger — above which the service counts as
     /// contended even below the inflight threshold.
     pub queue_wait_p99_max: Duration,
-    /// Fast-window SLO burn rate above which the service counts as
-    /// contended.
+    /// Fast-window SLO burn rate (of any servable with an objective)
+    /// above which the service counts as contended.
     pub burn_rate_max: f64,
-    /// Lookback window for the signal queries above.
+    /// Window the control pass measures queue wait over.
     pub signal_window: Duration,
     /// Weight for tenants absent from `weights`.
     pub default_weight: u32,
@@ -115,6 +116,9 @@ impl Drop for AdmissionPermit {
 pub struct AdmissionController {
     config: AdmissionConfig,
     inflight: Arc<AtomicUsize>,
+    /// The last control pass's signal verdict. It publishes no other
+    /// data, so `Relaxed` suffices.
+    pressured: AtomicBool,
     fair: Mutex<FairState>,
     // The pair `dlhub top`'s ADMISSION row reads.
     shed_counter: Arc<Counter>,
@@ -129,6 +133,7 @@ impl AdmissionController {
         AdmissionController {
             config,
             inflight: Arc::new(AtomicUsize::new(0)),
+            pressured: AtomicBool::new(false),
             fair: Mutex::new(FairState::default()),
             shed_counter: obs.metrics.counter_with_help(
                 "requests_shed_total",
@@ -151,6 +156,18 @@ impl AdmissionController {
         self.inflight.load(Ordering::Relaxed)
     }
 
+    /// Store a control pass's signal verdict: queue-wait p99 or a burn
+    /// rate over the configured maxima. It holds until the next pass.
+    pub fn set_pressured(&self, pressured: bool) {
+        self.pressured.store(pressured, Ordering::Relaxed);
+    }
+
+    /// The verdict the last control pass stored; false before the
+    /// first.
+    pub fn pressured(&self) -> bool {
+        self.pressured.load(Ordering::Relaxed)
+    }
+
     /// Requests admitted over the controller's lifetime (evidence that
     /// admission was actually on the request path, e.g. in the bench
     /// harness's control-loop A/B artifact).
@@ -168,10 +185,10 @@ impl AdmissionController {
     }
 
     /// Admit or shed one request from `tenant`.
-    /// `pressured` is the embedder's signal-breach verdict (queue-wait
-    /// p99 or burn rate over the configured maxima); the inflight
-    /// threshold is checked here. On admission the returned permit
-    /// must be held for the request's lifetime.
+    /// `pressured` is the signal-breach verdict (the Management Service
+    /// passes [`Self::pressured`]); the inflight threshold is checked
+    /// here. On admission the returned permit must be held for the
+    /// request's lifetime.
     pub fn admit(
         &self,
         tenant: IdentityId,

@@ -10,7 +10,7 @@
 //! Fig 7 [`knee`], where more replicas stop paying.
 
 use crate::executor::ParslExecutor;
-use dlhub_obs::{ControlSignals, Counter, Obs, ServableCost};
+use dlhub_obs::{Counter, Obs, ServableCost};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -22,40 +22,23 @@ use std::time::Duration;
 /// treat "no data" as "do not act", never as zero.
 ///
 /// The trait exists so the loop can be tested against scripted signal
-/// fixtures; production passes the telemetry store's
-/// [`ControlSignals`] view.
+/// fixtures; production passes what the Management Service's control
+/// pass reads (`serving/control.rs`).
 pub trait ScalingSignals {
-    /// Servables with any sampled history, id-sorted (the order
+    /// Servables with any recorded traffic, id-sorted (the order
     /// decisions are taken and logged in).
     fn servables(&self) -> Vec<String>;
 
     /// Requests per second answered for `servable` over `window`.
     fn arrival_rate(&self, servable: &str, window: Duration) -> Option<f64>;
 
-    /// Fast-window SLO burn rate for `servable` (mean over `window`);
-    /// above 1.0 the error budget is being consumed too fast.
+    /// Fast-window SLO burn rate for `servable` (the SLO tracker
+    /// windows it itself); above 1.0 the error budget is being consumed
+    /// too fast.
     fn burn_rate(&self, servable: &str, window: Duration) -> Option<f64>;
 
     /// What dispatching `servable` has cost so far.
     fn cost(&self, servable: &str) -> Option<ServableCost>;
-}
-
-impl ScalingSignals for ControlSignals {
-    fn servables(&self) -> Vec<String> {
-        ControlSignals::servables(self)
-    }
-
-    fn arrival_rate(&self, servable: &str, window: Duration) -> Option<f64> {
-        ControlSignals::arrival_rate(self, servable, window)
-    }
-
-    fn burn_rate(&self, servable: &str, window: Duration) -> Option<f64> {
-        ControlSignals::burn_rate(self, servable, window).map(|w| w.avg)
-    }
-
-    fn cost(&self, servable: &str) -> Option<ServableCost> {
-        ControlSignals::cost(self, servable)
-    }
 }
 
 /// Replica count at which dispatch stops being amortizable:
@@ -372,9 +355,9 @@ impl Reconciler {
 mod tests {
     use super::*;
     use crate::executor::{Executor, HealthPolicy};
+    use crate::serving::PassHistory;
     use dlhub_container::Cluster;
     use dlhub_fault::FaultHandle;
-    use dlhub_obs::Telemetry;
 
     /// A cost of ten single-item dispatches at the given per-item
     /// inference and per-dispatch overhead.
@@ -732,30 +715,35 @@ mod tests {
 
     #[test]
     fn control_signals_feed_the_loop_from_sampled_sums() {
-        let obs = Obs::with_telemetry(Telemetry::Stepped(Duration::from_secs(1)));
-        let signals = obs.telemetry.signals().unwrap();
+        let obs = Obs::new();
         let w = Duration::from_secs(4);
-        // Nothing sampled: no data, not zero.
-        assert!(ScalingSignals::servables(signals).is_empty());
-        assert_eq!(ScalingSignals::arrival_rate(signals, "u/ghost", w), None);
-        assert_eq!(ScalingSignals::cost(signals, "u/ghost"), None);
+        let mut passes = PassHistory::new(w);
+        // Nothing recorded: no data, not zero.
+        let signals = passes.pass(0, &obs, Vec::new());
+        assert!(ScalingSignals::servables(&signals).is_empty());
+        assert_eq!(ScalingSignals::arrival_rate(&signals, "u/ghost", w), None);
+        assert_eq!(ScalingSignals::cost(&signals, "u/ghost"), None);
         let series = obs.metrics.series("u/inception");
-        for tick in 0..5u64 {
+        let tick = |tick: u64| {
             series.requests.add(20);
             series
                 .dispatch
                 .record(2, Duration::from_millis(80), Duration::from_millis(83));
-            obs.telemetry.sample_now(tick * SEC);
+            tick * SEC
+        };
+        for at in (0..4u64).map(&tick) {
+            passes.pass(at, &obs, Vec::new());
         }
-        assert_eq!(ScalingSignals::servables(signals), vec!["u/inception"]);
-        let arrival = ScalingSignals::arrival_rate(signals, "u/inception", w).unwrap();
+        let signals = passes.pass(tick(4), &obs, Vec::new());
+        assert_eq!(ScalingSignals::servables(&signals), vec!["u/inception"]);
+        let arrival = ScalingSignals::arrival_rate(&signals, "u/inception", w).unwrap();
         assert!((arrival - 20.0).abs() < 1e-9, "{arrival}");
-        // The sampled cost is the live one: 40 ms an item, 3 ms floor.
-        let sampled = ScalingSignals::cost(signals, "u/inception").unwrap();
+        // The pass's cost is the live one: 40 ms an item, 3 ms floor.
+        let sampled = ScalingSignals::cost(&signals, "u/inception").unwrap();
         assert_eq!(Some(sampled), series.dispatch.cost());
         assert_eq!(sampled.inference(), Duration::from_millis(40));
         assert_eq!(knee(&sampled, 32), 14);
         // No SLO registered: burn rate reports no data, not zero.
-        assert_eq!(ScalingSignals::burn_rate(signals, "u/inception", w), None);
+        assert_eq!(ScalingSignals::burn_rate(&signals, "u/inception", w), None);
     }
 }

@@ -7,9 +7,9 @@
 //! Service — exactly as Fig 2 wires them, but in one process.
 //!
 //! [`TestHubBuilder::build`] is where the deployment is wired, once:
-//! it holds the one [`Obs`] (built by the caller when a telemetry mode
-//! is wanted, [`Obs::new`] otherwise) and the one fault schedule, and
-//! hands both to every tier's constructor. Nothing is attached to a
+//! it holds the one [`Obs`] (the caller's, when it wants to keep a
+//! handle of its own, [`Obs::new`] otherwise) and the one fault
+//! schedule, and hands both to every tier's constructor. Nothing is attached to a
 //! tier after it exists.
 
 use crate::executor::{Executor, HealthPolicy, ParslExecutor};
@@ -110,8 +110,7 @@ impl TestHubBuilder {
     }
 
     /// Record into `obs` instead of a fresh [`Obs::new`]: how a caller
-    /// chooses the deployment's telemetry mode
-    /// ([`Obs::with_telemetry`]).
+    /// shares one handle with a deployment it builds.
     pub fn obs(mut self, obs: Obs) -> Self {
         self.obs = obs;
         self

@@ -96,7 +96,7 @@ impl ManagementService {
         // `requests_shed_total`. The permit covers the coalescing wait
         // and the flush this caller blocks on: submit() returns only
         // once its batch ran.
-        let _permit = self.admit(&servable, tenant)?;
+        let _permit = self.admit(tenant)?;
         self.batcher(&servable).submit(input)
     }
 

@@ -10,15 +10,15 @@
 //! deployment's `Obs` and fault schedule next to the [`ServingConfig`]
 //! and builds the memo cache, admission controller, reconciler and
 //! async pool around them. Nothing is attached afterwards — which
-//! telemetry mode the `Obs` carries, and which executor the control
-//! loop actuates, were decided by whoever assembled the deployment
-//! (see [`crate::hub`]).
+//! executor the control loop actuates was decided by whoever assembled
+//! the deployment (see [`crate::hub`]).
+mod control;
 mod intake;
 mod pipelines;
 mod request;
 
 use crate::admission::{AdmissionConfig, AdmissionController};
-use crate::autoscale::{ControlDecision, ControlPolicy, Reconciler, ScalingSignals};
+use crate::autoscale::{ControlPolicy, Reconciler};
 use crate::batch::Batcher;
 use crate::error::DlhubError;
 use crate::executor::ParslExecutor;
@@ -30,12 +30,13 @@ use crate::servable::{Servable, ServableMetadata};
 use crate::task::TaskTable;
 use crate::task_manager::{TmRegistration, REGISTRATION_TOPIC};
 use crate::value::Value;
+pub(crate) use control::PassHistory;
 use dlhub_auth::Token;
 use dlhub_fault::FaultHandle;
-use dlhub_obs::{ControlSignals, Obs, ServableCost, SloSpec};
+use dlhub_obs::{Obs, SloSpec};
 use dlhub_queue::{Broker, RpcClient};
 use intake::AsyncPool;
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -86,11 +87,14 @@ pub struct ServingConfig {
     /// reconciler off; `Some` arms it over the executor
     /// [`ManagementService::new`] is given.
     pub autoscale: Option<ControlPolicy>,
-    /// Background reconcile interval. Zero (the default) spawns no
-    /// thread — the embedder drives passes manually through
-    /// [`ManagementService::reconcile_at`] (the sim harness does this
-    /// on its virtual clock for deterministic decision logs).
-    pub autoscale_interval: Duration,
+    /// Background control-pass interval. With `autoscale` or
+    /// `admission` set and a non-zero interval, a `dlhub-control`
+    /// thread runs [`ManagementService::reconcile_now`] this often.
+    /// Zero (the default) spawns no thread — the embedder drives passes
+    /// through [`ManagementService::reconcile_at`] (the sim harness
+    /// does this on its virtual clock for deterministic decision logs),
+    /// and without passes admission never sees pressure.
+    pub control_interval: Duration,
     /// Admission control. `None` (the default) admits everything;
     /// `Some` bounds inflight requests, sheds early with
     /// [`DlhubError::Overloaded`] under pressure, and schedules
@@ -114,7 +118,7 @@ impl Default for ServingConfig {
             adaptive_batching: false,
             slos: Vec::new(),
             autoscale: None,
-            autoscale_interval: Duration::ZERO,
+            control_interval: Duration::ZERO,
             admission: None,
         }
     }
@@ -137,50 +141,6 @@ pub struct RunResult {
     /// [`dlhub_obs::Tracer::export`] (`service.obs().tracer`) to inspect
     /// the request's path through the tiers.
     pub trace: u64,
-}
-
-/// The control loop's view of the telemetry store, given the pipelines
-/// registered now. A pipeline's frame is keyed by its name, so on its
-/// own the store would show pipeline traffic as load on a "servable"
-/// the executor has no pool for, and none on the steps that ran it —
-/// a pipeline-only load would idle-park every step's pool. Here a
-/// pipeline's arrivals arrive at each of its steps, once per time the
-/// step appears, and its name is never a pool to size.
-struct StepLoad<'a> {
-    signals: &'a ControlSignals,
-    pipelines: Vec<Arc<Pipeline>>,
-}
-
-impl ScalingSignals for StepLoad<'_> {
-    fn servables(&self) -> Vec<String> {
-        let mut ids = self.signals.servables();
-        ids.retain(|id| self.pipelines.iter().all(|p| p.name != *id));
-        ids
-    }
-
-    fn arrival_rate(&self, servable: &str, window: Duration) -> Option<f64> {
-        let runs_in = self.pipelines.iter().flat_map(|p| {
-            let runs = p.steps.iter().filter(|step| *step == servable);
-            runs.map(|_| p.name.as_str())
-        });
-        runs_in
-            .map(|pipeline| self.signals.arrival_rate(pipeline, window))
-            .fold(
-                self.signals.arrival_rate(servable, window),
-                |sum, rate| match (sum, rate) {
-                    (Some(a), Some(b)) => Some(a + b),
-                    (a, b) => a.or(b),
-                },
-            )
-    }
-
-    fn burn_rate(&self, servable: &str, window: Duration) -> Option<f64> {
-        ScalingSignals::burn_rate(self.signals, servable, window)
-    }
-
-    fn cost(&self, servable: &str) -> Option<ServableCost> {
-        self.signals.cost(servable)
-    }
 }
 
 /// Per-request options.
@@ -217,6 +177,9 @@ pub struct ManagementService {
     /// The autoscaling actuator ([`ServingConfig::autoscale`] over the
     /// executor given at construction); `None` never resizes.
     reconciler: Option<Arc<Reconciler>>,
+    /// The control passes run so far, as the next pass differences
+    /// them (`control.rs`).
+    control: Mutex<PassHistory>,
     obs: Obs,
     /// Consulted at the batch-flush site (the memo cache holds its own
     /// clone for the lookup and insert sites).
@@ -232,14 +195,14 @@ impl ManagementService {
     ///
     /// `scaled` is the executor the control loop actuates: with
     /// [`ServingConfig::autoscale`] set it is reconciled against the
-    /// telemetry store `obs` was built with, otherwise it is ignored.
-    /// With a non-zero [`ServingConfig::autoscale_interval`] a
-    /// `dlhub-reconciler` thread drives [`Self::reconcile_now`] on the
-    /// wall clock, holding the service only by `Weak` so it exits once
-    /// the service drops; with a zero interval the embedder drives
-    /// [`Self::reconcile_at`] on a clock of its choosing (the sim
-    /// harness uses its virtual clock, which is what makes seeded
-    /// decision logs byte-identical).
+    /// counts `obs`'s registry holds, otherwise it is ignored.
+    /// With autoscaling or admission configured and a non-zero
+    /// [`ServingConfig::control_interval`], a `dlhub-control` thread
+    /// drives [`Self::reconcile_now`] on the obs clock, holding the
+    /// service only by `Weak` so it exits once the service drops; with
+    /// a zero interval the embedder drives [`Self::reconcile_at`] on a
+    /// clock of its choosing (the sim harness uses its virtual clock,
+    /// which is what makes seeded decision logs byte-identical).
     pub fn new(
         repo: Arc<Repository>,
         broker: &Broker,
@@ -277,7 +240,13 @@ impl ManagementService {
             .clone()
             .zip(scaled)
             .map(|(policy, executor)| Arc::new(Reconciler::new(executor, policy, &obs)));
-        let interval = config.autoscale_interval;
+        // The history reaches back as far as the longest window read.
+        let windows = [
+            config.autoscale.as_ref().map(|p| p.signal_window),
+            config.admission.as_ref().map(|a| a.signal_window),
+        ];
+        let keep = windows.into_iter().flatten().max().unwrap_or_default();
+        let interval = config.control_interval;
         let service = Arc::new(ManagementService {
             rpc: RpcClient::connect(broker, &config.task_topic),
             memo: MemoCache::wired(config.memo_capacity, &obs, faults.clone()),
@@ -302,13 +271,15 @@ impl ManagementService {
             config,
             admission,
             reconciler,
+            control: Mutex::new(PassHistory::new(keep)),
             obs,
             faults,
         });
-        if service.reconciler.is_some() && !interval.is_zero() {
+        let controlled = service.reconciler.is_some() || service.admission.is_some();
+        if controlled && !interval.is_zero() {
             let weak = Arc::downgrade(&service);
             std::thread::Builder::new()
-                .name("dlhub-reconciler".into())
+                .name("dlhub-control".into())
                 .spawn(move || loop {
                     std::thread::sleep(interval);
                     match weak.upgrade() {
@@ -316,7 +287,7 @@ impl ManagementService {
                         None => break,
                     }
                 })
-                .expect("spawn reconciler thread");
+                .expect("spawn control thread");
         }
         service
     }
@@ -330,27 +301,6 @@ impl ManagementService {
     /// autoscaling is off.
     pub fn reconciler(&self) -> Option<&Arc<Reconciler>> {
         self.reconciler.as_ref()
-    }
-
-    /// One manual reconcile pass at (virtual) time `now_ns`, reading
-    /// the telemetry store's control signals as `StepLoad` sees them.
-    /// Returns the decisions applied; empty while autoscaling or
-    /// telemetry is off.
-    pub fn reconcile_at(&self, now_ns: u64) -> Vec<ControlDecision> {
-        let (Some(reconciler), Some(signals)) = (&self.reconciler, self.obs.telemetry.signals())
-        else {
-            return Vec::new();
-        };
-        // A snapshot: a pass that resizes pools must not hold the
-        // registry a `run_pipeline` reads.
-        let pipelines = self.pipelines.read().values().cloned().collect();
-        reconciler.reconcile_at(now_ns, &StepLoad { signals, pipelines })
-    }
-
-    /// One reconcile pass on the wall clock, for embedders that want
-    /// an immediate pass between background ticks (or without any).
-    pub fn reconcile_now(&self) -> Vec<ControlDecision> {
-        self.reconcile_at(dlhub_obs::now_ns())
     }
 
     /// The admission controller, or `None` while admission control is
@@ -453,7 +403,6 @@ mod tests {
     use crate::servable::ModelType;
     use crate::task::TaskStatus;
     use dlhub_auth::IdentityId;
-    use dlhub_obs::Telemetry;
     use dlhub_search::Query;
     use std::sync::atomic::AtomicUsize;
     use std::sync::Barrier;
@@ -834,9 +783,6 @@ mod tests {
                 autoscale: Some(ControlPolicy::default()),
                 ..ServingConfig::default()
             })
-            .obs(Obs::with_telemetry(Telemetry::Stepped(
-                Duration::from_secs(1),
-            )))
             .build();
         hub.publish_simple(
             "heavy",
@@ -855,11 +801,11 @@ mod tests {
         }
         let before = hub.parsl.replicas("dlhub/heavy");
         let series = hub.service.obs().metrics.series("dlhub/heavy");
+        let mut decisions = Vec::new();
         for s in 1..=3u64 {
             series.requests.add(200);
-            hub.service.obs().telemetry.sample_now(s * 1_000_000_000);
+            decisions.extend(hub.service.reconcile_at(s * 1_000_000_000));
         }
-        let decisions = hub.service.reconcile_at(3_000_000_000);
         // 200 req/s × ≥10 ms is at least two busy replicas, and a 10 ms
         // servable behind µs-scale in-process dispatch has a knee far
         // past the budget: the decision must reflect the observed cost.
@@ -1475,9 +1421,6 @@ mod tests {
                     autoscale: Some(ControlPolicy::default()),
                     ..ServingConfig::default()
                 })
-                .obs(Obs::with_telemetry(Telemetry::Stepped(
-                    Duration::from_secs(1),
-                )))
                 .build();
             hub.publish_simple(
                 "heavy",
@@ -1515,11 +1458,11 @@ mod tests {
                 "dlhub/heavy"
             };
             let series = hub.service.obs().metrics.series(front);
+            let mut decisions = Vec::new();
             for s in 1..=3u64 {
                 series.requests.add(200);
-                hub.service.obs().telemetry.sample_now(s * 1_000_000_000);
+                decisions.extend(hub.service.reconcile_at(s * 1_000_000_000));
             }
-            let decisions = hub.service.reconcile_at(3_000_000_000);
             assert!(decisions.iter().all(|d| d.servable != "light-then-heavy"));
             let heavy = decisions.iter().find(|d| d.servable == "dlhub/heavy");
             heavy.map(|d| (d.from, d.to, d.reason))

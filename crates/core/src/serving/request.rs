@@ -119,37 +119,13 @@ impl ManagementService {
     /// Pass `tenant`'s request through the admission controller (a
     /// no-op `Ok(None)` while admission is disabled). The permit holds
     /// the inflight slot and must live for the request's duration.
-    /// Contention pressure is read from the telemetry signals: p99
-    /// queue wait (in the broker or in front of the replica pools,
-    /// whichever is larger) or the servable's fast burn rate over
-    /// their configured maxima.
-    pub(super) fn admit(
-        &self,
-        servable: &str,
-        tenant: IdentityId,
-    ) -> Result<Option<AdmissionPermit>, DlhubError> {
+    /// Contention pressure is the verdict the last control pass stored
+    /// (see `serving/control.rs`): one atomic load here.
+    pub(super) fn admit(&self, tenant: IdentityId) -> Result<Option<AdmissionPermit>, DlhubError> {
         let Some(controller) = &self.admission else {
             return Ok(None);
         };
-        let cfg = controller.config();
-        let pressured = self.obs.telemetry.signals().is_some_and(|signals| {
-            let window = cfg.signal_window;
-            let queue_hot = [
-                signals.queue_wait(window),
-                signals.replica_queue_wait(window),
-            ]
-            .into_iter()
-            .filter_map(|h| h?.quantile(0.99))
-            .max()
-            .is_some_and(|p99| {
-                p99 > cfg.queue_wait_p99_max.as_nanos().min(u64::MAX as u128) as u64
-            });
-            let burn_hot = signals
-                .burn_rate(servable, window)
-                .is_some_and(|b| b.avg > cfg.burn_rate_max);
-            queue_hot || burn_hot
-        });
-        controller.admit(tenant, pressured).map(Some)
+        controller.admit(tenant, controller.pressured()).map(Some)
     }
 
     /// Open `servable`'s request frame on `span` — the one place a
@@ -187,7 +163,7 @@ impl ManagementService {
             items,
             _permit: None,
         };
-        match tenant.map_or(Ok(None), |tenant| self.admit(&frame.servable, tenant)) {
+        match tenant.map_or(Ok(None), |tenant| self.admit(tenant)) {
             Ok(_permit) => Ok(RequestFrame { _permit, ..frame }),
             Err(shed) => self.close_frame(frame, Err(shed)).map(|(frame, _)| frame),
         }

@@ -6,7 +6,6 @@
 use dlhub_core::admission::AdmissionConfig;
 use dlhub_core::executor::{Answers, ChainStep, Executor};
 use dlhub_core::hub::TestHub;
-use dlhub_core::obs::{Obs, Telemetry};
 use dlhub_core::pipeline::Pipeline;
 use dlhub_core::servable::builtins::MatminerFeaturize;
 use dlhub_core::servable::{servable_fn, ModelType, Servable};
@@ -213,13 +212,10 @@ fn replica_backlog_counts_as_queue_pressure() {
             }),
             ..ServingConfig::default()
         })
-        .obs(Obs::with_telemetry(Telemetry::Stepped(
-            Duration::from_secs(1),
-        )))
         .build();
     let obs = hub.service.obs();
     let second = 1_000_000_000;
-    obs.telemetry.sample_now(second);
+    hub.service.reconcile_at(second);
     hub.service
         .run(&hub.token, "dlhub/noop", Value::Null)
         .expect("no backlog anywhere: admitted");
@@ -231,7 +227,7 @@ fn replica_backlog_counts_as_queue_pressure() {
     for _ in 0..100 {
         waits.record(500_000_000);
     }
-    obs.telemetry.sample_now(2 * second);
+    hub.service.reconcile_at(2 * second);
     let err = hub
         .service
         .run(&hub.token, "dlhub/noop", Value::Null)

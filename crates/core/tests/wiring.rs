@@ -11,7 +11,7 @@ use dlhub_core::executor::{Executor, ParslExecutor};
 use dlhub_core::fault::{site, FaultHandle, FaultKind, FaultPlan, FaultSpec};
 use dlhub_core::hub::TestHub;
 use dlhub_core::memo::{MemoCache, MemoKey};
-use dlhub_core::obs::{Obs, Telemetry};
+use dlhub_core::obs::Obs;
 use dlhub_core::serving::ServingConfig;
 use dlhub_core::task::{next_task_id, TaskRequest, TaskResponse};
 use dlhub_core::task_manager::TaskManager;
@@ -82,9 +82,6 @@ fn a_wired_hub_records_every_tier_into_its_one_obs() {
         .build();
     let hub = TestHub::builder()
         .faults(faults.clone())
-        .obs(Obs::with_telemetry(Telemetry::Stepped(
-            Duration::from_secs(1),
-        )))
         .config(ServingConfig {
             admission: Some(AdmissionConfig {
                 max_inflight: 2,
@@ -110,7 +107,6 @@ fn a_wired_hub_records_every_tier_into_its_one_obs() {
     let shed = run().unwrap_err();
     assert!(matches!(shed, DlhubError::Overloaded { .. }), "{shed:?}");
     drop(held);
-    service.obs().telemetry.sample_now(1_000_000_000).unwrap();
     service.reconcile_at(1_000_000_000);
 
     for site in sites {

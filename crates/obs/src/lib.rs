@@ -14,29 +14,31 @@
 //!   dashboard, and JSON for bench artifacts; [`TraceExport`] renders
 //!   JSON dumps and terminal span trees.
 //!
+//! Nothing here keeps history over time: a windowed view is the
+//! difference of two snapshots ([`MetricsSnapshot::delta_since`],
+//! [`HistogramSnapshot::since`]). The Management Service's control pass
+//! keeps the few snapshots its signals need; `dlhub top` keeps the one
+//! before its current frame.
+//!
 //! There is deliberately no process-global state: every deployment
 //! (a `ManagementService` plus its Task Managers) shares one [`Obs`]
 //! handle, so parallel tests in one process never interleave. Whoever
-//! assembles the deployment builds the handle — choosing its
-//! [`Telemetry`] mode then — and passes it to each tier's constructor;
-//! nothing is attached or enabled afterwards.
+//! assembles the deployment builds the handle and passes it to each
+//! tier's constructor; nothing is attached or enabled afterwards.
 
 #![warn(missing_docs)]
 
 mod ring;
 
 pub mod analyze;
-pub mod collect;
 pub mod metrics;
 pub mod slo;
 pub mod trace;
-pub mod tsdb;
 
 pub use analyze::{
     aggregate_stages, analyze, analyze_all, render_stages, RequestBreakdown, Stage, StageNs,
     TraceAnalysis,
 };
-pub use collect::{Telemetry, TelemetryHandle};
 pub use metrics::{
     bucket_bound, bucket_index, escape_label, BucketSnapshot, Counter, DispatchSums, Gauge,
     Histogram, HistogramSnapshot, HistogramSummary, MetricsSnapshot, Registry, ServableCost,
@@ -44,10 +46,6 @@ pub use metrics::{
 };
 pub use slo::{SloRegistry, SloSnapshot, SloSpec, SloTracker};
 pub use trace::{now_ns, AttrValue, SpanHandle, SpanRecord, TraceContext, TraceExport, Tracer};
-pub use tsdb::{
-    default_tiers, servable_series, slo_series, ControlSignals, GaugeWindow, SeriesKind,
-    SeriesStore, TierSpec,
-};
 
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -65,34 +63,15 @@ pub struct Obs {
     pub metrics: Registry,
     /// Per-servable SLO burn-rate trackers.
     pub slo: SloRegistry,
-    /// Ring-buffered time-series history over this handle's metrics
-    /// and SLOs, fed as the [`Telemetry`] mode given to
-    /// [`with_telemetry`](Obs::with_telemetry) says.
-    pub telemetry: TelemetryHandle,
     /// Baseline for [`delta`](Obs::delta): the snapshot the previous
     /// call returned against (empty before the first).
     delta_baseline: Arc<Mutex<MetricsSnapshot>>,
 }
 
 impl Obs {
-    /// Fresh handle with empty tracer and registry and telemetry
-    /// [`Off`](Telemetry::Off).
+    /// Fresh handle with empty tracer, registry and SLO set.
     pub fn new() -> Self {
         Obs::default()
-    }
-
-    /// Fresh handle whose time-series store is fed as `mode` says:
-    /// sampled by a collector thread, or stepped by the caller through
-    /// [`TelemetryHandle::sample_now`].
-    pub fn with_telemetry(mode: Telemetry) -> Self {
-        let metrics = Registry::new();
-        let slo = SloRegistry::default();
-        Obs {
-            telemetry: TelemetryHandle::start(mode, metrics.clone(), slo.clone()),
-            metrics,
-            slo,
-            ..Obs::default()
-        }
     }
 
     /// Install an SLO for a servable, wiring its alert transitions into

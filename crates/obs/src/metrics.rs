@@ -203,7 +203,7 @@ impl Histogram {
 }
 
 /// Plain-data copy of a [`Histogram`] — or of the activity between two
-/// of them ([`Self::since`]; a telemetry window is the same thing).
+/// of them ([`Self::since`]; a control-pass window is the same thing).
 /// This is the one place that knows how a bucketed distribution is
 /// ranked, summarised, subtracted and laid out as `le` buckets.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -385,8 +385,7 @@ pub struct ServableSeries {
 /// What dispatching one servable has cost so far: the servable profile
 /// the paper proposes as the input to adaptive batching (§V-B3) and
 /// that the replica control loop sizes pools from (Fig 7). Cumulative
-/// sums, read live from [`DispatchSums::cost`] or from the telemetry
-/// store's latest sample ([`crate::ControlSignals::cost`]).
+/// sums, read live from [`DispatchSums::cost`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServableCost {
     /// Dispatches a Task Manager answered.
@@ -559,39 +558,8 @@ impl Registry {
         self.histogram(name)
     }
 
-    /// Live counter instruments, name-sorted (telemetry collector
-    /// hook: the collector reads the atomics directly rather than
-    /// paying for a full snapshot per sampling pass).
-    pub fn counter_entries(&self) -> Vec<(String, Arc<Counter>)> {
-        self.inner
-            .counters
-            .read()
-            .iter()
-            .map(|(k, v)| (k.clone(), Arc::clone(v)))
-            .collect()
-    }
-
-    /// Live gauge instruments, name-sorted.
-    pub fn gauge_entries(&self) -> Vec<(String, Arc<Gauge>)> {
-        self.inner
-            .gauges
-            .read()
-            .iter()
-            .map(|(k, v)| (k.clone(), Arc::clone(v)))
-            .collect()
-    }
-
-    /// Live named histograms, name-sorted.
-    pub fn histogram_entries(&self) -> Vec<(String, Arc<Histogram>)> {
-        self.inner
-            .histograms
-            .read()
-            .iter()
-            .map(|(k, v)| (k.clone(), Arc::clone(v)))
-            .collect()
-    }
-
-    /// Live per-servable series, name-sorted.
+    /// Live per-servable series, name-sorted: what the Management
+    /// Service's control pass reads arrivals and dispatch costs from.
     pub fn servable_entries(&self) -> Vec<(String, Arc<ServableSeries>)> {
         self.inner
             .series
@@ -1138,6 +1106,7 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn dispatch_sums_fold_batches_into_per_item_costs() {
@@ -1223,6 +1192,65 @@ mod tests {
             assert_eq!(bucket_index(got), bucket_index(exact), "q={q}");
             let err = (got as f64 - exact as f64).abs() / exact.max(1) as f64;
             assert!(err < 0.35, "q={q} exact={exact} got={got}");
+        }
+    }
+
+    /// Exact-sort oracle: the value at the exact rank a quantile
+    /// targets.
+    fn oracle_quantile(values: &mut [u64], q: f64) -> Option<u64> {
+        if values.is_empty() {
+            return None;
+        }
+        values.sort_unstable();
+        let target = ((q * values.len() as f64).ceil() as usize).max(1) - 1;
+        Some(values[target])
+    }
+
+    proptest! {
+        /// Record random latency batches, snapshot after batch `split`,
+        /// and take the window after it as the current snapshot `since`
+        /// that one — what an admission control pass computes. The
+        /// buckets are subtracted exactly (no re-aggregation), so the
+        /// rank-interpolated windowed p50/p90/p99 must land inside the
+        /// same log2 bucket as the exact rank-order value of the
+        /// window's samples, never above the bucket's bound.
+        #[test]
+        fn merged_histogram_percentiles_match_exact_sort_oracle(
+            batches in proptest::collection::vec(
+                proptest::collection::vec(1u64..=1_000_000_000, 0..40),
+                2..20,
+            ),
+            split in 0usize..20,
+            q_idx in 0usize..3,
+        ) {
+            let q = [0.5f64, 0.9, 0.99][q_idx];
+            let live = Histogram::new();
+            // Batches 0..=split fall before the baseline.
+            let split = split % (batches.len() - 1);
+            let mut at_split = live.snapshot();
+            let mut window_values: Vec<u64> = Vec::new();
+            for (step, batch) in batches.iter().enumerate() {
+                batch.iter().for_each(|&v| live.record(v));
+                if step > split {
+                    window_values.extend(batch);
+                }
+                if step == split {
+                    at_split = live.snapshot();
+                }
+            }
+            let merged = live.snapshot().since(&at_split);
+            prop_assert_eq!(merged.count as usize, window_values.len());
+            let got = merged.quantile(q);
+            let exact = oracle_quantile(&mut window_values, q);
+            prop_assert_eq!(got.is_some(), exact.is_some());
+            if let (Some(got), Some(exact)) = (got, exact) {
+                prop_assert_eq!(
+                    bucket_index(got),
+                    bucket_index(exact),
+                    "q={} got={} exact={}", q, got, exact
+                );
+                prop_assert!(got <= bucket_bound(bucket_index(exact)));
+            }
         }
     }
 
@@ -1437,21 +1465,14 @@ mod tests {
     #[test]
     fn entries_expose_live_instruments() {
         let reg = Registry::new();
-        reg.counter("c").add(7);
-        reg.gauge("g").set(-2);
-        reg.histogram("h").record(5);
         reg.series("s/v").requests.inc();
-        let counters = reg.counter_entries();
-        assert_eq!(counters.len(), 1);
-        assert_eq!(counters[0].0, "c");
-        assert_eq!(counters[0].1.get(), 7);
-        assert_eq!(reg.gauge_entries()[0].1.get(), -2);
-        let (name, h) = &reg.histogram_entries()[0];
-        assert_eq!(name, "h");
-        let snap = h.snapshot();
-        assert_eq!(snap.count, 1);
-        assert_eq!(snap.buckets[bucket_index(5)], 1);
-        assert_eq!(reg.servable_entries()[0].1.requests.get(), 1);
+        reg.series("a/b").requests.add(3);
+        let entries = reg.servable_entries();
+        let names: Vec<&str> = entries.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["a/b", "s/v"]);
+        // Live: the entry is the series requests keep writing.
+        reg.series("s/v").requests.inc();
+        assert_eq!(entries[1].1.requests.get(), 2);
     }
 
     #[test]

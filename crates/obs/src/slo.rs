@@ -323,6 +323,12 @@ pub struct SloSnapshot {
 }
 
 impl SloSnapshot {
+    /// Fast-window burn of whichever objective burns faster: what the
+    /// control pass compares against its thresholds.
+    pub fn burn_fast(&self) -> f64 {
+        self.latency_burn_fast.max(self.availability_burn_fast)
+    }
+
     /// JSON form embedded in snapshot exports.
     pub fn to_json(&self) -> Value {
         json!({

@@ -113,7 +113,7 @@ impl PoissonArrivals {
 
     /// Count (and consume) every arrival strictly before `until`,
     /// advancing the cursor to `until`. This is the tick-grid view the
-    /// telemetry harness feeds into a requests counter.
+    /// control-loop tests feed into a requests counter.
     pub fn count_until(&mut self, until: SimTime) -> u64 {
         let mut n = 0;
         while let Some(at) = self.peek() {

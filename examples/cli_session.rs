@@ -8,19 +8,13 @@
 
 use dlhub_client::cli::Cli;
 use dlhub_core::hub::TestHub;
-use dlhub_core::obs::{Obs, Telemetry};
 use std::sync::Arc;
 
 fn main() {
     // A loose latency objective on the servable this session publishes:
     // `dlhub slo` below shows its burn rates and (quiet) alert state.
-    // The time-series collector is normally off; an `Obs` built with a
-    // sampled store lets the session demo `dlhub top`.
     let hub = TestHub::builder()
         .without_eval_servables()
-        .obs(Obs::with_telemetry(Telemetry::Sampled(
-            std::time::Duration::from_millis(25),
-        )))
         .slo(dlhub_core::obs::SloSpec::new(
             "dlhub/composition-parser",
             std::time::Duration::from_secs(5),
@@ -75,9 +69,6 @@ fn main() {
         .and_then(|rest| rest.strip_suffix(')'))
         .expect("run output carries its trace id")
         .to_string();
-    // Give the 25 ms time-series collector a few ticks to observe the
-    // session before asking for the `dlhub top` dashboard.
-    std::thread::sleep(std::time::Duration::from_millis(120));
     for args in [
         vec!["stats"],
         vec!["stats", "--delta"],
@@ -88,7 +79,7 @@ fn main() {
         vec!["slo"],
         vec!["slo", "--json"],
         vec!["top"],
-        vec!["top", "--window-s", "5"],
+        vec!["top", "--interval-ms", "200"],
     ] {
         println!("$ dlhub {}", args.join(" "));
         match cli.execute(&workdir, &args) {

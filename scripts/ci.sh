@@ -31,7 +31,7 @@ if grep -rnE 'attach_obs|attach_faults|attach_autoscaler|with_observability|with
 fi
 # The one OnceLock the core keeps is the model deferral in servable.rs:
 # a model built on its servable's first deploy, not a tier's wiring.
-if grep -rn 'OnceLock' crates/core/src crates/queue/src crates/obs/src/lib.rs crates/obs/src/collect.rs |
+if grep -rn 'OnceLock' crates/core/src crates/queue/src crates/obs/src/lib.rs |
   grep -v '^crates/core/src/servable.rs:'; then
   echo "ci: a fill-in-later handle is back on the wiring path (see above)" >&2
   exit 1
@@ -43,6 +43,15 @@ if grep -rnE 'ServingProfile|CacheLocation|calibrate_servables|CalibratedServabl
   crates tests examples scripts README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md |
   grep -v '^scripts/ci.sh:.*grep -rnE'; then
   echo "ci: a deleted serving model, calibration or figure bin is back (see above)" >&2
+  exit 1
+fi
+
+# The time-series store, its sampler thread and the telemetry modes are
+# gone: the Management Service's control pass differences the registry
+# the request path writes (DESIGN.md §13), and `dlhub top` two snapshots.
+if grep -rnE 'with_telemetry|TelemetryHandle|Telemetry::|SeriesStore|ControlSignals|sample_now|dlhub-telemetry' \
+  crates tests examples README.md; then
+  echo "ci: the time-series store or a caller of it is back (see above)" >&2
   exit 1
 fi
 
@@ -76,7 +85,8 @@ echo "######## soak (live heap flat per request and per thread served; allocatio
 # Its own binary with a counting global allocator, ignored by the run
 # above: every entry point and a thread-churn case, each failing if the
 # live heap grows between its 10 % and 100 % marks, and an allocation
-# budget per entry point (noop run, matminer-util run, 3-step pipeline)
+# budget per entry point (noop run, the same run admitted with control
+# passes between requests, matminer-util run, 3-step pipeline)
 # that prints every entry point's count when one is over, and a hub at
 # rest holding no model it has not served (DESIGN.md §7, "What the hub
 # keeps" and "What a request allocates").

@@ -20,7 +20,6 @@ use dlhub_core::autoscale::ControlPolicy;
 use dlhub_core::executor::HealthPolicy;
 use dlhub_core::fault::{site, FaultHandle, FaultKind, FaultPlan, FaultSpec};
 use dlhub_core::hub::{TestHub, TestHubBuilder};
-use dlhub_core::obs::{Obs, Telemetry};
 use dlhub_core::servable::{servable_fn, ModelType};
 use dlhub_core::serving::ServingConfig;
 use dlhub_core::task::TaskStatus;
@@ -834,9 +833,6 @@ fn quarantined_replicas_are_never_counted_as_capacity_by_the_control_loop() {
                 }),
                 ..chaos_config()
             })
-            .obs(Obs::with_telemetry(Telemetry::Stepped(
-                Duration::from_secs(1),
-            )))
             .build();
         hub.publish_simple(
             "m",
@@ -866,7 +862,6 @@ fn quarantined_replicas_are_never_counted_as_capacity_by_the_control_loop() {
         // loop must not scale the only *healthy* replica away…
         for s in 0..3u64 {
             series.requests.add(2);
-            hub.service.obs().telemetry.sample_now((s + 1) * SEC);
             hub.service.reconcile_at((s + 1) * SEC);
         }
         assert!(
@@ -877,7 +872,6 @@ fn quarantined_replicas_are_never_counted_as_capacity_by_the_control_loop() {
         // capacity (1), not nominal (2).
         for s in 3..8u64 {
             series.requests.add(40);
-            hub.service.obs().telemetry.sample_now((s + 1) * SEC);
             hub.service.reconcile_at((s + 1) * SEC);
         }
         let decisions = hub.service.reconciler().unwrap().decisions();

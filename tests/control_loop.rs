@@ -3,10 +3,10 @@
 //!
 //! Every test drives the real stack — Management Service, reconciler,
 //! Parsl executor, admission controller — but feeds it *virtual*
-//! telemetry: seeded Poisson arrivals ([`dlhub_sim::workload`]) are
-//! binned onto a one-second tick grid, sampled into the telemetry
-//! store at virtual timestamps, and reconciled via
-//! [`ManagementService::reconcile_at`] on the same virtual clock. The
+//! traffic: seeded Poisson arrivals ([`dlhub_sim::workload`]) are
+//! binned onto a one-second tick grid into the servable's request
+//! counter, and each tick closes with one control pass via
+//! [`ManagementService::reconcile_at`] at its virtual timestamp. The
 //! decision path never reads a wall clock, so a seed fully determines
 //! the decision log:
 //!
@@ -30,7 +30,7 @@ use dlhub_auth::IdentityId;
 use dlhub_core::admission::{AdmissionConfig, AdmissionController, AdmissionPermit};
 use dlhub_core::autoscale::ControlPolicy;
 use dlhub_core::hub::TestHub;
-use dlhub_core::obs::{Obs, Telemetry};
+use dlhub_core::obs::Obs;
 use dlhub_core::servable::{servable_fn, ModelType};
 use dlhub_core::serving::ServingConfig;
 use dlhub_core::value::Value;
@@ -74,9 +74,9 @@ fn cold_starts(hub: &TestHub) -> u64 {
 }
 
 /// A hub wired for virtual-clock control: autoscaling configured (no
-/// background thread — the tests drive `reconcile_at` themselves),
-/// manual telemetry, and one published echo servable with a scripted
-/// 100 ms inference cost behind `replicas` warm replicas.
+/// background thread — the tests drive `reconcile_at` themselves) and
+/// one published echo servable with a scripted 100 ms inference cost
+/// behind `replicas` warm replicas.
 fn control_hub(policy: ControlPolicy, replicas: usize) -> TestHub {
     let hub = TestHub::builder()
         .without_eval_servables()
@@ -84,9 +84,6 @@ fn control_hub(policy: ControlPolicy, replicas: usize) -> TestHub {
             autoscale: Some(policy),
             ..ServingConfig::default()
         })
-        .obs(Obs::with_telemetry(Telemetry::Stepped(
-            Duration::from_secs(1),
-        )))
         .build();
     hub.publish_simple(
         "m",
@@ -104,14 +101,13 @@ fn control_hub(policy: ControlPolicy, replicas: usize) -> TestHub {
 }
 
 /// Walk virtual seconds `[from_s, to_s)`: bin the arrivals of each
-/// tick into the requests counter, take a telemetry sample at the
-/// tick's closing timestamp, then reconcile at that same instant.
+/// tick into the requests counter, then run one control pass at the
+/// tick's closing timestamp.
 fn drive(hub: &TestHub, arrivals: &mut PoissonArrivals, from_s: u64, to_s: u64) {
     for s in from_s..to_s {
         let t = (s + 1) * SEC;
         let n = arrivals.count_until(SimTime(t));
         hub.service.obs().metrics.series("dlhub/m").requests.add(n);
-        hub.service.obs().telemetry.sample_now(t);
         hub.service.reconcile_at(t);
     }
 }

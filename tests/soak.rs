@@ -27,6 +27,7 @@
 //! ```
 
 use dlhub_client::rest::RestApi;
+use dlhub_core::admission::AdmissionConfig;
 use dlhub_core::hub::TestHub;
 use dlhub_core::pipeline::Pipeline;
 use dlhub_core::servable::builtins::{ImageClassifier, MatminerModel};
@@ -60,11 +61,18 @@ const WAIT: Duration = Duration::from_secs(30);
 /// Allocation calls a request may make, per entry point, counted on
 /// every thread: (case, servable or pipeline, budget). What is left is
 /// what the request carries — DESIGN.md §7, "What a request allocates".
-const ALLOCATION_BUDGETS: [(&str, &str, f64); 3] = [
+/// The admitted case runs on [`admitted_hub`] with a control pass every
+/// [`PASS_EVERY`] requests: admission reads the pass's verdict, so it
+/// costs a request nothing the plain run does not.
+const ALLOCATION_BUDGETS: [(&str, &str, f64); 4] = [
     ("noop run", "dlhub/noop", 24.0),
+    (ADMITTED, "dlhub/noop", 24.0),
     ("matminer-util run", UTIL, 70.0),
     ("3-step run_pipeline", PIPELINE, 105.0),
 ];
+const ADMITTED: &str = "admitted noop run";
+/// Requests between two control passes in the admitted case.
+const PASS_EVERY: usize = 100;
 
 /// Live heap bytes: allocated minus freed, over the whole process.
 static LIVE: AtomicI64 = AtomicI64::new(0);
@@ -151,6 +159,22 @@ fn hub() -> TestHub {
     hub
 }
 
+/// The benchmark's tiers with admission configured (no background control thread:
+/// the case drives the passes).
+fn admitted_hub() -> TestHub {
+    let config = ServingConfig {
+        admission: Some(AdmissionConfig::default()),
+        ..ServingConfig::default()
+    };
+    TestHub::builder()
+        .task_managers(1)
+        .consumers(2)
+        .replicas(2)
+        .config(config)
+        .memo(false)
+        .build()
+}
+
 fn formula(i: usize) -> Value {
     Value::Str(FORMULAS[i % FORMULAS.len()].to_string())
 }
@@ -210,12 +234,20 @@ fn allocations_per_request(warmup: usize, count: usize, op: impl Fn(usize)) -> f
 #[ignore = "soak: run in release with --ignored"]
 fn a_request_allocates_only_what_it_carries() {
     let _serial = serial();
-    let hub = hub();
+    let (hub, admitted) = (hub(), admitted_hub());
     let measured: Vec<(&str, f64, f64)> = ALLOCATION_BUDGETS
         .iter()
         .map(|&(case, target, budget)| {
             let per_request = allocations_per_request(2_000, 5_000, |i| {
-                if target == PIPELINE {
+                if case == ADMITTED {
+                    if i % PASS_EVERY == 0 {
+                        admitted.service.reconcile_now();
+                    }
+                    admitted
+                        .service
+                        .run(&admitted.token, target, Value::Null)
+                        .unwrap();
+                } else if target == PIPELINE {
                     hub.service
                         .run_pipeline(&hub.token, PIPELINE, formula(i))
                         .unwrap();
