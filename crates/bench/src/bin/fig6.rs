@@ -1,8 +1,13 @@
 //! Fig 6: invocation time vs number of requests with batching (§V-B3),
-//! on a `TestHub` (memo off, 2 replicas): per size, [`REPEATS`]
-//! `run_batch`es, each its measured invocation plus the one TM↔cluster
-//! round trip it crossed; a point is the fastest of them, since host
-//! noise only ever adds.
+//! on a `TestHub` (memo off, 2 replicas): [`ROUNDS`] rounds of one
+//! `run_batch` per size, each its measured invocation plus the one
+//! TM↔cluster round trip it crossed; a point is the mean of its size's
+//! batches once the fastest and the slowest are dropped. The host's
+//! speed drifts by ±15 % from one second to the next, so sizes are
+//! measured in turn, round after round, rather than each in a burst of
+//! its own: a slow stretch lands on every size alike instead of bending
+//! the line at the one it caught, and a batch that caught a stall or a
+//! quiet spell alone is dropped rather than taken as the point.
 //!
 //! The paper batches up to 10,000 requests. `noop` and `matminer
 //! model` do here too; `cifar10` stops at 2,000 (10,000 CIFAR-10
@@ -19,8 +24,8 @@ use dlhub_core::hub::TestHub;
 use std::time::Duration;
 
 const SIZES: [usize; 8] = [100, 500, 1000, 2000, 4000, 6000, 8000, 10_000];
-/// Batches per size.
-const REPEATS: usize = 5;
+/// Batches per size, one in each round.
+const ROUNDS: usize = 9;
 /// `(servable, largest batch)`.
 const SERVABLES: [(&str, usize); 3] = [
     ("noop", 10_000),
@@ -43,20 +48,23 @@ fn main() {
         };
         // Deploy the replica pool before anything is timed.
         hub.service.run(&hub.token, id, input.clone()).unwrap();
+        let sizes: Vec<usize> = SIZES.into_iter().filter(|n| *n <= max).collect();
+        let mut batches: Vec<Vec<Duration>> = vec![Vec::with_capacity(ROUNDS); sizes.len()];
+        for _ in 0..ROUNDS {
+            for (times, &n) in batches.iter_mut().zip(&sizes) {
+                let (_, t) = hub
+                    .service
+                    .run_batch(&hub.token, id, vec![input.clone(); n])
+                    .unwrap();
+                times.push(on_paper_links(t, crossings(&t)).invocation);
+            }
+        }
         let mut xs = Vec::new();
         let mut ys = Vec::new();
-        for n in SIZES.into_iter().filter(|n| *n <= max) {
-            let fastest: Duration = (0..REPEATS)
-                .map(|_| {
-                    let (_, t) = hub
-                        .service
-                        .run_batch(&hub.token, id, vec![input.clone(); n])
-                        .unwrap();
-                    on_paper_links(t, crossings(&t)).invocation
-                })
-                .min()
-                .expect("REPEATS > 0");
-            let total = fastest.as_secs_f64() * 1e3;
+        for (mut times, n) in batches.into_iter().zip(sizes) {
+            times.sort();
+            let kept = &times[1..ROUNDS - 1];
+            let total = kept.iter().sum::<Duration>().as_secs_f64() * 1e3 / kept.len() as f64;
             xs.push(n as f64);
             ys.push(total);
             rows.push(vec![

@@ -356,7 +356,6 @@ mod tests {
     use super::*;
     use crate::executor::{Executor, HealthPolicy};
     use crate::serving::PassHistory;
-    use dlhub_container::Cluster;
     use dlhub_fault::FaultHandle;
 
     /// A cost of ten single-item dispatches at the given per-item
@@ -454,12 +453,7 @@ mod tests {
     const SEC: u64 = 1_000_000_000;
 
     fn parsl() -> ParslExecutor {
-        ParslExecutor::new(
-            Cluster::petrelkube(),
-            1,
-            &Obs::new(),
-            FaultHandle::default(),
-        )
+        ParslExecutor::new(1, &Obs::new(), FaultHandle::default())
     }
 
     fn control_setup(policy: ControlPolicy) -> (Arc<ParslExecutor>, Reconciler) {

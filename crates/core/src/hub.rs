@@ -3,7 +3,7 @@
 //!
 //! `TestHub` assembles the whole stack — auth service, repository with
 //! the paper's six evaluation servables, broker, a Task Manager with a
-//! Parsl executor over a PetrelKube-shaped cluster, and the Management
+//! Parsl executor, and the Management
 //! Service — exactly as Fig 2 wires them, but in one process.
 //!
 //! [`TestHubBuilder::build`] is where the deployment is wired, once:
@@ -21,7 +21,6 @@ use crate::servable::{ModelType, Servable, ServableMetadata};
 use crate::serving::{ManagementService, ServingConfig};
 use crate::task_manager::TaskManager;
 use dlhub_auth::{AuthService, Scope, Token};
-use dlhub_container::Cluster;
 use dlhub_fault::FaultHandle;
 use dlhub_obs::Obs;
 use dlhub_queue::{Broker, BrokerConfig, TopicConfig};
@@ -61,8 +60,8 @@ impl TestHubBuilder {
     }
 
     /// Number of Task Managers pulling from the task queue ("one or
-    /// more Task Managers", §IV). Each gets its own Parsl executor
-    /// over the shared cluster, like TMs on separate login nodes.
+    /// more Task Managers", §IV). Each gets its own Parsl executor,
+    /// like TMs on separate login nodes.
     pub fn task_managers(mut self, n: usize) -> Self {
         self.task_managers = n.max(1);
         self
@@ -183,10 +182,8 @@ impl TestHubBuilder {
         // request yields one trace tree spanning all tiers.
         let (obs, faults) = (self.obs, self.faults);
         let broker = Broker::wired(BrokerConfig::default(), &obs, faults.clone());
-        let cluster = Cluster::petrelkube();
         let make_parsl = || {
-            let mut parsl =
-                ParslExecutor::new(cluster.clone(), self.replicas, &obs, faults.clone());
+            let mut parsl = ParslExecutor::new(self.replicas, &obs, faults.clone());
             if let Some(policy) = self.replica_health {
                 parsl = parsl.with_health(Some(policy));
             }
@@ -211,8 +208,7 @@ impl TestHubBuilder {
         for i in 0..self.task_managers {
             // The first TM shares the exposed Parsl executor so tests
             // and benches can inspect/scale it; additional TMs get
-            // their own executors over the same cluster (like TMs on
-            // separate login nodes).
+            // their own executors (like TMs on separate login nodes).
             let mut executors = self.extra_executors.clone();
             executors.push(match i {
                 0 => Arc::clone(&parsl) as Arc<dyn Executor>,
@@ -244,7 +240,6 @@ impl TestHubBuilder {
             auth,
             repo,
             broker,
-            cluster,
             parsl,
             service,
             token,
@@ -262,8 +257,6 @@ pub struct TestHub {
     pub repo: Arc<Repository>,
     /// The message broker between MS and TM.
     pub broker: Broker,
-    /// The PetrelKube-shaped cluster the Parsl executor deploys onto.
-    pub cluster: Cluster,
     /// The Parsl executor (exposed so benchmarks can scale replicas).
     pub parsl: Arc<ParslExecutor>,
     /// The Management Service.
@@ -472,7 +465,7 @@ mod tests {
     }
 
     #[test]
-    fn replicas_are_deployed_on_the_cluster() {
+    fn the_builders_replica_count_sizes_each_pool() {
         let hub = TestHub::builder()
             .replicas(3)
             .without_eval_servables()
@@ -484,6 +477,5 @@ mod tests {
         );
         hub.service.run(&hub.token, "dlhub/m", Value::Null).unwrap();
         assert_eq!(hub.parsl.replicas("dlhub/m"), 3);
-        assert_eq!(hub.cluster.running_pods("parsl-dlhub-m").len(), 3);
     }
 }

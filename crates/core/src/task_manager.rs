@@ -12,13 +12,14 @@
 //! [`TaskRequest`](crate::task::TaskRequest) decodes into the one-step
 //! chain. A consumer decodes the task and dispatches its first
 //! step; every later step is dispatched by continuation, from the
-//! completion of the step before it, on the replica thread that
-//! finished that step — step *k*'s outputs are step *k* + 1's inputs,
-//! each step runs on its own servable's replica pool, and no thread
-//! waits on a running step. The last step's completion answers the
+//! completion of the step before it, on the thread that finished that
+//! step — step *k*'s outputs are step *k* + 1's inputs, each step runs
+//! on its own servable's replica pool (or, for a servable faster than
+//! a hand-off, on the thread that dispatched it), and no thread waits
+//! on a running step. The last step's completion answers the
 //! requester once: a [`TaskResponse`] to a task, a [`ChainResponse`]
 //! with one [`StepCost`] per step to a chain. So a k-step pipeline
-//! crosses the broker once and costs one replica hop per step.
+//! crosses the broker once and costs at most one replica hop per step.
 
 use crate::error::DlhubError;
 use crate::executor::{Answered, Answers, ChainStep, Executor};
@@ -51,10 +52,11 @@ pub struct TmRegistration {
 
 /// A running Task Manager: a pool of consumer threads pulling tasks
 /// from the broker and routing them to executors. A consumer decodes,
-/// resolves and dispatches the first step, then goes straight back to
-/// the queue; the thread that finishes a step (a replica, for pooled
-/// executors) dispatches the next one, and the one that finishes the
-/// last step answers the requester.
+/// resolves and dispatches the first step, then goes back to the queue
+/// once it has handed the step off (or, for a servable faster than a
+/// hand-off, run it); the thread that finishes a step dispatches the
+/// next one, and the one that finishes the last step answers the
+/// requester.
 pub struct TaskManager {
     name: String,
     shutdown: Arc<AtomicBool>,
@@ -522,7 +524,6 @@ mod tests {
     };
     use crate::value::Value;
     use dlhub_auth::{AuthService, Scope};
-    use dlhub_container::{Cluster, NodeSpec};
     use dlhub_queue::{Broker, BrokerConfig, RpcClient};
     use std::collections::BTreeMap;
 
@@ -587,12 +588,7 @@ mod tests {
     }
 
     fn parsl() -> Arc<dyn Executor> {
-        Arc::new(ParslExecutor::new(
-            Cluster::new(vec![NodeSpec::new("n0", 64_000, 65_536)]),
-            2,
-            &Obs::new(),
-            FaultHandle::default(),
-        ))
+        Arc::new(ParslExecutor::new(2, &Obs::new(), FaultHandle::default()))
     }
 
     fn roundtrip(f: &Fixture, request: &TaskRequest) -> TaskResponse {

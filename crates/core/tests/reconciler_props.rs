@@ -15,7 +15,6 @@
 //! buying `quarantined + 1`, needs a live failing servable and is
 //! covered by `autoscale.rs`'s unit suite and `tests/chaos.rs`.
 
-use dlhub_container::Cluster;
 use dlhub_core::autoscale::{knee, ControlPolicy, DecisionReason, Reconciler, ScalingSignals};
 use dlhub_core::executor::ParslExecutor;
 use dlhub_core::fault::FaultHandle;
@@ -64,12 +63,7 @@ fn cost(dispatches: u64, inference_us: u64, floor_us: u64) -> ServableCost {
 }
 
 fn reconciler(policy: &ControlPolicy, current: usize) -> (Arc<ParslExecutor>, Reconciler) {
-    let executor = Arc::new(ParslExecutor::new(
-        Cluster::petrelkube(),
-        1,
-        &Obs::new(),
-        FaultHandle::default(),
-    ));
+    let executor = Arc::new(ParslExecutor::new(1, &Obs::new(), FaultHandle::default()));
     executor.scale(SERVABLE, current);
     let ctl = Reconciler::new(Arc::clone(&executor), policy.clone(), &Obs::new());
     (executor, ctl)

@@ -4,7 +4,6 @@
 //! tier built alone is the same code reporting through its own stats.
 
 use dlhub_auth::IdentityId;
-use dlhub_container::Cluster;
 use dlhub_core::admission::AdmissionConfig;
 use dlhub_core::autoscale::ControlPolicy;
 use dlhub_core::executor::{Executor, ParslExecutor};
@@ -170,12 +169,7 @@ fn tiers_built_alone_serve_and_report_through_their_own_stats() {
     // A Task Manager started with its six arguments, over a hub's
     // repository and broker but recording into an `Obs` of its own.
     let hub = TestHub::builder().build();
-    let parsl = Arc::new(ParslExecutor::new(
-        Cluster::petrelkube(),
-        1,
-        &Obs::new(),
-        FaultHandle::default(),
-    ));
+    let parsl = Arc::new(ParslExecutor::new(1, &Obs::new(), FaultHandle::default()));
     let tm = TaskManager::start(
         "alone",
         &hub.broker,

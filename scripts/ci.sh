@@ -87,9 +87,11 @@ echo "######## soak (live heap flat per request and per thread served; allocatio
 # live heap grows between its 10 % and 100 % marks, and an allocation
 # budget per entry point (noop run, the same run admitted with control
 # passes between requests, matminer-util run, 3-step pipeline)
-# that prints every entry point's count when one is over, and a hub at
-# rest holding no model it has not served (DESIGN.md §7, "What the hub
-# keeps" and "What a request allocates").
+# that prints every entry point's count when one is over, a noop run
+# held to two hand-offs (voluntary context switches) per request on one
+# CPU, and a hub at rest holding no model it has not served (DESIGN.md
+# §7, "What the hub keeps", "What a request allocates" and "Hand-offs
+# per request").
 cargo test --release --quiet -p dlhub-bench --test soak -- --ignored
 
 echo "######## repo benchmark (build + quick run)"

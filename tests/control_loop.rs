@@ -216,7 +216,6 @@ fn idle_pools_scale_to_zero_and_cold_start_within_deadline() {
     let mut quiet = PoissonArrivals::new(0.0, 7);
     drive(&hub, &mut quiet, 0, 12);
     assert_eq!(hub.parsl.replicas("dlhub/m"), 0, "pool never parked");
-    assert!(hub.cluster.running_pods("parsl-dlhub-m").is_empty());
     let log = hub.service.reconciler().unwrap().log_text();
     assert!(log.contains("idle_park"), "{log}");
     // The first returning request pays the cold start — and must

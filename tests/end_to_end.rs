@@ -408,7 +408,6 @@ fn task_survives_a_crashing_task_manager() {
         &config.task_topic,
         Arc::clone(&repo),
         vec![Arc::new(dlhub_core::executor::ParslExecutor::new(
-            dlhub_container::Cluster::petrelkube(),
             1,
             &Obs::new(),
             FaultHandle::default(),
