@@ -326,3 +326,106 @@ fn crossed_pipelines_on_one_replica_each_never_wait_on_each_other() {
         .sum();
     assert_eq!(pipeline_requests, 1_600);
 }
+
+#[test]
+fn a_servable_that_hangs_holds_one_consumer_while_the_other_still_serves() {
+    // A servable faster than a hand-off runs on the consumer that
+    // dispatched it, until it hangs with several calls arriving at once.
+    // One consumer may be caught running it; every other call must go to
+    // a replica, where the reply timeout bounds it, so the second
+    // consumer still serves every other servable.
+    #[derive(Default)]
+    struct Turns {
+        hang: bool,
+        kept: usize,
+        hung: usize,
+        on_consumers: usize,
+        most_on_consumers: usize,
+    }
+    let hub = TestHub::builder()
+        .without_eval_servables()
+        .memo(false)
+        .consumers(2)
+        .executor_reply_timeout(Duration::from_millis(300))
+        .build();
+    let turns = Arc::new((Mutex::new(Turns::default()), Condvar::new()));
+    let seen = Arc::clone(&turns);
+    hub.publish_simple(
+        "turns",
+        ModelType::PythonFunction,
+        servable_fn(move |v| {
+            let on_consumer = std::thread::current()
+                .name()
+                .is_some_and(|name| name.starts_with("tm-"));
+            let (state, changed) = &*seen;
+            let mut state = state.lock().unwrap();
+            state.kept += usize::from(on_consumer);
+            if !state.hang {
+                return Ok(v.clone());
+            }
+            state.hung += 1;
+            state.on_consumers += usize::from(on_consumer);
+            state.most_on_consumers = state.most_on_consumers.max(state.on_consumers);
+            changed.notify_all();
+            let (mut state, _) = changed
+                .wait_timeout_while(state, PATIENCE, |state| state.hang)
+                .unwrap();
+            state.on_consumers -= usize::from(on_consumer);
+            Ok(v.clone())
+        }),
+    );
+    hub.publish_simple(
+        "other",
+        ModelType::PythonFunction,
+        servable_fn(|v| Ok(v.clone())),
+    );
+    // Calls a millisecond apart reach a parked replica: once that
+    // hand-off is measured, the servable runs on a consumer.
+    let warmed = (0..50).any(|_| {
+        std::thread::sleep(Duration::from_millis(1));
+        hub.service
+            .run(&hub.token, "dlhub/turns", Value::Null)
+            .unwrap();
+        turns.0.lock().unwrap().kept > 0
+    });
+    assert!(warmed, "no call ran on a consumer");
+    turns.0.lock().unwrap().hang = true;
+    std::thread::scope(|scope| {
+        for i in 0..4 {
+            let hub = &hub;
+            scope.spawn(move || {
+                // Answered by the reply timeout, or once released.
+                let _ = hub.service.run_with_options(
+                    &hub.token,
+                    "dlhub/turns",
+                    Value::Int(i),
+                    &within(PATIENCE),
+                );
+            });
+        }
+        let (state, changed) = &*turns;
+        let state = state.lock().unwrap();
+        let (state, wait) = changed
+            .wait_timeout_while(state, PATIENCE, |state| state.hung < 2)
+            .unwrap();
+        assert!(!wait.timed_out(), "only {} runs hung", state.hung);
+        drop(state);
+        for i in 0..5 {
+            let run = hub.service.run_with_options(
+                &hub.token,
+                "dlhub/other",
+                Value::Int(i),
+                &within(Duration::from_secs(1)),
+            );
+            assert_eq!(run.unwrap().value, Value::Int(i));
+        }
+        let mut state = turns.0.lock().unwrap();
+        assert!(
+            state.most_on_consumers <= 1,
+            "{} consumers held",
+            state.most_on_consumers
+        );
+        state.hang = false;
+        changed.notify_all();
+    });
+}
