@@ -2,14 +2,15 @@
 
 use crate::identity::{Identity, IdentityId, IdentityProvider};
 use crate::token::{Scope, Token, TokenInfo};
-use parking_lot::RwLock;
+use dlhub_sync::atomic::{AtomicU64, Ordering};
+use dlhub_sync::time::Instant;
+use dlhub_sync::RwLock;
 use rand::distributions::Alphanumeric;
 use rand::{thread_rng, Rng};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Errors from the auth service.
 #[derive(Debug, Clone, PartialEq, Eq)]

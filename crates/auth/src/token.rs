@@ -1,9 +1,10 @@
 //! Bearer tokens, scopes and introspection results.
 
 use crate::identity::IdentityId;
+use dlhub_sync::time::Instant;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A scope is owned by a resource server and named within it, e.g. the
 /// DLHub Management Service registers scope `dlhub:serve` (§IV-D).

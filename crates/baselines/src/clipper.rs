@@ -13,7 +13,7 @@
 use dlhub_container::{Cluster, Digest, PodSpec};
 use dlhub_core::memo::{MemoCache, MemoKey, MemoStats};
 use dlhub_core::{Servable, Value};
-use parking_lot::RwLock;
+use dlhub_sync::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
 

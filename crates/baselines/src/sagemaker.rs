@@ -8,7 +8,7 @@ use dlhub_container::{Image, ImageBuilder, Recipe};
 use dlhub_core::servable::servable_fn;
 use dlhub_core::{Servable, Value};
 use dlhub_matsci::forest::{ForestConfig, RandomForest};
-use parking_lot::{Mutex, RwLock};
+use dlhub_sync::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::Arc;
 

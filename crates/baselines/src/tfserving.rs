@@ -7,7 +7,7 @@
 use crate::protocol::{decode, encode, Protocol};
 use dlhub_core::servable::ModelType;
 use dlhub_core::{Servable, Value};
-use parking_lot::RwLock;
+use dlhub_sync::RwLock;
 use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::sync::Arc;

@@ -17,8 +17,10 @@ use dlhub_core::hub::TestHub;
 use dlhub_core::servable::{servable_fn, ModelType};
 use dlhub_core::serving::ServingConfig;
 use dlhub_core::value::Value;
+use dlhub_sync::thread;
+use dlhub_sync::time::Instant;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const CLIENTS: usize = 8;
 const REQUESTS_PER_CLIENT: usize = 12;
@@ -33,7 +35,7 @@ fn measure_throughput(hub: &TestHub, per_client: usize, reconcile: bool) -> f64 
         .map(|c| {
             let service = Arc::clone(&hub.service);
             let token = hub.token.clone();
-            std::thread::spawn(move || {
+            thread::spawn(move || {
                 for i in 0..per_client {
                     service
                         .run(&token, "dlhub/heavy", Value::Int((c * 1000 + i) as i64))
@@ -43,7 +45,7 @@ fn measure_throughput(hub: &TestHub, per_client: usize, reconcile: bool) -> f64 
         })
         .collect();
     while reconcile && !handles.iter().all(|h| h.is_finished()) {
-        std::thread::sleep(PASS_EVERY);
+        thread::sleep(PASS_EVERY);
         for decision in hub.service.reconcile_now() {
             println!("  {decision}");
         }
@@ -74,7 +76,7 @@ fn main() {
         "heavy",
         ModelType::PythonFunction,
         servable_fn(|v| {
-            std::thread::sleep(Duration::from_millis(10));
+            thread::sleep(Duration::from_millis(10));
             Ok(v.clone())
         }),
     );

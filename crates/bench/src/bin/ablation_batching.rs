@@ -16,9 +16,11 @@ use dlhub_core::hub::TestHub;
 use dlhub_core::servable::{servable_fn, ModelType};
 use dlhub_core::serving::ServingConfig;
 use dlhub_core::value::Value;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use dlhub_sync::atomic::{AtomicUsize, Ordering};
+use dlhub_sync::thread;
+use dlhub_sync::time::Instant;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 static CHEAP_CALLS: AtomicUsize = AtomicUsize::new(0);
 static HEAVY_CALLS: AtomicUsize = AtomicUsize::new(0);
@@ -48,7 +50,7 @@ fn build_hub(adaptive: bool) -> TestHub {
         ModelType::PythonFunction,
         servable_fn(|v| {
             HEAVY_CALLS.fetch_add(1, Ordering::Relaxed);
-            std::thread::sleep(Duration::from_millis(6));
+            thread::sleep(Duration::from_millis(6));
             Ok(v.clone())
         }),
     );
@@ -65,7 +67,7 @@ fn burst(hub: &TestHub, servable: &str, n: usize) -> (Duration, Vec<Duration>) {
             let service = Arc::clone(&service);
             let token = hub.token.clone();
             let id = servable.to_string();
-            std::thread::spawn(move || {
+            thread::spawn(move || {
                 let t = Instant::now();
                 service
                     .run_batched(&token, &id, Value::Int(i as i64))

@@ -17,11 +17,11 @@
 
 use dlhub_bench::report::{ms, print_table, shape_check, write_csv};
 use dlhub_bench::testbed::{crossings, on_paper_links};
+use dlhub_bench::workload::ZipfPopularity;
 use dlhub_core::hub::TestHub;
 use dlhub_core::servable::{servable_fn, ModelType};
 use dlhub_core::serving::ServingConfig;
 use dlhub_core::value::Value;
-use dlhub_sim::workload::ZipfPopularity;
 use std::time::Duration;
 
 const DISTINCT: usize = 10_000;

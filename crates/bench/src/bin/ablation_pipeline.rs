@@ -27,7 +27,8 @@ use dlhub_core::hub::TestHub;
 use dlhub_core::metrics::{percentile_summary, Timings};
 use dlhub_core::pipeline::Pipeline;
 use dlhub_core::value::Value;
-use std::time::{Duration, Instant};
+use dlhub_sync::time::Instant;
+use std::time::Duration;
 
 const STAGES: [&str; 3] = [
     "dlhub/matminer-util",

@@ -28,7 +28,9 @@ use dlhub_core::autoscale::knee;
 use dlhub_core::hub::TestHub;
 use dlhub_core::servable::ModelType;
 use dlhub_core::value::Value;
-use std::time::{Duration, Instant};
+use dlhub_sync::thread;
+use dlhub_sync::time::Instant;
+use std::time::Duration;
 
 const REPLICAS: [usize; 9] = [1, 2, 4, 6, 8, 12, 16, 24, 32];
 /// `(name, service time in µs)`, shortest first.
@@ -45,7 +47,7 @@ const REQUESTS: usize = 5_000;
 /// closed-loop threads.
 fn makespan(hub: &TestHub, id: &str) -> Duration {
     let start = Instant::now();
-    std::thread::scope(|s| {
+    thread::scope(|s| {
         for c in 0..CLIENTS {
             s.spawn(move || {
                 for i in (c..REQUESTS).step_by(CLIENTS) {
@@ -62,7 +64,7 @@ fn makespan(hub: &TestHub, id: &str) -> Duration {
 /// One concurrent request per replica, so every replica of a freshly
 /// resized pool has run once before the timed makespan.
 fn warm(hub: &TestHub, id: &str, replicas: usize) {
-    std::thread::scope(|s| {
+    thread::scope(|s| {
         for i in 0..replicas {
             s.spawn(move || {
                 hub.service

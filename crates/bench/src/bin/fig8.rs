@@ -30,8 +30,9 @@ use dlhub_core::servable::{ModelType, Servable};
 use dlhub_core::serving::RunOptions;
 use dlhub_core::tensor::models::{synthetic_image, CIFAR10_INPUT, INCEPTION_INPUT};
 use dlhub_core::value::Value;
+use dlhub_sync::time::Instant;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const RUNS: usize = 100;
 const SEED: u64 = 7;

@@ -24,12 +24,16 @@
 //!   committed `BENCH_workloads.json`
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
 use dlhub_bench::openloop::{OpenLoopRecorder, OpenLoopReport, OpenLoopSample};
 use dlhub_bench::report::{print_table, shape_check, write_json};
+use dlhub_bench::time::SimTime;
+use dlhub_bench::workload::{
+    build_schedule, ArrivalProcess, DiurnalArrivals, LognormalSizes, MmppArrivals, PoissonArrivals,
+    TenantMix, WorkloadSchedule, ZipfPopularity,
+};
 use dlhub_core::admission::AdmissionConfig;
 use dlhub_core::autoscale::ControlPolicy;
 use dlhub_core::error::DlhubError;
@@ -38,11 +42,10 @@ use dlhub_core::obs::{analyze_all, StageNs, TraceAnalysis};
 use dlhub_core::servable::{servable_fn, ModelType};
 use dlhub_core::serving::ServingConfig;
 use dlhub_core::value::Value;
-use dlhub_sim::workload::{
-    build_schedule, ArrivalProcess, DiurnalArrivals, LognormalSizes, MmppArrivals, PoissonArrivals,
-    TenantMix, WorkloadSchedule, ZipfPopularity,
-};
-use dlhub_sim::SimTime;
+use dlhub_sync::atomic::{AtomicU64, Ordering};
+use dlhub_sync::channel;
+use dlhub_sync::thread;
+use dlhub_sync::time::Instant;
 
 /// Simulated inference cost: ns of busy work per payload byte. At
 /// 4 ns/B a 512 KiB payload "infers" for ~2 ms, so heavy-tailed
@@ -281,21 +284,20 @@ fn run_scenario(sc: &Scenario, schedule: &WorkloadSchedule) -> Outcome {
     let errors = Arc::new(AtomicU64::new(0));
     let mut sent_by_tenant = vec![0u64; sc.tenants.len()];
 
-    let (tx, rx) = mpsc::channel::<(u64, usize, usize, u64)>();
-    let rx = Arc::new(Mutex::new(rx));
+    let (tx, rx) = channel::unbounded::<(u64, usize, usize, u64)>();
     let epoch = Instant::now();
 
     let workers: Vec<_> = (0..sc.workers)
         .map(|_| {
-            let rx = Arc::clone(&rx);
+            let rx = rx.clone();
             let service = Arc::clone(&hub.service);
             let names = names.clone();
             let tokens = tokens.clone();
             let recorder = Arc::clone(&recorder);
             let shed = Arc::clone(&shed);
             let errors = Arc::clone(&errors);
-            std::thread::spawn(move || loop {
-                let job = rx.lock().unwrap().recv();
+            thread::spawn(move || loop {
+                let job = rx.recv();
                 let (intended_ns, servable, tenant, payload_bytes) = match job {
                     Ok(spec) => spec,
                     Err(_) => break,
@@ -334,7 +336,7 @@ fn run_scenario(sc: &Scenario, schedule: &WorkloadSchedule) -> Outcome {
             if now >= target {
                 break;
             }
-            std::thread::sleep((target - now).min(Duration::from_millis(1)));
+            thread::sleep((target - now).min(Duration::from_millis(1)));
         }
         sent_by_tenant[spec.tenant] += 1;
         tx.send((spec.at.0, spec.servable, spec.tenant, spec.payload_bytes))

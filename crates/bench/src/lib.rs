@@ -21,7 +21,15 @@
 //! dispatch path — a `TestHub`, or the real baselines for Fig 8 — and
 //! reads its measured timings; [`testbed`] adds the paper's two §V-A
 //! link round trips for each link an answer actually crossed.
+//!
+//! [`workload`] draws arrivals (Poisson, Markov-modulated bursts, a
+//! diurnal cycle), popularity, tenancy and payload sizes from a seed on
+//! the virtual clock of [`time::SimTime`], so the same seed replays the
+//! same schedule byte for byte: the `workloads` bin, the control-loop
+//! tests and the memo ablation are built on it.
 
 pub mod openloop;
 pub mod report;
 pub mod testbed;
+pub mod time;
+pub mod workload;

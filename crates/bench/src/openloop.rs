@@ -20,7 +20,7 @@
 //! reported). The gap between their tails *is* the coordinated
 //! omission the closed-loop number hides.
 
-use parking_lot::Mutex;
+use dlhub_sync::Mutex;
 
 use serde_json::{json, Value};
 

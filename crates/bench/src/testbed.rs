@@ -20,6 +20,7 @@ use dlhub_core::servable::builtins::{MatminerFeaturize, MatminerUtil};
 use dlhub_core::servable::{servable_fn, Servable};
 use dlhub_core::tensor::models::{synthetic_image, CIFAR10_INPUT, INCEPTION_INPUT};
 use dlhub_core::value::Value;
+use dlhub_sync::thread;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -92,7 +93,7 @@ pub fn on_paper_links(timings: Timings, crossed: Crossings) -> Timings {
 /// two cores.
 pub fn fixed_cost(cost: Duration) -> Arc<dyn Servable> {
     servable_fn(move |input| {
-        std::thread::sleep(cost);
+        thread::sleep(cost);
         Ok(input.clone())
     })
 }

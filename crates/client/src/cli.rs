@@ -7,6 +7,8 @@ use dlhub_auth::Token;
 use dlhub_core::repository::PublishVisibility;
 use dlhub_core::serving::ManagementService;
 use dlhub_core::value::Value;
+use dlhub_sync::thread;
+use dlhub_sync::time::Instant;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -254,11 +256,11 @@ impl Cli {
         }
         let obs = self.service.obs();
         let mut history = crate::top::History::default();
-        let (mut previous, mut taken) = (obs.snapshot(), std::time::Instant::now());
+        let (mut previous, mut taken) = (obs.snapshot(), Instant::now());
         let mut frame = String::new();
         for _ in 0..if follow { frames.max(1) } else { 1 } {
-            std::thread::sleep(interval);
-            let (current, now) = (obs.snapshot(), std::time::Instant::now());
+            thread::sleep(interval);
+            let (current, now) = (obs.snapshot(), Instant::now());
             frame = crate::top::render_frame(&previous, &current, now - taken, &mut history);
             if follow {
                 print!("{}{}", crate::top::REFRESH_PREFIX, frame);

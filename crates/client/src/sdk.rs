@@ -5,9 +5,11 @@ use crate::rest::RestApi;
 use dlhub_auth::Token;
 use dlhub_core::serving::ManagementService;
 use dlhub_core::value::Value;
+use dlhub_sync::thread;
+use dlhub_sync::time::Instant;
 use serde_json::json;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// SDK errors carry the REST status plus the server's message.
 #[derive(Debug, Clone, PartialEq)]
@@ -172,7 +174,7 @@ impl DlhubClient {
                             message: format!("task {task_id} still pending"),
                         });
                     }
-                    std::thread::sleep(Duration::from_millis(5));
+                    thread::sleep(Duration::from_millis(5));
                 }
             }
         }

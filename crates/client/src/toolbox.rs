@@ -4,7 +4,8 @@
 
 use dlhub_core::servable::{ModelType, Servable, ServableMetadata, TypeDesc};
 use dlhub_core::value::Value;
-use std::time::{Duration, Instant};
+use dlhub_sync::time::Instant;
+use std::time::Duration;
 
 /// Builder producing schema-compliant [`ServableMetadata`].
 #[derive(Debug, Clone)]

@@ -5,10 +5,10 @@
 //! *n* pods for each servable that is to be executed".
 
 use crate::image::Digest;
-use parking_lot::RwLock;
+use dlhub_sync::atomic::{AtomicU64, Ordering};
+use dlhub_sync::RwLock;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Pod identifier.

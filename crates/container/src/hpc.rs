@@ -17,10 +17,10 @@
 //!   lifecycle on a virtual clock, `squeue`/`scancel` equivalents.
 
 use crate::image::{Digest, Image};
-use parking_lot::Mutex;
+use dlhub_sync::atomic::{AtomicU64, Ordering};
+use dlhub_sync::Mutex;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A flattened Singularity image built from a layered Docker image.

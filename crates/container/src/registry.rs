@@ -1,7 +1,7 @@
 //! Image registry: push/pull by `name:tag`.
 
 use crate::image::{Digest, Image};
-use parking_lot::RwLock;
+use dlhub_sync::RwLock;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;

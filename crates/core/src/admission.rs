@@ -41,9 +41,9 @@
 use crate::error::DlhubError;
 use dlhub_auth::IdentityId;
 use dlhub_obs::{Counter, Obs};
-use parking_lot::Mutex;
+use dlhub_sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use dlhub_sync::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 

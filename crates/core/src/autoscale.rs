@@ -11,7 +11,7 @@
 
 use crate::executor::ParslExecutor;
 use dlhub_obs::{Counter, Obs, ServableCost};
-use parking_lot::Mutex;
+use dlhub_sync::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;

@@ -23,12 +23,14 @@
 
 use crate::error::DlhubError;
 use crate::value::Value;
-use crossbeam::channel;
 use dlhub_obs::{ServableCost, ServableSeries};
-use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicBool, Ordering};
+use dlhub_sync::atomic::{AtomicBool, Ordering};
+use dlhub_sync::channel;
+use dlhub_sync::thread;
+use dlhub_sync::time::Instant;
+use dlhub_sync::{Condvar, Mutex};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Callback that dispatches one coalesced batch and returns outputs in
 /// input order. The second argument is how long the batch's oldest item
@@ -114,7 +116,7 @@ pub struct Batcher {
     state: Arc<Mutex<State>>,
     wakeup: Arc<Condvar>,
     shutdown: Arc<AtomicBool>,
-    flusher: Option<std::thread::JoinHandle<()>>,
+    flusher: Option<thread::JoinHandle<()>>,
     sizing: BatchSizing,
 }
 
@@ -134,7 +136,7 @@ impl Batcher {
             let wakeup = Arc::clone(&wakeup);
             let shutdown = Arc::clone(&shutdown);
             let sizing = sizing.clone();
-            std::thread::Builder::new()
+            thread::Builder::new()
                 .name("dlhub-batcher".into())
                 .spawn(move || loop {
                     let (batch, waited): (Vec<Pending>, Duration) = {

@@ -8,16 +8,18 @@
 
 use crate::servable::{ModelType, Servable};
 use crate::value::Value;
-use crossbeam::channel;
 use dlhub_fault::{site, Fault, FaultHandle, FaultKind};
 use dlhub_obs::{Counter, Gauge, Histogram, Obs, TraceContext};
-use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
+use dlhub_sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use dlhub_sync::channel;
+use dlhub_sync::thread;
+use dlhub_sync::time::{now_ns, Instant};
+use dlhub_sync::{Condvar, Mutex, MutexGuard, RwLock};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// What an executor reports for one task: outputs in input order plus
 /// per-input inference durations, or the first error.
@@ -126,7 +128,7 @@ pub trait Executor: Send + Sync {
         let result = self.execute(servable_id, servable, inputs);
         if let (Some((obs, parent)), Ok((_, times))) = (step.trace, &result) {
             if obs.tracer.enabled() {
-                let end_ns = dlhub_obs::now_ns();
+                let end_ns = now_ns();
                 for time in times {
                     let start_ns = end_ns.saturating_sub(time.as_nanos() as u64);
                     let mut span = obs.tracer.start_child_at(parent, "inference", start_ns);
@@ -423,7 +425,7 @@ fn run_one(
     guarded(|| match injected {
         // Slow and Hang delay the real work; the others replace it.
         Some(fault) if matches!(fault.kind, FaultKind::Slow | FaultKind::Hang) => {
-            std::thread::sleep(fault.delay);
+            thread::sleep(fault.delay);
             servable.run(input)
         }
         Some(fault) if fault.kind == FaultKind::Panic => panic!("injected replica panic"),
@@ -526,7 +528,7 @@ impl Shared {
             ([input], Verdict::Undrawn) => Some((input, self.faults.decide(site::REPLICA))),
             _ => None,
         };
-        let start_ns = dlhub_obs::now_ns();
+        let start_ns = now_ns();
         let queued_ns = match runner {
             Runner::Replica { idle_since_ns, .. } => {
                 self.metrics
@@ -550,7 +552,7 @@ impl Shared {
                 None
             }
         };
-        let end_ns = dlhub_obs::now_ns();
+        let end_ns = now_ns();
         if let Runner::Dispatcher = runner {
             self.keeping.store(false, Ordering::Relaxed);
         }
@@ -631,7 +633,7 @@ fn keep(shared: &Arc<Shared>, pool: &Arc<PoolState>, job: Job) {
 
 struct Pool {
     sender: channel::Sender<Job>,
-    workers: Vec<std::thread::JoinHandle<()>>,
+    workers: Vec<thread::JoinHandle<()>>,
     replicas: usize,
     state: Arc<PoolState>,
 }
@@ -664,7 +666,7 @@ impl Pool {
                 let rx = receiver.clone();
                 let shared = Arc::clone(shared);
                 let state = Arc::clone(&state);
-                std::thread::Builder::new()
+                thread::Builder::new()
                     .name(format!("pod-{servable_id}-{index}"))
                     .spawn(move || {
                         // Each worker models one pod replica: pull the
@@ -706,12 +708,12 @@ impl Pool {
                                 let metrics = &shared.metrics;
                                 state.quarantined.fetch_add(1, Ordering::Relaxed);
                                 metrics.quarantined.add(1);
-                                std::thread::sleep(policy.quarantine_for);
+                                thread::sleep(policy.quarantine_for);
                                 state.quarantined.fetch_sub(1, Ordering::Relaxed);
                                 metrics.quarantined.add(-1);
                                 metrics.restarts.inc();
                             }
-                            idle_since_ns = dlhub_obs::now_ns();
+                            idle_since_ns = now_ns();
                         }
                     })
                     .expect("spawn pod worker")
@@ -731,7 +733,7 @@ impl Pool {
         // last reference can drop on a replica, inside the continuation
         // of the chain's last step: that replica must not join itself.
         // It exits once it returns to the queue this just disconnected.
-        let current = std::thread::current().id();
+        let current = thread::current().id();
         for w in self.workers {
             if w.thread().id() != current {
                 let _ = w.join();
@@ -844,7 +846,7 @@ impl ParslExecutor {
             }
             return 0;
         }
-        let cold_started = dlhub_obs::now_ns();
+        let cold_started = now_ns();
         if self.deploy(servable_id, replicas) {
             self.record_cold_start(cold_started);
         }
@@ -881,7 +883,7 @@ impl ParslExecutor {
     /// One cold start, begun at obs-clock `since_ns` and over now;
     /// returns now.
     fn record_cold_start(&self, since_ns: u64) -> u64 {
-        let now_ns = dlhub_obs::now_ns();
+        let now_ns = now_ns();
         self.shared
             .metrics
             .cold_start
@@ -982,7 +984,7 @@ impl ParslExecutor {
         done: Option<Done>,
     ) -> Arc<Task> {
         let count = inputs.len();
-        let started_ns = dlhub_obs::now_ns();
+        let started_ns = now_ns();
         let timeout_ns = self.reply_timeout.as_nanos().min(u64::MAX as u128) as u64;
         // Spans are recorded by whoever runs a job, so each carries
         // exact start/end stamps and the replica, if any, that ran it.
@@ -1082,7 +1084,7 @@ impl ParslExecutor {
             self.dispatched.fetch_add(1, Ordering::Relaxed);
             let queued_ns = match number {
                 0 => ready_ns,
-                _ => dlhub_obs::now_ns(),
+                _ => now_ns(),
             };
             let items = next..next + share + usize::from(number < larger);
             next = items.end;
@@ -1090,7 +1092,7 @@ impl ParslExecutor {
                 task: Arc::clone(&task),
                 items,
                 queued_ns,
-                sent_ns: dlhub_obs::now_ns(),
+                sent_ns: now_ns(),
                 verdict,
             };
             // A later chain step is sent from the thread that finished
@@ -1168,7 +1170,7 @@ impl Executor for ParslExecutor {
             if let Some(outcome) = progress.outcome.take() {
                 return outcome.map(Answers::into_parts);
             }
-            let left = Duration::from_nanos(task.deadline_ns.saturating_sub(dlhub_obs::now_ns()));
+            let left = Duration::from_nanos(task.deadline_ns.saturating_sub(now_ns()));
             // Past the deadline another thread may be mid-expiry.
             let left = left.max(Duration::from_millis(1));
             if task.finished.wait_for(&mut progress, left).timed_out() {
@@ -1197,10 +1199,10 @@ impl Executor for ParslExecutor {
     fn reap_expired(&self) {
         let inflight = &self.shared.inflight;
         let due = inflight.next_expiry.load(Ordering::SeqCst);
-        if due == NO_EXPIRY || dlhub_obs::now_ns() < due {
+        if due == NO_EXPIRY || now_ns() < due {
             return;
         }
-        let now = dlhub_obs::now_ns();
+        let now = now_ns();
         let mut expired = Vec::new();
         {
             // A dispatch inserts under this lock before it `fetch_min`s

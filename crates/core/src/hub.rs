@@ -37,7 +37,6 @@ pub struct TestHubBuilder {
     /// `None` leaves [`ServingConfig::memo_enabled`] as configured.
     memo: Option<bool>,
     eval_servables: bool,
-    extra_executors: Vec<Arc<dyn Executor>>,
     config: ServingConfig,
     obs: Obs,
     faults: FaultHandle,
@@ -85,13 +84,6 @@ impl TestHubBuilder {
     /// for tests that publish their own).
     pub fn without_eval_servables(mut self) -> Self {
         self.eval_servables = false;
-        self
-    }
-
-    /// Prepend an executor ahead of the default Parsl executor in the
-    /// Task Manager's routing order.
-    pub fn with_executor(mut self, executor: Arc<dyn Executor>) -> Self {
-        self.extra_executors.push(executor);
         self
     }
 
@@ -209,17 +201,16 @@ impl TestHubBuilder {
             // The first TM shares the exposed Parsl executor so tests
             // and benches can inspect/scale it; additional TMs get
             // their own executors (like TMs on separate login nodes).
-            let mut executors = self.extra_executors.clone();
-            executors.push(match i {
+            let executor = match i {
                 0 => Arc::clone(&parsl) as Arc<dyn Executor>,
                 _ => make_parsl(),
-            });
+            };
             task_managers.push(TaskManager::start_wired(
                 &format!("cooley-tm-{i}"),
                 &broker,
                 &config.task_topic,
                 Arc::clone(&repo),
-                executors,
+                vec![executor],
                 self.consumers,
                 obs.clone(),
                 faults.clone(),
@@ -279,7 +270,6 @@ impl TestHub {
             seed: 7,
             memo: None,
             eval_servables: true,
-            extra_executors: Vec::new(),
             config: ServingConfig::default(),
             obs: Obs::new(),
             faults: FaultHandle::default(),

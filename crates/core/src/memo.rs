@@ -53,9 +53,10 @@
 use crate::value::Value;
 use dlhub_fault::FaultHandle;
 use dlhub_obs::{Counter, Obs, Tracer};
-use parking_lot::Mutex;
+use dlhub_sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use dlhub_sync::thread;
+use dlhub_sync::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Number of independently locked shards (power of two).
@@ -358,7 +359,7 @@ impl MemoCache {
                 dlhub_fault::FaultKind::Slow | dlhub_fault::FaultKind::Hang => {
                     // A stalled lookup: the caller blocks here while
                     // eviction and other lookups race on.
-                    std::thread::sleep(fault.delay);
+                    thread::sleep(fault.delay);
                 }
                 _ => {
                     // A failed lookup degrades to a miss.

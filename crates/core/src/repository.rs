@@ -6,7 +6,7 @@ use crate::servable::{Servable, ServableMetadata};
 use dlhub_auth::{Acl, AuthService, Scope, Token, TokenInfo, Visibility};
 use dlhub_container::{Dependency, Digest, ImageBuilder, Recipe, Registry};
 use dlhub_search::{Document, Index, Query, SearchHit};
-use parking_lot::{Mutex, RwLock};
+use dlhub_sync::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 

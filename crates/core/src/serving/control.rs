@@ -25,6 +25,7 @@ use crate::admission::AdmissionConfig;
 use crate::autoscale::{ControlDecision, ScalingSignals};
 use crate::pipeline::Pipeline;
 use dlhub_obs::{HistogramSnapshot, Obs, ServableCost, ServableSeries};
+use dlhub_sync::time::now_ns;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
@@ -243,7 +244,7 @@ impl ManagementService {
     /// One control pass on the obs clock, for embedders that want an
     /// immediate pass between background ticks (or without any).
     pub fn reconcile_now(&self) -> Vec<ControlDecision> {
-        self.reconcile_at(dlhub_obs::now_ns())
+        self.reconcile_at(now_ns())
     }
 }
 

@@ -7,12 +7,14 @@ use crate::batch::{BatchSizing, Batcher};
 use crate::error::DlhubError;
 use crate::task::{next_task_id, TaskHandle, TaskStatus};
 use crate::value::Value;
-use crossbeam::channel;
 use dlhub_auth::Token;
 use dlhub_fault::site;
 use dlhub_obs::Gauge;
+use dlhub_sync::channel;
+use dlhub_sync::thread;
+use dlhub_sync::time::Instant;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 type Job = Box<dyn FnOnce() + Send>;
 
@@ -24,7 +26,7 @@ pub(super) struct AsyncPool {
     jobs: Option<channel::Sender<Job>>,
     /// Jobs waiting in the channel.
     depth: Arc<Gauge>,
-    workers: Vec<std::thread::JoinHandle<()>>,
+    workers: Vec<thread::JoinHandle<()>>,
 }
 
 impl AsyncPool {
@@ -37,7 +39,7 @@ impl AsyncPool {
                 let queue = queue.clone();
                 let depth = Arc::clone(&depth);
                 let active = Arc::clone(&active);
-                std::thread::Builder::new()
+                thread::Builder::new()
                     .name(format!("dlhub-async-{i}"))
                     .spawn(move || {
                         while let Ok(job) = queue.recv() {
@@ -72,7 +74,7 @@ impl Drop for AsyncPool {
         // The last Arc<ManagementService> can be dropped from inside a
         // pool job, making a worker run this destructor: it must not
         // join itself.
-        let current = std::thread::current().id();
+        let current = thread::current().id();
         for worker in self.workers.drain(..) {
             if worker.thread().id() != current {
                 let _ = worker.join();

@@ -35,10 +35,11 @@ use dlhub_auth::Token;
 use dlhub_fault::FaultHandle;
 use dlhub_obs::{Obs, SloSpec};
 use dlhub_queue::{Broker, RpcClient};
+use dlhub_sync::atomic::{AtomicBool, Ordering};
+use dlhub_sync::thread;
+use dlhub_sync::{Mutex, RwLock};
 use intake::AsyncPool;
-use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -278,10 +279,10 @@ impl ManagementService {
         let controlled = service.reconciler.is_some() || service.admission.is_some();
         if controlled && !interval.is_zero() {
             let weak = Arc::downgrade(&service);
-            std::thread::Builder::new()
+            thread::Builder::new()
                 .name("dlhub-control".into())
                 .spawn(move || loop {
-                    std::thread::sleep(interval);
+                    thread::sleep(interval);
                     match weak.upgrade() {
                         Some(service) => drop(service.reconcile_now()),
                         None => break,
@@ -398,6 +399,7 @@ impl ManagementService {
 mod tests {
     use super::*;
     use crate::admission::AdmissionConfig;
+    use crate::autoscale::{knee, DecisionReason};
     use crate::hub::TestHub;
     use crate::servable::servable_fn;
     use crate::servable::ModelType;
@@ -1216,7 +1218,7 @@ mod tests {
         let hub = TestHub::builder().memo(true).build();
         let (entered_tx, entered) = std::sync::mpsc::channel();
         let (release, release_rx) = std::sync::mpsc::channel::<()>();
-        let release_rx = parking_lot::Mutex::new(release_rx);
+        let release_rx = dlhub_sync::Mutex::new(release_rx);
         hub.publish_simple(
             "v",
             ModelType::PythonFunction,
@@ -1253,7 +1255,7 @@ mod tests {
             .build();
         let (entered_tx, entered) = std::sync::mpsc::channel();
         let (release, release_rx) = std::sync::mpsc::channel::<()>();
-        let release_rx = parking_lot::Mutex::new(release_rx);
+        let release_rx = dlhub_sync::Mutex::new(release_rx);
         hub.publish_simple(
             "first",
             ModelType::PythonFunction,
@@ -1413,12 +1415,14 @@ mod tests {
     fn a_pipeline_only_load_sizes_its_steps_pools_like_the_same_run_load() {
         // The same scripted 200 req/s, once as runs of a 10 ms servable
         // and once as a pipeline whose second step it is.
+        const RATE: f64 = 200.0;
         let decide = |through_pipeline: bool| {
+            let policy = ControlPolicy::default();
             let hub = TestHub::builder()
                 .without_eval_servables()
                 .memo(false)
                 .config(ServingConfig {
-                    autoscale: Some(ControlPolicy::default()),
+                    autoscale: Some(policy.clone()),
                     ..ServingConfig::default()
                 })
                 .build();
@@ -1457,22 +1461,41 @@ mod tests {
             } else {
                 "dlhub/heavy"
             };
-            let series = hub.service.obs().metrics.series(front);
+            let metrics = &hub.service.obs().metrics;
+            let series = metrics.series(front);
             let mut decisions = Vec::new();
             for s in 1..=3u64 {
-                series.requests.add(200);
+                series.requests.add(RATE as u64);
                 decisions.extend(hub.service.reconcile_at(s * 1_000_000_000));
             }
             assert!(decisions.iter().all(|d| d.servable != "light-then-heavy"));
             let heavy = decisions.iter().find(|d| d.servable == "dlhub/heavy");
-            heavy.map(|d| (d.from, d.to, d.reason))
+            // The target this hub's own measured cost of the heavy step
+            // asks for: Little's law at the scripted rate, capped at the
+            // knee. Each hub measures the 10 ms sleep itself, so the two
+            // targets may differ by the knee's rounding.
+            let cost = metrics.series("dlhub/heavy").dispatch.cost();
+            let cost = cost.expect("the heavy step's dispatches are measured");
+            let demand = RATE * cost.inference().as_secs_f64();
+            let cap = knee(&cost, policy.max_replicas).max(policy.min_replicas);
+            let target = ((demand / policy.target_utilization).ceil() as usize)
+                .clamp(policy.min_replicas, cap);
+            (heavy.map(|d| (d.from, d.to, d.reason)), target)
         };
-        let by_run = decide(false);
-        assert!(
-            by_run.is_some_and(|(from, to, _)| to >= 4 && to > from),
-            "{by_run:?}"
-        );
-        assert_eq!(decide(true), by_run);
+        let (by_run, run_target) = decide(false);
+        let (by_pipeline, pipeline_target) = decide(true);
+        for (decision, target) in [(by_run, run_target), (by_pipeline, pipeline_target)] {
+            assert!(
+                decision.is_some_and(|(from, to, reason)| to == target
+                    && to >= 4
+                    && to > from
+                    && reason == DecisionReason::ScaleUp),
+                "run {by_run:?} (target {run_target}), \
+                 pipeline {by_pipeline:?} (target {pipeline_target})"
+            );
+        }
+        // Both loads start from the same pool.
+        assert_eq!(by_pipeline.map(|d| d.0), by_run.map(|d| d.0));
     }
 
     #[test]

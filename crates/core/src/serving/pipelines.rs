@@ -34,9 +34,10 @@ use crate::task::{
 use crate::value::Value;
 use bytes::Bytes;
 use dlhub_auth::Token;
-use std::sync::atomic::Ordering;
+use dlhub_sync::atomic::Ordering;
+use dlhub_sync::time::Instant;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 impl ManagementService {
     /// Register a pipeline. Every step must be visible to the

@@ -14,9 +14,11 @@ use crate::value::Value;
 use bytes::Bytes;
 use dlhub_auth::{IdentityId, Token};
 use dlhub_obs::{ServableSeries, SpanHandle, TraceContext};
-use std::sync::atomic::Ordering;
+use dlhub_sync::atomic::Ordering;
+use dlhub_sync::thread;
+use dlhub_sync::time::Instant;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One open request at the Management Service: what it serves, its
 /// span, the servable's series, the admission permit and the clock it
@@ -314,7 +316,7 @@ impl ManagementService {
             self.obs.metrics.counter("request_retries_total").inc();
             let pause = backoff.min(deadline.saturating_duration_since(Instant::now()));
             if !pause.is_zero() {
-                std::thread::sleep(pause);
+                thread::sleep(pause);
             }
             backoff = backoff.saturating_mul(2);
         }

@@ -19,12 +19,13 @@ use crate::error::DlhubError;
 use crate::value::{self, Value};
 use bytes::Bytes;
 use dlhub_obs::TraceContext;
-use parking_lot::{Condvar, Mutex};
+use dlhub_sync::atomic::{AtomicU64, Ordering};
+use dlhub_sync::time::Instant;
+use dlhub_sync::{Condvar, Mutex};
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A task sent from the Management Service to a Task Manager. Batched
 /// requests carry several inputs for one servable.

@@ -33,10 +33,12 @@ use bytes::Bytes;
 use dlhub_fault::{site, FaultHandle, FaultKind};
 use dlhub_obs::{Counter, Obs, SpanHandle, TraceContext};
 use dlhub_queue::{Broker, RequestInfo, Responder, RpcServer};
+use dlhub_sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use dlhub_sync::thread;
+use dlhub_sync::time::Instant;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Topic on which Task Managers announce themselves.
 pub const REGISTRATION_TOPIC: &str = "dlhub.tm.registration";
@@ -60,7 +62,7 @@ pub struct TmRegistration {
 pub struct TaskManager {
     name: String,
     shutdown: Arc<AtomicBool>,
-    threads: Vec<std::thread::JoinHandle<()>>,
+    threads: Vec<thread::JoinHandle<()>>,
     served: Arc<AtomicU64>,
 }
 
@@ -149,7 +151,7 @@ impl TaskManager {
                 let router = Arc::clone(&router);
                 let shutdown = Arc::clone(&shutdown);
                 let served = Arc::clone(&served);
-                std::thread::Builder::new()
+                thread::Builder::new()
                     .name(format!("tm-{name}-{i}"))
                     .spawn(move || {
                         while !shutdown.load(Ordering::Relaxed) {
@@ -172,7 +174,7 @@ impl TaskManager {
                                 // Slow/Hang crashes die mid-task, holding
                                 // the lease for a while.
                                 if matches!(fault.kind, FaultKind::Slow | FaultKind::Hang) {
-                                    std::thread::sleep(fault.delay);
+                                    thread::sleep(fault.delay);
                                 }
                                 router.crashed();
                                 drop(responder);

@@ -39,9 +39,11 @@
 //! ```
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
+
+use dlhub_sync::atomic::{AtomicU64, Ordering};
+use dlhub_sync::Mutex;
 
 /// Named injection sites threaded through the serving stack. Using
 /// constants (rather than free strings) keeps the site catalog greppable
@@ -250,7 +252,7 @@ impl FaultHandle {
     /// Every fault fired so far, in firing order.
     pub fn injections(&self) -> Vec<Injection> {
         match &self.0 {
-            Some(inner) => inner.log.lock().expect("fault log poisoned").clone(),
+            Some(inner) => inner.log.lock().clone(),
             None => Vec::new(),
         }
     }
@@ -314,14 +316,11 @@ impl Inner {
                 } else {
                     fired.fetch_add(1, Ordering::Relaxed);
                 }
-                self.log
-                    .lock()
-                    .expect("fault log poisoned")
-                    .push(Injection {
-                        site,
-                        seq,
-                        kind: spec.kind,
-                    });
+                self.log.lock().push(Injection {
+                    site,
+                    seq,
+                    kind: spec.kind,
+                });
                 return Some(Fault {
                     kind: spec.kind,
                     delay: spec.delay,

@@ -45,9 +45,9 @@ pub use metrics::{
     ServableSeries, ServableSnapshot,
 };
 pub use slo::{SloRegistry, SloSnapshot, SloSpec, SloTracker};
-pub use trace::{now_ns, AttrValue, SpanHandle, SpanRecord, TraceContext, TraceExport, Tracer};
+pub use trace::{AttrValue, SpanHandle, SpanRecord, TraceContext, TraceExport, Tracer};
 
-use parking_lot::Mutex;
+use dlhub_sync::Mutex;
 use std::sync::Arc;
 use std::time::Duration;
 

@@ -8,11 +8,11 @@
 //! snapshot is a consistent-enough view, not a linearisable one.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::RwLock;
+use dlhub_sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use dlhub_sync::RwLock;
 use serde_json::{json, Value};
 
 /// Monotonic event counter.

@@ -8,7 +8,8 @@
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+
+use dlhub_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use crate::trace::RawSpan;
 

@@ -18,15 +18,16 @@
 //! on the serving hot path.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::RwLock;
+use dlhub_sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use dlhub_sync::time::now_ns;
+use dlhub_sync::RwLock;
 use serde_json::{json, Value};
 
 use crate::metrics::{Counter, Gauge};
-use crate::trace::{now_ns, Tracer};
+use crate::trace::Tracer;
 
 /// Time slices in a tracker's ring. The slow window is divided evenly
 /// across them; the fast window reads a prefix.

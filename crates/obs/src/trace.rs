@@ -14,11 +14,12 @@
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Weak};
+use std::time::Duration;
 
-use parking_lot::Mutex;
+use dlhub_sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use dlhub_sync::time::now_ns;
+use dlhub_sync::Mutex;
 use serde::{Deserialize, Serialize};
 use serde_json::{json, Value};
 
@@ -27,18 +28,6 @@ use crate::ring::SpanRing;
 /// Spans retained in the collector store before the oldest are
 /// discarded.
 const STORE_CAPACITY: usize = 65_536;
-
-fn epoch() -> Instant {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    *EPOCH.get_or_init(Instant::now)
-}
-
-/// Nanoseconds since the process-wide tracing epoch (the first call to
-/// any obs clock function). All span timestamps share this clock, so
-/// spans recorded on different threads are directly comparable.
-pub fn now_ns() -> u64 {
-    epoch().elapsed().as_nanos() as u64
-}
 
 /// Trace identity carried across tiers inside task envelopes.
 ///

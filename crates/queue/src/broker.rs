@@ -19,12 +19,13 @@ use crate::stats::{AtomicTopicStats, TopicStats};
 use bytes::Bytes;
 use dlhub_fault::{site, FaultHandle, FaultKind};
 use dlhub_obs::{Counter, Histogram, Obs};
-use parking_lot::{Condvar, Mutex, RwLock};
+use dlhub_sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use dlhub_sync::time::Instant;
+use dlhub_sync::{Condvar, Mutex, RwLock};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Errors surfaced by broker operations.
 #[derive(Debug, Clone, PartialEq, Eq)]

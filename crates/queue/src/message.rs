@@ -1,11 +1,11 @@
 //! Message envelope types shared by the broker and the RPC layer.
 
 use bytes::Bytes;
-use parking_lot::{Condvar, Mutex};
+use dlhub_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use dlhub_sync::time::Instant;
+use dlhub_sync::{Condvar, Mutex};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Globally unique (per-process) message identifier.
 ///

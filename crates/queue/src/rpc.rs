@@ -10,10 +10,11 @@
 use crate::broker::{Broker, Delivery, QueueError};
 use crate::message::{Message, MessageId, ReplySlot, SlotState};
 use bytes::Bytes;
+use dlhub_sync::atomic::Ordering;
+use dlhub_sync::time::Instant;
 use std::fmt;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// RPC-level errors.
 #[derive(Debug, Clone, PartialEq, Eq)]

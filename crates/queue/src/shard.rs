@@ -25,10 +25,11 @@
 //! Hot counters ride in [`CachePadded`] slots so producer tickets,
 //! consumer tickets and the semaphore do not false-share a cache line.
 
-use parking_lot::{Condvar, Mutex};
+use dlhub_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use dlhub_sync::thread;
+use dlhub_sync::time::Instant;
+use dlhub_sync::{Condvar, Mutex};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::time::Instant;
 
 /// Pads (and aligns) a value to a 64-byte cache line so hot atomics
 /// updated by different cores do not false-share.
@@ -167,7 +168,7 @@ impl<T> ShardedRing<T> {
                     return Some((idx, item));
                 }
             }
-            std::thread::yield_now();
+            thread::yield_now();
         }
     }
 

@@ -1,6 +1,6 @@
 //! Per-topic delivery statistics.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use dlhub_sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Counters and queue-wait accounting for a topic.

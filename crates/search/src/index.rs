@@ -3,7 +3,7 @@
 use crate::document::{DocId, Document};
 use crate::query::Query;
 use crate::tokenize::{tokenize, unique_tokens};
-use parking_lot::RwLock;
+use dlhub_sync::RwLock;
 use serde_json::Value;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;

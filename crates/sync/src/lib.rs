@@ -1,11 +1,40 @@
-//! Minimal API-compatible stand-in for `parking_lot`, implemented on
-//! top of `std::sync` primitives.
+#![warn(missing_docs)]
+
+//! # dlhub-sync
 //!
-//! The build environment has no registry access, so the workspace
-//! vendors the subset of the `parking_lot` API it actually uses:
-//! [`Mutex`], [`RwLock`], [`Condvar`] and their guards, all without
-//! lock poisoning (a poisoned std lock is transparently recovered,
-//! matching parking_lot's behaviour of not poisoning at all).
+//! The one concurrency seam. Every lock, channel, atomic, thread and
+//! clock read in the workspace's non-test code comes from here, so a
+//! schedule explorer or a virtual clock has one module to replace.
+//!
+//! - [`Mutex`], [`RwLock`], [`Condvar`] and their guards, on top of
+//!   `std::sync` and without lock poisoning (a poisoned std lock is
+//!   transparently recovered);
+//! - [`channel`]: multi-producer, multi-consumer FIFO channels;
+//! - [`atomic`]: std's atomics;
+//! - [`thread`]: spawning, scoped threads, sleeping and yielding;
+//! - [`time`]: [`time::Instant`] and [`time::now_ns`], the process
+//!   clock every span and control pass stamps with.
+//!
+//! In this build the crate is std wrappers and re-exports; `Arc` and
+//! `Duration` stay std, since neither is a point where a thread waits
+//! or is scheduled.
+
+pub mod channel;
+pub mod time;
+
+/// Atomics: std's, re-exported.
+pub mod atomic {
+    pub use std::sync::atomic::{
+        AtomicBool, AtomicI64, AtomicU64, AtomicU8, AtomicUsize, Ordering,
+    };
+}
+
+/// Threads: std's, re-exported.
+pub mod thread {
+    pub use std::thread::{
+        available_parallelism, current, scope, sleep, spawn, yield_now, Builder, JoinHandle,
+    };
+}
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};

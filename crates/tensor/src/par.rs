@@ -2,12 +2,14 @@
 //! per-example gradients in [`crate::train`] and per-tree fits in the
 //! materials-science forest.
 
+use dlhub_sync::thread;
+
 /// `(0..n).map(f).collect()` with the range cut into one contiguous
 /// chunk per available core, each chunk on a scoped thread. Results
 /// come back in index order, so a fold over them gives the same bits
 /// whatever the core count.
 pub fn map<U: Send>(n: usize, f: impl Fn(usize) -> U + Sync) -> Vec<U> {
-    let threads = std::thread::available_parallelism()
+    let threads = thread::available_parallelism()
         .map_or(1, |cores| cores.get())
         .min(n);
     if threads <= 1 {
@@ -15,7 +17,7 @@ pub fn map<U: Send>(n: usize, f: impl Fn(usize) -> U + Sync) -> Vec<U> {
     }
     let chunk = n.div_ceil(threads);
     let f = &f;
-    std::thread::scope(|scope| {
+    thread::scope(|scope| {
         let workers: Vec<_> = (0..n)
             .step_by(chunk)
             .map(|start| {

@@ -1,7 +1,7 @@
 //! Storage endpoints.
 
 use dlhub_auth::IdentityId;
-use parking_lot::RwLock;
+use dlhub_sync::RwLock;
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 

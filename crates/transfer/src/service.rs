@@ -3,10 +3,12 @@
 
 use crate::endpoint::{Checksum, Endpoint};
 use dlhub_auth::IdentityId;
-use parking_lot::{Condvar, Mutex};
+use dlhub_sync::atomic::{AtomicU64, Ordering};
+use dlhub_sync::thread;
+use dlhub_sync::time::Instant;
+use dlhub_sync::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -157,7 +159,7 @@ impl TransferService {
         let task_id = id.clone();
         let source_path = source_path.to_string();
         let dest_path = dest_path.to_string();
-        std::thread::Builder::new()
+        thread::Builder::new()
             .name(format!("transfer-{task_id}"))
             .spawn(move || {
                 // Re-read at copy time (the file may have changed
@@ -217,7 +219,7 @@ impl TransferService {
     /// Block until the task leaves `Active` (bounded internally at 30s
     /// as a deadlock guard).
     pub fn wait(&self, id: &TransferTaskId) -> Result<TransferInfo, TransferError> {
-        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        let deadline = Instant::now() + Duration::from_secs(30);
         let mut tasks = self.registry.tasks.lock();
         loop {
             match tasks.get(id) {

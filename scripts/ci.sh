@@ -23,7 +23,8 @@ fi
 # ISSUE 24: a tier takes the deployment's Obs and fault schedule in
 # its constructor. Nothing attaches, enables or arms afterwards, so
 # nothing holds a OnceLock to be filled in later (DESIGN.md §8; the
-# process clock's EPOCH in obs/src/trace.rs is the one that stays).
+# process clock's EPOCH in the seam, crates/sync/src/time.rs, is the
+# one that stays).
 if grep -rnE 'attach_obs|attach_faults|attach_autoscaler|with_observability|with_counter|start_with_faults|enable_telemetry|enable_with_tiers|ObsHooks' \
   crates tests examples; then
   echo "ci: a late-attach hook is back (see above)" >&2
@@ -55,6 +56,24 @@ if grep -rnE 'with_telemetry|TelemetryHandle|Telemetry::|SeriesStore|ControlSign
   exit 1
 fi
 
+# Every lock, channel, atomic, thread and clock read comes from the one
+# concurrency seam, dlhub-sync (DESIGN.md §7, "The seam"); the vendored
+# parking_lot and crossbeam stand-ins and dlhub-sim are gone. Test
+# modules (from a `#[cfg(test)]` module on) may use std directly.
+seam_leaks=$(find crates/*/src -name '*.rs' -not -path 'crates/sync/*' | sort |
+  xargs awk '
+    FNR == 1 { skip = 0 }
+    prev ~ /^[ \t]*#\[cfg\(test\)\]/ && /^[ \t]*(pub(\(crate\))? )?mod [a-z_]+/ { skip = 1 }
+    !skip && /std::sync::atomic|std::sync::\{[^}]*atomic|std::time::Instant|std::time::\{[^}]*Instant|std::thread|parking_lot|crossbeam|dlhub_sim/ {
+      print FILENAME ":" FNR ": " $0
+    }
+    { prev = $0 }')
+if [[ -n $seam_leaks ]]; then
+  echo "$seam_leaks"
+  echo "ci: non-test code reaches past the dlhub-sync seam (see above)" >&2
+  exit 1
+fi
+
 echo "######## docs name only bins and scripts that exist"
 docs=(README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md)
 cited=$(grep -ohE -e '--bin [a-z0-9_]+' -e 'scripts/[a-z_]+\.(sh|py)' "${docs[@]}" |
@@ -77,9 +96,6 @@ cargo build --workspace --release
 
 echo "######## test"
 cargo test --workspace --release --quiet
-# The vendored channel stand-in is a path dependency, not a workspace
-# member, and every replica pool shuts down through it.
-cargo test --release --quiet -p crossbeam
 
 echo "######## soak (live heap flat per request and per thread served; allocations per request)"
 # Its own binary with a counting global allocator, ignored by the run
@@ -120,6 +136,8 @@ print("ci: matminer-mixed executor.dispatched_per_op = {:.2f} (one job per repli
 scripts/pairs.sh --quick HEAD 7 noop-dispatch
 # And its per-layer form: one traced pair, every per-layer metric.
 scripts/pairs.sh --quick --layers HEAD 7 noop-dispatch
+# And its A/A form: one export as both sides.
+scripts/pairs.sh --quick --aa HEAD 7 noop-dispatch
 
 echo "######## tensor kernels smoke (micro bench, kernels group)"
 # The tensor rung of the layer ladder: the CIFAR GEMM shapes, the dense

@@ -3,7 +3,7 @@
 # CHANGES.md carries: for each workload, ten runs a side on ten
 # consecutive fresh seeds, alternating which side goes first.
 #
-#   scripts/pairs.sh [--quick] [--layers] <parent-rev> <first-seed> [workload…]
+#   scripts/pairs.sh [--quick] [--layers] [--aa] <parent-rev> <first-seed> [workload…]
 #
 # The parent is <parent-rev> exported under /.bench_build (ignored);
 # the change is the working tree. Both are built from their own source
@@ -15,6 +15,9 @@
 # a single traced pair (`--trace 1`) per workload, printed as
 # `metric: parent → change` for every per-layer name BENCHMARK.json
 # lists.
+# `--aa` runs the one export of <parent-rev> as both sides (an A/A
+# set): the same ten pairs and table, so the spread a parent-vs-change
+# verdict has to beat is measured with the harness itself.
 # Reads BENCHMARK.json and runs benchmark/; edits neither. Exits
 # non-zero if any run fails, has a failed op or a wrong answer.
 set -euo pipefail
@@ -24,17 +27,18 @@ root=$PWD
 quick=()
 pairs=10
 trace=0
+aa=0
 while [[ "${1:-}" == --* ]]; do
   case $1 in
-  --quick) quick=(--quick) ;;
-  --layers) trace=1 ;;
+  --quick) quick=(--quick) pairs=1 ;;
+  --layers) trace=1 pairs=1 ;;
+  --aa) aa=1 ;;
   *) break ;;
   esac
-  pairs=1
   shift
 done
 if [[ $# -lt 2 ]]; then
-  echo "usage: scripts/pairs.sh [--quick] [--layers] <parent-rev> <first-seed> [workload…]" >&2
+  echo "usage: scripts/pairs.sh [--quick] [--layers] [--aa] <parent-rev> <first-seed> [workload…]" >&2
   exit 2
 fi
 rev=$(git rev-parse --verify "$1^{commit}")
@@ -57,13 +61,18 @@ if [[ ! -d $parent ]]; then
   mkdir -p "$parent"
   git archive "$rev" | tar -x -C "$parent"
 fi
+change=$root
+if ((aa)); then
+  change=$parent
+  echo "pairs: A/A, both sides run the export of $rev" >&2
+fi
 
 out=$root/.bench_build/pairs
 mkdir -p "$out"
 : >"$out/runs.jsonl"
 
 # Build both sides before anything is timed.
-for side in "$parent" "$root"; do
+for side in "$parent" "$change"; do
   (cd "$side" && cargo build --release --quiet --offline --manifest-path benchmark/Cargo.toml)
 done
 
@@ -81,9 +90,9 @@ for workload in "${workloads[@]}"; do
     echo "pairs: $workload seed $seed" >&2
     if ((i % 2 == 0)); then
       run_side parent "$parent" "$workload" "$seed"
-      run_side change "$root" "$workload" "$seed"
+      run_side change "$change" "$workload" "$seed"
     else
-      run_side change "$root" "$workload" "$seed"
+      run_side change "$change" "$workload" "$seed"
       run_side parent "$parent" "$workload" "$seed"
     fi
   done

@@ -3,7 +3,7 @@
 //!
 //! Every test drives the real stack — Management Service, reconciler,
 //! Parsl executor, admission controller — but feeds it *virtual*
-//! traffic: seeded Poisson arrivals ([`dlhub_sim::workload`]) are
+//! traffic: seeded Poisson arrivals ([`dlhub_bench::workload`]) are
 //! binned onto a one-second tick grid into the servable's request
 //! counter, and each tick closes with one control pass via
 //! [`ManagementService::reconcile_at`] at its virtual timestamp. The
@@ -27,6 +27,8 @@
 //! [`ManagementService::reconcile_at`]: dlhub_core::serving::ManagementService::reconcile_at
 
 use dlhub_auth::IdentityId;
+use dlhub_bench::time::SimTime;
+use dlhub_bench::workload::PoissonArrivals;
 use dlhub_core::admission::{AdmissionConfig, AdmissionController, AdmissionPermit};
 use dlhub_core::autoscale::ControlPolicy;
 use dlhub_core::hub::TestHub;
@@ -35,8 +37,6 @@ use dlhub_core::servable::{servable_fn, ModelType};
 use dlhub_core::serving::ServingConfig;
 use dlhub_core::value::Value;
 use dlhub_core::DlhubError;
-use dlhub_sim::time::SimTime;
-use dlhub_sim::workload::PoissonArrivals;
 use std::time::{Duration, Instant};
 
 const SEC: u64 = 1_000_000_000;
