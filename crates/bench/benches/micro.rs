@@ -181,6 +181,30 @@ fn bench_matsci(c: &mut Criterion) {
     group.bench_function("forest_predict", |b| {
         b.iter(|| black_box(forest.predict(&probe)))
     });
+    // 256 distinct rows in turn, as `matminer-mixed`'s formula pool
+    // reaches the model: no branch predictor learns their paths, where
+    // it learns the one path of the repeated probe above.
+    let pool = dlhub_matsci::dataset::generate(256, 99).features();
+    let mut next = 0;
+    group.bench_function("forest_predict_pool", |b| {
+        b.iter(|| {
+            next = (next + 1) % pool.len();
+            black_box(forest.predict(&pool[next]))
+        })
+    });
+    // `MatminerModel::train(7)`'s fit: the build a first
+    // `dlhub/matminer-model` request waits for.
+    let data = dlhub_matsci::dataset::generate(500, 7);
+    let (x, y) = (data.features(), data.targets());
+    let config = dlhub_matsci::ForestConfig {
+        n_trees: 25,
+        max_features: Some(16),
+        seed: 7,
+        ..Default::default()
+    };
+    group.bench_function("forest_fit", |b| {
+        b.iter(|| black_box(dlhub_matsci::RandomForest::fit(&x, &y, &config)))
+    });
     group.finish();
 }
 

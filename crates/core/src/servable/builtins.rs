@@ -4,6 +4,7 @@
 use crate::servable::{deferred, ModelType, Servable, ServableMetadata, TypeDesc};
 use crate::value::Value;
 use dlhub_matsci::forest::{ForestConfig, RandomForest};
+use dlhub_matsci::FEATURE_COUNT;
 use dlhub_tensor::models::{CIFAR10_INPUT, INCEPTION_INPUT};
 use dlhub_tensor::Network;
 use std::sync::Arc;
@@ -146,44 +147,61 @@ pub struct MatminerModel {
     forest: RandomForest,
 }
 
+/// The stability forest both matminer models serve: 25 trees choosing
+/// among 16 features a split, fitted on 500 synthetic compounds.
+/// Deterministic for a given seed.
+fn stability_forest(seed: u64) -> RandomForest {
+    let data = dlhub_matsci::dataset::generate(500, seed);
+    RandomForest::fit(
+        &data.features(),
+        &data.targets(),
+        &ForestConfig {
+            n_trees: 25,
+            max_features: Some(16),
+            seed,
+            ..ForestConfig::default()
+        },
+    )
+}
+
 impl MatminerModel {
     /// Train the stability model. Deterministic for a given seed.
     pub fn train(seed: u64) -> Self {
-        let data = dlhub_matsci::dataset::generate(500, seed);
-        let forest = RandomForest::fit(
-            &data.features(),
-            &data.targets(),
-            &ForestConfig {
-                n_trees: 25,
-                max_features: Some(16),
-                seed,
-                ..ForestConfig::default()
-            },
-        );
-        MatminerModel { forest }
+        MatminerModel {
+            forest: stability_forest(seed),
+        }
     }
 }
 
-/// The feature row of a matminer model input, read in place.
-fn feature_row(input: &Value) -> Result<&[f32], String> {
+/// The feature row of a matminer model input, widened to `f64`.
+fn feature_row(input: &Value) -> Result<[f64; FEATURE_COUNT], String> {
     let data = match input {
         Value::Tensor { shape, data } if shape.iter().product::<usize>() == data.len() => data,
         _ => return Err("matminer model expects a feature tensor".to_string()),
     };
-    if data.len() != dlhub_matsci::FEATURE_COUNT {
+    if data.len() != FEATURE_COUNT {
         return Err(format!(
-            "expected {} features, got {}",
-            dlhub_matsci::FEATURE_COUNT,
+            "expected {FEATURE_COUNT} features, got {}",
             data.len()
         ));
     }
-    Ok(data)
+    Ok(std::array::from_fn(|i| data[i] as f64))
 }
 
 impl Servable for MatminerModel {
     fn run(&self, input: &Value) -> Result<Value, String> {
-        let features: Vec<f64> = feature_row(input)?.iter().map(|v| *v as f64).collect();
-        Ok(Value::Float(self.forest.predict(&features)))
+        Ok(Value::Float(self.forest.predict(&feature_row(input)?)))
+    }
+
+    fn run_many(&self, inputs: &[Value]) -> Vec<Result<Value, String>> {
+        let rows: Vec<_> = inputs.iter().map(feature_row).collect();
+        let valid: Vec<[f64; FEATURE_COUNT]> = rows.iter().flatten().copied().collect();
+        let mut predictions = self.forest.predict_many(&valid).into_iter();
+        rows.into_iter()
+            .map(|row| {
+                row.map(|_| Value::Float(predictions.next().expect("a prediction per valid row")))
+            })
+            .collect()
     }
 }
 
@@ -198,25 +216,15 @@ impl MatminerModelUq {
     /// Train the UQ stability model (same data/seed regime as
     /// [`MatminerModel::train`]).
     pub fn train(seed: u64) -> Self {
-        let data = dlhub_matsci::dataset::generate(500, seed);
-        let forest = RandomForest::fit(
-            &data.features(),
-            &data.targets(),
-            &ForestConfig {
-                n_trees: 25,
-                max_features: Some(16),
-                seed,
-                ..ForestConfig::default()
-            },
-        );
-        MatminerModelUq { forest }
+        MatminerModelUq {
+            forest: stability_forest(seed),
+        }
     }
 }
 
 impl Servable for MatminerModelUq {
     fn run(&self, input: &Value) -> Result<Value, String> {
-        let features: Vec<f64> = feature_row(input)?.iter().map(|v| *v as f64).collect();
-        let (prediction, uncertainty) = self.forest.predict_with_uncertainty(&features);
+        let (prediction, uncertainty) = self.forest.predict_with_uncertainty(&feature_row(input)?);
         Ok(Value::Json(serde_json::json!({
             "prediction": prediction,
             "uncertainty": uncertainty,
@@ -383,6 +391,15 @@ mod tests {
             }
             let err = model.run(&tensor(vec![3], 3)).unwrap_err();
             assert_eq!(err, format!("expected {n} features, got 3"));
+            // A block answers each input as `run` does, rejects included.
+            let block = [
+                MatminerFeaturize.run(&Value::Str("NaCl".into())).unwrap(),
+                tensor(vec![3], 3),
+                MatminerFeaturize.run(&Value::Str("Fe2O3".into())).unwrap(),
+                Value::Null,
+            ];
+            let each: Vec<_> = block.iter().map(|input| model.run(input)).collect();
+            assert_eq!(format!("{:?}", model.run_many(&block)), format!("{each:?}"));
         }
     }
 
@@ -489,6 +506,58 @@ mod tests {
             let published = published(id).metadata.input_type;
             let shape = classifier.input_shape().to_vec();
             assert_eq!(published, TypeDesc::Tensor(Some(shape)), "{id}");
+        }
+    }
+
+    /// FNV-1a over each tree's `node_count` and `depth`, then the
+    /// `to_bits` of `predict` and of `predict_with_uncertainty` (mean,
+    /// std) on the model's 500 training rows and 2,000 unseen ones.
+    fn forest_bits(forest: &RandomForest, seed: u64) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |word: u64| {
+            for byte in word.to_le_bytes() {
+                h = (h ^ byte as u64).wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        };
+        for tree in forest.trees() {
+            eat(tree.node_count() as u64);
+            eat(tree.depth() as u64);
+        }
+        let train = dlhub_matsci::dataset::generate(500, seed).features();
+        let unseen = dlhub_matsci::dataset::generate(2000, 99).features();
+        for row in train.iter().chain(&unseen) {
+            eat(forest.predict(row).to_bits());
+            let (mean, std) = forest.predict_with_uncertainty(row);
+            eat(mean.to_bits());
+            eat(std.to_bits());
+        }
+        h
+    }
+
+    /// The matminer forests are the ones the sort-based fit and the
+    /// enum walker built and answered with before the fit moved to dense
+    /// ranks and the walk to flat nodes; the constants were recorded
+    /// with those. A change to a split, a sum's order or the partition
+    /// moves them.
+    #[test]
+    fn matminer_forests_keep_their_bits() {
+        let cases = [
+            ("MatminerModel::train(7)", MatminerModel::train(7).forest, 7),
+            ("MatminerModel::train(3)", MatminerModel::train(3).forest, 3),
+            (
+                "MatminerModelUq::train(7)",
+                MatminerModelUq::train(7).forest,
+                7,
+            ),
+        ];
+        let want = [
+            0x9526_c16a_3958_8a07,
+            0x2b80_c749_d82c_8cbc,
+            0x9526_c16a_3958_8a07,
+        ];
+        for ((name, forest, seed), want) in cases.into_iter().zip(want) {
+            let got = forest_bits(&forest, seed);
+            assert_eq!(got, want, "{name}: forest bits changed ({got:#018x})");
         }
     }
 

@@ -51,9 +51,9 @@ use std::time::Duration;
 
 /// Live heap a default hub may hold once built, before any request: the
 /// six servables' metadata and closures, the tiers and their stores
-/// (≈ 110 KB in release on x86-64). No model built at publish fits: the
-/// smallest, the matminer forest, is ≈ 500 KB; CIFAR-10's weights are
-/// ≈ 4.3 MB.
+/// (≈ 110 KB in release on x86-64). CIFAR-10's weights (≈ 4.3 MB) and
+/// Inception's (≈ 3.6 MB) do not fit; the matminer forest (≈ 170 KB)
+/// does, so whether it was built is asked of the servable itself.
 const AT_REST_BUDGET: i64 = 384 * 1024;
 /// Live-heap growth a case may show between its 10 % and 100 % marks.
 const SLACK: i64 = 256 * 1024;
@@ -510,11 +510,26 @@ fn a_hub_at_rest_holds_no_model_it_has_not_served() {
         result.expect("cifar10 serves a synthetic image");
     });
     println!("one cifar10 run: {served:+} B");
+    // It built CIFAR-10 and no other model: a model built at publish or
+    // by another's deploy has nothing left to load.
+    for (id, unbuilt) in [
+        ("dlhub/inception", true),
+        ("dlhub/matminer-model", true),
+        ("dlhub/cifar10", false),
+    ] {
+        let servable = hub.repo.resolve_internal(id).unwrap().0;
+        assert_eq!(
+            servable.load(),
+            unbuilt,
+            "{id}: did load() find a model to build?"
+        );
+    }
     // Its weights, its pool and what the request left behind (memo
-    // entry, span rings) — but no second model.
+    // entry, span rings), within the slack a soak case is allowed.
     assert!(
-        served < cifar10 + inception.min(forest),
-        "one cifar10 run added {served} B: more than CIFAR-10's {cifar10} B of weights \
-         by another model's (inception {inception} B, forest {forest} B)"
+        served < cifar10 + SLACK,
+        "one cifar10 run added {served} B: CIFAR-10's {cifar10} B of weights and \
+         {} B more, past the {SLACK} B slack (inception {inception} B, forest {forest} B)",
+        served - cifar10
     );
 }
