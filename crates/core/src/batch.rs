@@ -25,10 +25,9 @@ use crate::error::DlhubError;
 use crate::value::Value;
 use dlhub_obs::{ServableCost, ServableSeries};
 use dlhub_sync::atomic::{AtomicBool, Ordering};
-use dlhub_sync::channel;
 use dlhub_sync::thread;
 use dlhub_sync::time::Instant;
-use dlhub_sync::{Condvar, Mutex};
+use dlhub_sync::{Condvar, Mutex, Slot};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -103,7 +102,28 @@ pub fn suggested_batch(cost: &ServableCost, target_overhead_fraction: f64, max: 
 
 struct Pending {
     input: Value,
-    reply: channel::Sender<Result<Value, DlhubError>>,
+    reply: Reply,
+}
+
+/// Where a submitter waits for its output. Dropped unanswered (its
+/// flush panicked), it closes the slot, so the submitter hears
+/// "batcher dropped request" instead of waiting forever.
+struct Reply(Option<Arc<Slot<Result<Value, DlhubError>>>>);
+
+impl Reply {
+    fn send(mut self, result: Result<Value, DlhubError>) {
+        if let Some(slot) = self.0.take() {
+            slot.fill(result);
+        }
+    }
+}
+
+impl Drop for Reply {
+    fn drop(&mut self) {
+        if let Some(slot) = self.0.take() {
+            slot.close();
+        }
+    }
 }
 
 struct State {
@@ -175,19 +195,19 @@ impl Batcher {
                     match (dispatch)(inputs, waited) {
                         Ok(outputs) if outputs.len() == replies.len() => {
                             for (reply, out) in replies.into_iter().zip(outputs) {
-                                let _ = reply.send(Ok(out));
+                                reply.send(Ok(out));
                             }
                         }
                         Ok(_) => {
                             for reply in replies {
-                                let _ = reply.send(Err(DlhubError::Transport(
+                                reply.send(Err(DlhubError::Transport(
                                     "batch output count mismatch".into(),
                                 )));
                             }
                         }
                         Err(e) => {
                             for reply in replies {
-                                let _ = reply.send(Err(e.clone()));
+                                reply.send(Err(e.clone()));
                             }
                         }
                     }
@@ -206,13 +226,16 @@ impl Batcher {
     /// Submit one input; blocks until its batch is dispatched and the
     /// matching output arrives.
     pub fn submit(&self, input: Value) -> Result<Value, DlhubError> {
-        let (tx, rx) = channel::bounded(1);
+        let reply = Arc::new(Slot::new());
         {
             let mut st = self.state.lock();
             if self.shutdown.load(Ordering::Relaxed) {
                 return Err(DlhubError::Transport("batcher shut down".into()));
             }
-            st.pending.push(Pending { input, reply: tx });
+            st.pending.push(Pending {
+                input,
+                reply: Reply(Some(Arc::clone(&reply))),
+            });
             // The first item starts the `max_delay` clock, and an idle
             // flusher sleeps without a deadline: wake it to re-arm.
             let first = st.oldest.is_none();
@@ -223,7 +246,8 @@ impl Batcher {
                 self.wakeup.notify_all();
             }
         }
-        rx.recv()
+        reply
+            .take(None)
             .map_err(|_| DlhubError::Transport("batcher dropped request".into()))?
     }
 
@@ -343,6 +367,22 @@ mod tests {
         let r2 = h.join().unwrap();
         assert_eq!(r1.unwrap_err(), DlhubError::Timeout);
         assert_eq!(r2.unwrap_err(), DlhubError::Timeout);
+    }
+
+    #[test]
+    fn a_flush_that_panics_answers_each_of_its_submitters() {
+        let b = Arc::new(Batcher::new(
+            BatchSizing::Fixed(2),
+            Duration::from_secs(10), // only the second item flushes
+            Arc::new(|_, _| panic!("dispatch panicked")),
+        ));
+        let h = {
+            let b = Arc::clone(&b);
+            std::thread::spawn(move || b.submit(Value::Int(1)))
+        };
+        let dropped = Err(DlhubError::Transport("batcher dropped request".into()));
+        assert_eq!(b.submit(Value::Int(2)), dropped);
+        assert_eq!(h.join().unwrap(), dropped);
     }
 
     #[test]

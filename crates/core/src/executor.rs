@@ -14,7 +14,7 @@ use dlhub_sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use dlhub_sync::channel;
 use dlhub_sync::thread;
 use dlhub_sync::time::{now_ns, Instant};
-use dlhub_sync::{Condvar, Mutex, MutexGuard, RwLock};
+use dlhub_sync::{Mutex, MutexGuard, RwLock, Slot};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::ops::Range;
@@ -211,8 +211,9 @@ struct Task {
     /// Obs-clock instant after which the task counts as wedged.
     deadline_ns: u64,
     progress: Mutex<Progress>,
-    /// Wakes the blocking caller of a task that has no `done`.
-    finished: Condvar,
+    /// The outcome of a task that has no `done`, for its blocking
+    /// caller.
+    outcome: Slot<Answered>,
 }
 
 /// The shared countdown of one task, completed exactly once: by the
@@ -226,9 +227,8 @@ struct Progress {
     first_error: Option<(usize, String)>,
     completed: bool,
     /// Who to tell; `None` when a blocking caller waits on the task
-    /// itself, in which case the outcome is parked in `outcome`.
+    /// itself, in which case the outcome fills [`Task::outcome`].
     done: Option<Done>,
-    outcome: Option<Answered>,
 }
 
 impl Task {
@@ -285,9 +285,8 @@ impl Task {
                 done(outcome);
             }
             None => {
-                progress.outcome = Some(outcome);
                 drop(progress);
-                self.finished.notify_one();
+                self.outcome.fill(outcome);
             }
         }
         true
@@ -1019,9 +1018,8 @@ impl ParslExecutor {
                 first_error: None,
                 completed: false,
                 done,
-                outcome: None,
             }),
-            finished: Condvar::new(),
+            outcome: Slot::new(),
         });
         let Lane {
             sender,
@@ -1165,18 +1163,14 @@ impl Executor for ParslExecutor {
     ) -> Execution {
         let inputs = Arc::new(inputs.to_vec());
         let task = self.start(servable_id, servable, inputs, step, None);
-        let mut progress = task.progress.lock();
         loop {
-            if let Some(outcome) = progress.outcome.take() {
-                return outcome.map(Answers::into_parts);
-            }
             let left = Duration::from_nanos(task.deadline_ns.saturating_sub(now_ns()));
             // Past the deadline another thread may be mid-expiry.
             let left = left.max(Duration::from_millis(1));
-            if task.finished.wait_for(&mut progress, left).timed_out() {
-                drop(progress);
-                self.reap_expired();
-                progress = task.progress.lock();
+            // Nothing closes a task's outcome: the wait only times out.
+            match task.outcome.take(Some(Instant::now() + left)) {
+                Ok(outcome) => return outcome.map(Answers::into_parts),
+                Err(_) => self.reap_expired(),
             }
         }
     }

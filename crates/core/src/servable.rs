@@ -10,9 +10,10 @@
 pub mod builtins;
 
 use crate::value::Value;
+use dlhub_sync::Slot;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Supported model families (Table II: "DLHub … can store and serve
 /// any Python 3-compatible model or processing function").
@@ -234,10 +235,11 @@ where
 /// the builder, and the model once built. [`Servable::load`] — which an
 /// executor calls before a task's first job leaves — or else the first
 /// call builds it, exactly once however many threads ask at the same
-/// time; it is kept while the servable is published.
+/// time; it is kept while the servable is published. A build that
+/// panics keeps nothing, and the next load or call builds again.
 pub struct Deferred<S> {
     build: Box<dyn Fn() -> S + Send + Sync>,
-    model: OnceLock<S>,
+    model: Slot<Arc<S>>,
 }
 
 impl<S: Servable> Deferred<S> {
@@ -245,13 +247,13 @@ impl<S: Servable> Deferred<S> {
     pub fn new(build: impl Fn() -> S + Send + Sync + 'static) -> Self {
         Deferred {
             build: Box::new(build),
-            model: OnceLock::new(),
+            model: Slot::new(),
         }
     }
 
     /// The model, built now if nothing has built it yet.
-    fn model(&self) -> &S {
-        self.model.get_or_init(&self.build)
+    fn model(&self) -> Arc<S> {
+        self.model.get_or_fill(|| Arc::new((self.build)()))
     }
 }
 
@@ -266,9 +268,9 @@ impl<S: Servable> Servable for Deferred<S> {
 
     fn load(&self) -> bool {
         let mut built = false;
-        self.model.get_or_init(|| {
+        self.model.get_or_fill(|| {
             built = true;
-            (self.build)()
+            Arc::new((self.build)())
         });
         built
     }
@@ -404,6 +406,36 @@ mod tests {
         });
         assert_eq!(builds.load(Ordering::SeqCst), 1);
         assert!(loads <= 1, "{loads} loads reported the one build");
+    }
+
+    /// A deferred `noop` whose first build panics.
+    fn first_build_panics(builds: &Arc<AtomicUsize>) -> Deferred<NoopServable> {
+        let builds = Arc::clone(builds);
+        Deferred::new(move || {
+            if builds.fetch_add(1, Ordering::SeqCst) == 0 {
+                panic!("the first build fails");
+            }
+            NoopServable
+        })
+    }
+
+    #[test]
+    fn a_build_that_panics_keeps_nothing_and_the_next_load_or_call_builds() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        // A failed load, then a call.
+        let builds = Arc::new(AtomicUsize::new(0));
+        let servable = first_build_panics(&builds);
+        assert!(catch_unwind(AssertUnwindSafe(|| servable.load())).is_err());
+        assert_eq!(servable.run(&Value::Int(1)), hello());
+        assert!(!servable.load(), "the call built it");
+        assert_eq!(builds.load(Ordering::SeqCst), 2);
+        // A failed call, then a load.
+        let builds = Arc::new(AtomicUsize::new(0));
+        let servable = first_build_panics(&builds);
+        assert!(catch_unwind(AssertUnwindSafe(|| servable.run(&Value::Null))).is_err());
+        assert!(servable.load(), "the load after a failed build builds");
+        assert_eq!(servable.run_many(&[Value::Null]), vec![hello()]);
+        assert_eq!(builds.load(Ordering::SeqCst), 2);
     }
 
     fn arb_value() -> impl Strategy<Value = Value> {

@@ -480,7 +480,7 @@ impl Broker {
     pub(crate) fn reply(&self, delivery: Delivery, payload: Bytes) {
         if let Some(slot) = &delivery.message.reply {
             if !self.drop_send_injected(&delivery.topic) {
-                slot.fill(payload);
+                slot.reply.fill(payload);
             }
         }
         delivery.ack();

@@ -3,7 +3,7 @@
 use bytes::Bytes;
 use dlhub_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use dlhub_sync::time::Instant;
-use dlhub_sync::{Condvar, Mutex};
+use dlhub_sync::Slot;
 use std::fmt;
 use std::sync::Arc;
 
@@ -29,54 +29,22 @@ impl fmt::Display for MessageId {
     }
 }
 
-/// State of a [`ReplySlot`]. One-way: `Waiting` → `Ready` → `Closed`,
-/// or `Waiting` → `Closed` when the caller gives up first.
-#[derive(Debug, Default)]
-pub(crate) enum SlotState {
-    #[default]
-    Waiting,
-    Ready(Bytes),
-    /// The reply was taken, or the caller timed out: later replies
-    /// (a late first execution, the second execution of a redelivered
-    /// request) are dropped.
-    Closed,
-}
-
 /// The one-shot slot a request's reply is delivered into.
 ///
 /// The caller and every delivery of the request share it, so whichever
 /// thread finishes the work hands the reply straight to the blocked
 /// caller — replies never travel through a topic. A socket transport
-/// would have its reader thread fill the same slots.
-#[derive(Default)]
+/// would have its reader thread fill the same slots. Only the first
+/// reply lands; once the caller has taken it or given up, the slot is
+/// closed and later replies (a late first execution, the second
+/// execution of a redelivered request) are dropped.
+#[derive(Debug, Default)]
 pub(crate) struct ReplySlot {
-    pub(crate) state: Mutex<SlotState>,
-    pub(crate) ready: Condvar,
+    pub(crate) reply: Slot<Bytes>,
     /// Live [`crate::Responder`]s of this request. While one exists a
     /// server still owns the request, so the broker renews its lease
     /// instead of redelivering work that is in progress.
     pub(crate) responders: AtomicUsize,
-}
-
-impl fmt::Debug for ReplySlot {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_tuple("ReplySlot").field(&self.state).finish()
-    }
-}
-
-impl ReplySlot {
-    /// Deliver the reply and wake the caller. Only the first reply to
-    /// a still-waiting caller lands; returns whether this one did.
-    pub(crate) fn fill(&self, payload: Bytes) -> bool {
-        let mut state = self.state.lock();
-        if !matches!(*state, SlotState::Waiting) {
-            return false;
-        }
-        *state = SlotState::Ready(payload);
-        drop(state);
-        self.ready.notify_one();
-        true
-    }
 }
 
 /// A message queued on a topic.
@@ -141,9 +109,13 @@ mod tests {
         let m = Message::request(Bytes::from_static(b"x"), Arc::clone(&slot));
         // A redelivered copy shares the slot.
         let copy = m.clone();
-        assert!(m.reply.unwrap().fill(Bytes::from_static(b"first")));
-        assert!(!copy.reply.unwrap().fill(Bytes::from_static(b"second")));
-        assert!(matches!(&*slot.state.lock(), SlotState::Ready(b) if &b[..] == b"first"));
+        let (first, second) = (m.reply.unwrap(), copy.reply.unwrap());
+        assert!(first.reply.fill(Bytes::from_static(b"first")));
+        assert!(!second.reply.fill(Bytes::from_static(b"second")));
+        assert_eq!(
+            slot.reply.try_take(),
+            Ok(Some(Bytes::from_static(b"first")))
+        );
     }
 
     #[test]

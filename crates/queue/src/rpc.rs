@@ -8,10 +8,11 @@
 //! that fills the slot from whichever thread finishes the work.
 
 use crate::broker::{Broker, Delivery, QueueError};
-use crate::message::{Message, MessageId, ReplySlot, SlotState};
+use crate::message::{Message, MessageId, ReplySlot};
 use bytes::Bytes;
 use dlhub_sync::atomic::Ordering;
 use dlhub_sync::time::Instant;
+use dlhub_sync::SlotError;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
@@ -81,42 +82,6 @@ impl RpcClient {
     }
 }
 
-/// Block on a reply slot until it is filled or `deadline` passes.
-fn wait(slot: &ReplySlot, deadline: Option<Instant>) -> Result<Bytes, RpcError> {
-    let mut state = slot.state.lock();
-    loop {
-        if let Some(reply) = take(&mut state).transpose() {
-            return reply;
-        }
-        match deadline {
-            Some(d) => {
-                if slot.ready.wait_until(&mut state, d).timed_out()
-                    && matches!(*state, SlotState::Waiting)
-                {
-                    // Closed: the reply, should it still come, is
-                    // dropped by `ReplySlot::fill`.
-                    *state = SlotState::Closed;
-                    return Err(RpcError::Timeout);
-                }
-            }
-            None => slot.ready.wait(&mut state),
-        }
-    }
-}
-
-/// Take an arrived reply out of a slot, closing it; `Ok(None)` while
-/// the reply is pending.
-fn take(state: &mut SlotState) -> Result<Option<Bytes>, RpcError> {
-    match std::mem::replace(state, SlotState::Closed) {
-        SlotState::Waiting => {
-            *state = SlotState::Waiting;
-            Ok(None)
-        }
-        SlotState::Ready(payload) => Ok(Some(payload)),
-        SlotState::Closed => Err(RpcError::Canceled),
-    }
-}
-
 impl fmt::Debug for RpcClient {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("RpcClient")
@@ -141,18 +106,24 @@ impl ReplyHandle {
 
     /// Block until the reply arrives.
     pub fn wait(self) -> Result<Bytes, RpcError> {
-        wait(&self.slot, None)
+        self.slot.reply.take(None).map_err(|_| RpcError::Canceled)
     }
 
     /// Block until the reply arrives or `timeout` elapses. After a
     /// timeout the reply, should it still come, is dropped.
     pub fn wait_timeout(self, timeout: Duration) -> Result<Bytes, RpcError> {
-        wait(&self.slot, Some(Instant::now() + timeout))
+        let reply = &self.slot.reply;
+        match reply.take(Some(Instant::now() + timeout)) {
+            Ok(payload) => Ok(payload),
+            // A reply that beat the close still counts.
+            Err(SlotError::TimedOut) => reply.close().ok_or(RpcError::Timeout),
+            Err(SlotError::Closed) => Err(RpcError::Canceled),
+        }
     }
 
     /// Poll without blocking; `None` while the reply is pending.
     pub fn try_take(&self) -> Result<Option<Bytes>, RpcError> {
-        take(&mut self.slot.state.lock())
+        self.slot.reply.try_take().map_err(|_| RpcError::Canceled)
     }
 }
 

@@ -9,6 +9,10 @@
 //! - [`Mutex`], [`RwLock`], [`Condvar`] and their guards, on top of
 //!   `std::sync` and without lock poisoning (a poisoned std lock is
 //!   transparently recovered);
+//! - [`Slot`]: a fill-once cell threads wait on for its value, the
+//!   one implementation of every one-shot wait (a request's reply, a
+//!   blocking executor caller, a transfer, a batched item, a model
+//!   built on first deploy);
 //! - [`channel`]: multi-producer, multi-consumer FIFO channels;
 //! - [`atomic`]: std's atomics;
 //! - [`thread`]: spawning, scoped threads, sleeping and yielding;
@@ -20,7 +24,10 @@
 //! or is scheduled.
 
 pub mod channel;
+mod slot;
 pub mod time;
+
+pub use slot::{Slot, SlotError};
 
 /// Atomics: std's, re-exported.
 pub mod atomic {

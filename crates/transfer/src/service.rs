@@ -6,7 +6,7 @@ use dlhub_auth::IdentityId;
 use dlhub_sync::atomic::{AtomicU64, Ordering};
 use dlhub_sync::thread;
 use dlhub_sync::time::Instant;
-use dlhub_sync::{Condvar, Mutex};
+use dlhub_sync::{Mutex, Slot};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -74,15 +74,17 @@ impl fmt::Display for TransferError {
 
 impl std::error::Error for TransferError {}
 
-struct Registry {
-    tasks: Mutex<HashMap<TransferTaskId, TransferInfo>>,
-    cv: Condvar,
+/// One submitted transfer: its record at submission, and its final
+/// record once the worker has settled it.
+struct Task {
+    submitted: TransferInfo,
+    done: Slot<TransferInfo>,
 }
 
 /// The Globus-Transfer-like service. Cheap to clone.
 #[derive(Clone)]
 pub struct TransferService {
-    registry: Arc<Registry>,
+    tasks: Arc<Mutex<HashMap<TransferTaskId, Arc<Task>>>>,
 }
 
 static NEXT_TASK: AtomicU64 = AtomicU64::new(1);
@@ -91,10 +93,7 @@ impl TransferService {
     /// Start a service.
     pub fn new() -> Self {
         TransferService {
-            registry: Arc::new(Registry {
-                tasks: Mutex::new(HashMap::new()),
-                cv: Condvar::new(),
-            }),
+            tasks: Arc::default(),
         }
     }
 
@@ -130,19 +129,18 @@ impl TransferService {
         if !dest.permits(identity) {
             return Err(TransferError::PermissionDenied(dest.name().to_string()));
         }
-        let Some(content) = source.get(source_path) else {
+        // The file can be deleted between the two reads.
+        let (Some(content), Some(expected)) =
+            (source.get(source_path), source.checksum(source_path))
+        else {
             return Err(TransferError::NoSuchFile(source_path.to_string()));
         };
-        let expected = source
-            .checksum(source_path)
-            .expect("file with content has a checksum");
         let id = TransferTaskId(format!(
             "xfer-{:08x}",
             NEXT_TASK.fetch_add(1, Ordering::Relaxed)
         ));
-        self.registry.tasks.lock().insert(
-            id.clone(),
-            TransferInfo {
+        let task = Arc::new(Task {
+            submitted: TransferInfo {
                 id: id.clone(),
                 status: TransferStatus::Active,
                 bytes: content.len(),
@@ -150,18 +148,25 @@ impl TransferService {
                 verified: false,
                 error: None,
             },
-        );
+            done: Slot::new(),
+        });
+        self.tasks.lock().insert(id.clone(), Arc::clone(&task));
         // The transfer itself runs on a worker thread (Globus tasks
         // are asynchronous; callers poll or wait).
-        let registry = Arc::clone(&self.registry);
         let source = source.clone();
         let dest = dest.clone();
-        let task_id = id.clone();
         let source_path = source_path.to_string();
         let dest_path = dest_path.to_string();
         thread::Builder::new()
-            .name(format!("transfer-{task_id}"))
+            .name(format!("transfer-{id}"))
             .spawn(move || {
+                let failed = |bytes, modeled_duration, error: String| TransferInfo {
+                    status: TransferStatus::Failed,
+                    bytes,
+                    modeled_duration,
+                    error: Some(error),
+                    ..task.submitted.clone()
+                };
                 // Re-read at copy time (the file may have changed
                 // since submission; Globus verifies what it moved).
                 let outcome = match source.get(&source_path) {
@@ -170,73 +175,47 @@ impl TransferService {
                         let bandwidth = source.bandwidth_mbps().min(dest.bandwidth_mbps());
                         let modeled =
                             Duration::from_secs_f64(bytes as f64 / (bandwidth * 1024.0 * 1024.0));
-                        let arrived = Checksum::of(&content);
-                        if arrived != expected {
-                            (
-                                TransferStatus::Failed,
-                                bytes,
-                                modeled,
-                                false,
-                                Some("integrity check failed".to_string()),
-                            )
+                        if Checksum::of(&content) != expected {
+                            failed(bytes, modeled, "integrity check failed".to_string())
                         } else {
                             dest.put(&dest_path, content);
-                            (TransferStatus::Succeeded, bytes, modeled, true, None)
+                            TransferInfo {
+                                status: TransferStatus::Succeeded,
+                                bytes,
+                                modeled_duration: modeled,
+                                verified: true,
+                                ..task.submitted.clone()
+                            }
                         }
                     }
-                    None => (
-                        TransferStatus::Failed,
-                        0,
-                        Duration::ZERO,
-                        false,
-                        Some(format!("source vanished: {source_path}")),
-                    ),
+                    None => failed(0, Duration::ZERO, format!("source vanished: {source_path}")),
                 };
-                let mut tasks = registry.tasks.lock();
-                if let Some(info) = tasks.get_mut(&task_id) {
-                    info.status = outcome.0;
-                    info.bytes = outcome.1;
-                    info.modeled_duration = outcome.2;
-                    info.verified = outcome.3;
-                    info.error = outcome.4;
-                }
-                registry.cv.notify_all();
+                task.done.fill(outcome);
             })
             .expect("spawn transfer worker");
         Ok(id)
     }
 
+    /// A task's record: final once settled, or else as submitted after
+    /// waiting until `deadline` for it to settle.
+    fn info(&self, id: &TransferTaskId, deadline: Instant) -> Result<TransferInfo, TransferError> {
+        let task = self.tasks.lock().get(id).cloned();
+        let task = task.ok_or_else(|| TransferError::UnknownTask(id.to_string()))?;
+        Ok(task
+            .done
+            .read(Some(deadline))
+            .unwrap_or_else(|_| task.submitted.clone()))
+    }
+
     /// Poll a task.
     pub fn status(&self, id: &TransferTaskId) -> Result<TransferInfo, TransferError> {
-        self.registry
-            .tasks
-            .lock()
-            .get(id)
-            .cloned()
-            .ok_or_else(|| TransferError::UnknownTask(id.to_string()))
+        self.info(id, Instant::now())
     }
 
     /// Block until the task leaves `Active` (bounded internally at 30s
     /// as a deadlock guard).
     pub fn wait(&self, id: &TransferTaskId) -> Result<TransferInfo, TransferError> {
-        let deadline = Instant::now() + Duration::from_secs(30);
-        let mut tasks = self.registry.tasks.lock();
-        loop {
-            match tasks.get(id) {
-                Some(info) if info.status != TransferStatus::Active => return Ok(info.clone()),
-                Some(_) => {
-                    if self
-                        .registry
-                        .cv
-                        .wait_until(&mut tasks, deadline)
-                        .timed_out()
-                    {
-                        return Ok(tasks.get(id).cloned().expect("task present while waiting"));
-                    }
-                }
-                None => return Err(TransferError::UnknownTask(id.to_string())),
-            }
-        }
+        self.info(id, Instant::now() + Duration::from_secs(30))
     }
 }
 
@@ -277,6 +256,31 @@ mod tests {
             svc.submit(&src, "/ghost", &dst, "/x"),
             Err(TransferError::NoSuchFile(_))
         ));
+    }
+
+    #[test]
+    fn a_file_deleted_during_submit_is_no_such_file() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let (svc, src, dst) = pair();
+        src.put("/f", vec![1; 64]);
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    src.delete("/f");
+                    src.put("/f", vec![1; 64]);
+                }
+            });
+            for _ in 0..500 {
+                match svc.submit(&src, "/f", &dst, "/f") {
+                    // One transfer worker at a time.
+                    Ok(task) => drop(svc.wait(&task).unwrap()),
+                    Err(TransferError::NoSuchFile(_)) => {}
+                    Err(e) => panic!("unexpected {e}"),
+                }
+            }
+            stop.store(true, Ordering::Relaxed);
+        });
     }
 
     #[test]

@@ -30,13 +30,6 @@ if grep -rnE 'attach_obs|attach_faults|attach_autoscaler|with_observability|with
   echo "ci: a late-attach hook is back (see above)" >&2
   exit 1
 fi
-# The one OnceLock the core keeps is the model deferral in servable.rs:
-# a model built on its servable's first deploy, not a tier's wiring.
-if grep -rn 'OnceLock' crates/core/src crates/queue/src crates/obs/src/lib.rs |
-  grep -v '^crates/core/src/servable.rs:'; then
-  echo "ci: a fill-in-later handle is back on the wiring path (see above)" >&2
-  exit 1
-fi
 # ISSUE 25: the paper's figures are served by the real dispatch path.
 # The simulator's serving model, its per-system profiles, the kernel
 # calibration and the bins the figures absorbed are gone (EXPERIMENTS.md).
@@ -56,21 +49,40 @@ if grep -rnE 'with_telemetry|TelemetryHandle|Telemetry::|SeriesStore|ControlSign
   exit 1
 fi
 
+# Lines of non-test code in crates/*/src outside crates/sync that match
+# the regex $1. Test modules (from a `#[cfg(test)]` module on) are
+# skipped.
+non_test() {
+  find crates/*/src -name '*.rs' -not -path 'crates/sync/*' | sort |
+    PATTERN="$1" xargs awk '
+      FNR == 1 { skip = 0 }
+      prev ~ /^[ \t]*#\[cfg\(test\)\]/ && /^[ \t]*(pub(\(crate\))? )?mod [a-z_]+/ { skip = 1 }
+      !skip && $0 ~ ENVIRON["PATTERN"] { print FILENAME ":" FNR ": " $0 }
+      { prev = $0 }'
+}
+
 # Every lock, channel, atomic, thread and clock read comes from the one
 # concurrency seam, dlhub-sync (DESIGN.md §7, "The seam"); the vendored
 # parking_lot and crossbeam stand-ins and dlhub-sim are gone. Test
-# modules (from a `#[cfg(test)]` module on) may use std directly.
-seam_leaks=$(find crates/*/src -name '*.rs' -not -path 'crates/sync/*' | sort |
-  xargs awk '
-    FNR == 1 { skip = 0 }
-    prev ~ /^[ \t]*#\[cfg\(test\)\]/ && /^[ \t]*(pub(\(crate\))? )?mod [a-z_]+/ { skip = 1 }
-    !skip && /std::sync::atomic|std::sync::\{[^}]*atomic|std::time::Instant|std::time::\{[^}]*Instant|std::thread|parking_lot|crossbeam|dlhub_sim/ {
-      print FILENAME ":" FNR ": " $0
-    }
-    { prev = $0 }')
+# modules may use std directly.
+seam_leaks=$(non_test 'std::sync::atomic|std::sync::\{[^}]*atomic|std::time::Instant|std::time::\{[^}]*Instant|std::thread|parking_lot|crossbeam|dlhub_sim')
 if [[ -n $seam_leaks ]]; then
   echo "$seam_leaks"
   echo "ci: non-test code reaches past the dlhub-sync seam (see above)" >&2
+  exit 1
+fi
+# Every one-shot wait for a value is the seam's fill-once Slot (DESIGN.md
+# §7, "The seam"): no OnceLock, and no Condvar of its own, outside it. The
+# four condvars that stay wait on a condition over shared state, not for
+# a value: the broker's space_cv, the shard's park_cv, the batch
+# flusher's wakeup and the TaskTable's.
+one_shots=$({
+  non_test 'OnceLock'
+  non_test 'Condvar' | grep -vE '^crates/(queue/src/broker|queue/src/shard|core/src/batch|core/src/task)\.rs:'
+} || true)
+if [[ -n $one_shots ]]; then
+  echo "$one_shots"
+  echo "ci: a one-shot wait outside dlhub_sync::Slot (see above)" >&2
   exit 1
 fi
 
