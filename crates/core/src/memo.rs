@@ -142,14 +142,17 @@ impl Sketch {
         }
     }
 
+    /// Which counter of each row the key's hash selects.
+    fn columns(hash: (u64, u64)) -> [usize; SKETCH_DEPTH] {
+        [hash.0, hash.0 >> 32, hash.1, hash.1 >> 32].map(|word| word as usize & (SKETCH_WIDTH - 1))
+    }
+
     /// The key's counter in each row.
     fn cells(&self, hash: (u64, u64)) -> impl Iterator<Item = &AtomicU8> {
-        [hash.0, hash.0 >> 32, hash.1, hash.1 >> 32]
+        Self::columns(hash)
             .into_iter()
             .enumerate()
-            .map(|(row, word)| {
-                &self.counters[row * SKETCH_WIDTH + (word as usize & (SKETCH_WIDTH - 1))]
-            })
+            .map(|(row, column)| &self.counters[row * SKETCH_WIDTH + column])
     }
 
     /// Count one lookup of `hash`; `entries` sets the halving period.
@@ -563,6 +566,36 @@ mod tests {
         let stats = c.stats();
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 1);
+    }
+
+    #[test]
+    fn benchmark_images_spread_over_shards_and_sketch_counters() {
+        // The shard is the low bits of the hash's first half; each
+        // sketch row indexes by its own 32 bits. Bucketed sixteen ways
+        // (the shards; each row's counters by their index's top and
+        // bottom four bits), no bucket may hold twice its share.
+        let images = crate::value::benchmark_images();
+        let mut shards = [0usize; SHARD_COUNT];
+        let mut top = [[0usize; 16]; SKETCH_DEPTH];
+        let mut bottom = [[0usize; 16]; SKETCH_DEPTH];
+        for image in &images {
+            let key = MemoKey::new("dlhub/cifar10", image);
+            shards[key.shard()] += 1;
+            for (row, column) in Sketch::columns(key.input_hash).into_iter().enumerate() {
+                top[row][column / (SKETCH_WIDTH / 16)] += 1;
+                bottom[row][column % 16] += 1;
+            }
+        }
+        let limit = 2 * images.len() / 16;
+        assert!(shards.iter().all(|&n| n <= limit), "shards {shards:?}");
+        for row in 0..SKETCH_DEPTH {
+            for (bits, buckets) in [("top", &top[row]), ("bottom", &bottom[row])] {
+                assert!(
+                    buckets.iter().all(|&n| n <= limit),
+                    "row {row} by its {bits} bits: {buckets:?}"
+                );
+            }
+        }
     }
 
     #[test]

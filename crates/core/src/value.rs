@@ -133,8 +133,12 @@ impl Value {
                     out.extend_from_slice(&(*d as u64).to_le_bytes());
                 }
                 encode_len(out, data.len());
-                for v in data {
-                    out.extend_from_slice(&v.to_bits().to_le_bytes());
+                // One sized write: a push per element does not vectorize.
+                let at = out.len();
+                out.resize(at + 4 * data.len(), 0);
+                let (chunks, _) = out[at..].as_chunks_mut::<4>();
+                for (chunk, v) in chunks.iter_mut().zip(data) {
+                    *chunk = v.to_bits().to_le_bytes();
                 }
             }
             Value::List(items) => {
@@ -253,13 +257,7 @@ impl Value {
                     h.word(*d as u64);
                 }
                 h.word(data.len() as u64);
-                let mut pairs = data.chunks_exact(2);
-                for pair in &mut pairs {
-                    h.word(pair[0].to_bits() as u64 | (pair[1].to_bits() as u64) << 32);
-                }
-                if let [last] = pairs.remainder() {
-                    h.word(last.to_bits() as u64);
-                }
+                h.floats(data);
             }
             Value::List(items) => {
                 h.word(7);
@@ -346,30 +344,78 @@ fn canonical_json(v: &serde_json::Value) -> String {
     }
 }
 
-/// Two independent 64-bit lanes fed a `u64` at a time, so hashing a
-/// 12 KB image costs one dependent multiply per eight bytes, not per
-/// byte.
+/// Hash lanes a block of the word stream is spread across.
+const LANES: usize = 8;
+
+/// One seed per lane: the first eight SplitMix64 outputs from state 0.
+const LANE_SEEDS: [u64; LANES] = [
+    0xe220_a839_7b1d_cdaf,
+    0x6e78_9e6a_a1b9_65f4,
+    0x06c4_5d18_8009_454f,
+    0xf88b_b8a8_724c_81ec,
+    0x1b39_896a_51a8_749b,
+    0x53cb_9f0c_747e_a2ea,
+    0x2c82_9abe_1f45_32e1,
+    0xc584_133a_c916_ab3c,
+];
+
+/// One word into one lane: xor, an odd multiply, then the high half
+/// folded down. For a fixed word it is a bijection of the lane, and
+/// for a fixed lane a bijection of the word. The xor-shift matters: a
+/// multiply only carries a difference upward, so without it a flip of
+/// bit 63 stays a lone bit 63 in the lane, and the same flip in the
+/// lane's next word cancels it.
+fn step(lane: u64, word: u64, odd_multiplier: u64) -> u64 {
+    let x = (lane ^ word).wrapping_mul(odd_multiplier);
+    x ^ (x >> 32)
+}
+
+/// The 128-bit content hash of a word stream, computed in eight
+/// independent lanes so a 12 KB image is not one chain of 1,536
+/// dependent multiplies.
 ///
-/// A lane step is a bijection of the lane for a given word, so inputs
-/// that differ in one word never collide. The xor-shift after the
-/// multiply matters: a multiply only carries a difference upward, so
-/// without it a flip of bit 63 stays a lone bit 63 in the lane, and the
-/// same flip 64 words later leaves the same lanes.
+/// Word `i` of each block of eight goes into lane `i`. `finish` folds
+/// the eight lanes in order, then the words of the partial block, then
+/// their count, through two chained lanes `(a, b)`: the 128 bits. Two
+/// streams of one length that differ in one word never collide: the
+/// lane (or partial word) that took the difference differs to the end,
+/// since every later step is a bijection of it, and each fold step is
+/// a bijection of `a` and of `b` for a fixed word and of the word for
+/// a fixed `a` or `b`.
 struct Hasher {
-    a: u64,
-    b: u64,
+    lanes: [u64; LANES],
+    /// The partial block: its first `buffered` words.
+    block: [u64; LANES],
+    buffered: usize,
 }
 
 impl Hasher {
     fn new() -> Self {
         Hasher {
-            a: 0xcbf2_9ce4_8422_2325,
-            b: 0x9e37_79b9_7f4a_7c15,
+            lanes: LANE_SEEDS,
+            block: [0; LANES],
+            buffered: 0,
+        }
+    }
+
+    fn absorb(&mut self, block: [u64; LANES]) {
+        for (lane, word) in self.lanes.iter_mut().zip(block) {
+            *lane = step(*lane, word, 0x9E37_79B9_7F4A_7C15);
         }
     }
 
     fn finish(&self) -> (u64, u64) {
-        (self.a, self.b)
+        let (mut a, mut b) = (0xcbf2_9ce4_8422_2325, 0x9e37_79b9_7f4a_7c15);
+        let partial = &self.block[..self.buffered];
+        for &word in self.lanes.iter().chain(partial) {
+            a = step(a, word, 0x9E37_79B9_7F4A_7C15);
+            b = step(b, word, 0xC2B2_AE3D_27D4_EB4F);
+        }
+        let count = self.buffered as u64;
+        (
+            step(a, count, 0x9E37_79B9_7F4A_7C15),
+            step(b, count, 0xC2B2_AE3D_27D4_EB4F),
+        )
     }
 }
 
@@ -393,16 +439,54 @@ trait WordSink {
             self.word(u64::from_le_bytes(last));
         }
     }
+
+    /// Tensor elements, two to a word (see [`pair_word`]); an odd one
+    /// out takes a word of its own.
+    fn floats(&mut self, floats: &[f32]) {
+        let (pairs, last) = floats.as_chunks::<2>();
+        for pair in pairs {
+            self.word(pair_word(*pair));
+        }
+        if let [last] = last {
+            self.word(last.to_bits() as u64);
+        }
+    }
+}
+
+/// Two floats as one word, the first in the low half.
+fn pair_word([low, high]: [f32; 2]) -> u64 {
+    low.to_bits() as u64 | (high.to_bits() as u64) << 32
 }
 
 impl WordSink for Hasher {
     fn word(&mut self, word: u64) {
-        let step = |lane: u64, odd_multiplier: u64| {
-            let x = (lane ^ word).wrapping_mul(odd_multiplier);
-            x ^ (x >> 32)
-        };
-        self.a = step(self.a, 0x9E37_79B9_7F4A_7C15);
-        self.b = step(self.b, 0xC2B2_AE3D_27D4_EB4F);
+        self.block[self.buffered] = word;
+        self.buffered += 1;
+        if self.buffered == LANES {
+            self.absorb(self.block);
+            self.buffered = 0;
+        }
+    }
+
+    /// The same words as the default, but once a block starts, whole
+    /// blocks of 16 floats go into the lanes straight from the slice.
+    fn floats(&mut self, floats: &[f32]) {
+        let (pairs, last) = floats.as_chunks::<2>();
+        let lead = ((LANES - self.buffered) % LANES).min(pairs.len());
+        let (lead, pairs) = pairs.split_at(lead);
+        let (blocks, tail) = pairs.as_chunks::<LANES>();
+        for pair in lead {
+            self.word(pair_word(*pair));
+        }
+        for block in blocks {
+            self.absorb(block.map(pair_word));
+        }
+        for pair in tail {
+            self.word(pair_word(*pair));
+        }
+        if let [last] = last {
+            self.word(last.to_bits() as u64);
+        }
     }
 }
 
@@ -428,6 +512,26 @@ impl fmt::Display for Value {
             Value::Json(j) => write!(f, "{j}"),
         }
     }
+}
+
+/// The repo benchmark's input shape: 1024 images of 3x32x32 uniform
+/// [0, 1) floats (SplitMix64 from seed 7, as `benchmark/src/inputs.rs`).
+#[cfg(test)]
+pub(crate) fn benchmark_images() -> Vec<Value> {
+    let mut state = 7u64;
+    let mut next = move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+    };
+    (0..1024)
+        .map(|_| Value::Tensor {
+            shape: vec![3, 32, 32],
+            data: (0..3 * 32 * 32).map(|_| next() as f32).collect(),
+        })
+        .collect()
 }
 
 /// The wire bytes of `levels` one-element lists around a `Null`.
@@ -533,24 +637,8 @@ mod tests {
 
     #[test]
     fn content_hash_distinguishes_images_and_single_bit_flips() {
-        // The repo benchmark's input shape: 1024 images of 3x32x32
-        // uniform [0, 1) floats (SplitMix64, as benchmark/src/inputs.rs).
         use std::collections::HashSet;
-        let mut state = 7u64;
-        let mut next = move || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
-        };
-        let image = |data: Vec<f32>| Value::Tensor {
-            shape: vec![3, 32, 32],
-            data,
-        };
-        let images: Vec<Value> = (0..1024)
-            .map(|_| image((0..3 * 32 * 32).map(|_| next() as f32).collect()))
-            .collect();
+        let images = benchmark_images();
         let mut seen: HashSet<(u64, u64)> = images.iter().map(Value::content_hash).collect();
         assert_eq!(seen.len(), images.len(), "two pool images share a hash");
 
@@ -583,6 +671,115 @@ mod tests {
         assert_eq!(a.content_hash(), b.content_hash());
         let c = Value::Json(json!({"x": 2, "y": [1, 2]}));
         assert_ne!(a.content_hash(), c.content_hash());
+    }
+
+    /// The hash of `value`'s recorded word stream, fed one word at a
+    /// time: what `content_hash` must give however the words arrive.
+    fn word_by_word(value: &Value) -> (u64, u64) {
+        let mut words = Vec::new();
+        value.hash_into(&mut words);
+        let mut h = Hasher::new();
+        for word in words {
+            h.word(word);
+        }
+        h.finish()
+    }
+
+    #[test]
+    fn content_hash_depends_only_on_the_word_stream() {
+        // Tensors of every length through two and a half blocks, alone
+        // and after a string whose length puts the lanes' buffer at each
+        // offset of a block when the floats arrive.
+        for len in 0..=40 {
+            let tensor = Value::Tensor {
+                shape: vec![len],
+                data: (0..len).map(|i| (i as f32 * 0.37).sin()).collect(),
+            };
+            assert_eq!(tensor.content_hash(), word_by_word(&tensor), "{len} floats");
+            for text in 0..LANES {
+                let list = Value::List(vec![Value::Str("x".repeat(8 * text)), tensor.clone()]);
+                assert_eq!(
+                    list.content_hash(),
+                    word_by_word(&list),
+                    "{len} floats after {text} words of text"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn content_hash_changes_when_floats_or_blocks_swap() {
+        let image = benchmark_images().swap_remove(0);
+        let original = image.content_hash();
+        let swapped = |swap: &dyn Fn(&mut [f32])| {
+            let mut probe = image.clone();
+            if let Value::Tensor { data, .. } = &mut probe {
+                swap(data);
+            }
+            probe.content_hash()
+        };
+        for i in 0..3 * 32 * 32 - 1 {
+            assert_ne!(
+                swapped(&|d| d.swap(i, i + 1)),
+                original,
+                "floats {i} and {}",
+                i + 1
+            );
+        }
+        // A block of 16 floats is one word in each lane: swapped whole,
+        // every lane takes the same words in another order.
+        let block_swap = |j: usize, k: usize| {
+            swapped(&|d| {
+                let (head, tail) = d.split_at_mut(16 * k);
+                head[16 * j..16 * j + 16].swap_with_slice(&mut tail[..16]);
+            })
+        };
+        let blocks = 3 * 32 * 32 / 16;
+        for k in 1..blocks {
+            assert_ne!(block_swap(0, k), original, "blocks 0 and {k}");
+            assert_ne!(block_swap(k - 1, k), original, "blocks {} and {k}", k - 1);
+        }
+    }
+
+    /// The tensor encoding as it was: one push per float.
+    fn encode_per_float(value: &Value) -> Vec<u8> {
+        let Value::Tensor { shape, data } = value else {
+            unreachable!()
+        };
+        let mut out = vec![6];
+        encode_len(&mut out, shape.len());
+        for d in shape {
+            out.extend_from_slice(&(*d as u64).to_le_bytes());
+        }
+        encode_len(&mut out, data.len());
+        for v in data {
+            out.extend_from_slice(&v.to_bits().to_le_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn tensors_encode_the_bytes_the_per_float_loop_did() {
+        let odd = [
+            -0.0,
+            f32::from_bits(0x7FC0_0001), // quiet NaN with a payload
+            f32::from_bits(0xFF80_0003), // signalling NaN, sign set
+            f32::from_bits(1),           // least subnormal
+            -f32::from_bits(0x007F_FFFF),
+            f32::INFINITY,
+            1.5,
+        ];
+        for len in [0, 1, 2, 3, 17, 3072] {
+            let value = Value::Tensor {
+                shape: vec![len],
+                data: (0..len).map(|i| odd[i % odd.len()]).collect(),
+            };
+            // After a prefix, so the sized write starts off a word.
+            let mut out = vec![0xAB];
+            value.encode_into(&mut out);
+            assert_eq!(out[0], 0xAB);
+            assert_eq!(out[1..], encode_per_float(&value), "{len} floats");
+        }
     }
 
     #[test]

@@ -151,11 +151,12 @@ scripts/pairs.sh --quick --layers HEAD 7 noop-dispatch
 # And its A/A form: one export as both sides.
 scripts/pairs.sh --quick --aa HEAD 7 noop-dispatch
 
-echo "######## kernels smoke (micro bench, kernels and matsci groups)"
-# The tensor and forest rungs of the layer ladder: the CIFAR GEMM shapes,
-# the dense layer, ReLU, max-pool, both forward passes and the forest's
-# fit and predictions. A short window: this keeps the groups building,
-# running and printing every row DESIGN.md §16 cites.
+echo "######## kernels smoke (micro bench, kernels, matsci and memo groups)"
+# The tensor, forest and memo rungs of the layer ladder: the CIFAR GEMM
+# shapes, the dense layer, ReLU, max-pool, both forward passes, the
+# forest's fit and predictions, and the memo's hit, miss and CIFAR input
+# key hash. A short window: this keeps the groups building, running and
+# printing every row DESIGN.md §16 and §7 cite.
 scripts/kernels_smoke.sh
 
 echo "######## chaos + analytics (fixed seed matrix)"
