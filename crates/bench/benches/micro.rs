@@ -34,6 +34,12 @@ fn bench_memo_cache(c: &mut Criterion) {
     group.bench_function("key_hash_cifar_input", |b| {
         b.iter(|| black_box(MemoKey::new("m", &image)))
     });
+    // A short input's hash alone: `MemoKey::new` would also time
+    // copying the servable id, several times the hash itself.
+    let int = Value::Int(7);
+    group.bench_function("key_hash_int", |b| {
+        b.iter(|| black_box(black_box(&int).content_hash()))
+    });
     group.finish();
 }
 

@@ -1913,9 +1913,14 @@ mod tests {
         // Stall the pool's first dispatch between its queue stamp and
         // its send by holding the table of tasks in flight: its job's
         // pickup waits over 5 ms, however fast the replica takes it.
+        // The 6 ms count from the pool's deployment, which `ready` does
+        // just before the stamp, not from the spawn.
         let stall = ex.shared.inflight.tasks.lock();
         std::thread::scope(|scope| {
             let first = scope.spawn(|| ex.execute("u/ms", &millisecond, &[Value::Null]));
+            while ex.replicas("u/ms") == 0 {
+                std::thread::yield_now();
+            }
             std::thread::sleep(Duration::from_millis(6));
             drop(stall);
             first.join().unwrap().unwrap();

@@ -85,7 +85,7 @@ const SKETCH_PERIOD_FACTOR: usize = 32;
 /// Cache key: servable id plus the input's 128-bit content hash.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct MemoKey {
-    servable: String,
+    servable: Arc<str>,
     input_hash: (u64, u64),
 }
 
@@ -93,7 +93,16 @@ impl MemoKey {
     /// Build the key for `servable` applied to `input`.
     pub fn new(servable: &str, input: &Value) -> Self {
         MemoKey {
-            servable: servable.to_string(),
+            servable: servable.into(),
+            input_hash: input.content_hash(),
+        }
+    }
+
+    /// Build the key for `servable` applied to `input`, sharing the
+    /// request's servable id: nothing is allocated.
+    pub fn for_servable(servable: &Arc<str>, input: &Value) -> Self {
+        MemoKey {
+            servable: Arc::clone(servable),
             input_hash: input.content_hash(),
         }
     }
@@ -533,7 +542,7 @@ impl MemoCache {
             let victims: Vec<usize> = shard
                 .index
                 .iter()
-                .filter(|(k, _)| k.servable == servable)
+                .filter(|(k, _)| *k.servable == *servable)
                 .map(|(_, idx)| *idx)
                 .collect();
             for idx in victims {
@@ -604,6 +613,25 @@ mod tests {
         let input = Value::Int(1);
         c.put(MemoKey::new("a", &input), Value::Str("from-a".into()));
         assert_eq!(c.get(&MemoKey::new("b", &input)), None);
+    }
+
+    #[test]
+    fn one_image_sent_to_two_servables_is_two_entries() {
+        let c = cache();
+        let image = crate::value::benchmark_images().swap_remove(0);
+        let shared: Arc<str> = "dlhub/cifar10".into();
+        let a = MemoKey::for_servable(&shared, &image);
+        assert_eq!(a, MemoKey::new("dlhub/cifar10", &image));
+        let b = MemoKey::new("dlhub/cifar10-v2", &image);
+        c.put(a.clone(), Value::Int(1));
+        c.put(b.clone(), Value::Int(2));
+        assert_eq!(c.len(), 2);
+        assert_eq!(c.get(&a), Some(Value::Int(1)));
+        assert_eq!(c.get(&b), Some(Value::Int(2)));
+        c.invalidate_servable("dlhub/cifar10");
+        assert_eq!(c.get(&a), None);
+        assert_eq!(c.get(&b), Some(Value::Int(2)));
+        assert_eq!(c.len(), 1);
     }
 
     #[test]

@@ -134,7 +134,7 @@ impl ManagementService {
     ) -> Result<((Value, Vec<StepCost>), Timings), DlhubError> {
         let memoize = self.memo_enabled.load(Ordering::Relaxed);
         let memo = memoize.then(|| {
-            let key = MemoKey::new(frame.servable(), &input);
+            let key = MemoKey::for_servable(frame.servable(), &input);
             (self.memo.generation(), key)
         });
         if let Some((value, timings)) = memo.as_ref().and_then(|(_, key)| self.memo_hit(frame, key))

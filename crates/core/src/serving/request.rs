@@ -379,7 +379,7 @@ impl ManagementService {
         // The generation is read before the lookup: a republish from
         // here on invalidates what this request is about to compute.
         let memo = memoize.then(|| {
-            let key = MemoKey::new(&frame.servable, &input);
+            let key = MemoKey::for_servable(&frame.servable, &input);
             (self.memo.generation(), key)
         });
         if let Some(hit) = memo.as_ref().and_then(|(_, key)| self.memo_hit(frame, key)) {

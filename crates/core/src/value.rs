@@ -344,20 +344,42 @@ fn canonical_json(v: &serde_json::Value) -> String {
     }
 }
 
-/// Hash lanes a block of the word stream is spread across.
-const LANES: usize = 8;
+/// Hash lanes a block of the word stream is spread across: 64 words,
+/// eight 512-bit vectors.
+const LANES: usize = 64;
 
-/// One seed per lane: the first eight SplitMix64 outputs from state 0.
-const LANE_SEEDS: [u64; LANES] = [
-    0xe220_a839_7b1d_cdaf,
-    0x6e78_9e6a_a1b9_65f4,
-    0x06c4_5d18_8009_454f,
-    0xf88b_b8a8_724c_81ec,
-    0x1b39_896a_51a8_749b,
-    0x53cb_9f0c_747e_a2ea,
-    0x2c82_9abe_1f45_32e1,
-    0xc584_133a_c916_ab3c,
-];
+/// The odd multiplier of every lane and of the chain's `a`.
+const MUL_A: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The odd multiplier of the chain's `b`.
+const MUL_B: u64 = 0xC2B2_AE3D_27D4_EB4F;
+
+/// Where the two-lane `(a, b)` chain of [`Hasher::finish`] starts once
+/// a block has gone into the lanes.
+const CHAIN_START: (u64, u64) = (0xcbf2_9ce4_8422_2325, 0x9e37_79b9_7f4a_7c15);
+
+/// One seed per lane: the first 64 SplitMix64 outputs from state 0.
+const LANE_SEEDS: [u64; LANES] = {
+    let mut seeds = [0; LANES];
+    let mut state = 0u64;
+    let mut i = 0;
+    while i < LANES {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        seeds[i] = z ^ (z >> 31);
+        i += 1;
+    }
+    seeds
+};
+
+/// Where the chain of a stream that fills no block starts:
+/// [`CHAIN_START`] with the first eight seeds folded in. An eight-lane
+/// hash folded exactly those eight untouched seeds for a stream of
+/// fewer than eight words, so such a stream (an `Int`, a short `Str`)
+/// keeps the bits, and the memo shard, it had there.
+const SHORT_START: (u64, u64) = fold(CHAIN_START, LANE_SEEDS.split_at(8).0);
 
 /// One word into one lane: xor, an odd multiply, then the high half
 /// folded down. For a fixed word it is a bijection of the lane, and
@@ -365,57 +387,172 @@ const LANE_SEEDS: [u64; LANES] = [
 /// multiply only carries a difference upward, so without it a flip of
 /// bit 63 stays a lone bit 63 in the lane, and the same flip in the
 /// lane's next word cancels it.
-fn step(lane: u64, word: u64, odd_multiplier: u64) -> u64 {
+const fn step(lane: u64, word: u64, odd_multiplier: u64) -> u64 {
     let x = (lane ^ word).wrapping_mul(odd_multiplier);
     x ^ (x >> 32)
 }
 
-/// The 128-bit content hash of a word stream, computed in eight
+/// `words` in order through the two-lane chain.
+const fn fold(mut chain: (u64, u64), words: &[u64]) -> (u64, u64) {
+    let mut i = 0;
+    while i < words.len() {
+        chain = (
+            step(chain.0, words[i], MUL_A),
+            step(chain.1, words[i], MUL_B),
+        );
+        i += 1;
+    }
+    chain
+}
+
+/// The builds of [`absorb_blocks`], narrowest first. A [`Hasher`] uses
+/// the widest the CPU reports, up to the one it is capped at.
+#[derive(Clone, Copy, PartialEq, PartialOrd)]
+enum Build {
+    /// Baseline x86-64 (SSE2), or whatever the target is.
+    #[cfg_attr(not(test), expect(dead_code, reason = "only tests cap a hasher to it"))]
+    Portable,
+    /// AVX2: four lanes a vector, the 64-bit multiply emulated.
+    Avx2,
+    /// AVX-512F and DQ: eight lanes a vector, one `vpmullq` each.
+    Avx512,
+}
+
+/// Whole blocks into the lanes, word `i` of each into lane `i`, by the
+/// widest build the CPU reports, up to `cap`. Every build runs the one
+/// loop of [`absorb_blocks`], so every build gives the same bits.
+fn absorb<T: Copy>(
+    cap: Build,
+    lanes: &mut [u64; LANES],
+    blocks: &[[T; LANES]],
+    word: impl Fn(T) -> u64,
+) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if cap >= Build::Avx512
+            && is_x86_feature_detected!("avx512f")
+            && is_x86_feature_detected!("avx512dq")
+        {
+            // SAFETY: the CPU reported avx512f and avx512dq on the lines
+            // above, the only requirements of `absorb_avx512`.
+            return unsafe { absorb_avx512(lanes, blocks, word) };
+        }
+        if cap >= Build::Avx2 && is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU reported avx2 on the line above, the only
+            // requirement of `absorb_avx2`.
+            return unsafe { absorb_avx2(lanes, blocks, word) };
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = cap;
+    absorb_blocks(lanes, blocks, word)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn absorb_avx2<T: Copy>(lanes: &mut [u64; LANES], blocks: &[[T; LANES]], word: impl Fn(T) -> u64) {
+    absorb_blocks(lanes, blocks, word)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq")]
+fn absorb_avx512<T: Copy>(
+    lanes: &mut [u64; LANES],
+    blocks: &[[T; LANES]],
+    word: impl Fn(T) -> u64,
+) {
+    absorb_blocks(lanes, blocks, word)
+}
+
+/// The one loop every build compiles. The 64 lanes are independent
+/// chains, so a build keeps as many in a vector register as it holds.
+#[inline(always)]
+fn absorb_blocks<T: Copy>(
+    lanes: &mut [u64; LANES],
+    blocks: &[[T; LANES]],
+    word: impl Fn(T) -> u64,
+) {
+    let mut acc = *lanes;
+    for block in blocks {
+        for (lane, w) in acc.iter_mut().zip(block) {
+            *lane = step(*lane, word(*w), MUL_A);
+        }
+    }
+    *lanes = acc;
+}
+
+/// The 128-bit content hash of a word stream, computed in 64
 /// independent lanes so a 12 KB image is not one chain of 1,536
-/// dependent multiplies.
+/// dependent multiplies, and so a vector unit takes eight lanes a
+/// multiply.
 ///
-/// Word `i` of each block of eight goes into lane `i`. `finish` folds
-/// the eight lanes in order, then the words of the partial block, then
-/// their count, through two chained lanes `(a, b)`: the 128 bits. Two
-/// streams of one length that differ in one word never collide: the
-/// lane (or partial word) that took the difference differs to the end,
-/// since every later step is a bijection of it, and each fold step is
-/// a bijection of `a` and of `b` for a fixed word and of the word for
-/// a fixed `a` or `b`.
+/// Word `i` of each block of 64 goes into lane `i`. `finish` folds the
+/// 64 lanes in order, then the words of the partial block, then their
+/// count, through two chained lanes `(a, b)`: the 128 bits. A stream
+/// that fills no block skips the lanes: its chain starts from
+/// [`SHORT_START`]. Two streams of one length that differ in one word
+/// never collide: they fill the same number of blocks, the lane (or
+/// partial word) that took the difference differs to the end, since
+/// every later step is a bijection of it, and each fold step is a
+/// bijection of `a` and of `b` for a fixed word and of the word for a
+/// fixed `a` or `b`.
+///
+/// The fields stay in this order: with `buffered` after `block`, the
+/// one `memset` that zeroes both made each read of `buffered` wait on a
+/// wide store it could not forward from, and a two-word key took twice
+/// as long.
+#[repr(C)]
 struct Hasher {
-    lanes: [u64; LANES],
+    buffered: usize,
+    /// The widest build the lanes may be absorbed by.
+    cap: Build,
+    /// The lanes, once a block has gone in.
+    lanes: Option<[u64; LANES]>,
     /// The partial block: its first `buffered` words.
     block: [u64; LANES],
-    buffered: usize,
 }
 
 impl Hasher {
     fn new() -> Self {
+        Hasher::capped(Build::Avx512)
+    }
+
+    fn capped(cap: Build) -> Self {
         Hasher {
-            lanes: LANE_SEEDS,
+            lanes: None,
             block: [0; LANES],
             buffered: 0,
+            cap,
         }
     }
 
-    fn absorb(&mut self, block: [u64; LANES]) {
-        for (lane, word) in self.lanes.iter_mut().zip(block) {
-            *lane = step(*lane, word, 0x9E37_79B9_7F4A_7C15);
+    /// Pairs into the partial block, absorbing it if they fill it: at
+    /// most as many as it has room for.
+    fn buffer(&mut self, pairs: &[[f32; 2]]) {
+        for (slot, pair) in self.block[self.buffered..].iter_mut().zip(pairs) {
+            *slot = pair_word(*pair);
         }
+        self.buffered += pairs.len();
+        if self.buffered == LANES {
+            self.absorb_block();
+        }
+    }
+
+    /// The partial block, now full, into the lanes.
+    fn absorb_block(&mut self) {
+        let lanes = self.lanes.get_or_insert(LANE_SEEDS);
+        let block = std::slice::from_ref(&self.block);
+        absorb(self.cap, lanes, block, std::convert::identity);
+        self.buffered = 0;
     }
 
     fn finish(&self) -> (u64, u64) {
-        let (mut a, mut b) = (0xcbf2_9ce4_8422_2325, 0x9e37_79b9_7f4a_7c15);
-        let partial = &self.block[..self.buffered];
-        for &word in self.lanes.iter().chain(partial) {
-            a = step(a, word, 0x9E37_79B9_7F4A_7C15);
-            b = step(b, word, 0xC2B2_AE3D_27D4_EB4F);
-        }
+        let start = match &self.lanes {
+            Some(lanes) => fold(CHAIN_START, lanes),
+            None => SHORT_START,
+        };
         let count = self.buffered as u64;
-        (
-            step(a, count, 0x9E37_79B9_7F4A_7C15),
-            step(b, count, 0xC2B2_AE3D_27D4_EB4F),
-        )
+        fold(fold(start, &self.block[..self.buffered]), &[count])
     }
 }
 
@@ -463,27 +600,26 @@ impl WordSink for Hasher {
         self.block[self.buffered] = word;
         self.buffered += 1;
         if self.buffered == LANES {
-            self.absorb(self.block);
-            self.buffered = 0;
+            self.absorb_block();
         }
     }
 
-    /// The same words as the default, but once a block starts, whole
-    /// blocks of 16 floats go into the lanes straight from the slice.
+    /// The same words as the default, straight from the slice: the
+    /// pairs that complete a started block are written into it in one
+    /// loop, whole blocks after it go into the lanes, and the rest
+    /// starts the next partial block.
     fn floats(&mut self, floats: &[f32]) {
         let (pairs, last) = floats.as_chunks::<2>();
         let lead = ((LANES - self.buffered) % LANES).min(pairs.len());
         let (lead, pairs) = pairs.split_at(lead);
         let (blocks, tail) = pairs.as_chunks::<LANES>();
-        for pair in lead {
-            self.word(pair_word(*pair));
+        self.buffer(lead);
+        // Only a whole block starts the lanes (see `SHORT_START`).
+        if !blocks.is_empty() {
+            let lanes = self.lanes.get_or_insert(LANE_SEEDS);
+            absorb(self.cap, lanes, blocks, pair_word);
         }
-        for block in blocks {
-            self.absorb(block.map(pair_word));
-        }
-        for pair in tail {
-            self.word(pair_word(*pair));
-        }
+        self.buffer(tail);
         if let [last] = last {
             self.word(last.to_bits() as u64);
         }
@@ -687,9 +823,9 @@ mod tests {
 
     #[test]
     fn content_hash_depends_only_on_the_word_stream() {
-        // Tensors of every length through two and a half blocks, alone
-        // and after a string whose length puts the lanes' buffer at each
-        // offset of a block when the floats arrive.
+        // Tensors of up to 20 words, alone and after a string whose
+        // length puts the lanes' buffer at each offset of a block when
+        // the floats arrive.
         for len in 0..=40 {
             let tensor = Value::Tensor {
                 shape: vec![len],
@@ -704,6 +840,121 @@ mod tests {
                     "{len} floats after {text} words of text"
                 );
             }
+        }
+    }
+
+    /// `value`'s hash with the lanes absorbed by `build` at widest.
+    fn hash_on(build: Build, value: &Value) -> (u64, u64) {
+        let mut h = Hasher::capped(build);
+        value.hash_into(&mut h);
+        h.finish()
+    }
+
+    #[test]
+    fn every_build_gives_the_baseline_bits() {
+        // Up to 150 words of floats: at least two full blocks wherever
+        // the run starts, and after a string of each length it starts
+        // at each offset of a block.
+        for len in 0..=300 {
+            let tensor = Value::Tensor {
+                shape: vec![len],
+                data: (0..len).map(|i| (i as f32 * 0.37).sin()).collect(),
+            };
+            let lists = (0..LANES)
+                .map(|text| Value::List(vec![Value::Str("x".repeat(8 * text)), tensor.clone()]));
+            for value in std::iter::once(tensor.clone()).chain(lists) {
+                let baseline = hash_on(Build::Portable, &value);
+                assert_eq!(word_by_word(&value), baseline, "{value:?}");
+                for build in [Build::Avx2, Build::Avx512] {
+                    assert_eq!(hash_on(build, &value), baseline, "{value:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn streams_that_fill_no_block_keep_their_eight_lane_hash() {
+        // Recorded from the eight-lane hash. Every value here is under
+        // eight words: `Str` of 40 bytes is tag, length and five words.
+        let text = "abcdefghijklmnopqrstuvwxyz0123456789ABCD";
+        let strs: [(u64, u64); 41] = [
+            (0xb58a_5782_a667_7d73, 0x0e8b_ac03_4052_1ec9),
+            (0x5234_e68d_e115_1134, 0x5cdf_b726_2aa4_dcac),
+            (0x536c_dd47_564c_d2d3, 0xc614_219d_260f_b21a),
+            (0x412e_f9b0_316a_80cf, 0xadac_1ce8_2821_ebcf),
+            (0xd6fd_777c_5ddb_d0d0, 0x5cb9_167f_e81d_b42f),
+            (0x1b66_4903_a908_9052, 0x7e9d_eacd_f057_23b6),
+            (0x19cb_b9ab_4828_91ee, 0xafda_0209_a833_c3fd),
+            (0xa202_aa34_585e_6dd2, 0xd3ea_37bd_8cb9_bfe6),
+            (0xbceb_f580_4ba7_3508, 0x6d35_a78c_94e3_523f),
+            (0x95ff_a63b_e779_b48d, 0xbc05_6749_a274_e084),
+            (0xfdd9_9b6f_f089_589e, 0xce68_11eb_e490_2b57),
+            (0x3451_60d8_e86c_ca38, 0x9853_94a5_1027_647b),
+            (0xe261_bc4f_886a_d57f, 0x03cd_572d_17cf_871b),
+            (0x880d_d0ee_1a8e_cce1, 0xabe0_7f9c_2e8f_9ec8),
+            (0x58cd_5d21_9635_d2c3, 0x3866_ae79_f75f_a9ba),
+            (0x2c23_74de_ad76_a3b0, 0x0f3b_572a_0772_c1a6),
+            (0x0715_f94d_5c11_b68c, 0x61df_f599_4a8f_0d89),
+            (0x05d5_54b5_19a7_c467, 0x72b7_b4fb_0364_9981),
+            (0xbf28_30bf_a8b7_c2ad, 0xb1c4_5d54_076e_d0a6),
+            (0xccde_dec5_bc8f_0597, 0xaef1_8990_2ff8_7102),
+            (0xa24d_9f81_c783_fc2f, 0xcef8_a34e_e4c6_0e77),
+            (0xdf17_a8e4_b127_6e5d, 0xfeee_ecad_4b12_eee8),
+            (0xdc88_54d8_0d0d_2434, 0x39cf_e754_046e_ad40),
+            (0x9593_57cc_154d_ad0c, 0x81cf_0d13_518b_64a3),
+            (0xff79_ce15_e61e_763d, 0x70d5_4019_1527_7d49),
+            (0x26e5_66fa_da3f_4903, 0x0a08_9567_d72a_03b4),
+            (0xdec3_5956_8f63_3e6a, 0x844f_7c44_7ec5_bde8),
+            (0x5a80_b379_48c5_4a0e, 0x8cb8_c22b_8794_ca1f),
+            (0xa735_f77e_7799_1619, 0x8c2e_87f0_5601_6bfe),
+            (0x291e_f11a_e5a8_2512, 0x0934_741c_3863_bd74),
+            (0x1258_b0f8_4b8b_fc24, 0x42de_6c37_8363_658d),
+            (0x8f78_5ed6_38e6_aa14, 0x23dd_35e3_f287_c60c),
+            (0x7233_cd12_3847_e768, 0x88a9_5dba_4599_f900),
+            (0x4d74_5315_d1e9_ec74, 0x909d_6922_7ac2_7e34),
+            (0x5920_48bf_0f43_b342, 0xf8ca_66ea_53b9_9f6c),
+            (0x5506_d7c3_477a_2412, 0x1875_6a22_7f60_3ec7),
+            (0xd00e_afc5_301c_0e03, 0xf0bb_d7c0_16c7_2af6),
+            (0xbcee_7fec_5fde_3099, 0xd089_50c4_6596_9cde),
+            (0x5a78_c8ce_cc41_02ad, 0xf519_e132_8c78_0e38),
+            (0x3fd4_a5ad_9de6_e6b4, 0x67d8_3707_ae11_2ea5),
+            (0x5cad_6047_6e0d_38c2, 0x7e57_9c1e_a301_fe0a),
+        ];
+        let pinned = [
+            (Value::Null, (0x63a2_764a_a705_5607, 0xcb1e_5c0f_542c_eb01)),
+            (
+                Value::Bool(false),
+                (0xa8b2_1b66_e6a0_47d7, 0xe7bd_7ae5_590d_2a33),
+            ),
+            (
+                Value::Bool(true),
+                (0xb347_b09f_f358_fb69, 0xc260_f552_742a_e956),
+            ),
+            (
+                Value::Int(0),
+                (0xe28f_9f82_add3_769a, 0x0b20_3e9e_6cc0_2ffe),
+            ),
+            (
+                Value::Int(1),
+                (0xdc96_0ac2_141d_ce7e, 0x244c_3071_0e86_53a3),
+            ),
+            (
+                Value::Int(-1),
+                (0xf7c9_29f6_59a0_2558, 0x570d_a242_828a_3079),
+            ),
+            (
+                Value::Int(i64::MAX),
+                (0x376e_6801_1907_64af, 0x6af8_17ea_3f7f_85d1),
+            ),
+            (
+                Value::Float(1.5),
+                (0x195d_cbc5_314c_7d01, 0x143f_75b7_fefb_76f4),
+            ),
+        ]
+        .into_iter()
+        .chain((0..=40).map(|n| (Value::Str(text[..n].into()), strs[n])));
+        for (value, hash) in pinned {
+            assert_eq!(value.content_hash(), hash, "{value:?}");
         }
     }
 
@@ -726,8 +977,8 @@ mod tests {
                 i + 1
             );
         }
-        // A block of 16 floats is one word in each lane: swapped whole,
-        // every lane takes the same words in another order.
+        // A run of 16 floats is eight words: swapped whole, the same
+        // words reach the lanes in another order.
         let block_swap = |j: usize, k: usize| {
             swapped(&|d| {
                 let (head, tail) = d.split_at_mut(16 * k);

@@ -151,11 +151,11 @@ scripts/pairs.sh --quick --layers HEAD 7 noop-dispatch
 # And its A/A form: one export as both sides.
 scripts/pairs.sh --quick --aa HEAD 7 noop-dispatch
 
-echo "######## kernels smoke (micro bench, kernels, matsci and memo groups)"
+echo "######## kernels smoke (micro bench, kernels, matsci and memo groups; both memo key-hash rows)"
 # The tensor, forest and memo rungs of the layer ladder: the CIFAR GEMM
 # shapes, the dense layer, ReLU, max-pool, both forward passes, the
-# forest's fit and predictions, and the memo's hit, miss and CIFAR input
-# key hash. A short window: this keeps the groups building, running and
+# forest's fit and predictions, and the memo's hit, miss and the key
+# hashes of a CIFAR input and of an `Int`. A short window: this keeps the groups building, running and
 # printing every row DESIGN.md §16 and §7 cite.
 scripts/kernels_smoke.sh
 

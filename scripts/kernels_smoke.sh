@@ -3,7 +3,7 @@
 # `kernels`, `matsci` and `memo` groups) on a short window. Fails if a
 # group stops building or running, or if its output lacks a row
 # DESIGN.md cites (§16 for the kernels and the forest, §7 for the memo
-# key hash and lookups): the text says they are reproduced by these
+# key hashes and lookups): the text says they are reproduced by these
 # commands, so their rows have to exist.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -27,4 +27,4 @@ smoke() {
 smoke kernels gemm_32x288x1024 dense_4096x256 relu_32x32x32 \
   maxpool_32x32x32_2x2 cifar10_forward inception_forward
 smoke matsci forest_fit forest_predict forest_predict_pool
-smoke memo hit miss key_hash_cifar_input
+smoke memo hit miss key_hash_cifar_input key_hash_int
