@@ -42,8 +42,8 @@ use dlhub_core::obs::{analyze_all, StageNs, TraceAnalysis};
 use dlhub_core::servable::{servable_fn, ModelType};
 use dlhub_core::serving::ServingConfig;
 use dlhub_core::value::Value;
+use dlhub_queue::shard::ShardedRing;
 use dlhub_sync::atomic::{AtomicU64, Ordering};
-use dlhub_sync::channel;
 use dlhub_sync::thread;
 use dlhub_sync::time::Instant;
 
@@ -284,41 +284,40 @@ fn run_scenario(sc: &Scenario, schedule: &WorkloadSchedule) -> Outcome {
     let errors = Arc::new(AtomicU64::new(0));
     let mut sent_by_tenant = vec![0u64; sc.tenants.len()];
 
-    let (tx, rx) = channel::unbounded::<(u64, usize, usize, u64)>();
+    let queue = Arc::new(ShardedRing::<(u64, usize, usize, u64)>::new());
     let epoch = Instant::now();
 
     let workers: Vec<_> = (0..sc.workers)
         .map(|_| {
-            let rx = rx.clone();
+            let queue = Arc::clone(&queue);
             let service = Arc::clone(&hub.service);
             let names = names.clone();
             let tokens = tokens.clone();
             let recorder = Arc::clone(&recorder);
             let shed = Arc::clone(&shed);
             let errors = Arc::clone(&errors);
-            thread::spawn(move || loop {
-                let job = rx.recv();
-                let (intended_ns, servable, tenant, payload_bytes) = match job {
-                    Ok(spec) => spec,
-                    Err(_) => break,
-                };
-                let started_ns = epoch.elapsed().as_nanos() as u64;
-                let payload = vec![0xA5u8; payload_bytes as usize];
-                match service.run(&tokens[tenant], &names[servable], Value::Bytes(payload)) {
-                    Ok(res) => {
-                        let completed_ns = epoch.elapsed().as_nanos() as u64;
-                        recorder.record(OpenLoopSample {
-                            intended_ns,
-                            started_ns,
-                            completed_ns,
-                            trace: res.trace,
-                        });
-                    }
-                    Err(DlhubError::Overloaded { .. }) => {
-                        shed[tenant].fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(_) => {
-                        errors.fetch_add(1, Ordering::Relaxed);
+            thread::spawn(move || {
+                while let Some((_, (intended_ns, servable, tenant, payload_bytes))) =
+                    queue.claim(None)
+                {
+                    let started_ns = epoch.elapsed().as_nanos() as u64;
+                    let payload = vec![0xA5u8; payload_bytes as usize];
+                    match service.run(&tokens[tenant], &names[servable], Value::Bytes(payload)) {
+                        Ok(res) => {
+                            let completed_ns = epoch.elapsed().as_nanos() as u64;
+                            recorder.record(OpenLoopSample {
+                                intended_ns,
+                                started_ns,
+                                completed_ns,
+                                trace: res.trace,
+                            });
+                        }
+                        Err(DlhubError::Overloaded { .. }) => {
+                            shed[tenant].fetch_add(1, Ordering::Relaxed);
+                        }
+                        Err(_) => {
+                            errors.fetch_add(1, Ordering::Relaxed);
+                        }
                     }
                 }
             })
@@ -327,7 +326,7 @@ fn run_scenario(sc: &Scenario, schedule: &WorkloadSchedule) -> Outcome {
 
     // The dispatcher IS the open loop: requests are released at their
     // scheduled instants no matter how the service is doing. A slow
-    // service grows the channel backlog, and that wait is charged to
+    // service grows the queue's backlog, and that wait is charged to
     // the corrected latency via the intended-start stamp.
     for spec in &schedule.requests {
         let target = Duration::from_nanos(spec.at.0);
@@ -339,10 +338,10 @@ fn run_scenario(sc: &Scenario, schedule: &WorkloadSchedule) -> Outcome {
             thread::sleep((target - now).min(Duration::from_millis(1)));
         }
         sent_by_tenant[spec.tenant] += 1;
-        tx.send((spec.at.0, spec.servable, spec.tenant, spec.payload_bytes))
-            .expect("dispatch");
+        queue.force_reserve();
+        queue.push_back((spec.at.0, spec.servable, spec.tenant, spec.payload_bytes));
     }
-    drop(tx);
+    queue.close();
     for w in workers {
         w.join().expect("worker");
     }

@@ -10,8 +10,8 @@ use crate::servable::{ModelType, Servable};
 use crate::value::Value;
 use dlhub_fault::{site, Fault, FaultHandle, FaultKind};
 use dlhub_obs::{Counter, Gauge, Histogram, Obs, TraceContext};
+use dlhub_queue::shard::{Refused, ShardedRing};
 use dlhub_sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use dlhub_sync::channel;
 use dlhub_sync::thread;
 use dlhub_sync::time::{now_ns, Instant};
 use dlhub_sync::{Mutex, MutexGuard, RwLock, Slot};
@@ -168,26 +168,6 @@ pub trait Executor: Send + Sync {
     /// without waiting calls this every loop turn; it costs one atomic
     /// load when nothing is due. Inline executors have nothing to reap.
     fn reap_expired(&self) {}
-
-    /// Resize a servable's replica pool; returns the applied count.
-    /// Inline executors (TF-Serving, SageMaker) have no pools: the
-    /// default ignores the request and reports one always-on server.
-    /// Pooled executors override this (see [`ParslExecutor::scale`]).
-    fn scale(&self, _servable_id: &str, _replicas: usize) -> usize {
-        1
-    }
-
-    /// Current replica count for a servable; inline executors always
-    /// report one.
-    fn replicas(&self, _servable_id: &str) -> usize {
-        1
-    }
-
-    /// Replicas of the servable currently quarantined by health
-    /// supervision; executors without supervision report zero.
-    fn quarantined(&self, _servable_id: &str) -> usize {
-        0
-    }
 }
 
 /// Trace baggage of a pooled task, so the replica thread records its
@@ -630,8 +610,19 @@ fn keep(shared: &Arc<Shared>, pool: &Arc<PoolState>, job: Job) {
     KEPT.set(None);
 }
 
+/// A handle on a pool's queue for whoever sends to it: the queue
+/// closes once the pool and every [`Lane`] taken from it have dropped
+/// theirs, and the replicas exit once they have drained it.
+struct Feed(Arc<ShardedRing<Job>>);
+
+impl Drop for Feed {
+    fn drop(&mut self) {
+        self.0.close();
+    }
+}
+
 struct Pool {
-    sender: channel::Sender<Job>,
+    feed: Arc<Feed>,
     workers: Vec<thread::JoinHandle<()>>,
     replicas: usize,
     state: Arc<PoolState>,
@@ -639,7 +630,7 @@ struct Pool {
 
 /// What a dispatcher takes from one look at a pool.
 struct Lane {
-    sender: channel::Sender<Job>,
+    feed: Arc<Feed>,
     replicas: usize,
     state: Arc<PoolState>,
 }
@@ -651,10 +642,10 @@ impl Pool {
         health: Option<HealthPolicy>,
         shared: &Arc<Shared>,
     ) -> Pool {
-        // One queued job per replica: a dispatcher blocks only on a
-        // saturated pool, and whatever it has not pulled yet keeps
-        // waiting unleased in the task topic.
-        let (sender, receiver) = channel::bounded::<Job>(replicas);
+        // One queued job per replica (`start` bounds its pushes): a
+        // dispatcher blocks only on a saturated pool, and whatever it
+        // has not pulled yet keeps waiting unleased in the task topic.
+        let queue = Arc::new(ShardedRing::new());
         let state = Arc::new(PoolState {
             servable: Arc::from(servable_id),
             quarantined: AtomicUsize::new(0),
@@ -662,7 +653,7 @@ impl Pool {
         });
         let workers = (0..replicas)
             .map(|index| {
-                let rx = receiver.clone();
+                let queue = Arc::clone(&queue);
                 let shared = Arc::clone(shared);
                 let state = Arc::clone(&state);
                 thread::Builder::new()
@@ -679,7 +670,7 @@ impl Pool {
                         // Spawned, a replica may wait to be scheduled
                         // at all: its first pickup measures no hand-off.
                         let mut idle_since_ns = u64::MAX;
-                        while let Ok(job) = rx.recv() {
+                        while let Some((_, job)) = queue.claim(None) {
                             let runner = Runner::Replica {
                                 index,
                                 idle_since_ns,
@@ -719,7 +710,7 @@ impl Pool {
             })
             .collect();
         Pool {
-            sender,
+            feed: Arc::new(Feed(queue)),
             workers,
             replicas,
             state,
@@ -727,11 +718,14 @@ impl Pool {
     }
 
     fn shutdown(self) {
-        drop(self.sender);
+        // A dispatch that took a lane before the pool was retired still
+        // sends to it: the replicas serve that job, then exit once the
+        // lane drops too.
+        drop(self.feed);
         // A chain in flight holds its Task Manager's executors, so the
         // last reference can drop on a replica, inside the continuation
         // of the chain's last step: that replica must not join itself.
-        // It exits once it returns to the queue this just disconnected.
+        // It exits once it returns to the queue this just closed.
         let current = thread::current().id();
         for w in self.workers {
             if w.thread().id() != current {
@@ -915,7 +909,7 @@ impl ParslExecutor {
         for _ in 0..4 {
             if let Some(pool) = self.pools.read().get(servable_id) {
                 let lane = Lane {
-                    sender: pool.sender.clone(),
+                    feed: Arc::clone(&pool.feed),
                     replicas: pool.replicas,
                     state: Arc::clone(&pool.state),
                 };
@@ -1022,7 +1016,7 @@ impl ParslExecutor {
             outcome: Slot::new(),
         });
         let Lane {
-            sender,
+            feed,
             replicas,
             state,
         } = match ready {
@@ -1075,6 +1069,7 @@ impl ParslExecutor {
         }
         // Sending happens outside the `pools` read guard: a saturated
         // pool blocks this dispatcher, never a rescale of any pool.
+        let queue = &feed.0;
         let jobs = count.min(replicas);
         let (share, larger) = (count / jobs, count % jobs);
         let mut next = 0;
@@ -1099,27 +1094,25 @@ impl ParslExecutor {
             // beside B → A), so it queues past the bound: a chain in
             // flight has one step queued or running at a time, and the
             // chains in flight are bounded by the first steps the
-            // bound admitted.
+            // bound admitted. The lane holds the queue open until this
+            // dispatch returns, so that push needs no check.
             if step.index > 0 {
-                if sender.send_past_bound(job).is_err() {
-                    inflight.tasks.lock().remove(&address);
-                    task.fail("executor pool shut down");
-                    return task;
-                }
+                queue.force_reserve();
+                queue.push_back(job);
                 continue;
             }
             // A dispatcher parked on a saturated pool still looks for
             // expired tasks, and gives up once its own has expired:
             // hung replicas hold it for `reply_timeout` at most.
-            while let Err(unsent) = sender.send_timeout(job, TICK) {
-                job = match unsent {
-                    channel::SendTimeoutError::Timeout(job) => job,
-                    channel::SendTimeoutError::Disconnected(_) => {
-                        inflight.tasks.lock().remove(&address);
-                        task.fail("executor pool shut down");
-                        return task;
-                    }
-                };
+            while let Err((refused, unsent)) =
+                queue.push_within(job, Some(replicas), Some(Instant::now() + TICK))
+            {
+                if refused == Refused::Closed {
+                    inflight.tasks.lock().remove(&address);
+                    task.fail("executor pool shut down");
+                    return task;
+                }
+                job = unsent;
                 self.reap_expired();
                 if task.progress.lock().completed {
                     return task;
@@ -1226,18 +1219,6 @@ impl Executor for ParslExecutor {
                 ))
             });
         }
-    }
-
-    fn scale(&self, servable_id: &str, replicas: usize) -> usize {
-        ParslExecutor::scale(self, servable_id, replicas)
-    }
-
-    fn replicas(&self, servable_id: &str) -> usize {
-        ParslExecutor::replicas(self, servable_id)
-    }
-
-    fn quarantined(&self, servable_id: &str) -> usize {
-        ParslExecutor::quarantined(self, servable_id)
     }
 }
 
@@ -1564,6 +1545,42 @@ mod tests {
     }
 
     #[test]
+    fn a_dispatch_holding_its_pool_survives_a_scale_to_zero() {
+        use crate::servable::deferred;
+        use std::sync::Barrier;
+        let ex = Arc::new(parsl(1));
+        // The build runs between the dispatcher's look at the pool and
+        // its send, so the dispatcher holds the pool while it blocks.
+        let (entered, release) = (Arc::new(Barrier::new(2)), Arc::new(Barrier::new(2)));
+        let model = {
+            let (entered, release) = (Arc::clone(&entered), Arc::clone(&release));
+            deferred(move || {
+                entered.wait();
+                release.wait();
+                NoopServable
+            })
+        };
+        let dispatch = {
+            let ex = Arc::clone(&ex);
+            std::thread::spawn(move || ex.execute("u/held", &model, &[Value::Null]))
+        };
+        entered.wait();
+        let retire = {
+            let ex = Arc::clone(&ex);
+            std::thread::spawn(move || ex.scale("u/held", 0))
+        };
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while ex.replicas("u/held") != 0 {
+            assert!(Instant::now() < deadline, "the pool was never retired");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        release.wait();
+        let (outputs, _) = dispatch.join().unwrap().unwrap();
+        assert_eq!(outputs, vec![Value::Str("hello world".into())]);
+        assert_eq!(retire.join().unwrap(), 0);
+    }
+
+    #[test]
     fn a_deferred_model_is_built_once_inside_its_first_cold_start() {
         use crate::servable::deferred;
         let obs = Obs::new();
@@ -1590,13 +1607,16 @@ mod tests {
         let waited = obs.metrics.histogram("replica_queue_wait_ns").sum();
         assert!(Duration::from_nanos(waited) < Duration::from_millis(20));
         // Nor against the reply timeout: a build longer than the timeout
-        // still gets its answer.
+        // still gets its answer. The pool is deployed first, so the
+        // timeout covers a parked replica's wake, not a new thread's
+        // first scheduling.
         let tight = ParslExecutor::new(1, &Obs::new(), FaultHandle::default())
             .with_reply_timeout(Duration::from_millis(5));
         let slow = deferred(|| {
             std::thread::sleep(Duration::from_millis(20));
             NoopServable
         });
+        tight.scale("u/tight", 1);
         tight.execute("u/tight", &slow, &[Value::Null]).unwrap();
         // Parked and back: the pool is a cold start again, the model is
         // kept.
@@ -1671,14 +1691,6 @@ mod tests {
         // Two in a row inside a chunk, and across two chunks.
         assert_eq!(restarts_after(&[&[0, -1, -2, 3]]), 1);
         assert_eq!(restarts_after(&[&[0, 1, -1], &[-2, 0]]), 2);
-    }
-
-    #[test]
-    fn inline_executors_report_one_fixed_replica() {
-        let tfs = TfServingExecutor::new();
-        assert_eq!(Executor::scale(&tfs, "u/m", 5), 1);
-        assert_eq!(Executor::replicas(&tfs, "u/m"), 1);
-        assert_eq!(Executor::quarantined(&tfs, "u/m"), 0);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::value::Value;
 use dlhub_auth::Token;
 use dlhub_fault::site;
 use dlhub_obs::Gauge;
-use dlhub_sync::channel;
+use dlhub_queue::shard::ShardedRing;
 use dlhub_sync::thread;
 use dlhub_sync::time::Instant;
 use std::sync::Arc;
@@ -18,13 +18,13 @@ use std::time::Duration;
 
 type Job = Box<dyn FnOnce() + Send>;
 
-/// A fixed-size worker pool behind one unbounded channel, replacing
-/// the thread-per-request dispatch of async runs. Dropping the pool
-/// drops the sender; `recv` hands out every queued job before it
-/// reports the disconnect, so no accepted request is dropped.
+/// A fixed-size worker pool behind one unbounded queue, replacing the
+/// thread-per-request dispatch of async runs. Dropping the pool closes
+/// the queue; a worker claims every queued job before it sees the
+/// close, so no accepted request is dropped.
 pub(super) struct AsyncPool {
-    jobs: Option<channel::Sender<Job>>,
-    /// Jobs waiting in the channel.
+    jobs: Arc<ShardedRing<Job>>,
+    /// Jobs waiting in the queue.
     depth: Arc<Gauge>,
     workers: Vec<thread::JoinHandle<()>>,
 }
@@ -33,16 +33,16 @@ impl AsyncPool {
     /// `active` counts workers currently running a job (pool
     /// occupancy).
     pub(super) fn new(workers: usize, depth: Arc<Gauge>, active: Arc<Gauge>) -> Self {
-        let (jobs, queue) = channel::unbounded::<Job>();
+        let jobs = Arc::new(ShardedRing::<Job>::new());
         let workers = (0..workers.max(1))
             .map(|i| {
-                let queue = queue.clone();
+                let queue = Arc::clone(&jobs);
                 let depth = Arc::clone(&depth);
                 let active = Arc::clone(&active);
                 thread::Builder::new()
                     .name(format!("dlhub-async-{i}"))
                     .spawn(move || {
-                        while let Ok(job) = queue.recv() {
+                        while let Some((_, job)) = queue.claim(None) {
                             depth.add(-1);
                             active.add(1);
                             job();
@@ -53,24 +53,22 @@ impl AsyncPool {
             })
             .collect();
         AsyncPool {
-            jobs: Some(jobs),
+            jobs,
             depth,
             workers,
         }
     }
 
     fn submit(&self, job: Job) {
-        if let Some(jobs) = &self.jobs {
-            self.depth.add(1);
-            // Workers outlive the sender, so the send cannot fail.
-            let _ = jobs.send(job);
-        }
+        self.depth.add(1);
+        self.jobs.force_reserve();
+        self.jobs.push_back(job);
     }
 }
 
 impl Drop for AsyncPool {
     fn drop(&mut self) {
-        self.jobs = None;
+        self.jobs.close();
         // The last Arc<ManagementService> can be dropped from inside a
         // pool job, making a worker run this destructor: it must not
         // join itself.
@@ -188,7 +186,7 @@ impl ManagementService {
         let handle = TaskHandle::new(task_id.clone(), Arc::clone(&self.task_table));
         let service = Arc::clone(self);
         // No thread is spawned per request: the job joins the pool's
-        // channel and one of the [`super::ASYNC_WORKERS`] threads runs it.
+        // queue and one of the [`super::ASYNC_WORKERS`] threads runs it.
         self.async_pool.submit(Box::new(move || {
             let outcome = service.execute_one(&frame, &input, None);
             let status = match service.close_frame(frame, outcome) {

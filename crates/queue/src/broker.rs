@@ -14,14 +14,14 @@
 //! load — not an in-flight scan — to decide whether reaping is due.
 
 use crate::message::{Message, MessageId};
-use crate::shard::{CachePadded, ShardedRing};
+use crate::shard::{CachePadded, Refused, ShardedRing};
 use crate::stats::{AtomicTopicStats, TopicStats};
 use bytes::Bytes;
 use dlhub_fault::{site, FaultHandle, FaultKind};
 use dlhub_obs::{Counter, Histogram, Obs};
-use dlhub_sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use dlhub_sync::atomic::{AtomicU64, Ordering};
 use dlhub_sync::time::Instant;
-use dlhub_sync::{Condvar, Mutex, RwLock};
+use dlhub_sync::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -109,12 +109,12 @@ type FlightMap = Mutex<HashMap<MessageId, InFlight>>;
 
 struct Topic {
     config: TopicConfig,
-    /// Ready messages, sharded across independently locked segments.
+    /// Ready messages, sharded across independently locked segments;
+    /// closing the topic closes the ring.
     ring: ShardedRing<Message>,
     /// Leased-but-unsettled messages, sharded by message id.
     in_flight: Box<[CachePadded<FlightMap>]>,
     dead: Mutex<Vec<Message>>,
-    closed: AtomicBool,
     /// Earliest outstanding lease expiry, as nanoseconds since `epoch`
     /// ([`NO_EXPIRY`] when none). Leasing `fetch_min`s its expiry in;
     /// the receive paths compare one load against "now" to decide
@@ -122,14 +122,6 @@ struct Topic {
     next_expiry: AtomicU64,
     epoch: Instant,
     stats: AtomicTopicStats,
-    /// Senders parked on a full bounded topic. Same registration
-    /// discipline as the ring's consumer parking: a sender registers
-    /// and re-tries its reservation under `space_mutex` before
-    /// waiting, and anyone freeing a slot only takes the mutex when
-    /// `space_waiters > 0`.
-    space_waiters: AtomicUsize,
-    space_mutex: Mutex<()>,
-    space_cv: Condvar,
 }
 
 impl Topic {
@@ -143,13 +135,9 @@ impl Topic {
             ring: ShardedRing::new(),
             in_flight,
             dead: Mutex::new(Vec::new()),
-            closed: AtomicBool::new(false),
             next_expiry: AtomicU64::new(NO_EXPIRY),
             epoch: Instant::now(),
             stats: AtomicTopicStats::default(),
-            space_waiters: AtomicUsize::new(0),
-            space_mutex: Mutex::new(()),
-            space_cv: Condvar::new(),
         }
     }
 
@@ -168,18 +156,6 @@ impl Topic {
     fn next_expiry_instant(&self) -> Option<Instant> {
         let nanos = self.next_expiry.load(Ordering::SeqCst);
         (nanos != NO_EXPIRY).then(|| self.epoch + Duration::from_nanos(nanos))
-    }
-
-    fn is_closed(&self) -> bool {
-        self.closed.load(Ordering::SeqCst)
-    }
-
-    /// Close and wake everything parked on this topic.
-    fn close(&self) {
-        self.closed.store(true, Ordering::SeqCst);
-        self.ring.wake_all();
-        drop(self.space_mutex.lock());
-        self.space_cv.notify_all();
     }
 }
 
@@ -360,14 +336,14 @@ impl Broker {
                 .remove(name)
                 .ok_or_else(|| QueueError::NoSuchTopic(name.to_string()))?
         };
-        topic.close();
+        topic.ring.close();
         Ok(())
     }
 
     /// Close a topic: queued messages may still be drained, but new
     /// sends fail and receivers see [`QueueError::Closed`] once empty.
     pub fn close_topic(&self, name: &str) -> Result<(), QueueError> {
-        self.topic(name)?.close();
+        self.topic(name)?.ring.close();
         Ok(())
     }
 
@@ -390,7 +366,7 @@ impl Broker {
     /// the reply slot). Blocks while full.
     pub fn send_message(&self, name: &str, message: Message) -> Result<MessageId, QueueError> {
         let topic = self.topic(name)?;
-        self.acquire_slot(&topic, name)?;
+        Self::acquire_slot(&topic, name, None)?;
         self.enqueue(&topic, message)
     }
 
@@ -398,49 +374,21 @@ impl Broker {
     /// capacity is exhausted.
     pub fn try_send(&self, name: &str, payload: Bytes) -> Result<MessageId, QueueError> {
         let topic = self.topic(name)?;
-        if topic.is_closed() {
-            return Err(QueueError::Closed(name.to_string()));
-        }
-        match topic.config.capacity {
-            Some(cap) if !topic.ring.reserve(cap) => {
-                return Err(QueueError::Full(name.to_string()))
-            }
-            Some(_) => {}
-            None => topic.ring.force_reserve(),
-        }
+        Self::acquire_slot(&topic, name, Some(Instant::now()))?;
         self.enqueue(&topic, Message::new(payload))
     }
 
-    /// Reserve a ready-queue slot, parking while a bounded topic is
-    /// full. On return the caller owns one slot.
-    fn acquire_slot(&self, topic: &Topic, name: &str) -> Result<(), QueueError> {
-        loop {
-            if topic.is_closed() {
-                return Err(QueueError::Closed(name.to_string()));
-            }
-            let Some(cap) = topic.config.capacity else {
-                topic.ring.force_reserve();
-                return Ok(());
-            };
-            if topic.ring.reserve(cap) {
-                return Ok(());
-            }
-            // Register, then re-try the reservation under the space
-            // mutex before waiting; `wake_space` frees the slot before
-            // checking `space_waiters`, so either we see the slot here
-            // or the waker sees us and notifies.
-            let mut guard = topic.space_mutex.lock();
-            topic.space_waiters.fetch_add(1, Ordering::SeqCst);
-            let got = topic.ring.reserve(cap);
-            if !got && !topic.is_closed() {
-                topic.space_cv.wait(&mut guard);
-            }
-            topic.space_waiters.fetch_sub(1, Ordering::SeqCst);
-            drop(guard);
-            if got {
-                return Ok(());
-            }
-        }
+    /// Reserve a ready-queue slot, waiting for room on a full bounded
+    /// topic until `until` (`None`: as long as it takes). On `Ok` the
+    /// caller owns one slot.
+    fn acquire_slot(topic: &Topic, name: &str, until: Option<Instant>) -> Result<(), QueueError> {
+        topic
+            .ring
+            .reserve_within(topic.config.capacity, until)
+            .map_err(|refused| match refused {
+                Refused::Full => QueueError::Full(name.to_string()),
+                Refused::Closed => QueueError::Closed(name.to_string()),
+            })
     }
 
     /// Publish into an already-reserved slot, honouring the send fault
@@ -449,7 +397,6 @@ impl Broker {
         let id = message.id;
         if self.drop_send_injected(topic) {
             topic.ring.release();
-            self.wake_space(topic);
             return Ok(id);
         }
         topic.stats.enqueued.fetch_add(1, Ordering::Relaxed);
@@ -486,14 +433,6 @@ impl Broker {
         delivery.ack();
     }
 
-    /// Wake one sender parked on a full bounded topic.
-    fn wake_space(&self, topic: &Topic) {
-        if topic.config.capacity.is_some() && topic.space_waiters.load(Ordering::SeqCst) > 0 {
-            drop(topic.space_mutex.lock());
-            topic.space_cv.notify_one();
-        }
-    }
-
     /// Blocking receive: waits until a message is available, leases it
     /// and returns the [`Delivery`].
     pub fn recv(&self, name: &str) -> Result<Delivery, QueueError> {
@@ -512,9 +451,6 @@ impl Broker {
         match topic.ring.try_claim() {
             Some((ring_shard, message)) => {
                 let d = self.lease(&topic, ring_shard, message);
-                // Leasing freed a ready slot, so a sender blocked on a
-                // bounded topic must be woken.
-                self.wake_space(&topic);
                 if self.abandon_recv_injected() {
                     // The lease stands but the consumer "crashed":
                     // redelivery waits for the lease to expire.
@@ -523,7 +459,7 @@ impl Broker {
                 }
                 Ok(Some(d))
             }
-            None if topic.is_closed() => Err(QueueError::Closed(name.to_string())),
+            None if topic.ring.is_closed() => Err(QueueError::Closed(name.to_string())),
             None => Ok(None),
         }
     }
@@ -542,26 +478,6 @@ impl Broker {
         let topic = self.topic(name)?;
         loop {
             self.reap_if_due(&topic);
-            if let Some((ring_shard, message)) = topic.ring.try_claim() {
-                let d = self.lease(&topic, ring_shard, message);
-                self.wake_space(&topic);
-                if self.abandon_recv_injected() {
-                    // Abandon the lease and keep waiting: the message
-                    // comes back through the reaper once the lease
-                    // runs out.
-                    drop(d);
-                    continue;
-                }
-                return Ok(d);
-            }
-            if topic.is_closed() {
-                return Err(QueueError::Closed(name.to_string()));
-            }
-            if let Some(d) = deadline {
-                if Instant::now() >= d {
-                    return Err(QueueError::Timeout);
-                }
-            }
             // Wake up early enough to reap the next lease expiry even
             // if no new message arrives.
             let until = match (deadline, topic.next_expiry_instant()) {
@@ -569,7 +485,23 @@ impl Broker {
                 (Some(d), None) => Some(d),
                 (None, e) => e,
             };
-            topic.ring.park(until, || topic.is_closed());
+            let Some((ring_shard, message)) = topic.ring.claim(until) else {
+                if topic.ring.is_closed() {
+                    return Err(QueueError::Closed(name.to_string()));
+                }
+                if deadline.is_some_and(|d| Instant::now() >= d) {
+                    return Err(QueueError::Timeout);
+                }
+                continue;
+            };
+            let d = self.lease(&topic, ring_shard, message);
+            if self.abandon_recv_injected() {
+                // Abandon the lease and keep waiting: the message comes
+                // back through the reaper once the lease runs out.
+                drop(d);
+                continue;
+            }
+            return Ok(d);
         }
     }
 

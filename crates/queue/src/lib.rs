@@ -24,8 +24,9 @@
 //! Everything is thread-safe; topic storage is a hash-sharded MPMC
 //! ring ([`shard::ShardedRing`]) so producers and consumers hit
 //! independent segment locks, with condvar parking only on the idle
-//! paths. There is no global registry, a [`Broker`] is an ordinary
-//! value shared via `Arc`.
+//! paths. The ring is the workspace's one blocking queue: the executor's
+//! replica pools and the async worker pool queue on it too. There is no
+//! global registry, a [`Broker`] is an ordinary value shared via `Arc`.
 //!
 //! ```
 //! use dlhub_queue::{Broker, BrokerConfig};

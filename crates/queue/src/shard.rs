@@ -1,5 +1,6 @@
 //! Hash-sharded MPMC ring segments with a ticket/condvar blocking
-//! layer — the storage engine behind every broker topic.
+//! layer: the workspace's one blocking queue, behind every broker topic,
+//! every replica pool and the async worker pool.
 //!
 //! A [`ShardedRing`] splits one logical FIFO across `N` independently
 //! locked segments. Producers take a round-robin *enqueue ticket* and
@@ -21,11 +22,18 @@
 //!   and only take the mutex when `waiters > 0`. Sequential
 //!   consistency on both sides makes a missed wake-up impossible, and
 //!   the uncontended fast path never touches the mutex.
+//! * Bounded pushers waiting for room follow the same discipline on
+//!   the other side: they register in `room_waiters` and retry their
+//!   reservation under the park mutex, and a claim or a release frees
+//!   its slot before it looks at `room_waiters`.
+//! * [`ShardedRing::close`] sets a flag and wakes both kinds of waiter
+//!   under the park mutex. Consumers still claim every item queued
+//!   before it; bounded pushes are refused.
 //!
 //! Hot counters ride in [`CachePadded`] slots so producer tickets,
 //! consumer tickets and the semaphore do not false-share a cache line.
 
-use dlhub_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use dlhub_sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use dlhub_sync::thread;
 use dlhub_sync::time::Instant;
 use dlhub_sync::{Condvar, Mutex};
@@ -43,10 +51,20 @@ pub struct CachePadded<T>(pub T);
 /// consumers proceed without colliding.
 pub const RING_SHARDS: usize = 8;
 
+/// Why a bounded push or reservation did not get a slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Refused {
+    /// The ring stayed at its bound until the deadline.
+    Full,
+    /// The ring is closed.
+    Closed,
+}
+
 /// A sharded, blocking, multi-producer multi-consumer queue.
 ///
 /// Capacity accounting is cooperative: bounded callers reserve a slot
-/// with [`ShardedRing::reserve`] before pushing, unbounded callers use
+/// with [`ShardedRing::reserve`] or [`ShardedRing::reserve_within`]
+/// before pushing, unbounded callers (and a push past the bound) use
 /// [`ShardedRing::force_reserve`]. [`ShardedRing::len`] reports the
 /// reserved-slot count and is exact whenever the ring is quiescent.
 pub struct ShardedRing<T> {
@@ -62,8 +80,12 @@ pub struct ShardedRing<T> {
     len: CachePadded<AtomicUsize>,
     /// Consumers currently parked (or about to park) on `park_cv`.
     waiters: CachePadded<AtomicUsize>,
+    /// Bounded pushers currently parked (or about to park) on `room_cv`.
+    room_waiters: CachePadded<AtomicUsize>,
+    closed: AtomicBool,
     park: Mutex<()>,
     park_cv: Condvar,
+    room_cv: Condvar,
 }
 
 impl<T> ShardedRing<T> {
@@ -81,8 +103,11 @@ impl<T> ShardedRing<T> {
             ready: CachePadded(AtomicU64::new(0)),
             len: CachePadded(AtomicUsize::new(0)),
             waiters: CachePadded(AtomicUsize::new(0)),
+            room_waiters: CachePadded(AtomicUsize::new(0)),
+            closed: AtomicBool::new(false),
             park: Mutex::new(()),
             park_cv: Condvar::new(),
+            room_cv: Condvar::new(),
         }
     }
 
@@ -93,8 +118,9 @@ impl<T> ShardedRing<T> {
 
     /// Reserved-slot count: queued items plus in-progress pushes.
     /// Exact at quiescence; at most transiently high under concurrency
-    /// (a reservation is counted before its item becomes claimable),
-    /// never above a bounded caller's capacity.
+    /// (a reservation is counted before its item becomes claimable).
+    /// Only a forced reservation takes it past a bounded caller's
+    /// capacity.
     pub fn len(&self) -> usize {
         self.len.0.load(Ordering::SeqCst)
     }
@@ -118,15 +144,82 @@ impl<T> ShardedRing<T> {
             .is_ok()
     }
 
-    /// Reserve a slot unconditionally (unbounded push, redelivery).
+    /// Reserve a slot unconditionally (unbounded push, redelivery, a
+    /// push past the bound). Never blocks; bounded pushers stay parked
+    /// until the ring is below their capacity again.
     pub fn force_reserve(&self) {
         self.len.0.fetch_add(1, Ordering::SeqCst);
     }
 
+    /// Reserve a slot against `cap` (`None`: unbounded), waiting for
+    /// room until `until` (`None`: for as long as it takes). Refused
+    /// once the ring is closed, or with [`Refused::Full`] when `until`
+    /// passes first; a deadline already past makes it a non-blocking
+    /// try. On `Ok` the caller owns one slot.
+    pub fn reserve_within(
+        &self,
+        cap: Option<usize>,
+        until: Option<Instant>,
+    ) -> Result<(), Refused> {
+        loop {
+            if self.is_closed() {
+                return Err(Refused::Closed);
+            }
+            let Some(cap) = cap else {
+                self.force_reserve();
+                return Ok(());
+            };
+            if self.reserve(cap) {
+                return Ok(());
+            }
+            if until.is_some_and(|until| Instant::now() >= until) {
+                return Err(Refused::Full);
+            }
+            // Register, then re-try the reservation under the park
+            // mutex before waiting; a claim or a release frees its slot
+            // before checking `room_waiters`, so either we see the slot
+            // here or the freer sees us and notifies.
+            let mut guard = self.park.lock();
+            self.room_waiters.0.fetch_add(1, Ordering::SeqCst);
+            let got = self.reserve(cap);
+            if !got && !self.is_closed() {
+                match until {
+                    Some(until) => {
+                        self.room_cv.wait_until(&mut guard, until);
+                    }
+                    None => self.room_cv.wait(&mut guard),
+                }
+            }
+            self.room_waiters.0.fetch_sub(1, Ordering::SeqCst);
+            if got {
+                return Ok(());
+            }
+        }
+    }
+
+    /// The bounded push: [`ShardedRing::reserve_within`], then
+    /// [`ShardedRing::push_back`]. A refused push hands `item` back.
+    pub fn push_within(
+        &self,
+        item: T,
+        cap: Option<usize>,
+        until: Option<Instant>,
+    ) -> Result<(), (Refused, T)> {
+        match self.reserve_within(cap, until) {
+            Ok(()) => {
+                self.push_back(item);
+                Ok(())
+            }
+            Err(refused) => Err((refused, item)),
+        }
+    }
+
     /// Release a reserved slot without pushing (e.g. an injected drop
-    /// discarding the message after reservation).
+    /// discarding the message after reservation); wakes a bounded
+    /// pusher waiting for room.
     pub fn release(&self) {
         self.len.0.fetch_sub(1, Ordering::SeqCst);
+        self.wake_room();
     }
 
     /// Append `item` to the next round-robin segment. The caller must
@@ -164,12 +257,45 @@ impl<T> ShardedRing<T> {
             for i in 0..self.shards.len() {
                 let idx = (start + i) & self.mask;
                 if let Some(item) = self.shards[idx].0.lock().pop_front() {
-                    self.len.0.fetch_sub(1, Ordering::SeqCst);
+                    self.release();
                     return Some((idx, item));
                 }
             }
             thread::yield_now();
         }
+    }
+
+    /// Claim one item, parking while the ring is empty. `None` once the
+    /// ring is closed and empty (every item queued before the close is
+    /// claimed first), or when `until` passes with nothing to claim.
+    pub fn claim(&self, until: Option<Instant>) -> Option<(usize, T)> {
+        loop {
+            if let Some(claimed) = self.try_claim() {
+                return Some(claimed);
+            }
+            if self.is_closed() || until.is_some_and(|until| Instant::now() >= until) {
+                return None;
+            }
+            self.park(until);
+        }
+    }
+
+    /// Close the ring: bounded pushes are refused from now on, and
+    /// consumers see `None` from [`ShardedRing::claim`] once they have
+    /// claimed what is queued. Wakes every parked consumer and bounded
+    /// pusher.
+    pub fn close(&self) {
+        self.closed.store(true, Ordering::SeqCst);
+        // Lock-then-notify, as in `post`: a waiter between its re-check
+        // and its wait holds the park mutex.
+        drop(self.park.lock());
+        self.park_cv.notify_all();
+        self.room_cv.notify_all();
+    }
+
+    /// Whether [`ShardedRing::close`] was called.
+    pub fn is_closed(&self) -> bool {
+        self.closed.load(Ordering::SeqCst)
     }
 
     /// Post `n` claim tokens and wake parked consumers. Called after
@@ -189,33 +315,32 @@ impl<T> ShardedRing<T> {
         }
     }
 
-    /// Park the calling consumer until a token is posted, `cancel`
-    /// turns true, or `until` passes. Returns `true` if the wait timed
-    /// out. Spurious returns are fine — callers loop.
-    pub fn park(&self, until: Option<Instant>, cancel: impl Fn() -> bool) -> bool {
+    /// Wake one bounded pusher waiting for room, if any. Called after
+    /// a slot was freed.
+    fn wake_room(&self) {
+        if self.room_waiters.0.load(Ordering::SeqCst) > 0 {
+            drop(self.park.lock());
+            self.room_cv.notify_one();
+        }
+    }
+
+    /// Park the calling consumer until a token is posted, the ring
+    /// closes, or `until` passes. Spurious returns are fine — callers
+    /// loop.
+    fn park(&self, until: Option<Instant>) {
         let mut guard = self.park.lock();
         self.waiters.0.fetch_add(1, Ordering::SeqCst);
         // Re-check under the mutex: a token posted or a close flipped
         // after our caller's last look must not strand us.
-        if self.ready.0.load(Ordering::SeqCst) > 0 || cancel() {
-            self.waiters.0.fetch_sub(1, Ordering::SeqCst);
-            return false;
-        }
-        let timed_out = match until {
-            Some(u) => self.park_cv.wait_until(&mut guard, u).timed_out(),
-            None => {
-                self.park_cv.wait(&mut guard);
-                false
+        if self.ready.0.load(Ordering::SeqCst) == 0 && !self.is_closed() {
+            match until {
+                Some(until) => {
+                    self.park_cv.wait_until(&mut guard, until);
+                }
+                None => self.park_cv.wait(&mut guard),
             }
-        };
+        }
         self.waiters.0.fetch_sub(1, Ordering::SeqCst);
-        timed_out
-    }
-
-    /// Wake every parked consumer (close/delete paths).
-    pub fn wake_all(&self) {
-        drop(self.park.lock());
-        self.park_cv.notify_all();
     }
 }
 
@@ -228,8 +353,7 @@ impl<T> Default for ShardedRing<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
-    use std::sync::{Arc, Barrier};
+    use std::sync::{mpsc, Arc, Barrier};
     use std::time::Duration;
 
     #[test]
@@ -279,7 +403,7 @@ mod tests {
             if let Some((_, v)) = r2.try_claim() {
                 return v;
             }
-            r2.park(None, || false);
+            r2.park(None);
         });
         std::thread::sleep(Duration::from_millis(20));
         ring.force_reserve();
@@ -291,57 +415,183 @@ mod tests {
     fn park_times_out() {
         let ring = ShardedRing::<u8>::new();
         let start = Instant::now();
-        let timed_out = ring.park(Some(Instant::now() + Duration::from_millis(20)), || false);
-        assert!(timed_out);
+        ring.park(Some(Instant::now() + Duration::from_millis(20)));
         assert!(start.elapsed() >= Duration::from_millis(15));
     }
 
     #[test]
     fn park_respects_cancel() {
         let ring = ShardedRing::<u8>::new();
-        // Cancel observed under the park mutex: no wait happens.
-        assert!(!ring.park(None, || true));
+        // A close is observed under the park mutex: no wait happens.
+        ring.close();
+        let start = Instant::now();
+        ring.park(None);
+        assert!(start.elapsed() < Duration::from_secs(5));
+    }
+
+    #[test]
+    fn a_claim_gives_up_at_its_deadline() {
+        let ring = ShardedRing::<u8>::new();
+        let start = Instant::now();
+        assert!(ring
+            .claim(Some(Instant::now() + Duration::from_millis(20)))
+            .is_none());
+        assert!(start.elapsed() >= Duration::from_millis(15));
+        assert!(!ring.is_closed());
+    }
+
+    #[test]
+    fn a_consumer_about_to_park_still_sees_a_close() {
+        // The race needs the close to land between the consumer's
+        // closed check and its park, so sweep the delay between
+        // spawning the consumer and closing the ring.
+        for i in 0..20_000u32 {
+            let ring = Arc::new(ShardedRing::<u32>::new());
+            let parked = {
+                let ring = Arc::clone(&ring);
+                std::thread::spawn(move || ring.claim(None))
+            };
+            for _ in 0..(i % 400) * 50 {
+                std::hint::spin_loop();
+            }
+            ring.close();
+            assert!(parked.join().unwrap().is_none());
+        }
+    }
+
+    #[test]
+    fn items_queued_before_a_close_are_claimed_before_it_is_reported() {
+        let ring = ShardedRing::new();
+        for i in 0..3u32 {
+            ring.force_reserve();
+            ring.push_back(i);
+        }
+        ring.close();
+        let claimed: Vec<u32> = std::iter::from_fn(|| ring.claim(None).map(|(_, v)| v)).collect();
+        assert_eq!(claimed, vec![0, 1, 2]);
+        assert!(ring.claim(None).is_none());
+        assert!(ring.is_empty());
+    }
+
+    #[test]
+    fn a_bounded_push_hands_its_item_back_on_timeout() {
+        let ring = ShardedRing::new();
+        let soon = || Some(Instant::now() + Duration::from_millis(5));
+        ring.push_within(1u32, Some(1), soon()).unwrap();
+        assert_eq!(
+            ring.push_within(2, Some(1), soon()),
+            Err((Refused::Full, 2))
+        );
+        assert_eq!(ring.claim(None).unwrap().1, 1);
+        ring.push_within(2, Some(1), soon()).unwrap();
+        assert_eq!(ring.claim(None).unwrap().1, 2);
+        // A reservation given up leaves no slot behind.
+        assert!(ring.is_empty());
+    }
+
+    #[test]
+    fn a_bounded_push_proceeds_once_a_claim_frees_room() {
+        let ring = Arc::new(ShardedRing::new());
+        ring.push_within(1u32, Some(1), None).unwrap();
+        // A pusher without a deadline waits for the claim below.
+        let blocked = {
+            let ring = Arc::clone(&ring);
+            std::thread::spawn(move || ring.push_within(2, Some(1), None))
+        };
+        std::thread::sleep(Duration::from_millis(10));
+        assert_eq!(ring.claim(None).unwrap().1, 1);
+        assert_eq!(blocked.join().unwrap(), Ok(()));
+        assert_eq!(ring.claim(None).unwrap().1, 2);
+        assert!(ring.is_empty());
+    }
+
+    #[test]
+    fn a_push_past_the_bound_never_blocks_and_holds_bounded_pushers_until_below_capacity() {
+        let ring = Arc::new(ShardedRing::new());
+        ring.push_within(1u32, Some(1), None).unwrap();
+        for item in [2, 3] {
+            ring.force_reserve();
+            ring.push_back(item);
+        }
+        assert_eq!(ring.len(), 3);
+        // A bounded pusher waits until the ring is below its capacity
+        // again, not merely until one slot frees.
+        let blocked = {
+            let ring = Arc::clone(&ring);
+            std::thread::spawn(move || {
+                ring.push_within(4, Some(1), Some(Instant::now() + Duration::from_millis(20)))
+            })
+        };
+        assert_eq!(ring.claim(None).unwrap().1, 1);
+        assert_eq!(blocked.join().unwrap(), Err((Refused::Full, 4)));
+        let rest = (ring.claim(None).unwrap().1, ring.claim(None).unwrap().1);
+        assert_eq!(rest, (2, 3));
+    }
+
+    #[test]
+    fn a_push_after_close_returns_its_item() {
+        let ring = ShardedRing::new();
+        ring.close();
+        assert_eq!(
+            ring.push_within(1u32, None, None),
+            Err((Refused::Closed, 1))
+        );
+        assert_eq!(
+            ring.push_within(2, Some(1), None),
+            Err((Refused::Closed, 2))
+        );
+        assert!(ring.is_empty());
+        // A bounded pusher parked on a full ring is woken by the close.
+        let ring = Arc::new(ShardedRing::new());
+        ring.push_within(1u32, Some(1), None).unwrap();
+        let blocked = {
+            let ring = Arc::clone(&ring);
+            std::thread::spawn(move || ring.push_within(2, Some(1), None))
+        };
+        std::thread::sleep(Duration::from_millis(10));
+        ring.close();
+        assert_eq!(blocked.join().unwrap(), Err((Refused::Closed, 2)));
+        assert_eq!(ring.claim(None).unwrap().1, 1);
     }
 
     /// Loom-style hand-off check: force the racy interleaving where a
-    /// consumer decides to park at the same instant a producer posts.
-    /// A barrier aligns the two sides at the critical edge on every
-    /// iteration; the token protocol must never strand the consumer.
+    /// consumer decides to park at the same instant a producer posts,
+    /// or, every fourth round, closes the ring. A barrier aligns the
+    /// two sides at the critical edge on every iteration; the protocol
+    /// must never strand the consumer.
     #[test]
     fn aligned_handoff_never_misses_a_wakeup() {
-        for round in 0..200 {
+        for round in 0..200u32 {
             let ring = Arc::new(ShardedRing::new());
             let gate = Arc::new(Barrier::new(2));
-            let done = Arc::new(AtomicBool::new(false));
-
-            let consumer = {
+            let (claimed, outcome) = mpsc::channel();
+            {
                 let ring = Arc::clone(&ring);
                 let gate = Arc::clone(&gate);
-                let done = Arc::clone(&done);
                 std::thread::spawn(move || {
-                    gate.wait(); // align with the producer's push
-                    loop {
-                        if let Some((_, v)) = ring.try_claim() {
-                            done.store(true, Ordering::SeqCst);
-                            return v;
-                        }
-                        // Bounded park so a protocol bug fails the
-                        // round instead of hanging the suite.
-                        ring.park(Some(Instant::now() + Duration::from_millis(200)), || false);
-                    }
-                })
-            };
-
+                    gate.wait(); // align with the producer's push or close
+                    let _ = claimed.send(ring.claim(None).map(|(_, v)| v));
+                });
+            }
             gate.wait();
             // Vary the producer's arrival around the consumer's
             // check-then-park window across rounds.
             if round % 3 == 1 {
                 std::thread::yield_now();
             }
-            ring.force_reserve();
-            ring.push_back(round);
-            assert_eq!(consumer.join().unwrap(), round);
-            assert!(done.load(Ordering::SeqCst));
+            let closing = round % 4 == 3;
+            if closing {
+                ring.close();
+            } else {
+                ring.force_reserve();
+                ring.push_back(round);
+            }
+            // A missed wake-up fails the round instead of hanging the
+            // suite.
+            let got = outcome
+                .recv_timeout(Duration::from_secs(5))
+                .unwrap_or_else(|_| panic!("round {round}: the consumer was stranded"));
+            assert_eq!(got, (!closing).then_some(round), "round {round}");
             assert!(ring.is_empty());
         }
     }
@@ -390,17 +640,10 @@ mod tests {
                             if state % 7 == 0 {
                                 std::thread::yield_now();
                             }
-                            match ring.try_claim() {
-                                Some((_, v)) => {
-                                    got.push(v);
-                                    claimed.fetch_add(1, Ordering::SeqCst);
-                                }
-                                None => {
-                                    ring.park(
-                                        Some(Instant::now() + Duration::from_millis(100)),
-                                        || false,
-                                    );
-                                }
+                            let until = Instant::now() + Duration::from_millis(100);
+                            if let Some((_, v)) = ring.claim(Some(until)) {
+                                got.push(v);
+                                claimed.fetch_add(1, Ordering::SeqCst);
                             }
                         }
                         got

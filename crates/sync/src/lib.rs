@@ -2,9 +2,11 @@
 
 //! # dlhub-sync
 //!
-//! The one concurrency seam. Every lock, channel, atomic, thread and
+//! The one concurrency seam. Every lock, condvar, atomic, thread and
 //! clock read in the workspace's non-test code comes from here, so a
-//! schedule explorer or a virtual clock has one module to replace.
+//! schedule explorer or a virtual clock has one module to replace. The
+//! workspace's one blocking queue, `dlhub_queue::shard::ShardedRing`,
+//! is built on these primitives rather than kept here.
 //!
 //! - [`Mutex`], [`RwLock`], [`Condvar`] and their guards, on top of
 //!   `std::sync` and without lock poisoning (a poisoned std lock is
@@ -13,7 +15,6 @@
 //!   one implementation of every one-shot wait (a request's reply, a
 //!   blocking executor caller, a transfer, a batched item, a model
 //!   built on first deploy);
-//! - [`channel`]: multi-producer, multi-consumer FIFO channels;
 //! - [`atomic`]: std's atomics;
 //! - [`thread`]: spawning, scoped threads, sleeping and yielding;
 //! - [`time`]: [`time::Instant`] and [`time::now_ns`], the process
@@ -23,7 +24,6 @@
 //! `Duration` stay std, since neither is a point where a thread waits
 //! or is scheduled.
 
-pub mod channel;
 mod slot;
 pub mod time;
 

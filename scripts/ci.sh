@@ -48,6 +48,14 @@ if grep -rnE 'with_telemetry|TelemetryHandle|Telemetry::|SeriesStore|ControlSign
   echo "ci: the time-series store or a caller of it is back (see above)" >&2
   exit 1
 fi
+# The seam's crossbeam-style channel is gone: replica pools, the async
+# pool and the workloads bin queue on the broker's ShardedRing, the one
+# blocking queue (DESIGN.md §7, "The seam").
+if grep -rnE 'dlhub_sync::channel|channel::(bounded|unbounded)|send_past_bound|SendTimeoutError' \
+  crates tests examples; then
+  echo "ci: the deleted channel or a caller of it is back (see above)" >&2
+  exit 1
+fi
 
 # Lines of non-test code in crates/*/src outside crates/sync that match
 # the regex $1. Test modules (from a `#[cfg(test)]` module on) are
@@ -73,12 +81,12 @@ if [[ -n $seam_leaks ]]; then
 fi
 # Every one-shot wait for a value is the seam's fill-once Slot (DESIGN.md
 # §7, "The seam"): no OnceLock, and no Condvar of its own, outside it. The
-# four condvars that stay wait on a condition over shared state, not for
-# a value: the broker's space_cv, the shard's park_cv, the batch
-# flusher's wakeup and the TaskTable's.
+# condvars that stay wait on a condition over shared state, not for a
+# value: the shard's park_cv and room_cv (an item to claim, room on a
+# bounded ring), the batch flusher's wakeup and the TaskTable's.
 one_shots=$({
   non_test 'OnceLock'
-  non_test 'Condvar' | grep -vE '^crates/(queue/src/broker|queue/src/shard|core/src/batch|core/src/task)\.rs:'
+  non_test 'Condvar' | grep -vE '^crates/(queue/src/shard|core/src/batch|core/src/task)\.rs:'
 } || true)
 if [[ -n $one_shots ]]; then
   echo "$one_shots"
