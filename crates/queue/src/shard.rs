@@ -554,6 +554,40 @@ mod tests {
         assert_eq!(ring.claim(None).unwrap().1, 1);
     }
 
+    #[test]
+    fn several_producers_and_consumers_round_trip_every_item() {
+        let ring = Arc::new(ShardedRing::new());
+        let producers: Vec<_> = (0..2u32)
+            .map(|p| {
+                let ring = Arc::clone(&ring);
+                std::thread::spawn(move || {
+                    for i in 0..100 {
+                        ring.push_within(p * 100 + i, Some(8), None).unwrap();
+                    }
+                })
+            })
+            .collect();
+        let consumers: Vec<_> = (0..2)
+            .map(|_| {
+                let ring = Arc::clone(&ring);
+                std::thread::spawn(move || {
+                    std::iter::from_fn(|| ring.claim(None).map(|(_, v)| v)).collect::<Vec<u32>>()
+                })
+            })
+            .collect();
+        for producer in producers {
+            producer.join().unwrap();
+        }
+        ring.close();
+        let mut got: Vec<u32> = consumers
+            .into_iter()
+            .flat_map(|consumer| consumer.join().unwrap())
+            .collect();
+        got.sort_unstable();
+        assert_eq!(got, (0..200).collect::<Vec<u32>>());
+        assert!(ring.is_empty());
+    }
+
     /// Loom-style hand-off check: force the racy interleaving where a
     /// consumer decides to park at the same instant a producer posts,
     /// or, every fourth round, closes the ring. A barrier aligns the
