@@ -407,6 +407,8 @@ fn run_one(
             thread::sleep(fault.delay);
             servable.run(input)
         }
+        // `guarded` catches it: the injected panic fails this input, as
+        // a servable's own panic would, never the thread running it.
         Some(fault) if fault.kind == FaultKind::Panic => panic!("injected replica panic"),
         Some(_) => Err("injected replica fault".to_string()),
         None => servable.run(input),
@@ -445,16 +447,33 @@ fn run_chunk(
 /// measured yet, or a failed run.
 const UNMEASURED: u64 = u64::MAX;
 
+/// Context switches a hand-off to a parked replica costs the CPU its
+/// dispatcher needs: the wake that puts the replica on it, and the park
+/// that takes the replica off again once its run is over. A count, not
+/// a tuned factor.
+const HOP_SWITCHES: u64 = 2;
+
+/// Whether a run that last took `last_run_ns` per input is cheaper on
+/// its dispatcher than handed off, when the cheapest pickup measured is
+/// `handoff_ns`: the hop is priced as [`HOP_SWITCHES`] switches of that
+/// cost each, since a park is the wake's futex call and context switch
+/// in reverse and its end cannot be stamped by the thread it takes off
+/// the CPU. Never while either is [`UNMEASURED`].
+fn cheaper_than_a_hop(last_run_ns: u64, handoff_ns: u64) -> bool {
+    let unmeasured = last_run_ns == UNMEASURED || handoff_ns == UNMEASURED;
+    !unmeasured && last_run_ns < handoff_ns.saturating_mul(HOP_SWITCHES)
+}
+
 /// What every pool of one executor and every dispatching thread share.
 struct Shared {
     faults: FaultHandle,
     metrics: HealthMetrics,
     inflight: Inflight,
     /// The cheapest pickup measured for a job sent to a replica already
-    /// parked idle, in ns: what a hand-off to a replica costs at the
-    /// least. A minimum, so a cold start, a backlog or a busy CPU never
-    /// push it up, and a replica that must be woken cannot take a job
-    /// faster than a wake.
+    /// parked idle, in ns: what the wake of a hand-off costs at the
+    /// least, and the price of each of its [`HOP_SWITCHES`]. A minimum,
+    /// so a cold start, a backlog or a busy CPU never push it up, and a
+    /// replica that must be woken cannot take a job faster than a wake.
     handoff_ns: AtomicU64,
     /// Set from the dispatch of a job a dispatcher keeps to the end of
     /// its run: while it is set, every other job goes to a replica. A
@@ -636,85 +655,91 @@ struct Lane {
 }
 
 impl Pool {
+    /// Start `replicas` replicas on a new queue. If the system refuses a
+    /// thread, the replicas already started are stopped and the refusal
+    /// is returned.
     fn spawn(
         servable_id: &str,
         replicas: usize,
         health: Option<HealthPolicy>,
         shared: &Arc<Shared>,
-    ) -> Pool {
+    ) -> Result<Pool, String> {
         // One queued job per replica (`start` bounds its pushes): a
         // dispatcher blocks only on a saturated pool, and whatever it
         // has not pulled yet keeps waiting unleased in the task topic.
         let queue = Arc::new(ShardedRing::new());
-        let state = Arc::new(PoolState {
-            servable: Arc::from(servable_id),
-            quarantined: AtomicUsize::new(0),
-            last_run_ns: AtomicU64::new(UNMEASURED),
-        });
-        let workers = (0..replicas)
-            .map(|index| {
-                let queue = Arc::clone(&queue);
-                let shared = Arc::clone(shared);
-                let state = Arc::clone(&state);
-                thread::Builder::new()
-                    .name(format!("pod-{servable_id}-{index}"))
-                    .spawn(move || {
-                        // Each worker models one pod replica: pull the
-                        // next job (IPP-style load balancing across
-                        // the pool), run the servable on its inputs,
-                        // answer.
-                        let mut strikes = 0u32;
-                        // Reused from job to job: a job of several
-                        // inputs holds their results here.
-                        let mut results = Vec::new();
-                        // Spawned, a replica may wait to be scheduled
-                        // at all: its first pickup measures no hand-off.
-                        let mut idle_since_ns = u64::MAX;
-                        while let Some((_, job)) = queue.claim(None) {
-                            let runner = Runner::Replica {
-                                index,
-                                idle_since_ns,
-                            };
-                            // Health state machine: healthy → suspect
-                            // (strikes accumulating) → quarantined →
-                            // restarted. The record is kept per input,
-                            // in input order: a success wipes it, so a
-                            // chunk with one bad input among good ones
-                            // is no strike against the replica.
-                            let quarantine =
-                                shared.serve(&state, job, runner, &mut results, |ran| {
-                                    health.filter(|policy| {
-                                        let mut struck_out = false;
-                                        for result in ran {
-                                            strikes = if result.is_ok() { 0 } else { strikes + 1 };
-                                            if strikes >= policy.quarantine_after {
-                                                (struck_out, strikes) = (true, 0);
-                                            }
-                                        }
-                                        struck_out
-                                    })
-                                });
-                            if let Some(policy) = quarantine {
-                                let metrics = &shared.metrics;
-                                state.quarantined.fetch_add(1, Ordering::Relaxed);
-                                metrics.quarantined.add(1);
-                                thread::sleep(policy.quarantine_for);
-                                state.quarantined.fetch_sub(1, Ordering::Relaxed);
-                                metrics.quarantined.add(-1);
-                                metrics.restarts.inc();
-                            }
-                            idle_since_ns = now_ns();
-                        }
-                    })
-                    .expect("spawn pod worker")
-            })
-            .collect();
-        Pool {
-            feed: Arc::new(Feed(queue)),
-            workers,
+        let mut pool = Pool {
+            feed: Arc::new(Feed(Arc::clone(&queue))),
+            workers: Vec::with_capacity(replicas),
             replicas,
-            state,
+            state: Arc::new(PoolState {
+                servable: Arc::from(servable_id),
+                quarantined: AtomicUsize::new(0),
+                last_run_ns: AtomicU64::new(UNMEASURED),
+            }),
+        };
+        for index in 0..replicas {
+            let queue = Arc::clone(&queue);
+            let shared = Arc::clone(shared);
+            let state = Arc::clone(&pool.state);
+            let spawned = thread::Builder::new()
+                .name(format!("pod-{servable_id}-{index}"))
+                .spawn(move || {
+                    // Each worker models one pod replica: pull the
+                    // next job (IPP-style load balancing across
+                    // the pool), run the servable on its inputs,
+                    // answer.
+                    let mut strikes = 0u32;
+                    // Reused from job to job: a job of several
+                    // inputs holds their results here.
+                    let mut results = Vec::new();
+                    // Spawned, a replica may wait to be scheduled
+                    // at all: its first pickup measures no hand-off.
+                    let mut idle_since_ns = u64::MAX;
+                    while let Some((_, job)) = queue.claim(None) {
+                        let runner = Runner::Replica {
+                            index,
+                            idle_since_ns,
+                        };
+                        // Health state machine: healthy → suspect
+                        // (strikes accumulating) → quarantined →
+                        // restarted. The record is kept per input,
+                        // in input order: a success wipes it, so a
+                        // chunk with one bad input among good ones
+                        // is no strike against the replica.
+                        let quarantine = shared.serve(&state, job, runner, &mut results, |ran| {
+                            health.filter(|policy| {
+                                let mut struck_out = false;
+                                for result in ran {
+                                    strikes = if result.is_ok() { 0 } else { strikes + 1 };
+                                    if strikes >= policy.quarantine_after {
+                                        (struck_out, strikes) = (true, 0);
+                                    }
+                                }
+                                struck_out
+                            })
+                        });
+                        if let Some(policy) = quarantine {
+                            let metrics = &shared.metrics;
+                            state.quarantined.fetch_add(1, Ordering::Relaxed);
+                            metrics.quarantined.add(1);
+                            thread::sleep(policy.quarantine_for);
+                            state.quarantined.fetch_sub(1, Ordering::Relaxed);
+                            metrics.quarantined.add(-1);
+                            metrics.restarts.inc();
+                        }
+                        idle_since_ns = now_ns();
+                    }
+                });
+            match spawned {
+                Ok(worker) => pool.workers.push(worker),
+                Err(error) => {
+                    pool.shutdown();
+                    return Err(format!("cannot start a replica of {servable_id}: {error}"));
+                }
+            }
         }
+        Ok(pool)
     }
 
     fn shutdown(self) {
@@ -740,13 +765,14 @@ impl Pool {
 /// *any* servable type — the property that lets DLHub serve "any
 /// Python 3-compatible model or processing function".
 ///
-/// A one-input task whose servable's last run was shorter than the
-/// cheapest hand-off to a parked replica measured so far runs on the
-/// thread that dispatched it instead: handing it over would cost more
-/// than running it. A fault drawn for it, or a failed run, sends the
-/// job, or the servable's next one, to a replica. One such job runs on
-/// a dispatcher at a time, executor-wide: a servable that hangs mid-run
-/// holds one dispatcher, never every one.
+/// A one-input task whose servable's last run was shorter than a
+/// hand-off to a parked replica (its wake and its park, each priced at
+/// the cheapest pickup measured so far) runs on the thread that
+/// dispatched it instead: handing it over would cost more than running
+/// it. A fault drawn for it, or a failed run, sends the job, or the
+/// servable's next one, to a replica. One such job runs on a dispatcher
+/// at a time, executor-wide: a servable that hangs mid-run holds one
+/// dispatcher, never every one.
 pub struct ParslExecutor {
     // Read-mostly: every dispatch reads the pool map, while writes
     // only happen on deploy/rescale. An RwLock lets concurrent
@@ -821,7 +847,9 @@ impl ParslExecutor {
         self
     }
 
-    /// Scale a servable's replica pool. Returns the new replica count.
+    /// Scale a servable's replica pool. Returns the new replica count,
+    /// or the count still serving if the new replicas could not be
+    /// started (the pool they were to replace is kept).
     ///
     /// `replicas == 0` is scale-to-zero: the pool's replicas are
     /// stopped and the pool is dropped. The next dispatch (or the
@@ -840,37 +868,38 @@ impl ParslExecutor {
             return 0;
         }
         let cold_started = now_ns();
-        if self.deploy(servable_id, replicas) {
-            self.record_cold_start(cold_started);
+        match self.deploy(servable_id, replicas) {
+            Ok(true) => {
+                self.record_cold_start(cold_started);
+            }
+            Ok(false) => {}
+            Err(_) => return self.replicas(servable_id),
         }
         replicas
     }
 
     /// Bring the servable's pool to `replicas` (non-zero); returns
-    /// whether the pool was absent, a cold start.
-    fn deploy(&self, servable_id: &str, replicas: usize) -> bool {
-        let (cold, retired);
-        {
+    /// whether the pool was absent, a cold start. A pool whose replicas
+    /// cannot be started leaves the one it was to replace serving.
+    fn deploy(&self, servable_id: &str, replicas: usize) -> Result<bool, String> {
+        let retired = {
             let mut pools = self.pools.write();
             if pools
                 .get(servable_id)
                 .is_some_and(|p| p.replicas == replicas)
             {
-                return false;
+                return Ok(false);
             }
-            cold = !pools.contains_key(servable_id);
-            retired = pools.remove(servable_id);
-            pools.insert(
-                servable_id.to_string(),
-                Pool::spawn(servable_id, replicas, self.health, &self.shared),
-            );
-        }
+            let pool = Pool::spawn(servable_id, replicas, self.health, &self.shared)?;
+            pools.insert(servable_id.to_string(), pool)
+        };
+        let cold = retired.is_none();
         // As above: join the replaced pool's workers only after the
         // write guard is dropped.
         if let Some(pool) = retired {
             pool.shutdown();
         }
-        cold
+        Ok(cold)
     }
 
     /// One cold start, begun at obs-clock `since_ns` and over now;
@@ -903,8 +932,9 @@ impl ParslExecutor {
     /// One look at the servable's pool, and whether this call deployed
     /// it: a cold start, for the caller to record. The reconciler's idle
     /// park can retire the pool between deploy and look: a cold start to
-    /// retry, never a panic on a live thread.
-    fn pool_sender(&self, servable_id: &str) -> Option<(Lane, bool)> {
+    /// retry, never a panic on a live thread. A pool that cannot start
+    /// its replicas fails the task.
+    fn pool_sender(&self, servable_id: &str) -> Result<(Lane, bool), String> {
         let mut cold = false;
         for _ in 0..4 {
             if let Some(pool) = self.pools.read().get(servable_id) {
@@ -913,11 +943,11 @@ impl ParslExecutor {
                     replicas: pool.replicas,
                     state: Arc::clone(&pool.state),
                 };
-                return Some((lane, cold));
+                return Ok((lane, cold));
             }
-            cold |= self.deploy(servable_id, self.default_replicas);
+            cold |= self.deploy(servable_id, self.default_replicas)?;
         }
-        None
+        Err("executor pool shut down".to_string())
     }
 
     /// Make the servable ready for a task's jobs: its pool deployed if
@@ -933,9 +963,7 @@ impl ParslExecutor {
         servable: &dyn Servable,
         since_ns: u64,
     ) -> Result<(Lane, u64), String> {
-        let (lane, cold) = self
-            .pool_sender(servable_id)
-            .ok_or_else(|| "executor pool shut down".to_string())?;
+        let (lane, cold) = self.pool_sender(servable_id)?;
         let built = guarded(|| servable.load())?;
         let ready_ns = match cold || built {
             true => self.record_cold_start(since_ns),
@@ -946,13 +974,16 @@ impl ParslExecutor {
 
     /// Whether a one-input task for the servable of `pool` is cheaper
     /// run on its dispatcher than handed to a replica: the servable's
-    /// last run was shorter than the cheapest hand-off measured. Never
+    /// last run was shorter than a hand-off's wake and park, each priced
+    /// at the cheapest pickup measured ([`cheaper_than_a_hop`]). Never
     /// before both are measured, nor after a failed run. Such a task
     /// stays on its dispatcher only if no other kept job is running
     /// (`Shared::keeping`).
     fn sub_hop(&self, pool: &PoolState) -> bool {
-        let handoff_ns = self.shared.handoff_ns.load(Ordering::Relaxed);
-        handoff_ns != UNMEASURED && pool.last_run_ns.load(Ordering::Relaxed) < handoff_ns
+        cheaper_than_a_hop(
+            pool.last_run_ns.load(Ordering::Relaxed),
+            self.shared.handoff_ns.load(Ordering::Relaxed),
+        )
     }
 
     /// The one fan-out path: the inputs cut into one contiguous chunk
@@ -1856,6 +1887,42 @@ mod tests {
             ex.execute(id, servable, &[Value::Null]).unwrap();
             log.lock().last() == Some(&here())
         })
+    }
+
+    #[test]
+    fn a_run_stays_on_its_dispatcher_only_when_shorter_than_a_wake_and_a_park() {
+        const MAX: u64 = u64::MAX;
+        // (last run, cheapest pickup, kept), pickup 1.5 µs: a hop costs 3 µs.
+        let table = [
+            (UNMEASURED, UNMEASURED, false),
+            (UNMEASURED, 1_500, false),
+            (0, UNMEASURED, false),
+            (1_000, UNMEASURED, false),
+            (0, 1_500, true),
+            // A run as long as one pickup still stays: the hop also
+            // costs the replica's park.
+            (1_499, 1_500, true),
+            (1_500, 1_500, true),
+            (2_999, 1_500, true),
+            (3_000, 1_500, false),
+            (3_001, 1_500, false),
+            (1_000_000, 1_500, false),
+            // A pickup of 0 ns prices the hop at nothing: nothing is
+            // cheaper than it.
+            (0, 0, false),
+            // The doubling saturates rather than wrap to a small price.
+            (1, MAX / 2 + 1, true),
+            (MAX - 2, MAX - 1, true),
+            (MAX - 1, MAX - 1, true),
+            (UNMEASURED, MAX - 1, false),
+        ];
+        for (last_run_ns, handoff_ns, kept) in table {
+            assert_eq!(
+                cheaper_than_a_hop(last_run_ns, handoff_ns),
+                kept,
+                "last run {last_run_ns} ns, pickup {handoff_ns} ns"
+            );
+        }
     }
 
     #[test]

@@ -154,8 +154,9 @@ print("ci: matminer-mixed executor.dispatched_per_op = {:.2f} (one job per repli
 # on, as one self-against-self pair in the benchmark's --quick shape so
 # the script cannot rot.
 scripts/pairs.sh --quick HEAD 7 noop-dispatch
-# And its per-layer form: one traced pair, every per-layer metric.
-scripts/pairs.sh --quick --layers HEAD 7 noop-dispatch
+# And its per-layer form: traced pairs, every per-layer metric's
+# median and range per side.
+scripts/pairs.sh --quick --layers 2 HEAD 7 noop-dispatch
 # And its A/A form: one export as both sides.
 scripts/pairs.sh --quick --aa HEAD 7 noop-dispatch
 

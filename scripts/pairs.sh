@@ -3,7 +3,7 @@
 # CHANGES.md carries: for each workload, ten runs a side on ten
 # consecutive fresh seeds, alternating which side goes first.
 #
-#   scripts/pairs.sh [--quick] [--layers] [--aa] <parent-rev> <first-seed> [workload…]
+#   scripts/pairs.sh [--quick] [--layers [N]] [--aa] <parent-rev> <first-seed> [workload…]
 #
 # The parent is <parent-rev> exported under /.bench_build (ignored);
 # the change is the working tree. Both are built from their own source
@@ -12,9 +12,11 @@
 # Workloads default to every one BENCHMARK.json lists. `--quick` is the
 # benchmark's own `--quick` shape and a single pair: a smoke for CI.
 # `--layers` is where a saving sits rather than whether there is one:
-# a single traced pair (`--trace 1`) per workload, printed as
-# `metric: parent → change` for every per-layer name BENCHMARK.json
-# lists.
+# N traced pairs (`--trace 1`, N = 1 unless given, at most 999) per
+# workload, printed for every per-layer name BENCHMARK.json lists as
+# `metric: parent → change`, or for N > 1 as each side's median and
+# range over the N pairs and the pairs in which the change reads
+# better.
 # `--aa` runs the one export of <parent-rev> as both sides (an A/A
 # set): the same ten pairs and table, so the spread a parent-vs-change
 # verdict has to beat is measured with the harness itself.
@@ -27,18 +29,30 @@ root=$PWD
 quick=()
 pairs=10
 trace=0
+layers=1
 aa=0
 while [[ "${1:-}" == --* ]]; do
   case $1 in
   --quick) quick=(--quick) pairs=1 ;;
-  --layers) trace=1 pairs=1 ;;
+  --layers)
+    trace=1
+    # A count has at most three digits; git abbreviates a rev to four
+    # characters or more, so the two never collide.
+    if [[ "${2:-}" =~ ^[1-9][0-9]{0,2}$ ]]; then
+      layers=$2
+      shift
+    fi
+    ;;
   --aa) aa=1 ;;
   *) break ;;
   esac
   shift
 done
+if ((trace)); then
+  pairs=$layers
+fi
 if [[ $# -lt 2 ]]; then
-  echo "usage: scripts/pairs.sh [--quick] [--layers] [--aa] <parent-rev> <first-seed> [workload…]" >&2
+  echo "usage: scripts/pairs.sh [--quick] [--layers [N]] [--aa] <parent-rev> <first-seed> [workload…]" >&2
   exit 2
 fi
 rev=$(git rev-parse --verify "$1^{commit}")
@@ -122,14 +136,25 @@ def fmt(x):
 
 workloads = list(dict.fromkeys(r["workload"] for r in runs))
 if sys.argv[2] == "1":
-    # One traced pair per workload: every per-layer metric, side by side.
+    # Traced pairs per workload: every per-layer metric, side by side.
     for workload in workloads:
-        side = {r["side"]: r["result"]["metrics"] for r in runs if r["workload"] == workload}
-        print("{} (--trace 1)".format(workload))
+        side = {
+            s: [r["result"]["metrics"] for r in runs if r["workload"] == workload and r["side"] == s]
+            for s in ("parent", "change")
+        }
+        pairs = len(side["parent"])
+        print("{} (--trace 1, {} pair{})".format(workload, pairs, "" if pairs == 1 else "s"))
         for metric in spec["per_layer"]:
-            name = metric["name"]
-            p, c = (side[s][name]["value"] for s in ("parent", "change"))
-            print("  {}: {} → {} {}".format(name, fmt(p), fmt(c), metric["unit"]))
+            name, unit = metric["name"], metric["unit"]
+            p, c = ([m[name]["value"] for m in side[s]] for s in ("parent", "change"))
+            if pairs == 1:
+                print("  {}: {} → {} {}".format(name, fmt(p[0]), fmt(c[0]), unit))
+                continue
+            sign = 1 if metric["better"] == "higher" else -1
+            better = sum(1 for a, b in zip(p, c) if sign * (b - a) > 0)
+            print("  {}: {} ({}–{}) → {} ({}–{}) {}, change better in {}/{}".format(
+                name, fmt(statistics.median(p)), fmt(min(p)), fmt(max(p)),
+                fmt(statistics.median(c)), fmt(min(c)), fmt(max(c)), unit, better, pairs))
     workloads = []
 else:
     print("| workload | metric | parent | change | Δ median | change better in | verdict |")

@@ -21,8 +21,8 @@
 //! (`/proc/self/task/*/status`) per request: each is a thread parking
 //! until another hands it work, so each is one hand-off. Its hub runs on
 //! one CPU, as the benchmark's does. A `noop` run is held to
-//! [`NOOP_HANDOFF_BUDGET`]; a 3-step pipeline's count is printed beside
-//! it.
+//! [`NOOP_HANDOFF_BUDGET`], and a 3-step matminer pipeline to
+//! [`PIPELINE_HANDOFF_BUDGET`].
 //!
 //! A hub at rest holds no model it has not served: publishing the six
 //! evaluation servables stays under [`AT_REST_BUDGET`], and serving one
@@ -87,6 +87,12 @@ const PASS_EVERY: usize = 100;
 /// A servable that runs faster than a hand-off to a replica runs on the
 /// consumer that took its task.
 const NOOP_HANDOFF_BUDGET: f64 = 2.0;
+/// Voluntary context switches a 3-step `run_pipeline` may cost, on
+/// every thread: the same two as a `noop` run. Each step's run is
+/// shorter than a hand-off's wake and park, so the chain runs on the
+/// consumer that took its task (DESIGN.md §7, "A sub-hop servable runs
+/// on its dispatcher", has the counts).
+const PIPELINE_HANDOFF_BUDGET: f64 = 2.0;
 
 /// Live heap bytes: allocated minus freed, over the whole process.
 static LIVE: AtomicI64 = AtomicI64::new(0);
@@ -313,11 +319,19 @@ fn a_noop_request_costs_at_most_two_hand_offs() {
             .unwrap();
     });
     println!("hand-offs noop run: {noop:.2} per request (budget {NOOP_HANDOFF_BUDGET})");
-    println!("hand-offs 3-step run_pipeline: {pipeline:.2} per request (reported, not held)");
+    println!(
+        "hand-offs 3-step run_pipeline: {pipeline:.2} per request \
+         (budget {PIPELINE_HANDOFF_BUDGET})"
+    );
     assert!(
         noop <= NOOP_HANDOFF_BUDGET,
         "a noop run costs {noop:.2} voluntary context switches per request, \
          over the budget of {NOOP_HANDOFF_BUDGET}"
+    );
+    assert!(
+        pipeline <= PIPELINE_HANDOFF_BUDGET,
+        "a 3-step run_pipeline costs {pipeline:.2} voluntary context switches per request, \
+         over the budget of {PIPELINE_HANDOFF_BUDGET}"
     );
 }
 
