@@ -13,7 +13,7 @@ use dlhub_obs::{Counter, Gauge, Histogram, Obs, TraceContext};
 use dlhub_queue::shard::{Refused, ShardedRing};
 use dlhub_sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use dlhub_sync::thread;
-use dlhub_sync::time::{now_ns, Instant};
+use dlhub_sync::time::{instant_at, now_ns, ns_at, Instant};
 use dlhub_sync::{Mutex, MutexGuard, RwLock, Slot};
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -29,34 +29,49 @@ pub type Execution = Result<(Vec<Value>, Vec<Duration>), String>;
 /// replica reported: the cells the replicas answered into, handed over
 /// as they are, so a Task Manager encodes its reply from them and
 /// nothing rebuilds them first.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Answers(Vec<(Value, Duration)>);
+#[derive(Debug, Clone, PartialEq)]
+pub struct Answers {
+    cells: Vec<(Value, Duration)>,
+    /// Obs-clock stamp at which the last run of the task ended.
+    ended_ns: u64,
+}
 
 impl Answers {
     /// Outputs, in input order.
     pub fn values(&self) -> impl ExactSizeIterator<Item = &Value> {
-        self.0.iter().map(|(value, _)| value)
+        self.cells.iter().map(|(value, _)| value)
     }
 
     /// Inference times, in input order.
     pub fn times(&self) -> impl ExactSizeIterator<Item = Duration> + '_ {
-        self.0.iter().map(|(_, time)| *time)
+        self.cells.iter().map(|(_, time)| *time)
+    }
+
+    /// When the task's last run ended ([`now_ns`] clock): the stamp a
+    /// Task Manager ends the step, and its invocation, at, so answering
+    /// reads no clock of its own.
+    pub fn ended_ns(&self) -> u64 {
+        self.ended_ns
     }
 
     /// The outputs, for the next step of a chain.
     pub fn into_values(self) -> Vec<Value> {
-        self.0.into_iter().map(|(value, _)| value).collect()
+        self.cells.into_iter().map(|(value, _)| value).collect()
     }
 
     /// The [`Execution`] form: outputs and times apart.
     pub fn into_parts(self) -> (Vec<Value>, Vec<Duration>) {
-        self.0.into_iter().unzip()
+        self.cells.into_iter().unzip()
     }
 }
 
 impl From<(Vec<Value>, Vec<Duration>)> for Answers {
+    /// An inline executor's answers, stamped as they are built.
     fn from((values, times): (Vec<Value>, Vec<Duration>)) -> Self {
-        Answers(values.into_iter().zip(times).collect())
+        Answers {
+            cells: values.into_iter().zip(times).collect(),
+            ended_ns: now_ns(),
+        }
     }
 }
 
@@ -67,9 +82,10 @@ pub type Answered = Result<Answers, String>;
 /// Completion callback of [`Executor::dispatch`].
 pub type Done = Box<dyn FnOnce(Answered) + Send>;
 
-/// Where a task sits in its chain and where its spans go: what a Task
-/// Manager tells an executor beside the task itself. The default is a
-/// first step that records nothing.
+/// Where a task sits in its chain, where its spans go and when it was
+/// dispatched: what a Task Manager tells an executor beside the task
+/// itself. The default is a first step that records nothing and is
+/// stamped by the executor.
 #[derive(Clone, Copy, Default)]
 pub struct ChainStep<'a> {
     /// The task's index in its chain (§VI-D): 0 for a task a Task
@@ -83,6 +99,11 @@ pub struct ChainStep<'a> {
     /// this `Obs` under this parent (the Task Manager's `invocation`
     /// span). `None` records nothing.
     pub trace: Option<(&'a Obs, TraceContext)>,
+    /// When the step was dispatched ([`now_ns`] clock): the task's
+    /// receive stamp for a first step, the step before's end for a
+    /// later one. The executor times the task's deadline and its jobs'
+    /// queue waits from it. `None`: the executor reads the clock.
+    pub at_ns: Option<u64>,
 }
 
 /// Executors run batches of inputs against one servable and report
@@ -132,9 +153,9 @@ pub trait Executor: Send + Sync {
                 for time in times {
                     let start_ns = end_ns.saturating_sub(time.as_nanos() as u64);
                     let mut span = obs.tracer.start_child_at(parent, "inference", start_ns);
-                    span.attr("servable", servable_id.to_string());
+                    span.attr_with("servable", || servable_id.to_string());
                     span.attr("step", step.index);
-                    span.attr("executor", self.name().to_string());
+                    span.attr_with("executor", || self.name().to_string());
                     obs.tracer.finish_at(span, end_ns);
                 }
             }
@@ -164,10 +185,11 @@ pub trait Executor: Send + Sync {
     }
 
     /// Complete, with a timeout error, every dispatched task whose
-    /// replicas have not all answered in time. Whoever dispatches
-    /// without waiting calls this every loop turn; it costs one atomic
-    /// load when nothing is due. Inline executors have nothing to reap.
-    fn reap_expired(&self) {}
+    /// replicas have not all answered by `now_ns` ([`now_ns`] clock, a
+    /// reading the caller already holds). Whoever dispatches without
+    /// waiting calls this every loop turn; it costs one atomic load when
+    /// nothing is due. Inline executors have nothing to reap.
+    fn reap_expired(&self, _now_ns: u64) {}
 }
 
 /// Trace baggage of a pooled task, so the replica thread records its
@@ -213,14 +235,15 @@ struct Progress {
 
 impl Task {
     /// Record one job's answers, for the inputs from `first` on, each
-    /// with the same inference time; the last job to answer completes
-    /// the task (first error in input order, if any). Returns whether
-    /// this one did.
+    /// with the same inference time, its run having ended at `ended_ns`;
+    /// the last job to answer completes the task (first error in input
+    /// order, if any). Returns whether this one did.
     fn answer(
         &self,
         first: usize,
         results: impl IntoIterator<Item = Result<Value, String>>,
         inference: Duration,
+        ended_ns: u64,
     ) -> bool {
         let mut progress = self.progress.lock();
         let Progress {
@@ -243,7 +266,10 @@ impl Task {
         progress.answered == progress.answers.len()
             && self.complete(progress, |progress| match progress.first_error.take() {
                 Some((_, error)) => Err(error),
-                None => Ok(Answers(std::mem::take(&mut progress.answers))),
+                None => Ok(Answers {
+                    cells: std::mem::take(&mut progress.answers),
+                    ended_ns,
+                }),
             })
     }
 
@@ -443,9 +469,56 @@ fn run_chunk(
     results.extend(block.unwrap_or_else(|panic| vec![Err(panic); inputs.len()]));
 }
 
-/// `Shared::handoff_ns` and `PoolState::last_run_ns` sentinel: nothing
+/// `PickupWindow::price` and `PoolState::last_run_ns` sentinel: nothing
 /// measured yet, or a failed run.
 const UNMEASURED: u64 = u64::MAX;
+
+/// Pickups per bucket of a [`PickupWindow`].
+const PICKUPS_PER_BUCKET: u64 = 32;
+
+/// The cheapest recent pickup: the minimum over the last 32 to 64
+/// pickups measured, kept as two buckets of [`PICKUPS_PER_BUCKET`]
+/// samples. The window advances per sample, never per time: the
+/// bucket filling is reset by its first sample, so an outlier ages out
+/// after at most 64 later pickups, and a price without new samples
+/// stands as it is rather than lapsing to [`UNMEASURED`].
+struct PickupWindow {
+    /// Pickups recorded so far; the `n`th lands in bucket
+    /// `n / PICKUPS_PER_BUCKET % 2`.
+    pickups: AtomicU64,
+    /// Each bucket's minimum, [`UNMEASURED`] until its first sample.
+    buckets: [AtomicU64; 2],
+}
+
+impl PickupWindow {
+    fn new() -> Self {
+        PickupWindow {
+            pickups: AtomicU64::new(0),
+            buckets: [AtomicU64::new(UNMEASURED), AtomicU64::new(UNMEASURED)],
+        }
+    }
+
+    /// Add one pickup, measured at `pickup_ns`. Replicas record
+    /// concurrently: a sample racing its bucket's reset may be lost,
+    /// which only delays the price by one sample.
+    fn record(&self, pickup_ns: u64) {
+        let n = self.pickups.fetch_add(1, Ordering::Relaxed);
+        let bucket = &self.buckets[(n / PICKUPS_PER_BUCKET % 2) as usize];
+        match n % PICKUPS_PER_BUCKET {
+            0 => bucket.store(pickup_ns, Ordering::Relaxed),
+            _ => {
+                bucket.fetch_min(pickup_ns, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// The price of one switch of a hand-off: the smaller bucket
+    /// minimum, or [`UNMEASURED`] before the first pickup.
+    fn price(&self) -> u64 {
+        let [a, b] = &self.buckets;
+        a.load(Ordering::Relaxed).min(b.load(Ordering::Relaxed))
+    }
+}
 
 /// Context switches a hand-off to a parked replica costs the CPU its
 /// dispatcher needs: the wake that puts the replica on it, and the park
@@ -454,7 +527,7 @@ const UNMEASURED: u64 = u64::MAX;
 const HOP_SWITCHES: u64 = 2;
 
 /// Whether a run that last took `last_run_ns` per input is cheaper on
-/// its dispatcher than handed off, when the cheapest pickup measured is
+/// its dispatcher than handed off, when the cheapest recent pickup is
 /// `handoff_ns`: the hop is priced as [`HOP_SWITCHES`] switches of that
 /// cost each, since a park is the wake's futex call and context switch
 /// in reverse and its end cannot be stamped by the thread it takes off
@@ -469,12 +542,13 @@ struct Shared {
     faults: FaultHandle,
     metrics: HealthMetrics,
     inflight: Inflight,
-    /// The cheapest pickup measured for a job sent to a replica already
-    /// parked idle, in ns: what the wake of a hand-off costs at the
-    /// least, and the price of each of its [`HOP_SWITCHES`]. A minimum,
-    /// so a cold start, a backlog or a busy CPU never push it up, and a
-    /// replica that must be woken cannot take a job faster than a wake.
-    handoff_ns: AtomicU64,
+    /// The cheapest recent pickup of a job sent to a replica already
+    /// parked idle: what the wake of a hand-off costs at the least, and
+    /// the price of each of its [`HOP_SWITCHES`]. A minimum, so a cold
+    /// start, a backlog or a busy CPU never push it up, and a replica
+    /// that must be woken cannot take a job faster than a wake; over a
+    /// window, so one lucky pickup does not set the price for good.
+    handoff: PickupWindow,
     /// Set from the dispatch of a job a dispatcher keeps to the end of
     /// its run: while it is set, every other job goes to a replica. A
     /// servable that turns slow or hangs in a kept run so holds one
@@ -537,7 +611,7 @@ impl Shared {
                 let pickup_ns = start_ns.saturating_sub(sent_ns);
                 let idle_ns = sent_ns.checked_sub(idle_since_ns);
                 if idle_ns.is_some_and(|idle_ns| idle_ns >= pickup_ns) {
-                    self.handoff_ns.fetch_min(pickup_ns, Ordering::Relaxed);
+                    self.handoff.record(pickup_ns);
                 }
                 queued_ns
             }
@@ -557,7 +631,7 @@ impl Shared {
         if let Some(trace) = &task.trace {
             let tracer = &trace.tracer;
             let mut span = tracer.start_child_at(trace.parent, "inference", start_ns);
-            span.attr("servable", Arc::clone(&pool.servable));
+            span.attr("servable", &pool.servable);
             span.attr("step", trace.step);
             if let Runner::Replica { index, .. } = runner {
                 span.attr("replica", index);
@@ -584,7 +658,7 @@ impl Shared {
         // The last answer runs the task's completion right here.
         let answers = single.into_iter().chain(results.drain(..));
         let inference = Duration::from_nanos(per_input_ns);
-        if task.answer(items.start, answers, inference) {
+        if task.answer(items.start, answers, inference, end_ns) {
             let address = Arc::as_ptr(&task) as usize;
             self.inflight.tasks.lock().remove(&address);
         }
@@ -767,7 +841,7 @@ impl Pool {
 ///
 /// A one-input task whose servable's last run was shorter than a
 /// hand-off to a parked replica (its wake and its park, each priced at
-/// the cheapest pickup measured so far) runs on the thread that
+/// the cheapest recent pickup) runs on the thread that
 /// dispatched it instead: handing it over would cost more than running
 /// it. A fault drawn for it, or a failed run, sends the job, or the
 /// servable's next one, to a replica. One such job runs on a dispatcher
@@ -828,7 +902,7 @@ impl ParslExecutor {
                     tasks: Mutex::new(HashMap::new()),
                     next_expiry: AtomicU64::new(NO_EXPIRY),
                 },
-                handoff_ns: AtomicU64::new(UNMEASURED),
+                handoff: PickupWindow::new(),
                 keeping: AtomicBool::new(false),
             }),
         }
@@ -975,14 +1049,14 @@ impl ParslExecutor {
     /// Whether a one-input task for the servable of `pool` is cheaper
     /// run on its dispatcher than handed to a replica: the servable's
     /// last run was shorter than a hand-off's wake and park, each priced
-    /// at the cheapest pickup measured ([`cheaper_than_a_hop`]). Never
+    /// at the cheapest recent pickup ([`cheaper_than_a_hop`]). Never
     /// before both are measured, nor after a failed run. Such a task
     /// stays on its dispatcher only if no other kept job is running
     /// (`Shared::keeping`).
     fn sub_hop(&self, pool: &PoolState) -> bool {
         cheaper_than_a_hop(
             pool.last_run_ns.load(Ordering::Relaxed),
-            self.shared.handoff_ns.load(Ordering::Relaxed),
+            self.shared.handoff.price(),
         )
     }
 
@@ -1008,7 +1082,7 @@ impl ParslExecutor {
         done: Option<Done>,
     ) -> Arc<Task> {
         let count = inputs.len();
-        let started_ns = now_ns();
+        let started_ns = step.at_ns.unwrap_or_else(now_ns);
         let timeout_ns = self.reply_timeout.as_nanos().min(u64::MAX as u128) as u64;
         // Spans are recorded by whoever runs a job, so each carries
         // exact start/end stamps and the replica, if any, that ran it.
@@ -1053,7 +1127,11 @@ impl ParslExecutor {
         } = match ready {
             Ok(Some((lane, _))) => lane,
             Ok(None) => {
-                task.complete(task.progress.lock(), |_| Ok(Answers::default()));
+                let empty = Answers {
+                    cells: Vec::new(),
+                    ended_ns: started_ns,
+                };
+                task.complete(task.progress.lock(), |_| Ok(empty));
                 return task;
             }
             Err(error) => {
@@ -1104,19 +1182,20 @@ impl ParslExecutor {
         let jobs = count.min(replicas);
         let (share, larger) = (count / jobs, count % jobs);
         let mut next = 0;
+        // Every job queues from the task's ready stamp. The send is
+        // stamped afresh, once per task: it prices the hop
+        // (`Shared::handoff`), and the dispatcher's decode and pool
+        // lookup before it are paid by a kept run too.
+        let sent_ns = now_ns();
         for number in 0..jobs {
             self.dispatched.fetch_add(1, Ordering::Relaxed);
-            let queued_ns = match number {
-                0 => ready_ns,
-                _ => now_ns(),
-            };
             let items = next..next + share + usize::from(number < larger);
             next = items.end;
             let mut job = Job {
                 task: Arc::clone(&task),
                 items,
-                queued_ns,
-                sent_ns: now_ns(),
+                queued_ns: ready_ns,
+                sent_ns,
                 verdict,
             };
             // A later chain step is sent from the thread that finished
@@ -1135,8 +1214,9 @@ impl ParslExecutor {
             // A dispatcher parked on a saturated pool still looks for
             // expired tasks, and gives up once its own has expired:
             // hung replicas hold it for `reply_timeout` at most.
+            let mut tick_from = instant_at(sent_ns);
             while let Err((refused, unsent)) =
-                queue.push_within(job, Some(replicas), Some(Instant::now() + TICK))
+                queue.push_within(job, Some(replicas), Some(tick_from + TICK))
             {
                 if refused == Refused::Closed {
                     inflight.tasks.lock().remove(&address);
@@ -1144,7 +1224,8 @@ impl ParslExecutor {
                     return task;
                 }
                 job = unsent;
-                self.reap_expired();
+                tick_from = Instant::now();
+                self.reap_expired(ns_at(tick_from));
                 if task.progress.lock().completed {
                     return task;
                 }
@@ -1194,7 +1275,7 @@ impl Executor for ParslExecutor {
             // Nothing closes a task's outcome: the wait only times out.
             match task.outcome.take(Some(Instant::now() + left)) {
                 Ok(outcome) => return outcome.map(Answers::into_parts),
-                Err(_) => self.reap_expired(),
+                Err(_) => self.reap_expired(now_ns()),
             }
         }
     }
@@ -1214,13 +1295,12 @@ impl Executor for ParslExecutor {
         self.start(servable_id, servable, inputs, step, Some(done));
     }
 
-    fn reap_expired(&self) {
+    fn reap_expired(&self, now: u64) {
         let inflight = &self.shared.inflight;
         let due = inflight.next_expiry.load(Ordering::SeqCst);
-        if due == NO_EXPIRY || now_ns() < due {
+        if due == NO_EXPIRY || now < due {
             return;
         }
-        let now = now_ns();
         let mut expired = Vec::new();
         {
             // A dispatch inserts under this lock before it `fetch_min`s
@@ -1808,11 +1888,12 @@ mod tests {
         let echo = servable_fn(|v| Ok(v.clone()));
         let obs = Obs::new();
         let root = obs.tracer.start_root("invocation");
-        let parent = root.ctx();
+        let parent = root.ctx().expect("recorded");
         let inputs: Vec<Value> = (0..6).map(Value::Int).collect();
         let step = ChainStep {
             index: 2,
             trace: Some((&obs, parent)),
+            at_ns: None,
         };
         let (outputs, times) = ex.execute_traced("u/echo", &echo, &inputs, step).unwrap();
         assert_eq!(outputs, inputs);
@@ -1836,10 +1917,11 @@ mod tests {
         let noop: Arc<dyn Servable> = Arc::new(NoopServable);
         let obs = Obs::new();
         let root = obs.tracer.start_root("invocation");
-        let parent = root.ctx();
+        let parent = root.ctx().expect("recorded");
         let step = ChainStep {
             index: 0,
             trace: Some((&obs, parent)),
+            at_ns: None,
         };
         tfs.execute_traced("u/noop", &noop, &[Value::Null, Value::Null], step)
             .unwrap();
@@ -1926,6 +2008,106 @@ mod tests {
     }
 
     #[test]
+    fn the_hop_price_forgets_a_lucky_pickup_within_64_later_ones() {
+        const N: u64 = PICKUPS_PER_BUCKET;
+        // (pickups recorded in order, the price after them).
+        let table: Vec<(Vec<u64>, u64)> = vec![
+            // No pickup yet: unmeasured.
+            (vec![], UNMEASURED),
+            (vec![3_000], 3_000),
+            (vec![3_000, 2_800, 3_500], 2_800),
+            // A lucky 500 ns pickup first, then steady 3 µs ones: it
+            // holds while its bucket is one of the two in the window...
+            (
+                std::iter::once(500)
+                    .chain(std::iter::repeat_n(3_000, 2 * N as usize - 1))
+                    .collect(),
+                500,
+            ),
+            // ...and is gone once its bucket is refilled: the 64th
+            // pickup after it.
+            (
+                std::iter::once(500)
+                    .chain(std::iter::repeat_n(3_000, 2 * N as usize))
+                    .collect(),
+                3_000,
+            ),
+            // An outlier late in a bucket lasts one more bucket only.
+            (
+                std::iter::repeat_n(3_000, N as usize - 1)
+                    .chain([500])
+                    .chain(std::iter::repeat_n(3_000, 2 * N as usize))
+                    .collect(),
+                3_000,
+            ),
+            // Dearer pickups raise the price only as the cheap ones age.
+            (
+                std::iter::repeat_n(2_000, 2 * N as usize)
+                    .chain(std::iter::repeat_n(4_000, N as usize))
+                    .collect(),
+                2_000,
+            ),
+            (
+                std::iter::repeat_n(2_000, 2 * N as usize)
+                    .chain(std::iter::repeat_n(4_000, 2 * N as usize))
+                    .collect(),
+                4_000,
+            ),
+        ];
+        for (pickups, price) in table {
+            let window = PickupWindow::new();
+            for &pickup in &pickups {
+                window.record(pickup);
+            }
+            assert_eq!(window.price(), price, "after {} pickups", pickups.len());
+            // No further pickup, however long: the price stands.
+            assert_eq!(window.price(), price);
+        }
+    }
+
+    #[test]
+    fn a_windowed_price_never_undercuts_the_lifetime_minimum() {
+        let window = PickupWindow::new();
+        let mut lifetime = UNMEASURED;
+        let mut x = 0x2545_f491_4f6c_dd1d_u64;
+        for _ in 0..1_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let pickup = 1_000 + x % 4_000;
+            window.record(pickup);
+            lifetime = lifetime.min(pickup);
+            let price = window.price();
+            assert!(price >= lifetime, "{price} < {lifetime}");
+            // So a run kept at the windowed price is kept at the
+            // lifetime one: no kept job moves to a replica.
+            for run in [price, 2 * price - 1, 2 * price] {
+                if cheaper_than_a_hop(run, lifetime) {
+                    assert!(cheaper_than_a_hop(run, price), "{run} {price}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_hop_price_at_its_edges_decides_what_stays() {
+        let window = PickupWindow::new();
+        // Unmeasured: nothing stays, not even a run of no time.
+        assert!(!cheaper_than_a_hop(0, window.price()));
+        window.record(1_500);
+        assert!(cheaper_than_a_hop(2_999, window.price()));
+        assert!(!cheaper_than_a_hop(3_000, window.price()));
+        // A lucky 100 ns pickup lowers the price until it ages out.
+        window.record(100);
+        assert!(!cheaper_than_a_hop(2_999, window.price()));
+        for _ in 0..2 * PICKUPS_PER_BUCKET {
+            window.record(1_500);
+        }
+        assert!(cheaper_than_a_hop(2_999, window.price()));
+        assert!(!cheaper_than_a_hop(UNMEASURED, window.price()));
+    }
+
+    #[test]
     fn a_sub_hop_servable_runs_on_a_replica_first_then_on_its_caller() {
         let obs = Obs::new();
         let ex = ParslExecutor::new(1, &obs, FaultHandle::default());
@@ -1957,10 +2139,11 @@ mod tests {
         assert_eq!(waits, handed_off as u64);
         // Its span names no replica and reads no wait.
         let root = obs.tracer.start_root("invocation");
-        let parent = root.ctx();
+        let parent = root.ctx().expect("recorded");
         let step = ChainStep {
             index: 0,
             trace: Some((&obs, parent)),
+            at_ns: None,
         };
         let ran_here: Vec<bool> = (0..5)
             .map(|_| {
@@ -2034,7 +2217,7 @@ mod tests {
         );
         let warmed = log.lock().len();
         // Slower than any hand-off measured so far, or to come.
-        let handoff = Duration::from_nanos(ex.shared.handoff_ns.load(Ordering::Relaxed));
+        let handoff = Duration::from_nanos(ex.shared.handoff.price());
         *slow.lock() = 2 * handoff.max(Duration::from_millis(1));
         for _ in 0..10 {
             ex.execute("u/turns", &servable, &[Value::Null]).unwrap();

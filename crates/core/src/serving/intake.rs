@@ -12,7 +12,7 @@ use dlhub_fault::site;
 use dlhub_obs::Gauge;
 use dlhub_queue::shard::ShardedRing;
 use dlhub_sync::thread;
-use dlhub_sync::time::Instant;
+use dlhub_sync::time::{ns_at, Instant};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -49,6 +49,9 @@ impl AsyncPool {
                             active.add(-1);
                         }
                     })
+                    // Runs once, while the service is built, never on a
+                    // request: only an OS out of threads refuses, and a
+                    // service without its pool could accept no async run.
                     .expect("spawn async pool worker")
             })
             .collect();
@@ -148,10 +151,11 @@ impl ManagementService {
         inputs: Vec<Value>,
         waited: Duration,
     ) -> Result<Vec<Value>, DlhubError> {
-        let mut span = self.obs.tracer.start_root("batch_flush");
+        let started = Instant::now();
+        let mut span = self.obs.tracer.start_root_at("batch_flush", ns_at(started));
         span.attr("batch_wait_ns", waited.as_nanos() as u64);
         let batch = Some(inputs.len());
-        let frame = self.open_frame(Arc::clone(servable), span, Instant::now(), batch, None)?;
+        let frame = self.open_frame(Arc::clone(servable), span, started, batch, None)?;
         let outcome = match self.faults.decide(site::BATCH_FLUSH) {
             Some(fault) => Err(DlhubError::Execution {
                 servable: servable.to_string(),
@@ -178,16 +182,17 @@ impl ManagementService {
         // handle is a promise of capacity — the permit rides in the
         // frame until the pool job closes it.
         let task_id = next_task_id();
-        let mut span = self.obs.tracer.start_root("request");
+        let mut span = self.obs.tracer.start_root_at("request", ns_at(started));
         span.attr("mode", "async");
-        span.attr("task_id", task_id.clone());
-        let frame = self.open_frame(servable, span, started, None, Some(tenant))?;
+        span.attr_with("task_id", || task_id.clone());
+        let mut frame = self.open_frame(servable, span, started, None, Some(tenant))?;
         self.task_table.register(&task_id);
         let handle = TaskHandle::new(task_id.clone(), Arc::clone(&self.task_table));
         let service = Arc::clone(self);
         // No thread is spawned per request: the job joins the pool's
         // queue and one of the [`super::ASYNC_WORKERS`] threads runs it.
         self.async_pool.submit(Box::new(move || {
+            frame.resume();
             let outcome = service.execute_one(&frame, &input, None);
             let status = match service.close_frame(frame, outcome) {
                 Ok((value, _)) => TaskStatus::Completed(value),

@@ -288,6 +288,8 @@ impl ManagementService {
                         None => break,
                     }
                 })
+                // Runs once, while the service is built, never on a
+                // request: only an OS out of threads refuses.
                 .expect("spawn control thread");
         }
         service
@@ -982,6 +984,174 @@ mod tests {
         // The tiers nest: each inner span is no longer than its parent.
         assert!(inference[0].duration() <= invocation[0].duration());
         assert!(invocation[0].duration() <= request[0].duration());
+    }
+
+    /// Fill this thread's span ring: record roots until one is refused.
+    /// Returns how many traces the tracer has counted dropped since.
+    fn fill_root_ring(tracer: &dlhub_obs::Tracer) -> impl Fn() -> u64 + '_ {
+        loop {
+            let span = tracer.start_root("fill");
+            let recorded = span.is_recorded();
+            tracer.finish(span);
+            if !recorded {
+                break;
+            }
+        }
+        let before = tracer.dropped();
+        move || tracer.dropped() - before
+    }
+
+    /// A hub serving `noop`, the matminer pipeline and a memoized
+    /// servable, with each kind of request run once: a `run`, a
+    /// `run_pipeline`, and a memo miss then hit. Returns the trace ids.
+    fn run_every_kind(hub: &TestHub) -> Vec<u64> {
+        let steps = ["dlhub/matminer-util", "dlhub/matminer-featurize"];
+        let pipeline = Pipeline::new("two-step", steps.map(String::from).to_vec());
+        hub.service.register_pipeline(&hub.token, pipeline).ok();
+        let run = |options: &RunOptions| {
+            let input = Value::Str("NaCl".into());
+            let id = "dlhub/matminer-util";
+            hub.service
+                .run_with_options(&hub.token, id, input, options)
+                .unwrap()
+        };
+        let memo_on = RunOptions {
+            memoize: Some(true),
+            ..RunOptions::default()
+        };
+        let noop = hub.service.run(&hub.token, "dlhub/noop", Value::Null);
+        let (_, _, pipeline) = hub
+            .service
+            .run_pipeline_traced(&hub.token, "two-step", Value::Str("SiO2".into()))
+            .unwrap();
+        let miss = run(&memo_on);
+        let hit = run(&memo_on);
+        assert!(hit.timings.cache_hit && !miss.timings.cache_hit);
+        vec![noop.unwrap().trace, pipeline, miss.trace, hit.trace]
+    }
+
+    #[test]
+    fn a_trace_refused_at_its_root_records_nothing_on_any_thread() {
+        let hub = TestHub::builder().memo(false).build();
+        // Deploy first, so the runs below build no pool either.
+        hub.service
+            .run(&hub.token, "dlhub/noop", Value::Null)
+            .unwrap();
+        let tracer = &hub.service.obs().tracer;
+        tracer.clear();
+        let refused = fill_root_ring(tracer);
+        let traces = run_every_kind(&hub);
+        assert!(traces.iter().all(|&trace| trace > 0), "{traces:?}");
+        // Each refused trace counts once: four roots, no span of theirs.
+        assert_eq!(refused(), traces.len() as u64);
+        // The Task Manager and replica threads have room, so any trace
+        // context on the wire would have put an invocation there.
+        let export = tracer.export(None);
+        let names: Vec<_> = export.spans.iter().map(|s| s.name).collect();
+        assert!(names.iter().all(|&name| name == "fill"), "{names:?}");
+        for &trace in &traces {
+            assert!(tracer.export(Some(trace)).spans.is_empty());
+        }
+        // No latency exemplar names a trace that cannot be looked up.
+        for servable in ["dlhub/noop", "dlhub/matminer-util", "two-step"] {
+            let latency = hub.service.obs().metrics.series(servable);
+            let exemplars = latency.request_latency.snapshot().exemplars;
+            assert!(
+                exemplars.iter().all(|(_, trace)| !traces.contains(trace)),
+                "{servable}: {exemplars:?} names one of {traces:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_disabled_tracer_records_no_trace_but_still_names_each() {
+        let hub = TestHub::builder().memo(false).build();
+        let tracer = &hub.service.obs().tracer;
+        tracer.set_enabled(false);
+        let before = tracer.dropped();
+        let traces = run_every_kind(&hub);
+        assert!(traces.iter().all(|&trace| trace > 0), "{traces:?}");
+        let distinct: std::collections::HashSet<_> = traces.iter().collect();
+        assert_eq!(distinct.len(), traces.len());
+        // Not tracing is no drop.
+        assert_eq!(tracer.dropped(), before);
+        tracer.set_enabled(true);
+        assert!(tracer.export(None).spans.is_empty());
+    }
+
+    #[test]
+    fn an_unrecorded_frame_sends_no_trace_context() {
+        use crate::task::{chain_frame, task_frame, ChainRequest, TaskId, TaskRequest};
+        let hub = TestHub::builder().memo(false).build();
+        let service = &hub.service;
+        let tracer = &service.obs().tracer;
+        let servable: Arc<str> = Arc::from("dlhub/noop");
+        let inputs = [Value::Null];
+        let frame_of = |span| {
+            let started = dlhub_sync::time::Instant::now();
+            service
+                .open_frame(Arc::clone(&servable), span, started, None, None)
+                .unwrap()
+        };
+        let wire = |frame: &request::RequestFrame| {
+            let task = task_frame(TaskId::Seq(1), &servable, frame.ctx(), &inputs);
+            let steps = [servable.to_string()];
+            let chain = chain_frame(TaskId::Seq(2), &steps, frame.ctx(), &inputs);
+            let task = TaskRequest::from_bytes(&task).unwrap().trace;
+            (task, ChainRequest::from_bytes(&chain).unwrap().trace)
+        };
+        // With room, the root's context rides in both frames...
+        let recorded = frame_of(tracer.start_root("request"));
+        let ctx = recorded.ctx().expect("recorded");
+        assert_eq!(wire(&recorded), (Some(ctx), Some(ctx)));
+        // ...and a refused root sends none, while keeping its trace id.
+        let _refused = fill_root_ring(tracer);
+        let unrecorded = frame_of(tracer.start_root("request"));
+        assert!(unrecorded.trace() > ctx.trace);
+        assert_eq!(wire(&unrecorded), (None, None));
+        tracer.set_enabled(false);
+        assert_eq!(wire(&frame_of(tracer.start_root("request"))), (None, None));
+    }
+
+    /// Whether `child` lies within `parent`, equal stamps allowed.
+    fn nested(parent: &dlhub_obs::SpanRecord, child: &dlhub_obs::SpanRecord) -> bool {
+        child.parent == parent.span
+            && parent.start_ns <= child.start_ns
+            && child.end_ns <= parent.end_ns
+    }
+
+    #[test]
+    fn a_recorded_trace_is_whole_and_every_child_inside_its_parent() {
+        let hub = TestHub::builder().memo(false).build();
+        let traces = run_every_kind(&hub);
+        let tracer = &hub.service.obs().tracer;
+        let one = |export: &dlhub_obs::TraceExport, name| {
+            let spans = export.named(name);
+            assert_eq!(spans.len(), 1, "{name}: {spans:?}");
+            spans[0].clone()
+        };
+        // A run: request over its attempt and the Task Manager's
+        // invocation, the inference under the invocation.
+        for (trace, root) in [(traces[0], "request"), (traces[1], "pipeline")] {
+            let export = tracer.export(Some(trace));
+            let root = one(&export, root);
+            let attempt = one(&export, "attempt");
+            let invocation = one(&export, "invocation");
+            assert!(nested(&root, &attempt), "{attempt:?} in {root:?}");
+            assert!(nested(&root, &invocation), "{invocation:?} in {root:?}");
+            let inferences = export.named("inference");
+            assert!(!inferences.is_empty());
+            for inference in inferences {
+                assert!(nested(&invocation, inference), "{inference:?}");
+            }
+        }
+        // The pipeline's root holds one inference per step.
+        assert_eq!(tracer.export(Some(traces[1])).named("inference").len(), 2);
+        // A memo hit: request over its lookup, nothing deeper.
+        let export = tracer.export(Some(traces[3]));
+        let (request, lookup) = (one(&export, "request"), one(&export, "memo_lookup"));
+        assert!(nested(&request, &lookup), "{lookup:?} in {request:?}");
+        assert_eq!(export.spans.len(), 2);
     }
 
     #[test]

@@ -35,7 +35,7 @@ use crate::value::Value;
 use bytes::Bytes;
 use dlhub_auth::Token;
 use dlhub_sync::atomic::Ordering;
-use dlhub_sync::time::Instant;
+use dlhub_sync::time::{ns_at, Instant};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -111,7 +111,7 @@ impl ManagementService {
             Ok((tenant, name, pipeline))
         });
         let (tenant, name, pipeline) = self.refused(checked)?;
-        let mut span = self.obs.tracer.start_root("pipeline");
+        let mut span = self.obs.tracer.start_root_at("pipeline", ns_at(started));
         span.attr("steps", pipeline.steps.len());
         let frame = self.open_frame(name, span, started, None, Some(tenant))?;
         let trace = frame.trace();
@@ -143,7 +143,7 @@ impl ManagementService {
         }
         let task_id = TaskId::Seq(next_task_seq());
         let inputs = std::slice::from_ref(&input);
-        let chain = chain_frame(task_id, &pipeline.steps, Some(frame.ctx()), inputs);
+        let chain = chain_frame(task_id, &pipeline.steps, frame.ctx(), inputs);
         let (value, costs) = self.dispatch_remote(frame, chain, None, |reply| {
             self.chain_answer(&pipeline.steps, reply)
         })?;

@@ -16,7 +16,8 @@ use dlhub_auth::{IdentityId, Token};
 use dlhub_obs::{ServableSeries, SpanHandle, TraceContext};
 use dlhub_sync::atomic::Ordering;
 use dlhub_sync::thread;
-use dlhub_sync::time::Instant;
+use dlhub_sync::time::{ns_at, Instant};
+use std::cell::Cell;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -35,7 +36,17 @@ pub(super) struct RequestFrame {
     servable: Arc<str>,
     span: SpanHandle,
     series: Arc<ServableSeries>,
+    /// The request's arrival: its root span's start, and what its
+    /// `timings.request` is measured from.
     started: Instant,
+    /// What the frame's deadline and first attempt are timed from: its
+    /// arrival, or, for an async run, when a pool worker took it up
+    /// ([`RequestFrame::resume`]).
+    dispatch_base: Instant,
+    /// The clock read at the request's latest reply or memo lookup: what
+    /// the frame closes at, so closing reads no clock of its own. Unset
+    /// until then.
+    replied: Cell<Option<Instant>>,
     /// Inputs carried: what `requests` advanced by at open, and what
     /// `errors` advances by if the frame fails.
     items: u64,
@@ -55,9 +66,17 @@ impl RequestFrame {
         self.span.trace()
     }
 
+    /// Start the frame's dispatch clock now: an async run's frame opens
+    /// at submission, but its deadline and its first attempt run from
+    /// when a pool worker takes it up.
+    pub(super) fn resume(&mut self) {
+        self.dispatch_base = Instant::now();
+    }
+
     /// Where the frame's children hang: its memo lookup, its attempts
-    /// and, carried in the task, the Task Manager's invocation.
-    pub(super) fn ctx(&self) -> TraceContext {
+    /// and, carried in the task, the Task Manager's invocation. `None`
+    /// when the trace is not recorded.
+    pub(super) fn ctx(&self) -> Option<TraceContext> {
         self.span.ctx()
     }
 }
@@ -149,7 +168,7 @@ impl ManagementService {
         batch: Option<usize>,
         tenant: Option<IdentityId>,
     ) -> Result<RequestFrame, DlhubError> {
-        span.attr("servable", Arc::clone(&servable));
+        span.attr("servable", &servable);
         let series = self.obs.metrics.series(&servable);
         let items = batch.unwrap_or(1) as u64;
         series.requests.add(items);
@@ -162,6 +181,8 @@ impl ManagementService {
             span,
             series,
             started,
+            dispatch_base: started,
+            replied: Cell::new(None),
             items,
             _permit: None,
         };
@@ -174,7 +195,8 @@ impl ManagementService {
     /// Close `frame` with its outcome — the one place a request's
     /// latencies, errors and SLO observation are recorded — and hand
     /// the outcome back with `timings.request` stamped, so every entry
-    /// point measures to the same instant. The permit is released
+    /// point measures to the same instant: the frame's last reply or
+    /// memo lookup, or now if it had neither. The permit is released
     /// after everything is recorded.
     pub(super) fn close_frame<T>(
         &self,
@@ -186,17 +208,23 @@ impl ManagementService {
             mut span,
             series,
             started,
+            replied,
             items,
             _permit,
+            ..
         } = frame;
-        let request = started.elapsed();
+        let ended = replied.get().unwrap_or_else(Instant::now);
+        let request = ended.saturating_duration_since(started);
         let outcome = outcome.map(|(value, timings)| (value, Timings { request, ..timings }));
         match &outcome {
             Ok((_, timings)) => {
                 span.attr("cache_hit", timings.cache_hit);
-                series
-                    .request_latency
-                    .record_duration_with_exemplar(request, span.trace());
+                // An exemplar names a trace that can be looked up.
+                let latency = &series.request_latency;
+                match span.is_recorded() {
+                    true => latency.record_duration_with_exemplar(request, span.trace()),
+                    false => latency.record_duration(request),
+                }
                 series
                     .invocation_latency
                     .record_duration(timings.invocation);
@@ -208,11 +236,13 @@ impl ManagementService {
             }
             Err(e) => {
                 series.errors.add(items);
-                span.attr("error", e.to_string());
+                span.attr_with("error", || e.to_string());
             }
         }
-        self.obs.observe_slo(&servable, request, outcome.is_ok());
-        self.obs.tracer.finish(span);
+        let ended_ns = ns_at(ended);
+        self.obs
+            .observe_slo(&servable, request, outcome.is_ok(), ended_ns);
+        self.obs.tracer.finish_at(span, ended_ns);
         outcome
     }
 
@@ -231,7 +261,7 @@ impl ManagementService {
     ) -> Result<(Vec<Value>, Timings), DlhubError> {
         let servable = &*frame.servable;
         let task_id = TaskId::Seq(next_task_seq());
-        let task = task_frame(task_id, servable, Some(frame.ctx()), inputs);
+        let task = task_frame(task_id, servable, frame.ctx(), inputs);
         self.dispatch_remote(frame, task, deadline, |reply| {
             let reply = TaskReply::decode(&reply).map_err(DlhubError::Transport)?;
             let inference = Duration::from_nanos(reply.inference_nanos().sum());
@@ -260,6 +290,12 @@ impl ManagementService {
     /// task so the Task Manager can parent its invocation span under
     /// it; each attempt additionally gets its own `attempt` child span.
     ///
+    /// An attempt reads the clock at its reply, and at its start only
+    /// if it is a retry: the first starts at the frame's dispatch base,
+    /// which is also what the request deadline runs from. The
+    /// reply's reading ends the attempt and, unless a later attempt
+    /// replaces it, the frame.
+    ///
     /// Every attempt re-sends the *same* task — a pipeline's whole
     /// chain — with the same `task_id`: the broker is at-least-once, so
     /// a timed-out attempt may still execute, and a duplicated
@@ -271,32 +307,37 @@ impl ManagementService {
         deadline: Option<Duration>,
         answer: impl Fn(Bytes) -> Result<T, DlhubError>,
     ) -> Result<T, DlhubError> {
-        let deadline = Instant::now() + deadline.unwrap_or(self.config.request_deadline);
+        let deadline = frame.dispatch_base + deadline.unwrap_or(self.config.request_deadline);
         let ctx = frame.ctx();
+        let mut attempt_started = frame.dispatch_base;
         let mut attempts = 0u32;
         let mut backoff = self.config.retry_backoff;
         loop {
             attempts += 1;
-            let mut attempt_span = self.obs.tracer.start_child(ctx, "attempt");
-            attempt_span.attr("servable", Arc::clone(&frame.servable));
+            let tracer = &self.obs.tracer;
+            let mut attempt_span = tracer.start_child_at(ctx, "attempt", ns_at(attempt_started));
+            attempt_span.attr("servable", &frame.servable);
             attempt_span.attr("attempt", attempts);
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            let error = if remaining.is_zero() {
+            let remaining = deadline.saturating_duration_since(attempt_started);
+            let (error, ended) = if remaining.is_zero() {
                 // Out of budget before this attempt even dispatched.
-                DlhubError::Timeout
+                (DlhubError::Timeout, attempt_started)
             } else {
-                let per_attempt = self.config.request_timeout.min(remaining);
-                let reply = self.rpc.call_wait(task.clone(), per_attempt);
-                match reply.map_err(DlhubError::from).and_then(&answer) {
+                let until = attempt_started + self.config.request_timeout.min(remaining);
+                let reply = self.rpc.call_until(task.clone(), until);
+                let outcome = reply.map_err(DlhubError::from).and_then(&answer);
+                let ended = Instant::now();
+                frame.replied.set(Some(ended));
+                match outcome {
                     Ok(parts) => {
-                        self.obs.tracer.finish(attempt_span);
+                        tracer.finish_at(attempt_span, ns_at(ended));
                         return Ok(parts);
                     }
-                    Err(e) => e,
+                    Err(e) => (e, ended),
                 }
             };
-            attempt_span.attr("error", error.to_string());
-            self.obs.tracer.finish(attempt_span);
+            attempt_span.attr_with("error", || error.to_string());
+            tracer.finish_at(attempt_span, ns_at(ended));
             let retryable = match &error {
                 DlhubError::Timeout | DlhubError::Transport(_) => true,
                 DlhubError::Execution { .. } => self.config.retry_execution_errors,
@@ -305,7 +346,7 @@ impl ManagementService {
             if !retryable {
                 return Err(error);
             }
-            if attempts > self.config.max_retries || Instant::now() >= deadline {
+            if attempts > self.config.max_retries || ended >= deadline {
                 self.obs.metrics.counter("request_exhausted_total").inc();
                 return Err(DlhubError::Exhausted {
                     servable: frame.servable.to_string(),
@@ -314,11 +355,12 @@ impl ManagementService {
                 });
             }
             self.obs.metrics.counter("request_retries_total").inc();
-            let pause = backoff.min(deadline.saturating_duration_since(Instant::now()));
+            let pause = backoff.min(deadline.saturating_duration_since(ended));
             if !pause.is_zero() {
                 thread::sleep(pause);
             }
             backoff = backoff.saturating_mul(2);
+            attempt_started = Instant::now();
         }
     }
 
@@ -353,7 +395,7 @@ impl ManagementService {
     ) -> Result<RunResult, DlhubError> {
         let started = Instant::now();
         let (tenant, servable) = self.preflight(token, id, std::slice::from_ref(&input))?;
-        let span = self.obs.tracer.start_root("request");
+        let span = self.obs.tracer.start_root_at("request", ns_at(started));
         let frame = self.open_frame(servable, span, started, None, Some(tenant))?;
         let trace = frame.trace();
         let outcome = self.run_measured(&frame, input, options);
@@ -394,16 +436,22 @@ impl ManagementService {
 
     /// Look `key` up under a `memo_lookup` span of `frame`. A hit never
     /// reaches a Task Manager: its invocation collapses to the lookup
-    /// (§V-B5).
+    /// (§V-B5), and the clock read that ends the lookup ends the frame.
     pub(super) fn memo_hit(&self, frame: &RequestFrame, key: &MemoKey) -> Option<(Value, Timings)> {
         let lookup_started = Instant::now();
-        let mut lookup_span = self.obs.tracer.start_child(frame.ctx(), "memo_lookup");
-        lookup_span.attr("servable", Arc::clone(&frame.servable));
         let cached = self.memo.get(key);
+        let looked_up = Instant::now();
+        if cached.is_some() {
+            frame.replied.set(Some(looked_up));
+        }
+        let tracer = &self.obs.tracer;
+        let mut lookup_span =
+            tracer.start_child_at(frame.ctx(), "memo_lookup", ns_at(lookup_started));
+        lookup_span.attr("servable", &frame.servable);
         lookup_span.attr("hit", cached.is_some());
-        self.obs.tracer.finish(lookup_span);
+        tracer.finish_at(lookup_span, ns_at(looked_up));
         let timings = Timings {
-            invocation: lookup_started.elapsed(),
+            invocation: looked_up.saturating_duration_since(lookup_started),
             cache_hit: true,
             ..Timings::default()
         };
@@ -425,7 +473,7 @@ impl ManagementService {
             return Ok((Vec::new(), Timings::default()));
         }
         // One frame, one permit: the batch travels as one task.
-        let span = self.obs.tracer.start_root("request");
+        let span = self.obs.tracer.start_root_at("request", ns_at(started));
         let batch = Some(inputs.len());
         let frame = self.open_frame(servable, span, started, batch, Some(tenant))?;
         let outcome = self.execute_remote(&frame, &inputs, None);

@@ -35,7 +35,7 @@ use dlhub_obs::{Counter, Obs, SpanHandle, TraceContext};
 use dlhub_queue::{Broker, RequestInfo, Responder, RpcServer};
 use dlhub_sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use dlhub_sync::thread;
-use dlhub_sync::time::Instant;
+use dlhub_sync::time::{now_ns, ns_at};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Duration;
@@ -129,10 +129,9 @@ impl TaskManager {
             name: name.to_string(),
             executors: executors.iter().map(|e| e.name().to_string()).collect(),
         };
-        let _ = broker.send(
-            REGISTRATION_TOPIC,
-            Bytes::from(serde_json::to_vec(&registration).expect("registration json")),
-        );
+        // A struct of strings always serializes to JSON.
+        let json = serde_json::to_vec(&registration).expect("registration json");
+        let _ = broker.send(REGISTRATION_TOPIC, Bytes::from(json));
 
         let shutdown = Arc::new(AtomicBool::new(false));
         let served = Arc::new(AtomicU64::new(0));
@@ -155,12 +154,18 @@ impl TaskManager {
                     .name(format!("tm-{name}-{i}"))
                     .spawn(move || {
                         while !shutdown.load(Ordering::Relaxed) {
+                            let accepted = server.accept(Duration::from_millis(50));
                             // No consumer waits on a dispatched task, so
-                            // each loop turn checks for hung ones.
+                            // each loop turn checks for hung ones, at the
+                            // task's receive stamp if it took one.
+                            let now_ns = match &accepted {
+                                Ok(Some(responder)) => ns_at(responder.received()),
+                                _ => now_ns(),
+                            };
                             for executor in &router.executors {
-                                executor.reap_expired();
+                                executor.reap_expired(now_ns);
                             }
-                            let responder = match server.accept(Duration::from_millis(50)) {
+                            let responder = match accepted {
                                 Ok(Some(responder)) => responder,
                                 Ok(None) => continue,
                                 Err(_) => break,
@@ -183,6 +188,9 @@ impl TaskManager {
                             handle(&router, responder);
                         }
                     })
+                    // Runs once, at start, never on a request: only an OS
+                    // out of threads refuses, and a Task Manager without
+                    // its consumers could take no task.
                     .expect("spawn tm consumer")
             })
             .collect();
@@ -259,13 +267,14 @@ struct Chain {
     reply: ReplyFrame,
     /// The task id, and the steps not dispatched yet.
     task: TaskFrame,
-    span: Option<SpanHandle>,
-    /// The task's arrival, after decode: the invocation is timed from
-    /// here, and so is the first step.
-    started: Instant,
+    /// The `invocation` span; records nothing for an untraced task.
+    span: SpanHandle,
+    /// The task's receive stamp ([`now_ns`] clock): the invocation is
+    /// timed from here, and so is the first step.
+    started_ns: u64,
     /// Index of the step in flight, and when it was handed off.
     step: usize,
-    step_started: Instant,
+    step_started_ns: u64,
     /// What the steps answered so far cost (chain replies only).
     costs: Vec<StepCost>,
 }
@@ -310,7 +319,8 @@ impl Chain {
         };
         let chain_step = ChainStep {
             index: self.step,
-            trace: self.span.as_ref().map(|span| (&router.obs, span.ctx())),
+            trace: self.span.ctx().map(|ctx| (&router.obs, ctx)),
+            at_ns: Some(self.step_started_ns),
         };
         // The inputs go by shared ownership: the first step's were
         // materialized once by the decoder, every later step's are the
@@ -335,10 +345,10 @@ impl Chain {
         if self.task.steps_left() == 0 {
             return self.reply(Ok(answers));
         }
-        let now = Instant::now();
-        let cost = step_cost(answers.times(), self.step_started, now);
+        let now_ns = answers.ended_ns();
+        let cost = step_cost(answers.times(), self.step_started_ns, now_ns);
         self.costs.push(cost);
-        (self.step, self.step_started) = (self.step + 1, now);
+        (self.step, self.step_started_ns) = (self.step + 1, now_ns);
         // A crash between two steps: the task is dropped half done,
         // unsettled, and its lease brings the whole chain back.
         if self.router.faults.decide(site::TM_CRASH).is_some() {
@@ -358,39 +368,42 @@ impl Chain {
             reply,
             task,
             mut span,
-            started,
+            started_ns,
             step,
-            step_started,
+            step_started_ns,
             mut costs,
         } = *self;
-        let now = Instant::now();
-        if let (Some(span), Err(error)) = (span.as_mut(), &outcome) {
-            span.attr("error", error.to_string());
-            span.attr("failed_step", step);
-        }
+        // The last run's end is the invocation's; a failure reads the
+        // clock.
+        let now_ns = match &outcome {
+            Ok(answers) => answers.ended_ns(),
+            Err(error) => {
+                span.attr_with("error", || error.to_string());
+                span.attr("failed_step", step);
+                now_ns()
+            }
+        };
         if let (ReplyFrame::Chain, Ok(answers)) = (reply, &outcome) {
-            costs.push(step_cost(answers.times(), step_started, now));
+            costs.push(step_cost(answers.times(), step_started_ns, now_ns));
         }
         let bytes = encode_reply(
             reply,
             task.task_id(responder.payload()),
             outcome.map_err(|error| StepFailure { step, error }),
             &costs,
-            now.duration_since(started).as_nanos() as u64,
+            now_ns.saturating_sub(started_ns),
         );
         router.tasks.inc();
-        if let Some(span) = span {
-            router.obs.tracer.finish(span);
-        }
+        router.obs.tracer.finish_at(span, now_ns);
         responder.reply(bytes);
     }
 }
 
-/// What a step handed off at `since` and answered at `now` cost.
-fn step_cost(times: impl Iterator<Item = Duration>, since: Instant, now: Instant) -> StepCost {
+/// What a step handed off at `since_ns` and answered at `now_ns` cost.
+fn step_cost(times: impl Iterator<Item = Duration>, since_ns: u64, now_ns: u64) -> StepCost {
     StepCost {
         inference_nanos: times.map(|t| t.as_nanos() as u64).sum(),
-        invocation_nanos: now.duration_since(since).as_nanos() as u64,
+        invocation_nanos: now_ns.saturating_sub(since_ns),
     }
 }
 
@@ -426,21 +439,30 @@ fn encode_reply(
 }
 
 /// The `invocation` span of a task carrying `inputs` inputs through
-/// `steps`, under the requester's `parent`: tagged with its servable — a
-/// one-step task's id as the repository holds it once `first` resolved
-/// it, otherwise the ids as sent — and with the broker's account of the
-/// delivery.
+/// `steps`, under the requester's `parent` and from the task's receive
+/// stamp `started_ns`: tagged with its servable — a one-step task's id
+/// as the repository holds it once `first` resolved it, otherwise the
+/// ids as sent — and with the broker's account of the delivery. A task
+/// without a parent (an unrecorded trace) gets a span that records
+/// nothing.
 fn invocation_span(
     router: &Router,
-    parent: TraceContext,
+    parent: Option<TraceContext>,
+    started_ns: u64,
     steps: Steps<'_>,
     first: Option<&Resolved>,
     inputs: usize,
     info: RequestInfo,
 ) -> SpanHandle {
-    let mut span = router.obs.tracer.start_child(parent, "invocation");
+    let mut span = router
+        .obs
+        .tracer
+        .start_child_at(parent, "invocation", started_ns);
+    if !span.is_recorded() {
+        return span;
+    }
     match first {
-        Some(step) if steps.len() == 1 => span.attr("servable", Arc::clone(&step.id)),
+        Some(step) if steps.len() == 1 => span.attr("servable", &step.id),
         _ => span.attr("servable", steps.collect::<Vec<_>>().join(",")),
     }
     span.attr("batch", inputs);
@@ -481,7 +503,7 @@ fn handle(router: &Arc<Router>, responder: Responder) {
             return responder.reply(bytes);
         }
     };
-    let started = Instant::now();
+    let started_ns = ns_at(responder.received());
     let costs = match reply {
         ReplyFrame::Task => Vec::new(),
         ReplyFrame::Chain => Vec::with_capacity(steps.len()),
@@ -489,26 +511,25 @@ fn handle(router: &Arc<Router>, responder: Responder) {
     let first = task
         .next_step(responder.payload())
         .map(|id| router.repository.resolve_entry(id));
-    let span = trace.map(|parent| {
-        let resolved = first.as_ref().and_then(|step| step.as_ref().ok());
-        invocation_span(
-            router,
-            parent,
-            steps,
-            resolved,
-            inputs.len(),
-            responder.info(),
-        )
-    });
+    let resolved = first.as_ref().and_then(|step| step.as_ref().ok());
+    let span = invocation_span(
+        router,
+        trace,
+        started_ns,
+        steps,
+        resolved,
+        inputs.len(),
+        responder.info(),
+    );
     Box::new(Chain {
         router: Arc::clone(router),
         responder,
         reply,
         task,
         span,
-        started,
+        started_ns,
         step: 0,
-        step_started: started,
+        step_started_ns: started_ns,
         costs,
     })
     .run(first, Arc::new(inputs));

@@ -90,14 +90,15 @@ impl Obs {
         );
     }
 
-    /// Record one request outcome against the servable's SLO, if one
-    /// is registered. A miss is a single read-locked map lookup.
-    pub fn observe_slo(&self, servable: &str, latency: Duration, ok: bool) {
-        self.slo.observe(servable, latency, ok);
+    /// Record one request outcome, ended at `at_ns`
+    /// ([`dlhub_sync::time::now_ns`] clock), against the servable's SLO,
+    /// if one is registered. A miss is a single read-locked map lookup.
+    pub fn observe_slo(&self, servable: &str, latency: Duration, ok: bool, at_ns: u64) {
+        self.slo.observe(servable, latency, ok, at_ns);
     }
 
     /// Full snapshot: the metrics registry plus cross-cutting obs
-    /// state — spans dropped by the tracer (ring overflow / store
+    /// state — traces and spans dropped by the tracer (full rings / store
     /// eviction) and every SLO tracker's burn rates and alert state.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut snap = self.metrics.snapshot();
@@ -131,6 +132,7 @@ impl Obs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dlhub_sync::time::now_ns;
 
     #[test]
     fn clones_share_tracer_and_registry() {
@@ -152,9 +154,14 @@ mod tests {
                 .windows(Duration::from_millis(200), Duration::from_secs(2)),
         );
         for _ in 0..20 {
-            obs.observe_slo("dlhub/echo", Duration::from_millis(50), true);
+            obs.observe_slo("dlhub/echo", Duration::from_millis(50), true, now_ns());
         }
-        obs.observe_slo("dlhub/not-registered", Duration::from_secs(1), false);
+        obs.observe_slo(
+            "dlhub/not-registered",
+            Duration::from_secs(1),
+            false,
+            now_ns(),
+        );
         let snap = obs.snapshot();
         assert_eq!(snap.slos.len(), 1);
         assert!(snap.slos[0].firing, "{:?}", snap.slos[0]);

@@ -674,9 +674,12 @@ pub struct MetricsSnapshot {
     /// Name-sorted metric descriptions registered via
     /// [`Registry::describe`], rendered as `# HELP` lines.
     pub help: Vec<(String, String)>,
-    /// Spans lost to ring overflow or store eviction (filled by
+    /// Traces refused at their root because the root thread's span ring
+    /// was full, one each, plus spans dropped by a full ring after their
+    /// root was admitted and spans evicted from the store (filled by
     /// [`crate::Obs::snapshot`]; a bare [`Registry::snapshot`] reports
-    /// zero). Nonzero means trace analytics may see incomplete trees.
+    /// zero). A refused trace is absent, not partial; only the
+    /// per-span drops can leave trace analytics an incomplete tree.
     pub spans_dropped: u64,
     /// Per-servable SLO state (filled by [`crate::Obs::snapshot`]).
     pub slos: Vec<crate::slo::SloSnapshot>,
@@ -928,7 +931,7 @@ impl MetricsSnapshot {
             out.push_str(&format!("dlhub_{name}_count {}\n", s.count));
         }
         out.push_str(
-            "# HELP dlhub_spans_dropped_total Spans lost to ring overflow or store eviction.\n",
+            "# HELP dlhub_spans_dropped_total Traces refused at their root for a full span ring (one each), plus spans a full ring or the store dropped.\n",
         );
         out.push_str("# TYPE dlhub_spans_dropped_total counter\n");
         out.push_str(&format!(

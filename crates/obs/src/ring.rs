@@ -5,6 +5,8 @@
 //! tracer's ring-registry lock) is the only concurrent consumer. When
 //! the ring is full the producer drops the span and bumps a counter
 //! instead of blocking — tracing must never stall the request path.
+//! A full ring also refuses new traces at their root
+//! ([`SpanRing::admit`]), so their spans are never built.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
@@ -76,6 +78,20 @@ impl SpanRing {
         self.head.store(head.wrapping_add(1), Ordering::Release);
     }
 
+    /// Producer side: whether a trace rooted on this ring's thread is
+    /// recorded, i.e. whether the ring has room for a span now. A refusal
+    /// counts once as dropped. Must only be called from the thread that
+    /// owns this ring.
+    pub(crate) fn admit(&self) -> bool {
+        let head = self.head.load(Ordering::Relaxed);
+        let tail = self.tail.load(Ordering::Acquire);
+        let room = head.wrapping_sub(tail) < self.slots.len();
+        if !room {
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+        }
+        room
+    }
+
     /// Consumer side: hand every published span to `each`, oldest
     /// first. Callers must serialise drains (the tracer holds its
     /// ring-registry lock across this call).
@@ -93,7 +109,7 @@ impl SpanRing {
         }
     }
 
-    /// Spans discarded because the ring was full.
+    /// Spans discarded and traces refused because the ring was full.
     pub(crate) fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }

@@ -145,7 +145,12 @@ impl SloTracker {
 
     /// Record one request outcome and re-evaluate the alert state.
     pub fn observe(&self, latency: Duration, ok: bool) {
-        let at = now_ns();
+        self.observe_at(latency, ok, now_ns());
+    }
+
+    /// [`Self::observe`] for an outcome the caller stamped at `at`
+    /// ([`now_ns`] clock).
+    pub fn observe_at(&self, latency: Duration, ok: bool, at: u64) {
         let epoch = at / self.slice_ns;
         let slice = &self.slices[epoch as usize % SLICES];
         // First writer into a recycled slot resets it for the new
@@ -403,11 +408,11 @@ impl SloRegistry {
         self.inner.read().get(servable).cloned()
     }
 
-    /// Record one request outcome against the servable's objective, if
-    /// one is registered.
-    pub fn observe(&self, servable: &str, latency: Duration, ok: bool) {
+    /// Record one request outcome, ended at `at_ns` ([`now_ns`] clock),
+    /// against the servable's objective, if one is registered.
+    pub fn observe(&self, servable: &str, latency: Duration, ok: bool, at_ns: u64) {
         if let Some(tracker) = self.inner.read().get(servable) {
-            tracker.observe(latency, ok);
+            tracker.observe_at(latency, ok, at_ns);
         }
     }
 
@@ -496,7 +501,7 @@ mod tests {
     #[test]
     fn registry_observe_is_a_noop_without_an_objective() {
         let reg = SloRegistry::new();
-        reg.observe("dlhub/unknown", Duration::from_secs(5), false);
+        reg.observe("dlhub/unknown", Duration::from_secs(5), false, now_ns());
         assert!(reg.snapshot().is_empty());
         let tracer = Tracer::new();
         reg.register(
@@ -505,7 +510,7 @@ mod tests {
             Arc::new(Counter::new()),
             Arc::new(Gauge::new()),
         );
-        reg.observe("dlhub/echo", Duration::from_micros(10), true);
+        reg.observe("dlhub/echo", Duration::from_micros(10), true, now_ns());
         let snaps = reg.snapshot();
         assert_eq!(snaps.len(), 1);
         assert_eq!(snaps[0].observed, 1);

@@ -4,8 +4,10 @@
 //! A [`Tracer`] mints `TraceId`/`SpanId` pairs (plain `u64`s, unique
 //! per tracer) and records finished spans into a lock-free per-thread
 //! [ring](crate::ring) so the request hot path never takes a lock to
-//! trace. A span's attributes are typed [`AttrValue`]s held inline in
-//! the span, so recording one allocates nothing. A collector pass
+//! trace. Whether a trace is recorded is decided once, at its root: a
+//! refused trace builds no span on any tier. A span's attributes are
+//! typed [`AttrValue`]s held inline in the span, so recording one
+//! allocates nothing. A collector pass
 //! ([`Tracer::drain`]) moves the rings' contents into a bounded
 //! in-memory store, formatting each span into a [`SpanRecord`] of
 //! strings on the way; [`Tracer::export`] produces a [`TraceExport`]
@@ -92,6 +94,12 @@ impl From<&'static str> for AttrValue {
 impl From<Arc<str>> for AttrValue {
     fn from(s: Arc<str>) -> Self {
         AttrValue::Shared(s)
+    }
+}
+
+impl From<&Arc<str>> for AttrValue {
+    fn from(s: &Arc<str>) -> Self {
+        AttrValue::Shared(Arc::clone(s))
     }
 }
 
@@ -240,31 +248,57 @@ impl SpanRecord {
 /// [`Tracer::start_child`], finished (and recorded) by
 /// [`Tracer::finish`]. The handle is plain data and may be moved
 /// across threads; the finishing thread's ring receives the record.
+///
+/// A span whose trace is not recorded (see [`Tracer::start_root`])
+/// keeps only its trace id: it holds no span id, no stamps and no
+/// attributes, and finishing it reads no clock and pushes nothing.
 #[derive(Debug)]
 pub struct SpanHandle {
-    /// The span, `end_ns` unset until it finishes.
-    raw: RawSpan,
+    /// The trace this span belongs to, minted for a root even when the
+    /// trace is not recorded (0 for a child of an unrecorded parent).
+    trace: u64,
+    /// The span, `end_ns` unset until it finishes; `None` when its
+    /// trace is not recorded.
+    raw: Option<RawSpan>,
 }
 
 impl SpanHandle {
     /// The context to propagate to the next tier: child spans started
-    /// from this context become children of this span.
-    pub fn ctx(&self) -> TraceContext {
-        TraceContext {
-            trace: self.raw.trace,
-            span: self.raw.span,
-        }
+    /// from this context become children of this span. `None` when the
+    /// trace is not recorded: that is what travels on the wire, so no
+    /// later tier builds a span for it.
+    pub fn ctx(&self) -> Option<TraceContext> {
+        self.raw.as_ref().map(|raw| TraceContext {
+            trace: raw.trace,
+            span: raw.span,
+        })
     }
 
     /// Trace id of this span.
     pub fn trace(&self) -> u64 {
-        self.raw.trace
+        self.trace
+    }
+
+    /// Whether this span will be recorded when it finishes.
+    pub fn is_recorded(&self) -> bool {
+        self.raw.is_some()
     }
 
     /// Attach an attribute. It is held typed in the span and formatted
-    /// only when the span is exported.
+    /// only when the span is exported; a span that is not recorded never
+    /// converts it, so pass a shared value by reference (`&Arc<str>`).
     pub fn attr(&mut self, key: &'static str, value: impl Into<AttrValue>) {
-        self.raw.attrs.push(key, value.into());
+        if let Some(raw) = &mut self.raw {
+            raw.attrs.push(key, value.into());
+        }
+    }
+
+    /// [`Self::attr`] for a value worth building only if the span is
+    /// recorded: an error message, an owned id.
+    pub fn attr_with<V: Into<AttrValue>>(&mut self, key: &'static str, value: impl FnOnce() -> V) {
+        if let Some(raw) = &mut self.raw {
+            raw.attrs.push(key, value().into());
+        }
     }
 }
 
@@ -364,8 +398,8 @@ impl Tracer {
         }
     }
 
-    /// Globally enable or disable span recording. Ids are still minted
-    /// while disabled (callers may rely on them), but nothing is
+    /// Globally enable or disable span recording. Trace ids are still
+    /// minted while disabled (callers may rely on them), but nothing is
     /// recorded.
     pub fn set_enabled(&self, enabled: bool) {
         self.inner.enabled.store(enabled, Ordering::Relaxed);
@@ -380,29 +414,66 @@ impl Tracer {
         self.inner.next_id.fetch_add(1, Ordering::Relaxed)
     }
 
-    fn open(&self, trace: u64, parent: u64, name: &'static str, start_ns: u64) -> SpanHandle {
-        SpanHandle {
-            raw: RawSpan {
-                trace,
-                span: self.mint(),
-                parent,
-                name,
-                start_ns,
-                end_ns: 0,
-                attrs: Attrs::default(),
-            },
+    /// Whether a trace rooted on this thread now is recorded: the tracer
+    /// is on and this thread's ring has room for a span. A trace refused
+    /// for lack of room counts once as dropped; its spans are never
+    /// built, so none of them counts again.
+    fn admit_root(&self) -> bool {
+        if !self.enabled() {
+            return false;
+        }
+        LOCAL_RINGS.with_borrow(|rings| {
+            match rings.iter().find(|(id, _, _)| *id == self.inner.id) {
+                Some((_, _, ring)) => ring.admit(),
+                // The thread's first span registers an empty ring.
+                None => true,
+            }
+        })
+    }
+
+    fn open(&self, trace: u64, parent: u64, name: &'static str, start_ns: u64) -> RawSpan {
+        RawSpan {
+            trace,
+            span: self.mint(),
+            parent,
+            name,
+            start_ns,
+            end_ns: 0,
+            attrs: Attrs::default(),
         }
     }
 
-    /// Start a new root span under a fresh trace id.
+    /// Start a new root span under a fresh trace id. The trace is
+    /// recorded only if the tracer is enabled and this thread's ring
+    /// has room; otherwise the handle keeps just the trace id, its
+    /// [`SpanHandle::ctx`] is `None`, and no span of the trace is built
+    /// on any tier.
     pub fn start_root(&self, name: &'static str) -> SpanHandle {
-        let trace = self.mint();
-        self.open(trace, 0, name, now_ns())
+        self.root(name, now_ns)
     }
 
-    /// Start a span as a child of a propagated context.
-    pub fn start_child(&self, parent: TraceContext, name: &'static str) -> SpanHandle {
-        self.start_child_at(parent, name, now_ns())
+    /// [`Self::start_root`] for a root whose start the caller measured
+    /// ([`now_ns`] clock): a request, stamped on arrival.
+    pub fn start_root_at(&self, name: &'static str, start_ns: u64) -> SpanHandle {
+        self.root(name, || start_ns)
+    }
+
+    fn root(&self, name: &'static str, start_ns: impl FnOnce() -> u64) -> SpanHandle {
+        let trace = self.mint();
+        let raw = self
+            .admit_root()
+            .then(|| self.open(trace, 0, name, start_ns()));
+        SpanHandle { trace, raw }
+    }
+
+    /// Start a span as a child of a propagated context; a `None` parent
+    /// (an unrecorded trace) yields a span that records nothing.
+    pub fn start_child(
+        &self,
+        parent: impl Into<Option<TraceContext>>,
+        name: &'static str,
+    ) -> SpanHandle {
+        self.child(parent.into(), name, now_ns)
     }
 
     /// [`Self::start_child`] for a span whose start the caller measured
@@ -410,45 +481,77 @@ impl Tracer {
     /// servable ran.
     pub fn start_child_at(
         &self,
-        parent: TraceContext,
+        parent: impl Into<Option<TraceContext>>,
         name: &'static str,
         start_ns: u64,
     ) -> SpanHandle {
-        self.open(parent.trace, parent.span, name, start_ns)
+        self.child(parent.into(), name, || start_ns)
     }
 
-    /// Close a span at the current instant and record it. Returns the
-    /// span's context so callers can keep parenting after the span is
-    /// gone.
-    pub fn finish(&self, span: SpanHandle) -> TraceContext {
-        self.finish_at(span, now_ns())
+    fn child(
+        &self,
+        parent: Option<TraceContext>,
+        name: &'static str,
+        start_ns: impl FnOnce() -> u64,
+    ) -> SpanHandle {
+        match parent {
+            Some(parent) if self.enabled() => SpanHandle {
+                trace: parent.trace,
+                raw: Some(self.open(parent.trace, parent.span, name, start_ns())),
+            },
+            parent => SpanHandle {
+                trace: parent.map_or(0, |parent| parent.trace),
+                raw: None,
+            },
+        }
+    }
+
+    /// Close a span at the current instant and record it. A span that
+    /// is not recorded reads no clock.
+    pub fn finish(&self, span: SpanHandle) {
+        if let Some(raw) = span.raw {
+            self.push(RawSpan {
+                end_ns: now_ns(),
+                ..raw
+            });
+        }
     }
 
     /// [`Self::finish`] at an end the caller measured ([`now_ns`]
     /// clock).
-    pub fn finish_at(&self, span: SpanHandle, end_ns: u64) -> TraceContext {
-        let ctx = span.ctx();
-        self.push(RawSpan { end_ns, ..span.raw });
-        ctx
+    pub fn finish_at(&self, span: SpanHandle, end_ns: u64) {
+        if let Some(raw) = span.raw {
+            self.push(RawSpan { end_ns, ..raw });
+        }
     }
 
     /// Record an instantaneous event, optionally attached to a trace.
+    /// An event of its own (no parent) is a root: recorded only if this
+    /// thread's ring has room. `attrs` is iterated only if the event is
+    /// recorded.
     pub fn event(
         &self,
         parent: Option<TraceContext>,
         name: &'static str,
         attrs: impl IntoIterator<Item = (&'static str, AttrValue)>,
     ) {
-        if !self.enabled() {
+        let recorded = match parent {
+            Some(_) => self.enabled(),
+            None => self.admit_root(),
+        };
+        if !recorded {
             return;
         }
         let at = now_ns();
         let (trace, parent) = parent.map_or((0, 0), |p| (p.trace, p.span));
         let mut event = self.open(trace, parent, name, at);
         for (key, value) in attrs {
-            event.attr(key, value);
+            event.attrs.push(key, value);
         }
-        self.finish_at(event, at);
+        self.push(RawSpan {
+            end_ns: at,
+            ..event
+        });
     }
 
     fn push(&self, record: RawSpan) {
@@ -497,8 +600,10 @@ impl Tracer {
         self.inner.store(drained);
     }
 
-    /// Spans lost to ring overflow or store eviction so far; never
-    /// decreases.
+    /// Spans lost so far, never decreasing: a trace refused at its root
+    /// for lack of room counts once, any other span a full ring turned
+    /// away counts once each, and so does each span evicted from the
+    /// store.
     pub fn dropped(&self) -> u64 {
         let rings = self.inner.rings.lock();
         let live: u64 = rings.iter().map(|r| r.dropped()).sum();
@@ -615,7 +720,7 @@ mod tests {
         let tracer = Tracer::new();
         let mut root = tracer.start_root("request");
         root.attr("servable", "a/b");
-        let ctx = root.ctx();
+        let ctx = root.ctx().expect("recorded");
         let child = tracer.start_child(ctx, "invocation");
         tracer.finish(child);
         tracer.finish(root);
@@ -657,10 +762,66 @@ mod tests {
     }
 
     #[test]
+    fn an_unrecorded_span_builds_nothing_and_pushes_nothing() {
+        let tracer = Tracer::new();
+        for _ in 0..RING_CAPACITY {
+            tracer.finish(tracer.start_root("fill"));
+        }
+        assert_eq!(tracer.dropped(), 0);
+        // The ring is full: the next root is refused, once.
+        let mut root = tracer.start_root("request");
+        assert!(!root.is_recorded());
+        assert!(root.trace() > 0);
+        assert_eq!(root.ctx(), None);
+        assert_eq!(tracer.dropped(), 1);
+        root.attr("servable", String::from("dlhub/noop"));
+        root.attr_with("error", || -> String { unreachable!("built for nothing") });
+        // Its children, in process or on another tier, record nothing
+        // and count nothing.
+        let mut child = tracer.start_child(root.ctx(), "attempt");
+        assert!(!child.is_recorded());
+        assert_eq!(child.trace(), 0);
+        child.attr("attempt", 1u32);
+        tracer.finish(child);
+        tracer.finish_at(root, 99);
+        tracer.event(
+            None,
+            "evt",
+            std::iter::from_fn(|| unreachable!("attrs built")),
+        );
+        assert_eq!(tracer.dropped(), 2, "the refused event counts once too");
+        let export = tracer.export(None);
+        assert_eq!(export.spans.len(), RING_CAPACITY);
+        assert!(export.spans.iter().all(|s| s.name == "fill"));
+        // The drain made room: the next root is recorded whole.
+        let root = tracer.start_root("request");
+        let ctx = root.ctx().expect("room again");
+        let child = tracer.start_child(ctx, "attempt");
+        tracer.finish(child);
+        tracer.finish(root);
+        assert_eq!(tracer.export(Some(ctx.trace)).spans.len(), 2);
+        assert_eq!(tracer.dropped(), 2);
+    }
+
+    #[test]
+    fn a_child_of_a_recorded_root_on_a_full_ring_counts_per_span() {
+        let tracer = Tracer::new();
+        let root = tracer.start_root("request");
+        let ctx = root.ctx().expect("recorded");
+        for _ in 0..RING_CAPACITY {
+            tracer.finish(tracer.start_child(ctx, "attempt"));
+        }
+        // The ring filled after the root was admitted: the root itself is
+        // the span lost, counted as one span.
+        tracer.finish(root);
+        assert_eq!(tracer.dropped(), 1);
+    }
+
+    #[test]
     fn spans_recorded_on_worker_threads_are_collected() {
         let tracer = Tracer::new();
         let root = tracer.start_root("request");
-        let ctx = root.ctx();
+        let ctx = root.ctx().expect("recorded");
         let handles: Vec<_> = (0..4)
             .map(|i| {
                 let tracer = tracer.clone();
@@ -737,7 +898,8 @@ mod tests {
         let root = tracer.start_root("request");
         let child = tracer.start_child(root.ctx(), "invocation");
         tracer.finish(child);
-        let trace = tracer.finish(root).trace;
+        let trace = root.trace();
+        tracer.finish(root);
         let text = tracer.export(Some(trace)).render_text();
         assert!(text.contains("request"));
         assert!(text.contains("\n    invocation"));
@@ -757,7 +919,8 @@ mod tests {
         for extra in 0..INLINE_ATTRS as u64 {
             span.attr("extra", extra);
         }
-        let trace = tracer.finish(span).trace;
+        let trace = span.trace();
+        tracer.finish(span);
         let export = tracer.export(Some(trace));
         let record = &export.spans[0];
         let owned = |k: &'static str, v: &str| (k, v.to_string());

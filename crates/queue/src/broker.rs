@@ -169,6 +169,9 @@ pub struct Delivery {
     /// How long the message sat in the ready queue before this lease
     /// (per delivery: a redelivery reports its own wait).
     pub queue_wait: Duration,
+    /// When this delivery was claimed: the consumer's one clock read
+    /// for it, which its queue wait and lease are timed from.
+    pub received: Instant,
     topic: Arc<Topic>,
     settled: bool,
 }
@@ -436,21 +439,22 @@ impl Broker {
     /// Blocking receive: waits until a message is available, leases it
     /// and returns the [`Delivery`].
     pub fn recv(&self, name: &str) -> Result<Delivery, QueueError> {
-        self.recv_deadline(name, None)
+        self.recv_within(name, None)
     }
 
     /// Receive with a timeout.
     pub fn recv_timeout(&self, name: &str, timeout: Duration) -> Result<Delivery, QueueError> {
-        self.recv_deadline(name, Some(Instant::now() + timeout))
+        self.recv_within(name, Some(timeout))
     }
 
     /// Non-blocking receive.
     pub fn try_recv(&self, name: &str) -> Result<Option<Delivery>, QueueError> {
         let topic = self.topic(name)?;
-        self.reap_if_due(&topic);
+        let now = Instant::now();
+        self.reap_if_due(&topic, now);
         match topic.ring.try_claim() {
             Some((ring_shard, message)) => {
-                let d = self.lease(&topic, ring_shard, message);
+                let d = self.lease(&topic, ring_shard, message, now);
                 if self.abandon_recv_injected() {
                     // The lease stands but the consumer "crashed":
                     // redelivery waits for the lease to expire.
@@ -474,10 +478,38 @@ impl Broker {
         )
     }
 
-    fn recv_deadline(&self, name: &str, deadline: Option<Instant>) -> Result<Delivery, QueueError> {
+    /// Claim and lease the next message, waiting up to `timeout`
+    /// (`None`: as long as it takes). A delivery reads the clock once:
+    /// its receive stamp, which times its queue wait and its lease and
+    /// tells whether any reaping is due. A wait reads it once more, when
+    /// it is about to park; the deadline is fixed at the first park.
+    fn recv_within(&self, name: &str, timeout: Option<Duration>) -> Result<Delivery, QueueError> {
         let topic = self.topic(name)?;
+        let mut deadline = None;
         loop {
-            self.reap_if_due(&topic);
+            if let Some((ring_shard, message)) = topic.ring.try_claim() {
+                let received = Instant::now();
+                self.reap_if_due(&topic, received);
+                let d = self.lease(&topic, ring_shard, message, received);
+                if self.abandon_recv_injected() {
+                    // Abandon the lease and keep waiting: the message comes
+                    // back through the reaper once the lease runs out.
+                    drop(d);
+                    continue;
+                }
+                return Ok(d);
+            }
+            if topic.ring.is_closed() {
+                return Err(QueueError::Closed(name.to_string()));
+            }
+            let now = Instant::now();
+            // What the reaper requeues is claimed on the next turn: its
+            // tokens keep the park below from waiting.
+            self.reap_if_due(&topic, now);
+            let deadline = timeout.map(|timeout| *deadline.get_or_insert(now + timeout));
+            if deadline.is_some_and(|d| now >= d) {
+                return Err(QueueError::Timeout);
+            }
             // Wake up early enough to reap the next lease expiry even
             // if no new message arrives.
             let until = match (deadline, topic.next_expiry_instant()) {
@@ -485,35 +517,20 @@ impl Broker {
                 (Some(d), None) => Some(d),
                 (None, e) => e,
             };
-            let Some((ring_shard, message)) = topic.ring.claim(until) else {
-                if topic.ring.is_closed() {
-                    return Err(QueueError::Closed(name.to_string()));
-                }
-                if deadline.is_some_and(|d| Instant::now() >= d) {
-                    return Err(QueueError::Timeout);
-                }
-                continue;
-            };
-            let d = self.lease(&topic, ring_shard, message);
-            if self.abandon_recv_injected() {
-                // Abandon the lease and keep waiting: the message comes
-                // back through the reaper once the lease runs out.
-                drop(d);
-                continue;
-            }
-            return Ok(d);
+            topic
+                .ring
+                .park_for(until.map(|until| until.saturating_duration_since(now)));
         }
     }
 
     /// Requeue in-flight messages whose lease has expired, if the
     /// cached earliest expiry says any could have. One atomic load on
     /// the common (nothing due) path.
-    fn reap_if_due(&self, topic: &Topic) {
+    fn reap_if_due(&self, topic: &Topic, now: Instant) {
         let due = topic.next_expiry.load(Ordering::SeqCst);
         if due == NO_EXPIRY {
             return;
         }
-        let now = Instant::now();
         if (now.saturating_duration_since(topic.epoch).as_nanos() as u64) < due {
             return;
         }
@@ -576,14 +593,21 @@ impl Broker {
         self.inner.redelivered.add(requeued);
     }
 
-    fn lease(&self, topic: &Arc<Topic>, ring_shard: usize, mut message: Message) -> Delivery {
+    /// Lease `message`, received at `received`.
+    fn lease(
+        &self,
+        topic: &Arc<Topic>,
+        ring_shard: usize,
+        mut message: Message,
+        received: Instant,
+    ) -> Delivery {
         message.attempts += 1;
-        let queue_wait = message.enqueued_at.elapsed();
+        let queue_wait = received.saturating_duration_since(message.enqueued_at);
         topic.stats.delivered.fetch_add(1, Ordering::Relaxed);
         topic.stats.record_wait(queue_wait);
         self.inner.recv.inc();
         self.inner.queue_wait.record_duration(queue_wait);
-        let lease_expires = Instant::now() + topic.config.lease;
+        let lease_expires = received + topic.config.lease;
         // Shallow clone: the in-flight record shares the delivered
         // message's refcounted payload and reply slot.
         topic.flight_shard(message.id).lock().insert(
@@ -599,6 +623,7 @@ impl Broker {
         Delivery {
             message,
             queue_wait,
+            received,
             topic: Arc::clone(topic),
             settled: false,
         }

@@ -71,14 +71,26 @@ impl RpcClient {
     pub fn call(&self, payload: Bytes) -> Result<ReplyHandle, RpcError> {
         let slot = Arc::new(ReplySlot::default());
         let msg = Message::request(payload, Arc::clone(&slot));
-        let id = msg.id;
+        let (id, sent) = (msg.id, msg.enqueued_at);
         self.broker.send_message(&self.service_topic, msg)?;
-        Ok(ReplyHandle { id, slot })
+        Ok(ReplyHandle { id, slot, sent })
     }
 
-    /// Convenience: request and block for the reply.
+    /// Convenience: request and block for the reply, `timeout` from
+    /// the send.
     pub fn call_wait(&self, payload: Bytes, timeout: Duration) -> Result<Bytes, RpcError> {
-        self.call(payload)?.wait_timeout(timeout)
+        let handle = self.call(payload)?;
+        let (deadline, sent) = (handle.sent + timeout, handle.sent);
+        handle.wait_from(deadline, sent)
+    }
+
+    /// Request and block for the reply until `deadline`. The send's
+    /// stamp is the call's one clock read unless the wait outlasts its
+    /// first park.
+    pub fn call_until(&self, payload: Bytes, deadline: Instant) -> Result<Bytes, RpcError> {
+        let handle = self.call(payload)?;
+        let sent = handle.sent;
+        handle.wait_from(deadline, sent)
     }
 }
 
@@ -96,6 +108,8 @@ impl fmt::Debug for RpcClient {
 pub struct ReplyHandle {
     id: MessageId,
     slot: Arc<ReplySlot>,
+    /// The request's send stamp: what a wait is timed from.
+    sent: Instant,
 }
 
 impl ReplyHandle {
@@ -112,8 +126,15 @@ impl ReplyHandle {
     /// Block until the reply arrives or `timeout` elapses. After a
     /// timeout the reply, should it still come, is dropped.
     pub fn wait_timeout(self, timeout: Duration) -> Result<Bytes, RpcError> {
+        let now = Instant::now();
+        self.wait_from(now + timeout, now)
+    }
+
+    /// Wait until `deadline` for a caller whose last clock reading was
+    /// `now`: the first park is timed from it ([`dlhub_sync::Slot::take_by`]).
+    fn wait_from(self, deadline: Instant, now: Instant) -> Result<Bytes, RpcError> {
         let reply = &self.slot.reply;
-        match reply.take(Some(Instant::now() + timeout)) {
+        match reply.take_by(deadline, now) {
             Ok(payload) => Ok(payload),
             // A reply that beat the close still counts.
             Err(SlotError::TimedOut) => reply.close().ok_or(RpcError::Timeout),
@@ -173,6 +194,12 @@ impl Responder {
             queue_wait: self.delivery.queue_wait,
             attempts: self.delivery.message.attempts,
         }
+    }
+
+    /// When this delivery was received: the consumer's one clock read
+    /// for it, which a server can time its work from.
+    pub fn received(&self) -> Instant {
+        self.delivery.received
     }
 
     /// Hand the reply to the waiting caller and acknowledge the

@@ -38,6 +38,7 @@ use dlhub_sync::thread;
 use dlhub_sync::time::Instant;
 use dlhub_sync::{Condvar, Mutex};
 use std::collections::VecDeque;
+use std::time::Duration;
 
 /// Pads (and aligns) a value to a 64-byte cache line so hot atomics
 /// updated by different cores do not false-share.
@@ -267,16 +268,24 @@ impl<T> ShardedRing<T> {
 
     /// Claim one item, parking while the ring is empty. `None` once the
     /// ring is closed and empty (every item queued before the close is
-    /// claimed first), or when `until` passes with nothing to claim.
+    /// claimed first), or when `until` passes with nothing to claim. The
+    /// clock is read only when the claim is about to park.
     pub fn claim(&self, until: Option<Instant>) -> Option<(usize, T)> {
         loop {
             if let Some(claimed) = self.try_claim() {
                 return Some(claimed);
             }
-            if self.is_closed() || until.is_some_and(|until| Instant::now() >= until) {
+            if self.is_closed() {
                 return None;
             }
-            self.park(until);
+            let timeout = match until {
+                Some(until) => match until.saturating_duration_since(Instant::now()) {
+                    left if left.is_zero() => return None,
+                    left => Some(left),
+                },
+                None => None,
+            };
+            self.park_for(timeout);
         }
     }
 
@@ -325,17 +334,18 @@ impl<T> ShardedRing<T> {
     }
 
     /// Park the calling consumer until a token is posted, the ring
-    /// closes, or `until` passes. Spurious returns are fine — callers
-    /// loop.
-    fn park(&self, until: Option<Instant>) {
+    /// closes, or `timeout` (`None`: no limit) passes. Spurious returns
+    /// are fine — callers loop, retrying [`ShardedRing::try_claim`]
+    /// first.
+    pub fn park_for(&self, timeout: Option<Duration>) {
         let mut guard = self.park.lock();
         self.waiters.0.fetch_add(1, Ordering::SeqCst);
         // Re-check under the mutex: a token posted or a close flipped
         // after our caller's last look must not strand us.
         if self.ready.0.load(Ordering::SeqCst) == 0 && !self.is_closed() {
-            match until {
-                Some(until) => {
-                    self.park_cv.wait_until(&mut guard, until);
+            match timeout {
+                Some(timeout) => {
+                    self.park_cv.wait_for(&mut guard, timeout);
                 }
                 None => self.park_cv.wait(&mut guard),
             }
@@ -403,7 +413,7 @@ mod tests {
             if let Some((_, v)) = r2.try_claim() {
                 return v;
             }
-            r2.park(None);
+            r2.park_for(None);
         });
         std::thread::sleep(Duration::from_millis(20));
         ring.force_reserve();
@@ -415,7 +425,7 @@ mod tests {
     fn park_times_out() {
         let ring = ShardedRing::<u8>::new();
         let start = Instant::now();
-        ring.park(Some(Instant::now() + Duration::from_millis(20)));
+        ring.park_for(Some(Duration::from_millis(20)));
         assert!(start.elapsed() >= Duration::from_millis(15));
     }
 
@@ -425,7 +435,7 @@ mod tests {
         // A close is observed under the park mutex: no wait happens.
         ring.close();
         let start = Instant::now();
-        ring.park(None);
+        ring.park_for(None);
         assert!(start.elapsed() < Duration::from_secs(5));
     }
 

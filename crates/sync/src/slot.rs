@@ -71,7 +71,18 @@ impl<T> Slot<T> {
     /// deadline, wait as long as it takes. A value that lands as the
     /// deadline passes is still taken.
     pub fn take(&self, deadline: Option<Instant>) -> Result<T, SlotError> {
-        let mut state = self.settled(deadline)?;
+        Self::taken(self.settled(deadline, None)?)
+    }
+
+    /// [`Self::take`] by `deadline` for a caller that read the clock at
+    /// `now`, just before: a wait is timed from that reading instead of
+    /// a fresh one, so a value that is already there, or lands before
+    /// the first wait ends, costs no clock read.
+    pub fn take_by(&self, deadline: Instant, now: Instant) -> Result<T, SlotError> {
+        Self::taken(self.settled(Some(deadline), Some(now))?)
+    }
+
+    fn taken(mut state: MutexGuard<'_, State<T>>) -> Result<T, SlotError> {
         match std::mem::replace(&mut *state, State::Closed) {
             State::Full(value) => Ok(value),
             _ => Err(SlotError::Closed),
@@ -79,13 +90,13 @@ impl<T> Slot<T> {
     }
 
     /// Take the value if it is there; `Ok(None)` while the slot is
-    /// still fillable.
+    /// still fillable. Never waits, and reads no clock.
     pub fn try_take(&self) -> Result<Option<T>, SlotError> {
-        match self.take(Some(Instant::now())) {
-            Ok(value) => Ok(Some(value)),
-            Err(SlotError::TimedOut) => Ok(None),
-            Err(SlotError::Closed) => Err(SlotError::Closed),
+        let state = self.state.lock();
+        if state.pending() {
+            return Ok(None);
         }
+        Self::taken(state).map(Some)
     }
 
     /// Close the slot and wake every waiter: later fills are turned
@@ -104,7 +115,7 @@ impl<T> Slot<T> {
     where
         T: Clone,
     {
-        match &*self.settled(deadline)? {
+        match &*self.settled(deadline, None)? {
             State::Full(value) => Ok(value.clone()),
             _ => Err(SlotError::Closed),
         }
@@ -146,12 +157,22 @@ impl<T> Slot<T> {
     }
 
     /// Lock the slot once it is full or closed, waiting until then or
-    /// until `deadline`.
-    fn settled(&self, deadline: Option<Instant>) -> Result<MutexGuard<'_, State<T>>, SlotError> {
+    /// until `deadline`. The first wait is timed from `now`, a reading
+    /// the caller took, if given; the clock is read only when a wait
+    /// ends with the slot still pending.
+    fn settled(
+        &self,
+        deadline: Option<Instant>,
+        mut now: Option<Instant>,
+    ) -> Result<MutexGuard<'_, State<T>>, SlotError> {
         let mut state = self.state.lock();
         while state.pending() {
             let timed_out = match deadline {
-                Some(deadline) => self.ready.wait_until(&mut state, deadline).timed_out(),
+                Some(deadline) => {
+                    let now = now.take().unwrap_or_else(Instant::now);
+                    let left = deadline.saturating_duration_since(now);
+                    left.is_zero() || self.ready.wait_for(&mut state, left).timed_out()
+                }
                 None => {
                     self.ready.wait(&mut state);
                     false
@@ -226,6 +247,24 @@ mod tests {
         assert_eq!(slot.try_take(), Ok(None));
         assert!(slot.fill(7));
         assert_eq!(slot.take(soon()), Ok(7));
+    }
+
+    #[test]
+    fn a_take_by_waits_from_the_callers_reading() {
+        let slot = Slot::new();
+        let now = Instant::now();
+        // A deadline at the caller's reading: a try, with no wait.
+        assert_eq!(slot.take_by(now, now), Err(SlotError::TimedOut));
+        // The wait is timed from `now`, not from the call.
+        let started = Instant::now();
+        let then = started - Duration::from_millis(5);
+        let deadline = then + Duration::from_millis(25);
+        assert_eq!(slot.take_by(deadline, then), Err(SlotError::TimedOut));
+        let waited = started.elapsed();
+        assert!(waited >= Duration::from_millis(15), "{waited:?}");
+        assert!(slot.fill(9));
+        assert_eq!(slot.take_by(now, now), Ok(9));
+        assert_eq!(slot.take_by(now, now), Err(SlotError::Closed));
     }
 
     #[test]

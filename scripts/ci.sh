@@ -94,6 +94,25 @@ if [[ -n $one_shots ]]; then
   exit 1
 fi
 
+# No request path may panic: in the executor, the Task
+# Manager and the serving layer, a bare unwrap, expect or panic! in
+# non-test code sits under a comment naming the invariant that keeps it
+# from firing (or, for the injected replica panic, what catches it).
+# Anything else is a typed error.
+bare_panics=$(find crates/core/src/executor.rs crates/core/src/task_manager.rs \
+  crates/core/src/serving -name '*.rs' | sort | xargs awk '
+    FNR == 1 { skip = 0; prev = "" }
+    prev ~ /^[ \t]*#\[cfg\(test\)\]/ && /^[ \t]*(pub(\(crate\))? )?mod [a-z_]+/ { skip = 1 }
+    !skip && /\.unwrap\(\)|\.expect\(|panic!\(/ && !/^[ \t]*\/\// && prev !~ /^[ \t]*\/\// {
+      print FILENAME ":" FNR ": " $0
+    }
+    /[^ \t]/ { prev = $0 }')
+if [[ -n $bare_panics ]]; then
+  echo "$bare_panics"
+  echo "ci: a request-path unwrap, expect or panic! without a comment naming its invariant (see above)" >&2
+  exit 1
+fi
+
 echo "######## docs name only bins and scripts that exist"
 docs=(README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md)
 cited=$(grep -ohE -e '--bin [a-z0-9_]+' -e 'scripts/[a-z_]+\.(sh|py)' "${docs[@]}" |
