@@ -69,13 +69,13 @@ struct State {
 
 impl State {
     /// The introspection of `token` if it is known, unrevoked and
-    /// unexpired, borrowed under the caller's lock.
-    fn live(&self, token: &Token) -> Result<&Arc<TokenInfo>, AuthError> {
+    /// unexpired at `now`, borrowed under the caller's lock.
+    fn live(&self, token: &Token, now: Instant) -> Result<&Arc<TokenInfo>, AuthError> {
         let stored = self.tokens.get(&token.0).ok_or(AuthError::InvalidToken)?;
         if stored.revoked {
             return Err(AuthError::InvalidToken);
         }
-        if stored.info.expired() {
+        if stored.info.expired_at(now) {
             return Err(AuthError::ExpiredToken);
         }
         Ok(&stored.info)
@@ -266,7 +266,7 @@ impl AuthService {
     /// Introspect a token: validate it and return the caller's
     /// identity, linked identities and scopes, shared with the store.
     pub fn introspect(&self, token: &Token) -> Result<Arc<TokenInfo>, AuthError> {
-        self.state.read().live(token).cloned()
+        self.state.read().live(token, Instant::now()).cloned()
     }
 
     /// Validate that `token` is live and carries `scope`; returns the
@@ -282,20 +282,22 @@ impl AuthService {
     }
 
     /// [`Self::authorize`] for the request path: validate that `token`
-    /// is live — unrevoked, unexpired — and carries the scope `name` of
+    /// is live — unrevoked, and unexpired at `now`, the request's
+    /// arrival stamp — and carries the scope `name` of
     /// `resource_server`, and return the caller's tenant key
     /// ([`TokenInfo::tenant`]). Decided under the read lock, so a
-    /// request copies nothing of the token; every call reads revocation
-    /// and expiry afresh, and a refusal is the error
+    /// request copies nothing of the token and reads no clock; every
+    /// call reads revocation afresh, and a refusal is the error
     /// [`Self::authorize`] returns.
     pub fn authorize_tenant(
         &self,
         token: &Token,
         resource_server: &str,
         name: &str,
+        now: Instant,
     ) -> Result<IdentityId, AuthError> {
         let st = self.state.read();
-        let info = st.live(token)?;
+        let info = st.live(token, now)?;
         if info.grants(resource_server, name) {
             Ok(info.tenant())
         } else {
@@ -438,28 +440,58 @@ mod tests {
         let serve = Scope::new("dlhub", "dlhub:serve");
         let token = auth.issue_token(id, std::slice::from_ref(&serve)).unwrap();
         assert_eq!(
-            auth.authorize_tenant(&token, "dlhub", "dlhub:serve"),
+            auth.authorize_tenant(&token, "dlhub", "dlhub:serve", Instant::now()),
             Ok(id)
         );
         // A missing scope is refused with the error `authorize` gives.
         let publish = Scope::new("dlhub", "dlhub:publish");
         assert_eq!(
-            auth.authorize_tenant(&token, "dlhub", "dlhub:publish"),
+            auth.authorize_tenant(&token, "dlhub", "dlhub:publish", Instant::now()),
             auth.authorize(&token, &publish).map(|info| info.tenant())
         );
         assert_eq!(
-            auth.authorize_tenant(&token, "dlhub", "dlhub:publish"),
+            auth.authorize_tenant(&token, "dlhub", "dlhub:publish", Instant::now()),
             Err(AuthError::UnknownScope(publish))
         );
         // Revocation is read on every call.
         auth.revoke(&token);
         assert_eq!(
-            auth.authorize_tenant(&token, "dlhub", "dlhub:serve"),
+            auth.authorize_tenant(&token, "dlhub", "dlhub:serve", Instant::now()),
             Err(AuthError::InvalidToken)
         );
         assert_eq!(
-            auth.authorize_tenant(&Token("no-such-token".into()), "dlhub", "dlhub:serve"),
+            auth.authorize_tenant(
+                &Token("no-such-token".into()),
+                "dlhub",
+                "dlhub:serve",
+                Instant::now()
+            ),
             Err(AuthError::InvalidToken)
+        );
+    }
+
+    #[test]
+    fn expiry_is_judged_at_the_callers_stamp() {
+        let (auth, id) = svc();
+        let token = auth
+            .issue_token(id, &[Scope::new("dlhub", "dlhub:serve")])
+            .unwrap();
+        let expires_at = auth.introspect(&token).unwrap().expires_at;
+        let tick = Duration::from_nanos(1);
+        // A token that expires just after the request's stamp is
+        // admitted, one that expired just before it is refused,
+        // whatever the clock reads when the check runs.
+        assert_eq!(
+            auth.authorize_tenant(&token, "dlhub", "dlhub:serve", expires_at - tick),
+            Ok(id)
+        );
+        assert_eq!(
+            auth.authorize_tenant(&token, "dlhub", "dlhub:serve", expires_at),
+            Err(AuthError::ExpiredToken)
+        );
+        assert_eq!(
+            auth.authorize_tenant(&token, "dlhub", "dlhub:serve", expires_at + tick),
+            Err(AuthError::ExpiredToken)
         );
     }
 

@@ -100,9 +100,10 @@ impl TokenInfo {
         self.expires_at.saturating_duration_since(Instant::now())
     }
 
-    /// True once the expiry instant has passed.
-    pub fn expired(&self) -> bool {
-        Instant::now() >= self.expires_at
+    /// True if the token has expired by `now`: a request judges its
+    /// token against its own arrival stamp instead of reading the clock.
+    pub fn expired_at(&self, now: Instant) -> bool {
+        now >= self.expires_at
     }
 }
 
@@ -146,7 +147,8 @@ mod tests {
         assert!(!info.has_scope(&Scope::new("dlhub", "dlhub:publish")));
         assert!(info.grants("dlhub", "dlhub:serve"));
         assert!(!info.grants("dlhub:serve", "dlhub"));
-        assert!(!info.expired());
+        assert!(!info.expired_at(Instant::now()));
+        assert!(info.expired_at(info.expires_at));
         assert!(info.ttl() > Duration::from_secs(50));
     }
 

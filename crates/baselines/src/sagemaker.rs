@@ -121,6 +121,13 @@ impl SageMaker {
                 .to_tensor()
                 .ok_or_else(|| "expected a feature tensor".to_string())?;
             let features: Vec<f64> = tensor.data().iter().map(|v| *v as f64).collect();
+            if features.len() != forest.n_features() {
+                return Err(format!(
+                    "expected {} features, got {}",
+                    forest.n_features(),
+                    features.len()
+                ));
+            }
             Ok(Value::Float(forest.predict(&features)))
         });
         self.create_model(model_name, servable)

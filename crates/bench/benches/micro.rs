@@ -198,6 +198,20 @@ fn bench_matsci(c: &mut Criterion) {
             black_box(forest.predict(&pool[next]))
         })
     });
+    // A 32-input `run_batch` chunk: 32 distinct pool rows per call,
+    // through one `predict_many`.
+    let blocks: Vec<&[Vec<f64>]> = pool.chunks_exact(32).collect();
+    let mut next = 0;
+    group.bench_function("forest_predict_many", |b| {
+        b.iter(|| {
+            next = (next + 1) % blocks.len();
+            black_box(forest.predict_many(blocks[next]))
+        });
+        println!(
+            "matsci/forest_predict_many walks with {}",
+            dlhub_matsci::forest::walk_build()
+        );
+    });
     // `MatminerModel::train(7)`'s fit: the build a first
     // `dlhub/matminer-model` request waits for.
     let data = dlhub_matsci::dataset::generate(500, 7);

@@ -173,8 +173,8 @@ impl MatminerModel {
     }
 }
 
-/// The feature row of a matminer model input, widened to `f64`.
-fn feature_row(input: &Value) -> Result<[f64; FEATURE_COUNT], String> {
+/// The features of a matminer model input.
+fn features(input: &Value) -> Result<&[f32], String> {
     let data = match input {
         Value::Tensor { shape, data } if shape.iter().product::<usize>() == data.len() => data,
         _ => return Err("matminer model expects a feature tensor".to_string()),
@@ -185,7 +185,13 @@ fn feature_row(input: &Value) -> Result<[f64; FEATURE_COUNT], String> {
             data.len()
         ));
     }
-    Ok(std::array::from_fn(|i| data[i] as f64))
+    Ok(data)
+}
+
+/// The feature row of a matminer model input, widened to `f64`.
+fn feature_row(input: &Value) -> Result<[f64; FEATURE_COUNT], String> {
+    let data = features(input)?;
+    Ok(std::array::from_fn(|i| f64::from(data[i])))
 }
 
 impl Servable for MatminerModel {
@@ -193,15 +199,25 @@ impl Servable for MatminerModel {
         Ok(Value::Float(self.forest.predict(&feature_row(input)?)))
     }
 
+    /// Each valid input's features are widened straight into one block
+    /// of rows, walked by one `predict_many`; an invalid one keeps its
+    /// error.
     fn run_many(&self, inputs: &[Value]) -> Vec<Result<Value, String>> {
-        let rows: Vec<_> = inputs.iter().map(feature_row).collect();
-        let valid: Vec<[f64; FEATURE_COUNT]> = rows.iter().flatten().copied().collect();
-        let mut predictions = self.forest.predict_many(&valid).into_iter();
-        rows.into_iter()
-            .map(|row| {
-                row.map(|_| Value::Float(predictions.next().expect("a prediction per valid row")))
+        let mut rows = self.forest.rows(inputs.len());
+        let mut outcomes: Vec<Result<Value, String>> = inputs
+            .iter()
+            .map(|input| {
+                let data = features(input)?;
+                rows.push(data.iter().map(|&v| f64::from(v)))
+                    .map_err(|got| format!("expected {FEATURE_COUNT} features, got {got}"))?;
+                Ok(Value::Null)
             })
-            .collect()
+            .collect();
+        let valid = outcomes.iter_mut().filter(|outcome| outcome.is_ok());
+        for (outcome, prediction) in valid.zip(rows.predict()) {
+            *outcome = Ok(Value::Float(prediction));
+        }
+        outcomes
     }
 }
 

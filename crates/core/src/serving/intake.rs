@@ -93,7 +93,9 @@ impl ManagementService {
         id: &str,
         input: Value,
     ) -> Result<Value, DlhubError> {
-        let (tenant, servable) = self.preflight(token, id, std::slice::from_ref(&input))?;
+        let arrived = Instant::now();
+        let (tenant, servable) =
+            self.preflight(token, id, std::slice::from_ref(&input), arrived)?;
         // A submitter has no frame: its request is recorded by the
         // flush that carries it, so a shed here shows only on
         // `requests_shed_total`. The permit covers the coalescing wait
@@ -176,7 +178,8 @@ impl ManagementService {
         input: Value,
     ) -> Result<TaskHandle, DlhubError> {
         let started = Instant::now();
-        let (tenant, servable) = self.preflight(token, id, std::slice::from_ref(&input))?;
+        let (tenant, servable) =
+            self.preflight(token, id, std::slice::from_ref(&input), started)?;
         // The frame opens at submission: queueing time inside the async
         // pool is part of the user-visible request, and an accepted
         // handle is a promise of capacity — the permit rides in the

@@ -1582,6 +1582,25 @@ mod tests {
     }
 
     #[test]
+    fn a_request_judges_its_tokens_expiry_at_its_arrival_stamp() {
+        let hub = TestHub::builder().memo(false).build();
+        let token = hub.user_token("visitor");
+        let expires_at = hub.auth.introspect(&token).unwrap().expires_at;
+        let tick = Duration::from_nanos(1);
+        let service = &hub.service;
+        let preflight = |arrived| service.preflight(&token, "dlhub/noop", &[Value::Null], arrived);
+        // Expiring just after the stamp admits, expiring at or just
+        // before it refuses; the clock's reading at the check is not
+        // consulted.
+        assert!(preflight(expires_at - tick).is_ok());
+        let expired = DlhubError::Auth("expired token".into());
+        assert_eq!(preflight(expires_at).unwrap_err(), expired);
+        assert_eq!(preflight(expires_at + tick).unwrap_err(), expired);
+        let rejected = service.obs().metrics.counter("requests_rejected_total");
+        assert_eq!(rejected.get(), 2);
+    }
+
+    #[test]
     fn a_pipeline_only_load_sizes_its_steps_pools_like_the_same_run_load() {
         // The same scripted 200 req/s, once as runs of a 10 ms servable
         // and once as a pipeline whose second step it is.

@@ -44,7 +44,7 @@ impl ManagementService {
     /// registrant; re-registering a name replaces the pipeline and drops
     /// its memoized results.
     pub fn register_pipeline(&self, token: &Token, pipeline: Pipeline) -> Result<(), DlhubError> {
-        self.authorize_serve(token)?;
+        self.authorize_serve(token, Instant::now())?;
         pipeline.validate().map_err(DlhubError::Pipeline)?;
         for step in &pipeline.steps {
             self.repo.resolve(Some(token), step)?;
@@ -98,7 +98,7 @@ impl ManagementService {
         // first step's input is the caller's and is checked here; the
         // others are checked at the Task Manager, as each step produces
         // them. Any refusal is counted once.
-        let checked = self.authorize_serve(token).and_then(|tenant| {
+        let checked = self.authorize_serve(token, started).and_then(|tenant| {
             let (name, pipeline) = self.registered(name)?;
             for (k, step) in pipeline.steps.iter().enumerate() {
                 let inputs = if k == 0 {

@@ -84,11 +84,16 @@ impl RequestFrame {
 impl ManagementService {
     /// Authorize the serve scope, returning the caller's tenant key
     /// (smallest linked identity — see [`dlhub_auth::TokenInfo::tenant`])
-    /// for admission accounting. The request's one look at its token.
-    pub(super) fn authorize_serve(&self, token: &Token) -> Result<IdentityId, DlhubError> {
+    /// for admission accounting. The request's one look at its token,
+    /// whose expiry is judged at `arrived`, the request's arrival stamp.
+    pub(super) fn authorize_serve(
+        &self,
+        token: &Token,
+        arrived: Instant,
+    ) -> Result<IdentityId, DlhubError> {
         self.repo
             .auth()
-            .authorize_tenant(token, RESOURCE_SERVER, SERVE_SCOPE)
+            .authorize_tenant(token, RESOURCE_SERVER, SERVE_SCOPE, arrived)
             .map_err(DlhubError::from)
     }
 
@@ -97,13 +102,15 @@ impl ManagementService {
     /// entry point calls this before it touches anything keyed by `id`
     /// — the id is the caller's string until the repository resolves it
     /// — and a refusal is counted once, on `requests_rejected_total`.
+    /// The token's expiry is judged at `arrived`.
     pub(super) fn preflight(
         &self,
         token: &Token,
         id: &str,
         inputs: &[Value],
+        arrived: Instant,
     ) -> Result<(IdentityId, Arc<str>), DlhubError> {
-        self.refused(self.authorize_serve(token).and_then(|tenant| {
+        self.refused(self.authorize_serve(token, arrived).and_then(|tenant| {
             let servable = self.check_inputs(token, id, inputs)?;
             Ok((tenant, servable))
         }))
@@ -394,7 +401,8 @@ impl ManagementService {
         options: &RunOptions,
     ) -> Result<RunResult, DlhubError> {
         let started = Instant::now();
-        let (tenant, servable) = self.preflight(token, id, std::slice::from_ref(&input))?;
+        let (tenant, servable) =
+            self.preflight(token, id, std::slice::from_ref(&input), started)?;
         let span = self.obs.tracer.start_root_at("request", ns_at(started));
         let frame = self.open_frame(servable, span, started, None, Some(tenant))?;
         let trace = frame.trace();
@@ -468,7 +476,7 @@ impl ManagementService {
         inputs: Vec<Value>,
     ) -> Result<(Vec<Value>, Timings), DlhubError> {
         let started = Instant::now();
-        let (tenant, servable) = self.preflight(token, id, &inputs)?;
+        let (tenant, servable) = self.preflight(token, id, &inputs, started)?;
         if inputs.is_empty() {
             return Ok((Vec::new(), Timings::default()));
         }

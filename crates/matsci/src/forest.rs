@@ -6,28 +6,37 @@
 //! to predict stability" of §V-A, rebuilt natively.
 //!
 //! The fit orders a node's rows by each feature's dense rank, computed
-//! once per forest, instead of comparing their values; a tree is a flat
-//! preorder array of 16-byte nodes, and a prediction walks eight trees
-//! side by side.
+//! once per forest, instead of comparing their values. The forest keeps
+//! every tree in one flat preorder array of 16-byte nodes whose leaves
+//! step to themselves, and a prediction walks eight trees side by side,
+//! four walks in flight, with vector gathers where the CPU has them.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-/// [`Node::feature`] of a leaf.
+/// [`Node::feature`] of a leaf while its tree is being grown; the
+/// forest rewrites it to the feature count (see [`RandomForest`]).
 const LEAF: u32 = u32::MAX;
 
 /// A regression-tree node. Nodes are stored in preorder, so a split's
 /// left child is the next node; a leaf keeps its value in `threshold`.
+/// `feature` then `right` make one little-endian 64-bit word at byte 8,
+/// which a vector walk gathers in one load.
 #[derive(Debug, Clone, Copy)]
+#[repr(C)]
 struct Node {
     /// A split's threshold, or a leaf's value.
     threshold: f64,
-    /// The feature a split tests, or [`LEAF`].
+    /// The feature a split tests, or [`LEAF`] (in a forest: the feature
+    /// count).
     feature: u32,
-    /// Index of a split's right child.
+    /// Index of a split's right child (in a forest: absolute, and a
+    /// leaf's own index).
     right: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<Node>() == 16);
 
 impl Node {
     fn leaf(value: f64) -> Self {
@@ -39,10 +48,24 @@ impl Node {
     }
 }
 
-/// A CART regression tree.
-#[derive(Debug, Clone)]
-pub struct DecisionTree {
-    nodes: Vec<Node>,
+/// One tree of a [`RandomForest`]: a view of its nodes.
+#[derive(Debug, Clone, Copy)]
+pub struct DecisionTree<'a> {
+    nodes: &'a [Node],
+    depth: usize,
+}
+
+impl DecisionTree<'_> {
+    /// Number of nodes (diagnostics).
+    pub fn node_count(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Tree depth: the nodes on its longest root-to-leaf path
+    /// (diagnostics).
+    pub fn depth(&self) -> usize {
+        self.depth
+    }
 }
 
 /// Training hyper-parameters.
@@ -307,101 +330,52 @@ impl<R: Rank> Grower<'_, R> {
     }
 }
 
-impl DecisionTree {
-    /// Fit a tree on `(x, y)` where `x` is row-major
-    /// `n_samples × n_features` and `ranks` are its ranks, restricted to
-    /// `indices`.
-    fn fit<R: Rank>(
-        x: &[Vec<f64>],
-        y: &[f64],
-        ranks: &Ranks<R>,
-        indices: &[usize],
-        config: &ForestConfig,
-        rng: &mut StdRng,
-    ) -> Self {
-        let n_features = ranks.distinct.len();
-        let max_features = config
-            .max_features
-            .unwrap_or_else(|| (n_features as f64).sqrt().ceil() as usize)
-            .clamp(1, n_features.max(1));
-        let mut grower = Grower {
-            x,
-            y,
-            ranks,
-            config,
-            max_features,
-            rng,
-            nodes: Vec::new(),
-            pool: Vec::with_capacity(n_features),
-            keys: Vec::with_capacity(indices.len()),
-            counts: Vec::new(),
-            ys: Vec::with_capacity(indices.len()),
-        };
-        grower.grow(&mut indices.to_vec(), 0);
-        let mut nodes = grower.nodes;
-        nodes.shrink_to_fit();
-        DecisionTree { nodes }
-    }
-
-    /// Predict one sample.
-    pub fn predict(&self, features: &[f64]) -> f64 {
-        walk(std::slice::from_ref(self), features)[0]
-    }
-
-    /// Number of nodes (diagnostics).
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Tree depth (diagnostics).
-    pub fn depth(&self) -> usize {
-        fn rec(nodes: &[Node], idx: usize) -> usize {
-            let node = nodes[idx];
-            if node.feature == LEAF {
-                1
-            } else {
-                1 + rec(nodes, idx + 1).max(rec(nodes, node.right as usize))
-            }
-        }
-        if self.nodes.is_empty() {
-            0
-        } else {
-            rec(&self.nodes, 0)
-        }
-    }
+/// Fit one tree on `(x, y)` where `x` is row-major
+/// `n_samples × n_features` and `ranks` are its ranks, restricted to
+/// `indices`: its nodes in preorder, leaves marked [`LEAF`], right
+/// children indexed from the tree's root.
+fn fit_tree<R: Rank>(
+    x: &[Vec<f64>],
+    y: &[f64],
+    ranks: &Ranks<R>,
+    indices: &[usize],
+    config: &ForestConfig,
+    rng: &mut StdRng,
+) -> Vec<Node> {
+    let n_features = ranks.distinct.len();
+    let max_features = config
+        .max_features
+        .unwrap_or_else(|| (n_features as f64).sqrt().ceil() as usize)
+        .clamp(1, n_features.max(1));
+    let mut grower = Grower {
+        x,
+        y,
+        ranks,
+        config,
+        max_features,
+        rng,
+        nodes: Vec::new(),
+        pool: Vec::with_capacity(n_features),
+        keys: Vec::with_capacity(indices.len()),
+        counts: Vec::new(),
+        ys: Vec::with_capacity(indices.len()),
+    };
+    grower.grow(&mut indices.to_vec(), 0);
+    grower.nodes
 }
 
-/// Trees one walk advances side by side, so their node loads overlap.
-const LANES: usize = 8;
-
-/// The leaf values `trees` (at most [`LANES`]) reach on `features`,
-/// walking them in lockstep: each round moves every tree not yet at a
-/// leaf one level down. The left/right choice compiles to a conditional
-/// move, so on inputs whose paths the branch predictor has not learnt
-/// the trees' node loads overlap instead of each level waiting on a
-/// mispredict.
-fn walk(trees: &[DecisionTree], features: &[f64]) -> [f64; LANES] {
-    let mut at = [0usize; LANES];
-    let mut leaves = [0.0; LANES];
-    loop {
-        let mut moved = false;
-        for ((tree, at), leaf) in trees.iter().zip(&mut at).zip(&mut leaves) {
-            let node = tree.nodes[*at];
-            if node.feature == LEAF {
-                *leaf = node.threshold;
-            } else {
-                *at = if features[node.feature as usize] <= node.threshold {
-                    *at + 1
-                } else {
-                    node.right as usize
-                };
-                moved = true;
-            }
-        }
-        if !moved {
-            return leaves;
+/// The nodes on the longest root-to-leaf path of a tree from
+/// [`fit_tree`].
+fn tree_depth(nodes: &[Node]) -> usize {
+    fn rec(nodes: &[Node], idx: usize) -> usize {
+        let node = nodes[idx];
+        if node.feature == LEAF {
+            1
+        } else {
+            1 + rec(nodes, idx + 1).max(rec(nodes, node.right as usize))
         }
     }
+    rec(nodes, 0)
 }
 
 /// Moves the elements satisfying `pred` to the front, in their order,
@@ -420,10 +394,89 @@ fn partition<T, F: Fn(&T) -> bool>(slice: &mut [T], pred: F) -> usize {
     next
 }
 
+/// Trees one walk takes down a row side by side: one AVX-512 vector of
+/// node indices, two AVX2 ones.
+const LANES: usize = 8;
+
+/// Walks one call keeps in flight, so the gathers of three wait out the
+/// latency of the fourth's.
+const IN_FLIGHT: usize = 4;
+
+/// [`RandomForest::predict`] widens a row of fewer features than this on
+/// the stack.
+const STACK_ROW: usize = 64;
+
+/// Up to [`LANES`] consecutive trees of a forest, walked together.
+#[derive(Debug, Clone)]
+struct Group {
+    /// The trees' roots; lanes past `trees` start on the idle leaf.
+    roots: [i64; LANES],
+    /// Trees in the group.
+    trees: usize,
+    /// Steps that take every tree of the group to its leaf: its deepest
+    /// tree's depth less one.
+    steps: usize,
+}
+
+/// One walk: a group of trees down one widened row.
+#[derive(Clone, Copy)]
+struct Walk<'a> {
+    group: &'a Group,
+    row: &'a [f64],
+}
+
+/// The builds of the walk, narrowest first. A forest walks with the
+/// widest the CPU reports, up to the one it is capped at.
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
+enum Build {
+    /// The early-exit lockstep walk, scalar loads.
+    #[cfg_attr(not(test), expect(dead_code, reason = "only tests cap a forest to it"))]
+    Portable,
+    /// AVX2 gathers: a walk's eight trees in two vectors.
+    Avx2,
+    /// AVX-512F gathers: a walk's eight trees in one vector.
+    Avx512,
+}
+
+/// The walk a [`RandomForest`] takes on this CPU: `"avx512"`, `"avx2"`
+/// or `"portable"`.
+pub fn walk_build() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if is_x86_feature_detected!("avx512f") {
+            return "avx512";
+        }
+        if is_x86_feature_detected!("avx2") {
+            return "avx2";
+        }
+    }
+    "portable"
+}
+
 /// A bagged ensemble of regression trees.
+///
+/// Every tree's nodes sit in one array, tree after tree, with absolute
+/// `right` indices. A leaf tests feature `pad`, the forest's feature
+/// count, and is its own right child; a walk widens each row to
+/// `pad + 1` values whose last is NaN, and `NaN <= t` is false, so a
+/// step from a leaf stays on it. A group of trees can then be stepped
+/// its deepest tree's depth with no leaf test.
 #[derive(Debug, Clone)]
 pub struct RandomForest {
-    trees: Vec<DecisionTree>,
+    /// Every tree's nodes, then the idle leaf.
+    nodes: Vec<Node>,
+    /// Where each tree starts in `nodes`, then the idle leaf's index.
+    starts: Vec<u32>,
+    /// Each tree's depth.
+    depths: Vec<usize>,
+    /// The trees, [`LANES`] to a group, in order.
+    groups: Vec<Group>,
+    /// A group of no trees: the walks a call has no group for take it.
+    idle: Group,
+    /// The feature count: what a leaf tests.
+    pad: usize,
+    /// The widest walk this forest may take.
+    cap: Build,
 }
 
 impl RandomForest {
@@ -452,17 +505,188 @@ impl RandomForest {
             let mut rng =
                 StdRng::seed_from_u64(config.seed ^ (t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
             let bootstrap: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
-            DecisionTree::fit(x, y, ranks, &bootstrap, config, &mut rng)
+            fit_tree(x, y, ranks, &bootstrap, config, &mut rng)
         });
-        RandomForest { trees }
+        Self::from_trees(trees, ranks.distinct.len())
     }
 
-    /// Every tree's prediction on `features`, in tree order.
-    fn each_tree(&self, features: &[f64], mut each: impl FnMut(f64)) {
-        for group in self.trees.chunks(LANES) {
-            walk(group, features)[..group.len()]
-                .iter()
-                .for_each(|&v| each(v));
+    /// The forest of `trees`, each from [`fit_tree`] on rows of `pad`
+    /// features, laid out in one array.
+    fn from_trees(trees: Vec<Vec<Node>>, pad: usize) -> Self {
+        let index = |at: usize| u32::try_from(at).expect("a forest has fewer than 2^32 nodes");
+        let leaf_feature = u32::try_from(pad).expect("a feature count below 2^32");
+        let mut nodes = Vec::with_capacity(trees.iter().map(Vec::len).sum::<usize>() + 1);
+        let mut starts = Vec::with_capacity(trees.len() + 1);
+        let mut depths = Vec::with_capacity(trees.len());
+        for tree in trees {
+            let start = nodes.len();
+            starts.push(index(start));
+            depths.push(tree_depth(&tree));
+            nodes.extend(tree.iter().enumerate().map(|(i, node)| {
+                if node.feature == LEAF {
+                    Node {
+                        feature: leaf_feature,
+                        right: index(start + i),
+                        ..*node
+                    }
+                } else {
+                    Node {
+                        right: index(start + node.right as usize),
+                        ..*node
+                    }
+                }
+            }));
+        }
+        let idle = index(nodes.len());
+        starts.push(idle);
+        nodes.push(Node {
+            threshold: 0.0,
+            feature: leaf_feature,
+            right: idle,
+        });
+        // What every walk's loads rely on, checked once: a node's right
+        // child is a node, and so is a split's left one (the next
+        // node); a split tests a feature of the row, and a leaf its NaN.
+        for (at, node) in nodes.iter().enumerate() {
+            let right = node.right as usize;
+            let well_formed = if right == at {
+                node.feature == leaf_feature
+            } else {
+                at < right && right < nodes.len() && (node.feature as usize) < pad
+            };
+            assert!(well_formed, "forest node {at} is malformed: {node:?}");
+        }
+        let trees = depths.len();
+        let groups = starts[..trees]
+            .chunks(LANES)
+            .zip(depths.chunks(LANES))
+            .map(|(roots, depths)| Group {
+                roots: std::array::from_fn(|lane| i64::from(*roots.get(lane).unwrap_or(&idle))),
+                trees: roots.len(),
+                steps: depths.iter().max().map_or(0, |depth| depth - 1),
+            })
+            .collect();
+        RandomForest {
+            nodes,
+            starts,
+            depths,
+            groups,
+            idle: Group {
+                roots: [i64::from(idle); LANES],
+                trees: 0,
+                steps: 0,
+            },
+            pad,
+            cap: Build::Avx512,
+        }
+    }
+
+    /// The leaf values `walks` reach, by the widest build the CPU
+    /// reports, up to the forest's cap. Every build steps the same nodes,
+    /// so every build gives the same bits.
+    fn walk(&self, walks: [Walk<'_>; IN_FLIGHT]) -> [[f64; LANES]; IN_FLIGHT] {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if self.cap >= Build::Avx512 && is_x86_feature_detected!("avx512f") {
+                // SAFETY: the CPU reported avx512f on the line above, the
+                // only requirement of `walk_avx512`.
+                return unsafe { walk_avx512(self, walks) };
+            }
+            if self.cap >= Build::Avx2 && is_x86_feature_detected!("avx2") {
+                // SAFETY: the CPU reported avx2 on the line above, the
+                // only requirement of `walk_avx2`.
+                return unsafe { walk_avx2(self, walks) };
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = self.cap;
+        walks.map(|walk| self.walk_portable(walk))
+    }
+
+    /// The leaf values `walk`'s trees reach, walking them in lockstep:
+    /// each round moves every tree not yet at a leaf (`right == at`) one
+    /// level down. The left/right choice is a conditional move
+    /// (`select_unpredictable`), so on inputs whose paths the branch
+    /// predictor has not learnt the trees' node loads overlap instead of
+    /// each level waiting on a mispredict.
+    fn walk_portable(&self, Walk { group, row }: Walk<'_>) -> [f64; LANES] {
+        let mut at = group.roots.map(|root| root as usize);
+        let mut leaves = [0.0; LANES];
+        loop {
+            let mut moved = false;
+            for (at, leaf) in at.iter_mut().zip(&mut leaves).take(group.trees) {
+                let node = self.nodes[*at];
+                if node.right as usize == *at {
+                    *leaf = node.threshold;
+                } else {
+                    let left = row[node.feature as usize] <= node.threshold;
+                    *at = std::hint::select_unpredictable(left, *at + 1, node.right as usize);
+                    moved = true;
+                }
+            }
+            if !moved {
+                return leaves;
+            }
+        }
+    }
+
+    /// Every tree's leaf value on the widened `row`, in tree order: the
+    /// groups walk [`IN_FLIGHT`] at a time.
+    fn each_tree(&self, row: &[f64], mut each: impl FnMut(f64)) {
+        for groups in self.groups.chunks(IN_FLIGHT) {
+            let walks = std::array::from_fn(|k| Walk {
+                group: groups.get(k).unwrap_or(&self.idle),
+                row,
+            });
+            for (group, leaves) in groups.iter().zip(&self.walk(walks)) {
+                leaves[..group.trees].iter().for_each(|&v| each(v));
+            }
+        }
+    }
+
+    /// Add every tree's leaf value on each widened row of `rows` to the
+    /// row's sum, in tree order: each group walks the rows
+    /// [`IN_FLIGHT`] at a time before the next group starts, and the
+    /// rows left over walk one by one, their groups in flight together.
+    fn add_rows(&self, rows: &[f64], sums: &mut [f64]) {
+        let width = self.pad + 1;
+        let whole = sums.len() / IN_FLIGHT * IN_FLIGHT;
+        let (whole_rows, rest) = rows.split_at(whole * width);
+        for group in &self.groups {
+            let blocks = whole_rows.chunks_exact(IN_FLIGHT * width);
+            for (block, sums) in blocks.zip(sums.chunks_exact_mut(IN_FLIGHT)) {
+                let walks = std::array::from_fn(|k| Walk {
+                    group,
+                    row: &block[k * width..][..width],
+                });
+                for (sum, leaves) in sums.iter_mut().zip(&self.walk(walks)) {
+                    leaves[..group.trees].iter().for_each(|&v| *sum += v);
+                }
+            }
+        }
+        for (row, sum) in rest.chunks_exact(width).zip(&mut sums[whole..]) {
+            self.each_tree(row, |v| *sum += v);
+        }
+    }
+
+    /// `walk` on `features` widened to the forest's row: on the stack
+    /// when it is short.
+    fn widened<T>(&self, features: &[f64], walk: impl FnOnce(&[f64]) -> T) -> T {
+        assert_eq!(
+            features.len(),
+            self.pad,
+            "a row's features, for a forest of {} features",
+            self.pad
+        );
+        if self.pad < STACK_ROW {
+            let mut row = [f64::NAN; STACK_ROW];
+            row[..self.pad].copy_from_slice(features);
+            walk(&row[..=self.pad])
+        } else {
+            let mut row = Vec::with_capacity(self.pad + 1);
+            row.extend_from_slice(features);
+            row.push(f64::NAN);
+            walk(&row)
         }
     }
 
@@ -471,25 +695,28 @@ impl RandomForest {
         // `-0.0` is where `Iterator::sum` starts: this is the sum of the
         // per-tree predictions in tree order, bit for bit.
         let mut sum = -0.0;
-        self.each_tree(features, |v| sum += v);
-        sum / self.trees.len() as f64
+        self.widened(features, |row| self.each_tree(row, |v| sum += v));
+        sum / self.n_trees() as f64
+    }
+
+    /// An empty block of rows to predict, with room for `capacity`.
+    pub fn rows(&self, capacity: usize) -> Rows<'_> {
+        Rows {
+            forest: self,
+            values: Vec::with_capacity(capacity * (self.pad + 1)),
+        }
     }
 
     /// Predict a block of samples, each to the bit what
-    /// [`RandomForest::predict`] gives it: each group of trees walks
-    /// every sample before the next group starts.
+    /// [`RandomForest::predict`] gives it.
     pub fn predict_many<F: AsRef<[f64]>>(&self, rows: &[F]) -> Vec<f64> {
-        let mut sums = vec![-0.0; rows.len()];
-        for group in self.trees.chunks(LANES) {
-            for (sum, row) in sums.iter_mut().zip(rows) {
-                for &v in &walk(group, row.as_ref())[..group.len()] {
-                    *sum += v;
-                }
+        let mut block = self.rows(rows.len());
+        for row in rows {
+            if let Err(got) = block.push(row.as_ref().iter().copied()) {
+                panic!("a row of {got} features, for a forest of {}", self.pad);
             }
         }
-        let n = self.trees.len() as f64;
-        sums.iter_mut().for_each(|sum| *sum /= n);
-        sums
+        block.predict()
     }
 
     /// Predict with an ensemble uncertainty estimate: the mean and
@@ -498,8 +725,8 @@ impl RandomForest {
     /// epistemic uncertainty — the "uncertainty quantification" stage
     /// scientific workflows attach after inference (paper §II).
     pub fn predict_with_uncertainty(&self, features: &[f64]) -> (f64, f64) {
-        let mut per_tree = Vec::with_capacity(self.trees.len());
-        self.each_tree(features, |v| per_tree.push(v));
+        let mut per_tree = Vec::with_capacity(self.n_trees());
+        self.widened(features, |row| self.each_tree(row, |v| per_tree.push(v)));
         let n = per_tree.len() as f64;
         let mean = per_tree.iter().sum::<f64>() / n;
         let variance = per_tree
@@ -512,12 +739,23 @@ impl RandomForest {
 
     /// Number of trees.
     pub fn n_trees(&self) -> usize {
-        self.trees.len()
+        self.depths.len()
+    }
+
+    /// Features a row holds.
+    pub fn n_features(&self) -> usize {
+        self.pad
     }
 
     /// The trees, in the order they were seeded (diagnostics).
-    pub fn trees(&self) -> &[DecisionTree] {
-        &self.trees
+    pub fn trees(&self) -> impl ExactSizeIterator<Item = DecisionTree<'_>> {
+        self.starts
+            .windows(2)
+            .zip(&self.depths)
+            .map(|(bounds, &depth)| DecisionTree {
+                nodes: &self.nodes[bounds[0] as usize..bounds[1] as usize],
+                depth,
+            })
     }
 
     /// Mean absolute error over a labelled set.
@@ -527,9 +765,183 @@ impl RandomForest {
     }
 }
 
+/// A block of rows widened for a forest's walk: each row's features,
+/// then the NaN its leaves test. Built by [`RandomForest::rows`].
+#[derive(Debug, Clone)]
+pub struct Rows<'f> {
+    forest: &'f RandomForest,
+    values: Vec<f64>,
+}
+
+impl Rows<'_> {
+    /// Append a row of the forest's feature count. A row of any other
+    /// length is not appended: the error is how many values it held.
+    pub fn push(&mut self, features: impl IntoIterator<Item = f64>) -> Result<(), usize> {
+        let pad = self.forest.pad;
+        let start = self.values.len();
+        let mut features = features.into_iter();
+        self.values.extend(features.by_ref().take(pad));
+        let held = self.values.len() - start + features.count();
+        if held == pad {
+            self.values.push(f64::NAN);
+            Ok(())
+        } else {
+            self.values.truncate(start);
+            Err(held)
+        }
+    }
+
+    /// Rows in the block.
+    pub fn len(&self) -> usize {
+        self.values.len() / (self.forest.pad + 1)
+    }
+
+    /// True if the block holds no row.
+    pub fn is_empty(&self) -> bool {
+        self.values.is_empty()
+    }
+
+    /// Predict every row, each to the bit what
+    /// [`RandomForest::predict`] gives it.
+    pub fn predict(&self) -> Vec<f64> {
+        let mut sums = vec![-0.0; self.len()];
+        self.forest.add_rows(&self.values, &mut sums);
+        let n = self.forest.n_trees() as f64;
+        sums.iter_mut().for_each(|sum| *sum /= n);
+        sums
+    }
+}
+
+/// Panics unless every walk starts on nodes of `forest` and its row is
+/// widened for it: `pad + 1` values, the last NaN. With it, a gathered
+/// feature (`<= pad`) is inside the row, and a leaf's step stays on the
+/// leaf.
+#[cfg(target_arch = "x86_64")]
+fn check_walks(forest: &RandomForest, walks: &[Walk<'_>]) {
+    let pad = forest.pad;
+    let widened = |row: &[f64]| row.len() == pad + 1 && row[pad].is_nan();
+    let rooted = |roots: &[i64]| {
+        roots
+            .iter()
+            .all(|&root| (root as u64) < forest.nodes.len() as u64)
+    };
+    assert!(
+        walks
+            .iter()
+            .all(|walk| widened(walk.row) && rooted(&walk.group.roots)),
+        "a walk not set up for the forest"
+    );
+}
+
+/// [`RandomForest::walk`] on AVX-512F: a walk's eight node indices in
+/// one vector, stepped its deepest tree's depth less one times with no
+/// leaf test, the four walks' gathers interleaved; then the leaves'
+/// values gathered.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn walk_avx512(forest: &RandomForest, walks: [Walk<'_>; IN_FLIGHT]) -> [[f64; LANES]; IN_FLIGHT] {
+    use std::arch::x86_64::*;
+    check_walks(forest, &walks);
+    // Node `i`'s threshold is the `f64` at `thresholds + 2i`, and its
+    // `(feature, right)` word the 64 bits after it.
+    let thresholds = forest.nodes.as_ptr().cast::<f64>();
+    let pairs = thresholds.wrapping_add(1).cast::<i64>();
+    let one = _mm512_set1_epi64(1);
+    let low = _mm512_set1_epi64(i64::from(u32::MAX));
+    let steps = walks.iter().map(|walk| walk.group.steps).max().unwrap_or(0);
+    // SAFETY: each load reads the eight `i64` of one group's `roots`.
+    let mut at = walks.map(|walk| unsafe { _mm512_loadu_epi64(walk.group.roots.as_ptr()) });
+    for _ in 0..steps {
+        for (at, walk) in at.iter_mut().zip(&walks) {
+            let slot = _mm512_add_epi64(*at, *at);
+            // SAFETY: every lane of `at` is a node index. It starts at a
+            // root (`check_walks`), and a step takes it to `right`
+            // (`right < nodes.len()`) or, from a split only, to the next
+            // node, which `from_trees` checked is in `nodes` too; a leaf
+            // tests the row's NaN and stays. So `slot` and `slot + 1`
+            // are inside `nodes`, and `feature <= pad`, also checked
+            // there, is inside the row (`check_walks`).
+            let (threshold, pair, x) = unsafe {
+                let pair = _mm512_i64gather_epi64::<8>(slot, pairs);
+                let feature = _mm512_and_si512(pair, low);
+                let x = _mm512_i64gather_pd::<8>(feature, walk.row.as_ptr());
+                (_mm512_i64gather_pd::<8>(slot, thresholds), pair, x)
+            };
+            let left = _mm512_cmp_pd_mask::<_CMP_LE_OQ>(x, threshold);
+            let right = _mm512_srli_epi64::<32>(pair);
+            *at = _mm512_mask_blend_epi64(left, right, _mm512_add_epi64(*at, one));
+        }
+    }
+    let mut leaves = [[0.0; LANES]; IN_FLIGHT];
+    for (leaves, at) in leaves.iter_mut().zip(at) {
+        // SAFETY: `at` holds node indices, as in the loop; the store
+        // writes the eight `f64` of `leaves`.
+        unsafe {
+            let values = _mm512_i64gather_pd::<8>(_mm512_add_epi64(at, at), thresholds);
+            _mm512_storeu_pd(leaves.as_mut_ptr(), values);
+        }
+    }
+    leaves
+}
+
+/// [`walk_avx512`] on AVX2: a walk's eight node indices in two vectors.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn walk_avx2(forest: &RandomForest, walks: [Walk<'_>; IN_FLIGHT]) -> [[f64; LANES]; IN_FLIGHT] {
+    use std::arch::x86_64::*;
+    check_walks(forest, &walks);
+    let thresholds = forest.nodes.as_ptr().cast::<f64>();
+    let pairs = thresholds.wrapping_add(1).cast::<i64>();
+    let one = _mm256_set1_epi64x(1);
+    let low = _mm256_set1_epi64x(i64::from(u32::MAX));
+    let steps = walks.iter().map(|walk| walk.group.steps).max().unwrap_or(0);
+    let mut at = walks.map(|walk| {
+        let roots = &walk.group.roots;
+        // SAFETY: each load reads four `i64` of one group's `roots`.
+        unsafe {
+            [
+                _mm256_loadu_si256(roots[..4].as_ptr().cast()),
+                _mm256_loadu_si256(roots[4..].as_ptr().cast()),
+            ]
+        }
+    });
+    for _ in 0..steps {
+        for (halves, walk) in at.iter_mut().zip(&walks) {
+            for at in halves {
+                let slot = _mm256_add_epi64(*at, *at);
+                // SAFETY: as in `walk_avx512`: every lane of `at` is a
+                // node index (`right < nodes.len()`, a split's next node
+                // is a node), and `feature <= pad` is inside the row.
+                let (threshold, pair, x) = unsafe {
+                    let pair = _mm256_i64gather_epi64::<8>(pairs, slot);
+                    let feature = _mm256_and_si256(pair, low);
+                    let x = _mm256_i64gather_pd::<8>(walk.row.as_ptr(), feature);
+                    (_mm256_i64gather_pd::<8>(thresholds, slot), pair, x)
+                };
+                let left = _mm256_castpd_si256(_mm256_cmp_pd::<_CMP_LE_OQ>(x, threshold));
+                let right = _mm256_srli_epi64::<32>(pair);
+                *at = _mm256_blendv_epi8(right, _mm256_add_epi64(*at, one), left);
+            }
+        }
+    }
+    let mut leaves = [[0.0; LANES]; IN_FLIGHT];
+    for (leaves, halves) in leaves.iter_mut().zip(at) {
+        for (leaves, at) in leaves.chunks_exact_mut(4).zip(halves) {
+            // SAFETY: `at` holds node indices, as in the loop; the store
+            // writes four `f64` of `leaves`.
+            unsafe {
+                let values = _mm256_i64gather_pd::<8>(thresholds, _mm256_add_epi64(at, at));
+                _mm256_storeu_pd(leaves.as_mut_ptr(), values);
+            }
+        }
+    }
+    leaves
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// y = 3*x0 - 2*x1 with a little structure; learnable by trees.
     fn toy_data(n: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<f64>) {
@@ -541,11 +953,18 @@ mod tests {
         (x, y)
     }
 
-    /// One tree on `indices` of `(x, y)`, with the RNG a forest's first
-    /// tree would not get (seed 0).
-    fn tree(x: &[Vec<f64>], y: &[f64], indices: &[usize], config: &ForestConfig) -> DecisionTree {
+    /// A forest of one tree on `indices` of `(x, y)`, with the RNG a
+    /// forest's first tree would not get (seed 0).
+    fn tree(x: &[Vec<f64>], y: &[f64], indices: &[usize], config: &ForestConfig) -> RandomForest {
         let mut rng = StdRng::seed_from_u64(0);
-        DecisionTree::fit(x, y, &Ranks::<u16>::new(x), indices, config, &mut rng)
+        let nodes = fit_tree(x, y, &Ranks::<u16>::new(x), indices, config, &mut rng);
+        RandomForest::from_trees(vec![nodes], x[0].len())
+    }
+
+    /// The forest's one tree.
+    fn only(forest: &RandomForest) -> DecisionTree<'_> {
+        assert_eq!(forest.n_trees(), 1);
+        forest.trees().next().unwrap()
     }
 
     #[test]
@@ -553,7 +972,7 @@ mod tests {
         let x = vec![vec![0.0], vec![1.0], vec![2.0]];
         let y = vec![5.0, 5.0, 5.0];
         let tree = tree(&x, &y, &[0, 1, 2], &ForestConfig::default());
-        assert_eq!(tree.node_count(), 1);
+        assert_eq!(only(&tree).node_count(), 1);
         assert_eq!(tree.predict(&[7.0]), 5.0);
     }
 
@@ -649,7 +1068,7 @@ mod tests {
             ..ForestConfig::default()
         };
         let tree = tree(&x, &y, &idx, &config);
-        assert!(tree.depth() <= 4); // root at depth 1 + 3 levels
+        assert!(only(&tree).depth() <= 4); // root at depth 1 + 3 levels
     }
 
     #[test]
@@ -705,6 +1124,130 @@ mod tests {
         );
         assert_eq!(forest.predict(&[(n / 4) as f64]), 0.0);
         assert_eq!(forest.predict(&[(3 * n / 4) as f64]), 1.0);
+    }
+
+    /// The builds this host runs, narrowest first: portable always, AVX2
+    /// and AVX-512 where the CPU reports them.
+    fn builds() -> Vec<Build> {
+        let mut builds = vec![Build::Portable];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx2") {
+                builds.push(Build::Avx2);
+            }
+            if is_x86_feature_detected!("avx512f") {
+                builds.push(Build::Avx512);
+            }
+        }
+        builds
+    }
+
+    /// Each tree's leaf value on `row`, one tree at a time from its root:
+    /// what every build is held to.
+    fn per_tree(forest: &RandomForest, row: &[f64]) -> Vec<f64> {
+        let starts = &forest.starts[..forest.n_trees()];
+        let leaf = |mut at: usize| loop {
+            let node = forest.nodes[at];
+            if node.right as usize == at {
+                return node.threshold;
+            }
+            let left = row[node.feature as usize] <= node.threshold;
+            at = if left { at + 1 } else { node.right as usize };
+        };
+        starts.iter().map(|&start| leaf(start as usize)).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// 1..=17 trees leave every lane remainder of a group and every
+        /// remainder of groups in flight; 1..=9 rows every remainder of
+        /// rows in flight. Rows hold NaN, both zeros and split
+        /// thresholds. `predict_many`, `predict` and
+        /// `predict_with_uncertainty` give the same bits on every build.
+        #[test]
+        fn every_build_gives_every_entry_point_the_same_bits(
+            (n_trees, max_depth, seed) in (1usize..=17, 1usize..=6, 0u64..u64::MAX),
+            n_rows in 1usize..=9,
+            picks in proptest::collection::vec((0u8..5, 0usize..usize::MAX, -3.0f64..3.0), 27),
+        ) {
+            // Few distinct values, both zeros among them: ties and
+            // repeated thresholds.
+            let mut rng = StdRng::seed_from_u64(seed);
+            let rows = rng.gen_range(8..48);
+            let x: Vec<Vec<f64>> = (0..rows)
+                .map(|_| {
+                    (0..3)
+                        .map(|_| match rng.gen_range(-4..=4) {
+                            0 if rng.gen_bool(0.5) => -0.0,
+                            v => f64::from(v) * 0.5,
+                        })
+                        .collect()
+                })
+                .collect();
+            let y: Vec<f64> = (0..rows).map(|_| rng.gen_range(-10.0..10.0)).collect();
+            let config = ForestConfig {
+                n_trees,
+                max_depth,
+                min_samples_split: 2,
+                seed,
+                ..ForestConfig::default()
+            };
+            let mut forest = RandomForest::fit(&x, &y, &config);
+            let thresholds: Vec<f64> = (forest.nodes.iter().enumerate())
+                .filter(|&(at, node)| node.right as usize != at)
+                .map(|(_, node)| node.threshold)
+                .collect();
+            let value = |&(kind, pick, v): &(u8, usize, f64)| match kind {
+                0 => f64::NAN,
+                1 => 0.0,
+                2 => -0.0,
+                3 if !thresholds.is_empty() => thresholds[pick % thresholds.len()],
+                _ => v,
+            };
+            let probes: Vec<Vec<f64>> = picks[..3 * n_rows].chunks(3).map(|row| row.iter().map(value).collect()).collect();
+            let n = n_trees as f64;
+            let want: Vec<(u64, u64, u64)> = probes
+                .iter()
+                .map(|row| {
+                    let leaves = per_tree(&forest, row);
+                    let mean = leaves.iter().sum::<f64>() / n;
+                    let variance = leaves.iter().map(|p| (p - mean) * (p - mean)).sum::<f64>() / n;
+                    (mean.to_bits(), mean.to_bits(), variance.sqrt().to_bits())
+                })
+                .collect();
+            for build in builds() {
+                forest.cap = build;
+                let many = forest.predict_many(&probes);
+                let got: Vec<(u64, u64, u64)> = probes
+                    .iter()
+                    .zip(&many)
+                    .map(|(row, many)| {
+                        let (mean, std) = forest.predict_with_uncertainty(row);
+                        prop_assert_eq!(forest.predict(row).to_bits(), many.to_bits(), "{:?}", build);
+                        Ok((many.to_bits(), mean.to_bits(), std.to_bits()))
+                    })
+                    .collect::<Result<_, TestCaseError>>()?;
+                prop_assert_eq!(&got, &want, "{:?} on {:?}", build, probes);
+            }
+        }
+    }
+
+    #[test]
+    fn a_row_of_another_width_is_refused_and_leaves_the_block_as_it_was() {
+        let (x, y) = toy_data(50, 1);
+        let forest = RandomForest::fit(&x, &y, &ForestConfig::default());
+        let mut rows = forest.rows(2);
+        assert_eq!(rows.push([0.5]), Err(1));
+        assert_eq!(rows.push([0.5, 0.25, 1.0]), Err(3));
+        assert!(rows.is_empty());
+        assert_eq!(rows.push([0.5, 0.25]), Ok(()));
+        assert_eq!(rows.push([0.5; 4]), Err(4));
+        assert_eq!(rows.len(), 1);
+        assert_eq!(
+            rows.predict()[0].to_bits(),
+            forest.predict(&[0.5, 0.25]).to_bits()
+        );
     }
 
     #[test]

@@ -94,13 +94,14 @@ if [[ -n $one_shots ]]; then
   exit 1
 fi
 
-# No request path may panic: in the executor, the Task
-# Manager and the serving layer, a bare unwrap, expect or panic! in
-# non-test code sits under a comment naming the invariant that keeps it
-# from firing (or, for the injected replica panic, what catches it).
+# No request path may panic: in the executor, the Task Manager, the
+# serving layer and the built-in servables, a bare unwrap, expect or
+# panic! in non-test code sits under a comment naming the invariant that
+# keeps it from firing (or, for the injected replica panic, what catches
+# it).
 # Anything else is a typed error.
 bare_panics=$(find crates/core/src/executor.rs crates/core/src/task_manager.rs \
-  crates/core/src/serving -name '*.rs' | sort | xargs awk '
+  crates/core/src/serving crates/core/src/servable/builtins.rs -name '*.rs' | sort | xargs awk '
     FNR == 1 { skip = 0; prev = "" }
     prev ~ /^[ \t]*#\[cfg\(test\)\]/ && /^[ \t]*(pub(\(crate\))? )?mod [a-z_]+/ { skip = 1 }
     !skip && /\.unwrap\(\)|\.expect\(|panic!\(/ && !/^[ \t]*\/\// && prev !~ /^[ \t]*\/\// {
