@@ -209,7 +209,7 @@ fn bench_matsci(c: &mut Criterion) {
         });
         println!(
             "matsci/forest_predict_many walks with {}",
-            dlhub_matsci::forest::walk_build()
+            forest.walk_build()
         );
     });
     // `MatminerModel::train(7)`'s fit: the build a first

@@ -394,8 +394,8 @@ fn partition<T, F: Fn(&T) -> bool>(slice: &mut [T], pred: F) -> usize {
     next
 }
 
-/// Trees one walk takes down a row side by side: one AVX-512 vector of
-/// node indices, two AVX2 ones.
+/// Trees one walk takes down a row side by side: two AVX2 vectors of
+/// node indices.
 const LANES: usize = 8;
 
 /// Walks one call keeps in flight, so the gathers of three wait out the
@@ -425,32 +425,25 @@ struct Walk<'a> {
     row: &'a [f64],
 }
 
-/// The builds of the walk, narrowest first. A forest walks with the
-/// widest the CPU reports, up to the one it is capped at.
+/// The builds of the walk, narrowest first.
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 enum Build {
     /// The early-exit lockstep walk, scalar loads.
-    #[cfg_attr(not(test), expect(dead_code, reason = "only tests cap a forest to it"))]
     Portable,
     /// AVX2 gathers: a walk's eight trees in two vectors.
     Avx2,
-    /// AVX-512F gathers: a walk's eight trees in one vector.
-    Avx512,
 }
 
-/// The walk a [`RandomForest`] takes on this CPU: `"avx512"`, `"avx2"`
-/// or `"portable"`.
-pub fn walk_build() -> &'static str {
+/// The widest build the CPU reports, up to `cap`: the one place a
+/// forest's walk is chosen.
+fn widest(cap: Build) -> Build {
     #[cfg(target_arch = "x86_64")]
-    {
-        if is_x86_feature_detected!("avx512f") {
-            return "avx512";
-        }
-        if is_x86_feature_detected!("avx2") {
-            return "avx2";
-        }
+    if cap >= Build::Avx2 && is_x86_feature_detected!("avx2") {
+        return Build::Avx2;
     }
-    "portable"
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = cap;
+    Build::Portable
 }
 
 /// A bagged ensemble of regression trees.
@@ -577,30 +570,29 @@ impl RandomForest {
                 steps: 0,
             },
             pad,
-            cap: Build::Avx512,
+            cap: Build::Avx2,
         }
     }
 
-    /// The leaf values `walks` reach, by the widest build the CPU
-    /// reports, up to the forest's cap. Every build steps the same nodes,
-    /// so every build gives the same bits.
+    /// The leaf values `walks` reach, by [`widest`] under the forest's
+    /// cap. Every build steps the same nodes, so every build gives the
+    /// same bits.
     fn walk(&self, walks: [Walk<'_>; IN_FLIGHT]) -> [[f64; LANES]; IN_FLIGHT] {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if self.cap >= Build::Avx512 && is_x86_feature_detected!("avx512f") {
-                // SAFETY: the CPU reported avx512f on the line above, the
-                // only requirement of `walk_avx512`.
-                return unsafe { walk_avx512(self, walks) };
-            }
-            if self.cap >= Build::Avx2 && is_x86_feature_detected!("avx2") {
-                // SAFETY: the CPU reported avx2 on the line above, the
-                // only requirement of `walk_avx2`.
-                return unsafe { walk_avx2(self, walks) };
-            }
+        match widest(self.cap) {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `widest` returns `Avx2` only once the CPU has
+            // reported avx2, the only requirement of `walk_avx2`.
+            Build::Avx2 => unsafe { walk_avx2(self, walks) },
+            _ => walks.map(|walk| self.walk_portable(walk)),
         }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = self.cap;
-        walks.map(|walk| self.walk_portable(walk))
+    }
+
+    /// The walk this forest takes on this CPU: `"avx2"` or `"portable"`.
+    pub fn walk_build(&self) -> &'static str {
+        match widest(self.cap) {
+            Build::Avx2 => "avx2",
+            Build::Portable => "portable",
+        }
     }
 
     /// The leaf values `walk`'s trees reach, walking them in lockstep:
@@ -833,63 +825,17 @@ fn check_walks(forest: &RandomForest, walks: &[Walk<'_>]) {
     );
 }
 
-/// [`RandomForest::walk`] on AVX-512F: a walk's eight node indices in
-/// one vector, stepped its deepest tree's depth less one times with no
-/// leaf test, the four walks' gathers interleaved; then the leaves'
-/// values gathered.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-fn walk_avx512(forest: &RandomForest, walks: [Walk<'_>; IN_FLIGHT]) -> [[f64; LANES]; IN_FLIGHT] {
-    use std::arch::x86_64::*;
-    check_walks(forest, &walks);
-    // Node `i`'s threshold is the `f64` at `thresholds + 2i`, and its
-    // `(feature, right)` word the 64 bits after it.
-    let thresholds = forest.nodes.as_ptr().cast::<f64>();
-    let pairs = thresholds.wrapping_add(1).cast::<i64>();
-    let one = _mm512_set1_epi64(1);
-    let low = _mm512_set1_epi64(i64::from(u32::MAX));
-    let steps = walks.iter().map(|walk| walk.group.steps).max().unwrap_or(0);
-    // SAFETY: each load reads the eight `i64` of one group's `roots`.
-    let mut at = walks.map(|walk| unsafe { _mm512_loadu_epi64(walk.group.roots.as_ptr()) });
-    for _ in 0..steps {
-        for (at, walk) in at.iter_mut().zip(&walks) {
-            let slot = _mm512_add_epi64(*at, *at);
-            // SAFETY: every lane of `at` is a node index. It starts at a
-            // root (`check_walks`), and a step takes it to `right`
-            // (`right < nodes.len()`) or, from a split only, to the next
-            // node, which `from_trees` checked is in `nodes` too; a leaf
-            // tests the row's NaN and stays. So `slot` and `slot + 1`
-            // are inside `nodes`, and `feature <= pad`, also checked
-            // there, is inside the row (`check_walks`).
-            let (threshold, pair, x) = unsafe {
-                let pair = _mm512_i64gather_epi64::<8>(slot, pairs);
-                let feature = _mm512_and_si512(pair, low);
-                let x = _mm512_i64gather_pd::<8>(feature, walk.row.as_ptr());
-                (_mm512_i64gather_pd::<8>(slot, thresholds), pair, x)
-            };
-            let left = _mm512_cmp_pd_mask::<_CMP_LE_OQ>(x, threshold);
-            let right = _mm512_srli_epi64::<32>(pair);
-            *at = _mm512_mask_blend_epi64(left, right, _mm512_add_epi64(*at, one));
-        }
-    }
-    let mut leaves = [[0.0; LANES]; IN_FLIGHT];
-    for (leaves, at) in leaves.iter_mut().zip(at) {
-        // SAFETY: `at` holds node indices, as in the loop; the store
-        // writes the eight `f64` of `leaves`.
-        unsafe {
-            let values = _mm512_i64gather_pd::<8>(_mm512_add_epi64(at, at), thresholds);
-            _mm512_storeu_pd(leaves.as_mut_ptr(), values);
-        }
-    }
-    leaves
-}
-
-/// [`walk_avx512`] on AVX2: a walk's eight node indices in two vectors.
+/// [`RandomForest::walk`] on AVX2: a walk's eight node indices in two
+/// vectors, stepped its deepest tree's depth less one times with no leaf
+/// test, the four walks' gathers interleaved; then the leaves' values
+/// gathered.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn walk_avx2(forest: &RandomForest, walks: [Walk<'_>; IN_FLIGHT]) -> [[f64; LANES]; IN_FLIGHT] {
     use std::arch::x86_64::*;
     check_walks(forest, &walks);
+    // Node `i`'s threshold is the `f64` at `thresholds + 2i`, and its
+    // `(feature, right)` word the 64 bits after it.
     let thresholds = forest.nodes.as_ptr().cast::<f64>();
     let pairs = thresholds.wrapping_add(1).cast::<i64>();
     let one = _mm256_set1_epi64x(1);
@@ -909,9 +855,14 @@ fn walk_avx2(forest: &RandomForest, walks: [Walk<'_>; IN_FLIGHT]) -> [[f64; LANE
         for (halves, walk) in at.iter_mut().zip(&walks) {
             for at in halves {
                 let slot = _mm256_add_epi64(*at, *at);
-                // SAFETY: as in `walk_avx512`: every lane of `at` is a
-                // node index (`right < nodes.len()`, a split's next node
-                // is a node), and `feature <= pad` is inside the row.
+                // SAFETY: every lane of `at` is a node index. It starts
+                // at a root (`check_walks`), and a step takes it to
+                // `right` (`right < nodes.len()`) or, from a split only,
+                // to the next node, which `from_trees` checked is in
+                // `nodes` too; a leaf tests the row's NaN and stays. So
+                // `slot` and `slot + 1` are inside `nodes`, and
+                // `feature <= pad`, also checked there, is inside the row
+                // (`check_walks`).
                 let (threshold, pair, x) = unsafe {
                     let pair = _mm256_i64gather_epi64::<8>(pairs, slot);
                     let feature = _mm256_and_si256(pair, low);
@@ -1127,19 +1078,12 @@ mod tests {
     }
 
     /// The builds this host runs, narrowest first: portable always, AVX2
-    /// and AVX-512 where the CPU reports them.
+    /// where the CPU reports it.
     fn builds() -> Vec<Build> {
-        let mut builds = vec![Build::Portable];
-        #[cfg(target_arch = "x86_64")]
-        {
-            if is_x86_feature_detected!("avx2") {
-                builds.push(Build::Avx2);
-            }
-            if is_x86_feature_detected!("avx512f") {
-                builds.push(Build::Avx512);
-            }
-        }
-        builds
+        [Build::Portable, Build::Avx2]
+            .into_iter()
+            .filter(|&build| widest(build) == build)
+            .collect()
     }
 
     /// Each tree's leaf value on `row`, one tree at a time from its root:
