@@ -4,7 +4,9 @@
 //! throughput by amortizing system overheads over many requests." The
 //! [`Batcher`] coalesces concurrently submitted single requests into
 //! one dispatched task, flushing when either `max_batch` items are
-//! pending or the oldest item has waited `max_delay`.
+//! pending or the oldest item has waited `max_delay`. The submitters
+//! run the batches on their own threads, as a group commit does: the
+//! batcher has no thread of its own.
 //!
 //! ```
 //! use dlhub_core::batch::{BatchSizing, Batcher};
@@ -24,10 +26,9 @@
 use crate::error::DlhubError;
 use crate::value::Value;
 use dlhub_obs::{ServableCost, ServableSeries};
-use dlhub_sync::atomic::{AtomicBool, Ordering};
-use dlhub_sync::thread;
 use dlhub_sync::time::Instant;
-use dlhub_sync::{Condvar, Mutex, Slot};
+use dlhub_sync::{Mutex, Slot, SlotError};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -128,16 +129,34 @@ impl Drop for Reply {
 
 struct State {
     pending: Vec<Pending>,
+    /// When the open batch's first item arrived; `None` while no batch
+    /// is open.
     oldest: Option<Instant>,
+    /// Batches taken so far. The open batch is number `taken`, so its
+    /// leader can tell whether someone else took it.
+    taken: u64,
 }
 
-/// Coalesces concurrent requests into batches.
+impl State {
+    /// Take the open batch, with how long its oldest item waited.
+    fn take(&mut self) -> (Vec<Pending>, Duration) {
+        let waited = self.oldest.take().map_or(Duration::ZERO, |t| t.elapsed());
+        self.taken += 1;
+        (std::mem::take(&mut self.pending), waited)
+    }
+}
+
+/// Coalesces concurrent requests into batches, run by the submitters
+/// themselves: the batcher has no thread. The submitter whose item
+/// brings a batch to the threshold takes it and runs it. Otherwise the
+/// batch's first submitter, its leader, takes whatever is pending once
+/// `max_delay` has passed, unless the batch was taken already. Several
+/// batches of one servable can be in flight at once.
 pub struct Batcher {
-    state: Arc<Mutex<State>>,
-    wakeup: Arc<Condvar>,
-    shutdown: Arc<AtomicBool>,
-    flusher: Option<thread::JoinHandle<()>>,
+    state: Mutex<State>,
     sizing: BatchSizing,
+    max_delay: Duration,
+    dispatch: BatchDispatch,
 }
 
 impl Batcher {
@@ -145,132 +164,94 @@ impl Batcher {
     /// profile-adaptive) or after `max_delay` of waiting, dispatching
     /// through `dispatch`.
     pub fn new(sizing: BatchSizing, max_delay: Duration, dispatch: BatchDispatch) -> Self {
-        let state = Arc::new(Mutex::new(State {
-            pending: Vec::new(),
-            oldest: None,
-        }));
-        let wakeup = Arc::new(Condvar::new());
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let flusher = {
-            let state = Arc::clone(&state);
-            let wakeup = Arc::clone(&wakeup);
-            let shutdown = Arc::clone(&shutdown);
-            let sizing = sizing.clone();
-            thread::Builder::new()
-                .name("dlhub-batcher".into())
-                .spawn(move || loop {
-                    let (batch, waited): (Vec<Pending>, Duration) = {
-                        let mut st = state.lock();
-                        loop {
-                            if shutdown.load(Ordering::Relaxed) && st.pending.is_empty() {
-                                return;
-                            }
-                            let due = match st.oldest {
-                                Some(t) => {
-                                    st.pending.len() >= sizing.current_max()
-                                        || t.elapsed() >= max_delay
-                                        || shutdown.load(Ordering::Relaxed)
-                                }
-                                None => false,
-                            };
-                            if due {
-                                let waited =
-                                    st.oldest.map(|t| t.elapsed()).unwrap_or(Duration::ZERO);
-                                st.oldest = None;
-                                break (std::mem::take(&mut st.pending), waited);
-                            }
-                            match st.oldest {
-                                Some(t) => {
-                                    let deadline = t + max_delay;
-                                    wakeup.wait_until(&mut st, deadline);
-                                }
-                                None => {
-                                    wakeup.wait_for(&mut st, Duration::from_millis(50));
-                                }
-                            }
-                        }
-                    };
-                    let (inputs, replies): (Vec<_>, Vec<_>) =
-                        batch.into_iter().map(|p| (p.input, p.reply)).unzip();
-                    match (dispatch)(inputs, waited) {
-                        Ok(outputs) if outputs.len() == replies.len() => {
-                            for (reply, out) in replies.into_iter().zip(outputs) {
-                                reply.send(Ok(out));
-                            }
-                        }
-                        Ok(_) => {
-                            for reply in replies {
-                                reply.send(Err(DlhubError::Transport(
-                                    "batch output count mismatch".into(),
-                                )));
-                            }
-                        }
-                        Err(e) => {
-                            for reply in replies {
-                                reply.send(Err(e.clone()));
-                            }
-                        }
-                    }
-                })
-                .expect("spawn batcher flusher")
-        };
         Batcher {
-            state,
-            wakeup,
-            shutdown,
-            flusher: Some(flusher),
+            state: Mutex::new(State {
+                pending: Vec::new(),
+                oldest: None,
+                taken: 0,
+            }),
             sizing,
+            max_delay,
+            dispatch,
         }
     }
 
     /// Submit one input; blocks until its batch is dispatched and the
-    /// matching output arrives.
+    /// matching output arrives. The batch may run on this thread.
     pub fn submit(&self, input: Value) -> Result<Value, DlhubError> {
         let reply = Arc::new(Slot::new());
-        {
+        let (mut batch, lead) = {
             let mut st = self.state.lock();
-            if self.shutdown.load(Ordering::Relaxed) {
-                return Err(DlhubError::Transport("batcher shut down".into()));
-            }
             st.pending.push(Pending {
                 input,
                 reply: Reply(Some(Arc::clone(&reply))),
             });
-            // The first item starts the `max_delay` clock, and an idle
-            // flusher sleeps without a deadline: wake it to re-arm.
-            let first = st.oldest.is_none();
-            if first {
-                st.oldest = Some(Instant::now());
+            // The first item opens the batch and starts its clock.
+            let opened = st.oldest.is_none().then(Instant::now);
+            st.oldest = st.oldest.or(opened);
+            if st.pending.len() >= self.sizing.current_max() {
+                (Some(st.take()), None)
+            } else {
+                (None, opened.map(|t| (st.taken, t + self.max_delay)))
             }
-            if first || st.pending.len() >= self.sizing.current_max() {
-                self.wakeup.notify_all();
+        };
+        if let Some((number, due)) = lead {
+            // A timed-out take leaves the slot fillable: if a filler
+            // took the batch, its answer still lands there.
+            match reply.take(Some(due)) {
+                Err(SlotError::TimedOut) => {
+                    let mut st = self.state.lock();
+                    batch = (st.taken == number).then(|| st.take());
+                }
+                answer => return answered(answer),
             }
         }
-        reply
-            .take(None)
-            .map_err(|_| DlhubError::Transport("batcher dropped request".into()))?
+        if let Some((batch, waited)) = batch {
+            self.flush(batch, waited);
+        }
+        answered(reply.take(None))
     }
 
-    /// Items currently waiting for a flush.
-    pub fn pending(&self) -> usize {
-        self.state.lock().pending.len()
+    /// Dispatch `batch` on this thread and answer its submitters. A
+    /// dispatch that panics is caught here and drops the replies
+    /// unanswered, so each submitter, this one too, hears "batcher
+    /// dropped request" and the batcher serves the next batch.
+    fn flush(&self, batch: Vec<Pending>, waited: Duration) {
+        let (inputs, replies): (Vec<_>, Vec<_>) =
+            batch.into_iter().map(|p| (p.input, p.reply)).unzip();
+        let _ = catch_unwind(AssertUnwindSafe(|| match (self.dispatch)(inputs, waited) {
+            Ok(outputs) if outputs.len() == replies.len() => {
+                for (reply, out) in replies.into_iter().zip(outputs) {
+                    reply.send(Ok(out));
+                }
+            }
+            Ok(_) => {
+                for reply in replies {
+                    reply.send(Err(DlhubError::Transport(
+                        "batch output count mismatch".into(),
+                    )));
+                }
+            }
+            Err(e) => {
+                for reply in replies {
+                    reply.send(Err(e.clone()));
+                }
+            }
+        }));
     }
 }
 
-impl Drop for Batcher {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        self.wakeup.notify_all();
-        if let Some(h) = self.flusher.take() {
-            let _ = h.join();
-        }
-    }
+/// A submitter's answer, as its reply slot gave it.
+fn answered(answer: Result<Result<Value, DlhubError>, SlotError>) -> Result<Value, DlhubError> {
+    answer.map_err(|_| DlhubError::Transport("batcher dropped request".into()))?
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Dispatch that records batch sizes and echoes inputs.
     fn counting_dispatch(batches: Arc<Mutex<Vec<usize>>>) -> BatchDispatch {
@@ -288,8 +269,8 @@ mod tests {
             Duration::from_millis(10),
             counting_dispatch(batches.clone()),
         );
-        // Let the flusher go idle first: the lone item must still be
-        // flushed on its own deadline, not on the idle tick (50 ms).
+        // A batcher that sat idle first still flushes the lone item on
+        // its own deadline.
         std::thread::sleep(Duration::from_millis(5));
         let start = Instant::now();
         let out = b.submit(Value::Int(7)).unwrap();
@@ -532,12 +513,143 @@ mod tests {
         ));
         let b2 = Arc::clone(&b);
         let h = std::thread::spawn(move || b2.submit(Value::Int(1)));
-        // Give the submit a moment to enqueue, then drop the batcher:
-        // the flusher must dispatch the pending item on shutdown
-        // rather than strand the caller.
+        // Give the submit a moment to enqueue, then drop this handle on
+        // the batcher: the submitter holds its own, so nothing is torn
+        // down under it, and it flushes its lone item itself at its
+        // 10 s `max_delay` rather than being stranded.
         std::thread::sleep(Duration::from_millis(30));
         drop(b);
         assert_eq!(h.join().unwrap().unwrap(), Value::Int(1));
         assert_eq!(DISPATCHED.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn a_submit_after_a_panicking_flush_is_answered() {
+        let b = Arc::new(Batcher::new(
+            BatchSizing::Fixed(1),
+            Duration::from_millis(5),
+            Arc::new(|inputs: Vec<Value>, _| match inputs[0] {
+                Value::Int(0) => panic!("dispatch panicked"),
+                _ => Ok(inputs),
+            }),
+        ));
+        let dropped = Err(DlhubError::Transport("batcher dropped request".into()));
+        assert_eq!(b.submit(Value::Int(0)), dropped);
+        // The next submit runs on a thread of its own, so a batcher the
+        // panic left unable to flush fails this test instead of hanging.
+        let answer = Arc::new(Slot::new());
+        let submitter = {
+            let (b, answer) = (Arc::clone(&b), Arc::clone(&answer));
+            std::thread::spawn(move || answer.fill(b.submit(Value::Int(1))))
+        };
+        let deadline = Instant::now() + Duration::from_secs(5);
+        assert_eq!(answer.take(Some(deadline)), Ok(Ok(Value::Int(1))));
+        submitter.join().unwrap();
+    }
+
+    #[test]
+    fn two_batches_of_one_batcher_are_in_flight_at_once() {
+        // Each dispatch waits, for at most two seconds, to see a second
+        // dispatch start beside it.
+        let running = Arc::new(AtomicUsize::new(0));
+        let peak = Arc::new(AtomicUsize::new(0));
+        let dispatch: BatchDispatch = {
+            let (running, peak) = (Arc::clone(&running), Arc::clone(&peak));
+            Arc::new(move |inputs: Vec<Value>, _| {
+                running.fetch_add(1, Ordering::SeqCst);
+                let until = Instant::now() + Duration::from_secs(2);
+                while running.load(Ordering::SeqCst) < 2 && Instant::now() < until {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                peak.fetch_max(running.load(Ordering::SeqCst), Ordering::SeqCst);
+                running.fetch_sub(1, Ordering::SeqCst);
+                Ok(inputs)
+            })
+        };
+        let b = Arc::new(Batcher::new(
+            BatchSizing::Fixed(2),
+            Duration::from_secs(10), // only full batches flush
+            dispatch,
+        ));
+        let handles: Vec<_> = (0..4)
+            .map(|i| {
+                let b = Arc::clone(&b);
+                std::thread::spawn(move || b.submit(Value::Int(i)).unwrap())
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(peak.load(Ordering::SeqCst), 2);
+    }
+
+    #[test]
+    fn leader_timeouts_race_fillers_without_losing_or_repeating_an_item() {
+        // Short delays put a leader's timed-out take beside fillers that
+        // bring the same batch to its threshold, and a dispatch that
+        // takes about as long lets a leader time out while a filler
+        // still runs its batch.
+        const THREADS: usize = 6;
+        const SUBMITS: usize = 150;
+        let mut rng = StdRng::seed_from_u64(44);
+        for round in 0..8 {
+            let threshold = rng.gen_range(1..=5usize);
+            let max_delay = Duration::from_micros(rng.gen_range(0..=1_000u64));
+            let work = Duration::from_micros(rng.gen_range(0..=1_000u64));
+            let case = format!("round {round}: Fixed({threshold}), {max_delay:?}, {work:?}");
+            let batches = Arc::new(Mutex::new(Vec::new()));
+            let dispatch: BatchDispatch = {
+                let batches = Arc::clone(&batches);
+                Arc::new(move |inputs: Vec<Value>, _| {
+                    let runner = std::thread::current().id();
+                    batches.lock().push((runner, inputs.clone()));
+                    std::thread::sleep(work);
+                    Ok(inputs)
+                })
+            };
+            let b = Arc::new(Batcher::new(
+                BatchSizing::Fixed(threshold),
+                max_delay,
+                dispatch,
+            ));
+            let submitters: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (b, case) = (Arc::clone(&b), case.clone());
+                    std::thread::spawn(move || {
+                        for i in 0..SUBMITS {
+                            let own = Value::Int((t * SUBMITS + i) as i64);
+                            assert_eq!(b.submit(own.clone()), Ok(own), "{case}");
+                        }
+                        std::thread::current().id()
+                    })
+                })
+                .collect();
+            let owners: Vec<_> = submitters.into_iter().map(|h| h.join().unwrap()).collect();
+            let batches = batches.lock();
+            let sizes: Vec<usize> = batches.iter().map(|(_, inputs)| inputs.len()).collect();
+            assert_eq!(sizes.iter().sum::<usize>(), THREADS * SUBMITS, "{case}");
+            assert!(sizes.iter().all(|&n| n <= threshold), "{case}: {sizes:?}");
+            let mut seen: Vec<i64> = batches
+                .iter()
+                .flat_map(|(_, inputs)| inputs)
+                .map(|v| match v {
+                    Value::Int(i) => *i,
+                    other => panic!("{case}: unexpected {other}"),
+                })
+                .collect();
+            seen.sort_unstable();
+            assert_eq!(
+                seen,
+                (0..(THREADS * SUBMITS) as i64).collect::<Vec<_>>(),
+                "{case}"
+            );
+            // Every batch ran on the thread of one of its own submitters.
+            for (runner, inputs) in batches.iter() {
+                let t = owners.iter().position(|o| o == runner);
+                let own =
+                    |v: &Value| matches!(v, Value::Int(i) if Some(*i as usize / SUBMITS) == t);
+                assert!(inputs.iter().any(own), "{case}: {runner:?} ran {inputs:?}");
+            }
+        }
     }
 }

@@ -144,6 +144,8 @@ impl TestHubBuilder {
         let auth = AuthService::new();
         auth.register_provider("dlhub.org");
         let repo = Arc::new(Repository::new(auth.clone()));
+        // The provider was registered just above, and a fresh service
+        // holds no identity yet.
         let owner_id = auth.register_identity("dlhub.org", "dlhub").unwrap();
         let token = auth
             .issue_token(
@@ -153,6 +155,8 @@ impl TestHubBuilder {
                     Scope::new(RESOURCE_SERVER, SERVE_SCOPE),
                 ],
             )
+            // `owner_id` exists, and `Repository::new` registered the
+            // resource server that owns both scopes.
             .unwrap();
 
         if self.eval_servables {
@@ -164,6 +168,8 @@ impl TestHubBuilder {
                     BTreeMap::new(),
                     PublishVisibility::Public,
                 )
+                // The owner's token carries the publish scope, and each
+                // evaluation servable has its own plain name.
                 .unwrap();
             }
         }
@@ -194,6 +200,7 @@ impl TestHubBuilder {
         if let Some(topic_config) = self.task_topic_config {
             broker
                 .create_topic_with(&config.task_topic, topic_config)
+                // The broker was built above and holds no topic yet.
                 .expect("task topic created once");
         }
         let mut task_managers = Vec::with_capacity(self.task_managers);
@@ -296,6 +303,9 @@ impl TestHub {
                 BTreeMap::new(),
                 PublishVisibility::Public,
             )
+            // The owner's token carries the publish scope, so a refusal
+            // (an empty name, a '/' in it, or a name another user holds)
+            // is the caller's bug, reported here.
             .expect("publish_simple")
             .id
     }
@@ -310,9 +320,13 @@ impl TestHub {
                     .lookup(&format!("{username}@dlhub.org"))
                     .ok_or(dlhub_auth::AuthError::UnknownProvider("dlhub.org".into()))
             })
+            // `build` registered the provider, so the name is either new
+            // or already known.
             .unwrap();
         self.auth
             .issue_token(id, &[Scope::new(RESOURCE_SERVER, SERVE_SCOPE)])
+            // `id` exists, and `Repository::new` registered the serve
+            // scope's resource server.
             .unwrap()
     }
 }

@@ -125,10 +125,11 @@ impl ManagementService {
             } else {
                 BatchSizing::Fixed(self.config.batch_max)
             };
-            // A `Weak`: the service owns the batcher, so a strong
-            // reference here would keep both alive forever. The
-            // upgrade never holds the last reference — a flush always
-            // carries a submitter blocked inside `run_batched`.
+            // A `Weak`: the service owns the batcher, which owns this
+            // callback, so a strong reference here would keep both
+            // alive forever. The upgrade never holds the last
+            // reference: a flush runs on a submitter's thread, inside
+            // `run_batched`, which holds the service.
             let service = Arc::downgrade(self);
             let servable = Arc::clone(servable);
             Arc::new(Batcher::new(

@@ -243,16 +243,38 @@ fn a_running_hub_has_no_reply_topics_and_no_pump_threads() {
         .unwrap();
     let topics = hub.broker.topics();
     assert!(topics.iter().all(|t| !t.contains(".reply.")), "{topics:?}");
-    if let Ok(tasks) = std::fs::read_dir("/proc/self/task") {
-        let names: Vec<String> = tasks
-            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
-            .collect();
+    if let Some(names) = thread_names() {
         assert!(names.iter().any(|n| n.starts_with("tm-")), "{names:?}");
         assert!(
             names.iter().all(|n| !n.starts_with("rpc-pump")),
             "{names:?}"
         );
     }
+}
+
+#[test]
+fn an_auto_batching_hub_runs_its_batches_on_no_thread_of_its_own() {
+    let hub = TestHub::builder().memo(false).build();
+    hub.service
+        .run_batched(&hub.token, "dlhub/noop", Value::Null)
+        .unwrap();
+    if let Some(names) = thread_names() {
+        assert!(names.iter().any(|n| n.starts_with("tm-")), "{names:?}");
+        assert!(
+            names.iter().all(|n| !n.starts_with("dlhub-batcher")),
+            "{names:?}"
+        );
+    }
+}
+
+/// The names of this process's threads, where `/proc` lists them.
+fn thread_names() -> Option<Vec<String>> {
+    let tasks = std::fs::read_dir("/proc/self/task").ok()?;
+    Some(
+        tasks
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .collect(),
+    )
 }
 
 #[test]

@@ -83,10 +83,10 @@ fi
 # §7, "The seam"): no OnceLock, and no Condvar of its own, outside it. The
 # condvars that stay wait on a condition over shared state, not for a
 # value: the shard's park_cv and room_cv (an item to claim, room on a
-# bounded ring), the batch flusher's wakeup and the TaskTable's.
+# bounded ring) and the TaskTable's.
 one_shots=$({
   non_test 'OnceLock'
-  non_test 'Condvar' | grep -vE '^crates/(queue/src/shard|core/src/batch|core/src/task)\.rs:'
+  non_test 'Condvar' | grep -vE '^crates/(queue/src/shard|core/src/task)\.rs:'
 } || true)
 if [[ -n $one_shots ]]; then
   echo "$one_shots"
@@ -95,13 +95,14 @@ if [[ -n $one_shots ]]; then
 fi
 
 # No request path may panic: in the executor, the Task Manager, the
-# serving layer and the built-in servables, a bare unwrap, expect or
-# panic! in non-test code sits under a comment naming the invariant that
-# keeps it from firing (or, for the injected replica panic, what catches
-# it).
+# serving layer, the auto-batcher, the test hub and the built-in
+# servables, a bare unwrap, expect or panic! in non-test code sits under
+# a comment naming the invariant that keeps it from firing (or, for the
+# injected replica panic, what catches it).
 # Anything else is a typed error.
 bare_panics=$(find crates/core/src/executor.rs crates/core/src/task_manager.rs \
-  crates/core/src/serving crates/core/src/servable/builtins.rs -name '*.rs' | sort | xargs awk '
+  crates/core/src/serving crates/core/src/servable/builtins.rs \
+  crates/core/src/batch.rs crates/core/src/hub.rs -name '*.rs' | sort | xargs awk '
     FNR == 1 { skip = 0; prev = "" }
     prev ~ /^[ \t]*#\[cfg\(test\)\]/ && /^[ \t]*(pub(\(crate\))? )?mod [a-z_]+/ { skip = 1 }
     !skip && /\.unwrap\(\)|\.expect\(|panic!\(/ && !/^[ \t]*\/\// && prev !~ /^[ \t]*\/\// {
