@@ -52,8 +52,6 @@ pub enum DlhubError {
         /// Suggested client back-off before retrying, in milliseconds.
         retry_after_ms: u64,
     },
-    /// No executor can run this servable type.
-    NoExecutor(String),
     /// Async task id unknown — it was never registered with this
     /// service.
     UnknownTask(String),
@@ -92,7 +90,6 @@ impl fmt::Display for DlhubError {
             DlhubError::Overloaded { retry_after_ms } => {
                 write!(f, "overloaded: retry after {retry_after_ms} ms")
             }
-            DlhubError::NoExecutor(t) => write!(f, "no executor for model type {t}"),
             DlhubError::UnknownTask(id) => write!(f, "unknown task: {id}"),
             DlhubError::ExpiredTask(id) => write!(f, "task expired: {id}"),
             DlhubError::Pipeline(m) => write!(f, "invalid pipeline: {m}"),

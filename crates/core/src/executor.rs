@@ -1,10 +1,12 @@
-//! The flexible executor model (§IV-C).
+//! The executor (§IV-C).
 //!
 //! "DLHub … implements an arbitrary executor model that currently
 //! supports three serving systems: TensorFlow Serving, SageMaker, and
-//! a general-purpose Parsl executor." Inference tasks go to the
-//! serving executor matching the model type; everything else (pre/post
-//! processing functions) goes to the Parsl executor.
+//! a general-purpose Parsl executor." Here one executor serves every
+//! model type: [`ParslExecutor`], a replica pool per servable. The
+//! other two systems are the real servers in `dlhub-baselines`, which
+//! Fig 8 measures beside it; a second inline copy of each here would
+//! be a second runtime nothing serves through.
 
 use crate::servable::{ModelType, Servable};
 use crate::value::Value;
@@ -65,16 +67,6 @@ impl Answers {
     }
 }
 
-impl From<(Vec<Value>, Vec<Duration>)> for Answers {
-    /// An inline executor's answers, stamped as they are built.
-    fn from((values, times): (Vec<Value>, Vec<Duration>)) -> Self {
-        Answers {
-            cells: values.into_iter().zip(times).collect(),
-            ended_ns: now_ns(),
-        }
-    }
-}
-
 /// What [`Executor::dispatch`] completes with: the answers, or the
 /// first error in input order.
 pub type Answered = Result<Answers, String>;
@@ -125,51 +117,27 @@ pub trait Executor: Send + Sync {
     ) -> Execution;
 
     /// Number of jobs started so far: one per replica a task's inputs
-    /// were cut across, one per non-empty task on an inline executor.
+    /// were cut across.
     fn dispatched(&self) -> u64;
 
     /// [`Executor::execute`] as step `step` of a chain: when the step
     /// carries a trace, record `inference` spans under its parent (the
-    /// Task Manager's invocation span).
-    ///
-    /// The default implementation runs `execute` and reconstructs one
-    /// end-anchored span per input from the reported durations. For
-    /// the inline executors those are even shares of one `run_many`
-    /// call, so the spans sum to the call's time but do not mark when
-    /// each input ran. Executors with replica pools should override it
-    /// to record spans on the replica threads themselves (see
-    /// [`ParslExecutor`]).
+    /// Task Manager's invocation span). Blocks until the task is
+    /// answered or expires: never call it from inside a run.
     fn execute_traced(
         &self,
         servable_id: &str,
         servable: &Arc<dyn Servable>,
         inputs: &[Value],
         step: ChainStep<'_>,
-    ) -> Execution {
-        let result = self.execute(servable_id, servable, inputs);
-        if let (Some((obs, parent)), Ok((_, times))) = (step.trace, &result) {
-            if obs.tracer.enabled() {
-                let end_ns = now_ns();
-                for time in times {
-                    let start_ns = end_ns.saturating_sub(time.as_nanos() as u64);
-                    let mut span = obs.tracer.start_child_at(parent, "inference", start_ns);
-                    span.attr_with("servable", || servable_id.to_string());
-                    span.attr("step", step.index);
-                    span.attr_with("executor", || self.name().to_string());
-                    obs.tracer.finish_at(span, end_ns);
-                }
-            }
-        }
-        result
-    }
+    ) -> Execution;
 
     /// Completion-passing, zero-copy variant of
     /// [`Executor::execute_traced`]: start the task and return; `done`
     /// is called exactly once, on whichever thread finishes the task,
     /// so the caller never sits on a running inference. The inputs are
-    /// handed over by shared ownership, so pooled executors fan them
-    /// out without cloning `Value` trees. The default runs the task
-    /// inline: all an executor without replica threads can do.
+    /// handed over by shared ownership, so replicas read them without
+    /// cloning `Value` trees.
     fn dispatch(
         &self,
         servable_id: &str,
@@ -177,19 +145,14 @@ pub trait Executor: Send + Sync {
         inputs: Arc<Vec<Value>>,
         step: ChainStep<'_>,
         done: Done,
-    ) {
-        done(
-            self.execute_traced(servable_id, servable, &inputs, step)
-                .map(Answers::from),
-        );
-    }
+    );
 
     /// Complete, with a timeout error, every dispatched task whose
     /// replicas have not all answered by `now_ns` ([`now_ns`] clock, a
     /// reading the caller already holds). Whoever dispatches without
     /// waiting calls this every loop turn; it costs one atomic load when
-    /// nothing is due. Inline executors have nothing to reap.
-    fn reap_expired(&self, _now_ns: u64) {}
+    /// nothing is due.
+    fn reap_expired(&self, now_ns: u64);
 }
 
 /// Trace baggage of a pooled task, so the replica thread records its
@@ -213,9 +176,6 @@ struct Task {
     /// Obs-clock instant after which the task counts as wedged.
     deadline_ns: u64,
     progress: Mutex<Progress>,
-    /// The outcome of a task that has no `done`, for its blocking
-    /// caller.
-    outcome: Slot<Answered>,
 }
 
 /// The shared countdown of one task, completed exactly once: by the
@@ -227,9 +187,7 @@ struct Progress {
     answered: usize,
     /// The failed input first in input order, and its error.
     first_error: Option<(usize, String)>,
-    completed: bool,
-    /// Who to tell; `None` when a blocking caller waits on the task
-    /// itself, in which case the outcome fills [`Task::outcome`].
+    /// Who to tell: `None` once the task has completed.
     done: Option<Done>,
 }
 
@@ -280,21 +238,13 @@ impl Task {
         mut progress: MutexGuard<'_, Progress>,
         outcome: impl FnOnce(&mut Progress) -> Answered,
     ) -> bool {
-        if std::mem::replace(&mut progress.completed, true) {
+        let Some(done) = progress.done.take() else {
             return false;
-        }
+        };
         let outcome = outcome(&mut progress);
-        match progress.done.take() {
-            // Completions run user code (encode, reply): unlocked.
-            Some(done) => {
-                drop(progress);
-                done(outcome);
-            }
-            None => {
-                drop(progress);
-                self.outcome.fill(outcome);
-            }
-        }
+        // Completions run user code (encode, reply): unlocked.
+        drop(progress);
+        done(outcome);
         true
     }
 
@@ -738,7 +688,7 @@ impl Pool {
         health: Option<HealthPolicy>,
         shared: &Arc<Shared>,
     ) -> Result<Pool, String> {
-        // One queued job per replica (`start` bounds its pushes): a
+        // One queued job per replica (`dispatch` bounds its pushes): a
         // dispatcher blocks only on a saturated pool, and whatever it
         // has not pulled yet keeps waiting unleased in the task topic.
         let queue = Arc::new(ShardedRing::new());
@@ -1059,28 +1009,85 @@ impl ParslExecutor {
             self.shared.handoff.price(),
         )
     }
+}
 
-    /// The one fan-out path: the inputs cut into one contiguous chunk
-    /// per replica (`min(inputs, replicas)` jobs, sizes differing by at
-    /// most one) onto the servable's pool, so a batch costs each
-    /// replica one hand-off and reaches the servable as a block. How
-    /// finely to cut is not an option: fewer jobs than replicas leave
-    /// replicas idle, more only add hand-offs. A one-input task of a
-    /// sub-hop servable ([`ParslExecutor::sub_hop`]) that draws no fault
-    /// is not handed off at all: this thread runs it. Whichever thread
-    /// completes the task calls `done`, or, for `None`, parks the
-    /// outcome in the returned task for the caller to wait on. A
+impl Executor for ParslExecutor {
+    fn name(&self) -> &str {
+        "parsl"
+    }
+
+    fn supports(&self, _model_type: ModelType) -> bool {
+        true
+    }
+
+    fn execute(
+        &self,
+        servable_id: &str,
+        servable: &Arc<dyn Servable>,
+        inputs: &[Value],
+    ) -> Execution {
+        self.execute_traced(servable_id, servable, inputs, ChainStep::default())
+    }
+
+    fn dispatched(&self) -> u64 {
+        self.dispatched.load(Ordering::Relaxed)
+    }
+
+    /// Blocking execution: [`Executor::dispatch`] with a completion
+    /// that fills a local slot, then a wait on the slot; once the task's
+    /// deadline has passed, the expiry below completes it. Never called
+    /// from inside a run: a job kept there would wait for that run, and
+    /// so for this wait, to end.
+    fn execute_traced(
+        &self,
+        servable_id: &str,
+        servable: &Arc<dyn Servable>,
+        inputs: &[Value],
+        step: ChainStep<'_>,
+    ) -> Execution {
+        let outcome = Arc::new(Slot::new());
+        let answered = Arc::clone(&outcome);
+        let inputs = Arc::new(inputs.to_vec());
+        let done: Done = Box::new(move |outcome| {
+            answered.fill(outcome);
+        });
+        self.dispatch(servable_id, servable, inputs, step, done);
+        // The task was ready by the time dispatch returned, so its
+        // deadline is at most one reply timeout away.
+        let mut left = self.reply_timeout;
+        loop {
+            // Nothing closes the slot: the wait only times out.
+            match outcome.take(Instant::now().checked_add(left)) {
+                Ok(outcome) => return outcome.map(Answers::into_parts),
+                Err(_) => self.reap_expired(now_ns()),
+            }
+            // Past the deadline another thread may be mid-expiry.
+            left = Duration::from_millis(1);
+        }
+    }
+
+    /// The one fan-out path, where the serving path lands: the decoded
+    /// request batch is shared with every replica job as-is (no `Value`
+    /// deep clones between the wire and the servable), cut into one
+    /// contiguous chunk per replica (`min(inputs, replicas)` jobs, sizes
+    /// differing by at most one) onto the servable's pool, so a batch
+    /// costs each replica one hand-off and reaches the servable as a
+    /// block. How finely to cut is not an option: fewer jobs than
+    /// replicas leave replicas idle, more only add hand-offs. A
+    /// one-input task of a sub-hop servable ([`ParslExecutor::sub_hop`])
+    /// that draws no fault is not handed off at all: this thread runs
+    /// it. Whichever thread completes the task calls `done`. A
     /// dispatcher parked on a saturated pool looks for expired tasks
     /// every [`TICK`]; a later chain step is never parked
     /// ([`ChainStep::index`]).
-    fn start(
+    fn dispatch(
         &self,
         servable_id: &str,
         servable: &Arc<dyn Servable>,
         inputs: Arc<Vec<Value>>,
         step: ChainStep<'_>,
-        done: Option<Done>,
-    ) -> Arc<Task> {
+        done: Done,
+    ) {
         let count = inputs.len();
         let started_ns = step.at_ns.unwrap_or_else(now_ns);
         let timeout_ns = self.reply_timeout.as_nanos().min(u64::MAX as u128) as u64;
@@ -1105,7 +1112,6 @@ impl ParslExecutor {
             Ok(Some((_, ready_ns))) => *ready_ns,
             _ => started_ns,
         };
-        let waited_on = done.is_none();
         let task = Arc::new(Task {
             servable: Arc::clone(servable),
             inputs,
@@ -1115,10 +1121,8 @@ impl ParslExecutor {
                 answers: vec![(Value::Null, Duration::ZERO); count],
                 answered: 0,
                 first_error: None,
-                completed: false,
-                done,
+                done: Some(done),
             }),
-            outcome: Slot::new(),
         });
         let Lane {
             feed,
@@ -1132,12 +1136,9 @@ impl ParslExecutor {
                     ended_ns: started_ns,
                 };
                 task.complete(task.progress.lock(), |_| Ok(empty));
-                return task;
+                return;
             }
-            Err(error) => {
-                task.fail(&error);
-                return task;
-            }
+            Err(error) => return task.fail(&error),
         };
         let inflight = &self.shared.inflight;
         let address = Arc::as_ptr(&task) as usize;
@@ -1162,17 +1163,9 @@ impl ParslExecutor {
                     sent_ns: ready_ns,
                     verdict,
                 };
-                // A caller waiting on the task runs it now; a completion
-                // may dispatch the next step of a chain, which waits its
-                // turn on this thread.
-                match waited_on {
-                    true => {
-                        self.shared
-                            .serve(&state, job, Runner::Dispatcher, &mut Vec::new(), |_| ())
-                    }
-                    false => keep(&self.shared, &state, job),
-                }
-                return task;
+                // Its completion may dispatch the next step of a chain,
+                // which waits its turn on this thread.
+                return keep(&self.shared, &state, job);
             }
             keeping.store(false, Ordering::Relaxed);
         }
@@ -1220,79 +1213,16 @@ impl ParslExecutor {
             {
                 if refused == Refused::Closed {
                     inflight.tasks.lock().remove(&address);
-                    task.fail("executor pool shut down");
-                    return task;
+                    return task.fail("executor pool shut down");
                 }
                 job = unsent;
                 tick_from = Instant::now();
                 self.reap_expired(ns_at(tick_from));
-                if task.progress.lock().completed {
-                    return task;
+                if task.progress.lock().done.is_none() {
+                    return;
                 }
             }
         }
-        task
-    }
-}
-
-impl Executor for ParslExecutor {
-    fn name(&self) -> &str {
-        "parsl"
-    }
-
-    fn supports(&self, _model_type: ModelType) -> bool {
-        true
-    }
-
-    fn execute(
-        &self,
-        servable_id: &str,
-        servable: &Arc<dyn Servable>,
-        inputs: &[Value],
-    ) -> Execution {
-        self.execute_traced(servable_id, servable, inputs, ChainStep::default())
-    }
-
-    fn dispatched(&self) -> u64 {
-        self.dispatched.load(Ordering::Relaxed)
-    }
-
-    /// Blocking execution: dispatch, then wait on the task until its
-    /// own deadline, at which point the expiry below completes it.
-    fn execute_traced(
-        &self,
-        servable_id: &str,
-        servable: &Arc<dyn Servable>,
-        inputs: &[Value],
-        step: ChainStep<'_>,
-    ) -> Execution {
-        let inputs = Arc::new(inputs.to_vec());
-        let task = self.start(servable_id, servable, inputs, step, None);
-        loop {
-            let left = Duration::from_nanos(task.deadline_ns.saturating_sub(now_ns()));
-            // Past the deadline another thread may be mid-expiry.
-            let left = left.max(Duration::from_millis(1));
-            // Nothing closes a task's outcome: the wait only times out.
-            match task.outcome.take(Some(Instant::now() + left)) {
-                Ok(outcome) => return outcome.map(Answers::into_parts),
-                Err(_) => self.reap_expired(now_ns()),
-            }
-        }
-    }
-
-    fn dispatch(
-        &self,
-        servable_id: &str,
-        servable: &Arc<dyn Servable>,
-        inputs: Arc<Vec<Value>>,
-        step: ChainStep<'_>,
-        done: Done,
-    ) {
-        // The serving path lands here: the decoded request batch is
-        // shared with every replica job as-is — no `Value` deep clones
-        // anywhere between the wire and the servable — and the caller
-        // is back at its queue before the first job runs.
-        self.start(servable_id, servable, inputs, step, Some(done));
     }
 
     fn reap_expired(&self, now: u64) {
@@ -1338,128 +1268,6 @@ impl Drop for ParslExecutor {
         for (_, pool) in self.pools.write().drain() {
             pool.shutdown();
         }
-    }
-}
-
-/// How an executor without replica threads runs a task: one
-/// [`Servable::run_many`] over all its inputs, each input reporting an
-/// even share of the elapsed time (as a replica job does).
-fn run_inline(servable: &dyn Servable, inputs: &[Value]) -> Execution {
-    // A deferred model is built before the clock starts.
-    servable.load();
-    let start = Instant::now();
-    let outputs = run_many_checked(servable, inputs)
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()?;
-    let inference = start.elapsed() / inputs.len().max(1) as u32;
-    Ok((outputs, vec![inference; inputs.len()]))
-}
-
-/// TensorFlow-Serving executor: a dedicated low-overhead server that
-/// only accepts TensorFlow-exportable servables (§IV-C). Inference is
-/// executed inline — there is no Python hop — which models the C++
-/// `tensorflow_model_server`'s minimal per-request cost.
-pub struct TfServingExecutor {
-    dispatched: AtomicU64,
-}
-
-impl TfServingExecutor {
-    /// Create the executor.
-    pub fn new() -> Self {
-        TfServingExecutor {
-            dispatched: AtomicU64::new(0),
-        }
-    }
-}
-
-impl Default for TfServingExecutor {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Executor for TfServingExecutor {
-    fn name(&self) -> &str {
-        "tfserving"
-    }
-
-    fn supports(&self, model_type: ModelType) -> bool {
-        matches!(model_type, ModelType::TensorFlow | ModelType::Keras)
-    }
-
-    fn execute(
-        &self,
-        _servable_id: &str,
-        servable: &Arc<dyn Servable>,
-        inputs: &[Value],
-    ) -> Execution {
-        self.dispatched
-            .fetch_add(inputs.len().min(1) as u64, Ordering::Relaxed);
-        run_inline(&**servable, inputs)
-    }
-
-    fn dispatched(&self) -> u64 {
-        self.dispatched.load(Ordering::Relaxed)
-    }
-}
-
-/// SageMaker executor: "a Python Flask application that exposes an
-/// HTTP-based model inference interface" (§IV-C). Every request pays a
-/// JSON serialize/deserialize round trip of both payloads, modelling
-/// the HTTP interface the Task Manager composes requests against.
-pub struct SageMakerExecutor {
-    dispatched: AtomicU64,
-}
-
-impl SageMakerExecutor {
-    /// Create the executor.
-    pub fn new() -> Self {
-        SageMakerExecutor {
-            dispatched: AtomicU64::new(0),
-        }
-    }
-}
-
-impl Default for SageMakerExecutor {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Executor for SageMakerExecutor {
-    fn name(&self) -> &str {
-        "sagemaker"
-    }
-
-    fn supports(&self, _model_type: ModelType) -> bool {
-        true
-    }
-
-    fn execute(
-        &self,
-        _servable_id: &str,
-        servable: &Arc<dyn Servable>,
-        inputs: &[Value],
-    ) -> Execution {
-        self.dispatched
-            .fetch_add(inputs.len().min(1) as u64, Ordering::Relaxed);
-        let round_trip = |value: &Value| -> Result<Value, String> {
-            let body = serde_json::to_vec(value).map_err(|e| e.to_string())?;
-            serde_json::from_slice(&body).map_err(|e| e.to_string())
-        };
-        // HTTP body round trip in, …
-        let decoded = inputs
-            .iter()
-            .map(round_trip)
-            .collect::<Result<Vec<_>, _>>()?;
-        let (outputs, times) = run_inline(&**servable, &decoded)?;
-        // … and out.
-        let outputs = outputs.iter().map(round_trip).collect::<Result<_, _>>()?;
-        Ok((outputs, times))
-    }
-
-    fn dispatched(&self) -> u64 {
-        self.dispatched.load(Ordering::Relaxed)
     }
 }
 
@@ -1603,8 +1411,6 @@ mod tests {
         assert_eq!(ex.execute("u/short", &short, &inputs).unwrap_err(), want);
         // A single input never reaches `run_many` on a replica.
         assert!(ex.execute("u/short", &short, &inputs[..1]).is_ok());
-        let tfs = TfServingExecutor::new();
-        assert_eq!(tfs.execute("u/short", &short, &inputs).unwrap_err(), want);
     }
 
     #[test]
@@ -1839,50 +1645,6 @@ mod tests {
     }
 
     #[test]
-    fn executor_support_matrix() {
-        let parsl = parsl(1);
-        let tfs = TfServingExecutor::new();
-        let sm = SageMakerExecutor::new();
-        assert!(parsl.supports(ModelType::PythonFunction));
-        assert!(parsl.supports(ModelType::TensorFlow));
-        assert!(tfs.supports(ModelType::TensorFlow));
-        assert!(tfs.supports(ModelType::Keras));
-        assert!(!tfs.supports(ModelType::ScikitLearn));
-        assert!(!tfs.supports(ModelType::PythonFunction));
-        assert!(sm.supports(ModelType::ScikitLearn));
-    }
-
-    #[test]
-    fn tfserving_executes_inline() {
-        let tfs = TfServingExecutor::new();
-        let noop: Arc<dyn Servable> = Arc::new(NoopServable);
-        let (out, times) = tfs.execute("u/noop", &noop, &[Value::Null]).unwrap();
-        assert_eq!(out[0], Value::Str("hello world".into()));
-        assert_eq!(times.len(), 1);
-        assert_eq!(tfs.dispatched(), 1);
-        // A task is one call into the servable however many inputs.
-        let (out, times) = tfs.execute("u/noop", &noop, &vec![Value::Null; 3]).unwrap();
-        assert_eq!((out.len(), times.len()), (3, 3));
-        assert_eq!(tfs.dispatched(), 2);
-        assert_eq!(tfs.execute("u/noop", &noop, &[]), Ok((vec![], vec![])));
-        assert_eq!(tfs.dispatched(), 2);
-    }
-
-    #[test]
-    fn sagemaker_round_trips_payloads() {
-        let sm = SageMakerExecutor::new();
-        let echo = servable_fn(|v| Ok(v.clone()));
-        let input = Value::Tensor {
-            shape: vec![2],
-            data: vec![0.25, -1.5],
-        };
-        let (out, _) = sm
-            .execute("u/echo", &echo, std::slice::from_ref(&input))
-            .unwrap();
-        assert_eq!(out[0], input);
-    }
-
-    #[test]
     fn parsl_traced_execution_records_replica_spans() {
         let ex = parsl(2);
         let echo = servable_fn(|v| Ok(v.clone()));
@@ -1909,30 +1671,6 @@ mod tests {
         assert!(spans.iter().all(|s| s.attr("servable") == Some("u/echo")));
         assert!(spans.iter().all(|s| s.attr("step") == Some("2")));
         assert!(spans.iter().all(|s| s.attr("replica").is_some()));
-    }
-
-    #[test]
-    fn default_execute_traced_reconstructs_inference_spans() {
-        let tfs = TfServingExecutor::new();
-        let noop: Arc<dyn Servable> = Arc::new(NoopServable);
-        let obs = Obs::new();
-        let root = obs.tracer.start_root("invocation");
-        let parent = root.ctx().expect("recorded");
-        let step = ChainStep {
-            index: 0,
-            trace: Some((&obs, parent)),
-            at_ns: None,
-        };
-        tfs.execute_traced("u/noop", &noop, &[Value::Null, Value::Null], step)
-            .unwrap();
-        obs.tracer.finish(root);
-        let export = obs.tracer.export(Some(parent.trace));
-        let spans = export.named("inference");
-        assert_eq!(spans.len(), 2);
-        assert!(spans.iter().all(|s| s.parent == parent.span));
-        assert!(spans
-            .iter()
-            .all(|s| s.attr("executor") == Some("tfserving") && s.attr("step") == Some("0")));
     }
 
     /// The name of the thread this runs on.

@@ -538,10 +538,10 @@ fn handle(router: &Arc<Router>, responder: Responder) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::{ParslExecutor, TfServingExecutor};
+    use crate::executor::{ChainStep, Done, Execution, ParslExecutor};
     use crate::repository::{PublishVisibility, Repository, PUBLISH_SCOPE, SERVE_SCOPE};
     use crate::servable::builtins::NoopServable;
-    use crate::servable::{servable_fn, ModelType, ServableMetadata, TypeDesc};
+    use crate::servable::{servable_fn, ModelType, Servable, ServableMetadata, TypeDesc};
     use crate::task::{
         next_task_id, ChainRequest, ChainResponse, TaskRequest, TaskResponse, MAX_DEPTH,
     };
@@ -612,6 +612,51 @@ mod tests {
 
     fn parsl() -> Arc<dyn Executor> {
         Arc::new(ParslExecutor::new(2, &Obs::new(), FaultHandle::default()))
+    }
+
+    /// An executor that serves no Python function, so routing finds no
+    /// home for one.
+    struct NoFunctions;
+
+    impl Executor for NoFunctions {
+        fn name(&self) -> &str {
+            "no-functions"
+        }
+
+        fn supports(&self, model_type: ModelType) -> bool {
+            !matches!(model_type, ModelType::PythonFunction)
+        }
+
+        fn execute(&self, id: &str, servable: &Arc<dyn Servable>, inputs: &[Value]) -> Execution {
+            self.execute_traced(id, servable, inputs, ChainStep::default())
+        }
+
+        fn dispatched(&self) -> u64 {
+            0
+        }
+
+        fn execute_traced(
+            &self,
+            _: &str,
+            _: &Arc<dyn Servable>,
+            _: &[Value],
+            _: ChainStep<'_>,
+        ) -> Execution {
+            Err("never routed here".into())
+        }
+
+        fn dispatch(
+            &self,
+            _: &str,
+            _: &Arc<dyn Servable>,
+            _: Arc<Vec<Value>>,
+            _: ChainStep<'_>,
+            done: Done,
+        ) {
+            done(Err("never routed here".into()))
+        }
+
+        fn reap_expired(&self, _: u64) {}
     }
 
     fn roundtrip(f: &Fixture, request: &TaskRequest) -> TaskResponse {
@@ -732,9 +777,9 @@ mod tests {
 
     #[test]
     fn executor_routing_respects_model_type() {
-        // Only a TF Serving executor: python functions have no home.
-        let tfs: Arc<dyn Executor> = Arc::new(TfServingExecutor::new());
-        let f = fixture(vec![tfs]);
+        // Only an executor that refuses them: python functions have no
+        // home.
+        let f = fixture(vec![Arc::new(NoFunctions)]);
         let response = roundtrip(
             &f,
             &TaskRequest {

@@ -56,6 +56,14 @@ if grep -rnE 'dlhub_sync::channel|channel::(bounded|unbounded)|send_past_bound|S
   echo "ci: the deleted channel or a caller of it is back (see above)" >&2
   exit 1
 fi
+# One executor serves every model type: the inline TF-Serving and
+# SageMaker stubs copied the real servers in crates/baselines, and the
+# error no router raised went with them (DESIGN.md §2).
+if grep -rnE 'TfServingExecutor|SageMakerExecutor|run_inline|NoExecutor' \
+  crates tests examples; then
+  echo "ci: a deleted inline executor or its error is back (see above)" >&2
+  exit 1
+fi
 
 # Lines of non-test code in crates/*/src outside crates/sync that match
 # the regex $1. Test modules (from a `#[cfg(test)]` module on) are
@@ -94,15 +102,14 @@ if [[ -n $one_shots ]]; then
   exit 1
 fi
 
-# No request path may panic: in the executor, the Task Manager, the
-# serving layer, the auto-batcher, the test hub and the built-in
-# servables, a bare unwrap, expect or panic! in non-test code sits under
-# a comment naming the invariant that keeps it from firing (or, for the
-# injected replica panic, what catches it).
+# No request path may panic: in dlhub-core (the executor, the Task
+# Manager, the serving layer, the memo, admission, the task codec...) and
+# in dlhub-queue (the broker and the ring every request crosses), a bare
+# unwrap, expect or panic! in non-test code sits under a comment naming
+# the invariant that keeps it from firing (or, for the injected replica
+# panic, what catches it).
 # Anything else is a typed error.
-bare_panics=$(find crates/core/src/executor.rs crates/core/src/task_manager.rs \
-  crates/core/src/serving crates/core/src/servable/builtins.rs \
-  crates/core/src/batch.rs crates/core/src/hub.rs -name '*.rs' | sort | xargs awk '
+bare_panics=$(find crates/core/src crates/queue/src -name '*.rs' | sort | xargs awk '
     FNR == 1 { skip = 0; prev = "" }
     prev ~ /^[ \t]*#\[cfg\(test\)\]/ && /^[ \t]*(pub(\(crate\))? )?mod [a-z_]+/ { skip = 1 }
     !skip && /\.unwrap\(\)|\.expect\(|panic!\(/ && !/^[ \t]*\/\// && prev !~ /^[ \t]*\/\// {
