@@ -99,12 +99,12 @@ fn bench_protocols(c: &mut Criterion) {
 
 /// The tensor rung of the layer ladder: the GEMM shapes the CIFAR-10
 /// conv layers hit, its 4096→256 dense layer, the ReLU and max-pool
-/// after its second convolution, and a whole forward pass of each
-/// model. `Throughput::Elements` counts floating-point operations (two
+/// after its second convolution, alone and fused into that
+/// convolution's stage, and a whole forward pass of each model. `Throughput::Elements` counts floating-point operations (two
 /// per multiply-add) where there are any, so `Gelem/s` reads as GFLOP/s;
 /// for ReLU and pooling it counts input elements.
 fn bench_kernels(c: &mut Criterion) {
-    use dlhub_tensor::{models, ops, Tensor};
+    use dlhub_tensor::{models, ops, Block, Layer, Network, Tensor};
     use rand::{rngs::StdRng, Rng, SeedableRng};
     let mut group = c.benchmark_group("kernels");
     group.sample_size(10);
@@ -151,6 +151,30 @@ fn bench_kernels(c: &mut Criterion) {
     });
     group.bench_function("maxpool_32x32x32_2x2", |bch| {
         bch.iter(|| black_box(ops::maxpool2d(&activations, 2, 2)))
+    });
+    // CIFAR-10's conv 32→32 stage on the same activations: the
+    // convolution, its ReLU and its 2×2 max-pool as one pass, which
+    // writes only the pooled output. Counted in FLOP, as the GEMMs are.
+    let stage = Network::new(
+        "conv_relu_pool",
+        vec![32, 32, 32],
+        vec![Block::Seq(vec![
+            Layer::Conv2d {
+                weights: noise(32 * 32 * 9),
+                bias: noise(32),
+                c_out: 32,
+                kh: 3,
+                kw: 3,
+                stride: 1,
+                padding: 1,
+            },
+            Layer::ReLU,
+            Layer::MaxPool { size: 2, stride: 2 },
+        ])],
+    );
+    group.throughput(Throughput::Elements(2 * stage.mul_adds() as u64));
+    group.bench_function("conv_relu_pool_32x32x32", |bch| {
+        bch.iter(|| black_box(stage.forward(activations.clone())))
     });
     let forwards = [
         ("cifar10_forward", models::cifar10(7)),

@@ -2,7 +2,11 @@
 //! the real systems: TF-Serving (gRPC and REST), SageMaker's Flask
 //! endpoint and Clipper from `crates/baselines`, and DLHub on a
 //! `TestHub` — [`RUNS`] requests per system and model, median
-//! invocation with p5/p95 whiskers.
+//! invocation with p5/p95 whiskers. The systems are served round by
+//! round, one request each, in an order that rotates every round, so a
+//! ratio between two systems is the median of [`RUNS`] ratios of
+//! requests served moments apart rather than of two medians taken
+//! seconds apart on a shared host.
 //!
 //! Every baseline answers on the cluster (Clipper's cache lives in its
 //! query frontend, a pod there), so each of its invocations is one
@@ -59,57 +63,81 @@ const MODELS: [Model; 2] = [
     ),
 ];
 
-/// [`RUNS`] invocations of a server on the cluster after one warm-up
-/// call: each call's wall time plus the TM↔cluster crossing every
-/// baseline answer makes, its cache hits included. `call(i)` serves
-/// run `i`; the warm-up is run [`RUNS`].
-fn on_cluster(mut call: impl FnMut(usize) -> Value) -> Vec<Duration> {
-    call(RUNS);
-    (0..RUNS)
-        .map(|i| {
-            let started = Instant::now();
-            let out = call(i);
-            let wall = started.elapsed();
-            assert!(matches!(out, Value::List(_)), "a classifier answers a list");
-            let t = Timings {
-                invocation: wall,
-                request: wall,
-                ..Timings::default()
-            };
-            let crossed = Crossings {
-                ms_tm: 1,
-                tm_cluster: 1,
-            };
-            on_paper_links(t, crossed).invocation
-        })
-        .collect()
+/// One system under test: `serve(i)` serves request `i` (request
+/// [`RUNS`] is the warm-up) and returns its invocation time.
+type Serve<'a> = Box<dyn FnMut(usize) -> Duration + 'a>;
+
+/// A server on the cluster: each call's wall time plus the TM↔cluster
+/// crossing every baseline answer makes, its cache hits included.
+fn on_cluster<'a>(mut call: impl FnMut(usize) -> Value + 'a) -> Serve<'a> {
+    Box::new(move |i| {
+        let started = Instant::now();
+        let out = call(i);
+        let wall = started.elapsed();
+        assert!(matches!(out, Value::List(_)), "a classifier answers a list");
+        let t = Timings {
+            invocation: wall,
+            request: wall,
+            ..Timings::default()
+        };
+        let crossed = Crossings {
+            ms_tm: 1,
+            tm_cluster: 1,
+        };
+        on_paper_links(t, crossed).invocation
+    })
 }
 
-/// [`RUNS`] DLHub invocations with memoization `memoize` after one
-/// warm-up request (which, memoized, fills the cache), each with the
-/// crossings its outcome made.
-fn on_dlhub(hub: &TestHub, id: &str, input: &Value, memoize: bool) -> Vec<Duration> {
+/// DLHub with memoization `memoize`: each request with the crossings
+/// its outcome made. The warm-up, memoized, fills the cache.
+fn on_dlhub<'a>(hub: &'a TestHub, id: &'a str, input: &'a Value, memoize: bool) -> Serve<'a> {
     let options = RunOptions {
         memoize: Some(memoize),
         ..RunOptions::default()
     };
-    let run = || {
-        hub.service
+    Box::new(move |i| {
+        let t = hub
+            .service
             .run_with_options(&hub.token, id, input.clone(), &options)
             .expect("DLHub serves the evaluation model")
-            .timings
-    };
-    run();
-    (0..RUNS)
-        .map(|_| {
-            let t = run();
-            assert_eq!(
-                t.cache_hit, memoize,
-                "every timed request hits iff memoized"
-            );
-            on_paper_links(t, crossings(&t)).invocation
-        })
-        .collect()
+            .timings;
+        assert!(
+            i == RUNS || t.cache_hit == memoize,
+            "every timed request hits iff memoized"
+        );
+        on_paper_links(t, crossings(&t)).invocation
+    })
+}
+
+/// Warm every system up, then serve [`RUNS`] rounds of one request per
+/// system, system `s` going `(s + n − round) mod n`-th in round `round`
+/// (`n` systems): each system's invocations, in round order.
+fn interleaved(systems: &mut [(&str, Serve<'_>)]) -> Vec<Vec<Duration>> {
+    let n = systems.len();
+    for (_, serve) in systems.iter_mut() {
+        serve(RUNS);
+    }
+    let mut invocations = vec![Vec::with_capacity(RUNS); n];
+    for round in 0..RUNS {
+        for slot in 0..n {
+            let s = (round + slot) % n;
+            invocations[s].push((systems[s].1)(round));
+        }
+    }
+    invocations
+}
+
+/// The median, p5 and p95 of the per-round ratios `a[r] / b[r]`. (They
+/// ride in `Duration`s of that many seconds, to use the one percentile
+/// helper.)
+fn paired_ratio(a: &[Duration], b: &[Duration]) -> (f64, f64, f64) {
+    let ratios: Vec<Duration> = a
+        .iter()
+        .zip(b)
+        .map(|(a, b)| Duration::from_secs_f64(a.as_secs_f64() / b.as_secs_f64()))
+        .collect();
+    let (p5, p50, p95) = percentile_summary(&ratios).expect("RUNS > 0");
+    (p50.as_secs_f64(), p5.as_secs_f64(), p95.as_secs_f64())
 }
 
 fn main() {
@@ -118,6 +146,8 @@ fn main() {
     let mut csv = Vec::new();
     // (model, system, median ms)
     let mut medians: Vec<(&str, &str, f64)> = Vec::new();
+    // (model, system, invocations in round order)
+    let mut series: Vec<(&str, &str, Vec<Duration>)> = Vec::new();
     for (model, id, shape, network) in MODELS {
         let classifier = || Arc::new(network(SEED)) as Arc<dyn Servable>;
         let tfs = TensorFlowModelServer::new();
@@ -136,7 +166,7 @@ fn main() {
         let fresh: Vec<Value> = (1..=RUNS as u64 + 1)
             .map(|variant| Value::from_tensor(&synthetic_image(shape, variant)))
             .collect();
-        let systems: [(&str, Vec<Duration>); 7] = [
+        let mut systems: [(&str, Serve<'_>); 7] = [
             (
                 "TFServing-gRPC",
                 on_cluster(|_| {
@@ -174,28 +204,33 @@ fn main() {
             ),
             ("DLHub+memo", on_dlhub(&hub, id, &input, true)),
         ];
-        for (system, invocations) in systems {
-            let (p5, p50, p95) = percentile_summary(&invocations).expect("RUNS > 0");
-            let [p5, p50, p95] = [p5, p50, p95].map(|d| d.as_secs_f64() * 1e3);
-            medians.push((model, system, p50));
-            rows.push(vec![
-                model.to_string(),
-                system.to_string(),
-                format!("{} [{}..{}]", ms(p50), ms(p5), ms(p95)),
-            ]);
-            csv.push(vec![
-                model.to_string(),
-                system.to_string(),
-                p50.to_string(),
-                p5.to_string(),
-                p95.to_string(),
-            ]);
+        let measured = interleaved(&mut systems);
+        let names = systems.map(|(system, _)| system);
+        for (system, invocations) in names.into_iter().zip(&measured) {
+            series.push((model, system, invocations.clone()));
         }
+    }
+    for (model, system, invocations) in &series {
+        let (p5, p50, p95) = percentile_summary(invocations).expect("RUNS > 0");
+        let [p5, p50, p95] = [p5, p50, p95].map(|d| d.as_secs_f64() * 1e3);
+        medians.push((model, system, p50));
+        rows.push(vec![
+            model.to_string(),
+            system.to_string(),
+            format!("{} [{}..{}]", ms(p50), ms(p5), ms(p95)),
+        ]);
+        csv.push(vec![
+            model.to_string(),
+            system.to_string(),
+            p50.to_string(),
+            p5.to_string(),
+            p95.to_string(),
+        ]);
     }
 
     print_table(
         &format!(
-            "Fig 8: invocation time, median [p5..p95] in ms ({RUNS} requests per system and model)"
+            "Fig 8: invocation time, median [p5..p95] in ms ({RUNS} rounds of one request per system, order rotating, per model)"
         ),
         &["model", "system", "invocation"],
         &rows,
@@ -227,6 +262,13 @@ fn main() {
             inv("TFServing-REST"),
             inv("SageMaker-Flask"),
         );
+        let rounds = |system: &str| {
+            series
+                .iter()
+                .find(|(m, s, _)| *m == model && *s == system)
+                .map(|(.., invocations)| &invocations[..])
+                .unwrap_or_else(|| panic!("missing {model}/{system}"))
+        };
         shape_check(
             &format!(
                 "[{model}] TFServing-gRPC < TFServing-REST ({} vs {} ms)",
@@ -235,20 +277,21 @@ fn main() {
             ),
             grpc < rest,
         );
+        let (rest_flask, lo, hi) =
+            paired_ratio(rounds("TFServing-REST"), rounds("SageMaker-Flask"));
         shape_check(
             &format!(
-                "[{model}] every server is Rust, so only the protocol separates TF-Serving from Flask: gRPC < Flask, REST/Flask = {:.2} within 0.8..1.25 (both JSON both ways)",
-                rest / flask
+                "[{model}] every server is Rust, so only the protocol separates TF-Serving from Flask: gRPC < Flask, REST/Flask = {rest_flask:.2} (rounds p5..p95 {lo:.2}..{hi:.2}) within 0.8..1.25 (both JSON both ways)"
             ),
-            grpc < flask && (0.8..1.25).contains(&(rest / flask)),
+            grpc < flask && (0.8..1.25).contains(&rest_flask),
         );
         let dlhub = inv("DLHub");
+        let (dlhub_grpc, lo, hi) = paired_ratio(rounds("DLHub"), rounds("TFServing-gRPC"));
         shape_check(
             &format!(
-                "[{model}] DLHub's task travels wire-v2 (binary), so it compares with gRPC, not Flask: DLHub/gRPC = {:.2} within 0.7..1.4, DLHub < Flask",
-                dlhub / grpc
+                "[{model}] DLHub's task travels wire-v2 (binary), so it compares with gRPC, not Flask: DLHub/gRPC = {dlhub_grpc:.2} (rounds p5..p95 {lo:.2}..{hi:.2}) within 0.7..1.4, DLHub < Flask"
             ),
-            (0.7..1.4).contains(&(dlhub / grpc)) && dlhub < flask,
+            (0.7..1.4).contains(&dlhub_grpc) && dlhub < flask,
         );
         shape_check(
             &format!(

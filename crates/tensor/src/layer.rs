@@ -1,6 +1,6 @@
 //! Layer definitions.
 
-use crate::ops;
+use crate::ops::{self, Conv, Kernel, Tail};
 use crate::tensor::Tensor;
 
 /// One network layer. Weights are owned inline; networks are built
@@ -75,6 +75,13 @@ pub enum Layer {
 impl Layer {
     /// Apply the layer.
     pub fn forward(&self, input: Tensor) -> Tensor {
+        self.forward_on(input, Kernel::widest(), &Tail::default())
+    }
+
+    /// Apply the layer on `kernel`'s GEMM and dense kernels. A `Conv2d`
+    /// finishes its output with `tail` as it stores it; every other
+    /// layer is given the empty tail.
+    pub(crate) fn forward_on(&self, input: Tensor, kernel: Kernel, tail: &Tail) -> Tensor {
         match self {
             Layer::Conv2d {
                 weights,
@@ -84,7 +91,16 @@ impl Layer {
                 kw,
                 stride,
                 padding,
-            } => ops::conv2d(&input, weights, bias, *c_out, *kh, *kw, *stride, *padding),
+            } => Conv {
+                weights,
+                bias,
+                c_out: *c_out,
+                kh: *kh,
+                kw: *kw,
+                stride: *stride,
+                padding: *padding,
+            }
+            .run(&input, tail, kernel),
             Layer::MaxPool { size, stride } => ops::maxpool2d(&input, *size, *stride),
             Layer::AvgPool { size, stride } => ops::avgpool2d(&input, *size, *stride),
             Layer::GlobalAvgPool => ops::global_avgpool(&input),
@@ -97,7 +113,7 @@ impl Layer {
                 let x = input.data();
                 assert_eq!(x.len(), *in_w, "dense input width mismatch");
                 assert_eq!(bias.len(), *out, "dense bias width mismatch");
-                Tensor::from_vec(ops::dense(weights, x, bias))
+                Tensor::from_vec(ops::dense_on(weights, x, bias, kernel))
             }
             Layer::ReLU => {
                 let mut t = input;

@@ -4,7 +4,8 @@
 //! arithmetic cost is real, which is what the serving experiments
 //! measure (see DESIGN.md, "Substitutions"). Channel counts are scaled
 //! down from the originals — CIFAR-10 is 32 MFLOP and Inception
-//! 351 MFLOP per inference, about 0.7 ms and 7 ms on one AVX-512 core —
+//! 351 MFLOP per inference, about 0.7 ms and 7–8 ms on one AVX-512 core
+//! of the reference host (DESIGN.md §16) —
 //! while preserving the Inception ≫ CIFAR-10 cost ratio.
 
 use crate::layer::Layer;

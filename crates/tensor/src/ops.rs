@@ -12,7 +12,12 @@
 //! AVX-512 8×32 — and the widest one the CPU reports is taken per call.
 //! The dense layer ([`dense`]) is a vector–matrix product over
 //! input-major weights under the same two rules: one sequential sum per
-//! output, three widths.
+//! output, three widths. `Kernel` names the three.
+//!
+//! A convolution's store can finish its output on the tile ([`Tail`]):
+//! batch norm, ReLU and pooling run on each sum while it is in
+//! registers, with the operations and order of the layers they stand
+//! for, so the bits are those of running the layers one by one.
 //!
 //! There are no intra-op threads: the serving stack's unit of
 //! parallelism is the servable replica (§IV, Parsl executor).
@@ -49,37 +54,92 @@ fn tile<const MR: usize, const NR: usize>(
     acc
 }
 
+/// One instantiation of the GEMM micro-kernel and of [`dense`]. Every
+/// one gives the same bits; the widest the CPU supports is the one a
+/// product takes. Public only so tests can force each one through
+/// `Network::forward_on`; serving never picks one.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Kernel {
+    /// 4×8 tiles and 32-wide dense blocks, on any CPU.
+    Portable,
+    /// 4×16 tiles and 64-wide dense blocks, on CPUs with AVX2.
+    Avx2,
+    /// 8×32 tiles and 128-wide dense blocks, on CPUs with AVX-512F.
+    Avx512,
+}
+
+impl Kernel {
+    /// Whether this CPU can run the kernel.
+    pub fn is_supported(self) -> bool {
+        match self {
+            Kernel::Portable => true,
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx2 => is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx512 => is_x86_feature_detected!("avx512f"),
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => false,
+        }
+    }
+
+    /// Every kernel this CPU can run, narrowest first.
+    pub fn supported() -> Vec<Kernel> {
+        [Kernel::Portable, Kernel::Avx2, Kernel::Avx512]
+            .into_iter()
+            .filter(|kernel| kernel.is_supported())
+            .collect()
+    }
+
+    /// The widest kernel this CPU can run.
+    pub fn widest() -> Kernel {
+        if Kernel::Avx512.is_supported() {
+            Kernel::Avx512
+        } else if Kernel::Avx2.is_supported() {
+            Kernel::Avx2
+        } else {
+            Kernel::Portable
+        }
+    }
+}
+
+/// The widest tile, in columns: a multiple of every kernel's `NR`.
+const TILE_COLS: usize = 32;
+
 /// One product `C (m×n) = A (m×k) × B (k×n)`, plus `bias[i]` on row `i`
-/// if given.
+/// if given, each tile handed to `c` ([`Finish`]) as it leaves the
+/// registers.
 ///
 /// `B` is never held whole. `fill(j0, cols, panel, ld)` writes its
 /// columns `j0..j0 + cols` into `panel` (`k` rows, row stride `ld`);
 /// the panel is reused for every column block, so one product touches
-/// `k × NR` floats of scratch beside `A` and `C`.
+/// `k × NR` floats of scratch beside `A` and `C`. Column blocks go in
+/// order, so `c` sees the columns of every row left to right.
 struct Gemm<'a, F> {
     a: &'a [f32],
     m: usize,
     k: usize,
     n: usize,
     bias: Option<&'a [f32]>,
-    c: &'a mut [f32],
+    c: Finish<'a>,
     fill: F,
 }
 
 impl<F: FnMut(usize, usize, &mut [f32], usize)> Gemm<'_, F> {
     #[inline(always)]
     fn run<const MR: usize, const NR: usize>(self) {
+        const { assert!(TILE_COLS.is_multiple_of(NR), "a strip holds whole tiles") };
         let Gemm {
             a,
             m,
             k,
             n,
             bias,
-            c,
+            mut c,
             mut fill,
         } = self;
         assert_eq!(a.len(), m * k, "A has wrong length");
-        assert_eq!(c.len(), m * n, "C has wrong length");
+        c.check(m);
         if m == 0 {
             return;
         }
@@ -98,17 +158,10 @@ impl<F: FnMut(usize, usize, &mut [f32], usize)> Gemm<'_, F> {
                 });
                 let sums = tile::<MR, NR>(rows, panel);
                 for (i, sums) in (i0..m).zip(&sums) {
-                    let out = &mut c[i * n + j0..][..cols];
-                    match bias {
-                        Some(bias) => {
-                            for (o, v) in out.iter_mut().zip(sums) {
-                                *o = v + bias[i];
-                            }
-                        }
-                        None => out.copy_from_slice(&sums[..cols]),
-                    }
+                    c.put(i, sums, cols, bias.map(|bias| bias[i]));
                 }
             }
+            c.stored(j0 + cols);
         }
     }
 
@@ -128,22 +181,25 @@ impl<F: FnMut(usize, usize, &mut [f32], usize)> Gemm<'_, F> {
         self.run::<8, 32>()
     }
 
+    /// Run on `kernel`'s tiles. Panics if the CPU cannot run them.
+    fn run_on(self, kernel: Kernel) {
+        assert!(kernel.is_supported(), "this CPU cannot run {kernel:?}");
+        match kernel {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the CPU reported avx512f (`is_supported` above),
+            // the only requirement of `run_avx512`.
+            Kernel::Avx512 => unsafe { self.run_avx512() },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the CPU reported avx2 (`is_supported` above), the
+            // only requirement of `run_avx2`.
+            Kernel::Avx2 => unsafe { self.run_avx2() },
+            _ => self.run_portable(),
+        }
+    }
+
     /// Run with the widest tiles the CPU reports support for.
     fn run_widest(self) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if is_x86_feature_detected!("avx512f") {
-                // SAFETY: the CPU reported avx512f on the line above,
-                // the only requirement of `run_avx512`.
-                return unsafe { self.run_avx512() };
-            }
-            if is_x86_feature_detected!("avx2") {
-                // SAFETY: the CPU reported avx2 on the line above, the
-                // only requirement of `run_avx2`.
-                return unsafe { self.run_avx2() };
-            }
-        }
-        self.run_portable()
+        self.run_on(Kernel::widest())
     }
 }
 
@@ -160,7 +216,7 @@ pub fn matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
         k,
         n,
         bias: None,
-        c: &mut c,
+        c: Finish::plain(&mut c, n),
         fill: |j0, cols, panel: &mut [f32], ld| {
             for (dst, src) in panel.chunks_exact_mut(ld).zip(b.chunks_exact(n)) {
                 dst[..cols].copy_from_slice(&src[j0..j0 + cols]);
@@ -251,20 +307,23 @@ fn dense_avx512(w: &[f32], x: &[f32], bias: &[f32]) -> Vec<f32> {
 /// outputs is summed side by side in registers, so the chains overlap
 /// and every load is a contiguous run of a row of `W`.
 pub fn dense(w: &[f32], x: &[f32], bias: &[f32]) -> Vec<f32> {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if is_x86_feature_detected!("avx512f") {
-            // SAFETY: the CPU reported avx512f on the line above, the
-            // only requirement of `dense_avx512`.
-            return unsafe { dense_avx512(w, x, bias) };
-        }
-        if is_x86_feature_detected!("avx2") {
-            // SAFETY: the CPU reported avx2 on the line above, the only
-            // requirement of `dense_avx2`.
-            return unsafe { dense_avx2(w, x, bias) };
-        }
+    dense_on(w, x, bias, Kernel::widest())
+}
+
+/// [`dense`] on `kernel`'s blocks. Panics if the CPU cannot run them.
+pub(crate) fn dense_on(w: &[f32], x: &[f32], bias: &[f32], kernel: Kernel) -> Vec<f32> {
+    assert!(kernel.is_supported(), "this CPU cannot run {kernel:?}");
+    match kernel {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the CPU reported avx512f (`is_supported` above), the
+        // only requirement of `dense_avx512`.
+        Kernel::Avx512 => unsafe { dense_avx512(w, x, bias) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the CPU reported avx2 (`is_supported` above), the only
+        // requirement of `dense_avx2`.
+        Kernel::Avx2 => unsafe { dense_avx2(w, x, bias) },
+        _ => dense_portable(w, x, bias),
     }
-    dense_portable(w, x, bias)
 }
 
 /// How many `size`-wide windows, `stride` apart, fit an axis of `dim`
@@ -412,71 +471,380 @@ pub fn conv2d(
     stride: usize,
     padding: usize,
 ) -> Tensor {
-    let geom = Im2col::new(input, kh, kw, stride, padding);
-    let (k, n) = (geom.rows(), geom.cols());
-    assert_eq!(weights.len(), c_out * k, "weight shape mismatch");
-    assert_eq!(bias.len(), c_out, "bias shape mismatch");
-    let mut out = vec![0.0f32; c_out * n];
-    let data = input.data();
-    Gemm {
-        a: weights,
-        m: c_out,
-        k,
-        n,
-        bias: Some(bias),
-        c: &mut out,
-        fill: |j0, cols, panel: &mut [f32], ld| geom.fill(data, j0, cols, panel, ld),
+    let conv = Conv {
+        weights,
+        bias,
+        c_out,
+        kh,
+        kw,
+        stride,
+        padding,
+    };
+    conv.run(input, &Tail::default(), Kernel::widest())
+}
+
+/// The layers a convolution's store stands for, applied to each
+/// `sum + bias` in this order: a per-channel affine map (an inference
+/// batch norm), ReLU, then a pooling window. `Network::new` builds one
+/// from the layers that follow each `Conv2d`; the empty tail is a plain
+/// [`conv2d`].
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Tail {
+    /// Per-channel `(scale, shift)`, as [`batchnorm`] computes them.
+    pub(crate) affine: Option<(Vec<f32>, Vec<f32>)>,
+    /// Whether ReLU follows.
+    pub(crate) relu: bool,
+    /// The pooling layer that follows, if any.
+    pub(crate) pool: Option<Pool>,
+}
+
+/// A convolution's weights and geometry, borrowed from its layer.
+pub(crate) struct Conv<'a> {
+    pub(crate) weights: &'a [f32],
+    pub(crate) bias: &'a [f32],
+    pub(crate) c_out: usize,
+    pub(crate) kh: usize,
+    pub(crate) kw: usize,
+    pub(crate) stride: usize,
+    pub(crate) padding: usize,
+}
+
+impl Conv<'_> {
+    /// The convolution of `input` on `kernel`'s tiles, finished by
+    /// `tail` as each tile is stored. With a pool, the tiles land in a
+    /// strip of output rows that is folded into the pooled output as
+    /// each row completes, so only the pooled tensor is ever whole.
+    pub(crate) fn run(&self, input: &Tensor, tail: &Tail, kernel: Kernel) -> Tensor {
+        let Conv {
+            weights,
+            bias,
+            c_out,
+            kh,
+            kw,
+            stride,
+            padding,
+        } = *self;
+        let geom = Im2col::new(input, kh, kw, stride, padding);
+        let (k, n) = (geom.rows(), geom.cols());
+        assert_eq!(weights.len(), c_out * k, "weight shape mismatch");
+        assert_eq!(bias.len(), c_out, "bias shape mismatch");
+        let data = input.data();
+        let gemm = |c| Gemm {
+            a: weights,
+            m: c_out,
+            k,
+            n,
+            bias: Some(bias),
+            c,
+            fill: |j0, cols, panel: &mut [f32], ld| geom.fill(data, j0, cols, panel, ld),
+        };
+        let finish = |c, ld, pool| Finish {
+            affine: tail
+                .affine
+                .as_ref()
+                .map(|(scale, shift)| (&scale[..], &shift[..])),
+            relu: tail.relu,
+            pool,
+            ..Finish::plain(c, ld)
+        };
+        let (oh, ow) = (geom.oh, geom.ow);
+        let Some(pool) = tail.pool else {
+            let mut out = vec![0.0f32; c_out * n];
+            gemm(finish(&mut out, n, None)).run_on(kernel);
+            return Tensor::new(vec![c_out, oh, ow], out).expect("conv output shape");
+        };
+        let (ph, pw) = (
+            windows(oh, pool.size, pool.stride, 0),
+            windows(ow, pool.size, pool.stride, 0),
+        );
+        // The least multiple of both `ow` and the widest tile: neither
+        // a tile nor an output row then wraps round the strip's end,
+        // and it holds the row being filled and the next tile.
+        let ld = (ow..)
+            .step_by(ow)
+            .find(|l| l % TILE_COLS == 0)
+            .expect("lcm");
+        let mut strip = vec![0.0f32; c_out * ld];
+        let mut out = vec![pool.init(); c_out * ph * pw];
+        let pooled = Pooled {
+            pool,
+            ow,
+            ph,
+            pw,
+            folded: 0,
+            out: &mut out,
+        };
+        gemm(finish(&mut strip, ld, Some(pooled))).run_on(kernel);
+        pool.finish(&mut out);
+        Tensor::new(vec![c_out, ph, pw], out).expect("pooled conv output shape")
     }
-    .run_widest();
-    Tensor::new(vec![c_out, geom.oh, geom.ow], out).expect("conv output shape")
+}
+
+/// Where [`Gemm::run`] stores a tile's sums: row by row while they are
+/// in registers, each as `tail(sum + bias)`, then word that a column
+/// block is complete.
+struct Finish<'a> {
+    affine: Option<(&'a [f32], &'a [f32])>,
+    relu: bool,
+    /// `ld` columns per channel: the whole output, or with a pool a
+    /// ring of output rows that column `j` reaches at `j % ld`.
+    c: &'a mut [f32],
+    ld: usize,
+    /// Where the next column block starts in `c`: `j0 % ld`.
+    col: usize,
+    pool: Option<Pooled<'a>>,
+}
+
+/// The pooled output a [`Finish`] strip folds its rows into.
+struct Pooled<'a> {
+    pool: Pool,
+    /// Width of a convolution output row.
+    ow: usize,
+    ph: usize,
+    pw: usize,
+    /// Convolution output rows folded so far.
+    folded: usize,
+    out: &'a mut [f32],
+}
+
+impl<'a> Finish<'a> {
+    /// The product itself in `c`, `ld` columns a row, `+ bias` on each
+    /// sum if given and nothing else: the empty tail.
+    fn plain(c: &'a mut [f32], ld: usize) -> Self {
+        Finish {
+            affine: None,
+            relu: false,
+            c,
+            ld,
+            col: 0,
+            pool: None,
+        }
+    }
+
+    /// Panics unless `c` holds `m` rows of `ld` columns.
+    fn check(&self, m: usize) {
+        assert_eq!(self.c.len(), m * self.ld, "C has wrong length");
+    }
+
+    /// Row `i`'s sums for the column block that starts at `col`
+    /// (`sums[cols..]` are not the product's); `bias` is the row's, not
+    /// yet added.
+    #[inline(always)]
+    fn put<const NR: usize>(&mut self, i: usize, sums: &[f32; NR], cols: usize, bias: Option<f32>) {
+        // Each step runs over the whole tile row in registers, so no
+        // branch sits inside a loop.
+        let mut v = *sums;
+        if let Some(bias) = bias {
+            for v in &mut v {
+                *v += bias;
+            }
+        }
+        if let Some((scale, shift)) = self.affine {
+            let (scale, shift) = (scale[i], shift[i]);
+            for v in &mut v {
+                *v = *v * scale + shift;
+            }
+        }
+        if self.relu {
+            for v in &mut v {
+                *v = relu_one(*v);
+            }
+        }
+        let out = &mut self.c[i * self.ld + self.col..][..cols];
+        match <&mut [f32; NR]>::try_from(&mut *out) {
+            // One vector store per register.
+            Ok(out) => *out = v,
+            // The last column block, ragged: its first `cols` columns,
+            // copied from a copy, which keeps `v` itself in registers.
+            Err(_) => out.copy_from_slice(&{ v }[..cols]),
+        }
+    }
+
+    /// Every row holds its columns `..end`.
+    #[inline(always)]
+    fn stored(&mut self, end: usize) {
+        self.col = end % self.ld;
+        let Some(p) = &mut self.pool else {
+            return;
+        };
+        let Pool { size, stride, .. } = p.pool;
+        let rows = p.folded..end / p.ow;
+        for oy in rows.clone() {
+            let at = oy * p.ow % self.ld;
+            // The pooled rows whose windows hold row `oy`: those with
+            // `py·stride <= oy < py·stride + size`.
+            let first = (oy + 1).saturating_sub(size).div_ceil(stride);
+            let last = (oy / stride).min(p.ph - 1);
+            for py in first..=last {
+                let strips = self.c.chunks_exact(self.ld);
+                for (strip, plane) in strips.zip(p.out.chunks_exact_mut(p.ph * p.pw)) {
+                    p.pool
+                        .fold_row(&mut plane[py * p.pw..][..p.pw], &strip[at..][..p.ow]);
+                }
+            }
+        }
+        p.folded = rows.end;
+    }
+}
+
+/// A pooling layer: `size×size` windows, `stride` apart, reduced to
+/// their maximum or their mean.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Pool {
+    pub(crate) size: usize,
+    pub(crate) stride: usize,
+    pub(crate) mean: bool,
+}
+
+impl Pool {
+    /// What an output starts as before its window is folded in.
+    fn init(self) -> f32 {
+        if self.mean {
+            0.0
+        } else {
+            f32::NEG_INFINITY
+        }
+    }
+
+    /// Fold one input row into the output row of the windows that
+    /// cover it: each window takes in its values in the row left to
+    /// right, `acc = max(acc, v)` or `acc = acc + v`. Every pooling
+    /// path goes through here.
+    #[inline(always)]
+    fn fold_row(self, acc: &mut [f32], row: &[f32]) {
+        if self.mean {
+            fold_row(acc, row, self.size, self.stride, sum)
+        } else {
+            fold_row(acc, row, self.size, self.stride, max)
+        }
+    }
+
+    /// Turn folded windows into outputs: the mean divides by the area.
+    fn finish(self, out: &mut [f32]) {
+        if self.mean {
+            let area = (self.size * self.size) as f32;
+            for v in out {
+                *v /= area;
+            }
+        }
+    }
+}
+
+/// `f32::max(acc, v)` as the x86 build has always computed it — `v`
+/// if it is larger or `acc` is NaN, else `acc`, so `max(±0, ∓0)` keeps
+/// `acc` and `max(NaN, NaN)` is `v` — spelled out as compares and a
+/// select. `f32::max` leaves those two cases to the compiler, and its
+/// vector and scalar builds pick different NaNs.
+#[inline(always)]
+fn max(acc: f32, v: f32) -> f32 {
+    if v > acc || acc.is_nan() {
+        v
+    } else {
+        acc
+    }
+}
+
+/// `acc + v`, but a NaN `acc` adds itself: of two NaN operands an add
+/// returns the payload of the one the compiler happens to put first.
+#[inline(always)]
+fn sum(acc: f32, v: f32) -> f32 {
+    acc + if acc.is_nan() { acc } else { v }
+}
+
+/// `acc[x] = fold(acc[x], row[x·stride + dx])` for `dx` ascending: each
+/// window's values in this row, left to right.
+#[inline(always)]
+fn fold_row(
+    acc: &mut [f32],
+    row: &[f32],
+    size: usize,
+    stride: usize,
+    fold: impl Fn(f32, f32) -> f32,
+) {
+    // One body, which the first arm inlines with a constant stride (2 is
+    // every pool in the models): LLVM needs it constant to turn the
+    // strided reads into vector shuffles.
+    match stride {
+        2 => fold_strided(acc, row, size, 2, fold),
+        _ => fold_strided(acc, row, size, stride, fold),
+    }
+}
+
+/// [`fold_row`]'s body: eight windows at a time, their values at one
+/// `dx` gathered into an array, then the windows left over one by one.
+#[inline(always)]
+fn fold_strided(
+    acc: &mut [f32],
+    row: &[f32],
+    size: usize,
+    stride: usize,
+    fold: impl Fn(f32, f32) -> f32,
+) {
+    const B: usize = 8;
+    for dx in 0..size {
+        let row = &row[dx..];
+        let mut x = 0;
+        while x + B <= acc.len() && (x + B - 1) * stride < row.len() {
+            let from = &row[x * stride..][..(B - 1) * stride + 1];
+            let values: [f32; B] = std::array::from_fn(|j| from[j * stride]);
+            let block: &mut [f32; B] = (&mut acc[x..x + B]).try_into().expect("B windows");
+            for (acc, v) in block.iter_mut().zip(values) {
+                *acc = fold(*acc, v);
+            }
+            x += B;
+        }
+        for (x, acc) in acc.iter_mut().enumerate().skip(x) {
+            *acc = fold(*acc, row[x * stride]);
+        }
+    }
 }
 
 /// Reduce every `size×size` window (step `stride`) of each channel of
-/// a CHW tensor to `finish(fold(… fold(init, v₀) …, vₙ))`, the window's
-/// values taken row by row.
+/// a CHW tensor with `pool`, the window's values taken row by row.
 ///
 /// An output row starts as `init` and takes in the input rows under it
 /// one at a time, so the walk is over whole rows of both tensors and
 /// each window still folds in that order.
-fn pool2d(
-    input: &Tensor,
-    size: usize,
-    stride: usize,
-    init: f32,
-    fold: impl Fn(f32, f32) -> f32,
-    finish: impl Fn(f32) -> f32,
-) -> Tensor {
+fn pool2d(input: &Tensor, pool: Pool) -> Tensor {
+    let Pool { size, stride, .. } = pool;
     let shape = input.shape();
     let (c, h, w) = (shape[0], shape[1], shape[2]);
     let (oh, ow) = (windows(h, size, stride, 0), windows(w, size, stride, 0));
-    let mut out = vec![init; c * oh * ow];
+    let mut out = vec![pool.init(); c * oh * ow];
     let planes = input.data().chunks_exact(h * w);
     for (plane, out) in planes.zip(out.chunks_exact_mut(oh * ow)) {
         for (oy, out_row) in out.chunks_exact_mut(ow).enumerate() {
             for row in plane[oy * stride * w..][..size * w].chunks_exact(w) {
-                for (acc, window) in out_row.iter_mut().zip(row.windows(size).step_by(stride)) {
-                    for &v in window {
-                        *acc = fold(*acc, v);
-                    }
-                }
-            }
-            for acc in out_row {
-                *acc = finish(*acc);
+                pool.fold_row(out_row, row);
             }
         }
     }
+    pool.finish(&mut out);
     Tensor::new(vec![c, oh, ow], out).expect("pool output shape")
 }
 
 /// Max pooling over `size×size` windows with `stride`.
 pub fn maxpool2d(input: &Tensor, size: usize, stride: usize) -> Tensor {
-    pool2d(input, size, stride, f32::NEG_INFINITY, f32::max, |m| m)
+    pool2d(
+        input,
+        Pool {
+            size,
+            stride,
+            mean: false,
+        },
+    )
 }
 
 /// Average pooling over `size×size` windows with `stride`.
 pub fn avgpool2d(input: &Tensor, size: usize, stride: usize) -> Tensor {
-    let denom = (size * size) as f32;
-    pool2d(input, size, stride, 0.0, |s, v| s + v, |s| s / denom)
+    pool2d(
+        input,
+        Pool {
+            size,
+            stride,
+            mean: true,
+        },
+    )
 }
 
 /// Global average pooling: CHW -> C.
@@ -493,11 +861,20 @@ pub fn global_avgpool(input: &Tensor) -> Tensor {
 
 /// In-place ReLU.
 pub fn relu(t: &mut Tensor) {
-    // A select, not a branch: conv outputs change sign at random and
-    // a branch here mispredicts every other element. `-0.0` and NaN
-    // are not `< 0.0` and pass through.
     for v in t.data_mut() {
-        *v = if *v < 0.0 { 0.0 } else { *v };
+        *v = relu_one(*v);
+    }
+}
+
+/// ReLU of one value. A select, not a branch: conv outputs change sign
+/// at random and a branch here mispredicts every other element. `-0.0`
+/// and NaN are not `< 0.0` and pass through.
+#[inline(always)]
+fn relu_one(v: f32) -> f32 {
+    if v < 0.0 {
+        0.0
+    } else {
+        v
     }
 }
 
@@ -523,14 +900,19 @@ pub fn softmax(t: &mut Tensor) {
 /// tensor: `y = gamma * (x - mean)/sqrt(var + eps) + beta`.
 pub fn batchnorm(t: &mut Tensor, gamma: &[f32], beta: &[f32], mean: &[f32], var: &[f32]) {
     let plane = t.shape()[1] * t.shape()[2];
-    const EPS: f32 = 1e-5;
     for (ch, values) in t.data_mut().chunks_exact_mut(plane.max(1)).enumerate() {
-        let scale = gamma[ch] / (var[ch] + EPS).sqrt();
-        let shift = beta[ch] - mean[ch] * scale;
+        let (scale, shift) = batchnorm_affine(gamma[ch], beta[ch], mean[ch], var[ch]);
         for v in values {
             *v = *v * scale + shift;
         }
     }
+}
+
+/// One channel's batch norm as `v·scale + shift`: `(scale, shift)`.
+pub(crate) fn batchnorm_affine(gamma: f32, beta: f32, mean: f32, var: f32) -> (f32, f32) {
+    const EPS: f32 = 1e-5;
+    let scale = gamma / (var + EPS).sqrt();
+    (scale, beta - mean * scale)
 }
 
 /// Concatenate CHW tensors along the channel axis; all must share H×W.
@@ -595,7 +977,7 @@ mod tests {
             k,
             n,
             bias: Some(&bias),
-            c: &mut c,
+            c: Finish::plain(&mut c, n),
             fill: &mut |j0, cols, panel: &mut [f32], ld| {
                 geom.fill(input.data(), j0, cols, panel, ld)
             },
@@ -918,6 +1300,48 @@ mod tests {
             prop_assert_eq!(
                 bits(avgpool2d(&input, size, stride)),
                 per_window(&input, size, stride, |w| w.fold(0.0, |s, v| s + v) / area)
+            );
+        }
+
+        /// Rows wide enough that every stride takes eight windows at a
+        /// time, checked window by window against the fold the pooling
+        /// layers define, on values where the order and the NaN a fold
+        /// keeps show in the bits.
+        #[test]
+        fn pooling_wide_rows_fold_each_window_as_defined(
+            (size, stride) in (1usize..=3, 1usize..=3),
+            (c, extra_h, extra_w) in (1usize..=2, 0usize..=3, 0usize..=37),
+            values in proptest::collection::vec(
+                prop_oneof![
+                    Just(-0.0f32),
+                    Just(0.0f32),
+                    Just(f32::INFINITY),
+                    Just(f32::NEG_INFINITY),
+                    (any::<bool>(), 0u32..1 << 22).prop_map(|(sign, payload)| {
+                        f32::from_bits(u32::from(sign) << 31 | 0x7fc0_0000 | payload)
+                    }),
+                    (any::<bool>(), 1u32..1 << 23)
+                        .prop_map(|(sign, bits)| f32::from_bits(u32::from(sign) << 31 | bits)),
+                    -5.0f32..5.0,
+                ],
+                2 * 6 * 40,
+            ),
+        ) {
+            let (h, w) = (size + extra_h, size + extra_w);
+            let input = Tensor::new(vec![c, h, w], values[..c * h * w].to_vec()).unwrap();
+            let bits = |t: Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            // A max keeps `acc` unless `v` is larger or `acc` is NaN; a
+            // NaN sum keeps its own NaN.
+            let max = |acc: f32, v: f32| if v > acc || acc.is_nan() { v } else { acc };
+            let sum = |acc: f32, v: f32| if acc.is_nan() { acc } else { acc + v };
+            prop_assert_eq!(
+                bits(maxpool2d(&input, size, stride)),
+                per_window(&input, size, stride, |w| w.fold(f32::NEG_INFINITY, max))
+            );
+            let area = (size * size) as f32;
+            prop_assert_eq!(
+                bits(avgpool2d(&input, size, stride)),
+                per_window(&input, size, stride, |w| w.fold(0.0, sum) / area)
             );
         }
 

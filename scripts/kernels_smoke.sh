@@ -25,6 +25,6 @@ smoke() {
 }
 
 smoke kernels gemm_32x288x1024 dense_4096x256 relu_32x32x32 \
-  maxpool_32x32x32_2x2 cifar10_forward inception_forward
+  maxpool_32x32x32_2x2 conv_relu_pool_32x32x32 cifar10_forward inception_forward
 smoke matsci forest_fit forest_predict forest_predict_pool forest_predict_many
 smoke memo hit miss key_hash_cifar_input key_hash_int
