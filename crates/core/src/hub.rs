@@ -141,9 +141,15 @@ impl TestHubBuilder {
 
     /// Assemble the hub.
     pub fn build(self) -> TestHub {
+        // One observability layer and one fault schedule for the whole
+        // deployment: the repository, the broker, every executor and
+        // Task Manager and the Management Service are built around the
+        // same two, so one request yields one trace tree spanning all
+        // tiers.
+        let (obs, faults) = (self.obs, self.faults);
         let auth = AuthService::new();
         auth.register_provider("dlhub.org");
-        let repo = Arc::new(Repository::new(auth.clone()));
+        let repo = Arc::new(Repository::wired(auth.clone(), &obs));
         // The provider was registered just above, and a fresh service
         // holds no identity yet.
         let owner_id = auth.register_identity("dlhub.org", "dlhub").unwrap();
@@ -174,11 +180,6 @@ impl TestHubBuilder {
             }
         }
 
-        // One observability layer and one fault schedule for the whole
-        // deployment: the broker, every executor and Task Manager and
-        // the Management Service are built around the same two, so one
-        // request yields one trace tree spanning all tiers.
-        let (obs, faults) = (self.obs, self.faults);
         let broker = Broker::wired(BrokerConfig::default(), &obs, faults.clone());
         let make_parsl = || {
             let mut parsl = ParslExecutor::new(self.replicas, &obs, faults.clone());
@@ -231,7 +232,6 @@ impl TestHubBuilder {
             &broker,
             config,
             Some(Arc::clone(&parsl)),
-            obs,
             faults,
         );
         TestHub {

@@ -3,9 +3,15 @@
 //! "DLHub's Parsl executor implements memoization, caching the inputs
 //! and outputs for each request and returning the recorded output for
 //! a new request if its inputs are in the cache." The cache is keyed
-//! by `(servable id, canonical input hash)` and lives at the Task
-//! Manager — which is why, unlike Clipper's cluster-side cache, a
-//! DLHub hit costs ~1 ms (§V-B5).
+//! by `(servable id, canonical input hash)`. The Management Service
+//! owns it (`ManagementService::memo`, built in
+//! `ManagementService::new`), so a hit is answered before any task is
+//! dispatched and never reaches a Task Manager. On the repo benchmark's
+//! `cifar-memo-zipf`, whose median op is a hit, that median is about
+//! 1.6 µs end to end, the key's hash of the 12 KB input a quarter of
+//! it. The paper's cache sits at the Task Manager and costs ~1 ms a hit
+//! (§V-B5); EXPERIMENTS.md's Fig 4 and Fig 8 rows say how the figures
+//! compare with that.
 //!
 //! # Concurrency
 //!
@@ -56,7 +62,9 @@ use dlhub_obs::{Counter, Obs, Tracer};
 use dlhub_sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use dlhub_sync::thread;
 use dlhub_sync::Mutex;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::Arc;
 
 /// Number of independently locked shards (power of two).
@@ -83,7 +91,7 @@ const SKETCH_CAP: u8 = 15;
 const SKETCH_PERIOD_FACTOR: usize = 32;
 
 /// Cache key: servable id plus the input's 128-bit content hash.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemoKey {
     servable: Arc<str>,
     input_hash: (u64, u64),
@@ -111,6 +119,70 @@ impl MemoKey {
     /// hash, into which its last step folds the high half.
     fn shard(&self) -> usize {
         (self.input_hash.0 as usize) & (SHARD_COUNT - 1)
+    }
+}
+
+/// A shard's index hashes only the content hash: equal keys have equal
+/// content hashes, and the servable id, which [`Eq`] still compares, is
+/// not read again.
+impl Hash for MemoKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.input_hash.0);
+        state.write_u64(self.input_hash.1);
+    }
+}
+
+/// How a shard's index hashes a [`MemoKey`]: each word of its content
+/// hash xored into the state, folded by one wide multiply with a seed
+/// drawn when the cache is built. The content hash is a pure function
+/// of the input, so a caller could pick inputs whose hashes share their
+/// low bits; the unknown seed keeps them from sharing an index bucket.
+#[derive(Clone, Copy)]
+struct KeySeed(u64, u64);
+
+impl KeySeed {
+    /// Two words from the process's random hash keys.
+    fn drawn() -> Self {
+        let keys = RandomState::new();
+        KeySeed(keys.hash_one(0u64), keys.hash_one(1u64))
+    }
+}
+
+impl BuildHasher for KeySeed {
+    type Hasher = KeyHasher;
+
+    fn build_hasher(&self) -> KeyHasher {
+        KeyHasher {
+            seed: *self,
+            state: self.0,
+        }
+    }
+}
+
+/// The hasher a [`KeySeed`] builds.
+struct KeyHasher {
+    seed: KeySeed,
+    state: u64,
+}
+
+impl Hasher for KeyHasher {
+    fn write_u64(&mut self, word: u64) {
+        let wide = u128::from(self.state ^ word) * u128::from(self.seed.1);
+        self.state = (wide as u64) ^ (wide >> 64) as u64;
+    }
+
+    /// Bytes eight at a time, the tail zero-padded: only
+    /// [`Hasher::write_u64`] is reached by a [`MemoKey`].
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.state
     }
 }
 
@@ -204,7 +276,7 @@ struct Slot {
 /// One lock's worth of the cache: an index map plus a slab of slots
 /// threaded by an intrusive LRU list. All operations are O(1).
 struct Shard {
-    index: HashMap<MemoKey, usize>,
+    index: HashMap<MemoKey, usize, KeySeed>,
     slots: Vec<Slot>,
     free: Vec<usize>,
     /// Least recently used slot (eviction candidate).
@@ -214,9 +286,9 @@ struct Shard {
 }
 
 impl Shard {
-    fn new() -> Self {
+    fn new(seed: KeySeed) -> Self {
         Shard {
-            index: HashMap::new(),
+            index: HashMap::with_hasher(seed),
             slots: Vec::new(),
             free: Vec::new(),
             head: NIL,
@@ -333,8 +405,11 @@ impl MemoCache {
     /// request.
     pub fn wired(capacity_bytes: usize, obs: &Obs, faults: FaultHandle) -> Self {
         let metrics = &obs.metrics;
+        let seed = KeySeed::drawn();
         MemoCache {
-            shards: (0..SHARD_COUNT).map(|_| Mutex::new(Shard::new())).collect(),
+            shards: (0..SHARD_COUNT)
+                .map(|_| Mutex::new(Shard::new(seed)))
+                .collect(),
             capacity_bytes,
             bytes: AtomicUsize::new(0),
             entries: AtomicUsize::new(0),

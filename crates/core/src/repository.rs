@@ -5,6 +5,7 @@ use crate::error::DlhubError;
 use crate::servable::{Servable, ServableMetadata};
 use dlhub_auth::{Acl, AuthService, Scope, Token, TokenInfo, Visibility};
 use dlhub_container::{Dependency, Digest, ImageBuilder, Recipe, Registry};
+use dlhub_obs::{Ledger, Obs};
 use dlhub_search::{Document, Index, Query, SearchHit};
 use dlhub_sync::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap};
@@ -59,6 +60,10 @@ pub struct Published {
     /// Access policy.
     pub acl: Acl,
     servable: Arc<dyn Servable>,
+    /// What this version's requests record into, made by
+    /// [`Repository::ledger_as`] for the first request that passes its
+    /// checks (so a refused request leaves no series behind).
+    ledger: Option<Arc<Ledger>>,
 }
 
 /// A servable resolved for one request: its id as the repository holds
@@ -88,12 +93,22 @@ pub struct Repository {
     builder: Mutex<ImageBuilder>,
     /// Keyed by the id every [`Resolved`] shares.
     entries: RwLock<HashMap<Arc<str>, Published>>,
+    /// Where the entries' ledgers are made: the deployment's.
+    obs: Obs,
 }
 
 impl Repository {
-    /// Create a repository wired to an auth service. Registers the
-    /// DLHub resource server and its scopes.
+    /// A repository on its own: [`Repository::wired`] to an [`Obs`]
+    /// nobody else reads.
     pub fn new(auth: AuthService) -> Self {
+        Repository::wired(auth, &Obs::new())
+    }
+
+    /// Create a repository wired to an auth service inside a
+    /// deployment. Registers the DLHub resource server and its scopes.
+    /// Each entry's requests record into `obs`: the Management Service
+    /// built on this repository serves from the same handle.
+    pub fn wired(auth: AuthService, obs: &Obs) -> Self {
         auth.register_resource_server(RESOURCE_SERVER, &[PUBLISH_SCOPE, SERVE_SCOPE]);
         Repository {
             auth,
@@ -101,7 +116,13 @@ impl Repository {
             registry: Registry::new(),
             builder: Mutex::new(ImageBuilder::new()),
             entries: RwLock::new(HashMap::new()),
+            obs: obs.clone(),
         }
+    }
+
+    /// The observability handle the entries' ledgers are made in.
+    pub fn obs(&self) -> &Obs {
+        &self.obs
     }
 
     /// The auth service backing this repository.
@@ -234,6 +255,7 @@ impl Repository {
                 image: image.digest,
                 acl,
                 servable,
+                ledger: None,
             },
         );
         Ok(PublishReceipt {
@@ -266,26 +288,60 @@ impl Repository {
         token: Option<&Token>,
         id: &str,
     ) -> Result<(Arc<dyn Servable>, Arc<ServableMetadata>), DlhubError> {
-        self.resolve_as(token, id)
-            .map(|resolved| (resolved.servable, resolved.metadata))
+        let entries = self.entries.read();
+        let (_, entry) = self.visible(&entries, token, id)?;
+        Ok((Arc::clone(&entry.servable), Arc::clone(&entry.metadata)))
     }
 
-    /// [`Self::resolve`], keeping the id as the repository holds it.
-    pub(crate) fn resolve_as(
+    /// The ledger of a servable the caller may invoke, once `check`
+    /// passes on its metadata: what a request for `id` records into,
+    /// from the one lookup that resolves it, with nothing else of the
+    /// entry shared. The entry's ledger is made in the repository's
+    /// [`Obs`] for the first request that passes. A republished entry
+    /// makes it again, and finds the same series and SLO handle, which
+    /// are keyed by the id.
+    pub(crate) fn ledger_as(
         &self,
         token: Option<&Token>,
         id: &str,
-    ) -> Result<Resolved, DlhubError> {
-        let entries = self.entries.read();
-        let (id, entry) = entries
+        check: impl Fn(&ServableMetadata) -> Result<(), DlhubError>,
+    ) -> Result<Arc<Ledger>, DlhubError> {
+        {
+            let entries = self.entries.read();
+            let (_, entry) = self.visible(&entries, token, id)?;
+            check(&entry.metadata)?;
+            if let Some(ledger) = &entry.ledger {
+                return Ok(Arc::clone(ledger));
+            }
+        }
+        // Checked again: the entry may have been republished since the
+        // read lock was released.
+        let mut entries = self.entries.write();
+        let (name, entry) = self.visible(&entries, token, id)?;
+        check(&entry.metadata)?;
+        let name = Arc::clone(name);
+        let entry = entries
+            .get_mut(id)
+            .ok_or_else(|| DlhubError::NotFound(id.to_string()))?;
+        let ledger = entry
+            .ledger
+            .get_or_insert_with(|| Arc::new(self.obs.ledger(name)));
+        Ok(Arc::clone(ledger))
+    }
+
+    /// The entry `id` names in `entries`, with its key, if the holder
+    /// of `token` may see it. Restricted models are indistinguishable
+    /// from missing ones.
+    fn visible<'a>(
+        &self,
+        entries: &'a HashMap<Arc<str>, Published>,
+        token: Option<&Token>,
+        id: &str,
+    ) -> Result<(&'a Arc<str>, &'a Published), DlhubError> {
+        entries
             .get_key_value(id)
             .filter(|(_, entry)| self.visible_to(&entry.acl, token))
-            .ok_or_else(|| DlhubError::NotFound(id.to_string()))?;
-        Ok(Resolved {
-            id: Arc::clone(id),
-            servable: Arc::clone(&entry.servable),
-            metadata: Arc::clone(&entry.metadata),
-        })
+            .ok_or_else(|| DlhubError::NotFound(id.to_string()))
     }
 
     /// Whether the holder of `token` may see an entry under `acl`. A
@@ -470,6 +526,7 @@ impl Repository {
                     image: image.digest,
                     acl,
                     servable,
+                    ledger: None,
                 },
             );
             receipts.push(PublishReceipt {

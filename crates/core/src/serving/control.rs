@@ -229,7 +229,12 @@ impl ManagementService {
         }
         // A snapshot: a pass that resizes pools must not hold the
         // registry a `run_pipeline` reads.
-        let pipelines = self.pipelines.read().values().cloned().collect();
+        let pipelines = self
+            .pipelines
+            .read()
+            .values()
+            .map(|registered| Arc::clone(&registered.pipeline))
+            .collect();
         let mut history = self.control.lock();
         let signals = history.pass(now_ns, &self.obs, pipelines);
         if let Some(admission) = &self.admission {

@@ -9,7 +9,7 @@ use crate::task::{next_task_id, TaskHandle, TaskStatus};
 use crate::value::Value;
 use dlhub_auth::Token;
 use dlhub_fault::site;
-use dlhub_obs::Gauge;
+use dlhub_obs::{Gauge, Ledger};
 use dlhub_queue::shard::ShardedRing;
 use dlhub_sync::thread;
 use dlhub_sync::time::{ns_at, Instant};
@@ -94,31 +94,30 @@ impl ManagementService {
         input: Value,
     ) -> Result<Value, DlhubError> {
         let arrived = Instant::now();
-        let (tenant, servable) =
-            self.preflight(token, id, std::slice::from_ref(&input), arrived)?;
+        let (tenant, ledger) = self.preflight(token, id, std::slice::from_ref(&input), arrived)?;
         // A submitter has no frame: its request is recorded by the
         // flush that carries it, so a shed here shows only on
         // `requests_shed_total`. The permit covers the coalescing wait
         // and the flush this caller blocks on: submit() returns only
         // once its batch ran.
         let _permit = self.admit(tenant)?;
-        self.batcher(&servable).submit(input)
+        self.batcher(&ledger).submit(input)
     }
 
-    /// `servable`'s auto-batcher, created on first use.
-    fn batcher(self: &Arc<Self>, servable: &Arc<str>) -> Arc<Batcher> {
+    /// The auto-batcher of `ledger`'s servable, created on first use.
+    fn batcher(self: &Arc<Self>, ledger: &Arc<Ledger>) -> Arc<Batcher> {
         // Fast path: the batcher already exists, so a read lock keeps
         // concurrent submitters for different servables contention-free.
-        if let Some(batcher) = self.batchers.read().get(&**servable) {
+        if let Some(batcher) = self.batchers.read().get(&*ledger.name) {
             return Arc::clone(batcher);
         }
         // `entry` re-checks under the write lock: another caller may
         // have created it since the read unlock.
         let mut batchers = self.batchers.write();
-        let batcher = batchers.entry(servable.to_string()).or_insert_with(|| {
+        let batcher = batchers.entry(ledger.name.to_string()).or_insert_with(|| {
             let sizing = if self.config.adaptive_batching {
                 BatchSizing::Adaptive {
-                    series: self.obs.metrics.series(servable),
+                    series: Arc::clone(&ledger.series),
                     target_overhead_fraction: 0.1,
                     cap: self.config.batch_max,
                 }
@@ -131,12 +130,12 @@ impl ManagementService {
             // reference: a flush runs on a submitter's thread, inside
             // `run_batched`, which holds the service.
             let service = Arc::downgrade(self);
-            let servable = Arc::clone(servable);
+            let ledger = Arc::clone(ledger);
             Arc::new(Batcher::new(
                 sizing,
                 self.config.batch_delay,
                 Arc::new(move |inputs, waited| match service.upgrade() {
-                    Some(service) => service.flush(&servable, inputs, waited),
+                    Some(service) => service.flush(&ledger, inputs, waited),
                     None => Err(DlhubError::Transport("service shut down".into())),
                 }),
             ))
@@ -150,7 +149,7 @@ impl ManagementService {
     /// admission here: every submitter holds its own permit.
     fn flush(
         &self,
-        servable: &Arc<str>,
+        ledger: &Arc<Ledger>,
         inputs: Vec<Value>,
         waited: Duration,
     ) -> Result<Vec<Value>, DlhubError> {
@@ -158,10 +157,10 @@ impl ManagementService {
         let mut span = self.obs.tracer.start_root_at("batch_flush", ns_at(started));
         span.attr("batch_wait_ns", waited.as_nanos() as u64);
         let batch = Some(inputs.len());
-        let frame = self.open_frame(Arc::clone(servable), span, started, batch, None)?;
+        let frame = self.open_frame(Arc::clone(ledger), span, started, batch, None)?;
         let outcome = match self.faults.decide(site::BATCH_FLUSH) {
             Some(fault) => Err(DlhubError::Execution {
-                servable: servable.to_string(),
+                servable: ledger.name.to_string(),
                 message: format!("injected batch-flush fault ({:?})", fault.kind),
             }),
             None => self.execute_remote(&frame, &inputs, None),
@@ -179,8 +178,7 @@ impl ManagementService {
         input: Value,
     ) -> Result<TaskHandle, DlhubError> {
         let started = Instant::now();
-        let (tenant, servable) =
-            self.preflight(token, id, std::slice::from_ref(&input), started)?;
+        let (tenant, ledger) = self.preflight(token, id, std::slice::from_ref(&input), started)?;
         // The frame opens at submission: queueing time inside the async
         // pool is part of the user-visible request, and an accepted
         // handle is a promise of capacity — the permit rides in the
@@ -189,7 +187,7 @@ impl ManagementService {
         let mut span = self.obs.tracer.start_root_at("request", ns_at(started));
         span.attr("mode", "async");
         span.attr_with("task_id", || task_id.clone());
-        let mut frame = self.open_frame(servable, span, started, None, Some(tenant))?;
+        let mut frame = self.open_frame(ledger, span, started, None, Some(tenant))?;
         self.task_table.register(&task_id);
         let handle = TaskHandle::new(task_id.clone(), Arc::clone(&self.task_table));
         let service = Arc::clone(self);

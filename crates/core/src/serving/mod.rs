@@ -7,11 +7,12 @@
 //! suitable executors, batch tasks, and cache results."
 //!
 //! [`ManagementService::new`] is the one constructor: it takes the
-//! deployment's `Obs` and fault schedule next to the [`ServingConfig`]
-//! and builds the memo cache, admission controller, reconciler and
-//! async pool around them. Nothing is attached afterwards — which
-//! executor the control loop actuates was decided by whoever assembled
-//! the deployment (see [`crate::hub`]).
+//! deployment's fault schedule next to the [`ServingConfig`], serves
+//! from the `Obs` its repository was wired to, and builds the memo
+//! cache, admission controller, reconciler and async pool around them.
+//! Nothing is attached afterwards — which executor the control loop
+//! actuates was decided by whoever assembled the deployment (see
+//! [`crate::hub`]).
 mod control;
 mod intake;
 mod pipelines;
@@ -24,7 +25,6 @@ use crate::error::DlhubError;
 use crate::executor::ParslExecutor;
 use crate::memo::{MemoCache, MemoStats};
 use crate::metrics::Timings;
-use crate::pipeline::Pipeline;
 use crate::repository::{PublishReceipt, PublishVisibility, Repository};
 use crate::servable::{Servable, ServableMetadata};
 use crate::task::TaskTable;
@@ -39,6 +39,7 @@ use dlhub_sync::atomic::{AtomicBool, Ordering};
 use dlhub_sync::thread;
 use dlhub_sync::{Mutex, RwLock};
 use intake::AsyncPool;
+use pipelines::Registered;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Duration;
@@ -163,7 +164,7 @@ pub struct ManagementService {
     memo_enabled: AtomicBool,
     task_table: Arc<TaskTable>,
     /// Keyed by the name a pipeline's frames and spans share.
-    pipelines: RwLock<HashMap<Arc<str>, Arc<Pipeline>>>,
+    pipelines: RwLock<HashMap<Arc<str>, Arc<Registered>>>,
     // Read-mostly registries: steady-state requests only take the
     // shared side; the exclusive side is reserved for first-touch
     // creation and registration drains.
@@ -189,14 +190,16 @@ pub struct ManagementService {
 
 impl ManagementService {
     /// Wire a Management Service to a repository and broker inside a
-    /// deployment. `obs` is the deployment's one handle — the Task
+    /// deployment. It records into the repository's `Obs`
+    /// ([`Repository::wired`]), the deployment's one handle — the Task
     /// Managers and broker were built around the same one, so trace
-    /// trees span all tiers — and `faults` its one schedule, consulted
-    /// at the memo and batch-flush sites here.
+    /// trees span all tiers, and the ledgers the repository hands each
+    /// request are that handle's — and `faults` is the deployment's one
+    /// schedule, consulted at the memo and batch-flush sites here.
     ///
     /// `scaled` is the executor the control loop actuates: with
     /// [`ServingConfig::autoscale`] set it is reconciled against the
-    /// counts `obs`'s registry holds, otherwise it is ignored.
+    /// counts the registry holds, otherwise it is ignored.
     /// With autoscaling or admission configured and a non-zero
     /// [`ServingConfig::control_interval`], a `dlhub-control` thread
     /// drives [`Self::reconcile_now`] on the obs clock, holding the
@@ -209,9 +212,9 @@ impl ManagementService {
         broker: &Broker,
         config: ServingConfig,
         scaled: Option<Arc<ParslExecutor>>,
-        obs: Obs,
         faults: FaultHandle,
     ) -> Arc<Self> {
+        let obs = repo.obs().clone();
         broker.ensure_topic(&config.task_topic);
         broker.ensure_topic(REGISTRATION_TOPIC);
         // Descriptions for counters whose increment sites are rare
@@ -338,6 +341,7 @@ impl ManagementService {
                 .pipelines
                 .read()
                 .values()
+                .map(|registered| &registered.pipeline)
                 .filter(|p| p.steps.contains(&receipt.id))
                 .map(|p| p.name.clone())
                 .collect();
@@ -403,6 +407,7 @@ mod tests {
     use crate::admission::AdmissionConfig;
     use crate::autoscale::{knee, DecisionReason};
     use crate::hub::TestHub;
+    use crate::pipeline::Pipeline;
     use crate::servable::servable_fn;
     use crate::servable::ModelType;
     use crate::task::TaskStatus;
@@ -1086,11 +1091,12 @@ mod tests {
         let service = &hub.service;
         let tracer = &service.obs().tracer;
         let servable: Arc<str> = Arc::from("dlhub/noop");
+        let ledger = Arc::new(service.obs().ledger(Arc::clone(&servable)));
         let inputs = [Value::Null];
         let frame_of = |span| {
             let started = dlhub_sync::time::Instant::now();
             service
-                .open_frame(Arc::clone(&servable), span, started, None, None)
+                .open_frame(Arc::clone(&ledger), span, started, None, None)
                 .unwrap()
         };
         let wire = |frame: &request::RequestFrame| {
@@ -1930,5 +1936,132 @@ mod tests {
             }
             assert_eq!(admission.inflight(), 0, "{name}");
         }
+    }
+
+    /// Each series' counts in `hub`'s snapshot, name-sorted: requests,
+    /// cache hits, errors, request and inference latencies recorded, and
+    /// the dispatches and items its dispatch sums hold. What a fixed
+    /// request sequence pins, without its timings.
+    fn series_counts(hub: &TestHub) -> Vec<(String, [u64; 7])> {
+        let obs = hub.service.obs();
+        let snap = obs.snapshot();
+        let counts = |(name, s): &(String, dlhub_obs::ServableSnapshot)| {
+            let cost = obs.metrics.series(name).dispatch.cost();
+            let [dispatches, items] = cost.map_or([0, 0], |c| [c.dispatches, c.items]);
+            let latencies = [s.request_latency.count, s.inference_latency.count];
+            let [requests, hits, errors] = [s.requests, s.cache_hits, s.errors];
+            let row = [
+                requests,
+                hits,
+                errors,
+                latencies[0],
+                latencies[1],
+                dispatches,
+                items,
+            ];
+            (name.clone(), row)
+        };
+        snap.servables.iter().map(counts).collect()
+    }
+
+    #[test]
+    fn an_slo_registered_after_the_first_request_is_observed() {
+        let hub = TestHub::builder().memo(false).build();
+        let pipeline = Pipeline::new("just-noop", vec!["dlhub/noop".into()]);
+        hub.service.register_pipeline(&hub.token, pipeline).unwrap();
+        let run = || {
+            let service = &hub.service;
+            service.run(&hub.token, "dlhub/noop", Value::Null).unwrap();
+            let run = service.run_pipeline(&hub.token, "just-noop", Value::Null);
+            run.unwrap();
+        };
+        run();
+        let obs = hub.service.obs();
+        for name in ["dlhub/noop", "just-noop"] {
+            obs.register_slo(SloSpec::new(name, Duration::from_secs(5)));
+        }
+        run();
+        run();
+        // A step records only its dispatch, so `dlhub/noop`'s objective
+        // sees the two direct runs and the pipeline's its own two.
+        let slos = obs.snapshot().slos;
+        let observed: Vec<_> = slos.iter().map(|s| (&*s.servable, s.observed)).collect();
+        assert_eq!(observed, [("dlhub/noop", 2), ("just-noop", 2)]);
+    }
+
+    #[test]
+    fn a_republished_servables_requests_record_to_its_series() {
+        let hub = TestHub::builder()
+            .without_eval_servables()
+            .memo(false)
+            .build();
+        let id = hub.publish_simple(
+            "echo",
+            ModelType::PythonFunction,
+            servable_fn(|v| Ok(v.clone())),
+        );
+        hub.service.run(&hub.token, &id, Value::Int(1)).unwrap();
+        let republished = hub.publish_simple(
+            "echo",
+            ModelType::PythonFunction,
+            servable_fn(|_| Ok(Value::Int(2))),
+        );
+        assert_eq!(republished, id);
+        let answer = hub.service.run(&hub.token, &id, Value::Int(1)).unwrap();
+        assert_eq!(answer.value, Value::Int(2), "the new version serves");
+        let inputs = vec![Value::Int(3), Value::Int(4)];
+        hub.service.run_batch(&hub.token, &id, inputs).unwrap();
+        let counts = series_counts(&hub);
+        assert_eq!(counts, [(id, [4, 0, 0, 3, 3, 3, 4])]);
+    }
+
+    #[test]
+    fn a_pipelines_frame_and_its_steps_dispatch_keep_their_ledgers() {
+        // The counts this sequence left before registered pipelines
+        // kept their ledgers, when every frame and every step's
+        // dispatch looked its series up by name.
+        let hub = TestHub::builder()
+            .without_eval_servables()
+            .memo(true)
+            .build();
+        let double = hub.publish_simple(
+            "double",
+            ModelType::PythonFunction,
+            servable_fn(|v| match v {
+                Value::Int(-1) => Err("exploded".into()),
+                Value::Int(i) => Ok(Value::Int(2 * i)),
+                v => Ok(v.clone()),
+            }),
+        );
+        let inc = hub.publish_simple(
+            "inc",
+            ModelType::PythonFunction,
+            servable_fn(|v| match v {
+                Value::Int(i) => Ok(Value::Int(i + 1)),
+                v => Ok(v.clone()),
+            }),
+        );
+        let steps = vec![double.clone(), inc.clone()];
+        let pipeline = Pipeline::new("double-then-inc", steps);
+        hub.service.register_pipeline(&hub.token, pipeline).unwrap();
+        let run = |input| {
+            let run = hub
+                .service
+                .run_pipeline(&hub.token, "double-then-inc", input);
+            run.map(|(value, _)| value)
+        };
+        // A miss, another, a hit, and a failure at the first step.
+        assert_eq!(run(Value::Int(1)).unwrap(), Value::Int(3));
+        assert_eq!(run(Value::Int(2)).unwrap(), Value::Int(5));
+        assert_eq!(run(Value::Int(1)).unwrap(), Value::Int(3));
+        assert!(run(Value::Int(-1)).is_err());
+        // A step run on its own is a frame of its own.
+        hub.service.run(&hub.token, &inc, Value::Int(5)).unwrap();
+        let want = [
+            (double, [0, 0, 0, 0, 0, 2, 2]),
+            (inc, [1, 0, 0, 1, 1, 3, 3]),
+            ("double-then-inc".to_string(), [4, 1, 1, 3, 2, 0, 0]),
+        ];
+        assert_eq!(series_counts(&hub), want);
     }
 }

@@ -14,7 +14,9 @@
 //! measured cost goes to its own servable's `ServableSeries::dispatch`,
 //! so adaptive batching and the replica control loop see what every step
 //! costs, and the control loop counts a pipeline's arrivals at each of
-//! its steps (`StepLoad`, in `serving/mod.rs`).
+//! its steps (`StepLoad`, in `serving/mod.rs`). Registration keeps the
+//! pipeline's own ledger and each step's series beside the step list
+//! ([`Registered`]), so a run looks none of them up by name.
 //!
 //! **The memo rule.** The key is the pipeline's name and its input;
 //! intermediates are not cached. A pipeline name has no `/` and a
@@ -34,10 +36,20 @@ use crate::task::{
 use crate::value::Value;
 use bytes::Bytes;
 use dlhub_auth::Token;
+use dlhub_obs::{Ledger, ServableSeries};
 use dlhub_sync::atomic::Ordering;
 use dlhub_sync::time::{ns_at, Instant};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// A registered pipeline with what its runs record into: its own
+/// ledger, for the frame, and each step's series, in step order, for
+/// the step's dispatch cost.
+pub(super) struct Registered {
+    pub(super) pipeline: Arc<Pipeline>,
+    ledger: Arc<Ledger>,
+    steps: Vec<Arc<ServableSeries>>,
+}
 
 impl ManagementService {
     /// Register a pipeline. Every step must be visible to the
@@ -46,27 +58,37 @@ impl ManagementService {
     pub fn register_pipeline(&self, token: &Token, pipeline: Pipeline) -> Result<(), DlhubError> {
         self.authorize_serve(token, Instant::now())?;
         pipeline.validate().map_err(DlhubError::Pipeline)?;
-        for step in &pipeline.steps {
-            self.repo.resolve(Some(token), step)?;
-        }
+        let steps = pipeline
+            .steps
+            .iter()
+            .map(|step| {
+                let ledger = self.repo.ledger_as(Some(token), step, |_| Ok(()))?;
+                Ok(Arc::clone(&ledger.series))
+            })
+            .collect::<Result<_, DlhubError>>()?;
         let name: Arc<str> = Arc::from(pipeline.name.as_str());
+        let registered = Registered {
+            pipeline: Arc::new(pipeline),
+            ledger: Arc::new(self.obs.ledger(Arc::clone(&name))),
+            steps,
+        };
         let replaced = self
             .pipelines
             .write()
-            .insert(Arc::clone(&name), Arc::new(pipeline));
+            .insert(Arc::clone(&name), Arc::new(registered));
         if replaced.is_some() {
             self.memo.invalidate_servable(&name);
         }
         Ok(())
     }
 
-    /// The pipeline registered as `name`, with its name as registered.
-    fn registered(&self, name: &str) -> Result<(Arc<str>, Arc<Pipeline>), DlhubError> {
-        let pipelines = self.pipelines.read();
-        let (name, pipeline) = pipelines
-            .get_key_value(name)
-            .ok_or_else(|| DlhubError::Pipeline(format!("no such pipeline: {name}")))?;
-        Ok((Arc::clone(name), Arc::clone(pipeline)))
+    /// The pipeline registered as `name`.
+    fn registered(&self, name: &str) -> Result<Arc<Registered>, DlhubError> {
+        self.pipelines
+            .read()
+            .get(name)
+            .cloned()
+            .ok_or_else(|| DlhubError::Pipeline(format!("no such pipeline: {name}")))
     }
 
     /// Run a registered pipeline: steps execute server-side, output of
@@ -99,8 +121,8 @@ impl ManagementService {
         // others are checked at the Task Manager, as each step produces
         // them. Any refusal is counted once.
         let checked = self.authorize_serve(token, started).and_then(|tenant| {
-            let (name, pipeline) = self.registered(name)?;
-            for (k, step) in pipeline.steps.iter().enumerate() {
+            let registered = self.registered(name)?;
+            for (k, step) in registered.pipeline.steps.iter().enumerate() {
                 let inputs = if k == 0 {
                     std::slice::from_ref(&input)
                 } else {
@@ -108,27 +130,25 @@ impl ManagementService {
                 };
                 self.check_inputs(token, step, inputs)?;
             }
-            Ok((tenant, name, pipeline))
+            Ok((tenant, registered))
         });
-        let (tenant, name, pipeline) = self.refused(checked)?;
+        let (tenant, registered) = self.refused(checked)?;
+        let steps = &registered.pipeline.steps;
         let mut span = self.obs.tracer.start_root_at("pipeline", ns_at(started));
-        span.attr("steps", pipeline.steps.len());
-        let frame = self.open_frame(name, span, started, None, Some(tenant))?;
+        span.attr("steps", steps.len());
+        let ledger = Arc::clone(&registered.ledger);
+        let frame = self.open_frame(ledger, span, started, None, Some(tenant))?;
         let trace = frame.trace();
-        let outcome = self.run_chain(&pipeline, &frame, input);
+        let outcome = self.run_chain(&registered, &frame, input);
         let ((value, costs), timings) = self.close_frame(frame, outcome)?;
-        Ok((
-            value,
-            StepTiming::split(&pipeline.steps, timings, &costs),
-            trace,
-        ))
+        Ok((value, StepTiming::split(steps, timings, &costs), trace))
     }
 
     /// Answer from the memo, or send the whole chain as one task.
     /// `costs` is empty on a hit.
     fn run_chain(
         &self,
-        pipeline: &Pipeline,
+        registered: &Registered,
         frame: &RequestFrame,
         input: Value,
     ) -> Result<((Value, Vec<StepCost>), Timings), DlhubError> {
@@ -143,10 +163,10 @@ impl ManagementService {
         }
         let task_id = TaskId::Seq(next_task_seq());
         let inputs = std::slice::from_ref(&input);
-        let chain = chain_frame(task_id, &pipeline.steps, frame.ctx(), inputs);
-        let (value, costs) = self.dispatch_remote(frame, chain, None, |reply| {
-            self.chain_answer(&pipeline.steps, reply)
-        })?;
+        let steps = &registered.pipeline.steps;
+        let chain = chain_frame(task_id, steps, frame.ctx(), inputs);
+        let (value, costs) =
+            self.dispatch_remote(frame, chain, None, |reply| chain_answer(registered, reply))?;
         if let Some((generation, key)) = memo {
             self.memo.put_since(generation, key, value.clone());
         }
@@ -160,44 +180,6 @@ impl ManagementService {
         Ok(((value, costs), timings))
     }
 
-    /// Decode a chain's one answer: the failing step's typed error, or
-    /// the final value with each step's cost, recorded in that step's
-    /// own series.
-    fn chain_answer(
-        &self,
-        steps: &[String],
-        reply: Bytes,
-    ) -> Result<(Value, Vec<StepCost>), DlhubError> {
-        let response = ChainResponse::from_bytes(&reply).map_err(DlhubError::Transport)?;
-        let malformed =
-            || DlhubError::Transport(format!("malformed answer to a {}-step chain", steps.len()));
-        let mut outputs = match response.outcome {
-            Ok(outputs) => outputs,
-            Err(StepFailure { step, error }) => {
-                let servable = steps.get(step).ok_or_else(malformed)?.clone();
-                return Err(match error {
-                    StepError::Execution(message) => DlhubError::Execution { servable, message },
-                    StepError::InvalidInput { expected } => {
-                        DlhubError::InvalidInput { servable, expected }
-                    }
-                });
-            }
-        };
-        let value = outputs.pop().ok_or_else(malformed)?;
-        if !outputs.is_empty() || response.steps.len() != steps.len() {
-            return Err(malformed());
-        }
-        let nanos = Duration::from_nanos;
-        for (step, cost) in steps.iter().zip(&response.steps) {
-            self.obs.metrics.series(step).dispatch.record(
-                1,
-                nanos(cost.inference_nanos),
-                nanos(cost.invocation_nanos),
-            );
-        }
-        Ok((value, response.steps))
-    }
-
     /// Registered pipelines.
     pub fn pipelines(&self) -> Vec<String> {
         let mut names: Vec<String> = self
@@ -209,4 +191,40 @@ impl ManagementService {
         names.sort();
         names
     }
+}
+
+/// Decode a chain's one answer: the failing step's typed error, or the
+/// final value with each step's cost, recorded in that step's own
+/// series.
+fn chain_answer(
+    registered: &Registered,
+    reply: Bytes,
+) -> Result<(Value, Vec<StepCost>), DlhubError> {
+    let steps = &registered.pipeline.steps;
+    let response = ChainResponse::from_bytes(&reply).map_err(DlhubError::Transport)?;
+    let malformed =
+        || DlhubError::Transport(format!("malformed answer to a {}-step chain", steps.len()));
+    let mut outputs = match response.outcome {
+        Ok(outputs) => outputs,
+        Err(StepFailure { step, error }) => {
+            let servable = steps.get(step).ok_or_else(malformed)?.clone();
+            return Err(match error {
+                StepError::Execution(message) => DlhubError::Execution { servable, message },
+                StepError::InvalidInput { expected } => {
+                    DlhubError::InvalidInput { servable, expected }
+                }
+            });
+        }
+    };
+    let value = outputs.pop().ok_or_else(malformed)?;
+    if !outputs.is_empty() || response.steps.len() != steps.len() {
+        return Err(malformed());
+    }
+    let nanos = Duration::from_nanos;
+    for (series, cost) in registered.steps.iter().zip(&response.steps) {
+        series
+            .dispatch
+            .record(1, nanos(cost.inference_nanos), nanos(cost.invocation_nanos));
+    }
+    Ok((value, response.steps))
 }

@@ -13,7 +13,7 @@ use crate::task::{next_task_seq, task_frame, TaskId, TaskReply};
 use crate::value::Value;
 use bytes::Bytes;
 use dlhub_auth::{IdentityId, Token};
-use dlhub_obs::{ServableSeries, SpanHandle, TraceContext};
+use dlhub_obs::{Ledger, SpanHandle, TraceContext};
 use dlhub_sync::atomic::Ordering;
 use dlhub_sync::thread;
 use dlhub_sync::time::{ns_at, Instant};
@@ -21,21 +21,21 @@ use std::cell::Cell;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// One open request at the Management Service: what it serves, its
-/// span, the servable's series, the admission permit and the clock it
-/// is timed against. Opaque outside this file:
+/// One open request at the Management Service: what it serves and
+/// records into, its span, the admission permit and the clock it is
+/// timed against. Opaque outside this file:
 /// [`ManagementService::open_frame`] is the only constructor and
 /// [`ManagementService::close_frame`] the only consumer, so what a
 /// request records is decided in those two functions and every entry
 /// point keeps only what is its own — the span it mints, with its own
 /// attrs, and what it does in between.
 pub(super) struct RequestFrame {
-    /// The servable id as the repository holds it, or the pipeline's
-    /// name as registered: what the frame's series and spans are keyed
-    /// by, shared rather than copied.
-    servable: Arc<str>,
+    /// The ledger of the servable id as the repository holds it, or of
+    /// the pipeline's name as registered: the name the frame's spans
+    /// carry, shared rather than copied, and the series and SLO handle
+    /// it records into, with no lookup by name.
+    ledger: Arc<Ledger>,
     span: SpanHandle,
-    series: Arc<ServableSeries>,
     /// The request's arrival: its root span's start, and what its
     /// `timings.request` is measured from.
     started: Instant,
@@ -58,7 +58,7 @@ pub(super) struct RequestFrame {
 impl RequestFrame {
     /// What the frame serves: a servable id, or a pipeline's name.
     pub(super) fn servable(&self) -> &Arc<str> {
-        &self.servable
+        &self.ledger.name
     }
 
     /// The frame's trace id: what a caller looks its span tree up by.
@@ -98,21 +98,22 @@ impl ManagementService {
     }
 
     /// Validate the caller and input, returning the caller's tenant
-    /// key and the servable's id as the repository holds it. Every
-    /// entry point calls this before it touches anything keyed by `id`
-    /// — the id is the caller's string until the repository resolves it
-    /// — and a refusal is counted once, on `requests_rejected_total`.
-    /// The token's expiry is judged at `arrived`.
+    /// key and the servable's ledger, named by its id as the repository
+    /// holds it. Every entry point calls this before it touches
+    /// anything keyed by `id` — the id is the caller's string until the
+    /// repository resolves it — and a refusal is counted once, on
+    /// `requests_rejected_total`. The token's expiry is judged at
+    /// `arrived`.
     pub(super) fn preflight(
         &self,
         token: &Token,
         id: &str,
         inputs: &[Value],
         arrived: Instant,
-    ) -> Result<(IdentityId, Arc<str>), DlhubError> {
+    ) -> Result<(IdentityId, Arc<Ledger>), DlhubError> {
         self.refused(self.authorize_serve(token, arrived).and_then(|tenant| {
-            let servable = self.check_inputs(token, id, inputs)?;
-            Ok((tenant, servable))
+            let ledger = self.check_inputs(token, id, inputs)?;
+            Ok((tenant, ledger))
         }))
     }
 
@@ -125,23 +126,23 @@ impl ManagementService {
     }
 
     /// Resolve `id` as the caller and check `inputs` against its
-    /// declared input type; returns the id as the repository holds it.
+    /// declared input type; returns the servable's ledger.
     pub(super) fn check_inputs(
         &self,
         token: &Token,
         id: &str,
         inputs: &[Value],
-    ) -> Result<Arc<str>, DlhubError> {
-        let resolved = self.repo.resolve_as(Some(token), id)?;
-        let metadata = &resolved.metadata;
-        if inputs.iter().all(|i| metadata.input_type.matches(i)) {
-            Ok(resolved.id)
-        } else {
-            Err(DlhubError::InvalidInput {
-                servable: id.to_string(),
-                expected: metadata.input_type.descriptor(),
-            })
-        }
+    ) -> Result<Arc<Ledger>, DlhubError> {
+        self.repo.ledger_as(Some(token), id, |metadata| {
+            if inputs.iter().all(|i| metadata.input_type.matches(i)) {
+                Ok(())
+            } else {
+                Err(DlhubError::InvalidInput {
+                    servable: id.to_string(),
+                    expected: metadata.input_type.descriptor(),
+                })
+            }
+        })
     }
 
     /// Pass `tenant`'s request through the admission controller (a
@@ -156,9 +157,10 @@ impl ManagementService {
         controller.admit(tenant, controller.pressured()).map(Some)
     }
 
-    /// Open `servable`'s request frame on `span` — the one place a
-    /// request starts being accounted. Called after [`Self::preflight`],
-    /// so `servable` is a resolved servable (or a registered pipeline).
+    /// Open a request frame for `ledger`'s name on `span` — the one
+    /// place a request starts being accounted. Called after
+    /// [`Self::preflight`], so the ledger is a resolved servable's (or a
+    /// registered pipeline's).
     /// `batch` is the input count for the two batch entry points
     /// (`None`: a single input); `tenant` is who to admit (`None`: the
     /// callers already hold the permits).
@@ -169,14 +171,14 @@ impl ManagementService {
     /// other, so it closes the frame it was refused.
     pub(super) fn open_frame(
         &self,
-        servable: Arc<str>,
+        ledger: Arc<Ledger>,
         mut span: SpanHandle,
         started: Instant,
         batch: Option<usize>,
         tenant: Option<IdentityId>,
     ) -> Result<RequestFrame, DlhubError> {
-        span.attr("servable", &servable);
-        let series = self.obs.metrics.series(&servable);
+        span.attr("servable", &ledger.name);
+        let series = &ledger.series;
         let items = batch.unwrap_or(1) as u64;
         series.requests.add(items);
         if batch.is_some() {
@@ -184,9 +186,8 @@ impl ManagementService {
             series.batch_sizes.record(items);
         }
         let frame = RequestFrame {
-            servable,
+            ledger,
             span,
-            series,
             started,
             dispatch_base: started,
             replied: Cell::new(None),
@@ -211,9 +212,8 @@ impl ManagementService {
         outcome: Result<(T, Timings), DlhubError>,
     ) -> Result<(T, Timings), DlhubError> {
         let RequestFrame {
-            servable,
+            ledger,
             mut span,
-            series,
             started,
             replied,
             items,
@@ -223,6 +223,7 @@ impl ManagementService {
         let ended = replied.get().unwrap_or_else(Instant::now);
         let request = ended.saturating_duration_since(started);
         let outcome = outcome.map(|(value, timings)| (value, Timings { request, ..timings }));
+        let series = &ledger.series;
         match &outcome {
             Ok((_, timings)) => {
                 span.attr("cache_hit", timings.cache_hit);
@@ -247,8 +248,7 @@ impl ManagementService {
             }
         }
         let ended_ns = ns_at(ended);
-        self.obs
-            .observe_slo(&servable, request, outcome.is_ok(), ended_ns);
+        ledger.slo.observe_at(request, outcome.is_ok(), ended_ns);
         self.obs.tracer.finish_at(span, ended_ns);
         outcome
     }
@@ -266,7 +266,7 @@ impl ManagementService {
         inputs: &[Value],
         deadline: Option<Duration>,
     ) -> Result<(Vec<Value>, Timings), DlhubError> {
-        let servable = &*frame.servable;
+        let servable = &**frame.servable();
         let task_id = TaskId::Seq(next_task_seq());
         let task = task_frame(task_id, servable, frame.ctx(), inputs);
         self.dispatch_remote(frame, task, deadline, |reply| {
@@ -278,6 +278,7 @@ impl ManagementService {
                 message: message.to_string(),
             })?;
             frame
+                .ledger
                 .series
                 .dispatch
                 .record(outputs.len(), inference, invocation);
@@ -323,7 +324,7 @@ impl ManagementService {
             attempts += 1;
             let tracer = &self.obs.tracer;
             let mut attempt_span = tracer.start_child_at(ctx, "attempt", ns_at(attempt_started));
-            attempt_span.attr("servable", &frame.servable);
+            attempt_span.attr("servable", frame.servable());
             attempt_span.attr("attempt", attempts);
             let remaining = deadline.saturating_duration_since(attempt_started);
             let (error, ended) = if remaining.is_zero() {
@@ -356,7 +357,7 @@ impl ManagementService {
             if attempts > self.config.max_retries || ended >= deadline {
                 self.obs.metrics.counter("request_exhausted_total").inc();
                 return Err(DlhubError::Exhausted {
-                    servable: frame.servable.to_string(),
+                    servable: frame.servable().to_string(),
                     attempts,
                     last_error: error.to_string(),
                 });
@@ -401,10 +402,9 @@ impl ManagementService {
         options: &RunOptions,
     ) -> Result<RunResult, DlhubError> {
         let started = Instant::now();
-        let (tenant, servable) =
-            self.preflight(token, id, std::slice::from_ref(&input), started)?;
+        let (tenant, ledger) = self.preflight(token, id, std::slice::from_ref(&input), started)?;
         let span = self.obs.tracer.start_root_at("request", ns_at(started));
-        let frame = self.open_frame(servable, span, started, None, Some(tenant))?;
+        let frame = self.open_frame(ledger, span, started, None, Some(tenant))?;
         let trace = frame.trace();
         let outcome = self.run_measured(&frame, input, options);
         self.close_frame(frame, outcome)
@@ -429,7 +429,7 @@ impl ManagementService {
         // The generation is read before the lookup: a republish from
         // here on invalidates what this request is about to compute.
         let memo = memoize.then(|| {
-            let key = MemoKey::for_servable(&frame.servable, &input);
+            let key = MemoKey::for_servable(frame.servable(), &input);
             (self.memo.generation(), key)
         });
         if let Some(hit) = memo.as_ref().and_then(|(_, key)| self.memo_hit(frame, key)) {
@@ -455,7 +455,7 @@ impl ManagementService {
         let tracer = &self.obs.tracer;
         let mut lookup_span =
             tracer.start_child_at(frame.ctx(), "memo_lookup", ns_at(lookup_started));
-        lookup_span.attr("servable", &frame.servable);
+        lookup_span.attr("servable", frame.servable());
         lookup_span.attr("hit", cached.is_some());
         tracer.finish_at(lookup_span, ns_at(looked_up));
         let timings = Timings {
@@ -476,14 +476,14 @@ impl ManagementService {
         inputs: Vec<Value>,
     ) -> Result<(Vec<Value>, Timings), DlhubError> {
         let started = Instant::now();
-        let (tenant, servable) = self.preflight(token, id, &inputs, started)?;
+        let (tenant, ledger) = self.preflight(token, id, &inputs, started)?;
         if inputs.is_empty() {
             return Ok((Vec::new(), Timings::default()));
         }
         // One frame, one permit: the batch travels as one task.
         let span = self.obs.tracer.start_root_at("request", ns_at(started));
         let batch = Some(inputs.len());
-        let frame = self.open_frame(servable, span, started, batch, Some(tenant))?;
+        let frame = self.open_frame(ledger, span, started, batch, Some(tenant))?;
         let outcome = self.execute_remote(&frame, &inputs, None);
         self.close_frame(frame, outcome)
     }

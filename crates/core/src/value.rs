@@ -392,6 +392,40 @@ const fn step(lane: u64, word: u64, odd_multiplier: u64) -> u64 {
     x ^ (x >> 32)
 }
 
+/// Two lanes into one: `step` with the left lane first multiplied by
+/// [`MUL_B`]. A bijection of each lane while the other is fixed. The
+/// multiply makes the node tell a difference on its left from the same
+/// difference on its right: a flip of bit 63 in a lane's last word
+/// leaves the lane off by exactly `0x8000_0000_8000_0000` whatever it
+/// held, and with `step(left, right)` alone two such flips in the two
+/// lanes of one node would meet as the same `left ^ right`.
+const fn node(left: u64, right: u64) -> u64 {
+    step(left.wrapping_mul(MUL_B), right, MUL_A)
+}
+
+/// The 64 lanes as a tree of [`node`]s, to eight: lane `i` is paired
+/// with lane `i + 32`, then `i + 16`, then `i + 8`. Each level's nodes
+/// are independent, so the 56 of them cost three nodes of latency where
+/// a chain through all 64 lanes waits on every lane in turn. Run by the
+/// widest build, as the lanes are absorbed: the baseline build
+/// vectorizes the first level with an emulated 64-bit multiply.
+#[inline(always)]
+fn tree(lanes: &[u64; LANES]) -> [u64; 8] {
+    let mut level = [0; LANES / 2];
+    for (i, node_of) in level.iter_mut().enumerate() {
+        *node_of = node(lanes[i], lanes[i + LANES / 2]);
+    }
+    for width in [LANES / 4, LANES / 8] {
+        let (left, right) = level.split_at_mut(width);
+        for (l, r) in left.iter_mut().zip(&*right) {
+            *l = node(*l, *r);
+        }
+    }
+    let mut out = [0; 8];
+    out.copy_from_slice(&level[..8]);
+    out
+}
+
 /// `words` in order through the two-lane chain.
 const fn fold(mut chain: (u64, u64), words: &[u64]) -> (u64, u64) {
     let mut i = 0;
@@ -405,8 +439,8 @@ const fn fold(mut chain: (u64, u64), words: &[u64]) -> (u64, u64) {
     chain
 }
 
-/// The builds of [`absorb_blocks`], narrowest first. A [`Hasher`] uses
-/// the widest the CPU reports, up to the one it is capped at.
+/// The builds of the lane work, narrowest first. A [`Hasher`] uses the
+/// widest the CPU reports, up to the one it is capped at.
 #[derive(Clone, Copy, PartialEq, PartialOrd)]
 enum Build {
     /// Baseline x86-64 (SSE2), or whatever the target is.
@@ -418,15 +452,53 @@ enum Build {
     Avx512,
 }
 
-/// Whole blocks into the lanes, word `i` of each into lane `i`, by the
-/// widest build the CPU reports, up to `cap`. Every build runs the one
-/// loop of [`absorb_blocks`], so every build gives the same bits.
-fn absorb<T: Copy>(
-    cap: Build,
-    lanes: &mut [u64; LANES],
-    blocks: &[[T; LANES]],
-    word: impl Fn(T) -> u64,
-) {
+/// Work on the lanes that [`on_widest`] compiles once per build: its
+/// `run` is inlined into each build's copy.
+trait LaneWork {
+    type Out;
+    fn run(self) -> Self::Out;
+}
+
+/// Whole blocks into the lanes, word `i` of each into lane `i`.
+struct Absorb<'a, T, F> {
+    lanes: &'a mut [u64; LANES],
+    blocks: &'a [[T; LANES]],
+    word: F,
+}
+
+impl<T: Copy, F: Fn(T) -> u64> LaneWork for Absorb<'_, T, F> {
+    type Out = ();
+
+    /// The 64 lanes are independent chains, so a build keeps as many in
+    /// a vector register as it holds.
+    #[inline(always)]
+    fn run(self) {
+        let mut acc = *self.lanes;
+        for block in self.blocks {
+            for (lane, w) in acc.iter_mut().zip(block) {
+                *lane = step(*lane, (self.word)(*w), MUL_A);
+            }
+        }
+        *self.lanes = acc;
+    }
+}
+
+/// The lanes folded to eight by the [`tree`].
+struct Tree<'a>(&'a [u64; LANES]);
+
+impl LaneWork for Tree<'_> {
+    type Out = [u64; 8];
+
+    #[inline(always)]
+    fn run(self) -> [u64; 8] {
+        tree(self.0)
+    }
+}
+
+/// Run `work` by the widest build the CPU reports, up to `cap`, checked
+/// per call. Every build compiles the one `run`, so every build gives
+/// the same bits.
+fn on_widest<W: LaneWork>(cap: Build, work: W) -> W::Out {
     #[cfg(target_arch = "x86_64")]
     {
         if cap >= Build::Avx512
@@ -434,51 +506,30 @@ fn absorb<T: Copy>(
             && is_x86_feature_detected!("avx512dq")
         {
             // SAFETY: the CPU reported avx512f and avx512dq on the lines
-            // above, the only requirements of `absorb_avx512`.
-            return unsafe { absorb_avx512(lanes, blocks, word) };
+            // above, the only requirements of `on_avx512`.
+            return unsafe { on_avx512(work) };
         }
         if cap >= Build::Avx2 && is_x86_feature_detected!("avx2") {
             // SAFETY: the CPU reported avx2 on the line above, the only
-            // requirement of `absorb_avx2`.
-            return unsafe { absorb_avx2(lanes, blocks, word) };
+            // requirement of `on_avx2`.
+            return unsafe { on_avx2(work) };
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = cap;
-    absorb_blocks(lanes, blocks, word)
+    work.run()
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn absorb_avx2<T: Copy>(lanes: &mut [u64; LANES], blocks: &[[T; LANES]], word: impl Fn(T) -> u64) {
-    absorb_blocks(lanes, blocks, word)
+fn on_avx2<W: LaneWork>(work: W) -> W::Out {
+    work.run()
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512dq")]
-fn absorb_avx512<T: Copy>(
-    lanes: &mut [u64; LANES],
-    blocks: &[[T; LANES]],
-    word: impl Fn(T) -> u64,
-) {
-    absorb_blocks(lanes, blocks, word)
-}
-
-/// The one loop every build compiles. The 64 lanes are independent
-/// chains, so a build keeps as many in a vector register as it holds.
-#[inline(always)]
-fn absorb_blocks<T: Copy>(
-    lanes: &mut [u64; LANES],
-    blocks: &[[T; LANES]],
-    word: impl Fn(T) -> u64,
-) {
-    let mut acc = *lanes;
-    for block in blocks {
-        for (lane, w) in acc.iter_mut().zip(block) {
-            *lane = step(*lane, word(*w), MUL_A);
-        }
-    }
-    *lanes = acc;
+fn on_avx512<W: LaneWork>(work: W) -> W::Out {
+    work.run()
 }
 
 /// The 128-bit content hash of a word stream, computed in 64
@@ -487,15 +538,16 @@ fn absorb_blocks<T: Copy>(
 /// multiply.
 ///
 /// Word `i` of each block of 64 goes into lane `i`. `finish` folds the
-/// 64 lanes in order, then the words of the partial block, then their
-/// count, through two chained lanes `(a, b)`: the 128 bits. A stream
-/// that fills no block skips the lanes: its chain starts from
-/// [`SHORT_START`]. Two streams of one length that differ in one word
-/// never collide: they fill the same number of blocks, the lane (or
-/// partial word) that took the difference differs to the end, since
-/// every later step is a bijection of it, and each fold step is a
-/// bijection of `a` and of `b` for a fixed word and of the word for a
-/// fixed `a` or `b`.
+/// 64 lanes to eight by a [`tree`] of nodes, then folds those eight,
+/// the words of the partial block and their count, in order, through
+/// two chained lanes `(a, b)`: the 128 bits. A stream that fills no
+/// block skips the lanes: its chain starts from [`SHORT_START`]. Two
+/// streams of one length that differ in one word never collide: they
+/// fill the same number of blocks, the lane (or partial word) that took
+/// the difference differs to the end, since every later lane step and
+/// tree node is a bijection of it, and each fold step is a bijection of
+/// `a` and of `b` for a fixed word and of the word for a fixed `a` or
+/// `b`.
 ///
 /// The fields stay in this order: with `buffered` after `block`, the
 /// one `memset` that zeroes both made each read of `buffered` wait on a
@@ -541,14 +593,22 @@ impl Hasher {
     /// The partial block, now full, into the lanes.
     fn absorb_block(&mut self) {
         let lanes = self.lanes.get_or_insert(LANE_SEEDS);
-        let block = std::slice::from_ref(&self.block);
-        absorb(self.cap, lanes, block, std::convert::identity);
+        let blocks = std::slice::from_ref(&self.block);
+        let word = std::convert::identity;
+        on_widest(
+            self.cap,
+            Absorb {
+                lanes,
+                blocks,
+                word,
+            },
+        );
         self.buffered = 0;
     }
 
     fn finish(&self) -> (u64, u64) {
         let start = match &self.lanes {
-            Some(lanes) => fold(CHAIN_START, lanes),
+            Some(lanes) => fold(CHAIN_START, &on_widest(self.cap, Tree(lanes))),
             None => SHORT_START,
         };
         let count = self.buffered as u64;
@@ -617,7 +677,15 @@ impl WordSink for Hasher {
         // Only a whole block starts the lanes (see `SHORT_START`).
         if !blocks.is_empty() {
             let lanes = self.lanes.get_or_insert(LANE_SEEDS);
-            absorb(self.cap, lanes, blocks, pair_word);
+            let word = pair_word;
+            on_widest(
+                self.cap,
+                Absorb {
+                    lanes,
+                    blocks,
+                    word,
+                },
+            );
         }
         self.buffer(tail);
         if let [last] = last {
@@ -955,6 +1023,48 @@ mod tests {
         .chain((0..=40).map(|n| (Value::Str(text[..n].into()), strs[n])));
         for (value, hash) in pinned {
             assert_eq!(value.content_hash(), hash, "{value:?}");
+        }
+    }
+
+    #[test]
+    fn one_word_flips_through_the_tree_never_collide() {
+        // 1, 2 and 3 full blocks, then 0–63 words of a partial block.
+        // Flipping any one word, in any lane or in the partial block,
+        // by any of four masks gives a hash that neither the stream nor
+        // any other flip of it gives. Bit 63 is the flip whose lane
+        // difference no lane state changes (see `node`): with a
+        // symmetric node, two such flips in the lanes of one node
+        // collide.
+        use std::collections::HashSet;
+        let hash = |words: &[u64]| {
+            let mut h = Hasher::new();
+            for &word in words {
+                h.word(word);
+            }
+            h.finish()
+        };
+        let mut state = 11u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z ^ (z >> 31)
+        };
+        for blocks in 1..=3 {
+            for partial in 0..LANES {
+                let words: Vec<u64> = (0..blocks * LANES + partial).map(|_| next()).collect();
+                let mut seen = HashSet::from([hash(&words)]);
+                let mut probe = words.clone();
+                for i in 0..words.len() {
+                    for mask in [1, 1 << 31, 1 << 63, u64::MAX] {
+                        probe[i] ^= mask;
+                        assert!(
+                            seen.insert(hash(&probe)),
+                            "{blocks} blocks and {partial} words: word {i} ^ {mask:#x} collides"
+                        );
+                        probe[i] = words[i];
+                    }
+                }
+            }
         }
     }
 

@@ -44,12 +44,33 @@ pub use metrics::{
     Histogram, HistogramSnapshot, HistogramSummary, MetricsSnapshot, Registry, ServableCost,
     ServableSeries, ServableSnapshot,
 };
-pub use slo::{SloRegistry, SloSnapshot, SloSpec, SloTracker};
+pub use slo::{SloHandle, SloRegistry, SloSnapshot, SloSpec, SloTracker};
 pub use trace::{AttrValue, SpanHandle, SpanRecord, TraceContext, TraceExport, Tracer};
 
 use dlhub_sync::Mutex;
 use std::sync::Arc;
-use std::time::Duration;
+
+/// What every request for one name records into, looked up once: the
+/// name, its series and its SLO handle. A request path keeps the ledger
+/// where it keeps the name, so recording a request looks nothing up by
+/// name.
+pub struct Ledger {
+    /// The servable id, or pipeline name, the ledger is for.
+    pub name: Arc<str>,
+    /// The name's series in [`Obs::metrics`].
+    pub series: Arc<ServableSeries>,
+    /// The name's handle in [`Obs::slo`]: it observes an objective
+    /// registered after the ledger was made as well as one before.
+    pub slo: Arc<SloHandle>,
+}
+
+impl std::fmt::Debug for Ledger {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Ledger")
+            .field("name", &self.name)
+            .finish_non_exhaustive()
+    }
+}
 
 /// One deployment's observability handle: a tracer plus a metrics
 /// registry. Cheap to clone; clones share state, so the Management
@@ -90,11 +111,14 @@ impl Obs {
         );
     }
 
-    /// Record one request outcome, ended at `at_ns`
-    /// ([`dlhub_sync::time::now_ns`] clock), against the servable's SLO,
-    /// if one is registered. A miss is a single read-locked map lookup.
-    pub fn observe_slo(&self, servable: &str, latency: Duration, ok: bool, at_ns: u64) {
-        self.slo.observe(servable, latency, ok, at_ns);
+    /// The ledger of `name`: its series and SLO handle, each made on
+    /// first use.
+    pub fn ledger(&self, name: Arc<str>) -> Ledger {
+        Ledger {
+            series: self.metrics.series(&name),
+            slo: self.slo.handle(&name),
+            name,
+        }
     }
 
     /// Full snapshot: the metrics registry plus cross-cutting obs
@@ -133,6 +157,7 @@ impl Obs {
 mod tests {
     use super::*;
     use dlhub_sync::time::now_ns;
+    use std::time::Duration;
 
     #[test]
     fn clones_share_tracer_and_registry() {
@@ -153,15 +178,12 @@ mod tests {
                 .latency_objective(0.9)
                 .windows(Duration::from_millis(200), Duration::from_secs(2)),
         );
+        let echo = obs.slo.handle("dlhub/echo");
         for _ in 0..20 {
-            obs.observe_slo("dlhub/echo", Duration::from_millis(50), true, now_ns());
+            echo.observe_at(Duration::from_millis(50), true, now_ns());
         }
-        obs.observe_slo(
-            "dlhub/not-registered",
-            Duration::from_secs(1),
-            false,
-            now_ns(),
-        );
+        let unregistered = obs.slo.handle("dlhub/not-registered");
+        unregistered.observe_at(Duration::from_secs(1), false, now_ns());
         let snap = obs.snapshot();
         assert_eq!(snap.slos.len(), 1);
         assert!(snap.slos[0].firing, "{:?}", snap.slos[0]);

@@ -372,13 +372,52 @@ impl SloSnapshot {
     }
 }
 
+/// One servable's place in an [`SloRegistry`]: the tracker registered
+/// for it, reached without a lookup by name. A handle made before the
+/// objective is registered sees it: [`SloRegistry::register`] installs
+/// into the handle the name already has. So a request path may take
+/// the handle at its first request and keep it.
+#[derive(Default)]
+pub struct SloHandle {
+    /// Set once a tracker is installed: all a servable without an
+    /// objective pays is this load.
+    installed: AtomicBool,
+    tracker: RwLock<Option<Arc<SloTracker>>>,
+}
+
+impl SloHandle {
+    /// The tracker registered for this servable, if any.
+    pub fn tracker(&self) -> Option<Arc<SloTracker>> {
+        if !self.installed.load(Ordering::Acquire) {
+            return None;
+        }
+        self.tracker.read().clone()
+    }
+
+    /// Record one request outcome, ended at `at_ns` ([`now_ns`] clock),
+    /// against the servable's objective, if one is registered.
+    pub fn observe_at(&self, latency: Duration, ok: bool, at_ns: u64) {
+        if !self.installed.load(Ordering::Acquire) {
+            return;
+        }
+        if let Some(tracker) = &*self.tracker.read() {
+            tracker.observe_at(latency, ok, at_ns);
+        }
+    }
+
+    fn install(&self, tracker: Arc<SloTracker>) {
+        *self.tracker.write() = Some(tracker);
+        self.installed.store(true, Ordering::Release);
+    }
+}
+
 /// Registry of SLO trackers keyed by servable. Cheap to clone; clones
-/// share state. Observing a servable without an objective is a single
-/// read-locked map miss, so the hot path stays cheap when no SLOs are
-/// configured.
+/// share state. Each name has one [`SloHandle`], made when its
+/// objective is registered or a request path first asks for it; a
+/// handle without a tracker is not in [`Self::snapshot`].
 #[derive(Clone, Default)]
 pub struct SloRegistry {
-    inner: Arc<RwLock<BTreeMap<String, Arc<SloTracker>>>>,
+    inner: Arc<RwLock<BTreeMap<String, Arc<SloHandle>>>>,
 }
 
 impl SloRegistry {
@@ -396,29 +435,34 @@ impl SloRegistry {
         fired_total: Arc<Counter>,
         active: Arc<Gauge>,
     ) -> Arc<SloTracker> {
-        let tracker = Arc::new(SloTracker::new(spec.clone(), tracer, fired_total, active));
-        self.inner
-            .write()
-            .insert(spec.servable, Arc::clone(&tracker));
+        let handle = self.handle(&spec.servable);
+        let tracker = Arc::new(SloTracker::new(spec, tracer, fired_total, active));
+        handle.install(Arc::clone(&tracker));
         tracker
+    }
+
+    /// The servable's handle, made on first use.
+    pub fn handle(&self, servable: &str) -> Arc<SloHandle> {
+        if let Some(handle) = self.inner.read().get(servable) {
+            return Arc::clone(handle);
+        }
+        let mut handles = self.inner.write();
+        Arc::clone(handles.entry(servable.to_string()).or_default())
     }
 
     /// Look up a tracker.
     pub fn get(&self, servable: &str) -> Option<Arc<SloTracker>> {
-        self.inner.read().get(servable).cloned()
-    }
-
-    /// Record one request outcome, ended at `at_ns` ([`now_ns`] clock),
-    /// against the servable's objective, if one is registered.
-    pub fn observe(&self, servable: &str, latency: Duration, ok: bool, at_ns: u64) {
-        if let Some(tracker) = self.inner.read().get(servable) {
-            tracker.observe_at(latency, ok, at_ns);
-        }
+        self.inner.read().get(servable)?.tracker()
     }
 
     /// Snapshot every registered tracker, servable-sorted.
     pub fn snapshot(&self) -> Vec<SloSnapshot> {
-        self.inner.read().values().map(|t| t.snapshot()).collect()
+        let handles = self.inner.read();
+        handles
+            .values()
+            .filter_map(|handle| handle.tracker())
+            .map(|tracker| tracker.snapshot())
+            .collect()
     }
 }
 
@@ -501,8 +545,12 @@ mod tests {
     #[test]
     fn registry_observe_is_a_noop_without_an_objective() {
         let reg = SloRegistry::new();
-        reg.observe("dlhub/unknown", Duration::from_secs(5), false, now_ns());
+        let unknown = reg.handle("dlhub/unknown");
+        unknown.observe_at(Duration::from_secs(5), false, now_ns());
         assert!(reg.snapshot().is_empty());
+        // Taken before the objective is registered, as a request path
+        // takes it at its first request.
+        let echo = reg.handle("dlhub/echo");
         let tracer = Tracer::new();
         reg.register(
             tight_spec(),
@@ -510,7 +558,7 @@ mod tests {
             Arc::new(Counter::new()),
             Arc::new(Gauge::new()),
         );
-        reg.observe("dlhub/echo", Duration::from_micros(10), true, now_ns());
+        echo.observe_at(Duration::from_micros(10), true, now_ns());
         let snaps = reg.snapshot();
         assert_eq!(snaps.len(), 1);
         assert_eq!(snaps[0].observed, 1);

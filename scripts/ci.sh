@@ -65,6 +65,18 @@ if grep -rnE 'TfServingExecutor|SageMakerExecutor|run_inline|NoExecutor' \
   exit 1
 fi
 
+# A request records into the ledger its frame carries: the repository
+# hands each resolved servable its series and SLO handle, and a
+# registered pipeline keeps its own and its steps' (DESIGN.md §7, "What
+# a memo hit touches"). A lookup by name on the request path is back if
+# either file calls the registry's `series(`, or an `observe_slo(` (the
+# by-name SLO observation `Obs` no longer has).
+if grep -nE '\.series\(|observe_slo\(' \
+  crates/core/src/serving/request.rs crates/core/src/serving/pipelines.rs; then
+  echo "ci: the request path looks a series or an SLO up by name again (see above)" >&2
+  exit 1
+fi
+
 # Lines of non-test code in crates/*/src outside crates/sync that match
 # the regex $1. Test modules (from a `#[cfg(test)]` module on) are
 # skipped.

@@ -272,7 +272,6 @@ fn no_task_manager_means_timeout_not_hang() {
             ..ServingConfig::default()
         },
         None,
-        Obs::new(),
         FaultHandle::default(),
     );
     let started = std::time::Instant::now();
@@ -389,7 +388,6 @@ fn task_survives_a_crashing_task_manager() {
         &broker,
         config.clone(),
         None,
-        Obs::new(),
         FaultHandle::default(),
     );
     // Give the crasher a head start on the queue before a healthy TM
